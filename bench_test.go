@@ -39,7 +39,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/icq"
-	"repro/internal/incremental"
 	"repro/internal/ineq"
 	"repro/internal/netdist"
 	"repro/internal/obs"
@@ -985,70 +984,70 @@ func BenchmarkNegationContainment(b *testing.B) {
 	}
 }
 
-// BenchmarkGlobalPhase compares the two global-phase implementations —
-// full re-evaluation vs DRed incremental maintenance (Gupta [1994]) — in
-// both regimes: a tiny database with churny updates (recompute wins: the
-// fixpoint is cheap and DRed bookkeeping is pure overhead) and a large
-// materialization with localized updates (incremental wins: recompute
-// pays the whole transitive closure on every update).
+// BenchmarkGlobalPhase compares the two ways the global phase decides a
+// trial edge insert under the acyclicity constraint — evaluating the
+// constraint from scratch on the post-insert store (recompute) vs the
+// rounds the inserted tuple seeds on a kept fixpoint (delta) — on a
+// forward edge, which derives nothing new, and a closing edge, which
+// derives panic. Each iteration is one check: insert, decide, undo.
 func BenchmarkGlobalPhase(b *testing.B) {
 	prog := parser.MustParseProgram(`
 		reach(X,Y) :- edge(X,Y).
 		reach(X,Y) :- reach(X,Z) & edge(Z,Y).
 		panic :- reach(X,X).`)
-	seedChain := func(db *store.Store, n int) {
-		for i := 0; i < n; i++ {
-			if _, err := db.Insert("edge", relation.Ints(int64(i), int64(i+1))); err != nil {
-				b.Fatal(err)
-			}
+	for _, n := range []int{8, 64, 128} {
+		edges := map[string]relation.Tuple{
+			"forward": relation.Ints(int64(n/8), int64(n/2)),
+			"closing": relation.Ints(int64(n/2), int64(n/8)),
 		}
-	}
-	// Updates toggle a pendant edge off the end of the chain: a small,
-	// localized change to a large reach materialization.
-	toggle := func(n int) []store.Update {
-		var out []store.Update
-		for i := 0; i < 10; i++ {
-			out = append(out,
-				store.Ins("edge", relation.Ints(int64(n), int64(n+1))),
-				store.Del("edge", relation.Ints(int64(n), int64(n+1))))
+		for _, kind := range []string{"forward", "closing"} {
+			tu := edges[kind]
+			seeded := func() *store.Store {
+				db := store.New()
+				for i := 0; i < n-1; i++ {
+					if _, err := db.Insert("edge", relation.Ints(int64(i), int64(i+1))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return db
+			}
+			b.Run(fmt.Sprintf("recompute/chain=%d/%s", n, kind), func(b *testing.B) {
+				db, opts := seeded(), eval.Options{Cache: eval.NewPlanCache()}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Insert("edge", tu); err != nil {
+						b.Fatal(err)
+					}
+					bad, err := eval.GoalHoldsWith(prog, db, ast.PanicPred, opts)
+					if err != nil || bad != (kind == "closing") {
+						b.Fatalf("verdict %v, %v", bad, err)
+					}
+					db.Delete("edge", tu)
+				}
+			})
+			b.Run(fmt.Sprintf("delta/chain=%d/%s", n, kind), func(b *testing.B) {
+				db := seeded()
+				fix, err := eval.BuildFixpoint(prog, db, ast.PanicPred, "edge", eval.Options{})
+				if err != nil || fix == nil {
+					b.Fatalf("no fixpoint: %v", err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Insert("edge", tu); err != nil {
+						b.Fatal(err)
+					}
+					bad, err := fix.Insert("edge", tu)
+					if err != nil || bad != (kind == "closing") {
+						b.Fatalf("verdict %v, %v", bad, err)
+					}
+					db.Delete("edge", tu)
+					fix.Close(false)
+					fix.Wrote("edge", 2)
+				}
+				if !fix.Valid() {
+					b.Fatal("the fixpoint lost track of the trial writes")
+				}
+			})
 		}
-		return out
-	}
-	for _, n := range []int{8, 48, 128} {
-		b.Run(fmt.Sprintf("recompute/chain=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := store.New()
-				seedChain(db, n)
-				updates := toggle(n)
-				b.StartTimer()
-				for _, u := range updates {
-					if err := u.Apply(db); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := eval.Eval(prog, db); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("incremental/chain=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := store.New()
-				seedChain(db, n)
-				m, err := incremental.Materialize(prog, db)
-				if err != nil {
-					b.Fatal(err)
-				}
-				updates := toggle(n)
-				b.StartTimer()
-				for _, u := range updates {
-					if err := m.Apply(u); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }

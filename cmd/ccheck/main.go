@@ -441,6 +441,12 @@ func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
 			"residual_misses":   cs.ResidualMisses,
 			"residual_compiled": cs.ResidualCompiled,
 			"residual_entries":  cs.ResidualEntries,
+			// Kept fixpoints: global insert decisions served by delta
+			// rounds (hits) or after a full evaluation (rebuilds), and
+			// fixpoints discarded as stale (drops).
+			"fixpoint_hits":     cs.FixpointHits,
+			"fixpoint_rebuilds": cs.FixpointRebuilds,
+			"fixpoint_drops":    cs.FixpointDrops,
 		},
 	}
 	switch s := sys.(type) {

@@ -379,3 +379,41 @@ func TestRunRepeatAndResidualStats(t *testing.T) {
 		t.Errorf("-noresidual by_phase = %v", checker["by_phase"])
 	}
 }
+
+// TestRunFixpointStats: the stats document says how the global phase's
+// insert decisions were served — the first one builds the constraint's
+// fixpoint, the rest run delta rounds on what it kept.
+func TestRunFixpointStats(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	constraints := write("c.dl", "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).")
+	data := write("d.dl", "edge(1,2).")
+	updates := write("u.txt", "+edge(2,3)\n+edge(3,1)\n+edge(3,4)\n")
+	statsOut := filepath.Join(dir, "stats.json")
+	cfg := mustConfig(t, constraints, data, updates, "", 0, false, "")
+	cfg.statsJSON = statsOut
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(statsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Checker map[string]any `json:"checker"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	c := doc.Checker
+	if c["rejected"] != float64(1) || c["fixpoint_rebuilds"] != float64(1) || c["fixpoint_hits"] != float64(2) || c["fixpoint_drops"] != float64(0) {
+		t.Errorf("rejected:%v fixpoint rebuilds:%v hits:%v drops:%v, want 1 and 1/2/0",
+			c["rejected"], c["fixpoint_rebuilds"], c["fixpoint_hits"], c["fixpoint_drops"])
+	}
+}

@@ -187,6 +187,10 @@ func (sh *shell) command(line string) {
 			return
 		}
 		obs.WriteText(sh.out, events)
+		// Why a global decision above was cheap (cache=hit: delta rounds
+		// on the kept fixpoint) or dear (miss: rebuilt first), in totals.
+		st := sh.chk.Stats()
+		sh.printf("kept fixpoints: hits=%d rebuilds=%d drops=%d\n", st.FixpointHits, st.FixpointRebuilds, st.FixpointDrops)
 	case ":trace":
 		traces := sh.spans.Store().Traces()
 		if len(traces) == 0 {

@@ -135,6 +135,27 @@ func TestShellExplain(t *testing.T) {
 	}
 }
 
+// A recursive constraint goes to the global phase; :explain says whether
+// the decision rebuilt the constraint's fixpoint or ran on the kept one.
+func TestShellExplainGlobalPhase(t *testing.T) {
+	steps := []string{
+		":constraint acyclic reach(X,Y) :- edge(X,Y).;reach(X,Y) :- reach(X,Z) & edge(Z,Y).;panic :- reach(X,X).",
+		"+edge(1,2)",
+	}
+	out := run(t, append(steps, ":explain")...)
+	for _, want := range []string{"global", "cache=miss", "kept fixpoints: hits=0 rebuilds=1 drops=0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("first global decision: :explain output missing %q:\n%s", want, out)
+		}
+	}
+	out = run(t, append(steps, "+edge(2,1)", ":explain")...)
+	for _, want := range []string{"cache=hit", "=> REJECTED [acyclic]", "kept fixpoints: hits=1 rebuilds=1 drops=0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("second global decision: :explain output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestShellQuit(t *testing.T) {
 	var sb strings.Builder
 	sh := newShell(&sb)

@@ -33,26 +33,19 @@ func (c *Checker) ApplyBatch(updates []store.Update) (BatchReport, error) {
 		changed bool
 	}
 	var undos []undo
+	// The rollback writes are not accounted to the kept fixpoints: one
+	// that folded a rolled-back insert is stale, the data version of the
+	// relation says so, and the next decision that needs it rebuilds it.
 	rollback := func() error {
 		for i := len(undos) - 1; i >= 0; i-- {
 			if !undos[i].changed {
 				continue
 			}
 			u := undos[i].u
-			var inv store.Update
 			if u.Insert {
 				c.db.Delete(u.Relation, u.Tuple)
-				inv = store.Del(u.Relation, u.Tuple)
-			} else {
-				if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
-					return fmt.Errorf("core: batch rollback failed: %w", err)
-				}
-				inv = store.Ins(u.Relation, u.Tuple)
-			}
-			// Incremental materializations must track the rollback too, or
-			// they go stale relative to the restored store.
-			if err := c.notifyMats(inv, true); err != nil {
-				return fmt.Errorf("core: batch rollback notification failed: %w", err)
+			} else if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
+				return fmt.Errorf("core: batch rollback failed: %w", err)
 			}
 		}
 		return nil

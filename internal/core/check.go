@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/store"
-)
+import "repro/internal/store"
 
 // Check decides an update without leaving it applied: it runs the full
 // staged pipeline (residual dispatch, phases 1–4, identical verdicts and
@@ -12,40 +8,17 @@ import (
 // state. It is the decision-service "would this update be admitted?"
 // primitive (internal/serve's POST /v1/check).
 //
-// Admitted updates are applied and then exactly undone — like
-// ApplyBatch's rollback, the undo only fires when the update actually
-// changed the store, so checking a duplicate insert or an absent delete
-// never corrupts pre-existing tuples. Rejected updates are rolled back
-// by Apply itself. Either way the report reads as Apply's would: Applied
-// true means the update would be admitted, not that it stayed applied.
+// Admitted updates are applied and then exactly undone — the undo only
+// fires when the update actually changed the store, so checking a
+// duplicate insert or an absent delete never corrupts pre-existing
+// tuples — and kept fixpoints take back what the trial derived, so a
+// check costs the next decision nothing. Rejected updates are rolled
+// back the same way. Either way the report reads as Apply's would:
+// Applied true means the update would be admitted, not that it stayed
+// applied.
 //
 // Check shares Apply's serialization contract (one mutating call at a
 // time) and its statistics: a checked update counts in Stats().Updates
 // and its decisions in ByPhase, so a check-heavy service still reports a
 // faithful phase distribution.
-func (c *Checker) Check(u store.Update) (Report, error) {
-	changes := c.db.Contains(u.Relation, u.Tuple) != u.Insert
-	rep, err := c.Apply(u)
-	if err != nil || !rep.Applied {
-		return rep, err
-	}
-	if !changes {
-		return rep, nil
-	}
-	var inv store.Update
-	if u.Insert {
-		c.db.Delete(u.Relation, u.Tuple)
-		inv = store.Del(u.Relation, u.Tuple)
-	} else {
-		if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
-			return rep, fmt.Errorf("core: check undo failed: %w", err)
-		}
-		inv = store.Ins(u.Relation, u.Tuple)
-	}
-	// Incremental materializations tracked the trial application; they
-	// must track the undo too, or they go stale relative to the store.
-	if err := c.notifyMats(inv, true); err != nil {
-		return rep, fmt.Errorf("core: check undo notification failed: %w", err)
-	}
-	return rep, nil
-}
+func (c *Checker) Check(u store.Update) (Report, error) { return c.decide(u, false) }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/eval"
 	"repro/internal/icq"
-	"repro/internal/incremental"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/reduction"
@@ -112,9 +111,10 @@ type Constraint struct {
 	// Section 5 form); analysis additionally when it is a canonical ICQ.
 	cqc      *ast.CQC
 	analysis *icq.Analysis
-	// mat maintains the constraint's evaluation when Options.Incremental
-	// is set.
-	mat *incremental.Materialized
+	// fix is the evaluation fixpoint kept from the constraint's last
+	// global insert decision (nil until the first one, and after a drop);
+	// see keptFixpoint.
+	fix atomic.Pointer[eval.Fixpoint]
 }
 
 // Decision records how one constraint was dispatched for one update.
@@ -169,6 +169,18 @@ type Stats struct {
 	ResidualMisses   int64
 	ResidualCompiled int64
 	ResidualEntries  int
+	// FixpointHits/FixpointRebuilds/FixpointDrops say why global insert
+	// decisions were cheap or dear: hits ran only the rounds the inserted
+	// tuple seeds on a kept fixpoint, rebuilds evaluated the constraint
+	// in full first (the first such decision, and the next one after a
+	// drop), drops discarded a kept fixpoint — a write the checker does
+	// not account for moved a relation it had read, or the constraint set
+	// changed. Global decisions outside the three (deletes, non-monotone
+	// inserts, the scan and routed arms) evaluate from scratch and keep
+	// nothing.
+	FixpointHits     int64
+	FixpointRebuilds int64
+	FixpointDrops    int64
 }
 
 // CacheHitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -190,10 +202,6 @@ type Options struct {
 	DisableUpdateOnly bool
 	// DisableLocalData skips phase 3 (for ablation experiments).
 	DisableLocalData bool
-	// Incremental maintains a materialized evaluation of every
-	// constraint (DRed, internal/incremental), so the global phase
-	// answers from the materialization instead of re-evaluating.
-	Incremental bool
 	// Workers bounds the goroutines dispatching constraints through the
 	// read-only phases 1–3 and the phase-4 evaluations. 0 (the default)
 	// means runtime.GOMAXPROCS(0); 1 recovers the serial pipeline.
@@ -240,13 +248,12 @@ type Options struct {
 // Concurrency contract: the constraint-set mutators (AddConstraint,
 // RemoveConstraint) require exclusive access. Apply/Check/ApplyBatch may
 // run concurrently with each other only for updates whose footprints
-// (Footprints) do not conflict, and only when ConcurrentApplySafe
-// reports true — internal/sched enforces exactly this discipline, and
-// under it every concurrent schedule is equivalent to some sequential
-// one. The stats and trace counters are internally synchronized; while
-// an Apply is in flight other goroutines may freely read the store (the
-// read-only stages run before the mutation, the global evaluations
-// after).
+// (Footprints) do not conflict — internal/sched enforces exactly this
+// discipline, and under it every concurrent schedule is equivalent to
+// some sequential one. The stats and trace counters are internally
+// synchronized; while an Apply is in flight other goroutines may freely
+// read the store (the read-only stages run before the mutation, the
+// global evaluations after).
 type Checker struct {
 	db          *store.Store
 	opts        Options
@@ -280,6 +287,10 @@ type Checker struct {
 	// changes.
 	fpMu    sync.Mutex
 	fpIndex *sched.Index
+
+	// fix counts what became of the constraints' kept fixpoints, by
+	// fixEvent (Stats.Fixpoint*).
+	fix [3]atomic.Int64
 
 	// traceSeq numbers emitted trace events; met holds the registry
 	// handles (nil when Options.Metrics is nil). See trace.go.
@@ -329,13 +340,15 @@ func (c *Checker) Stats() Stats {
 	if c.residuals != nil {
 		s.ResidualHits, s.ResidualMisses, s.ResidualCompiled, s.ResidualEntries = c.residuals.Stats()
 	}
+	s.FixpointHits, s.FixpointRebuilds, s.FixpointDrops = c.fix[fixHit].Load(), c.fix[fixRebuild].Load(), c.fix[fixDrop].Load()
 	return s
 }
 
 // ResetStats zeroes every aggregate counter — the per-phase decision
-// counts and the decision/plan/residual cache counters — without
-// touching the caches' contents, so a warmed checker can report one
-// run's statistics in isolation (ccheck -repeat resets between runs).
+// counts, the decision/plan/residual cache counters and the fixpoint
+// counters — without touching the caches' contents, so a warmed checker
+// can report one run's statistics in isolation (ccheck -repeat resets
+// between runs).
 func (c *Checker) ResetStats() {
 	c.statsMu.Lock()
 	c.stats = Stats{ByPhase: map[Phase]int{}}
@@ -346,6 +359,9 @@ func (c *Checker) ResetStats() {
 	}
 	if c.residuals != nil {
 		c.residuals.ResetStats()
+	}
+	for i := range c.fix {
+		c.fix[i].Store(0)
 	}
 }
 
@@ -379,6 +395,12 @@ func (c *Checker) refreshSet() {
 		// constraint could reuse after a removal — invalidation is a
 		// correctness requirement here, not just memory hygiene.
 		c.residuals.Invalidate()
+	}
+	// A kept fixpoint is private to its constraint and would stay right,
+	// but nothing else survives a change of the set: drop them too, so
+	// what a checker holds depends only on the decisions since.
+	for _, k := range c.constraints {
+		c.dropFixpoint(k)
 	}
 }
 
@@ -425,13 +447,6 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 	}
 	k := &Constraint{Name: name, Prog: prog}
 	c.prepare(k)
-	if c.opts.Incremental {
-		m, err := incremental.Materialize(prog, c.db)
-		if err != nil {
-			return err
-		}
-		k.mat = m
-	}
 	c.constraints = append(c.constraints, k)
 	c.refreshSet()
 	return nil
@@ -595,7 +610,12 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 
 // Apply pushes one update through the staged pipeline. On any violation
 // the update is rolled back and the report's Applied is false.
-func (c *Checker) Apply(u store.Update) (Report, error) {
+func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true) }
+
+// decide is Apply (commit) and Check (!commit): the staged pipeline over
+// a trial application of u, which stays only when commit is set and no
+// constraint is violated.
+func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	rep := Report{Update: u, Applied: true}
 	c.statsMu.Lock()
 	c.stats.Updates++
@@ -626,20 +646,16 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 	// skips phases 1–3 entirely. Ineligible patterns fall through to
 	// stageOne unchanged.
 	var resFor []*residual.Residual
-	var resCache []string
+	var resHit []bool
 	if c.residuals != nil {
 		resFor = make([]*residual.Residual, n)
-		resCache = make([]string, n)
+		resHit = make([]bool, n)
 	}
 	runParallel(n, c.workers(), func(i int) {
 		if c.residuals != nil {
 			res, hit, ok := c.residuals.For(c.constraints[i].Prog, u, c.db, c.residualOpts())
 			if ok {
-				resFor[i] = res
-				resCache[i] = obs.CacheMiss
-				if hit {
-					resCache[i] = obs.CacheHit
-				}
+				resFor[i], resHit[i] = res, hit
 				return
 			}
 		}
@@ -654,11 +670,15 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 	type globalCheck struct {
 		k *Constraint
 		// res, when non-nil, decides the constraint by residual check
-		// instead of a full evaluation; cache is its trace status.
-		res   *residual.Residual
-		cache string
+		// instead of an evaluation; fix, when non-nil, by the rounds the
+		// inserted tuple seeds on the constraint's kept fixpoint. hit is
+		// the cache status of whichever it is, for the trace.
+		res *residual.Residual
+		fix *eval.Fixpoint
+		hit bool
 	}
 	needGlobal := make([]globalCheck, 0, n)
+	evaluates := false // some constraint needs an evaluation, not a residual check
 	c.statsMu.Lock()
 	c.stats.Decisions += n
 	c.statsMu.Unlock()
@@ -669,7 +689,7 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 			}
 		}
 		if resFor != nil && resFor[i] != nil {
-			needGlobal = append(needGlobal, globalCheck{k: k, res: resFor[i], cache: resCache[i]})
+			needGlobal = append(needGlobal, globalCheck{k: k, res: resFor[i], hit: resHit[i]})
 			continue
 		}
 		if decided[i] {
@@ -678,9 +698,19 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 			continue
 		}
 		needGlobal = append(needGlobal, globalCheck{k: k})
+		evaluates = true
+	}
+	// A kept fixpoint describes the store before the update, so it is
+	// checked, and rebuilt where it has to be, ahead of the write.
+	if evaluates && u.Insert {
+		runParallel(len(needGlobal), c.workers(), func(i int) {
+			if g := &needGlobal[i]; g.res == nil {
+				g.fix, g.hit = c.keptFixpoint(g.k, u.Relation)
+			}
+		})
 	}
 	// Apply the update (recording whether it actually changed the store,
-	// so a rollback never corrupts pre-existing tuples).
+	// so an undo never corrupts pre-existing tuples).
 	var changed bool
 	if u.Insert {
 		ch, err := c.db.Insert(u.Relation, u.Tuple)
@@ -694,37 +724,42 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 	} else {
 		changed = c.db.Delete(u.Relation, u.Tuple)
 	}
-	if err := c.notifyMats(u, changed); err != nil {
-		if tracing {
-			c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
-		}
-		return rep, err
-	}
-	rollback := func() {
-		if !changed {
-			return
-		}
-		var inv store.Update
-		if u.Insert {
-			c.db.Delete(u.Relation, u.Tuple)
-			inv = store.Del(u.Relation, u.Tuple)
-		} else {
-			if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
+	// undo takes the trial application back exactly. The overlays this
+	// decision opened are discarded — those only: a decision on a relation
+	// the constraint does not mention runs concurrently under the
+	// scheduler's discipline and must not touch rows it did not derive.
+	// Every kept fixpoint is then told of the two writes — the trial and
+	// its inverse — so the fixpoints of constraints this update never
+	// reached (a polarity-decided delete still trial-deletes) stay valid.
+	undo := func() {
+		var writes uint64
+		if changed {
+			writes = 2
+			if u.Insert {
+				c.db.Delete(u.Relation, u.Tuple)
+			} else if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
 				panic(fmt.Sprintf("core: rollback failed: %v", err))
 			}
-			inv = store.Ins(u.Relation, u.Tuple)
 		}
-		if err := c.notifyMats(inv, true); err != nil {
-			panic(fmt.Sprintf("core: rollback notification failed: %v", err))
+		for _, g := range needGlobal {
+			if g.fix != nil {
+				g.fix.Close(false)
+			}
+		}
+		for _, k := range c.constraints {
+			if f := k.fix.Load(); f != nil {
+				f.Wrote(u.Relation, writes)
+			}
 		}
 	}
 	// Phase 4: evaluate the undecided constraints on the updated store —
-	// compiled residual checks and full evaluations alike (both read the
-	// post-update state; an always-safe or always-violating residual is
-	// simply a check that returns without touching data). The evaluations
-	// only read, so they run concurrently; the verdicts are then processed
-	// in constraint order to keep reports, stats and the first-error
-	// semantics identical to the serial pipeline.
+	// compiled residual checks, seeded rounds and full evaluations alike
+	// (all read the post-update state; an always-safe or always-violating
+	// residual is simply a check that returns without touching data). The
+	// evaluations only read the store, so they run concurrently; the
+	// verdicts are then processed in constraint order to keep reports,
+	// stats and the first-error semantics identical to the serial
+	// pipeline.
 	type evalOutcome struct {
 		bad bool
 		err error
@@ -740,8 +775,10 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 		switch {
 		case g.res != nil:
 			outcomes[i].bad = g.res.Decide(c.db, u.Tuple)
-		case g.k.mat != nil:
-			outcomes[i].bad = g.k.mat.Holds(ast.PanicPred)
+		case g.fix != nil:
+			if outcomes[i].bad, outcomes[i].err = g.fix.Insert(u.Relation, u.Tuple); outcomes[i].err != nil {
+				c.dropFixpoint(g.k)
+			}
 		default:
 			outcomes[i].bad, outcomes[i].err = eval.GoalHoldsWith(g.k.Prog, c.db, ast.PanicPred, c.evalOpts())
 		}
@@ -752,7 +789,7 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 	violated := false
 	for i, g := range needGlobal {
 		if err := outcomes[i].err; err != nil {
-			rollback()
+			undo()
 			if tracing {
 				c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
 			}
@@ -776,9 +813,13 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 				Verdict:    v.String(),
 				Duration:   outcomes[i].dur,
 			}
-			if g.res != nil {
-				e.Cache = g.cache
-			} else {
+			if g.res != nil || g.fix != nil {
+				e.Cache = obs.CacheMiss
+				if g.hit {
+					e.Cache = obs.CacheHit
+				}
+			}
+			if g.res == nil {
 				e.Relations = c.remoteRelations(g.k)
 			}
 			c.emit(uStr, e)
@@ -787,13 +828,30 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 		c.bumpPhase(phase)
 	}
 	if violated {
-		rollback()
 		rep.Applied = false
 		c.statsMu.Lock()
 		c.stats.Rejected++
 		c.statsMu.Unlock()
 		if c.met != nil {
 			c.met.rejected.Inc()
+		}
+	}
+	if violated || !commit {
+		undo()
+	} else {
+		// The insert stays: what it derived becomes part of the fixpoints
+		// that decided it. A fixpoint this update did not go through (its
+		// constraint was decided earlier in the pipeline, or u deletes) is
+		// told nothing and goes stale if it had read the relation.
+		var writes uint64
+		if changed {
+			writes = 1
+		}
+		for _, g := range needGlobal {
+			if g.fix != nil {
+				g.fix.Close(true)
+				g.fix.Wrote(u.Relation, writes)
+			}
 		}
 	}
 	sort.SliceStable(rep.Decisions, func(i, j int) bool { return rep.Decisions[i].Constraint < rep.Decisions[j].Constraint })
@@ -814,6 +872,63 @@ func (c *Checker) Apply(u store.Update) (Report, error) {
 	return rep, nil
 }
 
+// keptFixpoint returns the fixpoint that can decide an insert into rel
+// for the constraint by delta evaluation — hit when the kept one still
+// stands, a miss when it had to be built from the current (pre-update)
+// store first. A kept fixpoint that
+// a write the checker did not account for has overtaken is dropped here:
+// validity is a version check per decision, never an assumption. It
+// returns nil when the decision must be evaluated from scratch: the
+// insert can take derived facts away (eval.Fixpoint.Seedable), or the
+// checker runs the scan or routed arm. A build error also yields nil —
+// the from-scratch evaluation then reports it where it always did.
+func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, hit bool) {
+	f := k.fix.Load()
+	if f != nil && !f.Valid() {
+		c.dropFixpoint(k)
+		f = nil
+	}
+	if f != nil {
+		if !f.Seedable(rel) {
+			return nil, false
+		}
+		c.countFix(fixHit)
+		return f, true
+	}
+	f, err := eval.BuildFixpoint(k.Prog, c.db, ast.PanicPred, rel, c.evalOpts())
+	if err != nil || f == nil {
+		return nil, false
+	}
+	k.fix.Store(f)
+	c.countFix(fixRebuild)
+	return f, false
+}
+
+// dropFixpoint discards the constraint's kept fixpoint, if it has one.
+func (c *Checker) dropFixpoint(k *Constraint) {
+	if k.fix.Swap(nil) != nil {
+		c.countFix(fixDrop)
+	}
+}
+
+// fixEvent is something that happened to a kept fixpoint.
+type fixEvent int
+
+const (
+	fixHit fixEvent = iota
+	fixRebuild
+	fixDrop
+)
+
+// countFix counts one fixpoint event in the stats and, when a registry
+// is attached, in the cc_checker_fixpoint_*_total counters.
+func (c *Checker) countFix(e fixEvent) {
+	c.fix[e].Add(1)
+	if c.met != nil {
+		c.met.fix[e].Inc()
+	}
+}
+
 // bumpPhase counts one decision in the stats and, when a registry is
 // attached, in the cc_checker_decisions_total family.
 func (c *Checker) bumpPhase(p Phase) {
@@ -823,23 +938,6 @@ func (c *Checker) bumpPhase(p Phase) {
 	if c.met != nil {
 		c.met.decisions.With(p.String()).Inc()
 	}
-}
-
-// notifyMats propagates an applied update into every materialization in
-// incremental mode: decided constraints included (their panic stays
-// underivable, but their intermediate relations must not go stale).
-func (c *Checker) notifyMats(u store.Update, changed bool) error {
-	if !c.opts.Incremental {
-		return nil
-	}
-	for _, k := range c.constraints {
-		if k.mat != nil {
-			if err := k.mat.NotifyApplied(u, changed); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // localTest runs the complete local test for an insertion into the
@@ -894,6 +992,7 @@ func (c *Checker) RedundantConstraints() ([]string, error) {
 func (c *Checker) RemoveConstraint(name string) bool {
 	for i, k := range c.constraints {
 		if k.Name == name {
+			c.dropFixpoint(k)
 			c.constraints = append(c.constraints[:i], c.constraints[i+1:]...)
 			c.refreshSet()
 			return true

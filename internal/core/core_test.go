@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ast"
@@ -296,28 +297,30 @@ func TestRedundantConstraints(t *testing.T) {
 	}
 }
 
-// TestIncrementalModeMatchesRecompute drives the same random stream
-// through an incremental checker and a recomputing one; every decision
-// and the final state must agree.
-func TestIncrementalModeMatchesRecompute(t *testing.T) {
-	mk := func(incremental bool) *Checker {
+// TestKeptFixpointMatchesRecompute drives the same random stream
+// through a default checker — global insert decisions by delta rounds on
+// kept fixpoints — and the scan arm, which evaluates every global
+// decision from scratch; every decision and the final state must agree,
+// and what the default checker keeps must equal a fresh evaluation.
+func TestKeptFixpointMatchesRecompute(t *testing.T) {
+	mk := func(reference bool) *Checker {
 		db := store.New()
 		if _, err := db.Insert("dept", relation.Strs("toy")); err != nil {
 			t.Fatal(err)
 		}
-		c := New(db, Options{Incremental: incremental})
-		for name, src := range map[string]string{
-			"ri":   "panic :- emp(E,D,S) & not dept(D).",
-			"cap":  "panic :- emp(E,D,S) & S > 100.",
-			"boss": "panic :- boss(E,E).\nboss(E,M) :- emp(E,D,S) & manager(D,M).\nboss(E,F) :- boss(E,G) & boss(G,F).",
+		c := New(db, Options{DisableIndexes: reference})
+		for _, k := range []struct{ name, src string }{
+			{"ri", "panic :- emp(E,D,S) & not dept(D)."},
+			{"cap", "panic :- emp(E,D,S) & S > 100."},
+			{"boss", "panic :- boss(E,E).\nboss(E,M) :- emp(E,D,S) & manager(D,M).\nboss(E,F) :- boss(E,G) & boss(G,F)."},
 		} {
-			if err := c.AddConstraintSource(name, src); err != nil {
+			if err := c.AddConstraintSource(k.name, k.src); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return c
 	}
-	a, b := mk(true), mk(false)
+	a, b := mk(false), mk(true)
 	rng := rand.New(rand.NewSource(77))
 	names := []string{"ann", "bob", "carl"}
 	depts := []string{"toy", "shoe"}
@@ -338,18 +341,25 @@ func TestIncrementalModeMatchesRecompute(t *testing.T) {
 		}
 		ra, err := a.Apply(u)
 		if err != nil {
-			t.Fatalf("incremental step %d: %v", step, err)
+			t.Fatalf("default step %d: %v", step, err)
 		}
 		rb, err := b.Apply(u)
 		if err != nil {
-			t.Fatalf("recompute step %d: %v", step, err)
+			t.Fatalf("reference step %d: %v", step, err)
 		}
-		if ra.Applied != rb.Applied {
-			t.Fatalf("step %d (%v): incremental applied=%v recompute=%v", step, u, ra.Applied, rb.Applied)
+		if !reflect.DeepEqual(ra.Decisions, rb.Decisions) || ra.Applied != rb.Applied {
+			t.Fatalf("step %d (%v): default %+v, reference %+v", step, u, ra, rb)
 		}
 		if badA, _ := a.CheckAll(); len(badA) != 0 {
-			t.Fatalf("step %d: incremental checker left violations %v", step, badA)
+			t.Fatalf("step %d: default checker left violations %v", step, badA)
 		}
+		checkKept(t, a)
+	}
+	if s := a.Stats(); s.FixpointHits == 0 || s.FixpointRebuilds == 0 {
+		t.Errorf("the stream never used a kept fixpoint: %+v", s)
+	}
+	if s := b.Stats(); s.FixpointHits+s.FixpointRebuilds != 0 {
+		t.Errorf("the scan arm kept a fixpoint: %+v", s)
 	}
 	// Final stores identical.
 	for _, rel := range a.DB().Names() {

@@ -1,0 +1,410 @@
+package core
+
+import (
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/obs"
+	"repro/internal/relation"
+	"repro/internal/sched"
+	"repro/internal/store"
+)
+
+// missingFrom lists the tuples of a that b lacks, in a canonical order.
+func missingFrom(a, b []relation.Tuple) string {
+	in := make(map[string]bool, len(b))
+	for _, tu := range b {
+		in[tu.Key()] = true
+	}
+	var out []string
+	for _, tu := range a {
+		if !in[tu.Key()] {
+			out = append(out, tu.String())
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// checkKept compares every kept fixpoint that reads as valid with a
+// fresh evaluation of its constraint over the current store.
+func checkKept(t *testing.T, c *Checker) {
+	t.Helper()
+	for _, k := range c.constraints {
+		f := k.fix.Load()
+		if f == nil || !f.Valid() {
+			continue
+		}
+		res, err := eval.Eval(k.Prog, c.db.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pred := range k.Prog.IDBPreds() {
+			kept := f.Tuples(pred)
+			if kept == nil {
+				continue // pruned away: the goal does not depend on it
+			}
+			fresh := res.Tuples(pred)
+			if lost, extra := missingFrom(fresh, kept), missingFrom(kept, fresh); lost != "" || extra != "" || len(kept) != len(fresh) {
+				t.Fatalf("%s: kept %s has %d tuples, a fresh evaluation %d; kept lacks {%s}, fresh lacks {%s}\ndb:\n%s",
+					k.Name, pred, len(kept), len(fresh), lost, extra, c.db)
+			}
+		}
+	}
+}
+
+// chainChecker is the benchmark's recursive shape in small: acyclicity
+// over an edge chain 0→1→…→n-1, plus a helper-predicate constraint.
+func chainChecker(t testing.TB, n int, opts Options) *Checker {
+	t.Helper()
+	db := store.New()
+	for i := int64(0); i < int64(n)-1; i++ {
+		if _, err := db.Insert("edge", relation.Ints(i, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Insert("banned", relation.Ints(int64(n)+1000)); err != nil {
+		t.Fatal(err)
+	}
+	c := New(db, opts)
+	for _, k := range []struct{ name, src string }{
+		{"acyclic", "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X)."},
+		{"banned-hub", "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X)."},
+	} {
+		if err := c.AddConstraintSource(k.name, k.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// The writes the checker makes and takes back itself — trial inserts,
+// and the trial delete of a polarity-decided delete check — must not
+// cost a rebuild; the writes it cannot account for must.
+func TestKeptFixpointVersionRule(t *testing.T) {
+	c := chainChecker(t, 16, Options{Workers: 1})
+	check := func(u store.Update, admit bool) {
+		t.Helper()
+		rep, err := c.Check(u)
+		if err != nil || rep.Applied != admit {
+			t.Fatalf("check %v: applied=%v err=%v, want applied=%v", u, rep.Applied, err, admit)
+		}
+		checkKept(t, c)
+	}
+	if s := c.Stats(); s.FixpointRebuilds != 0 {
+		t.Fatalf("AddConstraint built a fixpoint: %+v", s)
+	}
+	check(store.Ins("edge", relation.Ints(2, 9)), true) // builds both
+	check(store.Ins("edge", relation.Ints(9, 2)), false)
+	check(store.Del("edge", relation.Ints(4, 5)), true) // polarity; trial-deletes edge
+	check(store.Ins("edge", relation.Ints(3, 3)), false)
+	check(store.Ins("edge", relation.Ints(0, 1)), true)   // duplicate insert
+	check(store.Del("edge", relation.Ints(70, 71)), true) // absent delete
+	check(store.Ins("edge", relation.Ints(1, 12)), true)
+	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 0 || s.FixpointHits != 8 {
+		t.Fatalf("after checks only: %+v, want 2 rebuilds, 8 hits, no drops", s)
+	}
+	// A committed insert folds what it derives.
+	if rep, err := c.Apply(store.Ins("edge", relation.Ints(5, 11))); err != nil || !rep.Applied {
+		t.Fatalf("apply: %+v %v", rep, err)
+	}
+	checkKept(t, c)
+	check(store.Ins("edge", relation.Ints(11, 5)), false)
+	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
+		t.Fatalf("a folded insert cost a rebuild: %+v", s)
+	}
+	// A committed delete, a foreign Replace and a direct store write each
+	// drop the fixpoints that read the relation.
+	for i, foreign := range []func(){
+		func() {
+			if rep, err := c.Apply(store.Del("edge", relation.Ints(5, 11))); err != nil || !rep.Applied {
+				t.Fatalf("delete: %+v %v", rep, err)
+			}
+		},
+		func() {
+			if err := c.DB().Replace("edge", 2, c.DB().Relation("edge").Tuples()); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func() { c.DB().Delete("edge", relation.Ints(14, 15)) },
+	} {
+		before := c.Stats()
+		foreign()
+		check(store.Ins("edge", relation.Ints(1, 7)), true)
+		if s := c.Stats(); s.FixpointDrops != before.FixpointDrops+2 || s.FixpointRebuilds != before.FixpointRebuilds+2 {
+			t.Fatalf("foreign write %d: %+v after %+v, want both fixpoints dropped and rebuilt", i, s, before)
+		}
+	}
+	// Changing the constraint set drops them all.
+	before := c.Stats()
+	if !c.RemoveConstraint("banned-hub") {
+		t.Fatal("remove failed")
+	}
+	if s := c.Stats(); s.FixpointDrops != before.FixpointDrops+2 {
+		t.Fatalf("RemoveConstraint: %+v after %+v", s, before)
+	}
+	check(store.Ins("edge", relation.Ints(8, 1)), false)
+	c.ResetStats()
+	if s := c.Stats(); s.FixpointHits+s.FixpointRebuilds+s.FixpointDrops != 0 {
+		t.Fatalf("ResetStats left fixpoint counters: %+v", s)
+	}
+}
+
+// The trace says why a global decision was cheap or dear, and the
+// registry counts the same events.
+func TestGlobalPhaseTraceCacheStatus(t *testing.T) {
+	buf := obs.NewBufferTracer(4)
+	reg := obs.NewRegistry()
+	c := chainChecker(t, 8, Options{Workers: 1, Tracer: buf, Metrics: reg})
+	globalCache := func(u store.Update) []string {
+		t.Helper()
+		if _, err := c.Check(u); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range buf.Last() {
+			if e.Kind == obs.KindPhase && e.Phase == PhaseGlobal.String() {
+				out = append(out, e.Constraint+"="+e.Cache)
+			}
+		}
+		return out
+	}
+	for _, step := range []struct {
+		u    store.Update
+		want string
+	}{
+		{store.Ins("edge", relation.Ints(1, 5)), "acyclic=miss banned-hub=miss"},
+		{store.Ins("edge", relation.Ints(5, 1)), "acyclic=hit banned-hub=hit"},
+		// banned reaches only banned-hub's panic.
+		{store.Ins("banned", relation.Ints(99)), "banned-hub=hit"},
+	} {
+		if got := strings.Join(globalCache(step.u), " "); got != step.want {
+			t.Errorf("%v: global events %q, want %q", step.u, got, step.want)
+		}
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, want := range []string{
+		"cc_checker_fixpoint_hits_total 3",
+		"cc_checker_fixpoint_rebuilds_total 2",
+		"cc_checker_fixpoint_drops_total 0",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("registry missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// An insert that can take derived facts away — the relation is read
+// under negation — must be evaluated from scratch, and must not leave a
+// stale fixpoint behind for the inserts that can use one.
+func TestKeptFixpointMixedPolarityFallsBack(t *testing.T) {
+	c := newChecker(t, "node(1). node(2). edge(1,2).", Options{Workers: 1})
+	// edge reaches panic positively (through linked) and negatively.
+	if err := c.AddConstraintSource("mixed",
+		"linked(X) :- edge(X,Y).\nlinked(Y) :- edge(X,Y).\nlone(X) :- node(X) & not linked(X).\npanic :- lone(X) & edge(X,X)."); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(u store.Update, admit bool) {
+		t.Helper()
+		rep, err := c.Apply(u)
+		if err != nil || rep.Applied != admit {
+			t.Fatalf("%v: applied=%v err=%v", u, rep.Applied, err)
+		}
+		for _, d := range rep.Decisions {
+			if d.Phase != PhaseGlobal {
+				t.Fatalf("%v decided by %v, want global", u, d.Phase)
+			}
+		}
+		checkKept(t, c)
+	}
+	apply(store.Ins("edge", relation.Ints(2, 1)), true)
+	if s := c.Stats(); s.FixpointHits+s.FixpointRebuilds != 0 {
+		t.Fatalf("a mixed-polarity insert used a fixpoint: %+v", s)
+	}
+	apply(store.Ins("node", relation.Ints(3)), true) // monotone: builds
+	apply(store.Ins("edge", relation.Ints(3, 2)), true)
+	apply(store.Ins("node", relation.Ints(4)), true) // edge moved since: rebuilt, not trusted
+	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 1 {
+		t.Fatalf("%+v, want 2 rebuilds around 1 drop", s)
+	}
+}
+
+// A warm forward-edge check must stay on the kept fixpoint: a path that
+// quietly fell back to rebuilding the chain's closure would allocate
+// thousands of times per check.
+func TestWarmGlobalCheckAllocs(t *testing.T) {
+	c := chainChecker(t, 64, Options{Workers: 1})
+	u := store.Ins("edge", relation.Ints(8, 41))
+	if rep, err := c.Check(u); err != nil || !rep.Applied {
+		t.Fatalf("%+v %v", rep, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if rep, err := c.Check(u); err != nil || !rep.Applied {
+			t.Fatalf("%+v %v", rep, err)
+		}
+	})
+	if s := c.Stats(); s.FixpointRebuilds != 2 {
+		t.Fatalf("warm checks rebuilt: %+v", s)
+	}
+	if allocs > 60 {
+		t.Errorf("a warm forward-edge check allocates %.0f times, want <= 60", allocs)
+	}
+}
+
+// Concurrent appliers under the scheduler's discipline (run under
+// -race): edge inserts conflict with each other and with edge deletes,
+// log inserts with nothing, so fixpoint use, settling and the version
+// accounting all overlap with unrelated applies.
+func TestKeptFixpointConcurrentAppliers(t *testing.T) {
+	const n = 24
+	c := chainChecker(t, n, Options{})
+	ref := chainChecker(t, n, Options{Workers: 1, DisableIndexes: true})
+	var us []store.Update
+	for i := int64(0); i < 120; i++ {
+		switch i % 4 {
+		case 0:
+			us = append(us, store.Ins("edge", relation.Ints(i%n, (i*7+3)%n)))
+		case 1:
+			us = append(us, store.Ins("log", relation.Ints(i)))
+		case 2:
+			us = append(us, store.Del("edge", relation.Ints(i%n, i%n+1)))
+		default:
+			us = append(us, store.Ins("log", relation.Ints(-i)))
+		}
+	}
+	got := make([]bool, len(us))
+	s := sched.New(sched.Options{Workers: 8})
+	ix := c.Footprints()
+	var mu sync.Mutex
+	for i, u := range us {
+		i, u := i, u
+		// Every other edge op is a check, so trial writes interleave too.
+		op := c.Apply
+		if i%8 < 4 {
+			op = c.Check
+		}
+		s.Submit(ix.Update(u), func(sched.Info) {
+			rep, err := op(u)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			got[i] = rep.Applied
+			mu.Unlock()
+		})
+	}
+	s.Close()
+	for i, u := range us {
+		op := ref.Apply
+		if i%8 < 4 {
+			op = ref.Check
+		}
+		rep, err := op(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Applied != got[i] {
+			t.Fatalf("op %d (%v): concurrent applied=%v, sequential reference %v", i, u, got[i], rep.Applied)
+		}
+	}
+	if a, b := c.DB().Dump(), ref.DB().Dump(); sortedLines(a) != sortedLines(b) {
+		t.Fatalf("final stores differ:\n%s\nvs\n%s", a, b)
+	}
+	checkKept(t, c)
+	if st := c.Stats(); st.FixpointHits == 0 {
+		t.Fatalf("no decision used a kept fixpoint: %+v", st)
+	}
+}
+
+func sortedLines(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// Checks on a relation no constraint mentions conflict with nothing under
+// the scheduler's discipline, so they overlap an edge apply anywhere
+// between its seeded rounds and its fold. They must leave the overlay it
+// opened alone: with the non-linear rule a lost reach fact is never
+// re-derived from the live edges, and the closing edge would be admitted.
+func TestKeptFixpointUnrelatedChecksLeaveOverlay(t *testing.T) {
+	const n = 40
+	for _, src := range []string{
+		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & reach(Z,Y).\npanic :- reach(X,X).",
+		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+	} {
+		c := newChecker(t, "edge(0,1).", Options{Workers: 1})
+		if err := c.AddConstraintSource("acyclic", src); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := int64(0); g < 4; g++ {
+			wg.Add(1)
+			go func(g int64) {
+				defer wg.Done()
+				for i := int64(0); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if rep, err := c.Check(store.Ins("log", relation.Ints(g, i))); err != nil || !rep.Applied {
+						t.Errorf("check log: %+v %v", rep, err)
+						return
+					}
+				}
+			}(g)
+		}
+		for i := int64(1); i < n; i++ {
+			if rep, err := c.Apply(store.Ins("edge", relation.Ints(i, i+1))); err != nil || !rep.Applied {
+				t.Fatalf("edge %d: %+v %v", i, rep, err)
+			}
+			checkKept(t, c)
+			if rep, err := c.Check(store.Ins("edge", relation.Ints(i+1, 0))); err != nil || rep.Applied {
+				t.Fatalf("closing edge %d->0: applied=%v err=%v, want rejected", i+1, rep.Applied, err)
+			}
+		}
+		if rep, err := c.Apply(store.Ins("edge", relation.Ints(n, 1))); err != nil || rep.Applied {
+			t.Fatalf("closing edge admitted: %+v %v", rep, err)
+		}
+		close(stop)
+		wg.Wait()
+		checkKept(t, c)
+		if s := c.Stats(); s.FixpointRebuilds != 1 || s.FixpointDrops != 0 {
+			t.Fatalf("%+v, want the one build and no drop", s)
+		}
+	}
+}
+
+// A store that already violates the constraint (a foreign write got it
+// there) breaks the premise of the delta rounds: the build stops at the
+// first panic fact, nothing is kept, and every decision is evaluated from
+// scratch until the violation is gone.
+func TestKeptFixpointNotBuiltOnViolatedStore(t *testing.T) {
+	c := chainChecker(t, 8, Options{Workers: 1})
+	if _, err := c.DB().Insert("edge", relation.Ints(7, 0)); err != nil { // closes the chain
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if rep, err := c.Check(store.Ins("edge", relation.Ints(2, 5))); err != nil || rep.Applied {
+			t.Fatalf("check on a cyclic store: %+v %v, want rejected", rep, err)
+		}
+	}
+	// banned-hub holds on this store and keeps its fixpoint; acyclic must not.
+	if s := c.Stats(); s.FixpointRebuilds != 1 || s.FixpointHits != 1 {
+		t.Fatalf("%+v, want only banned-hub's fixpoint built", s)
+	}
+	c.DB().Delete("edge", relation.Ints(7, 0))
+	if rep, err := c.Check(store.Ins("edge", relation.Ints(2, 5))); err != nil || !rep.Applied {
+		t.Fatalf("check after the repair: %+v %v", rep, err)
+	}
+	checkKept(t, c)
+	if s := c.Stats(); s.FixpointRebuilds != 3 || s.FixpointDrops != 1 {
+		t.Fatalf("%+v, want acyclic built and banned-hub rebuilt after the repair", s)
+	}
+}

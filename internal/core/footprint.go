@@ -23,12 +23,3 @@ func (c *Checker) Footprints() *sched.Index {
 	}
 	return c.fpIndex
 }
-
-// ConcurrentApplySafe reports whether this checker admits concurrent
-// Apply calls for non-conflicting updates (the internal/sched
-// discipline). Incremental mode does not: its materializations are
-// updated by unsynchronized notification on every apply, whatever the
-// update's footprint.
-func (c *Checker) ConcurrentApplySafe() bool {
-	return !c.opts.Incremental
-}

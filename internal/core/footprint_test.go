@@ -12,9 +12,6 @@ import (
 func TestFootprintsFollowConstraintSet(t *testing.T) {
 	db := store.New()
 	c := New(db, Options{})
-	if !c.ConcurrentApplySafe() {
-		t.Fatal("default checker should admit concurrent applies")
-	}
 	if err := c.AddConstraintSource("fi", `panic :- l(X, Y) & r(Z) & X <= Z & Z <= Y.`); err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +33,5 @@ func TestFootprintsFollowConstraintSet(t *testing.T) {
 	f2 := ix2.Update(store.Ins("l", relation.Ints(1, 5)))
 	if !reflect.DeepEqual(f2.Reads, []sched.Read{{Relation: "r", Shard: sched.WholeRelation}, {Relation: "s", Shard: sched.WholeRelation}}) {
 		t.Fatalf("reads after new constraint = %v, want [r s]", f2.Reads)
-	}
-}
-
-func TestConcurrentApplySafeIncremental(t *testing.T) {
-	c := New(store.New(), Options{Incremental: true})
-	if c.ConcurrentApplySafe() {
-		t.Fatal("incremental mode must refuse concurrent applies: materialization notification is unsynchronized")
 	}
 }

@@ -1,0 +1,210 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/eval"
+	"repro/internal/parser"
+	"repro/internal/relation"
+	"repro/internal/store"
+)
+
+// oracleConstraints is the pool the differential test draws constraint
+// sets from. Between them an insert reaches panic through linear and
+// non-linear recursion, through helper predicates, across strata, past
+// negation over relations and lower strata it cannot reach — and, for
+// the relations marked non-monotone, through a negation, which must take
+// the from-scratch fallback.
+var oracleConstraints = []struct{ name, src string }{
+	{"acyclic", "reach(X,Y) :- e(X,Y).\nreach(X,Y) :- reach(X,Z) & e(Z,Y).\npanic :- reach(X,X)."},
+	{"nonlinear", "t(X,Y) :- e(X,Y) & X < Y.\nt(X,Y) :- t(X,Z) & t(Z,Y).\npanic :- t(X,Y) & f(X) & g(Y)."},
+	{"hub", "hub(X) :- e(X,Y) & e(X,Z) & Y < Z.\npanic :- hub(X) & g(X)."},
+	// e and f are monotone; g (blocked) and h (excused) are read negated.
+	{"guarded", "r(X,Y) :- e(X,Y) & not g(X).\nr(X,Y) :- r(X,Z) & e(Z,Y).\npanic :- r(X,Y) & f(Y) & not h(X)."},
+	// e flows up two strata; g reaches panic only through a negation.
+	{"strata", "a(X) :- e(X,Y).\nm(X) :- g(X).\nb(X) :- a(X) & not m(X).\npanic :- b(X) & f(X) & h(X)."},
+	// e reaches panic both positively and through "not linked".
+	{"mixed", "linked(X) :- e(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & e(Y,X) & g(Y)."},
+	{"flat", "panic :- e(X,X) & f(X)."},
+}
+
+var oracleArity = map[string]int{"e": 2, "f": 1, "g": 1, "h": 1}
+
+func randomTuple(rng *rand.Rand, rel string) relation.Tuple {
+	tu := make(relation.Tuple, oracleArity[rel])
+	for i := range tu {
+		tu[i] = ast.Int(int64(rng.Intn(4)))
+	}
+	return tu
+}
+
+func randomUpdate(rng *rand.Rand) store.Update {
+	rels := []string{"e", "e", "e", "f", "g", "h"}
+	rel := rels[rng.Intn(len(rels))]
+	if rng.Intn(3) == 0 {
+		return store.Del(rel, randomTuple(rng, rel))
+	}
+	return store.Ins(rel, randomTuple(rng, rel))
+}
+
+// violates reports whether db violates any of the programs, by full
+// evaluation on a copy (internal/eval's oracle tests hold that evaluation
+// to brute-force grounding over these same constraint shapes).
+func violates(t *testing.T, progs map[string]*ast.Program, db *store.Store) bool {
+	t.Helper()
+	bad := false
+	for _, prog := range progs {
+		full, err := eval.PanicHolds(prog, db.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = bad || full
+	}
+	return bad
+}
+
+// TestCheckerAgainstOracles drives random streams of Check, Apply,
+// ApplyBatch, foreign store writes and constraint-set changes through a
+// default checker — global insert decisions by delta rounds on kept
+// fixpoints — and after every operation holds it to three references:
+// the verdict equals full evaluation of every constraint on a copy of
+// the store; the store equals the model's; and every fixpoint the checker
+// keeps and would trust equals a fresh evaluation.
+func TestCheckerAgainstOracles(t *testing.T) {
+	var total Stats
+	rejectedMidBatch, foreign := 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := store.New()
+		for rel := range oracleArity {
+			db.MustEnsure(rel, oracleArity[rel])
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := db.Insert("e", randomTuple(rng, "e")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chk := New(db, Options{Workers: 1 + int(seed%2)})
+		progs := map[string]*ast.Program{}
+		add := func() {
+			k := oracleConstraints[rng.Intn(len(oracleConstraints))]
+			if progs[k.name] != nil {
+				return
+			}
+			prog := parser.MustParseProgram(k.src)
+			// AddConstraint refuses a constraint the store violates.
+			if err := chk.AddConstraint(k.name, prog); err == nil {
+				progs[k.name] = prog
+			}
+		}
+		for len(progs) < 2 {
+			add()
+		}
+		// model is the store the references say the checker should hold.
+		model := db.Clone()
+		admits := func(pre *store.Store, u store.Update) (*store.Store, bool) {
+			post := pre.Clone()
+			if err := u.Apply(post); err != nil {
+				t.Fatal(err)
+			}
+			return post, !violates(t, progs, post)
+		}
+		for step := 0; step < 60; step++ {
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(20); {
+			case op < 8:
+				u := randomUpdate(rng)
+				_, want := admits(model, u)
+				rep, err := chk.Check(u)
+				if err != nil || rep.Applied != want {
+					t.Fatalf("%s: check %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
+				}
+			case op < 14:
+				u := randomUpdate(rng)
+				post, want := admits(model, u)
+				rep, err := chk.Apply(u)
+				if err != nil || rep.Applied != want {
+					t.Fatalf("%s: apply %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
+				}
+				if want {
+					model = post
+				}
+			case op < 17:
+				us := make([]store.Update, 2+rng.Intn(3))
+				for i := range us {
+					us[i] = randomUpdate(rng)
+				}
+				cur, failedAt := model, -1
+				for i, u := range us {
+					post, ok := admits(cur, u)
+					if !ok {
+						failedAt = i
+						break
+					}
+					cur = post
+				}
+				br, err := chk.ApplyBatch(us)
+				if err != nil || br.FailedAt != failedAt || br.Applied != (failedAt < 0) {
+					t.Fatalf("%s: batch %v: %+v err=%v, references say failedAt=%d", what, us, br, err, failedAt)
+				}
+				if failedAt < 0 {
+					model = cur
+				} else if failedAt > 0 {
+					rejectedMidBatch++
+				}
+			case op < 18:
+				// A write behind the checker's back, kept consistent: the
+				// staged tests assume the constraints held before each update.
+				rel := []string{"e", "f", "g", "h"}[rng.Intn(4)]
+				var ts []relation.Tuple
+				for i := rng.Intn(4); i > 0; i-- {
+					ts = append(ts, randomTuple(rng, rel))
+				}
+				post := model.Clone()
+				if err := post.Replace(rel, oracleArity[rel], ts); err != nil {
+					t.Fatal(err)
+				}
+				if violates(t, progs, post) {
+					continue
+				}
+				if err := db.Replace(rel, oracleArity[rel], ts); err != nil {
+					t.Fatal(err)
+				}
+				model = post
+				foreign++
+			case op < 19:
+				add()
+			default:
+				if names := chk.Constraints(); len(names) > 1 {
+					name := names[rng.Intn(len(names))]
+					chk.RemoveConstraint(name)
+					delete(progs, name)
+				}
+			}
+			if got, want := sortedLines(db.Dump()), sortedLines(model.Dump()); got != want {
+				t.Fatalf("%s: store diverged from the model\nchecker:\n%s\nmodel:\n%s", what, got, want)
+			}
+			checkKept(t, chk)
+		}
+		s := chk.Stats()
+		total.FixpointHits += s.FixpointHits
+		total.FixpointRebuilds += s.FixpointRebuilds
+		total.FixpointDrops += s.FixpointDrops
+		total.Rejected += s.Rejected
+		total.ByPhase = map[Phase]int{PhaseGlobal: total.ByPhase[PhaseGlobal] + s.ByPhase[PhaseGlobal]}
+	}
+	t.Logf("totals: %+v midbatch=%d foreign=%d", total, rejectedMidBatch, foreign)
+	// The streams must have reached what the test is for.
+	if total.FixpointHits < 100 || total.FixpointRebuilds < 30 || total.FixpointDrops < 30 {
+		t.Errorf("kept fixpoints barely exercised: %+v", total)
+	}
+	if fallbacks := int64(total.ByPhase[PhaseGlobal]) - total.FixpointHits - total.FixpointRebuilds; fallbacks < 50 {
+		t.Errorf("only %d global decisions took the from-scratch fallback", fallbacks)
+	}
+	if total.Rejected < 50 || rejectedMidBatch < 5 || foreign < 10 {
+		t.Errorf("thin stream: %d rejections, %d mid-batch, %d foreign writes", total.Rejected, rejectedMidBatch, foreign)
+	}
+}

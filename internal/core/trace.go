@@ -81,6 +81,7 @@ type checkerMetrics struct {
 	updates      *obs.Counter
 	rejected     *obs.Counter
 	decisions    *obs.CounterVec // phase
+	fix          [3]*obs.Counter // by fixEvent
 	applySeconds *obs.Histogram
 	indexBuilds  *obs.Gauge
 	indexProbes  *obs.Gauge
@@ -107,6 +108,11 @@ func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
 		residHits:    reg.Gauge("cc_residual_hits", "compiled residual checks served from the pattern cache"),
 		residMisses:  reg.Gauge("cc_residual_misses", "residual lookups not served from the cache (fresh compilations plus pipeline fallbacks)"),
 		residBuilt:   reg.Gauge("cc_residual_compiled", "residual compilations performed"),
+		fix: [3]*obs.Counter{
+			fixHit:     reg.Counter("cc_checker_fixpoint_hits_total", "global insert decisions served by delta rounds on a kept fixpoint"),
+			fixRebuild: reg.Counter("cc_checker_fixpoint_rebuilds_total", "global insert decisions that evaluated the constraint in full to (re)build its kept fixpoint"),
+			fixDrop:    reg.Counter("cc_checker_fixpoint_drops_total", "kept fixpoints discarded: an unaccounted write moved a relation they read, or the constraint set changed"),
+		},
 	}
 }
 

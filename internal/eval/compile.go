@@ -48,6 +48,28 @@ type compiled struct {
 	// idbArity maps each derived predicate to its arity, for allocating
 	// result relations without re-walking the program.
 	idbArity map[string]int
+
+	// What a kept fixpoint (fixpoint.go) adds, built by its first build.
+	// deltaPlans: per rule and positive body literal, the plan that
+	// starts from that literal. monotone: per stored relation the program
+	// reads, whether no predicate that depends on it is read under
+	// negation — then the fixpoint after an insert is the one before plus
+	// whatever the new tuple derives, and every negated subgoal reads as
+	// it did. feeds: the stored relations some rule-read derived
+	// predicate depends on — the only ones whose writes can make kept
+	// rows that a delta-seeded run consults wrong.
+	deltaOnce  sync.Once
+	deltaErr   error
+	deltaPlans map[deltaKey]*rulePlan
+	monotone   map[string]bool
+	feeds      []string
+}
+
+// deltaKey names one delta plan: the rule and the body index of the
+// literal that ranges over the delta.
+type deltaKey struct {
+	r   *ast.Rule
+	pos int
 }
 
 // compile builds the ready-to-run evaluation for prog (pruned to goal
@@ -96,32 +118,108 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 			if _, ok := c.plans[r]; ok {
 				continue
 			}
-			p, err := planRule(r, !opts.DisableIndexes)
+			p, err := planRule(r, !opts.DisableIndexes, -1)
 			if err != nil {
 				return nil, err
 			}
-			// Validate subgoal arities once, at compile time: a stored
-			// relation whose arity disagrees with the atom can never match
-			// it (Insert enforces uniform arity within a relation), so the
-			// step is marked empty and the join loop needs no per-tuple
-			// length check. IDB and delta relations are allocated from the
-			// program's own arity map and cannot disagree. Relation
-			// creation bumps the store's schema version, so a cached plan
-			// never outlives the shape it validated against.
-			for si := range p.steps {
-				st := &p.steps[si]
-				if !st.lit.IsPos() || idb[st.lit.Atom.Pred] {
-					continue
-				}
-				if rel := db.Relation(st.lit.Atom.Pred); rel != nil && rel.Arity() != len(st.lit.Atom.Args) {
-					st.empty = true
-				}
-			}
+			markEmptySteps(p, idb, db)
 			c.plans[r] = p
 		}
 		c.strata = append(c.strata, sp)
 	}
 	return c, nil
+}
+
+// markEmptySteps validates subgoal arities once, at plan time: a stored
+// relation whose arity disagrees with the atom can never match it
+// (Insert enforces uniform arity within a relation), so the step is
+// marked empty and the join loop needs no per-tuple length check. IDB
+// and delta relations are allocated from the program's own arity map
+// and cannot disagree. Relation creation bumps the store's schema
+// version, so a cached plan never outlives the shape it validated
+// against.
+func markEmptySteps(p *rulePlan, idb map[string]bool, db *store.Store) {
+	for si := range p.steps {
+		st := &p.steps[si]
+		if !st.lit.IsPos() || idb[st.lit.Atom.Pred] {
+			continue
+		}
+		if rel := db.Relation(st.lit.Atom.Pred); rel != nil && rel.Arity() != len(st.lit.Atom.Args) {
+			st.empty = true
+		}
+	}
+}
+
+// prepareDelta builds deltaPlans, monotone and feeds, once.
+func (c *compiled) prepareDelta(db *store.Store) error {
+	c.deltaOnce.Do(func() {
+		idb := c.prog.IDBPreds()
+		c.deltaPlans = make(map[deltaKey]*rulePlan)
+		c.monotone = make(map[string]bool)
+		for _, r := range c.prog.Rules {
+			for bi, l := range r.Body {
+				if !l.IsPos() {
+					continue
+				}
+				p, err := planRule(r, true, bi)
+				if err != nil {
+					c.deltaErr = err
+					return
+				}
+				markEmptySteps(p, idb, db)
+				c.deltaPlans[deltaKey{r, bi}] = p
+			}
+		}
+		// bodyRead are the derived predicates some rule reads: the only
+		// kept rows a delta-seeded run ever consults.
+		bodyRead := map[string]bool{}
+		for _, r := range c.prog.Rules {
+			for _, l := range r.Body {
+				if !l.IsComp() && idb[l.Atom.Pred] {
+					bodyRead[l.Atom.Pred] = true
+				}
+			}
+		}
+		for _, rel := range c.prog.EDBPreds() {
+			reached := reachedFrom(c.prog, rel)
+			c.monotone[rel] = true
+			for _, r := range c.prog.Rules {
+				for _, l := range r.Body {
+					if l.IsNeg() && reached[l.Atom.Pred] {
+						c.monotone[rel] = false
+					}
+				}
+			}
+			for p := range reached {
+				if bodyRead[p] {
+					c.feeds = append(c.feeds, rel)
+					break
+				}
+			}
+		}
+	})
+	return c.deltaErr
+}
+
+// reachedFrom returns rel together with every predicate of prog that
+// depends on it through any chain of rules, positive or negated.
+func reachedFrom(prog *ast.Program, rel string) map[string]bool {
+	reached := map[string]bool{rel: true}
+	for grew := true; grew; {
+		grew = false
+		for _, r := range prog.Rules {
+			if reached[r.Head.Pred] {
+				continue
+			}
+			for _, l := range r.Body {
+				if !l.IsComp() && reached[l.Atom.Pred] {
+					reached[r.Head.Pred], grew = true, true
+					break
+				}
+			}
+		}
+	}
+	return reached
 }
 
 // compiledFor resolves the compiled evaluation for the call, through the

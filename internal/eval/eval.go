@@ -127,6 +127,14 @@ type evaluator struct {
 	// stopWhenNonEmpty, when set, aborts evaluation with errGoalDerived
 	// as soon as the named predicate derives a tuple (GoalHolds).
 	stopWhenNonEmpty string
+	// fix, when set, makes this a delta-seeded run over a kept fixpoint
+	// (fixpoint.go): derived predicates are read from and written to its
+	// handle rows, rules run their delta-first plans, and the delta
+	// literal ranges over rows [dlo, dhi) of its predicate — or, for the
+	// inserted relation, over the seed tuple alone.
+	fix      *Fixpoint
+	seed     relation.Tuple
+	dlo, dhi int
 }
 
 // release returns the evaluator's scratch to the pool. The substitution
@@ -140,13 +148,16 @@ func (ev *evaluator) release() {
 	}
 }
 
-func (ev *evaluator) planFor(r *ast.Rule) (*rulePlan, error) {
+func (ev *evaluator) planFor(r *ast.Rule, deltaPos int) (*rulePlan, error) {
+	if ev.fix != nil {
+		return ev.comp.deltaPlans[deltaKey{r, deltaPos}], nil
+	}
 	if p, ok := ev.comp.plans[r]; ok {
 		return p, nil
 	}
 	// Unreachable in practice — compile() plans every rule of every
 	// stratum — but fall back to a throwaway plan rather than panic.
-	return planRule(r, !ev.opts.DisableIndexes)
+	return planRule(r, !ev.opts.DisableIndexes, -1)
 }
 
 // scratch holds the per-evaluation reusable buffers: one levelScratch
@@ -167,6 +178,8 @@ type levelScratch struct {
 	vals  []ast.Value
 	tups  []relation.Tuple
 	trail []string
+	// vbuf backs the tuples a kept fixpoint's rows materialize into.
+	vbuf []ast.Value
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{subst: ast.Subst{}} }}
@@ -248,7 +261,7 @@ func (ev *evaluator) evalStratum(sp *stratumPlan) error {
 // ranges over delta[pred] instead of the full relation. Newly derived
 // tuples (not already present) are also added to newOut when non-nil.
 func (ev *evaluator) applyRule(r *ast.Rule, newOut map[string]*relation.Relation, deltaPos int, delta map[string]*relation.Relation, sp *stratumPlan) error {
-	plan, err := ev.planFor(r)
+	plan, err := ev.planFor(r, deltaPos)
 	if err != nil {
 		return err
 	}
@@ -269,15 +282,16 @@ func (ev *evaluator) applyRule(r *ast.Rule, newOut map[string]*relation.Relation
 			ht = append(ht, a.Const)
 		}
 		scr.head = ht
-		if ev.res.idb[r.Head.Pred].Insert(relation.Tuple(ht)) {
-			if newOut != nil {
-				if d, ok := newOut[r.Head.Pred]; ok {
-					d.Insert(relation.Tuple(ht))
-				}
+		var fresh bool
+		if kept := ev.fix.kept(r.Head.Pred); kept != nil {
+			fresh = kept.insert(relation.Tuple(ht))
+		} else if fresh = ev.res.idb[r.Head.Pred].Insert(relation.Tuple(ht)); fresh && newOut != nil {
+			if d, ok := newOut[r.Head.Pred]; ok {
+				d.Insert(relation.Tuple(ht))
 			}
-			if r.Head.Pred == ev.stopWhenNonEmpty {
-				return errGoalDerived
-			}
+		}
+		if fresh && r.Head.Pred == ev.stopWhenNonEmpty {
+			return errGoalDerived
 		}
 		return nil
 	}
@@ -341,7 +355,11 @@ func probeColsFor(a ast.Atom, bound map[string]bool) []int {
 // escape hatch) positive atoms keep their textual order — the seed
 // behavior. Comparisons and negated atoms are interleaved at the
 // earliest point where their variables are bound in both modes.
-func planRule(r *ast.Rule, reorder bool) (*rulePlan, error) {
+//
+// first, when >= 0, is the body index of a positive atom that must run
+// first whatever its score: a delta-seeded run starts every rule from
+// its delta literal, the one subgoal known to range over a few tuples.
+func planRule(r *ast.Rule, reorder bool, first int) (*rulePlan, error) {
 	bound := map[string]bool{}
 	var steps []planStep
 	pending := make([]int, 0, len(r.Body))
@@ -375,7 +393,13 @@ func planRule(r *ast.Rule, reorder bool) (*rulePlan, error) {
 	}
 	for len(posLeft) > 0 {
 		pick := 0
-		if reorder {
+		if first >= 0 && len(steps) == 0 {
+			for idx, bi := range posLeft {
+				if bi == first {
+					pick = idx
+				}
+			}
+		} else if reorder {
 			best := -1
 			for idx, bi := range posLeft {
 				if score := boundScore(r.Body[bi].Atom, bound); score > best {
@@ -525,7 +549,22 @@ func (ev *evaluator) fetch(lv *levelScratch, step *planStep, useDelta bool, delt
 	}
 	lv.vals = vals
 	dst := lv.tups[:0]
+	kept := ev.fix.kept(pred)
 	switch {
+	case kept != nil && useDelta:
+		dst = kept.scan(dst, &lv.vbuf, ev.dlo, ev.dhi, cols, vals)
+	case kept != nil:
+		dst = kept.lookup(dst, &lv.vbuf, cols, vals)
+	case ev.fix != nil && useDelta:
+		// The inserted relation's delta is the seed tuple, if it agrees
+		// with the literal's arity and constants.
+		ok := len(ev.seed) == len(lv.args)
+		for i := 0; ok && i < len(cols); i++ {
+			ok = ev.seed[cols[i]].Equal(vals[i])
+		}
+		if ok {
+			dst = append(dst, ev.seed)
+		}
 	case useDelta && delta[pred] != nil:
 		d := delta[pred]
 		if len(cols) == 0 {
@@ -567,6 +606,9 @@ func (ev *evaluator) fetch(lv *levelScratch, step *planStep, useDelta bool, delt
 // probes are charged to the store's counters (or routed, when a
 // ProbeRouter claims the relation).
 func (ev *evaluator) contains(pred string, t relation.Tuple) (bool, error) {
+	if kept := ev.fix.kept(pred); kept != nil {
+		return kept.contains(t), nil
+	}
 	if rel, ok := ev.res.idb[pred]; ok {
 		return rel.Contains(t), nil
 	}

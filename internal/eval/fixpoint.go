@@ -1,0 +1,267 @@
+package eval
+
+import (
+	"errors"
+	"sync"
+
+	"repro/internal/ast"
+	"repro/internal/relation"
+	"repro/internal/store"
+)
+
+// Fixpoint is the kept result of one goal-pruned evaluation: every
+// derived relation of the program over the store as it stood, held as
+// handle rows (rowSet), together with the data version of every stored
+// relation those rows were derived from. While those versions still
+// stand, the question GoalHolds answers from scratch after an insert —
+// is the goal derivable now? — is answered by running only the
+// semi-naive rounds the inserted tuple seeds (Insert): given the goal
+// was underivable before, only derivations that use the new tuple can
+// derive it.
+//
+// The holder accounts for the writes it makes itself (Wrote); any other
+// write to a relation the rows depend on shows as a version mismatch
+// (Valid), and the holder builds a new one. A Fixpoint is safe for
+// concurrent use, one call at a time per instance.
+type Fixpoint struct {
+	mu   sync.Mutex
+	comp *compiled
+	db   *store.Store
+	goal string
+	rels map[string]*rowSet
+	// edb are the stored relations whose contents the kept rows depend on
+	// where it matters — those that feed a derived predicate some rule
+	// reads (compiled.feeds); vers are their data versions as of the
+	// fixpoint. A relation the rules only read directly is read live.
+	edb  []string
+	vers []uint64
+}
+
+// noIDB stands in for the result of a delta-seeded run, whose derived
+// relations live in the fixpoint's rows.
+var noIDB = &Result{}
+
+// BuildFixpoint evaluates prog, pruned to goal, over db to its fixpoint
+// and keeps it. It returns nil, before evaluating anything, when an
+// insert into rel could not be decided by Insert on the result
+// (Seedable), and under the options that change where or how stored
+// relations are read: a probe router serves reads the store's versions
+// say nothing about, and the scan arm stays a reference that shares no
+// shortcut with what it checks. The store is read, never written.
+func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Options) (*Fixpoint, error) {
+	if opts.Probe != nil || opts.DisableIndexes {
+		return nil, nil
+	}
+	c, err := compiledFor(prog, db, goal, opts)
+	if err != nil {
+		return nil, err
+	}
+	if c.noRules {
+		return nil, nil // underivable whatever the data: nothing worth keeping
+	}
+	if err := c.prepareDelta(db); err != nil {
+		return nil, err
+	}
+	f := &Fixpoint{comp: c, db: db, goal: goal}
+	if !f.Seedable(rel) {
+		return nil, nil
+	}
+	// Versions first: a write that lands while the evaluation reads must
+	// leave the fixpoint stale, not current.
+	f.edb = c.feeds
+	f.vers = make([]uint64, len(f.edb))
+	for i, name := range f.edb {
+		f.vers[i] = db.DataVersion(name)
+	}
+	ev, res := newEvaluator(c, db, opts)
+	defer ev.release()
+	// A goal fact ends the build at once: the premise of Insert —
+	// underivable before the update — does not hold, so nothing is kept and
+	// the decision, and every later one until it does, is left to the
+	// from-scratch evaluation, at no more than the price of one more.
+	ev.stopWhenNonEmpty = goal
+	for i := range c.strata {
+		err := ev.evalStratum(&c.strata[i])
+		if errors.Is(err, errGoalDerived) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	f.rels = make(map[string]*rowSet, len(res.idb))
+	for pred, r := range res.idb {
+		rs := newRowSet(r.Arity())
+		rs.rows = make([]relation.Handle, 0, r.Len()*r.Arity())
+		f.rels[pred] = rs
+	}
+	// Only the column sets a delta plan probes get a bucket index.
+	for _, p := range c.deltaPlans {
+		for _, st := range p.steps[1:] {
+			if rs := f.rels[st.lit.Atom.Pred]; rs != nil && st.lit.IsPos() && len(st.probeCols) > 0 {
+				rs.ensureIndex(st.probeCols)
+			}
+		}
+	}
+	for pred, r := range res.idb {
+		rs := f.rels[pred]
+		r.EachHandles(func(hs []relation.Handle) { rs.add(hs) })
+		rs.kept = rs.n
+	}
+	return f, nil
+}
+
+// kept returns the rows of a derived predicate, nil for a stored
+// relation — and for any predicate when f is nil, which is how the
+// evaluator asks outside a delta-seeded run.
+func (f *Fixpoint) kept(pred string) *rowSet {
+	if f == nil {
+		return nil
+	}
+	return f.rels[pred]
+}
+
+// Seedable reports whether Insert decides an insert into rel exactly:
+// rel is a stored relation and the insert only ever adds derived facts
+// (compiled.monotone).
+func (f *Fixpoint) Seedable(rel string) bool {
+	if m, reads := f.comp.monotone[rel]; reads {
+		return m
+	}
+	_, derived := f.comp.idbArity[rel]
+	return !derived
+}
+
+// Valid reports whether every stored relation the kept rows depend on
+// still has the version it is accounted at.
+func (f *Fixpoint) Valid() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, name := range f.edb {
+		if f.db.DataVersion(name) != f.vers[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Insert reports whether the goal is derivable once t is in rel, for a
+// store that already holds t and otherwise matches the fixpoint. It runs
+// the strata in order, each seeded with the tuple and the facts lower
+// strata gained, and stops at the first goal fact. What it derives stays
+// in the rows as an overlay until Close folds or discards it.
+func (f *Fixpoint) Insert(rel string, t relation.Tuple) (bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ev := &evaluator{comp: f.comp, db: f.db, res: noIDB, scr: scratchPool.Get().(*scratch),
+		stopWhenNonEmpty: f.goal, fix: f, seed: t}
+	defer ev.release()
+	for i := range f.comp.strata {
+		err := ev.seededStratum(&f.comp.strata[i], rel)
+		if errors.Is(err, errGoalDerived) {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// seededStratum is evalStratum started from a delta instead of from the
+// stored relations: a first pass runs every rule once per occurrence of
+// the inserted relation (over the seed tuple) and of a lower stratum's
+// predicate that gained rows (over those rows); the semi-naive rounds
+// then chase the rows the stratum's own predicates gain, a round's delta
+// being the row range the previous round appended.
+func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
+	rels := ev.fix.rels
+	for _, p := range sp.preds {
+		rels[p].lo = rels[p].n
+	}
+	for _, r := range sp.rules {
+		for bi, l := range r.Body {
+			if !l.IsPos() || sp.inLayer[l.Atom.Pred] {
+				continue
+			}
+			ev.dlo, ev.dhi = 0, 0
+			if rs := rels[l.Atom.Pred]; rs != nil {
+				ev.dlo, ev.dhi = rs.kept, rs.n
+			}
+			if l.Atom.Pred == rel || ev.dlo < ev.dhi {
+				if err := ev.applyRule(r, nil, bi, nil, sp); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for {
+		grew := false
+		for _, p := range sp.preds {
+			rels[p].hi = rels[p].n
+			grew = grew || rels[p].lo < rels[p].hi
+		}
+		if !grew {
+			return nil
+		}
+		for _, r := range sp.rules {
+			for bi, l := range r.Body {
+				if !l.IsPos() || !sp.inLayer[l.Atom.Pred] {
+					continue
+				}
+				if rs := rels[l.Atom.Pred]; rs.lo < rs.hi {
+					ev.dlo, ev.dhi = rs.lo, rs.hi
+					if err := ev.applyRule(r, nil, bi, nil, sp); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		for _, p := range sp.preds {
+			rels[p].lo = rels[p].hi
+		}
+	}
+}
+
+// Close ends the decision Insert opened: what it derived becomes part of
+// the fixpoint (fold: the insert stays in the store) or is taken back
+// (the insert was undone). Only the caller of Insert may close it — a
+// concurrent decision on an unrelated relation must not, or it would wipe
+// rows an admitted insert is about to fold.
+func (f *Fixpoint) Close(fold bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, rs := range f.rels {
+		if fold {
+			rs.kept = rs.n
+		} else if rs.n > rs.kept {
+			rs.truncate(rs.kept)
+		}
+	}
+}
+
+// Wrote accounts for the holder's own writes to rel: the version rel is
+// accounted at advances by the writes the holder made to it — an insert
+// it folded, or a trial write and its exact undo. The rows are not
+// touched, and a fixpoint that does not depend on rel ignores the count.
+func (f *Fixpoint) Wrote(rel string, writes uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, name := range f.edb {
+		if name == rel {
+			f.vers[i] += writes
+		}
+	}
+}
+
+// Tuples returns the kept tuples of a derived predicate (an open
+// overlay excluded), and nil for any other: the goal-pruned program
+// derives only what the goal depends on.
+func (f *Fixpoint) Tuples(pred string) []relation.Tuple {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if rs := f.rels[pred]; rs != nil {
+		return rs.tuples()
+	}
+	return nil
+}

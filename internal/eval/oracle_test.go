@@ -162,8 +162,19 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 		"q(X) :- e(X) & not p(X).\np(X) :- f(X) & g(X).",
 		"p(X) :- edge(1,X) & edge(X,Y) & f(Y).",
 		"p(X) :- edge(X,X) & e(X).",
+		// The constraint shapes core's TestCheckerAgainstOracles streams
+		// updates through, with full evaluation as its reference: linear and
+		// non-linear recursion, helpers, negation on stored relations and
+		// lower strata, mixed polarity.
+		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+		"t(X,Y) :- edge(X,Y) & X < Y.\nt(X,Y) :- t(X,Z) & t(Z,Y).\npanic :- t(X,Y) & f(X) & g(Y).",
+		"hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & g(X).",
+		"r(X,Y) :- edge(X,Y) & not g(X).\nr(X,Y) :- r(X,Z) & edge(Z,Y).\npanic :- r(X,Y) & f(Y) & not h(X).",
+		"a(X) :- edge(X,Y).\nm(X) :- g(X).\nb(X) :- a(X) & not m(X).\npanic :- b(X) & f(X) & h(X).",
+		"linked(X) :- edge(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & edge(Y,X) & g(Y).",
+		"panic :- edge(X,X) & f(X).",
 	}
-	arity := map[string]int{"e": 1, "f": 1, "g": 1, "edge": 2, "succ": 2, "zero": 1}
+	arity := map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1}
 	rng := rand.New(rand.NewSource(4))
 	// One plan cache shared by every program and trial: compiled plans
 	// must never leak results across the (program, store) combinations the
@@ -219,6 +230,13 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 				t.Fatalf("program %d trial %d (cached, reuse): %v", pi, trial, err)
 			}
 			want := naiveEval(t, prog, db)
+			if prog.IDBPreds()[ast.PanicPred] {
+				// The checker's question, with goal pruning and the early stop.
+				holds, err := PanicHolds(prog, db.Clone())
+				if _, naive := want[ast.PanicPred]; err != nil || holds != naive {
+					t.Fatalf("program %d trial %d: PanicHolds=%v err=%v, oracle %v\nprog:\n%s\ndb:\n%s", pi, trial, holds, err, naive, prog, db)
+				}
+			}
 			for _, arm := range []struct {
 				name string
 				res  *Result

@@ -73,10 +73,7 @@ type Options struct {
 	// scheduler (internal/sched): non-conflicting updates overlap their
 	// phase-1–3 checks and site RPCs instead of running strictly one at
 	// a time, while the batch stays atomic. 0 or 1 keeps the sequential
-	// path. The pipelined path requires the checker to admit concurrent
-	// applies (it does, unless Checker.Incremental) and falls back to
-	// sequential otherwise. ApplyStream takes its worker count as an
-	// argument instead.
+	// path. ApplyStream takes its worker count as an argument instead.
 	ApplyWorkers int
 	// DisableShardRouting is the scatter-gather A/B arm: sharded
 	// relations are always refreshed in full (every shard scanned and
@@ -272,9 +269,6 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		co.shardsOf[rel] = shards
 	}
 	if anySharded {
-		if opts.Checker.Incremental {
-			return nil, fmt.Errorf("netdist: sharded placement is incompatible with Checker.Incremental")
-		}
 		co.opts.Checker.Sharder = place
 		if !co.opts.DisableShardRouting {
 			co.router = newShardRouter(co)
@@ -774,9 +768,6 @@ func (b ServeBackend) Stats() core.Stats { return b.Co.Checker.Stats() }
 // tolerate concurrent round trips.
 func (b ServeBackend) Footprints() *sched.Index { return b.Co.Checker.Footprints() }
 
-// ConcurrentApplySafe defers to the wrapped checker.
-func (b ServeBackend) ConcurrentApplySafe() bool { return b.Co.Checker.ConcurrentApplySafe() }
-
 // ShardStats satisfies serve's optional ShardStatser interface: the
 // coordinator's scale-out wire accounting, surfaced through the
 // decision server's /stats.
@@ -822,7 +813,7 @@ func (co *Coordinator) undoMirror(u store.Update) {
 // (see applyBatchPipelined): same verdicts, same final state, same
 // batch atomicity — overlapping wire waits of independent updates.
 func (co *Coordinator) ApplyBatch(updates []store.Update) (core.BatchReport, error) {
-	if co.opts.ApplyWorkers > 1 && co.Checker.ConcurrentApplySafe() {
+	if co.opts.ApplyWorkers > 1 {
 		return co.applyBatchPipelined(updates, co.opts.ApplyWorkers)
 	}
 	br := core.BatchReport{Applied: true, FailedAt: -1}

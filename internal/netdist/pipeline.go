@@ -28,14 +28,13 @@ type StreamResult struct {
 // ApplyStream applies a stream of independently-fated updates — the
 // concurrent counterpart of a sequential loop of Apply calls, with no
 // batch atomicity: a rejected or failed update rolls back alone and the
-// rest proceed. workers <= 1 (or a checker that refuses concurrent
-// applies) runs the plain loop; otherwise the scheduler dispatches
-// non-conflicting updates to a worker pool and serializes conflicting
-// ones in admission order, so per-update verdicts and the final state
-// match the sequential loop exactly.
+// rest proceed. workers <= 1 runs the plain loop; otherwise the
+// scheduler dispatches non-conflicting updates to a worker pool and
+// serializes conflicting ones in admission order, so per-update verdicts
+// and the final state match the sequential loop exactly.
 func (co *Coordinator) ApplyStream(updates []store.Update, workers int) []StreamResult {
 	out := make([]StreamResult, len(updates))
-	if workers <= 1 || !co.Checker.ConcurrentApplySafe() {
+	if workers <= 1 {
 		for i, u := range updates {
 			out[i].Report, out[i].Err = co.Apply(u)
 		}

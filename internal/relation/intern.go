@@ -119,6 +119,18 @@ func InternedValue(h Handle) ast.Value {
 	return p.values[h]
 }
 
+// InternedValues appends the pooled representatives of hs to dst under
+// one lock acquisition — the row-at-a-time variant of InternedValue.
+func InternedValues(dst []ast.Value, hs []Handle) []ast.Value {
+	p := internPool
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, h := range hs {
+		dst = append(dst, p.values[h])
+	}
+	return dst
+}
+
 // Canonical returns the pooled representative equal to v, interning it
 // on first use. The netdist decode path funnels every wire constant
 // through Canonical so duplicated remote values share one backing
@@ -161,8 +173,9 @@ func fingerprintFold(fp uint64, h Handle) uint64 {
 	return fp
 }
 
-// fingerprintHandles fingerprints a full handle slice.
-func fingerprintHandles(hs []Handle) uint64 {
+// FingerprintHandles fingerprints a handle slice: equal slices agree,
+// distinct ones collide only with hash probability.
+func FingerprintHandles(hs []Handle) uint64 {
 	fp := uint64(fnvOffset64)
 	for _, h := range hs {
 		fp = fingerprintFold(fp, h)

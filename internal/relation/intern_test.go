@@ -112,8 +112,8 @@ func TestInternConcurrent(t *testing.T) {
 	}
 	// The fingerprint derived from the observed handles must equal the
 	// Tuple.Fingerprint computed independently.
-	if got := fingerprintHandles(handles[0]); got != fps[0] {
-		t.Fatalf("fingerprintHandles = %x, Tuple.Fingerprint = %x", got, fps[0])
+	if got := FingerprintHandles(handles[0]); got != fps[0] {
+		t.Fatalf("FingerprintHandles = %x, Tuple.Fingerprint = %x", got, fps[0])
 	}
 	// vals holds one duplicate under normalization (7/7 == 1), so count
 	// distinct canonical keys rather than slice length.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 )
@@ -131,6 +132,9 @@ type Relation struct {
 	// midx holds the lazily built per-column-set hash indexes, keyed by
 	// column bitmask; see index.go.
 	midx map[uint64]*multiIndex
+	// version counts the writes that changed the relation's contents;
+	// see Version.
+	version atomic.Uint64
 }
 
 // New creates an empty relation with the given name and arity.
@@ -149,6 +153,26 @@ func (r *Relation) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.count
+}
+
+// Version returns the relation's data version: a counter that advances
+// on every Insert, Delete and Reset that changes the contents and never
+// otherwise. A reader that remembers the version it saw can tell later
+// whether what it derived from the contents still stands (a kept
+// evaluation fixpoint does), without subscribing to the writers.
+func (r *Relation) Version() uint64 { return r.version.Load() }
+
+// Succeed makes r the successor of old, the relation a store swaps r in
+// for: r takes over old's index signatures (so the probe indexes of
+// repeated swaps stay warm) and continues its data version strictly past
+// both counts, so a reader that remembered old's version sees the swap as
+// a change however many tuples either side holds. A version only ever
+// moves forward.
+func (r *Relation) Succeed(old *Relation) {
+	for _, cols := range old.IndexSignatures() {
+		r.EnsureIndex(cols...)
+	}
+	r.version.Store(max(r.version.Load(), old.Version()) + 1)
 }
 
 // findLocked returns the live position holding the tuple with the given
@@ -179,21 +203,26 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into %s/%d", len(t), r.name, r.arity))
 	}
-	hs, fp := internTuple(t, nil)
+	// Intern into stack scratch and dedup first: semi-naive rounds emit
+	// mostly duplicates, and only a new tuple needs handles of its own.
+	var scratch [8]Handle
+	hs, fp := internTuple(t, scratch[:0])
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.findLocked(fp, hs) >= 0 {
 		return false
 	}
+	own := append([]Handle(nil), hs...)
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
-	r.handles = append(r.handles, hs)
+	r.handles = append(r.handles, own)
 	r.index[fp] = append(r.index[fp], pos)
 	r.count++
 	for _, mi := range r.midx {
-		pk := fingerprintProj(hs, mi.cols)
+		pk := fingerprintProj(own, mi.cols)
 		mi.buckets[pk] = append(mi.buckets[pk], pos)
 	}
+	r.version.Add(1)
 	return true
 }
 
@@ -211,6 +240,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	r.handles[pos] = nil
 	r.count--
 	r.holes++
+	r.version.Add(1)
 	if r.holes > r.count && r.holes > 64 {
 		r.compactLocked()
 	}
@@ -224,6 +254,9 @@ func (r *Relation) Delete(t Tuple) bool {
 func (r *Relation) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.count > 0 {
+		r.version.Add(1)
+	}
 	r.tuples = r.tuples[:0]
 	r.handles = r.handles[:0]
 	r.count, r.holes = 0, 0
@@ -252,7 +285,7 @@ func (r *Relation) compactLocked() {
 	r.holes = 0
 	r.index = make(map[uint64][]int, len(live))
 	for i, hs := range liveH {
-		fp := fingerprintHandles(hs)
+		fp := FingerprintHandles(hs)
 		r.index[fp] = append(r.index[fp], i)
 	}
 	sigs := r.midx
@@ -281,6 +314,19 @@ func (r *Relation) TuplesAppend(dst []Tuple) []Tuple {
 		}
 	}
 	return dst
+}
+
+// EachHandles calls f with the interned handle row of every live tuple
+// in insertion order, under the relation's read lock: f must neither
+// keep nor modify the slice, nor call back into the relation.
+func (r *Relation) EachHandles(f func([]Handle)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i, t := range r.tuples {
+		if t != nil {
+			f(r.handles[i])
+		}
+	}
 }
 
 // Each calls f for every tuple in insertion order; f must not mutate the

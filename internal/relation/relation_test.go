@@ -177,3 +177,53 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("Relation String = %q", got)
 	}
 }
+
+// The data version moves exactly when the contents do.
+func TestVersionCountsChanges(t *testing.T) {
+	r := New("p", 1)
+	step := func(what string, moved bool, f func()) {
+		t.Helper()
+		before := r.Version()
+		f()
+		if got := r.Version() != before; got != moved {
+			t.Errorf("%s: version moved=%v, want %v", what, got, moved)
+		}
+	}
+	step("new tuple", true, func() { r.Insert(Ints(1)) })
+	step("duplicate insert", false, func() { r.Insert(Ints(1)) })
+	step("absent delete", false, func() { r.Delete(Ints(2)) })
+	step("delete", true, func() { r.Delete(Ints(1)) })
+	step("reset of an empty relation", false, func() { r.Reset() })
+	r.Insert(Ints(3))
+	step("reset", true, func() { r.Reset() })
+}
+
+// A duplicate insert is decided before anything is allocated for it:
+// semi-naive rounds emit mostly duplicates.
+func TestInsertDuplicateAllocatesNothing(t *testing.T) {
+	r := New("p", 2)
+	tu := Ints(1, 2)
+	r.Insert(tu)
+	if allocs := testing.AllocsPerRun(100, func() { r.Insert(tu) }); allocs != 0 {
+		t.Errorf("duplicate insert allocates %.0f times", allocs)
+	}
+}
+
+func TestEachHandlesSkipsHolesAndSeesNullary(t *testing.T) {
+	r := New("p", 1)
+	r.Insert(Ints(1))
+	r.Insert(Ints(2))
+	r.Delete(Ints(1))
+	var got []Handle
+	r.EachHandles(func(hs []Handle) { got = append(got, hs...) })
+	if len(got) != 1 || !InternedValue(got[0]).Equal(ast.Int(2)) {
+		t.Errorf("EachHandles = %v", got)
+	}
+	z := New("panic", 0)
+	z.Insert(Tuple{})
+	n := 0
+	z.EachHandles(func(hs []Handle) { n++ })
+	if n != 1 {
+		t.Errorf("EachHandles visited %d rows of a 0-ary relation holding one", n)
+	}
+}

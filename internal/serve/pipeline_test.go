@@ -211,18 +211,64 @@ func TestPipelineFallsBackWithoutFootprints(t *testing.T) {
 	}
 }
 
-// TestPipelineIncrementalFallsBack: a checker configuration that
-// forbids concurrent applies must also land on the sequential arm.
-func TestPipelineIncrementalFallsBack(t *testing.T) {
-	db := store.New()
-	chk := core.New(db, core.Options{Incremental: true})
-	if err := chk.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
-		t.Fatal(err)
+// TestPipelineGlobalPhaseAgreement: a recursive constraint, whose insert
+// decisions run delta rounds on a kept fixpoint, is served by the
+// pipelined arm like any other (there is no configuration left that
+// forbids concurrent applies) with the sequential arm's verdicts and
+// final store.
+func TestPipelineGlobalPhaseAgreement(t *testing.T) {
+	const nodes, n = 12, 240
+	rng := rand.New(rand.NewSource(5))
+	stream := make([]store.Update, n)
+	for i := range stream {
+		switch rng.Intn(3) {
+		case 0:
+			stream[i] = store.Ins("edge", relation.Ints(int64(rng.Intn(nodes)), int64(rng.Intn(nodes))))
+		case 1:
+			stream[i] = store.Del("edge", relation.Ints(int64(rng.Intn(nodes)), int64(rng.Intn(nodes))))
+		default:
+			stream[i] = store.Ins("log", relation.Ints(int64(i)))
+		}
 	}
-	s := New(chk, Config{ApplyWorkers: 8})
-	defer s.Close()
-	if got := s.ApplyWorkers(); got != 1 {
-		t.Fatalf("effective workers = %d, want 1 for incremental mode", got)
+	var wantVerdicts []bool
+	var wantDump string
+	for _, workers := range []int{1, 8} {
+		db := store.New()
+		for i := int64(0); i < nodes-1; i += 2 {
+			if _, err := db.Insert("edge", relation.Ints(i, i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chk := core.New(db, core.Options{})
+		if err := chk.AddConstraintSource("acyclic",
+			"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X)."); err != nil {
+			t.Fatal(err)
+		}
+		s := New(chk, Config{ApplyWorkers: workers, QueueDepth: 16, MaxBatch: n})
+		if got := s.ApplyWorkers(); got != workers {
+			t.Fatalf("effective workers = %d, want %d", got, workers)
+		}
+		out, err := s.Batch("global", stream, false)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		s.Close()
+		if st := chk.Stats(); st.FixpointHits == 0 {
+			t.Fatalf("workers %d: no decision used a kept fixpoint: %+v", workers, st)
+		}
+		vs, d := verdicts(out), dump(chk.DB())
+		if workers == 1 {
+			wantVerdicts, wantDump = vs, d
+			continue
+		}
+		for i := range vs {
+			if vs[i] != wantVerdicts[i] {
+				t.Fatalf("verdict diverged at update %d (%v): got applied=%v, sequential=%v", i, stream[i], vs[i], wantVerdicts[i])
+			}
+		}
+		if d != wantDump {
+			t.Fatalf("final store diverged\npipelined:\n%s\nsequential:\n%s", d, wantDump)
+		}
 	}
 }
 

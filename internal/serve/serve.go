@@ -240,10 +240,6 @@ type FootprintBackend interface {
 	// Footprints returns the backend's current footprint index; called
 	// per request, so constraint-set changes are picked up.
 	Footprints() *sched.Index
-	// ConcurrentApplySafe reports whether the backend's configuration
-	// admits concurrent applies at all (core.Checker's incremental mode
-	// does not).
-	ConcurrentApplySafe() bool
 }
 
 // Server is the decision service. All exported methods are safe for
@@ -308,7 +304,7 @@ func New(chk Backend, cfg Config) *Server {
 	}
 	s.applyWorkers = 1
 	if cfg.ApplyWorkers > 1 {
-		if fb, ok := chk.(FootprintBackend); ok && fb.ConcurrentApplySafe() {
+		if fb, ok := chk.(FootprintBackend); ok {
 			s.fpb = fb
 			s.applyWorkers = cfg.ApplyWorkers
 			s.sched = sched.New(sched.Options{
@@ -318,8 +314,7 @@ func New(chk Backend, cfg Config) *Server {
 			go s.dispatcher()
 			return s
 		}
-		// No footprints (or a configuration that forbids concurrent
-		// applies): fall back to the sequential arm rather than fail.
+		// No footprints: fall back to the sequential arm rather than fail.
 	}
 	go s.worker()
 	return s

@@ -59,6 +59,18 @@ func (s *Store) ID() uint64 { return s.id }
 // which relations exist, their arities, and their index availability.
 func (s *Store) SchemaVersion() uint64 { return s.schema.Load() }
 
+// DataVersion returns the named relation's data version (see
+// relation.Version): it advances whenever the relation's contents
+// change — Insert, Delete, ReplaceKey and Replace — and is 0 for an
+// absent relation. Equal versions at two moments mean equal contents.
+func (s *Store) DataVersion(name string) uint64 {
+	r := s.get(name)
+	if r == nil {
+		return 0
+	}
+	return r.Version()
+}
+
 // get returns the named relation or nil, under the read lock.
 func (s *Store) get(name string) *relation.Relation {
 	s.mu.RLock()
@@ -277,13 +289,11 @@ func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 		if r.Arity() != arity {
 			return fmt.Errorf("store: relation %s has arity %d, requested %d", name, r.Arity(), arity)
 		}
-		// Carry the old relation's index signatures onto the fresh one, so
+		// The fresh relation carries the old one's index signatures, so
 		// repeated Replace cycles (mirror refreshes before every global
 		// evaluation) keep the evaluator's probe indexes warm instead of
-		// rebuilding them lazily mid-join.
-		for _, cols := range r.IndexSignatures() {
-			fresh.EnsureIndex(cols...)
-		}
+		// rebuilding them lazily mid-join, and continues its data version.
+		fresh.Succeed(r)
 	}
 	s.rels[name] = fresh
 	s.schema.Add(1)

@@ -317,3 +317,49 @@ func TestReplaceKey(t *testing.T) {
 		t.Fatal("out-of-range key column must be rejected")
 	}
 }
+
+// DataVersion is what a kept evaluation checks itself against: it must
+// move on every change of contents, including a Replace that swaps the
+// relation object, and stay put when nothing changed.
+func TestDataVersion(t *testing.T) {
+	s := New()
+	if v := s.DataVersion("p"); v != 0 {
+		t.Fatalf("absent relation at version %d", v)
+	}
+	for i := int64(0); i < 5; i++ {
+		if _, err := s.Insert("p", relation.Ints(i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := s.DataVersion("p")
+	if v == 0 {
+		t.Fatal("inserts left the version at 0")
+	}
+	s.Contains("p", relation.Ints(1, 1))
+	s.Tuples("p")
+	if got := s.DataVersion("p"); got != v {
+		t.Fatalf("reads moved the version %d -> %d", v, got)
+	}
+	// The fresh relation holds fewer tuples than the old one had writes;
+	// its version must still read as later, not as some earlier state.
+	if err := s.Replace("p", 2, []relation.Tuple{relation.Ints(9, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := s.DataVersion("p")
+	if v2 <= v {
+		t.Fatalf("Replace took the version from %d to %d", v, v2)
+	}
+	// Swapping a key group for itself changes nothing.
+	if err := s.ReplaceKey("p", 2, 0, ast.Int(9), []relation.Tuple{relation.Ints(9, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DataVersion("p"); got != v2 {
+		t.Fatalf("a no-op ReplaceKey moved the version %d -> %d", v2, got)
+	}
+	if err := s.ReplaceKey("p", 2, 0, ast.Int(9), []relation.Tuple{relation.Ints(9, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DataVersion("p"); got <= v2 {
+		t.Fatalf("ReplaceKey changed the group but not the version (%d)", got)
+	}
+}
