@@ -39,8 +39,8 @@
 // -shards N (self-serve) hash-partitions r across N loopback sites
 // behind a netdist coordinator, and -skew S (Zipf exponent, > 1) draws
 // apply keys from one shared skewed band instead of per-stream uniform
-// bands — hot keys concentrate their writes on few shards, so the
-// per-shard footprint serialization shows up as conflict stalls. The
+// bands — hot keys meet in the scheduler's key-group footprints, so the
+// serialization of same-key requests shows up as conflict stalls. The
 // total record carries the run's shard_routed/shard_scatter deltas, so
 // uniform-vs-skewed arms quantify shard fanout under load.
 package main

@@ -232,10 +232,10 @@ type Options struct {
 	// Metrics, when non-nil, receives the checker's counters and the
 	// Apply latency histogram (metric names in DESIGN.md).
 	Metrics *obs.Registry
-	// Sharder, when non-nil, refines the checker's footprints (see
-	// Footprints) to shard granularity: updates landing on different
-	// shards of one hash-partitioned relation may be applied
-	// concurrently. Set by the netdist coordinator from its placement.
+	// Sharder, when non-nil, names the relations that are mirrors of
+	// remote ones and their shard-key columns, for the checker's
+	// footprints (see Footprints and sched.Sharder). Set by the netdist
+	// coordinator from its placement.
 	Sharder sched.Sharder
 	// ProbeRouter, when non-nil, intercepts EDB reads during global
 	// evaluation — the netdist coordinator routes probes on sharded

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/relation"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -17,7 +18,7 @@ func TestFootprintsFollowConstraintSet(t *testing.T) {
 	}
 	ix := c.Footprints()
 	f := ix.Update(store.Ins("l", relation.Ints(1, 5)))
-	if !reflect.DeepEqual(f.Reads, []sched.Read{{Relation: "r", Shard: sched.WholeRelation}}) {
+	if !reflect.DeepEqual(f.Reads, []sched.Read{{Relation: "r"}}) {
 		t.Fatalf("residual-eligible insert reads = %v, want [r]", f.Reads)
 	}
 
@@ -31,7 +32,9 @@ func TestFootprintsFollowConstraintSet(t *testing.T) {
 		t.Fatal("Footprints index not invalidated by AddConstraint")
 	}
 	f2 := ix2.Update(store.Ins("l", relation.Ints(1, 5)))
-	if !reflect.DeepEqual(f2.Reads, []sched.Read{{Relation: "r", Shard: sched.WholeRelation}, {Relation: "s", Shard: sched.WholeRelation}}) {
-		t.Fatalf("reads after new constraint = %v, want [r s]", f2.Reads)
+	// s is probed with the new tuple's X: one key group of it.
+	want := []sched.Read{{Relation: "r"}, {Relation: "s", Keyed: true, Col: 0, Key: relation.Intern(ast.Int(1))}}
+	if !reflect.DeepEqual(f2.Reads, want) {
+		t.Fatalf("reads after new constraint = %v, want [r s[0=1]]", f2.Reads)
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // TestPlanCacheSchemaInvalidation pins the coherence contract: data-only
-// updates reuse the cached plan, while every structural store change —
-// relation creation, Replace, EnsureIndex — advances the schema version
-// and forces a recompile.
+// updates — a Replace over an existing relation among them, which keeps
+// its arity and its indexes — reuse the cached plan, while every
+// structural store change — relation creation (by Ensure or by Replace)
+// and EnsureIndex — advances the schema version and forces a recompile.
 func TestPlanCacheSchemaInvalidation(t *testing.T) {
 	prog := parser.MustParseProgram("p(X) :- e(X) & not f(X).")
 	db := store.New()
@@ -49,29 +50,39 @@ func TestPlanCacheSchemaInvalidation(t *testing.T) {
 	if m := misses(); m != 1 {
 		t.Fatalf("after data-only insert: misses = %d, want 1 (plan must be reused)", m)
 	}
-	// Replace bumps the schema version: the plan is recompiled and the
+	// Replace over an existing relation swaps contents, not shape: the
+	// plan is reused (it names relations, it does not hold them) and the
 	// answer reflects the replaced contents.
 	if err := db.Replace("f", 1, []relation.Tuple{relation.Ints(2)}); err != nil {
 		t.Fatal(err)
 	}
 	evalN(1)
-	if m := misses(); m != 2 {
-		t.Fatalf("after Replace: misses = %d, want 2 (plan must be recompiled)", m)
+	if m := misses(); m != 1 {
+		t.Fatalf("after same-arity Replace: misses = %d, want 1 (plan must be reused)", m)
 	}
-	// EnsureIndex bumps it too (a fresh compile may now pick the index).
+	// EnsureIndex bumps the schema version (a fresh compile may now pick
+	// the index).
 	if err := db.EnsureIndex("e", 0); err != nil {
 		t.Fatal(err)
 	}
 	evalN(1)
-	if m := misses(); m != 3 {
-		t.Fatalf("after EnsureIndex: misses = %d, want 3", m)
+	if m := misses(); m != 2 {
+		t.Fatalf("after EnsureIndex: misses = %d, want 2", m)
 	}
 	// Relation creation likewise: a new relation can flip a compiled
 	// arity-mismatch mark.
 	db.MustEnsure("g", 2)
 	evalN(1)
+	if m := misses(); m != 3 {
+		t.Fatalf("after relation creation: misses = %d, want 3", m)
+	}
+	// ... also when it is Replace that creates it.
+	if err := db.Replace("h", 1, []relation.Tuple{relation.Ints(9)}); err != nil {
+		t.Fatal(err)
+	}
+	evalN(1)
 	if m := misses(); m != 4 {
-		t.Fatalf("after relation creation: misses = %d, want 4", m)
+		t.Fatalf("after creating Replace: misses = %d, want 4", m)
 	}
 	// Steady state again: one more eval is a pure hit.
 	evalN(1)

@@ -216,11 +216,14 @@ func New(local *store.Store, sites []SiteSpec, tr Transport, opts Options) (*Coo
 // NewPlaced is New with an explicit placement: relations may be whole
 // (one shard — today's mode, what New builds), hash-partitioned across
 // several leader sites by a key column, and carry read replicas per
-// shard. Sharded placement installs the placement as the checker's
-// footprint Sharder (different-shard updates of one relation pipeline
-// concurrently) and, unless Options.DisableShardRouting, a probe router
-// that serves global-evaluation reads of sharded relations straight from
-// the owning shard.
+// shard. The placement becomes the checker's footprint Sharder: a read
+// of a placed relation is preceded by a refresh of its mirror, so the
+// scheduler may confine the claim to a key group only where the refresh
+// is confined to it (a shard-key probe of a sharded relation; with
+// Options.DisableShardRouting nowhere). Unless that option is set, a
+// sharded placement also installs a probe router that serves
+// global-evaluation reads of sharded relations straight from the owning
+// shard.
 func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) (*Coordinator, error) {
 	if err := place.validate(); err != nil {
 		return nil, err
@@ -268,9 +271,11 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		}
 		co.shardsOf[rel] = shards
 	}
-	if anySharded {
+	if co.opts.DisableShardRouting {
+		co.opts.Checker.Sharder = scatterPlacement{place}
+	} else {
 		co.opts.Checker.Sharder = place
-		if !co.opts.DisableShardRouting {
+		if anySharded {
 			co.router = newShardRouter(co)
 			co.opts.Checker.ProbeRouter = co.router
 		}
@@ -532,40 +537,28 @@ func (co *Coordinator) refreshKeys(rel string, pl RelPlacement, keys []ast.Value
 // wire-free).
 func (co *Coordinator) refreshForUpdate(u store.Update, planRels []string) (int, error) {
 	needed := 0
-	var rp sched.ReadPlan
-	haveRP := false
 	for _, rel := range planRels {
 		pl, remote := co.place[rel]
 		if !remote {
 			continue
 		}
 		needed++
-		if !pl.Sharded() {
+		if !pl.Sharded() || co.opts.DisableShardRouting {
 			if err := co.refreshRel(rel); err != nil {
 				return needed, err
 			}
 			continue
 		}
-		if co.opts.DisableShardRouting {
+		switch rp := co.Checker.Footprints().ReadPlan(u, rel); {
+		case rp.Mirror:
 			if err := co.refreshRel(rel); err != nil {
 				return needed, err
 			}
-			continue
-		}
-		if !haveRP {
-			rp = co.Checker.Footprints().ReadPlan(u)
-			haveRP = true
-		}
-		switch {
-		case rp.Mirror[rel]:
-			if err := co.refreshRel(rel); err != nil {
+		case len(rp.Keys) > 0:
+			if err := co.refreshKeys(rel, pl, rp.Keys); err != nil {
 				return needed, err
 			}
-		case len(rp.Keys[rel]) > 0:
-			if err := co.refreshKeys(rel, pl, rp.Keys[rel]); err != nil {
-				return needed, err
-			}
-		case rp.Eval[rel]:
+		case rp.Eval:
 			// Router-served: probes reach the owning shard at evaluation
 			// time; the mirror is not touched.
 		default:

@@ -228,3 +228,51 @@ func TestPipelinedBatchCommits(t *testing.T) {
 		t.Fatal("delete in batch not applied")
 	}
 }
+
+// TestPipelinedBatchShardedRollback: an atomic batch on the scheduler
+// whose updates meet on dept keys — an emp insert under a key the batch
+// itself inserts (admitted only behind that write), one under a key it
+// deletes (rejected only behind that write), others under keys of their
+// own (free to overlap) — fails at the sequential arm's index with the
+// sequential arm's reports, and the rollback takes both dept writes back
+// off their shards.
+func TestPipelinedBatchShardedRollback(t *testing.T) {
+	batch := []store.Update{
+		store.Ins("dept", relation.Ints(100)),      // propagated to its shard
+		store.Del("dept", relation.Ints(20)),       // no emp refers to it: admitted, propagated
+		store.Ins("emp", relation.Ints(5000, 100)), // same key as update 0
+		store.Ins("emp", relation.Ints(5001, 21)),  // a key of its own
+		store.Ins("emp", relation.Ints(5002, 20)),  // same key as update 1: rejected
+		store.Ins("emp", relation.Ints(5003, 22)),  // past the failure
+	}
+	arm := shardArm{name: "sharded4", shards: 4}
+	seqCo, _, seqLeaders := buildShardedArm(t, arm)
+	want, err := seqCo.ApplyBatch(batch)
+	if err != nil || want.Applied || want.FailedAt != 4 {
+		t.Fatalf("sequential batch: %+v %v, want a rejection at 4", want, err)
+	}
+	for round := 0; round < 20; round++ {
+		co, _, leaders := buildShardedArm(t, arm)
+		preMirror, preGlobal := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
+		got, err := co.applyBatchPipelined(batch, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Applied != want.Applied || got.FailedAt != want.FailedAt || len(got.Reports) != len(want.Reports) {
+			t.Fatalf("round %d: pipelined outcome (failedAt=%d, %d reports) != sequential (failedAt=%d, %d reports)",
+				round, got.FailedAt, len(got.Reports), want.FailedAt, len(want.Reports))
+		}
+		for i := range got.Reports {
+			if renderReport(got.Reports[i]) != renderReport(want.Reports[i]) {
+				t.Fatalf("round %d: report %d diverged\npipelined: %s\nsequential: %s",
+					round, i, renderReport(got.Reports[i]), renderReport(want.Reports[i]))
+			}
+		}
+		if m := dumpStore(co.Checker.DB()); m != preMirror {
+			t.Fatalf("round %d: mirror not rolled back\nafter:\n%s\nbefore:\n%s", round, m, preMirror)
+		}
+		if g := dumpGlobal(co, leaders); g != preGlobal || g != dumpGlobal(seqCo, seqLeaders) {
+			t.Fatalf("round %d: shards not rolled back (dept(100) and dept(20) must be un-propagated)\nafter:\n%s\nbefore:\n%s", round, g, preGlobal)
+		}
+	}
+}

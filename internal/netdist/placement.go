@@ -33,8 +33,15 @@ func (rp RelPlacement) Sharded() bool { return len(rp.Shards) > 1 }
 // Placement maps each remotely-placed relation to its shards. Relations
 // absent from the map are local to the coordinator. Placement implements
 // sched.Sharder, so the same map that routes the coordinator's wire
-// traffic also refines the scheduler's footprints to shard granularity.
+// traffic tells the scheduler which relations are mirrors and which
+// column their key groups are fetched by.
 type Placement map[string]RelPlacement
+
+// Remote implements sched.Sharder: every placed relation is a mirror.
+func (p Placement) Remote(rel string) bool {
+	_, ok := p[rel]
+	return ok
+}
 
 // ShardKey implements sched.Sharder: the key column of a
 // hash-partitioned relation.
@@ -46,8 +53,15 @@ func (p Placement) ShardKey(rel string) (int, bool) {
 	return rp.KeyCol, true
 }
 
-// ShardOf implements sched.Sharder: FNV-1a over the key's canonical wire
-// encoding, mod shard count. Hashing the canonical text (not the
+// scatterPlacement is the footprint view of a placement under
+// Options.DisableShardRouting: every refresh rewrites a whole mirror
+// relation, so no relation has a column its key groups are fetched by.
+type scatterPlacement struct{ Placement }
+
+func (scatterPlacement) ShardKey(string) (int, bool) { return 0, false }
+
+// ShardOf returns the shard owning the key: FNV-1a over the key's
+// canonical wire encoding, mod shard count. Hashing the canonical text (not the
 // process-local fingerprint) keeps the mapping stable across processes,
 // so every coordinator and every test agree on tuple ownership.
 func (p Placement) ShardOf(rel string, key ast.Value) int {

@@ -239,9 +239,14 @@ func shardStream(seed int64, n int) []store.Update {
 // TestShardedOracleAgreement is the scale-out oracle: the same
 // randomized stream against a 1-site whole-relation deployment, a
 // 4-site hash-sharded one, a sharded one with read replicas, and a
-// sharded one with routing disabled (pure scatter-gather) must produce
+// sharded one with routing disabled (pure scatter-gather), each applied
+// by one worker and through the scheduler at 4 and 8, must produce
 // identical verdicts, identical rejection indexes, an identical mirror,
-// and an identical global store.
+// and an identical global store. The stream draws emp's dept keys and
+// the dept keys it writes from one small band, so a dept(K) delete meets
+// emp(_, K) inserts (which must keep admission order) and emp(_, K')
+// inserts (which may overlap it) in every window; the reference is the
+// whole-relation arm at one worker.
 func TestShardedOracleAgreement(t *testing.T) {
 	arms := []shardArm{
 		{name: "whole", shards: 1},
@@ -253,43 +258,45 @@ func TestShardedOracleAgreement(t *testing.T) {
 		stream := shardStream(seed, 240)
 		var wantVerdicts []bool
 		var wantMirror, wantGlobal string
-		for ai, arm := range arms {
-			co, _, leaders := buildShardedArm(t, arm)
-			verdicts := make([]bool, len(stream))
-			for i, u := range stream {
-				rep, err := co.Apply(u)
-				if err != nil {
-					t.Fatalf("seed %d arm %s update %d (%v): %v", seed, arm.name, i, u, err)
+		for _, arm := range arms {
+			for _, workers := range []int{1, 4, 8} {
+				name := fmt.Sprintf("seed %d arm %s workers %d", seed, arm.name, workers)
+				co, _, leaders := buildShardedArm(t, arm)
+				verdicts := make([]bool, len(stream))
+				for i, r := range co.ApplyStream(stream, workers) {
+					if r.Err != nil {
+						t.Fatalf("%s update %d (%v): %v", name, i, stream[i], r.Err)
+					}
+					verdicts[i] = r.Report.Applied
 				}
-				verdicts[i] = rep.Applied
-			}
-			co.FlushReplicas()
-			mirror, global := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
-			if ai == 0 {
-				wantVerdicts, wantMirror, wantGlobal = verdicts, mirror, global
-				continue
-			}
-			for i := range verdicts {
-				if verdicts[i] != wantVerdicts[i] {
-					t.Fatalf("seed %d arm %s: verdict diverged at update %d (%v): got applied=%v, whole-relation arm=%v",
-						seed, arm.name, i, stream[i], verdicts[i], wantVerdicts[i])
+				co.FlushReplicas()
+				mirror, global := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
+				if wantVerdicts == nil {
+					wantVerdicts, wantMirror, wantGlobal = verdicts, mirror, global
+					continue
 				}
-			}
-			if mirror != wantMirror {
-				t.Fatalf("seed %d arm %s: mirror diverged\narm:\n%s\nwhole:\n%s", seed, arm.name, mirror, wantMirror)
-			}
-			if global != wantGlobal {
-				t.Fatalf("seed %d arm %s: global store diverged\narm:\n%s\nwhole:\n%s", seed, arm.name, global, wantGlobal)
-			}
-			st := co.Stats()
-			if arm.shards > 1 && !arm.scatter && st.ShardRouted == 0 {
-				t.Errorf("seed %d arm %s: no probe was shard-routed", seed, arm.name)
-			}
-			if arm.scatter && st.ShardRouted > 0 {
-				t.Errorf("seed %d arm %s: routing disabled but %d probes routed", seed, arm.name, st.ShardRouted)
-			}
-			if arm.replicas && st.ReplicaReads == 0 {
-				t.Errorf("seed %d arm %s: no read was served by a replica", seed, arm.name)
+				for i := range verdicts {
+					if verdicts[i] != wantVerdicts[i] {
+						t.Fatalf("%s: verdict diverged at update %d (%v): got applied=%v, sequential whole-relation arm=%v",
+							name, i, stream[i], verdicts[i], wantVerdicts[i])
+					}
+				}
+				if mirror != wantMirror {
+					t.Fatalf("%s: mirror diverged\narm:\n%s\nwhole:\n%s", name, mirror, wantMirror)
+				}
+				if global != wantGlobal {
+					t.Fatalf("%s: global store diverged\narm:\n%s\nwhole:\n%s", name, global, wantGlobal)
+				}
+				st := co.Stats()
+				if arm.shards > 1 && !arm.scatter && st.ShardRouted == 0 {
+					t.Errorf("%s: no probe was shard-routed", name)
+				}
+				if arm.scatter && st.ShardRouted > 0 {
+					t.Errorf("%s: routing disabled but %d probes routed", name, st.ShardRouted)
+				}
+				if arm.replicas && st.ReplicaReads == 0 {
+					t.Errorf("%s: no read was served by a replica", name)
+				}
 			}
 		}
 	}

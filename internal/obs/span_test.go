@@ -264,6 +264,30 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// Spans that say why their time was spent — sched.wait carries a
+// "reason" — get one row per reason, so the rollup names what stalled
+// requests waited for.
+func TestSummarizeSplitsOnReason(t *testing.T) {
+	st := NewTraceStore(64)
+	for i, reason := range []string{"whole read of emp", "whole read of emp", "read of dept[0]"} {
+		tid := NewSpanContext(true).TraceID
+		rootID := NewSpanID()
+		st.record(SpanData{TraceID: tid, SpanID: NewSpanID(), Parent: rootID, Name: "sched.wait", Service: "svc",
+			Duration: time.Duration(i+1) * time.Millisecond, Attrs: map[string]string{"reason": reason}}, false)
+		st.record(SpanData{TraceID: tid, SpanID: rootID, Name: "req", Service: "svc", Duration: 5 * time.Millisecond}, true)
+	}
+	got := map[string]AttribRow{}
+	for _, r := range st.Summarize().Overall {
+		if r.Name == "sched.wait" {
+			got[r.Reason] = r
+		}
+	}
+	if len(got) != 2 || got["whole read of emp"].Count != 2 || got["whole read of emp"].Self != 3*time.Millisecond ||
+		got["read of dept[0]"].Count != 1 || got["read of dept[0]"].Self != 3*time.Millisecond {
+		t.Fatalf("sched.wait rows by reason = %+v", got)
+	}
+}
+
 func TestBridgeEmitsChildSpans(t *testing.T) {
 	st := NewTraceStore(16)
 	tracer := NewSpanTracer("svc", st, 1)

@@ -264,14 +264,16 @@ func (s *TraceStore) Completed() (completed, dropped uint64) {
 }
 
 // AttribRow is one line of the latency-attribution rollup: the total
-// self-time spent in spans with this name+service, across a set of
-// traces. Self-time is a span's duration minus the sum of its children's
+// self-time spent in spans with this name+service — and, for spans that
+// carry a "reason" attribute (sched.wait: what the task waited for),
+// this reason — across a set of traces. Self-time is a span's duration minus the sum of its children's
 // durations (clamped at zero), so the rows of one trace telescope to the
 // root duration and the decomposition is immune to cross-process clock
 // skew — only durations are compared, never absolute timestamps.
 type AttribRow struct {
 	Name    string        `json:"name"`
 	Service string        `json:"service"`
+	Reason  string        `json:"reason,omitempty"`
 	Count   int           `json:"count"`
 	Self    time.Duration `json:"self_ns"`
 	Pct     float64       `json:"pct"` // share of summed end-to-end time
@@ -334,17 +336,17 @@ func SelfTimes(tr *Trace) map[SpanID]time.Duration {
 }
 
 func attribRows(traces []*Trace) []AttribRow {
-	type key struct{ name, service string }
+	type key struct{ name, service, reason string }
 	acc := make(map[key]*AttribRow)
 	var total time.Duration
 	for _, tr := range traces {
 		total += tr.Root.Duration
 		selves := SelfTimes(tr)
 		for _, sp := range tr.Spans {
-			k := key{sp.Name, sp.Service}
+			k := key{sp.Name, sp.Service, sp.Attrs["reason"]}
 			row := acc[k]
 			if row == nil {
-				row = &AttribRow{Name: sp.Name, Service: sp.Service}
+				row = &AttribRow{Name: sp.Name, Service: sp.Service, Reason: k.reason}
 				acc[k] = row
 			}
 			row.Count++
@@ -362,7 +364,10 @@ func attribRows(traces []*Trace) []AttribRow {
 		if rows[i].Self != rows[j].Self {
 			return rows[i].Self > rows[j].Self
 		}
-		return rows[i].Name < rows[j].Name
+		if rows[i].Name != rows[j].Name {
+			return rows[i].Name < rows[j].Name
+		}
+		return rows[i].Reason < rows[j].Reason
 	})
 	return rows
 }

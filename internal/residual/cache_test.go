@@ -118,6 +118,19 @@ func TestCacheSchemaVersionMiss(t *testing.T) {
 	if _, hit, _ := c.For(p, u, db, Options{}); hit {
 		t.Error("lookup hit across a schema change")
 	}
+	// A mirror refresh — Replace over the relation that now exists —
+	// changes no arity: the compiled residual is served again, and it
+	// reads the swapped-in contents (it names relations, holds none).
+	if err := db.Replace("q", 1, []relation.Tuple{relation.Strs("a")}); err != nil {
+		t.Fatal(err)
+	}
+	res, hit, _ := c.For(p, u, db, Options{})
+	if !hit {
+		t.Error("same-arity Replace cost a recompilation")
+	}
+	if !res.Decide(db, u.Tuple) {
+		t.Error("cached residual does not see the replaced contents")
+	}
 }
 
 // TestCacheConcurrentAccess exercises the cache and the shared compiled

@@ -13,7 +13,8 @@
 package sched
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/ast"
@@ -23,51 +24,64 @@ import (
 	"repro/internal/store"
 )
 
-// WholeRelation is the shard id meaning "the whole relation": an
-// unsharded relation, or a read that may range over every shard.
-const WholeRelation = -1
-
-// Sharder resolves hash-partitioned relations for footprint refinement.
-// netdist.Placement implements it; a nil Sharder (the default) treats
-// every relation as whole, which recovers the relation-granular
-// footprints of the unsharded deployment exactly.
+// Sharder describes the relations a coordinator does not store itself
+// but mirrors from remote sites. netdist.Placement implements it; a nil
+// Sharder (the default) means every relation is stored here.
+//
+// The index needs it for one reason each: ReadPlan names the key groups
+// to fetch, which are groups of the shard-key column; and a task that
+// reads a remote relation first rewrites its mirror — one key group on
+// the shard-key column, or the whole relation — so its claim on that
+// relation may be no finer than what the refresh rewrites.
 type Sharder interface {
-	// ShardKey returns the shard-key column of rel and ok=true when rel
-	// is hash-partitioned across more than one shard; ok=false for whole
-	// relations.
+	// Remote reports whether rel is mirrored from remote sites.
+	Remote(rel string) bool
+	// ShardKey returns the column rel's mirror is refreshed by, one key
+	// group at a time, and ok=true when there is one (a hash-partitioned
+	// relation with routing on); ok=false when the mirror is only ever
+	// refreshed as a whole.
 	ShardKey(rel string) (col int, ok bool)
-	// ShardOf returns the shard index owning the given key value. Only
-	// called for relations ShardKey reported sharded.
-	ShardOf(rel string, key ast.Value) int
 }
 
-// Write is one tuple-level write: the relation plus the tuple's interned
-// projection fingerprint, plus the shard the tuple lands on
-// (WholeRelation when the relation is unsharded). Two writes to the same
-// relation with different fingerprints are disjoint under set semantics
-// (insert/delete of different tuples commute); same-fingerprint writes
-// conflict because insert-then-delete and delete-then-insert diverge.
+// Write is one tuple-level write: the relation, the tuple's interned
+// handles (what a keyed read compares its key with) and their
+// fingerprint. Two writes to the same relation with different
+// fingerprints are disjoint under set semantics (insert/delete of
+// different tuples commute); same-fingerprint writes conflict because
+// insert-then-delete and delete-then-insert diverge.
 type Write struct {
 	Relation string
 	FP       uint64
-	Shard    int
+	Cols     []relation.Handle
 }
 
-// Read is one read claim: a relation plus the shard the read is confined
-// to, or WholeRelation when the read may range over every shard. Reads
-// of different shards of one relation do not conflict with writes to the
-// others, which is what lets same-relation updates on different shards
-// pipeline.
+// Read is one read claim. Keyed, it is "the tuples of Relation whose
+// column Col equals Key" — one key group, which is what a residual probe
+// with a pinned argument reads; otherwise it is the whole relation. Key
+// is an interned handle, so 2, 2/1 and #2/1 are one key.
 type Read struct {
 	Relation string
-	Shard    int
+	Keyed    bool
+	Col      int
+	Key      relation.Handle
 }
 
-// Footprint is the read/write set of one scheduled task. Reads are
-// relation- or shard-granular — the data an update's check may consult;
-// finer (tuple-level) refinement of reads is unsound because a residual
-// probe ranges over its whole key group. Writes are tuple-level. A
-// Barrier footprint conflicts with everything (used for batches that
+// covers reports whether the written tuple lies in what the read claims.
+// A tuple too short to have the column is taken to (no probe matches it,
+// but nothing is lost by waiting).
+func (r Read) covers(w Write) bool {
+	return r.Relation == w.Relation &&
+		(!r.Keyed || r.Col >= len(w.Cols) || w.Cols[r.Col] == r.Key)
+}
+
+// Footprint is the read/write set of one scheduled task. Writes are
+// tuple-level. Reads are the data the update's check may consult: a key
+// group where the residual test probes one, a whole relation elsewhere.
+// A key group is as fine as a read claim can soundly get, and it is
+// sound because it is what the residual VM asks the store for: the
+// probe binds the pinned column (the scan arm filters on it), so a tuple
+// outside the group is never a candidate and cannot change the answer.
+// A Barrier footprint conflicts with everything (used for batches that
 // must see a quiescent store, stats snapshots, and unknown update
 // patterns).
 type Footprint struct {
@@ -76,77 +90,142 @@ type Footprint struct {
 	Reads   []Read
 }
 
-// Union merges o into f (set semantics); used to footprint atomic
-// batches as a single task.
+// Union adds o's claims to f's (set semantics, keyed reads kept as they
+// are); used to footprint atomic batches as a single task. It appends to
+// f's slices: use the result, not f, afterwards.
 func (f Footprint) Union(o Footprint) Footprint {
-	out := Footprint{Barrier: f.Barrier || o.Barrier}
-	seenW := map[Write]bool{}
-	for _, w := range append(append([]Write{}, f.Writes...), o.Writes...) {
-		if !seenW[w] {
-			seenW[w] = true
-			out.Writes = append(out.Writes, w)
+	f.Barrier = f.Barrier || o.Barrier
+next:
+	for _, w := range o.Writes {
+		for _, x := range f.Writes {
+			// Whole tuples, not fingerprints: dropping a colliding write
+			// would drop the columns a keyed read must see.
+			if w.Relation == x.Relation && w.FP == x.FP && slices.Equal(w.Cols, x.Cols) {
+				continue next
+			}
 		}
+		f.Writes = append(f.Writes, w)
 	}
-	seenR := map[Read]bool{}
-	for _, r := range append(append([]Read{}, f.Reads...), o.Reads...) {
-		if !seenR[r] {
-			seenR[r] = true
-			out.Reads = append(out.Reads, r)
-		}
+	for _, r := range o.Reads {
+		f.Reads = addRead(f.Reads, r)
 	}
-	sortReads(out.Reads)
-	return out
+	return f
 }
 
-func sortReads(rs []Read) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Relation != rs[j].Relation {
-			return rs[i].Relation < rs[j].Relation
+// addRead appends r unless rs already holds it. Read sets are a handful
+// of claims, so a scan beats a map.
+func addRead(rs []Read, r Read) []Read {
+	for _, x := range rs {
+		if x == r {
+			return rs
 		}
-		return rs[i].Shard < rs[j].Shard
-	})
+	}
+	return append(rs, r)
 }
 
 // Barrier returns a footprint that conflicts with every other task.
 func Barrier() Footprint { return Footprint{Barrier: true} }
 
-// shardsOverlap reports whether two shard claims can touch the same
-// data: either side claiming the whole relation overlaps everything.
-func shardsOverlap(a, b int) bool {
-	return a == WholeRelation || b == WholeRelation || a == b
+// CauseKind classifies what made one task wait for another.
+type CauseKind uint8
+
+const (
+	// CauseNone: the footprints do not conflict.
+	CauseNone CauseKind = iota
+	// CauseBarrier: one of the two is a barrier.
+	CauseBarrier
+	// CauseSameTuple: both write the same tuple of one relation.
+	CauseSameTuple
+	// CauseKeyedRead: one writes into a key group the other reads.
+	CauseKeyedRead
+	// CauseWholeRead: one writes a relation the other reads as a whole.
+	CauseWholeRead
+)
+
+// String is the kind's metric label.
+func (k CauseKind) String() string {
+	switch k {
+	case CauseBarrier:
+		return "barrier"
+	case CauseSameTuple:
+		return "same-tuple"
+	case CauseKeyedRead:
+		return "keyed-read"
+	case CauseWholeRead:
+		return "whole-read"
+	}
+	return "none"
 }
 
-// Conflicts reports whether the two footprints may not be reordered:
-// either is a barrier, they write the same tuple of the same relation
-// (WW), or one writes a shard of a relation the other reads (RW/WR).
-// Read/read overlap is not a conflict, and neither is a write to one
-// shard against a read confined to a different shard of the same
-// relation.
-func (f Footprint) Conflicts(o Footprint) bool {
+// Cause is one conflict between two footprints: its kind, the relation
+// it is on and, for a keyed read, the key group.
+type Cause struct {
+	Kind     CauseKind
+	Relation string
+	Col      int
+	Key      relation.Handle
+}
+
+// Reason renders the cause without its key value — "barrier",
+// "same-tuple write of dept", "read of emp[1]", "whole read of emp" —
+// so that it can label a span or a rollup row.
+func (c Cause) Reason() string {
+	switch c.Kind {
+	case CauseBarrier:
+		return "barrier"
+	case CauseSameTuple:
+		return "same-tuple write of " + c.Relation
+	case CauseKeyedRead:
+		return "read of " + c.Relation + "[" + strconv.Itoa(c.Col) + "]"
+	case CauseWholeRead:
+		return "whole read of " + c.Relation
+	}
+	return ""
+}
+
+// readCause is the conflict of a write with the read that covers it.
+func readCause(r Read) Cause {
+	if r.Keyed {
+		return Cause{Kind: CauseKeyedRead, Relation: r.Relation, Col: r.Col, Key: r.Key}
+	}
+	return Cause{Kind: CauseWholeRead, Relation: r.Relation}
+}
+
+// Conflict returns the first reason the two footprints may not be
+// reordered (Kind CauseNone when they may): either is a barrier, they
+// write the same tuple of the same relation (WW), or one writes a tuple
+// that a read of the other covers (RW/WR) — any tuple of a relation read
+// whole, a tuple carrying the key in the column of a keyed read.
+// Read/read overlap is not a conflict, and neither is a write outside
+// the key group a read is confined to.
+func (f Footprint) Conflict(o Footprint) Cause {
 	if f.Barrier || o.Barrier {
-		return true
+		return Cause{Kind: CauseBarrier}
 	}
 	for _, w := range f.Writes {
 		for _, x := range o.Writes {
 			if w.Relation == x.Relation && w.FP == x.FP {
-				return true
+				return Cause{Kind: CauseSameTuple, Relation: w.Relation}
 			}
 		}
 		for _, r := range o.Reads {
-			if w.Relation == r.Relation && shardsOverlap(w.Shard, r.Shard) {
-				return true
+			if r.covers(w) {
+				return readCause(r)
 			}
 		}
 	}
 	for _, w := range o.Writes {
 		for _, r := range f.Reads {
-			if w.Relation == r.Relation && shardsOverlap(w.Shard, r.Shard) {
-				return true
+			if r.covers(w) {
+				return readCause(r)
 			}
 		}
 	}
-	return false
+	return Cause{}
 }
+
+// Conflicts reports whether the two footprints may not be reordered.
+func (f Footprint) Conflicts(o Footprint) bool { return f.Conflict(o).Kind != CauseNone }
 
 // IndexOptions mirror the backing checker's A/B switches, because the
 // read set of an update is exactly the data the checker's enabled phases
@@ -162,44 +241,30 @@ type IndexOptions struct {
 	// unset), so monotone-safe patterns are decided without reading any
 	// data.
 	Polarity bool
-	// Sharder, when non-nil, refines footprints to shard granularity:
-	// writes carry the written tuple's shard, and residual reads whose
-	// probe key is pinned by the update tuple are confined to the owning
-	// shard. Nil keeps relation-granular footprints.
+	// Sharder names the remotely held relations and their shard-key
+	// columns (see Sharder). Nil: every relation is stored here.
 	Sharder Sharder
 }
 
-// readKind classifies one symbolic read claim of an update pattern.
-type readKind int
-
-const (
-	// readWhole: the read may range over the whole relation.
-	readWhole readKind = iota
-	// readKeyAt: a residual probe whose shard-key value is the update
-	// tuple's keyPos-th component.
-	readKeyAt
-	// readKeyConst: a residual probe whose shard-key value is a constant
-	// baked into the constraint.
-	readKeyConst
-)
-
 // readSpec is one symbolic read of an update pattern, derived once per
 // (relation, polarity) and instantiated per concrete tuple. Keyed specs
-// come only from the residual analysis: the harmful occurrence binds the
-// probed literal's shard-key argument to a fixed tuple position (or a
-// constant), exactly mirroring residual.Compile's substitution, so the
-// instantiated shard covers every probe the residual VM will issue for
-// the tuple. general marks the conservative phase-3/global fallback
-// claim, which an evaluation-level probe router serves rather than the
-// residual VM — the distinction is what lets a coordinator skip mirror
-// refreshes for router-served relations (see ReadPlan).
+// come only from the residual analysis: the harmful occurrence binds an
+// argument of the probed literal to a fixed tuple position (or the
+// argument is a constant), exactly mirroring residual.Compile's
+// substitution, so the instantiated key group covers every probe the
+// residual VM will issue for the tuple. general marks the conservative
+// phase-3/global fallback claim, which an evaluation-level probe router
+// serves rather than the residual VM — the distinction is what lets a
+// coordinator skip mirror refreshes for router-served relations (see
+// ReadPlan).
 type readSpec struct {
 	rel     string
-	kind    readKind
-	keyPos  int       // readKeyAt: position in the update tuple
-	keyVal  ast.Value // readKeyConst: the baked constant
-	occAr   int       // keyed specs: occurrence arity; applies only to tuples of this arity
-	general bool      // whole specs: true when from the non-residual fallback
+	keyed   bool
+	col     int             // keyed: the pinned column of rel
+	pos     int             // keyed: the update-tuple position holding the key, -1 for a constant
+	key     relation.Handle // keyed, pos < 0: the constant baked into the constraint
+	occAr   int             // keyed: occurrence arity; applies only to tuples of this arity
+	general bool            // whole: true when from the non-residual fallback
 }
 
 // Index derives and memoizes footprints per update pattern (relation +
@@ -226,18 +291,31 @@ func NewIndex(progs []*ast.Program, opts IndexOptions) *Index {
 
 // Update footprints a single update: one tuple-level write plus the
 // union over all constraints of the data the update's check may read,
-// instantiated to shard granularity when a Sharder is attached.
+// each claim instantiated to the key group the tuple names where the
+// pattern has one.
 func (ix *Index) Update(u store.Update) Footprint {
-	w := Write{Relation: u.Relation, FP: u.Tuple.Fingerprint(), Shard: WholeRelation}
-	if sh := ix.opts.Sharder; sh != nil {
-		if kc, ok := sh.ShardKey(u.Relation); ok && kc < len(u.Tuple) {
-			w.Shard = sh.ShardOf(u.Relation, u.Tuple[kc])
+	hs := make([]relation.Handle, len(u.Tuple))
+	for i, v := range u.Tuple {
+		hs[i] = relation.Intern(v)
+	}
+	f := Footprint{Writes: []Write{{Relation: u.Relation, FP: relation.FingerprintHandles(hs), Cols: hs}}}
+	if specs := ix.specsFor(u.Relation, u.Insert); len(specs) > 0 {
+		f.Reads = make([]Read, 0, len(specs))
+		for _, sp := range specs {
+			r := Read{Relation: sp.rel}
+			if sp.keyed {
+				if sp.occAr != len(hs) {
+					continue // no disjunct matches this tuple: the probe never runs
+				}
+				r.Keyed, r.Col, r.Key = true, sp.col, sp.key
+				if sp.pos >= 0 {
+					r.Key = hs[sp.pos]
+				}
+			}
+			f.Reads = addRead(f.Reads, r)
 		}
 	}
-	return Footprint{
-		Writes: []Write{w},
-		Reads:  ix.readsFor(u),
-	}
+	return f
 }
 
 // Batch footprints a set of updates checked and applied as one atomic
@@ -250,100 +328,61 @@ func (ix *Index) Batch(us []store.Update) Footprint {
 	return f
 }
 
-// ReadPlan classifies how one update's check reads each relation, for a
-// coordinator deciding what to refresh before the check. Only relations
-// some spec claims appear; the three views may overlap (one constraint
-// probes by key while another scans).
+// ReadPlan classifies how one update's check reads one relation, for a
+// coordinator deciding what to refresh before the check. All fields zero
+// means the check provably never reads the relation.
 type ReadPlan struct {
-	// Keys maps a relation to the exact shard-key values the residual
-	// path probes it with — set only when a Sharder is attached and the
-	// relation is sharded. A refresh that ships just those key groups
-	// makes the local mirror exactly as fresh as the residual VM needs.
-	Keys map[string][]ast.Value
-	// Mirror marks relations the residual path may range over wholly:
-	// the local mirror must be refreshed in full before the check.
-	Mirror map[string]bool
-	// Eval marks relations claimed only through phase-3/global
-	// evaluation, which an evaluation-level probe router can serve
-	// remotely at probe time — no mirror refresh required for them.
-	Eval map[string]bool
+	// Keys are the exact shard-key values the residual path probes the
+	// relation with — set only when every residual read of it is such a
+	// probe. A refresh that ships just those key groups makes the local
+	// mirror exactly as fresh as the residual VM needs, and they are the
+	// groups the update's footprint claims.
+	Keys []ast.Value
+	// Mirror: the residual path may range over the relation outside any
+	// key group of the shard-key column, so the local mirror must be
+	// refreshed in full before the check.
+	Mirror bool
+	// Eval: the relation is claimed through phase-3/global evaluation,
+	// which an evaluation-level probe router can serve remotely at probe
+	// time — no mirror refresh required on that account.
+	Eval bool
 }
 
-// ReadPlan instantiates the update pattern's symbolic read specs against
-// the concrete tuple.
-func (ix *Index) ReadPlan(u store.Update) ReadPlan {
-	rp := ReadPlan{Keys: map[string][]ast.Value{}, Mirror: map[string]bool{}, Eval: map[string]bool{}}
-	seenKey := map[string]map[string]bool{}
+// ReadPlan instantiates the update pattern's symbolic read specs for rel
+// against the concrete tuple.
+func (ix *Index) ReadPlan(u store.Update, rel string) ReadPlan {
+	var rp ReadPlan
+	kc, sharded := -1, false
+	if ix.opts.Sharder != nil {
+		kc, sharded = ix.opts.Sharder.ShardKey(rel)
+	}
+next:
 	for _, sp := range ix.specsFor(u.Relation, u.Insert) {
-		switch sp.kind {
-		case readWhole:
-			if sp.general {
-				rp.Eval[sp.rel] = true
-			} else {
-				rp.Mirror[sp.rel] = true
+		switch {
+		case sp.rel != rel:
+		case sp.general:
+			rp.Eval = true
+		case !sp.keyed || !sharded || sp.col != kc:
+			rp.Mirror = true
+		case sp.occAr == len(u.Tuple): // else no disjunct matches: the probe never runs
+			h := sp.key
+			if sp.pos >= 0 {
+				h = relation.Intern(u.Tuple[sp.pos])
 			}
-		default:
-			if sp.occAr != len(u.Tuple) {
-				continue // no disjunct matches this tuple: the probe never runs
+			for _, k := range rp.Keys {
+				if relation.Intern(k) == h {
+					continue next
+				}
 			}
-			v := sp.keyVal
-			if sp.kind == readKeyAt {
-				v = u.Tuple[sp.keyPos]
-			}
-			k := relation.ValueKey(v)
-			if seenKey[sp.rel] == nil {
-				seenKey[sp.rel] = map[string]bool{}
-			}
-			if !seenKey[sp.rel][k] {
-				seenKey[sp.rel][k] = true
-				rp.Keys[sp.rel] = append(rp.Keys[sp.rel], v)
-			}
+			rp.Keys = append(rp.Keys, relation.InternedValue(h))
 		}
 	}
-	// A whole residual read supersedes the keyed view: the refresh must
-	// cover everything anyway.
-	for rel := range rp.Mirror {
-		delete(rp.Keys, rel)
+	if rp.Mirror {
+		// A whole residual read supersedes the keyed view: the refresh
+		// must cover everything anyway.
+		rp.Keys = nil
 	}
 	return rp
-}
-
-// readsFor instantiates the pattern's specs into shard-granular read
-// claims for the concrete tuple.
-func (ix *Index) readsFor(u store.Update) []Read {
-	specs := ix.specsFor(u.Relation, u.Insert)
-	if len(specs) == 0 {
-		return nil
-	}
-	sh := ix.opts.Sharder
-	seen := map[Read]bool{}
-	var out []Read
-	add := func(r Read) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, sp := range specs {
-		if sp.kind == readWhole || sh == nil {
-			add(Read{Relation: sp.rel, Shard: WholeRelation})
-			continue
-		}
-		if _, ok := sh.ShardKey(sp.rel); !ok {
-			add(Read{Relation: sp.rel, Shard: WholeRelation})
-			continue
-		}
-		if sp.occAr != len(u.Tuple) {
-			continue // no disjunct matches this tuple: the probe never runs
-		}
-		v := sp.keyVal
-		if sp.kind == readKeyAt {
-			v = u.Tuple[sp.keyPos]
-		}
-		add(Read{Relation: sp.rel, Shard: sh.ShardOf(sp.rel, v)})
-	}
-	sortReads(out)
-	return out
 }
 
 func (ix *Index) specsFor(rel string, insert bool) []readSpec {
@@ -374,14 +413,17 @@ func (ix *Index) specsFor(rel string, insert bool) []readSpec {
 //     alone — no reads;
 //   - residual dispatch: an eligible pattern reads only the other
 //     literals of each harmful-occurrence disjunct (Nicolas' residual —
-//     the body minus the occurrence unified with the update). When the
-//     probed literal's shard-key argument is a variable the occurrence
-//     pins to a tuple position (or a baked constant), the read is keyed;
-//     otherwise it ranges over the whole relation;
+//     the body minus the occurrence unified with the update). When an
+//     argument of the probed literal is a variable the occurrence pins
+//     to a tuple position (or a baked constant), the read is keyed on
+//     that column; otherwise it ranges over the whole relation;
 //   - otherwise the pattern may fall through to phase 3 or global
 //     evaluation, which read every stored relation in the constraint
 //     (conservatively including rel itself: phase 3 scans the local
 //     relation and global evaluation re-derives panic from all of them).
+//
+// Specs of several constraints are simply appended, so one constraint
+// that reads a relation whole keeps the update's claim on it whole.
 func progSpecs(prog *ast.Program, rel string, insert bool, opts IndexOptions, specs []readSpec) []readSpec {
 	if !mentionsRel(prog, rel) {
 		return specs
@@ -423,31 +465,37 @@ func progSpecs(prog *ast.Program, rel string, insert bool, opts IndexOptions, sp
 		}
 	}
 	for _, e := range edbPreds(prog) {
-		specs = append(specs, readSpec{rel: e, kind: readWhole, general: true})
+		specs = append(specs, readSpec{rel: e, general: true})
 	}
 	return specs
 }
 
 // literalSpec derives the read claim of one non-occurrence body literal
-// of a residual disjunct: keyed when the literal's shard-key argument is
-// pinned (a constant, or an occurrence variable), whole otherwise — a
-// key flowing in from a join register ranges over data the update does
-// not determine.
+// of a residual disjunct: keyed on a column whose argument is pinned (an
+// occurrence variable, or failing that a constant), whole when none is —
+// a key flowing in from a join register ranges over data the update
+// does not determine. Any pinned column is sound. A relation stored
+// here takes the first; a remote one may only take its shard-key column,
+// because the task refreshes the mirror before it reads it and a
+// refresh that is not of that key group rewrites the whole relation.
 func literalSpec(m ast.Literal, sigma map[string]int, occAr int, sh Sharder) readSpec {
-	sp := readSpec{rel: m.Atom.Pred, kind: readWhole}
-	if sh == nil {
-		return sp
+	args := m.Atom.Args
+	sp := readSpec{rel: m.Atom.Pred}
+	lo, hi := 0, len(args) // the columns the claim may be keyed on
+	if sh != nil && sh.Remote(sp.rel) {
+		kc, ok := sh.ShardKey(sp.rel)
+		if !ok || kc >= len(args) {
+			return sp
+		}
+		lo, hi = kc, kc+1
 	}
-	kc, ok := sh.ShardKey(m.Atom.Pred)
-	if !ok || kc >= len(m.Atom.Args) {
-		return sp
-	}
-	switch a := m.Atom.Args[kc]; {
-	case a.IsConst():
-		return readSpec{rel: sp.rel, kind: readKeyConst, keyVal: relation.Canonical(a.Const), occAr: occAr}
-	case a.IsVar():
-		if pos, bound := sigma[a.Var]; bound {
-			return readSpec{rel: sp.rel, kind: readKeyAt, keyPos: pos, occAr: occAr}
+	for col := lo; col < hi; col++ {
+		a := args[col]
+		if pos, bound := sigma[a.Var]; a.IsVar() && bound {
+			return readSpec{rel: sp.rel, keyed: true, col: col, pos: pos, occAr: occAr}
+		}
+		if a.IsConst() && !sp.keyed {
+			sp = readSpec{rel: sp.rel, keyed: true, col: col, pos: -1, key: relation.Intern(a.Const), occAr: occAr}
 		}
 	}
 	return sp

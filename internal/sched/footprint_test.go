@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"hash/fnv"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -12,60 +13,130 @@ import (
 	"repro/internal/store"
 )
 
-func fpOf(writes []Write, reads ...Read) Footprint {
-	return Footprint{Writes: writes, Reads: reads}
+// wr is the write of one tuple, as Index.Update builds it.
+func wr(rel string, vals ...ast.Value) Write {
+	hs := make([]relation.Handle, len(vals))
+	for i, v := range vals {
+		hs[i] = relation.Intern(v)
+	}
+	return Write{Relation: rel, FP: relation.FingerprintHandles(hs), Cols: hs}
 }
 
-func rd(rel string) Read { return Read{Relation: rel, Shard: WholeRelation} }
+// whole and keyed are the two shapes of a read claim.
+func whole(rel string) Read { return Read{Relation: rel} }
 
+func keyed(rel string, col int, v ast.Value) Read {
+	return Read{Relation: rel, Keyed: true, Col: col, Key: relation.Intern(v)}
+}
+
+func fpOf(w Write, reads ...Read) Footprint {
+	return Footprint{Writes: []Write{w}, Reads: reads}
+}
+
+// TestFootprintConflicts is the directed table of the conflict
+// predicate: what it is on whole reads it always was; a keyed read
+// conflicts with exactly the writes that carry its key in its column.
 func TestFootprintConflicts(t *testing.T) {
-	wX1 := []Write{{Relation: "x", FP: 1, Shard: WholeRelation}}
-	wX2 := []Write{{Relation: "x", FP: 2, Shard: WholeRelation}}
-	wY1 := []Write{{Relation: "y", FP: 1, Shard: WholeRelation}}
-	wXs0 := []Write{{Relation: "x", FP: 3, Shard: 0}}
-	wXs1 := []Write{{Relation: "x", FP: 4, Shard: 1}}
+	i := ast.Int
+	x1, x2, y1 := wr("x", i(1)), wr("x", i(2)), wr("y", i(1))
+	emp := func(e string, d ast.Value) Write { return wr("emp", ast.Str(e), d) }
 	cases := []struct {
 		name string
 		a, b Footprint
-		want bool
+		want CauseKind
 	}{
-		{"ww same tuple", fpOf(wX1), fpOf(wX1), true},
-		{"ww same relation different tuple", fpOf(wX1), fpOf(wX2), false},
-		{"ww different relations", fpOf(wX1), fpOf(wY1), false},
-		{"rw writer vs reader", fpOf(wX1), fpOf(wY1, rd("x")), true},
-		{"wr reader vs writer", fpOf(wY1, rd("x")), fpOf(wX2), true},
-		{"read read overlap", fpOf(wX1, rd("z")), fpOf(wY1, rd("z")), false},
-		{"barrier vs anything", Barrier(), fpOf(wX1), true},
-		{"anything vs barrier", fpOf(wY1), Barrier(), true},
-		{"shard write vs other-shard read", fpOf(wXs0), fpOf(wY1, Read{"x", 1}), false},
-		{"shard write vs same-shard read", fpOf(wXs0), fpOf(wY1, Read{"x", 0}), true},
-		{"shard write vs whole read", fpOf(wXs1), fpOf(wY1, rd("x")), true},
-		{"whole write vs shard read", fpOf(wX1), fpOf(wY1, Read{"x", 1}), true},
+		{"ww same tuple", fpOf(x1), fpOf(x1), CauseSameTuple},
+		{"ww same relation different tuple", fpOf(x1), fpOf(x2), CauseNone},
+		{"ww different relations", fpOf(x1), fpOf(y1), CauseNone},
+		{"writer vs whole reader", fpOf(x1), fpOf(y1, whole("x")), CauseWholeRead},
+		{"whole reader vs writer", fpOf(y1, whole("x")), fpOf(x2), CauseWholeRead},
+		{"read read overlap", fpOf(x1, whole("z")), fpOf(y1, whole("z")), CauseNone},
+		{"barrier vs anything", Barrier(), fpOf(x1), CauseBarrier},
+
+		{"same key", fpOf(emp("a", i(7))), fpOf(y1, keyed("emp", 1, i(7))), CauseKeyedRead},
+		{"different key", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
+		{"key in another column", fpOf(wr("emp", i(7), i(8))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
+		{"keyed read of another relation", fpOf(emp("a", i(7))), fpOf(y1, keyed("dept", 1, i(7))), CauseNone},
+		{"whole read next to a keyed one", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7)), whole("emp")), CauseWholeRead},
+		{"keyed and whole readers of one relation", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, whole("emp")), CauseNone},
+		{"two readers of one key group", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
+		{"tuple too short for the column", fpOf(wr("emp", ast.Str("a"))), fpOf(y1, keyed("emp", 1, i(7))), CauseKeyedRead},
+		{"2/1 written, 2 read", fpOf(emp("a", ast.Rat(2, 1))), fpOf(y1, keyed("emp", 1, i(2))), CauseKeyedRead},
+		{"4/2 read, 2 written", fpOf(emp("a", i(2))), fpOf(y1, keyed("emp", 1, ast.Rat(4, 2))), CauseKeyedRead},
+		{"3/2 is not 1", fpOf(emp("a", ast.Rat(3, 2))), fpOf(y1, keyed("emp", 1, i(1))), CauseNone},
+		{"string key", fpOf(emp("a", ast.Str("toy"))), fpOf(y1, keyed("emp", 1, ast.Str("toy"))), CauseKeyedRead},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := c.a.Conflicts(c.b); got != c.want {
-				t.Fatalf("Conflicts(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-			}
-			if got := c.b.Conflicts(c.a); got != c.want {
-				t.Fatalf("Conflicts is not symmetric on (%v, %v)", c.a, c.b)
+			for _, pair := range [][2]Footprint{{c.a, c.b}, {c.b, c.a}} {
+				got := pair[0].Conflict(pair[1])
+				if got.Kind != c.want {
+					t.Fatalf("Conflict(%v, %v) = %v, want %v", pair[0], pair[1], got.Kind, c.want)
+				}
+				if pair[0].Conflicts(pair[1]) != (c.want != CauseNone) {
+					t.Fatalf("Conflicts(%v, %v) disagrees with Conflict", pair[0], pair[1])
+				}
 			}
 		})
 	}
 }
 
+func TestCauseReason(t *testing.T) {
+	w := fpOf(wr("emp", ast.Str("a"), ast.Int(7)))
+	for _, c := range []struct {
+		o    Footprint
+		want string
+	}{
+		{Barrier(), "barrier"},
+		{w, "same-tuple write of emp"},
+		{fpOf(wr("y"), keyed("emp", 1, ast.Int(7))), "read of emp[1]"},
+		{fpOf(wr("y"), whole("emp")), "whole read of emp"},
+		{fpOf(wr("y")), ""},
+	} {
+		cause := w.Conflict(c.o)
+		if got := cause.Reason(); got != c.want {
+			t.Errorf("Reason(%v) = %q, want %q", c.o, got, c.want)
+		}
+		if cause.Kind == CauseKeyedRead && !relation.InternedValue(cause.Key).Equal(ast.Int(7)) {
+			t.Errorf("keyed cause names key %v, want 7", relation.InternedValue(cause.Key))
+		}
+	}
+}
+
+// TestFootprintUnion: a batch's footprint keeps every keyed read as it
+// is (two key groups do not add up to the relation), drops repeats, and
+// tells tuples apart by their columns, not by their fingerprint.
 func TestFootprintUnion(t *testing.T) {
-	a := fpOf([]Write{{"x", 1, WholeRelation}}, rd("r"))
-	b := fpOf([]Write{{"x", 1, WholeRelation}, {"y", 2, WholeRelation}}, rd("r"), rd("s"))
-	u := a.Union(b)
+	a := fpOf(wr("x", ast.Int(1)), keyed("dept", 0, ast.Int(5)), whole("r"))
+	b := Footprint{
+		Writes: []Write{wr("x", ast.Int(1)), wr("y", ast.Int(2))},
+		Reads:  []Read{keyed("dept", 0, ast.Int(5)), keyed("dept", 0, ast.Int(6)), whole("r"), whole("s")},
+	}
+	u := Footprint{}.Union(a).Union(b)
 	if len(u.Writes) != 2 {
 		t.Fatalf("union writes = %v, want deduped 2", u.Writes)
 	}
-	if !reflect.DeepEqual(u.Reads, []Read{rd("r"), rd("s")}) {
-		t.Fatalf("union reads = %v, want [r s]", u.Reads)
+	want := []Read{keyed("dept", 0, ast.Int(5)), whole("r"), keyed("dept", 0, ast.Int(6)), whole("s")}
+	if !reflect.DeepEqual(u.Reads, want) {
+		t.Fatalf("union reads = %v, want %v", u.Reads, want)
 	}
-	if !a.Union(Barrier()).Barrier {
+	if u.Conflicts(fpOf(wr("dept", ast.Int(7)))) {
+		t.Fatal("batch reading dept[0=5] and dept[0=6] must not conflict with a write of dept(7)")
+	}
+	if !u.Conflicts(fpOf(wr("dept", ast.Int(6)))) {
+		t.Fatal("batch reading dept[0=6] must conflict with a write of dept(6)")
+	}
+	if !u.Union(Barrier()).Barrier {
 		t.Fatal("union with barrier lost the barrier")
+	}
+
+	// Two tuples with one fingerprint are two writes: the second one's
+	// columns are what a keyed read of its group has to meet.
+	c1, c2 := wr("emp", ast.Int(1), ast.Int(10)), wr("emp", ast.Int(2), ast.Int(20))
+	c2.FP = c1.FP
+	cu := Footprint{}.Union(fpOf(c1)).Union(fpOf(c2))
+	if len(cu.Writes) != 2 || !cu.Conflicts(fpOf(wr("y"), keyed("emp", 1, ast.Int(20)))) {
+		t.Fatalf("colliding fingerprints hid a write: %v", cu.Writes)
 	}
 }
 
@@ -74,25 +145,26 @@ func TestFootprintUnion(t *testing.T) {
 // deletions are monotone-safe.
 const fiSrc = `panic :- l(X, Y) & r(Z) & X <= Z & Z <= Y.`
 
-func relNames(rs []Read) []string {
-	var out []string
-	for _, r := range rs {
-		out = append(out, r.Relation)
+// refSrc is the referential constraint of the dist_sharded workload.
+const refSrc = `panic :- emp(E, D) & not dept(D).`
+
+func index(sh Sharder, srcs ...string) *Index {
+	progs := make([]*ast.Program, len(srcs))
+	for i, src := range srcs {
+		progs[i] = parser.MustParseProgram(src)
 	}
-	return out
+	return NewIndex(progs, IndexOptions{Residual: true, Polarity: true, Sharder: sh})
 }
 
 func TestIndexResidualReads(t *testing.T) {
-	prog := parser.MustParseProgram(fiSrc)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true})
-
+	ix := index(nil, fiSrc)
 	cases := []struct {
 		rel    string
 		insert bool
-		want   []string
+		want   []Read
 	}{
-		{"l", true, []string{"r"}}, // residual disjunct body
-		{"r", true, []string{"l"}},
+		{"l", true, []Read{whole("r")}}, // residual disjunct body; Z comes from a join
+		{"r", true, []Read{whole("l")}},
 		{"l", false, nil}, // monotone-safe: deletes cannot violate
 		{"r", false, nil},
 		{"unrelated", true, nil}, // phase 1: not mentioned
@@ -102,12 +174,9 @@ func TestIndexResidualReads(t *testing.T) {
 		if c.rel == "r" {
 			tup = relation.Ints(1)
 		}
-		got := relNames(ix.readsFor(store.Update{Relation: c.rel, Insert: c.insert, Tuple: tup}))
-		if len(got) == 0 && len(c.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("readsFor(%s, insert=%v) = %v, want %v", c.rel, c.insert, got, c.want)
+		got := ix.Update(store.Update{Relation: c.rel, Insert: c.insert, Tuple: tup}).Reads
+		if len(got)+len(c.want) > 0 && !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("reads(%s, insert=%v) = %v, want %v", c.rel, c.insert, got, c.want)
 		}
 	}
 }
@@ -115,12 +184,12 @@ func TestIndexResidualReads(t *testing.T) {
 func TestIndexConservativeWithoutResidual(t *testing.T) {
 	prog := parser.MustParseProgram(fiSrc)
 	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: false, Polarity: true})
-	got := relNames(ix.readsFor(store.Ins("l", relation.Ints(1, 2))))
-	if !reflect.DeepEqual(got, []string{"l", "r"}) {
-		t.Fatalf("conservative reads = %v, want every EDB relation [l r]", got)
+	got := ix.Update(store.Ins("l", relation.Ints(1, 2))).Reads
+	if !reflect.DeepEqual(got, []Read{whole("l"), whole("r")}) {
+		t.Fatalf("conservative reads = %v, want every EDB relation [l r], whole", got)
 	}
 	// Phase 1.5 still certifies deletions without reading anything.
-	if got := ix.readsFor(store.Del("l", relation.Ints(1, 2))); len(got) != 0 {
+	if got := ix.Update(store.Del("l", relation.Ints(1, 2))).Reads; len(got) != 0 {
 		t.Fatalf("monotone-safe delete reads = %v, want none", got)
 	}
 }
@@ -129,40 +198,38 @@ func TestIndexIDBFallsBackToConservative(t *testing.T) {
 	// A helper predicate makes the constraint residual-ineligible, so
 	// even with residual dispatch on the read set must cover every EDB
 	// relation (the pipeline may reach phase 3 / global evaluation).
-	prog := parser.MustParseProgram(`
+	ix := index(nil, `
 		covered(Z) :- l(Z, Y) & Z <= Y.
 		panic :- r(Z) & covered(Z).
 	`)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true})
-	got := relNames(ix.readsFor(store.Ins("r", relation.Ints(1))))
-	if !reflect.DeepEqual(got, []string{"l", "r"}) {
-		t.Fatalf("IDB constraint reads = %v, want [l r]", got)
+	got := ix.Update(store.Ins("r", relation.Ints(1))).Reads
+	if !reflect.DeepEqual(got, []Read{whole("l"), whole("r")}) {
+		t.Fatalf("IDB constraint reads = %v, want [l r], whole", got)
 	}
 }
 
 func TestIndexSecondOccurrenceKeepsOwnRelation(t *testing.T) {
 	// Overlapping-interval constraint: inserting into l must re-check
-	// against the *other* l tuples, so l stays in its own read set.
-	prog := parser.MustParseProgram(`panic :- l(X, Y) & l(U, V) & X < U & U < Y.`)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true})
-	got := relNames(ix.readsFor(store.Ins("l", relation.Ints(1, 2))))
-	if !reflect.DeepEqual(got, []string{"l"}) {
+	// against the *other* l tuples — none of whose columns the new tuple
+	// fixes — so l stays in its own read set, whole.
+	ix := index(nil, `panic :- l(X, Y) & l(U, V) & X < U & U < Y.`)
+	got := ix.Update(store.Ins("l", relation.Ints(1, 2))).Reads
+	if !reflect.DeepEqual(got, []Read{whole("l")}) {
 		t.Fatalf("self-join reads = %v, want [l]", got)
 	}
 }
 
 func TestIndexUpdateFootprint(t *testing.T) {
-	prog := parser.MustParseProgram(fiSrc)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true})
+	ix := index(nil, fiSrc)
 	tup := relation.Ints(1, 5)
 	f := ix.Update(store.Ins("l", tup))
 	if len(f.Writes) != 1 || f.Writes[0].Relation != "l" || f.Writes[0].FP != tup.Fingerprint() {
 		t.Fatalf("update writes = %v, want l@%d", f.Writes, tup.Fingerprint())
 	}
-	if f.Writes[0].Shard != WholeRelation {
-		t.Fatalf("unsharded write shard = %d, want WholeRelation", f.Writes[0].Shard)
+	if want := wr("l", tup...); !reflect.DeepEqual(f.Writes[0], want) {
+		t.Fatalf("update write = %v, want %v", f.Writes[0], want)
 	}
-	if !reflect.DeepEqual(f.Reads, []Read{rd("r")}) {
+	if !reflect.DeepEqual(f.Reads, []Read{whole("r")}) {
 		t.Fatalf("update reads = %v, want [r]", f.Reads)
 	}
 
@@ -178,124 +245,158 @@ func TestIndexUpdateFootprint(t *testing.T) {
 	}
 }
 
-// hashSharder hash-partitions the named relations on a key column —
-// the same FNV-over-canonical-key scheme netdist.Placement uses.
-type hashSharder struct {
-	rels map[string]int // relation -> key column
-	n    int
+// TestIndexKeyedSpecs pins the substitution the keyed claims come from —
+// the one residual.Compile applies — case by case.
+func TestIndexKeyedSpecs(t *testing.T) {
+	i := ast.Int
+	cases := []struct {
+		name string
+		srcs []string
+		u    store.Update
+		want []Read
+	}{
+		{"occurrence variable pins the probed column",
+			[]string{refSrc}, store.Ins("emp", relation.Ints(1, 42)), []Read{keyed("dept", 0, i(42))}},
+		{"any column of an unsharded relation: a dept delete probes emp on column 1",
+			[]string{refSrc}, store.Del("dept", relation.Ints(42)), []Read{keyed("emp", 1, i(42))}},
+		{"the key is the written value, however it is spelled",
+			[]string{refSrc}, store.Del("dept", relation.TupleOf(ast.Rat(84, 2))), []Read{keyed("emp", 1, i(42))}},
+		{"no occurrence of the tuple's arity: the probe never runs",
+			[]string{refSrc}, store.Del("dept", relation.Ints(42, 1)), nil},
+		{"constant baked in the constraint",
+			[]string{`panic :- hire(E) & frozen(hr).`}, store.Ins("hire", relation.Ints(1)), []Read{keyed("frozen", 0, ast.Str("hr"))}},
+		{"a pinned variable is preferred to a constant",
+			[]string{`panic :- hire(E) & post(open, E).`}, store.Ins("hire", relation.Ints(9)), []Read{keyed("post", 1, i(9))}},
+		{"repeated variable: the first binding wins",
+			[]string{`panic :- pair(X, X) & q(X).`}, store.Ins("pair", relation.Ints(3, 4)), []Read{keyed("q", 0, i(3))}},
+		{"a key that arrives from a join is a whole read",
+			[]string{`panic :- a(X) & b(X, Y) & c(Y).`}, store.Ins("a", relation.Ints(1)), []Read{keyed("b", 0, i(1)), whole("c")}},
+		{"negated literal with a pinned argument",
+			[]string{`panic :- a(X, Y) & not b(Y, X).`}, store.Ins("a", relation.Ints(1, 2)), []Read{keyed("b", 0, i(2))}},
+		{"one occurrence per disjunct: each names its own group",
+			[]string{`panic :- e(X, Y) & e(Y, Z) & X < Z.`}, store.Ins("e", relation.Ints(1, 2)),
+			[]Read{keyed("e", 0, i(2)), keyed("e", 1, i(1))}},
+		{"a second constraint that is not residual-eligible keeps the claim whole",
+			[]string{refSrc, "orphan(D) :- emp(E, D) & not dept(D).\npanic :- orphan(D) & audited(D)."},
+			store.Del("dept", relation.Ints(42)),
+			[]Read{keyed("emp", 1, i(42)), whole("emp"), whole("dept"), whole("audited")}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := index(nil, c.srcs...).Update(c.u).Reads
+			if len(got)+len(c.want) > 0 && !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("reads(%v) = %v, want %v", c.u, got, c.want)
+			}
+		})
+	}
 }
 
-func (s hashSharder) ShardKey(rel string) (int, bool) {
-	col, ok := s.rels[rel]
-	return col, ok
+// placed is a Sharder: the named relations are remote, those with a
+// non-negative column are fetched by key group on it.
+type placed map[string]int
+
+func (p placed) Remote(rel string) bool { _, ok := p[rel]; return ok }
+
+func (p placed) ShardKey(rel string) (int, bool) {
+	col, ok := p[rel]
+	return col, ok && col >= 0
 }
 
-func (s hashSharder) ShardOf(rel string, key ast.Value) int {
-	h := fnv.New32a()
-	h.Write([]byte(relation.ValueKey(key)))
-	return int(h.Sum32() % uint32(s.n))
+// TestIndexRemoteRelations: a task refreshes the mirror of a remote
+// relation before it reads it, so the claim follows the refresh — the
+// shard-key group when that is what is fetched, the relation otherwise.
+func TestIndexRemoteRelations(t *testing.T) {
+	ins := store.Ins("emp", relation.Ints(1, 42))
+	if got := index(placed{"dept": 0}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []Read{keyed("dept", 0, ast.Int(42))}) {
+		t.Fatalf("sharded dept, shard key pinned: reads = %v, want dept[0=42]", got)
+	}
+	if got := index(placed{"dept": -1}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []Read{whole("dept")}) {
+		t.Fatalf("dept whole on one site: reads = %v, want dept whole (the refresh replaces the mirror)", got)
+	}
+	// emp(E, D) sharded by E: a dept delete pins D, which is not the
+	// column emp is fetched by.
+	del := store.Del("dept", relation.Ints(42))
+	if got := index(placed{"emp": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []Read{whole("emp")}) {
+		t.Fatalf("emp sharded by column 0, column 1 pinned: reads = %v, want emp whole", got)
+	}
+	if got := index(placed{"dept": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []Read{keyed("emp", 1, ast.Int(42))}) {
+		t.Fatalf("local emp next to a sharded dept: reads = %v, want emp[1=42]", got)
+	}
 }
 
-// keyOnShard finds an integer key the sharder maps to the wanted shard.
-func keyOnShard(t *testing.T, s hashSharder, rel string, want int, avoid ...int64) int64 {
-	t.Helper()
-next:
-	for k := int64(0); k < 10_000; k++ {
-		for _, a := range avoid {
-			if k == a {
-				continue next
+// TestIndexKeyGroupFootprints: a self-join on a column the tuple fixes
+// makes an insert read only its own key group, so inserts under
+// different keys are independent while inserts under one key still
+// conflict — sharder or no sharder, whatever shard the keys hash to.
+func TestIndexKeyGroupFootprints(t *testing.T) {
+	const src = `panic :- d(K, V) & d(K, W) & V < W.`
+	for name, sh := range map[string]Sharder{"local": nil, "sharded": placed{"d": 0}} {
+		ix := index(sh, src)
+		a := ix.Update(store.Ins("d", relation.Ints(10, 1)))
+		if !reflect.DeepEqual(a.Reads, []Read{keyed("d", 0, ast.Int(10))}) {
+			t.Fatalf("%s: key-bound self-join reads = %v, want d[0=10]", name, a.Reads)
+		}
+		for k := int64(11); k < 40; k++ {
+			if b := ix.Update(store.Ins("d", relation.Ints(k, 2))); a.Conflicts(b) {
+				t.Fatalf("%s: inserts under keys 10 and %d must not conflict", name, k)
 			}
 		}
-		if s.ShardOf(rel, relation.Ints(k)[0]) == want {
-			return k
+		c := ix.Update(store.Ins("d", relation.Ints(10, 3)))
+		if got := a.Conflict(c); got.Kind != CauseKeyedRead || got.Relation != "d" || got.Col != 0 {
+			t.Fatalf("%s: inserts under one key must conflict on the key group, got %+v", name, got)
 		}
 	}
-	t.Fatal("no key found for shard")
-	return 0
-}
-
-// TestIndexShardedFootprints pins the per-shard refinement: a self-join
-// on the shard key makes an insert read only its own key's shard, so
-// inserts into different shards of one relation are independent while
-// same-shard writes still conflict.
-func TestIndexShardedFootprints(t *testing.T) {
-	prog := parser.MustParseProgram(`panic :- d(K, V) & d(K, W) & V < W.`)
-	sh := hashSharder{rels: map[string]int{"d": 0}, n: 4}
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true, Sharder: sh})
-
-	k0 := keyOnShard(t, sh, "d", 0)
-	k1 := keyOnShard(t, sh, "d", 1)
-	k0b := keyOnShard(t, sh, "d", 0, k0)
-
-	a := ix.Update(store.Ins("d", relation.Ints(k0, 1)))
-	if a.Writes[0].Shard != 0 {
-		t.Fatalf("write shard = %d, want 0", a.Writes[0].Shard)
-	}
-	if !reflect.DeepEqual(a.Reads, []Read{{"d", 0}}) {
-		t.Fatalf("key-bound self-join reads = %v, want [{d 0}]", a.Reads)
-	}
-	b := ix.Update(store.Ins("d", relation.Ints(k1, 2)))
-	if a.Conflicts(b) {
-		t.Fatal("inserts into different shards of d must not conflict")
-	}
-	c := ix.Update(store.Ins("d", relation.Ints(k0b, 3)))
-	if !a.Conflicts(c) {
-		t.Fatal("inserts into the same shard of d must conflict (RW on the shard)")
-	}
-
-	// Without a sharder the same pattern reads the whole relation and
-	// every pair conflicts — the unsharded baseline.
-	ixWhole := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true})
-	aw := ixWhole.Update(store.Ins("d", relation.Ints(k0, 1)))
-	bw := ixWhole.Update(store.Ins("d", relation.Ints(k1, 2)))
-	if !aw.Conflicts(bw) {
-		t.Fatal("whole-relation inserts into d must conflict")
+	// A mirror that is refreshed whole is read whole: every pair
+	// conflicts.
+	ix := index(placed{"d": -1}, src)
+	if !ix.Update(store.Ins("d", relation.Ints(10, 1))).Conflicts(ix.Update(store.Ins("d", relation.Ints(11, 2)))) {
+		t.Fatal("inserts into a wholesale-refreshed d must conflict")
 	}
 }
 
-// TestShardedSchedulerOverlap runs the refinement through the real
-// scheduler: two inserts into different shards of one relation overlap
-// in time, while same-shard inserts serialize in admission order.
-func TestShardedSchedulerOverlap(t *testing.T) {
-	prog := parser.MustParseProgram(`panic :- d(K, V) & d(K, W) & V < W.`)
-	sh := hashSharder{rels: map[string]int{"d": 0}, n: 4}
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true, Sharder: sh})
-	k0 := keyOnShard(t, sh, "d", 0)
-	k1 := keyOnShard(t, sh, "d", 1)
-	k0b := keyOnShard(t, sh, "d", 0, k0)
+// TestKeyGroupSchedulerOverlap runs the refinement through the real
+// scheduler with the pattern the dist_sharded workload stalled on: a
+// dept(K) delete and an emp(_, K') insert overlap in time, while the
+// delete and an emp(_, K) insert serialize in admission order and say
+// why.
+func TestKeyGroupSchedulerOverlap(t *testing.T) {
+	ix := index(placed{"dept": 0}, refSrc)
+	del := ix.Update(store.Del("dept", relation.Ints(5)))
 
 	s := New(Options{Workers: 2})
 	second := make(chan struct{})
 	done := make(chan struct{})
-	s.Submit(ix.Update(store.Ins("d", relation.Ints(k0, 1))), func(Info) {
+	s.Submit(del, func(Info) {
 		select {
 		case <-second:
 		case <-time.After(5 * time.Second):
-			t.Error("different-shard insert was serialized behind the first")
+			t.Error("emp insert under another key was serialized behind the dept delete")
 		}
 		close(done)
 	})
-	s.Submit(ix.Update(store.Ins("d", relation.Ints(k1, 2))), func(Info) {
-		close(second)
-	})
+	s.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 6))), func(Info) { close(second) })
 	<-done
 	s.Close()
 
-	// Same shard: admission order, strictly serialized.
 	s2 := New(Options{Workers: 2})
 	var order []string
 	release := make(chan struct{})
-	s2.Submit(ix.Update(store.Ins("d", relation.Ints(k0, 1))), func(Info) {
+	s2.Submit(del, func(Info) {
 		<-release
-		order = append(order, "first")
+		order = append(order, "delete dept(5)")
 	})
-	s2.Submit(ix.Update(store.Ins("d", relation.Ints(k0b, 2))), func(Info) {
-		order = append(order, "second")
+	s2.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 5))), func(info Info) {
+		order = append(order, "insert emp(1,5)")
+		// Each writes into the group the other reads; the earlier task's
+		// write is met first.
+		if info.Conflicts != 1 || info.Cause.Reason() != "read of dept[0]" || !relation.InternedValue(info.Cause.Key).Equal(ast.Int(5)) {
+			t.Errorf("stall info = %+v, want one conflict on dept[0=5]", info)
+		}
 	})
 	close(release)
 	s2.Close()
-	if !reflect.DeepEqual(order, []string{"first", "second"}) {
-		t.Fatalf("same-shard inserts ran as %v, want [first second]", order)
+	if !reflect.DeepEqual(order, []string{"delete dept(5)", "insert emp(1,5)"}) {
+		t.Fatalf("same-key tasks ran as %v, want admission order", order)
 	}
 }
 
@@ -304,38 +405,131 @@ func TestShardedSchedulerOverlap(t *testing.T) {
 // reads demand a whole-mirror refresh, and residual-ineligible patterns
 // fall to the evaluation router.
 func TestIndexReadPlan(t *testing.T) {
-	sh := hashSharder{rels: map[string]int{"dept": 0}, n: 4}
-
 	// Key-bound: the occurrence pins D, so dept is probed with exactly
-	// the inserted tuple's second component.
-	prog := parser.MustParseProgram(`panic :- emp(E, D) & not dept(D).`)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: true, Polarity: true, Sharder: sh})
-	rp := ix.ReadPlan(store.Ins("emp", relation.Ints(1, 42)))
-	if len(rp.Keys["dept"]) != 1 || !rp.Keys["dept"][0].Equal(relation.Ints(42)[0]) {
-		t.Fatalf("keys = %v, want [42]", rp.Keys["dept"])
+	// the inserted tuple's second component — the group the footprint
+	// claims.
+	ix := index(placed{"dept": 0}, refSrc)
+	ins := store.Ins("emp", relation.Ints(1, 42))
+	rp := ix.ReadPlan(ins, "dept")
+	if len(rp.Keys) != 1 || !rp.Keys[0].Equal(ast.Int(42)) || rp.Mirror || rp.Eval {
+		t.Fatalf("key-bound read: %+v, want keys [42] only", rp)
 	}
-	if rp.Mirror["dept"] || rp.Eval["dept"] {
-		t.Fatalf("key-bound read misclassified: %+v", rp)
+	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []Read{keyed("dept", 0, rp.Keys[0])}) {
+		t.Fatalf("footprint %v and read plan %v name different groups", got, rp.Keys)
+	}
+	if rp := ix.ReadPlan(ins, "l"); !reflect.DeepEqual(rp, ReadPlan{}) {
+		t.Fatalf("relation the check never reads: %+v, want the zero plan", rp)
+	}
+	// Two disjuncts, one key: fetched once.
+	ix2 := index(placed{"dept": 0}, refSrc, `panic :- emp(E, D) & closed(D) & dept(D).`)
+	if rp := ix2.ReadPlan(ins, "dept"); len(rp.Keys) != 1 || rp.Mirror {
+		t.Fatalf("one key probed twice: %+v, want keys [42]", rp)
+	}
+	// A keyed claim on a column the relation is not fetched by cannot be
+	// served by a key fetch: refresh in full.
+	if rp := ix.ReadPlan(store.Del("dept", relation.Ints(42)), "emp"); !rp.Mirror || rp.Keys != nil {
+		t.Fatalf("keyed on a non-shard-key column: %+v, want Mirror", rp)
 	}
 
 	// Unkeyed residual read: r's key column is not pinned by the l
 	// occurrence, so the whole mirror must be refreshed.
-	prog2 := parser.MustParseProgram(fiSrc)
-	sh2 := hashSharder{rels: map[string]int{"r": 0}, n: 4}
-	ix2 := NewIndex([]*ast.Program{prog2}, IndexOptions{Residual: true, Polarity: true, Sharder: sh2})
-	rp2 := ix2.ReadPlan(store.Ins("l", relation.Ints(1, 5)))
-	if !rp2.Mirror["r"] || len(rp2.Keys["r"]) != 0 {
-		t.Fatalf("unkeyed residual read misclassified: %+v", rp2)
+	ix3 := index(placed{"r": 0}, fiSrc)
+	if rp := ix3.ReadPlan(store.Ins("l", relation.Ints(1, 5)), "r"); !rp.Mirror || len(rp.Keys) != 0 {
+		t.Fatalf("unkeyed residual read misclassified: %+v", rp)
 	}
 
 	// Residual-ineligible (IDB helper): evaluation reads, router-served.
-	prog3 := parser.MustParseProgram(`
+	ix4 := index(placed{"r": 0}, `
 		covered(Z) :- l(Z, Y) & Z <= Y.
 		panic :- r(Z) & covered(Z).
 	`)
-	ix3 := NewIndex([]*ast.Program{prog3}, IndexOptions{Residual: true, Polarity: true, Sharder: sh2})
-	rp3 := ix3.ReadPlan(store.Ins("r", relation.Ints(1)))
-	if !rp3.Eval["r"] || !rp3.Eval["l"] || rp3.Mirror["r"] {
-		t.Fatalf("general read misclassified: %+v", rp3)
+	u := store.Ins("r", relation.Ints(1))
+	if r, l := ix4.ReadPlan(u, "r"), ix4.ReadPlan(u, "l"); !r.Eval || !l.Eval || r.Mirror {
+		t.Fatalf("general read misclassified: r %+v, l %+v", r, l)
+	}
+}
+
+// distStream is a stream of the dist_sharded workload's shape (bench/
+// dist.go): its two constraints, dept hash-sharded, Zipf-skewed dept
+// keys on the emp side, and dept writes under keys no emp refers to.
+func distStream(seed int64, n int) (*Index, []Footprint) {
+	ix := index(placed{"dept": 0, "r": -1}, refSrc, fiSrc)
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1999)
+	const deptWriteBase = 1_000_000
+	var seq int64
+	emp := func() store.Update {
+		seq++
+		return store.Ins("emp", relation.TupleOf(ast.Str(fmt.Sprintf("h%d", seq)), ast.Int(int64(zipf.Uint64()))))
+	}
+	var pending []store.Update // applied inserts not yet undone
+	fps := make([]Footprint, 0, n)
+	for len(fps) < n {
+		switch p := rng.Intn(100); {
+		case p < 30: // emp check
+			fps = append(fps, ix.Update(emp()))
+		case p < 75 && len(pending) > 8 && rng.Intn(2) == 0: // undo an earlier apply
+			k := len(pending) - 1 - rng.Intn(8) // recent enough to meet its insert now and then
+			u := pending[k]
+			pending = append(pending[:k], pending[k+1:]...)
+			fps = append(fps, ix.Update(store.Del(u.Relation, u.Tuple)))
+		case p < 55: // emp apply
+			u := emp()
+			pending = append(pending, u)
+			fps = append(fps, ix.Update(u))
+		case p < 75: // dept apply
+			seq++
+			u := store.Ins("dept", relation.Ints(deptWriteBase+seq))
+			pending = append(pending, u)
+			fps = append(fps, ix.Update(u))
+		case p < 95: // l check
+			lo := int64(rng.Intn(1 << 20))
+			fps = append(fps, ix.Update(store.Ins("l", relation.Ints(lo, lo+2))))
+		default: // atomic batch of emp inserts and two dept writes
+			us := make([]store.Update, 16)
+			for i := range us {
+				us[i] = emp()
+			}
+			seq += 2
+			us[0], us[1] = store.Ins("dept", relation.Ints(deptWriteBase+seq-1)), store.Ins("dept", relation.Ints(deptWriteBase+seq))
+			fps = append(fps, ix.Batch(us))
+		}
+	}
+	return ix, fps
+}
+
+// TestDistShardedStallShare counts, on a fixed seeded stream, the pairs
+// of requests within sixteen of each other (the workload's callers) that
+// conflict. The count repeats exactly, so a claim that goes back to
+// whole relations fails here, not in a benchmark: with whole-relation
+// reads a dept delete conflicts with every emp insert and check around
+// it — a tenth of the stream against half of it.
+func TestDistShardedStallShare(t *testing.T) {
+	const n, window = 4000, 16
+	_, fps := distStream(1, n)
+	pairs, conflicts := 0, 0
+	byKind := map[CauseKind]int{}
+	for i := range fps {
+		for j := max(0, i-window); j < i; j++ {
+			pairs++
+			if c := fps[j].Conflict(fps[i]); c.Kind != CauseNone {
+				conflicts++
+				byKind[c.Kind]++
+			}
+		}
+	}
+	share := float64(conflicts) / float64(pairs)
+	t.Logf("%d of %d pairs conflict (%.4f): %v", conflicts, pairs, share, byKind)
+	if share >= 0.01 {
+		t.Fatalf("conflict share %.4f of pairs within %d, want < 0.01: %v", share, window, byKind)
+	}
+	if n := byKind[CauseWholeRead] + byKind[CauseKeyedRead]; n > 0 {
+		t.Fatalf("%d read conflicts: nothing in this stream writes a relation that is read whole or a key that is read: %v", n, byKind)
+	}
+	_, again := distStream(1, n)
+	for i := range fps {
+		if !reflect.DeepEqual(fps[i], again[i]) {
+			t.Fatalf("footprint %d does not repeat: %v, then %v", i, fps[i], again[i])
+		}
 	}
 }

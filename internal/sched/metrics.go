@@ -13,8 +13,9 @@ type Metrics struct {
 	// Tasks counts submitted tasks (cc_sched_tasks_total).
 	Tasks *obs.Counter
 	// ConflictStalls counts tasks admitted behind at least one
-	// conflicting in-flight task (cc_sched_conflict_stalls_total).
-	ConflictStalls *obs.Counter
+	// conflicting in-flight task, by the kind of the first conflict
+	// (cc_sched_conflict_stalls_total, label reason; CauseNone unused).
+	ConflictStalls [CauseWholeRead + 1]*obs.Counter
 	// Inflight gauges admitted-but-unfinished tasks (cc_sched_inflight).
 	Inflight *obs.Gauge
 	// WorkersBusy gauges workers currently running a task
@@ -41,11 +42,9 @@ func NewMetrics(reg *obs.Registry, layer string) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	return &Metrics{
+	m := &Metrics{
 		Tasks: reg.CounterVec("cc_sched_tasks_total",
 			"Tasks submitted to the conflict-aware apply scheduler.", "layer").With(layer),
-		ConflictStalls: reg.CounterVec("cc_sched_conflict_stalls_total",
-			"Tasks admitted behind at least one conflicting in-flight task.", "layer").With(layer),
 		Inflight: reg.GaugeVec("cc_sched_inflight",
 			"Admitted, not yet finished scheduler tasks.", "layer").With(layer),
 		WorkersBusy: reg.GaugeVec("cc_sched_workers_busy",
@@ -55,14 +54,20 @@ func NewMetrics(reg *obs.Registry, layer string) *Metrics {
 		Footprint: reg.HistogramVec("cc_sched_footprint_seconds",
 			"Footprint conflict-scan time per submission.", footprintBuckets, "layer").With(layer),
 	}
+	stalls := reg.CounterVec("cc_sched_conflict_stalls_total",
+		"Tasks admitted behind at least one conflicting in-flight task, by the first conflict's kind.", "layer", "reason")
+	for k := CauseBarrier; k <= CauseWholeRead; k++ {
+		m.ConflictStalls[k] = stalls.With(layer, k.String())
+	}
+	return m
 }
 
-// observeSubmit records one submission's conflict-scan cost and stall
-// status.
-func (m *Metrics) observeSubmit(scan time.Duration, stalled bool) {
+// observeSubmit records one submission's conflict-scan cost and, when it
+// stalled, why.
+func (m *Metrics) observeSubmit(scan time.Duration, stall CauseKind) {
 	m.Tasks.Inc()
 	m.Footprint.Observe(scan.Seconds())
-	if stalled {
-		m.ConflictStalls.Inc()
+	if stall != CauseNone {
+		m.ConflictStalls[stall].Inc()
 	}
 }

@@ -23,6 +23,9 @@ type Info struct {
 	// Conflicts is the number of in-flight tasks the task had to wait
 	// for at admission (0 for an immediately dispatchable task).
 	Conflicts int
+	// Cause is the conflict with the earliest-admitted of those tasks —
+	// why the task stalled (Kind CauseNone when it did not).
+	Cause Cause
 }
 
 // Stats is a point-in-time snapshot of scheduler accounting.
@@ -47,6 +50,7 @@ type node struct {
 	enqueued  time.Time
 	deps      int     // unfinished earlier conflicting tasks
 	conflicts int     // deps at admission (deps drains to 0 before dispatch)
+	cause     Cause   // the first of them
 	waiters   []*node // later tasks waiting on this one
 	done      bool
 }
@@ -109,8 +113,11 @@ func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 			continue
 		}
 		live = append(live, m)
-		if m.fp.Conflicts(fp) {
+		if c := m.fp.Conflict(fp); c.Kind != CauseNone {
 			m.waiters = append(m.waiters, n)
+			if n.deps == 0 {
+				n.cause = c
+			}
 			n.deps++
 		}
 	}
@@ -127,7 +134,7 @@ func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 		s.conflictStalls.Add(1)
 	}
 	if s.met != nil {
-		s.met.observeSubmit(n.enqueued.Sub(scan), n.conflicts > 0)
+		s.met.observeSubmit(n.enqueued.Sub(scan), n.cause.Kind)
 		s.met.Inflight.Add(1)
 	}
 	s.cond.Broadcast()
@@ -160,7 +167,7 @@ func (s *Scheduler) worker() {
 		if s.met != nil {
 			s.met.Wait.Observe(wait.Seconds())
 		}
-		n.run(Info{Wait: wait, Conflicts: n.conflicts})
+		n.run(Info{Wait: wait, Conflicts: n.conflicts, Cause: n.cause})
 		s.busy.Add(-1)
 		if s.met != nil {
 			s.met.WorkersBusy.Add(-1)

@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // TestAdmissionOrder is the directed conflict test: two conflicting
@@ -34,6 +36,9 @@ func TestAdmissionOrder(t *testing.T) {
 		if info.Conflicts == 0 {
 			t.Error("second writer of the same tuple should report a conflict stall")
 		}
+		if info.Cause.Kind != CauseSameTuple || info.Cause.Reason() != "same-tuple write of x" {
+			t.Errorf("stall cause = %+v (%q), want a same-tuple write of x", info.Cause, info.Cause.Reason())
+		}
 		stamp("delete")
 	})
 	s.Drain()
@@ -56,7 +61,7 @@ func TestIndependentTasksOverlap(t *testing.T) {
 
 	second := make(chan struct{})
 	done := make(chan struct{})
-	s.Submit(Footprint{Writes: []Write{{"x", 1, WholeRelation}}, Reads: []Read{{"r", WholeRelation}}}, func(Info) {
+	s.Submit(Footprint{Writes: []Write{{Relation: "x", FP: 1}}, Reads: []Read{{Relation: "r"}}}, func(Info) {
 		select {
 		case <-second:
 		case <-time.After(5 * time.Second):
@@ -64,7 +69,7 @@ func TestIndependentTasksOverlap(t *testing.T) {
 		}
 		close(done)
 	})
-	s.Submit(Footprint{Writes: []Write{{"x", 2, WholeRelation}}, Reads: []Read{{"r", WholeRelation}}}, func(Info) {
+	s.Submit(Footprint{Writes: []Write{{Relation: "x", FP: 2}}, Reads: []Read{{Relation: "r"}}}, func(Info) {
 		close(second)
 	})
 	<-done
@@ -94,11 +99,15 @@ func TestRandomizedSerializability(t *testing.T) {
 			case 0:
 				f = Barrier()
 			default:
+				// One-column tuples over four keys; reads whole or of one
+				// key group, so keyed and whole claims both meet writes
+				// inside and outside their group.
+				k := relation.Handle(rng.Intn(4))
 				f = Footprint{
-					Writes: []Write{{Relation: rels[rng.Intn(len(rels))], FP: uint64(rng.Intn(4)), Shard: rng.Intn(3) - 1}},
+					Writes: []Write{{Relation: rels[rng.Intn(len(rels))], FP: uint64(k), Cols: []relation.Handle{k}}},
 				}
 				if rng.Intn(2) == 0 {
-					f.Reads = []Read{{Relation: rels[rng.Intn(len(rels))], Shard: rng.Intn(3) - 1}}
+					f.Reads = []Read{{Relation: rels[rng.Intn(len(rels))], Keyed: rng.Intn(3) > 0, Key: relation.Handle(rng.Intn(4))}}
 				}
 			}
 			fps[i] = f
@@ -160,6 +169,35 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
+// TestStallReasonMetric: a stalled submission is counted under the kind
+// of its first conflict, and only there.
+func TestStallReasonMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	met := NewMetrics(reg, "test")
+	s := New(Options{Workers: 2, Metrics: met})
+	release := make(chan struct{})
+	k := relation.Handle(3)
+	s.Submit(Footprint{Writes: []Write{{Relation: "emp", FP: 1, Cols: []relation.Handle{0, k}}}}, func(Info) { <-release })
+	s.Submit(Footprint{Writes: []Write{{Relation: "dept", FP: 2}}, Reads: []Read{{Relation: "emp", Keyed: true, Col: 1, Key: k}}}, func(Info) {})
+	s.Submit(Footprint{Writes: []Write{{Relation: "dept", FP: 3}}, Reads: []Read{{Relation: "emp", Keyed: true, Col: 1, Key: k + 1}}}, func(Info) {})
+	close(release)
+	s.Close()
+	for kind := CauseBarrier; kind <= CauseWholeRead; kind++ {
+		want := int64(0)
+		if kind == CauseKeyedRead {
+			want = 1
+		}
+		if got := met.ConflictStalls[kind].Value(); got != want {
+			t.Errorf("stalls{reason=%q} = %d, want %d", kind, got, want)
+		}
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if want := `cc_sched_conflict_stalls_total{layer="test",reason="keyed-read"} 1`; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition lacks %s", want)
+	}
+}
+
 // TestDrainWaitsForStalledChains: Drain must wait for tasks that are
 // admitted but still blocked behind a conflicting predecessor.
 func TestDrainWaitsForStalledChains(t *testing.T) {
@@ -167,7 +205,7 @@ func TestDrainWaitsForStalledChains(t *testing.T) {
 	defer s.Close()
 
 	var done atomic.Int64
-	w := Footprint{Writes: []Write{{"x", 7, WholeRelation}}}
+	w := Footprint{Writes: []Write{{Relation: "x", FP: 7}}}
 	for i := 0; i < 5; i++ {
 		s.Submit(w, func(Info) {
 			time.Sleep(5 * time.Millisecond)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/sched"
 )
 
@@ -68,8 +69,7 @@ func (s *Server) runTask(t *task, info sched.Info) {
 	if t.span != nil {
 		s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, start.Sub(t.enqueued), nil, "")
 		if info.Conflicts > 0 {
-			s.cfg.Spans.RecordChild(t.span, "sched.wait", start.Add(-info.Wait), info.Wait,
-				map[string]string{"conflicts": strconv.Itoa(info.Conflicts)}, "")
+			s.cfg.Spans.RecordChild(t.span, "sched.wait", start.Add(-info.Wait), info.Wait, stallAttrs(info), "")
 		}
 		if t.op != opStats {
 			decide = s.cfg.Spans.StartChild(t.span, "decide")
@@ -98,6 +98,21 @@ func (s *Server) runTask(t *task, info sched.Info) {
 		s.logTask(t, res, dur)
 	}
 	t.reply <- res
+}
+
+// stallAttrs describes a stalled task on its sched.wait span: how many
+// in-flight tasks it waited for and what the first of them held — the
+// reason without the key value (so the trace summary can group on it),
+// and the value of a keyed read beside it.
+func stallAttrs(info sched.Info) map[string]string {
+	attrs := map[string]string{
+		"conflicts": strconv.Itoa(info.Conflicts),
+		"reason":    info.Cause.Reason(),
+	}
+	if info.Cause.Kind == sched.CauseKeyedRead {
+		attrs["value"] = relation.InternedValue(info.Cause.Key).String()
+	}
+	return attrs
 }
 
 // submitBatch decomposes a non-atomic batch into one scheduler task per

@@ -7,8 +7,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/netdist"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -281,4 +284,334 @@ func (o opaqueBackend) Apply(u store.Update) (core.Report, error) { return o.chk
 func (o opaqueBackend) Stats() core.Stats                         { return o.chk.Stats() }
 func (o opaqueBackend) ApplyBatch(us []store.Update) (core.BatchReport, error) {
 	return o.chk.ApplyBatch(us)
+}
+
+// A request of the mixed stream: a check, an apply, or an atomic batch.
+type request struct {
+	op opKind
+	u  store.Update
+	us []store.Update
+}
+
+// keyRequests generates a stream over the referential constraint (and
+// the interval one beside it) whose dept keys come from one small band:
+// a dept(K) write meets emp(_, K) inserts and checks — which must keep
+// admission order — and emp(_, K') ones — which may overlap it — in
+// every window. One request in ten is an atomic batch that writes dept
+// keys and may end on an employee of a department nobody has (ghost), so
+// that its rollback takes those dept writes back.
+func keyRequests(seed int64, n int) []request {
+	const band, ghost = 12, 99
+	rng := rand.New(rand.NewSource(seed))
+	emp := func(k int64) store.Update {
+		return store.Ins("emp", relation.Ints(2000+int64(rng.Intn(40)), k))
+	}
+	dept := func() store.Update {
+		u := store.Ins("dept", relation.Ints(int64(rng.Intn(band))))
+		if rng.Intn(2) == 0 {
+			u = store.Del("dept", u.Tuple)
+		}
+		return u
+	}
+	one := func() store.Update {
+		switch p := rng.Intn(100); {
+		case p < 45:
+			u := emp(int64(rng.Intn(band)))
+			if rng.Intn(4) == 0 {
+				u = store.Del("emp", u.Tuple)
+			}
+			return u
+		case p < 80:
+			return dept()
+		case p < 90:
+			lo := int64(rng.Intn(80))
+			return store.Ins("l", relation.Ints(lo, lo+int64(rng.Intn(10))))
+		default:
+			u := store.Ins("r", relation.Ints(int64(rng.Intn(100))))
+			if rng.Intn(3) == 0 {
+				u = store.Del("r", u.Tuple)
+			}
+			return u
+		}
+	}
+	reqs := make([]request, n)
+	for i := range reqs {
+		switch p := rng.Intn(10); {
+		case p == 0:
+			us := []store.Update{dept(), dept(), emp(int64(rng.Intn(band))), one()}
+			if rng.Intn(2) == 0 {
+				us = append(us, emp(ghost))
+			}
+			reqs[i] = request{op: opBatch, us: us}
+		case p < 4:
+			reqs[i] = request{op: opCheck, u: one()}
+		default:
+			reqs[i] = request{op: opApply, u: one()}
+		}
+	}
+	return reqs
+}
+
+// seedKeyStores fills the four relations of the keyRequests stream:
+// departments 0..7 (so 8..11 start absent), one employee in each of the
+// first six, the intervals and points of pipelineFixture.
+func seedKeyStores(t *testing.T, insert func(rel string, tup relation.Tuple)) {
+	t.Helper()
+	for k := int64(0); k < 8; k++ {
+		insert("dept", relation.Ints(k))
+	}
+	for k := int64(0); k < 6; k++ {
+		insert("emp", relation.Ints(1000+k, k))
+	}
+	for _, iv := range [][2]int64{{0, 10}, {20, 30}, {40, 50}} {
+		insert("l", relation.Ints(iv[0], iv[1]))
+	}
+	for _, p := range []int64{15, 35, 60} {
+		insert("r", relation.Ints(p))
+	}
+}
+
+const (
+	refSrc = "panic :- emp(E,D) & not dept(D)."
+	fiSrc  = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+)
+
+// runRequests admits the requests in order from one goroutine — the
+// dispatcher takes them off the queue in that order, so the scheduler's
+// admission order is the slice's — and only then collects the answers,
+// so that as many as the scheduler allows are in flight together. Each
+// answer is rendered down to what a client can tell apart.
+func runRequests(t *testing.T, s *Server, reqs []request) []string {
+	t.Helper()
+	tasks := make([]*task, len(reqs))
+	for i, r := range reqs {
+		tasks[i] = &task{op: r.op, client: "agree", u: r.u, us: r.us, atomic: true,
+			reply: make(chan taskResult, 1), enqueued: time.Now()}
+		if err := s.enqueue(tasks[i]); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	out := make([]string, len(reqs))
+	for i, tk := range tasks {
+		res := <-tk.reply
+		switch {
+		case res.err != nil:
+			t.Fatalf("request %d (%v %v): %v", i, reqs[i].u, reqs[i].us, res.err)
+		case tk.op == opBatch:
+			out[i] = fmt.Sprintf("batch applied=%d failedAt=%d reports=%v", res.batch.Applied, res.batch.FailedAt, verdicts(res.batch))
+		default:
+			out[i] = fmt.Sprintf("applied=%v violations=%v", res.rep.Applied, res.rep.Violations())
+		}
+	}
+	return out
+}
+
+// TestPipelineKeyGroupAgreement is TestPipelineAgreement on traffic
+// that key-group footprints let overlap: checks, applies and atomic
+// batches (some rolled back) whose dept keys collide and differ, decided
+// by an embedded checker behind the sequential arm and behind the
+// scheduler at 4 and 8 workers — same answers, same final store.
+func TestPipelineKeyGroupAgreement(t *testing.T) {
+	const n = 400
+	for _, seed := range []int64{2, 9, 31} {
+		reqs := keyRequests(seed, n)
+		var want []string
+		var wantDump string
+		for _, workers := range []int{1, 4, 8} {
+			db := store.New()
+			seedKeyStores(t, func(rel string, tup relation.Tuple) {
+				if _, err := db.Insert(rel, tup); err != nil {
+					t.Fatal(err)
+				}
+			})
+			chk := core.New(db, core.Options{})
+			for name, src := range map[string]string{"ref": refSrc, "fi": fiSrc} {
+				if err := chk.AddConstraintSource(name, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := New(chk, Config{ApplyWorkers: workers, QueueDepth: n})
+			got := runRequests(t, s, reqs)
+			stalls := s.Stats().SchedConflictStalls
+			s.Close()
+			d := dump(db)
+			if workers == 1 {
+				want, wantDump = got, d
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d workers %d: request %d (%v %v) answered %q, sequential arm %q",
+						seed, workers, i, reqs[i].u, reqs[i].us, got[i], want[i])
+				}
+			}
+			if d != wantDump {
+				t.Fatalf("seed %d workers %d: final store diverged\npipelined:\n%s\nsequential:\n%s", seed, workers, d, wantDump)
+			}
+			if stalls == 0 || stalls == int64(n) {
+				t.Fatalf("seed %d workers %d: %d of %d requests stalled: the stream is meant to mix colliding and disjoint keys", seed, workers, stalls, n)
+			}
+		}
+	}
+}
+
+// TestPipelineCoordinatorKeyGroupAgreement is the same agreement with
+// the backend the dist_sharded benchmark runs: a coordinator whose dept
+// is hash-sharded over four sites and whose r lives on a fifth, every
+// site answering after a delay, so that the tasks the scheduler lets
+// overlap do overlap — a refresh of one dept key group in flight while
+// another task writes a neighbouring one, a rollback un-propagating a
+// dept write while employees of other departments are checked. Answers,
+// the coordinator's mirror and the merged site stores must match the
+// sequential arm.
+func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
+	const n, shards = 160, 4
+	build := func(workers int) (*Server, *netdist.Coordinator, []*store.Store) {
+		place := netdist.Placement{"r": {Shards: []netdist.ShardSpec{{Leader: "siteR"}}}}
+		dept := netdist.RelPlacement{KeyCol: 0}
+		lb := netdist.NewLoopback()
+		sites := make([]*store.Store, shards+1)
+		for i := range sites {
+			sites[i] = store.New()
+		}
+		for i := 0; i < shards; i++ {
+			name := fmt.Sprintf("s%d", i)
+			dept.Shards = append(dept.Shards, netdist.ShardSpec{Leader: name})
+			lb.AddSite(name, netdist.NewServer(sites[i], []string{"dept"}))
+		}
+		place["dept"] = dept
+		lb.AddSite("siteR", netdist.NewServer(sites[shards], []string{"r"}))
+		local := store.New()
+		seedKeyStores(t, func(rel string, tup relation.Tuple) {
+			db := local
+			switch rel {
+			case "dept":
+				db = sites[place.ShardOf("dept", tup[0])]
+			case "r":
+				db = sites[shards]
+			}
+			if _, err := db.Insert(rel, tup); err != nil {
+				t.Fatal(err)
+			}
+		})
+		co, err := netdist.NewPlaced(local, place, lb, netdist.Options{
+			Checker: core.Options{LocalRelations: []string{"emp", "l"}},
+			Timeout: 5 * time.Second,
+			Backoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string]string{"ref": refSrc, "fi": fiSrc} {
+			if err := co.Checker.AddConstraintSource(name, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if workers > 1 {
+			for i := 0; i < shards; i++ {
+				lb.SetLatency(fmt.Sprintf("s%d", i), 200*time.Microsecond)
+			}
+			lb.SetLatency("siteR", 200*time.Microsecond)
+		}
+		return New(netdist.ServeBackend{Co: co}, Config{ApplyWorkers: workers, QueueDepth: n}), co, sites
+	}
+	merged := func(sites []*store.Store) string {
+		all := store.New()
+		for _, db := range sites {
+			for _, rel := range db.Names() {
+				for _, tup := range db.Tuples(rel) {
+					if _, err := all.Insert(rel, tup); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return dump(all)
+	}
+	for _, seed := range []int64{4, 17} {
+		reqs := keyRequests(seed, n)
+		var want []string
+		var wantMirror, wantSites string
+		for _, workers := range []int{1, 4, 8} {
+			s, co, sites := build(workers)
+			if got := s.ApplyWorkers(); got != workers {
+				t.Fatalf("effective workers = %d, want %d", got, workers)
+			}
+			got := runRequests(t, s, reqs)
+			s.Close()
+			mirror, remote := dump(co.Checker.DB()), merged(sites)
+			if workers == 1 {
+				want, wantMirror, wantSites = got, mirror, remote
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d workers %d: request %d (%v %v) answered %q, sequential arm %q",
+						seed, workers, i, reqs[i].u, reqs[i].us, got[i], want[i])
+				}
+			}
+			if mirror != wantMirror {
+				t.Fatalf("seed %d workers %d: mirror diverged\npipelined:\n%s\nsequential:\n%s", seed, workers, mirror, wantMirror)
+			}
+			if remote != wantSites {
+				t.Fatalf("seed %d workers %d: merged site stores diverged\npipelined:\n%s\nsequential:\n%s", seed, workers, remote, wantSites)
+			}
+		}
+	}
+}
+
+// TestSchedWaitSpanSaysWhy: a traced request that stalled carries, on
+// its sched.wait span, what it waited for — here an emp insert behind a
+// delete of its department, each writing into the key group the other
+// reads.
+func TestSchedWaitSpanSaysWhy(t *testing.T) {
+	db := store.New()
+	seedKeyStores(t, func(rel string, tup relation.Tuple) {
+		if _, err := db.Insert(rel, tup); err != nil {
+			t.Fatal(err)
+		}
+	})
+	chk := core.New(db, core.Options{})
+	if err := chk.AddConstraintSource("ref", refSrc); err != nil {
+		t.Fatal(err)
+	}
+	spans := obs.NewSpanTracer("serve", obs.NewTraceStore(16), 1)
+	gate := make(chan struct{})
+	s := New(chk, Config{ApplyWorkers: 4, Spans: spans, workerGate: gate})
+	var tasks []*task
+	for _, u := range []store.Update{store.Del("dept", relation.Ints(7)), store.Ins("emp", relation.Ints(1, 7))} {
+		tk := &task{op: opApply, client: "why", u: u, span: spans.StartRoot("req", obs.SpanContext{}),
+			reply: make(chan taskResult, 1), enqueued: time.Now()}
+		if err := s.enqueue(tk); err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, tk)
+	}
+	// The delete holds a worker at the gate until the insert has been
+	// admitted behind it.
+	for s.Stats().SchedTasks < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for _, tk := range tasks {
+		if res := <-tk.reply; res.err != nil {
+			t.Fatal(res.err)
+		}
+		tk.span.End()
+	}
+	s.Close()
+	tr := spans.Store().Trace(tasks[1].span.Context().TraceID)
+	if tr == nil {
+		t.Fatal("no trace for the stalled request")
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name != "sched.wait" {
+			continue
+		}
+		if sp.Attrs["conflicts"] != "1" || sp.Attrs["reason"] != "read of dept[0]" || sp.Attrs["value"] != "7" {
+			t.Fatalf("sched.wait attributes = %v, want one conflict on dept[0] = 7", sp.Attrs)
+		}
+		return
+	}
+	t.Fatalf("stalled request has no sched.wait span: %+v", tr.Spans)
 }

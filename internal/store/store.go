@@ -30,10 +30,11 @@ type Store struct {
 
 	mu   sync.RWMutex
 	rels map[string]*relation.Relation
-	// schema counts structural changes — relation creation, Replace
-	// swaps, index availability changes via EnsureIndex — so compiled
-	// evaluation plans (internal/eval.PlanCache) can key on the store
-	// shape and drop stale plans without subscribing to the store.
+	// schema counts structural changes — relation creation (by Ensure or
+	// by a Replace of an absent relation) and index availability changes
+	// via EnsureIndex — so compiled evaluation plans
+	// (internal/eval.PlanCache) and compiled residuals can key on the
+	// store shape and drop stale entries without subscribing to the store.
 	schema  atomic.Uint64
 	readsMu sync.Mutex
 	reads   map[string]int64 // tuples handed out per relation
@@ -54,9 +55,11 @@ func New() *Store {
 func (s *Store) ID() uint64 { return s.id }
 
 // SchemaVersion returns a counter that advances on every structural
-// change: relation creation, Replace, and EnsureIndex. Data-only changes
-// (Insert/Delete) do not advance it — compiled plans only depend on
-// which relations exist, their arities, and their index availability.
+// change: relation creation and EnsureIndex. Data-only changes do not
+// advance it — Insert, Delete, ReplaceKey, and a Replace over a relation
+// that already exists, which keeps its arity and carries its index
+// signatures over: compiled plans and residuals only depend on which
+// relations exist, their arities, and their index availability.
 func (s *Store) SchemaVersion() uint64 { return s.schema.Load() }
 
 // DataVersion returns the named relation's data version (see
@@ -272,7 +275,9 @@ func (s *Store) ResetReads() {
 // tuples, creating the relation if absent. No read counters are charged:
 // Replace is bulk state transfer (mirror refresh from a remote site, bulk
 // load), not query evaluation. It fails if the relation exists with a
-// different arity or a tuple has the wrong arity.
+// different arity or a tuple has the wrong arity. The schema version
+// advances only when the relation is created: a swap changes the data
+// version (DataVersion), not the store's shape.
 func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 	for _, t := range ts {
 		if len(t) != arity {
@@ -294,22 +299,25 @@ func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 		// evaluation) keep the evaluator's probe indexes warm instead of
 		// rebuilding them lazily mid-join, and continues its data version.
 		fresh.Succeed(r)
+	} else {
+		s.schema.Add(1)
 	}
 	s.rels[name] = fresh
-	s.schema.Add(1)
 	return nil
 }
 
 // ReplaceKey swaps one key group of the named relation: every stored
 // tuple whose column col equals val is replaced by ts (each of which
 // must carry val at col). Like Replace it is bulk state transfer — no
-// read counters are charged — but unlike Replace it mutates the
-// relation in place via Insert/Delete, so the schema version does not
-// advance and compiled plans stay valid. The relation is created when
-// absent. Tuple-at-a-time mutation means a concurrent reader may see a
-// partially swapped group; callers (the netdist coordinator's sharded
-// mirror refresh) serialize refreshes against readers of the same key
-// group through the scheduler's shard-granular footprints.
+// read counters are charged — and like a Replace over an existing
+// relation it leaves the schema version alone; unlike Replace it mutates
+// the relation in place via Insert/Delete and touches no tuple outside
+// the group. The relation is created when absent. Tuple-at-a-time
+// mutation means a concurrent reader may see a partially swapped group;
+// callers (the netdist coordinator's sharded mirror refresh) keep writers
+// of the group away through the scheduler's key-group footprints — a
+// task that refreshes the group holds a read claim on it — and
+// refreshes that race each other then swap in the same contents.
 func (s *Store) ReplaceKey(name string, arity, col int, val ast.Value, ts []relation.Tuple) error {
 	if col < 0 || col >= arity {
 		return fmt.Errorf("store: replace key %s/%d: column %d out of range", name, arity, col)

@@ -184,9 +184,18 @@ func TestReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tuples("r") // charge some reads
-	// Replace swaps contents without touching counters.
+	// Replace swaps contents without touching counters. The swap is a
+	// change of data, not of shape: the data version moves, the schema
+	// version — what compiled plans and residuals are keyed on — stays.
+	schema, data := s.SchemaVersion(), s.DataVersion("r")
 	if err := s.Replace("r", 2, []relation.Tuple{relation.Ints(5, 6)}); err != nil {
 		t.Fatal(err)
+	}
+	if s.SchemaVersion() != schema {
+		t.Error("Replace over an existing relation advanced the schema version")
+	}
+	if s.DataVersion("r") <= data {
+		t.Error("Replace did not advance the data version")
 	}
 	if s.Contains("r", relation.Ints(1, 2)) || !s.Contains("r", relation.Ints(5, 6)) {
 		t.Errorf("Replace did not swap contents: %s", s)
@@ -200,6 +209,9 @@ func TestReplace(t *testing.T) {
 	}
 	if !s.Contains("fresh", relation.Ints(7)) {
 		t.Error("Replace did not create the relation")
+	}
+	if s.SchemaVersion() == schema {
+		t.Error("a Replace that creates the relation must advance the schema version")
 	}
 	// Replace to empty empties.
 	if err := s.Replace("r", 2, nil); err != nil {
