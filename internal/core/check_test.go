@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -27,13 +29,13 @@ func TestCheckLeavesStoreUntouched(t *testing.T) {
 	if vs := rep.Violations(); len(vs) != 1 || vs[0] != "ri" {
 		t.Fatalf("violations = %v", vs)
 	}
-	// Delete of an existing tuple: restored after the trial.
+	// Delete of an existing tuple: asked about, not made.
 	rep, err = c.Check(store.Del("dept", relation.Strs("toy")))
 	if err != nil || !rep.Applied {
 		t.Fatalf("delete check: applied=%v err=%v", rep.Applied, err)
 	}
-	// No-op shapes: duplicate insert and absent delete change nothing, so
-	// the undo must not delete the pre-existing tuple or invent one.
+	// No-op shapes: a duplicate insert must not cost the pre-existing tuple
+	// and an absent delete must not invent one.
 	if rep, err = c.Check(store.Ins("dept", relation.Strs("toy"))); err != nil || !rep.Applied {
 		t.Fatalf("duplicate-insert check: applied=%v err=%v", rep.Applied, err)
 	}
@@ -72,9 +74,9 @@ func TestCheckThenApplyAgree(t *testing.T) {
 			t.Fatalf("%v: check violations %v, apply violations %v", u, chk.Violations(), app.Violations())
 		}
 	}
-	// After checks + applies interleaved, any state Check trialed must be
-	// fully unwound: +r(95) lands inside the applied l(90,110), so it must
-	// be rejected, proving the interval survives the earlier trial undos.
+	// After checks + applies interleaved, only the applies show: +r(95)
+	// lands inside the applied l(90,110), so it must be rejected, proving
+	// the interval survived the earlier checks.
 	rep, err := c.Apply(store.Ins("r", relation.Ints(95)))
 	if err != nil {
 		t.Fatal(err)
@@ -95,5 +97,90 @@ func TestCheckCountsInStats(t *testing.T) {
 	}
 	if st := c.Stats(); st.Updates != 1 {
 		t.Fatalf("stats updates = %d, want 1", st.Updates)
+	}
+}
+
+// storeState renders everything about a store a decision that admits
+// nothing must leave alone: relation names, schema version, and the data
+// version and contents of every relation.
+func storeState(db *store.Store) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "schema=%d\n", db.SchemaVersion())
+	for _, name := range db.Names() {
+		fmt.Fprintf(&sb, "%s v%d\n", name, db.DataVersion(name))
+	}
+	return sb.String() + sortedLines(db.Dump()) + "\n"
+}
+
+// A decision that admits nothing writes nothing: after a Check, and after
+// a rejected Apply, the store is what it was — names, schema version, data
+// versions — and the next decision compiles no residual anew.
+func TestDecisionThatAdmitsNothingWritesNothing(t *testing.T) {
+	for _, opts := range []Options{{}, {DisableResidual: true}, {DisableResidual: true, DisableIndexes: true}} {
+		c := newChecker(t, "dept(toy). emp(ann,toy). edge(1,2). edge(2,3).", opts)
+		for name, src := range map[string]string{
+			"ri":      "panic :- emp(E,D) & not dept(D).",
+			"ghostly": "panic :- ghost(X) & dept(X).",
+			"acyclic": "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+		} {
+			if err := c.AddConstraintSource(name, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tc := range []struct {
+			what   string
+			u      store.Update
+			apply  bool // a rejected Apply instead of a Check
+			admits bool
+		}{
+			{"relation the store lacks", store.Ins("ghost", relation.Strs("boo")), false, true},
+			{"relation the store lacks, rejected", store.Ins("ghost", relation.Strs("toy")), true, false},
+			{"relation no constraint mentions", store.Ins("nowhere", relation.Ints(1, 2, 3)), false, true},
+			{"duplicate insert", store.Ins("dept", relation.Strs("toy")), false, true},
+			{"absent delete", store.Del("emp", relation.Strs("nobody", "toy")), false, true},
+			{"delete from a relation the store lacks", store.Del("ghost", relation.Strs("boo")), false, true},
+			{"polarity-decided delete", store.Del("emp", relation.Strs("ann", "toy")), false, true},
+			{"admitted insert", store.Ins("emp", relation.Strs("bob", "toy")), false, true},
+			{"rejected insert", store.Ins("emp", relation.Strs("eve", "ghost")), false, false},
+			{"rejected insert, applied", store.Ins("emp", relation.Strs("eve", "ghost")), true, false},
+			{"rejected delete, applied", store.Del("dept", relation.Strs("toy")), true, false},
+			{"rejected global insert, applied", store.Ins("edge", relation.Ints(3, 1)), true, false},
+			{"admitted global insert", store.Ins("edge", relation.Ints(1, 3)), false, true},
+		} {
+			// Warm the pattern, so that what moves below is this decision's.
+			if _, err := c.Check(tc.u); err != nil {
+				t.Fatalf("%s: %v", tc.what, err)
+			}
+			before, compiled := storeState(c.DB()), c.Stats().ResidualCompiled
+			decide := c.Check
+			if tc.apply {
+				decide = c.Apply
+			}
+			rep, err := decide(tc.u)
+			if err != nil || rep.Applied != tc.admits {
+				t.Fatalf("%+v %s: applied=%v err=%v, want %v", opts, tc.what, rep.Applied, err, tc.admits)
+			}
+			if _, err := c.Check(tc.u); err != nil {
+				t.Fatal(err)
+			}
+			if after := storeState(c.DB()); after != before {
+				t.Errorf("%+v %s: the decision moved the store\n--- before ---\n%s--- after ---\n%s", opts, tc.what, before, after)
+			}
+			if got := c.Stats().ResidualCompiled; got != compiled {
+				t.Errorf("%+v %s: %d residual compilations after a decision that wrote nothing", opts, tc.what, got-compiled)
+			}
+		}
+		// An insert the stored relation cannot take is refused with the
+		// store's own error, and nothing is evaluated or created.
+		before, decisions := storeState(c.DB()), c.Stats().Decisions
+		_, want := c.DB().Clone().Insert("dept", relation.Strs("toy", "story"))
+		for _, decide := range []func(store.Update) (Report, error){c.Check, c.Apply} {
+			if _, err := decide(store.Ins("dept", relation.Strs("toy", "story"))); err == nil || err.Error() != want.Error() {
+				t.Errorf("arity conflict: err=%v, want %v", err, want)
+			}
+		}
+		if after := storeState(c.DB()); after != before || c.Stats().Decisions != decisions {
+			t.Errorf("a refused insert moved the store or was decided:\n%s\n%s", before, after)
+		}
 	}
 }

@@ -13,7 +13,8 @@
 //  4. Global — fall back to full evaluation over all relations.
 //
 // Each Apply reports, per constraint, which phase decided and with what
-// verdict; violating updates are rolled back.
+// verdict. Every phase decides on the store as it stands before the
+// update; an update is written once, after the verdict, if none violates.
 package core
 
 import (
@@ -58,9 +59,10 @@ const (
 	PhaseGlobal
 	// PhaseResidual: a compiled residual check (update-pattern partial
 	// evaluation, internal/residual) decided the constraint in place of
-	// the phase pipeline. Residuals run against the post-update store,
-	// like the global phase, but touch only the data the specialized
-	// disjuncts mention — often a single indexed probe.
+	// the phase pipeline. Residuals ask the global phase's question — is
+	// the constraint violated once the update is applied? — of the store
+	// before the update, and touch only the data the specialized disjuncts
+	// mention — often a single indexed probe.
 	PhaseResidual
 )
 
@@ -89,8 +91,8 @@ type Verdict int
 const (
 	// Holds: the constraint provably still holds.
 	Holds Verdict = iota
-	// Violated: the update would violate the constraint (it was rolled
-	// back).
+	// Violated: the update would violate the constraint (it was not
+	// applied).
 	Violated
 )
 
@@ -129,7 +131,7 @@ type Report struct {
 	Update    store.Update
 	Decisions []Decision
 	// Applied is false when some constraint was violated and the update
-	// was rolled back.
+	// was not applied.
 	Applied bool
 }
 
@@ -252,8 +254,8 @@ type Options struct {
 // discipline, and under it every concurrent schedule is equivalent to
 // some sequential one. The stats and trace counters are internally
 // synchronized; while an Apply is in flight other goroutines may freely
-// read the store (the read-only stages run before the mutation, the
-// global evaluations after).
+// read the store (every stage of a decision only reads it; the one write
+// follows the verdict, and a Check or a rejected Apply makes none).
 type Checker struct {
 	db          *store.Store
 	opts        Options
@@ -609,12 +611,15 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 }
 
 // Apply pushes one update through the staged pipeline. On any violation
-// the update is rolled back and the report's Applied is false.
+// the update is not applied and the report's Applied is false.
 func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true) }
 
-// decide is Apply (commit) and Check (!commit): the staged pipeline over
-// a trial application of u, which stays only when commit is set and no
-// constraint is violated.
+// decide is Apply (commit) and Check (!commit): verdict first, then at
+// most one write. Every phase answers "would the store violate the
+// constraint once u is applied" reading the store as it stands — the
+// evaluators adjust their reads of u's relation (residual.Decide,
+// eval.GoalHoldsAfter, eval.Fixpoint.Insert) — and u is written only
+// when commit is set and no constraint is violated.
 func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	rep := Report{Update: u, Applied: true}
 	c.statsMu.Lock()
@@ -633,6 +638,17 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 		probes0 = relation.IndexProbes()
 		c.emit(uStr, obs.Event{Kind: obs.KindUpdateBegin, Constraints: len(c.constraints)})
 	}
+	// fail ends a decision no verdict was reached for.
+	fail := func(err error) (Report, error) {
+		if tracing {
+			c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
+		}
+		return rep, err
+	}
+	// A tuple the stored relation cannot take is refused, not decided.
+	if err := c.db.Accepts(u.Relation, len(u.Tuple)); u.Insert && err != nil {
+		return fail(err)
+	}
 	n := len(c.constraints)
 	phases := make([]Phase, n)
 	decided := make([]bool, n)
@@ -642,9 +658,9 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	}
 	// Residual dispatch runs ahead of the phase pipeline: a cacheable
 	// (constraint, update pattern) pair resolves to a compiled residual
-	// check — evaluated after the mutation, like the global phase — and
-	// skips phases 1–3 entirely. Ineligible patterns fall through to
-	// stageOne unchanged.
+	// check — run in phase 4, beside the global evaluations — and skips
+	// phases 1–3 entirely. Ineligible patterns fall through to stageOne
+	// unchanged.
 	var resFor []*residual.Residual
 	var resHit []bool
 	if c.residuals != nil {
@@ -678,7 +694,6 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 		hit bool
 	}
 	needGlobal := make([]globalCheck, 0, n)
-	evaluates := false // some constraint needs an evaluation, not a residual check
 	c.statsMu.Lock()
 	c.stats.Decisions += n
 	c.statsMu.Unlock()
@@ -698,68 +713,24 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 			continue
 		}
 		needGlobal = append(needGlobal, globalCheck{k: k})
-		evaluates = true
 	}
-	// A kept fixpoint describes the store before the update, so it is
-	// checked, and rebuilt where it has to be, ahead of the write.
-	if evaluates && u.Insert {
-		runParallel(len(needGlobal), c.workers(), func(i int) {
-			if g := &needGlobal[i]; g.res == nil {
-				g.fix, g.hit = c.keptFixpoint(g.k, u.Relation)
-			}
-		})
-	}
-	// Apply the update (recording whether it actually changed the store,
-	// so an undo never corrupts pre-existing tuples).
-	var changed bool
-	if u.Insert {
-		ch, err := c.db.Insert(u.Relation, u.Tuple)
-		if err != nil {
-			if tracing {
-				c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
-			}
-			return rep, err
-		}
-		changed = ch
-	} else {
-		changed = c.db.Delete(u.Relation, u.Tuple)
-	}
-	// undo takes the trial application back exactly. The overlays this
-	// decision opened are discarded — those only: a decision on a relation
-	// the constraint does not mention runs concurrently under the
-	// scheduler's discipline and must not touch rows it did not derive.
-	// Every kept fixpoint is then told of the two writes — the trial and
-	// its inverse — so the fixpoints of constraints this update never
-	// reached (a polarity-decided delete still trial-deletes) stay valid.
-	undo := func() {
-		var writes uint64
-		if changed {
-			writes = 2
-			if u.Insert {
-				c.db.Delete(u.Relation, u.Tuple)
-			} else if _, err := c.db.Insert(u.Relation, u.Tuple); err != nil {
-				panic(fmt.Sprintf("core: rollback failed: %v", err))
-			}
-		}
+	// discard drops the overlays a committing decision holds on the
+	// fixpoints that decide it. A check holds none (Insert drops them):
+	// checks run concurrently, and none may touch rows it did not derive.
+	discard := func() {
 		for _, g := range needGlobal {
-			if g.fix != nil {
+			if g.fix != nil && commit {
 				g.fix.Close(false)
 			}
 		}
-		for _, k := range c.constraints {
-			if f := k.fix.Load(); f != nil {
-				f.Wrote(u.Relation, writes)
-			}
-		}
 	}
-	// Phase 4: evaluate the undecided constraints on the updated store —
-	// compiled residual checks, seeded rounds and full evaluations alike
-	// (all read the post-update state; an always-safe or always-violating
-	// residual is simply a check that returns without touching data). The
-	// evaluations only read the store, so they run concurrently; the
-	// verdicts are then processed in constraint order to keep reports,
-	// stats and the first-error semantics identical to the serial
-	// pipeline.
+	// Phase 4: decide the undecided constraints against the store with u
+	// pending — compiled residual checks, seeded rounds on a kept fixpoint
+	// (rebuilt here where it has to be) and full evaluations alike (an
+	// always-safe or always-violating residual is simply a check that
+	// returns without touching data). They only read the store, so they run
+	// concurrently; the verdicts are then processed in constraint order, so
+	// reports, stats and first-error semantics match the serial pipeline.
 	type evalOutcome struct {
 		bad bool
 		err error
@@ -767,20 +738,23 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	}
 	outcomes := make([]evalOutcome, len(needGlobal))
 	runParallel(len(needGlobal), c.workers(), func(i int) {
-		g := needGlobal[i]
+		g := &needGlobal[i]
 		var start time.Time
 		if tracing {
 			start = time.Now()
+		}
+		if g.res == nil && u.Insert {
+			g.fix, g.hit = c.keptFixpoint(g.k, u.Relation)
 		}
 		switch {
 		case g.res != nil:
 			outcomes[i].bad = g.res.Decide(c.db, u.Tuple)
 		case g.fix != nil:
-			if outcomes[i].bad, outcomes[i].err = g.fix.Insert(u.Relation, u.Tuple); outcomes[i].err != nil {
+			if outcomes[i].bad, outcomes[i].err = g.fix.Insert(u.Relation, u.Tuple, commit); outcomes[i].err != nil {
 				c.dropFixpoint(g.k)
 			}
 		default:
-			outcomes[i].bad, outcomes[i].err = eval.GoalHoldsWith(g.k.Prog, c.db, ast.PanicPred, c.evalOpts())
+			outcomes[i].bad, outcomes[i].err = eval.GoalHoldsAfter(g.k.Prog, c.db, ast.PanicPred, u, c.evalOpts())
 		}
 		if tracing {
 			outcomes[i].dur = time.Since(start)
@@ -789,11 +763,8 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	violated := false
 	for i, g := range needGlobal {
 		if err := outcomes[i].err; err != nil {
-			undo()
-			if tracing {
-				c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
-			}
-			return rep, err
+			discard()
+			return fail(err)
 		}
 		v := Holds
 		if outcomes[i].bad {
@@ -836,21 +807,28 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 			c.met.rejected.Inc()
 		}
 	}
-	if violated || !commit {
-		undo()
+	if !commit || violated {
+		discard()
 	} else {
-		// The insert stays: what it derived becomes part of the fixpoints
-		// that decided it. A fixpoint this update did not go through (its
-		// constraint was decided earlier in the pipeline, or u deletes) is
-		// told nothing and goes stale if it had read the relation.
-		var writes uint64
-		if changed {
-			writes = 1
+		// The one write. What an insert derived becomes part of the fixpoints
+		// that decided it, which account for the write. A fixpoint u did not go
+		// through (decided in an earlier phase, or u deletes) goes stale.
+		changed := false
+		if u.Insert {
+			var err error
+			if changed, err = c.db.Insert(u.Relation, u.Tuple); err != nil {
+				discard() // a concurrent insert created the relation with another arity
+				return fail(err)
+			}
+		} else {
+			c.db.Delete(u.Relation, u.Tuple)
 		}
 		for _, g := range needGlobal {
 			if g.fix != nil {
 				g.fix.Close(true)
-				g.fix.Wrote(u.Relation, writes)
+				if changed {
+					g.fix.Wrote(u.Relation)
+				}
 			}
 		}
 	}
@@ -874,14 +852,13 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 
 // keptFixpoint returns the fixpoint that can decide an insert into rel
 // for the constraint by delta evaluation — hit when the kept one still
-// stands, a miss when it had to be built from the current (pre-update)
-// store first. A kept fixpoint that
-// a write the checker did not account for has overtaken is dropped here:
-// validity is a version check per decision, never an assumption. It
-// returns nil when the decision must be evaluated from scratch: the
-// insert can take derived facts away (eval.Fixpoint.Seedable), or the
-// checker runs the scan or routed arm. A build error also yields nil —
-// the from-scratch evaluation then reports it where it always did.
+// stands, a miss when it had to be built from the store first. A kept
+// fixpoint that a write the checker did not account for has overtaken is
+// dropped here: validity is a version check per decision, never an
+// assumption. It returns nil when the decision must be evaluated from
+// scratch: the insert can take derived facts away (Fixpoint.Seedable), or
+// the checker runs the scan or routed arm. A build error also yields nil
+// — the from-scratch evaluation then reports it where it always did.
 func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, hit bool) {
 	f := k.fix.Load()
 	if f != nil && !f.Valid() {

@@ -81,9 +81,8 @@ func chainChecker(t testing.TB, n int, opts Options) *Checker {
 	return c
 }
 
-// The writes the checker makes and takes back itself — trial inserts,
-// and the trial delete of a polarity-decided delete check — must not
-// cost a rebuild; the writes it cannot account for must.
+// Checks write nothing — a polarity-decided delete check included — so
+// they cost no rebuild; the writes the checker cannot account for must.
 func TestKeptFixpointVersionRule(t *testing.T) {
 	c := chainChecker(t, 16, Options{Workers: 1})
 	check := func(u store.Update, admit bool) {
@@ -99,7 +98,7 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 	}
 	check(store.Ins("edge", relation.Ints(2, 9)), true) // builds both
 	check(store.Ins("edge", relation.Ints(9, 2)), false)
-	check(store.Del("edge", relation.Ints(4, 5)), true) // polarity; trial-deletes edge
+	check(store.Del("edge", relation.Ints(4, 5)), true) // polarity
 	check(store.Ins("edge", relation.Ints(3, 3)), false)
 	check(store.Ins("edge", relation.Ints(0, 1)), true)   // duplicate insert
 	check(store.Del("edge", relation.Ints(70, 71)), true) // absent delete
@@ -240,6 +239,68 @@ func TestKeptFixpointMixedPolarityFallsBack(t *testing.T) {
 	}
 }
 
+// The inserted tuple is not in the store while its insert is decided, so
+// a rule that reads the inserted relation twice must see it at the other
+// literal as well. hub pairs the new edge with a stored one, in either
+// order; back needs the new edge at both literals at once — edge(7,7) is
+// its own way back — which only the pending read of the non-delta literal
+// supplies. Decided on the kept fixpoints, checked against a fresh
+// evaluation of the updated store.
+func TestKeptFixpointSelfJoinInsert(t *testing.T) {
+	c := newChecker(t, "edge(1,5). banned(1). banned(7). banned(8).", Options{Workers: 1})
+	for name, src := range map[string]string{
+		"banned-hub":  "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X).",
+		"banned-back": "back(X) :- edge(X,Y) & edge(Y,X).\npanic :- back(X) & banned(X).",
+	} {
+		if err := c.AddConstraintSource(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected := 0
+	for _, u := range []store.Update{
+		store.Ins("edge", relation.Ints(2, 3)), // builds the fixpoints
+		store.Ins("edge", relation.Ints(1, 9)), // hub: new edge is the larger of the pair
+		store.Ins("edge", relation.Ints(1, 2)), // … the smaller
+		store.Ins("edge", relation.Ints(1, 5)), // duplicate: no pair with itself
+		store.Ins("edge", relation.Ints(7, 7)), // back: the new edge twice
+		store.Ins("edge", relation.Ints(3, 3)), // … on a node not banned
+		store.Ins("edge", relation.Ints(8, 2)), // first out-edge of a banned node
+		store.Ins("edge", relation.Ints(8, 4)), // second: a hub
+		store.Ins("edge", relation.Ints(2, 8)), // the way back to 8
+	} {
+		post := c.DB().Clone()
+		if err := u.Apply(post); err != nil {
+			t.Fatal(err)
+		}
+		bad := false
+		for _, k := range c.constraints {
+			v, err := eval.PanicHolds(k.Prog, post.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad = bad || v
+		}
+		if bad {
+			rejected++
+		}
+		for _, decide := range []func(store.Update) (Report, error){c.Check, c.Apply} {
+			rep, err := decide(u)
+			if err != nil || rep.Applied == bad {
+				t.Fatalf("%v: %+v err=%v, fresh evaluation says violated=%v", u, rep, err, bad)
+			}
+			for _, d := range rep.Decisions {
+				if d.Phase != PhaseGlobal {
+					t.Fatalf("%v: %s decided by %v, want global", u, d.Constraint, d.Phase)
+				}
+			}
+			checkKept(t, c)
+		}
+	}
+	if s := c.Stats(); rejected != 5 || s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
+		t.Fatalf("%d rejected, %+v; want 5, and every decision after the first on the two kept fixpoints", rejected, s)
+	}
+}
+
 // A warm forward-edge check must stay on the kept fixpoint: a path that
 // quietly fell back to rebuilding the chain's closure would allocate
 // thousands of times per check.
@@ -289,12 +350,13 @@ func TestKeptFixpointConcurrentAppliers(t *testing.T) {
 	var mu sync.Mutex
 	for i, u := range us {
 		i, u := i, u
-		// Every other edge op is a check, so trial writes interleave too.
-		op := c.Apply
+		// Every other edge op is a check — its footprint the reads alone, as
+		// serve submits it — so checks overlap each other between the applies.
+		op, fp := c.Apply, ix.Update(u)
 		if i%8 < 4 {
-			op = c.Check
+			op, fp.Writes = c.Check, nil
 		}
-		s.Submit(ix.Update(u), func(sched.Info) {
+		s.Submit(fp, func(sched.Info) {
 			rep, err := op(u)
 			if err != nil {
 				t.Error(err)
@@ -385,6 +447,47 @@ func TestKeptFixpointUnrelatedChecksLeaveOverlay(t *testing.T) {
 		if s := c.Stats(); s.FixpointRebuilds != 1 || s.FixpointDrops != 0 {
 			t.Fatalf("%+v, want the one build and no drop", s)
 		}
+	}
+}
+
+// Checks have no write in their footprint, so checks of inserts into one
+// relation overlap on the fixpoint that decides them (run under -race).
+// Each must see only what its own tuple derives: edge(30,40) and
+// edge(40,30) are admissible alone and close a cycle only together, and
+// a check that discards its rows must not take another's with them.
+func TestKeptFixpointConcurrentChecks(t *testing.T) {
+	const n = 16
+	c := chainChecker(t, n, Options{})
+	us := []store.Update{
+		store.Ins("edge", relation.Ints(30, 40)),
+		store.Ins("edge", relation.Ints(40, 30)),
+		store.Ins("edge", relation.Ints(n-1, 0)), // closes the chain
+		store.Ins("edge", relation.Ints(3, 9)),
+	}
+	want := []bool{true, true, false, true}
+	for i, u := range us { // builds the fixpoints; the sequential verdicts
+		if rep, err := c.Check(u); err != nil || rep.Applied != want[i] {
+			t.Fatalf("sequential check %v: applied=%v err=%v, want %v", u, rep.Applied, err, want[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (g + i) % len(us)
+				if rep, err := c.Check(us[k]); err != nil || rep.Applied != want[k] {
+					t.Errorf("concurrent check %v: applied=%v err=%v, want %v", us[k], rep.Applied, err, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkKept(t, c)
+	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
+		t.Fatalf("%+v, want the two builds and no drop", s)
 	}
 }
 

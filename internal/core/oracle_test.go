@@ -29,6 +29,11 @@ var oracleConstraints = []struct{ name, src string }{
 	// e reaches panic both positively and through "not linked".
 	{"mixed", "linked(X) :- e(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & e(Y,X) & g(Y)."},
 	{"flat", "panic :- e(X,X) & f(X)."},
+	// Flat, so residual-decided, with the updated relation occurring again
+	// in the residual: a self-join the new tuple can match twice, and a
+	// negated self-occurrence (e must stay symmetric on g).
+	{"selfjoin", "panic :- e(X,Y) & e(Y,Z) & f(Z)."},
+	{"symmetric", "panic :- e(X,Y) & g(X) & not e(Y,X)."},
 }
 
 var oracleArity = map[string]int{"e": 2, "f": 1, "g": 1, "h": 1}
@@ -72,7 +77,9 @@ func violates(t *testing.T, progs map[string]*ast.Program, db *store.Store) bool
 // fixpoints — and after every operation holds it to three references:
 // the verdict equals full evaluation of every constraint on a copy of
 // the store; the store equals the model's; and every fixpoint the checker
-// keeps and would trust equals a fresh evaluation.
+// keeps and would trust equals a fresh evaluation. A decision that admits
+// nothing — every Check, every rejected Apply — must also leave the store
+// as it found it, versions included (storeState).
 func TestCheckerAgainstOracles(t *testing.T) {
 	var total Stats
 	rejectedMidBatch, foreign := 0, 0
@@ -118,19 +125,26 @@ func TestCheckerAgainstOracles(t *testing.T) {
 			case op < 8:
 				u := randomUpdate(rng)
 				_, want := admits(model, u)
+				before := storeState(db)
 				rep, err := chk.Check(u)
 				if err != nil || rep.Applied != want {
 					t.Fatalf("%s: check %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
 				}
+				if after := storeState(db); after != before {
+					t.Fatalf("%s: check %v wrote the store\nbefore:\n%s\nafter:\n%s", what, u, before, after)
+				}
 			case op < 14:
 				u := randomUpdate(rng)
 				post, want := admits(model, u)
+				before := storeState(db)
 				rep, err := chk.Apply(u)
 				if err != nil || rep.Applied != want {
 					t.Fatalf("%s: apply %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
 				}
 				if want {
 					model = post
+				} else if after := storeState(db); after != before {
+					t.Fatalf("%s: rejected apply %v wrote the store\nbefore:\n%s\nafter:\n%s", what, u, before, after)
 				}
 			case op < 17:
 				us := make([]store.Update, 2+rng.Intn(3))
@@ -145,6 +159,16 @@ func TestCheckerAgainstOracles(t *testing.T) {
 						break
 					}
 					cur = post
+				}
+				if failedAt == 0 {
+					// The member the batch will fail on, decided alone first.
+					before := storeState(db)
+					if rep, err := chk.Apply(us[0]); err != nil || rep.Applied {
+						t.Fatalf("%s: batch member %v alone: %+v err=%v, references reject it", what, us[0], rep, err)
+					}
+					if after := storeState(db); after != before {
+						t.Fatalf("%s: rejected batch member %v wrote the store\nbefore:\n%s\nafter:\n%s", what, us[0], before, after)
+					}
 				}
 				br, err := chk.ApplyBatch(us)
 				if err != nil || br.FailedAt != failedAt || br.Applied != (failedAt < 0) {

@@ -97,7 +97,7 @@ type checkerMetrics struct {
 func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
 	return &checkerMetrics{
 		updates:      reg.Counter("cc_checker_updates_total", "updates pushed through the staged pipeline"),
-		rejected:     reg.Counter("cc_checker_rejected_total", "updates rolled back on a violation"),
+		rejected:     reg.Counter("cc_checker_rejected_total", "updates refused on a violation"),
 		decisions:    reg.CounterVec("cc_checker_decisions_total", "per-constraint decisions by deciding phase", "phase"),
 		applySeconds: reg.Histogram("cc_checker_apply_seconds", "wall clock per Apply", nil),
 		indexBuilds:  reg.Gauge("cc_index_builds", "process-wide hash-index builds (relation layer)"),

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -127,14 +128,38 @@ type evaluator struct {
 	// stopWhenNonEmpty, when set, aborts evaluation with errGoalDerived
 	// as soon as the named predicate derives a tuple (GoalHolds).
 	stopWhenNonEmpty string
+	// upd, if set, is pending: stored relations read as they will once it is applied.
+	upd store.Update
 	// fix, when set, makes this a delta-seeded run over a kept fixpoint
 	// (fixpoint.go): derived predicates are read from and written to its
 	// handle rows, rules run their delta-first plans, and the delta
 	// literal ranges over rows [dlo, dhi) of its predicate — or, for the
-	// inserted relation, over the seed tuple alone.
+	// inserted relation, over upd's tuple alone.
 	fix      *Fixpoint
-	seed     relation.Tuple
 	dlo, dhi int
+}
+
+// pending adjusts what the store or the router answered to a positive
+// read of the stored relation pred — the tuples, of an arity-ar atom,
+// whose projection onto cols equals vals — to what it will hold once
+// ev.upd is applied (an inserted tuple in, a deleted one out), in place.
+func (ev *evaluator) pending(ts []relation.Tuple, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
+	u := &ev.upd
+	if pred != u.Relation {
+		return ts
+	}
+	if !u.Insert {
+		return slices.DeleteFunc(ts, u.Tuple.Equal)
+	}
+	if len(u.Tuple) != ar {
+		return ts
+	}
+	for i, c := range cols {
+		if !u.Tuple[c].Equal(vals[i]) {
+			return ts
+		}
+	}
+	return append(ts, u.Tuple)
 }
 
 // release returns the evaluator's scratch to the pool. The substitution
@@ -556,15 +581,9 @@ func (ev *evaluator) fetch(lv *levelScratch, step *planStep, useDelta bool, delt
 	case kept != nil:
 		dst = kept.lookup(dst, &lv.vbuf, cols, vals)
 	case ev.fix != nil && useDelta:
-		// The inserted relation's delta is the seed tuple, if it agrees
+		// The inserted relation's delta is the inserted tuple, if it agrees
 		// with the literal's arity and constants.
-		ok := len(ev.seed) == len(lv.args)
-		for i := 0; ok && i < len(cols); i++ {
-			ok = ev.seed[cols[i]].Equal(vals[i])
-		}
-		if ok {
-			dst = append(dst, ev.seed)
-		}
+		dst = ev.pending(dst, pred, len(lv.args), cols, vals)
 	case useDelta && delta[pred] != nil:
 		d := delta[pred]
 		if len(cols) == 0 {
@@ -587,8 +606,8 @@ func (ev *evaluator) fetch(lv *levelScratch, step *planStep, useDelta bool, delt
 					return nil, err
 				}
 				if handled {
-					lv.tups = out
-					return out, nil
+					lv.tups = ev.pending(out, pred, len(lv.args), cols, vals)
+					return lv.tups, nil
 				}
 			}
 			if len(cols) == 0 {
@@ -596,6 +615,7 @@ func (ev *evaluator) fetch(lv *levelScratch, step *planStep, useDelta bool, delt
 			} else {
 				dst = ev.db.LookupColsAppend(dst, pred, cols, vals)
 			}
+			dst = ev.pending(dst, pred, len(lv.args), cols, vals)
 		}
 	}
 	lv.tups = dst
@@ -611,6 +631,9 @@ func (ev *evaluator) contains(pred string, t relation.Tuple) (bool, error) {
 	}
 	if rel, ok := ev.res.idb[pred]; ok {
 		return rel.Contains(t), nil
+	}
+	if pred == ev.upd.Relation && t.Equal(ev.upd.Tuple) {
+		return ev.upd.Insert, nil // the pending update decides its own tuple
 	}
 	if ev.opts.Probe != nil {
 		has, handled, err := ev.opts.Probe.Contains(pred, t)
@@ -642,6 +665,10 @@ func (ev *evaluator) scan(atom ast.Atom, useDelta bool, delta map[string]*relati
 		}
 		return filterByConstants(rel.Tuples(), atom), nil
 	}
+	// A stored relation: the pending update applies ahead of the filter.
+	stored := func(ts []relation.Tuple) ([]relation.Tuple, error) {
+		return filterByConstants(ev.pending(ts, atom.Pred, len(atom.Args), nil, nil), atom), nil
+	}
 	if ev.opts.Probe != nil {
 		// The unindexed path routes as a whole-relation read and filters
 		// locally — the -noindex arm measures probe strategy, not routing.
@@ -650,15 +677,15 @@ func (ev *evaluator) scan(atom ast.Atom, useDelta bool, delta map[string]*relati
 			return nil, err
 		}
 		if handled {
-			return filterByConstants(ts, atom), nil
+			return stored(ts)
 		}
 	}
 	for i, a := range atom.Args {
 		if a.IsConst() {
-			return filterByConstants(ev.db.Lookup(atom.Pred, i, a.Const), atom), nil
+			return stored(ev.db.Lookup(atom.Pred, i, a.Const))
 		}
 	}
-	return filterByConstants(ev.db.Tuples(atom.Pred), atom), nil
+	return stored(ev.db.Tuples(atom.Pred))
 }
 
 // filterByConstants drops tuples that disagree with the atom's constant

@@ -19,10 +19,10 @@ import (
 // was underivable before, only derivations that use the new tuple can
 // derive it.
 //
-// The holder accounts for the writes it makes itself (Wrote); any other
-// write to a relation the rows depend on shows as a version mismatch
-// (Valid), and the holder builds a new one. A Fixpoint is safe for
-// concurrent use, one call at a time per instance.
+// The holder accounts for the inserts it folds (Wrote); any other write
+// to a relation the rows depend on shows as a version mismatch (Valid),
+// and the holder builds a new one. A Fixpoint is safe for concurrent
+// use, one call at a time per instance (but see Insert on keep).
 type Fixpoint struct {
 	mu   sync.Mutex
 	comp *compiled
@@ -146,15 +146,20 @@ func (f *Fixpoint) Valid() bool {
 }
 
 // Insert reports whether the goal is derivable once t is in rel, for a
-// store that already holds t and otherwise matches the fixpoint. It runs
-// the strata in order, each seeded with the tuple and the facts lower
-// strata gained, and stops at the first goal fact. What it derives stays
-// in the rows as an overlay until Close folds or discards it.
-func (f *Fixpoint) Insert(rel string, t relation.Tuple) (bool, error) {
+// store that matches the fixpoint — t is not written; every read of rel
+// sees it beside the stored tuples. It runs the strata in order, each
+// seeded with the tuple and the facts lower strata gained, and stops at
+// the first goal fact. What it derives is an overlay on the rows: gone
+// when Insert returns, so decisions that only ask may overlap — or, with
+// keep, left for Close, and the holder lets no other Insert in till then.
+func (f *Fixpoint) Insert(rel string, t relation.Tuple, keep bool) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !keep {
+		defer f.settle(false)
+	}
 	ev := &evaluator{comp: f.comp, db: f.db, res: noIDB, scr: scratchPool.Get().(*scratch),
-		stopWhenNonEmpty: f.goal, fix: f, seed: t}
+		stopWhenNonEmpty: f.goal, fix: f, upd: store.Ins(rel, t)}
 	defer ev.release()
 	for i := range f.comp.strata {
 		err := ev.seededStratum(&f.comp.strata[i], rel)
@@ -223,14 +228,18 @@ func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 	}
 }
 
-// Close ends the decision Insert opened: what it derived becomes part of
-// the fixpoint (fold: the insert stays in the store) or is taken back
-// (the insert was undone). Only the caller of Insert may close it — a
-// concurrent decision on an unrelated relation must not, or it would wipe
-// rows an admitted insert is about to fold.
+// Close ends the decision a keeping Insert opened: what it derived
+// becomes part of the fixpoint (fold: the holder commits the insert) or
+// is dropped (it was rejected). Only the caller of that Insert may close
+// it, or rows an admitted insert is about to fold would be wiped.
 func (f *Fixpoint) Close(fold bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.settle(fold)
+}
+
+// settle folds or drops the open overlay, under f.mu.
+func (f *Fixpoint) settle(fold bool) {
 	for _, rs := range f.rels {
 		if fold {
 			rs.kept = rs.n
@@ -240,16 +249,15 @@ func (f *Fixpoint) Close(fold bool) {
 	}
 }
 
-// Wrote accounts for the holder's own writes to rel: the version rel is
-// accounted at advances by the writes the holder made to it — an insert
-// it folded, or a trial write and its exact undo. The rows are not
-// touched, and a fixpoint that does not depend on rel ignores the count.
-func (f *Fixpoint) Wrote(rel string, writes uint64) {
+// Wrote accounts for the one write to rel that put a folded insert into
+// the store: the version rel is accounted at advances by it. The rows are
+// not touched, and a fixpoint that does not depend on rel ignores it.
+func (f *Fixpoint) Wrote(rel string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i, name := range f.edb {
 		if name == rel {
-			f.vers[i] += writes
+			f.vers[i]++
 		}
 	}
 }

@@ -25,6 +25,13 @@ func GoalHolds(prog *ast.Program, db *store.Store, goal string) (bool, error) {
 // pruning, validation, stratification and join planning all live in the
 // compiled object, cached across calls when opts.Cache is set.
 func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options) (bool, error) {
+	return GoalHoldsAfter(prog, db, goal, store.Update{}, opts)
+}
+
+// GoalHoldsAfter is GoalHoldsWith for the database db will be once u is
+// applied, answered while reading db as it stands: db is not written, and
+// a probe router serves the state before u. The zero Update asks of db.
+func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, u store.Update, opts Options) (bool, error) {
 	c, err := compiledFor(prog, db, goal, opts)
 	if err != nil {
 		return false, err
@@ -34,6 +41,7 @@ func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options
 	}
 	ev, result := newEvaluator(c, db, opts)
 	defer ev.release()
+	ev.upd = u
 	for i := range c.strata {
 		if i != c.goalLevel {
 			if err := ev.evalStratum(&c.strata[i]); err != nil {

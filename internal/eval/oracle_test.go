@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -148,44 +149,48 @@ func substOf(env map[string]ast.Value) ast.Subst {
 	return s
 }
 
+// oraclePrograms is the pool of program shapes the evaluator's oracle
+// tests run over.
+var oraclePrograms = []string{
+	"p(X) :- e(X) & f(X).",
+	"p(X) :- e(X).\np(X) :- f(X).",
+	"p(X,Y) :- e(X,Y) & X < Y.",
+	"p(X) :- e(X) & not f(X).",
+	"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).",
+	"odd(Y) :- even(X) & succ(X,Y).\neven(Y) :- odd(X) & succ(X,Y).\neven(X) :- zero(X).",
+	"q(X) :- e(X) & not p(X).\np(X) :- f(X) & g(X).",
+	"p(X) :- edge(1,X) & edge(X,Y) & f(Y).",
+	"p(X) :- edge(X,X) & e(X).",
+	// The constraint shapes core's TestCheckerAgainstOracles streams
+	// updates through, with full evaluation as its reference: linear and
+	// non-linear recursion, helpers, negation on stored relations and
+	// lower strata, mixed polarity.
+	"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+	"t(X,Y) :- edge(X,Y) & X < Y.\nt(X,Y) :- t(X,Z) & t(Z,Y).\npanic :- t(X,Y) & f(X) & g(Y).",
+	"hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & g(X).",
+	"r(X,Y) :- edge(X,Y) & not g(X).\nr(X,Y) :- r(X,Z) & edge(Z,Y).\npanic :- r(X,Y) & f(Y) & not h(X).",
+	"a(X) :- edge(X,Y).\nm(X) :- g(X).\nb(X) :- a(X) & not m(X).\npanic :- b(X) & f(X) & h(X).",
+	"linked(X) :- edge(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & edge(Y,X) & g(Y).",
+	"panic :- edge(X,X) & f(X).",
+}
+
+var oracleArity = map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1}
+
 // TestEvalAgainstNaiveOracle cross-checks the semi-naive evaluator
 // against brute-force grounding on randomized tiny databases across a
 // spread of program shapes.
 func TestEvalAgainstNaiveOracle(t *testing.T) {
-	programs := []string{
-		"p(X) :- e(X) & f(X).",
-		"p(X) :- e(X).\np(X) :- f(X).",
-		"p(X,Y) :- e(X,Y) & X < Y.",
-		"p(X) :- e(X) & not f(X).",
-		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).",
-		"odd(Y) :- even(X) & succ(X,Y).\neven(Y) :- odd(X) & succ(X,Y).\neven(X) :- zero(X).",
-		"q(X) :- e(X) & not p(X).\np(X) :- f(X) & g(X).",
-		"p(X) :- edge(1,X) & edge(X,Y) & f(Y).",
-		"p(X) :- edge(X,X) & e(X).",
-		// The constraint shapes core's TestCheckerAgainstOracles streams
-		// updates through, with full evaluation as its reference: linear and
-		// non-linear recursion, helpers, negation on stored relations and
-		// lower strata, mixed polarity.
-		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
-		"t(X,Y) :- edge(X,Y) & X < Y.\nt(X,Y) :- t(X,Z) & t(Z,Y).\npanic :- t(X,Y) & f(X) & g(Y).",
-		"hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & g(X).",
-		"r(X,Y) :- edge(X,Y) & not g(X).\nr(X,Y) :- r(X,Z) & edge(Z,Y).\npanic :- r(X,Y) & f(Y) & not h(X).",
-		"a(X) :- edge(X,Y).\nm(X) :- g(X).\nb(X) :- a(X) & not m(X).\npanic :- b(X) & f(X) & h(X).",
-		"linked(X) :- edge(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & edge(Y,X) & g(Y).",
-		"panic :- edge(X,X) & f(X).",
-	}
-	arity := map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1}
 	rng := rand.New(rand.NewSource(4))
 	// One plan cache shared by every program and trial: compiled plans
 	// must never leak results across the (program, store) combinations the
 	// key distinguishes.
 	cache := NewPlanCache()
-	for pi, src := range programs {
+	for pi, src := range oraclePrograms {
 		prog := parser.MustParseProgram(src)
 		// Binary e for the comparison program.
 		local := map[string]int{}
 		for _, rel := range prog.EDBPreds() {
-			a := arity[rel]
+			a := oracleArity[rel]
 			if rel == "e" && pi == 2 {
 				a = 2
 			}
@@ -363,5 +368,116 @@ func TestResidualAgainstOracle(t *testing.T) {
 	// pattern space from memory.
 	if hits, _, compiled, _ := rcache.Stats(); hits == 0 || compiled == 0 {
 		t.Fatalf("residual cache unused: hits=%d compiled=%d", hits, compiled)
+	}
+}
+
+// preStateRouter is a ProbeRouter that claims every relation and serves
+// it from a store of its own — the shards' role: they hold the state
+// before the update being decided, whatever the evaluator's local store
+// holds.
+type preStateRouter struct {
+	db    *store.Store
+	reads int
+}
+
+func (r *preStateRouter) Probe(dst []relation.Tuple, rel string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error) {
+	r.reads++
+	if len(cols) == 0 {
+		return r.db.TuplesAppend(dst, rel), true, nil
+	}
+	return r.db.LookupColsAppend(dst, rel, cols, vals), true, nil
+}
+
+func (r *preStateRouter) Contains(rel string, t relation.Tuple) (bool, bool, error) {
+	r.reads++
+	return r.db.Contains(rel, t), true, nil
+}
+
+// TestGoalHoldsAfterAgainstClone holds the pending-update entry point to
+// its definition — clone the store, apply the update, evaluate — over the
+// oracle program pool, for inserts and deletes (duplicates, absent tuples
+// and relations the store lacks included), on the indexed, scan and
+// cached arms, and with a router that serves the pre-state while the
+// local store is empty: the update is applied above what the router
+// answers. The store asked about is never written.
+func TestGoalHoldsAfterAgainstClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	cache := NewPlanCache()
+	moved, routed := 0, 0
+	for pi, src := range oraclePrograms {
+		prog := parser.MustParseProgram(src)
+		goal := prog.Rules[len(prog.Rules)-1].Head.Pred
+		rels := prog.EDBPreds()
+		arity := func(rel string) int {
+			if rel == "e" && pi == 2 {
+				return 2 // binary e for the comparison program
+			}
+			return oracleArity[rel]
+		}
+		tuple := func(rel string) relation.Tuple {
+			tu := make(relation.Tuple, arity(rel))
+			for j := range tu {
+				tu[j] = ast.Int(int64(rng.Intn(3)))
+			}
+			return tu
+		}
+		for trial := 0; trial < 60; trial++ {
+			db := store.New()
+			for _, rel := range rels {
+				for i := rng.Intn(4); i > 0; i-- {
+					if _, err := db.Insert(rel, tuple(rel)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rel := rels[rng.Intn(len(rels))]
+			u := store.Ins(rel, tuple(rel))
+			if rng.Intn(3) == 0 {
+				u = store.Del(rel, tuple(rel))
+			}
+			post := db.Clone()
+			if err := u.Apply(post); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Eval(prog, post)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(res.Tuples(goal)) > 0
+			if before, err := GoalHolds(prog, db.Clone(), goal); err != nil {
+				t.Fatal(err)
+			} else if before != want {
+				moved++
+			}
+			state := func() string { return fmt.Sprint(db.SchemaVersion(), db.DataVersion(rel), "\n", db.Dump()) }
+			before := state()
+			router := &preStateRouter{db: db}
+			for _, arm := range []struct {
+				name  string
+				local *store.Store
+				opts  Options
+			}{
+				{"indexed", db, Options{}},
+				{"scan", db, Options{DisableIndexes: true}},
+				{"cached", db, Options{Cache: cache}},
+				{"routed", store.New(), Options{Probe: router}},
+				{"routed scan", store.New(), Options{Probe: router, DisableIndexes: true}},
+			} {
+				got, err := GoalHoldsAfter(prog, arm.local, goal, u, arm.opts)
+				if err != nil || got != want {
+					t.Fatalf("program %d trial %d (%s): %s after %v = %v err=%v, evaluation of the updated clone says %v\nprog:\n%s\ndb:\n%s",
+						pi, trial, arm.name, goal, u, got, err, want, prog, db)
+				}
+			}
+			routed += router.reads
+			if state() != before {
+				t.Fatalf("program %d trial %d: asking about %v wrote the store", pi, trial, u)
+			}
+		}
+	}
+	// The pool must have reached what the test is for: updates that change
+	// the answer, and evaluations the router served.
+	if moved < 50 || routed == 0 {
+		t.Fatalf("thin run: %d updates moved the goal, %d routed reads", moved, routed)
 	}
 }

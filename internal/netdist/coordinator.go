@@ -608,35 +608,41 @@ func (co *Coordinator) routeSpan(rel, mode string) *obs.Span {
 // needs remote data that cannot be fetched, it returns an error
 // matching ErrSiteUnavailable and the database is untouched; updates
 // decidable from local information commit regardless of site health.
-func (co *Coordinator) Apply(u store.Update) (core.Report, error) {
+func (co *Coordinator) Apply(u store.Update) (core.Report, error) { return co.decide(u, true) }
+
+// Check decides one update without committing anything: remote relations
+// its plan needs are refreshed, the checker decides (core.Checker.Check),
+// and mirror and sites are untouched whatever the verdict.
+func (co *Coordinator) Check(u store.Update) (core.Report, error) { return co.decide(u, false) }
+
+// decide is Apply (commit) and Check (!commit): plan, refresh what the
+// plan reads, let the checker decide — mirror and shards both hold the
+// state before u — and propagate u once committed to a remote relation.
+func (co *Coordinator) decide(u store.Update, commit bool) (core.Report, error) {
 	co.applyGen.Add(1)
 	co.statsMu.Lock()
 	co.stats.Updates++
 	co.statsMu.Unlock()
-
+	// unavailable refuses the update: a site it needed cannot be reached.
+	unavailable := func(err error) (core.Report, error) {
+		co.noteUnavailable(err)
+		return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
+	}
 	// Decide what the global phase would need before touching anything.
 	plan := co.Checker.Plan(u)
 	needed, err := co.refreshForUpdate(u, plan.Relations)
 	if err != nil {
-		co.noteUnavailable(err)
-		return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
+		return unavailable(err)
 	}
-	// While the checker holds the trial state for u, the router must not
-	// intercept reads of u's relation: the mirror is the authoritative
-	// post-update view (the scheduler keeps other updates off u's shards).
-	if co.router != nil {
-		co.router.addPending(u.Relation)
+	decide := co.Checker.Check
+	if commit {
+		decide = co.Checker.Apply
 	}
-	rep, err := co.Checker.Apply(u)
-	if co.router != nil {
-		co.router.removePending(u.Relation)
-	}
+	rep, err := decide(u)
 	if err != nil {
 		if errors.Is(err, ErrSiteUnavailable) {
-			// A routed evaluation probe failed; the checker rolled the
-			// trial state back, so the update is refused, not misjudged.
-			co.noteUnavailable(err)
-			return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
+			// A routed evaluation probe failed: refused, not misjudged.
+			return unavailable(err)
 		}
 		return rep, err
 	}
@@ -644,12 +650,11 @@ func (co *Coordinator) Apply(u store.Update) (core.Report, error) {
 	// shard leader; if the leader is unreachable the local application is
 	// undone — the sites never diverge from the mirror over a failure.
 	propagated := false
-	if _, remote := co.place[u.Relation]; remote && rep.Applied {
+	if _, remote := co.place[u.Relation]; remote && commit && rep.Applied {
 		propagated = true
 		if err := co.propagate(u); err != nil {
 			co.undoMirror(u)
-			co.noteUnavailable(err)
-			return core.Report{Update: u}, fmt.Errorf("update %s: propagate: %w", u, err)
+			return unavailable(fmt.Errorf("propagate: %w", err))
 		}
 	}
 	co.statsMu.Lock()
@@ -691,46 +696,6 @@ func (co *Coordinator) propagate(u store.Update) error {
 
 func (co *Coordinator) unpropagate(u store.Update) error {
 	return co.propagate(store.Update{Relation: u.Relation, Insert: !u.Insert, Tuple: u.Tuple})
-}
-
-// Check decides one update without committing anything: the remote
-// relations its plan needs are refreshed, then the checker decides and
-// exactly undoes its trial application (core.Checker.Check). Nothing is
-// propagated, so the sites are untouched whatever the verdict.
-func (co *Coordinator) Check(u store.Update) (core.Report, error) {
-	co.applyGen.Add(1)
-	co.statsMu.Lock()
-	co.stats.Updates++
-	co.statsMu.Unlock()
-	plan := co.Checker.Plan(u)
-	needed, err := co.refreshForUpdate(u, plan.Relations)
-	if err != nil {
-		co.noteUnavailable(err)
-		return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
-	}
-	if co.router != nil {
-		co.router.addPending(u.Relation)
-	}
-	rep, err := co.Checker.Check(u)
-	if co.router != nil {
-		co.router.removePending(u.Relation)
-	}
-	if err != nil {
-		if errors.Is(err, ErrSiteUnavailable) {
-			co.noteUnavailable(err)
-			return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
-		}
-		return rep, err
-	}
-	co.statsMu.Lock()
-	for _, d := range rep.Decisions {
-		co.stats.ByPhase[d.Phase]++
-	}
-	if needed == 0 {
-		co.stats.DecidedLocally++
-	}
-	co.statsMu.Unlock()
-	return rep, nil
 }
 
 // ServeBackend adapts a Coordinator to internal/serve's Backend surface

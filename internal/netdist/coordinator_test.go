@@ -197,6 +197,65 @@ func TestCoordinatorApplyBatchRollsBackAcrossSites(t *testing.T) {
 	}
 }
 
+// Apply and Check are one decide: a rejected check counts like a rejected
+// apply — on the coordinator and on its checker alike — and, being a
+// check, sends no apply frame and leaves the mirror as it was: contents,
+// relation names, and the data version of every relation the decision did
+// not have to refresh.
+func TestCoordinatorCheckCountsLikeApplyAndWritesNothing(t *testing.T) {
+	remote := store.New()
+	if _, err := remote.Insert("dept", relation.Strs("toy")); err != nil {
+		t.Fatal(err)
+	}
+	site := NewServer(remote, []string{"dept"})
+	lb := NewLoopback()
+	lb.AddSite("s1", site)
+	local := store.New()
+	if _, err := local.Insert("emp", relation.Strs("ann", "toy")); err != nil {
+		t.Fatal(err)
+	}
+	co, err := New(local, []SiteSpec{{Site: "s1", Relations: []string{"dept"}}}, lb,
+		Options{Checker: core.Options{LocalRelations: []string{"emp"}}, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Checker.AddConstraintSource("ri", "panic :- emp(E,D) & not dept(D)."); err != nil {
+		t.Fatal(err)
+	}
+	backend := ServeBackend{Co: co}
+	rejected := 0
+	for _, c := range []struct {
+		u     store.Update
+		admit bool
+	}{
+		{store.Ins("emp", relation.Strs("eve", "ghost")), false},
+		{store.Del("dept", relation.Strs("toy")), false}, // on the remote relation
+		{store.Ins("ghost", relation.Strs("boo")), true}, // on a relation nobody has
+		{store.Ins("dept", relation.Strs("shoe")), true},
+	} {
+		names, empVersion, contents := local.Names(), local.DataVersion("emp"), local.Dump()
+		rep, err := backend.Check(c.u)
+		if err != nil || rep.Applied != c.admit {
+			t.Fatalf("check %v: %+v err=%v, want applied=%v", c.u, rep, err, c.admit)
+		}
+		if !c.admit {
+			rejected++
+		}
+		if got, want := co.Stats().Rejected, co.Checker.Stats().Rejected; got != rejected || want != rejected {
+			t.Fatalf("after check %v: coordinator counts %d rejections, its checker %d, want %d", c.u, got, want, rejected)
+		}
+		if !reflect.DeepEqual(local.Names(), names) || local.DataVersion("emp") != empVersion || local.Dump() != contents {
+			t.Fatalf("check %v wrote the mirror:\n%s\nwas:\n%s", c.u, local.Dump(), contents)
+		}
+	}
+	if n := site.Stats().Requests[OpApply]; n != 0 {
+		t.Fatalf("checks sent %d apply frames", n)
+	}
+	if got := remote.Dump(); got != "dept(toy).\n" {
+		t.Fatalf("checks wrote the site:\n%s", got)
+	}
+}
+
 func TestCoordinatorRejectsConflictingSpecs(t *testing.T) {
 	lb := NewLoopback()
 	lb.AddSite("a", NewServer(store.New(), []string{"r"}))

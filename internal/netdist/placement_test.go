@@ -488,3 +488,112 @@ func TestReplaceRequiresReplicaRole(t *testing.T) {
 		t.Fatalf("replica refused OpReplace: %s", resp.Err)
 	}
 }
+
+// TestRoutedSelfRelationAgreement: constraints the residual compiler
+// refuses, over a relation that is both sharded and updated, are decided
+// by a global evaluation whose reads of that relation go to the shards —
+// which hold the state before the update — with the update applied above
+// what they answer: recursion through the new edge, the new edge at two
+// literals, and a delete that strands a node. Every Check and Apply must
+// agree with a plain checker over one store holding everything, the
+// merged shards must end up equal to it, and the probes must have been
+// routed.
+func TestRoutedSelfRelationAgreement(t *testing.T) {
+	constraints := map[string]string{
+		"acyclic":  "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+		"two-step": "hop(X,Z) :- edge(X,Y) & edge(Y,Z).\npanic :- hop(X,Z) & vip(X) & vip(Z).",
+		"stranded": "linked(X) :- edge(X,Y).\nlone(X) :- node(X) & not linked(X).\npanic :- lone(X) & vip(X).",
+	}
+	for _, workers := range []int{1, 4} {
+		const shards = 4
+		rp := RelPlacement{KeyCol: 0}
+		lb := NewLoopback()
+		leaders := map[string]*store.Store{}
+		for i := 0; i < shards; i++ {
+			site := fmt.Sprintf("s%d", i)
+			rp.Shards = append(rp.Shards, ShardSpec{Leader: site})
+			leaders[site] = store.New()
+			lb.AddSite(site, NewServer(leaders[site], []string{"edge"}))
+		}
+		place := Placement{"edge": rp}
+		whole, local := store.New(), store.New()
+		for rel, tuples := range map[string][]relation.Tuple{
+			"edge": {relation.Ints(0, 1), relation.Ints(1, 2), relation.Ints(5, 6)},
+			"node": {relation.Ints(0), relation.Ints(1), relation.Ints(5)},
+			"vip":  {relation.Ints(2), relation.Ints(5)},
+		} {
+			for _, tp := range tuples {
+				into := local
+				if rel == "edge" {
+					into = leaders[rp.Shards[place.ShardOf(rel, tp[0])].Leader]
+				}
+				for _, db := range []*store.Store{whole, into} {
+					if _, err := db.Insert(rel, tp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		co, err := NewPlaced(local, place, lb, Options{
+			Checker: core.Options{LocalRelations: []string{"node", "vip"}}, Timeout: time.Second, Backoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := core.New(whole, core.Options{})
+		for name, src := range constraints {
+			for _, chk := range []*core.Checker{co.Checker, ref} {
+				if err := chk.AddConstraintSource(name, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(16))
+		stream := make([]store.Update, 150)
+		for i := range stream {
+			tp := relation.Ints(int64(rng.Intn(7)), int64(rng.Intn(7)))
+			switch op := rng.Intn(10); {
+			case op < 6:
+				stream[i] = store.Ins("edge", tp)
+			case op < 9:
+				stream[i] = store.Del("edge", tp)
+			default:
+				stream[i] = store.Ins("node", tp[:1])
+			}
+		}
+		want := make([]bool, len(stream))
+		for i, u := range stream {
+			chk, err := ref.Check(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ref.Apply(u)
+			if err != nil || rep.Applied != chk.Applied {
+				t.Fatalf("reference: %v checked %v, applied %v (%v)", u, chk.Applied, rep.Applied, err)
+			}
+			want[i] = rep.Applied
+			if workers == 1 {
+				// The coordinator's own check, then its apply, one at a time.
+				for _, decide := range []func(store.Update) (core.Report, error){co.Check, co.Apply} {
+					got, err := decide(u)
+					if err != nil || got.Applied != want[i] {
+						t.Fatalf("update %d (%v): coordinator says applied=%v err=%v, one-store checker %v", i, u, got.Applied, err, want[i])
+					}
+				}
+			}
+		}
+		if workers > 1 {
+			for i, r := range co.ApplyStream(stream, workers) {
+				if r.Err != nil || r.Report.Applied != want[i] {
+					t.Fatalf("workers %d update %d (%v): applied=%v err=%v, one-store checker %v", workers, i, stream[i], r.Report.Applied, r.Err, want[i])
+				}
+			}
+		}
+		if got, ref := dumpGlobal(co, leaders), dumpStore(whole); got != ref {
+			t.Fatalf("workers %d: shards and coordinator hold\n%s\nthe one store\n%s", workers, got, ref)
+		}
+		if st := co.Stats(); st.ShardRouted == 0 || st.Rejected == 0 {
+			t.Fatalf("workers %d: thin run: %+v", workers, st)
+		}
+	}
+}

@@ -16,49 +16,29 @@ import (
 // generation — one update's evaluation may probe the same key group many
 // times across join positions, but pays the wire at most once.
 //
-// Relations with an update in flight (addPending) are not intercepted:
-// the coordinator's mirror already holds the post-update trial state for
-// them, and falling through to the store keeps trial visibility exact —
-// the conflict-aware scheduler guarantees no other in-flight update
-// reads the shards a pending write touches.
+// The shards, like the mirror, hold the state before the update being
+// decided (it is propagated once admitted), so its relation is routed
+// like any other and the evaluator applies it to what the router answers.
 type shardRouter struct {
 	co *Coordinator
 
-	mu      sync.Mutex
-	gen     uint64
-	full    map[string][]relation.Tuple // rel -> scatter-gathered contents
-	keys    map[string][]relation.Tuple // rel + "\x00" + key -> key group
-	pending map[string]int              // rel -> in-flight updates
+	mu   sync.Mutex
+	gen  uint64
+	full map[string][]relation.Tuple // rel -> scatter-gathered contents
+	keys map[string][]relation.Tuple // rel + "\x00" + key -> key group
 }
 
 func newShardRouter(co *Coordinator) *shardRouter {
 	return &shardRouter{
-		co:      co,
-		full:    map[string][]relation.Tuple{},
-		keys:    map[string][]relation.Tuple{},
-		pending: map[string]int{},
+		co:   co,
+		full: map[string][]relation.Tuple{},
+		keys: map[string][]relation.Tuple{},
 	}
 }
 
-// addPending marks an update on rel in flight; probes on rel fall
-// through to the mirror until the matching removePending.
-func (r *shardRouter) addPending(rel string) {
-	r.mu.Lock()
-	r.pending[rel]++
-	r.mu.Unlock()
-}
-
-func (r *shardRouter) removePending(rel string) {
-	r.mu.Lock()
-	if r.pending[rel]--; r.pending[rel] <= 0 {
-		delete(r.pending, rel)
-	}
-	r.mu.Unlock()
-}
-
-// claims reports whether the router intercepts reads of rel right now,
-// resetting the cache when the coordinator has applied anything since
-// the last probe.
+// claims reports whether the router intercepts reads of rel — it is
+// sharded — resetting the cache when the coordinator has decided
+// anything since the last probe.
 func (r *shardRouter) claims(rel string) bool {
 	pl, ok := r.co.place[rel]
 	if !ok || !pl.Sharded() {
@@ -71,7 +51,7 @@ func (r *shardRouter) claims(rel string) bool {
 		clear(r.full)
 		clear(r.keys)
 	}
-	return r.pending[rel] == 0
+	return true
 }
 
 // Probe implements eval.ProbeRouter.

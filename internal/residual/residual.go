@@ -7,20 +7,24 @@
 // [1982] as systematized by Lloyd/Topor and Martinenghi, specialized to
 // this repository's flat constraints (every rule head is the 0-ary goal
 // panic, every body atom a stored relation). Under the standing
-// invariant that all constraints hold before each update, a post-update
-// panic derivation must use the update somewhere:
+// invariant that all constraints hold before each update, a panic
+// derivation in the updated database must use the update somewhere:
 //
 //   - inserting t into R can create new derivations only through the
 //     positive occurrences of R: for each occurrence, unify its argument
 //     vector with t (σ = mgu) and the residual disjunct is σ(body minus
-//     that occurrence), evaluated on the post-update database;
+//     that occurrence);
 //   - deleting t from R can create new derivations only through the
 //     negated occurrences of R (a literal not R(…) can only become true
 //     by the deletion): σ as above, and the newly-true literal is
 //     dropped from σ(body).
 //
 // The union of disjuncts over all rules × harmful occurrences is exact:
-// panic is derivable after the update iff some disjunct is derivable.
+// panic is derivable after the update iff some disjunct is derivable in
+// the updated database. The test reads the database before the update:
+// only a disjunct literal over R itself — t matching a second literal —
+// reads differently there, and the VM adjusts it (under an insert t is
+// among R's tuples and not R(t) is false; under a delete the opposite).
 // Occurrences whose constants clash with the tuple contribute nothing
 // and fold away at compile time; comparisons ground under σ constant-
 // fold; disjuncts whose comparison sets are unsatisfiable (internal/
@@ -69,7 +73,7 @@ const (
 	// holds (given that the constraint held before).
 	AlwaysViolating
 	// ResidualGoal: a non-trivial residual remains and must be evaluated
-	// against the post-update database.
+	// against the database (Decide).
 	ResidualGoal
 )
 
@@ -200,6 +204,9 @@ type slit struct {
 type Residual struct {
 	outcome Outcome
 	noIndex bool
+	// insert is the compiled update's polarity: how run adjusts its reads
+	// of the updated relation.
+	insert bool
 	// disjuncts in rule/occurrence order; empty unless ResidualGoal.
 	disjuncts []*disjunct
 	maxRegs   int
@@ -217,7 +224,7 @@ func (r *Residual) Disjuncts() int { return len(r.disjuncts) }
 // reused for any tuple agreeing with t on the pinned positions. The
 // database contributes only its shape (relation arities), never tuples.
 func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Shape, db *store.Store, opts Options) *Residual {
-	res := &Residual{noIndex: opts.DisableIndexes}
+	res := &Residual{noIndex: opts.DisableIndexes, insert: insert}
 	for _, rule := range prog.Rules {
 		for oi, l := range rule.Body {
 			if !harmful(l, rel, insert) || len(l.Atom.Args) != len(t) {
@@ -227,7 +234,7 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 			if !ok {
 				continue // constant clash or unsatisfiable comparisons
 			}
-			d := plan(body, db, opts)
+			d := plan(body, rel, db, opts)
 			if d == nil {
 				continue // a dead atom made the disjunct underivable
 			}
@@ -356,8 +363,9 @@ func symTerm(s sterm) ast.Term {
 // Program renders the residual as a plain constraint program for the
 // concrete tuple t — parameters substituted, registers as fresh R$n
 // variables — suitable for cross-checking against the full evaluator or
-// shipping to a subquery server. An AlwaysViolating residual renders as
-// the fact panic; AlwaysSafe as a program with no panic rule.
+// shipping to a subquery server. It is a program for the updated
+// database: it carries no read adjustment. An AlwaysViolating residual
+// renders as the fact panic; AlwaysSafe as a program with no panic rule.
 func (r *Residual) Program(t relation.Tuple) *ast.Program {
 	prog := ast.NewProgram()
 	if r.outcome == AlwaysViolating {

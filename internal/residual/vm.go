@@ -45,9 +45,11 @@ const (
 // (empty under DisableIndexes — candidates then arrive by scan and every
 // bound column moves to checkCols), bindCols load fresh registers, and
 // repCols verify registers first bound at an earlier column of this same
-// atom.
+// atom. self marks an atom over the updated relation itself: the one kind
+// of step whose read of the database is adjusted by the update (run).
 type step struct {
 	kind stepKind
+	self bool
 	// stepComp
 	op   ast.CompOp
 	l, r arg
@@ -78,7 +80,7 @@ type disjunct struct {
 // positive atom over an existing relation of disagreeing arity makes the
 // disjunct underivable; negated atoms in that situation are vacuously
 // true and are dropped instead.
-func plan(body []slit, db *store.Store, opts Options) *disjunct {
+func plan(body []slit, rel string, db *store.Store, opts Options) *disjunct {
 	d := &disjunct{}
 	regOf := map[string]int{}
 	bound := map[string]bool{}
@@ -115,7 +117,7 @@ func plan(body []slit, db *store.Store, opts Options) *disjunct {
 			d.steps = append(d.steps, step{kind: stepComp, op: l.op, l: mkArg(l.l), r: mkArg(l.r)})
 			return true
 		}
-		st := step{kind: stepNeg, pred: l.pred}
+		st := step{kind: stepNeg, pred: l.pred, self: l.pred == rel}
 		if !l.neg {
 			st.kind = stepPos
 		}
@@ -131,12 +133,16 @@ func plan(body []slit, db *store.Store, opts Options) *disjunct {
 			st.args = append(st.args, mkArg(a))
 			switch {
 			case a.kind != stVar || bound[a.name]:
-				if l.neg || opts.DisableIndexes {
-					st.checkCols = append(st.checkCols, i)
-					st.checkArgs = append(st.checkArgs, st.args[i])
-				} else {
+				probed := !l.neg && !opts.DisableIndexes
+				if probed {
 					st.probeCols = append(st.probeCols, i)
 					st.probeArgs = append(st.probeArgs, st.args[i])
+				}
+				if !probed || st.self {
+					// A self step checks its probed columns as well: the
+					// pending tuple joins the candidates unprobed.
+					st.checkCols = append(st.checkCols, i)
+					st.checkArgs = append(st.checkArgs, st.args[i])
 				}
 			default:
 				if r, seen := inAtom[a.name]; seen {
@@ -237,11 +243,12 @@ func (sc *scratch) level(i int) *levelScratch {
 	return &sc.levels[i]
 }
 
-// Decide evaluates the residual for the concrete update tuple t against
-// the (post-update) database and reports whether panic is derivable —
-// i.e. whether the update violates the constraint. It is safe for
-// concurrent use; t must agree with the compiled pattern on the pinned
-// positions (the cache guarantees this).
+// Decide reports whether panic is derivable once the compiled update of
+// tuple t is applied to db — whether the update violates the constraint —
+// reading db as it stands before the update (one that holds it already
+// answers the same) and never writing it. It is safe for concurrent use;
+// t must agree with the compiled pattern on the pinned positions (the
+// cache guarantees this).
 func (r *Residual) Decide(db *store.Store, t relation.Tuple) bool {
 	switch r.outcome {
 	case AlwaysSafe:
@@ -277,6 +284,8 @@ func value(a arg, t relation.Tuple, regs []ast.Value) ast.Value {
 }
 
 // run executes the plan from step si; true means the disjunct derived.
+// Reads of the updated relation (step.self) are adjusted to what it will
+// hold; all others are the store's.
 func (r *Residual) run(d *disjunct, si int, db *store.Store, t relation.Tuple, sc *scratch) bool {
 	if si == len(d.steps) {
 		return true
@@ -293,7 +302,11 @@ func (r *Residual) run(d *disjunct, si int, db *store.Store, t relation.Tuple, s
 			vals = append(vals, value(a, t, sc.regs))
 		}
 		lv.vals = vals
-		return !db.Probe(st.pred, relation.Tuple(vals)) && r.run(d, si+1, db, t, sc)
+		has := db.Probe(st.pred, relation.Tuple(vals))
+		if st.self && t.Equal(relation.Tuple(vals)) {
+			has = r.insert
+		}
+		return !has && r.run(d, si+1, db, t, sc)
 	}
 	lv := sc.level(si)
 	var cands []relation.Tuple
@@ -307,10 +320,15 @@ func (r *Residual) run(d *disjunct, si int, db *store.Store, t relation.Tuple, s
 	} else {
 		cands = db.TuplesAppend(lv.tups[:0], st.pred)
 	}
+	// t joins under an insert (the step's checks filter it), leaves under a delete.
+	if st.self && r.insert {
+		cands = append(cands, t)
+	}
+	deleted := st.self && !r.insert
 	lv.tups = cands
 	for _, tu := range cands {
-		if len(tu) != len(st.args) {
-			continue // relation unseen at compile time with another arity
+		if len(tu) != len(st.args) || (deleted && t.Equal(tu)) {
+			continue // another arity (relation unseen at compile time), or the tuple going
 		}
 		ok := true
 		for j, ci := range st.checkCols {

@@ -245,6 +245,42 @@ func TestIndexUpdateFootprint(t *testing.T) {
 	}
 }
 
+// TestCheckFootprintIsItsReads is the conflict table of a check: the
+// update's footprint without its write (what serve.footprintFor submits),
+// because a decision that commits nothing writes nothing. Checks never
+// wait for each other; a check and an apply of one tuple are ordered only
+// where the apply writes into what the check reads.
+func TestCheckFootprintIsItsReads(t *testing.T) {
+	ix := index(nil, refSrc, `panic :- e(X, Y) & e(Y, Z) & f(Z).`)
+	apply := ix.Update
+	check := func(u store.Update) Footprint {
+		f := ix.Update(u)
+		f.Writes = nil
+		return f
+	}
+	emp := store.Ins("emp", relation.TupleOf(ast.Str("ann"), ast.Int(7)))
+	loop := store.Ins("e", relation.Ints(1, 1))
+	for _, c := range []struct {
+		name string
+		a, b Footprint
+		want CauseKind
+	}{
+		{"check vs check of the same tuple", check(emp), check(emp), CauseNone},
+		{"check vs apply of the same tuple", check(emp), apply(emp), CauseNone},
+		{"check vs apply of the same tuple, which a read of the check covers", check(loop), apply(loop), CauseKeyedRead},
+		{"check vs check of that tuple", check(loop), check(loop), CauseNone},
+		{"check vs a write into its key group", check(emp), apply(store.Del("dept", relation.Ints(7))), CauseKeyedRead},
+		{"check vs a write into another key group", check(emp), apply(store.Del("dept", relation.Ints(8))), CauseNone},
+		{"apply vs apply of the same tuple", apply(emp), apply(emp), CauseSameTuple},
+	} {
+		for _, pair := range [][2]Footprint{{c.a, c.b}, {c.b, c.a}} {
+			if got := pair[0].Conflict(pair[1]).Kind; got != c.want {
+				t.Errorf("%s: Conflict(%v, %v) = %v, want %v", c.name, pair[0], pair[1], got, c.want)
+			}
+		}
+	}
+}
+
 // TestIndexKeyedSpecs pins the substitution the keyed claims come from —
 // the one residual.Compile applies — case by case.
 func TestIndexKeyedSpecs(t *testing.T) {

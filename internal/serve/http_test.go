@@ -97,6 +97,68 @@ func TestHTTPCheckApplyEndpoints(t *testing.T) {
 	}
 }
 
+// A client may check an update into a relation the store has never seen.
+// The answer is 200 with a verdict, and it is only an answer: no relation
+// appears, the schema version stands, and so the next decisions compile
+// nothing anew — /v1/check is not a lever on the residual cache.
+func TestHTTPCheckOfUnknownRelationWritesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	chk := newTestChecker(t, reg)
+	s := New(chk, Config{Metrics: reg})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler("test-ccserved-ghost", nil, nil))
+	defer ts.Close()
+	compiled := func() string {
+		t.Helper()
+		r, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		expo, _ := io.ReadAll(r.Body)
+		for _, line := range strings.Split(string(expo), "\n") {
+			if strings.HasPrefix(line, "cc_residual_compiled ") {
+				return line
+			}
+		}
+		t.Fatalf("/metrics has no cc_residual_compiled:\n%s", expo)
+		return ""
+	}
+	check := func(rel string, v int) {
+		t.Helper()
+		body := `{"update":{"op":"insert","relation":"` + rel + `","tuple":[` + strconv.Itoa(v) + `]}}`
+		resp, out := postJSON(t, ts, "/v1/check", body, nil)
+		var d Decision
+		if err := json.Unmarshal(out, &d); err != nil || resp.StatusCode != http.StatusOK || !d.OK() || d.Applied {
+			t.Fatalf("check of %s(%d): status %d, %s (%v); want 200 ok/not-applied", rel, v, resp.StatusCode, out, err)
+		}
+	}
+	// r is named by the constraint and ghost by nothing; the store has
+	// neither. One check of each warms its pattern.
+	check("ghost", 1)
+	check("r", 100)
+	names, schema, before := chk.DB().Names(), chk.DB().SchemaVersion(), compiled()
+	for v := 2; v < 6; v++ {
+		check("ghost", v)
+		check("r", 100+v)
+	}
+	if got := chk.DB().Names(); len(got) != len(names) || chk.DB().SchemaVersion() != schema {
+		t.Fatalf("checks moved the store: relations %v (were %v), schema %d (was %d)", got, names, chk.DB().SchemaVersion(), schema)
+	}
+	if after := compiled(); after != before {
+		t.Fatalf("checks of unknown relations caused compilations: %q, was %q", after, before)
+	}
+	r, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var stats StatsPayload
+	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil || stats.Updates != 10 || stats.Rejected != 0 {
+		t.Fatalf("stats payload = %+v (%v), want the 10 checks counted", stats, err)
+	}
+}
+
 func TestHTTPBatchAndStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	chk := newTestChecker(t, reg)

@@ -38,14 +38,17 @@ func (s *Server) dispatcher() {
 	s.sched.Close()
 }
 
-// footprintFor derives the scheduler footprint of one task. Check
-// includes the tuple write even though it undoes it: the transient
-// mutation must not interleave with a reader of the relation. Stats is
-// a barrier so the snapshot reflects a quiescent backend, exactly like
+// footprintFor derives the scheduler footprint of one task. A check
+// writes nothing, so its footprint is the update's reads: it waits for,
+// and holds back, only writes into what it reads — not other checks, nor
+// a write of its own tuple, which its verdict does not depend on. Stats
+// is a barrier so the snapshot reflects a quiescent backend, exactly like
 // the sequential arm's queue position did.
 func (s *Server) footprintFor(t *task) sched.Footprint {
 	switch t.op {
-	case opCheck, opApply:
+	case opCheck:
+		return sched.Footprint{Reads: s.fpb.Footprints().Update(t.u).Reads}
+	case opApply:
 		return s.fpb.Footprints().Update(t.u)
 	case opBatch: // atomic: one all-or-nothing task
 		return s.fpb.Footprints().Batch(t.us)

@@ -615,3 +615,152 @@ func TestSchedWaitSpanSaysWhy(t *testing.T) {
 	}
 	t.Fatalf("stalled request has no sched.wait span: %+v", tr.Spans)
 }
+
+// TestPipelineChecksAreReads: a check writes nothing, so the scheduler
+// holds it back for nothing but a write into what it reads. Many checks
+// of one admitted and one rejected tuple, interleaved with applies to a
+// relation no constraint mentions and to other tuples of the checked
+// relation, are all admitted to the scheduler before any of them runs
+// (the gate): none may stall — not behind another check of its tuple —
+// the verdicts are the sequential arm's, and the checked relation's data
+// version moves by the applies alone.
+func TestPipelineChecksAreReads(t *testing.T) {
+	const rounds, perRound = 40, 4
+	admitted, rejected := store.Ins("emp", relation.Ints(1, 7)), store.Ins("emp", relation.Ints(2, 99))
+	var want []bool
+	for _, workers := range []int{1, 4, 8} {
+		db := store.New()
+		for rel, tup := range map[string]relation.Tuple{"dept": relation.Ints(7), "emp": relation.Ints(0, 7)} {
+			if _, err := db.Insert(rel, tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chk := core.New(db, core.Options{})
+		if err := chk.AddConstraintSource("ref", refSrc); err != nil {
+			t.Fatal(err)
+		}
+		version := db.DataVersion("emp")
+		gate := make(chan struct{})
+		s := New(chk, Config{ApplyWorkers: workers, QueueDepth: rounds * perRound, workerGate: gate})
+		var tasks []*task
+		for i := int64(0); i < rounds; i++ {
+			for _, tk := range []*task{
+				{op: opCheck, u: admitted},
+				{op: opCheck, u: rejected},
+				{op: opApply, u: store.Ins("log", relation.Ints(i))},
+				{op: opApply, u: store.Ins("emp", relation.Ints(100+i, 7))},
+			} {
+				tk.client, tk.reply, tk.enqueued = "reads", make(chan taskResult, 1), time.Now()
+				if err := s.enqueue(tk); err != nil {
+					t.Fatal(err)
+				}
+				tasks = append(tasks, tk)
+			}
+		}
+		for workers > 1 && s.Stats().SchedTasks < int64(len(tasks)) {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+		got := make([]bool, len(tasks))
+		for i, tk := range tasks {
+			res := <-tk.reply
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			got[i] = res.rep.Applied
+		}
+		stalls := s.Stats().SchedConflictStalls
+		s.Close()
+		if workers == 1 {
+			want = got
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d: task %d (%v) answered applied=%v, sequential arm %v", workers, i, tasks[i].u, got[i], want[i])
+			}
+		}
+		if stalls != 0 {
+			t.Errorf("workers %d: %d tasks stalled; checks and the applies beside them conflict with nothing", workers, stalls)
+		}
+		if moved := db.DataVersion("emp") - version; moved != rounds {
+			t.Errorf("workers %d: emp's data version moved by %d over %d applied inserts and %d checks", workers, moved, rounds, 2*rounds)
+		}
+		if db.Contains("emp", admitted.Tuple) || db.Contains("emp", rejected.Tuple) {
+			t.Errorf("workers %d: a checked tuple is in the store", workers)
+		}
+	}
+}
+
+// TestPipelineRecursiveChecksOverlap: checks of inserts into one relation
+// conflict with nothing, so under the scheduler they overlap on the kept
+// fixpoint that decides a recursive constraint. Each must see only what
+// its own tuple derives — edge(30,40) and edge(40,30) are admissible
+// alone and close a cycle only together — while the edge applies between
+// them, which the checks' whole reads of edge do order, extend the chain
+// the closing check is rejected on. Verdicts are the sequential arm's.
+func TestPipelineRecursiveChecksOverlap(t *testing.T) {
+	const n, rounds = 16, 60
+	var want []bool
+	for _, workers := range []int{1, 4, 8} {
+		db := store.New()
+		for i := int64(0); i < n-1; i++ {
+			if _, err := db.Insert("edge", relation.Ints(i, i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chk := core.New(db, core.Options{})
+		if err := chk.AddConstraintSource("acyclic",
+			"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X)."); err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		s := New(chk, Config{ApplyWorkers: workers, QueueDepth: rounds * 8, workerGate: gate})
+		var tasks []*task
+		for i := int64(0); i < rounds; i++ {
+			round := []*task{
+				{op: opCheck, u: store.Ins("edge", relation.Ints(30, 40))},
+				{op: opCheck, u: store.Ins("edge", relation.Ints(40, 30))},
+				{op: opCheck, u: store.Ins("edge", relation.Ints(n-1, 0))},
+				{op: opCheck, u: store.Ins("edge", relation.Ints(3, 9))},
+				{op: opCheck, u: store.Ins("edge", relation.Ints(40, 30))},
+				{op: opCheck, u: store.Ins("edge", relation.Ints(30, 40))},
+				{op: opApply, u: store.Ins("log", relation.Ints(i))},
+			}
+			if i%10 == 9 { // one more link, and the edge that would close it
+				round = append(round, &task{op: opApply, u: store.Ins("edge", relation.Ints(n-1+i/10, n+i/10))},
+					&task{op: opCheck, u: store.Ins("edge", relation.Ints(n+i/10, 0))})
+			}
+			for _, tk := range round {
+				tk.client, tk.reply, tk.enqueued = "overlap", make(chan taskResult, 1), time.Now()
+				if err := s.enqueue(tk); err != nil {
+					t.Fatal(err)
+				}
+				tasks = append(tasks, tk)
+			}
+		}
+		for workers > 1 && s.Stats().SchedTasks < int64(len(tasks)) {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+		got := make([]bool, len(tasks))
+		for i, tk := range tasks {
+			res := <-tk.reply
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			got[i] = res.rep.Applied
+		}
+		s.Close()
+		if workers == 1 {
+			want = got
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d: task %d (%v) answered applied=%v, sequential arm %v", workers, i, tasks[i].u, got[i], want[i])
+			}
+		}
+		if st := chk.Stats(); st.FixpointHits == 0 {
+			t.Fatalf("workers %d: no decision used a kept fixpoint: %+v", workers, st)
+		}
+	}
+}

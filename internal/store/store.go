@@ -94,8 +94,8 @@ func (s *Store) Ensure(name string, arity int) (*relation.Relation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.rels[name]; ok {
-		if r.Arity() != arity {
-			return nil, fmt.Errorf("store: relation %s has arity %d, requested %d", name, r.Arity(), arity)
+		if err := arityConflict(r, arity); err != nil {
+			return nil, err
 		}
 		return r, nil
 	}
@@ -103,6 +103,17 @@ func (s *Store) Ensure(name string, arity int) (*relation.Relation, error) {
 	s.rels[name] = r
 	s.schema.Add(1)
 	return r, nil
+}
+
+// Accepts returns the error Insert refuses a tuple of the given arity
+// with — name exists with another — and nil otherwise. It creates nothing.
+func (s *Store) Accepts(name string, arity int) error { return arityConflict(s.get(name), arity) }
+
+func arityConflict(r *relation.Relation, arity int) error {
+	if r != nil && r.Arity() != arity {
+		return fmt.Errorf("store: relation %s has arity %d, requested %d", r.Name(), r.Arity(), arity)
+	}
+	return nil
 }
 
 // MustEnsure is Ensure that panics on arity conflicts.
