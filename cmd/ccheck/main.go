@@ -362,7 +362,11 @@ func run(cfg config) error {
 				}
 				fmt.Printf("%-30s %s\n", u, status)
 				for _, d := range rep.Decisions {
-					fmt.Printf("    %-10s decided by %s: %s\n", d.Constraint, d.Phase, d.Verdict)
+					fmt.Printf("    %-10s decided by %s: %s", d.Constraint, d.Phase, d.Verdict)
+					if w := rep.Witness(d.Constraint); w != nil {
+						fmt.Printf(" (certified by %s%s)", u.Relation, w)
+					}
+					fmt.Println()
 				}
 			}
 		}
@@ -460,6 +464,7 @@ func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
 			"remote_trips":    ds.RemoteTrips,
 			"local_tuples":    ds.LocalTuples,
 			"decided_locally": ds.DecidedLocally,
+			"local_certified": cs.LocalCertified,
 			"cost":            ds.Cost,
 		}
 	case *netdist.Coordinator:
@@ -470,6 +475,7 @@ func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
 			"unavailable":         ns.Unavailable,
 			"by_phase":            phaseNames(ns.ByPhase),
 			"decided_locally":     ns.DecidedLocally,
+			"local_certified":     cs.LocalCertified,
 			"round_trips":         ns.RoundTrips,
 			"retries":             ns.Retries,
 			"retries_by_site":     ns.RetriesBySite,

@@ -117,6 +117,16 @@ type Constraint struct {
 	// global insert decision (nil until the first one, and after a drop);
 	// see keptFixpoint.
 	fix atomic.Pointer[eval.Fixpoint]
+	// cover is the union of the forbidden intervals of the ICQ's local
+	// relation, kept from the last local test; see keptCover.
+	cover atomic.Pointer[intervalCover]
+}
+
+// intervalCover is an ICQ constraint's kept cover and the data version of
+// the local relation it was built from.
+type intervalCover struct {
+	version uint64
+	cover   icq.Cover
 }
 
 // Decision records how one constraint was dispatched for one update.
@@ -126,6 +136,24 @@ type Decision struct {
 	Verdict    Verdict
 }
 
+// Witness names, for a constraint that local certificates alone decided
+// (residual.DecideWitness), a stored tuple of the updated relation whose
+// presence proves the insert safe. No other relation was read for it.
+type Witness struct {
+	Constraint string
+	Tuple      relation.Tuple
+}
+
+// witnessOf returns the tuple ws names for the constraint, or nil.
+func witnessOf(ws []Witness, constraint string) relation.Tuple {
+	for _, w := range ws {
+		if w.Constraint == constraint {
+			return w.Tuple
+		}
+	}
+	return nil
+}
+
 // Report is the outcome of one Apply.
 type Report struct {
 	Update    store.Update
@@ -133,7 +161,15 @@ type Report struct {
 	// Applied is false when some constraint was violated and the update
 	// was not applied.
 	Applied bool
+	// Witnesses lists, in registration order, the constraints that local
+	// certificates alone decided (their Decisions say PhaseResidual, as
+	// for every residual check); nil when there is none.
+	Witnesses []Witness
 }
+
+// Witness returns the tuple that certified the constraint, or nil when a
+// certificate did not decide it.
+func (r Report) Witness(constraint string) relation.Tuple { return witnessOf(r.Witnesses, constraint) }
 
 // Violations lists the violated constraints' names.
 func (r Report) Violations() []string {
@@ -171,6 +207,10 @@ type Stats struct {
 	ResidualMisses   int64
 	ResidualCompiled int64
 	ResidualEntries  int
+	// LocalCertified counts the residual decisions that local certificates
+	// alone settled (Report.Witnesses): the share of PhaseResidual
+	// decisions that read nothing but the updated relation.
+	LocalCertified int64
 	// FixpointHits/FixpointRebuilds/FixpointDrops say why global insert
 	// decisions were cheap or dear: hits ran only the rounds the inserted
 	// tuple seeds on a kept fixpoint, rebuilds evaluated the constraint
@@ -283,6 +323,11 @@ type Checker struct {
 	// nil under Options.DisableResidual. Apply consults it ahead of the
 	// phase pipeline and falls back for ineligible patterns.
 	residuals *residual.Cache
+	// resOpts are the options residuals compile with.
+	resOpts residual.Options
+	// localCertified counts certificate-only decisions
+	// (Stats.LocalCertified).
+	localCertified atomic.Int64
 
 	// fpIndex memoizes the update-pattern footprints the scheduler keys
 	// on, built lazily by Footprints and dropped when the constraint set
@@ -306,9 +351,6 @@ func New(db *store.Store, opts Options) *Checker {
 	if !opts.DisablePlanCache {
 		c.planCache = eval.NewPlanCache()
 	}
-	if !opts.DisableResidual {
-		c.residuals = residual.NewCache()
-	}
 	if opts.Metrics != nil {
 		c.met = newCheckerMetrics(opts.Metrics)
 	}
@@ -316,6 +358,16 @@ func New(db *store.Store, opts Options) *Checker {
 		c.local = map[string]bool{}
 		for _, n := range opts.LocalRelations {
 			c.local[n] = true
+		}
+	}
+	if !opts.DisableResidual {
+		c.residuals = residual.NewCache()
+		// A residual answers exactly like the evaluation arm it replaces;
+		// local certificates are phase 3's, and only where something is
+		// remote.
+		c.resOpts = residual.Options{DisableIndexes: opts.DisableIndexes}
+		if c.local != nil && !opts.DisableLocalData {
+			c.resOpts.Local = c.isLocal
 		}
 	}
 	return c
@@ -342,15 +394,16 @@ func (c *Checker) Stats() Stats {
 	if c.residuals != nil {
 		s.ResidualHits, s.ResidualMisses, s.ResidualCompiled, s.ResidualEntries = c.residuals.Stats()
 	}
+	s.LocalCertified = c.localCertified.Load()
 	s.FixpointHits, s.FixpointRebuilds, s.FixpointDrops = c.fix[fixHit].Load(), c.fix[fixRebuild].Load(), c.fix[fixDrop].Load()
 	return s
 }
 
 // ResetStats zeroes every aggregate counter — the per-phase decision
-// counts, the decision/plan/residual cache counters and the fixpoint
-// counters — without touching the caches' contents, so a warmed checker
-// can report one run's statistics in isolation (ccheck -repeat resets
-// between runs).
+// counts, the decision/plan/residual cache counters, the certificate and
+// fixpoint counters — without touching the caches' contents, so a warmed
+// checker can report one run's statistics in isolation (ccheck -repeat
+// resets between runs).
 func (c *Checker) ResetStats() {
 	c.statsMu.Lock()
 	c.stats = Stats{ByPhase: map[Phase]int{}}
@@ -362,6 +415,7 @@ func (c *Checker) ResetStats() {
 	if c.residuals != nil {
 		c.residuals.ResetStats()
 	}
+	c.localCertified.Store(0)
 	for i := range c.fix {
 		c.fix[i].Store(0)
 	}
@@ -496,13 +550,6 @@ func (c *Checker) evalOpts() eval.Options {
 	return eval.Options{DisableIndexes: c.opts.DisableIndexes, Cache: c.planCache, Probe: c.opts.ProbeRouter}
 }
 
-// residualOpts translates the checker options into residual compilation
-// options, so a residual check answers exactly like the evaluation arm
-// it replaces.
-func (c *Checker) residualOpts() residual.Options {
-	return residual.Options{DisableIndexes: c.opts.DisableIndexes}
-}
-
 // isLocal reports whether the relation is resident at the checking site.
 func (c *Checker) isLocal(rel string) bool {
 	if c.local == nil {
@@ -598,7 +645,9 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 			return PhaseUpdateOnly, true
 		}
 	}
-	// Phase 3: local data.
+	// Phase 3: local data. (The equality certificate, phase 3's other
+	// test, is compiled into the constraint's residual check: decide and
+	// Plan ask that ahead of this ladder.)
 	if !c.opts.DisableLocalData && u.Insert && k.cqc != nil && k.cqc.LocalPred == u.Relation {
 		start = traceStart(tr)
 		ok, err := c.localTest(k, u.Tuple)
@@ -612,15 +661,17 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 
 // Apply pushes one update through the staged pipeline. On any violation
 // the update is not applied and the report's Applied is false.
-func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true) }
+func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true, nil) }
 
 // decide is Apply (commit) and Check (!commit): verdict first, then at
 // most one write. Every phase answers "would the store violate the
 // constraint once u is applied" reading the store as it stands — the
 // evaluators adjust their reads of u's relation (residual.Decide,
 // eval.GoalHoldsAfter, eval.Fixpoint.Insert) — and u is written only
-// when commit is set and no constraint is violated.
-func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
+// when commit is set and no constraint is violated. planned names the
+// constraints a Plan of u certified, and with what (Decide): they stay
+// decided by it.
+func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report, error) {
 	rep := Report{Update: u, Applied: true}
 	c.statsMu.Lock()
 	c.stats.Updates++
@@ -669,7 +720,7 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 	}
 	runParallel(n, c.workers(), func(i int) {
 		if c.residuals != nil {
-			res, hit, ok := c.residuals.For(c.constraints[i].Prog, u, c.db, c.residualOpts())
+			res, hit, ok := c.residuals.For(c.constraints[i].Prog, u, c.db, c.resOpts)
 			if ok {
 				resFor[i], resHit[i] = res, hit
 				return
@@ -737,6 +788,17 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 		dur time.Duration
 	}
 	outcomes := make([]evalOutcome, len(needGlobal))
+	// found holds, per check, the tuple whose certificate decided it; only a
+	// checker that compiles certificates has any to hold. (A pointer, so
+	// that the closure below is no larger for the checkers that do not.)
+	var found *[]relation.Tuple
+	if c.resOpts.Local != nil {
+		ws := make([]relation.Tuple, len(needGlobal))
+		for i, g := range needGlobal {
+			ws[i] = witnessOf(planned, g.k.Name) // the plan's certificate stands
+		}
+		found = &ws
+	}
 	runParallel(len(needGlobal), c.workers(), func(i int) {
 		g := &needGlobal[i]
 		var start time.Time
@@ -747,6 +809,10 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 			g.fix, g.hit = c.keptFixpoint(g.k, u.Relation)
 		}
 		switch {
+		case g.res != nil && found != nil:
+			if (*found)[i] == nil {
+				outcomes[i].bad, (*found)[i] = g.res.DecideWitness(c.db, u.Tuple)
+			}
 		case g.res != nil:
 			outcomes[i].bad = g.res.Decide(c.db, u.Tuple)
 		case g.fix != nil:
@@ -775,6 +841,15 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 		if g.res != nil {
 			phase = PhaseResidual
 		}
+		var witness relation.Tuple
+		if found != nil && (*found)[i] != nil {
+			witness = (*found)[i]
+			rep.Witnesses = append(rep.Witnesses, Witness{g.k.Name, witness})
+			c.localCertified.Add(1)
+			if c.met != nil {
+				c.met.certified.Inc()
+			}
+		}
 		if tracing {
 			e := obs.Event{
 				Kind:       obs.KindPhase,
@@ -789,6 +864,11 @@ func (c *Checker) decide(u store.Update, commit bool) (Report, error) {
 				if g.hit {
 					e.Cache = obs.CacheHit
 				}
+			}
+			if witness != nil {
+				e.Certificate, e.Witness = obs.CacheHit, u.Relation+witness.String()
+			} else if g.res != nil && g.res.Certificates() > 0 {
+				e.Certificate = obs.CacheMiss
 			}
 			if g.res == nil {
 				e.Relations = c.remoteRelations(g.k)
@@ -918,15 +998,39 @@ func (c *Checker) bumpPhase(p Phase) {
 }
 
 // localTest runs the complete local test for an insertion into the
-// constraint's local relation: interval coverage for canonical ICQs, the
-// Theorem 5.2 reduction containment otherwise. It reads only the local
-// relation.
+// constraint's local relation: a probe of the kept interval cover for
+// canonical ICQs, the O(|L|) Theorem 5.2 reduction containment for the
+// other CQCs. It reads only the local relation.
 func (c *Checker) localTest(k *Constraint, t relation.Tuple) (bool, error) {
-	L := c.db.Tuples(k.cqc.LocalPred)
 	if k.analysis != nil {
-		return k.analysis.CertifyInsert(t, L)
+		cover, err := c.keptCover(k)
+		if err != nil {
+			return false, err
+		}
+		return k.analysis.CertifyAgainst(t, cover)
 	}
-	return reduction.LocalTest(k.cqc, t, L)
+	return reduction.LocalTest(k.cqc, t, c.db.Tuples(k.cqc.LocalPred))
+}
+
+// keptCover returns the union of the forbidden intervals of the ICQ's
+// local relation, rebuilt only when the relation has moved since the
+// cover was kept. Validity is the rule of the kept fixpoints: the
+// relation's data version, read before its tuples — a write that lands
+// in between leaves a cover labelled older than it is, which the next
+// decision rebuilds; a stale cover is never labelled fresh. (A checker's
+// store never changes, and a swapped-in relation continues its
+// predecessor's version, so the version alone identifies the contents.)
+func (c *Checker) keptCover(k *Constraint) (icq.Cover, error) {
+	version := c.db.DataVersion(k.cqc.LocalPred)
+	if kept := k.cover.Load(); kept != nil && kept.version == version {
+		return kept.cover, nil
+	}
+	cover, err := k.analysis.CoverOf(c.db.Tuples(k.cqc.LocalPred))
+	if err != nil {
+		return nil, err
+	}
+	k.cover.Store(&intervalCover{version: version, cover: cover})
+	return cover, nil
 }
 
 // CheckAll fully evaluates every constraint and returns the names of the

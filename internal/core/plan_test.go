@@ -12,9 +12,14 @@ import (
 
 func planChecker(t *testing.T) *Checker {
 	t.Helper()
-	// Plan previews the staged pipeline and is residual-unaware, so these
-	// tests compare it against an Apply that runs the same pipeline.
-	c := newChecker(t, "dept(toy). emp(ann,toy,50).", Options{LocalRelations: []string{"emp"}, DisableResidual: true})
+	// Apart from the local certificates, Plan previews the staged pipeline,
+	// so these tests compare it against an Apply that runs the same pipeline.
+	return planCheckerWith(t, Options{LocalRelations: []string{"emp"}, DisableResidual: true})
+}
+
+func planCheckerWith(t *testing.T, opts Options) *Checker {
+	t.Helper()
+	c := newChecker(t, "dept(toy). emp(ann,toy,50).", opts)
 	if err := c.AddConstraintSource("ri", "panic :- emp(E,D,S) & not dept(D)."); err != nil {
 		t.Fatal(err)
 	}
@@ -43,35 +48,77 @@ func TestPlanDecidedWithoutGlobal(t *testing.T) {
 }
 
 func TestPlanGlobalRelations(t *testing.T) {
-	c := planChecker(t)
-	// A high-salary hire into an existing department: the referential
-	// constraint can be certified from dept alone only by the global
-	// phase in this configuration (dept is remote), and the salary cap
-	// cannot be certified at all without evaluation.
-	pr := c.Plan(store.Ins("emp", relation.TupleOf(ast.Str("bob"), ast.Str("toy"), ast.Int(500))))
-	if len(pr.Global) == 0 {
-		t.Fatalf("expected global constraints: %+v", pr)
+	local := []string{"emp"}
+	hire := func(dept string) store.Update {
+		return store.Ins("emp", relation.TupleOf(ast.Str("bob"), ast.Str(dept), ast.Int(500)))
 	}
-	want := []string{"dept", "emp"}
-	if !reflect.DeepEqual(pr.Relations, want) {
-		t.Errorf("relations = %v, want %v", pr.Relations, want)
+	// A high-salary hire: the salary cap cannot be certified without
+	// evaluation, so emp is always read. The referential constraint needs
+	// dept (which is remote) unless a stored employee of the same
+	// department proves the department exists.
+	for _, c := range []struct {
+		name string
+		opts Options
+		u    store.Update
+		want []string
+	}{
+		{"witness in the department", Options{LocalRelations: local}, hire("toy"), []string{"emp"}},
+		{"nobody in the department", Options{LocalRelations: local}, hire("shoe"), []string{"dept", "emp"}},
+		{"phase 3 off", Options{LocalRelations: local, DisableLocalData: true}, hire("toy"), []string{"dept", "emp"}},
+		{"residual dispatch off", Options{LocalRelations: local, DisableResidual: true}, hire("toy"), []string{"dept", "emp"}},
+		{"nothing remote", Options{}, hire("toy"), []string{"dept", "emp"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			chk := planCheckerWith(t, c.opts)
+			if c.u.Tuple[1].Equal(ast.Str("shoe")) {
+				if _, err := chk.DB().Insert("dept", relation.Strs("shoe")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pr := chk.Plan(c.u)
+			if len(pr.Global) == 0 {
+				t.Fatalf("expected global constraints: %+v", pr)
+			}
+			if !reflect.DeepEqual(pr.Relations, c.want) {
+				t.Errorf("relations = %v, want %v", pr.Relations, c.want)
+			}
+			certified := len(c.want) == 1
+			for _, d := range pr.Decided {
+				if d.Constraint != "ri" || d.Phase != PhaseResidual || !pr.Witness("ri").Equal(relation.TupleOf(ast.Str("ann"), ast.Str("toy"), ast.Int(50))) {
+					t.Errorf("decided %+v by %v, want ri certified by emp(ann,toy,50)", d, pr.Witnesses)
+				}
+			}
+			if (len(pr.Decided) == 1) != certified {
+				t.Errorf("decided = %+v, certified want %v", pr.Decided, certified)
+			}
+		})
 	}
 }
 
 func TestPlanIsReadOnly(t *testing.T) {
-	c := planChecker(t)
-	before := c.Stats()
-	dump := c.DB().Dump()
-	pr := c.Plan(store.Ins("emp", relation.TupleOf(ast.Str("x"), ast.Str("ghost"), ast.Int(500))))
-	if len(pr.Global) == 0 {
-		t.Fatalf("expected a global plan: %+v", pr)
-	}
-	if got := c.DB().Dump(); got != dump {
-		t.Errorf("Plan mutated the store:\n%s", got)
-	}
-	after := c.Stats()
-	if after.Updates != before.Updates || after.Decisions != before.Decisions || after.Rejected != before.Rejected {
-		t.Errorf("Plan moved aggregate stats: before %+v after %+v", before, after)
+	for _, opts := range []Options{
+		{LocalRelations: []string{"emp"}, DisableResidual: true},
+		{LocalRelations: []string{"emp"}}, // with certificates: a hit and a miss
+	} {
+		c := planCheckerWith(t, opts)
+		for _, dept := range []string{"ghost", "toy"} {
+			u := store.Ins("emp", relation.TupleOf(ast.Str("x"), ast.Str(dept), ast.Int(500)))
+			c.Plan(u) // compile whatever the pattern compiles
+			before := c.Stats()
+			dump, version := c.DB().Dump(), c.DB().DataVersion("emp")
+			pr := c.Plan(u)
+			if len(pr.Global) == 0 {
+				t.Fatalf("expected a global plan: %+v", pr)
+			}
+			if got := c.DB().Dump(); got != dump || c.DB().DataVersion("emp") != version {
+				t.Errorf("Plan mutated the store:\n%s", got)
+			}
+			after := c.Stats()
+			if after.Updates != before.Updates || after.Decisions != before.Decisions || after.Rejected != before.Rejected ||
+				after.LocalCertified != before.LocalCertified || after.ResidualCompiled != before.ResidualCompiled {
+				t.Errorf("Plan moved aggregate stats: before %+v after %+v", before, after)
+			}
+		}
 	}
 }
 

@@ -81,6 +81,7 @@ type checkerMetrics struct {
 	updates      *obs.Counter
 	rejected     *obs.Counter
 	decisions    *obs.CounterVec // phase
+	certified    *obs.Counter
 	fix          [3]*obs.Counter // by fixEvent
 	applySeconds *obs.Histogram
 	indexBuilds  *obs.Gauge
@@ -99,6 +100,7 @@ func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
 		updates:      reg.Counter("cc_checker_updates_total", "updates pushed through the staged pipeline"),
 		rejected:     reg.Counter("cc_checker_rejected_total", "updates refused on a violation"),
 		decisions:    reg.CounterVec("cc_checker_decisions_total", "per-constraint decisions by deciding phase", "phase"),
+		certified:    reg.Counter("cc_checker_local_certified_total", "residual decisions settled by local certificates alone: nothing but the updated relation was read"),
 		applySeconds: reg.Histogram("cc_checker_apply_seconds", "wall clock per Apply", nil),
 		indexBuilds:  reg.Gauge("cc_index_builds", "process-wide hash-index builds (relation layer)"),
 		indexProbes:  reg.Gauge("cc_index_probes", "process-wide hash-index probes (relation layer)"),

@@ -215,23 +215,38 @@ func (a *Analysis) IntervalsFor(t relation.Tuple) ([]Interval, error) {
 // forbidden interval of t is covered by the union of the forbidden
 // intervals of the existing local tuples L.
 func (a *Analysis) CertifyInsert(t relation.Tuple, L []relation.Tuple) (bool, error) {
-	targets, err := a.IntervalsFor(t)
+	cover, err := a.CoverOf(L)
 	if err != nil {
 		return false, err
 	}
-	if len(targets) == 0 {
-		return true, nil
-	}
+	return a.CertifyAgainst(t, cover)
+}
+
+// CoverOf returns the union of the forbidden intervals of the local
+// tuples L. It depends on L alone, so a caller deciding many inserts
+// against one L builds it once (core.Checker keeps it per relation
+// version).
+func (a *Analysis) CoverOf(L []relation.Tuple) (Cover, error) {
 	var existing []Interval
 	for _, s := range L {
 		ivs, err := a.IntervalsFor(s)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		existing = append(existing, ivs...)
 	}
+	return Union(existing), nil
+}
+
+// CertifyAgainst is CertifyInsert against the cover of the existing local
+// tuples: one binary search per forbidden interval of t.
+func (a *Analysis) CertifyAgainst(t relation.Tuple, cover Cover) (bool, error) {
+	targets, err := a.IntervalsFor(t)
+	if err != nil {
+		return false, err
+	}
 	for _, target := range targets {
-		if !Covers(existing, target) {
+		if !cover.Covers(target) {
 			return false, nil
 		}
 	}

@@ -265,32 +265,31 @@ func startCut(lo Endpoint) cut {
 }
 
 // Covers reports whether the union of the given intervals includes every
-// point of target, by a sort-and-sweep over the dense order. An empty
-// target is covered vacuously.
+// point of target. An empty target is covered vacuously. It normalizes
+// set first; callers asking about one set more than once build its Cover
+// (Union) and ask that.
 func Covers(set []Interval, target Interval) bool {
+	return target.Empty() || Union(set).Covers(target)
+}
+
+// Cover is a set of intervals in normal form: non-empty, pairwise
+// disjoint with a gap between any two, in ascending order — what Union
+// returns.
+type Cover []Interval
+
+// Covers reports whether the cover includes every point of target, by
+// binary search: the components have gaps between them and target is
+// connected, so it is covered iff the last component that starts at or
+// before it also ends at or after it.
+func (c Cover) Covers(target Interval) bool {
 	if target.Empty() {
 		return true
 	}
-	live := make([]Interval, 0, len(set))
-	for _, iv := range set {
-		if !iv.Empty() {
-			live = append(live, iv)
-		}
-	}
-	sort.SliceStable(live, func(i, j int) bool { return loLess(live[i].Lo, live[j].Lo) })
 	frontier := startCut(target.Lo)
-	for _, iv := range live {
-		if frontier.reaches(target.Hi) {
-			return true
-		}
-		if !frontier.connects(iv.Lo) {
-			// Sorted by low end: every later interval starts at or after
-			// this one, so the gap at the frontier is permanent.
-			return false
-		}
-		frontier = frontier.extend(iv.Hi)
-	}
-	return frontier.reaches(target.Hi)
+	// Sorted by low end, the components continuing coverage from the
+	// frontier without a gap are a prefix.
+	n := sort.Search(len(c), func(i int) bool { return !frontier.connects(c[i].Lo) })
+	return n > 0 && frontier.extend(c[n-1].Hi).reaches(target.Hi)
 }
 
 // loLess orders low endpoints: -∞ first, then by value, open after
@@ -307,31 +306,32 @@ func loLess(a, b Endpoint) bool {
 }
 
 // Union normalizes a set of intervals into disjoint maximal intervals in
-// ascending order (exported for diagnostics and the distributed example).
-func Union(set []Interval) []Interval {
-	live := make([]Interval, 0, len(set))
+// ascending order: the set's Cover.
+func Union(set []Interval) Cover {
+	out := make(Cover, 0, len(set))
 	for _, iv := range set {
 		if !iv.Empty() {
-			live = append(live, iv)
+			out = append(out, iv)
 		}
 	}
-	sort.SliceStable(live, func(i, j int) bool { return loLess(live[i].Lo, live[j].Lo) })
-	var out []Interval
-	for _, iv := range live {
-		if len(out) == 0 {
-			out = append(out, iv)
+	sort.Slice(out, func(i, j int) bool { return loLess(out[i].Lo, out[j].Lo) })
+	// Merge in place: n components so far, each later interval either
+	// continues the last one or opens the next.
+	n := 0
+	for _, iv := range out {
+		if n > 0 && adjoins(out[n-1].Hi, iv.Lo) {
+			out[n-1].Hi = maxHi(out[n-1].Hi, iv.Hi)
 			continue
 		}
-		last := &out[len(out)-1]
-		frontier := cut{negInf: true}.extend(last.Hi)
-		if frontier.connects(iv.Lo) {
-			last.Hi = maxHi(last.Hi, iv.Hi)
-		} else {
-			out = append(out, iv)
-		}
+		out[n] = iv
+		n++
 	}
-	return out
+	return out[:n]
 }
+
+// adjoins reports whether an interval starting at lo continues one ending
+// at hi without a gap between them.
+func adjoins(hi, lo Endpoint) bool { return cut{negInf: true}.extend(hi).connects(lo) }
 
 // maxHi picks the more generous (larger) of two high endpoints.
 func maxHi(a, b Endpoint) Endpoint {

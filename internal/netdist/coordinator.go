@@ -516,14 +516,17 @@ func (co *Coordinator) refreshKeys(rel string, pl RelPlacement, keys []ast.Value
 		if err := co.mirror.ReplaceKey(rel, arity, pl.KeyCol, key, ts); err != nil {
 			return &RemoteError{Site: site, Msg: err.Error()}
 		}
+		// One routed read per key fetched, so KeyFetches stays the
+		// keyed-refresh subset of ShardRouted however many groups an
+		// update probes and wherever a later fetch fails.
 		co.statsMu.Lock()
 		co.stats.KeyFetches++
 		co.statsMu.Unlock()
 		if co.shmet != nil {
 			co.shmet.keyFetches.Inc()
 		}
+		co.noteRouted(1)
 	}
-	co.noteRouted(1)
 	return nil
 }
 
@@ -634,11 +637,8 @@ func (co *Coordinator) decide(u store.Update, commit bool) (core.Report, error) 
 	if err != nil {
 		return unavailable(err)
 	}
-	decide := co.Checker.Check
-	if commit {
-		decide = co.Checker.Apply
-	}
-	rep, err := decide(u)
+	// The plan's certificates stand: what they spared is not refreshed.
+	rep, err := co.Checker.Decide(plan, commit)
 	if err != nil {
 		if errors.Is(err, ErrSiteUnavailable) {
 			// A routed evaluation probe failed: refused, not misjudged.
@@ -823,8 +823,8 @@ func (co *Coordinator) ApplyBatch(updates []store.Update) (core.BatchReport, err
 func (co *Coordinator) Report() string {
 	st := co.Stats()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "updates: %d  rejected: %d  unavailable: %d  decided-locally: %d\n",
-		st.Updates, st.Rejected, st.Unavailable, st.DecidedLocally)
+	fmt.Fprintf(&sb, "updates: %d  rejected: %d  unavailable: %d  decided-locally: %d  local-certified: %d\n",
+		st.Updates, st.Rejected, st.Unavailable, st.DecidedLocally, co.Checker.Stats().LocalCertified)
 	fmt.Fprintf(&sb, "wire: %d round trips (%d retries), %d tuples, %s on the network\n",
 		st.RoundTrips, st.Retries, st.WireTuples, st.NetTime.Round(time.Microsecond))
 	if st.ShardRouted+st.ShardScatter+st.ReplicaReads+st.ReplicaResyncs > 0 {

@@ -69,6 +69,10 @@ type shardArm struct {
 	shards   int  // dept and r shard count (1 = whole-relation single site)
 	replicas bool // one read replica per shard
 	scatter  bool // DisableShardRouting
+	// noLocalData sets the checker's DisableLocalData: no local
+	// certificates, no phase 3. batchWorkers is Options.ApplyWorkers.
+	noLocalData  bool
+	batchWorkers int
 }
 
 // buildShardedArm deploys emp and l at the coordinator and dept and r
@@ -148,10 +152,11 @@ func buildShardedArm(t *testing.T, arm shardArm) (*Coordinator, *Loopback, map[s
 	}
 
 	co, err := NewPlaced(local, place, lb, Options{
-		Checker:             core.Options{LocalRelations: []string{"emp", "l"}},
+		Checker:             core.Options{LocalRelations: []string{"emp", "l"}, DisableLocalData: arm.noLocalData},
 		Timeout:             time.Second,
 		Backoff:             time.Millisecond,
 		DisableShardRouting: arm.scatter,
+		ApplyWorkers:        arm.batchWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +241,34 @@ func shardStream(seed int64, n int) []store.Update {
 	return us
 }
 
+// witnessStream is shardStream squeezed until local certificates collide:
+// four departments and eight employees, so that nearly every emp insert
+// finds a stored employee of its department to certify it, emp deletes
+// keep taking the last witness of a department away and dept deletes
+// follow them. It opens by deleting the seeded employees of those
+// departments, so that every witness is one the stream can delete.
+func witnessStream(seed int64, n int) []store.Update {
+	const band = 4
+	rng := rand.New(rand.NewSource(seed))
+	us := make([]store.Update, n)
+	for i := range us {
+		emp := relation.Ints(2000+int64(rng.Intn(8)), int64(rng.Intn(band)))
+		switch p := rng.Intn(100); {
+		case i < band:
+			us[i] = store.Del("emp", relation.Ints(1000+int64(i), int64(i)))
+		case p < 45:
+			us[i] = store.Ins("emp", emp)
+		case p < 75:
+			us[i] = store.Del("emp", emp)
+		case p < 90:
+			us[i] = store.Del("dept", relation.Ints(int64(rng.Intn(band))))
+		default:
+			us[i] = store.Ins("dept", relation.Ints(int64(rng.Intn(band))))
+		}
+	}
+	return us
+}
+
 // TestShardedOracleAgreement is the scale-out oracle: the same
 // randomized stream against a 1-site whole-relation deployment, a
 // 4-site hash-sharded one, a sharded one with read replicas, and a
@@ -246,7 +279,8 @@ func shardStream(seed int64, n int) []store.Update {
 // the dept keys it writes from one small band, so a dept(K) delete meets
 // emp(_, K) inserts (which must keep admission order) and emp(_, K')
 // inserts (which may overlap it) in every window; the reference is the
-// whole-relation arm at one worker.
+// whole-relation arm at one worker. A third stream (witnessStream) makes
+// local certificates collide with the deletes of their witnesses.
 func TestShardedOracleAgreement(t *testing.T) {
 	arms := []shardArm{
 		{name: "whole", shards: 1},
@@ -254,8 +288,9 @@ func TestShardedOracleAgreement(t *testing.T) {
 		{name: "sharded4+replicas", shards: 4, replicas: true},
 		{name: "sharded4+scatter", shards: 4, scatter: true},
 	}
-	for _, seed := range []int64{7, 23} {
-		stream := shardStream(seed, 240)
+	for seed, stream := range map[int64][]store.Update{
+		7: shardStream(7, 240), 23: shardStream(23, 240), 5: witnessStream(5, 240),
+	} {
 		var wantVerdicts []bool
 		var wantMirror, wantGlobal string
 		for _, arm := range arms {

@@ -452,6 +452,12 @@ func (b *SpanBridge) Emit(e Event) {
 		if e.Decided {
 			attrs["verdict"] = e.Verdict
 		}
+		if e.Certificate != "" {
+			attrs["certificate"] = e.Certificate
+		}
+		if e.Witness != "" {
+			attrs["witness"] = e.Witness
+		}
 		if len(e.Relations) > 0 {
 			attrs["remote"] = strings.Join(e.Relations, ",")
 		}

@@ -44,6 +44,13 @@ type Event struct {
 	// Cache is the decision-cache status of the attempt: "hit", "miss",
 	// "off" (cache disabled), or empty for uncached phases.
 	Cache string `json:"cache,omitempty"`
+	// Certificate is "hit" when a residual check was decided by its local
+	// certificates alone — no other relation was read — and "miss" when
+	// it has certificates and had to run a plan; Witness is then the
+	// stored tuple that certified it, e.g. "emp(ann,toy)". Both are empty
+	// for checks compiled without certificates.
+	Certificate string `json:"certificate,omitempty"`
+	Witness     string `json:"witness,omitempty"`
 	// Duration is the attempt's wall clock.
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// Relations lists the remote relations a global evaluation consults.
@@ -242,6 +249,12 @@ func writeEvent(w io.Writer, e Event) {
 		fmt.Fprintf(w, "   %-12s %-12s %-20s", e.Constraint, e.Phase, outcome)
 		if e.Cache != "" {
 			fmt.Fprintf(w, "  cache=%s", e.Cache)
+		}
+		if e.Certificate != "" {
+			fmt.Fprintf(w, "  certificate=%s", e.Certificate)
+		}
+		if e.Witness != "" {
+			fmt.Fprintf(w, "  witness=%s", e.Witness)
 		}
 		if len(e.Relations) > 0 {
 			fmt.Fprintf(w, "  remote=%s", strings.Join(e.Relations, ","))

@@ -226,6 +226,50 @@ func (r *Relation) LookupColsAppend(dst []Tuple, cols []int, vals []ast.Value) [
 	return r.gatherMatchLocked(dst, mi.buckets[fp], sorted, phs)
 }
 
+// FirstCols is the existence-only probe: it returns the first live tuple
+// (in bucket order) whose projection onto cols equals vals and that holds
+// one value at both positions of every pair in same, or nil when there is
+// none. It copies no bucket and allocates nothing once the index on cols
+// is built — which it does lazily, like LookupCols. Values compare as
+// interned handles.
+func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) Tuple {
+	sorted, svals := r.normalizeCols(cols, vals)
+	var scratch [8]Handle
+	phs, fp := internTuple(svals, scratch[:0])
+	sig := colsMask(sorted)
+	indexProbes.Add(1)
+	r.mu.RLock()
+	mi, ok := r.midx[sig]
+	if !ok {
+		// Indexes are never dropped, so the one EnsureIndex builds is
+		// still there when the read lock is back.
+		r.mu.RUnlock()
+		r.EnsureIndex(sorted...)
+		r.mu.RLock()
+		mi = r.midx[sig]
+	}
+	defer r.mu.RUnlock()
+next:
+	for _, pos := range mi.buckets[fp] {
+		hs := r.handles[pos]
+		if hs == nil {
+			continue
+		}
+		for i, c := range sorted {
+			if hs[c] != phs[i] {
+				continue next
+			}
+		}
+		for _, p := range same {
+			if hs[p[0]] != hs[p[1]] {
+				continue next
+			}
+		}
+		return r.tuples[pos]
+	}
+	return nil
+}
+
 // Index is a handle on one column-set hash index: Probe returns the
 // bucket of tuples whose projection onto the index's columns equals the
 // probe values. The handle stays valid across Insert/Delete/compaction —

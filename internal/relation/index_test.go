@@ -197,3 +197,72 @@ func TestConcurrentIndexedAccess(t *testing.T) {
 		}
 	}
 }
+
+func TestFirstColsAgainstLookupCols(t *testing.T) {
+	// The existence probe finds a tuple exactly when LookupCols finds one
+	// that also passes the same-position filter, over the random
+	// insert/delete workload (holes, compaction, lazily built indexes).
+	rng := rand.New(rand.NewSource(17))
+	r := New("r", 3)
+	colSets := [][]int{{}, {0}, {2}, {0, 1}, {2, 0}}
+	sames := [][][2]int{nil, {{0, 1}}, {{1, 2}}}
+	for batch := 0; batch < 40; batch++ {
+		for i := 0; i < 40; i++ {
+			tu := Ints(int64(rng.Intn(4)), int64(rng.Intn(4)), int64(rng.Intn(4)))
+			if rng.Intn(3) == 0 {
+				r.Delete(tu)
+			} else {
+				r.Insert(tu)
+			}
+		}
+		for _, cols := range colSets {
+			vals := make([]ast.Value, len(cols))
+			for i := range vals {
+				vals[i] = ast.Int(int64(rng.Intn(4)))
+			}
+			for _, same := range sames {
+				want := false
+				for _, tu := range r.LookupCols(cols, vals) {
+					ok := true
+					for _, p := range same {
+						ok = ok && tu[p[0]].Equal(tu[p[1]])
+					}
+					want = want || ok
+				}
+				got := r.FirstCols(cols, vals, same)
+				if (got != nil) != want {
+					t.Fatalf("batch %d cols %v vals %v same %v: FirstCols = %v, a match exists: %v", batch, cols, vals, same, got, want)
+				}
+				if got == nil {
+					continue
+				}
+				if !r.Contains(got) {
+					t.Fatalf("FirstCols returned %v, which the relation does not hold", got)
+				}
+				for i, c := range cols {
+					if !got[c].Equal(vals[i]) {
+						t.Fatalf("FirstCols(%v = %v) returned %v", cols, vals, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFirstColsHandlesAndAllocations(t *testing.T) {
+	r := New("emp", 2)
+	r.Insert(TupleOf(ast.Str("ann"), ast.Rat(4, 2)))
+	// 2, 2/1 and the stored 4/2 are one key.
+	for _, v := range []ast.Value{ast.Int(2), ast.Rat(2, 1), ast.Rat(4, 2)} {
+		if got := r.FirstCols([]int{1}, []ast.Value{v}, nil); got == nil {
+			t.Errorf("FirstCols on %s found nothing", v)
+		}
+	}
+	if got := r.FirstCols([]int{1}, []ast.Value{ast.Int(3)}, nil); got != nil {
+		t.Errorf("FirstCols on 3 = %v", got)
+	}
+	cols, vals := []int{1}, []ast.Value{ast.Int(2)}
+	if n := testing.AllocsPerRun(100, func() { r.FirstCols(cols, vals, nil) }); n != 0 {
+		t.Errorf("FirstCols allocates %v times per probe", n)
+	}
+}

@@ -11,28 +11,48 @@ import (
 	"repro/internal/store"
 )
 
-// fuzzShapes are the constraints FuzzResidualPreState draws from: flat
-// shapes in which the updated relation occurs again in the residual, so
-// that deciding on the database before the update differs from reading
-// it — plus one where it does not, as the control.
-var fuzzShapes = func() []*ast.Program {
-	var out []*ast.Program
-	for _, src := range []string{
-		"panic :- e(X,Y) & e(Y,Z) & f(Z).",         // positive self-join
-		"panic :- e(X,Y) & e(Y,X) & X < Y.",        // symmetric pair
-		"panic :- e(X,Y) & not e(Y,X).",            // negated self
-		"panic :- e(X,X) & f(X).",                  // repeated variable
-		"panic :- emp(E,D) & not dept(D).",         // negated other relation
-		"panic :- e(1,X) & e(X,Y) & f(Y).",         // pinned constant, then self-join
-		"panic :- e(X,Y) & f(X) & not e(Y,Y).",     // positive and negated self
-		"panic :- e(X,Y) & e(X,Z) & Y < Z & f(Y).", // self-join on the first column
+// fuzzShape is one constraint FuzzResidualPreState draws from, with the
+// relation the checking site holds (every other one is remote) and
+// whether an insert into it may compile a local certificate.
+type fuzzShape struct {
+	prog  *ast.Program
+	arity map[string]int
+	local string
+	// cert: the local relation occurs once, so its insert is certified;
+	// false for the self-joins, which must compile no certificate.
+	cert bool
+}
+
+// fuzzShapes: flat shapes in which the updated relation occurs again in
+// the residual, so that deciding on the database before the update
+// differs from reading it — plus ones where it does not, the control and
+// the shapes local certificates are compiled for.
+var fuzzShapes = func() []fuzzShape {
+	var out []fuzzShape
+	for _, s := range []struct {
+		src, local string
+		cert       bool
+	}{
+		{"panic :- e(X,Y) & e(Y,Z) & f(Z).", "e", false},         // positive self-join
+		{"panic :- e(X,Y) & e(Y,X) & X < Y.", "e", false},        // symmetric pair, nothing remote
+		{"panic :- e(X,Y) & not e(Y,X).", "e", false},            // negated self
+		{"panic :- e(X,X) & f(X).", "e", true},                   // repeated variable the rest reads
+		{"panic :- emp(E,D) & not dept(D).", "emp", true},        // referential: negated remote relation
+		{"panic :- e(1,X) & e(X,Y) & f(Y).", "e", false},         // pinned constant, then self-join
+		{"panic :- e(X,Y) & f(X) & not e(Y,Y).", "e", false},     // positive and negated self
+		{"panic :- e(X,Y) & e(X,Z) & Y < Z & f(Y).", "e", false}, // self-join on the first column
+		{"panic :- emp(E,D) & dept(D,M) & not mgr(M).", "emp", true},
+		{"panic :- emp(E,D,1) & not dept(D).", "emp", true},         // constant in the occurrence
+		{"panic :- pair(X,X,D) & not dept(D).", "pair", true},       // repeated variable nothing else reads
+		{"panic :- emp(E,D,S) & not dept(D) & S > 0.", "emp", true}, // comparison on a local column
+		{"panic :- emp(E,D) & emp(F,D) & not dept(D).", "emp", false},
+		{"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.", "l", true}, // the ICQ
 	} {
-		out = append(out, parser.MustParseProgram(src))
+		p := parser.MustParseProgram(s.src)
+		out = append(out, fuzzShape{prog: p, arity: p.Preds(), local: s.local, cert: s.cert})
 	}
 	return out
 }()
-
-var fuzzArity = map[string]int{"e": 2, "f": 1, "emp": 2, "dept": 1}
 
 // fuzzTuple reads an arity-ar tuple over {0,1,2} out of one byte; three
 // values keep X = Y, duplicates and absent deletes frequent.
@@ -45,6 +65,19 @@ func fuzzTuple(b byte, ar int) relation.Tuple {
 	return t
 }
 
+// fuzzSpan is how many bytes name distinct arity-ar tuples: 3^ar.
+func fuzzSpan(ar int) byte {
+	span := byte(1)
+	for ; ar > 0; ar-- {
+		span *= 3
+	}
+	return span
+}
+
+// fuzzPairs is how many (relation, tuple) byte pairs make the pre-state;
+// the pairs after them rewrite the remote relations.
+const fuzzPairs = 8
+
 // FuzzResidualPreState holds the compiled residual, run on the database
 // before the update, to full evaluation of the constraint on an updated
 // copy: bytes choose a shape, an update (either polarity, any relation
@@ -53,6 +86,14 @@ func fuzzTuple(b byte, ar int) relation.Tuple {
 // bit leaves the relations uncreated unless a tuple creates them, the
 // "relation unseen at compile time" arm. The database must come out of
 // Decide as it went in.
+//
+// Each residual is compiled three ways: as an embedded checker does, on
+// the scan arm, and with the shape's locality, which is what compiles
+// local certificates. A certificate hit claims more than the verdict: the
+// insert is safe whatever the remote relations hold. So on a hit the
+// remote relations are rewritten — emptied, and to what the bytes after
+// the pre-state say — and wherever the constraint still holds before the
+// insert it must hold after.
 func FuzzResidualPreState(f *testing.F) {
 	// The grid: every shape, polarity and relation of the shape, the update
 	// tuples (0,0) (1,1) (1,0) (0,1), over pre-states that hold nothing, a
@@ -72,9 +113,48 @@ func FuzzResidualPreState(f *testing.F) {
 			}
 		}
 	}
+	// The certificate grid: every certified shape, an insert into its local
+	// relation, one stored tuple of it that may or may not be a witness —
+	// it differs from the update in any subset of columns — and remote
+	// relations that hold everything, nothing, or one value: what makes a
+	// certificate that forgot a join column, the occurrence's constant or a
+	// second occurrence say "safe" of an insert that is not.
+	for s, sh := range fuzzShapes {
+		rels := sh.prog.EDBPreds()
+		li := 0
+		for i, rel := range rels {
+			if rel == sh.local {
+				li = i
+			}
+		}
+		span := fuzzSpan(sh.arity[sh.local])
+		for tu := byte(0); tu < span; tu += 3 { // first column 0
+			for w := byte(1); w < span; w += 3 { // first column 1
+				for fill := 0; fill < 5; fill++ {
+					seed := []byte{byte(s), byte(li)<<1 | 1, tu, byte(li), w}
+					for ri, rel := range rels {
+						if rel == sh.local {
+							continue
+						}
+						rspan := byte(1)
+						for i := 0; i < sh.arity[rel]; i++ {
+							rspan *= 3
+						}
+						for v := byte(0); v < rspan && len(seed) < 3+2*fuzzPairs; v++ {
+							// 0: everything; 1: nothing; 2–4: tuples starting with one value.
+							if fill == 0 || fill >= 2 && int(v%3) == fill-2 {
+								seed = append(seed, byte(ri), v)
+							}
+						}
+					}
+					f.Add(seed)
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(16))
-	for i := 0; i < 200; i++ {
-		b := make([]byte, 3+rng.Intn(14))
+	for i := 0; i < 400; i++ {
+		b := make([]byte, 3+rng.Intn(30))
 		rng.Read(b)
 		f.Add(b)
 	}
@@ -82,52 +162,109 @@ func FuzzResidualPreState(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		p := fuzzShapes[int(data[0])%len(fuzzShapes)]
+		sh := fuzzShapes[int(data[0])%len(fuzzShapes)]
+		p := sh.prog
 		rels := p.EDBPreds()
 		pre := store.New()
 		if data[1]&0x80 == 0 {
 			for _, rel := range rels {
-				pre.MustEnsure(rel, fuzzArity[rel])
+				pre.MustEnsure(rel, sh.arity[rel])
 			}
 		}
-		for i := 3; i+1 < len(data) && i < 3+2*8; i += 2 {
-			rel := rels[int(data[i])%len(rels)]
-			if _, err := pre.Insert(rel, fuzzTuple(data[i+1], fuzzArity[rel])); err != nil {
-				t.Fatal(err)
+		fill := func(db *store.Store, pairs []byte, keep func(rel string) bool) {
+			for i := 0; i+1 < len(pairs) && i < 2*fuzzPairs; i += 2 {
+				if rel := rels[int(pairs[i])%len(rels)]; keep(rel) {
+					if _, err := db.Insert(rel, fuzzTuple(pairs[i+1], sh.arity[rel])); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
-		if bad, err := eval.PanicHolds(p, pre.Clone()); err != nil || bad {
+		fill(pre, data[3:], func(string) bool { return true })
+		holds := func(db *store.Store) bool {
+			bad, err := eval.PanicHolds(p, db.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
+			return !bad
+		}
+		if !holds(pre) {
 			return
 		}
 		rel := rels[int(data[1]>>1&0x3f)%len(rels)]
-		u := store.Update{Insert: data[1]&1 == 1, Relation: rel, Tuple: fuzzTuple(data[2], fuzzArity[rel])}
+		u := store.Update{Insert: data[1]&1 == 1, Relation: rel, Tuple: fuzzTuple(data[2], sh.arity[rel])}
 		post := pre.Clone()
 		if err := u.Apply(post); err != nil {
 			t.Fatal(err)
 		}
-		want, err := eval.PanicHolds(p, post.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := DeriveShape(p, u.Relation, u.Insert)
-		if !sh.Eligible {
+		want := !holds(post)
+		shape := DeriveShape(p, u.Relation, u.Insert)
+		if !shape.Eligible {
 			t.Fatalf("%s: pattern of %v ineligible", p, u)
 		}
+		local := func(rel string) bool { return rel == sh.local }
 		before, schema, version := pre.Dump(), pre.SchemaVersion(), pre.DataVersion(u.Relation)
-		for _, opts := range []Options{{}, {DisableIndexes: true}} {
-			res := Compile(p, u.Relation, u.Insert, u.Tuple, sh, pre, opts)
+		rendered := ""
+		for _, opts := range []Options{{}, {DisableIndexes: true}, {Local: local}} {
+			res := Compile(p, u.Relation, u.Insert, u.Tuple, shape, pre, opts)
 			if got := res.Decide(pre, u.Tuple); got != want {
 				t.Fatalf("%+v: residual on the pre-state says violated=%v, evaluation of the updated copy %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
 					opts, got, want, p, u, before)
 			}
-			// The same residual on the updated database: the adjustment is
-			// idempotent.
-			if got := res.Decide(post, u.Tuple); got != want {
-				t.Fatalf("%+v: residual on the post-state says violated=%v, evaluation %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
-					opts, got, want, p, u, before)
+			// A certificate is no literal: the residual renders as the same
+			// program with and without (the scan arm orders atoms its own way).
+			if prog := res.Program(u.Tuple).String(); !opts.DisableIndexes {
+				if rendered == "" {
+					rendered = prog
+				} else if prog != rendered {
+					t.Fatalf("residual of %v renders as\n%s\nwith certificates and as\n%s\nwithout", u, prog, rendered)
+				}
+			}
+			certifiable := opts.Local != nil && sh.cert && u.Insert && u.Relation == sh.local
+			if n := res.Certificates(); (n > 0) != (certifiable && res.Disjuncts() > 0) {
+				t.Fatalf("%+v: %d certificates compiled for %v under\n%s", opts, n, u, p)
+			}
+			if res.Certificates() == 0 {
+				// The same residual on the updated database: the adjustment is
+				// idempotent.
+				if got := res.Decide(post, u.Tuple); got != want {
+					t.Fatalf("%+v: residual on the post-state says violated=%v, evaluation %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
+						opts, got, want, p, u, before)
+				}
+				continue
+			}
+			witness := res.Certified(pre, u.Tuple)
+			if _, w := res.DecideWitness(pre, u.Tuple); !w.Equal(witness) {
+				t.Fatalf("Certified finds %v, DecideWitness %v", witness, w)
+			}
+			if witness == nil {
+				continue
+			}
+			if !pre.Contains(sh.local, witness) {
+				t.Fatalf("witness %v of %v is not stored", witness, u)
+			}
+			// The hit holds for every state of the remote relations.
+			var tail []byte
+			if len(data) > 3+2*fuzzPairs {
+				tail = data[3+2*fuzzPairs:]
+			}
+			for _, remote := range [][]byte{nil, tail} {
+				alt := store.New()
+				for _, s := range pre.Tuples(sh.local) {
+					if _, err := alt.Insert(sh.local, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fill(alt, remote, func(rel string) bool { return rel != sh.local })
+				if !holds(alt) {
+					continue
+				}
+				if err := u.Apply(alt); err != nil {
+					t.Fatal(err)
+				}
+				if !holds(alt) {
+					t.Fatalf("%v certified by %v, yet it violates\n%s\nover\n%s", u, witness, p, alt.Dump())
+				}
 			}
 		}
 		if pre.Dump() != before || pre.SchemaVersion() != schema || pre.DataVersion(u.Relation) != version {

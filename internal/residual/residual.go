@@ -59,6 +59,11 @@ type Options struct {
 	// fetch candidates by scan-and-filter instead of bound-first hash
 	// probes (the ccheck -noindex discipline).
 	DisableIndexes bool
+	// Local, when non-nil, reports whether a relation is resident at the
+	// checking site (core.Options.LocalRelations), and turns on the local
+	// certificates of inserts into such relations (certificate). Nil —
+	// every relation is local, or phase 3 is disabled — compiles none.
+	Local func(rel string) bool
 }
 
 // Outcome classifies a compiled residual.
@@ -168,6 +173,82 @@ func harmful(l ast.Literal, rel string, insert bool) bool {
 	return l.IsNeg()
 }
 
+// certificate is the complete local test of one harmful occurrence R(ā)
+// of an insert of t into a local relation R (paper Section 5, Theorem
+// 5.3: for arithmetic-free reductions the test RED(t) ⊑ ∪ RED(s) is a
+// selection on R), compiled to one existence probe of R. If a stored
+// tuple s of R matches the occurrence — its constants, its repeated
+// variables — and agrees with t on every position whose variable the rest
+// of the rule can see, then σ_s and σ_t instantiate the rest of the body
+// to the same conjunction. That conjunction was not derivable before the
+// insert (the constraint held with s present) and it does not read R, so
+// it is not derivable after: the disjunct is safe whatever the other
+// relations hold, negated or not, and its plan — the part that reads other
+// sites' relations — need not run. The test is complete, not only sound,
+// when the rest of the body is one literal over the join variables:
+// referential integrity.
+type certificate struct {
+	pred string
+	// cols, ascending, are the occurrence positions a witness must share
+	// with t: those holding a constant (which t carries too, or the
+	// disjunct folded away) and those whose variable occurs in another
+	// literal or in a comparison of the rule.
+	cols []int
+	// same pairs the positions of a variable the occurrence repeats and
+	// nothing else reads: a witness holds one value at both.
+	same [][2]int
+}
+
+// certificateFor analyzes the occurrence rule.Body[oi] of an update
+// pattern the compiler accepts (DeriveShape) and returns the certificate
+// of the disjunct it yields, or nil. There is one only for an insert,
+// into a relation opts.Local names, when the rest of the body reads some
+// relation opts.Local does not — with nothing remote there is nothing to
+// save — and never mentions the updated relation again: under a
+// self-join the new tuple also feeds the other occurrence, and the rest
+// of the body is no longer the same before and after. The certificate is
+// an index probe, so the scan discipline (DisableIndexes) compiles none.
+func certificateFor(rule *ast.Rule, oi int, insert bool, opts Options) *certificate {
+	occ := rule.Body[oi]
+	if !insert || opts.Local == nil || opts.DisableIndexes || !occ.IsPos() || !opts.Local(occ.Atom.Pred) {
+		return nil
+	}
+	// Comparisons count as readers: a variable used only in one still
+	// decides whether the rest of the body holds.
+	visible := map[string]bool{}
+	remote := false
+	for bi, l := range rule.Body {
+		if bi == oi {
+			continue
+		}
+		if !l.IsComp() {
+			if l.Atom.Pred == occ.Atom.Pred {
+				return nil
+			}
+			remote = remote || !opts.Local(l.Atom.Pred)
+		}
+		for _, v := range l.Vars(nil) {
+			visible[v] = true
+		}
+	}
+	if !remote {
+		return nil
+	}
+	cert := &certificate{pred: occ.Atom.Pred}
+	first := map[string]int{}
+	for i, a := range occ.Atom.Args {
+		switch j, seen := first[a.Var]; {
+		case a.IsConst() || visible[a.Var]:
+			cert.cols = append(cert.cols, i)
+		case seen:
+			cert.same = append(cert.same, [2]int{j, i})
+		default:
+			first[a.Var] = i
+		}
+	}
+	return cert
+}
+
 // sterm is a symbolic term during compilation: a constant, a reference
 // to an update-tuple position (parameter), or a still-free rule variable.
 type sterm struct {
@@ -218,6 +299,18 @@ func (r *Residual) Outcome() Outcome { return r.outcome }
 // Disjuncts reports how many residual disjuncts survived compilation.
 func (r *Residual) Disjuncts() int { return len(r.disjuncts) }
 
+// Certificates reports how many disjuncts carry a local certificate; 0
+// for every residual compiled without Options.Local.
+func (r *Residual) Certificates() int {
+	n := 0
+	for _, d := range r.disjuncts {
+		if d.cert != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Compile partially evaluates prog against the update pattern
 // (rel, insert polarity, tuple t) under shape sh. Positions pinned by sh
 // bake t's value in; the rest become parameters, so the result may be
@@ -243,6 +336,7 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 				// check at runtime and no other disjunct can change that.
 				return &Residual{outcome: AlwaysViolating, noIndex: opts.DisableIndexes}
 			}
+			d.cert = certificateFor(rule, oi, insert, opts)
 			res.disjuncts = append(res.disjuncts, d)
 			if d.regs > res.maxRegs {
 				res.maxRegs = d.regs

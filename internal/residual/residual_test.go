@@ -285,3 +285,69 @@ func TestProgramRendering(t *testing.T) {
 		t.Errorf("always-safe program: holds=%v err=%v", holds, err)
 	}
 }
+
+// TestEmbeddedResidualsUnchanged pins what a checker with nothing remote
+// compiles for the constraints of the benchmark's three embedded
+// workloads (embed_flat and serve_http share theirs; embed_recursive's
+// are refused): the renderings recorded at the commit before local
+// certificates existed, and no certificate — those are compiled only
+// under Options.Local.
+func TestEmbeddedResidualsUnchanged(t *testing.T) {
+	const (
+		fi      = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+		ri      = "panic :- emp(E,D,S) & not dept(D)."
+		low     = "panic :- emp(E,D,S) & salRange(D,Low,High) & S < Low."
+		high    = "panic :- emp(E,D,S) & salRange(D,Low,High) & S > High."
+		acyclic = "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X)."
+		hub     = "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X)."
+	)
+	tuples := map[string]relation.Tuple{
+		"l": relation.Ints(3, 9), "r": relation.Ints(5),
+		"emp":      relation.TupleOf(ast.Str("ann"), ast.Str("toy"), ast.Int(50)),
+		"dept":     relation.Strs("toy"),
+		"salRange": relation.TupleOf(ast.Str("toy"), ast.Int(10), ast.Int(90)),
+		"edge":     relation.Ints(1, 2), "banned": relation.Ints(1),
+	}
+	db := store.New()
+	for _, c := range []struct {
+		src, rel string
+		insert   bool
+		want     string
+	}{
+		{fi, "l", true, "residual-goal: panic :- r(R$0) & 3 <= R$0 & R$0 <= 9."},
+		{fi, "l", false, "always-safe: "},
+		{fi, "r", true, "residual-goal: panic :- l(R$0,R$1) & R$0 <= 5 & 5 <= R$1."},
+		{fi, "r", false, "always-safe: "},
+		{ri, "dept", true, "always-safe: "},
+		{ri, "dept", false, "residual-goal: panic :- emp(R$0,toy,R$1)."},
+		{ri, "emp", true, "residual-goal: panic :- not dept(toy)."},
+		{ri, "emp", false, "always-safe: "},
+		{low, "emp", true, "residual-goal: panic :- salRange(toy,R$0,R$1) & 50 < R$0."},
+		{low, "emp", false, "always-safe: "},
+		{low, "salRange", true, "residual-goal: panic :- emp(R$0,toy,R$1) & R$1 < 10."},
+		{low, "salRange", false, "always-safe: "},
+		{high, "emp", true, "residual-goal: panic :- salRange(toy,R$0,R$1) & 50 > R$1."},
+		{high, "emp", false, "always-safe: "},
+		{high, "salRange", true, "residual-goal: panic :- emp(R$0,toy,R$1) & R$1 > 90."},
+		{high, "salRange", false, "always-safe: "},
+		{acyclic, "edge", true, "ineligible"},
+		{acyclic, "edge", false, "ineligible"},
+		{hub, "banned", true, "ineligible"},
+		{hub, "banned", false, "ineligible"},
+		{hub, "edge", true, "ineligible"},
+		{hub, "edge", false, "ineligible"},
+	} {
+		p := prog(t, c.src)
+		got := "ineligible"
+		if sh := DeriveShape(p, c.rel, c.insert); sh.Eligible {
+			res := Compile(p, c.rel, c.insert, tuples[c.rel], sh, db, Options{})
+			got = res.Outcome().String() + ": " + res.Program(tuples[c.rel]).String()
+			if n := res.Certificates(); n != 0 {
+				t.Errorf("%s, %s insert=%v: %d certificates with nothing remote", c.src, c.rel, c.insert, n)
+			}
+		}
+		if got != c.want {
+			t.Errorf("%s, %s insert=%v compiles to\n%s\nwant\n%s", c.src, c.rel, c.insert, got, c.want)
+		}
+	}
+}

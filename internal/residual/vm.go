@@ -66,11 +66,29 @@ type step struct {
 	repRegs   []int
 }
 
-// disjunct is one compiled residual disjunct: its plan and how many
-// registers the plan uses.
+// disjunct is one compiled residual disjunct: its plan, how many
+// registers the plan uses and, where the pattern has one, the local
+// certificate probed ahead of the plan.
 type disjunct struct {
 	steps []step
 	regs  int
+	cert  *certificate
+}
+
+// witness probes the disjunct's certificate for the update tuple t: a
+// stored tuple that certifies the disjunct, or nil — no certificate was
+// compiled, or no stored tuple agrees with t where it has to.
+func (d *disjunct) witness(db *store.Store, t relation.Tuple, sc *scratch) relation.Tuple {
+	if d.cert == nil {
+		return nil
+	}
+	lv := sc.level(0)
+	vals := lv.vals[:0]
+	for _, c := range d.cert.cols {
+		vals = append(vals, t[c])
+	}
+	lv.vals = vals
+	return db.FirstCols(d.cert.pred, len(t), d.cert.cols, vals, d.cert.same)
 }
 
 // plan orders the symbolic body into a disjunct: comparisons and
@@ -245,31 +263,72 @@ func (sc *scratch) level(i int) *levelScratch {
 
 // Decide reports whether panic is derivable once the compiled update of
 // tuple t is applied to db — whether the update violates the constraint —
-// reading db as it stands before the update (one that holds it already
-// answers the same) and never writing it. It is safe for concurrent use;
-// t must agree with the compiled pattern on the pinned positions (the
-// cache guarantees this).
+// reading db as it stands before the update and never writing it. It is
+// safe for concurrent use; t must agree with the compiled pattern on the
+// pinned positions (the cache guarantees this).
+//
+// db must be the state the constraint is known to hold in. A residual
+// without certificates answers the same on a db that already holds the
+// update; one with certificates would take the new tuple for its own
+// witness there.
 func (r *Residual) Decide(db *store.Store, t relation.Tuple) bool {
+	violated, _ := r.decide(db, t, false)
+	return violated
+}
+
+// DecideWitness is Decide that also says when local certificates alone
+// decided: witness is a stored tuple that certified a disjunct when every
+// disjunct was certified — no plan ran and nothing but the updated
+// relation was read — and nil otherwise.
+func (r *Residual) DecideWitness(db *store.Store, t relation.Tuple) (violated bool, witness relation.Tuple) {
+	return r.decide(db, t, false)
+}
+
+// Certified runs the certificates and nothing else: the witness
+// DecideWitness would return, so non-nil means Decide(db, t) is false
+// and reads only the updated relation.
+func (r *Residual) Certified(db *store.Store, t relation.Tuple) relation.Tuple {
+	_, witness := r.decide(db, t, true)
+	return witness
+}
+
+// decide runs each disjunct's certificate and, unless it finds a witness,
+// its plan; under certOnly it gives up at the first disjunct that would
+// need its plan.
+func (r *Residual) decide(db *store.Store, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
 	switch r.outcome {
 	case AlwaysSafe:
-		return false
+		return false, nil
 	case AlwaysViolating:
-		return true
+		return true, nil
 	}
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.regs) < r.maxRegs {
 		sc.regs = make([]ast.Value, r.maxRegs)
 	}
 	sc.regs = sc.regs[:cap(sc.regs)]
-	violated := false
+	certified := true
 	for _, d := range r.disjuncts {
+		if w := d.witness(db, t, sc); w != nil {
+			if witness == nil {
+				witness = w
+			}
+			continue
+		}
+		certified = false
+		if certOnly {
+			break
+		}
 		if r.run(d, 0, db, t, sc) {
 			violated = true
 			break
 		}
 	}
 	scratchPool.Put(sc)
-	return violated
+	if !certified {
+		witness = nil
+	}
+	return violated, witness
 }
 
 // value resolves an argument against the update tuple and register file.

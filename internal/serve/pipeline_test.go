@@ -352,6 +352,56 @@ func keyRequests(seed int64, n int) []request {
 	return reqs
 }
 
+// witnessRequests is keyRequests squeezed until local certificates
+// collide: four departments and eight employees, so that nearly every emp
+// insert or check finds a stored employee of its department to certify it
+// (netdist coordinators compile the certificate; an embedded checker runs
+// the same stream without), deletes keep taking the last witness of a
+// department away, dept deletes follow them, and one request in eight is
+// an atomic batch whose first member is the witness of its third — and
+// which, half the time, ends on a ghost department and is rolled back,
+// witness included. The stream opens by deleting the employees
+// seedKeyStores puts in those four departments, so that every witness is
+// one the stream inserted and can delete.
+func witnessRequests(seed int64, n int) []request {
+	const band, ghost = 4, 99
+	rng := rand.New(rand.NewSource(seed))
+	emp := func(k int64) store.Update {
+		return store.Ins("emp", relation.Ints(2000+int64(rng.Intn(8)), k))
+	}
+	one := func() store.Update {
+		switch p := rng.Intn(100); {
+		case p < 45:
+			return emp(int64(rng.Intn(band)))
+		case p < 75:
+			return store.Del("emp", emp(int64(rng.Intn(band))).Tuple)
+		case p < 90:
+			return store.Del("dept", relation.Ints(int64(rng.Intn(band))))
+		default:
+			return store.Ins("dept", relation.Ints(int64(rng.Intn(band))))
+		}
+	}
+	reqs := make([]request, n)
+	for i := range reqs {
+		switch p := rng.Intn(8); {
+		case i < band:
+			reqs[i] = request{op: opApply, u: store.Del("emp", relation.Ints(1000+int64(i), int64(i)))}
+		case p == 0:
+			k := int64(rng.Intn(band))
+			us := []store.Update{emp(k), emp(int64(rng.Intn(band))), emp(k)}
+			if rng.Intn(2) == 0 {
+				us = append(us, emp(ghost))
+			}
+			reqs[i] = request{op: opBatch, us: us}
+		case p < 3:
+			reqs[i] = request{op: opCheck, u: emp(int64(rng.Intn(band)))}
+		default:
+			reqs[i] = request{op: opApply, u: one()}
+		}
+	}
+	return reqs
+}
+
 // seedKeyStores fills the four relations of the keyRequests stream:
 // departments 0..7 (so 8..11 start absent), one employee in each of the
 // first six, the intervals and points of pipelineFixture.
@@ -528,11 +578,16 @@ func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
 		}
 		return dump(all)
 	}
-	for _, seed := range []int64{4, 17} {
-		reqs := keyRequests(seed, n)
+	for seed, reqs := range map[int64][]request{
+		4: keyRequests(4, n), 17: keyRequests(17, n),
+		// Witnesses that collide: see witnessRequests.
+		5: witnessRequests(5, n), 11: witnessRequests(11, n),
+	} {
 		var want []string
 		var wantMirror, wantSites string
-		for _, workers := range []int{1, 4, 8} {
+		var wantTrips int
+		var wantCertified int64
+		for _, workers := range []int{1, 1, 4, 8} {
 			s, co, sites := build(workers)
 			if got := s.ApplyWorkers(); got != workers {
 				t.Fatalf("effective workers = %d, want %d", got, workers)
@@ -540,9 +595,19 @@ func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
 			got := runRequests(t, s, reqs)
 			s.Close()
 			mirror, remote := dump(co.Checker.DB()), merged(sites)
-			if workers == 1 {
+			if want == nil {
 				want, wantMirror, wantSites = got, mirror, remote
+				wantTrips, wantCertified = co.Stats().RoundTrips, co.Checker.Stats().LocalCertified
+				if wantCertified == 0 {
+					t.Fatalf("seed %d: no decision was certified locally", seed)
+				}
 				continue
+			}
+			if workers == 1 {
+				// One worker interleaves nothing: the wire counts repeat exactly.
+				if trips, certified := co.Stats().RoundTrips, co.Checker.Stats().LocalCertified; trips != wantTrips || certified != wantCertified {
+					t.Fatalf("seed %d: %d round trips and %d certified decisions, then %d and %d", seed, wantTrips, wantCertified, trips, certified)
+				}
 			}
 			for i := range got {
 				if got[i] != want[i] {

@@ -690,6 +690,12 @@ func (s *Server) logTask(t *task, res taskResult, dur time.Duration) {
 		} else {
 			rec.Applied = rep.Applied
 			rec.Violations = rep.Violations()
+			for _, w := range rep.Witnesses {
+				if rec.Witnesses == nil {
+					rec.Witnesses = map[string]string{}
+				}
+				rec.Witnesses[w.Constraint] = u.Relation + w.Tuple.String()
+			}
 		}
 		if !s.dlog.emit(rec) && s.met != nil {
 			s.met.logDrops.Inc()
@@ -719,8 +725,11 @@ type logRecord struct {
 	Update     string   `json:"update"`
 	Applied    bool     `json:"applied"`
 	Violations []string `json:"violations,omitempty"`
-	LatencyUS  int64    `json:"latency_us"`
-	Err        string   `json:"error,omitempty"`
+	// Witnesses names, per constraint decided by a local certificate
+	// (core.Report.Witnesses), the stored tuple that certified it.
+	Witnesses map[string]string `json:"witnesses,omitempty"`
+	LatencyUS int64             `json:"latency_us"`
+	Err       string            `json:"error,omitempty"`
 }
 
 // decisionLog is the buffered JSONL sink: emit never blocks (drops are

@@ -250,3 +250,41 @@ func TestCrossProcessTraceReassembly(t *testing.T) {
 		t.Fatalf("self times sum to %v, end-to-end %v (>5%% apart)", selfSum, e2e)
 	}
 }
+
+// TestDecisionLogNamesWitness: a decision a local certificate settled is
+// logged with the tuple that certified it, per constraint; one that ran
+// the residual's plan carries none.
+func TestDecisionLogNamesWitness(t *testing.T) {
+	db := store.New()
+	for _, f := range []struct {
+		rel string
+		tup relation.Tuple
+	}{{"dept", relation.Strs("toy")}, {"dept", relation.Strs("shoe")}, {"emp", relation.Strs("ann", "toy")}} {
+		if _, err := db.Insert(f.rel, f.tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chk := core.New(db, core.Options{LocalRelations: []string{"emp"}})
+	if err := chk.AddConstraintSource("ri", "panic :- emp(E,D) & not dept(D)."); err != nil {
+		t.Fatal(err)
+	}
+	var dlog bytes.Buffer
+	s := New(chk, Config{DecisionLog: &dlog})
+	for _, dept := range []string{"toy", "shoe"} {
+		if rep, err := s.Apply("alice", store.Ins("emp", relation.Strs("bob", dept))); err != nil || !rep.Applied {
+			t.Fatalf("rep=%+v err=%v", rep, err)
+		}
+	}
+	s.Close()
+	var lines []logRecord
+	for scan := bufio.NewScanner(&dlog); scan.Scan(); {
+		var rec logRecord
+		if err := json.Unmarshal(scan.Bytes(), &rec); err != nil {
+			t.Fatalf("decision-log line does not parse: %v: %s", err, scan.Text())
+		}
+		lines = append(lines, rec)
+	}
+	if len(lines) != 2 || lines[0].Witnesses["ri"] != "emp(ann,toy)" || len(lines[1].Witnesses) != 0 {
+		t.Fatalf("decision log = %+v, want emp(ann,toy) as ri's witness on the first line only", lines)
+	}
+}

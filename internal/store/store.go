@@ -252,6 +252,20 @@ func (s *Store) Probe(name string, t relation.Tuple) bool {
 	return r != nil && r.Contains(t)
 }
 
+// FirstCols returns one tuple of the named arity-ary relation whose
+// projection onto cols equals vals (see relation.FirstCols), or nil —
+// also when the relation is absent or stored with another arity. Like
+// Probe it charges one read: an existence probe hands out one tuple at
+// most.
+func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, same [][2]int) relation.Tuple {
+	s.charge(name, 1)
+	r := s.get(name)
+	if r == nil || r.Arity() != arity {
+		return nil
+	}
+	return r.FirstCols(cols, vals, same)
+}
+
 // Reads returns the cumulative number of tuples read from the named
 // relation via Tuples/Lookup/Probe.
 func (s *Store) Reads(name string) int64 {

@@ -375,3 +375,28 @@ func TestDataVersion(t *testing.T) {
 		t.Fatalf("ReplaceKey changed the group but not the version (%d)", got)
 	}
 }
+
+func TestFirstCols(t *testing.T) {
+	s := New()
+	if _, err := s.Insert("emp", relation.Strs("ann", "toy")); err != nil {
+		t.Fatal(err)
+	}
+	toy := []ast.Value{ast.Str("toy")}
+	if got := s.FirstCols("emp", 2, []int{1}, toy, nil); !got.Equal(relation.Strs("ann", "toy")) {
+		t.Errorf("FirstCols = %v, want emp(ann,toy)", got)
+	}
+	// An existence probe is one read, found or not; another arity and an
+	// absent relation hold no witness, and probing them creates nothing.
+	if got := s.FirstCols("emp", 2, []int{1}, []ast.Value{ast.Str("shoe")}, nil); got != nil {
+		t.Errorf("FirstCols(shoe) = %v", got)
+	}
+	if got := s.FirstCols("emp", 3, []int{1}, toy, nil); got != nil {
+		t.Errorf("FirstCols at arity 3 = %v", got)
+	}
+	if got := s.FirstCols("dept", 1, []int{0}, toy, nil); got != nil || s.Relation("dept") != nil {
+		t.Errorf("FirstCols on an absent relation = %v, relation created: %v", got, s.Relation("dept") != nil)
+	}
+	if got := s.Reads("emp"); got != 3 {
+		t.Errorf("emp reads = %d, want 3", got)
+	}
+}
