@@ -41,11 +41,12 @@
 // hatches; -workers sizes the checker's dispatch pool.
 //
 // -apply-workers N (default 1) turns on the conflict-aware pipelined
-// arm: N workers apply non-conflicting queued updates concurrently
-// while conflicting ones keep admission order, so verdicts and state
-// match the sequential arm exactly (see DESIGN.md, "Conflict-aware
-// apply scheduling"). With -sites it also pipelines the coordinator's
-// atomic batches.
+// arm: non-conflicting queued updates are decided concurrently, at most
+// N of them computing at once — with -sites an update that may wait on
+// a site does not count, and -queue bounds those — while conflicting
+// ones keep admission order, so verdicts and state match the sequential
+// arm exactly (see DESIGN.md, "Conflict-aware apply scheduling"). With
+// -sites it also pipelines the coordinator's atomic batches.
 package main
 
 import (
@@ -118,14 +119,14 @@ func main() {
 	flag.StringVar(&cfg.constraints, "constraints", "", "path to constraint programs (blank-line separated; required)")
 	flag.StringVar(&cfg.data, "data", "", "path to initial facts")
 	flag.StringVar(&cfg.local, "local", "", "comma-separated local relations (default: all local)")
-	flag.IntVar(&cfg.queue, "queue", 0, "request queue depth (0: 1024); a full queue answers 429")
+	flag.IntVar(&cfg.queue, "queue", 0, "requests that may wait beyond those being served (0: 1024); past it the answer is 429")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-client admission rate in requests/second (0: unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-client token-bucket burst (0: max(rate,1))")
 	flag.IntVar(&cfg.maxBatch, "maxbatch", 0, "updates accepted per batch request (0: 1024)")
 	flag.StringVar(&cfg.logPath, "decision-log", "", "append one JSON line per decision to this file (empty: off)")
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
-	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "apply workers behind the request queue (1: sequential; >1: conflict-aware pipelined applies)")
+	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: sequential; >1: conflict-aware pipelined applies, waits on a site not counted)")
 	flag.BoolVar(&cfg.noindex, "noindex", false, "disable hash-index probes and bound-first join planning (A/B escape hatch)")
 	flag.BoolVar(&cfg.noplancache, "noplancache", false, "disable the compiled evaluation plan cache (A/B escape hatch)")
 	flag.BoolVar(&cfg.noresidual, "noresidual", false, "disable residual check compilation (A/B escape hatch)")

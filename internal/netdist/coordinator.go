@@ -72,8 +72,11 @@ type Options struct {
 	// ApplyWorkers > 1 routes ApplyBatch through the conflict-aware
 	// scheduler (internal/sched): non-conflicting updates overlap their
 	// phase-1–3 checks and site RPCs instead of running strictly one at
-	// a time, while the batch stays atomic. 0 or 1 keeps the sequential
-	// path. ApplyStream takes its worker count as an argument instead.
+	// a time, while the batch stays atomic. It is how many members may
+	// compute at once; one that may wait on a site (sched.Footprint.Wire)
+	// does not count, so what bounds round trips in flight is the size of
+	// the batch. 0 or 1 keeps the sequential path. ApplyStream takes its
+	// worker count as an argument instead.
 	ApplyWorkers int
 	// DisableShardRouting is the scatter-gather A/B arm: sharded
 	// relations are always refreshed in full (every shard scanned and

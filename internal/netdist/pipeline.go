@@ -14,7 +14,12 @@ import (
 // conflict-aware scheduler (internal/sched) so that independent updates
 // overlap their phase-1–3 checks and site RPCs — the wire wait of one
 // update hides behind the local work and wire waits of others — while
-// conflicting updates keep strict admission order. Verdicts and the
+// conflicting updates keep strict admission order. The worker count is
+// how many updates compute at once: the index marks an update that writes
+// or reads a placed relation Wire, and the scheduler runs those without
+// a worker, so an update local data decides never waits out another's
+// round trip and the stream or batch itself bounds what is on the wire.
+// Verdicts and the
 // final global state are identical to the sequential arm; only the
 // interleaving of independent updates (and therefore throughput under
 // latency) changes.
@@ -29,9 +34,10 @@ type StreamResult struct {
 // concurrent counterpart of a sequential loop of Apply calls, with no
 // batch atomicity: a rejected or failed update rolls back alone and the
 // rest proceed. workers <= 1 runs the plain loop; otherwise the
-// scheduler dispatches non-conflicting updates to a worker pool and
-// serializes conflicting ones in admission order, so per-update verdicts
-// and the final state match the sequential loop exactly.
+// scheduler runs non-conflicting updates concurrently — at most workers
+// of them computing, any number waiting on a site — and serializes
+// conflicting ones in admission order, so per-update verdicts and the
+// final state match the sequential loop exactly.
 func (co *Coordinator) ApplyStream(updates []store.Update, workers int) []StreamResult {
 	out := make([]StreamResult, len(updates))
 	if workers <= 1 {

@@ -276,3 +276,78 @@ func TestPipelinedBatchShardedRollback(t *testing.T) {
 		}
 	}
 }
+
+// parkedTransport holds every round trip at the site until release and
+// says when one has arrived.
+type parkedTransport struct {
+	Transport
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (p parkedTransport) RoundTrip(site string, req *Request, timeout time.Duration) (*Response, error) {
+	p.arrived <- struct{}{}
+	<-p.release
+	return p.Transport.RoundTrip(site, req, timeout)
+}
+
+// TestWireTasksOutnumberWorkers: the coordinator's own schedulers —
+// ApplyStream's and the pipelined ApplyBatch's — count computing tasks
+// against their workers, not tasks waiting on a site. Six l inserts that
+// each need r refreshed are all on the wire at once behind two workers,
+// and the outcome is the sequential loop's.
+func TestWireTasksOutnumberWorkers(t *testing.T) {
+	const wired, workers = 6, 2
+	var us []store.Update
+	for i := int64(0); i < wired; i++ {
+		us = append(us, store.Ins("l", relation.Ints(1000+10*i, 1001+10*i)))
+	}
+	us = append(us, store.Del("l", relation.Ints(0, 10))) // decided by polarity: never on the wire
+	seqCo, seqRemote, _ := pipeFixture(t, 1)
+	for i, r := range seqCo.ApplyStream(us, 1) {
+		if r.Err != nil || !r.Report.Applied {
+			t.Fatalf("sequential update %d: %+v", i, r)
+		}
+	}
+	for name, run := range map[string]func(*Coordinator) error{
+		"ApplyStream": func(co *Coordinator) error {
+			for _, r := range co.ApplyStream(us, workers) {
+				if r.Err != nil || !r.Report.Applied {
+					return fmt.Errorf("%+v", r)
+				}
+			}
+			return nil
+		},
+		"ApplyBatch": func(co *Coordinator) error {
+			br, err := co.ApplyBatch(us)
+			if err == nil && !br.Applied {
+				err = fmt.Errorf("rejected at %d", br.FailedAt)
+			}
+			return err
+		},
+	} {
+		co, remote, _ := pipeFixture(t, workers)
+		wire := parkedTransport{co.transport, make(chan struct{}, wired), make(chan struct{})}
+		co.transport = wire
+		done := make(chan error, 1)
+		go func() { done <- run(co) }()
+		for i := 0; i < wired; i++ {
+			select {
+			case <-wire.arrived:
+			case <-time.After(10 * time.Second):
+				close(wire.release)
+				t.Fatalf("%s: %d of %d refreshes on the wire with %d workers: the rest are waiting for a worker", name, i, wired, workers)
+			}
+		}
+		close(wire.release)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := dumpStore(co.Checker.DB()), dumpStore(seqCo.Checker.DB()); got != want {
+			t.Fatalf("%s: mirror diverged\npipelined:\n%s\nsequential:\n%s", name, got, want)
+		}
+		if got, want := dumpStore(remote), dumpStore(seqRemote); got != want {
+			t.Fatalf("%s: site store diverged\npipelined:\n%s\nsequential:\n%s", name, got, want)
+		}
+	}
+}

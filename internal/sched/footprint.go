@@ -5,7 +5,7 @@
 // and applied in parallel without changing any verdict or the final
 // store state. This package computes those footprints symbolically from
 // the constraint set (the same update-pattern analysis internal/residual
-// compiles from) and runs a conflict-aware worker pool that dispatches
+// compiles from) and runs a conflict-aware scheduler that runs
 // independent updates concurrently while serializing conflicting ones in
 // admission order. The result is serializable in admission order:
 // verdicts and final state are identical to a single worker applying the
@@ -29,10 +29,11 @@ import (
 // Sharder (the default) means every relation is stored here.
 //
 // The index needs it for one reason each: ReadPlan names the key groups
-// to fetch, which are groups of the shard-key column; and a task that
+// to fetch, which are groups of the shard-key column; a task that
 // reads a remote relation first rewrites its mirror — one key group on
 // the shard-key column, or the whole relation — so its claim on that
-// relation may be no finer than what the refresh rewrites.
+// relation may be no finer than what the refresh rewrites; and a task
+// that touches a remote relation may wait on a site (Footprint.Wire).
 type Sharder interface {
 	// Remote reports whether rel is mirrored from remote sites.
 	Remote(rel string) bool
@@ -84,8 +85,15 @@ func (r Read) covers(w Write) bool {
 // A Barrier footprint conflicts with everything (used for batches that
 // must see a quiescent store, stats snapshots, and unknown update
 // patterns).
+//
+// Wire says the task may wait on a site: it writes a relation, or reads
+// one, that the index's Sharder reports Remote — a write that must be
+// propagated, a read whose mirror must be refreshed first. It is derived
+// (Index.Update sets it), orders nothing (Conflict never looks at it)
+// and only tells the Scheduler that the task's time is not compute time.
 type Footprint struct {
 	Barrier bool
+	Wire    bool
 	Writes  []Write
 	Reads   []Read
 }
@@ -95,6 +103,7 @@ type Footprint struct {
 // f's slices: use the result, not f, afterwards.
 func (f Footprint) Union(o Footprint) Footprint {
 	f.Barrier = f.Barrier || o.Barrier
+	f.Wire = f.Wire || o.Wire
 next:
 	for _, w := range o.Writes {
 		for _, x := range f.Writes {
@@ -265,6 +274,7 @@ type readSpec struct {
 	key     relation.Handle // keyed, pos < 0: the constant baked into the constraint
 	occAr   int             // keyed: occurrence arity; applies only to tuples of this arity
 	general bool            // whole: true when from the non-residual fallback
+	remote  bool            // rel is mirrored from a site: reading it may wait on the wire
 }
 
 // Index derives and memoizes footprints per update pattern (relation +
@@ -298,7 +308,10 @@ func (ix *Index) Update(u store.Update) Footprint {
 	for i, v := range u.Tuple {
 		hs[i] = relation.Intern(v)
 	}
-	f := Footprint{Writes: []Write{{Relation: u.Relation, FP: relation.FingerprintHandles(hs), Cols: hs}}}
+	f := Footprint{
+		Wire:   ix.remote(u.Relation),
+		Writes: []Write{{Relation: u.Relation, FP: relation.FingerprintHandles(hs), Cols: hs}},
+	}
 	if specs := ix.specsFor(u.Relation, u.Insert); len(specs) > 0 {
 		f.Reads = make([]Read, 0, len(specs))
 		for _, sp := range specs {
@@ -313,6 +326,7 @@ func (ix *Index) Update(u store.Update) Footprint {
 				}
 			}
 			f.Reads = addRead(f.Reads, r)
+			f.Wire = f.Wire || sp.remote
 		}
 	}
 	return f
@@ -385,6 +399,11 @@ next:
 	return rp
 }
 
+// remote reports whether rel is mirrored from a site.
+func (ix *Index) remote(rel string) bool {
+	return ix.opts.Sharder != nil && ix.opts.Sharder.Remote(rel)
+}
+
 func (ix *Index) specsFor(rel string, insert bool) []readSpec {
 	k := patKey{rel, insert}
 	ix.mu.RLock()
@@ -396,6 +415,9 @@ func (ix *Index) specsFor(rel string, insert bool) []readSpec {
 	specs = []readSpec{}
 	for _, prog := range ix.progs {
 		specs = progSpecs(prog, rel, insert, ix.opts, specs)
+	}
+	for i := range specs {
+		specs[i].remote = ix.remote(specs[i].rel)
 	}
 	ix.mu.Lock()
 	ix.memo[k] = specs

@@ -569,3 +569,51 @@ func TestDistShardedStallShare(t *testing.T) {
 		}
 	}
 }
+
+// TestWire: the bit that tells the scheduler a task may wait on a site is
+// set exactly when the task writes, or its check reads, a relation the
+// Sharder reports remote — and never without a Sharder, which is what
+// keeps a single-checker server's Workers a bound on everything it runs.
+func TestWire(t *testing.T) {
+	sh := placed{"dept": 0, "r": -1}
+	emp := relation.TupleOf(ast.Str("ann"), ast.Int(7))
+	cases := []struct {
+		name string
+		u    store.Update
+		want bool
+	}{
+		{"local write, remote keyed read", store.Ins("emp", emp), true},
+		{"local write decided by polarity, no reads", store.Del("emp", emp), false},
+		{"remote write, no reads", store.Ins("dept", relation.Ints(7)), true},
+		{"remote write, local read", store.Del("dept", relation.Ints(7)), true},
+		{"local write, whole read of a remote relation", store.Ins("l", relation.Ints(1, 3)), true},
+		{"local write, no reads", store.Del("l", relation.Ints(1, 3)), false},
+		{"relation no constraint mentions", store.Ins("other", relation.Ints(1)), false},
+	}
+	remote, local := index(sh, refSrc, fiSrc), index(nil, refSrc, fiSrc)
+	for _, c := range cases {
+		if got := remote.Update(c.u).Wire; got != c.want {
+			t.Errorf("%s: %s Wire = %v, want %v", c.name, c.u, got, c.want)
+		}
+		if local.Update(c.u).Wire {
+			t.Errorf("%s: %s is Wire without a Sharder", c.name, c.u)
+		}
+	}
+
+	wire, quiet := remote.Update(cases[0].u), remote.Update(cases[1].u)
+	if !quiet.Union(wire).Wire || !wire.Union(quiet).Wire || quiet.Union(quiet).Wire {
+		t.Error("Union must OR Wire")
+	}
+	if !remote.Batch([]store.Update{cases[1].u, cases[0].u}).Wire || remote.Batch([]store.Update{cases[1].u, cases[5].u}).Wire {
+		t.Error("Batch must be Wire exactly when one of its updates is")
+	}
+	if local.Batch([]store.Update{cases[0].u, cases[2].u}).Wire {
+		t.Error("Batch is Wire without a Sharder")
+	}
+	// Ordering does not look at it.
+	a, b := remote.Update(cases[0].u), remote.Update(cases[0].u)
+	b.Wire = false
+	if a.Conflict(b) != b.Conflict(b) {
+		t.Error("Conflict must not depend on Wire")
+	}
+}

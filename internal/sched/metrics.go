@@ -18,12 +18,16 @@ type Metrics struct {
 	ConflictStalls [CauseWholeRead + 1]*obs.Counter
 	// Inflight gauges admitted-but-unfinished tasks (cc_sched_inflight).
 	Inflight *obs.Gauge
-	// WorkersBusy gauges workers currently running a task
+	// WorkersBusy gauges the Workers tokens held — tasks computing, not
+	// tasks running: one that may wait on a site holds none, so
+	// Inflight − WorkersBusy is "ready, stalled or on the wire"
 	// (cc_sched_workers_busy).
 	WorkersBusy *obs.Gauge
-	// Wait distributes admission-to-dispatch delay in seconds
-	// (cc_sched_wait_seconds).
-	Wait *obs.Histogram
+	// ConflictWait distributes, over all tasks, the delay from admission
+	// until the last conflicting earlier task finished; WorkerWait, over
+	// the tasks that take a token, the delay from then until they got it
+	// (cc_sched_wait_seconds, label kind = conflict | worker).
+	ConflictWait, WorkerWait *obs.Histogram
 	// Footprint distributes the conflict-scan time of Submit in seconds
 	// (cc_sched_footprint_seconds).
 	Footprint *obs.Histogram
@@ -48,12 +52,14 @@ func NewMetrics(reg *obs.Registry, layer string) *Metrics {
 		Inflight: reg.GaugeVec("cc_sched_inflight",
 			"Admitted, not yet finished scheduler tasks.", "layer").With(layer),
 		WorkersBusy: reg.GaugeVec("cc_sched_workers_busy",
-			"Apply workers currently running a task.", "layer").With(layer),
-		Wait: reg.HistogramVec("cc_sched_wait_seconds",
-			"Admission-to-dispatch delay per task.", nil, "layer").With(layer),
+			"Worker tokens held: tasks computing (a task that may wait on a site holds none).", "layer").With(layer),
 		Footprint: reg.HistogramVec("cc_sched_footprint_seconds",
 			"Footprint conflict-scan time per submission.", footprintBuckets, "layer").With(layer),
 	}
+	wait := reg.HistogramVec("cc_sched_wait_seconds",
+		"Delay per task: kind=conflict from admission until its conflicts cleared, kind=worker from then until it got a worker token.",
+		nil, "layer", "kind")
+	m.ConflictWait, m.WorkerWait = wait.With(layer, "conflict"), wait.With(layer, "worker")
 	stalls := reg.CounterVec("cc_sched_conflict_stalls_total",
 		"Tasks admitted behind at least one conflicting in-flight task, by the first conflict's kind.", "layer", "reason")
 	for k := CauseBarrier; k <= CauseWholeRead; k++ {
@@ -70,4 +76,22 @@ func (m *Metrics) observeSubmit(scan time.Duration, stall CauseKind) {
 	if stall != CauseNone {
 		m.ConflictStalls[stall].Inc()
 	}
+}
+
+// observeStart records a starting task's waits; a task that is not Wire
+// has just taken a token.
+func (m *Metrics) observeStart(info Info, wire bool) {
+	m.ConflictWait.Observe(info.ConflictWait.Seconds())
+	if !wire {
+		m.WorkerWait.Observe(info.WorkerWait.Seconds())
+		m.WorkersBusy.Add(1)
+	}
+}
+
+// observeDone records a finished task, its token already returned.
+func (m *Metrics) observeDone(wire bool) {
+	if !wire {
+		m.WorkersBusy.Add(-1)
+	}
+	m.Inflight.Add(-1)
 }

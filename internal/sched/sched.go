@@ -9,17 +9,22 @@ import (
 
 // Options configure a Scheduler.
 type Options struct {
-	// Workers is the apply-pool width; <= 0 means GOMAXPROCS.
+	// Workers is how many tasks may compute at once; <= 0 means
+	// GOMAXPROCS. Waiting on a site is not computing: a task whose
+	// footprint is Wire runs without counting against it.
 	Workers int
 	// Metrics receives scheduler counters; nil disables instrumentation.
 	Metrics *Metrics
 }
 
-// Info is handed to a task when it is dispatched.
+// Info is handed to a task when it starts.
 type Info struct {
-	// Wait is the time the task spent admitted but not running (conflict
-	// stalls plus ready-queue wait under saturation).
-	Wait time.Duration
+	// ConflictWait is the time from admission until the last conflicting
+	// earlier task finished (0 for a task admitted ready).
+	ConflictWait time.Duration
+	// WorkerWait is the time the ready task then waited for one of the
+	// Workers tokens (0 for a Wire task, which takes none).
+	WorkerWait time.Duration
 	// Conflicts is the number of in-flight tasks the task had to wait
 	// for at admission (0 for an immediately dispatchable task).
 	Conflicts int
@@ -30,7 +35,7 @@ type Info struct {
 
 // Stats is a point-in-time snapshot of scheduler accounting.
 type Stats struct {
-	// Workers is the pool width.
+	// Workers is the number of tasks that may compute at once.
 	Workers int
 	// Tasks counts submissions.
 	Tasks int64
@@ -43,62 +48,63 @@ type Stats struct {
 
 // node is one admitted task in the dependency graph. Edges always point
 // from an earlier admission to a later one, so the graph is acyclic and
-// the pool cannot deadlock.
+// the scheduler cannot deadlock.
 type node struct {
 	run       func(Info)
 	fp        Footprint
-	enqueued  time.Time
-	deps      int     // unfinished earlier conflicting tasks
-	conflicts int     // deps at admission (deps drains to 0 before dispatch)
-	cause     Cause   // the first of them
-	waiters   []*node // later tasks waiting on this one
+	admitted  time.Time
+	ready     time.Time // when deps reached 0
+	deps      int       // unfinished earlier conflicting tasks
+	conflicts int       // deps at admission (deps drains to 0 before dispatch)
+	cause     Cause     // the first of them
+	waiters   []*node   // later tasks waiting on this one
 	done      bool
 }
 
-// Scheduler dispatches submitted tasks across a worker pool such that
-// conflicting tasks (per Footprint.Conflicts) run serially in admission
-// order while independent tasks run concurrently. Submit is safe for
-// concurrent use, and the execution order it guarantees — every pair of
-// conflicting tasks runs in admission order — makes any concurrent
-// schedule equivalent to the sequential one.
+// Scheduler runs submitted tasks such that conflicting tasks (per
+// Footprint.Conflicts) run serially in admission order while independent
+// tasks run concurrently. Every task gets its own goroutine once its
+// dependencies have cleared; one that only computes (its footprint is not
+// Wire) holds one of Workers tokens while it runs, one that may wait on a
+// site holds none — so a decision local data settles never queues behind
+// somebody else's round trip. Submit is safe for concurrent use, and the
+// execution order it guarantees — every pair of conflicting tasks runs
+// in admission order — makes any concurrent schedule equivalent to the
+// sequential one.
 type Scheduler struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight []*node // admission order; done nodes compacted on submit
-	ready    []*node // FIFO dispatch queue
-	pending  int     // admitted, not yet finished
+	idle     *sync.Cond // pending reached 0
+	inflight []*node    // admission order; done nodes compacted on submit
+	pending  int        // admitted, not yet finished
 	closed   bool
 
-	workers        int
-	busy           atomic.Int64
+	// tokens holds one element per computing task.
+	tokens chan struct{}
+
 	tasks          atomic.Int64
 	conflictStalls atomic.Int64
 
 	met *Metrics
-	wg  sync.WaitGroup
 }
 
-// New starts a scheduler with its worker pool.
+// New returns a scheduler admitting Workers computing tasks at once.
 func New(opts Options) *Scheduler {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{workers: w, met: opts.Metrics}
-	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(w)
-	for i := 0; i < w; i++ {
-		go s.worker()
-	}
+	s := &Scheduler{tokens: make(chan struct{}, w), met: opts.Metrics}
+	s.idle = sync.NewCond(&s.mu)
 	return s
 }
 
-// Workers returns the pool width.
-func (s *Scheduler) Workers() int { return s.workers }
+// Workers returns how many tasks may compute at once.
+func (s *Scheduler) Workers() int { return cap(s.tokens) }
 
 // Submit admits a task with the given footprint. The task runs as soon
 // as every earlier-admitted conflicting task has finished; independent
-// tasks run concurrently. Submit after Close panics.
+// tasks run concurrently. Submit never blocks on running tasks — bounding
+// how many are admitted is the caller's job. Submit after Close panics.
 func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 	n := &node{run: run, fp: fp}
 	scan := time.Now()
@@ -123,62 +129,53 @@ func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 	}
 	s.inflight = append(live, n)
 	s.pending++
-	n.enqueued = time.Now()
+	n.admitted = time.Now()
 	n.conflicts = n.deps
-	if n.deps == 0 {
-		s.ready = append(s.ready, n)
-	}
+	n.ready = n.admitted // unless it has to wait: complete says when
 	s.mu.Unlock()
 	s.tasks.Add(1)
 	if n.conflicts > 0 {
 		s.conflictStalls.Add(1)
 	}
 	if s.met != nil {
-		s.met.observeSubmit(n.enqueued.Sub(scan), n.cause.Kind)
+		s.met.observeSubmit(n.admitted.Sub(scan), n.cause.Kind)
 		s.met.Inflight.Add(1)
 	}
-	s.cond.Broadcast()
+	if n.conflicts == 0 {
+		go s.start(n)
+	}
 }
 
-// worker dispatches ready tasks until Close drains the scheduler.
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		// After Close, a worker may only exit once no task can become
-		// ready anymore: pending covers running tasks and their waiters
-		// alike, and every completion broadcasts.
-		for len(s.ready) == 0 && !(s.closed && s.pending == 0) {
-			s.cond.Wait()
+// start runs a ready task on its own goroutine, inside a token unless
+// the task may wait on a site, and retires it.
+func (s *Scheduler) start(n *node) {
+	info := Info{ConflictWait: n.ready.Sub(n.admitted), Conflicts: n.conflicts, Cause: n.cause}
+	wire := n.fp.Wire
+	if !wire {
+		select {
+		case s.tokens <- struct{}{}:
+		default:
+			// All taken. A full channel hands a freed slot to its longest
+			// blocked sender, so tasks compute in the order they got here.
+			s.tokens <- struct{}{}
+			info.WorkerWait = time.Since(n.ready)
 		}
-		if len(s.ready) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		n := s.ready[0]
-		s.ready = s.ready[1:]
-		s.mu.Unlock()
-
-		s.busy.Add(1)
-		if s.met != nil {
-			s.met.WorkersBusy.Add(1)
-		}
-		wait := time.Since(n.enqueued)
-		if s.met != nil {
-			s.met.Wait.Observe(wait.Seconds())
-		}
-		n.run(Info{Wait: wait, Conflicts: n.conflicts, Cause: n.cause})
-		s.busy.Add(-1)
-		if s.met != nil {
-			s.met.WorkersBusy.Add(-1)
-			s.met.Inflight.Add(-1)
-		}
-		s.complete(n)
 	}
+	if s.met != nil {
+		s.met.observeStart(info, wire)
+	}
+	n.run(info)
+	if !wire {
+		<-s.tokens
+	}
+	if s.met != nil {
+		s.met.observeDone(wire)
+	}
+	s.complete(n)
 }
 
 // complete retires a finished task: its waiters lose a dependency and
-// become ready when their last one clears.
+// start when their last one clears.
 func (s *Scheduler) complete(n *node) {
 	s.mu.Lock()
 	n.done = true
@@ -186,12 +183,15 @@ func (s *Scheduler) complete(n *node) {
 	for _, w := range n.waiters {
 		w.deps--
 		if w.deps == 0 {
-			s.ready = append(s.ready, w)
+			w.ready = time.Now()
+			go s.start(w)
 		}
 	}
 	n.waiters = nil
+	if s.pending == 0 {
+		s.idle.Broadcast()
+	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // Drain blocks until every task admitted so far has finished. Tasks may
@@ -200,19 +200,17 @@ func (s *Scheduler) complete(n *node) {
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	for s.pending > 0 {
-		s.cond.Wait()
+		s.idle.Wait()
 	}
 	s.mu.Unlock()
 }
 
-// Close drains the scheduler and stops the worker pool. No Submit may
-// follow.
+// Close drains the scheduler. No Submit may follow.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.wg.Wait()
+	s.Drain()
 }
 
 // Stats snapshots the scheduler counters.
@@ -221,7 +219,7 @@ func (s *Scheduler) Stats() Stats {
 	inflight := s.pending
 	s.mu.Unlock()
 	return Stats{
-		Workers:        s.workers,
+		Workers:        cap(s.tokens),
 		Tasks:          s.tasks.Load(),
 		ConflictStalls: s.conflictStalls.Load(),
 		Inflight:       inflight,

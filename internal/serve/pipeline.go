@@ -23,12 +23,18 @@ import (
 
 // dispatcher drains the queue, turning each task into one scheduler
 // submission (non-atomic batches become one submission per update).
-// When Close closes the queue it drains the scheduler, preserving the
-// answer-everything-queued guarantee.
+// Submit never blocks, so a request's queue.wait ends here and what it
+// waits for afterwards is named by the scheduler (sched.wait,
+// worker.wait); what bounds the tasks the scheduler holds is admission
+// (enqueue). When Close closes the queue it drains the scheduler,
+// preserving the answer-everything-queued guarantee.
 func (s *Server) dispatcher() {
 	defer close(s.workerDone)
 	for t := range s.queue {
 		t := t
+		if t.span != nil {
+			s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, time.Since(t.enqueued), nil, "")
+		}
 		if t.op == opBatch && !t.atomic {
 			s.submitBatch(t)
 			continue
@@ -39,15 +45,18 @@ func (s *Server) dispatcher() {
 }
 
 // footprintFor derives the scheduler footprint of one task. A check
-// writes nothing, so its footprint is the update's reads: it waits for,
-// and holds back, only writes into what it reads — not other checks, nor
-// a write of its own tuple, which its verdict does not depend on. Stats
+// writes nothing, so its footprint is the update's minus the write: it
+// waits for, and holds back, only writes into what it reads — not other
+// checks, nor a write of its own tuple, which its verdict does not depend
+// on — and it keeps the rest (Wire: it refreshes what it reads). Stats
 // is a barrier so the snapshot reflects a quiescent backend, exactly like
 // the sequential arm's queue position did.
 func (s *Server) footprintFor(t *task) sched.Footprint {
 	switch t.op {
 	case opCheck:
-		return sched.Footprint{Reads: s.fpb.Footprints().Update(t.u).Reads}
+		fp := s.fpb.Footprints().Update(t.u)
+		fp.Writes = nil
+		return fp
 	case opApply:
 		return s.fpb.Footprints().Update(t.u)
 	case opBatch: // atomic: one all-or-nothing task
@@ -59,7 +68,8 @@ func (s *Server) footprintFor(t *task) sched.Footprint {
 // runTask executes one scheduled task — the pipelined counterpart of
 // the worker loop body. The span bridge is single-flight by design, so
 // the checker runs untraced here; requests instead carry a sched.wait
-// child span whenever the task stalled behind a conflicting one.
+// child span whenever the task stalled behind a conflicting one and a
+// worker.wait one whenever it then waited for a worker token.
 func (s *Server) runTask(t *task, info sched.Info) {
 	if s.cfg.workerGate != nil {
 		<-s.cfg.workerGate
@@ -70,9 +80,12 @@ func (s *Server) runTask(t *task, info sched.Info) {
 	start := time.Now()
 	var decide *obs.Span
 	if t.span != nil {
-		s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, start.Sub(t.enqueued), nil, "")
+		ready := start.Add(-info.WorkerWait)
 		if info.Conflicts > 0 {
-			s.cfg.Spans.RecordChild(t.span, "sched.wait", start.Add(-info.Wait), info.Wait, stallAttrs(info), "")
+			s.cfg.Spans.RecordChild(t.span, "sched.wait", ready.Add(-info.ConflictWait), info.ConflictWait, stallAttrs(info), "")
+		}
+		if info.WorkerWait > 0 {
+			s.cfg.Spans.RecordChild(t.span, "worker.wait", ready, info.WorkerWait, nil, "")
 		}
 		if t.op != opStats {
 			decide = s.cfg.Spans.StartChild(t.span, "decide")
@@ -100,7 +113,7 @@ func (s *Server) runTask(t *task, info sched.Info) {
 	if t.op != opStats {
 		s.logTask(t, res, dur)
 	}
-	t.reply <- res
+	s.answer(t, res)
 }
 
 // stallAttrs describes a stalled task on its sched.wait span: how many
@@ -130,13 +143,10 @@ func stallAttrs(info sched.Info) map[string]string {
 func (s *Server) submitBatch(t *task) {
 	n := len(t.us)
 	if n == 0 {
-		t.reply <- taskResult{batch: BatchOutcome{FailedAt: -1}}
+		s.answer(t, taskResult{batch: BatchOutcome{FailedAt: -1}})
 		return
 	}
 	start := time.Now()
-	if t.span != nil {
-		s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, start.Sub(t.enqueued), nil, "")
-	}
 	reports := make([]core.Report, n)
 	errs := make([]error, n)
 	var remaining atomic.Int64
@@ -178,5 +188,5 @@ func (s *Server) finishBatch(t *task, reports []core.Report, errs []error, start
 	}
 	s.observeEWMA(dur)
 	s.logTask(t, res, dur)
-	t.reply <- res
+	s.answer(t, res)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -505,79 +506,112 @@ func TestPipelineKeyGroupAgreement(t *testing.T) {
 	}
 }
 
+// flightCounter is a Transport that knows how many round trips are in
+// flight at once.
+type flightCounter struct {
+	netdist.Transport
+	now, most atomic.Int64
+}
+
+func (f *flightCounter) RoundTrip(site string, req *netdist.Request, timeout time.Duration) (*netdist.Response, error) {
+	n := f.now.Add(1)
+	for m := f.most.Load(); n > m && !f.most.CompareAndSwap(m, n); m = f.most.Load() {
+	}
+	defer f.now.Add(-1)
+	return f.Transport.RoundTrip(site, req, timeout)
+}
+
+// shardedFixture is the deployment of the dist_sharded benchmark in
+// small: a coordinator that stores emp and l, whose dept is hash-sharded
+// over four sites and whose r lives on a fifth, seeded by seedKeyStores,
+// behind a server with the given apply workers and room for depth
+// requests. wrap, when non-nil, goes between the coordinator and the
+// loopback. With more than one worker every site answers after a delay,
+// so that the tasks the scheduler lets overlap do overlap.
+func shardedFixture(t *testing.T, workers, depth int, wrap func(netdist.Transport) netdist.Transport) (*Server, *netdist.Coordinator, []*store.Store) {
+	t.Helper()
+	const shards = 4
+	place := netdist.Placement{"r": {Shards: []netdist.ShardSpec{{Leader: "siteR"}}}}
+	dept := netdist.RelPlacement{KeyCol: 0}
+	lb := netdist.NewLoopback()
+	sites := make([]*store.Store, shards+1)
+	for i := range sites {
+		sites[i] = store.New()
+	}
+	for i := 0; i < shards; i++ {
+		name := fmt.Sprintf("s%d", i)
+		dept.Shards = append(dept.Shards, netdist.ShardSpec{Leader: name})
+		lb.AddSite(name, netdist.NewServer(sites[i], []string{"dept"}))
+	}
+	place["dept"] = dept
+	lb.AddSite("siteR", netdist.NewServer(sites[shards], []string{"r"}))
+	local := store.New()
+	seedKeyStores(t, func(rel string, tup relation.Tuple) {
+		db := local
+		switch rel {
+		case "dept":
+			db = sites[place.ShardOf("dept", tup[0])]
+		case "r":
+			db = sites[shards]
+		}
+		if _, err := db.Insert(rel, tup); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var tr netdist.Transport = lb
+	if wrap != nil {
+		tr = wrap(lb)
+	}
+	co, err := netdist.NewPlaced(local, place, tr, netdist.Options{
+		Checker: core.Options{LocalRelations: []string{"emp", "l"}},
+		Timeout: 5 * time.Second,
+		Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"ref": refSrc, "fi": fiSrc} {
+		if err := co.Checker.AddConstraintSource(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if workers > 1 {
+		for i := 0; i < shards; i++ {
+			lb.SetLatency(fmt.Sprintf("s%d", i), 200*time.Microsecond)
+		}
+		lb.SetLatency("siteR", 200*time.Microsecond)
+	}
+	return New(netdist.ServeBackend{Co: co}, Config{ApplyWorkers: workers, QueueDepth: depth}), co, sites
+}
+
+// mergedSites dumps the union of the site stores.
+func mergedSites(t *testing.T, sites []*store.Store) string {
+	t.Helper()
+	all := store.New()
+	for _, db := range sites {
+		for _, rel := range db.Names() {
+			for _, tup := range db.Tuples(rel) {
+				if _, err := all.Insert(rel, tup); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return dump(all)
+}
+
 // TestPipelineCoordinatorKeyGroupAgreement is the same agreement with
 // the backend the dist_sharded benchmark runs: a coordinator whose dept
 // is hash-sharded over four sites and whose r lives on a fifth, every
 // site answering after a delay, so that the tasks the scheduler lets
 // overlap do overlap — a refresh of one dept key group in flight while
 // another task writes a neighbouring one, a rollback un-propagating a
-// dept write while employees of other departments are checked. Answers,
+// dept write while employees of other departments are checked — at 2
+// workers with more of them on the wire than there are workers. Answers,
 // the coordinator's mirror and the merged site stores must match the
 // sequential arm.
 func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
-	const n, shards = 160, 4
-	build := func(workers int) (*Server, *netdist.Coordinator, []*store.Store) {
-		place := netdist.Placement{"r": {Shards: []netdist.ShardSpec{{Leader: "siteR"}}}}
-		dept := netdist.RelPlacement{KeyCol: 0}
-		lb := netdist.NewLoopback()
-		sites := make([]*store.Store, shards+1)
-		for i := range sites {
-			sites[i] = store.New()
-		}
-		for i := 0; i < shards; i++ {
-			name := fmt.Sprintf("s%d", i)
-			dept.Shards = append(dept.Shards, netdist.ShardSpec{Leader: name})
-			lb.AddSite(name, netdist.NewServer(sites[i], []string{"dept"}))
-		}
-		place["dept"] = dept
-		lb.AddSite("siteR", netdist.NewServer(sites[shards], []string{"r"}))
-		local := store.New()
-		seedKeyStores(t, func(rel string, tup relation.Tuple) {
-			db := local
-			switch rel {
-			case "dept":
-				db = sites[place.ShardOf("dept", tup[0])]
-			case "r":
-				db = sites[shards]
-			}
-			if _, err := db.Insert(rel, tup); err != nil {
-				t.Fatal(err)
-			}
-		})
-		co, err := netdist.NewPlaced(local, place, lb, netdist.Options{
-			Checker: core.Options{LocalRelations: []string{"emp", "l"}},
-			Timeout: 5 * time.Second,
-			Backoff: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, src := range map[string]string{"ref": refSrc, "fi": fiSrc} {
-			if err := co.Checker.AddConstraintSource(name, src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if workers > 1 {
-			for i := 0; i < shards; i++ {
-				lb.SetLatency(fmt.Sprintf("s%d", i), 200*time.Microsecond)
-			}
-			lb.SetLatency("siteR", 200*time.Microsecond)
-		}
-		return New(netdist.ServeBackend{Co: co}, Config{ApplyWorkers: workers, QueueDepth: n}), co, sites
-	}
-	merged := func(sites []*store.Store) string {
-		all := store.New()
-		for _, db := range sites {
-			for _, rel := range db.Names() {
-				for _, tup := range db.Tuples(rel) {
-					if _, err := all.Insert(rel, tup); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		return dump(all)
-	}
+	const n = 160
 	for seed, reqs := range map[int64][]request{
 		4: keyRequests(4, n), 17: keyRequests(17, n),
 		// Witnesses that collide: see witnessRequests.
@@ -587,14 +621,23 @@ func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
 		var wantMirror, wantSites string
 		var wantTrips int
 		var wantCertified int64
-		for _, workers := range []int{1, 1, 4, 8} {
-			s, co, sites := build(workers)
+		for _, workers := range []int{1, 1, 2, 4, 8} {
+			var flights *flightCounter
+			s, co, sites := shardedFixture(t, workers, n, func(tr netdist.Transport) netdist.Transport {
+				flights = &flightCounter{Transport: tr}
+				return flights
+			})
 			if got := s.ApplyWorkers(); got != workers {
 				t.Fatalf("effective workers = %d, want %d", got, workers)
 			}
 			got := runRequests(t, s, reqs)
 			s.Close()
-			mirror, remote := dump(co.Checker.DB()), merged(sites)
+			// A task on the wire holds no worker: two workers keep more
+			// than two round trips in flight.
+			if most := flights.most.Load(); workers == 2 && most <= 2 {
+				t.Fatalf("seed %d: at most %d round trips in flight at once with 2 workers, want more on the wire than workers", seed, most)
+			}
+			mirror, remote := dump(co.Checker.DB()), mergedSites(t, sites)
 			if want == nil {
 				want, wantMirror, wantSites = got, mirror, remote
 				wantTrips, wantCertified = co.Stats().RoundTrips, co.Checker.Stats().LocalCertified

@@ -7,9 +7,10 @@
 // ones in admission order — same verdicts, same final store, higher
 // throughput. Either way the server provides
 //
-//   - backpressure: a full queue rejects immediately with a BusyError
-//     carrying a Retry-After estimate derived from the queue depth and
-//     an EWMA of recent per-request service time;
+//   - backpressure: once QueueDepth requests wait — in the queue or in
+//     the scheduler — the next is rejected immediately with a BusyError
+//     carrying a Retry-After estimate derived from the number admitted
+//     and unanswered and an EWMA of recent per-request service time;
 //   - admission control: per-client token buckets (client = the
 //     X-Client-ID header over HTTP, or the SDK's configured id) so one
 //     hot client cannot starve the rest;
@@ -72,8 +73,12 @@ func (e *BusyError) Error() string {
 // per-client rate limit, 1024-update batches, no decision log, no
 // metrics.
 type Config struct {
-	// QueueDepth bounds the request queue; a request arriving on a full
-	// queue is rejected with BusyError{ReasonQueueFull}. 0 means 1024.
+	// QueueDepth bounds the requests that may wait: beyond the
+	// ApplyWorkers a server may be serving, this many may be admitted and
+	// not yet answered — queued, or (on the pipelined arm, whose
+	// dispatcher empties the queue into a scheduler that never refuses)
+	// held by the scheduler. A request arriving past the bound is
+	// rejected with BusyError{ReasonQueueFull}. 0 means 1024.
 	QueueDepth int
 	// RatePerClient is the steady per-client admission rate in
 	// requests/second, enforced by a token bucket per client id; 0
@@ -108,13 +113,15 @@ type Config struct {
 	// after, so checker phase events nest under the right request. The
 	// bridge is single-flight by design, so only the sequential arm uses
 	// it; with ApplyWorkers > 1 the checker runs untraced and requests
-	// carry sched.wait/decide envelope spans instead.
+	// carry sched.wait/worker.wait/decide envelope spans instead.
 	SpanBridge *obs.SpanBridge
 
 	// ApplyWorkers sizes the conflict-aware apply scheduler: requests
-	// whose footprints do not conflict are decided concurrently by this
-	// many workers, conflicting ones run in admission order. 0 or 1
-	// keeps the sequential single-worker arm (the A/B baseline).
+	// whose footprints do not conflict are decided concurrently,
+	// conflicting ones in admission order, and at most this many compute
+	// at once — a request that may wait on a site (sched.Footprint.Wire)
+	// does not count while it runs, so what bounds those is QueueDepth.
+	// 0 or 1 keeps the sequential single-worker arm (the A/B baseline).
 	// Values > 1 require a backend that exposes footprints and admits
 	// concurrent applies (FootprintBackend — *core.Checker and
 	// netdist.ServeBackend both qualify); otherwise the server falls
@@ -259,6 +266,9 @@ type Server struct {
 	mu       sync.RWMutex // excludes enqueue vs Close's queue close
 	draining bool
 	queue    chan *task
+	// admitted counts requests enqueued and not yet answered (answer);
+	// enqueue holds it to QueueDepth + applyWorkers.
+	admitted atomic.Int64
 
 	workerDone chan struct{}
 	closeOnce  sync.Once
@@ -320,7 +330,7 @@ func New(chk Backend, cfg Config) *Server {
 	return s
 }
 
-// ApplyWorkers returns the effective apply-pool width (1 on the
+// ApplyWorkers returns how many requests may compute at once (1 on the
 // sequential arm, including fallbacks from an unsatisfiable
 // Config.ApplyWorkers).
 func (s *Server) ApplyWorkers() int { return s.applyWorkers }
@@ -419,9 +429,12 @@ func verdictLabel(t *task, res taskResult) string {
 	return "ok"
 }
 
-// enqueue places the task on the queue unless the server is draining or
-// the queue is full. It holds the read lock across the send so Close
-// cannot close the queue under an in-flight send.
+// enqueue places the task on the queue unless the server is draining,
+// the queue is full, or as many requests as may wait and be served are
+// admitted and unanswered already — on the sequential arm the two say
+// the same, on the pipelined arm the queue is always nearly empty and
+// the count is what sheds. It holds the read lock across the send so
+// Close cannot close the queue under an in-flight send.
 func (s *Server) enqueue(t *task) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -429,24 +442,27 @@ func (s *Server) enqueue(t *task) error {
 		s.reject(ReasonDraining)
 		return ErrDraining
 	}
-	select {
-	case s.queue <- t:
-		s.requests[t.op].Add(1)
-		if s.met != nil {
-			s.met.queueDepth.Set(int64(len(s.queue)))
-			s.met.requests.With(t.op.endpoint()).Inc()
+	if s.admitted.Add(1) <= int64(cap(s.queue)+s.applyWorkers) {
+		select {
+		case s.queue <- t:
+			s.requests[t.op].Add(1)
+			if s.met != nil {
+				s.met.queueDepth.Set(int64(len(s.queue)))
+				s.met.requests.With(t.op.endpoint()).Inc()
+			}
+			return nil
+		default:
 		}
-		return nil
-	default:
-		s.reject(ReasonQueueFull)
-		return &BusyError{Reason: ReasonQueueFull, RetryAfter: s.retryAfter()}
 	}
+	ahead := s.admitted.Add(-1)
+	s.reject(ReasonQueueFull)
+	return &BusyError{Reason: ReasonQueueFull, RetryAfter: s.retryAfter(ahead)}
 }
 
-// retryAfter estimates how long the full queue needs to drain: depth ×
-// recent per-task service time, clamped to [10ms, 5s].
-func (s *Server) retryAfter() time.Duration {
-	d := time.Duration(len(s.queue)) * time.Duration(s.ewmaNanos.Load())
+// retryAfter estimates how long the n requests admitted ahead need to
+// be answered: n × recent per-task service time, clamped to [10ms, 5s].
+func (s *Server) retryAfter(n int64) time.Duration {
+	d := time.Duration(n) * time.Duration(s.ewmaNanos.Load())
 	return min(max(d, 10*time.Millisecond), 5*time.Second)
 }
 
@@ -500,8 +516,14 @@ func (s *Server) worker() {
 		if t.op != opStats {
 			s.logTask(t, res, dur)
 		}
-		t.reply <- res
+		s.answer(t, res)
 	}
+}
+
+// answer replies to an admitted request and gives its place back.
+func (s *Server) answer(t *task, res taskResult) {
+	s.admitted.Add(-1)
+	t.reply <- res
 }
 
 // observeEWMA folds one task's service time into the Retry-After
@@ -609,7 +631,7 @@ type Stats struct {
 	QueueDepth       int              `json:"queue_depth"`
 	DecisionLogDrops int64            `json:"decision_log_drops"`
 	Draining         bool             `json:"draining"`
-	// ApplyWorkers is the effective apply-pool width (1 = sequential
+	// ApplyWorkers is how many requests may compute at once (1 = sequential
 	// arm). The sched_* counters are zero on the sequential arm.
 	ApplyWorkers        int   `json:"apply_workers"`
 	SchedTasks          int64 `json:"sched_tasks"`
