@@ -4,94 +4,28 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/classify"
 	"repro/internal/relation"
 )
 
-// decisionCache memoizes the update-independent parts of the staged
-// pipeline. The paper's phases 1, 1.5 and (partially) 2 depend only on
-// the constraint text, the constraint set, the updated relation and the
-// update direction — not on the concrete tuple — yet the serial pipeline
-// re-derived them for every update. The cache is keyed by (constraint
-// name, constraint-set fingerprint, relation, direction); entries are
-// dropped whenever the constraint set changes (AddConstraint /
-// RemoveConstraint), and the fingerprint in the key makes any stale entry
-// unreachable even if one survived.
-//
-// Phase-2 verdicts are additionally keyed by the tuple's projection onto
-// its verdict-relevant positions (see relevantInsertPositions), so one
-// cached rewrite+subsumption run covers every tuple that agrees on those
-// positions — the whole relation when none are relevant.
-//
-// The cache is safe for concurrent use by the parallel dispatch workers.
-type decisionCache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	hits    atomic.Int64
-	misses  atomic.Int64
-}
-
-// cacheKey identifies one memoized dispatch context.
-type cacheKey struct {
-	constraint string
-	fp         uint64 // fingerprint of the whole constraint set
-	relation   string
-	insert     bool
-}
-
-func newDecisionCache() *decisionCache {
-	return &decisionCache{entries: map[cacheKey]*cacheEntry{}}
-}
-
-// invalidate drops every entry; hit/miss counters describe the checker's
-// lifetime and are kept.
-func (dc *decisionCache) invalidate() {
-	dc.mu.Lock()
-	dc.entries = map[cacheKey]*cacheEntry{}
-	dc.mu.Unlock()
-}
-
-// resetStats zeroes the hit/miss counters without dropping entries
-// (Checker.ResetStats: each -repeat run reports its own rates).
-func (dc *decisionCache) resetStats() {
-	dc.hits.Store(0)
-	dc.misses.Store(0)
-}
-
-// entry returns the memoized record for key, creating it on first use,
-// and reports whether the lookup hit (the decision trace records it).
-// Creation computes the phase-1 mention check, the phase-1.5 polarity
-// verdict and the relevant-position mask once; every later update to the
-// same (relation, direction) reuses them.
-func (dc *decisionCache) entry(key cacheKey, prog *ast.Program) (*cacheEntry, bool) {
-	dc.mu.Lock()
-	e, ok := dc.entries[key]
-	dc.mu.Unlock()
-	if ok {
-		dc.hits.Add(1)
-		return e, true
-	}
-	dc.misses.Add(1)
-	e = buildCacheEntry(prog, key.relation, key.insert)
-	dc.mu.Lock()
-	if prev, ok := dc.entries[key]; ok {
-		e = prev // a concurrent worker won the build race
-	} else {
-		dc.entries[key] = e
-	}
-	dc.mu.Unlock()
-	return e, false
-}
-
 // phase2CacheCap bounds the per-entry concrete-verdict memo; streams of
 // never-repeating tuples reset it instead of growing without bound.
 const phase2CacheCap = 4096
 
-// cacheEntry memoizes the dispatch decisions for one (constraint, set,
-// relation, direction) context.
+// cacheEntry memoizes the update-independent parts of the staged
+// pipeline for one constraint and one update pattern. The paper's phases
+// 1, 1.5 and (partially) 2 depend only on the constraint text, the
+// constraint set, the updated relation and the update direction — not on
+// the concrete tuple. An entry belongs to a step of the pattern's program
+// (progStep.entry) and goes with it when the constraint set changes.
+//
+// Phase-2 verdicts are additionally keyed by the tuple's projection onto
+// its verdict-relevant positions (see relevantInsertPositions), so one
+// rewrite+subsumption run covers every tuple that agrees on those
+// positions — the whole relation when none are relevant. The memo is safe
+// for concurrent use by the parallel dispatch workers.
 type cacheEntry struct {
 	mentions    bool   // phase 1: constraint mentions the relation
 	polarity    bool   // phase 1.5: monotone-safe in this direction

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +63,8 @@ const (
 	// before the update, and touch only the data the specialized disjuncts
 	// mention — often a single indexed probe.
 	PhaseResidual
+
+	numPhases = int(PhaseResidual) + 1
 )
 
 // String names the phase.
@@ -113,6 +114,9 @@ type Constraint struct {
 	// Section 5 form); analysis additionally when it is a canonical ICQ.
 	cqc      *ast.CQC
 	analysis *icq.Analysis
+	// edb lists, in textual order, the stored relations an evaluation of
+	// the constraint reads.
+	edb []string
 	// fix is the evaluation fixpoint kept from the constraint's last
 	// global insert decision (nil until the first one, and after a drop);
 	// see keptFixpoint.
@@ -188,8 +192,9 @@ type Stats struct {
 	ByPhase   map[Phase]int
 	Rejected  int
 	Decisions int
-	// CacheHits/CacheMisses count decision-cache lookups over the
-	// checker's lifetime (a miss builds the entry; see decisionCache).
+	// CacheHits/CacheMisses count the uses of the pattern-level phase
+	// memo (cacheEntry): a miss built a constraint's entry for a pattern,
+	// a hit is a decision or plan that was served one.
 	CacheHits   int64
 	CacheMisses int64
 	// PlanHits/PlanMisses/PlanEntries report the evaluation plan cache
@@ -248,7 +253,7 @@ type Options struct {
 	// read-only phases 1–3 and the phase-4 evaluations. 0 (the default)
 	// means runtime.GOMAXPROCS(0); 1 recovers the serial pipeline.
 	Workers int
-	// DisableCache bypasses the phase-decision cache, re-deriving every
+	// DisableCache bypasses the phase memo (cacheEntry), re-deriving every
 	// phase-1/1.5/2 verdict per update (the pre-cache behavior; used as
 	// the oracle in cross-check tests and for ablation experiments).
 	DisableCache bool
@@ -302,12 +307,18 @@ type Checker struct {
 	local       map[string]bool // nil: everything local
 	constraints []*Constraint
 
-	// statsMu guards stats: concurrent appliers bump the counters from
-	// worker goroutines.
+	// statsMu guards stats and byPhase (Stats.ByPhase, as an array):
+	// concurrent appliers each add a decision's worth under one hold
+	// (record). Of the cache counters stats holds what served programs
+	// count; the residual cache counts its own lookups.
 	statsMu sync.Mutex
 	stats   Stats
+	byPhase [numPhases]int
 
-	cache *decisionCache
+	// programs holds the compiled decision of every update pattern seen
+	// since the constraint set last changed; see program.go.
+	progMu   sync.Mutex
+	programs map[progKey]*program
 	// progs is the shared {all constraints} slice handed to the phase-2
 	// subsumption test (set identity: order and the inclusion of the
 	// rewritten constraint itself do not change the verdict), rebuilt by
@@ -320,8 +331,9 @@ type Checker struct {
 	planCache *eval.PlanCache
 
 	// residuals memoizes compiled residual checks per update pattern;
-	// nil under Options.DisableResidual. Apply consults it ahead of the
-	// phase pipeline and falls back for ineligible patterns.
+	// nil under Options.DisableResidual. Programs take their checks from
+	// it, once per pattern and schema version — per decision only where
+	// the check depends on the tuple's values (stepPinned).
 	residuals *residual.Cache
 	// resOpts are the options residuals compile with.
 	resOpts residual.Options
@@ -347,7 +359,7 @@ type Checker struct {
 
 // New creates a Checker over db.
 func New(db *store.Store, opts Options) *Checker {
-	c := &Checker{db: db, opts: opts, stats: Stats{ByPhase: map[Phase]int{}}, cache: newDecisionCache()}
+	c := &Checker{db: db, opts: opts, programs: map[progKey]*program{}}
 	if !opts.DisablePlanCache {
 		c.planCache = eval.NewPlanCache()
 	}
@@ -381,18 +393,21 @@ func (c *Checker) DB() *store.Store { return c.db }
 func (c *Checker) Stats() Stats {
 	c.statsMu.Lock()
 	s := c.stats
-	s.ByPhase = make(map[Phase]int, len(c.stats.ByPhase))
-	for p, n := range c.stats.ByPhase {
-		s.ByPhase[p] = n
+	s.ByPhase = map[Phase]int{}
+	for p, n := range c.byPhase {
+		if n > 0 {
+			s.ByPhase[Phase(p)] = n
+		}
 	}
 	c.statsMu.Unlock()
-	s.CacheHits = c.cache.hits.Load()
-	s.CacheMisses = c.cache.misses.Load()
 	if c.planCache != nil {
 		s.PlanHits, s.PlanMisses, s.PlanEntries = c.planCache.Stats()
 	}
 	if c.residuals != nil {
-		s.ResidualHits, s.ResidualMisses, s.ResidualCompiled, s.ResidualEntries = c.residuals.Stats()
+		hits, misses, compiled, entries := c.residuals.Stats()
+		s.ResidualHits += hits
+		s.ResidualMisses += misses
+		s.ResidualCompiled, s.ResidualEntries = compiled, entries
 	}
 	s.LocalCertified = c.localCertified.Load()
 	s.FixpointHits, s.FixpointRebuilds, s.FixpointDrops = c.fix[fixHit].Load(), c.fix[fixRebuild].Load(), c.fix[fixDrop].Load()
@@ -406,9 +421,8 @@ func (c *Checker) Stats() Stats {
 // resets between runs).
 func (c *Checker) ResetStats() {
 	c.statsMu.Lock()
-	c.stats = Stats{ByPhase: map[Phase]int{}}
+	c.stats, c.byPhase = Stats{}, [numPhases]int{}
 	c.statsMu.Unlock()
-	c.cache.resetStats()
 	if c.planCache != nil {
 		c.planCache.ResetStats()
 	}
@@ -422,9 +436,9 @@ func (c *Checker) ResetStats() {
 }
 
 // refreshSet rebuilds the shared constraint-program slice and the set
-// fingerprint after the constraint set changed, and drops every cached
-// decision (the fingerprint in the cache key would make stale entries
-// unreachable anyway; invalidating also reclaims their memory).
+// fingerprint after the constraint set changed, and drops every program:
+// which steps there are, their phase memos and their place in the report
+// all derive from the set.
 func (c *Checker) refreshSet() {
 	c.progs = make([]*ast.Program, len(c.constraints))
 	h := fnv.New64a()
@@ -439,11 +453,13 @@ func (c *Checker) refreshSet() {
 	c.fpMu.Lock()
 	c.fpIndex = nil // footprints derive from the constraint set
 	c.fpMu.Unlock()
-	c.cache.invalidate()
+	c.progMu.Lock()
+	c.programs = map[progKey]*program{}
+	c.progMu.Unlock()
 	if c.planCache != nil {
 		// Compiled plans key on program identity; a removed constraint's
 		// plans would merely linger, but invalidating reclaims them and
-		// keeps the add/remove semantics symmetric with the decision cache.
+		// keeps the add/remove semantics symmetric with the programs.
 		c.planCache.Invalidate()
 	}
 	if c.residuals != nil {
@@ -501,7 +517,7 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 	if bad {
 		return fmt.Errorf("core: constraint %s is already violated by the current database", name)
 	}
-	k := &Constraint{Name: name, Prog: prog}
+	k := &Constraint{Name: name, Prog: prog, edb: edbRelations(prog)}
 	c.prepare(k)
 	c.constraints = append(c.constraints, k)
 	c.refreshSet()
@@ -571,26 +587,26 @@ func mentions(prog *ast.Program, rel string) bool {
 }
 
 // stageOne runs the read-only phases 1–3 for one constraint: it touches
-// no Checker state besides the (internally synchronized) decision cache
-// and store reads, so the parallel dispatch may run it for every
-// constraint concurrently. It returns the deciding phase, or decided
-// false when the constraint needs a global evaluation. With tr non-nil
-// it appends one trace event per phase attempt (the tracing path; nil
-// keeps the hot path free of clock reads and allocations).
-func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phase, bool) {
-	var e *cacheEntry
+// no Checker state besides the entry's (internally synchronized) memo and
+// store reads, so the parallel dispatch may run it for several
+// constraints concurrently. e is the constraint's entry for u's pattern —
+// nil under Options.DisableCache, where every verdict is derived here —
+// and hit whether it was served rather than built for this call. It
+// returns the deciding phase, or decided false when the constraint needs
+// a global evaluation. With tr non-nil it appends one trace event per
+// phase attempt (the tracing path; nil keeps the hot path free of clock
+// reads and allocations).
+func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, u store.Update, tr *[]obs.Event) (Phase, bool) {
 	entryCache := "" // cache status of the entry-level phases 1/1.5
-	if !c.opts.DisableCache {
-		var hit bool
-		e, hit = c.cache.entry(cacheKey{k.Name, c.fp, u.Relation, u.Insert}, k.Prog)
-		if tr != nil {
+	if tr != nil {
+		switch {
+		case e == nil:
+			entryCache = obs.CacheOff
+		case hit:
+			entryCache = obs.CacheHit
+		default:
 			entryCache = obs.CacheMiss
-			if hit {
-				entryCache = obs.CacheHit
-			}
 		}
-	} else if tr != nil {
-		entryCache = obs.CacheOff
 	}
 	// Phase 1: unaffected.
 	start := traceStart(tr)
@@ -620,7 +636,7 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 		}
 		// Phase 2: constraints + update only (Section 4 rewriting +
 		// subsumption). The verdict depends on the tuple only through its
-		// verdict-relevant positions, so the cache memoizes it per
+		// verdict-relevant positions, so the entry memoizes it per
 		// projected tuple key.
 		start = traceStart(tr)
 		certified := false
@@ -663,19 +679,82 @@ func (c *Checker) stageOne(k *Constraint, u store.Update, tr *[]obs.Event) (Phas
 // the update is not applied and the report's Applied is false.
 func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true, nil) }
 
+// dynOutcome is what became of one stepDynamic of a decision: the phase
+// that certified it or, where none did, the verdict of the kept fixpoint
+// or the evaluation.
+type dynOutcome struct {
+	phase   Phase
+	decided bool
+	trace   []obs.Event
+	// fix, when non-nil, is the constraint's kept fixpoint, whose seeded
+	// rounds decided in place of an evaluation; hit its cache status.
+	fix *eval.Fixpoint
+	hit bool
+	bad bool
+	err error
+	dur time.Duration
+}
+
+// runDynamic settles the program's dynamic steps for u: phases 1–3 and,
+// for a constraint they leave undecided, phase 4 against the store with u
+// pending — seeded rounds on a kept fixpoint (rebuilt here where it has to
+// be) or a full evaluation. All of it only reads the store, so two or
+// more steps — work that can cost an evaluation each — run concurrently.
+// What the phases decided is written into the report and the tally here;
+// the caller takes the phase-4 outcomes in constraint order, so reports,
+// stats, trace-event order and first-error semantics are identical
+// whatever the pool width.
+func (c *Checker) runDynamic(p *program, u store.Update, commit, fresh, tracing bool, decisions []Decision, t *tally) []dynOutcome {
+	out := make([]dynOutcome, len(p.dynamic))
+	runParallel(len(out), c.workers(), func(j int) {
+		s, o := &p.steps[p.dynamic[j]], &out[j]
+		var tr *[]obs.Event
+		if tracing {
+			tr = &o.trace
+		}
+		if o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), !fresh, u, tr); o.decided {
+			return
+		}
+		var start time.Time
+		if tracing {
+			start = time.Now()
+		}
+		if u.Insert {
+			o.fix, o.hit = c.keptFixpoint(s.k, u.Relation)
+		}
+		if o.fix != nil {
+			if o.bad, o.err = o.fix.Insert(u.Relation, u.Tuple, commit); o.err != nil {
+				c.dropFixpoint(s.k)
+			}
+		} else {
+			o.bad, o.err = eval.GoalHoldsAfter(s.k.Prog, c.db, ast.PanicPred, u, c.evalOpts())
+		}
+		if tracing {
+			o.dur = time.Since(start)
+		}
+	})
+	for j, i := range p.dynamic {
+		if o := &out[j]; o.decided {
+			decisions[p.steps[i].slot].Phase = o.phase
+			t.byPhase[o.phase]++
+		}
+	}
+	return out
+}
+
 // decide is Apply (commit) and Check (!commit): verdict first, then at
-// most one write. Every phase answers "would the store violate the
-// constraint once u is applied" reading the store as it stands — the
-// evaluators adjust their reads of u's relation (residual.Decide,
-// eval.GoalHoldsAfter, eval.Fixpoint.Insert) — and u is written only
-// when commit is set and no constraint is violated. planned names the
-// constraints a Plan of u certified, and with what (Decide): they stay
-// decided by it.
+// most one write. It interprets the program of u's pattern on the calling
+// goroutine: static steps are already in the report, a compiled check is
+// one probe, and only dynamic steps can fan out (runDynamic). Every step
+// answers "would the store violate the constraint once u is applied"
+// reading the store as it stands — the evaluators adjust their reads of
+// u's relation (residual.Decide, eval.GoalHoldsAfter,
+// eval.Fixpoint.Insert) — and u is written only when commit is set and no
+// constraint is violated. planned names the constraints a Plan of u
+// certified, and with what (Decide): they stay decided by it.
 func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report, error) {
 	rep := Report{Update: u, Applied: true}
-	c.statsMu.Lock()
-	c.stats.Updates++
-	c.statsMu.Unlock()
+	t := tally{updates: 1}
 	var applyStart time.Time
 	if c.met != nil {
 		c.met.updates.Inc()
@@ -689,8 +768,14 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		probes0 = relation.IndexProbes()
 		c.emit(uStr, obs.Event{Kind: obs.KindUpdateBegin, Constraints: len(c.constraints)})
 	}
-	// fail ends a decision no verdict was reached for.
+	var dyn []dynOutcome
+	// fail ends a decision no verdict was reached for. A committing decision
+	// holds overlays on the fixpoints that decide it, and drops them; a check
+	// holds none (Insert drops them): checks run concurrently, and none may
+	// touch rows it did not derive.
 	fail := func(err error) (Report, error) {
+		discard(dyn, commit)
+		c.record(&t)
 		if tracing {
 			c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
 		}
@@ -700,195 +785,106 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 	if err := c.db.Accepts(u.Relation, len(u.Tuple)); u.Insert && err != nil {
 		return fail(err)
 	}
-	n := len(c.constraints)
-	phases := make([]Phase, n)
-	decided := make([]bool, n)
-	var traces [][]obs.Event
+	p, fresh := c.program(u, &t)
+	schema := c.db.SchemaVersion()
+	rep.Decisions = append([]Decision(nil), p.report...)
+	t.decisions = len(p.steps)
+	t.byPhase = p.static
+	if !fresh {
+		t.cacheHits += int64(p.memos)
+	}
+	t.residualMisses += int64(p.ineligible)
+	if len(p.dynamic) > 0 {
+		dyn = c.runDynamic(p, u, commit, fresh, tracing, rep.Decisions, &t)
+	}
 	if tracing {
-		traces = make([][]obs.Event, n)
+		c.emitAttempts(p, dyn, u, uStr, fresh)
 	}
-	// Residual dispatch runs ahead of the phase pipeline: a cacheable
-	// (constraint, update pattern) pair resolves to a compiled residual
-	// check — run in phase 4, beside the global evaluations — and skips
-	// phases 1–3 entirely. Ineligible patterns fall through to stageOne
-	// unchanged.
-	var resFor []*residual.Residual
-	var resHit []bool
-	if c.residuals != nil {
-		resFor = make([]*residual.Residual, n)
-		resHit = make([]bool, n)
-	}
-	runParallel(n, c.workers(), func(i int) {
-		if c.residuals != nil {
-			res, hit, ok := c.residuals.For(c.constraints[i].Prog, u, c.db, c.resOpts)
-			if ok {
-				resFor[i], resHit[i] = res, hit
-				return
-			}
-		}
-		var tr *[]obs.Event
-		if tracing {
-			tr = &traces[i]
-		}
-		phases[i], decided[i] = c.stageOne(c.constraints[i], u, tr)
-	})
-	// Aggregate in constraint order on this goroutine, so reports, stats
-	// and trace-event order are identical whatever the pool width.
-	type globalCheck struct {
-		k *Constraint
-		// res, when non-nil, decides the constraint by residual check
-		// instead of an evaluation; fix, when non-nil, by the rounds the
-		// inserted tuple seeds on the constraint's kept fixpoint. hit is
-		// the cache status of whichever it is, for the trace.
-		res *residual.Residual
-		fix *eval.Fixpoint
-		hit bool
-	}
-	needGlobal := make([]globalCheck, 0, n)
-	c.statsMu.Lock()
-	c.stats.Decisions += n
-	c.statsMu.Unlock()
-	for i, k := range c.constraints {
-		if tracing {
-			for _, e := range traces[i] {
-				c.emit(uStr, e)
-			}
-		}
-		if resFor != nil && resFor[i] != nil {
-			needGlobal = append(needGlobal, globalCheck{k: k, res: resFor[i], hit: resHit[i]})
-			continue
-		}
-		if decided[i] {
-			rep.Decisions = append(rep.Decisions, Decision{k.Name, phases[i], Holds})
-			c.bumpPhase(phases[i])
-			continue
-		}
-		needGlobal = append(needGlobal, globalCheck{k: k})
-	}
-	// discard drops the overlays a committing decision holds on the
-	// fixpoints that decide it. A check holds none (Insert drops them):
-	// checks run concurrently, and none may touch rows it did not derive.
-	discard := func() {
-		for _, g := range needGlobal {
-			if g.fix != nil && commit {
-				g.fix.Close(false)
-			}
-		}
-	}
-	// Phase 4: decide the undecided constraints against the store with u
-	// pending — compiled residual checks, seeded rounds on a kept fixpoint
-	// (rebuilt here where it has to be) and full evaluations alike (an
-	// always-safe or always-violating residual is simply a check that
-	// returns without touching data). They only read the store, so they run
-	// concurrently; the verdicts are then processed in constraint order, so
-	// reports, stats and first-error semantics match the serial pipeline.
-	type evalOutcome struct {
-		bad bool
-		err error
-		dur time.Duration
-	}
-	outcomes := make([]evalOutcome, len(needGlobal))
-	// found holds, per check, the tuple whose certificate decided it; only a
-	// checker that compiles certificates has any to hold. (A pointer, so
-	// that the closure below is no larger for the checkers that do not.)
-	var found *[]relation.Tuple
-	if c.resOpts.Local != nil {
-		ws := make([]relation.Tuple, len(needGlobal))
-		for i, g := range needGlobal {
-			ws[i] = witnessOf(planned, g.k.Name) // the plan's certificate stands
-		}
-		found = &ws
-	}
-	runParallel(len(needGlobal), c.workers(), func(i int) {
-		g := &needGlobal[i]
-		var start time.Time
-		if tracing {
-			start = time.Now()
-		}
-		if g.res == nil && u.Insert {
-			g.fix, g.hit = c.keptFixpoint(g.k, u.Relation)
-		}
-		switch {
-		case g.res != nil && found != nil:
-			if (*found)[i] == nil {
-				outcomes[i].bad, (*found)[i] = g.res.DecideWitness(c.db, u.Tuple)
-			}
-		case g.res != nil:
-			outcomes[i].bad = g.res.Decide(c.db, u.Tuple)
-		case g.fix != nil:
-			if outcomes[i].bad, outcomes[i].err = g.fix.Insert(u.Relation, u.Tuple, commit); outcomes[i].err != nil {
-				c.dropFixpoint(g.k)
-			}
-		default:
-			outcomes[i].bad, outcomes[i].err = eval.GoalHoldsAfter(g.k.Prog, c.db, ast.PanicPred, u, c.evalOpts())
-		}
-		if tracing {
-			outcomes[i].dur = time.Since(start)
-		}
-	})
+	// The compiled checks and the phase-4 outcomes, in constraint order.
 	violated := false
-	for i, g := range needGlobal {
-		if err := outcomes[i].err; err != nil {
-			discard()
-			return fail(err)
+	j := 0
+	for i := range p.steps {
+		s := &p.steps[i]
+		var res *residual.Residual
+		var o *dynOutcome
+		phase, bad, hit := PhaseResidual, false, false
+		var witness relation.Tuple
+		var dur time.Duration
+		switch s.kind {
+		case stepStatic:
+			continue
+		case stepDynamic:
+			o = &dyn[j]
+			j++
+			if o.decided {
+				continue
+			}
+			if o.err != nil {
+				return fail(o.err)
+			}
+			phase, bad, hit, dur = PhaseGlobal, o.bad, o.hit, o.dur
+		default:
+			res, hit = c.check(s, u, schema, &t)
+			var start time.Time
+			if tracing {
+				start = time.Now()
+			}
+			// The plan's certificate stands; without one the check runs.
+			if witness = witnessOf(planned, s.k.Name); witness == nil {
+				bad, witness = res.DecideWitness(c.db, u.Tuple)
+			}
+			if tracing {
+				dur = time.Since(start)
+			}
+			if witness != nil {
+				rep.Witnesses = append(rep.Witnesses, Witness{s.k.Name, witness})
+				c.localCertified.Add(1)
+				if c.met != nil {
+					c.met.certified.Inc()
+				}
+			}
 		}
 		v := Holds
-		if outcomes[i].bad {
-			v = Violated
-			violated = true
+		if bad {
+			v, violated = Violated, true
+			rep.Decisions[s.slot].Verdict = Violated
 		}
-		phase := PhaseGlobal
-		if g.res != nil {
-			phase = PhaseResidual
-		}
-		var witness relation.Tuple
-		if found != nil && (*found)[i] != nil {
-			witness = (*found)[i]
-			rep.Witnesses = append(rep.Witnesses, Witness{g.k.Name, witness})
-			c.localCertified.Add(1)
-			if c.met != nil {
-				c.met.certified.Inc()
-			}
-		}
+		t.byPhase[phase]++
 		if tracing {
 			e := obs.Event{
 				Kind:       obs.KindPhase,
-				Constraint: g.k.Name,
+				Constraint: s.k.Name,
 				Phase:      phase.String(),
 				Decided:    true,
 				Verdict:    v.String(),
-				Duration:   outcomes[i].dur,
+				Duration:   dur,
 			}
-			if g.res != nil || g.fix != nil {
+			if res != nil || o.fix != nil {
 				e.Cache = obs.CacheMiss
-				if g.hit {
+				if hit {
 					e.Cache = obs.CacheHit
 				}
 			}
 			if witness != nil {
 				e.Certificate, e.Witness = obs.CacheHit, u.Relation+witness.String()
-			} else if g.res != nil && g.res.Certificates() > 0 {
+			} else if res != nil && res.Certificates() > 0 {
 				e.Certificate = obs.CacheMiss
 			}
-			if g.res == nil {
-				e.Relations = c.remoteRelations(g.k)
+			if res == nil {
+				e.Relations = c.remoteRelations(s.k)
 			}
 			c.emit(uStr, e)
 		}
-		rep.Decisions = append(rep.Decisions, Decision{g.k.Name, phase, v})
-		c.bumpPhase(phase)
 	}
 	if violated {
 		rep.Applied = false
-		c.statsMu.Lock()
-		c.stats.Rejected++
-		c.statsMu.Unlock()
+		t.rejected = 1
 		if c.met != nil {
 			c.met.rejected.Inc()
 		}
 	}
 	if !commit || violated {
-		discard()
+		discard(dyn, commit)
 	} else {
 		// The one write. What an insert derived becomes part of the fixpoints
 		// that decided it, which account for the write. A fixpoint u did not go
@@ -897,22 +893,21 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		if u.Insert {
 			var err error
 			if changed, err = c.db.Insert(u.Relation, u.Tuple); err != nil {
-				discard() // a concurrent insert created the relation with another arity
-				return fail(err)
+				return fail(err) // a concurrent insert created the relation with another arity
 			}
 		} else {
 			c.db.Delete(u.Relation, u.Tuple)
 		}
-		for _, g := range needGlobal {
-			if g.fix != nil {
-				g.fix.Close(true)
+		for i := range dyn {
+			if fix := dyn[i].fix; fix != nil {
+				fix.Close(true)
 				if changed {
-					g.fix.Wrote(u.Relation)
+					fix.Wrote(u.Relation)
 				}
 			}
 		}
 	}
-	sort.SliceStable(rep.Decisions, func(i, j int) bool { return rep.Decisions[i].Constraint < rep.Decisions[j].Constraint })
+	c.record(&t)
 	if tracing {
 		// The probe delta is process-wide, so concurrent appliers blur it;
 		// under the decision server's single mutation worker it is exact.
@@ -925,9 +920,19 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		c.met.applySeconds.Observe(time.Since(applyStart).Seconds())
 		c.met.sampleIndexCounters()
 		c.met.samplePlanCounters(c.planCache)
-		c.met.sampleResidualCounters(c.residuals)
+		c.sampleResidualCounters()
 	}
 	return rep, nil
+}
+
+// discard drops the overlays a committing decision holds on the kept
+// fixpoints that decided it.
+func discard(dyn []dynOutcome, commit bool) {
+	for i := range dyn {
+		if fix := dyn[i].fix; fix != nil && commit {
+			fix.Close(false)
+		}
+	}
 }
 
 // keptFixpoint returns the fixpoint that can decide an insert into rel
@@ -983,17 +988,6 @@ func (c *Checker) countFix(e fixEvent) {
 	c.fix[e].Add(1)
 	if c.met != nil {
 		c.met.fix[e].Inc()
-	}
-}
-
-// bumpPhase counts one decision in the stats and, when a registry is
-// attached, in the cc_checker_decisions_total family.
-func (c *Checker) bumpPhase(p Phase) {
-	c.statsMu.Lock()
-	c.stats.ByPhase[p]++
-	c.statsMu.Unlock()
-	if c.met != nil {
-		c.met.decisions.With(p.String()).Inc()
 	}
 }
 

@@ -42,12 +42,12 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 
 // Plan runs the local certificates and the read-only phases 1–3 for every
 // constraint against the update without applying it: the store is not
-// mutated and the checker's aggregate stats are untouched (decision- and
-// residual-cache hit/miss counters still move, since Plan warms the same
-// caches Apply uses). A networked coordinator uses Plan to learn, before
-// committing to an update, which remote relations it must fetch for the
-// global phase — an update whose plan has no Global constraints needs no
-// remote data at all.
+// mutated and the checker's aggregate stats are untouched (the phase-memo
+// and residual-cache hit/miss counters still move, since Plan runs the
+// same program Apply does). A networked coordinator uses Plan to learn,
+// before committing to an update, which remote relations it must fetch
+// for the global phase — an update whose plan has no Global constraints
+// needs no remote data at all.
 //
 // The certificates are asked of the compiled residual that decides the
 // update. A caller that skips a refresh on a certificate's account must
@@ -56,29 +56,76 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 // and a witness deleted in between would leave them evaluating over the
 // relations the plan said they would not read.
 func (c *Checker) Plan(u store.Update) PlanReport {
-	n := len(c.constraints)
-	phases := make([]Phase, n)
-	decided := make([]bool, n)
-	witnesses := make([]relation.Tuple, n)
-	runParallel(n, c.workers(), func(i int) {
-		if witnesses[i] = c.certificate(c.constraints[i], u); witnesses[i] != nil {
-			phases[i], decided[i] = PhaseResidual, true
-			return
+	var t tally
+	p, fresh := c.program(u, &t)
+	if !fresh {
+		t.cacheHits += int64(p.memos)
+	}
+	// Certificates are compiled only for inserts, and only where something
+	// is remote and phase 3 and residual dispatch are on.
+	certs := c.resOpts.Local != nil && u.Insert
+	if certs {
+		t.residualMisses += int64(p.ineligible)
+	}
+	schema := c.db.SchemaVersion()
+	key := progKey{u.Relation, u.Insert, len(u.Tuple)}
+	// A program's static steps are decided, and so is a step whose compiled
+	// check is certified or whose entry names a pattern-level phase; only the
+	// rest — staged — run the tuple-dependent phases.
+	out := make([]planOutcome, len(p.steps))
+	var staged []int
+	for i := range p.steps {
+		s, o := &p.steps[i], &out[i]
+		switch s.kind {
+		case stepStatic:
+			o.phase, o.decided = s.phase, true
+			continue
+		case stepDynamic:
+			staged = append(staged, i)
+			continue
 		}
-		phases[i], decided[i] = c.stageOne(c.constraints[i], u, nil)
-	})
+		if certs {
+			res, _ := c.check(s, u, schema, &t)
+			if o.witness = res.Certified(c.db, u.Tuple); o.witness != nil {
+				o.phase, o.decided = PhaseResidual, true
+				continue
+			}
+		}
+		// Uncertified, the constraint is the phases' to decide; the compiled
+		// check is Apply's.
+		e := s.entry.Load()
+		if e != nil {
+			t.cacheHits++
+		} else {
+			e = c.buildEntry(s, key, &t)
+		}
+		if e != nil {
+			o.phase, o.decided = c.staticPhase(e)
+		}
+		if !o.decided {
+			staged = append(staged, i)
+		}
+	}
+	c.record(&t)
+	if len(staged) > 0 {
+		c.planStaged(p, staged, out, u)
+	}
 	pr := PlanReport{update: u, fp: c.fp}
-	seen := map[string]bool{}
-	for i, k := range c.constraints {
-		if decided[i] {
-			pr.Decided = append(pr.Decided, Decision{k.Name, phases[i], Holds})
-			if witnesses[i] != nil {
-				pr.Witnesses = append(pr.Witnesses, Witness{k.Name, witnesses[i]})
+	var seen map[string]bool
+	for i := range p.steps {
+		k, o := p.steps[i].k, &out[i]
+		if o.decided {
+			pr.Decided = append(pr.Decided, Decision{k.Name, o.phase, Holds})
+			if o.witness != nil {
+				pr.Witnesses = append(pr.Witnesses, Witness{k.Name, o.witness})
 			}
 			continue
 		}
 		pr.Global = append(pr.Global, k.Name)
-		for _, rel := range edbRelations(k.Prog) {
+		if seen == nil {
+			seen = map[string]bool{}
+		}
+		for _, rel := range k.edb {
 			if !seen[rel] {
 				seen[rel] = true
 				pr.Relations = append(pr.Relations, rel)
@@ -87,6 +134,22 @@ func (c *Checker) Plan(u store.Update) PlanReport {
 	}
 	sort.Strings(pr.Relations)
 	return pr
+}
+
+// planOutcome is what a plan found out about one constraint.
+type planOutcome struct {
+	phase   Phase
+	decided bool
+	witness relation.Tuple
+}
+
+// planStaged runs phases 1–3 for the staged steps, two or more of them
+// concurrently.
+func (c *Checker) planStaged(p *program, staged []int, out []planOutcome, u store.Update) {
+	runParallel(len(staged), c.workers(), func(j int) {
+		s, o := &p.steps[staged[j]], &out[staged[j]]
+		o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), true, u, nil)
+	})
 }
 
 // Decide finishes the decision pr planned — Apply when commit is set,
@@ -103,21 +166,6 @@ func (c *Checker) Decide(pr PlanReport, commit bool) (Report, error) {
 		return c.decide(pr.update, commit, nil)
 	}
 	return c.decide(pr.update, commit, pr.Witnesses)
-}
-
-// certificate returns the witness when the local certificates of the
-// constraint's compiled residual alone decide u on the store as it
-// stands, and nil otherwise — always nil where no certificate is compiled
-// (nothing is remote, phase 3 or residual dispatch is off, u deletes).
-func (c *Checker) certificate(k *Constraint, u store.Update) relation.Tuple {
-	if c.resOpts.Local == nil || !u.Insert {
-		return nil
-	}
-	res, _, ok := c.residuals.For(k.Prog, u, c.db, c.resOpts)
-	if !ok {
-		return nil
-	}
-	return res.Certified(c.db, u.Tuple)
 }
 
 // edbRelations returns the body predicates of prog that are not defined

@@ -6,7 +6,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/residual"
+	"repro/internal/store"
 )
 
 // This file is the checker's observability seam: the decision-trace
@@ -62,12 +62,38 @@ func phaseAttempt(tr *[]obs.Event, constraint string, p Phase, decided bool, cac
 	*tr = append(*tr, e)
 }
 
+// emitAttempts emits what phases 1–3 made of every constraint they were
+// asked about, in constraint order, ahead of any phase-4 event: the
+// attempts the dynamic steps recorded, and for a static step the ones
+// that decided it when the program was compiled — stageOne on the step's
+// entry derives them again.
+func (c *Checker) emitAttempts(p *program, dyn []dynOutcome, u store.Update, uStr string, fresh bool) {
+	var static []obs.Event
+	j := 0
+	for i := range p.steps {
+		s := &p.steps[i]
+		var attempts []obs.Event
+		switch s.kind {
+		case stepStatic:
+			static = static[:0]
+			c.stageOne(s.k, s.entry.Load(), !fresh, u, &static)
+			attempts = static
+		case stepDynamic:
+			attempts = dyn[j].trace
+			j++
+		}
+		for _, e := range attempts {
+			c.emit(uStr, e)
+		}
+	}
+}
+
 // remoteRelations lists the non-local EDB relations a global evaluation
 // of the constraint consults — the "why did this update go remote" part
 // of the trace.
 func (c *Checker) remoteRelations(k *Constraint) []string {
 	var out []string
-	for _, rel := range edbRelations(k.Prog) {
+	for _, rel := range k.edb {
 		if !c.isLocal(rel) {
 			out = append(out, rel)
 		}
@@ -137,15 +163,19 @@ func (m *checkerMetrics) samplePlanCounters(pc *eval.PlanCache) {
 	m.internSize.Set(relation.InternSize())
 }
 
-// sampleResidualCounters mirrors the residual cache's counters into the
-// registry; called once per Apply. rc may be nil
-// (Options.DisableResidual), leaving the gauges at zero.
-func (m *checkerMetrics) sampleResidualCounters(rc *residual.Cache) {
-	if rc == nil {
+// sampleResidualCounters mirrors the residual counters (Stats.Residual*:
+// the cache's own plus what served programs count) into the registry;
+// called once per Apply. Without residual dispatch
+// (Options.DisableResidual) the gauges stay zero.
+func (c *Checker) sampleResidualCounters() {
+	if c.residuals == nil {
 		return
 	}
-	hits, misses, compiled, _ := rc.Stats()
-	m.residHits.Set(hits)
-	m.residMisses.Set(misses)
-	m.residBuilt.Set(compiled)
+	hits, misses, compiled, _ := c.residuals.Stats()
+	c.statsMu.Lock()
+	hits, misses = hits+c.stats.ResidualHits, misses+c.stats.ResidualMisses
+	c.statsMu.Unlock()
+	c.met.residHits.Set(hits)
+	c.met.residMisses.Set(misses)
+	c.met.residBuilt.Set(compiled)
 }

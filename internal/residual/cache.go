@@ -29,22 +29,28 @@ type shapeKey struct {
 	insert bool
 }
 
-// entryKey identifies a compiled residual: the shape plus the pinned
-// values baked into the compilation, the index mode, and the store shape
-// the arity folds were validated against.
+// entryKey identifies a compiled residual: the shape plus what of the
+// tuple is baked into the compilation — its arity (Compile specializes
+// only the occurrences of that arity, so a malformed tuple compiles to
+// always-safe and must never serve a well-formed one) and its pinned
+// values — the index mode, and the store shape the arity folds were
+// validated against.
 type entryKey struct {
 	shapeKey
+	arity   int
 	noIndex bool
 	pinned  string
 	storeID uint64
 	schema  uint64
 }
 
-// Cache memoizes residual compilations per update pattern. It is safe
-// for concurrent use; core.Checker consults it for every constraint of
-// every update, so both levels — shape analysis and compiled residuals —
-// are memoized. Structural store changes miss naturally through the
-// schema version; constraint-set changes must call Invalidate.
+// Cache memoizes residual compilations per update pattern, at both
+// levels — shape analysis and compiled residuals. It is safe for
+// concurrent use. core.Checker's decision programs take a pattern's check
+// from it once per schema version, and per decision only where the check
+// depends on the tuple's pinned values. Structural store changes miss
+// naturally through the schema version; constraint-set changes must call
+// Invalidate.
 type Cache struct {
 	mu      sync.Mutex
 	shapes  map[shapeKey]Shape
@@ -86,6 +92,7 @@ func (c *Cache) For(prog *ast.Program, u store.Update, db *store.Store, opts Opt
 	}
 	key := entryKey{
 		shapeKey: sk,
+		arity:    len(u.Tuple),
 		noIndex:  opts.DisableIndexes,
 		pinned:   pinnedKey(sh, u.Tuple),
 		storeID:  db.ID(),

@@ -87,8 +87,9 @@ const fuzzPairs = 8
 // "relation unseen at compile time" arm. The database must come out of
 // Decide as it went in.
 //
-// Each residual is compiled three ways: as an embedded checker does, on
-// the scan arm, and with the shape's locality, which is what compiles
+// Each residual is compiled three ways, through a cache that malformed
+// updates of the same pattern reached first: as an embedded checker does,
+// on the scan arm, and with the shape's locality, which is what compiles
 // local certificates. A certificate hit claims more than the verdict: the
 // insert is safe whatever the remote relations hold. So on a hit the
 // remote relations are rewritten — emptied, and to what the bytes after
@@ -206,7 +207,21 @@ func FuzzResidualPreState(f *testing.F) {
 		before, schema, version := pre.Dump(), pre.SchemaVersion(), pre.DataVersion(u.Relation)
 		rendered := ""
 		for _, opts := range []Options{{}, {DisableIndexes: true}, {Local: local}} {
-			res := Compile(p, u.Relation, u.Insert, u.Tuple, shape, pre, opts)
+			// The residual comes out of a cache, as a checker's does, behind two
+			// malformed updates of its pattern — a column more, a column less.
+			// They match no occurrence and are safe; what was compiled for them
+			// must not be what serves u.
+			cache := NewCache()
+			for _, tu := range []relation.Tuple{append(u.Tuple[:len(u.Tuple):len(u.Tuple)], ast.Int(0)), u.Tuple[:len(u.Tuple)-1]} {
+				malformed := store.Update{Insert: u.Insert, Relation: u.Relation, Tuple: tu}
+				if res, _, ok := cache.For(p, malformed, pre, opts); !ok || res.Decide(pre, tu) {
+					t.Fatalf("%+v: malformed %v: compiled=%v, or decided a violation", opts, malformed, ok)
+				}
+			}
+			res, hit, ok := cache.For(p, u, pre, opts)
+			if !ok || hit {
+				t.Fatalf("%+v: %v after its malformed variants: compiled=%v served=%v, want a compilation of its own", opts, u, ok, hit)
+			}
 			if got := res.Decide(pre, u.Tuple); got != want {
 				t.Fatalf("%+v: residual on the pre-state says violated=%v, evaluation of the updated copy %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
 					opts, got, want, p, u, before)

@@ -284,7 +284,6 @@ type slit struct {
 // concurrent Decide calls.
 type Residual struct {
 	outcome Outcome
-	noIndex bool
 	// insert is the compiled update's polarity: how run adjusts its reads
 	// of the updated relation.
 	insert bool
@@ -317,7 +316,7 @@ func (r *Residual) Certificates() int {
 // reused for any tuple agreeing with t on the pinned positions. The
 // database contributes only its shape (relation arities), never tuples.
 func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Shape, db *store.Store, opts Options) *Residual {
-	res := &Residual{noIndex: opts.DisableIndexes, insert: insert}
+	res := &Residual{insert: insert}
 	for _, rule := range prog.Rules {
 		for oi, l := range rule.Body {
 			if !harmful(l, rel, insert) || len(l.Atom.Args) != len(t) {
@@ -334,7 +333,7 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 			if len(d.steps) == 0 {
 				// The update alone completes a derivation: nothing left to
 				// check at runtime and no other disjunct can change that.
-				return &Residual{outcome: AlwaysViolating, noIndex: opts.DisableIndexes}
+				return &Residual{outcome: AlwaysViolating}
 			}
 			d.cert = certificateFor(rule, oi, insert, opts)
 			res.disjuncts = append(res.disjuncts, d)

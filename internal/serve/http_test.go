@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -156,6 +157,53 @@ func TestHTTPCheckOfUnknownRelationWritesNothing(t *testing.T) {
 	var stats StatsPayload
 	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil || stats.Updates != 10 || stats.Rejected != 0 {
 		t.Fatalf("stats payload = %+v (%v), want the 10 checks counted", stats, err)
+	}
+}
+
+// A malformed update — a delete of the wrong arity, an insert of the wrong
+// arity into a relation the store does not have yet — is answered, and
+// only answered: the well-formed update of the same relation and direction
+// after it is still decided on its own tuple. /v1/check is not a lever on
+// the next client's verdict.
+func TestHTTPWrongArityDoesNotPoison(t *testing.T) {
+	db := store.New()
+	for rel, tu := range map[string]relation.Tuple{"dept": relation.Ints(1), "emp": relation.Ints(7, 1), "p": relation.Ints(5)} {
+		if _, err := db.Insert(rel, tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chk := core.New(db, core.Options{})
+	for name, src := range map[string]string{
+		"ri":   "panic :- emp(E,D) & not dept(D).",
+		"meet": "panic :- q(X) & p(X).",
+	} {
+		if err := chk.AddConstraintSource(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(chk, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler("test-ccserved-arity", nil, nil))
+	defer ts.Close()
+	check := func(update string) Decision {
+		t.Helper()
+		resp, body := postJSON(t, ts, "/v1/check", `{"update":`+update+`}`, nil)
+		var d Decision
+		if err := json.Unmarshal(body, &d); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("check %s: status %d, %s (%v)", update, resp.StatusCode, body, err)
+		}
+		return d
+	}
+	for _, c := range []struct{ malformed, wellFormed, violates string }{
+		{`{"op":"delete","relation":"dept","tuple":[1,2]}`, `{"op":"delete","relation":"dept","tuple":[1]}`, "ri"},
+		{`{"op":"insert","relation":"q","tuple":[5,6]}`, `{"op":"insert","relation":"q","tuple":[5]}`, "meet"},
+	} {
+		if d := check(c.malformed); !d.OK() {
+			t.Fatalf("%s: %+v, want ok (it matches no occurrence)", c.malformed, d)
+		}
+		if d := check(c.wellFormed); d.Verdict != VerdictViolation || len(d.Violations) != 1 || d.Violations[0] != c.violates {
+			t.Errorf("%s after %s: %+v, want a violation of %s", c.wellFormed, c.malformed, d, c.violates)
+		}
 	}
 }
 
