@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/residual"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -403,6 +404,51 @@ func TestWrongArityDoesNotPoison(t *testing.T) {
 	}
 }
 
+// TestRangeStepOtherArity: the relation a range step reads is absent when
+// the check is compiled, and an apply then creates it with another arity.
+// That commit moves the schema, so the checker compiles the check again;
+// the check compiled before it — what a decision that read the schema just
+// ahead of the commit still runs — must not read the new relation either.
+// Neither panics, and both answer as evaluation does.
+func TestRangeStepOtherArity(t *testing.T) {
+	const icq = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+	for _, tc := range []struct {
+		facts         string
+		create, check store.Update
+	}{
+		// +l(1,5) ranges over r's column 0; +r(3) over l's columns 0 and 1.
+		{"l(0,0).", store.Ins("r", relation.Ints(3, 4)), store.Ins("l", relation.Ints(1, 5))},
+		{"r(100).", store.Ins("l", relation.Ints(3)), store.Ins("r", relation.Ints(3))},
+	} {
+		c := newChecker(t, tc.facts, Options{})
+		if err := c.AddConstraintSource("fi", icq); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := c.Check(tc.check); err != nil || !rep.Applied {
+			t.Fatalf("%v before %v: %+v %v", tc.check, tc.create, rep, err)
+		}
+		before, _, ok := c.residuals.For(c.constraints[0].Prog, tc.check, c.db, c.resOpts)
+		if !ok || before.Outcome() != residual.ResidualGoal {
+			t.Fatalf("%v compiles to %v, want a residual goal", tc.check, before.Outcome())
+		}
+		if rep, err := c.Apply(tc.create); err != nil || !rep.Applied {
+			t.Fatalf("%v: %+v %v", tc.create, rep, err)
+		}
+		post := c.DB().Clone()
+		if err := tc.check.Apply(post); err != nil {
+			t.Fatal(err)
+		}
+		want := violates(t, map[string]*ast.Program{"fi": c.constraints[0].Prog}, post)
+		rep, err := c.Check(tc.check)
+		if err != nil || rep.Applied == want {
+			t.Errorf("%v after %v: %+v %v, evaluation says violated=%v", tc.check, tc.create, rep, err, want)
+		}
+		if got := before.Decide(c.DB(), tc.check.Tuple); got != want {
+			t.Errorf("%v after %v, compiled before it: violated=%v, evaluation %v", tc.check, tc.create, got, want)
+		}
+	}
+}
+
 // TestProgramInvalidation: a program's compiled checks are recompiled by
 // a commit that creates a relation (the schema moves) and by a change of
 // the constraint set — and by nothing else.
@@ -573,6 +619,16 @@ func TestFlatDecisionAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { _, _ = c.Check(hire) }); got > 2 {
 		t.Errorf("a flat Check allocates %v objects, want at most 2 (the report's Decisions)", got)
+	}
+	// The forbidden-interval checks range over the other relation's ordered
+	// index: an r insert over l's two columns, an l insert over r's one.
+	for _, u := range []store.Update{store.Ins("r", relation.Ints(50)), store.Ins("l", relation.Ints(200, 300))} {
+		if rep, err := c.Check(u); err != nil || !rep.Applied {
+			t.Fatalf("%v: %+v %v", u, rep, err)
+		}
+		if got := testing.AllocsPerRun(200, func() { _, _ = c.Check(u) }); got > 1 {
+			t.Errorf("a Check of %v allocates %v objects, want at most 1 (the report's Decisions)", u, got)
+		}
 	}
 	// An Apply and its undo cost the decision twice and the two store
 	// writes; the writes alone are measured on the same store.

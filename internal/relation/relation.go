@@ -1,8 +1,9 @@
 // Package relation provides the relational data substrate: tuples of
 // constants and named relations with hash indexes. It is deliberately
 // small — an in-memory column-agnostic heap of tuples with exact-match
-// indexes — because the paper's algorithms only need insert, delete,
-// scan, and indexed lookup.
+// indexes, plus one-column ordered indexes for range lookups — because
+// the paper's algorithms only need insert, delete, scan, and indexed
+// lookup.
 //
 // Constants are interned process-wide (see intern.go): every stored
 // tuple carries a precomputed handle slice and fingerprint, so
@@ -132,6 +133,8 @@ type Relation struct {
 	// midx holds the lazily built per-column-set hash indexes, keyed by
 	// column bitmask; see index.go.
 	midx map[uint64]*multiIndex
+	// ord holds the lazily built one-column ordered indexes; see ordered.go.
+	ord []*ordered
 	// version counts the writes that changed the relation's contents;
 	// see Version.
 	version atomic.Uint64
@@ -163,15 +166,26 @@ func (r *Relation) Len() int {
 func (r *Relation) Version() uint64 { return r.version.Load() }
 
 // Succeed makes r the successor of old, the relation a store swaps r in
-// for: r takes over old's index signatures (so the probe indexes of
-// repeated swaps stay warm) and continues its data version strictly past
-// both counts, so a reader that remembered old's version sees the swap as
-// a change however many tuples either side holds. A version only ever
-// moves forward.
+// for: r takes over old's index signatures and ordered columns (so the
+// probe indexes of repeated swaps stay warm) and continues its data
+// version strictly past both counts, so a reader that remembered old's
+// version sees the swap as a change however many tuples either side
+// holds. A version only ever moves forward.
 func (r *Relation) Succeed(old *Relation) {
 	for _, cols := range old.IndexSignatures() {
 		r.EnsureIndex(cols...)
 	}
+	old.mu.RLock()
+	cols := make([]int, len(old.ord))
+	for i, o := range old.ord {
+		cols[i] = o.col
+	}
+	old.mu.RUnlock()
+	r.mu.Lock()
+	for _, c := range cols {
+		r.ensureOrderedLocked(c)
+	}
+	r.mu.Unlock()
 	r.version.Store(max(r.version.Load(), old.Version()) + 1)
 }
 
@@ -222,6 +236,7 @@ func (r *Relation) Insert(t Tuple) bool {
 		pk := fingerprintProj(own, mi.cols)
 		mi.buckets[pk] = append(mi.buckets[pk], pos)
 	}
+	r.addOrderedLocked(pos)
 	r.version.Add(1)
 	return true
 }
@@ -236,6 +251,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	if pos < 0 {
 		return false
 	}
+	r.dropOrderedLocked(pos)
 	r.tuples[pos] = nil
 	r.handles[pos] = nil
 	r.count--
@@ -264,19 +280,35 @@ func (r *Relation) Reset() {
 	for _, mi := range r.midx {
 		clear(mi.buckets)
 	}
+	for _, o := range r.ord {
+		o.pos = o.pos[:0]
+	}
 }
 
 // compactLocked removes holes and rebuilds indexes. Caller holds mu. A
 // fresh backing array is allocated so snapshots handed out earlier are
 // never scribbled over. Hash indexes are rebuilt in place, not dropped:
-// a signature once requested stays warm across compaction.
+// a signature once requested stays warm across compaction. Ordered
+// indexes are renumbered, not rebuilt: a live tuple keeps its rank.
 func (r *Relation) compactLocked() {
 	live := make([]Tuple, 0, r.count)
 	liveH := make([][]Handle, 0, r.count)
+	var renum []int32
+	if len(r.ord) > 0 {
+		renum = make([]int32, len(r.tuples))
+	}
 	for i, t := range r.tuples {
 		if t != nil {
+			if renum != nil {
+				renum[i] = int32(len(live))
+			}
 			live = append(live, t)
 			liveH = append(liveH, r.handles[i])
+		}
+	}
+	for _, o := range r.ord {
+		for i, p := range o.pos {
+			o.pos[i] = renum[p]
 		}
 	}
 	r.tuples = live

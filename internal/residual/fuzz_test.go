@@ -2,6 +2,7 @@ package residual
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -47,6 +48,16 @@ var fuzzShapes = func() []fuzzShape {
 		{"panic :- emp(E,D,S) & not dept(D) & S > 0.", "emp", true}, // comparison on a local column
 		{"panic :- emp(E,D) & emp(F,D) & not dept(D).", "emp", false},
 		{"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.", "l", true}, // the ICQ
+		// Range steps: a strict bound from a parameter (+a) or from the
+		// register the hash-probed a binds (+c; under +b, c is planned first
+		// and a is probed, so nothing is ranged); the ICQ with its operands
+		// reversed, and under a constant bound; a self range; a comparison
+		// inside one atom, which bounds no range.
+		{"panic :- c(K) & a(K,X) & b(Y) & X < Y.", "c", true},
+		{"panic :- l(X,Y) & r(Z) & Z >= X & Y >= Z.", "l", true},
+		{"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y & Z < 2.", "l", true},
+		{"panic :- e(X,Y) & e(Z,W) & X <= Z & Z <= Y & f(W).", "e", false},
+		{"panic :- l(X,Y) & r(Z) & X < Y & Y <= Z.", "l", true},
 	} {
 		p := parser.MustParseProgram(s.src)
 		out = append(out, fuzzShape{prog: p, arity: p.Preds(), local: s.local, cert: s.cert})
@@ -55,11 +66,15 @@ var fuzzShapes = func() []fuzzShape {
 }()
 
 // fuzzTuple reads an arity-ar tuple over {0,1,2} out of one byte; three
-// values keep X = Y, duplicates and absent deletes frequent.
-func fuzzTuple(b byte, ar int) relation.Tuple {
+// values keep X = Y, duplicates and absent deletes frequent. Under strs the
+// third value is the string b, which sorts after every number.
+func fuzzTuple(b byte, ar int, strs bool) relation.Tuple {
 	t := make(relation.Tuple, ar)
 	for i := range t {
 		t[i] = ast.Int(int64(b % 3))
+		if strs && b%3 == 2 {
+			t[i] = ast.Str("b")
+		}
 		b /= 3
 	}
 	return t
@@ -74,6 +89,22 @@ func fuzzSpan(ar int) byte {
 	return span
 }
 
+// scanned is res with its range steps fetching their candidates by scan:
+// the plan as it would run without ordered indexes.
+func scanned(res *Residual) *Residual {
+	out := *res
+	out.disjuncts = make([]*disjunct, len(res.disjuncts))
+	for i, d := range res.disjuncts {
+		dc := *d
+		dc.steps = slices.Clone(d.steps)
+		for j := range dc.steps {
+			dc.steps[j].ranges = nil
+		}
+		out.disjuncts[i] = &dc
+	}
+	return &out
+}
+
 // fuzzPairs is how many (relation, tuple) byte pairs make the pre-state;
 // the pairs after them rewrite the remote relations.
 const fuzzPairs = 8
@@ -82,10 +113,12 @@ const fuzzPairs = 8
 // before the update, to full evaluation of the constraint on an updated
 // copy: bytes choose a shape, an update (either polarity, any relation
 // of the shape) and a small pre-state, which is discarded if it violates
-// the constraint — the premise of the residual argument. Byte 1's high
-// bit leaves the relations uncreated unless a tuple creates them, the
-// "relation unseen at compile time" arm. The database must come out of
-// Decide as it went in.
+// the constraint — the premise of the residual argument. Byte 0's high bit
+// makes the value 2 the string b, so ranges cross from numbers to
+// strings; byte 1's high bit leaves the relations uncreated unless a tuple
+// creates them, the "relation unseen at compile time" arm. The database
+// must come out of Decide as it went in, and a plan's range steps must
+// read no more of it than scans in their place.
 //
 // Each residual is compiled three ways, through a cache that malformed
 // updates of the same pattern reached first: as an embedded checker does,
@@ -108,7 +141,9 @@ func FuzzResidualPreState(f *testing.F) {
 			for _, tu := range []byte{0, 4, 1, 3} {
 				for _, pre := range [][]byte{{}, {flags>>1 ^ 1, 1}, {flags >> 1, tu}, {0, 1, 0, 3}} {
 					for _, absent := range []byte{0, 0x80} {
-						f.Add(append([]byte{byte(s), absent | flags, tu}, pre...))
+						for _, strs := range []byte{0, 0x80} {
+							f.Add(append([]byte{strs | byte(s), absent | flags, tu}, pre...))
+						}
 					}
 				}
 			}
@@ -163,7 +198,7 @@ func FuzzResidualPreState(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		sh := fuzzShapes[int(data[0])%len(fuzzShapes)]
+		sh, strs := fuzzShapes[int(data[0]&0x7f)%len(fuzzShapes)], data[0]&0x80 != 0
 		p := sh.prog
 		rels := p.EDBPreds()
 		pre := store.New()
@@ -175,7 +210,7 @@ func FuzzResidualPreState(f *testing.F) {
 		fill := func(db *store.Store, pairs []byte, keep func(rel string) bool) {
 			for i := 0; i+1 < len(pairs) && i < 2*fuzzPairs; i += 2 {
 				if rel := rels[int(pairs[i])%len(rels)]; keep(rel) {
-					if _, err := db.Insert(rel, fuzzTuple(pairs[i+1], sh.arity[rel])); err != nil {
+					if _, err := db.Insert(rel, fuzzTuple(pairs[i+1], sh.arity[rel], strs)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -193,7 +228,7 @@ func FuzzResidualPreState(f *testing.F) {
 			return
 		}
 		rel := rels[int(data[1]>>1&0x3f)%len(rels)]
-		u := store.Update{Insert: data[1]&1 == 1, Relation: rel, Tuple: fuzzTuple(data[2], sh.arity[rel])}
+		u := store.Update{Insert: data[1]&1 == 1, Relation: rel, Tuple: fuzzTuple(data[2], sh.arity[rel], strs)}
 		post := pre.Clone()
 		if err := u.Apply(post); err != nil {
 			t.Fatal(err)
@@ -222,9 +257,22 @@ func FuzzResidualPreState(f *testing.F) {
 			if !ok || hit {
 				t.Fatalf("%+v: %v after its malformed variants: compiled=%v served=%v, want a compilation of its own", opts, u, ok, hit)
 			}
+			pre.ResetReads()
 			if got := res.Decide(pre, u.Tuple); got != want {
 				t.Fatalf("%+v: residual on the pre-state says violated=%v, evaluation of the updated copy %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
 					opts, got, want, p, u, before)
+			}
+			if !opts.DisableIndexes && opts.Local == nil {
+				// The same plan with its ranges fetched by scan decides alike,
+				// and reads no less.
+				ranged := pre.TotalReads()
+				pre.ResetReads()
+				if got := scanned(res).Decide(pre, u.Tuple); got != want {
+					t.Fatalf("%v decided violated=%v with its ranges scanned, evaluation %v\nconstraint: %s\npre-state:\n%s", u, got, want, p, before)
+				}
+				if scan := pre.TotalReads(); ranged > scan {
+					t.Fatalf("deciding %v read %d tuples ranged, %d scanned\nconstraint: %s\npre-state:\n%s", u, ranged, scan, p, before)
+				}
 			}
 			// A certificate is no literal: the residual renders as the same
 			// program with and without (the scan arm orders atoms its own way).

@@ -1,7 +1,10 @@
 package residual
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -9,9 +12,10 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
-func prog(t *testing.T, src string) *ast.Program {
+func prog(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	return parser.MustParseProgram(src)
 }
@@ -348,6 +352,159 @@ func TestEmbeddedResidualsUnchanged(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s, %s insert=%v compiles to\n%s\nwant\n%s", c.src, c.rel, c.insert, got, c.want)
+		}
+	}
+}
+
+// rangesOf renders the range steps of res's disjuncts, "; "-separated:
+// the relation, then per range its column and bounds — [ or ( before a
+// lower bound, ] or ) after an upper one, nothing where a side is open.
+func rangesOf(res *Residual) string {
+	bound := func(a arg) string {
+		switch a.kind {
+		case argConst:
+			return a.val.String()
+		case argParam:
+			return fmt.Sprintf("$%d", a.idx)
+		}
+		return fmt.Sprintf("R$%d", a.idx)
+	}
+	var out []string
+	for _, d := range res.disjuncts {
+		var sb strings.Builder
+		for _, st := range d.steps {
+			if len(st.ranges) == 0 {
+				continue
+			}
+			sb.WriteString(st.pred + "{")
+			for i, rg := range st.ranges {
+				if i > 0 {
+					sb.WriteByte(' ')
+				}
+				fmt.Fprintf(&sb, "%d:", rg.Col)
+				if rg.HasLo {
+					sb.WriteString(map[bool]string{false: "[", true: "("}[rg.LoOpen] + bound(st.rangeLo[i]))
+				}
+				sb.WriteByte(',')
+				if rg.HasHi {
+					sb.WriteString(bound(st.rangeHi[i]) + map[bool]string{false: "]", true: ")"}[rg.HiOpen])
+				}
+			}
+			sb.WriteString("}")
+		}
+		out = append(out, sb.String())
+	}
+	return strings.Join(out, "; ")
+}
+
+// TestRangeStepPlanning pins when a positive step is ranged: it has no
+// hash-probe column, and an order comparison relates a variable it binds
+// first to a constant, a parameter or an earlier register (either operand
+// order; the first lower and upper bound per column). A bound column keeps
+// the hash probe; = and <> bound nothing, nor does a comparison inside the
+// atom, and the scan arm ranges nothing.
+func TestRangeStepPlanning(t *testing.T) {
+	const icq = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+	for _, c := range []struct {
+		src, rel string
+		tu       relation.Tuple
+		opts     Options
+		want     string
+	}{
+		{icq, "l", relation.Ints(3, 9), Options{}, "r{0:[$0,$1]}"},
+		{icq, "r", relation.Ints(5), Options{}, "l{0:,$0] 1:[$0,}"},
+		{icq, "r", relation.Ints(5), Options{DisableIndexes: true}, ""},
+		{"panic :- l(X,Y) & r(Z) & Z >= X & Y >= Z.", "r", relation.Ints(5), Options{}, "l{0:,$0] 1:[$0,}"},
+		{"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y & Z < 2.", "l", relation.Ints(0, 9), Options{}, "r{0:[$0,$1]}"},
+		{"panic :- l(X,Y) & r(Z) & X < Y & Y <= Z.", "r", relation.Ints(5), Options{}, "l{1:,$0]}"},
+		{"panic :- c(K) & a(K,X) & b(Y) & X < Y.", "c", relation.Ints(1), Options{}, "b{0:(R$0,}"},
+		{"panic :- c(K) & a(K,X) & b(Y) & X < Y.", "a", relation.Ints(1, 2), Options{}, "b{0:($1,}"},
+		{"panic :- c(K) & a(K,X) & b(Y) & X < Y.", "b", relation.Ints(1), Options{}, ""},
+		{"panic :- q(W) & r(Z) & Z > 3 & Z <= 7.", "q", relation.Ints(1), Options{}, "r{0:(3,7]}"},
+		{"panic :- q(W) & r(Z) & Z = W.", "q", relation.Ints(1), Options{}, ""},
+		{"panic :- q(W) & r(Z) & Z <> W.", "q", relation.Ints(1), Options{}, ""},
+		{"panic :- q(W) & r(W,Z) & Z < W.", "q", relation.Ints(1), Options{}, ""},
+		{"panic :- q(W) & r(Z,V) & V = W & Z < W.", "q", relation.Ints(1), Options{}, "r{0:,$0)}"},
+		{"panic :- e(X,Y) & e(Z,W) & X <= Z & Z <= Y & f(W).", "e", relation.Ints(1, 5), Options{}, "e{0:[$0,$1]}; e{0:,$0] 1:[$0,}"},
+		{"panic :- e(X,Y) & e(Z,W) & X <= Z & Z <= Y & f(W).", "f", relation.Ints(2), Options{}, "e{0:,R$0] 1:[R$0,}"},
+	} {
+		p := prog(t, c.src)
+		sh := DeriveShape(p, c.rel, true)
+		if !sh.Eligible {
+			t.Fatalf("%s: +%s ineligible", c.src, c.rel)
+		}
+		if got := rangesOf(Compile(p, c.rel, true, c.tu, sh, store.New(), c.opts)); got != c.want {
+			t.Errorf("%s, +%s%v %+v: ranges %q, want %q", c.src, c.rel, c.tu, c.opts, got, c.want)
+		}
+	}
+}
+
+// BenchmarkRangeStep times the forbidden-interval residual on the
+// embed_flat store — seed 1's employees, 200 intervals l(X,Y) with X in
+// [0,200) and Y ≤ X+20, and the points r(10000…10049) — ranged and under
+// DisableIndexes (the scan), and reports the tuples each decision reads.
+// The worst case is a point with long spans on both sides that no interval
+// covers; the intervals cover [0,220] densely, so the ones covering 110
+// are deleted to make one.
+func BenchmarkRangeStep(b *testing.B) {
+	const icq = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+	rng := rand.New(rand.NewSource(1))
+	db := store.New()
+	if err := workload.EmployeeDB(rng, db, 20, 5000); err != nil {
+		b.Fatal(err)
+	}
+	ls := workload.Intervals(rng, 200, 20, 200)
+	for _, tu := range ls {
+		if _, err := db.Insert("l", tu); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 50; i++ {
+		if _, err := db.Insert("r", relation.Ints(10_000+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	xs := make([]int64, len(ls))
+	for i, tu := range ls {
+		xs[i] = tu[0].Num.Num().Int64()
+	}
+	slices.Sort(xs)
+	mid := ast.Int(110)
+	gap := db.Clone()
+	for _, tu := range ls {
+		if tu[0].Compare(mid) <= 0 && tu[1].Compare(mid) >= 0 {
+			gap.Delete("l", tu)
+		}
+	}
+	p := prog(b, icq)
+	for _, c := range []struct {
+		name string
+		db   *store.Store
+		u    store.Update
+		want bool
+	}{
+		{"safe-r-above", db, store.Ins("r", relation.Ints(5000)), false},
+		{"covered-r", db, store.Ins("r", relation.Ints(xs[len(xs)/2])), true},
+		{"worst-uncovered-r", gap, store.Ins("r", relation.TupleOf(mid)), false},
+		{"l-covering-a-point", db, store.Ins("l", relation.Ints(10_010, 10_012)), true},
+	} {
+		for _, arm := range []struct {
+			name string
+			opts Options
+		}{{"ranged", Options{}}, {"scan", Options{DisableIndexes: true}}} {
+			b.Run(c.name+"/"+arm.name, func(b *testing.B) {
+				res := Compile(p, c.u.Relation, true, c.u.Tuple, DeriveShape(p, c.u.Relation, true), c.db, arm.opts)
+				if res.Decide(c.db, c.u.Tuple) != c.want {
+					b.Fatalf("%v: violated=%v", c.u, !c.want)
+				}
+				c.db.ResetReads()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res.Decide(c.db, c.u.Tuple)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(c.db.TotalReads("l", "r"))/float64(b.N), "reads/op")
+			})
 		}
 	}
 }

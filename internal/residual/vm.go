@@ -45,8 +45,13 @@ const (
 // (empty under DisableIndexes — candidates then arrive by scan and every
 // bound column moves to checkCols), bindCols load fresh registers, and
 // repCols verify registers first bound at an earlier column of this same
-// atom. self marks an atom over the updated relation itself: the one kind
-// of step whose read of the database is adjusted by the update (run).
+// atom. A step with no probe column may have ranges instead: bounds on
+// columns it binds, taken from the order comparisons planned right after
+// it (rangeLo/rangeHi hold the bounds' arguments), so its candidates come
+// from the narrowest range of an ordered index rather than a scan — the
+// comparisons still filter them. self marks an atom over the updated
+// relation itself: the one kind of step whose read of the database is
+// adjusted by the update (run).
 type step struct {
 	kind stepKind
 	self bool
@@ -64,6 +69,9 @@ type step struct {
 	bindRegs  []int
 	repCols   []int
 	repRegs   []int
+	ranges    []relation.Range
+	rangeLo   []arg
+	rangeHi   []arg
 }
 
 // disjunct is one compiled residual disjunct: its plan, how many
@@ -94,10 +102,11 @@ func (d *disjunct) witness(db *store.Store, t relation.Tuple, sc *scratch) relat
 // plan orders the symbolic body into a disjunct: comparisons and
 // negations at the earliest point their variables are bound, positive
 // atoms greedily most-bound-first (textual order under DisableIndexes),
-// mirroring the main evaluator's join planning. It returns nil when a
-// positive atom over an existing relation of disagreeing arity makes the
-// disjunct underivable; negated atoms in that situation are vacuously
-// true and are dropped instead.
+// mirroring the main evaluator's join planning, and ranged where they have
+// no probe column but an order comparison bounds a column they bind
+// (rangeBound). It returns nil when a positive atom over an existing
+// relation of disagreeing arity makes the disjunct underivable; negated
+// atoms in that situation are vacuously true and are dropped instead.
 func plan(body []slit, rel string, db *store.Store, opts Options) *disjunct {
 	d := &disjunct{}
 	regOf := map[string]int{}
@@ -119,6 +128,7 @@ func plan(body []slit, rel string, db *store.Store, opts Options) *disjunct {
 		}
 		return arg{kind: argReg, idx: reg(s.name)}
 	}
+	var pending, positives []slit
 	litReady := func(l slit) bool {
 		if l.comp {
 			return (l.l.kind != stVar || bound[l.l.name]) && (l.r.kind != stVar || bound[l.r.name])
@@ -174,13 +184,19 @@ func plan(body []slit, rel string, db *store.Store, opts Options) *disjunct {
 				}
 			}
 		}
+		if !l.neg && !opts.DisableIndexes && len(st.probeCols) == 0 {
+			for _, c := range pending {
+				if col, op, b, ok := rangeBound(c, &st, inAtom, bound); ok {
+					st.addBound(col, op, mkArg(b))
+				}
+			}
+		}
 		for name := range inAtom {
 			bound[name] = true
 		}
 		d.steps = append(d.steps, st)
 		return true
 	}
-	var pending, positives []slit
 	for _, l := range body {
 		if l.comp || l.neg {
 			pending = append(pending, l)
@@ -240,6 +256,58 @@ func plan(body []slit, rel string, db *store.Store, opts Options) *disjunct {
 	return d
 }
 
+// rangeBound orients the comparison c as "column col of st op b", where
+// the column binds a variable st binds first (inAtom) and b is bound
+// before st: a constant, a parameter or an earlier register. ok is false
+// for any other literal, and for = and <>, which bound no range.
+func rangeBound(c slit, st *step, inAtom map[string]int, bound map[string]bool) (col int, op ast.CompOp, b sterm, ok bool) {
+	if !c.comp || c.op == ast.Eq || c.op == ast.Ne {
+		return 0, 0, sterm{}, false
+	}
+	before := func(s sterm) bool { return s.kind != stVar || bound[s.name] }
+	fresh := func(s sterm) (int, bool) {
+		r, in := inAtom[s.name]
+		if s.kind != stVar || !in {
+			return 0, false
+		}
+		for j, reg := range st.bindRegs {
+			if reg == r {
+				return st.bindCols[j], true
+			}
+		}
+		return 0, false
+	}
+	if col, in := fresh(c.l); in && before(c.r) {
+		return col, c.op, c.r, true
+	}
+	if col, in := fresh(c.r); in && before(c.l) {
+		return col, c.op.Flip(), c.l, true
+	}
+	return 0, 0, sterm{}, false
+}
+
+// addBound bounds column col of a ranged step by "col op b", unless the
+// column already has a bound on that side: a column keeps its first lower
+// and its first upper bound.
+func (st *step) addBound(col int, op ast.CompOp, b arg) {
+	i := 0
+	for i < len(st.ranges) && st.ranges[i].Col != col {
+		i++
+	}
+	if i == len(st.ranges) {
+		st.ranges = append(st.ranges, relation.Range{Col: col})
+		st.rangeLo = append(st.rangeLo, arg{})
+		st.rangeHi = append(st.rangeHi, arg{})
+	}
+	rg := &st.ranges[i]
+	switch {
+	case (op == ast.Lt || op == ast.Le) && !rg.HasHi:
+		rg.HasHi, rg.HiOpen, st.rangeHi[i] = true, op == ast.Lt, b
+	case (op == ast.Gt || op == ast.Ge) && !rg.HasLo:
+		rg.HasLo, rg.LoOpen, st.rangeLo[i] = true, op == ast.Gt, b
+	}
+}
+
 // scratch is the pooled per-Decide state: the register file and one
 // candidate buffer per join depth.
 type scratch struct {
@@ -248,8 +316,9 @@ type scratch struct {
 }
 
 type levelScratch struct {
-	vals []ast.Value
-	tups []relation.Tuple
+	vals   []ast.Value
+	tups   []relation.Tuple
+	ranges []relation.Range
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -369,14 +438,27 @@ func (r *Residual) run(d *disjunct, si int, db *store.Store, t relation.Tuple, s
 	}
 	lv := sc.level(si)
 	var cands []relation.Tuple
-	if len(st.probeCols) > 0 {
+	switch {
+	case len(st.probeCols) > 0:
 		vals := lv.vals[:0]
 		for _, a := range st.probeArgs {
 			vals = append(vals, value(a, t, sc.regs))
 		}
 		lv.vals = vals
 		cands = db.LookupColsAppend(lv.tups[:0], st.pred, st.probeCols, vals)
-	} else {
+	case len(st.ranges) > 0:
+		ranges := append(lv.ranges[:0], st.ranges...)
+		for i := range ranges {
+			if ranges[i].HasLo {
+				ranges[i].Lo = value(st.rangeLo[i], t, sc.regs)
+			}
+			if ranges[i].HasHi {
+				ranges[i].Hi = value(st.rangeHi[i], t, sc.regs)
+			}
+		}
+		lv.ranges = ranges
+		cands = db.RangeAppend(lv.tups[:0], st.pred, len(st.args), ranges)
+	default:
 		cands = db.TuplesAppend(lv.tups[:0], st.pred)
 	}
 	// t joins under an insert (the step's checks filter it), leaves under a delete.

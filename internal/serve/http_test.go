@@ -12,7 +12,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -203,6 +205,65 @@ func TestHTTPWrongArityDoesNotPoison(t *testing.T) {
 		}
 		if d := check(c.wellFormed); d.Verdict != VerdictViolation || len(d.Violations) != 1 || d.Violations[0] != c.violates {
 			t.Errorf("%s after %s: %+v, want a violation of %s", c.wellFormed, c.malformed, d, c.violates)
+		}
+	}
+}
+
+// A range step compiled while its relation is absent meets that relation
+// created, through /v1/apply, with another arity: the next /v1/check of the
+// pattern answers, without a panic, what evaluation of the updated store
+// says.
+func TestHTTPRangeStepOtherArity(t *testing.T) {
+	prog := parser.MustParseProgram("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
+	for _, tc := range []struct {
+		fact          string
+		create, check store.Update
+	}{
+		// +l(1,5) ranges over r's column 0; +r(3) over l's columns 0 and 1.
+		{"l(0,0).", store.Ins("r", relation.Ints(3, 4)), store.Ins("l", relation.Ints(1, 5))},
+		{"r(100).", store.Ins("l", relation.Ints(3)), store.Ins("r", relation.Ints(3))},
+	} {
+		db := store.New()
+		if err := db.LoadFacts(parser.MustParseProgram(tc.fact)); err != nil {
+			t.Fatal(err)
+		}
+		chk := core.New(db, core.Options{})
+		if err := chk.AddConstraint("fi", prog); err != nil {
+			t.Fatal(err)
+		}
+		s := New(chk, Config{})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler("test-ccserved-range", nil, nil))
+		t.Cleanup(ts.Close)
+		call := func(path string, u store.Update) Decision {
+			t.Helper()
+			body, err := json.Marshal(FromUpdate(u))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, out := postJSON(t, ts, path, `{"update":`+string(body)+`}`, nil)
+			var d Decision
+			if err := json.Unmarshal(out, &d); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v: status %d, %s (%v)", path, u, resp.StatusCode, out, err)
+			}
+			return d
+		}
+		if d := call("/v1/check", tc.check); !d.OK() {
+			t.Fatalf("%v before %v: %+v, want ok", tc.check, tc.create, d)
+		}
+		if d := call("/v1/apply", tc.create); !d.OK() || !d.Applied {
+			t.Fatalf("%v: %+v, want applied", tc.create, d)
+		}
+		post := chk.DB().Clone()
+		if err := tc.check.Apply(post); err != nil {
+			t.Fatal(err)
+		}
+		violated, err := eval.PanicHolds(prog, post)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := call("/v1/check", tc.check); d.OK() == violated {
+			t.Errorf("%v after %v: %+v, evaluation says violated=%v", tc.check, tc.create, d, violated)
 		}
 	}
 }

@@ -266,6 +266,22 @@ func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, 
 	return r.FirstCols(cols, vals, same)
 }
 
+// RangeAppend appends to dst the tuples of the named arity-ary relation
+// that relation.RangeAppend returns for ranges — a superset of those
+// inside every range — charging only the appended tuples. An absent
+// relation, or one stored with another arity, appends nothing: a range
+// compiled against an atom must not read a relation the atom cannot match.
+func (s *Store) RangeAppend(dst []relation.Tuple, name string, arity int, ranges []relation.Range) []relation.Tuple {
+	r := s.get(name)
+	if r == nil || r.Arity() != arity {
+		return dst
+	}
+	before := len(dst)
+	dst = r.RangeAppend(dst, ranges)
+	s.charge(name, int64(len(dst)-before))
+	return dst
+}
+
 // Reads returns the cumulative number of tuples read from the named
 // relation via Tuples/Lookup/Probe.
 func (s *Store) Reads(name string) int64 {

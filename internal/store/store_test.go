@@ -400,3 +400,45 @@ func TestFirstCols(t *testing.T) {
 		t.Errorf("emp reads = %d, want 3", got)
 	}
 }
+
+func TestRangeAppend(t *testing.T) {
+	s := New()
+	for i := int64(0); i < 10; i++ {
+		if _, err := s.Insert("r", relation.Ints(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 3 ≤ v < 6: a range lookup charges only the tuples it returns.
+	rg := []relation.Range{{Col: 0, Lo: ast.Int(3), Hi: ast.Int(6), HasLo: true, HasHi: true, HiOpen: true}}
+	dst := []relation.Tuple{relation.Ints(99)}
+	got := s.RangeAppend(dst, "r", 1, rg)
+	if len(got) != 4 || !got[1].Equal(relation.Ints(3)) || !got[3].Equal(relation.Ints(5)) {
+		t.Fatalf("RangeAppend = %v, want [99] then 3, 4, 5", got)
+	}
+	if n := s.Reads("r"); n != 3 {
+		t.Errorf("reads = %d, want 3", n)
+	}
+	// A range compiled against an atom of another arity, or over a relation
+	// the store lacks, reads nothing and creates nothing.
+	if got := s.RangeAppend(dst, "r", 2, rg); len(got) != 1 {
+		t.Errorf("RangeAppend at arity 2 = %v, want dst unchanged", got)
+	}
+	if got := s.RangeAppend(dst, "absent", 1, rg); len(got) != 1 || s.Relation("absent") != nil {
+		t.Errorf("RangeAppend on an absent relation = %v, relation created: %v", got, s.Relation("absent") != nil)
+	}
+	if n := s.Reads("r") + s.Reads("absent"); n != 3 {
+		t.Errorf("reads = %d after the refused lookups, want 3", n)
+	}
+	// Replace carries the ordered column: the swap builds it, the next
+	// lookup does not.
+	if err := s.Replace("r", 1, []relation.Tuple{relation.Ints(4), relation.Ints(7)}); err != nil {
+		t.Fatal(err)
+	}
+	builds := relation.IndexBuilds()
+	if got := s.RangeAppend(nil, "r", 1, rg); len(got) != 1 || !got[0].Equal(relation.Ints(4)) {
+		t.Errorf("RangeAppend after Replace = %v, want [(4)]", got)
+	}
+	if n := relation.IndexBuilds() - builds; n != 0 {
+		t.Errorf("a range lookup after Replace built %d indexes", n)
+	}
+}
