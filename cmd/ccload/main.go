@@ -1,19 +1,17 @@
 // Command ccload is the sustained-load generator for the decision
 // server: it drives thousands of concurrent client streams of mixed
-// check/apply/batch traffic against a ccserved instance over loopback
-// HTTP and reports per-arm p50/p99 latency and throughput as JSON (the
-// BENCH_serve.json format; scripts/bench.sh stamps commit and date via
-// -commit/-date).
+// check/apply/batch traffic against a running ccserved over HTTP and
+// reports per-arm p50/p99 latency and throughput as JSON.
 //
 // Usage:
 //
-//	ccload -streams 10000 -duration 5s                 # self-served
-//	ccload -addr http://127.0.0.1:8080 -streams 1000   # external daemon
+//	ccserved -listen 127.0.0.1:8080 -constraints fi.dl &
+//	ccload -addr http://127.0.0.1:8080 -streams 1000
 //
-// Without -addr, ccload starts an in-process ccserved-equivalent (the
-// same serve.Server over a real 127.0.0.1 listener) loaded with the D1
-// forbidden-interval workload, so a single command exercises the whole
-// stack: HTTP decode, admission, queue, staged pipeline, encode.
+// The traffic assumes the D1 forbidden-interval constraint
+// panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y. Check requests probe
+// l and r in [0, 220]; apply and batch requests insert r points far
+// above it and delete them again.
 //
 // Streams are closed-loop: each waits for its response before issuing
 // the next request. -mix weights the arms ("check=70,apply=25,batch=5"),
@@ -28,21 +26,14 @@
 // sent trace id (traced) against the rest (untraced), so a load run
 // doubles as a propagation health check of the serving stack.
 //
-// -apply-workers N (self-serve) selects the server's apply arm:
-// sequential at 1, conflict-aware pipelined above. -conflict F makes the
-// first F fraction of streams write one shared key band so their apply
-// traffic collides tuple-for-tuple (scheduler conflicts); the total
-// record carries the run's apply_workers and sched_conflict_stalls
-// deltas from /v1/stats, so a sequential-vs-pipelined A/B at varying
-// -conflict quantifies the scheduler's stall behaviour.
-//
-// -shards N (self-serve) hash-partitions r across N loopback sites
-// behind a netdist coordinator, and -skew S (Zipf exponent, > 1) draws
-// apply keys from one shared skewed band instead of per-stream uniform
-// bands — hot keys meet in the scheduler's key-group footprints, so the
-// serialization of same-key requests shows up as conflict stalls. The
-// total record carries the run's shard_routed/shard_scatter deltas, so
-// uniform-vs-skewed arms quantify shard fanout under load.
+// -conflict F makes the first F fraction of streams write one shared key
+// band so their apply traffic collides tuple-for-tuple (scheduler
+// conflicts); -skew S (Zipf exponent, > 1) draws apply keys from one
+// shared skewed band instead of per-stream uniform bands, so hot keys
+// meet in the scheduler's key-group footprints (and, on a sharded
+// server, on their owning shards). The total record carries the run's
+// apply_workers, sched_conflict_stalls and shard_routed/shard_scatter
+// deltas from /v1/stats.
 package main
 
 import (
@@ -51,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -60,14 +50,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netdist"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/serve"
 	"repro/internal/serve/sdk"
 	"repro/internal/store"
-	"repro/internal/workload"
 )
 
 // loadConfig is everything main parses from flags.
@@ -79,41 +66,27 @@ type loadConfig struct {
 	mix      string
 	batch    int
 	conns    int
-	queue    int
-	rate     float64
-	density  int
 	seed     int64
 	trace    float64
 	conflict float64
 	skew     float64
-	shards   int
-	workers  int
 	out      string
-	commit   string
-	date     string
 }
 
 func main() {
 	var cfg loadConfig
-	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running ccserved (empty: self-serve on 127.0.0.1)")
+	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running ccserved (required)")
 	flag.IntVar(&cfg.streams, "streams", 10000, "concurrent client streams")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "measured load duration")
 	flag.DurationVar(&cfg.ramp, "ramp", 0, "stagger stream starts across this window")
 	flag.StringVar(&cfg.mix, "mix", "check=70,apply=25,batch=5", "arm weights")
 	flag.IntVar(&cfg.batch, "batch", 8, "updates per batch request")
 	flag.IntVar(&cfg.conns, "conns", 512, "client connection-pool cap (streams multiplex over it)")
-	flag.IntVar(&cfg.queue, "queue", 4096, "self-serve request queue depth")
-	flag.Float64Var(&cfg.rate, "rate", 0, "self-serve per-client admission rate (0: unlimited)")
-	flag.IntVar(&cfg.density, "density", 200, "self-serve seed intervals in l")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.Float64Var(&cfg.trace, "trace", 0.05, "fraction of requests carrying a sampled traceparent (0: none)")
 	flag.Float64Var(&cfg.conflict, "conflict", 0, "fraction of streams whose apply traffic writes one shared key band (conflicting updates; the rest write disjoint bands)")
 	flag.Float64Var(&cfg.skew, "skew", 0, "Zipf exponent (>1) for apply-arm key choice: all streams draw keys from one skewed band, concentrating writes on hot shard keys (0: uniform per-stream bands)")
-	flag.IntVar(&cfg.shards, "shards", 0, "self-serve: hash-shard r across this many loopback sites (0 or 1: local r as before); the total record carries shard_routed/shard_scatter deltas")
-	flag.IntVar(&cfg.workers, "apply-workers", 1, "self-serve apply workers (1: sequential arm; >1: conflict-aware pipelined arm)")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report here (empty: stdout)")
-	flag.StringVar(&cfg.commit, "commit", "unknown", "git commit stamp for the report")
-	flag.StringVar(&cfg.date, "date", "", "UTC date stamp for the report (empty: now)")
 	flag.Parse()
 
 	report, err := run(cfg)
@@ -146,9 +119,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ccload: pipelined arm: %d apply workers, %d scheduled, %d conflict stalls (conflict=%.2f)\n",
 				rec.ApplyWorkers, rec.SchedTasks, rec.ConflictStalls, rec.Conflict)
 		}
-		if rec.Shards > 1 {
-			fmt.Fprintf(os.Stderr, "ccload: sharded arm: %d shards, %d routed, %d scatter (skew=%.2f)\n",
-				rec.Shards, rec.ShardRouted, rec.ShardScatter, rec.Skew)
+		if rec.ShardRouted+rec.ShardScatter > 0 {
+			fmt.Fprintf(os.Stderr, "ccload: sharded arm: %d routed, %d scatter (skew=%.2f)\n",
+				rec.ShardRouted, rec.ShardScatter, rec.Skew)
 		}
 		if rec.Errors > 0 {
 			os.Exit(1)
@@ -156,7 +129,7 @@ func main() {
 	}
 }
 
-// record is one BENCH_serve.json entry.
+// record is one entry of the JSON report.
 type record struct {
 	Name           string  `json:"name"`
 	Streams        int     `json:"streams"`
@@ -174,13 +147,10 @@ type record struct {
 	ApplyWorkers   int     `json:"apply_workers,omitempty"`
 	Conflict       float64 `json:"conflict,omitempty"`
 	Skew           float64 `json:"skew,omitempty"`
-	Shards         int     `json:"shards,omitempty"`
 	SchedTasks     int64   `json:"sched_tasks,omitempty"`
 	ConflictStalls int64   `json:"sched_conflict_stalls,omitempty"`
 	ShardRouted    int     `json:"shard_routed,omitempty"`
 	ShardScatter   int     `json:"shard_scatter,omitempty"`
-	Commit         string  `json:"commit"`
-	Date           string  `json:"date"`
 }
 
 // armAgg accumulates one arm's measurements across streams.
@@ -206,17 +176,8 @@ func run(cfg loadConfig) ([]record, error) {
 	if cfg.skew != 0 && cfg.skew <= 1 {
 		return nil, fmt.Errorf("-skew %v: the Zipf exponent must exceed 1 (0 disables)", cfg.skew)
 	}
-	if cfg.shards > 1 && cfg.addr != "" {
-		return nil, fmt.Errorf("-shards is a self-serve knob; it cannot reshape an external -addr server")
-	}
-	addr := cfg.addr
-	if addr == "" {
-		stop, selfAddr, err := selfServe(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer stop()
-		addr = selfAddr
+	if cfg.addr == "" {
+		return nil, fmt.Errorf("-addr is required: the base URL of a running ccserved")
 	}
 	transport := &http.Transport{
 		MaxIdleConns:        cfg.conns,
@@ -225,7 +186,7 @@ func run(cfg loadConfig) ([]record, error) {
 		IdleConnTimeout:     90 * time.Second,
 	}
 	client, err := sdk.New(sdk.Config{
-		URL:        addr,
+		URL:        cfg.addr,
 		HTTPClient: &http.Client{Transport: transport, Timeout: 60 * time.Second},
 		ClientID:   "ccload",
 		// Mint a fresh sampled trace context for a -trace fraction of
@@ -273,10 +234,6 @@ func run(cfg loadConfig) ([]record, error) {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	date := cfg.date
-	if date == "" {
-		date = time.Now().UTC().Format(time.RFC3339)
-	}
 	var out []record
 	var total armAgg
 	for a := 0; a < armCount; a++ {
@@ -285,13 +242,12 @@ func run(cfg loadConfig) ([]record, error) {
 		total.errs += agg[a].errs
 		total.rejected += agg[a].rejected
 		total.viols += agg[a].viols
-		out = append(out, makeRecord("ServeLoad/"+armNames[a], agg[a], cfg, elapsed, date))
+		out = append(out, makeRecord("ServeLoad/"+armNames[a], agg[a], cfg, elapsed))
 	}
-	tot := makeRecord("ServeLoad/total", total, cfg, elapsed, date)
+	tot := makeRecord("ServeLoad/total", total, cfg, elapsed)
 	tot.Traced, tot.Untraced = client.TraceCounts()
 	tot.Conflict = cfg.conflict
 	tot.Skew = cfg.skew
-	tot.Shards = cfg.shards
 	if post, err := client.Stats(); err == nil && preErr == nil {
 		tot.ApplyWorkers = post.Server.ApplyWorkers
 		tot.SchedTasks = post.Server.SchedTasks - pre.Server.SchedTasks
@@ -303,11 +259,10 @@ func run(cfg loadConfig) ([]record, error) {
 	return out, nil
 }
 
-func makeRecord(name string, a armAgg, cfg loadConfig, elapsed float64, date string) record {
+func makeRecord(name string, a armAgg, cfg loadConfig, elapsed float64) record {
 	rec := record{
 		Name: name, Streams: cfg.streams, Conns: cfg.conns, DurationS: elapsed,
 		Ops: a.ops, Errors: a.errs, Rejected429: a.rejected, Violations: a.viols,
-		Commit: cfg.commit, Date: date,
 	}
 	if len(a.lat) > 0 {
 		sort.Float64s(a.lat)
@@ -338,7 +293,7 @@ func stream(client *sdk.SDK, id int, cfg loadConfig, weights [armCount]int, dead
 	totalWeight := weights[armCheck] + weights[armApply] + weights[armBatch]
 	base := int64(1_000_000_000) + int64(id)*1_000_000
 	// -skew: every stream draws apply keys from one shared Zipf-skewed
-	// band, so hot keys (and, with -shards, their owning shards) soak up
+	// band, so hot keys (and, on a sharded server, their owning shards) soak up
 	// most of the write traffic.
 	var zipf *rand.Zipf
 	if cfg.skew > 1 {
@@ -475,88 +430,4 @@ func parseMix(mix string) ([armCount]int, error) {
 		return weights, fmt.Errorf("-mix %q has no positive weight", mix)
 	}
 	return weights, nil
-}
-
-// selfServe starts the in-process decision server on loopback, loaded
-// with the D1 forbidden-interval workload, and returns its base URL.
-// With -shards > 1 the r relation is hash-partitioned by its key across
-// that many loopback sites behind a netdist coordinator, so a single
-// command exercises the sharded scale-out stack under sustained load.
-func selfServe(cfg loadConfig) (stop func(), addr string, err error) {
-	rng := rand.New(rand.NewSource(cfg.seed))
-	db := store.New()
-	for _, t := range workload.Intervals(rng, cfg.density, 20, 200) {
-		if _, err := db.Insert("l", t); err != nil {
-			return nil, "", err
-		}
-	}
-	reg := obs.NewRegistry()
-	spans := obs.NewSpanTracer("ccload-serve", obs.NewTraceStore(256), 0)
-	bridge := obs.NewSpanBridge(spans)
-	chkOpts := core.Options{LocalRelations: []string{"l"}, Metrics: reg, Tracer: bridge}
-	var backend serve.Backend
-	var chk *core.Checker
-	if cfg.shards > 1 {
-		rp := netdist.RelPlacement{KeyCol: 0}
-		lb := netdist.NewLoopback()
-		siteDBs := make([]*store.Store, cfg.shards)
-		for i := range siteDBs {
-			site := fmt.Sprintf("shard%d", i)
-			siteDBs[i] = store.New()
-			lb.AddSite(site, netdist.NewServer(siteDBs[i], []string{"r"}))
-			rp.Shards = append(rp.Shards, netdist.ShardSpec{Leader: site})
-		}
-		place := netdist.Placement{"r": rp}
-		for i := int64(0); i < 50; i++ {
-			t := relation.Ints(10_000 + i)
-			if _, err := siteDBs[place.ShardOf("r", t[0])].Insert("r", t); err != nil {
-				return nil, "", err
-			}
-		}
-		co, err := netdist.NewPlaced(db, place, lb, netdist.Options{
-			Checker:      chkOpts,
-			Timeout:      time.Second,
-			ApplyWorkers: cfg.workers,
-			Metrics:      reg,
-			Spans:        bridge,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		chk = co.Checker
-		backend = netdist.ServeBackend{Co: co}
-	} else {
-		for i := int64(0); i < 50; i++ {
-			if _, err := db.Insert("r", relation.Ints(10_000+i)); err != nil {
-				return nil, "", err
-			}
-		}
-		chk = core.New(db, chkOpts)
-		backend = chk
-	}
-	if err := chk.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
-		return nil, "", err
-	}
-	// Rate 0: only requests that arrive with a sampled traceparent get
-	// spans, so -trace controls sampling end to end in self-serve mode.
-	srv := serve.New(backend, serve.Config{
-		QueueDepth:    cfg.queue,
-		RatePerClient: cfg.rate,
-		ApplyWorkers:  cfg.workers,
-		Metrics:       reg,
-		Spans:         spans,
-		SpanBridge:    bridge,
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler("ccload", nil, nil)}
-	go httpSrv.Serve(l)
-	stop = func() {
-		l.Close()
-		srv.Close()
-	}
-	return stop, "http://" + l.Addr().String(), nil
 }

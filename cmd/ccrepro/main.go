@@ -5,8 +5,7 @@
 //
 //	ccrepro            # everything
 //	ccrepro -only 2.1  # one artifact: 2.1, 4.1, 4.2, 6.1, ex4.1,
-//	                   # t3, t51, t52, t53, t61, d1, dnet, obs, plan,
-//	                   # resid, serve, span
+//	                   # t3, t51, t52, t53, t61, d1, dnet, resid
 //	ccrepro -quick     # smaller parameter sweeps
 package main
 
@@ -20,7 +19,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "regenerate a single artifact (2.1, 4.1, 4.2, 6.1, ex4.1, t3, t51, t52, t53, t61, d1, dnet, obs, plan, resid, serve, span)")
+	only := flag.String("only", "", "regenerate a single artifact (2.1, 4.1, 4.2, 6.1, ex4.1, t3, t51, t52, t53, t61, d1, dnet, resid)")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	flag.Parse()
 	if err := run(*only, *quick); err != nil {
@@ -131,56 +130,12 @@ func run(only string, quick bool) error {
 		}
 		p(t)
 	}
-	if want("obs") {
-		density, updates, rounds := 50, 100, 5
-		if quick {
-			updates, rounds = 30, 2
-		}
-		t, err := experiments.ExpTraceOverhead(density, updates, rounds, 5)
-		if err != nil {
-			return err
-		}
-		p(t)
-	}
-	if want("span") {
-		density, updates, rounds := 50, 100, 5
-		if quick {
-			updates, rounds = 30, 2
-		}
-		t, err := experiments.ExpSpanOverhead(density, updates, rounds, 5)
-		if err != nil {
-			return err
-		}
-		p(t)
-	}
-	if want("plan") {
-		density, updates, rounds := 50, 100, 5
-		if quick {
-			updates, rounds = 30, 2
-		}
-		t, err := experiments.ExpPlanCache(density, updates, rounds, 5)
-		if err != nil {
-			return err
-		}
-		p(t)
-	}
 	if want("resid") {
 		density, updates, rounds := 50, 100, 5
 		if quick {
 			updates, rounds = 30, 2
 		}
 		t, err := experiments.ExpResidual(density, updates, rounds, 5)
-		if err != nil {
-			return err
-		}
-		p(t)
-	}
-	if want("serve") {
-		density, updates, rounds := 50, 200, 3
-		if quick {
-			updates, rounds = 50, 1
-		}
-		t, err := experiments.ExpServe(density, updates, rounds, 5)
 		if err != nil {
 			return err
 		}

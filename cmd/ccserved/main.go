@@ -37,8 +37,7 @@
 //
 // Constraint files hold blank-line-separated constraint programs (each
 // defines panic), data files hold facts — the same formats ccheck reads.
-// -noindex, -noplancache and -noresidual are the usual A/B escape
-// hatches; -workers sizes the checker's dispatch pool.
+// -workers sizes the checker's dispatch pool.
 //
 // -apply-workers N (default 1) turns on the conflict-aware pipelined
 // arm: non-conflicting queued updates are decided concurrently, at most
@@ -86,17 +85,13 @@ type config struct {
 	logDepth     int
 	workers      int
 	applyWorkers int
-	noindex      bool
-	noplancache  bool
-	noresidual   bool
 	verbose      bool
 
-	sites        []string
-	shards       []string
-	replicas     []string
-	noShardRoute bool
-	siteTimeout  time.Duration
-	siteRetries  int
+	sites       []string
+	shards      []string
+	replicas    []string
+	siteTimeout time.Duration
+	siteRetries int
 
 	traceSample float64
 	traceStore  int
@@ -127,14 +122,10 @@ func main() {
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
 	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: sequential; >1: conflict-aware pipelined applies, waits on a site not counted)")
-	flag.BoolVar(&cfg.noindex, "noindex", false, "disable hash-index probes and bound-first join planning (A/B escape hatch)")
-	flag.BoolVar(&cfg.noplancache, "noplancache", false, "disable the compiled evaluation plan cache (A/B escape hatch)")
-	flag.BoolVar(&cfg.noresidual, "noresidual", false, "disable residual check compilation (A/B escape hatch)")
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
 	flag.Var(appendFlag{&cfg.shards}, "shard", "hash-sharded relation spec rel@keycol=site1,site2,... (repeatable)")
 	flag.Var(appendFlag{&cfg.replicas}, "replica", "read-replica spec rel/shard=site for a -sites or -shard relation (repeatable)")
-	flag.BoolVar(&cfg.noShardRoute, "no-shard-routing", false, "scatter-gather every sharded read instead of routing key-covered probes to the owning shard (A/B escape hatch)")
 	flag.DurationVar(&cfg.siteTimeout, "site-timeout", 2*time.Second, "per-request deadline for -sites round trips")
 	flag.IntVar(&cfg.siteRetries, "site-retries", 0, "retries per failed site round trip (0: default of 3, negative: none)")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 0.1, "head-sampling probability for distributed traces (0 disables spans)")
@@ -255,13 +246,7 @@ func setup(cfg config, logSink io.Writer) (*serve.Server, *core.Checker, *obs.Sp
 		spans = obs.NewSpanTracer("ccserved", obs.NewTraceStore(cfg.traceStore), cfg.traceSample)
 		bridge = obs.NewSpanBridge(spans)
 	}
-	opts := core.Options{
-		Workers:          cfg.workers,
-		DisableIndexes:   cfg.noindex,
-		DisablePlanCache: cfg.noplancache,
-		DisableResidual:  cfg.noresidual,
-		Metrics:          reg,
-	}
+	opts := core.Options{Workers: cfg.workers, Metrics: reg}
 	if bridge != nil {
 		opts.Tracer = bridge
 	}
@@ -282,13 +267,12 @@ func setup(cfg config, logSink io.Writer) (*serve.Server, *core.Checker, *obs.Sp
 			return nil, nil, nil, err
 		}
 		co, err := netdist.NewPlaced(db, place, netdist.NewTCPTransport(), netdist.Options{
-			Checker:             opts,
-			Timeout:             cfg.siteTimeout,
-			Retries:             cfg.siteRetries,
-			ApplyWorkers:        cfg.applyWorkers,
-			DisableShardRouting: cfg.noShardRoute,
-			Metrics:             reg,
-			Spans:               bridge,
+			Checker:      opts,
+			Timeout:      cfg.siteTimeout,
+			Retries:      cfg.siteRetries,
+			ApplyWorkers: cfg.applyWorkers,
+			Metrics:      reg,
+			Spans:        bridge,
 		})
 		if err != nil {
 			return nil, nil, nil, err

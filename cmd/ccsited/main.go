@@ -12,10 +12,10 @@
 // SIGINT/SIGTERM it prints its accounting (requests handled, tuples
 // shipped per relation) and exits.
 //
-// Eval subqueries run with hash-index probes and bound-first join
-// planning and reuses compiled evaluation plans across requests;
-// -noindex falls back to scan-and-filter evaluation and -noplancache to
-// per-request re-planning.
+// A site answers four request types: scan and fetch (the reads a
+// coordinator issues when a decision needs remote data), apply (a
+// propagated write) and replace (a replica resync). Anything else is
+// refused.
 //
 // With -http the daemon also serves live endpoints on a second address:
 // /metrics (Prometheus text format: per-op request counters and latency
@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/netdist"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -48,18 +47,12 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":7070", "address to serve on")
-		dataPath    = flag.String("data", "", "path to this site's facts")
-		relations   = flag.String("relations", "", "comma-separated served relations (default: all in -data)")
-		httpAddr    = flag.String("http", "", "address for live endpoints (/metrics, /healthz, /debug/pprof); empty disables")
-		verbose     = flag.Bool("v", false, "log each served relation at startup")
-		noindex     = flag.Bool("noindex", false, "disable hash-index probes and bound-first join planning in Eval subqueries (A/B escape hatch)")
-		noplancache = flag.Bool("noplancache", false, "disable the compiled evaluation plan cache for Eval subqueries (A/B escape hatch)")
-		role        = flag.String("role", "leader", "site role: leader (owns its tuples) or replica (additionally accepts coordinator resyncs)")
-		// Residual dispatch lives in the coordinator's checker, not in the
-		// site's subquery evaluator; the flag exists for command-line
-		// parity with ccheck and is accepted (and ignored) here.
-		_ = flag.Bool("noresidual", false, "accepted for flag parity with ccheck; sites serve subqueries and never run residual dispatch")
+		listen    = flag.String("listen", ":7070", "address to serve on")
+		dataPath  = flag.String("data", "", "path to this site's facts")
+		relations = flag.String("relations", "", "comma-separated served relations (default: all in -data)")
+		httpAddr  = flag.String("http", "", "address for live endpoints (/metrics, /healthz, /debug/pprof); empty disables")
+		verbose   = flag.Bool("v", false, "log each served relation at startup")
+		role      = flag.String("role", "leader", "site role: leader (owns its tuples) or replica (additionally accepts coordinator resyncs)")
 	)
 	flag.Parse()
 	srv, l, err := setup(*listen, *dataPath, *relations)
@@ -67,11 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccsited:", err)
 		os.Exit(1)
 	}
-	evalOpts := eval.Options{DisableIndexes: *noindex}
-	if !*noplancache {
-		evalOpts.Cache = eval.NewPlanCache()
-	}
-	srv.SetEvalOptions(evalOpts)
 	if *role != "leader" && *role != "replica" {
 		fmt.Fprintf(os.Stderr, "ccsited: -role %q is neither leader nor replica\n", *role)
 		os.Exit(1)

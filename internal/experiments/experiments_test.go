@@ -241,7 +241,7 @@ func TestExpNetDistributedAgreesWithModel(t *testing.T) {
 // residual A/B: the stream amortizes onto one compilation per update
 // shape (+l, +r) and everything else hits; the noresidual arm never
 // touches the residual machinery. Wall clocks are not asserted — the
-// speedup claim lives in BenchmarkApplyResidual.
+// residual VM's cost is measured by bench/'s embed_flat workload.
 func TestExpResidualCounters(t *testing.T) {
 	tab, err := ExpResidual(20, 30, 1, 5)
 	if err != nil {

@@ -90,6 +90,6 @@ func ExpResidual(density, updates, rounds int, seed int64) (Table, error) {
 	t.Notes = append(t.Notes,
 		"the constraint spans a local and a remote relation, so the noresidual arm cannot certify locally and pays the global evaluation on every update",
 		"residual entries stay at 2 — one compiled pattern per update shape (+l, +r) serves the whole stream",
-		"single-run wall clocks are noisy — BenchmarkApplyResidual (BENCH_residual.json) is the statistically sound version, including allocs/op")
+		"single-run wall clocks are noisy — bench/'s embed_flat workload measures the residual VM end to end")
 	return t, nil
 }

@@ -91,7 +91,7 @@ func TestDisableLocalDataIsTheParentArm(t *testing.T) {
 		run := func(arm shardArm) (Stats, int, int64) {
 			co, _, _ := buildShardedArm(t, arm)
 			applied := 0
-			for i, r := range co.ApplyStream(shardStream(c.seed, 240), 1) {
+			for i, r := range applyStream(co, shardStream(c.seed, 240), 1) {
 				if r.Err != nil {
 					t.Fatalf("%s seed %d update %d: %v", arm.name, c.seed, i, r.Err)
 				}

@@ -75,16 +75,8 @@ type Options struct {
 	// a time, while the batch stays atomic. It is how many members may
 	// compute at once; one that may wait on a site (sched.Footprint.Wire)
 	// does not count, so what bounds round trips in flight is the size of
-	// the batch. 0 or 1 keeps the sequential path. ApplyStream takes its
-	// worker count as an argument instead.
+	// the batch. 0 or 1 keeps the sequential path.
 	ApplyWorkers int
-	// DisableShardRouting is the scatter-gather A/B arm: sharded
-	// relations are always refreshed in full (every shard scanned and
-	// merged into the mirror) and evaluation probes are never routed to
-	// shards. Verdicts are unchanged — only the wire traffic differs —
-	// which is what makes the routed-vs-scatter byte comparison in
-	// scripts/bench.sh meaningful.
-	DisableShardRouting bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -166,9 +158,9 @@ type Stats struct {
 // its transports tolerate concurrent round trips — but Apply/Check are
 // safe to overlap only for updates with non-conflicting footprints
 // (core.Checker's contract). Callers must not race conflicting applies
-// themselves; ApplyStream and the pipelined ApplyBatch enforce the
-// discipline with internal/sched, and remain equivalent to a sequential
-// run in admission order.
+// themselves; the pipelined ApplyBatch enforces the discipline with
+// internal/sched, and remains equivalent to a sequential run in admission
+// order.
 type Coordinator struct {
 	Checker *core.Checker
 
@@ -184,8 +176,8 @@ type Coordinator struct {
 	// router keys its probe cache on it so one update's evaluation reuses
 	// fetched groups while later updates see fresh state.
 	applyGen atomic.Uint64
-	// router is non-nil when some relation is sharded and routing is
-	// enabled; it is also installed as the checker's eval.ProbeRouter.
+	// router is non-nil when some relation is sharded; it is also
+	// installed as the checker's eval.ProbeRouter.
 	router *shardRouter
 	// replWG tracks queued replication ops (FlushReplicas).
 	replWG sync.WaitGroup
@@ -222,11 +214,9 @@ func New(local *store.Store, sites []SiteSpec, tr Transport, opts Options) (*Coo
 // shard. The placement becomes the checker's footprint Sharder: a read
 // of a placed relation is preceded by a refresh of its mirror, so the
 // scheduler may confine the claim to a key group only where the refresh
-// is confined to it (a shard-key probe of a sharded relation; with
-// Options.DisableShardRouting nowhere). Unless that option is set, a
-// sharded placement also installs a probe router that serves
-// global-evaluation reads of sharded relations straight from the owning
-// shard.
+// is confined to it (a shard-key probe of a sharded relation). A sharded
+// placement also installs a probe router that serves global-evaluation
+// reads of sharded relations straight from the owning shard.
 func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) (*Coordinator, error) {
 	if err := place.validate(); err != nil {
 		return nil, err
@@ -274,14 +264,10 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		}
 		co.shardsOf[rel] = shards
 	}
-	if co.opts.DisableShardRouting {
-		co.opts.Checker.Sharder = scatterPlacement{place}
-	} else {
-		co.opts.Checker.Sharder = place
-		if anySharded {
-			co.router = newShardRouter(co)
-			co.opts.Checker.ProbeRouter = co.router
-		}
+	co.opts.Checker.Sharder = place
+	if anySharded {
+		co.router = newShardRouter(co)
+		co.opts.Checker.ProbeRouter = co.router
 	}
 	if co.opts.Metrics != nil && (anySharded || co.hasReplicas()) {
 		co.shmet = newShardMetrics(co.opts.Metrics)
@@ -549,7 +535,7 @@ func (co *Coordinator) refreshForUpdate(u store.Update, planRels []string) (int,
 			continue
 		}
 		needed++
-		if !pl.Sharded() || co.opts.DisableShardRouting {
+		if !pl.Sharded() {
 			if err := co.refreshRel(rel); err != nil {
 				return needed, err
 			}

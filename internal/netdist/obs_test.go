@@ -152,7 +152,7 @@ func TestServerMetricsAgreeWithStats(t *testing.T) {
 
 	srv.Handle(&Request{Type: OpScan, Relation: "r"})
 	srv.Handle(&Request{Type: OpScan, Relation: "r"})
-	srv.Handle(&Request{Type: OpPing})
+	srv.Handle(&Request{Type: OpFetch, Relation: "r", Col: 0, Value: "#1"})
 	srv.Handle(&Request{Type: OpScan, Relation: "hidden"}) // error: not served
 
 	st := srv.Stats()

@@ -9,54 +9,19 @@ import (
 	"repro/internal/store"
 )
 
-// This file is the coordinator's pipelined arm: ApplyStream and the
-// ApplyWorkers > 1 path of ApplyBatch push updates through the
-// conflict-aware scheduler (internal/sched) so that independent updates
+// This file is the coordinator's pipelined arm: the ApplyWorkers > 1
+// path of ApplyBatch pushes updates through the conflict-aware
+// scheduler (internal/sched) so that independent updates
 // overlap their phase-1–3 checks and site RPCs — the wire wait of one
 // update hides behind the local work and wire waits of others — while
 // conflicting updates keep strict admission order. The worker count is
 // how many updates compute at once: the index marks an update that writes
 // or reads a placed relation Wire, and the scheduler runs those without
 // a worker, so an update local data decides never waits out another's
-// round trip and the stream or batch itself bounds what is on the wire.
-// Verdicts and the
-// final global state are identical to the sequential arm; only the
-// interleaving of independent updates (and therefore throughput under
-// latency) changes.
-
-// StreamResult pairs one streamed update's report and error.
-type StreamResult struct {
-	Report core.Report
-	Err    error
-}
-
-// ApplyStream applies a stream of independently-fated updates — the
-// concurrent counterpart of a sequential loop of Apply calls, with no
-// batch atomicity: a rejected or failed update rolls back alone and the
-// rest proceed. workers <= 1 runs the plain loop; otherwise the
-// scheduler runs non-conflicting updates concurrently — at most workers
-// of them computing, any number waiting on a site — and serializes
-// conflicting ones in admission order, so per-update verdicts and the
-// final state match the sequential loop exactly.
-func (co *Coordinator) ApplyStream(updates []store.Update, workers int) []StreamResult {
-	out := make([]StreamResult, len(updates))
-	if workers <= 1 {
-		for i, u := range updates {
-			out[i].Report, out[i].Err = co.Apply(u)
-		}
-		return out
-	}
-	s := sched.New(sched.Options{Workers: workers, Metrics: sched.NewMetrics(co.opts.Metrics, "netdist")})
-	ix := co.Checker.Footprints()
-	for i, u := range updates {
-		i, u := i, u
-		s.Submit(ix.Update(u), func(sched.Info) {
-			out[i].Report, out[i].Err = co.Apply(u)
-		})
-	}
-	s.Close()
-	return out
-}
+// round trip and the batch itself bounds what is on the wire. Verdicts
+// and the final global state are identical to the sequential arm; only
+// the interleaving of independent updates (and therefore throughput
+// under latency) changes.
 
 // applyBatchPipelined is ApplyBatch on the scheduler: every update runs
 // as one task (conflicting tasks in admission order), and the batch

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -62,6 +63,32 @@ func dumpStore(db *store.Store) string {
 	return b.String()
 }
 
+// streamResult pairs one streamed update's report and error.
+type streamResult struct {
+	Report core.Report
+	Err    error
+}
+
+// applyStream applies each update on its own, with no batch atomicity:
+// in a plain loop at workers <= 1, otherwise submitted to the scheduler
+// in admission order, as a pipelined serve.Server drives a coordinator.
+func applyStream(co *Coordinator, us []store.Update, workers int) []streamResult {
+	out := make([]streamResult, len(us))
+	if workers <= 1 {
+		for i, u := range us {
+			out[i].Report, out[i].Err = co.Apply(u)
+		}
+		return out
+	}
+	s, ix := sched.New(sched.Options{Workers: workers}), co.Checker.Footprints()
+	for i, u := range us {
+		i, u := i, u
+		s.Submit(ix.Update(u), func(sched.Info) { out[i].Report, out[i].Err = co.Apply(u) })
+	}
+	s.Close()
+	return out
+}
+
 // pipeStream mixes l and r traffic over a small band so conflicting
 // pairs (same tuple twice, l vs r) are common.
 func pipeStream(seed int64, n int) []store.Update {
@@ -86,11 +113,11 @@ func pipeStream(seed int64, n int) []store.Update {
 	return us
 }
 
-// TestApplyStreamAgreement is the coordinator half of the randomized
-// agreement test: the same stream through ApplyStream at workers 1
+// TestPipelinedStreamAgreement is the coordinator half of the randomized
+// agreement test: the same stream through applyStream at workers 1
 // (sequential loop), 4 and 8 must produce identical per-update verdicts,
 // an identical mirror and an identical site store.
-func TestApplyStreamAgreement(t *testing.T) {
+func TestPipelinedStreamAgreement(t *testing.T) {
 	const n = 200
 	for _, seed := range []int64{3, 11} {
 		stream := pipeStream(seed, n)
@@ -98,7 +125,7 @@ func TestApplyStreamAgreement(t *testing.T) {
 		var wantMirror, wantSite string
 		for _, workers := range []int{1, 4, 8} {
 			co, remote, _ := pipeFixture(t, 1)
-			results := co.ApplyStream(stream, workers)
+			results := applyStream(co, stream, workers)
 			vs := make([]bool, len(results))
 			for i, r := range results {
 				if r.Err != nil {
@@ -127,11 +154,11 @@ func TestApplyStreamAgreement(t *testing.T) {
 	}
 }
 
-// TestApplyStreamOverlapsLatency pins the point of the pipelined arm:
+// TestPipelinedStreamOverlapsLatency pins the point of the pipelined arm:
 // with wire latency on the site, independent updates overlap their RPCs
 // — 8 workers must finish a refresh-heavy stream well faster than the
 // sequential loop that waits out each round trip in turn.
-func TestApplyStreamOverlapsLatency(t *testing.T) {
+func TestPipelinedStreamOverlapsLatency(t *testing.T) {
 	mkStream := func() []store.Update {
 		us := make([]store.Update, 24)
 		for i := range us {
@@ -144,7 +171,7 @@ func TestApplyStreamOverlapsLatency(t *testing.T) {
 		co, _, lb := pipeFixture(t, 1)
 		lb.SetLatency("siteR", 2*time.Millisecond)
 		start := time.Now()
-		for i, r := range co.ApplyStream(mkStream(), workers) {
+		for i, r := range applyStream(co, mkStream(), workers) {
 			if r.Err != nil || !r.Report.Applied {
 				t.Fatalf("update %d: err=%v applied=%v", i, r.Err, r.Report.Applied)
 			}
@@ -291,9 +318,9 @@ func (p parkedTransport) RoundTrip(site string, req *Request, timeout time.Durat
 	return p.Transport.RoundTrip(site, req, timeout)
 }
 
-// TestWireTasksOutnumberWorkers: the coordinator's own schedulers —
-// ApplyStream's and the pipelined ApplyBatch's — count computing tasks
-// against their workers, not tasks waiting on a site. Six l inserts that
+// TestWireTasksOutnumberWorkers: a scheduler driving a coordinator — a
+// stream of applies, and the pipelined ApplyBatch's own — counts
+// computing tasks against its workers, not tasks waiting on a site. Six l inserts that
 // each need r refreshed are all on the wire at once behind two workers,
 // and the outcome is the sequential loop's.
 func TestWireTasksOutnumberWorkers(t *testing.T) {
@@ -304,14 +331,14 @@ func TestWireTasksOutnumberWorkers(t *testing.T) {
 	}
 	us = append(us, store.Del("l", relation.Ints(0, 10))) // decided by polarity: never on the wire
 	seqCo, seqRemote, _ := pipeFixture(t, 1)
-	for i, r := range seqCo.ApplyStream(us, 1) {
+	for i, r := range applyStream(seqCo, us, 1) {
 		if r.Err != nil || !r.Report.Applied {
 			t.Fatalf("sequential update %d: %+v", i, r)
 		}
 	}
 	for name, run := range map[string]func(*Coordinator) error{
-		"ApplyStream": func(co *Coordinator) error {
-			for _, r := range co.ApplyStream(us, workers) {
+		"stream": func(co *Coordinator) error {
+			for _, r := range applyStream(co, us, workers) {
 				if r.Err != nil || !r.Report.Applied {
 					return fmt.Errorf("%+v", r)
 				}

@@ -53,13 +53,6 @@ func (p Placement) ShardKey(rel string) (int, bool) {
 	return rp.KeyCol, true
 }
 
-// scatterPlacement is the footprint view of a placement under
-// Options.DisableShardRouting: every refresh rewrites a whole mirror
-// relation, so no relation has a column its key groups are fetched by.
-type scatterPlacement struct{ Placement }
-
-func (scatterPlacement) ShardKey(string) (int, bool) { return 0, false }
-
 // ShardOf returns the shard owning the key: FNV-1a over the key's
 // canonical wire encoding, mod shard count. Hashing the canonical text (not the
 // process-local fingerprint) keeps the mapping stable across processes,

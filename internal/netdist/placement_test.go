@@ -68,7 +68,6 @@ type shardArm struct {
 	name     string
 	shards   int  // dept and r shard count (1 = whole-relation single site)
 	replicas bool // one read replica per shard
-	scatter  bool // DisableShardRouting
 	// noLocalData sets the checker's DisableLocalData: no local
 	// certificates, no phase 3. batchWorkers is Options.ApplyWorkers.
 	noLocalData  bool
@@ -152,11 +151,10 @@ func buildShardedArm(t *testing.T, arm shardArm) (*Coordinator, *Loopback, map[s
 	}
 
 	co, err := NewPlaced(local, place, lb, Options{
-		Checker:             core.Options{LocalRelations: []string{"emp", "l"}, DisableLocalData: arm.noLocalData},
-		Timeout:             time.Second,
-		Backoff:             time.Millisecond,
-		DisableShardRouting: arm.scatter,
-		ApplyWorkers:        arm.batchWorkers,
+		Checker:      core.Options{LocalRelations: []string{"emp", "l"}, DisableLocalData: arm.noLocalData},
+		Timeout:      time.Second,
+		Backoff:      time.Millisecond,
+		ApplyWorkers: arm.batchWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +269,8 @@ func witnessStream(seed int64, n int) []store.Update {
 
 // TestShardedOracleAgreement is the scale-out oracle: the same
 // randomized stream against a 1-site whole-relation deployment, a
-// 4-site hash-sharded one, a sharded one with read replicas, and a
-// sharded one with routing disabled (pure scatter-gather), each applied
-// by one worker and through the scheduler at 4 and 8, must produce
+// 4-site hash-sharded one and a sharded one with read replicas, each
+// applied by one worker and through the scheduler at 4 and 8, must produce
 // identical verdicts, identical rejection indexes, an identical mirror,
 // and an identical global store. The stream draws emp's dept keys and
 // the dept keys it writes from one small band, so a dept(K) delete meets
@@ -286,7 +283,6 @@ func TestShardedOracleAgreement(t *testing.T) {
 		{name: "whole", shards: 1},
 		{name: "sharded4", shards: 4},
 		{name: "sharded4+replicas", shards: 4, replicas: true},
-		{name: "sharded4+scatter", shards: 4, scatter: true},
 	}
 	for seed, stream := range map[int64][]store.Update{
 		7: shardStream(7, 240), 23: shardStream(23, 240), 5: witnessStream(5, 240),
@@ -298,7 +294,7 @@ func TestShardedOracleAgreement(t *testing.T) {
 				name := fmt.Sprintf("seed %d arm %s workers %d", seed, arm.name, workers)
 				co, _, leaders := buildShardedArm(t, arm)
 				verdicts := make([]bool, len(stream))
-				for i, r := range co.ApplyStream(stream, workers) {
+				for i, r := range applyStream(co, stream, workers) {
 					if r.Err != nil {
 						t.Fatalf("%s update %d (%v): %v", name, i, stream[i], r.Err)
 					}
@@ -323,11 +319,8 @@ func TestShardedOracleAgreement(t *testing.T) {
 					t.Fatalf("%s: global store diverged\narm:\n%s\nwhole:\n%s", name, global, wantGlobal)
 				}
 				st := co.Stats()
-				if arm.shards > 1 && !arm.scatter && st.ShardRouted == 0 {
+				if arm.shards > 1 && st.ShardRouted == 0 {
 					t.Errorf("%s: no probe was shard-routed", name)
-				}
-				if arm.scatter && st.ShardRouted > 0 {
-					t.Errorf("%s: routing disabled but %d probes routed", name, st.ShardRouted)
 				}
 				if arm.replicas && st.ReplicaReads == 0 {
 					t.Errorf("%s: no read was served by a replica", name)
@@ -340,29 +333,28 @@ func TestShardedOracleAgreement(t *testing.T) {
 // TestShardRoutingShipsFewerTuples pins the point of shard-routed
 // probes: deciding emp inserts against a sharded dept must ship far
 // fewer tuples when the bound shard key routes each probe to one key
-// group than when every decision scatter-refreshes the full relation.
+// group than when dept sits whole on one site and every decision that
+// reads it refreshes all of it.
 func TestShardRoutingShipsFewerTuples(t *testing.T) {
-	wire := func(scatter bool) (routed, scattered int, tuples int64) {
-		co, _, _ := buildShardedArm(t, shardArm{shards: 4, scatter: scatter})
+	wire := func(shards int) Stats {
+		co, _, _ := buildShardedArm(t, shardArm{shards: shards})
 		for i := int64(0); i < 40; i++ {
 			u := store.Ins("emp", relation.Ints(2000+i, i%30))
 			if rep, err := co.Apply(u); err != nil || !rep.Applied {
 				t.Fatalf("emp insert %d: err=%v applied=%v", i, err, rep.Applied)
 			}
 		}
-		st := co.Stats()
-		return st.ShardRouted, st.ShardScatter, st.WireTuples
+		return co.Stats()
 	}
-	routed, _, routedTuples := wire(false)
-	_, scattered, scatterTuples := wire(true)
-	if routed == 0 {
+	routed, whole := wire(4), wire(1)
+	if routed.ShardRouted == 0 {
 		t.Fatal("routing arm never routed a probe")
 	}
-	if scattered == 0 {
-		t.Fatal("scatter arm never scattered")
+	if whole.RoundTrips == 0 {
+		t.Fatal("whole arm never refreshed dept")
 	}
-	if routedTuples*5 > scatterTuples {
-		t.Fatalf("routed arm shipped %d tuples, scatter arm %d: want at least 5x reduction", routedTuples, scatterTuples)
+	if routed.WireTuples*5 > whole.WireTuples {
+		t.Fatalf("routed arm shipped %d tuples, whole arm %d: want at least 5x reduction", routed.WireTuples, whole.WireTuples)
 	}
 }
 
@@ -618,7 +610,7 @@ func TestRoutedSelfRelationAgreement(t *testing.T) {
 			}
 		}
 		if workers > 1 {
-			for i, r := range co.ApplyStream(stream, workers) {
+			for i, r := range applyStream(co, stream, workers) {
 				if r.Err != nil || r.Report.Applied != want[i] {
 					t.Fatalf("workers %d update %d (%v): applied=%v err=%v, one-store checker %v", workers, i, stream[i], r.Report.Applied, r.Err, want[i])
 				}

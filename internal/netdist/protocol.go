@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"strconv"
 	"strings"
 	"time"
 
@@ -36,30 +37,20 @@ import (
 // length prefix must not make a peer allocate unbounded memory.
 const MaxFrame = 16 << 20
 
-// Request types. Scan/Fetch/Eval are the read operations the coordinator
-// issues during the global phase; Apply propagates writes to the owning
-// site; Reads and Ping are accounting and discovery.
+// Request types: a site answers the two reads the coordinator issues
+// when a decision needs remote data, and applies the writes it
+// propagates. Any other type is refused with OK=false.
 const (
 	// OpScan returns every tuple of a served relation.
 	OpScan = "scan"
 	// OpFetch returns the tuples of a served relation whose column Col
 	// equals Value (the indexed lookup).
 	OpFetch = "fetch"
-	// OpEval evaluates a datalog subquery (Program source, Goal
-	// predicate) against the site's store and returns whether the goal is
-	// derivable. It lets a coordinator push a residual test to the data
-	// instead of shipping the data to the test.
-	OpEval = "eval"
 	// OpApply applies one insert/delete to a served relation.
 	OpApply = "apply"
-	// OpReads returns the site's per-relation cumulative read counters
-	// (the server-side mirror of store.Reads).
-	OpReads = "reads"
 	// OpReplace swaps a served relation's full contents (replica resync).
 	// Only sites running in the replica role accept it.
 	OpReplace = "replace"
-	// OpPing returns the served relation names and arities.
-	OpPing = "ping"
 )
 
 // Request is one client→site frame.
@@ -71,9 +62,6 @@ type Request struct {
 	// Col and Value select Fetch's indexed lookup.
 	Col   int    `json:"col,omitempty"`
 	Value string `json:"value,omitempty"`
-	// Program and Goal carry Eval's subquery.
-	Program string `json:"program,omitempty"`
-	Goal    string `json:"goal,omitempty"`
 	// Insert and Tuple carry Apply's update (Tuple is EncodeTuple'd).
 	Insert bool     `json:"insert,omitempty"`
 	Tuple  []string `json:"tuple,omitempty"`
@@ -96,14 +84,8 @@ type Response struct {
 	// Tuples and Arity answer Scan/Fetch.
 	Tuples [][]string `json:"tuples,omitempty"`
 	Arity  int        `json:"arity,omitempty"`
-	// Holds answers Eval.
-	Holds bool `json:"holds,omitempty"`
 	// Changed answers Apply.
 	Changed bool `json:"changed,omitempty"`
-	// Reads answers Reads.
-	Reads map[string]int64 `json:"reads,omitempty"`
-	// Relations answers Ping: served relation name → arity.
-	Relations map[string]int `json:"relations,omitempty"`
 	// Spans carries the site-side spans of a traced request back to the
 	// coordinator (set only when Request.Trace was), so the coordinator's
 	// trace store holds the complete cross-process tree without a
@@ -238,23 +220,97 @@ func reencode(req *Request) (*Request, error) {
 // process-local: only the canonical text crosses the wire.
 func EncodeValue(v ast.Value) string { return relation.ValueKey(v) }
 
-// DecodeValue parses EncodeValue's output. The result is funneled
-// through the intern pool (relation.Canonical), so duplicated remote
-// constants share one backing value and arrive pre-interned for
-// fingerprinting — the exact-rational semantics are untouched, since
-// Canonical returns a value equal to its argument.
+// DecodeValue parses EncodeValue's output. A number must be in the
+// canonical form EncodeValue writes, -?[0-9]+(/[0-9]+)?, within
+// MaxNumberDigits. The result is funneled through the intern pool
+// (relation.Canonical), so duplicated remote constants share one backing
+// value and arrive pre-interned for fingerprinting — the exact-rational
+// semantics are untouched, since Canonical returns a value equal to its
+// argument.
 func DecodeValue(s string) (ast.Value, error) {
 	if strings.HasPrefix(s, "$") {
 		return relation.Canonical(ast.Str(s[1:])), nil
 	}
 	if strings.HasPrefix(s, "#") {
-		r := new(big.Rat)
-		if _, ok := r.SetString(s[1:]); !ok {
+		num, den, frac := strings.Cut(strings.TrimPrefix(s[1:], "-"), "/")
+		if !allDigits(num) || frac && !allDigits(den) {
 			return ast.Value{}, fmt.Errorf("netdist: bad numeric value %q", s)
+		}
+		r, err := ParseNumber(s[1:])
+		if err != nil {
+			return ast.Value{}, fmt.Errorf("netdist: %w", err)
 		}
 		return relation.Canonical(ast.Value{Kind: ast.NumberValue, Num: r}), nil
 	}
 	return ast.Value{}, fmt.Errorf("netdist: bad value encoding %q", s)
+}
+
+// MaxNumberDigits bounds the decimal digits a number read off the wire
+// may need. Every decoded constant is interned for the life of the
+// process, and big.Rat spends time and memory in proportion to the value,
+// not the text: "1e999999" is eight bytes.
+const MaxNumberDigits = 1000
+
+// ParseNumber parses decimal numeric text — [+-]digits[.digits][e[+-]digits],
+// or a fraction a/b of two such — into an exact rational. Before any
+// arithmetic it refuses text whose value would need more than
+// MaxNumberDigits decimal digits: mantissa digits plus the absolute
+// exponent, counted for a and b separately.
+func ParseNumber(s string) (*big.Rat, error) {
+	num, den, frac := strings.Cut(s, "/")
+	if !decimalWithin(num) || frac && !decimalWithin(den) {
+		return nil, fmt.Errorf("bad number %q (decimal, at most %d digits)", s, MaxNumberDigits)
+	}
+	r, ok := new(big.Rat).SetString(s)
+	if !ok {
+		return nil, fmt.Errorf("bad number %q", s)
+	}
+	return r, nil
+}
+
+// decimalWithin reports whether s is a decimal [+-]digits[.digits]
+// [(e|E)[+-]digits] whose mantissa digits plus |exponent| stay within
+// MaxNumberDigits. Base prefixes and binary exponents, which big.Rat
+// also accepts, are refused.
+func decimalWithin(s string) bool {
+	mant, exp := s, ""
+	if i := strings.IndexAny(s, "eE"); i >= 0 {
+		mant, exp = s[:i], trimSign(s[i+1:])
+		if exp == "" || !allDigits(exp) {
+			return false
+		}
+	}
+	whole, frac, _ := strings.Cut(trimSign(mant), ".")
+	digits := len(whole) + len(frac)
+	if digits == 0 || !allDigits(whole) || !allDigits(frac) {
+		return false
+	}
+	if exp != "" {
+		n, err := strconv.Atoi(exp)
+		if err != nil || n > MaxNumberDigits {
+			return false
+		}
+		digits += n
+	}
+	return digits <= MaxNumberDigits
+}
+
+// trimSign drops one leading sign.
+func trimSign(s string) string {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		return s[1:]
+	}
+	return s
+}
+
+// allDigits reports whether s is made of ASCII digits only.
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // EncodeTuple renders a tuple for the wire.

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/big"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -72,6 +75,40 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeValueRefusesHugeNumbers: the site decoder reads only the
+// canonical -?[0-9]+(/[0-9]+)? that EncodeValue writes, and no side of a
+// fraction may need more than MaxNumberDigits digits — "#1e999998" would
+// otherwise cost a big.Rat of a million digits, interned for good.
+func TestDecodeValueRefusesHugeNumbers(t *testing.T) {
+	nines := strings.Repeat("9", 300)
+	exact := new(big.Rat)
+	exact.SetString(nines + "/7" + nines)
+	for _, v := range []ast.Value{{Kind: ast.NumberValue, Num: exact}, ast.Int(-12)} {
+		if got, err := DecodeValue(EncodeValue(v)); err != nil || !got.Equal(v) {
+			t.Errorf("round trip of %s: %v %v", EncodeValue(v), got, err)
+		}
+	}
+	start := time.Now()
+	for _, bad := range []string{"#1e999998", "#1.5", "#+1", "#0x10", "#1/0x3", "#" + strings.Repeat("1", MaxNumberDigits+1)} {
+		if v, err := DecodeValue(bad); err == nil {
+			t.Errorf("DecodeValue(%.20q) = %v, want an error", bad, v)
+		}
+	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Errorf("refusing took %v", took)
+	}
+	for text, ok := range map[string]bool{
+		"1e999": true, "1e1000": false, "1.5e998": true, "1.5e999": false, "-2.5E-3": true,
+		strings.Repeat("9", MaxNumberDigits) + "/" + strings.Repeat("9", MaxNumberDigits): true,
+		"1/" + strings.Repeat("9", MaxNumberDigits+1):                                     false,
+		"1e99999999999999999999": false, "1e": false, "e5": false, ".": false, "0x1p9": false, "1e+-5": false,
+	} {
+		if _, err := ParseNumber(text); (err == nil) != ok {
+			t.Errorf("ParseNumber(%.30q): err=%v, want ok=%v", text, err, ok)
+		}
+	}
+}
+
 func TestTupleRoundTrip(t *testing.T) {
 	tup := relation.TupleOf(ast.Str("jones"), ast.Str("shoe"), ast.Int(50))
 	got, err := DecodeTuple(EncodeTuple(tup))
@@ -92,7 +129,7 @@ func newSiteStore(t *testing.T, facts string) *store.Store {
 	return db
 }
 
-func TestServerScanFetchPing(t *testing.T) {
+func TestServerScanFetch(t *testing.T) {
 	db := newSiteStore(t, "emp(ann,toy,50). emp(bob,shoe,60). dept(toy).")
 	srv := NewServer(db, []string{"emp"})
 
@@ -111,13 +148,6 @@ func TestServerScanFetchPing(t *testing.T) {
 	if resp := srv.Handle(&Request{Type: OpFetch, Relation: "emp", Col: 9, Value: "$toy"}); resp.OK {
 		t.Error("out-of-range column accepted")
 	}
-	resp = srv.Handle(&Request{Type: OpPing})
-	if !resp.OK || resp.Relations["emp"] != 3 {
-		t.Fatalf("ping: %+v", resp)
-	}
-	if _, ok := resp.Relations["dept"]; ok {
-		t.Error("ping leaked unserved relation")
-	}
 
 	st := srv.Stats()
 	if st.Requests[OpScan] != 2 || st.TuplesSent["emp"] != 3 || st.Errors != 2 {
@@ -127,26 +157,6 @@ func TestServerScanFetchPing(t *testing.T) {
 	st.TuplesSent["emp"] = 999
 	if srv.Stats().TuplesSent["emp"] == 999 {
 		t.Error("Stats leaked the live map")
-	}
-}
-
-func TestServerEval(t *testing.T) {
-	db := newSiteStore(t, "r(3). r(7).")
-	srv := NewServer(db, []string{"r"})
-	resp := srv.Handle(&Request{Type: OpEval, Program: "hit :- r(X) & X > 5.", Goal: "hit"})
-	if !resp.OK || !resp.Holds {
-		t.Fatalf("eval: %+v", resp)
-	}
-	resp = srv.Handle(&Request{Type: OpEval, Program: "hit :- r(X) & X > 50.", Goal: "hit"})
-	if !resp.OK || resp.Holds {
-		t.Fatalf("eval: %+v", resp)
-	}
-	// Subqueries may not read unserved relations.
-	if resp := srv.Handle(&Request{Type: OpEval, Program: "hit :- secret(X).", Goal: "hit"}); resp.OK {
-		t.Error("eval read an unserved relation")
-	}
-	if resp := srv.Handle(&Request{Type: OpEval, Program: "junk((", Goal: "hit"}); resp.OK {
-		t.Error("unparseable program accepted")
 	}
 }
 
@@ -165,13 +175,49 @@ func TestServerApplyAndReads(t *testing.T) {
 	if !resp.OK || !resp.Changed {
 		t.Fatalf("apply delete: %+v", resp)
 	}
+	reads := db.Reads("r")
 	srv.Handle(&Request{Type: OpScan, Relation: "r"})
-	resp = srv.Handle(&Request{Type: OpReads})
-	if !resp.OK || resp.Reads["r"] != 1 {
-		t.Fatalf("reads: %+v", resp)
+	if got := db.Reads("r") - reads; got != 1 {
+		t.Fatalf("scan charged %d reads to the site store, want 1", got)
 	}
 	if resp := srv.Handle(&Request{Type: "bogus"}); resp.OK {
 		t.Error("unknown request type accepted")
+	}
+}
+
+// TestSiteRefusesUnsentOps: a site answers only what a coordinator
+// sends — scan, fetch, apply and replace. Any TCP client could once make
+// it parse and evaluate a datalog program over its served relations
+// (eval), or list its relations and read counters (ping, reads); each
+// is now refused.
+func TestSiteRefusesUnsentOps(t *testing.T) {
+	addr, srv := startSite(t, newSiteStore(t, "r(3). r(7)."), []string{"r"})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, req := range []map[string]any{
+		{"id": 1, "type": "eval", "program": "hit :- r(X) & X > 5.", "goal": "hit"},
+		{"id": 2, "type": "reads"},
+		{"id": 3, "type": "ping"},
+	} {
+		if err := WriteFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp map[string]any
+		if err := ReadFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp["ok"] == true || len(resp) != 3 { // id, ok, err: no answer fields
+			t.Errorf("%s: site answered %v", req["type"], resp)
+		}
+		if resp["id"] != float64(i+1) {
+			t.Errorf("%s: response id %v", req["type"], resp["id"])
+		}
+	}
+	if st := srv.Stats(); st.Errors != 3 || len(st.TuplesSent) != 0 {
+		t.Errorf("site stats after refusals: %+v", st)
 	}
 }
 
@@ -186,4 +232,42 @@ func TestSiteErrorMatchesSentinel(t *testing.T) {
 	if !strings.Contains(err.Error(), "s1") {
 		t.Error("SiteError message lacks the site")
 	}
+}
+
+// FuzzSiteHandle feeds arbitrary bytes to a site as one frame: whatever
+// decodes is handled without a panic, and a request of any type but the
+// four a coordinator sends is refused.
+func FuzzSiteHandle(f *testing.F) {
+	for _, req := range []Request{
+		{ID: 1, Type: OpScan, Relation: "r"},
+		{ID: 2, Type: OpFetch, Relation: "r", Col: 1, Value: "#7"},
+		{ID: 3, Type: OpApply, Relation: "r", Insert: true, Tuple: []string{"#1", "$a"}},
+		{ID: 4, Type: OpApply, Relation: "r", Tuple: []string{"#3"}},
+		{ID: 5, Type: OpReplace, Relation: "r", Arity: 2, Tuples: [][]string{{"#1/2", "$b"}}},
+		{ID: 6, Type: OpReplace, Relation: "r", Arity: -1},
+		{ID: 7, Type: "eval", Relation: "r"},
+		{ID: 8, Type: "ping"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var req Request
+		if err := ReadFrame(bytes.NewReader(frame), &req); err != nil {
+			return
+		}
+		srv := NewServer(newSiteStore(t, "r(3, a). r(7, b). s(1)."), []string{"r"})
+		srv.SetRole("replica")
+		resp := srv.Handle(&req)
+		switch req.Type {
+		case OpScan, OpFetch, OpApply, OpReplace:
+		default:
+			if resp.OK {
+				t.Fatalf("site answered a %q request: %+v", req.Type, resp)
+			}
+		}
+	})
 }

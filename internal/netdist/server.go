@@ -6,10 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ast"
-	"repro/internal/eval"
 	"repro/internal/obs"
-	"repro/internal/parser"
 	"repro/internal/store"
 )
 
@@ -43,9 +40,6 @@ type Server struct {
 	// carry its service name). Even without it, a request with a sampled
 	// Trace context gets its span echoed back to the coordinator.
 	spans *obs.SpanTracer
-	// evalOpts configure OpEval subquery evaluation; the zero value is
-	// the indexed default. Set once by SetEvalOptions before serving.
-	evalOpts eval.Options
 	// role gates destructive maintenance ops: only "replica" accepts
 	// OpReplace (a leader's contents are the source of truth and must
 	// never be bulk-overwritten by a resync aimed at the wrong site).
@@ -60,11 +54,6 @@ func (s *Server) SetRole(role string) { s.role = role }
 // store as single-span traces for the site's own /debug/traces, named
 // with its service. Call before serving.
 func (s *Server) InstrumentSpans(t *obs.SpanTracer) { s.spans = t }
-
-// SetEvalOptions configures how OpEval subqueries are evaluated
-// (ccsited -noindex routes through here). Call before serving: the
-// options are read without synchronization by request handlers.
-func (s *Server) SetEvalOptions(o eval.Options) { s.evalOpts = o }
 
 // NewServer builds a server for db. With a non-empty relations list only
 // those relations are visible; otherwise every relation in db is served.
@@ -221,24 +210,6 @@ func (s *Server) handle(req *Request) *Response {
 		s.mu.Unlock()
 		return &Response{OK: true, Tuples: EncodeTuples(ts), Arity: r.Arity()}
 
-	case OpEval:
-		prog, err := parser.ParseProgram(req.Program)
-		if err != nil {
-			return fail("program: %v", err)
-		}
-		// The subquery may only read served relations: sites do not leak
-		// relations they were told not to serve.
-		for _, rel := range edbPreds(prog) {
-			if !s.serves(rel) {
-				return fail("relation %q not served", rel)
-			}
-		}
-		holds, err := eval.GoalHoldsWith(prog, s.db, req.Goal, s.evalOpts)
-		if err != nil {
-			return fail("eval: %v", err)
-		}
-		return &Response{OK: true, Holds: holds}
-
 	case OpApply:
 		if !s.serves(req.Relation) {
 			return fail("relation %q not served", req.Relation)
@@ -282,40 +253,8 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return &Response{OK: true, Changed: true}
 
-	case OpReads:
-		reads := map[string]int64{}
-		for _, name := range s.db.Names() {
-			if s.serves(name) {
-				reads[name] = s.db.Reads(name)
-			}
-		}
-		return &Response{OK: true, Reads: reads}
-
-	case OpPing:
-		return &Response{OK: true, Relations: s.ServedRelations()}
 	}
 	return fail("unknown request type %q", req.Type)
-}
-
-// edbPreds returns the body predicates of prog not defined by its own
-// rule heads — the stored relations an evaluation would read.
-func edbPreds(prog *ast.Program) []string {
-	heads := map[string]bool{}
-	for _, r := range prog.Rules {
-		heads[r.Head.Pred] = true
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.IsComp() || heads[l.Atom.Pred] || seen[l.Atom.Pred] {
-				continue
-			}
-			seen[l.Atom.Pred] = true
-			out = append(out, l.Atom.Pred)
-		}
-	}
-	return out
 }
 
 // Serve accepts connections on l and answers frames until l is closed;

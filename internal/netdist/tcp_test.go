@@ -24,7 +24,7 @@ func startSite(t *testing.T, db *store.Store, relations []string) (string, *Serv
 	return l.Addr().String(), srv
 }
 
-func TestTCPScanFetchEval(t *testing.T) {
+func TestTCPScanFetch(t *testing.T) {
 	db := newSiteStore(t, "r(3). r(7). r(7777).")
 	addr, srv := startSite(t, db, []string{"r"})
 	tr := NewTCPTransport()
@@ -38,12 +38,12 @@ func TestTCPScanFetchEval(t *testing.T) {
 	if err != nil || !resp.OK || len(resp.Tuples) != 1 {
 		t.Fatalf("fetch over TCP: resp=%+v err=%v", resp, err)
 	}
-	resp, err = tr.RoundTrip(addr, &Request{ID: 3, Type: OpEval, Program: "hit :- r(X) & X > 100.", Goal: "hit"}, time.Second)
-	if err != nil || !resp.OK || !resp.Holds {
-		t.Fatalf("eval over TCP: resp=%+v err=%v", resp, err)
+	resp, err = tr.RoundTrip(addr, &Request{ID: 3, Type: OpScan, Relation: "r"}, time.Second)
+	if err != nil || !resp.OK || len(resp.Tuples) != 3 {
+		t.Fatalf("second scan over TCP: resp=%+v err=%v", resp, err)
 	}
 	// Sequential round trips reuse the pooled connection.
-	if st := srv.Stats(); st.Requests[OpScan] != 1 || st.Requests[OpFetch] != 1 {
+	if st := srv.Stats(); st.Requests[OpScan] != 2 || st.Requests[OpFetch] != 1 {
 		t.Errorf("server stats: %+v", st)
 	}
 	tr.mu.Lock()
@@ -65,7 +65,7 @@ func TestTCPDialFailure(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	if _, err := tr.RoundTrip(addr, &Request{Type: OpPing}, time.Second); err == nil {
+	if _, err := tr.RoundTrip(addr, &Request{Type: OpScan, Relation: "r"}, time.Second); err == nil {
 		t.Error("round trip to a dead site succeeded")
 	}
 }
@@ -91,7 +91,7 @@ func TestTCPDeadlineOnSilentPeer(t *testing.T) {
 	tr := NewTCPTransport()
 	defer tr.Close()
 	start := time.Now()
-	_, err = tr.RoundTrip(l.Addr().String(), &Request{Type: OpPing}, 100*time.Millisecond)
+	_, err = tr.RoundTrip(l.Addr().String(), &Request{Type: OpScan, Relation: "r"}, 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("round trip against a silent peer succeeded")
 	}

@@ -453,6 +453,61 @@ func TestWireValueCodec(t *testing.T) {
 	}
 }
 
+// TestHTTPHugeNumberRefused: a number whose value needs more digits than
+// netdist.MaxNumberDigits is a 400, refused before big.Rat expands it and
+// before the intern pool keeps it for the life of the process — as a JSON
+// number and as "#…" text alike.
+func TestHTTPHugeNumberRefused(t *testing.T) {
+	s := New(newTestChecker(t, nil), Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler("", nil, nil))
+	defer ts.Close()
+	check := func(el string) (int, time.Duration) {
+		start := time.Now()
+		resp, _ := postJSON(t, ts, "/v1/check", `{"update":{"op":"+","relation":"r","tuple":[`+el+`]}}`, nil)
+		return resp.StatusCode, time.Since(start)
+	}
+	if code, _ := check("100"); code != http.StatusOK {
+		t.Fatalf("ordinary check status = %d", code)
+	}
+	for _, el := range []string{"1e999999", `"#1e999998"`, `"#` + strings.Repeat("9", 1001) + `"`} {
+		interned := relation.InternSize()
+		code, took := check(el)
+		if code != http.StatusBadRequest {
+			t.Errorf("%.20s: status = %d, want 400", el, code)
+		}
+		if took > 50*time.Millisecond {
+			t.Errorf("%.20s: refused after %v, want within 50ms", el, took)
+		}
+		if got := relation.InternSize(); got != interned {
+			t.Errorf("%.20s: intern pool grew %d -> %d", el, interned, got)
+		}
+	}
+}
+
+// FuzzDecodeWireValue: decoding any JSON number or string never panics,
+// and every value it accepts survives encodeWireValue and back exactly.
+func FuzzDecodeWireValue(f *testing.F) {
+	for _, seed := range []string{"42", "-7", "2.5", "1e3", "1e999", "1e999999", "#3/2", "#-1/3", "#1e5", "#0x10", "$shoe", "shoe", "#", "1/0"} {
+		f.Add(seed, true)
+		f.Add(seed, false)
+	}
+	f.Fuzz(func(t *testing.T, text string, number bool) {
+		var el any = text
+		if number {
+			el = json.Number(text)
+		}
+		v, err := DecodeWireValue(el)
+		if err != nil {
+			return
+		}
+		back, err := DecodeWireValue(encodeWireValue(v))
+		if err != nil || !back.Equal(v) {
+			t.Fatalf("%q decoded to %v, re-decoded to %v (%v)", text, v, back, err)
+		}
+	})
+}
+
 func TestRetryAfterSeconds(t *testing.T) {
 	for _, c := range []struct {
 		d    time.Duration

@@ -7,7 +7,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"strings"
 
 	"repro/internal/ast"
@@ -80,13 +79,14 @@ func encodeWireValue(v ast.Value) any {
 
 // DecodeWireValue maps one decoded JSON tuple element onto a constant.
 // Values are funneled through the intern pool, like netdist's decoder,
-// so service traffic arrives pre-interned for fingerprinting.
+// so service traffic arrives pre-interned for fingerprinting; a number
+// needing more than netdist.MaxNumberDigits digits is refused first.
 func DecodeWireValue(el any) (ast.Value, error) {
 	switch v := el.(type) {
 	case json.Number:
-		r := new(big.Rat)
-		if _, ok := r.SetString(v.String()); !ok {
-			return ast.Value{}, fmt.Errorf("bad number %q", v.String())
+		r, err := netdist.ParseNumber(v.String())
+		if err != nil {
+			return ast.Value{}, err
 		}
 		return relation.Canonical(ast.Value{Kind: ast.NumberValue, Num: r}), nil
 	case float64:
