@@ -39,13 +39,16 @@
 // defines panic), data files hold facts — the same formats ccheck reads.
 // -workers sizes the checker's dispatch pool.
 //
-// -apply-workers N (default 1) turns on the conflict-aware pipelined
-// arm: non-conflicting queued updates are decided concurrently, at most
-// N of them computing at once — with -sites an update that may wait on
-// a site does not count, and -queue bounds those — while conflicting
-// ones keep admission order, so verdicts and state match the sequential
-// arm exactly (see DESIGN.md, "Conflict-aware apply scheduling"). With
-// -sites it also pipelines the coordinator's atomic batches.
+// -apply-workers N (default 1): one dispatcher drains the request queue.
+// At N = 1 it decides each request itself, in admission order. Above
+// that it hands them to a conflict-aware scheduler: non-conflicting
+// queued updates are decided concurrently, at most N of them computing
+// at once — with -sites an update that may wait on a site does not
+// count, and -queue bounds those — while conflicting ones keep admission
+// order, so verdicts and state match N = 1 exactly (see DESIGN.md,
+// "Conflict-aware apply scheduling"). With -sites the same N applies to
+// the members of the coordinator's atomic batches: one at a time at 1,
+// on a scheduler of N above it.
 package main
 
 import (
@@ -121,7 +124,7 @@ func main() {
 	flag.StringVar(&cfg.logPath, "decision-log", "", "append one JSON line per decision to this file (empty: off)")
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
-	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: sequential; >1: conflict-aware pipelined applies, waits on a site not counted)")
+	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: decided in turn by the dispatcher; >1: on a conflict-aware scheduler, waits on a site not counted)")
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
 	flag.Var(appendFlag{&cfg.shards}, "shard", "hash-sharded relation spec rel@keycol=site1,site2,... (repeatable)")
@@ -173,9 +176,9 @@ func run(cfg config) error {
 	}, ready)}
 	fmt.Printf("ccserved: serving on http://%s/v1/check\n", l.Addr())
 	if aw := srv.ApplyWorkers(); aw > 1 {
-		fmt.Printf("ccserved: pipelined apply arm, %d workers\n", aw)
+		fmt.Printf("ccserved: conflict-aware scheduler, %d apply workers\n", aw)
 	} else if cfg.applyWorkers > 1 {
-		fmt.Println("ccserved: -apply-workers ignored: backend refuses concurrent applies, sequential arm")
+		fmt.Println("ccserved: -apply-workers ignored: backend refuses concurrent applies, one apply worker")
 	}
 	if cfg.verbose {
 		for _, name := range chk.Constraints() {

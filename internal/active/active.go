@@ -88,7 +88,7 @@ func (e *Engine) AddRule(name, conditionSrc string, action Action) error {
 // cannot be assumed unviolated beforehand, one-sided subsumption is not
 // enough here; only full independence filters.
 func relevant(r *Rule, u store.Update) bool {
-	if !mentions(r.Condition, u.Relation) {
+	if !r.Condition.Mentions(u.Relation) {
 		return false
 	}
 	cPrime, err := rewrite.Rewrite(r.Condition, u)
@@ -102,17 +102,6 @@ func relevant(r *Rule, u store.Update) bool {
 	}
 	independent := fwd.Verdict == subsume.Yes && bwd.Verdict == subsume.Yes
 	return !independent
-}
-
-func mentions(prog *ast.Program, rel string) bool {
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.IsComp() && l.Atom.Pred == rel {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Apply applies the update, then runs rule processing to quiescence (or

@@ -234,6 +234,16 @@ func (l Literal) IsPos() bool { return !l.isComp && !l.Negated }
 // IsNeg reports whether the literal is a negated atom.
 func (l Literal) IsNeg() bool { return !l.isComp && l.Negated }
 
+// Harmful reports whether the literal is an occurrence of rel through
+// which an update of that polarity can create new derivations: a
+// positive occurrence for an insert, a negated one for a delete.
+func (l Literal) Harmful(rel string, insert bool) bool {
+	if l.isComp || l.Atom.Pred != rel {
+		return false
+	}
+	return l.Negated != insert
+}
+
 // Apply returns the literal with substitution s applied.
 func (l Literal) Apply(s Subst) Literal {
 	if l.isComp {

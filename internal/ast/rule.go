@@ -219,6 +219,20 @@ func (p *Program) EDBPreds() []string {
 	return out
 }
 
+// Mentions reports whether some body literal of the program names rel —
+// the test of the checker's phase 1: a constraint that does not mention
+// the updated relation is unaffected by the update.
+func (p *Program) Mentions(rel string) bool {
+	for _, r := range p.Rules {
+		for _, l := range r.Body {
+			if !l.IsComp() && l.Atom.Pred == rel {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Preds returns every predicate of the program with its arity, sorted by
 // name. Inconsistent arities for one predicate are reported by Validate.
 func (p *Program) Preds() map[string]int {

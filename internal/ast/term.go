@@ -90,7 +90,8 @@ func (v Value) Key() string {
 }
 
 // String renders v in source syntax: numbers as decimals or p/q, strings
-// bare when they look like a lower-case identifier, quoted otherwise.
+// bare when they look like a lower-case identifier, quoted otherwise —
+// with only '"' and '\' escaped, as the parser reads a quoted string.
 func (v Value) String() string {
 	if v.Kind == NumberValue {
 		if v.Num.IsInt() {
@@ -104,11 +105,13 @@ func (v Value) String() string {
 	if isBareIdent(v.Str) {
 		return v.Str
 	}
-	return strconv.Quote(v.Str)
+	return `"` + quoteEscaper.Replace(v.Str) + `"`
 }
 
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 func isBareIdent(s string) bool {
-	if s == "" {
+	if s == "" || s == "not" {
 		return false
 	}
 	for i, r := range s {

@@ -38,7 +38,7 @@ type cacheEntry struct {
 
 func buildCacheEntry(prog *ast.Program, rel string, insert bool) *cacheEntry {
 	e := &cacheEntry{
-		mentions: mentions(prog, rel),
+		mentions: prog.Mentions(rel),
 		polarity: classify.UpdateMonotoneSafe(prog, ast.PanicPred, rel, insert),
 		phase2:   map[string]bool{},
 	}

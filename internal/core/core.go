@@ -114,8 +114,8 @@ type Constraint struct {
 	// Section 5 form); analysis additionally when it is a canonical ICQ.
 	cqc      *ast.CQC
 	analysis *icq.Analysis
-	// edb lists, in textual order, the stored relations an evaluation of
-	// the constraint reads.
+	// edb lists, sorted, the stored relations an evaluation of the
+	// constraint reads.
 	edb []string
 	// fix is the evaluation fixpoint kept from the constraint's last
 	// global insert decision (nil until the first one, and after a drop);
@@ -517,7 +517,7 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 	if bad {
 		return fmt.Errorf("core: constraint %s is already violated by the current database", name)
 	}
-	k := &Constraint{Name: name, Prog: prog, edb: edbRelations(prog)}
+	k := &Constraint{Name: name, Prog: prog, edb: prog.EDBPreds()}
 	c.prepare(k)
 	c.constraints = append(c.constraints, k)
 	c.refreshSet()
@@ -574,18 +574,6 @@ func (c *Checker) isLocal(rel string) bool {
 	return c.local[rel]
 }
 
-// mentions reports whether the constraint references the relation.
-func mentions(prog *ast.Program, rel string) bool {
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.IsComp() && l.Atom.Pred == rel {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // stageOne runs the read-only phases 1–3 for one constraint: it touches
 // no Checker state besides the entry's (internally synchronized) memo and
 // store reads, so the parallel dispatch may run it for several
@@ -614,7 +602,7 @@ func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, u store.Updat
 	if e != nil {
 		unaffected = !e.mentions
 	} else {
-		unaffected = !mentions(k.Prog, u.Relation)
+		unaffected = !k.Prog.Mentions(u.Relation)
 	}
 	phaseAttempt(tr, k.Name, PhaseUnaffected, unaffected, entryCache, start)
 	if unaffected {

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/ast"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -166,26 +165,4 @@ func (c *Checker) Decide(pr PlanReport, commit bool) (Report, error) {
 		return c.decide(pr.update, commit, nil)
 	}
 	return c.decide(pr.update, commit, pr.Witnesses)
-}
-
-// edbRelations returns the body predicates of prog that are not defined
-// by any of prog's rule heads — the stored relations an evaluation reads
-// (derived predicates are computed, not fetched).
-func edbRelations(prog *ast.Program) []string {
-	heads := map[string]bool{}
-	for _, r := range prog.Rules {
-		heads[r.Head.Pred] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.IsComp() || heads[l.Atom.Pred] || seen[l.Atom.Pred] {
-				continue
-			}
-			seen[l.Atom.Pred] = true
-			out = append(out, l.Atom.Pred)
-		}
-	}
-	return out
 }

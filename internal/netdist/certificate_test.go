@@ -158,12 +158,11 @@ func TestKeyFetchesAreRoutedReads(t *testing.T) {
 
 // TestBatchWitnessRollsBack: an atomic batch whose first member is the
 // witness of its third and whose last member names a department nobody
-// has. Sequentially (where the third member is certified by the first)
-// and on the scheduler at 4 and 8 workers (where it may overlap it and
-// ask the shard instead) it fails at the same index with the same
-// verdicts, mirror and sites come out as they went in, and the
-// rolled-back witness certifies nothing afterwards: the next insert into
-// its department asks the shard.
+// has. At 1, 4 and 8 workers — the third member certified by the first,
+// or overlapping it and asking the shard instead — it fails at the same
+// index with the same verdicts, mirror and sites come out as they went
+// in, and the rolled-back witness certifies nothing afterwards: the next
+// insert into its department asks the shard.
 func TestBatchWitnessRollsBack(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("emp", relation.Ints(2000, 20)), // nobody in 20 yet: fetched

@@ -69,13 +69,13 @@ type Options struct {
 	// coordinator's trace store ends up with the full cross-process tree.
 	// Pass the same bridge that serves as Checker.Tracer.
 	Spans *obs.SpanBridge
-	// ApplyWorkers > 1 routes ApplyBatch through the conflict-aware
-	// scheduler (internal/sched): non-conflicting updates overlap their
-	// phase-1–3 checks and site RPCs instead of running strictly one at
-	// a time, while the batch stays atomic. It is how many members may
-	// compute at once; one that may wait on a site (sched.Footprint.Wire)
-	// does not count, so what bounds round trips in flight is the size of
-	// the batch. 0 or 1 keeps the sequential path.
+	// ApplyWorkers > 1 is how many members of an ApplyBatch may compute
+	// at once on its conflict-aware scheduler (internal/sched):
+	// non-conflicting members overlap their phase-1–3 checks and site
+	// RPCs while the batch stays atomic, and a member that may wait on a
+	// site (sched.Footprint.Wire) does not count, so what bounds round
+	// trips in flight is the size of the batch. 0 or 1 runs the members
+	// one at a time on the caller's goroutine, with no scheduler.
 	ApplyWorkers int
 }
 
@@ -158,9 +158,8 @@ type Stats struct {
 // its transports tolerate concurrent round trips — but Apply/Check are
 // safe to overlap only for updates with non-conflicting footprints
 // (core.Checker's contract). Callers must not race conflicting applies
-// themselves; the pipelined ApplyBatch enforces the discipline with
-// internal/sched, and remains equivalent to a sequential run in admission
-// order.
+// themselves; ApplyBatch enforces the discipline with internal/sched, and
+// remains equivalent to a sequential run in admission order.
 type Coordinator struct {
 	Checker *core.Checker
 
@@ -427,10 +426,12 @@ func (co *Coordinator) refresh(rels []string) error {
 	return nil
 }
 
-// refreshRel rebuilds the mirror's copy of one placed relation from a
-// scan of every shard (a single scan for whole relations). Each shard is
-// read from a fresh replica when one exists, falling back to the leader.
-func (co *Coordinator) refreshRel(rel string) error {
+// scanAll reads a placed relation from every shard and merges the parts —
+// one scan for a whole relation — reading each shard from a fresh replica
+// when one exists, its leader otherwise. It returns the tuples and the
+// largest arity a site reported; a sharded relation counts one scatter
+// read.
+func (co *Coordinator) scanAll(rel string) ([]relation.Tuple, int, error) {
 	shards := co.shardsOf[rel]
 	var ts []relation.Tuple
 	arity := 0
@@ -438,19 +439,52 @@ func (co *Coordinator) refreshRel(rel string) error {
 		site := co.readTarget(ss)
 		resp, err := co.call(site, &Request{Type: OpScan, Relation: rel})
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		part, err := DecodeTuples(resp.Tuples)
 		if err != nil {
-			return &RemoteError{Site: site, Msg: err.Error()}
+			return nil, 0, &RemoteError{Site: site, Msg: err.Error()}
 		}
 		ts = append(ts, part...)
-		if resp.Arity > arity {
-			arity = resp.Arity
-		}
+		arity = max(arity, resp.Arity)
 	}
 	if len(shards) > 1 {
 		co.noteScatter(1)
+	}
+	return ts, arity, nil
+}
+
+// fetchKey reads the key group of a sharded relation from the shard that
+// owns the key — a fresh replica or its leader — under a "shard.route"
+// span of the given mode. It returns the tuples and the arity the site
+// reported; the caller counts the read.
+func (co *Coordinator) fetchKey(rel string, key ast.Value, mode string) ([]relation.Tuple, int, error) {
+	ss := co.shardsOf[rel][co.place.ShardOf(rel, key)]
+	site := co.readTarget(ss)
+	sp := co.routeSpan(rel, mode)
+	resp, err := co.call(site, &Request{
+		Type:     OpFetch,
+		Relation: rel,
+		Col:      co.place[rel].KeyCol,
+		Value:    EncodeValue(key),
+	})
+	sp.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	ts, err := DecodeTuples(resp.Tuples)
+	if err != nil {
+		return nil, 0, &RemoteError{Site: site, Msg: err.Error()}
+	}
+	return ts, resp.Arity, nil
+}
+
+// refreshRel rebuilds the mirror's copy of one placed relation from a
+// scan of every shard.
+func (co *Coordinator) refreshRel(rel string) error {
+	ts, arity, err := co.scanAll(rel)
+	if err != nil {
+		return err
 	}
 	if arity == 0 {
 		// Empty, never-used relation: keep the mirror's arity if it
@@ -475,26 +509,10 @@ func (co *Coordinator) refreshRel(rel string) error {
 // "consult as little information as the update requires".
 func (co *Coordinator) refreshKeys(rel string, pl RelPlacement, keys []ast.Value) error {
 	for _, key := range keys {
-		ss := co.shardsOf[rel][co.place.ShardOf(rel, key)]
-		site := co.readTarget(ss)
-		sp := co.routeSpan(rel, "key-fetch")
-		resp, err := co.call(site, &Request{
-			Type:     OpFetch,
-			Relation: rel,
-			Col:      pl.KeyCol,
-			Value:    EncodeValue(key),
-		})
-		if sp != nil {
-			sp.End()
-		}
+		ts, arity, err := co.fetchKey(rel, key, "key-fetch")
 		if err != nil {
 			return err
 		}
-		ts, err := DecodeTuples(resp.Tuples)
-		if err != nil {
-			return &RemoteError{Site: site, Msg: err.Error()}
-		}
-		arity := resp.Arity
 		if arity == 0 {
 			if r := co.mirror.Relation(rel); r != nil {
 				arity = r.Arity()
@@ -503,7 +521,7 @@ func (co *Coordinator) refreshKeys(rel string, pl RelPlacement, keys []ast.Value
 			}
 		}
 		if err := co.mirror.ReplaceKey(rel, arity, pl.KeyCol, key, ts); err != nil {
-			return &RemoteError{Site: site, Msg: err.Error()}
+			return &RemoteError{Site: "", Msg: err.Error()}
 		}
 		// One routed read per key fetched, so KeyFetches stays the
 		// keyed-refresh subset of ShardRouted however many groups an
@@ -750,61 +768,6 @@ func (co *Coordinator) undoMirror(u store.Update) {
 			panic(fmt.Sprintf("netdist: mirror undo failed: %v", err))
 		}
 	}
-}
-
-// ApplyBatch applies the updates as one atomic transaction, mirroring
-// core.Checker.ApplyBatch: on the first rejection or error every
-// already-applied update is undone locally and, for remote relations,
-// un-propagated. FailedAt reports the offending index on rejection.
-// With Options.ApplyWorkers > 1 the batch runs on the pipelined path
-// (see applyBatchPipelined): same verdicts, same final state, same
-// batch atomicity — overlapping wire waits of independent updates.
-func (co *Coordinator) ApplyBatch(updates []store.Update) (core.BatchReport, error) {
-	if co.opts.ApplyWorkers > 1 {
-		return co.applyBatchPipelined(updates, co.opts.ApplyWorkers)
-	}
-	br := core.BatchReport{Applied: true, FailedAt: -1}
-	type undo struct {
-		u       store.Update
-		changed bool
-	}
-	var undos []undo
-	rollback := func() error {
-		for i := len(undos) - 1; i >= 0; i-- {
-			if !undos[i].changed {
-				continue
-			}
-			u := undos[i].u
-			co.undoMirror(u)
-			if _, remote := co.place[u.Relation]; remote {
-				if err := co.unpropagate(u); err != nil {
-					return fmt.Errorf("netdist: batch rollback of %s: %w", u, err)
-				}
-			}
-		}
-		return nil
-	}
-	for i, u := range updates {
-		changes := co.mirror.Contains(u.Relation, u.Tuple) != u.Insert
-		rep, err := co.Apply(u)
-		if err != nil {
-			if rbErr := rollback(); rbErr != nil {
-				return br, rbErr
-			}
-			return br, err
-		}
-		br.Reports = append(br.Reports, rep)
-		if !rep.Applied {
-			br.Applied = false
-			br.FailedAt = i
-			if err := rollback(); err != nil {
-				return br, err
-			}
-			return br, nil
-		}
-		undos = append(undos, undo{u: u, changed: changes})
-	}
-	return br, nil
 }
 
 // Report renders the statistics as a small table, the measured

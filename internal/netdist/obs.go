@@ -117,13 +117,14 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	}
 }
 
-// observe accounts one handled request against the attached registry.
-func (m *serverMetrics) observe(req *Request, resp *Response, elapsed time.Duration) {
+// observe accounts one handled request, of type typ (requestType),
+// against the attached registry.
+func (m *serverMetrics) observe(typ string, req *Request, resp *Response, elapsed time.Duration) {
 	if m == nil {
 		return
 	}
-	m.requests.With(req.Type).Inc()
-	m.seconds.With(req.Type).Observe(elapsed.Seconds())
+	m.requests.With(typ).Inc()
+	m.seconds.With(typ).Observe(elapsed.Seconds())
 	if !resp.OK {
 		m.errors.Inc()
 	}

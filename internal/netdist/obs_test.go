@@ -2,6 +2,7 @@ package netdist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +181,41 @@ func TestServerMetricsAgreeWithStats(t *testing.T) {
 	}
 	if snap["cc_site_bytes_recv_total"].(int64) <= 0 || snap["cc_site_bytes_sent_total"].(int64) <= 0 {
 		t.Error("byte counters did not move")
+	}
+}
+
+// TestSiteCountsJunkTypesAsUnknown: a client inventing request types
+// grows nothing on the site. A thousand distinct types, traced, land on
+// one "unknown" counter, one series per metric family and spans named
+// site.unknown.
+func TestSiteCountsJunkTypesAsUnknown(t *testing.T) {
+	srv := NewServer(store.New(), []string{"r"})
+	reg := obs.NewRegistry()
+	srv.Instrument(reg)
+	trace := obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}, Sampled: true}.Traceparent()
+	srv.Handle(&Request{Type: OpScan, Relation: "r"})
+	for i := 0; i < 1000; i++ {
+		resp := srv.Handle(&Request{Type: fmt.Sprintf("junk-%d", i), Trace: trace})
+		if resp.OK || len(resp.Spans) != 1 || resp.Spans[0].Name != "site.unknown" {
+			t.Fatalf("junk type %d: %+v", i, resp)
+		}
+	}
+	if st := srv.Stats(); len(st.Requests) > 5 || st.Requests["unknown"] != 1000 || st.Requests[OpScan] != 1 {
+		t.Fatalf("%d request counters: scan=%d unknown=%d", len(st.Requests), st.Requests[OpScan], st.Requests["unknown"])
+	}
+	var expo strings.Builder
+	reg.WritePrometheus(&expo)
+	for _, family := range []string{"cc_site_requests_total", "cc_site_request_seconds"} {
+		ops := map[string]bool{}
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, family); ok {
+				if _, op, ok := strings.Cut(rest, `op="`); ok {
+					ops[op[:strings.IndexByte(op, '"')]] = true
+				}
+			}
+		}
+		if len(ops) == 0 || len(ops) > 5 {
+			t.Errorf("%s: %d series in /metrics, want 1 to 5", family, len(ops))
+		}
 	}
 }

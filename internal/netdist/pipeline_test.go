@@ -184,50 +184,74 @@ func TestPipelinedStreamOverlapsLatency(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchAtomicRollback: a rejection mid-batch on the
-// pipelined ApplyBatch path must roll the whole batch back — mirror AND
-// remote site — and report the same failure index as the sequential arm.
+// oneByOne is the reference an atomic batch is held to: Apply each member
+// in turn on a fixture of its own until the first rejection, which is
+// where the batch fails (-1: nowhere) and whose reports it returns.
+func oneByOne(t *testing.T, co *Coordinator, batch []store.Update) (failedAt int, reports []string) {
+	t.Helper()
+	for i, u := range batch {
+		rep, err := co.Apply(u)
+		if err != nil {
+			t.Fatalf("reference: update %d (%v): %v", i, u, err)
+		}
+		if reports = append(reports, renderReport(rep)); !rep.Applied {
+			return i, reports
+		}
+	}
+	return -1, reports
+}
+
+// sameBatch fails unless the batch report is the reference's: rejected at
+// failedAt with its reports.
+func sameBatch(t *testing.T, name string, br core.BatchReport, failedAt int, reports []string) {
+	t.Helper()
+	if br.Applied || br.FailedAt != failedAt || len(br.Reports) != len(reports) {
+		t.Fatalf("%s: applied=%v failedAt=%d with %d reports, want a rejection at %d with %d",
+			name, br.Applied, br.FailedAt, len(br.Reports), failedAt, len(reports))
+	}
+	for i, rep := range br.Reports {
+		if renderReport(rep) != reports[i] {
+			t.Fatalf("%s: report %d diverged\nbatch:     %s\none by one: %s", name, i, renderReport(rep), reports[i])
+		}
+	}
+}
+
+// TestPipelinedBatchAtomicRollback: a rejection mid-batch must roll the
+// whole batch back — mirror AND remote site — and report the failure
+// index and reports of applying the members one by one, at any number of
+// workers. At one worker nothing past the failure reaches the wire: the
+// batch makes the reference's round trips and the one un-propagation.
 func TestPipelinedBatchAtomicRollback(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("l", relation.Ints(100, 101)), // admissible
 		store.Ins("r", relation.Ints(200)),      // admissible, propagates to siteR
 		store.Ins("l", relation.Ints(55, 65)),   // covers r=60: rejected
-		store.Ins("l", relation.Ints(300, 301)), // past the failure; sequential never runs it
+		store.Ins("r", relation.Ints(400)),      // past the failure
 	}
-
-	seqCo, seqRemote, _ := pipeFixture(t, 1)
-	seqBr, seqErr := seqCo.ApplyBatch(batch)
-	if seqErr != nil {
-		t.Fatal(seqErr)
+	refCo, _, _ := pipeFixture(t, 1)
+	failedAt, reports := oneByOne(t, refCo, batch)
+	if failedAt != 2 {
+		t.Fatalf("reference fails at %d, want 2", failedAt)
 	}
-
-	co, remote, _ := pipeFixture(t, 8)
-	preMirror, preSite := dumpStore(co.Checker.DB()), dumpStore(remote)
-	br, err := co.ApplyBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.Applied || br.FailedAt != 2 {
-		t.Fatalf("pipelined batch: applied=%v failedAt=%d, want rejection at 2", br.Applied, br.FailedAt)
-	}
-	if br.Applied != seqBr.Applied || br.FailedAt != seqBr.FailedAt || len(br.Reports) != len(seqBr.Reports) {
-		t.Fatalf("pipelined outcome (failedAt=%d, %d reports) != sequential (failedAt=%d, %d reports)",
-			br.FailedAt, len(br.Reports), seqBr.FailedAt, len(seqBr.Reports))
-	}
-	for i := range br.Reports {
-		if renderReport(br.Reports[i]) != renderReport(seqBr.Reports[i]) {
-			t.Fatalf("report %d diverged\npipelined: %s\nsequential: %s",
-				i, renderReport(br.Reports[i]), renderReport(seqBr.Reports[i]))
+	refTrips := refCo.Stats().RoundTrips
+	for _, workers := range []int{0, 1, 8} {
+		name := fmt.Sprintf("workers %d", workers)
+		co, remote, _ := pipeFixture(t, workers)
+		preMirror, preSite := dumpStore(co.Checker.DB()), dumpStore(remote)
+		br, err := co.ApplyBatch(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	if got := dumpStore(co.Checker.DB()); got != preMirror {
-		t.Fatalf("mirror not rolled back\nafter:\n%s\nbefore:\n%s", got, preMirror)
-	}
-	if got := dumpStore(remote); got != preSite {
-		t.Fatalf("site store not rolled back (r(200) must be un-propagated)\nafter:\n%s\nbefore:\n%s", got, preSite)
-	}
-	if got := dumpStore(seqRemote); got != preSite {
-		t.Fatalf("sequential arm site store diverged:\n%s", got)
+		sameBatch(t, name, br, failedAt, reports)
+		if got := dumpStore(co.Checker.DB()); got != preMirror {
+			t.Fatalf("%s: mirror not rolled back\nafter:\n%s\nbefore:\n%s", name, got, preMirror)
+		}
+		if got := dumpStore(remote); got != preSite {
+			t.Fatalf("%s: site store not rolled back (r(200) must be un-propagated)\nafter:\n%s\nbefore:\n%s", name, got, preSite)
+		}
+		if trips := co.Stats().RoundTrips; workers <= 1 && trips != refTrips+1 {
+			t.Fatalf("%s: %d round trips, want the reference's %d and one un-propagation", name, trips, refTrips)
+		}
 	}
 }
 
@@ -260,9 +284,9 @@ func TestPipelinedBatchCommits(t *testing.T) {
 // whose updates meet on dept keys — an emp insert under a key the batch
 // itself inserts (admitted only behind that write), one under a key it
 // deletes (rejected only behind that write), others under keys of their
-// own (free to overlap) — fails at the sequential arm's index with the
-// sequential arm's reports, and the rollback takes both dept writes back
-// off their shards.
+// own (free to overlap) — fails where applying the members one by one
+// does, with the same reports, and the rollback takes both dept writes
+// back off their shards.
 func TestPipelinedBatchShardedRollback(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("dept", relation.Ints(100)),      // propagated to its shard
@@ -272,34 +296,27 @@ func TestPipelinedBatchShardedRollback(t *testing.T) {
 		store.Ins("emp", relation.Ints(5002, 20)),  // same key as update 1: rejected
 		store.Ins("emp", relation.Ints(5003, 22)),  // past the failure
 	}
-	arm := shardArm{name: "sharded4", shards: 4}
-	seqCo, _, seqLeaders := buildShardedArm(t, arm)
-	want, err := seqCo.ApplyBatch(batch)
-	if err != nil || want.Applied || want.FailedAt != 4 {
-		t.Fatalf("sequential batch: %+v %v, want a rejection at 4", want, err)
+	refCo, _, _ := buildShardedArm(t, shardArm{name: "sharded4", shards: 4})
+	failedAt, reports := oneByOne(t, refCo, batch)
+	if failedAt != 4 {
+		t.Fatalf("reference fails at %d, want 4", failedAt)
 	}
 	for round := 0; round < 20; round++ {
-		co, _, leaders := buildShardedArm(t, arm)
-		preMirror, preGlobal := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
-		got, err := co.applyBatchPipelined(batch, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Applied != want.Applied || got.FailedAt != want.FailedAt || len(got.Reports) != len(want.Reports) {
-			t.Fatalf("round %d: pipelined outcome (failedAt=%d, %d reports) != sequential (failedAt=%d, %d reports)",
-				round, got.FailedAt, len(got.Reports), want.FailedAt, len(want.Reports))
-		}
-		for i := range got.Reports {
-			if renderReport(got.Reports[i]) != renderReport(want.Reports[i]) {
-				t.Fatalf("round %d: report %d diverged\npipelined: %s\nsequential: %s",
-					round, i, renderReport(got.Reports[i]), renderReport(want.Reports[i]))
+		for _, workers := range []int{0, 8} {
+			name := fmt.Sprintf("round %d workers %d", round, workers)
+			co, _, leaders := buildShardedArm(t, shardArm{name: "sharded4", shards: 4, batchWorkers: workers})
+			preMirror, preGlobal := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
+			got, err := co.ApplyBatch(batch)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		if m := dumpStore(co.Checker.DB()); m != preMirror {
-			t.Fatalf("round %d: mirror not rolled back\nafter:\n%s\nbefore:\n%s", round, m, preMirror)
-		}
-		if g := dumpGlobal(co, leaders); g != preGlobal || g != dumpGlobal(seqCo, seqLeaders) {
-			t.Fatalf("round %d: shards not rolled back (dept(100) and dept(20) must be un-propagated)\nafter:\n%s\nbefore:\n%s", round, g, preGlobal)
+			sameBatch(t, name, got, failedAt, reports)
+			if m := dumpStore(co.Checker.DB()); m != preMirror {
+				t.Fatalf("%s: mirror not rolled back\nafter:\n%s\nbefore:\n%s", name, m, preMirror)
+			}
+			if g := dumpGlobal(co, leaders); g != preGlobal {
+				t.Fatalf("%s: shards not rolled back (dept(100) and dept(20) must be un-propagated)\nafter:\n%s\nbefore:\n%s", name, g, preGlobal)
+			}
 		}
 	}
 }
@@ -319,7 +336,7 @@ func (p parkedTransport) RoundTrip(site string, req *Request, timeout time.Durat
 }
 
 // TestWireTasksOutnumberWorkers: a scheduler driving a coordinator — a
-// stream of applies, and the pipelined ApplyBatch's own — counts
+// stream of applies, and ApplyBatch's own above one worker — counts
 // computing tasks against its workers, not tasks waiting on a site. Six l inserts that
 // each need r refreshed are all on the wire at once behind two workers,
 // and the outcome is the sequential loop's.

@@ -83,7 +83,8 @@ func PlacementFromSites(sites []SiteSpec) Placement {
 
 // ParseShardSpec parses the ccheck flag syntax
 // "rel@keycol=site1,site2,..." into a sharded relation placement. One
-// site is allowed (whole ownership with an explicit key column).
+// site is allowed (whole ownership with an explicit key column); a site
+// named twice is not.
 func ParseShardSpec(s string) (string, RelPlacement, error) {
 	head, sitesPart, ok := strings.Cut(s, "=")
 	if !ok {
@@ -105,10 +106,11 @@ func ParseShardSpec(s string) (string, RelPlacement, error) {
 		}
 		rp.Shards = append(rp.Shards, ShardSpec{Leader: site})
 	}
-	if len(rp.Shards) == 0 {
-		return "", RelPlacement{}, fmt.Errorf("netdist: shard spec %q names no sites", s)
+	rel = strings.TrimSpace(rel)
+	if err := (Placement{rel: rp}).validate(); err != nil {
+		return "", RelPlacement{}, err
 	}
-	return strings.TrimSpace(rel), rp, nil
+	return rel, rp, nil
 }
 
 // ParseReplicaSpec parses "rel/shardIdx=site" — attach a read replica to

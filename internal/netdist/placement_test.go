@@ -25,7 +25,7 @@ func TestParseShardSpec(t *testing.T) {
 	if !rp.Sharded() {
 		t.Fatal("three shards must report Sharded")
 	}
-	for _, bad := range []string{"dept=s0", "dept@x=s0", "@0=s0", "dept@0=", "dept@0=s0,,s1", "dept@-1=s0"} {
+	for _, bad := range []string{"dept=s0", "dept@x=s0", "@0=s0", "dept@0=", "dept@0=s0,,s1", "dept@-1=s0", "dept@0=s0,s1,s0"} {
 		if _, _, err := ParseShardSpec(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
 		}
@@ -45,6 +45,39 @@ func TestParseReplicaSpec(t *testing.T) {
 			t.Errorf("spec %q: want error", bad)
 		}
 	}
+}
+
+// FuzzPlacementSpecs feeds one text to the three placement flag parsers:
+// none panics, and what each accepts makes a placement NewPlaced takes —
+// a site spec on its own, a shard spec on its own, a replica spec on a
+// four-shard relation whose leaders it cannot name (a parsed site never
+// starts with a space).
+func FuzzPlacementSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"127.0.0.1:7073=dept,salRange", "dept@0=s0, s1,s2", "dept/1 = s9",
+		"dept@0=s0,s0", "a=r,r", "dept@1=s0", "r/3=x=y", "dept/-1=s9", "=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if spec, err := ParseSiteSpec(s); err == nil {
+			if err := PlacementFromSites([]SiteSpec{spec}).validate(); err != nil {
+				t.Errorf("site spec %q parsed to %+v: %v", s, spec, err)
+			}
+		}
+		if rel, rp, err := ParseShardSpec(s); err == nil {
+			if err := (Placement{rel: rp}).validate(); err != nil {
+				t.Errorf("shard spec %q parsed to %s %+v: %v", s, rel, rp, err)
+			}
+		}
+		if rel, shard, site, err := ParseReplicaSpec(s); err == nil && shard < 4 {
+			rp := RelPlacement{Shards: []ShardSpec{{Leader: " s0"}, {Leader: " s1"}, {Leader: " s2"}, {Leader: " s3"}}}
+			rp.Shards[shard].Replicas = []string{site}
+			if err := (Placement{rel: rp}).validate(); err != nil {
+				t.Errorf("replica spec %q parsed to %s/%d=%q: %v", s, rel, shard, site, err)
+			}
+		}
+	})
 }
 
 func TestPlacementValidate(t *testing.T) {

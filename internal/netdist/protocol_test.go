@@ -77,8 +77,8 @@ func TestValueRoundTrip(t *testing.T) {
 
 // TestDecodeValueRefusesHugeNumbers: the site decoder reads only the
 // canonical -?[0-9]+(/[0-9]+)? that EncodeValue writes, and no side of a
-// fraction may need more than MaxNumberDigits digits — "#1e999998" would
-// otherwise cost a big.Rat of a million digits, interned for good.
+// fraction may need more than ast.MaxNumberDigits digits — "#1e999998"
+// would otherwise cost a big.Rat of a million digits, interned for good.
 func TestDecodeValueRefusesHugeNumbers(t *testing.T) {
 	nines := strings.Repeat("9", 300)
 	exact := new(big.Rat)
@@ -89,23 +89,13 @@ func TestDecodeValueRefusesHugeNumbers(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	for _, bad := range []string{"#1e999998", "#1.5", "#+1", "#0x10", "#1/0x3", "#" + strings.Repeat("1", MaxNumberDigits+1)} {
+	for _, bad := range []string{"#1e999998", "#1.5", "#+1", "#0x10", "#1/0x3", "#" + strings.Repeat("1", ast.MaxNumberDigits+1)} {
 		if v, err := DecodeValue(bad); err == nil {
 			t.Errorf("DecodeValue(%.20q) = %v, want an error", bad, v)
 		}
 	}
 	if took := time.Since(start); took > 50*time.Millisecond {
 		t.Errorf("refusing took %v", took)
-	}
-	for text, ok := range map[string]bool{
-		"1e999": true, "1e1000": false, "1.5e998": true, "1.5e999": false, "-2.5E-3": true,
-		strings.Repeat("9", MaxNumberDigits) + "/" + strings.Repeat("9", MaxNumberDigits): true,
-		"1/" + strings.Repeat("9", MaxNumberDigits+1):                                     false,
-		"1e99999999999999999999": false, "1e": false, "e5": false, ".": false, "0x1p9": false, "1e+-5": false,
-	} {
-		if _, err := ParseNumber(text); (err == nil) != ok {
-			t.Errorf("ParseNumber(%.30q): err=%v, want ok=%v", text, err, ok)
-		}
 	}
 }
 

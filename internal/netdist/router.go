@@ -81,7 +81,7 @@ func (r *shardRouter) Contains(rel string, t relation.Tuple) (bool, bool, error)
 	var group []relation.Tuple
 	var err error
 	if pl.KeyCol < len(t) {
-		group, err = r.fetchKey(rel, pl, t[pl.KeyCol])
+		group, err = r.fetchKey(rel, t[pl.KeyCol])
 	} else {
 		group, err = r.fetchFull(rel)
 	}
@@ -102,7 +102,7 @@ func (r *shardRouter) Contains(rel string, t relation.Tuple) (bool, bool, error)
 func (r *shardRouter) group(rel string, pl RelPlacement, cols []int, vals []ast.Value) ([]relation.Tuple, error) {
 	for i, c := range cols {
 		if c == pl.KeyCol {
-			return r.fetchKey(rel, pl, vals[i])
+			return r.fetchKey(rel, vals[i])
 		}
 	}
 	return r.fetchFull(rel)
@@ -110,7 +110,7 @@ func (r *shardRouter) group(rel string, pl RelPlacement, cols []int, vals []ast.
 
 // fetchKey returns the key group from the owning shard, cached per
 // generation.
-func (r *shardRouter) fetchKey(rel string, pl RelPlacement, key ast.Value) ([]relation.Tuple, error) {
+func (r *shardRouter) fetchKey(rel string, key ast.Value) ([]relation.Tuple, error) {
 	ck := rel + "\x00" + relation.ValueKey(key)
 	r.mu.Lock()
 	group, ok := r.keys[ck]
@@ -118,23 +118,9 @@ func (r *shardRouter) fetchKey(rel string, pl RelPlacement, key ast.Value) ([]re
 	if ok {
 		return group, nil
 	}
-	ss := r.co.shardsOf[rel][r.co.place.ShardOf(rel, key)]
-	sp := r.co.routeSpan(rel, "routed")
-	resp, err := r.co.call(r.co.readTarget(ss), &Request{
-		Type:     OpFetch,
-		Relation: rel,
-		Col:      pl.KeyCol,
-		Value:    EncodeValue(key),
-	})
-	if sp != nil {
-		sp.End()
-	}
+	group, _, err := r.co.fetchKey(rel, key, "routed")
 	if err != nil {
 		return nil, err
-	}
-	group, err = DecodeTuples(resp.Tuples)
-	if err != nil {
-		return nil, &RemoteError{Site: ss.leader, Msg: err.Error()}
 	}
 	r.co.noteRouted(1)
 	r.mu.Lock()
@@ -153,23 +139,11 @@ func (r *shardRouter) fetchFull(rel string) ([]relation.Tuple, error) {
 		return all, nil
 	}
 	sp := r.co.routeSpan(rel, "scatter")
-	defer func() {
-		if sp != nil {
-			sp.End()
-		}
-	}()
-	for _, ss := range r.co.shardsOf[rel] {
-		resp, err := r.co.call(r.co.readTarget(ss), &Request{Type: OpScan, Relation: rel})
-		if err != nil {
-			return nil, err
-		}
-		ts, err := DecodeTuples(resp.Tuples)
-		if err != nil {
-			return nil, &RemoteError{Site: ss.leader, Msg: err.Error()}
-		}
-		all = append(all, ts...)
+	defer sp.End()
+	all, _, err := r.co.scanAll(rel)
+	if err != nil {
+		return nil, err
 	}
-	r.co.noteScatter(1)
 	r.mu.Lock()
 	r.full[rel] = all
 	r.mu.Unlock()

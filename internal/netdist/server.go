@@ -119,8 +119,9 @@ func (s *Server) Handle(req *Request) *Response {
 	if s.met != nil || req.Trace != "" {
 		start = time.Now()
 	}
+	typ := requestType(req.Type)
 	s.mu.Lock()
-	s.stats.Requests[req.Type]++
+	s.stats.Requests[typ]++
 	s.mu.Unlock()
 	resp := s.handle(req)
 	resp.ID = req.ID
@@ -130,19 +131,31 @@ func (s *Server) Handle(req *Request) *Response {
 		s.mu.Unlock()
 	}
 	if req.Trace != "" {
-		s.traceRequest(req, resp, start)
+		s.traceRequest(typ, req, resp, start)
 	}
 	if s.met != nil {
-		s.met.observe(req, resp, time.Since(start))
+		s.met.observe(typ, req, resp, time.Since(start))
 	}
 	return resp
+}
+
+// requestType is what a request is counted, labelled and traced as: its
+// type when the site answers that type, "unknown" otherwise — so a
+// client cannot grow the counters, metric series or span names by
+// inventing types.
+func requestType(typ string) string {
+	switch typ {
+	case OpScan, OpFetch, OpApply, OpReplace:
+		return typ
+	}
+	return "unknown"
 }
 
 // traceRequest records the site's side of a traced RPC as a child span
 // of the coordinator's context and echoes it in the response, so the
 // coordinator's trace tree includes real site-side time (wire cost =
 // rpc-span duration − site-span duration).
-func (s *Server) traceRequest(req *Request, resp *Response, start time.Time) {
+func (s *Server) traceRequest(typ string, req *Request, resp *Response, start time.Time) {
 	parent, err := obs.ParseTraceparent(req.Trace)
 	if err != nil || !parent.Sampled {
 		return
@@ -155,7 +168,7 @@ func (s *Server) traceRequest(req *Request, resp *Response, start time.Time) {
 		TraceID:  parent.TraceID,
 		SpanID:   obs.NewSpanID(),
 		Parent:   parent.SpanID,
-		Name:     "site." + req.Type,
+		Name:     "site." + typ,
 		Service:  service,
 		Start:    start,
 		Duration: time.Since(start),

@@ -508,3 +508,29 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Fatalf("summary = %+v", sum)
 	}
 }
+
+// FuzzParseTraceparent: any header value is parsed without a panic, and
+// every context accepted renders to a traceparent that parses back to it.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-09-extra",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		" 00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01 ",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseTraceparent(sc.Traceparent())
+		if err != nil || back != sc {
+			t.Fatalf("%q parsed to %+v, rendered %q, parsed back to %+v (%v)", s, sc, sc.Traceparent(), back, err)
+		}
+	})
+}

@@ -9,8 +9,10 @@
 // accepted); 'not' negates an atom; comparison operators are
 // < <= = <> >= >. Identifiers beginning with a capital letter are
 // variables, others are symbolic constants or predicate names; numeric
-// literals (integers and decimals, optionally signed) are numeric
-// constants; double-quoted strings are symbolic constants. '%' and '//'
+// literals (integers and decimals, optionally signed, with an optional
+// exponent and denominator: 1.5e-05, 1/3) are numeric constants of at
+// most ast.MaxNumberDigits digits; double-quoted strings, in which '\'
+// takes the next byte literally, are symbolic constants. '%' and '//'
 // start comments running to end of line.
 package parser
 
@@ -102,11 +104,20 @@ func (lx *lexer) errf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("parser: line %d, col %d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peekByte() byte {
-	if lx.pos >= len(lx.src) {
+func (lx *lexer) peekByte() byte { return lx.at(0) }
+
+// at returns the byte i places ahead, 0 past the end.
+func (lx *lexer) at(i int) byte {
+	if lx.pos+i >= len(lx.src) {
 		return 0
 	}
-	return lx.src[lx.pos]
+	return lx.src[lx.pos+i]
+}
+
+func (lx *lexer) skipDigits() {
+	for isDigit(lx.peekByte()) {
+		lx.advance()
+	}
 }
 
 func (lx *lexer) advance() byte {
@@ -222,13 +233,24 @@ func (lx *lexer) next() (token, error) {
 			sb.WriteByte(c)
 		}
 		return token{tokString, sb.String(), line, col}, nil
-	case isDigit(b) || b == '-' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]):
+	case isDigit(b) || b == '-' && isDigit(lx.at(1)):
 		start := lx.pos
 		if b == '-' {
 			lx.advance()
 		}
-		for lx.pos < len(lx.src) && (isDigit(lx.peekByte()) || lx.peekByte() == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1])) {
+		for isDigit(lx.peekByte()) || lx.peekByte() == '.' && isDigit(lx.at(1)) {
 			lx.advance()
+		}
+		// The exponent and the denominator ast.Value.String writes for a
+		// number that is no short decimal: 1.52587890625e-05, 1/3.
+		if e, s := lx.peekByte(), lx.at(1); (e == 'e' || e == 'E') && (isDigit(s) || (s == '+' || s == '-') && isDigit(lx.at(2))) {
+			lx.advance()
+			lx.advance()
+			lx.skipDigits()
+		}
+		if lx.peekByte() == '/' && isDigit(lx.at(1)) {
+			lx.advance()
+			lx.skipDigits()
 		}
 		return token{tokNumber, lx.src[start:lx.pos], line, col}, nil
 	case b == '.':

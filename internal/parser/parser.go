@@ -2,7 +2,6 @@ package parser
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/ast"
 )
@@ -285,9 +284,9 @@ func (p *parser) parseTerm() (ast.Term, error) {
 		}
 		return ast.CStr(t.text), nil
 	case tokNumber:
-		r, ok := new(big.Rat).SetString(t.text)
-		if !ok {
-			return ast.Term{}, fmt.Errorf("parser: line %d: invalid number %q", t.line, t.text)
+		r, err := ast.ParseNumber(t.text)
+		if err != nil {
+			return ast.Term{}, fmt.Errorf("parser: line %d, col %d: %v", t.line, t.col, err)
 		}
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err

@@ -169,6 +169,53 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesHugeNumber: a constant needing more than
+// ast.MaxNumberDigits digits is refused where it stands, before big.Rat
+// expands it.
+func TestParseRefusesHugeNumber(t *testing.T) {
+	ok := "panic :- r(X) & X > " + strings.Repeat("9", ast.MaxNumberDigits) + "."
+	if _, err := ParseProgram(ok); err != nil {
+		t.Fatalf("%d-digit constant: %v", ast.MaxNumberDigits, err)
+	}
+	_, err := ParseProgram("p(a).\npanic :- r(X) &\n  X > " + strings.Repeat("9", ast.MaxNumberDigits+1) + ".")
+	if err == nil || !strings.HasPrefix(err.Error(), "parser: line 3, col 7: bad number") {
+		t.Fatalf("%d-digit constant: err = %.80v, want it refused at line 3, col 7", ast.MaxNumberDigits+1, err)
+	}
+}
+
+// FuzzParseProgram: the parser never panics, and what it accepts prints
+// to source that parses back to the same program.
+func FuzzParseProgram(f *testing.F) {
+	for _, seed := range []string{
+		"panic :- emp(E,D,S) & not dept(D) & S < 100.",
+		"boss(E,M) :- emp(E,D,S) & manager(D,M).\npanic :- boss(E,E).",
+		`dept1(toy). p("New York", -2.5, 1/3, 1.5e-05).`,
+		"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.",
+		`panic :- p(X) & X <> "not" & toy <> X. // comment`,
+		`p("a\"b\\c"). q(é). % comment`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := ParseProgram(src)
+		if err != nil {
+			return
+		}
+		back, err := ParseProgram(prog.String())
+		if err != nil {
+			t.Fatalf("%q printed as %q, which does not parse: %v", src, prog.String(), err)
+		}
+		if len(back.Rules) != len(prog.Rules) {
+			t.Fatalf("%q printed as %q: %d rules, then %d", src, prog.String(), len(prog.Rules), len(back.Rules))
+		}
+		for i, r := range prog.Rules {
+			if !r.Equal(back.Rules[i]) {
+				t.Fatalf("%q printed as %q: rule %d came back as %s", src, prog.String(), i, back.Rules[i])
+			}
+		}
+	})
+}
+
 func TestParseOmittedFinalPeriod(t *testing.T) {
 	r, err := ParseRule("panic :- p(X)")
 	if err != nil {

@@ -133,7 +133,7 @@ func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
 	sh := Shape{Eligible: true, Arity: -1}
 	for _, r := range prog.Rules {
 		for _, l := range r.Body {
-			if !harmful(l, rel, insert) {
+			if !l.Harmful(rel, insert) {
 				continue
 			}
 			if n := len(l.Atom.Args); n > sh.Arity {
@@ -147,7 +147,7 @@ func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
 	sh.Pinned = make([]bool, sh.Arity)
 	for _, r := range prog.Rules {
 		for _, l := range r.Body {
-			if !harmful(l, rel, insert) {
+			if !l.Harmful(rel, insert) {
 				continue
 			}
 			for i, a := range l.Atom.Args {
@@ -158,19 +158,6 @@ func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
 		}
 	}
 	return sh
-}
-
-// harmful reports whether the literal is an occurrence of rel through
-// which the update polarity can create new panic derivations: positive
-// occurrences for inserts, negated ones for deletes.
-func harmful(l ast.Literal, rel string, insert bool) bool {
-	if l.IsComp() || l.Atom.Pred != rel {
-		return false
-	}
-	if insert {
-		return l.IsPos()
-	}
-	return l.IsNeg()
 }
 
 // certificate is the complete local test of one harmful occurrence R(ā)
@@ -319,7 +306,7 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 	res := &Residual{insert: insert}
 	for _, rule := range prog.Rules {
 		for oi, l := range rule.Body {
-			if !harmful(l, rel, insert) || len(l.Atom.Args) != len(t) {
+			if !l.Harmful(rel, insert) || len(l.Atom.Args) != len(t) {
 				continue
 			}
 			body, ok := specialize(rule, oi, t, sh)

@@ -447,7 +447,7 @@ func (ix *Index) specsFor(rel string, insert bool) []readSpec {
 // Specs of several constraints are simply appended, so one constraint
 // that reads a relation whole keeps the update's claim on it whole.
 func progSpecs(prog *ast.Program, rel string, insert bool, opts IndexOptions, specs []readSpec) []readSpec {
-	if !mentionsRel(prog, rel) {
+	if !prog.Mentions(rel) {
 		return specs
 	}
 	if opts.Polarity && classify.UpdateMonotoneSafe(prog, ast.PanicPred, rel, insert) {
@@ -460,7 +460,7 @@ func progSpecs(prog *ast.Program, rel string, insert bool, opts IndexOptions, sp
 			}
 			for _, r := range prog.Rules {
 				for oi, l := range r.Body {
-					if !harmfulOccurrence(l, rel, insert) {
+					if !l.Harmful(rel, insert) {
 						continue
 					}
 					// sigma maps occurrence variables to tuple positions,
@@ -486,7 +486,7 @@ func progSpecs(prog *ast.Program, rel string, insert bool, opts IndexOptions, sp
 			return specs
 		}
 	}
-	for _, e := range edbPreds(prog) {
+	for _, e := range prog.EDBPreds() {
 		specs = append(specs, readSpec{rel: e, general: true})
 	}
 	return specs
@@ -521,50 +521,4 @@ func literalSpec(m ast.Literal, sigma map[string]int, occAr int, sh Sharder) rea
 		}
 	}
 	return sp
-}
-
-// mentionsRel reports whether any body literal of prog names rel
-// (phase 1's test).
-func mentionsRel(prog *ast.Program, rel string) bool {
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.IsComp() && l.Atom.Pred == rel {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// harmfulOccurrence mirrors residual compilation: positive occurrences
-// for inserts, negated ones for deletes.
-func harmfulOccurrence(l ast.Literal, rel string, insert bool) bool {
-	if l.IsComp() || l.Atom.Pred != rel {
-		return false
-	}
-	if insert {
-		return l.IsPos()
-	}
-	return l.IsNeg()
-}
-
-// edbPreds returns the body predicates not defined by any rule head —
-// the stored relations the constraint evaluates over.
-func edbPreds(prog *ast.Program) []string {
-	heads := map[string]bool{}
-	for _, r := range prog.Rules {
-		heads[r.Head.Pred] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.IsComp() || heads[l.Atom.Pred] || seen[l.Atom.Pred] {
-				continue
-			}
-			seen[l.Atom.Pred] = true
-			out = append(out, l.Atom.Pred)
-		}
-	}
-	return out
 }

@@ -315,7 +315,7 @@ func TestIndexKeyedSpecs(t *testing.T) {
 		{"a second constraint that is not residual-eligible keeps the claim whole",
 			[]string{refSrc, "orphan(D) :- emp(E, D) & not dept(D).\npanic :- orphan(D) & audited(D)."},
 			store.Del("dept", relation.Ints(42)),
-			[]Read{keyed("emp", 1, i(42)), whole("emp"), whole("dept"), whole("audited")}},
+			[]Read{keyed("emp", 1, i(42)), whole("audited"), whole("dept"), whole("emp")}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

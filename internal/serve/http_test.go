@@ -454,7 +454,7 @@ func TestWireValueCodec(t *testing.T) {
 }
 
 // TestHTTPHugeNumberRefused: a number whose value needs more digits than
-// netdist.MaxNumberDigits is a 400, refused before big.Rat expands it and
+// ast.MaxNumberDigits is a 400, refused before big.Rat expands it and
 // before the intern pool keeps it for the life of the process — as a JSON
 // number and as "#…" text alike.
 func TestHTTPHugeNumberRefused(t *testing.T) {

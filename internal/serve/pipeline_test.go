@@ -215,6 +215,62 @@ func TestPipelineFallsBackWithoutFootprints(t *testing.T) {
 	}
 }
 
+// TestBatchErrorSameAtEveryWidth: a non-atomic batch whose middle update
+// fails — an insert of the wrong arity, an error rather than a violation
+// — gets one reply at one worker and at four: the reports before the
+// error, the error, and how many of them were applied.
+func TestBatchErrorSameAtEveryWidth(t *testing.T) {
+	batch := []store.Update{
+		store.Ins("r", relation.Ints(100)),
+		store.Ins("l", relation.Ints(5)), // l has arity 2
+		store.Ins("r", relation.Ints(200)),
+	}
+	var want string
+	for _, workers := range []int{1, 4} {
+		s := New(pipelineFixture(t), Config{ApplyWorkers: workers})
+		out, err := s.Batch("arity", batch, false)
+		s.Close()
+		if err == nil {
+			t.Fatalf("workers %d: the wrong-arity insert raised no error: %+v", workers, out)
+		}
+		got := fmt.Sprintf("reports=%v applied=%d failedAt=%d error=%v", verdicts(out), out.Applied, out.FailedAt, err)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("workers %d: %s\none worker: %s", workers, got, want)
+		}
+	}
+	if !strings.HasPrefix(want, "reports=[true] applied=1 failedAt=-1 error=") {
+		t.Fatalf("reply %s, want the first report and the error", want)
+	}
+}
+
+// TestOneWorkerRunsNoScheduler: at one apply worker the dispatcher decides
+// every request itself — checks, applies, batches of both kinds, stats —
+// and submits nothing to a scheduler.
+func TestOneWorkerRunsNoScheduler(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		s := New(pipelineFixture(t), Config{ApplyWorkers: workers})
+		us := []store.Update{store.Ins("r", relation.Ints(100)), store.Ins("r", relation.Ints(5))}
+		for _, err := range []error{
+			func() error { _, err := s.Check("one", us[1]); return err }(),
+			func() error { _, err := s.Apply("one", us[0]); return err }(),
+			func() error { _, err := s.Batch("one", us, true); return err }(),
+			func() error { _, err := s.Batch("one", us, false); return err }(),
+			func() error { _, err := s.CheckerStats(); return err }(),
+		} {
+			if err != nil {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+		}
+		st := s.Stats()
+		s.Close()
+		if st.ApplyWorkers != 1 || st.SchedTasks != 0 || st.Requests[EndpointBatch] != 2 {
+			t.Fatalf("workers %d: apply workers %d, %d scheduler tasks, requests %v", workers, st.ApplyWorkers, st.SchedTasks, st.Requests)
+		}
+	}
+}
+
 // TestPipelineGlobalPhaseAgreement: a recursive constraint, whose insert
 // decisions run delta rounds on a kept fixpoint, is served by the
 // pipelined arm like any other (there is no configuration left that
@@ -608,8 +664,8 @@ func mergedSites(t *testing.T, sites []*store.Store) string {
 // another task writes a neighbouring one, a rollback un-propagating a
 // dept write while employees of other departments are checked — at 2
 // workers with more of them on the wire than there are workers. Answers,
-// the coordinator's mirror and the merged site stores must match the
-// sequential arm.
+// the coordinator's mirror and the merged site stores must match one
+// worker's, and at one worker so must the round trips.
 func TestPipelineCoordinatorKeyGroupAgreement(t *testing.T) {
 	const n = 160
 	for seed, reqs := range map[int64][]request{

@@ -54,7 +54,7 @@ func decide(s *Server, client string, check bool, u store.Update) string {
 // its department, an emp delete and an l check inside a stored interval
 // are each answered while all eight are still parked, having sent
 // nothing. Then the wire is released and verdicts, mirror and merged site
-// stores are the sequential arm's.
+// stores are one worker's.
 func TestLocalDecisionsPassTasksOnTheWire(t *testing.T) {
 	const parked = 8
 	// Departments 6 and 7 exist and have no employee: nothing certifies.
@@ -111,9 +111,8 @@ func TestLocalDecisionsPassTasksOnTheWire(t *testing.T) {
 			t.Fatalf("%s: %d frames sent so far, want the %d parked fetches only", c.name, frames, parked)
 		}
 	}
-	if inflight := s.Stats().SchedInflight; inflight != parked {
-		t.Fatalf("scheduler holds %d tasks, want the %d parked ones", inflight, parked)
-	}
+	// An answered task leaves the scheduler just after its answer.
+	waitFor(t, "the scheduler to hold the parked tasks only", func() bool { return s.Stats().SchedInflight == parked })
 	release()
 	wg.Wait()
 	s.Close()
@@ -159,9 +158,9 @@ func TestCheckFootprintKeepsWire(t *testing.T) {
 }
 
 // TestQueueDepthBoundsBothArms: QueueDepth requests may wait beyond the
-// ApplyWorkers being served, whichever arm serves them. The pipelined
-// arm's dispatcher empties the queue into a scheduler that never refuses,
-// so the queue's own capacity sheds nothing there; the count of requests
+// ApplyWorkers being served, at one worker or more. Above one the
+// dispatcher empties the queue into a scheduler that never refuses, so
+// the queue's own capacity sheds nothing there; the count of requests
 // admitted and unanswered does.
 func TestQueueDepthBoundsBothArms(t *testing.T) {
 	const depth, callers = 4, 200

@@ -1,11 +1,12 @@
 // Package serve is the decision-service subsystem: a long-lived front
 // end that exposes the staged checking pipeline to real traffic. A
 // Server wraps one core.Checker behind a bounded request queue drained
-// either by a single worker (the sequential arm, Config.ApplyWorkers <=
-// 1) or by a conflict-aware apply scheduler (internal/sched) that runs
-// non-conflicting requests concurrently while serializing conflicting
-// ones in admission order — same verdicts, same final store, higher
-// throughput. Either way the server provides
+// by one dispatcher: at one apply worker (Config.ApplyWorkers <= 1) it
+// runs each request itself, above that it hands them to a conflict-aware
+// apply scheduler (internal/sched) that runs non-conflicting requests
+// concurrently while serializing conflicting ones in admission order —
+// same verdicts, same final store, higher throughput. Either way the
+// server provides
 //
 //   - backpressure: once QueueDepth requests wait — in the queue or in
 //     the scheduler — the next is rejected immediately with a BusyError
@@ -23,7 +24,7 @@
 //
 // The HTTP layer (http.go) and the embeddable SDK (internal/serve/sdk)
 // are thin shells over the same Check/Apply/Batch entry points, so both
-// arms return byte-identical decisions for the same stream.
+// return byte-identical decisions for the same stream.
 package serve
 
 import (
@@ -75,7 +76,7 @@ func (e *BusyError) Error() string {
 type Config struct {
 	// QueueDepth bounds the requests that may wait: beyond the
 	// ApplyWorkers a server may be serving, this many may be admitted and
-	// not yet answered — queued, or (on the pipelined arm, whose
+	// not yet answered — queued, or (above one worker, where the
 	// dispatcher empties the queue into a scheduler that never refuses)
 	// held by the scheduler. A request arriving past the bound is
 	// rejected with BusyError{ReasonQueueFull}. 0 means 1024.
@@ -108,11 +109,11 @@ type Config struct {
 	// traces land in Spans.Store().
 	Spans *obs.SpanTracer
 	// SpanBridge, when non-nil alongside Spans, is the bridge installed
-	// as the checker's Tracer: the worker points it at the active
+	// as the checker's Tracer: the dispatcher points it at the active
 	// request's decision span before driving the backend and clears it
 	// after, so checker phase events nest under the right request. The
-	// bridge is single-flight by design, so only the sequential arm uses
-	// it; with ApplyWorkers > 1 the checker runs untraced and requests
+	// bridge is single-flight by design, so it is used only at one apply
+	// worker; with ApplyWorkers > 1 the checker runs untraced and requests
 	// carry sched.wait/worker.wait/decide envelope spans instead.
 	SpanBridge *obs.SpanBridge
 
@@ -121,11 +122,11 @@ type Config struct {
 	// conflicting ones in admission order, and at most this many compute
 	// at once — a request that may wait on a site (sched.Footprint.Wire)
 	// does not count while it runs, so what bounds those is QueueDepth.
-	// 0 or 1 keeps the sequential single-worker arm (the A/B baseline).
-	// Values > 1 require a backend that exposes footprints and admits
-	// concurrent applies (FootprintBackend — *core.Checker and
-	// netdist.ServeBackend both qualify); otherwise the server falls
-	// back to the sequential arm.
+	// 0 or 1 runs no scheduler: the dispatcher decides each request
+	// itself, in admission order, and computes no footprint. Values > 1
+	// require a backend that exposes footprints and admits concurrent
+	// applies (FootprintBackend — *core.Checker and netdist.ServeBackend
+	// both qualify); otherwise the server runs one worker.
 	ApplyWorkers int
 
 	// workerGate, when non-nil, is received from before each task is
@@ -227,9 +228,9 @@ type BatchOutcome struct {
 // Backend is the decision engine a Server fronts. *core.Checker
 // satisfies it directly (the single-checker deployment);
 // netdist.ServeBackend adapts a distributed Coordinator so the same
-// server can front a multi-site system. On the sequential arm the
-// server drives the backend only from its single worker goroutine; the
-// pipelined arm (Config.ApplyWorkers > 1) requires FootprintBackend.
+// server can front a multi-site system. At one apply worker the server
+// drives the backend only from its dispatcher goroutine; more
+// (Config.ApplyWorkers > 1) require FootprintBackend.
 type Backend interface {
 	Check(store.Update) (core.Report, error)
 	Apply(store.Update) (core.Report, error)
@@ -250,18 +251,18 @@ type FootprintBackend interface {
 }
 
 // Server is the decision service. All exported methods are safe for
-// concurrent use; the wrapped checker is only ever driven from the
-// worker goroutine.
+// concurrent use; the wrapped checker is only ever driven by the
+// dispatcher, or by the tasks it hands the scheduler.
 type Server struct {
 	chk Backend
 	cfg Config
 
-	// fpb and sched are set on the pipelined arm (effective
+	// fpb and sched are set above one apply worker (effective
 	// ApplyWorkers > 1): the dispatcher footprints each task through fpb
 	// and submits it to the scheduler instead of running it inline.
 	fpb          FootprintBackend
 	sched        *sched.Scheduler
-	applyWorkers int // effective worker count (1 on the sequential arm)
+	applyWorkers int // effective worker count
 
 	mu       sync.RWMutex // excludes enqueue vs Close's queue close
 	draining bool
@@ -275,12 +276,15 @@ type Server struct {
 
 	limMu   sync.Mutex
 	buckets map[string]*bucket
+	// sweepAt is the bucket count at which admitting a new client first
+	// drops the buckets that have refilled.
+	sweepAt int
 	clock   func() time.Time // injected in tests
 
 	dlog *decisionLog
 
 	// ewmaNanos tracks recent per-task service time for Retry-After
-	// estimation (α = 1/8; updated only by the worker).
+	// estimation (α = 1/8).
 	ewmaNanos atomic.Int64
 
 	requests   [4]atomic.Int64          // by opKind
@@ -288,9 +292,9 @@ type Server struct {
 	met        *serveMetrics
 }
 
-// New builds a Server over chk and starts its worker. The caller owns
-// chk and must not drive it concurrently with the server; Close stops
-// the worker and flushes the decision log.
+// New builds a Server over chk and starts its dispatcher. The caller
+// owns chk and must not drive it concurrently with the server; Close
+// stops the dispatcher and flushes the decision log.
 func New(chk Backend, cfg Config) *Server {
 	s := &Server{
 		chk:        chk,
@@ -313,26 +317,22 @@ func New(chk Backend, cfg Config) *Server {
 		s.dlog = newDecisionLog(cfg.DecisionLog, cfg.DecisionLogDepth)
 	}
 	s.applyWorkers = 1
-	if cfg.ApplyWorkers > 1 {
-		if fb, ok := chk.(FootprintBackend); ok {
-			s.fpb = fb
-			s.applyWorkers = cfg.ApplyWorkers
-			s.sched = sched.New(sched.Options{
-				Workers: cfg.ApplyWorkers,
-				Metrics: sched.NewMetrics(cfg.Metrics, "serve"),
-			})
-			go s.dispatcher()
-			return s
-		}
-		// No footprints: fall back to the sequential arm rather than fail.
+	if fb, ok := chk.(FootprintBackend); ok && cfg.ApplyWorkers > 1 {
+		// Without footprints the server runs one worker rather than fail.
+		s.fpb = fb
+		s.applyWorkers = cfg.ApplyWorkers
+		s.sched = sched.New(sched.Options{
+			Workers: cfg.ApplyWorkers,
+			Metrics: sched.NewMetrics(cfg.Metrics, "serve"),
+		})
 	}
-	go s.worker()
+	go s.dispatcher()
 	return s
 }
 
-// ApplyWorkers returns how many requests may compute at once (1 on the
-// sequential arm, including fallbacks from an unsatisfiable
-// Config.ApplyWorkers).
+// ApplyWorkers returns how many requests may compute at once (1 when
+// Config.ApplyWorkers asks for at most one, or for more from a backend
+// without footprints).
 func (s *Server) ApplyWorkers() int { return s.applyWorkers }
 
 // Check decides the update without applying it.
@@ -377,7 +377,7 @@ func (s *Server) CheckerStats() (core.Stats, error) {
 	return res.stats, err
 }
 
-// do admits, enqueues, and waits for the worker's answer.
+// do admits, enqueues, and waits for the answer.
 func (s *Server) do(t *task) (taskResult, error) {
 	// Stats requests skip the token bucket: they are cheap, and load
 	// shedding that blinds the operator is self-defeating.
@@ -431,10 +431,10 @@ func verdictLabel(t *task, res taskResult) string {
 
 // enqueue places the task on the queue unless the server is draining,
 // the queue is full, or as many requests as may wait and be served are
-// admitted and unanswered already — on the sequential arm the two say
-// the same, on the pipelined arm the queue is always nearly empty and
-// the count is what sheds. It holds the read lock across the send so
-// Close cannot close the queue under an in-flight send.
+// admitted and unanswered already — at one apply worker the two say the
+// same, above it the queue is always nearly empty and the count is what
+// sheds. It holds the read lock across the send so Close cannot close
+// the queue under an in-flight send.
 func (s *Server) enqueue(t *task) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -473,51 +473,90 @@ func (s *Server) reject(reason string) {
 	}
 }
 
-// worker drains the queue until Close closes it, answering every queued
-// task (the drain guarantee).
-func (s *Server) worker() {
+// dispatcher drains the queue until Close closes it, answering every
+// queued task (the drain guarantee); a request's queue.wait ends here.
+// At one apply worker it runs each task inline. Otherwise it hands each
+// to the scheduler — a non-atomic batch as one task per update — and
+// what a task waits for afterwards is named by the scheduler (sched.wait,
+// worker.wait); Submit never blocks, so what bounds the tasks the
+// scheduler holds is admission (enqueue). When Close closes the queue it
+// drains the scheduler too.
+func (s *Server) dispatcher() {
 	defer close(s.workerDone)
 	for t := range s.queue {
-		if s.cfg.workerGate != nil {
-			<-s.cfg.workerGate
-		}
-		if s.met != nil {
-			s.met.queueDepth.Set(int64(len(s.queue)))
-		}
-		start := time.Now()
-		var decide *obs.Span
 		if t.span != nil {
-			s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, start.Sub(t.enqueued), nil, "")
-			if t.op != opStats {
-				decide = s.cfg.Spans.StartChild(t.span, "decide")
-				s.cfg.SpanBridge.SetActive(decide)
-			}
+			s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, time.Since(t.enqueued), nil, "")
 		}
-		var res taskResult
-		switch t.op {
-		case opCheck:
-			res.rep, res.err = s.chk.Check(t.u)
-		case opApply:
-			res.rep, res.err = s.chk.Apply(t.u)
-		case opBatch:
-			res.batch, res.err = s.runBatch(t.us, t.atomic)
-		case opStats:
-			res.stats = s.chk.Stats()
+		switch {
+		case s.sched == nil:
+			s.run(t, sched.Info{})
+		case t.op == opBatch && !t.atomic:
+			s.submitBatch(t)
+		default:
+			s.sched.Submit(s.footprintFor(t), func(info sched.Info) { s.run(t, info) })
 		}
-		if decide != nil {
-			s.cfg.SpanBridge.SetActive(nil)
-			if res.err != nil {
-				decide.SetError(res.err.Error())
-			}
-			decide.End()
-		}
-		dur := time.Since(start)
-		s.observeEWMA(dur)
-		if t.op != opStats {
-			s.logTask(t, res, dur)
-		}
-		s.answer(t, res)
 	}
+	if s.sched != nil {
+		s.sched.Close()
+	}
+}
+
+// run executes one task and answers it. A task the scheduler ran carries
+// a sched.wait child span whenever it stalled behind a conflicting one
+// and a worker.wait one whenever it then waited for a worker token. The
+// span bridge is single-flight, so only a task run inline points it at
+// its decision span; under the scheduler the checker runs untraced.
+func (s *Server) run(t *task, info sched.Info) {
+	if s.cfg.workerGate != nil {
+		<-s.cfg.workerGate
+	}
+	if s.met != nil {
+		s.met.queueDepth.Set(int64(len(s.queue)))
+	}
+	start := time.Now()
+	var decide *obs.Span
+	if t.span != nil {
+		ready := start.Add(-info.WorkerWait)
+		if info.Conflicts > 0 {
+			s.cfg.Spans.RecordChild(t.span, "sched.wait", ready.Add(-info.ConflictWait), info.ConflictWait, stallAttrs(info), "")
+		}
+		if info.WorkerWait > 0 {
+			s.cfg.Spans.RecordChild(t.span, "worker.wait", ready, info.WorkerWait, nil, "")
+		}
+		if t.op != opStats {
+			decide = s.cfg.Spans.StartChild(t.span, "decide")
+		}
+	}
+	bridged := decide != nil && s.sched == nil
+	if bridged {
+		s.cfg.SpanBridge.SetActive(decide)
+	}
+	var res taskResult
+	switch t.op {
+	case opCheck:
+		res.rep, res.err = s.chk.Check(t.u)
+	case opApply:
+		res.rep, res.err = s.chk.Apply(t.u)
+	case opBatch:
+		res.batch, res.err = s.runBatch(t.us, t.atomic)
+	case opStats:
+		res.stats = s.chk.Stats()
+	}
+	if bridged {
+		s.cfg.SpanBridge.SetActive(nil)
+	}
+	if decide != nil {
+		if res.err != nil {
+			decide.SetError(res.err.Error())
+		}
+		decide.End()
+	}
+	dur := time.Since(start)
+	s.observeEWMA(dur)
+	if t.op != opStats {
+		s.logTask(t, res, dur)
+	}
+	s.answer(t, res)
 }
 
 // answer replies to an admitted request and gives its place back.
@@ -527,8 +566,8 @@ func (s *Server) answer(t *task, res taskResult) {
 }
 
 // observeEWMA folds one task's service time into the Retry-After
-// estimate (α = 1/8). CAS because pipelined apply workers observe
-// concurrently; the sequential worker is just the uncontended case.
+// estimate (α = 1/8). CAS because scheduled tasks observe concurrently;
+// one apply worker is just the uncontended case.
 func (s *Server) observeEWMA(dur time.Duration) {
 	for {
 		prev := s.ewmaNanos.Load()
@@ -539,26 +578,36 @@ func (s *Server) observeEWMA(dur time.Duration) {
 	}
 }
 
+// runBatch runs a batch in one task: atomically through the backend's
+// ApplyBatch, or update by update until the first error.
 func (s *Server) runBatch(us []store.Update, atomic bool) (BatchOutcome, error) {
-	out := BatchOutcome{Atomic: atomic, FailedAt: -1}
 	if atomic {
 		br, err := s.chk.ApplyBatch(us)
-		out.Reports = br.Reports
-		out.FailedAt = br.FailedAt
-		if err != nil {
-			return out, err
-		}
-		if br.Applied {
+		out := BatchOutcome{Reports: br.Reports, Atomic: true, FailedAt: br.FailedAt}
+		if err == nil && br.Applied {
 			out.Applied = len(us)
 		}
-		return out, nil
+		return out, err
 	}
-	for _, u := range us {
-		rep, err := s.chk.Apply(u)
-		if err != nil {
-			return out, err
+	reports := make([]core.Report, len(us))
+	errs := make([]error, len(us))
+	for i, u := range us {
+		if reports[i], errs[i] = s.chk.Apply(u); errs[i] != nil {
+			break
 		}
-		out.Reports = append(out.Reports, rep)
+	}
+	return batchOutcome(reports, errs)
+}
+
+// batchOutcome assembles a non-atomic batch's outcome in request order:
+// the reports up to the first error, and that error.
+func batchOutcome(reports []core.Report, errs []error) (BatchOutcome, error) {
+	out := BatchOutcome{Reports: reports, FailedAt: -1}
+	for i, rep := range reports {
+		if errs[i] != nil {
+			out.Reports = reports[:i]
+			return out, errs[i]
+		}
 		if rep.Applied {
 			out.Applied++
 		}
@@ -597,8 +646,18 @@ type bucket struct {
 	last   time.Time
 }
 
+// refill returns the bucket's tokens at now.
+func (b *bucket) refill(now time.Time, rate, burst float64) float64 {
+	return math.Min(burst, b.tokens+now.Sub(b.last).Seconds()*rate)
+}
+
 // admit charges one token from the client's bucket, or returns a
-// BusyError advising when the next token lands.
+// BusyError advising when the next token lands. A bucket that has
+// refilled to Burst admits exactly as a new one would, so before a new
+// client's bucket goes in, once the map has doubled since the last
+// sweep, the refilled ones are dropped: the map holds the clients still
+// being held back, plus at most as many again, at amortised O(1) per
+// admission.
 func (s *Server) admit(client string) error {
 	rate := s.cfg.RatePerClient
 	if rate <= 0 {
@@ -610,10 +669,18 @@ func (s *Server) admit(client string) error {
 	defer s.limMu.Unlock()
 	b := s.buckets[client]
 	if b == nil {
+		if len(s.buckets) >= s.sweepAt {
+			for id, o := range s.buckets {
+				if o.refill(now, rate, burst) >= burst {
+					delete(s.buckets, id)
+				}
+			}
+			s.sweepAt = 2 * len(s.buckets)
+		}
 		b = &bucket{tokens: burst, last: now}
 		s.buckets[client] = b
 	}
-	b.tokens = math.Min(burst, b.tokens+now.Sub(b.last).Seconds()*rate)
+	b.tokens = b.refill(now, rate, burst)
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
@@ -631,8 +698,8 @@ type Stats struct {
 	QueueDepth       int              `json:"queue_depth"`
 	DecisionLogDrops int64            `json:"decision_log_drops"`
 	Draining         bool             `json:"draining"`
-	// ApplyWorkers is how many requests may compute at once (1 = sequential
-	// arm). The sched_* counters are zero on the sequential arm.
+	// ApplyWorkers is how many requests may compute at once. At 1 no
+	// scheduler runs, and the sched_* counters stay zero.
 	ApplyWorkers        int   `json:"apply_workers"`
 	SchedTasks          int64 `json:"sched_tasks"`
 	SchedConflictStalls int64 `json:"sched_conflict_stalls"`

@@ -119,6 +119,28 @@ func TestRateLimitsAreIndependentPerClient(t *testing.T) {
 	}
 }
 
+// TestRateLimitForgetsRefilledClients: a bucket that has refilled admits
+// exactly as a new one would, so it is not kept: ten thousand clients,
+// each seen once and each refilled before the next arrives, leave a
+// bucket or two behind, not ten thousand.
+func TestRateLimitForgetsRefilledClients(t *testing.T) {
+	s := New(newTestChecker(t, nil), Config{RatePerClient: 1, Burst: 1})
+	defer s.Close()
+	now := time.Now()
+	s.clock = func() time.Time { return now }
+	for i := 0; i < 10000; i++ {
+		if _, err := s.Check(fmt.Sprintf("client-%d", i), store.Ins("r", relation.Ints(100))); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		now = now.Add(time.Second)
+	}
+	s.limMu.Lock()
+	defer s.limMu.Unlock()
+	if n := len(s.buckets); n > 2 {
+		t.Fatalf("%d token buckets kept for 10000 refilled clients", n)
+	}
+}
+
 func TestGracefulDrainAnswersQueuedRejectsNew(t *testing.T) {
 	gate := make(chan struct{})
 	chk := newTestChecker(t, nil)

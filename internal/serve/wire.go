@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/netdist"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -72,7 +71,7 @@ func encodeWireValue(v ast.Value) any {
 		if v.Num.IsInt() {
 			return json.Number(v.Num.Num().String())
 		}
-		return netdist.EncodeValue(v)
+		return relation.ValueKey(v)
 	}
 	return "$" + v.Str
 }
@@ -80,11 +79,11 @@ func encodeWireValue(v ast.Value) any {
 // DecodeWireValue maps one decoded JSON tuple element onto a constant.
 // Values are funneled through the intern pool, like netdist's decoder,
 // so service traffic arrives pre-interned for fingerprinting; a number
-// needing more than netdist.MaxNumberDigits digits is refused first.
+// needing more than ast.MaxNumberDigits digits is refused first.
 func DecodeWireValue(el any) (ast.Value, error) {
 	switch v := el.(type) {
 	case json.Number:
-		r, err := netdist.ParseNumber(v.String())
+		r, err := ast.ParseNumber(v.String())
 		if err != nil {
 			return ast.Value{}, err
 		}
@@ -96,7 +95,11 @@ func DecodeWireValue(el any) (ast.Value, error) {
 		return relation.Canonical(ast.Float(v)), nil
 	case string:
 		if strings.HasPrefix(v, "#") || strings.HasPrefix(v, "$") {
-			return netdist.DecodeValue(v)
+			k, err := ast.ParseKey(v)
+			if err != nil {
+				return ast.Value{}, err
+			}
+			return relation.Canonical(k), nil
 		}
 		return relation.Canonical(ast.Str(v)), nil
 	}

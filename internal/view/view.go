@@ -58,7 +58,7 @@ func (v *View) Materialize(db *store.Store) ([]relation.Tuple, error) {
 // conservative for language fragments without a complete containment
 // procedure: false then means "possibly relevant".
 func Irrelevant(v *View, u store.Update) (bool, error) {
-	if !mentionsRel(v.Prog, u.Relation) {
+	if !v.Prog.Mentions(u.Relation) {
 		return true, nil
 	}
 	vPrime, err := rewrite.Rewrite(v.Prog, u)
@@ -95,17 +95,6 @@ func containedIn(p, q *ast.Program, goal string) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-func mentionsRel(prog *ast.Program, rel string) bool {
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.IsComp() && l.Atom.Pred == rel {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Delta computes the exact change of the view caused by applying the
