@@ -28,11 +28,11 @@
 // with phase children and, under -sites, per-RPC and site-side spans)
 // and writes the collected traces as OTLP-JSON at exit.
 //
-// Global evaluations use hash-index probes with bound-first join
-// planning and reuse compiled evaluation plans across the update stream;
-// -noindex falls back to scan-and-filter evaluation and -noplancache to
-// per-call re-planning for A/B comparison (see BenchmarkEvalIndexed and
-// BenchmarkApplyCompiled). Eligible (constraint, update-pattern) pairs
+// Global evaluations use hash-index probes and range steps with
+// bound-first join planning and reuse compiled evaluation plans across the
+// update stream; -noindex joins in textual order over whole-relation scans
+// (no index built or probed) and -noplancache re-plans per call, for A/B
+// comparison. Eligible (constraint, update-pattern) pairs
 // are additionally served by compiled residual checks cached per pattern
 // (see internal/residual and BenchmarkApplyResidual); -noresidual forces
 // every constraint through the staged pipeline instead. -repeat N
@@ -118,7 +118,7 @@ func main() {
 		updatesPath     = flag.String("updates", "", "path to update script (+rel(...) / -rel(...) per line)")
 		localList       = flag.String("local", "", "comma-separated local relations (default: all local)")
 		workers         = flag.Int("workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
-		noindex         = flag.Bool("noindex", false, "disable hash-index probes and bound-first join planning in global evaluations (A/B escape hatch)")
+		noindex         = flag.Bool("noindex", false, "join in textual order over whole-relation scans: no index probe, range step or bound-first planning (A/B escape hatch)")
 		noplancache     = flag.Bool("noplancache", false, "disable the compiled evaluation plan cache: re-derive stratification and join plans on every global evaluation (A/B escape hatch)")
 		noresidual      = flag.Bool("noresidual", false, "disable residual check compilation: run every constraint through the staged phase pipeline (A/B escape hatch)")
 		repeat          = flag.Int("repeat", 1, "apply the update script this many times; checker counters reset between runs so the final statistics describe the last (warm-cache) run")

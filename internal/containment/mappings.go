@@ -55,8 +55,8 @@ func Mappings(src, dst *ast.Rule) []Mapping {
 		byPred[a.Pred] = append(byPred[a.Pred], a)
 	}
 	// One scratch mapping threads the whole search; bindings added by a
-	// candidate are recorded on the trail and unwound on backtrack (the
-	// eval.joinLoop idiom), so only the solutions themselves are cloned.
+	// candidate are recorded on the trail and unwound on backtrack, so
+	// only the solutions themselves are cloned.
 	h := Mapping{}
 	var trail []string
 	if !matchAtomTrail(src.Head, dst.Head, h, &trail) {

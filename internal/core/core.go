@@ -257,10 +257,11 @@ type Options struct {
 	// phase-1/1.5/2 verdict per update (the pre-cache behavior; used as
 	// the oracle in cross-check tests and for ablation experiments).
 	DisableCache bool
-	// DisableIndexes makes every global evaluation run the pre-index
-	// nested-loop join (textual atom order, scan-and-filter) instead of
-	// bound-first planning with hash-index probes — the A/B escape hatch
-	// behind ccheck -noindex.
+	// DisableIndexes makes every join — global evaluations and residual
+	// decisions — keep textual atom order and read whole relations by
+	// scan, building and probing no index, instead of bound-first planning
+	// with hash-index probes and range steps — the A/B escape hatch behind
+	// ccheck -noindex.
 	DisableIndexes bool
 	// DisablePlanCache makes every global evaluation re-derive its goal
 	// pruning, stratification and join plan from scratch instead of

@@ -55,12 +55,14 @@ func TestLocalCertificationAvoidsRemote(t *testing.T) {
 	if st.DecidedLocally != 3 {
 		t.Errorf("DecidedLocally = %d, want 3", st.DecidedLocally)
 	}
-	// An uncovered insertion forces a remote trip.
+	// An uncovered insertion forces a remote trip — one that ships no
+	// tuple: the global evaluation reads r by a range step over [150,160],
+	// which holds no point.
 	if _, err := sys.Apply(store.Ins("l", relation.Ints(150, 160))); err != nil {
 		t.Fatal(err)
 	}
 	st = sys.Stats()
-	if st.RemoteTrips != 1 || st.RemoteTuples == 0 {
+	if st.RemoteTrips != 1 || st.RemoteTuples != 0 {
 		t.Errorf("uncovered insertion did not reach remote: %+v", st)
 	}
 	if st.Cost < DefaultCost.RemoteLatency {

@@ -10,7 +10,7 @@ import (
 )
 
 // Compile-once evaluation. Every piece of per-call preparation the
-// evaluator used to redo on each Eval/GoalHolds — goal pruning,
+// evaluator used to redo on each Eval/GoalHoldsAfter — goal pruning,
 // validation, stratification, bound-first join planning, subgoal-arity
 // checks against the database — is hoisted into a compiled object that
 // depends only on (program, goal, index mode, store shape). A PlanCache
@@ -35,7 +35,7 @@ type stratumPlan struct {
 // and safe to share across concurrent evaluations.
 type compiled struct {
 	prog *ast.Program
-	// goal is the predicate GoalHolds stops on; empty for full Eval.
+	// goal is the predicate GoalHoldsAfter stops on; empty for full Eval.
 	goal string
 	// noRules marks a goal with no deriving rules after pruning: the
 	// goal is trivially underivable and nothing else is compiled.
@@ -44,7 +44,9 @@ type compiled struct {
 	// goalLevel is the stratum index of the goal predicate (-1 when no
 	// goal): evaluation stops at the first derivation in that stratum.
 	goalLevel int
-	plans     map[*ast.Rule]*rulePlan
+	// plans hold one join plan per rule; nil when a stored relation of
+	// another arity makes the body underivable.
+	plans map[*ast.Rule]*Plan
 	// idbArity maps each derived predicate to its arity, for allocating
 	// result relations without re-walking the program.
 	idbArity map[string]int
@@ -59,8 +61,7 @@ type compiled struct {
 	// predicate depends on — the only ones whose writes can make kept
 	// rows that a delta-seeded run consults wrong.
 	deltaOnce  sync.Once
-	deltaErr   error
-	deltaPlans map[deltaKey]*rulePlan
+	deltaPlans map[deltaKey]*Plan
 	monotone   map[string]bool
 	feeds      []string
 }
@@ -99,7 +100,7 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 	for p := range idb {
 		c.idbArity[p] = arity[p]
 	}
-	c.plans = make(map[*ast.Rule]*rulePlan)
+	c.plans = make(map[*ast.Rule]*Plan)
 	for i, layer := range layers {
 		sp := stratumPlan{preds: layer, inLayer: make(map[string]bool, len(layer))}
 		for _, p := range layer {
@@ -115,59 +116,26 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 					sp.recursive = true
 				}
 			}
-			if _, ok := c.plans[r]; ok {
-				continue
+			if _, ok := c.plans[r]; !ok {
+				c.plans[r] = compileRule(r, idb, db, opts.DisableIndexes, -1)
 			}
-			p, err := planRule(r, !opts.DisableIndexes, -1)
-			if err != nil {
-				return nil, err
-			}
-			markEmptySteps(p, idb, db)
-			c.plans[r] = p
 		}
 		c.strata = append(c.strata, sp)
 	}
 	return c, nil
 }
 
-// markEmptySteps validates subgoal arities once, at plan time: a stored
-// relation whose arity disagrees with the atom can never match it
-// (Insert enforces uniform arity within a relation), so the step is
-// marked empty and the join loop needs no per-tuple length check. IDB
-// and delta relations are allocated from the program's own arity map
-// and cannot disagree. Relation creation bumps the store's schema
-// version, so a cached plan never outlives the shape it validated
-// against.
-func markEmptySteps(p *rulePlan, idb map[string]bool, db *store.Store) {
-	for si := range p.steps {
-		st := &p.steps[si]
-		if !st.lit.IsPos() || idb[st.lit.Atom.Pred] {
-			continue
-		}
-		if rel := db.Relation(st.lit.Atom.Pred); rel != nil && rel.Arity() != len(st.lit.Atom.Args) {
-			st.empty = true
-		}
-	}
-}
-
 // prepareDelta builds deltaPlans, monotone and feeds, once.
-func (c *compiled) prepareDelta(db *store.Store) error {
+func (c *compiled) prepareDelta(db *store.Store) {
 	c.deltaOnce.Do(func() {
 		idb := c.prog.IDBPreds()
-		c.deltaPlans = make(map[deltaKey]*rulePlan)
+		c.deltaPlans = make(map[deltaKey]*Plan)
 		c.monotone = make(map[string]bool)
 		for _, r := range c.prog.Rules {
 			for bi, l := range r.Body {
-				if !l.IsPos() {
-					continue
+				if l.IsPos() {
+					c.deltaPlans[deltaKey{r, bi}] = compileRule(r, idb, db, false, bi)
 				}
-				p, err := planRule(r, true, bi)
-				if err != nil {
-					c.deltaErr = err
-					return
-				}
-				markEmptySteps(p, idb, db)
-				c.deltaPlans[deltaKey{r, bi}] = p
 			}
 		}
 		// bodyRead are the derived predicates some rule reads: the only
@@ -198,7 +166,6 @@ func (c *compiled) prepareDelta(db *store.Store) error {
 			}
 		}
 	})
-	return c.deltaErr
 }
 
 // reachedFrom returns rel together with every predicate of prog that

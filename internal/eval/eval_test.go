@@ -275,16 +275,12 @@ func TestEvalChargesEDBReads(t *testing.T) {
 	}
 }
 
-func TestViolations(t *testing.T) {
-	c1 := parser.MustParseProgram("panic :- emp(E,D,S) & not dept(D).")
-	c2 := parser.MustParseProgram("panic :- emp(E,D,S) & S > 100.")
+func TestPanicHoldsPerConstraint(t *testing.T) {
 	db := mkdb(t, "emp(ann,ghost,200). dept(toy).")
-	got, err := Violations([]*ast.Program{c1, c2}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Errorf("Violations = %v, want both", got)
+	for _, src := range []string{"panic :- emp(E,D,S) & not dept(D).", "panic :- emp(E,D,S) & S > 100."} {
+		if bad, err := PanicHolds(parser.MustParseProgram(src), db); err != nil || !bad {
+			t.Errorf("%s: PanicHolds = %v, %v; want violated", src, bad, err)
+		}
 	}
 }
 
@@ -366,7 +362,7 @@ func TestGoalHoldsAgainstEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := GoalHolds(prog, db, ast.PanicPred)
+			got, err := GoalHoldsWith(prog, db, ast.PanicPred, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +390,7 @@ func TestGoalHoldsSkipsIrrelevantWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetReads()
-	if _, err := GoalHolds(prog, db, ast.PanicPred); err != nil {
+	if _, err := GoalHoldsWith(prog, db, ast.PanicPred, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Reads("edge"); got != 0 {
@@ -404,7 +400,7 @@ func TestGoalHoldsSkipsIrrelevantWork(t *testing.T) {
 
 func TestGoalHoldsNoRules(t *testing.T) {
 	prog := parser.MustParseProgram("p(X) :- e(X).")
-	ok, err := GoalHolds(prog, store.New(), ast.PanicPred)
+	ok, err := GoalHoldsWith(prog, store.New(), ast.PanicPred, Options{})
 	if err != nil || ok {
 		t.Errorf("GoalHolds with no goal rules: %v %v", ok, err)
 	}

@@ -13,7 +13,7 @@ import (
 // derived relation of the program over the store as it stood, held as
 // handle rows (rowSet), together with the data version of every stored
 // relation those rows were derived from. While those versions still
-// stand, the question GoalHolds answers from scratch after an insert —
+// stand, the question GoalHoldsAfter answers from scratch after an insert —
 // is the goal derivable now? — is answered by running only the
 // semi-naive rounds the inserted tuple seeds (Insert): given the goal
 // was underivable before, only derivations that use the new tuple can
@@ -47,7 +47,7 @@ var noIDB = &Result{}
 // (Seedable), and under the options that change where or how stored
 // relations are read: a probe router serves reads the store's versions
 // say nothing about, and the scan arm stays a reference that shares no
-// shortcut with what it checks. The store is read, never written.
+// shortcut with what it checks — no index, no kept rows. The store is read, never written.
 func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Options) (*Fixpoint, error) {
 	if opts.Probe != nil || opts.DisableIndexes {
 		return nil, nil
@@ -59,9 +59,7 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 	if c.noRules {
 		return nil, nil // underivable whatever the data: nothing worth keeping
 	}
-	if err := c.prepareDelta(db); err != nil {
-		return nil, err
-	}
+	c.prepareDelta(db)
 	f := &Fixpoint{comp: c, db: db, goal: goal}
 	if !f.Seedable(rel) {
 		return nil, nil
@@ -79,7 +77,7 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 	// underivable before the update — does not hold, so nothing is kept and
 	// the decision, and every later one until it does, is left to the
 	// from-scratch evaluation, at no more than the price of one more.
-	ev.stopWhenNonEmpty = goal
+	ev.stop = goal
 	for i := range c.strata {
 		err := ev.evalStratum(&c.strata[i])
 		if errors.Is(err, errGoalDerived) {
@@ -95,10 +93,14 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 		rs.rows = make([]relation.Handle, 0, r.Len()*r.Arity())
 		f.rels[pred] = rs
 	}
-	// Only the column sets a delta plan probes get a bucket index.
-	for _, p := range c.deltaPlans {
-		for _, st := range p.steps[1:] {
-			if rs := f.rels[st.lit.Atom.Pred]; rs != nil && st.lit.IsPos() && len(st.probeCols) > 0 {
+	// Only the column sets a delta plan probes past its delta literal get
+	// a bucket index.
+	for k, p := range c.deltaPlans {
+		if p == nil {
+			continue
+		}
+		for _, st := range p.steps {
+			if rs := f.rels[st.pred]; rs != nil && st.kind == stepPos && st.body != k.pos && len(st.probeCols) > 0 {
 				rs.ensureIndex(st.probeCols)
 			}
 		}
@@ -158,8 +160,8 @@ func (f *Fixpoint) Insert(rel string, t relation.Tuple, keep bool) (bool, error)
 	if !keep {
 		defer f.settle(false)
 	}
-	ev := &evaluator{comp: f.comp, db: f.db, res: noIDB, scr: scratchPool.Get().(*scratch),
-		stopWhenNonEmpty: f.goal, fix: f, upd: store.Ins(rel, t)}
+	ev := getEvaluator()
+	ev.comp, ev.db, ev.res, ev.stop, ev.fix, ev.upd = f.comp, f.db, noIDB, f.goal, f, store.Ins(rel, t)
 	defer ev.release()
 	for i := range f.comp.strata {
 		err := ev.seededStratum(&f.comp.strata[i], rel)
@@ -194,7 +196,7 @@ func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 				ev.dlo, ev.dhi = rs.kept, rs.n
 			}
 			if l.Atom.Pred == rel || ev.dlo < ev.dhi {
-				if err := ev.applyRule(r, nil, bi, nil, sp); err != nil {
+				if err := ev.applyRule(r, nil, bi, nil); err != nil {
 					return err
 				}
 			}
@@ -216,7 +218,7 @@ func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 				}
 				if rs := rels[l.Atom.Pred]; rs.lo < rs.hi {
 					ev.dlo, ev.dhi = rs.lo, rs.hi
-					if err := ev.applyRule(r, nil, bi, nil, sp); err != nil {
+					if err := ev.applyRule(r, nil, bi, nil); err != nil {
 						return err
 					}
 				}

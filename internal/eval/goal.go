@@ -7,23 +7,19 @@ import (
 	"repro/internal/store"
 )
 
-// errGoalDerived unwinds the evaluation as soon as the goal is derived.
+// errGoalDerived unwinds the evaluation as soon as the goal is derived,
+// and a residual plan at its first derivation.
 var errGoalDerived = errors.New("eval: goal derived")
 
-// GoalHolds reports whether the goal predicate derives at least one
+// GoalHoldsWith reports whether the goal predicate derives at least one
 // tuple, evaluating only the predicates the goal transitively depends on
 // and stopping at the first derivation. For constraint checking this is
 // the global phase's question — "is panic derivable?" — and both
 // optimizations are sound: unreachable predicates cannot contribute, and
 // within the goal's stratum derivations only grow (negation refers to
-// completed lower strata).
-func GoalHolds(prog *ast.Program, db *store.Store, goal string) (bool, error) {
-	return GoalHoldsWith(prog, db, goal, Options{})
-}
-
-// GoalHoldsWith is GoalHolds with explicit evaluation options. The
-// pruning, validation, stratification and join planning all live in the
-// compiled object, cached across calls when opts.Cache is set.
+// completed lower strata). The pruning, validation, stratification and
+// join planning all live in the compiled object, cached across calls when
+// opts.Cache is set.
 func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options) (bool, error) {
 	return GoalHoldsAfter(prog, db, goal, store.Update{}, opts)
 }
@@ -49,9 +45,9 @@ func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, u store.Upd
 			}
 			continue
 		}
-		ev.stopWhenNonEmpty = goal
+		ev.stop = goal
 		err := ev.evalStratum(&c.strata[i])
-		ev.stopWhenNonEmpty = ""
+		ev.stop = ""
 		if errors.Is(err, errGoalDerived) {
 			return true, nil
 		}

@@ -6,148 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/eval/naive"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/residual"
 	"repro/internal/store"
 )
-
-// naiveEval is a brute-force oracle: ground every rule over the active
-// domain and iterate to fixpoint, stratum by stratum. Exponential in the
-// number of variables — usable only on tiny instances, which is exactly
-// what an oracle is for.
-func naiveEval(t *testing.T, prog *ast.Program, db *store.Store) map[string]map[string]relation.Tuple {
-	t.Helper()
-	strata, err := Stratify(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Active domain: constants in the database and the program.
-	var adom []ast.Value
-	seen := map[string]bool{}
-	addV := func(v ast.Value) {
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
-			adom = append(adom, v)
-		}
-	}
-	for _, name := range db.Names() {
-		for _, tu := range db.Tuples(name) {
-			for _, v := range tu {
-				addV(v)
-			}
-		}
-	}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.IsComp() {
-				for _, tm := range []ast.Term{l.Comp.Left, l.Comp.Right} {
-					if tm.IsConst() {
-						addV(tm.Const)
-					}
-				}
-				continue
-			}
-			for _, tm := range l.Atom.Args {
-				if tm.IsConst() {
-					addV(tm.Const)
-				}
-			}
-		}
-		for _, tm := range r.Head.Args {
-			if tm.IsConst() {
-				addV(tm.Const)
-			}
-		}
-	}
-	facts := map[string]map[string]relation.Tuple{}
-	holds := func(pred string, tu relation.Tuple) bool {
-		if m, ok := facts[pred]; ok {
-			if _, ok := m[tu.Key()]; ok {
-				return true
-			}
-		}
-		return db.Contains(pred, tu)
-	}
-	add := func(pred string, tu relation.Tuple) bool {
-		if holds(pred, tu) {
-			return false
-		}
-		if facts[pred] == nil {
-			facts[pred] = map[string]relation.Tuple{}
-		}
-		facts[pred][tu.Key()] = tu
-		return true
-	}
-	ground := func(a ast.Atom, env map[string]ast.Value) relation.Tuple {
-		tu := make(relation.Tuple, len(a.Args))
-		for i, tm := range a.Args {
-			if tm.IsVar() {
-				tu[i] = env[tm.Var]
-			} else {
-				tu[i] = tm.Const
-			}
-		}
-		return tu
-	}
-	for _, layer := range strata {
-		inLayer := map[string]bool{}
-		for _, p := range layer {
-			inLayer[p] = true
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, r := range prog.Rules {
-				if !inLayer[r.Head.Pred] {
-					continue
-				}
-				vars := r.Vars()
-				env := map[string]ast.Value{}
-				var rec func(i int)
-				rec = func(i int) {
-					if i == len(vars) {
-						for _, l := range r.Body {
-							switch {
-							case l.IsComp():
-								g := l.Comp.Apply(substOf(env))
-								v, ok := g.Ground()
-								if !ok || !v {
-									return
-								}
-							case l.IsNeg():
-								if holds(l.Atom.Pred, ground(l.Atom, env)) {
-									return
-								}
-							default:
-								if !holds(l.Atom.Pred, ground(l.Atom, env)) {
-									return
-								}
-							}
-						}
-						if add(r.Head.Pred, ground(r.Head, env)) {
-							changed = true
-						}
-						return
-					}
-					for _, v := range adom {
-						env[vars[i]] = v
-						rec(i + 1)
-					}
-				}
-				rec(0)
-			}
-		}
-	}
-	return facts
-}
-
-func substOf(env map[string]ast.Value) ast.Subst {
-	s := ast.Subst{}
-	for v, val := range env {
-		s[v] = ast.C(val)
-	}
-	return s
-}
 
 // oraclePrograms is the pool of program shapes the evaluator's oracle
 // tests run over.
@@ -172,9 +35,73 @@ var oraclePrograms = []string{
 	"a(X) :- edge(X,Y).\nm(X) :- g(X).\nb(X) :- a(X) & not m(X).\npanic :- b(X) & f(X) & h(X).",
 	"linked(X) :- edge(X,Y).\nlone(X) :- f(X) & not linked(X).\npanic :- lone(X) & edge(Y,X) & g(Y).",
 	"panic :- edge(X,X) & f(X).",
+	// A helper rule guarded by order comparisons: its join takes a range
+	// step over r.
+	"cov(X) :- l(X,Y) & r(Z) & X <= Z & Z <= Y.\npanic :- cov(X) & not f(X).",
 }
 
-var oracleArity = map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1}
+var oracleArity = map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1, "l": 2, "r": 1}
+
+// oracleArityOf is the arity of rel in program pi of the pool: e is
+// binary in the comparison program.
+func oracleArityOf(pi int, rel string) int {
+	if rel == "e" && pi == 2 {
+		return 2
+	}
+	return oracleArity[rel]
+}
+
+// agreesWithNaive holds three evaluation arms of prog over db to
+// brute-force grounding: indexed probes and range steps with bound-first
+// planning, the plain scan path, and the indexed path through the shared
+// plan cache — twice, so the second hits the cached plan. Every derived
+// relation must equal the oracle's, PanicHolds must agree where the
+// program derives panic, and indexing must never read more store tuples
+// than the scans it replaces. Each arm gets its own clone so the read
+// counters are per-arm.
+func agreesWithNaive(t testing.TB, what string, prog *ast.Program, db *store.Store, cache *PlanCache) {
+	t.Helper()
+	dbIdx, dbScan, dbCached := db.Clone(), db.Clone(), db.Clone()
+	arms := []struct {
+		name string
+		db   *store.Store
+		opts Options
+	}{{"indexed", dbIdx, Options{}}, {"scan", dbScan, Options{DisableIndexes: true}},
+		{"cached", dbCached, Options{Cache: cache}}, {"cached-reuse", dbCached, Options{Cache: cache}}}
+	want, err := naive.Eval(prog, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.IDBPreds()[ast.PanicPred] {
+		// The checker's question, with goal pruning and the early stop.
+		holds, err := PanicHolds(prog, db.Clone())
+		if _, derived := want[ast.PanicPred]; err != nil || holds != derived {
+			t.Fatalf("%s: PanicHolds=%v err=%v, oracle %v\nprog:\n%s\ndb:\n%s", what, holds, err, derived, prog, db)
+		}
+	}
+	for _, arm := range arms {
+		res, err := EvalWith(prog, arm.db, arm.opts)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", what, arm.name, err)
+		}
+		for pred := range prog.IDBPreds() {
+			got := res.Tuples(pred)
+			wantSet := want[pred]
+			if len(got) != len(wantSet) {
+				t.Fatalf("%s (%s): %s has %d tuples, oracle %d\nprog:\n%s\ndb:\n%s",
+					what, arm.name, pred, len(got), len(wantSet), prog, db)
+			}
+			for _, tu := range got {
+				if _, ok := wantSet[tu.Key()]; !ok {
+					t.Fatalf("%s (%s): %s derived %v not in oracle", what, arm.name, pred, tu)
+				}
+			}
+		}
+	}
+	if ri, rs := dbIdx.TotalReads(), dbScan.TotalReads(); ri > rs {
+		t.Fatalf("%s: indexed eval read %d store tuples, scan read %d\nprog:\n%s\ndb:\n%s", what, ri, rs, prog, db)
+	}
+}
 
 // TestEvalAgainstNaiveOracle cross-checks the semi-naive evaluator
 // against brute-force grounding on randomized tiny databases across a
@@ -187,14 +114,9 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 	cache := NewPlanCache()
 	for pi, src := range oraclePrograms {
 		prog := parser.MustParseProgram(src)
-		// Binary e for the comparison program.
 		local := map[string]int{}
 		for _, rel := range prog.EDBPreds() {
-			a := oracleArity[rel]
-			if rel == "e" && pi == 2 {
-				a = 2
-			}
-			local[rel] = a
+			local[rel] = oracleArityOf(pi, rel)
 		}
 		for trial := 0; trial < 40; trial++ {
 			db := store.New()
@@ -209,61 +131,7 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 					}
 				}
 			}
-			// All three arms — indexed probes with bound-first planning,
-			// the plain scan path, and the indexed path through the shared
-			// plan cache — must agree with the oracle exactly, and
-			// indexing must never read more store tuples than the scans it
-			// replaces. Each arm gets its own clone so the read counters
-			// are per-arm.
-			dbIdx, dbScan, dbCached := db.Clone(), db.Clone(), db.Clone()
-			resIdx, err := EvalWith(prog, dbIdx, Options{})
-			if err != nil {
-				t.Fatalf("program %d trial %d (indexed): %v", pi, trial, err)
-			}
-			resScan, err := EvalWith(prog, dbScan, Options{DisableIndexes: true})
-			if err != nil {
-				t.Fatalf("program %d trial %d (scan): %v", pi, trial, err)
-			}
-			resCached, err := EvalWith(prog, dbCached, Options{Cache: cache})
-			if err != nil {
-				t.Fatalf("program %d trial %d (cached): %v", pi, trial, err)
-			}
-			// A second evaluation on the same store hits the cached plan
-			// and must reproduce the first answer.
-			resCached2, err := EvalWith(prog, dbCached, Options{Cache: cache})
-			if err != nil {
-				t.Fatalf("program %d trial %d (cached, reuse): %v", pi, trial, err)
-			}
-			want := naiveEval(t, prog, db)
-			if prog.IDBPreds()[ast.PanicPred] {
-				// The checker's question, with goal pruning and the early stop.
-				holds, err := PanicHolds(prog, db.Clone())
-				if _, naive := want[ast.PanicPred]; err != nil || holds != naive {
-					t.Fatalf("program %d trial %d: PanicHolds=%v err=%v, oracle %v\nprog:\n%s\ndb:\n%s", pi, trial, holds, err, naive, prog, db)
-				}
-			}
-			for _, arm := range []struct {
-				name string
-				res  *Result
-			}{{"indexed", resIdx}, {"scan", resScan}, {"cached", resCached}, {"cached-reuse", resCached2}} {
-				for pred := range prog.IDBPreds() {
-					got := arm.res.Tuples(pred)
-					wantSet := want[pred]
-					if len(got) != len(wantSet) {
-						t.Fatalf("program %d trial %d (%s): %s has %d tuples, oracle %d\nprog:\n%s\ndb:\n%s",
-							pi, trial, arm.name, pred, len(got), len(wantSet), prog, db)
-					}
-					for _, tu := range got {
-						if _, ok := wantSet[tu.Key()]; !ok {
-							t.Fatalf("program %d trial %d (%s): %s derived %v not in oracle", pi, trial, arm.name, pred, tu)
-						}
-					}
-				}
-			}
-			if ri, rs := dbIdx.TotalReads(), dbScan.TotalReads(); ri > rs {
-				t.Fatalf("program %d trial %d: indexed eval read %d store tuples, scan read %d\nprog:\n%s\ndb:\n%s",
-					pi, trial, ri, rs, prog, db)
-			}
+			agreesWithNaive(t, fmt.Sprintf("program %d trial %d", pi, trial), prog, db, cache)
 		}
 	}
 	// Every trial re-evaluated once on an unchanged store, so the shared
@@ -273,101 +141,90 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestResidualAgainstOracle cross-checks residual compilation against
-// the full evaluator AND the brute-force oracle: for every randomized
-// (constraint, database, update) with a constraint-satisfying pre-state,
-// the compiled residual's verdict, the rendered residual program, the
-// full constraint on the post-update store, and naive grounding must all
-// agree. The constraint pool covers constant arguments (pinned
-// positions), repeated variables (unification guards), negation, and
-// comparisons; the update pool covers inserts and deletes.
-func TestResidualAgainstOracle(t *testing.T) {
-	constraints := []string{
-		"panic :- e(X) & f(X).",
-		"panic :- e(X) & not f(X).",
-		"panic :- edge(X,X).",
-		"panic :- edge(X,Y) & edge(Y,X) & X < Y.",
-		"panic :- edge(1,X) & f(X).",
-		"panic :- e(X) & X > 1.",
-		"panic :- edge(X,Y) & f(Z) & X <= Z & Z <= Y.",
-		"panic :- edge(X,2) & not e(X).",
-	}
-	arity := map[string]int{"e": 1, "f": 1, "edge": 2}
-	rng := rand.New(rand.NewSource(9))
-	rcache := residual.NewCache()
-	checked := 0
-	for pi, src := range constraints {
-		prog := parser.MustParseProgram(src)
-		rels := prog.EDBPreds()
-		for trial := 0; trial < 120; trial++ {
-			db := store.New()
-			for _, rel := range rels {
-				db.MustEnsure(rel, arity[rel])
-				for i := 0; i < rng.Intn(4); i++ {
-					tu := make(relation.Tuple, arity[rel])
-					for j := range tu {
-						tu[j] = ast.Int(int64(rng.Intn(3)))
-					}
-					if _, err := db.Insert(rel, tu); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			// The residual argument assumes the constraint holds before the
-			// update; drop pre-violating states.
-			if pre, err := PanicHolds(prog, db.Clone()); err != nil || pre {
-				if err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			rel := rels[rng.Intn(len(rels))]
-			tu := make(relation.Tuple, arity[rel])
-			for j := range tu {
-				tu[j] = ast.Int(int64(rng.Intn(3)))
-			}
-			u := store.Ins(rel, tu)
-			if rng.Intn(3) == 0 {
-				u = store.Del(rel, tu)
-			}
-			res, _, ok := rcache.For(prog, u, db, residual.Options{})
-			if !ok {
-				t.Fatalf("constraint %d not residual-eligible", pi)
-			}
-			// Each trial has its own store (the cache keys on store
-			// identity), so the hit path is exercised by a repeat lookup.
-			if again, hit, _ := rcache.For(prog, u, db, residual.Options{}); !hit || again != res {
-				t.Fatalf("constraint %d trial %d: repeat lookup missed the pattern cache", pi, trial)
-			}
-			post := db.Clone()
-			if err := u.Apply(post); err != nil {
-				t.Fatal(err)
-			}
-			full, err := PanicHolds(prog, post.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rendered, err := PanicHolds(res.Program(u.Tuple), post.Clone())
-			if err != nil {
-				t.Fatalf("constraint %d trial %d: rendered residual: %v\n%s", pi, trial, err, res.Program(u.Tuple))
-			}
-			naive := naiveEval(t, prog, post)
-			_, oracle := naive[ast.PanicPred]
-			got := res.Decide(post, u.Tuple)
-			if got != full || got != oracle || rendered != full {
-				t.Fatalf("constraint %d trial %d (%v): residual=%v rendered=%v eval=%v oracle=%v\nprog:\n%s\ndb:\n%s",
-					pi, trial, u, got, rendered, full, oracle, prog, db)
-			}
-			checked++
+// fuzzCache is the plan cache every FuzzEvalAgainstNaive input shares.
+var fuzzCache = NewPlanCache()
+
+// FuzzEvalAgainstNaive is TestEvalAgainstNaiveOracle with the store
+// chosen by bytes: byte 0 picks a program of the pool, and each following
+// pair inserts into one of its stored relations the tuple a byte spells
+// in base 3 over {0, 1, 2} — or, under byte 0's high bit, over {0, 1, b},
+// so comparisons and ranges cross from numbers to strings.
+func FuzzEvalAgainstNaive(f *testing.F) {
+	for pi := range oraclePrograms {
+		for _, pairs := range [][]byte{{}, {0, 1, 0, 5, 1, 4, 2, 8}, {0, 0, 0, 4, 0, 8, 1, 0, 1, 4, 2, 2}, {1, 1, 0, 3, 2, 7, 0, 5, 1, 6}} {
+			f.Add(append([]byte{byte(pi)}, pairs...))
+			f.Add(append([]byte{0x80 | byte(pi)}, pairs...))
 		}
 	}
-	if checked < 200 {
-		t.Fatalf("only %d trials survived the pre-state filter", checked)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pi := int(data[0]&0x7f) % len(oraclePrograms)
+		prog := parser.MustParseProgram(oraclePrograms[pi])
+		rels := prog.EDBPreds()
+		db := store.New()
+		for i := 1; i+1 < len(data) && i < 25; i += 2 {
+			rel := rels[int(data[i])%len(rels)]
+			tu := make(relation.Tuple, oracleArityOf(pi, rel))
+			for j, v := 0, data[i+1]; j < len(tu); j, v = j+1, v/3 {
+				if tu[j] = ast.Int(int64(v % 3)); data[0]&0x80 != 0 && v%3 == 2 {
+					tu[j] = ast.Str("b")
+				}
+			}
+			if _, err := db.Insert(rel, tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+		agreesWithNaive(t, fmt.Sprintf("program %d", pi), prog, db, fuzzCache)
+	})
+}
+
+// TestRangeStepsInRuleBodies: a helper rule guarded by order comparisons
+// joins r by a range step — its candidates come from RangeAppend over an
+// ordered index of r, not from a scan — agrees with grounding on every
+// arm, and the indexed arm reads of r only the points some interval of l
+// covers.
+func TestRangeStepsInRuleBodies(t *testing.T) {
+	prog := parser.MustParseProgram("cov(X) :- l(X,Y) & r(Z) & X <= Z & Z <= Y.\npanic :- cov(X) & not f(X).")
+	db := store.New()
+	covered := 0
+	for i := int64(0); i < 8; i++ {
+		if _, err := db.Insert("l", relation.Ints(3*i, 3*i+i%3)); err != nil {
+			t.Fatal(err)
+		}
+		covered += int(i%3) + 1 // the points 3i … 3i+i%3
 	}
-	// The shared residual cache must have served repeats of the bounded
-	// pattern space from memory.
-	if hits, _, compiled, _ := rcache.Stats(); hits == 0 || compiled == 0 {
-		t.Fatalf("residual cache unused: hits=%d compiled=%d", hits, compiled)
+	for z := int64(0); z < 24; z++ {
+		if _, err := db.Insert("r", relation.Ints(z)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := compile(prog, db, "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.plans[prog.RulesFor("cov")[0]].Ranges(); got != "r{0:[R$0,R$1]}" {
+		t.Fatalf("cov's plan ranges %q, want r{0:[R$0,R$1]}", got)
+	}
+	agreesWithNaive(t, "cov", prog, db, NewPlanCache())
+	// The indexed arm makes one ordered-index probe per l tuple; the scan
+	// arm none.
+	for _, arm := range []struct {
+		opts          Options
+		reads, probes int64
+	}{{Options{}, int64(covered), 8}, {Options{DisableIndexes: true}, 8 * 24, 0}} {
+		run := db.Clone()
+		probes := relation.IndexProbes()
+		if _, err := EvalWith(prog, run, arm.opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Reads("r"); got != arm.reads {
+			t.Errorf("%+v: read %d tuples of r, want %d", arm.opts, got, arm.reads)
+		}
+		if n := relation.IndexProbes() - probes; n != arm.probes {
+			t.Errorf("%+v: %d index probes, want %d", arm.opts, n, arm.probes)
+		}
 	}
 }
 
@@ -408,14 +265,8 @@ func TestGoalHoldsAfterAgainstClone(t *testing.T) {
 		prog := parser.MustParseProgram(src)
 		goal := prog.Rules[len(prog.Rules)-1].Head.Pred
 		rels := prog.EDBPreds()
-		arity := func(rel string) int {
-			if rel == "e" && pi == 2 {
-				return 2 // binary e for the comparison program
-			}
-			return oracleArity[rel]
-		}
 		tuple := func(rel string) relation.Tuple {
-			tu := make(relation.Tuple, arity(rel))
+			tu := make(relation.Tuple, oracleArityOf(pi, rel))
 			for j := range tu {
 				tu[j] = ast.Int(int64(rng.Intn(3)))
 			}
@@ -444,7 +295,7 @@ func TestGoalHoldsAfterAgainstClone(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := len(res.Tuples(goal)) > 0
-			if before, err := GoalHolds(prog, db.Clone(), goal); err != nil {
+			if before, err := GoalHoldsWith(prog, db.Clone(), goal, Options{}); err != nil {
 				t.Fatal(err)
 			} else if before != want {
 				moved++

@@ -1,8 +1,11 @@
 // Package eval evaluates datalog programs with stratified negation and
-// arithmetic comparison subgoals, bottom-up and semi-naively. It is the
-// ground-truth engine of the repository: every partial-information test
-// in the paper (subsumption, update rewriting, complete local tests) is
-// validated against full evaluation by this package.
+// arithmetic comparison subgoals, bottom-up and semi-naively. Its join
+// engine (vm.go) is the only one in the repository: it runs rule bodies
+// here and the compiled residual checks of internal/residual. Full
+// evaluation by this package is what every partial-information test in
+// the paper (subsumption, update rewriting, complete local tests) is
+// validated against; internal/eval/naive, brute-force grounding that
+// shares none of its code, is what it is validated against in turn.
 package eval
 
 import (

@@ -1,0 +1,739 @@
+package eval
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+
+	"repro/internal/ast"
+	"repro/internal/relation"
+	"repro/internal/store"
+)
+
+// The join engine. A rule body — or a residual disjunct (internal/
+// residual) — is planned once into a straight-line Plan of steps:
+// comparisons, negated-atom membership tests and positive-atom joins, over
+// three argument kinds: constants, update-tuple positions (parameters) and
+// registers holding values bound by earlier joins. Because the plan order
+// is fixed at plan time, register boundness is static: every column of
+// every atom is classified once as probe / check / bind / repeat-check, so
+// the runtime needs no substitution map, no trail and no per-run
+// allocation beyond the pooled evaluator. A plan ends in an emit (a rule's
+// head tuple) or, for a residual disjunct, in "derived". Every read goes
+// through the evaluator's source (fetch, contains): the store as it will
+// be once the pending update is applied, a probe router, an IDB relation,
+// a semi-naive delta relation, or a kept fixpoint's rows.
+
+// TermKind says what a planned term stands for.
+type TermKind uint8
+
+const (
+	TermConst TermKind = iota // a constant, Val
+	TermParam                 // position Pos of the update tuple, bound before the plan runs
+	TermVar                   // the rule variable Name, bound by the plan
+)
+
+// Term is one argument of a literal the planner orders.
+type Term struct {
+	Kind TermKind
+	Val  ast.Value
+	Pos  int
+	Name string
+}
+
+// Lit is a body literal over Terms: the comparison L Op R when Comp is
+// set, the atom Pred(Args) — negated under Neg — otherwise.
+type Lit struct {
+	Comp bool
+	Op   ast.CompOp
+	L, R Term
+	Neg  bool
+	Pred string
+	Args []Term
+}
+
+type argKind uint8
+
+const (
+	argConst argKind = iota
+	argParam         // update-tuple position idx
+	argReg           // register idx
+)
+
+type arg struct {
+	kind argKind
+	val  ast.Value
+	idx  int
+}
+
+type stepKind uint8
+
+const (
+	stepComp stepKind = iota
+	stepPos
+	stepNeg
+)
+
+// step is one instruction. For stepPos, probeCols/probeArgs form the
+// indexed lookup signature (empty on the scan arm — candidates then
+// arrive by scan and every bound column moves to checkCols), bindCols load
+// fresh registers, and repCols verify registers first bound at an earlier
+// column of this same atom. A stored-relation step with no probe column
+// may have ranges instead: bounds on columns it binds, taken from the
+// order comparisons planned right after it (rangeLo/rangeHi hold the
+// bounds' arguments), so its candidates come from the narrowest range of
+// an ordered index rather than a scan — the comparisons still filter them.
+// body is the literal's position in the planned body, which names the
+// semi-naive delta literal; derived marks a predicate the evaluation
+// derives rather than reads from the store.
+type step struct {
+	kind    stepKind
+	body    int
+	derived bool
+	// stepComp
+	op   ast.CompOp
+	l, r arg
+	// stepPos / stepNeg
+	pred      string
+	args      []arg
+	probeCols []int
+	probeArgs []arg
+	checkCols []int
+	checkArgs []arg
+	bindCols  []int
+	bindRegs  []int
+	repCols   []int
+	repRegs   []int
+	ranges    []relation.Range
+	rangeLo   []arg
+	rangeHi   []arg
+}
+
+// Plan is a planned body: its steps, how many registers they use and,
+// for a rule, the head its derivations emit. A plan with no head is an
+// existence test: the first derivation ends the run. Plans are immutable
+// and safe to run concurrently.
+type Plan struct {
+	steps    []step
+	regs     int
+	headPred string
+	head     []arg
+}
+
+// planSpec is what the planner needs beyond the body.
+type planSpec struct {
+	// db supplies arity folds: an atom over a stored relation of another
+	// arity matches nothing.
+	db *store.Store
+	// derived are the predicates the evaluation derives; they are never
+	// folded against the store nor ranged.
+	derived map[string]bool
+	// scan keeps positive atoms in textual order with no probe and no
+	// range (the DisableIndexes discipline).
+	scan bool
+	// first, when >= 0, is the body index of a positive literal that runs
+	// before every other positive literal: a delta-seeded run starts each
+	// rule from its delta literal.
+	first int
+	// head is the rule head, nil for an existence test.
+	head *ast.Atom
+}
+
+// PlanBody plans a residual disjunct as an existence test (HoldsAfter),
+// against the shape of db, on the scan arm when scan is set. It returns
+// nil when a positive atom over a stored relation of another arity makes
+// the body underivable.
+func PlanBody(body []Lit, db *store.Store, scan bool) *Plan {
+	return planBody(body, planSpec{db: db, scan: scan, first: -1})
+}
+
+// compileRule plans rule r's body for the evaluator; idb are the program's
+// derived predicates, first as in planSpec.
+func compileRule(r *ast.Rule, idb map[string]bool, db *store.Store, scan bool, first int) *Plan {
+	body := make([]Lit, len(r.Body))
+	for i, l := range r.Body {
+		if l.IsComp() {
+			body[i] = Lit{Comp: true, Op: l.Comp.Op, L: termOf(l.Comp.Left), R: termOf(l.Comp.Right)}
+			continue
+		}
+		body[i] = Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: termsOf(l.Atom.Args)}
+	}
+	return planBody(body, planSpec{db: db, derived: idb, scan: scan, first: first, head: &r.Head})
+}
+
+func termOf(a ast.Term) Term {
+	if a.IsVar() {
+		return Term{Kind: TermVar, Name: a.Var}
+	}
+	return Term{Kind: TermConst, Val: a.Const}
+}
+
+func termsOf(as []ast.Term) []Term {
+	out := make([]Term, len(as))
+	for i, a := range as {
+		out[i] = termOf(a)
+	}
+	return out
+}
+
+// planBody orders the body: comparisons and negations at the earliest
+// point their variables are bound, positive atoms greedily most-bound-first
+// (ties and the scan arm in textual order), and ranged where they have no
+// probe column but an order comparison bounds a column they bind
+// (rangeBound). It returns nil when a positive atom over an existing
+// stored relation of disagreeing arity makes the body underivable; negated
+// atoms in that situation are vacuously true and are dropped instead.
+// Safe rules bind every variable through positive atoms, so nothing stays
+// unplanned; constraint and program validation reject the others, and the
+// planner returns nil for them too.
+func planBody(body []Lit, sp planSpec) *Plan {
+	p := &Plan{}
+	regOf := map[string]int{}
+	bound := map[string]bool{}
+	reg := func(name string) int {
+		if i, ok := regOf[name]; ok {
+			return i
+		}
+		i := len(regOf)
+		regOf[name] = i
+		return i
+	}
+	mkArg := func(s Term) arg {
+		switch s.Kind {
+		case TermConst:
+			return arg{kind: argConst, val: s.Val}
+		case TermParam:
+			return arg{kind: argParam, idx: s.Pos}
+		}
+		return arg{kind: argReg, idx: reg(s.Name)}
+	}
+	before := func(s Term) bool { return s.Kind != TermVar || bound[s.Name] }
+	var pending, positives []int
+	ready := func(l *Lit) bool {
+		if l.Comp {
+			return before(l.L) && before(l.R)
+		}
+		for _, a := range l.Args {
+			if !before(a) {
+				return false
+			}
+		}
+		return true
+	}
+	emit := func(bi int) bool {
+		l := &body[bi]
+		if l.Comp {
+			p.steps = append(p.steps, step{kind: stepComp, body: bi, op: l.Op, l: mkArg(l.L), r: mkArg(l.R)})
+			return true
+		}
+		st := step{kind: stepNeg, body: bi, pred: l.Pred, derived: sp.derived[l.Pred]}
+		if !l.Neg {
+			st.kind = stepPos
+		}
+		if rel := sp.db.Relation(l.Pred); !st.derived && rel != nil && rel.Arity() != len(l.Args) {
+			// The stored relation can never match the atom (Insert enforces
+			// uniform arity): a positive atom kills the body, a negated one
+			// is vacuously true. Plans are cached per store schema version,
+			// so this fold never outlives the shape it saw.
+			return l.Neg
+		}
+		inAtom := map[string]int{}
+		for i, a := range l.Args {
+			st.args = append(st.args, mkArg(a))
+			switch {
+			case l.Neg:
+			case before(a) && !sp.scan:
+				st.probeCols = append(st.probeCols, i)
+				st.probeArgs = append(st.probeArgs, st.args[i])
+			case before(a):
+				st.checkCols = append(st.checkCols, i)
+				st.checkArgs = append(st.checkArgs, st.args[i])
+			default:
+				if r, seen := inAtom[a.Name]; seen {
+					st.repCols = append(st.repCols, i)
+					st.repRegs = append(st.repRegs, r)
+				} else {
+					r := reg(a.Name)
+					inAtom[a.Name] = r
+					st.bindCols = append(st.bindCols, i)
+					st.bindRegs = append(st.bindRegs, r)
+				}
+			}
+		}
+		if !l.Neg && !sp.scan && !st.derived && len(st.probeCols) == 0 {
+			for _, ci := range pending {
+				if col, op, b, ok := rangeBound(&body[ci], &st, inAtom, bound); ok {
+					st.addBound(col, op, mkArg(b))
+				}
+			}
+		}
+		for name := range inAtom {
+			bound[name] = true
+		}
+		p.steps = append(p.steps, st)
+		return true
+	}
+	for bi, l := range body {
+		if l.Comp || l.Neg {
+			pending = append(pending, bi)
+		} else {
+			positives = append(positives, bi)
+		}
+	}
+	flushReady := func() {
+		rest := pending[:0]
+		for _, bi := range pending {
+			if ready(&body[bi]) {
+				emit(bi) // comparisons and negations never kill the body
+			} else {
+				rest = append(rest, bi)
+			}
+		}
+		pending = rest
+	}
+	flushReady()
+	for len(positives) > 0 {
+		// The forced first literal, while it is unplanned; then bound-first.
+		pick := slices.Index(positives, sp.first)
+		if pick < 0 && !sp.scan {
+			best := -1
+			for idx, bi := range positives {
+				score := 0
+				for _, a := range body[bi].Args {
+					if before(a) {
+						score++
+					}
+				}
+				if score > best {
+					best, pick = score, idx
+				}
+			}
+		}
+		pick = max(pick, 0)
+		bi := positives[pick]
+		positives = slices.Delete(positives, pick, pick+1)
+		if !emit(bi) {
+			return nil // dead positive atom: body underivable
+		}
+		flushReady()
+	}
+	if len(pending) > 0 {
+		return nil
+	}
+	if sp.head != nil {
+		p.headPred = sp.head.Pred
+		for _, a := range sp.head.Args {
+			t := termOf(a)
+			if !before(t) {
+				return nil
+			}
+			p.head = append(p.head, mkArg(t))
+		}
+	}
+	p.regs = len(regOf)
+	return p
+}
+
+// rangeBound orients the comparison c as "column col of st op b", where
+// the column binds a variable st binds first (inAtom) and b is bound
+// before st: a constant, a parameter or an earlier register. ok is false
+// for any other literal, and for = and <>, which bound no range.
+func rangeBound(c *Lit, st *step, inAtom map[string]int, bound map[string]bool) (col int, op ast.CompOp, b Term, ok bool) {
+	if !c.Comp || c.Op == ast.Eq || c.Op == ast.Ne {
+		return 0, 0, Term{}, false
+	}
+	before := func(s Term) bool { return s.Kind != TermVar || bound[s.Name] }
+	fresh := func(s Term) (int, bool) {
+		r, in := inAtom[s.Name]
+		if s.Kind != TermVar || !in {
+			return 0, false
+		}
+		for j, reg := range st.bindRegs {
+			if reg == r {
+				return st.bindCols[j], true
+			}
+		}
+		return 0, false
+	}
+	if col, in := fresh(c.L); in && before(c.R) {
+		return col, c.Op, c.R, true
+	}
+	if col, in := fresh(c.R); in && before(c.L) {
+		return col, c.Op.Flip(), c.L, true
+	}
+	return 0, 0, Term{}, false
+}
+
+// addBound bounds column col of a ranged step by "col op b", unless the
+// column already has a bound on that side: a column keeps its first lower
+// and its first upper bound.
+func (st *step) addBound(col int, op ast.CompOp, b arg) {
+	i := 0
+	for i < len(st.ranges) && st.ranges[i].Col != col {
+		i++
+	}
+	if i == len(st.ranges) {
+		st.ranges = append(st.ranges, relation.Range{Col: col})
+		st.rangeLo = append(st.rangeLo, arg{})
+		st.rangeHi = append(st.rangeHi, arg{})
+	}
+	rg := &st.ranges[i]
+	switch {
+	case (op == ast.Lt || op == ast.Le) && !rg.HasHi:
+		rg.HasHi, rg.HiOpen, st.rangeHi[i] = true, op == ast.Lt, b
+	case (op == ast.Gt || op == ast.Ge) && !rg.HasLo:
+		rg.HasLo, rg.LoOpen, st.rangeLo[i] = true, op == ast.Gt, b
+	}
+}
+
+// Len is the number of steps; 0 means the body holds whatever the store
+// holds.
+func (p *Plan) Len() int { return len(p.steps) }
+
+// HoldsAfter reports whether the plan derives over db as it will be once
+// u is applied, reading db as it stands and never writing it; u.Tuple
+// supplies the parameters. It is the residual disjunct's test.
+func (p *Plan) HoldsAfter(db *store.Store, u store.Update) bool {
+	ev := getEvaluator()
+	ev.db, ev.upd = db, u
+	err := ev.runPlan(p)
+	// db and u are all the run state a residual run sets: clearing them is
+	// release on the hot path.
+	ev.db, ev.upd = nil, store.Update{}
+	evaluators.Put(ev)
+	return errors.Is(err, errGoalDerived)
+}
+
+// Literals renders the plan's steps back into AST form under the
+// parameters t, registers as fresh R$n variables.
+func (p *Plan) Literals(t relation.Tuple) []ast.Literal {
+	term := func(a arg) ast.Term {
+		switch a.kind {
+		case argConst:
+			return ast.C(a.val)
+		case argParam:
+			return ast.C(t[a.idx])
+		}
+		return ast.V(fmt.Sprintf("R$%d", a.idx))
+	}
+	out := make([]ast.Literal, len(p.steps))
+	for i := range p.steps {
+		s := &p.steps[i]
+		if s.kind == stepComp {
+			out[i] = ast.Cmp(ast.NewComparison(term(s.l), s.op, term(s.r)))
+			continue
+		}
+		args := make([]ast.Term, len(s.args))
+		for j, a := range s.args {
+			args[j] = term(a)
+		}
+		atom := ast.Atom{Pred: s.pred, Args: args}
+		out[i] = ast.Pos(atom)
+		if s.kind == stepNeg {
+			out[i] = ast.Neg(atom)
+		}
+	}
+	return out
+}
+
+// Ranges renders the plan's range steps: per step the relation, then per
+// range its column and bounds — [ or ( before a lower bound, ] or ) after
+// an upper one, nothing where a side is open; parameters as $i, registers
+// as R$i.
+func (p *Plan) Ranges() string {
+	bound := func(a arg) string {
+		switch a.kind {
+		case argConst:
+			return a.val.String()
+		case argParam:
+			return fmt.Sprintf("$%d", a.idx)
+		}
+		return fmt.Sprintf("R$%d", a.idx)
+	}
+	var sb strings.Builder
+	for _, st := range p.steps {
+		if len(st.ranges) == 0 {
+			continue
+		}
+		sb.WriteString(st.pred + "{")
+		for i, rg := range st.ranges {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "%d:", rg.Col)
+			if rg.HasLo {
+				sb.WriteString(map[bool]string{false: "[", true: "("}[rg.LoOpen] + bound(st.rangeLo[i]))
+			}
+			sb.WriteByte(',')
+			if rg.HasHi {
+				sb.WriteString(bound(st.rangeHi[i]) + map[bool]string{false: "]", true: ")"}[rg.HiOpen])
+			}
+		}
+		sb.WriteString("}")
+	}
+	return sb.String()
+}
+
+// Unranged is p with its range steps fetching their candidates by scan:
+// the plan as it would run without ordered indexes, the reference range
+// steps are held to.
+func (p *Plan) Unranged() *Plan {
+	out := *p
+	out.steps = slices.Clone(p.steps)
+	for i := range out.steps {
+		out.steps[i].ranges = nil
+	}
+	return &out
+}
+
+// level is the scratch of one plan depth: probe values (or the ground
+// tuple of a negated subgoal), fetched candidates, the bounds of a range
+// step, and the values a kept fixpoint's rows materialize into.
+type level struct {
+	vals   []ast.Value
+	tups   []relation.Tuple
+	ranges []relation.Range
+	vbuf   []ast.Value
+}
+
+// runPlan sizes the registers and levels for p and runs it from its first
+// step.
+func (ev *evaluator) runPlan(p *Plan) error {
+	for len(ev.levels) < len(p.steps) {
+		ev.levels = append(ev.levels, level{})
+	}
+	if len(ev.regs) < p.regs {
+		ev.regs = make([]ast.Value, p.regs)
+	}
+	return ev.run(p, 0)
+}
+
+// value resolves an argument against the update tuple and the registers.
+func (ev *evaluator) value(a arg) ast.Value {
+	switch a.kind {
+	case argConst:
+		return a.val
+	case argParam:
+		return ev.upd.Tuple[a.idx]
+	}
+	return ev.regs[a.idx]
+}
+
+// run executes p from step si. errGoalDerived unwinds a derivation that
+// ends the evaluation; any other error is a read's.
+func (ev *evaluator) run(p *Plan, si int) error {
+	if si == len(p.steps) {
+		return ev.emit(p)
+	}
+	st := &p.steps[si]
+	lv := &ev.levels[si]
+	switch st.kind {
+	case stepComp:
+		if !st.op.Eval(ev.value(st.l), ev.value(st.r)) {
+			return nil
+		}
+		return ev.run(p, si+1)
+	case stepNeg:
+		vals := lv.vals[:0]
+		for _, a := range st.args {
+			vals = append(vals, ev.value(a))
+		}
+		lv.vals = vals
+		has, err := ev.contains(st, relation.Tuple(vals))
+		if err != nil || has {
+			return err
+		}
+		return ev.run(p, si+1)
+	}
+	cands, err := ev.fetch(st, lv)
+	if err != nil {
+		return err
+	}
+	for _, tu := range cands {
+		if len(tu) != len(st.args) || !ev.match(st, tu) {
+			continue // another arity (a relation unseen at plan time), or a failed check
+		}
+		if err := ev.run(p, si+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// match checks candidate tu against the step's check columns, loads its
+// bind columns into registers and verifies its repeat columns.
+func (ev *evaluator) match(st *step, tu relation.Tuple) bool {
+	for j, ci := range st.checkCols {
+		if !ev.value(st.checkArgs[j]).Equal(tu[ci]) {
+			return false
+		}
+	}
+	for j, ci := range st.bindCols {
+		ev.regs[st.bindRegs[j]] = tu[ci]
+	}
+	for j, ci := range st.repCols {
+		if !ev.regs[st.repRegs[j]].Equal(tu[ci]) {
+			return false
+		}
+	}
+	return true
+}
+
+// emit ends one derivation: an existence test is answered, a rule's head
+// tuple goes into its relation — the kept rows in a delta-seeded run, the
+// result (and the next round's delta) otherwise.
+func (ev *evaluator) emit(p *Plan) error {
+	if p.headPred == "" {
+		return errGoalDerived
+	}
+	// Build the head tuple into the pooled buffer; Insert dedups before
+	// cloning, so the buffer may be reused at once.
+	ht := ev.head[:0]
+	for _, a := range p.head {
+		ht = append(ht, ev.value(a))
+	}
+	ev.head = ht
+	var fresh bool
+	if kept := ev.fix.kept(p.headPred); kept != nil {
+		fresh = kept.insert(ht)
+	} else if fresh = ev.res.idb[p.headPred].Insert(ht); fresh && ev.nextRel != nil {
+		ev.nextRel.Insert(ht)
+	}
+	if fresh && p.headPred == ev.stop {
+		return errGoalDerived
+	}
+	return nil
+}
+
+// fetch returns the candidate tuples of a positive step into the level's
+// buffers: the delta literal's rows, a derived relation's, or the store's
+// (routed or local) as the pending update leaves them — by indexed probe
+// on the probe columns, by range, or by scan.
+func (ev *evaluator) fetch(st *step, lv *level) ([]relation.Tuple, error) {
+	vals := lv.vals[:0]
+	for _, a := range st.probeArgs {
+		vals = append(vals, ev.value(a))
+	}
+	lv.vals = vals
+	cols, dst := st.probeCols, lv.tups[:0]
+	switch {
+	case st.body == ev.deltaPos:
+		switch kept := ev.fix.kept(st.pred); {
+		case kept != nil:
+			dst = kept.scan(dst, &lv.vbuf, ev.dlo, ev.dhi, cols, vals)
+		case ev.fix != nil:
+			// The inserted relation's delta is the inserted tuple, if it
+			// agrees with the literal's arity and probe columns.
+			dst = ev.pending(dst, st.pred, len(st.args), cols, vals)
+		default:
+			dst = readRel(dst, ev.deltaRel, cols, vals)
+		}
+	case st.derived:
+		// Derived relations are not charged: they are scratch space.
+		if kept := ev.fix.kept(st.pred); kept != nil {
+			dst = kept.lookup(dst, &lv.vbuf, cols, vals)
+		} else {
+			dst = readRel(dst, ev.res.idb[st.pred], cols, vals)
+		}
+	default:
+		if ev.opts.Probe != nil {
+			out, handled, err := ev.opts.Probe.Probe(dst, st.pred, cols, vals)
+			if err != nil {
+				return nil, err
+			}
+			if handled {
+				lv.tups = ev.pending(out, st.pred, len(st.args), cols, vals)
+				return lv.tups, nil
+			}
+		}
+		switch {
+		case len(cols) > 0:
+			dst = ev.db.LookupColsAppend(dst, st.pred, cols, vals)
+		case len(st.ranges) > 0:
+			ranges := append(lv.ranges[:0], st.ranges...)
+			for i := range ranges {
+				if ranges[i].HasLo {
+					ranges[i].Lo = ev.value(st.rangeLo[i])
+				}
+				if ranges[i].HasHi {
+					ranges[i].Hi = ev.value(st.rangeHi[i])
+				}
+			}
+			lv.ranges = ranges
+			dst = ev.db.RangeAppend(dst, st.pred, len(st.args), ranges)
+		default:
+			dst = ev.db.TuplesAppend(dst, st.pred)
+		}
+		if st.pred == ev.upd.Relation {
+			dst = ev.pending(dst, st.pred, len(st.args), cols, vals)
+		}
+	}
+	lv.tups = dst
+	return dst, nil
+}
+
+// readRel appends rel's tuples whose projection onto cols equals vals.
+func readRel(dst []relation.Tuple, rel *relation.Relation, cols []int, vals []ast.Value) []relation.Tuple {
+	if len(cols) == 0 {
+		return rel.TuplesAppend(dst)
+	}
+	return rel.LookupColsAppend(dst, cols, vals)
+}
+
+// contains is the membership test of a negated step: in the derived
+// relation, or in the stored one as the pending update leaves it (routed
+// when a ProbeRouter claims the relation, charged to the store otherwise).
+func (ev *evaluator) contains(st *step, t relation.Tuple) (bool, error) {
+	if st.derived {
+		if kept := ev.fix.kept(st.pred); kept != nil {
+			return kept.contains(t), nil
+		}
+		return ev.res.idb[st.pred].Contains(t), nil
+	}
+	if has, decided := ev.pendingHas(st.pred, t); decided {
+		return has, nil
+	}
+	if ev.opts.Probe != nil {
+		has, handled, err := ev.opts.Probe.Contains(st.pred, t)
+		if err != nil || handled {
+			return has, err
+		}
+	}
+	return ev.db.Probe(st.pred, t), nil
+}
+
+// pending adjusts what the store or the router answered to a positive
+// read of the stored relation pred — the tuples, of an arity-ar atom,
+// whose projection onto cols equals vals — to what it will hold once
+// ev.upd is applied (an inserted tuple in, a deleted one out), in place.
+// With pendingHas it is the one place a read sees the update before it
+// is written: deciding an update reads the database as it stands.
+func (ev *evaluator) pending(ts []relation.Tuple, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
+	u := &ev.upd
+	if pred != u.Relation {
+		return ts
+	}
+	if !u.Insert {
+		return slices.DeleteFunc(ts, u.Tuple.Equal)
+	}
+	if len(u.Tuple) != ar {
+		return ts
+	}
+	for i, c := range cols {
+		if !u.Tuple[c].Equal(vals[i]) {
+			return ts
+		}
+	}
+	return append(ts, u.Tuple)
+}
+
+// pendingHas decides membership of t in the stored relation pred where
+// the pending update does: its own tuple is in after an insert and out
+// after a delete.
+func (ev *evaluator) pendingHas(pred string, t relation.Tuple) (has, decided bool) {
+	if pred == ev.upd.Relation && t.Equal(ev.upd.Tuple) {
+		return ev.upd.Insert, true
+	}
+	return false, false
+}

@@ -23,8 +23,9 @@
 // panic is derivable after the update iff some disjunct is derivable in
 // the updated database. The test reads the database before the update:
 // only a disjunct literal over R itself — t matching a second literal —
-// reads differently there, and the VM adjusts it (under an insert t is
-// among R's tuples and not R(t) is false; under a delete the opposite).
+// reads differently there, and the join engine (internal/eval) reads R
+// with the update pending (under an insert t is among R's tuples and not
+// R(t) is false; under a delete the opposite).
 // Occurrences whose constants clash with the tuple contribute nothing
 // and fold away at compile time; comparisons ground under σ constant-
 // fold; disjuncts whose comparison sets are unsatisfiable (internal/
@@ -46,6 +47,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/eval"
 	"repro/internal/ineq"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -56,8 +58,8 @@ import (
 // replaces.
 type Options struct {
 	// DisableIndexes makes residual joins keep textual atom order and
-	// fetch candidates by scan-and-filter instead of bound-first hash
-	// probes (the ccheck -noindex discipline).
+	// fetch candidates by whole-relation scans instead of bound-first hash
+	// probes and range steps (the ccheck -noindex discipline).
 	DisableIndexes bool
 	// Local, when non-nil, reports whether a relation is resident at the
 	// checking site (core.Options.LocalRelations), and turns on the local
@@ -236,47 +238,39 @@ func certificateFor(rule *ast.Rule, oi int, insert bool, opts Options) *certific
 	return cert
 }
 
-// sterm is a symbolic term during compilation: a constant, a reference
-// to an update-tuple position (parameter), or a still-free rule variable.
-type sterm struct {
-	kind skind
-	val  ast.Value // stConst
-	pos  int       // stParam: tuple position
-	name string    // stVar
-}
-
-type skind uint8
-
-const (
-	stConst skind = iota
-	stParam
-	stVar
-)
-
-// slit is a symbolic body literal after σ: a comparison or an atom over
-// sterms. Unification guards (parameter-parameter or parameter-constant
-// equalities induced by repeated variables and pinned clashes) are
-// represented as Eq comparisons.
-type slit struct {
-	comp bool
-	op   ast.CompOp
-	l, r sterm
-	neg  bool
-	pred string
-	args []sterm
-}
-
 // Residual is a compiled residual test for one (constraint, pattern,
 // pinned values) triple. It is immutable after compilation and safe for
 // concurrent Decide calls.
 type Residual struct {
 	outcome Outcome
-	// insert is the compiled update's polarity: how run adjusts its reads
-	// of the updated relation.
+	// rel and insert are the compiled update's relation and polarity: the
+	// update each plan's reads see pending.
+	rel    string
 	insert bool
 	// disjuncts in rule/occurrence order; empty unless ResidualGoal.
 	disjuncts []*disjunct
-	maxRegs   int
+}
+
+// disjunct is one compiled residual disjunct: its plan and, where the
+// pattern has one, the local certificate probed ahead of the plan.
+type disjunct struct {
+	plan *eval.Plan
+	cert *certificate
+}
+
+// witness probes the disjunct's certificate for the update tuple t: a
+// stored tuple that certifies the disjunct, or nil — no certificate was
+// compiled, or no stored tuple agrees with t where it has to.
+func (d *disjunct) witness(db *store.Store, t relation.Tuple) relation.Tuple {
+	if d.cert == nil {
+		return nil
+	}
+	var buf [8]ast.Value
+	vals := buf[:0]
+	for _, c := range d.cert.cols {
+		vals = append(vals, t[c])
+	}
+	return db.FirstCols(d.cert.pred, len(t), d.cert.cols, vals, d.cert.same)
 }
 
 // Outcome reports the compile-time classification.
@@ -303,7 +297,7 @@ func (r *Residual) Certificates() int {
 // reused for any tuple agreeing with t on the pinned positions. The
 // database contributes only its shape (relation arities), never tuples.
 func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Shape, db *store.Store, opts Options) *Residual {
-	res := &Residual{insert: insert}
+	res := &Residual{rel: rel, insert: insert}
 	for _, rule := range prog.Rules {
 		for oi, l := range rule.Body {
 			if !l.Harmful(rel, insert) || len(l.Atom.Args) != len(t) {
@@ -313,20 +307,16 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 			if !ok {
 				continue // constant clash or unsatisfiable comparisons
 			}
-			d := plan(body, rel, db, opts)
-			if d == nil {
+			p := eval.PlanBody(body, db, opts.DisableIndexes)
+			if p == nil {
 				continue // a dead atom made the disjunct underivable
 			}
-			if len(d.steps) == 0 {
+			if p.Len() == 0 {
 				// The update alone completes a derivation: nothing left to
 				// check at runtime and no other disjunct can change that.
 				return &Residual{outcome: AlwaysViolating}
 			}
-			d.cert = certificateFor(rule, oi, insert, opts)
-			res.disjuncts = append(res.disjuncts, d)
-			if d.regs > res.maxRegs {
-				res.maxRegs = d.regs
-			}
+			res.disjuncts = append(res.disjuncts, &disjunct{plan: p, cert: certificateFor(rule, oi, insert, opts)})
 		}
 	}
 	if len(res.disjuncts) > 0 {
@@ -339,20 +329,20 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 // occurrence: σ(body minus the occurrence) plus unification guards, with
 // ground comparisons folded and the ineq-unsatisfiable conjunctions
 // pruned. ok is false when the disjunct folds away entirely.
-func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]slit, bool) {
+func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit, bool) {
 	occ := rule.Body[oi].Atom
-	sigma := make(map[string]sterm)
-	var guards []slit
+	sigma := make(map[string]eval.Term)
+	var guards []eval.Lit
 	for i, a := range occ.Args {
 		// The tuple side: pinned positions are the concrete value, the
 		// rest the runtime parameter $i.
-		tv := sterm{kind: stParam, pos: i}
+		tv := eval.Term{Kind: eval.TermParam, Pos: i}
 		if sh.Pinned[i] {
-			tv = sterm{kind: stConst, val: t[i]}
+			tv = eval.Term{Kind: eval.TermConst, Val: t[i]}
 		}
 		if a.IsConst() {
 			// Pinned by construction, so tv is a constant: decide now.
-			if !a.Const.Equal(tv.val) {
+			if !a.Const.Equal(tv.Val) {
 				return nil, false
 			}
 			continue
@@ -363,13 +353,13 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]slit, boo
 			continue
 		}
 		// Repeated variable in the occurrence: both bindings must agree.
-		if prev.kind == stConst && tv.kind == stConst {
-			if !prev.val.Equal(tv.val) {
+		if prev.Kind == eval.TermConst && tv.Kind == eval.TermConst {
+			if !prev.Val.Equal(tv.Val) {
 				return nil, false
 			}
 			continue
 		}
-		guards = append(guards, slit{comp: true, op: ast.Eq, l: prev, r: tv})
+		guards = append(guards, eval.Lit{Comp: true, Op: ast.Eq, L: prev, R: tv})
 	}
 	body := guards
 	for bi, l := range rule.Body {
@@ -377,9 +367,9 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]slit, boo
 			continue
 		}
 		if l.IsComp() {
-			s := slit{comp: true, op: l.Comp.Op, l: applySigma(l.Comp.Left, sigma), r: applySigma(l.Comp.Right, sigma)}
-			if s.l.kind == stConst && s.r.kind == stConst {
-				if !s.op.Eval(s.l.val, s.r.val) {
+			s := eval.Lit{Comp: true, Op: l.Comp.Op, L: applySigma(l.Comp.Left, sigma), R: applySigma(l.Comp.Right, sigma)}
+			if s.L.Kind == eval.TermConst && s.R.Kind == eval.TermConst {
+				if !s.Op.Eval(s.L.Val, s.R.Val) {
 					return nil, false
 				}
 				continue // true: drop the folded literal
@@ -387,11 +377,11 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]slit, boo
 			body = append(body, s)
 			continue
 		}
-		args := make([]sterm, len(l.Atom.Args))
+		args := make([]eval.Term, len(l.Atom.Args))
 		for i, a := range l.Atom.Args {
 			args[i] = applySigma(a, sigma)
 		}
-		body = append(body, slit{neg: l.IsNeg(), pred: l.Atom.Pred, args: args})
+		body = append(body, eval.Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: args})
 	}
 	if !satisfiable(body) {
 		return nil, false
@@ -400,14 +390,14 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]slit, boo
 }
 
 // applySigma maps one rule term into the symbolic domain.
-func applySigma(a ast.Term, sigma map[string]sterm) sterm {
+func applySigma(a ast.Term, sigma map[string]eval.Term) eval.Term {
 	if a.IsConst() {
-		return sterm{kind: stConst, val: a.Const}
+		return eval.Term{Kind: eval.TermConst, Val: a.Const}
 	}
 	if b, ok := sigma[a.Var]; ok {
 		return b
 	}
-	return sterm{kind: stVar, name: a.Var}
+	return eval.Term{Kind: eval.TermVar, Name: a.Var}
 }
 
 // satisfiable asks internal/ineq whether the disjunct's comparison
@@ -415,13 +405,13 @@ func applySigma(a ast.Term, sigma map[string]sterm) sterm {
 // parameters as fresh variables P$i — a namespace user programs cannot
 // produce. An unsatisfiable conjunction makes the disjunct underivable
 // for every tuple of the pattern.
-func satisfiable(body []slit) bool {
+func satisfiable(body []eval.Lit) bool {
 	var conj []ast.Comparison
 	for _, l := range body {
-		if !l.comp {
+		if !l.Comp {
 			continue
 		}
-		conj = append(conj, ast.NewComparison(symTerm(l.l), l.op, symTerm(l.r)))
+		conj = append(conj, ast.NewComparison(symTerm(l.L), l.Op, symTerm(l.R)))
 	}
 	if len(conj) == 0 {
 		return true
@@ -429,15 +419,15 @@ func satisfiable(body []slit) bool {
 	return ineq.Satisfiable(conj)
 }
 
-// symTerm renders an sterm for the ineq solver.
-func symTerm(s sterm) ast.Term {
-	switch s.kind {
-	case stConst:
-		return ast.C(s.val)
-	case stParam:
-		return ast.V(fmt.Sprintf("P$%d", s.pos))
+// symTerm renders a term for the ineq solver.
+func symTerm(s eval.Term) ast.Term {
+	switch s.Kind {
+	case eval.TermConst:
+		return ast.C(s.Val)
+	case eval.TermParam:
+		return ast.V(fmt.Sprintf("P$%d", s.Pos))
 	}
-	return ast.V(s.name)
+	return ast.V(s.Name)
 }
 
 // Program renders the residual as a plain constraint program for the
@@ -453,36 +443,72 @@ func (r *Residual) Program(t relation.Tuple) *ast.Program {
 		return prog
 	}
 	for _, d := range r.disjuncts {
-		rule := &ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}}
-		for i := range d.steps {
-			rule.Body = append(rule.Body, d.steps[i].literal(t))
-		}
-		prog.Rules = append(prog.Rules, rule)
+		prog.Rules = append(prog.Rules, &ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: d.plan.Literals(t)})
 	}
 	return prog
 }
 
-// literal renders one compiled step back into AST form under tuple t.
-func (s *step) literal(t relation.Tuple) ast.Literal {
-	term := func(a arg) ast.Term {
-		switch a.kind {
-		case argConst:
-			return ast.C(a.val)
-		case argParam:
-			return ast.C(t[a.idx])
+// Decide reports whether panic is derivable once the compiled update of
+// tuple t is applied to db — whether the update violates the constraint —
+// reading db as it stands before the update and never writing it. It is
+// safe for concurrent use; t must agree with the compiled pattern on the
+// pinned positions (the cache guarantees this).
+//
+// db must be the state the constraint is known to hold in. A residual
+// without certificates answers the same on a db that already holds the
+// update; one with certificates would take the new tuple for its own
+// witness there.
+func (r *Residual) Decide(db *store.Store, t relation.Tuple) bool {
+	violated, _ := r.decide(db, t, false)
+	return violated
+}
+
+// DecideWitness is Decide that also says when local certificates alone
+// decided: witness is a stored tuple that certified a disjunct when every
+// disjunct was certified — no plan ran and nothing but the updated
+// relation was read — and nil otherwise.
+func (r *Residual) DecideWitness(db *store.Store, t relation.Tuple) (violated bool, witness relation.Tuple) {
+	return r.decide(db, t, false)
+}
+
+// Certified runs the certificates and nothing else: the witness
+// DecideWitness would return, so non-nil means Decide(db, t) is false
+// and reads only the updated relation.
+func (r *Residual) Certified(db *store.Store, t relation.Tuple) relation.Tuple {
+	_, witness := r.decide(db, t, true)
+	return witness
+}
+
+// decide runs each disjunct's certificate and, unless it finds a witness,
+// its plan over db with the update pending; under certOnly it gives up at
+// the first disjunct that would need its plan.
+func (r *Residual) decide(db *store.Store, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
+	switch r.outcome {
+	case AlwaysSafe:
+		return false, nil
+	case AlwaysViolating:
+		return true, nil
+	}
+	u := store.Update{Insert: r.insert, Relation: r.rel, Tuple: t}
+	certified := true
+	for _, d := range r.disjuncts {
+		if w := d.witness(db, t); w != nil {
+			if witness == nil {
+				witness = w
+			}
+			continue
 		}
-		return ast.V(fmt.Sprintf("R$%d", a.idx))
+		certified = false
+		if certOnly {
+			break
+		}
+		if d.plan.HoldsAfter(db, u) {
+			violated = true
+			break
+		}
 	}
-	if s.kind == stepComp {
-		return ast.Cmp(ast.NewComparison(term(s.l), s.op, term(s.r)))
+	if !certified {
+		witness = nil
 	}
-	args := make([]ast.Term, len(s.args))
-	for i, a := range s.args {
-		args[i] = term(a)
-	}
-	atom := ast.Atom{Pred: s.pred, Args: args}
-	if s.kind == stepNeg {
-		return ast.Neg(atom)
-	}
-	return ast.Pos(atom)
+	return violated, witness
 }

@@ -1,7 +1,6 @@
 package residual
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -356,43 +355,12 @@ func TestEmbeddedResidualsUnchanged(t *testing.T) {
 	}
 }
 
-// rangesOf renders the range steps of res's disjuncts, "; "-separated:
-// the relation, then per range its column and bounds — [ or ( before a
-// lower bound, ] or ) after an upper one, nothing where a side is open.
+// rangesOf renders the range steps of res's disjuncts (eval.Plan.Ranges),
+// "; "-separated.
 func rangesOf(res *Residual) string {
-	bound := func(a arg) string {
-		switch a.kind {
-		case argConst:
-			return a.val.String()
-		case argParam:
-			return fmt.Sprintf("$%d", a.idx)
-		}
-		return fmt.Sprintf("R$%d", a.idx)
-	}
 	var out []string
 	for _, d := range res.disjuncts {
-		var sb strings.Builder
-		for _, st := range d.steps {
-			if len(st.ranges) == 0 {
-				continue
-			}
-			sb.WriteString(st.pred + "{")
-			for i, rg := range st.ranges {
-				if i > 0 {
-					sb.WriteByte(' ')
-				}
-				fmt.Fprintf(&sb, "%d:", rg.Col)
-				if rg.HasLo {
-					sb.WriteString(map[bool]string{false: "[", true: "("}[rg.LoOpen] + bound(st.rangeLo[i]))
-				}
-				sb.WriteByte(',')
-				if rg.HasHi {
-					sb.WriteString(bound(st.rangeHi[i]) + map[bool]string{false: "]", true: ")"}[rg.HiOpen])
-				}
-			}
-			sb.WriteString("}")
-		}
-		out = append(out, sb.String())
+		out = append(out, d.plan.Ranges())
 	}
 	return strings.Join(out, "; ")
 }
@@ -506,5 +474,37 @@ func BenchmarkRangeStep(b *testing.B) {
 				b.ReportMetric(float64(c.db.TotalReads("l", "r"))/float64(b.N), "reads/op")
 			})
 		}
+	}
+}
+
+// TestScanArmUsesNoIndex holds the DisableIndexes arm to what it is for —
+// a reference that shares no shortcut with what it checks: neither an
+// evaluation over an atom with a constant nor a residual decision builds
+// or probes an index.
+func TestScanArmUsesNoIndex(t *testing.T) {
+	db := store.New()
+	for i := int64(0); i < 20; i++ {
+		for _, f := range []struct {
+			rel string
+			tu  relation.Tuple
+		}{{"e", relation.Ints(i%4, i)}, {"f", relation.Ints(i)}, {"l", relation.Ints(i, i+3)}, {"r", relation.Ints(2 * i)}} {
+			if _, err := db.Insert(f.rel, f.tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	builds, probes := relation.IndexBuilds(), relation.IndexProbes()
+	res, err := eval.EvalWith(prog(t, "p(Y) :- e(1,Y) & f(Y) & not e(Y,1).\nq(X) :- p(X) & l(X,Y) & r(Z) & X <= Z & Z <= Y."), db, eval.Options{DisableIndexes: true})
+	if err != nil || len(res.Tuples("p")) != 4 || len(res.Tuples("q")) != 4 {
+		t.Fatalf("scan-arm evaluation: p=%v q=%v err=%v", res.Tuples("p"), res.Tuples("q"), err)
+	}
+	icq := prog(t, "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
+	u := store.Ins("l", relation.Ints(41, 45))
+	r := Compile(icq, u.Relation, true, u.Tuple, DeriveShape(icq, u.Relation, true), db, Options{DisableIndexes: true})
+	if r.Decide(db, u.Tuple) {
+		t.Fatalf("%v decided a violation", u)
+	}
+	if b, p := relation.IndexBuilds()-builds, relation.IndexProbes()-probes; b != 0 || p != 0 {
+		t.Fatalf("the scan arm built %d indexes and probed %d times", b, p)
 	}
 }
