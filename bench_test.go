@@ -402,7 +402,7 @@ func BenchmarkGlobalPhase(b *testing.B) {
 				db, opts := seeded(), eval.Options{Cache: eval.NewPlanCache()}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bad, err := eval.GoalHoldsAfter(prog, db, ast.PanicPred, store.Ins("edge", tu), opts)
+					bad, err := eval.GoalHoldsAfter(prog, db, ast.PanicPred, nil, store.Ins("edge", tu), opts)
 					if err != nil || bad != (kind == "closing") {
 						b.Fatalf("verdict %v, %v", bad, err)
 					}
@@ -416,7 +416,7 @@ func BenchmarkGlobalPhase(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bad, err := fix.Insert("edge", tu, false)
+					bad, err := fix.Insert(nil, "edge", tu, false)
 					if err != nil || bad != (kind == "closing") {
 						b.Fatalf("verdict %v, %v", bad, err)
 					}

@@ -46,9 +46,11 @@
 // at once — with -sites an update that may wait on a site does not
 // count, and -queue bounds those — while conflicting ones keep admission
 // order, so verdicts and state match N = 1 exactly (see DESIGN.md,
-// "Conflict-aware apply scheduling"). With -sites the same N applies to
-// the members of the coordinator's atomic batches: one at a time at 1,
-// on a scheduler of N above it.
+// "Conflict-aware apply scheduling"). With -sites N also says how a
+// coordinator decision sends its wire reads and writes — the refreshes a
+// batch's members need and the writes it publishes: one at a time, in
+// member order, at 1; all at once above it. The members themselves are
+// decided in order either way.
 package main
 
 import (
@@ -124,7 +126,7 @@ func main() {
 	flag.StringVar(&cfg.logPath, "decision-log", "", "append one JSON line per decision to this file (empty: off)")
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
-	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: decided in turn by the dispatcher; >1: on a conflict-aware scheduler, waits on a site not counted)")
+	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: decided in turn by the dispatcher; >1: on a conflict-aware scheduler, waits on a site not counted); with -sites, >1 also sends a batch's site reads and writes at once")
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
 	flag.Var(appendFlag{&cfg.shards}, "shard", "hash-sharded relation spec rel@keycol=site1,site2,... (repeatable)")

@@ -144,9 +144,9 @@ func TestDecideKeepsPlannedCertificate(t *testing.T) {
 	if rep, err := c.Check(u); err != nil || rep.Applied {
 		t.Fatalf("a fresh check, witness gone, mirror empty: rep=%+v err=%v", rep, err)
 	}
-	rep, err := c.Decide(pr, true)
+	rep, err := decideOne(c, pr, true)
 	if err != nil || !rep.Applied || !rep.Witness("ri").Equal(ann) || rep.Decisions[0].Phase != PhaseResidual {
-		t.Fatalf("Decide(plan) = %+v, %v; want applied on the planned certificate", rep, err)
+		t.Fatalf("DecideAll(plan) = %+v, %v; want applied on the planned certificate", rep, err)
 	}
 	if !c.DB().Contains("emp", u.Tuple) || c.Stats().LocalCertified != 1 {
 		t.Errorf("bob stored: %v, certified: %d", c.DB().Contains("emp", u.Tuple), c.Stats().LocalCertified)
@@ -159,7 +159,7 @@ func TestDecideKeepsPlannedCertificate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.DB().Delete("emp", relation.Strs("bob", "toy"))
-	if rep, err := c.Decide(pr, true); err != nil || rep.Applied {
+	if rep, err := decideOne(c, pr, true); err != nil || rep.Applied {
 		t.Fatalf("stale plan trusted: rep=%+v err=%v", rep, err)
 	}
 }
@@ -211,4 +211,13 @@ func TestKeptCoverFollowsLocalRelation(t *testing.T) {
 			t.Fatalf("round %d: a second test on an unmoved relation rebuilt the cover or read l", round)
 		}
 	}
+}
+
+// decideOne is DecideAll for one plan, as a Report.
+func decideOne(c *Checker, pr PlanReport, commit bool) (Report, error) {
+	br, err := c.DecideAll(nil, []PlanReport{pr}, commit, nil)
+	if len(br.Reports) == 0 {
+		return Report{Update: pr.update}, err
+	}
+	return br.Reports[0], err
 }

@@ -16,4 +16,4 @@ import "repro/internal/store"
 // Check shares Apply's statistics: a checked update counts in
 // Stats().Updates, its decisions in ByPhase and a rejection in Rejected,
 // so a check-heavy service still reports a faithful phase distribution.
-func (c *Checker) Check(u store.Update) (Report, error) { return c.decide(u, false, nil) }
+func (c *Checker) Check(u store.Update) (Report, error) { return c.one(u, false) }

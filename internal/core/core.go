@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -585,7 +586,7 @@ func (c *Checker) isLocal(rel string) bool {
 // a global evaluation. With tr non-nil it appends one trace event per
 // phase attempt (the tracing path; nil keeps the hot path free of clock
 // reads and allocations).
-func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, u store.Update, tr *[]obs.Event) (Phase, bool) {
+func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, prior []store.Update, u store.Update, tr *[]obs.Event) (Phase, bool) {
 	entryCache := "" // cache status of the entry-level phases 1/1.5
 	if tr != nil {
 		switch {
@@ -652,8 +653,11 @@ func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, u store.Updat
 	}
 	// Phase 3: local data. (The equality certificate, phase 3's other
 	// test, is compiled into the constraint's residual check: decide and
-	// Plan ask that ahead of this ladder.)
-	if !c.opts.DisableLocalData && u.Insert && k.cqc != nil && k.cqc.LocalPred == u.Relation {
+	// Plan ask that ahead of this ladder.) It reads the stored local
+	// relation, so not for a member of a batch after an earlier member
+	// wrote that relation.
+	if !c.opts.DisableLocalData && u.Insert && k.cqc != nil && k.cqc.LocalPred == u.Relation &&
+		!slices.ContainsFunc(prior, func(w store.Update) bool { return w.Relation == u.Relation }) {
 		start = traceStart(tr)
 		ok, err := c.localTest(k, u.Tuple)
 		phaseAttempt(tr, k.Name, PhaseLocalData, err == nil && ok, "", start)
@@ -666,7 +670,7 @@ func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, u store.Updat
 
 // Apply pushes one update through the staged pipeline. On any violation
 // the update is not applied and the report's Applied is false.
-func (c *Checker) Apply(u store.Update) (Report, error) { return c.decide(u, true, nil) }
+func (c *Checker) Apply(u store.Update) (Report, error) { return c.one(u, true) }
 
 // dynOutcome is what became of one stepDynamic of a decision: the phase
 // that certified it or, where none did, the verdict of the kept fixpoint
@@ -685,63 +689,98 @@ type dynOutcome struct {
 }
 
 // runDynamic settles the program's dynamic steps for u: phases 1–3 and,
-// for a constraint they leave undecided, phase 4 against the store with u
-// pending — seeded rounds on a kept fixpoint (rebuilt here where it has to
-// be) or a full evaluation. All of it only reads the store, so two or
-// more steps — work that can cost an evaluation each — run concurrently.
-// What the phases decided is written into the report and the tally here;
-// the caller takes the phase-4 outcomes in constraint order, so reports,
-// stats, trace-event order and first-error semantics are identical
-// whatever the pool width.
-func (c *Checker) runDynamic(p *program, u store.Update, commit, fresh, tracing bool, decisions []Decision, t *tally) []dynOutcome {
-	out := make([]dynOutcome, len(p.dynamic))
-	runParallel(len(out), c.workers(), func(j int) {
-		s, o := &p.steps[p.dynamic[j]], &out[j]
-		var tr *[]obs.Event
-		if tracing {
-			tr = &o.trace
+// for a constraint they leave undecided, phase 4 against the store with
+// prior and u pending — seeded rounds on a kept fixpoint (rebuilt here
+// where it has to be) or a full evaluation. All of it only reads the
+// store, so two or more steps — work that can cost an evaluation each —
+// run concurrently. What the phases decided is written into the report
+// and the tally here; the caller takes the phase-4 outcomes in constraint
+// order, so reports, stats, trace-event order and first-error semantics
+// are identical whatever the pool width. sq is the batch u is a member
+// of, nil outside one.
+func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, fresh, tracing bool, decisions []Decision, t *tally, sq sequence) []dynOutcome {
+	r := dynamicRun{c, p, prior, u, commit, fresh, tracing, sq, make([]dynOutcome, len(p.dynamic))}
+	if w := c.workers(); w > 1 && len(r.out) > 1 {
+		pooled := r
+		runParallel(len(r.out), w, pooled.step)
+	} else {
+		for j := range r.out {
+			r.step(j)
 		}
-		if o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), !fresh, u, tr); o.decided {
-			return
-		}
-		var start time.Time
-		if tracing {
-			start = time.Now()
-		}
-		if u.Insert {
-			o.fix, o.hit = c.keptFixpoint(s.k, u.Relation)
-		}
-		if o.fix != nil {
-			if o.bad, o.err = o.fix.Insert(u.Relation, u.Tuple, commit); o.err != nil {
-				c.dropFixpoint(s.k)
-			}
-		} else {
-			o.bad, o.err = eval.GoalHoldsAfter(s.k.Prog, c.db, ast.PanicPred, u, c.evalOpts())
-		}
-		if tracing {
-			o.dur = time.Since(start)
-		}
-	})
+	}
 	for j, i := range p.dynamic {
-		if o := &out[j]; o.decided {
+		if o := &r.out[j]; o.decided {
 			decisions[p.steps[i].slot].Phase = o.phase
 			t.byPhase[o.phase]++
 		}
 	}
-	return out
+	return r.out
 }
 
-// decide is Apply (commit) and Check (!commit): verdict first, then at
-// most one write. It interprets the program of u's pattern on the calling
-// goroutine: static steps are already in the report, a compiled check is
-// one probe, and only dynamic steps can fan out (runDynamic). Every step
-// answers "would the store violate the constraint once u is applied"
-// reading the store as it stands — the evaluators adjust their reads of
-// u's relation (residual.Decide, eval.GoalHoldsAfter,
-// eval.Fixpoint.Insert) — and u is written only when commit is set and no
-// constraint is violated. planned names the constraints a Plan of u
-// certified, and with what (Decide): they stay decided by it.
-func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report, error) {
+// dynamicRun is what the dynamic steps of one decision read, and out, one
+// outcome per step.
+type dynamicRun struct {
+	c                      *Checker
+	p                      *program
+	prior                  []store.Update
+	u                      store.Update
+	commit, fresh, tracing bool
+	sq                     sequence
+	out                    []dynOutcome
+}
+
+// step settles the program's j-th dynamic step.
+func (r *dynamicRun) step(j int) {
+	c, u, i := r.c, r.u, r.p.dynamic[j]
+	s, o := &r.p.steps[i], &r.out[j]
+	var tr *[]obs.Event
+	if r.tracing {
+		tr = &o.trace
+	}
+	if o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), !r.fresh, r.prior, u, tr); o.decided {
+		return
+	}
+	var start time.Time
+	if r.tracing {
+		start = time.Now()
+	}
+	if u.Insert && (r.sq == nil || !r.sq[i].out) {
+		o.fix, o.hit = c.keptFixpoint(s.k, u.Relation)
+		if r.sq != nil && r.sq[i].fix != nil && o.fix != r.sq[i].fix {
+			// Nothing is written before the verdict, so the fixpoint an
+			// earlier member opened is the one kept: one built since lacks
+			// what that member derived.
+			o.fix = nil
+		}
+	}
+	if o.fix != nil {
+		if o.bad, o.err = o.fix.Insert(r.prior, u.Relation, u.Tuple, r.commit); o.err != nil {
+			c.dropFixpoint(s.k)
+		}
+	} else {
+		o.bad, o.err = eval.GoalHoldsAfter(s.k.Prog, c.db, ast.PanicPred, r.prior, u, c.evalOpts())
+	}
+	if r.tracing {
+		o.dur = time.Since(start)
+	}
+}
+
+// judge decides u on the store with the updates prior pending: the
+// verdict of one member of a batch, made with nothing written. It
+// interprets the program of u's pattern on the calling goroutine: static
+// steps are already in the report, a compiled check is one probe, and only
+// dynamic steps can fan out (runDynamic). Every step answers "would the
+// store violate the constraint once prior and u are applied" reading the
+// store as it stands — the evaluators adjust their reads of the updated
+// relations (residual.DecideWitness, eval.GoalHoldsAfter,
+// eval.Fixpoint.Insert). A committing decision holds overlays on the
+// fixpoints that decide it: when u is admitted judge returns them in dyn
+// (nil when there are none) for the caller to fold or drop, and drops
+// them itself otherwise. A check holds none (Insert drops them): checks
+// run concurrently, and none may touch rows it did not derive. sq is the
+// batch u is a member of, nil outside one; judge notes what u did to it.
+// The decision's stats, trace and latency metric end with its verdict.
+func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, planned []Witness, sq sequence) (Report, []dynOutcome, error) {
 	rep := Report{Update: u, Applied: true}
 	t := tally{updates: 1}
 	var applyStart time.Time
@@ -757,22 +796,23 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		probes0 = relation.IndexProbes()
 		c.emit(uStr, obs.Event{Kind: obs.KindUpdateBegin, Constraints: len(c.constraints)})
 	}
-	var dyn []dynOutcome
-	// fail ends a decision no verdict was reached for. A committing decision
-	// holds overlays on the fixpoints that decide it, and drops them; a check
-	// holds none (Insert drops them): checks run concurrently, and none may
-	// touch rows it did not derive.
-	fail := func(err error) (Report, error) {
-		discard(dyn, commit)
+	// fail ends a decision no verdict was reached for.
+	fail := func(err error) (Report, []dynOutcome, error) {
 		c.record(&t)
 		if tracing {
 			c.emit(uStr, obs.Event{Kind: obs.KindUpdateEnd, Err: err.Error()})
 		}
-		return rep, err
+		return rep, nil, err
 	}
-	// A tuple the stored relation cannot take is refused, not decided.
+	// A tuple the stored relation cannot take is refused, not decided — nor
+	// one of another arity than an earlier member's insert into it.
 	if err := c.db.Accepts(u.Relation, len(u.Tuple)); u.Insert && err != nil {
 		return fail(err)
+	}
+	if u.Insert && slices.ContainsFunc(prior, func(w store.Update) bool {
+		return w.Insert && w.Relation == u.Relation && len(w.Tuple) != len(u.Tuple)
+	}) {
+		return fail(fmt.Errorf("core: insert %s: the batch inserts into %s with another arity", u, u.Relation))
 	}
 	p, fresh := c.program(u, &t)
 	schema := c.db.SchemaVersion()
@@ -783,8 +823,9 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		t.cacheHits += int64(p.memos)
 	}
 	t.residualMisses += int64(p.ineligible)
+	var dyn []dynOutcome
 	if len(p.dynamic) > 0 {
-		dyn = c.runDynamic(p, u, commit, fresh, tracing, rep.Decisions, &t)
+		dyn = c.runDynamic(p, prior, u, commit, fresh, tracing, rep.Decisions, &t, sq)
 	}
 	if tracing {
 		c.emitAttempts(p, dyn, u, uStr, fresh)
@@ -809,6 +850,9 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 				continue
 			}
 			if o.err != nil {
+				if commit {
+					closeAll(dyn, false, nil)
+				}
 				return fail(o.err)
 			}
 			phase, bad, hit, dur = PhaseGlobal, o.bad, o.hit, o.dur
@@ -820,7 +864,7 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 			}
 			// The plan's certificate stands; without one the check runs.
 			if witness = witnessOf(planned, s.k.Name); witness == nil {
-				bad, witness = res.DecideWitness(c.db, u.Tuple)
+				bad, witness = res.DecideWitness(c.db, prior, u.Tuple)
 			}
 			if tracing {
 				dur = time.Since(start)
@@ -872,29 +916,14 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 			c.met.rejected.Inc()
 		}
 	}
+	if commit && violated {
+		closeAll(dyn, false, nil)
+	}
 	if !commit || violated {
-		discard(dyn, commit)
-	} else {
-		// The one write. What an insert derived becomes part of the fixpoints
-		// that decided it, which account for the write. A fixpoint u did not go
-		// through (decided in an earlier phase, or u deletes) goes stale.
-		changed := false
-		if u.Insert {
-			var err error
-			if changed, err = c.db.Insert(u.Relation, u.Tuple); err != nil {
-				return fail(err) // a concurrent insert created the relation with another arity
-			}
-		} else {
-			c.db.Delete(u.Relation, u.Tuple)
-		}
-		for i := range dyn {
-			if fix := dyn[i].fix; fix != nil {
-				fix.Close(true)
-				if changed {
-					fix.Wrote(u.Relation)
-				}
-			}
-		}
+		dyn = nil
+	}
+	if sq != nil && !violated {
+		sq.admitted(c.constraints, p, u, dyn)
 	}
 	c.record(&t)
 	if tracing {
@@ -911,17 +940,7 @@ func (c *Checker) decide(u store.Update, commit bool, planned []Witness) (Report
 		c.met.samplePlanCounters(c.planCache)
 		c.sampleResidualCounters()
 	}
-	return rep, nil
-}
-
-// discard drops the overlays a committing decision holds on the kept
-// fixpoints that decided it.
-func discard(dyn []dynOutcome, commit bool) {
-	for i := range dyn {
-		if fix := dyn[i].fix; fix != nil && commit {
-			fix.Close(false)
-		}
-	}
+	return rep, dyn, nil
 }
 
 // keptFixpoint returns the fixpoint that can decide an insert into rel

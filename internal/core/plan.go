@@ -17,7 +17,7 @@ type PlanReport struct {
 	// evaluation).
 	Decided []Decision
 	// Witnesses names the certified constraints and what certified them;
-	// Decide keeps them decided by it.
+	// DecideAll keeps them decided by it.
 	Witnesses []Witness
 	// Global names the constraints that need a global evaluation, in
 	// registration order.
@@ -27,7 +27,7 @@ type PlanReport struct {
 	// Global constraints — the data a global evaluation would consult.
 	Relations []string
 
-	// What Decide finishes the plan with, beside Witnesses: the planned
+	// What DecideAll finishes the plan with, beside Witnesses: the planned
 	// update and the fingerprint of the constraint set planned against.
 	update store.Update
 	fp     uint64
@@ -50,11 +50,14 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 //
 // The certificates are asked of the compiled residual that decides the
 // update. A caller that skips a refresh on a certificate's account must
-// finish the decision with Decide, which keeps the certified constraints
-// decided by the witnesses found here: Apply or Check would probe again,
-// and a witness deleted in between would leave them evaluating over the
-// relations the plan said they would not read.
-func (c *Checker) Plan(u store.Update) PlanReport {
+// finish the decision with DecideAll, which keeps the certified
+// constraints decided by the witnesses found here: Apply or Check would
+// probe again, and a witness deleted in between would leave them
+// evaluating over the relations the plan said they would not read.
+func (c *Checker) Plan(u store.Update) PlanReport { return c.plan(nil, u) }
+
+// plan is Plan for u once the updates prior are applied (PlanAll).
+func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	var t tally
 	p, fresh := c.program(u, &t)
 	if !fresh {
@@ -85,7 +88,7 @@ func (c *Checker) Plan(u store.Update) PlanReport {
 		}
 		if certs {
 			res, _ := c.check(s, u, schema, &t)
-			if o.witness = res.Certified(c.db, u.Tuple); o.witness != nil {
+			if o.witness = res.Certified(c.db, prior, u.Tuple); o.witness != nil {
 				o.phase, o.decided = PhaseResidual, true
 				continue
 			}
@@ -107,7 +110,7 @@ func (c *Checker) Plan(u store.Update) PlanReport {
 	}
 	c.record(&t)
 	if len(staged) > 0 {
-		c.planStaged(p, staged, out, u)
+		c.planStaged(p, staged, out, prior, u)
 	}
 	pr := PlanReport{update: u, fp: c.fp}
 	var seen map[string]bool
@@ -144,25 +147,9 @@ type planOutcome struct {
 
 // planStaged runs phases 1–3 for the staged steps, two or more of them
 // concurrently.
-func (c *Checker) planStaged(p *program, staged []int, out []planOutcome, u store.Update) {
+func (c *Checker) planStaged(p *program, staged []int, out []planOutcome, prior []store.Update, u store.Update) {
 	runParallel(len(staged), c.workers(), func(j int) {
 		s, o := &p.steps[staged[j]], &out[staged[j]]
-		o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), true, u, nil)
+		o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), true, prior, u, nil)
 	})
-}
-
-// Decide finishes the decision pr planned — Apply when commit is set,
-// Check otherwise — with the constraints the plan certified decided as
-// planned. The witness may be gone by now and the verdict still stands:
-// it was in the store, with the constraint holding, at a moment when the
-// relations the rest of the rule reads were what they are now, provided
-// the caller kept writes to those away between Plan and Decide — the
-// update's footprint does (Footprints), and it need not cover the
-// witness's own relation for that. A plan made against another constraint
-// set is decided afresh.
-func (c *Checker) Decide(pr PlanReport, commit bool) (Report, error) {
-	if pr.fp != c.fp {
-		return c.decide(pr.update, commit, nil)
-	}
-	return c.decide(pr.update, commit, pr.Witnesses)
 }

@@ -292,7 +292,7 @@ func runGoldenShape(t *testing.T, sh goldenShape, workers int, traced bool) stri
 		default:
 			pr := chk.Plan(u)
 			fmt.Fprintf(&out, "plan %v decided=%s witnesses=%s global=%v relations=%v\n", u, decisionsText(pr.Decided), witnessesText(pr.Witnesses), pr.Global, pr.Relations)
-			rep, err := chk.Decide(pr, i%8 == 2)
+			rep, err := decideOne(chk, pr, i%8 == 2)
 			report("decide", u, rep, err)
 		}
 	}

@@ -76,7 +76,7 @@ func (c *Checker) emitAttempts(p *program, dyn []dynOutcome, u store.Update, uSt
 		switch s.kind {
 		case stepStatic:
 			static = static[:0]
-			c.stageOne(s.k, s.entry.Load(), !fresh, u, &static)
+			c.stageOne(s.k, s.entry.Load(), !fresh, nil, u, &static)
 			attempts = static
 		case stepDynamic:
 			attempts = dyn[j].trace

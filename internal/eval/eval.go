@@ -128,9 +128,11 @@ type evaluator struct {
 	// stop, when set, aborts evaluation with errGoalDerived as soon as the
 	// named predicate derives a tuple (GoalHoldsAfter).
 	stop string
-	// upd, if set, is pending: stored relations read as they will once it
-	// is applied. Its tuple is also the parameters of a residual plan.
-	upd store.Update
+	// prior and then upd, where set, are pending: stored relations read as
+	// they will once the updates are applied in that order. upd's tuple is
+	// also the parameters of a residual plan.
+	prior []store.Update
+	upd   store.Update
 	// fix, when set, makes this a delta-seeded run over a kept fixpoint
 	// (fixpoint.go): derived predicates are read from and written to its
 	// handle rows, rules run their delta-first plans, and the delta

@@ -29,6 +29,7 @@ type Fixpoint struct {
 	db   *store.Store
 	goal string
 	rels map[string]*rowSet
+	sets []*rowSet // rels' values
 	// edb are the stored relations whose contents the kept rows depend on
 	// where it matters — those that feed a derived predicate some rule
 	// reads (compiled.feeds); vers are their data versions as of the
@@ -92,6 +93,7 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 		rs := newRowSet(r.Arity())
 		rs.rows = make([]relation.Handle, 0, r.Len()*r.Arity())
 		f.rels[pred] = rs
+		f.sets = append(f.sets, rs)
 	}
 	// Only the column sets a delta plan probes past its delta literal get
 	// a bucket index.
@@ -147,21 +149,31 @@ func (f *Fixpoint) Valid() bool {
 	return true
 }
 
-// Insert reports whether the goal is derivable once t is in rel, for a
-// store that matches the fixpoint — t is not written; every read of rel
-// sees it beside the stored tuples. It runs the strata in order, each
-// seeded with the tuple and the facts lower strata gained, and stops at
-// the first goal fact. What it derives is an overlay on the rows: gone
+// Insert reports whether the goal is derivable once the updates prior and
+// then the insert of t into rel are applied, for a store that matches the
+// fixpoint and its open overlay — nothing is written; every stored read
+// sees the updates beside the stored tuples. It runs the strata in order,
+// each seeded with the tuple and the facts lower strata gained, and stops
+// at the first goal fact. What it derives is an overlay on the rows: gone
 // when Insert returns, so decisions that only ask may overlap — or, with
-// keep, left for Close, and the holder lets no other Insert in till then.
-func (f *Fixpoint) Insert(rel string, t relation.Tuple, keep bool) (bool, error) {
+// keep, left for Close, and the holder lets no other Insert in till then
+// but the keeping ones of the same batch, whose overlays add up.
+//
+// The rows must account for prior: the holder passes one whose writes to
+// the stored relations the program reads are exactly inserts this
+// overlay holds, and evaluates from scratch otherwise.
+func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, keep bool) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !keep {
 		defer f.settle(false)
 	}
+	for _, rs := range f.sets {
+		rs.start = rs.n
+	}
 	ev := getEvaluator()
-	ev.comp, ev.db, ev.res, ev.stop, ev.fix, ev.upd = f.comp, f.db, noIDB, f.goal, f, store.Ins(rel, t)
+	ev.comp, ev.db, ev.res, ev.stop, ev.fix = f.comp, f.db, noIDB, f.goal, f
+	ev.prior, ev.upd = prior, store.Ins(rel, t)
 	defer ev.release()
 	for i := range f.comp.strata {
 		err := ev.seededStratum(&f.comp.strata[i], rel)
@@ -178,9 +190,9 @@ func (f *Fixpoint) Insert(rel string, t relation.Tuple, keep bool) (bool, error)
 // seededStratum is evalStratum started from a delta instead of from the
 // stored relations: a first pass runs every rule once per occurrence of
 // the inserted relation (over the seed tuple) and of a lower stratum's
-// predicate that gained rows (over those rows); the semi-naive rounds
-// then chase the rows the stratum's own predicates gain, a round's delta
-// being the row range the previous round appended.
+// predicate that gained rows in this Insert (over those rows); the
+// semi-naive rounds then chase the rows the stratum's own predicates
+// gain, a round's delta being the row range the previous round appended.
 func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 	rels := ev.fix.rels
 	for _, p := range sp.preds {
@@ -193,7 +205,7 @@ func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 			}
 			ev.dlo, ev.dhi = 0, 0
 			if rs := rels[l.Atom.Pred]; rs != nil {
-				ev.dlo, ev.dhi = rs.kept, rs.n
+				ev.dlo, ev.dhi = rs.start, rs.n
 			}
 			if l.Atom.Pred == rel || ev.dlo < ev.dhi {
 				if err := ev.applyRule(r, nil, bi, nil); err != nil {
@@ -242,7 +254,7 @@ func (f *Fixpoint) Close(fold bool) {
 
 // settle folds or drops the open overlay, under f.mu.
 func (f *Fixpoint) settle(fold bool) {
-	for _, rs := range f.rels {
+	for _, rs := range f.sets {
 		if fold {
 			rs.kept = rs.n
 		} else if rs.n > rs.kept {

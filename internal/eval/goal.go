@@ -21,13 +21,14 @@ var errGoalDerived = errors.New("eval: goal derived")
 // join planning all live in the compiled object, cached across calls when
 // opts.Cache is set.
 func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options) (bool, error) {
-	return GoalHoldsAfter(prog, db, goal, store.Update{}, opts)
+	return GoalHoldsAfter(prog, db, goal, nil, store.Update{}, opts)
 }
 
-// GoalHoldsAfter is GoalHoldsWith for the database db will be once u is
-// applied, answered while reading db as it stands: db is not written, and
-// a probe router serves the state before u. The zero Update asks of db.
-func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, u store.Update, opts Options) (bool, error) {
+// GoalHoldsAfter is GoalHoldsWith for the database db will be once the
+// updates prior and then u are applied, answered while reading db as it
+// stands: db is not written, and a probe router serves the state before
+// them. No prior and the zero Update ask of db.
+func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, prior []store.Update, u store.Update, opts Options) (bool, error) {
 	c, err := compiledFor(prog, db, goal, opts)
 	if err != nil {
 		return false, err
@@ -37,7 +38,7 @@ func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, u store.Upd
 	}
 	ev, result := newEvaluator(c, db, opts)
 	defer ev.release()
-	ev.upd = u
+	ev.prior, ev.upd = prior, u
 	for i := range c.strata {
 		if i != c.goalLevel {
 			if err := ev.evalStratum(&c.strata[i]); err != nil {

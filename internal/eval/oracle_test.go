@@ -251,9 +251,10 @@ func (r *preStateRouter) Contains(rel string, t relation.Tuple) (bool, bool, err
 }
 
 // TestGoalHoldsAfterAgainstClone holds the pending-update entry point to
-// its definition — clone the store, apply the update, evaluate — over the
+// its definition — clone the store, apply the updates, evaluate — over the
 // oracle program pool, for inserts and deletes (duplicates, absent tuples
-// and relations the store lacks included), on the indexed, scan and
+// and relations the store lacks included) after up to two earlier updates
+// of a sequence, on the indexed, scan and
 // cached arms, and with a router that serves the pre-state while the
 // local store is empty: the update is applied above what the router
 // answers. The store asked about is never written.
@@ -281,14 +282,25 @@ func TestGoalHoldsAfterAgainstClone(t *testing.T) {
 					}
 				}
 			}
-			rel := rels[rng.Intn(len(rels))]
-			u := store.Ins(rel, tuple(rel))
-			if rng.Intn(3) == 0 {
-				u = store.Del(rel, tuple(rel))
+			update := func() store.Update {
+				rel := rels[rng.Intn(len(rels))]
+				if rng.Intn(3) == 0 {
+					return store.Del(rel, tuple(rel))
+				}
+				return store.Ins(rel, tuple(rel))
 			}
+			// Up to two earlier updates of a sequence, pending before u.
+			prior := make([]store.Update, rng.Intn(3))
+			for i := range prior {
+				prior[i] = update()
+			}
+			u := update()
+			rel := u.Relation
 			post := db.Clone()
-			if err := u.Apply(post); err != nil {
-				t.Fatal(err)
+			for _, w := range append(prior[:len(prior):len(prior)], u) {
+				if err := w.Apply(post); err != nil {
+					t.Fatal(err)
+				}
 			}
 			res, err := Eval(prog, post)
 			if err != nil {
@@ -314,10 +326,10 @@ func TestGoalHoldsAfterAgainstClone(t *testing.T) {
 				{"routed", store.New(), Options{Probe: router}},
 				{"routed scan", store.New(), Options{Probe: router, DisableIndexes: true}},
 			} {
-				got, err := GoalHoldsAfter(prog, arm.local, goal, u, arm.opts)
+				got, err := GoalHoldsAfter(prog, arm.local, goal, prior, u, arm.opts)
 				if err != nil || got != want {
-					t.Fatalf("program %d trial %d (%s): %s after %v = %v err=%v, evaluation of the updated clone says %v\nprog:\n%s\ndb:\n%s",
-						pi, trial, arm.name, goal, u, got, err, want, prog, db)
+					t.Fatalf("program %d trial %d (%s): %s after %v then %v = %v err=%v, evaluation of the updated clone says %v\nprog:\n%s\ndb:\n%s",
+						pi, trial, arm.name, goal, prior, u, got, err, want, prog, db)
 				}
 			}
 			routed += router.reads

@@ -20,6 +20,9 @@ type rowSet struct {
 	arity int
 	n     int // rows held; rows has n*arity handles
 	kept  int // rows of the fixpoint proper; [kept, n) is the overlay
+	// start is where the Insert in progress began to append: the overlay
+	// before it is what earlier inserts of the same batch derived.
+	start int
 	// [lo, hi) is the delta of the semi-naive round in progress: the rows
 	// the previous round appended (seededStratum).
 	lo, hi int

@@ -22,8 +22,8 @@ import (
 // allocation beyond the pooled evaluator. A plan ends in an emit (a rule's
 // head tuple) or, for a residual disjunct, in "derived". Every read goes
 // through the evaluator's source (fetch, contains): the store as it will
-// be once the pending update is applied, a probe router, an IDB relation,
-// a semi-naive delta relation, or a kept fixpoint's rows.
+// be once the pending updates are applied, a probe router, an IDB
+// relation, a semi-naive delta relation, or a kept fixpoint's rows.
 
 // TermKind says what a planned term stands for.
 type TermKind uint8
@@ -392,15 +392,16 @@ func (st *step) addBound(col int, op ast.CompOp, b arg) {
 func (p *Plan) Len() int { return len(p.steps) }
 
 // HoldsAfter reports whether the plan derives over db as it will be once
-// u is applied, reading db as it stands and never writing it; u.Tuple
-// supplies the parameters. It is the residual disjunct's test.
-func (p *Plan) HoldsAfter(db *store.Store, u store.Update) bool {
+// the updates prior and then u are applied, reading db as it stands and
+// never writing it; u.Tuple supplies the parameters. It is the residual
+// disjunct's test.
+func (p *Plan) HoldsAfter(db *store.Store, prior []store.Update, u store.Update) bool {
 	ev := getEvaluator()
-	ev.db, ev.upd = db, u
+	ev.db, ev.prior, ev.upd = db, prior, u
 	err := ev.runPlan(p)
-	// db and u are all the run state a residual run sets: clearing them is
-	// release on the hot path.
-	ev.db, ev.upd = nil, store.Update{}
+	// db and the updates are all the run state a residual run sets:
+	// clearing them is release on the hot path.
+	ev.db, ev.prior, ev.upd = nil, nil, store.Update{}
 	evaluators.Put(ev)
 	return errors.Is(err, errGoalDerived)
 }
@@ -624,8 +625,9 @@ func (ev *evaluator) fetch(st *step, lv *level) ([]relation.Tuple, error) {
 			dst = kept.scan(dst, &lv.vbuf, ev.dlo, ev.dhi, cols, vals)
 		case ev.fix != nil:
 			// The inserted relation's delta is the inserted tuple, if it
-			// agrees with the literal's arity and probe columns.
-			dst = ev.pending(dst, st.pred, len(st.args), cols, vals)
+			// agrees with the literal's arity and probe columns; what earlier
+			// pending inserts derived is in the rows already.
+			dst = adjust(dst, &ev.upd, st.pred, len(st.args), cols, vals)
 		default:
 			dst = readRel(dst, ev.deltaRel, cols, vals)
 		}
@@ -665,7 +667,7 @@ func (ev *evaluator) fetch(st *step, lv *level) ([]relation.Tuple, error) {
 		default:
 			dst = ev.db.TuplesAppend(dst, st.pred)
 		}
-		if st.pred == ev.upd.Relation {
+		if ev.prior != nil || st.pred == ev.upd.Relation {
 			dst = ev.pending(dst, st.pred, len(st.args), cols, vals)
 		}
 	}
@@ -706,11 +708,20 @@ func (ev *evaluator) contains(st *step, t relation.Tuple) (bool, error) {
 // pending adjusts what the store or the router answered to a positive
 // read of the stored relation pred — the tuples, of an arity-ar atom,
 // whose projection onto cols equals vals — to what it will hold once
-// ev.upd is applied (an inserted tuple in, a deleted one out), in place.
-// With pendingHas it is the one place a read sees the update before it
-// is written: deciding an update reads the database as it stands.
+// ev.prior and then ev.upd are applied, in place. With pendingHas it is
+// the one place a read sees the updates before they are written: deciding
+// an update reads the database as it stands.
 func (ev *evaluator) pending(ts []relation.Tuple, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
-	u := &ev.upd
+	for i := range ev.prior {
+		ts = adjust(ts, &ev.prior[i], pred, ar, cols, vals)
+	}
+	return adjust(ts, &ev.upd, pred, ar, cols, vals)
+}
+
+// adjust applies u to the answer ts of a read of pred: an inserted tuple
+// in (where it agrees with the atom's arity and the probed values), a
+// deleted one out.
+func adjust(ts []relation.Tuple, u *store.Update, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
 	if pred != u.Relation {
 		return ts
 	}
@@ -729,11 +740,10 @@ func (ev *evaluator) pending(ts []relation.Tuple, pred string, ar int, cols []in
 }
 
 // pendingHas decides membership of t in the stored relation pred where
-// the pending update does: its own tuple is in after an insert and out
-// after a delete.
+// the pending updates do: the last one of t is an insert or a delete.
 func (ev *evaluator) pendingHas(pred string, t relation.Tuple) (has, decided bool) {
 	if pred == ev.upd.Relation && t.Equal(ev.upd.Tuple) {
 		return ev.upd.Insert, true
 	}
-	return false, false
+	return store.Pending(ev.prior, pred, t)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,13 +70,14 @@ type Options struct {
 	// coordinator's trace store ends up with the full cross-process tree.
 	// Pass the same bridge that serves as Checker.Tracer.
 	Spans *obs.SpanBridge
-	// ApplyWorkers > 1 is how many members of an ApplyBatch may compute
-	// at once on its conflict-aware scheduler (internal/sched):
-	// non-conflicting members overlap their phase-1–3 checks and site
-	// RPCs while the batch stays atomic, and a member that may wait on a
-	// site (sched.Footprint.Wire) does not count, so what bounds round
-	// trips in flight is the size of the batch. 0 or 1 runs the members
-	// one at a time on the caller's goroutine, with no scheduler.
+	// ApplyWorkers says how a decision's wire reads and writes go out —
+	// the refreshes of what a batch's members read, and the publishes of
+	// what it writes to remote relations. 0 or 1 sends them one at a time,
+	// in member order, on the caller's goroutine: the same round trips
+	// every run. Above 1 all the refreshes go out at once, and later all
+	// the publishes, so that a batch waits out one round trip instead of
+	// one per read; the size of the batch bounds what is in flight. The
+	// members are decided in order on the caller's goroutine either way.
 	ApplyWorkers int
 }
 
@@ -155,11 +157,10 @@ type Stats struct {
 // reported as ErrSiteUnavailable, never as a verdict.
 //
 // Concurrency: the coordinator's own accounting is mutex-guarded, and
-// its transports tolerate concurrent round trips — but Apply/Check are
-// safe to overlap only for updates with non-conflicting footprints
-// (core.Checker's contract). Callers must not race conflicting applies
-// themselves; ApplyBatch enforces the discipline with internal/sched, and
-// remains equivalent to a sequential run in admission order.
+// its transports tolerate concurrent round trips — but Apply, Check and
+// ApplyBatch are safe to overlap only for updates with non-conflicting
+// footprints (core.Checker's contract; a batch's footprint is the union
+// of its members'). Callers must not race conflicting applies themselves.
 type Coordinator struct {
 	Checker *core.Checker
 
@@ -172,8 +173,9 @@ type Coordinator struct {
 	shmet     *shardMetrics
 	reqID     atomic.Uint64
 	// applyGen advances at every Apply/Check/ApplyBatch entry; the shard
-	// router keys its probe cache on it so one update's evaluation reuses
-	// fetched groups while later updates see fresh state.
+	// router keys its probe cache on it so one decision's evaluations reuse
+	// fetched groups — nothing reaches a site before its verdict — while
+	// later decisions see fresh state.
 	applyGen atomic.Uint64
 	// router is non-nil when some relation is sharded; it is also
 	// installed as the checker's eval.ProbeRouter.
@@ -271,8 +273,10 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 	if co.opts.Metrics != nil && (anySharded || co.hasReplicas()) {
 		co.shmet = newShardMetrics(co.opts.Metrics)
 	}
-	if err := co.refresh(co.remoteRelations()); err != nil {
-		return nil, err
+	for _, rel := range co.remoteRelations() {
+		if err := co.refresh(mirrorRead{rel: rel, whole: true}); err != nil {
+			return nil, err
+		}
 	}
 	// Seed the replicas synchronously so a healthy cluster starts with
 	// every watermark current; an unreachable replica starts stale and is
@@ -410,22 +414,6 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 	return nil, err
 }
 
-// refresh re-fetches the given relations into the mirror in full.
-// Relations not remotely placed are ignored (they are local or derived).
-// One scan per shard; the first unreachable site aborts with its
-// SiteError.
-func (co *Coordinator) refresh(rels []string) error {
-	for _, rel := range rels {
-		if _, ok := co.place[rel]; !ok {
-			continue
-		}
-		if err := co.refreshRel(rel); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // scanAll reads a placed relation from every shard and merges the parts —
 // one scan for a whole relation — reading each shard from a fresh replica
 // when one exists, its leader otherwise. It returns the tuples and the
@@ -479,106 +467,133 @@ func (co *Coordinator) fetchKey(rel string, key ast.Value, mode string) ([]relat
 	return ts, resp.Arity, nil
 }
 
-// refreshRel rebuilds the mirror's copy of one placed relation from a
-// scan of every shard.
-func (co *Coordinator) refreshRel(rel string) error {
-	ts, arity, err := co.scanAll(rel)
+// refresh makes one read of a decision. A whole placed relation is
+// rebuilt from a scan of every shard. A key group of a sharded relation
+// is fetched from its owning shard and swapped into the mirror with
+// store.ReplaceKey, so the mirror is precisely as fresh as the residual
+// path's keyed probes require — shipping one key group instead of the
+// whole relation is the scale-out analogue of the paper's "consult as
+// little information as the update requires".
+func (co *Coordinator) refresh(r mirrorRead) error {
+	var ts []relation.Tuple
+	var arity int
+	var err error
+	if r.whole {
+		ts, arity, err = co.scanAll(r.rel)
+	} else {
+		ts, arity, err = co.fetchKey(r.rel, r.key, "key-fetch")
+	}
 	if err != nil {
 		return err
 	}
 	if arity == 0 {
-		// Empty, never-used relation: keep the mirror's arity if it
-		// already has one, otherwise skip (nothing to store).
-		if r := co.mirror.Relation(rel); r != nil {
-			arity = r.Arity()
-		} else {
+		// Empty, never-used relation: keep the mirror's arity if it already
+		// has one, otherwise there is nothing to store.
+		m := co.mirror.Relation(r.rel)
+		if m == nil {
 			return nil
 		}
+		arity = m.Arity()
 	}
-	if err := co.mirror.Replace(rel, arity, ts); err != nil {
+	if r.whole {
+		err = co.mirror.Replace(r.rel, arity, ts)
+	} else {
+		err = co.mirror.ReplaceKey(r.rel, arity, co.place[r.rel].KeyCol, r.key, ts)
+	}
+	if err != nil {
 		return &RemoteError{Site: "", Msg: err.Error()}
 	}
-	return nil
-}
-
-// refreshKeys refreshes exactly the given key groups of a sharded
-// relation: each key is fetched from its owning shard and swapped into
-// the mirror with store.ReplaceKey, so the mirror is precisely as fresh
-// as the residual path's keyed probes require — shipping one key group
-// instead of the whole relation is the scale-out analogue of the paper's
-// "consult as little information as the update requires".
-func (co *Coordinator) refreshKeys(rel string, pl RelPlacement, keys []ast.Value) error {
-	for _, key := range keys {
-		ts, arity, err := co.fetchKey(rel, key, "key-fetch")
-		if err != nil {
-			return err
-		}
-		if arity == 0 {
-			if r := co.mirror.Relation(rel); r != nil {
-				arity = r.Arity()
-			} else {
-				continue // relation nowhere materialized: no stale group to swap
-			}
-		}
-		if err := co.mirror.ReplaceKey(rel, arity, pl.KeyCol, key, ts); err != nil {
-			return &RemoteError{Site: "", Msg: err.Error()}
-		}
-		// One routed read per key fetched, so KeyFetches stays the
-		// keyed-refresh subset of ShardRouted however many groups an
-		// update probes and wherever a later fetch fails.
-		co.statsMu.Lock()
-		co.stats.KeyFetches++
-		co.statsMu.Unlock()
-		if co.shmet != nil {
-			co.shmet.keyFetches.Inc()
-		}
-		co.noteRouted(1)
+	if r.whole {
+		return nil
 	}
+	// One routed read per key fetched, so KeyFetches stays the keyed-refresh
+	// subset of ShardRouted however many groups a decision probes and
+	// wherever another fetch fails.
+	co.statsMu.Lock()
+	co.stats.KeyFetches++
+	co.statsMu.Unlock()
+	if co.shmet != nil {
+		co.shmet.keyFetches.Inc()
+	}
+	co.noteRouted(1)
 	return nil
 }
 
-// refreshForUpdate refreshes what this update's check may read. Whole
+// mirrorRead is one refresh a decision needs: a whole placed relation, or
+// one key group of a sharded one.
+type mirrorRead struct {
+	rel   string
+	whole bool
+	key   ast.Value
+}
+
+// reads is the union of the refreshes a decision's members need, in the
+// order first needed: each relation or key group once, and no group of a
+// relation refreshed whole.
+type reads []mirrorRead
+
+// add notes what the planned member u may read, and returns the number of
+// remote relations its plan needs (0: decidable wire-free). Whole
 // relations refresh in full, as ever. Sharded relations consult the
 // footprint index's residual-aware read plan: keyed residual probes pull
 // just their key groups from the owning shards, unkeyed residual reads
-// scatter-refresh, and relations read only through global evaluation are
-// left to the probe router (no refresh at all). The returned count is
-// the number of remote relations the update needed (0 = decidable
-// wire-free).
-func (co *Coordinator) refreshForUpdate(u store.Update, planRels []string) (int, error) {
-	needed := 0
-	for _, rel := range planRels {
+// refresh the whole relation (and with it every group), and relations
+// read only through global evaluation are left to the probe router (no
+// refresh at all).
+func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int {
+	need := 0
+	for _, rel := range plan.Relations {
 		pl, remote := co.place[rel]
 		if !remote {
 			continue
 		}
-		needed++
-		if !pl.Sharded() {
-			if err := co.refreshRel(rel); err != nil {
-				return needed, err
+		rp := sched.ReadPlan{Mirror: true}
+		if pl.Sharded() {
+			rp = co.Checker.Footprints().ReadPlan(u, rel)
+		}
+		switch {
+		case rp.Mirror:
+			rs.note(mirrorRead{rel: rel, whole: true})
+		case len(rp.Keys) > 0:
+			for _, key := range rp.Keys {
+				rs.note(mirrorRead{rel: rel, key: key})
 			}
+		case !rp.Eval:
+			// The residual-aware analysis proves this member's check never
+			// reads rel (the plan's relation list is residual-unaware and
+			// conservative): nothing to refresh, and no wire need.
 			continue
 		}
-		switch rp := co.Checker.Footprints().ReadPlan(u, rel); {
-		case rp.Mirror:
-			if err := co.refreshRel(rel); err != nil {
-				return needed, err
-			}
-		case len(rp.Keys) > 0:
-			if err := co.refreshKeys(rel, pl, rp.Keys); err != nil {
-				return needed, err
-			}
-		case rp.Eval:
-			// Router-served: probes reach the owning shard at evaluation
-			// time; the mirror is not touched.
-		default:
-			// The residual-aware analysis proves this update's check never
-			// reads rel (the plan's relation list is residual-unaware and
-			// conservative); nothing to refresh, and no wire need.
-			needed--
+		// Router-served reads (rp.Eval) reach the owning shard at evaluation
+		// time and leave the mirror alone, but need the wire.
+		need++
+	}
+	return need
+}
+
+// note adds r unless the set covers it; a whole read replaces the groups
+// of its relation.
+func (rs *reads) note(r mirrorRead) {
+	for _, e := range *rs {
+		if e.rel == r.rel && (e.whole || !r.whole && e.key.Equal(r.key)) {
+			return
 		}
 	}
-	return needed, nil
+	if r.whole {
+		*rs = slices.DeleteFunc(*rs, func(e mirrorRead) bool { return e.rel == r.rel })
+	}
+	*rs = append(*rs, r)
+}
+
+// read refreshes the mirror for rs, before any member is decided.
+func (co *Coordinator) read(rs reads) error {
+	switch len(rs) {
+	case 0:
+		return nil
+	case 1:
+		return co.refresh(rs[0])
+	}
+	return co.fanOut(len(rs), func(i int) error { return co.refresh(rs[i]) })
 }
 
 // noteRouted/noteScatter account single-shard-targeted and fan-out reads
@@ -614,76 +629,31 @@ func (co *Coordinator) routeSpan(rel, mode string) *obs.Span {
 	return sp
 }
 
-// Apply pushes one update through the pipeline. When the update's plan
-// needs remote data that cannot be fetched, it returns an error
-// matching ErrSiteUnavailable and the database is untouched; updates
-// decidable from local information commit regardless of site health.
-func (co *Coordinator) Apply(u store.Update) (core.Report, error) { return co.decide(u, true) }
+// Apply pushes one update through the pipeline: ApplyBatch of one. When
+// the update's plan needs remote data that cannot be fetched, or its
+// owning shard cannot take its write, it returns an error matching
+// ErrSiteUnavailable and the database is untouched; updates decidable
+// from local information commit regardless of site health.
+func (co *Coordinator) Apply(u store.Update) (core.Report, error) { return co.one(u, true) }
 
 // Check decides one update without committing anything: remote relations
-// its plan needs are refreshed, the checker decides (core.Checker.Check),
-// and mirror and sites are untouched whatever the verdict.
-func (co *Coordinator) Check(u store.Update) (core.Report, error) { return co.decide(u, false) }
+// its plan needs are refreshed, the checker decides, and mirror and sites
+// are untouched whatever the verdict.
+func (co *Coordinator) Check(u store.Update) (core.Report, error) { return co.one(u, false) }
 
-// decide is Apply (commit) and Check (!commit): plan, refresh what the
-// plan reads, let the checker decide — mirror and shards both hold the
-// state before u — and propagate u once committed to a remote relation.
-func (co *Coordinator) decide(u store.Update, commit bool) (core.Report, error) {
-	co.applyGen.Add(1)
-	co.statsMu.Lock()
-	co.stats.Updates++
-	co.statsMu.Unlock()
-	// unavailable refuses the update: a site it needed cannot be reached.
-	unavailable := func(err error) (core.Report, error) {
-		co.noteUnavailable(err)
-		return core.Report{Update: u}, fmt.Errorf("update %s: %w", u, err)
+// one is Apply (commit) and Check (!commit): decide for a batch of one,
+// its update, plan and report on the caller's stack.
+func (co *Coordinator) one(u store.Update, commit bool) (core.Report, error) {
+	us, plans, reps := [1]store.Update{u}, [1]core.PlanReport{co.Checker.Plan(u)}, [1]core.Report{}
+	br, err := co.decide(us[:], plans[:], reps[:0], commit)
+	if len(br.Reports) == 0 || errors.Is(err, ErrSiteUnavailable) {
+		return core.Report{Update: u}, err
 	}
-	// Decide what the global phase would need before touching anything.
-	plan := co.Checker.Plan(u)
-	needed, err := co.refreshForUpdate(u, plan.Relations)
-	if err != nil {
-		return unavailable(err)
-	}
-	// The plan's certificates stand: what they spared is not refreshed.
-	rep, err := co.Checker.Decide(plan, commit)
-	if err != nil {
-		if errors.Is(err, ErrSiteUnavailable) {
-			// A routed evaluation probe failed: refused, not misjudged.
-			return unavailable(err)
-		}
-		return rep, err
-	}
-	// Propagate an applied update on a remote relation to its owning
-	// shard leader; if the leader is unreachable the local application is
-	// undone — the sites never diverge from the mirror over a failure.
-	propagated := false
-	if _, remote := co.place[u.Relation]; remote && commit && rep.Applied {
-		propagated = true
-		if err := co.propagate(u); err != nil {
-			co.undoMirror(u)
-			return unavailable(fmt.Errorf("propagate: %w", err))
-		}
-	}
-	co.statsMu.Lock()
-	for _, d := range rep.Decisions {
-		co.stats.ByPhase[d.Phase]++
-	}
-	if !rep.Applied {
-		co.stats.Rejected++
-	}
-	// Wire-free iff no remote relation needed a refresh and nothing was
-	// propagated; computed directly because the old round-trip-delta
-	// comparison misattributes other updates' traffic under concurrent
-	// appliers.
-	if needed == 0 && !propagated {
-		co.stats.DecidedLocally++
-	}
-	co.statsMu.Unlock()
-	return rep, nil
+	return br.Reports[0], err
 }
 
 // propagate applies u on its owning shard leader and feeds the shard's
-// replicas; unpropagate routes the inverse (rollback paths).
+// replicas; unpropagate routes the inverse (publish's withdrawal).
 func (co *Coordinator) propagate(u store.Update) error {
 	ss := co.shardFor(u.Relation, u.Tuple)
 	if ss == nil {
@@ -755,18 +725,6 @@ func (co *Coordinator) noteUnavailable(err error) {
 	co.statsMu.Unlock()
 	if co.met != nil {
 		co.met.unavailable.Inc()
-	}
-}
-
-// undoMirror reverts an applied update on the mirror at store level
-// (used when remote propagation fails after local commit).
-func (co *Coordinator) undoMirror(u store.Update) {
-	if u.Insert {
-		co.mirror.Delete(u.Relation, u.Tuple)
-	} else {
-		if _, err := co.mirror.Insert(u.Relation, u.Tuple); err != nil {
-			panic(fmt.Sprintf("netdist: mirror undo failed: %v", err))
-		}
 	}
 }
 

@@ -190,10 +190,10 @@ func TestCoordinatorApplyBatchRollsBackAcrossSites(t *testing.T) {
 		t.Fatalf("batch: %+v", br)
 	}
 	if remote.Contains("dept", relation.Strs("shoe")) {
-		t.Error("batch rollback did not un-propagate the remote insert")
+		t.Error("the rejected batch wrote the remote insert")
 	}
 	if co.Checker.DB().Contains("emp", relation.TupleOf(strv("bob"), strv("shoe"), intv(60))) {
-		t.Error("batch rollback left a local insert")
+		t.Error("the rejected batch wrote a local insert")
 	}
 }
 

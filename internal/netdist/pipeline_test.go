@@ -1,6 +1,7 @@
 package netdist
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -216,11 +217,12 @@ func sameBatch(t *testing.T, name string, br core.BatchReport, failedAt int, rep
 	}
 }
 
-// TestPipelinedBatchAtomicRollback: a rejection mid-batch must roll the
-// whole batch back — mirror AND remote site — and report the failure
-// index and reports of applying the members one by one, at any number of
-// workers. At one worker nothing past the failure reaches the wire: the
-// batch makes the reference's round trips and the one un-propagation.
+// TestPipelinedBatchAtomicRollback: a rejection mid-batch leaves the
+// mirror AND the remote site as they were, and reports the failure index
+// and reports of applying the members one by one, at any number of
+// workers. Nothing is written anywhere before the verdict: the batch's
+// wire traffic is its members' reads — one refresh of r, which both l
+// inserts read — and no write.
 func TestPipelinedBatchAtomicRollback(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("l", relation.Ints(100, 101)), // admissible
@@ -233,7 +235,6 @@ func TestPipelinedBatchAtomicRollback(t *testing.T) {
 	if failedAt != 2 {
 		t.Fatalf("reference fails at %d, want 2", failedAt)
 	}
-	refTrips := refCo.Stats().RoundTrips
 	for _, workers := range []int{0, 1, 8} {
 		name := fmt.Sprintf("workers %d", workers)
 		co, remote, _ := pipeFixture(t, workers)
@@ -244,13 +245,13 @@ func TestPipelinedBatchAtomicRollback(t *testing.T) {
 		}
 		sameBatch(t, name, br, failedAt, reports)
 		if got := dumpStore(co.Checker.DB()); got != preMirror {
-			t.Fatalf("%s: mirror not rolled back\nafter:\n%s\nbefore:\n%s", name, got, preMirror)
+			t.Fatalf("%s: the rejected batch wrote the mirror\nafter:\n%s\nbefore:\n%s", name, got, preMirror)
 		}
 		if got := dumpStore(remote); got != preSite {
-			t.Fatalf("%s: site store not rolled back (r(200) must be un-propagated)\nafter:\n%s\nbefore:\n%s", name, got, preSite)
+			t.Fatalf("%s: the rejected batch wrote the site (r(200))\nafter:\n%s\nbefore:\n%s", name, got, preSite)
 		}
-		if trips := co.Stats().RoundTrips; workers <= 1 && trips != refTrips+1 {
-			t.Fatalf("%s: %d round trips, want the reference's %d and one un-propagation", name, trips, refTrips)
+		if trips := co.Stats().RoundTrips; trips != 1 {
+			t.Fatalf("%s: %d round trips, want the one refresh of r the members read, and no write", name, trips)
 		}
 	}
 }
@@ -280,13 +281,13 @@ func TestPipelinedBatchCommits(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchShardedRollback: an atomic batch on the scheduler
-// whose updates meet on dept keys — an emp insert under a key the batch
-// itself inserts (admitted only behind that write), one under a key it
-// deletes (rejected only behind that write), others under keys of their
-// own (free to overlap) — fails where applying the members one by one
-// does, with the same reports, and the rollback takes both dept writes
-// back off their shards.
+// TestPipelinedBatchShardedRollback: an atomic batch whose updates meet
+// on dept keys — an emp insert under a key the batch itself inserts
+// (admitted only behind that write), one under a key it deletes (rejected
+// only behind that write), others under keys of their own — fails where
+// applying the members one by one does, with the same reports, at one
+// worker and with its reads all in flight at once. Neither dept write
+// reaches a shard: every round trip is a key group the members read.
 func TestPipelinedBatchShardedRollback(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("dept", relation.Ints(100)),      // propagated to its shard
@@ -305,19 +306,143 @@ func TestPipelinedBatchShardedRollback(t *testing.T) {
 		for _, workers := range []int{0, 8} {
 			name := fmt.Sprintf("round %d workers %d", round, workers)
 			co, _, leaders := buildShardedArm(t, shardArm{name: "sharded4", shards: 4, batchWorkers: workers})
-			preMirror, preGlobal := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
+			preMirror, preGlobal, pre := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders), co.Stats()
 			got, err := co.ApplyBatch(batch)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sameBatch(t, name, got, failedAt, reports)
 			if m := dumpStore(co.Checker.DB()); m != preMirror {
-				t.Fatalf("%s: mirror not rolled back\nafter:\n%s\nbefore:\n%s", name, m, preMirror)
+				t.Fatalf("%s: the rejected batch wrote the mirror\nafter:\n%s\nbefore:\n%s", name, m, preMirror)
 			}
 			if g := dumpGlobal(co, leaders); g != preGlobal {
-				t.Fatalf("%s: shards not rolled back (dept(100) and dept(20) must be un-propagated)\nafter:\n%s\nbefore:\n%s", name, g, preGlobal)
+				t.Fatalf("%s: the rejected batch wrote the shards (dept(100), dept(20))\nafter:\n%s\nbefore:\n%s", name, g, preGlobal)
+			}
+			if st := co.Stats(); st.RoundTrips-pre.RoundTrips != st.KeyFetches-pre.KeyFetches || st.KeyFetches == pre.KeyFetches {
+				t.Fatalf("%s: %d round trips for %d key fetches, want the key groups the members read and no write",
+					name, st.RoundTrips-pre.RoundTrips, st.KeyFetches-pre.KeyFetches)
 			}
 		}
+	}
+}
+
+// deptFixture is a coordinator that stores emp, with dept(0…9) sharded
+// over two loopback sites whose servers it returns, and emp(1000,3).
+func deptFixture(t *testing.T, workers int) (*Coordinator, *Loopback, []*Server) {
+	t.Helper()
+	place := Placement{"dept": {KeyCol: 0, Shards: []ShardSpec{{Leader: "s0"}, {Leader: "s1"}}}}
+	lb := NewLoopback()
+	var servers []*Server
+	var leaders []*store.Store
+	for i := 0; i < 2; i++ {
+		db := store.New()
+		leaders = append(leaders, db)
+		servers = append(servers, NewServer(db, []string{"dept"}))
+		lb.AddSite(fmt.Sprintf("s%d", i), servers[i])
+	}
+	for k := int64(0); k < 10; k++ {
+		if _, err := leaders[place.ShardOf("dept", relation.Ints(k)[0])].Insert("dept", relation.Ints(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local := store.New()
+	if _, err := local.Insert("emp", relation.Ints(1000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewPlaced(local, place, lb, Options{
+		Checker:      core.Options{LocalRelations: []string{"emp"}},
+		Retries:      -1,
+		Backoff:      time.Millisecond,
+		ApplyWorkers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Checker.AddConstraintSource("ref", "panic :- emp(E, D) & not dept(D)."); err != nil {
+		t.Fatal(err)
+	}
+	return co, lb, servers
+}
+
+// mirrorState renders a store with its schema and data versions.
+func mirrorState(db *store.Store) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "schema=%d\n", db.SchemaVersion())
+	for _, name := range db.Names() {
+		fmt.Fprintf(&b, "%s v%d\n", name, db.DataVersion(name))
+	}
+	return b.String() + dumpStore(db)
+}
+
+// TestRejectedBatchSendsNoWrite: an atomic batch rejected at its last
+// member — after a dept insert it would publish, an emp insert a stored
+// employee certifies and one under the inserted department — sends no
+// apply frame to any site and leaves the mirror as it was, data versions
+// included, at one worker and above.
+func TestRejectedBatchSendsNoWrite(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		co, _, servers := deptFixture(t, workers)
+		before := mirrorState(co.Checker.DB())
+		br, err := co.ApplyBatch([]store.Update{
+			store.Ins("dept", relation.Ints(50)),
+			store.Ins("emp", relation.Ints(2000, 3)),  // certified by emp(1000,3)
+			store.Ins("emp", relation.Ints(2001, 50)), // admitted behind the first member
+			store.Ins("emp", relation.Ints(2002, 77)), // no such department
+		})
+		if err != nil || br.Applied || br.FailedAt != 3 {
+			t.Fatalf("workers %d: %+v err=%v, want a rejection at 3", workers, br, err)
+		}
+		for i, srv := range servers {
+			if n := srv.Stats().Requests[OpApply]; n != 0 {
+				t.Errorf("workers %d: the rejected batch sent %d apply frames to s%d", workers, n, i)
+			}
+		}
+		if after := mirrorState(co.Checker.DB()); after != before {
+			t.Errorf("workers %d: the rejected batch wrote the mirror\nbefore:\n%s\nafter:\n%s", workers, before, after)
+		}
+	}
+}
+
+// TestBatchErrorIsNotApplied: a batch one of whose members needs a
+// partitioned shard is refused with ErrSiteUnavailable, says it was not
+// applied, and writes nothing — not even the member a certificate decided.
+func TestBatchErrorIsNotApplied(t *testing.T) {
+	co, lb, _ := deptFixture(t, 1)
+	lb.Partition(fmt.Sprintf("s%d", co.place.ShardOf("dept", relation.Ints(5)[0])))
+	br, err := co.ApplyBatch([]store.Update{
+		store.Ins("emp", relation.Ints(2000, 3)), // certified by emp(1000,3)
+		store.Ins("emp", relation.Ints(2001, 5)), // nobody in 5: its shard must be asked
+	})
+	if !errors.Is(err, ErrSiteUnavailable) || br.Applied || br.FailedAt != -1 {
+		t.Fatalf("%+v err=%v, want a refusal that applied nothing", br, err)
+	}
+	if co.Checker.DB().Contains("emp", relation.Ints(2000, 3)) {
+		t.Error("the refused batch wrote its first member")
+	}
+}
+
+// TestFailedPublishKeepsUnchangedTuples: a batch that re-inserts a stored
+// dept and inserts one on a partitioned shard is refused, and the stored
+// dept stays on its site — the re-insert changed nothing, so nothing is
+// withdrawn for it.
+func TestFailedPublishKeepsUnchangedTuples(t *testing.T) {
+	co, lb, servers := deptFixture(t, 4)
+	stored := relation.Ints(3)
+	home := co.place.ShardOf("dept", stored[0])
+	fresh := relation.Ints(50)
+	for k := int64(50); co.place.ShardOf("dept", fresh[0]) == home; k++ {
+		fresh = relation.Ints(k)
+	}
+	lb.Partition(fmt.Sprintf("s%d", co.place.ShardOf("dept", fresh[0])))
+	br, err := co.ApplyBatch([]store.Update{store.Ins("dept", stored), store.Ins("dept", fresh)})
+	if !errors.Is(err, ErrSiteUnavailable) || br.Applied {
+		t.Fatalf("%+v err=%v, want a refusal", br, err)
+	}
+	if !servers[home].db.Contains("dept", stored) {
+		t.Error("the refused batch withdrew dept(3), which it had not changed, from its site")
+	}
+	if !co.Checker.DB().Contains("dept", stored) || co.Checker.DB().Contains("dept", fresh) {
+		t.Error("the refused batch moved the mirror")
 	}
 }
 
@@ -335,11 +460,32 @@ func (p parkedTransport) RoundTrip(site string, req *Request, timeout time.Durat
 	return p.Transport.RoundTrip(site, req, timeout)
 }
 
-// TestWireTasksOutnumberWorkers: a scheduler driving a coordinator — a
-// stream of applies, and ApplyBatch's own above one worker — counts
-// computing tasks against its workers, not tasks waiting on a site. Six l inserts that
-// each need r refreshed are all on the wire at once behind two workers,
-// and the outcome is the sequential loop's.
+// parked starts run and waits until n round trips are parked on wire at
+// once, then lets them all go; it fails the test if fewer arrive.
+func parked(t *testing.T, name string, wire parkedTransport, n, workers int, run func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run() }()
+	for i := 0; i < n; i++ {
+		select {
+		case <-wire.arrived:
+		case <-time.After(10 * time.Second):
+			close(wire.release)
+			t.Fatalf("%s: %d of %d reads on the wire with %d workers: the rest are waiting", name, i, n, workers)
+		}
+	}
+	close(wire.release)
+	if err := <-done; err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// TestWireTasksOutnumberWorkers: a scheduler driving a coordinator counts
+// computing tasks against its workers, not tasks waiting on a site: six l
+// inserts that each need r refreshed are all on the wire at once behind
+// two workers. An atomic batch above one worker sends its reads at once
+// too: six emp inserts under six departments nobody works in, six key
+// groups to fetch. Either way the outcome is the sequential loop's.
 func TestWireTasksOutnumberWorkers(t *testing.T) {
 	const wired, workers = 6, 2
 	var us []store.Update
@@ -353,45 +499,46 @@ func TestWireTasksOutnumberWorkers(t *testing.T) {
 			t.Fatalf("sequential update %d: %+v", i, r)
 		}
 	}
-	for name, run := range map[string]func(*Coordinator) error{
-		"stream": func(co *Coordinator) error {
-			for _, r := range applyStream(co, us, workers) {
-				if r.Err != nil || !r.Report.Applied {
-					return fmt.Errorf("%+v", r)
-				}
-			}
-			return nil
-		},
-		"ApplyBatch": func(co *Coordinator) error {
-			br, err := co.ApplyBatch(us)
-			if err == nil && !br.Applied {
-				err = fmt.Errorf("rejected at %d", br.FailedAt)
-			}
-			return err
-		},
-	} {
-		co, remote, _ := pipeFixture(t, workers)
-		wire := parkedTransport{co.transport, make(chan struct{}, wired), make(chan struct{})}
-		co.transport = wire
-		done := make(chan error, 1)
-		go func() { done <- run(co) }()
-		for i := 0; i < wired; i++ {
-			select {
-			case <-wire.arrived:
-			case <-time.After(10 * time.Second):
-				close(wire.release)
-				t.Fatalf("%s: %d of %d refreshes on the wire with %d workers: the rest are waiting for a worker", name, i, wired, workers)
+	co, remote, _ := pipeFixture(t, workers)
+	wire := parkedTransport{co.transport, make(chan struct{}, wired), make(chan struct{})}
+	co.transport = wire
+	parked(t, "stream", wire, wired, workers, func() error {
+		for _, r := range applyStream(co, us, workers) {
+			if r.Err != nil || !r.Report.Applied {
+				return fmt.Errorf("%+v", r)
 			}
 		}
-		close(wire.release)
-		if err := <-done; err != nil {
-			t.Fatalf("%s: %v", name, err)
+		return nil
+	})
+	if got, want := dumpStore(co.Checker.DB()), dumpStore(seqCo.Checker.DB()); got != want {
+		t.Fatalf("stream: mirror diverged\npipelined:\n%s\nsequential:\n%s", got, want)
+	}
+	if got, want := dumpStore(remote), dumpStore(seqRemote); got != want {
+		t.Fatalf("stream: site store diverged\npipelined:\n%s\nsequential:\n%s", got, want)
+	}
+
+	var batch []store.Update
+	for i := int64(0); i < wired; i++ {
+		batch = append(batch, store.Ins("emp", relation.Ints(2000+i, 10+i))) // departments 10… have nobody
+	}
+	batch = append(batch, store.Del("emp", relation.Ints(1003, 3))) // decided by polarity
+	seqSharded, _, seqLeaders := buildShardedArm(t, shardArm{name: "sharded4", shards: 4})
+	for i, r := range applyStream(seqSharded, batch, 1) {
+		if r.Err != nil || !r.Report.Applied {
+			t.Fatalf("sequential member %d: %+v", i, r)
 		}
-		if got, want := dumpStore(co.Checker.DB()), dumpStore(seqCo.Checker.DB()); got != want {
-			t.Fatalf("%s: mirror diverged\npipelined:\n%s\nsequential:\n%s", name, got, want)
+	}
+	sharded, _, leaders := buildShardedArm(t, shardArm{name: "sharded4", shards: 4, batchWorkers: workers})
+	wire = parkedTransport{sharded.transport, make(chan struct{}, wired), make(chan struct{})}
+	sharded.transport = wire
+	parked(t, "ApplyBatch", wire, wired, workers, func() error {
+		br, err := sharded.ApplyBatch(batch)
+		if err == nil && !br.Applied {
+			err = fmt.Errorf("rejected at %d", br.FailedAt)
 		}
-		if got, want := dumpStore(remote), dumpStore(seqRemote); got != want {
-			t.Fatalf("%s: site store diverged\npipelined:\n%s\nsequential:\n%s", name, got, want)
-		}
+		return err
+	})
+	if got, want := dumpGlobal(sharded, leaders), dumpGlobal(seqSharded, seqLeaders); got != want {
+		t.Fatalf("ApplyBatch: stores diverged\nbatch:\n%s\nsequential:\n%s", got, want)
 	}
 }

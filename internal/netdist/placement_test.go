@@ -471,7 +471,7 @@ func TestReplicaSeedAndCatchup(t *testing.T) {
 	// the round-robin must land on the replica.
 	before := lb.Stats().Delivered["s0-replica"]
 	for i := 0; i < 4; i++ {
-		if err := co.refreshRel("dept"); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +501,7 @@ func TestReplicaFailureStaleThenResync(t *testing.T) {
 	// Stale: shard reads all fall back to the leader.
 	base := co.Stats().ReplicaReads
 	for i := 0; i < 4; i++ {
-		if err := co.refreshRel("dept"); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,7 +525,7 @@ func TestReplicaFailureStaleThenResync(t *testing.T) {
 	// Fresh again: reads reach the replica once more.
 	before := lb.Stats().Delivered["s0-replica"]
 	for i := 0; i < 4; i++ {
-		if err := co.refreshRel("dept"); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

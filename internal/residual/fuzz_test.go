@@ -2,6 +2,7 @@ package residual
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -108,7 +109,11 @@ const fuzzPairs = 8
 // updated copy (internal/eval/naive, which shares no code with the engine
 // the residual runs on): bytes choose a shape, an update (either polarity, any relation
 // of the shape) and a small pre-state, which is discarded if it violates
-// the constraint — the premise of the residual argument. Byte 0's high bit
+// the constraint — the premise of the residual argument. Up to three
+// earlier members of a batch may come first (byte 0's bits 5–6 say how
+// many; the last bytes say which): the residual then decides on the
+// pre-state with them pending, against evaluation of a copy with all of
+// them and the update applied. Byte 0's high bit
 // makes the value 2 the string b, so ranges cross from numbers to
 // strings; byte 1's high bit leaves the relations uncreated unless a tuple
 // creates them, the "relation unseen at compile time" arm. The database
@@ -183,6 +188,36 @@ func FuzzResidualPreState(f *testing.F) {
 			}
 		}
 	}
+	// The sequence grid: every certified shape, an insert into its local
+	// relation after one earlier member that inserts a tuple that may be
+	// its witness, or deletes a stored one, over remote relations that hold
+	// every tuple starting with 0 — what makes a certificate that ignores
+	// the earlier members, or trusts a deleted witness, say "safe" of an
+	// insert that is not.
+	for s, sh := range fuzzShapes {
+		if !sh.cert {
+			continue
+		}
+		rels := sh.prog.EDBPreds()
+		li := slices.Index(rels, sh.local)
+		span := fuzzSpan(sh.arity[sh.local])
+		for tu := byte(0); tu < span; tu += 3 {
+			for w := byte(1); w < span; w += 3 {
+				for _, insert := range []byte{0, 1} {
+					seed := []byte{byte(s) | 1<<5, byte(li)<<1 | 1, tu}
+					if insert == 0 {
+						seed = append(seed, byte(li), w) // the stored tuple the member deletes
+					}
+					for ri, rel := range rels {
+						for v := byte(0); rel != sh.local && v < fuzzSpan(sh.arity[rel]) && len(seed) < 3+2*fuzzPairs; v += 3 {
+							seed = append(seed, byte(ri), v)
+						}
+					}
+					f.Add(append(seed, byte(li)<<1|insert, w))
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 400; i++ {
 		b := make([]byte, 3+rng.Intn(30))
@@ -193,7 +228,13 @@ func FuzzResidualPreState(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		sh, strs := fuzzShapes[int(data[0]&0x7f)%len(fuzzShapes)], data[0]&0x80 != 0
+		sh, strs := fuzzShapes[int(data[0]&0x1f)%len(fuzzShapes)], data[0]&0x80 != 0
+		// Bits 5–6 of byte 0: how many earlier members of a batch the update
+		// follows, read from the last two bytes each.
+		var seq []byte
+		if k := int(data[0] >> 5 & 3); len(data) >= 3+2*k {
+			data, seq = data[:len(data)-2*k], data[len(data)-2*k:]
+		}
 		p := sh.prog
 		rels := p.EDBPreds()
 		pre := store.New()
@@ -222,9 +263,26 @@ func FuzzResidualPreState(f *testing.F) {
 		if !holds(pre) {
 			return
 		}
-		rel := rels[int(data[1]>>1&0x3f)%len(rels)]
-		u := store.Update{Insert: data[1]&1 == 1, Relation: rel, Tuple: fuzzTuple(data[2], sh.arity[rel], strs)}
-		post := pre.Clone()
+		update := func(a, b byte) store.Update {
+			rel := rels[int(a>>1&0x3f)%len(rels)]
+			return store.Update{Insert: a&1 == 1, Relation: rel, Tuple: fuzzTuple(b, sh.arity[rel], strs)}
+		}
+		// The earlier members the batch admitted: mid is pre with them
+		// applied, the state the update is decided in; one that would
+		// violate the constraint is not a member.
+		var prior []store.Update
+		mid := pre.Clone()
+		for i := 0; i+1 < len(seq); i += 2 {
+			w, next := update(seq[i], seq[i+1]), mid.Clone()
+			if err := w.Apply(next); err != nil {
+				t.Fatal(err)
+			}
+			if holds(next) {
+				prior, mid = append(prior, w), next
+			}
+		}
+		u := update(data[1], data[2])
+		post := mid.Clone()
 		if err := u.Apply(post); err != nil {
 			t.Fatal(err)
 		}
@@ -252,17 +310,25 @@ func FuzzResidualPreState(f *testing.F) {
 			if !ok || hit {
 				t.Fatalf("%+v: %v after its malformed variants: compiled=%v served=%v, want a compilation of its own", opts, u, ok, hit)
 			}
+			// The residual decides on pre with the earlier members pending.
+			decide := func(r *Residual) bool {
+				if len(prior) == 0 {
+					return r.Decide(pre, u.Tuple)
+				}
+				violated, _ := r.DecideWitness(pre, prior, u.Tuple)
+				return violated
+			}
 			pre.ResetReads()
-			if got := res.Decide(pre, u.Tuple); got != want {
-				t.Fatalf("%+v: residual on the pre-state says violated=%v, evaluation of the updated copy %v\nconstraint: %s\nupdate: %v\npre-state:\n%s",
-					opts, got, want, p, u, before)
+			if got := decide(res); got != want {
+				t.Fatalf("%+v: residual on the pre-state says violated=%v, evaluation of the updated copy %v\nconstraint: %s\nearlier members: %v\nupdate: %v\npre-state:\n%s",
+					opts, got, want, p, prior, u, before)
 			}
 			if !opts.DisableIndexes && opts.Local == nil {
 				// The same plan with its ranges fetched by scan decides alike,
 				// and reads no less.
 				ranged := pre.TotalReads()
 				pre.ResetReads()
-				if got := scanned(res).Decide(pre, u.Tuple); got != want {
+				if got := decide(scanned(res)); got != want {
 					t.Fatalf("%v decided violated=%v with its ranges scanned, evaluation %v\nconstraint: %s\npre-state:\n%s", u, got, want, p, before)
 				}
 				if scan := pre.TotalReads(); ranged > scan {
@@ -291,15 +357,15 @@ func FuzzResidualPreState(f *testing.F) {
 				}
 				continue
 			}
-			witness := res.Certified(pre, u.Tuple)
-			if _, w := res.DecideWitness(pre, u.Tuple); !w.Equal(witness) {
+			witness := res.Certified(pre, prior, u.Tuple)
+			if _, w := res.DecideWitness(pre, prior, u.Tuple); !w.Equal(witness) {
 				t.Fatalf("Certified finds %v, DecideWitness %v", witness, w)
 			}
 			if witness == nil {
 				continue
 			}
-			if !pre.Contains(sh.local, witness) {
-				t.Fatalf("witness %v of %v is not stored", witness, u)
+			if !mid.Contains(sh.local, witness) {
+				t.Fatalf("witness %v of %v is not stored once %v are applied", witness, u, prior)
 			}
 			// The hit holds for every state of the remote relations.
 			var tail []byte
@@ -308,7 +374,7 @@ func FuzzResidualPreState(f *testing.F) {
 			}
 			for _, remote := range [][]byte{nil, tail} {
 				alt := store.New()
-				for _, s := range pre.Tuples(sh.local) {
+				for _, s := range mid.Tuples(sh.local) {
 					if _, err := alt.Insert(sh.local, s); err != nil {
 						t.Fatal(err)
 					}

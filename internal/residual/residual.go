@@ -259,9 +259,12 @@ type disjunct struct {
 }
 
 // witness probes the disjunct's certificate for the update tuple t: a
-// stored tuple that certifies the disjunct, or nil — no certificate was
-// compiled, or no stored tuple agrees with t where it has to.
-func (d *disjunct) witness(db *store.Store, t relation.Tuple) relation.Tuple {
+// tuple that certifies the disjunct, or nil — no certificate was compiled,
+// or no tuple agrees with t where it has to. A witness is a tuple of db
+// once the updates prior are applied, the state the decision is made in:
+// the latest insert of prior that agrees and stands, else a stored tuple,
+// which certifies nothing when prior deletes it.
+func (d *disjunct) witness(db *store.Store, prior []store.Update, t relation.Tuple) relation.Tuple {
 	if d.cert == nil {
 		return nil
 	}
@@ -270,7 +273,35 @@ func (d *disjunct) witness(db *store.Store, t relation.Tuple) relation.Tuple {
 	for _, c := range d.cert.cols {
 		vals = append(vals, t[c])
 	}
-	return db.FirstCols(d.cert.pred, len(t), d.cert.cols, vals, d.cert.same)
+	for i := len(prior) - 1; i >= 0; i-- {
+		u := &prior[i]
+		if u.Insert && u.Relation == d.cert.pred && len(u.Tuple) == len(t) && d.cert.agrees(u.Tuple, vals) {
+			if in, _ := store.Pending(prior, u.Relation, u.Tuple); in {
+				return u.Tuple
+			}
+		}
+	}
+	w := db.FirstCols(d.cert.pred, len(t), d.cert.cols, vals, d.cert.same)
+	if in, touched := store.Pending(prior, d.cert.pred, w); w != nil && touched && !in {
+		return nil
+	}
+	return w
+}
+
+// agrees reports whether s carries vals on the certificate's columns and
+// one value at both positions of each pair in same.
+func (c *certificate) agrees(s relation.Tuple, vals []ast.Value) bool {
+	for i, col := range c.cols {
+		if !s[col].Equal(vals[i]) {
+			return false
+		}
+	}
+	for _, p := range c.same {
+		if !s[p[0]].Equal(s[p[1]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Outcome reports the compile-time classification.
@@ -459,30 +490,32 @@ func (r *Residual) Program(t relation.Tuple) *ast.Program {
 // update; one with certificates would take the new tuple for its own
 // witness there.
 func (r *Residual) Decide(db *store.Store, t relation.Tuple) bool {
-	violated, _ := r.decide(db, t, false)
+	violated, _ := r.decide(db, nil, t, false)
 	return violated
 }
 
-// DecideWitness is Decide that also says when local certificates alone
-// decided: witness is a stored tuple that certified a disjunct when every
-// disjunct was certified — no plan ran and nothing but the updated
+// DecideWitness is Decide for the update of t made once the updates prior
+// are applied to db — the member of a sequence after prior, on a db that
+// holds none of them — that also says when local certificates alone
+// decided: witness is a tuple of that state that certified a disjunct when
+// every disjunct was certified — no plan ran and nothing but the updated
 // relation was read — and nil otherwise.
-func (r *Residual) DecideWitness(db *store.Store, t relation.Tuple) (violated bool, witness relation.Tuple) {
-	return r.decide(db, t, false)
+func (r *Residual) DecideWitness(db *store.Store, prior []store.Update, t relation.Tuple) (violated bool, witness relation.Tuple) {
+	return r.decide(db, prior, t, false)
 }
 
 // Certified runs the certificates and nothing else: the witness
-// DecideWitness would return, so non-nil means Decide(db, t) is false
-// and reads only the updated relation.
-func (r *Residual) Certified(db *store.Store, t relation.Tuple) relation.Tuple {
-	_, witness := r.decide(db, t, true)
+// DecideWitness would return, so non-nil means DecideWitness(db, prior,
+// t) finds no violation and reads only the updated relation.
+func (r *Residual) Certified(db *store.Store, prior []store.Update, t relation.Tuple) relation.Tuple {
+	_, witness := r.decide(db, prior, t, true)
 	return witness
 }
 
 // decide runs each disjunct's certificate and, unless it finds a witness,
-// its plan over db with the update pending; under certOnly it gives up at
-// the first disjunct that would need its plan.
-func (r *Residual) decide(db *store.Store, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
+// its plan over db with prior and the update pending; under certOnly it
+// gives up at the first disjunct that would need its plan.
+func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
 	switch r.outcome {
 	case AlwaysSafe:
 		return false, nil
@@ -492,7 +525,7 @@ func (r *Residual) decide(db *store.Store, t relation.Tuple, certOnly bool) (vio
 	u := store.Update{Insert: r.insert, Relation: r.rel, Tuple: t}
 	certified := true
 	for _, d := range r.disjuncts {
-		if w := d.witness(db, t); w != nil {
+		if w := d.witness(db, prior, t); w != nil {
 			if witness == nil {
 				witness = w
 			}
@@ -502,7 +535,7 @@ func (r *Residual) decide(db *store.Store, t relation.Tuple, certOnly bool) (vio
 		if certOnly {
 			break
 		}
-		if d.plan.HoldsAfter(db, u) {
+		if d.plan.HoldsAfter(db, prior, u) {
 			violated = true
 			break
 		}

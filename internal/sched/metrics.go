@@ -7,8 +7,8 @@ import (
 )
 
 // Metrics are the cc_sched_* instrument handles for one scheduler. The
-// families are shared across layers (serve, netdist) and distinguished
-// by the layer label, so building two Metrics on one registry is fine.
+// families carry a layer label, so building two Metrics on one registry
+// is fine.
 type Metrics struct {
 	// Tasks counts submitted tasks (cc_sched_tasks_total).
 	Tasks *obs.Counter
@@ -40,7 +40,7 @@ var footprintBuckets = []float64{
 }
 
 // NewMetrics registers (or fetches) the cc_sched_* families on reg and
-// returns the handles for the given layer label ("serve", "netdist").
+// returns the handles for the given layer label ("serve").
 // Nil reg returns nil, which disables instrumentation.
 func NewMetrics(reg *obs.Registry, layer string) *Metrics {
 	if reg == nil {

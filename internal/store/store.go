@@ -93,6 +93,11 @@ func (s *Store) charge(name string, n int64) {
 func (s *Store) Ensure(name string, arity int) (*relation.Relation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.ensure(name, arity)
+}
+
+// ensure is Ensure under s.mu.
+func (s *Store) ensure(name string, arity int) (*relation.Relation, error) {
 	if r, ok := s.rels[name]; ok {
 		if err := arityConflict(r, arity); err != nil {
 			return nil, err
@@ -444,12 +449,52 @@ func Del(rel string, t relation.Tuple) Update { return Update{Relation: rel, Tup
 
 // Apply performs the update on the store.
 func (u Update) Apply(s *Store) error {
-	if u.Insert {
-		_, err := s.Insert(u.Relation, u.Tuple)
-		return err
+	_, err := s.Write([]Update{u})
+	return err
+}
+
+// Write makes the writes in order, all or none: an insert into a relation
+// of another arity refuses the lot before anything is written. Inserts
+// into one absent relation must agree on its arity. It returns the writes
+// that changed the store, compacted into ws.
+func (s *Store) Write(ws []Update) ([]Update, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range ws {
+		if w := &ws[i]; w.Insert {
+			if err := arityConflict(s.rels[w.Relation], len(w.Tuple)); err != nil {
+				return nil, err
+			}
+		}
 	}
-	s.Delete(u.Relation, u.Tuple)
-	return nil
+	n := 0
+	for i := range ws {
+		w := &ws[i]
+		changed := false
+		if w.Insert {
+			r, _ := s.ensure(w.Relation, len(w.Tuple))
+			changed = r.Insert(w.Tuple)
+		} else if r := s.rels[w.Relation]; r != nil {
+			changed = r.Delete(w.Tuple)
+		}
+		if changed {
+			ws[n] = *w
+			n++
+		}
+	}
+	return ws[:n], nil
+}
+
+// Pending reports whether t is in rel once the updates us are applied in
+// order, where one of them decides it: the last update of t in rel does.
+// touched is false when none of them is an update of t in rel.
+func Pending(us []Update, rel string, t relation.Tuple) (in, touched bool) {
+	for i := len(us) - 1; i >= 0; i-- {
+		if u := &us[i]; u.Relation == rel && u.Tuple.Equal(t) {
+			return u.Insert, true
+		}
+	}
+	return false, false
 }
 
 // String renders the update as +rel(t) or -rel(t).
