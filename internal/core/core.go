@@ -35,7 +35,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/residual"
 	"repro/internal/rewrite"
-	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/subsume"
 )
@@ -283,9 +282,9 @@ type Options struct {
 	Metrics *obs.Registry
 	// Sharder, when non-nil, names the relations that are mirrors of
 	// remote ones and their shard-key columns, for the checker's
-	// footprints (see Footprints and sched.Sharder). Set by the netdist
+	// footprints (see Footprints and Sharder). Set by the netdist
 	// coordinator from its placement.
-	Sharder sched.Sharder
+	Sharder Sharder
 	// ProbeRouter, when non-nil, intercepts EDB reads during global
 	// evaluation — the netdist coordinator routes probes on sharded
 	// relations to the owning shard instead of a local mirror.
@@ -342,12 +341,6 @@ type Checker struct {
 	// localCertified counts certificate-only decisions
 	// (Stats.LocalCertified).
 	localCertified atomic.Int64
-
-	// fpIndex memoizes the update-pattern footprints the scheduler keys
-	// on, built lazily by Footprints and dropped when the constraint set
-	// changes.
-	fpMu    sync.Mutex
-	fpIndex *sched.Index
 
 	// fix counts what became of the constraints' kept fixpoints, by
 	// fixEvent (Stats.Fixpoint*).
@@ -452,9 +445,6 @@ func (c *Checker) refreshSet() {
 		h.Write([]byte{0})
 	}
 	c.fp = h.Sum64()
-	c.fpMu.Lock()
-	c.fpIndex = nil // footprints derive from the constraint set
-	c.fpMu.Unlock()
 	c.progMu.Lock()
 	c.programs = map[progKey]*program{}
 	c.progMu.Unlock()
@@ -819,9 +809,6 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	rep.Decisions = append([]Decision(nil), p.report...)
 	t.decisions = len(p.steps)
 	t.byPhase = p.static
-	if !fresh {
-		t.cacheHits += int64(p.memos)
-	}
 	t.residualMisses += int64(p.ineligible)
 	var dyn []dynOutcome
 	if len(p.dynamic) > 0 {

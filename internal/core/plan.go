@@ -59,10 +59,7 @@ func (c *Checker) Plan(u store.Update) PlanReport { return c.plan(nil, u) }
 // plan is Plan for u once the updates prior are applied (PlanAll).
 func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	var t tally
-	p, fresh := c.program(u, &t)
-	if !fresh {
-		t.cacheHits += int64(p.memos)
-	}
+	p, _ := c.program(u, &t)
 	// Certificates are compiled only for inserts, and only where something
 	// is remote and phase 3 and residual dispatch are on.
 	certs := c.resOpts.Local != nil && u.Insert

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -13,9 +14,10 @@ import (
 // functions of the update pattern, not of the tuple. A program is what
 // they say about one pattern, derived once: which constraints the
 // pattern cannot touch, which a compiled residual check decides, which
-// still need the tuple-dependent tests, and where each lands in the
-// name-ordered report. decide and Plan interpret it; only the data probe
-// is left for run time.
+// still need the tuple-dependent tests, what a decision may read, and
+// where each lands in the name-ordered report. judge and Plan interpret
+// it, Footprints instantiates its reads; only the data probe is left for
+// run time.
 
 // progKey identifies an update pattern. The arity is part of it: a
 // residual is compiled for the occurrences of that arity alone, and a
@@ -91,6 +93,14 @@ type program struct {
 	// the residual compiler refused: what serving the program counts for the
 	// lookups it replaces (Stats.CacheHits, Stats.ResidualMisses).
 	memos, ineligible int
+	// claims are what a decision of the pattern may read, in step order
+	// (footprint.go); wire says one of them is of a remote relation.
+	claims []claim
+	wire   bool
+	// served is set by the first decision or plan that runs the program,
+	// which counts its compilation (program): a footprint lookup compiles
+	// without running it.
+	served atomic.Bool
 }
 
 // tally is what one decision or plan adds to the checker's counters,
@@ -126,18 +136,33 @@ func (c *Checker) record(t *tally) {
 	}
 }
 
-// program returns the program of u's pattern, compiling it on first
-// sight; fresh says this call compiled it. Two decisions may compile one
-// pattern at once: the first to finish is kept, the other runs its own.
+// program returns the program of u's pattern for a decision or plan to
+// run; fresh says none has run it before, so this one counts its memos
+// as built rather than served — whether a decision, or a footprint lookup
+// before it, compiled it.
 func (c *Checker) program(u store.Update, t *tally) (p *program, fresh bool) {
+	p = c.programOf(u)
+	fresh = !p.served.Swap(true)
+	if fresh {
+		t.cacheMisses += int64(p.memos)
+	} else {
+		t.cacheHits += int64(p.memos)
+	}
+	return p, fresh
+}
+
+// programOf returns the program of u's pattern, compiling it on first
+// sight. Two callers may compile one pattern at once: the first to finish
+// is kept, the other runs its own.
+func (c *Checker) programOf(u store.Update) *program {
 	key := progKey{u.Relation, u.Insert, len(u.Tuple)}
 	c.progMu.Lock()
-	p = c.programs[key]
+	p := c.programs[key]
 	c.progMu.Unlock()
 	if p != nil {
-		return p, false
+		return p
 	}
-	p = c.compile(key, t)
+	p = c.compile(key)
 	c.progMu.Lock()
 	if len(c.programs) >= programCap {
 		c.programs = map[progKey]*program{}
@@ -146,13 +171,15 @@ func (c *Checker) program(u store.Update, t *tally) (p *program, fresh bool) {
 		c.programs[key] = p
 	}
 	c.progMu.Unlock()
-	return p, true
+	return p
 }
 
 // compile derives the pattern's program from the constraint set. It
 // reads no data: what a step needs of the store — a residual's arity
-// folds — is compiled when the step first runs (check).
-func (c *Checker) compile(key progKey, t *tally) *program {
+// folds — is compiled when the step first runs (check). Its claims do not
+// depend on Options.DisableCache: a step the pattern-level phases decide
+// claims nothing, whether it is static or they decide it per update.
+func (c *Checker) compile(key progKey) *program {
 	n := len(c.constraints)
 	p := &program{steps: make([]progStep, n), report: make([]Decision, n)}
 	byName := make([]int, n)
@@ -176,21 +203,29 @@ func (c *Checker) compile(key progKey, t *tally) *program {
 						s.kind = stepPinned
 					}
 				}
+				c.addClaims(p, s, key)
 				continue
 			}
 			p.ineligible++
 		}
-		s.kind, d.Phase = stepDynamic, PhaseGlobal
-		if e := c.buildEntry(s, key, t); e != nil {
+		e := buildCacheEntry(k.Prog, key.rel, key.insert)
+		phase, static := c.staticPhase(e)
+		if !c.opts.DisableCache {
+			s.entry.Store(e)
 			p.memos++
-			if phase, ok := c.staticPhase(e); ok {
+			if static {
 				s.kind, s.phase, d.Phase = stepStatic, phase, phase
 				p.static[phase]++
 				continue
 			}
 		}
+		s.kind, d.Phase = stepDynamic, PhaseGlobal
 		p.dynamic = append(p.dynamic, i)
+		if !static {
+			c.addClaims(p, s, key)
+		}
 	}
+	p.wire = slices.ContainsFunc(p.claims, func(cl claim) bool { return c.remote(cl.rel) })
 	return p
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -535,7 +534,7 @@ type reads []mirrorRead
 // add notes what the planned member u may read, and returns the number of
 // remote relations its plan needs (0: decidable wire-free). Whole
 // relations refresh in full, as ever. Sharded relations consult the
-// footprint index's residual-aware read plan: keyed residual probes pull
+// read plan of the claims the checker compiled for the update's pattern: keyed residual probes pull
 // just their key groups from the owning shards, unkeyed residual reads
 // refresh the whole relation (and with it every group), and relations
 // read only through global evaluation are left to the probe router (no
@@ -547,7 +546,7 @@ func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int 
 		if !remote {
 			continue
 		}
-		rp := sched.ReadPlan{Mirror: true}
+		rp := core.ReadPlan{Mirror: true}
 		if pl.Sharded() {
 			rp = co.Checker.Footprints().ReadPlan(u, rel)
 		}
@@ -696,12 +695,12 @@ func (b ServeBackend) ApplyBatch(us []store.Update) (core.BatchReport, error) {
 // Stats snapshots the wrapped checker's statistics.
 func (b ServeBackend) Stats() core.Stats { return b.Co.Checker.Stats() }
 
-// Footprints exposes the wrapped checker's conflict-footprint index so a
+// Footprints exposes the wrapped checker's footprint view so a
 // pipelined server (serve.Config.ApplyWorkers > 1) can schedule
 // coordinator applies concurrently. The coordinator side is safe for
 // that discipline: its accounting is mutex-guarded and its transports
 // tolerate concurrent round trips.
-func (b ServeBackend) Footprints() *sched.Index { return b.Co.Checker.Footprints() }
+func (b ServeBackend) Footprints() core.Footprints { return b.Co.Checker.Footprints() }
 
 // ShardStats satisfies serve's optional ShardStatser interface: the
 // coordinator's scale-out wire accounting, surfaced through the

@@ -32,18 +32,18 @@ func (rp RelPlacement) Sharded() bool { return len(rp.Shards) > 1 }
 
 // Placement maps each remotely-placed relation to its shards. Relations
 // absent from the map are local to the coordinator. Placement implements
-// sched.Sharder, so the same map that routes the coordinator's wire
+// core.Sharder, so the same map that routes the coordinator's wire
 // traffic tells the scheduler which relations are mirrors and which
 // column their key groups are fetched by.
 type Placement map[string]RelPlacement
 
-// Remote implements sched.Sharder: every placed relation is a mirror.
+// Remote implements core.Sharder: every placed relation is a mirror.
 func (p Placement) Remote(rel string) bool {
 	_, ok := p[rel]
 	return ok
 }
 
-// ShardKey implements sched.Sharder: the key column of a
+// ShardKey implements core.Sharder: the key column of a
 // hash-partitioned relation.
 func (p Placement) ShardKey(rel string) (int, bool) {
 	rp, ok := p[rel]

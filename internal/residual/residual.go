@@ -329,31 +329,78 @@ func (r *Residual) Certificates() int {
 // database contributes only its shape (relation arities), never tuples.
 func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Shape, db *store.Store, opts Options) *Residual {
 	res := &Residual{rel: rel, insert: insert}
-	for _, rule := range prog.Rules {
-		for oi, l := range rule.Body {
-			if !l.Harmful(rel, insert) || len(l.Atom.Args) != len(t) {
-				continue
-			}
-			body, ok := specialize(rule, oi, t, sh)
-			if !ok {
-				continue // constant clash or unsatisfiable comparisons
-			}
-			p := eval.PlanBody(body, db, opts.DisableIndexes)
-			if p == nil {
-				continue // a dead atom made the disjunct underivable
-			}
-			if p.Len() == 0 {
-				// The update alone completes a derivation: nothing left to
-				// check at runtime and no other disjunct can change that.
-				return &Residual{outcome: AlwaysViolating}
-			}
-			res.disjuncts = append(res.disjuncts, &disjunct{plan: p, cert: certificateFor(rule, oi, insert, opts)})
+	for _, o := range occurrences(prog, rel, insert, len(t)) {
+		body, ok := specialize(o.rule, o.oi, t, sh)
+		if !ok {
+			continue // constant clash or unsatisfiable comparisons
 		}
+		p := eval.PlanBody(body, db, opts.DisableIndexes)
+		if p == nil {
+			continue // a dead atom made the disjunct underivable
+		}
+		if p.Len() == 0 {
+			// The update alone completes a derivation: nothing left to
+			// check at runtime and no other disjunct can change that.
+			return &Residual{outcome: AlwaysViolating}
+		}
+		res.disjuncts = append(res.disjuncts, &disjunct{plan: p, cert: certificateFor(o.rule, o.oi, insert, opts)})
 	}
 	if len(res.disjuncts) > 0 {
 		res.outcome = ResidualGoal
 	}
 	return res
+}
+
+// occurrence is a harmful occurrence: body literal oi of rule.
+type occurrence struct {
+	rule *ast.Rule
+	oi   int
+}
+
+// occurrences lists, in rule/occurrence order, the harmful occurrences of
+// the pattern of the given arity: one disjunct each in a residual of a
+// tuple of that arity.
+func occurrences(prog *ast.Program, rel string, insert bool, arity int) []occurrence {
+	var out []occurrence
+	for _, rule := range prog.Rules {
+		for oi, l := range rule.Body {
+			if l.Harmful(rel, insert) && len(l.Atom.Args) == arity {
+				out = append(out, occurrence{rule, oi})
+			}
+		}
+	}
+	return out
+}
+
+// sigma is the unifier of a harmful occurrence with the update tuple, in
+// tuple positions: each variable of occ maps to the first position that
+// holds it. A later position holding it again is a guard, not a binding.
+func sigma(occ ast.Atom) map[string]int {
+	s := make(map[string]int, len(occ.Args))
+	for i, a := range occ.Args {
+		if _, bound := s[a.Var]; a.IsVar() && !bound {
+			s[a.Var] = i
+		}
+	}
+	return s
+}
+
+// Reads calls f with every stored-relation literal a residual of a tuple
+// of the given arity may read — the other body literals of each harmful
+// occurrence of that arity, comparisons aside — in rule/occurrence/literal
+// order, with the σ Compile specializes that disjunct by (variable →
+// tuple position). It needs no tuple, so it names the literals of a
+// disjunct that a constant of the occurrence or a folded comparison drops
+// for some tuples too.
+func Reads(prog *ast.Program, rel string, insert bool, arity int, f func(lit ast.Atom, sigma map[string]int)) {
+	for _, o := range occurrences(prog, rel, insert, arity) {
+		s := sigma(o.rule.Body[o.oi].Atom)
+		for bi, l := range o.rule.Body {
+			if bi != o.oi && !l.IsComp() {
+				f(l.Atom, s)
+			}
+		}
+	}
 }
 
 // specialize builds the symbolic body of the disjunct for one harmful
@@ -362,15 +409,22 @@ func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Sh
 // pruned. ok is false when the disjunct folds away entirely.
 func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit, bool) {
 	occ := rule.Body[oi].Atom
-	sigma := make(map[string]eval.Term)
+	// The tuple side of position i: pinned positions are the concrete
+	// value, the rest the runtime parameter $i.
+	side := func(i int) eval.Term {
+		if sh.Pinned[i] {
+			return eval.Term{Kind: eval.TermConst, Val: t[i]}
+		}
+		return eval.Term{Kind: eval.TermParam, Pos: i}
+	}
+	first := sigma(occ)
+	sub := make(map[string]eval.Term, len(first))
+	for v, i := range first {
+		sub[v] = side(i)
+	}
 	var guards []eval.Lit
 	for i, a := range occ.Args {
-		// The tuple side: pinned positions are the concrete value, the
-		// rest the runtime parameter $i.
-		tv := eval.Term{Kind: eval.TermParam, Pos: i}
-		if sh.Pinned[i] {
-			tv = eval.Term{Kind: eval.TermConst, Val: t[i]}
-		}
+		tv := side(i)
 		if a.IsConst() {
 			// Pinned by construction, so tv is a constant: decide now.
 			if !a.Const.Equal(tv.Val) {
@@ -378,19 +432,18 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit,
 			}
 			continue
 		}
-		prev, bound := sigma[a.Var]
-		if !bound {
-			sigma[a.Var] = tv
+		j := first[a.Var]
+		if j == i {
 			continue
 		}
 		// Repeated variable in the occurrence: both bindings must agree.
-		if prev.Kind == eval.TermConst && tv.Kind == eval.TermConst {
+		if prev := side(j); prev.Kind == eval.TermConst && tv.Kind == eval.TermConst {
 			if !prev.Val.Equal(tv.Val) {
 				return nil, false
 			}
-			continue
+		} else {
+			guards = append(guards, eval.Lit{Comp: true, Op: ast.Eq, L: prev, R: tv})
 		}
-		guards = append(guards, eval.Lit{Comp: true, Op: ast.Eq, L: prev, R: tv})
 	}
 	body := guards
 	for bi, l := range rule.Body {
@@ -398,7 +451,7 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit,
 			continue
 		}
 		if l.IsComp() {
-			s := eval.Lit{Comp: true, Op: l.Comp.Op, L: applySigma(l.Comp.Left, sigma), R: applySigma(l.Comp.Right, sigma)}
+			s := eval.Lit{Comp: true, Op: l.Comp.Op, L: applySigma(l.Comp.Left, sub), R: applySigma(l.Comp.Right, sub)}
 			if s.L.Kind == eval.TermConst && s.R.Kind == eval.TermConst {
 				if !s.Op.Eval(s.L.Val, s.R.Val) {
 					return nil, false
@@ -410,7 +463,7 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit,
 		}
 		args := make([]eval.Term, len(l.Atom.Args))
 		for i, a := range l.Atom.Args {
-			args[i] = applySigma(a, sigma)
+			args[i] = applySigma(a, sub)
 		}
 		body = append(body, eval.Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: args})
 	}

@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"fmt"
@@ -8,29 +8,33 @@ import (
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/parser"
+	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/sched"
 	"repro/internal/store"
 )
 
-// wr is the write of one tuple, as Index.Update builds it.
-func wr(rel string, vals ...ast.Value) Write {
+// These tests are sched's external package: the footprints they schedule
+// are a core.Checker's (core.Footprints), which imports sched.
+
+// wr is the write of one tuple, as core.Footprints.Update builds it.
+func wr(rel string, vals ...ast.Value) sched.Write {
 	hs := make([]relation.Handle, len(vals))
 	for i, v := range vals {
 		hs[i] = relation.Intern(v)
 	}
-	return Write{Relation: rel, FP: relation.FingerprintHandles(hs), Cols: hs}
+	return sched.Write{Relation: rel, FP: relation.FingerprintHandles(hs), Cols: hs}
 }
 
 // whole and keyed are the two shapes of a read claim.
-func whole(rel string) Read { return Read{Relation: rel} }
+func whole(rel string) sched.Read { return sched.Read{Relation: rel} }
 
-func keyed(rel string, col int, v ast.Value) Read {
-	return Read{Relation: rel, Keyed: true, Col: col, Key: relation.Intern(v)}
+func keyed(rel string, col int, v ast.Value) sched.Read {
+	return sched.Read{Relation: rel, Keyed: true, Col: col, Key: relation.Intern(v)}
 }
 
-func fpOf(w Write, reads ...Read) Footprint {
-	return Footprint{Writes: []Write{w}, Reads: reads}
+func fpOf(w sched.Write, reads ...sched.Read) sched.Footprint {
+	return sched.Footprint{Writes: []sched.Write{w}, Reads: reads}
 }
 
 // TestFootprintConflicts is the directed table of the conflict
@@ -39,41 +43,41 @@ func fpOf(w Write, reads ...Read) Footprint {
 func TestFootprintConflicts(t *testing.T) {
 	i := ast.Int
 	x1, x2, y1 := wr("x", i(1)), wr("x", i(2)), wr("y", i(1))
-	emp := func(e string, d ast.Value) Write { return wr("emp", ast.Str(e), d) }
+	emp := func(e string, d ast.Value) sched.Write { return wr("emp", ast.Str(e), d) }
 	cases := []struct {
 		name string
-		a, b Footprint
-		want CauseKind
+		a, b sched.Footprint
+		want sched.CauseKind
 	}{
-		{"ww same tuple", fpOf(x1), fpOf(x1), CauseSameTuple},
-		{"ww same relation different tuple", fpOf(x1), fpOf(x2), CauseNone},
-		{"ww different relations", fpOf(x1), fpOf(y1), CauseNone},
-		{"writer vs whole reader", fpOf(x1), fpOf(y1, whole("x")), CauseWholeRead},
-		{"whole reader vs writer", fpOf(y1, whole("x")), fpOf(x2), CauseWholeRead},
-		{"read read overlap", fpOf(x1, whole("z")), fpOf(y1, whole("z")), CauseNone},
-		{"barrier vs anything", Barrier(), fpOf(x1), CauseBarrier},
+		{"ww same tuple", fpOf(x1), fpOf(x1), sched.CauseSameTuple},
+		{"ww same relation different tuple", fpOf(x1), fpOf(x2), sched.CauseNone},
+		{"ww different relations", fpOf(x1), fpOf(y1), sched.CauseNone},
+		{"writer vs whole reader", fpOf(x1), fpOf(y1, whole("x")), sched.CauseWholeRead},
+		{"whole reader vs writer", fpOf(y1, whole("x")), fpOf(x2), sched.CauseWholeRead},
+		{"read read overlap", fpOf(x1, whole("z")), fpOf(y1, whole("z")), sched.CauseNone},
+		{"barrier vs anything", sched.Barrier(), fpOf(x1), sched.CauseBarrier},
 
-		{"same key", fpOf(emp("a", i(7))), fpOf(y1, keyed("emp", 1, i(7))), CauseKeyedRead},
-		{"different key", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
-		{"key in another column", fpOf(wr("emp", i(7), i(8))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
-		{"keyed read of another relation", fpOf(emp("a", i(7))), fpOf(y1, keyed("dept", 1, i(7))), CauseNone},
-		{"whole read next to a keyed one", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7)), whole("emp")), CauseWholeRead},
-		{"keyed and whole readers of one relation", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, whole("emp")), CauseNone},
-		{"two readers of one key group", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, keyed("emp", 1, i(7))), CauseNone},
-		{"tuple too short for the column", fpOf(wr("emp", ast.Str("a"))), fpOf(y1, keyed("emp", 1, i(7))), CauseKeyedRead},
-		{"2/1 written, 2 read", fpOf(emp("a", ast.Rat(2, 1))), fpOf(y1, keyed("emp", 1, i(2))), CauseKeyedRead},
-		{"4/2 read, 2 written", fpOf(emp("a", i(2))), fpOf(y1, keyed("emp", 1, ast.Rat(4, 2))), CauseKeyedRead},
-		{"3/2 is not 1", fpOf(emp("a", ast.Rat(3, 2))), fpOf(y1, keyed("emp", 1, i(1))), CauseNone},
-		{"string key", fpOf(emp("a", ast.Str("toy"))), fpOf(y1, keyed("emp", 1, ast.Str("toy"))), CauseKeyedRead},
+		{"same key", fpOf(emp("a", i(7))), fpOf(y1, keyed("emp", 1, i(7))), sched.CauseKeyedRead},
+		{"different key", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7))), sched.CauseNone},
+		{"key in another column", fpOf(wr("emp", i(7), i(8))), fpOf(y1, keyed("emp", 1, i(7))), sched.CauseNone},
+		{"keyed read of another relation", fpOf(emp("a", i(7))), fpOf(y1, keyed("dept", 1, i(7))), sched.CauseNone},
+		{"whole read next to a keyed one", fpOf(emp("a", i(8))), fpOf(y1, keyed("emp", 1, i(7)), whole("emp")), sched.CauseWholeRead},
+		{"keyed and whole readers of one relation", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, whole("emp")), sched.CauseNone},
+		{"two readers of one key group", fpOf(x1, keyed("emp", 1, i(7))), fpOf(y1, keyed("emp", 1, i(7))), sched.CauseNone},
+		{"tuple too short for the column", fpOf(wr("emp", ast.Str("a"))), fpOf(y1, keyed("emp", 1, i(7))), sched.CauseKeyedRead},
+		{"2/1 written, 2 read", fpOf(emp("a", ast.Rat(2, 1))), fpOf(y1, keyed("emp", 1, i(2))), sched.CauseKeyedRead},
+		{"4/2 read, 2 written", fpOf(emp("a", i(2))), fpOf(y1, keyed("emp", 1, ast.Rat(4, 2))), sched.CauseKeyedRead},
+		{"3/2 is not 1", fpOf(emp("a", ast.Rat(3, 2))), fpOf(y1, keyed("emp", 1, i(1))), sched.CauseNone},
+		{"string key", fpOf(emp("a", ast.Str("toy"))), fpOf(y1, keyed("emp", 1, ast.Str("toy"))), sched.CauseKeyedRead},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, pair := range [][2]Footprint{{c.a, c.b}, {c.b, c.a}} {
+			for _, pair := range [][2]sched.Footprint{{c.a, c.b}, {c.b, c.a}} {
 				got := pair[0].Conflict(pair[1])
 				if got.Kind != c.want {
 					t.Fatalf("Conflict(%v, %v) = %v, want %v", pair[0], pair[1], got.Kind, c.want)
 				}
-				if pair[0].Conflicts(pair[1]) != (c.want != CauseNone) {
+				if pair[0].Conflicts(pair[1]) != (c.want != sched.CauseNone) {
 					t.Fatalf("Conflicts(%v, %v) disagrees with Conflict", pair[0], pair[1])
 				}
 			}
@@ -84,10 +88,10 @@ func TestFootprintConflicts(t *testing.T) {
 func TestCauseReason(t *testing.T) {
 	w := fpOf(wr("emp", ast.Str("a"), ast.Int(7)))
 	for _, c := range []struct {
-		o    Footprint
+		o    sched.Footprint
 		want string
 	}{
-		{Barrier(), "barrier"},
+		{sched.Barrier(), "barrier"},
 		{w, "same-tuple write of emp"},
 		{fpOf(wr("y"), keyed("emp", 1, ast.Int(7))), "read of emp[1]"},
 		{fpOf(wr("y"), whole("emp")), "whole read of emp"},
@@ -97,7 +101,7 @@ func TestCauseReason(t *testing.T) {
 		if got := cause.Reason(); got != c.want {
 			t.Errorf("Reason(%v) = %q, want %q", c.o, got, c.want)
 		}
-		if cause.Kind == CauseKeyedRead && !relation.InternedValue(cause.Key).Equal(ast.Int(7)) {
+		if cause.Kind == sched.CauseKeyedRead && !relation.InternedValue(cause.Key).Equal(ast.Int(7)) {
 			t.Errorf("keyed cause names key %v, want 7", relation.InternedValue(cause.Key))
 		}
 	}
@@ -108,15 +112,15 @@ func TestCauseReason(t *testing.T) {
 // tells tuples apart by their columns, not by their fingerprint.
 func TestFootprintUnion(t *testing.T) {
 	a := fpOf(wr("x", ast.Int(1)), keyed("dept", 0, ast.Int(5)), whole("r"))
-	b := Footprint{
-		Writes: []Write{wr("x", ast.Int(1)), wr("y", ast.Int(2))},
-		Reads:  []Read{keyed("dept", 0, ast.Int(5)), keyed("dept", 0, ast.Int(6)), whole("r"), whole("s")},
+	b := sched.Footprint{
+		Writes: []sched.Write{wr("x", ast.Int(1)), wr("y", ast.Int(2))},
+		Reads:  []sched.Read{keyed("dept", 0, ast.Int(5)), keyed("dept", 0, ast.Int(6)), whole("r"), whole("s")},
 	}
-	u := Footprint{}.Union(a).Union(b)
+	u := sched.Footprint{}.Union(a).Union(b)
 	if len(u.Writes) != 2 {
 		t.Fatalf("union writes = %v, want deduped 2", u.Writes)
 	}
-	want := []Read{keyed("dept", 0, ast.Int(5)), whole("r"), keyed("dept", 0, ast.Int(6)), whole("s")}
+	want := []sched.Read{keyed("dept", 0, ast.Int(5)), whole("r"), keyed("dept", 0, ast.Int(6)), whole("s")}
 	if !reflect.DeepEqual(u.Reads, want) {
 		t.Fatalf("union reads = %v, want %v", u.Reads, want)
 	}
@@ -126,7 +130,7 @@ func TestFootprintUnion(t *testing.T) {
 	if !u.Conflicts(fpOf(wr("dept", ast.Int(6)))) {
 		t.Fatal("batch reading dept[0=6] must conflict with a write of dept(6)")
 	}
-	if !u.Union(Barrier()).Barrier {
+	if !u.Union(sched.Barrier()).Barrier {
 		t.Fatal("union with barrier lost the barrier")
 	}
 
@@ -134,7 +138,7 @@ func TestFootprintUnion(t *testing.T) {
 	// columns are what a keyed read of its group has to meet.
 	c1, c2 := wr("emp", ast.Int(1), ast.Int(10)), wr("emp", ast.Int(2), ast.Int(20))
 	c2.FP = c1.FP
-	cu := Footprint{}.Union(fpOf(c1)).Union(fpOf(c2))
+	cu := sched.Footprint{}.Union(fpOf(c1)).Union(fpOf(c2))
 	if len(cu.Writes) != 2 || !cu.Conflicts(fpOf(wr("y"), keyed("emp", 1, ast.Int(20)))) {
 		t.Fatalf("colliding fingerprints hid a write: %v", cu.Writes)
 	}
@@ -148,23 +152,33 @@ const fiSrc = `panic :- l(X, Y) & r(Z) & X <= Z & Z <= Y.`
 // refSrc is the referential constraint of the dist_sharded workload.
 const refSrc = `panic :- emp(E, D) & not dept(D).`
 
-func index(sh Sharder, srcs ...string) *Index {
-	progs := make([]*ast.Program, len(srcs))
+// index returns the footprints of a default checker — residual dispatch
+// and polarity on — over an empty store with the constraints, the
+// relations sh names remote.
+func index(t testing.TB, sh core.Sharder, srcs ...string) core.Footprints {
+	return footprints(t, core.Options{Sharder: sh}, srcs...)
+}
+
+func footprints(t testing.TB, opts core.Options, srcs ...string) core.Footprints {
+	t.Helper()
+	c := core.New(store.New(), opts)
 	for i, src := range srcs {
-		progs[i] = parser.MustParseProgram(src)
+		if err := c.AddConstraintSource(fmt.Sprintf("c%d", i), src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return NewIndex(progs, IndexOptions{Residual: true, Polarity: true, Sharder: sh})
+	return c.Footprints()
 }
 
 func TestIndexResidualReads(t *testing.T) {
-	ix := index(nil, fiSrc)
+	ix := index(t, nil, fiSrc)
 	cases := []struct {
 		rel    string
 		insert bool
-		want   []Read
+		want   []sched.Read
 	}{
-		{"l", true, []Read{whole("r")}}, // residual disjunct body; Z comes from a join
-		{"r", true, []Read{whole("l")}},
+		{"l", true, []sched.Read{whole("r")}}, // residual disjunct body; Z comes from a join
+		{"r", true, []sched.Read{whole("l")}},
 		{"l", false, nil}, // monotone-safe: deletes cannot violate
 		{"r", false, nil},
 		{"unrelated", true, nil}, // phase 1: not mentioned
@@ -182,10 +196,9 @@ func TestIndexResidualReads(t *testing.T) {
 }
 
 func TestIndexConservativeWithoutResidual(t *testing.T) {
-	prog := parser.MustParseProgram(fiSrc)
-	ix := NewIndex([]*ast.Program{prog}, IndexOptions{Residual: false, Polarity: true})
+	ix := footprints(t, core.Options{DisableResidual: true}, fiSrc)
 	got := ix.Update(store.Ins("l", relation.Ints(1, 2))).Reads
-	if !reflect.DeepEqual(got, []Read{whole("l"), whole("r")}) {
+	if !reflect.DeepEqual(got, []sched.Read{whole("l"), whole("r")}) {
 		t.Fatalf("conservative reads = %v, want every EDB relation [l r], whole", got)
 	}
 	// Phase 1.5 still certifies deletions without reading anything.
@@ -198,12 +211,12 @@ func TestIndexIDBFallsBackToConservative(t *testing.T) {
 	// A helper predicate makes the constraint residual-ineligible, so
 	// even with residual dispatch on the read set must cover every EDB
 	// relation (the pipeline may reach phase 3 / global evaluation).
-	ix := index(nil, `
+	ix := index(t, nil, `
 		covered(Z) :- l(Z, Y) & Z <= Y.
 		panic :- r(Z) & covered(Z).
 	`)
 	got := ix.Update(store.Ins("r", relation.Ints(1))).Reads
-	if !reflect.DeepEqual(got, []Read{whole("l"), whole("r")}) {
+	if !reflect.DeepEqual(got, []sched.Read{whole("l"), whole("r")}) {
 		t.Fatalf("IDB constraint reads = %v, want [l r], whole", got)
 	}
 }
@@ -212,15 +225,15 @@ func TestIndexSecondOccurrenceKeepsOwnRelation(t *testing.T) {
 	// Overlapping-interval constraint: inserting into l must re-check
 	// against the *other* l tuples — none of whose columns the new tuple
 	// fixes — so l stays in its own read set, whole.
-	ix := index(nil, `panic :- l(X, Y) & l(U, V) & X < U & U < Y.`)
+	ix := index(t, nil, `panic :- l(X, Y) & l(U, V) & X < U & U < Y.`)
 	got := ix.Update(store.Ins("l", relation.Ints(1, 2))).Reads
-	if !reflect.DeepEqual(got, []Read{whole("l")}) {
+	if !reflect.DeepEqual(got, []sched.Read{whole("l")}) {
 		t.Fatalf("self-join reads = %v, want [l]", got)
 	}
 }
 
 func TestIndexUpdateFootprint(t *testing.T) {
-	ix := index(nil, fiSrc)
+	ix := index(t, nil, fiSrc)
 	tup := relation.Ints(1, 5)
 	f := ix.Update(store.Ins("l", tup))
 	if len(f.Writes) != 1 || f.Writes[0].Relation != "l" || f.Writes[0].FP != tup.Fingerprint() {
@@ -229,7 +242,7 @@ func TestIndexUpdateFootprint(t *testing.T) {
 	if want := wr("l", tup...); !reflect.DeepEqual(f.Writes[0], want) {
 		t.Fatalf("update write = %v, want %v", f.Writes[0], want)
 	}
-	if !reflect.DeepEqual(f.Reads, []Read{whole("r")}) {
+	if !reflect.DeepEqual(f.Reads, []sched.Read{whole("r")}) {
 		t.Fatalf("update reads = %v, want [r]", f.Reads)
 	}
 
@@ -245,35 +258,30 @@ func TestIndexUpdateFootprint(t *testing.T) {
 	}
 }
 
-// TestCheckFootprintIsItsReads is the conflict table of a check: the
-// update's footprint without its write (what serve.footprintFor submits),
+// TestCheckFootprintIsItsReads is the conflict table of a check: its
+// reads alone (Footprints.Check, what serve.footprintFor submits),
 // because a decision that commits nothing writes nothing. Checks never
 // wait for each other; a check and an apply of one tuple are ordered only
 // where the apply writes into what the check reads.
 func TestCheckFootprintIsItsReads(t *testing.T) {
-	ix := index(nil, refSrc, `panic :- e(X, Y) & e(Y, Z) & f(Z).`)
-	apply := ix.Update
-	check := func(u store.Update) Footprint {
-		f := ix.Update(u)
-		f.Writes = nil
-		return f
-	}
+	ix := index(t, nil, refSrc, `panic :- e(X, Y) & e(Y, Z) & f(Z).`)
+	apply, check := ix.Update, ix.Check
 	emp := store.Ins("emp", relation.TupleOf(ast.Str("ann"), ast.Int(7)))
 	loop := store.Ins("e", relation.Ints(1, 1))
 	for _, c := range []struct {
 		name string
-		a, b Footprint
-		want CauseKind
+		a, b sched.Footprint
+		want sched.CauseKind
 	}{
-		{"check vs check of the same tuple", check(emp), check(emp), CauseNone},
-		{"check vs apply of the same tuple", check(emp), apply(emp), CauseNone},
-		{"check vs apply of the same tuple, which a read of the check covers", check(loop), apply(loop), CauseKeyedRead},
-		{"check vs check of that tuple", check(loop), check(loop), CauseNone},
-		{"check vs a write into its key group", check(emp), apply(store.Del("dept", relation.Ints(7))), CauseKeyedRead},
-		{"check vs a write into another key group", check(emp), apply(store.Del("dept", relation.Ints(8))), CauseNone},
-		{"apply vs apply of the same tuple", apply(emp), apply(emp), CauseSameTuple},
+		{"check vs check of the same tuple", check(emp), check(emp), sched.CauseNone},
+		{"check vs apply of the same tuple", check(emp), apply(emp), sched.CauseNone},
+		{"check vs apply of the same tuple, which a read of the check covers", check(loop), apply(loop), sched.CauseKeyedRead},
+		{"check vs check of that tuple", check(loop), check(loop), sched.CauseNone},
+		{"check vs a write into its key group", check(emp), apply(store.Del("dept", relation.Ints(7))), sched.CauseKeyedRead},
+		{"check vs a write into another key group", check(emp), apply(store.Del("dept", relation.Ints(8))), sched.CauseNone},
+		{"apply vs apply of the same tuple", apply(emp), apply(emp), sched.CauseSameTuple},
 	} {
-		for _, pair := range [][2]Footprint{{c.a, c.b}, {c.b, c.a}} {
+		for _, pair := range [][2]sched.Footprint{{c.a, c.b}, {c.b, c.a}} {
 			if got := pair[0].Conflict(pair[1]).Kind; got != c.want {
 				t.Errorf("%s: Conflict(%v, %v) = %v, want %v", c.name, pair[0], pair[1], got, c.want)
 			}
@@ -289,37 +297,37 @@ func TestIndexKeyedSpecs(t *testing.T) {
 		name string
 		srcs []string
 		u    store.Update
-		want []Read
+		want []sched.Read
 	}{
 		{"occurrence variable pins the probed column",
-			[]string{refSrc}, store.Ins("emp", relation.Ints(1, 42)), []Read{keyed("dept", 0, i(42))}},
+			[]string{refSrc}, store.Ins("emp", relation.Ints(1, 42)), []sched.Read{keyed("dept", 0, i(42))}},
 		{"any column of an unsharded relation: a dept delete probes emp on column 1",
-			[]string{refSrc}, store.Del("dept", relation.Ints(42)), []Read{keyed("emp", 1, i(42))}},
+			[]string{refSrc}, store.Del("dept", relation.Ints(42)), []sched.Read{keyed("emp", 1, i(42))}},
 		{"the key is the written value, however it is spelled",
-			[]string{refSrc}, store.Del("dept", relation.TupleOf(ast.Rat(84, 2))), []Read{keyed("emp", 1, i(42))}},
+			[]string{refSrc}, store.Del("dept", relation.TupleOf(ast.Rat(84, 2))), []sched.Read{keyed("emp", 1, i(42))}},
 		{"no occurrence of the tuple's arity: the probe never runs",
 			[]string{refSrc}, store.Del("dept", relation.Ints(42, 1)), nil},
 		{"constant baked in the constraint",
-			[]string{`panic :- hire(E) & frozen(hr).`}, store.Ins("hire", relation.Ints(1)), []Read{keyed("frozen", 0, ast.Str("hr"))}},
+			[]string{`panic :- hire(E) & frozen(hr).`}, store.Ins("hire", relation.Ints(1)), []sched.Read{keyed("frozen", 0, ast.Str("hr"))}},
 		{"a pinned variable is preferred to a constant",
-			[]string{`panic :- hire(E) & post(open, E).`}, store.Ins("hire", relation.Ints(9)), []Read{keyed("post", 1, i(9))}},
+			[]string{`panic :- hire(E) & post(open, E).`}, store.Ins("hire", relation.Ints(9)), []sched.Read{keyed("post", 1, i(9))}},
 		{"repeated variable: the first binding wins",
-			[]string{`panic :- pair(X, X) & q(X).`}, store.Ins("pair", relation.Ints(3, 4)), []Read{keyed("q", 0, i(3))}},
+			[]string{`panic :- pair(X, X) & q(X).`}, store.Ins("pair", relation.Ints(3, 4)), []sched.Read{keyed("q", 0, i(3))}},
 		{"a key that arrives from a join is a whole read",
-			[]string{`panic :- a(X) & b(X, Y) & c(Y).`}, store.Ins("a", relation.Ints(1)), []Read{keyed("b", 0, i(1)), whole("c")}},
+			[]string{`panic :- a(X) & b(X, Y) & c(Y).`}, store.Ins("a", relation.Ints(1)), []sched.Read{keyed("b", 0, i(1)), whole("c")}},
 		{"negated literal with a pinned argument",
-			[]string{`panic :- a(X, Y) & not b(Y, X).`}, store.Ins("a", relation.Ints(1, 2)), []Read{keyed("b", 0, i(2))}},
+			[]string{`panic :- a(X, Y) & not b(Y, X).`}, store.Ins("a", relation.Ints(1, 2)), []sched.Read{keyed("b", 0, i(2))}},
 		{"one occurrence per disjunct: each names its own group",
 			[]string{`panic :- e(X, Y) & e(Y, Z) & X < Z.`}, store.Ins("e", relation.Ints(1, 2)),
-			[]Read{keyed("e", 0, i(2)), keyed("e", 1, i(1))}},
+			[]sched.Read{keyed("e", 0, i(2)), keyed("e", 1, i(1))}},
 		{"a second constraint that is not residual-eligible keeps the claim whole",
 			[]string{refSrc, "orphan(D) :- emp(E, D) & not dept(D).\npanic :- orphan(D) & audited(D)."},
 			store.Del("dept", relation.Ints(42)),
-			[]Read{keyed("emp", 1, i(42)), whole("audited"), whole("dept"), whole("emp")}},
+			[]sched.Read{keyed("emp", 1, i(42)), whole("audited"), whole("dept"), whole("emp")}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := index(nil, c.srcs...).Update(c.u).Reads
+			got := index(t, nil, c.srcs...).Update(c.u).Reads
 			if len(got)+len(c.want) > 0 && !reflect.DeepEqual(got, c.want) {
 				t.Fatalf("reads(%v) = %v, want %v", c.u, got, c.want)
 			}
@@ -327,7 +335,7 @@ func TestIndexKeyedSpecs(t *testing.T) {
 	}
 }
 
-// placed is a Sharder: the named relations are remote, those with a
+// placed is a core.Sharder: the named relations are remote, those with a
 // non-negative column are fetched by key group on it.
 type placed map[string]int
 
@@ -338,24 +346,52 @@ func (p placed) ShardKey(rel string) (int, bool) {
 	return col, ok && col >= 0
 }
 
+// TestFootprintsIgnoreDisableCache: the claims are the update pattern's,
+// not the decision memo's. Under DisableCache a checker compiles no static
+// step — it decides an unmentioned or monotone-safe pattern per update —
+// and those patterns still read nothing, with or without residual
+// dispatch.
+func TestFootprintsIgnoreDisableCache(t *testing.T) {
+	srcs := []string{refSrc, fiSrc, "covered(Z) :- l(Z, Y) & Z <= Y.\npanic :- r(Z) & covered(Z)."}
+	us := []store.Update{
+		store.Ins("emp", relation.Ints(1, 42)), store.Del("emp", relation.Ints(1, 42)),
+		store.Ins("dept", relation.Ints(42)), store.Del("dept", relation.Ints(42)),
+		store.Ins("l", relation.Ints(1, 5)), store.Del("l", relation.Ints(1, 5)),
+		store.Ins("r", relation.Ints(3)), store.Del("r", relation.Ints(3)),
+		store.Ins("other", relation.Ints(1)),
+	}
+	for _, residual := range []bool{true, false} {
+		on := footprints(t, core.Options{DisableResidual: !residual, Sharder: placed{"dept": 0}}, srcs...)
+		off := footprints(t, core.Options{DisableResidual: !residual, Sharder: placed{"dept": 0}, DisableCache: true}, srcs...)
+		for _, u := range us {
+			if a, b := on.Update(u), off.Update(u); !reflect.DeepEqual(a, b) {
+				t.Errorf("residual=%v %s: footprint %+v, under DisableCache %+v", residual, u, a, b)
+			}
+		}
+	}
+	if got := footprints(t, core.Options{DisableResidual: true, DisableCache: true}, srcs...).Update(store.Ins("other", relation.Ints(1))); len(got.Reads) != 0 {
+		t.Errorf("a relation no constraint mentions reads %v under DisableCache", got.Reads)
+	}
+}
+
 // TestIndexRemoteRelations: a task refreshes the mirror of a remote
 // relation before it reads it, so the claim follows the refresh — the
 // shard-key group when that is what is fetched, the relation otherwise.
 func TestIndexRemoteRelations(t *testing.T) {
 	ins := store.Ins("emp", relation.Ints(1, 42))
-	if got := index(placed{"dept": 0}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []Read{keyed("dept", 0, ast.Int(42))}) {
+	if got := index(t, placed{"dept": 0}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, ast.Int(42))}) {
 		t.Fatalf("sharded dept, shard key pinned: reads = %v, want dept[0=42]", got)
 	}
-	if got := index(placed{"dept": -1}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []Read{whole("dept")}) {
+	if got := index(t, placed{"dept": -1}, refSrc).Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{whole("dept")}) {
 		t.Fatalf("dept whole on one site: reads = %v, want dept whole (the refresh replaces the mirror)", got)
 	}
 	// emp(E, D) sharded by E: a dept delete pins D, which is not the
 	// column emp is fetched by.
 	del := store.Del("dept", relation.Ints(42))
-	if got := index(placed{"emp": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []Read{whole("emp")}) {
+	if got := index(t, placed{"emp": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []sched.Read{whole("emp")}) {
 		t.Fatalf("emp sharded by column 0, column 1 pinned: reads = %v, want emp whole", got)
 	}
-	if got := index(placed{"dept": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []Read{keyed("emp", 1, ast.Int(42))}) {
+	if got := index(t, placed{"dept": 0}, refSrc).Update(del).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("emp", 1, ast.Int(42))}) {
 		t.Fatalf("local emp next to a sharded dept: reads = %v, want emp[1=42]", got)
 	}
 }
@@ -366,10 +402,10 @@ func TestIndexRemoteRelations(t *testing.T) {
 // conflict — sharder or no sharder, whatever shard the keys hash to.
 func TestIndexKeyGroupFootprints(t *testing.T) {
 	const src = `panic :- d(K, V) & d(K, W) & V < W.`
-	for name, sh := range map[string]Sharder{"local": nil, "sharded": placed{"d": 0}} {
-		ix := index(sh, src)
+	for name, sh := range map[string]core.Sharder{"local": nil, "sharded": placed{"d": 0}} {
+		ix := index(t, sh, src)
 		a := ix.Update(store.Ins("d", relation.Ints(10, 1)))
-		if !reflect.DeepEqual(a.Reads, []Read{keyed("d", 0, ast.Int(10))}) {
+		if !reflect.DeepEqual(a.Reads, []sched.Read{keyed("d", 0, ast.Int(10))}) {
 			t.Fatalf("%s: key-bound self-join reads = %v, want d[0=10]", name, a.Reads)
 		}
 		for k := int64(11); k < 40; k++ {
@@ -378,13 +414,13 @@ func TestIndexKeyGroupFootprints(t *testing.T) {
 			}
 		}
 		c := ix.Update(store.Ins("d", relation.Ints(10, 3)))
-		if got := a.Conflict(c); got.Kind != CauseKeyedRead || got.Relation != "d" || got.Col != 0 {
+		if got := a.Conflict(c); got.Kind != sched.CauseKeyedRead || got.Relation != "d" || got.Col != 0 {
 			t.Fatalf("%s: inserts under one key must conflict on the key group, got %+v", name, got)
 		}
 	}
 	// A mirror that is refreshed whole is read whole: every pair
 	// conflicts.
-	ix := index(placed{"d": -1}, src)
+	ix := index(t, placed{"d": -1}, src)
 	if !ix.Update(store.Ins("d", relation.Ints(10, 1))).Conflicts(ix.Update(store.Ins("d", relation.Ints(11, 2)))) {
 		t.Fatal("inserts into a wholesale-refreshed d must conflict")
 	}
@@ -396,13 +432,13 @@ func TestIndexKeyGroupFootprints(t *testing.T) {
 // delete and an emp(_, K) insert serialize in admission order and say
 // why.
 func TestKeyGroupSchedulerOverlap(t *testing.T) {
-	ix := index(placed{"dept": 0}, refSrc)
+	ix := index(t, placed{"dept": 0}, refSrc)
 	del := ix.Update(store.Del("dept", relation.Ints(5)))
 
-	s := New(Options{Workers: 2})
+	s := sched.New(sched.Options{Workers: 2})
 	second := make(chan struct{})
 	done := make(chan struct{})
-	s.Submit(del, func(Info) {
+	s.Submit(del, func(sched.Info) {
 		select {
 		case <-second:
 		case <-time.After(5 * time.Second):
@@ -410,18 +446,18 @@ func TestKeyGroupSchedulerOverlap(t *testing.T) {
 		}
 		close(done)
 	})
-	s.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 6))), func(Info) { close(second) })
+	s.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 6))), func(sched.Info) { close(second) })
 	<-done
 	s.Close()
 
-	s2 := New(Options{Workers: 2})
+	s2 := sched.New(sched.Options{Workers: 2})
 	var order []string
 	release := make(chan struct{})
-	s2.Submit(del, func(Info) {
+	s2.Submit(del, func(sched.Info) {
 		<-release
 		order = append(order, "delete dept(5)")
 	})
-	s2.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 5))), func(info Info) {
+	s2.Submit(ix.Update(store.Ins("emp", relation.Ints(1, 5))), func(info sched.Info) {
 		order = append(order, "insert emp(1,5)")
 		// Each writes into the group the other reads; the earlier task's
 		// write is met first.
@@ -444,20 +480,20 @@ func TestIndexReadPlan(t *testing.T) {
 	// Key-bound: the occurrence pins D, so dept is probed with exactly
 	// the inserted tuple's second component — the group the footprint
 	// claims.
-	ix := index(placed{"dept": 0}, refSrc)
+	ix := index(t, placed{"dept": 0}, refSrc)
 	ins := store.Ins("emp", relation.Ints(1, 42))
 	rp := ix.ReadPlan(ins, "dept")
 	if len(rp.Keys) != 1 || !rp.Keys[0].Equal(ast.Int(42)) || rp.Mirror || rp.Eval {
 		t.Fatalf("key-bound read: %+v, want keys [42] only", rp)
 	}
-	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []Read{keyed("dept", 0, rp.Keys[0])}) {
+	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, rp.Keys[0])}) {
 		t.Fatalf("footprint %v and read plan %v name different groups", got, rp.Keys)
 	}
-	if rp := ix.ReadPlan(ins, "l"); !reflect.DeepEqual(rp, ReadPlan{}) {
+	if rp := ix.ReadPlan(ins, "l"); !reflect.DeepEqual(rp, core.ReadPlan{}) {
 		t.Fatalf("relation the check never reads: %+v, want the zero plan", rp)
 	}
 	// Two disjuncts, one key: fetched once.
-	ix2 := index(placed{"dept": 0}, refSrc, `panic :- emp(E, D) & closed(D) & dept(D).`)
+	ix2 := index(t, placed{"dept": 0}, refSrc, `panic :- emp(E, D) & closed(D) & dept(D).`)
 	if rp := ix2.ReadPlan(ins, "dept"); len(rp.Keys) != 1 || rp.Mirror {
 		t.Fatalf("one key probed twice: %+v, want keys [42]", rp)
 	}
@@ -469,13 +505,13 @@ func TestIndexReadPlan(t *testing.T) {
 
 	// Unkeyed residual read: r's key column is not pinned by the l
 	// occurrence, so the whole mirror must be refreshed.
-	ix3 := index(placed{"r": 0}, fiSrc)
+	ix3 := index(t, placed{"r": 0}, fiSrc)
 	if rp := ix3.ReadPlan(store.Ins("l", relation.Ints(1, 5)), "r"); !rp.Mirror || len(rp.Keys) != 0 {
 		t.Fatalf("unkeyed residual read misclassified: %+v", rp)
 	}
 
 	// Residual-ineligible (IDB helper): evaluation reads, router-served.
-	ix4 := index(placed{"r": 0}, `
+	ix4 := index(t, placed{"r": 0}, `
 		covered(Z) :- l(Z, Y) & Z <= Y.
 		panic :- r(Z) & covered(Z).
 	`)
@@ -488,8 +524,8 @@ func TestIndexReadPlan(t *testing.T) {
 // distStream is a stream of the dist_sharded workload's shape (bench/
 // dist.go): its two constraints, dept hash-sharded, Zipf-skewed dept
 // keys on the emp side, and dept writes under keys no emp refers to.
-func distStream(seed int64, n int) (*Index, []Footprint) {
-	ix := index(placed{"dept": 0, "r": -1}, refSrc, fiSrc)
+func distStream(t *testing.T, seed int64, n int) (core.Footprints, []sched.Footprint) {
+	ix := index(t, placed{"dept": 0, "r": -1}, refSrc, fiSrc)
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.2, 1, 1999)
 	const deptWriteBase = 1_000_000
@@ -499,7 +535,7 @@ func distStream(seed int64, n int) (*Index, []Footprint) {
 		return store.Ins("emp", relation.TupleOf(ast.Str(fmt.Sprintf("h%d", seq)), ast.Int(int64(zipf.Uint64()))))
 	}
 	var pending []store.Update // applied inserts not yet undone
-	fps := make([]Footprint, 0, n)
+	fps := make([]sched.Footprint, 0, n)
 	for len(fps) < n {
 		switch p := rng.Intn(100); {
 		case p < 30: // emp check
@@ -542,13 +578,13 @@ func distStream(seed int64, n int) (*Index, []Footprint) {
 // it — a tenth of the stream against half of it.
 func TestDistShardedStallShare(t *testing.T) {
 	const n, window = 4000, 16
-	_, fps := distStream(1, n)
+	_, fps := distStream(t, 1, n)
 	pairs, conflicts := 0, 0
-	byKind := map[CauseKind]int{}
+	byKind := map[sched.CauseKind]int{}
 	for i := range fps {
 		for j := max(0, i-window); j < i; j++ {
 			pairs++
-			if c := fps[j].Conflict(fps[i]); c.Kind != CauseNone {
+			if c := fps[j].Conflict(fps[i]); c.Kind != sched.CauseNone {
 				conflicts++
 				byKind[c.Kind]++
 			}
@@ -559,10 +595,10 @@ func TestDistShardedStallShare(t *testing.T) {
 	if share >= 0.01 {
 		t.Fatalf("conflict share %.4f of pairs within %d, want < 0.01: %v", share, window, byKind)
 	}
-	if n := byKind[CauseWholeRead] + byKind[CauseKeyedRead]; n > 0 {
+	if n := byKind[sched.CauseWholeRead] + byKind[sched.CauseKeyedRead]; n > 0 {
 		t.Fatalf("%d read conflicts: nothing in this stream writes a relation that is read whole or a key that is read: %v", n, byKind)
 	}
-	_, again := distStream(1, n)
+	_, again := distStream(t, 1, n)
 	for i := range fps {
 		if !reflect.DeepEqual(fps[i], again[i]) {
 			t.Fatalf("footprint %d does not repeat: %v, then %v", i, fps[i], again[i])
@@ -590,7 +626,7 @@ func TestWire(t *testing.T) {
 		{"local write, no reads", store.Del("l", relation.Ints(1, 3)), false},
 		{"relation no constraint mentions", store.Ins("other", relation.Ints(1)), false},
 	}
-	remote, local := index(sh, refSrc, fiSrc), index(nil, refSrc, fiSrc)
+	remote, local := index(t, sh, refSrc, fiSrc), index(t, nil, refSrc, fiSrc)
 	for _, c := range cases {
 		if got := remote.Update(c.u).Wire; got != c.want {
 			t.Errorf("%s: %s Wire = %v, want %v", c.name, c.u, got, c.want)

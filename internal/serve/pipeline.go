@@ -20,18 +20,13 @@ import (
 // changes. One semantic caveat is documented on submitBatch.
 
 // footprintFor derives the scheduler footprint of one task. A check
-// writes nothing, so its footprint is the update's minus the write: it
-// waits for, and holds back, only writes into what it reads — not other
-// checks, nor a write of its own tuple, which its verdict does not depend
-// on — and it keeps the rest (Wire: it refreshes what it reads). Stats
-// is a barrier so the snapshot reflects a quiescent backend, exactly like
-// a queue position at one worker.
+// writes nothing, so its footprint is its reads alone (Footprints.Check).
+// Stats is a barrier so the snapshot reflects a quiescent backend,
+// exactly like a queue position at one worker.
 func (s *Server) footprintFor(t *task) sched.Footprint {
 	switch t.op {
 	case opCheck:
-		fp := s.fpb.Footprints().Update(t.u)
-		fp.Writes = nil
-		return fp
+		return s.fpb.Footprints().Check(t.u)
 	case opApply:
 		return s.fpb.Footprints().Update(t.u)
 	case opBatch: // atomic: one all-or-nothing task

@@ -137,9 +137,12 @@ func TestLocalDecisionsPassTasksOnTheWire(t *testing.T) {
 	}
 }
 
-// TestCheckFootprintKeepsWire: serve builds a check's footprint from the
-// update's by dropping the write, so everything else the index derived —
-// the reads, and that the task may wait on a site — survives.
+// TestCheckFootprintKeepsWire: a check's footprint is the apply's reads
+// without its write, and its Wire bit comes from those reads alone: a
+// check that reads a remote relation may wait on a site to refresh it,
+// and one that reads nothing never touches the wire — not even a check of
+// +dept(7), whose apply publishes to dept's shard under the dist_sharded
+// placement. Such a check is no wire task and takes a worker token.
 func TestCheckFootprintKeepsWire(t *testing.T) {
 	s, _, _ := shardedFixture(t, 2, 8, nil)
 	defer s.Close()
@@ -154,6 +157,13 @@ func TestCheckFootprintKeepsWire(t *testing.T) {
 	}
 	if del := s.footprintFor(&task{op: opCheck, u: store.Del("emp", relation.Ints(1000, 0))}); del.Wire {
 		t.Error("check of an emp delete is Wire: polarity decides it from nothing")
+	}
+	dept := store.Ins("dept", relation.Ints(7))
+	if check := s.footprintFor(&task{op: opCheck, u: dept}); check.Wire || len(check.Reads) != 0 {
+		t.Errorf("check of %s: %+v, want no reads and not Wire (it writes nothing)", dept, check)
+	}
+	if apply := s.footprintFor(&task{op: opApply, u: dept}); !apply.Wire {
+		t.Errorf("apply of %s: %+v, want Wire (it publishes to a shard)", dept, apply)
 	}
 }
 

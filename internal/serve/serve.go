@@ -245,9 +245,9 @@ type Backend interface {
 // netdist.ServeBackend implement it.
 type FootprintBackend interface {
 	Backend
-	// Footprints returns the backend's current footprint index; called
-	// per request, so constraint-set changes are picked up.
-	Footprints() *sched.Index
+	// Footprints returns the backend's footprint view; called per
+	// request, so constraint-set changes are picked up.
+	Footprints() core.Footprints
 }
 
 // Server is the decision service. All exported methods are safe for
