@@ -25,6 +25,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/classify"
 	"repro/internal/containment"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/icq"
 	"repro/internal/ineq"
@@ -376,12 +377,18 @@ func BenchmarkNegationContainment(b *testing.B) {
 // from scratch with the insert pending (recompute) vs the rounds the
 // inserted tuple seeds on a kept fixpoint (delta) — on a forward edge,
 // which derives nothing new, and a closing edge, which derives panic.
-// Each iteration is one check; the store is never written.
+// The check arms make the same decision through core.Checker.Check, as
+// an application embedding the checker does, under both constraints of
+// the repository benchmark's embed_recursive workload (acyclicity and
+// banned-hub, whose helper compares Y < Z): the whole decision, its
+// phase-2 memo lookup included. Each iteration is one check; the store is
+// never written.
 func BenchmarkGlobalPhase(b *testing.B) {
-	prog := parser.MustParseProgram(`
+	const acyclic = `
 		reach(X,Y) :- edge(X,Y).
 		reach(X,Y) :- reach(X,Z) & edge(Z,Y).
-		panic :- reach(X,X).`)
+		panic :- reach(X,X).`
+	prog := parser.MustParseProgram(acyclic)
 	for _, n := range []int{8, 64, 128} {
 		edges := map[string]relation.Tuple{
 			"forward": relation.Ints(int64(n/8), int64(n/2)),
@@ -423,6 +430,32 @@ func BenchmarkGlobalPhase(b *testing.B) {
 				}
 				if !fix.Valid() {
 					b.Fatal("deciding an insert moved the store")
+				}
+			})
+			if n != 64 {
+				continue
+			}
+			b.Run(fmt.Sprintf("check/chain=%d/%s", n, kind), func(b *testing.B) {
+				db := seeded()
+				if _, err := db.Insert("banned", relation.Ints(int64(n)+1000)); err != nil {
+					b.Fatal(err)
+				}
+				chk := core.New(db, core.Options{Workers: 1})
+				for _, k := range [][2]string{
+					{"acyclic", acyclic},
+					{"banned-hub", "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X)."},
+				} {
+					if err := chk.AddConstraintSource(k[0], k[1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				u := store.Ins("edge", tu)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rep, err := chk.Check(u)
+					if err != nil || rep.Applied != (kind == "forward") {
+						b.Fatalf("report %+v, %v", rep, err)
+					}
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -110,48 +109,45 @@ func relevantInsertPositions(prog *ast.Program, rel string) (relevant []bool, al
 	return relevant, false
 }
 
-// projKey projects the tuple onto the entry's verdict-relevant positions.
-// Tuples agreeing on those positions share one phase-2 verdict.
-func (e *cacheEntry) projKey(t relation.Tuple) string {
-	if e.allRelevant {
-		return t.Key()
-	}
+// appendProjKey appends the projection of the tuple onto the entry's
+// verdict-relevant positions to dst: tuples agreeing on those positions
+// share one phase-2 verdict. No value is rendered through fmt or interned
+// (relation.AppendValueKey).
+func (e *cacheEntry) appendProjKey(dst []byte, t relation.Tuple) []byte {
 	// The arity prefix keeps tuples of different lengths apart even when
 	// they agree on (or lack) every relevant position: an arity-mismatch
 	// update fails the rewriting rather than being certified, and must not
 	// share a memo slot with a well-formed one.
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(len(t)))
-	sb.WriteByte(';')
-	for p, rel := range e.relevant {
-		if !rel || p >= len(t) {
-			continue
-		}
-		k := t[p].Key()
-		sb.WriteString(strconv.Itoa(p))
-		sb.WriteByte(':')
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
-		sb.WriteByte('|')
+	dst = strconv.AppendInt(dst, int64(len(t)), 10)
+	dst = append(dst, ';')
+	if e.allRelevant {
+		return t.AppendKey(dst)
 	}
-	return sb.String()
+	for p, rel := range e.relevant {
+		if rel && p < len(t) {
+			dst = strconv.AppendInt(dst, int64(p), 10)
+			dst = append(dst, ':')
+			dst = relation.AppendValueKey(dst, t[p])
+		}
+	}
+	return dst
 }
 
-// phase2Get returns the memoized phase-2 verdict for the projected key.
-func (e *cacheEntry) phase2Get(key string) (certified, ok bool) {
+// phase2Get returns the memoized phase-2 verdict for the projected key;
+// a lookup allocates nothing.
+func (e *cacheEntry) phase2Get(key []byte) (certified, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	certified, ok = e.phase2[key]
+	certified, ok = e.phase2[string(key)]
 	return certified, ok
 }
 
 // phase2Put memoizes a phase-2 verdict, resetting the memo at capacity.
-func (e *cacheEntry) phase2Put(key string, certified bool) {
+func (e *cacheEntry) phase2Put(key []byte, certified bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.phase2) >= phase2CacheCap {
 		e.phase2 = map[string]bool{}
 	}
-	e.phase2[key] = certified
+	e.phase2[string(key)] = certified
 }

@@ -622,7 +622,8 @@ func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, prior []store
 		certified := false
 		phase2Cache := obs.CacheOff
 		if e != nil {
-			key := e.projKey(u.Tuple)
+			var buf [64]byte
+			key := e.appendProjKey(buf[:0], u.Tuple)
 			var known bool
 			certified, known = e.phase2Get(key)
 			phase2Cache = obs.CacheHit

@@ -119,7 +119,7 @@ func TestConcurrentApplyReaders(t *testing.T) {
 				db.Tuples("emp")
 				db.Lookup("emp", 1, ast.Str("dept00"))
 				db.Contains("dept", relation.Strs("dept01"))
-				db.Probe("salRange", relation.TupleOf(ast.Str("dept00"), ast.Int(10), ast.Int(60)))
+				db.Probe("salRange", relation.AppendHandles(nil, relation.TupleOf(ast.Str("dept00"), ast.Int(10), ast.Int(60))))
 			}
 		}(g)
 	}

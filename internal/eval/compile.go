@@ -19,14 +19,34 @@ import (
 // the join itself, not re-deriving how to join.
 
 // stratumPlan is one stratum with its evaluation bookkeeping
-// precomputed: the rules deriving its predicates, whether the stratum is
-// recursive (needs semi-naive iteration), and the membership set the
-// semi-naive rewriting consults per body literal.
+// precomputed: the slots of its predicates, its rules with their plans
+// and positive body literals, and whether it is recursive (needs
+// semi-naive iteration).
 type stratumPlan struct {
-	preds     []string
-	rules     []*ast.Rule
+	slots     []int
+	rules     []rulePlan
 	recursive bool
-	inLayer   map[string]bool
+}
+
+// rulePlan is one rule of a stratum: the rule, its from-scratch plan — nil when a
+// stored relation of another arity makes the body underivable — and the
+// positive body literals a semi-naive round may take as its delta.
+type rulePlan struct {
+	rule *ast.Rule
+	plan *Plan
+	occs []occurrence
+}
+
+// occurrence is a positive body literal: its body index, its predicate
+// (by slot when derived, -1 for a stored relation), whether it is one of
+// the stratum's own predicates, and id, which names the plan that starts
+// from it (compiled.deltaPlans).
+type occurrence struct {
+	id      int
+	pos     int
+	pred    string
+	slot    int
+	inLayer bool
 }
 
 // compiled is a ready-to-run evaluation: the (goal-pruned) program, its
@@ -35,42 +55,37 @@ type stratumPlan struct {
 // and safe to share across concurrent evaluations.
 type compiled struct {
 	prog *ast.Program
-	// goal is the predicate GoalHoldsAfter stops on; empty for full Eval.
-	goal string
 	// noRules marks a goal with no deriving rules after pruning: the
 	// goal is trivially underivable and nothing else is compiled.
 	noRules bool
 	strata  []stratumPlan
-	// goalLevel is the stratum index of the goal predicate (-1 when no
-	// goal): evaluation stops at the first derivation in that stratum.
-	goalLevel int
-	// plans hold one join plan per rule; nil when a stored relation of
-	// another arity makes the body underivable.
-	plans map[*ast.Rule]*Plan
-	// idbArity maps each derived predicate to its arity, for allocating
-	// result relations without re-walking the program.
-	idbArity map[string]int
+	// goalLevel is the stratum index of the goal predicate and goalSlot
+	// its slot (both -1 when no goal): evaluation stops at the first
+	// derivation in that stratum.
+	goalLevel, goalSlot int
+	// slot numbers the derived predicates: a run holds its derived
+	// relations in a slice indexed by slot, and plans name them by slot.
+	// arity and probed are per slot: the predicate's arity and the column
+	// sets the from-scratch plans probe it on.
+	slot   map[string]int
+	arity  []int
+	probed [][][]int
+	// occs counts the occurrences of all strata.
+	occs int
 
 	// What a kept fixpoint (fixpoint.go) adds, built by its first build.
-	// deltaPlans: per rule and positive body literal, the plan that
-	// starts from that literal. monotone: per stored relation the program
-	// reads, whether no predicate that depends on it is read under
-	// negation — then the fixpoint after an insert is the one before plus
-	// whatever the new tuple derives, and every negated subgoal reads as
-	// it did. feeds: the stored relations some rule-read derived
-	// predicate depends on — the only ones whose writes can make kept
-	// rows that a delta-seeded run consults wrong.
+	// deltaPlans: per occurrence, the plan of its rule that starts from
+	// it. monotone: per stored relation the program reads, whether no
+	// predicate that depends on it is read under negation — then the
+	// fixpoint after an insert is the one before plus whatever the new
+	// tuple derives, and every negated subgoal reads as it did. feeds: the
+	// stored relations some rule-read derived predicate depends on — the
+	// only ones whose writes can make kept rows that a delta-seeded run
+	// consults wrong.
 	deltaOnce  sync.Once
-	deltaPlans map[deltaKey]*Plan
+	deltaPlans []*Plan
 	monotone   map[string]bool
 	feeds      []string
-}
-
-// deltaKey names one delta plan: the rule and the body index of the
-// literal that ranges over the delta.
-type deltaKey struct {
-	r   *ast.Rule
-	pos int
 }
 
 // compile builds the ready-to-run evaluation for prog (pruned to goal
@@ -79,7 +94,7 @@ type deltaKey struct {
 // arities — never through its tuples, which is what makes compiled
 // objects cacheable across the update stream.
 func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*compiled, error) {
-	c := &compiled{prog: prog, goal: goal, goalLevel: -1}
+	c := &compiled{prog: prog, goalLevel: -1, goalSlot: -1}
 	if goal != "" {
 		c.prog = pruneToGoal(prog, goal)
 		if len(c.prog.RulesFor(goal)) == 0 {
@@ -95,29 +110,41 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 		return nil, err
 	}
 	arity := c.prog.Preds()
-	idb := c.prog.IDBPreds()
-	c.idbArity = make(map[string]int, len(idb))
-	for p := range idb {
-		c.idbArity[p] = arity[p]
-	}
-	c.plans = make(map[*ast.Rule]*Plan)
-	for i, layer := range layers {
-		sp := stratumPlan{preds: layer, inLayer: make(map[string]bool, len(layer))}
+	c.slot = map[string]int{}
+	for _, layer := range layers {
 		for _, p := range layer {
-			sp.inLayer[p] = true
-			if p == goal {
-				c.goalLevel = i
-			}
-			sp.rules = append(sp.rules, c.prog.RulesFor(p)...)
+			c.slot[p] = len(c.arity)
+			c.arity = append(c.arity, arity[p])
 		}
-		for _, r := range sp.rules {
-			for _, l := range r.Body {
-				if !l.IsComp() && sp.inLayer[l.Atom.Pred] {
-					sp.recursive = true
-				}
+	}
+	c.probed = make([][][]int, len(c.arity))
+	for i, layer := range layers {
+		sp := stratumPlan{}
+		inLayer := map[string]bool{}
+		for _, p := range layer {
+			inLayer[p] = true
+			sp.slots = append(sp.slots, c.slot[p])
+			if p == goal {
+				c.goalLevel, c.goalSlot = i, c.slot[p]
 			}
-			if _, ok := c.plans[r]; !ok {
-				c.plans[r] = compileRule(r, idb, db, opts.DisableIndexes, -1)
+		}
+		for _, p := range layer {
+			for _, r := range c.prog.RulesFor(p) {
+				rp := rulePlan{rule: r, plan: compileRule(r, c.slot, db, opts.DisableIndexes, -1)}
+				for bi, l := range r.Body {
+					if !l.IsPos() {
+						continue
+					}
+					slot, derived := c.slot[l.Atom.Pred]
+					if !derived {
+						slot = -1
+					}
+					rp.occs = append(rp.occs, occurrence{id: c.occs, pos: bi, pred: l.Atom.Pred, slot: slot, inLayer: inLayer[l.Atom.Pred]})
+					c.occs++
+					sp.recursive = sp.recursive || inLayer[l.Atom.Pred]
+				}
+				c.noteProbes(rp.plan)
+				sp.rules = append(sp.rules, rp)
 			}
 		}
 		c.strata = append(c.strata, sp)
@@ -125,16 +152,33 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 	return c, nil
 }
 
+// noteProbes adds the column sets p probes derived predicates on to
+// probed, the indexes every rowSet of those predicates is built with (a
+// set that is there twice gets one index).
+func (c *compiled) noteProbes(p *Plan) {
+	if p == nil {
+		return
+	}
+	for _, st := range p.steps {
+		if st.kind == stepPos && st.slot >= 0 && len(st.probeCols) > 0 {
+			c.probed[st.slot] = append(c.probed[st.slot], st.probeCols)
+		}
+	}
+}
+
+// newSet returns an empty rowSet for the derived predicate in slot.
+func (c *compiled) newSet(slot int) *rowSet { return newRowSet(c.arity[slot], c.probed[slot]) }
+
 // prepareDelta builds deltaPlans, monotone and feeds, once.
 func (c *compiled) prepareDelta(db *store.Store) {
 	c.deltaOnce.Do(func() {
 		idb := c.prog.IDBPreds()
-		c.deltaPlans = make(map[deltaKey]*Plan)
+		c.deltaPlans = make([]*Plan, c.occs)
 		c.monotone = make(map[string]bool)
-		for _, r := range c.prog.Rules {
-			for bi, l := range r.Body {
-				if l.IsPos() {
-					c.deltaPlans[deltaKey{r, bi}] = compileRule(r, idb, db, false, bi)
+		for _, sp := range c.strata {
+			for _, rp := range sp.rules {
+				for _, o := range rp.occs {
+					c.deltaPlans[o.id] = compileRule(rp.rule, c.slot, db, false, o.pos)
 				}
 			}
 		}

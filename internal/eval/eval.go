@@ -8,28 +8,48 @@ import (
 	"repro/internal/store"
 )
 
-// Result holds the derived (IDB) relations of one evaluation.
+// Result holds the derived (IDB) relations of one evaluation, as handle
+// rows; tuples are materialized only when asked for.
 type Result struct {
-	idb map[string]*relation.Relation
+	slot map[string]int
+	sets []*rowSet
 }
 
-// Relation returns the derived relation for pred (nil when the predicate
-// derived nothing and is unknown).
-func (r *Result) Relation(pred string) *relation.Relation { return r.idb[pred] }
+// set returns the rows derived for pred, nil for a predicate the program
+// does not derive.
+func (r *Result) set(pred string) *rowSet {
+	if i, ok := r.slot[pred]; ok {
+		return r.sets[i]
+	}
+	return nil
+}
+
+// Relation materializes the derived relation for pred (nil when the
+// predicate is not derived by the program).
+func (r *Result) Relation(pred string) *relation.Relation {
+	rs := r.set(pred)
+	if rs == nil {
+		return nil
+	}
+	rel := relation.New(pred, rs.arity)
+	for _, t := range rs.tuples(rs.n) {
+		rel.Insert(t)
+	}
+	return rel
+}
 
 // Tuples returns the derived tuples for pred.
 func (r *Result) Tuples(pred string) []relation.Tuple {
-	rel := r.idb[pred]
-	if rel == nil {
-		return nil
+	if rs := r.set(pred); rs != nil {
+		return rs.tuples(rs.n)
 	}
-	return rel.Tuples()
+	return nil
 }
 
 // Holds reports whether the 0-ary predicate pred was derived.
 func (r *Result) Holds(pred string) bool {
-	rel := r.idb[pred]
-	return rel != nil && rel.Len() > 0
+	rs := r.set(pred)
+	return rs != nil && rs.n > 0
 }
 
 // Options tune the evaluation strategy. The zero value is the fast
@@ -53,7 +73,8 @@ type Options struct {
 	Probe ProbeRouter
 }
 
-// ProbeRouter intercepts EDB reads during evaluation. Implementations
+// ProbeRouter intercepts EDB reads during evaluation. It is asked and
+// answers in values; the engine interns what it answers. Implementations
 // decide per relation whether to handle the read (handled=false falls
 // through to the local store). A handled Probe must return exactly the
 // tuples whose projection onto cols equals vals — the join loop trusts
@@ -91,16 +112,16 @@ func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error)
 	return res, nil
 }
 
-// newEvaluator allocates the result (empty IDB relations) for the
+// newEvaluator allocates the result (empty derived relations) for the
 // compiled program and borrows a pooled evaluator to derive into it;
 // callers must release() the evaluator when done.
 func newEvaluator(c *compiled, db *store.Store, opts Options) (*evaluator, *Result) {
-	res := &Result{idb: make(map[string]*relation.Relation, len(c.idbArity))}
-	for pred, ar := range c.idbArity {
-		res.idb[pred] = relation.New(pred, ar)
+	res := &Result{slot: c.slot, sets: make([]*rowSet, len(c.arity))}
+	for i := range res.sets {
+		res.sets[i] = c.newSet(i)
 	}
 	ev := getEvaluator()
-	ev.comp, ev.db, ev.res, ev.opts = c, db, res, opts
+	ev.comp, ev.db, ev.sets, ev.opts = c, db, res.sets, opts
 	return ev, res
 }
 
@@ -115,46 +136,50 @@ func PanicHolds(prog *ast.Program, db *store.Store) (bool, error) {
 }
 
 // evaluator carries the state of one run: what it reads (the compiled
-// program, the store, the pending update, a kept fixpoint), what it
-// derives into, and the engine's scratch — registers, the head buffer and
-// one level per plan depth (vm.go). Evaluators are pooled, so the steady
-// state of a decision stream allocates none of it; the compiled object
-// they run is shared and read-only.
+// program, the store, the pending updates), the derived relations it
+// reads and derives into, and the engine's scratch — registers, the head
+// buffer, the pending updates' handles and one level per plan depth
+// (vm.go). Evaluators are pooled, so the steady state of a decision
+// stream allocates none of it; the compiled object they run is shared and
+// read-only.
 type evaluator struct {
 	comp *compiled
 	db   *store.Store
-	res  *Result
 	opts Options
-	// stop, when set, aborts evaluation with errGoalDerived as soon as the
-	// named predicate derives a tuple (GoalHoldsAfter).
-	stop string
+	// sets are the derived relations by slot: a from-scratch result's, or
+	// a kept fixpoint's rows.
+	sets []*rowSet
+	// stop, when >= 0, is the slot whose first derived row aborts the
+	// evaluation with errGoalDerived (GoalHoldsAfter).
+	stop int
 	// prior and then upd, where set, are pending: stored relations read as
 	// they will once the updates are applied in that order. upd's tuple is
-	// also the parameters of a residual plan.
-	prior []store.Update
-	upd   store.Update
-	// fix, when set, makes this a delta-seeded run over a kept fixpoint
-	// (fixpoint.go): derived predicates are read from and written to its
-	// handle rows, rules run their delta-first plans, and the delta
-	// literal ranges over rows [dlo, dhi) of its predicate — or, for the
-	// inserted relation, over upd's tuple alone.
-	fix      *Fixpoint
-	dlo, dhi int
+	// also the parameters of a residual plan. params and priorRows are
+	// their handles, interned on first use (pend, param, pendingRow).
+	prior     []store.Update
+	upd       store.Update
+	params    []relation.Handle
+	priorRows [][]relation.Handle
+	priorBuf  []relation.Handle
 	// The rule run in progress: the body index of its delta literal (-1:
-	// none), the previous round's delta relation that literal reads, and
-	// the next round's its fresh head tuples go to.
-	deltaPos int
-	deltaRel *relation.Relation
-	nextRel  *relation.Relation
+	// none) and where that literal's rows come from. In a semi-naive
+	// round of a from-scratch evaluation they are the previous round's
+	// rows, delta, and the fresh rows also go to the next round's, next
+	// (both by slot). In a delta-seeded run over a kept fixpoint
+	// (fixpoint.go; delta nil) they are rows [dlo, dhi) of the predicate's
+	// set — or, for the inserted relation, upd's tuple alone.
+	deltaPos    int
+	delta, next []*rowSet
+	dlo, dhi    int
 
-	regs   []ast.Value
-	head   []ast.Value
+	regs   []relation.Handle
+	head   []relation.Handle
 	levels []level
 }
 
-// evaluators holds evaluators with no run state (deltaPos -1, every
-// reference nil) and warm scratch.
-var evaluators = sync.Pool{New: func() any { return &evaluator{deltaPos: -1} }}
+// evaluators holds evaluators with no run state (deltaPos and stop -1,
+// every reference nil) and warm scratch.
+var evaluators = sync.Pool{New: func() any { return &evaluator{deltaPos: -1, stop: -1} }}
 
 // getEvaluator borrows a pooled evaluator; callers set what they read and
 // must release it.
@@ -163,90 +188,79 @@ func getEvaluator() *evaluator { return evaluators.Get().(*evaluator) }
 // release drops the run's references and returns the evaluator (with its
 // scratch) to the pool.
 func (ev *evaluator) release() {
-	*ev = evaluator{deltaPos: -1, regs: ev.regs, head: ev.head, levels: ev.levels}
+	*ev = evaluator{deltaPos: -1, stop: -1, regs: ev.regs, head: ev.head, levels: ev.levels,
+		params: ev.params[:0], priorRows: ev.priorRows[:0], priorBuf: ev.priorBuf[:0]}
 	evaluators.Put(ev)
 }
 
 // evalStratum computes the fixpoint of the (possibly mutually recursive)
 // predicates in the stratum. Lower strata are complete; negation may
-// refer only to them or to EDB relations. Stratum membership, rule
-// lists, and the recursive flag come precomputed from compile().
+// refer only to them or to EDB relations.
 func (ev *evaluator) evalStratum(sp *stratumPlan) error {
 	if !sp.recursive {
-		for _, r := range sp.rules {
-			if err := ev.applyRule(r, nil, -1, nil); err != nil {
+		for i := range sp.rules {
+			if err := ev.applyRule(sp.rules[i].plan, -1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Semi-naive iteration. delta holds the tuples new in the previous
-	// round, per stratum predicate; the two delta generations ping-pong
-	// via Reset instead of allocating fresh relations per round (Reset
-	// keeps backing storage and built index signatures warm).
-	delta := make(map[string]*relation.Relation, len(sp.preds))
-	next := make(map[string]*relation.Relation, len(sp.preds))
-	for _, p := range sp.preds {
-		delta[p] = relation.New(p, ev.res.idb[p].Arity())
-		next[p] = relation.New(p, ev.res.idb[p].Arity())
+	// Semi-naive iteration. delta holds the rows new in the previous
+	// round, per stratum predicate; the two generations ping-pong,
+	// truncated rather than reallocated, so their tables stay warm.
+	delta := make([]*rowSet, len(ev.sets))
+	next := make([]*rowSet, len(ev.sets))
+	for _, s := range sp.slots {
+		delta[s], next[s] = ev.comp.newSet(s), ev.comp.newSet(s)
 	}
+	defer func() { ev.delta, ev.next = nil, nil }()
 	// Round 0: evaluate every rule with no delta restriction; everything
 	// derived seeds the delta.
-	for _, r := range sp.rules {
-		if err := ev.applyRule(r, delta, -1, nil); err != nil {
+	ev.next = delta
+	for i := range sp.rules {
+		if err := ev.applyRule(sp.rules[i].plan, -1); err != nil {
 			return err
 		}
 	}
 	for {
-		for _, p := range sp.preds {
-			next[p].Reset()
+		for _, s := range sp.slots {
+			next[s].truncate(0)
 		}
-		any := false
-		for _, r := range sp.rules {
+		ev.delta, ev.next = delta, next
+		for i := range sp.rules {
 			// One pass per occurrence of a stratum predicate: occurrence i
 			// reads the previous delta, occurrences before i read the
 			// full current relation, and so do occurrences after i (the
 			// standard semi-naive rewriting over-approximates slightly
 			// by using full relations on both sides; it remains correct
 			// and terminates because results are deduplicated).
-			for bi, l := range r.Body {
-				if l.IsComp() || l.IsNeg() || !sp.inLayer[l.Atom.Pred] {
-					continue
-				}
-				if err := ev.applyRule(r, next, bi, delta); err != nil {
-					return err
+			for _, o := range sp.rules[i].occs {
+				if o.inLayer {
+					if err := ev.applyRule(sp.rules[i].plan, o.pos); err != nil {
+						return err
+					}
 				}
 			}
 		}
-		for _, p := range sp.preds {
-			if next[p].Len() > 0 {
-				any = true
-			}
+		grew := false
+		for _, s := range sp.slots {
+			grew = grew || next[s].n > 0
 		}
-		if !any {
+		if !grew {
 			return nil
 		}
 		delta, next = next, delta
 	}
 }
 
-// applyRule evaluates rule r and inserts derived head tuples into the
-// result. When deltaPos >= 0, the positive body literal at that index
-// ranges over delta[pred] instead of the full relation (in a delta-seeded
-// run, over the delta rows and with the plan that starts from it). Newly
-// derived tuples (not already present) are also added to next when
-// non-nil.
-func (ev *evaluator) applyRule(r *ast.Rule, next map[string]*relation.Relation, deltaPos int, delta map[string]*relation.Relation) error {
-	p := ev.comp.plans[r]
-	if ev.fix != nil {
-		p = ev.comp.deltaPlans[deltaKey{r, deltaPos}]
-	}
+// applyRule runs the rule plan p, deriving into the run's sets. When
+// deltaPos >= 0, the positive body literal at that index ranges over the
+// delta instead of the full relation. A nil plan is a body a stored
+// relation of another arity makes underivable.
+func (ev *evaluator) applyRule(p *Plan, deltaPos int) error {
 	if p == nil {
-		return nil // a stored relation of another arity: the body is underivable
+		return nil
 	}
-	ev.deltaPos, ev.deltaRel, ev.nextRel = deltaPos, nil, next[r.Head.Pred]
-	if deltaPos >= 0 {
-		ev.deltaRel = delta[r.Body[deltaPos].Atom.Pred]
-	}
+	ev.deltaPos = deltaPos
 	return ev.runPlan(p)
 }

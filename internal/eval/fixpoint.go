@@ -27,9 +27,7 @@ type Fixpoint struct {
 	mu   sync.Mutex
 	comp *compiled
 	db   *store.Store
-	goal string
-	rels map[string]*rowSet
-	sets []*rowSet // rels' values
+	sets []*rowSet // by slot
 	// edb are the stored relations whose contents the kept rows depend on
 	// where it matters — those that feed a derived predicate some rule
 	// reads (compiled.feeds); vers are their data versions as of the
@@ -37,10 +35,6 @@ type Fixpoint struct {
 	edb  []string
 	vers []uint64
 }
-
-// noIDB stands in for the result of a delta-seeded run, whose derived
-// relations live in the fixpoint's rows.
-var noIDB = &Result{}
 
 // BuildFixpoint evaluates prog, pruned to goal, over db to its fixpoint
 // and keeps it. It returns nil, before evaluating anything, when an
@@ -61,7 +55,7 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 		return nil, nil // underivable whatever the data: nothing worth keeping
 	}
 	c.prepareDelta(db)
-	f := &Fixpoint{comp: c, db: db, goal: goal}
+	f := &Fixpoint{comp: c, db: db}
 	if !f.Seedable(rel) {
 		return nil, nil
 	}
@@ -78,7 +72,7 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 	// underivable before the update — does not hold, so nothing is kept and
 	// the decision, and every later one until it does, is left to the
 	// from-scratch evaluation, at no more than the price of one more.
-	ev.stop = goal
+	ev.stop = c.goalSlot
 	for i := range c.strata {
 		err := ev.evalStratum(&c.strata[i])
 		if errors.Is(err, errGoalDerived) {
@@ -88,41 +82,28 @@ func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Op
 			return nil, err
 		}
 	}
-	f.rels = make(map[string]*rowSet, len(res.idb))
-	for pred, r := range res.idb {
-		rs := newRowSet(r.Arity())
-		rs.rows = make([]relation.Handle, 0, r.Len()*r.Arity())
-		f.rels[pred] = rs
-		f.sets = append(f.sets, rs)
-	}
-	// Only the column sets a delta plan probes past its delta literal get
-	// a bucket index.
-	for k, p := range c.deltaPlans {
-		if p == nil {
-			continue
-		}
-		for _, st := range p.steps {
-			if rs := f.rels[st.pred]; rs != nil && st.kind == stepPos && st.body != k.pos && len(st.probeCols) > 0 {
-				rs.ensureIndex(st.probeCols)
+	// The result's rows become the kept ones, with a bucket index on every
+	// column set a delta plan probes past its delta literal.
+	f.sets = res.sets
+	for _, sp := range c.strata {
+		for _, rp := range sp.rules {
+			for _, o := range rp.occs {
+				p := c.deltaPlans[o.id]
+				if p == nil {
+					continue
+				}
+				for _, st := range p.steps {
+					if st.kind == stepPos && st.slot >= 0 && st.body != o.pos && len(st.probeCols) > 0 {
+						f.sets[st.slot].ensureIndex(st.probeCols)
+					}
+				}
 			}
 		}
 	}
-	for pred, r := range res.idb {
-		rs := f.rels[pred]
-		r.EachHandles(func(hs []relation.Handle) { rs.add(hs) })
+	for _, rs := range f.sets {
 		rs.kept = rs.n
 	}
 	return f, nil
-}
-
-// kept returns the rows of a derived predicate, nil for a stored
-// relation — and for any predicate when f is nil, which is how the
-// evaluator asks outside a delta-seeded run.
-func (f *Fixpoint) kept(pred string) *rowSet {
-	if f == nil {
-		return nil
-	}
-	return f.rels[pred]
 }
 
 // Seedable reports whether Insert decides an insert into rel exactly:
@@ -132,7 +113,7 @@ func (f *Fixpoint) Seedable(rel string) bool {
 	if m, reads := f.comp.monotone[rel]; reads {
 		return m
 	}
-	_, derived := f.comp.idbArity[rel]
+	_, derived := f.comp.slot[rel]
 	return !derived
 }
 
@@ -172,8 +153,8 @@ func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, ke
 		rs.start = rs.n
 	}
 	ev := getEvaluator()
-	ev.comp, ev.db, ev.res, ev.stop, ev.fix = f.comp, f.db, noIDB, f.goal, f
-	ev.prior, ev.upd = prior, store.Ins(rel, t)
+	ev.comp, ev.db, ev.sets, ev.stop = f.comp, f.db, f.sets, f.comp.goalSlot
+	ev.pend(prior, store.Ins(rel, t))
 	defer ev.release()
 	for i := range f.comp.strata {
 		err := ev.seededStratum(&f.comp.strata[i], rel)
@@ -193,22 +174,23 @@ func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, ke
 // predicate that gained rows in this Insert (over those rows); the
 // semi-naive rounds then chase the rows the stratum's own predicates
 // gain, a round's delta being the row range the previous round appended.
+// Each occurrence runs the plan that starts from it.
 func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
-	rels := ev.fix.rels
-	for _, p := range sp.preds {
-		rels[p].lo = rels[p].n
+	sets, plans := ev.sets, ev.comp.deltaPlans
+	for _, s := range sp.slots {
+		sets[s].lo = sets[s].n
 	}
-	for _, r := range sp.rules {
-		for bi, l := range r.Body {
-			if !l.IsPos() || sp.inLayer[l.Atom.Pred] {
+	for _, rp := range sp.rules {
+		for _, o := range rp.occs {
+			if o.inLayer {
 				continue
 			}
 			ev.dlo, ev.dhi = 0, 0
-			if rs := rels[l.Atom.Pred]; rs != nil {
-				ev.dlo, ev.dhi = rs.start, rs.n
+			if o.slot >= 0 {
+				ev.dlo, ev.dhi = sets[o.slot].start, sets[o.slot].n
 			}
-			if l.Atom.Pred == rel || ev.dlo < ev.dhi {
-				if err := ev.applyRule(r, nil, bi, nil); err != nil {
+			if o.pred == rel || ev.dlo < ev.dhi {
+				if err := ev.applyRule(plans[o.id], o.pos); err != nil {
 					return err
 				}
 			}
@@ -216,28 +198,25 @@ func (ev *evaluator) seededStratum(sp *stratumPlan, rel string) error {
 	}
 	for {
 		grew := false
-		for _, p := range sp.preds {
-			rels[p].hi = rels[p].n
-			grew = grew || rels[p].lo < rels[p].hi
+		for _, s := range sp.slots {
+			sets[s].hi = sets[s].n
+			grew = grew || sets[s].lo < sets[s].hi
 		}
 		if !grew {
 			return nil
 		}
-		for _, r := range sp.rules {
-			for bi, l := range r.Body {
-				if !l.IsPos() || !sp.inLayer[l.Atom.Pred] {
-					continue
-				}
-				if rs := rels[l.Atom.Pred]; rs.lo < rs.hi {
-					ev.dlo, ev.dhi = rs.lo, rs.hi
-					if err := ev.applyRule(r, nil, bi, nil); err != nil {
+		for _, rp := range sp.rules {
+			for _, o := range rp.occs {
+				if o.inLayer && sets[o.slot].lo < sets[o.slot].hi {
+					ev.dlo, ev.dhi = sets[o.slot].lo, sets[o.slot].hi
+					if err := ev.applyRule(plans[o.id], o.pos); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		for _, p := range sp.preds {
-			rels[p].lo = rels[p].hi
+		for _, s := range sp.slots {
+			sets[s].lo = sets[s].hi
 		}
 	}
 }
@@ -282,8 +261,8 @@ func (f *Fixpoint) Wrote(rel string) {
 func (f *Fixpoint) Tuples(pred string) []relation.Tuple {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if rs := f.rels[pred]; rs != nil {
-		return rs.tuples()
+	if i, ok := f.comp.slot[pred]; ok {
+		return f.sets[i].tuples(f.sets[i].kept)
 	}
 	return nil
 }

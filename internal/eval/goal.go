@@ -38,7 +38,7 @@ func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, prior []sto
 	}
 	ev, result := newEvaluator(c, db, opts)
 	defer ev.release()
-	ev.prior, ev.upd = prior, u
+	ev.pend(prior, u)
 	for i := range c.strata {
 		if i != c.goalLevel {
 			if err := ev.evalStratum(&c.strata[i]); err != nil {
@@ -46,9 +46,9 @@ func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, prior []sto
 			}
 			continue
 		}
-		ev.stop = goal
+		ev.stop = c.goalSlot
 		err := ev.evalStratum(&c.strata[i])
-		ev.stop = ""
+		ev.stop = -1
 		if errors.Is(err, errGoalDerived) {
 			return true, nil
 		}

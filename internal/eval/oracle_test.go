@@ -38,6 +38,32 @@ var oraclePrograms = []string{
 	// A helper rule guarded by order comparisons: its join takes a range
 	// step over r.
 	"cov(X) :- l(X,Y) & r(Z) & X <= Z & Z <= Y.\npanic :- cov(X) & not f(X).",
+	// Order comparisons between registers bound from derived rows and
+	// from stored rows, in recursion and by range steps: over orderDomain
+	// a comparison decided on handles gets them backwards.
+	"up(X,Y) :- edge(X,Y) & X < Y.\nup(X,Z) :- up(X,Y) & edge(Y,Z) & X < Z.\npanic :- up(X,Y) & f(L) & X <= L & L < Y.",
+	"low(X) :- e(X) & f(Y) & X <= Y.\nhigh(X) :- low(X) & g(Z) & Z < X.\npanic :- high(X) & low(Y) & Y < X.",
+}
+
+// orderDomain is a value domain in ascending value order — rationals,
+// an integer, strings — that the intern pool is first shown in
+// descending order, so its handles run against its values.
+var orderDomain = func() []ast.Value {
+	dom := []ast.Value{ast.Rat(1, 30011), ast.Rat(30011, 7), ast.Int(30013), ast.Str("ord-a"), ast.Str("ord-b")}
+	for i := len(dom) - 1; i >= 0; i-- {
+		relation.Intern(dom[i])
+	}
+	return dom
+}()
+
+// oracleDomain is the values trial draws tuples from: {0, 1, 2} on even
+// trials, three neighbours of orderDomain on odd ones.
+func oracleDomain(trial int) []ast.Value {
+	if trial%2 == 0 {
+		return []ast.Value{ast.Int(0), ast.Int(1), ast.Int(2)}
+	}
+	off := trial / 2 % 3
+	return orderDomain[off : off+3]
 }
 
 var oracleArity = map[string]int{"e": 1, "f": 1, "g": 1, "h": 1, "edge": 2, "succ": 2, "zero": 1, "l": 2, "r": 1}
@@ -119,12 +145,12 @@ func TestEvalAgainstNaiveOracle(t *testing.T) {
 			local[rel] = oracleArityOf(pi, rel)
 		}
 		for trial := 0; trial < 40; trial++ {
-			db := store.New()
+			db, dom := store.New(), oracleDomain(trial)
 			for rel, ar := range local {
 				for i := 0; i < rng.Intn(4); i++ {
 					tu := make(relation.Tuple, ar)
 					for j := range tu {
-						tu[j] = ast.Int(int64(rng.Intn(3)))
+						tu[j] = dom[rng.Intn(3)]
 					}
 					if _, err := db.Insert(rel, tu); err != nil {
 						t.Fatal(err)
@@ -147,13 +173,16 @@ var fuzzCache = NewPlanCache()
 // FuzzEvalAgainstNaive is TestEvalAgainstNaiveOracle with the store
 // chosen by bytes: byte 0 picks a program of the pool, and each following
 // pair inserts into one of its stored relations the tuple a byte spells
-// in base 3 over {0, 1, 2} — or, under byte 0's high bit, over {0, 1, b},
-// so comparisons and ranges cross from numbers to strings.
+// in base 3 over {0, 1, 2} — or, under byte 0's high bit, over three
+// neighbours of orderDomain (which ones, bit 6 says), so comparisons and
+// ranges cross from numbers to strings over handles interned against the
+// values' order.
 func FuzzEvalAgainstNaive(f *testing.F) {
 	for pi := range oraclePrograms {
 		for _, pairs := range [][]byte{{}, {0, 1, 0, 5, 1, 4, 2, 8}, {0, 0, 0, 4, 0, 8, 1, 0, 1, 4, 2, 2}, {1, 1, 0, 3, 2, 7, 0, 5, 1, 6}} {
 			f.Add(append([]byte{byte(pi)}, pairs...))
 			f.Add(append([]byte{0x80 | byte(pi)}, pairs...))
+			f.Add(append([]byte{0xc0 | byte(pi)}, pairs...))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -163,14 +192,16 @@ func FuzzEvalAgainstNaive(f *testing.F) {
 		pi := int(data[0]&0x7f) % len(oraclePrograms)
 		prog := parser.MustParseProgram(oraclePrograms[pi])
 		rels := prog.EDBPreds()
-		db := store.New()
+		db, dom := store.New(), oracleDomain(0)
+		if data[0]&0x80 != 0 {
+			off := int(data[0]>>6&1) * 2
+			dom = orderDomain[off : off+3]
+		}
 		for i := 1; i+1 < len(data) && i < 25; i += 2 {
 			rel := rels[int(data[i])%len(rels)]
 			tu := make(relation.Tuple, oracleArityOf(pi, rel))
 			for j, v := 0, data[i+1]; j < len(tu); j, v = j+1, v/3 {
-				if tu[j] = ast.Int(int64(v % 3)); data[0]&0x80 != 0 && v%3 == 2 {
-					tu[j] = ast.Str("b")
-				}
+				tu[j] = dom[v%3]
 			}
 			if _, err := db.Insert(rel, tu); err != nil {
 				t.Fatal(err)
@@ -178,6 +209,18 @@ func FuzzEvalAgainstNaive(f *testing.F) {
 		}
 		agreesWithNaive(t, fmt.Sprintf("program %d", pi), prog, db, fuzzCache)
 	})
+}
+
+// planOf returns the from-scratch plan of rule r.
+func planOf(c *compiled, r *ast.Rule) *Plan {
+	for _, sp := range c.strata {
+		for _, rp := range sp.rules {
+			if rp.rule == r {
+				return rp.plan
+			}
+		}
+	}
+	return nil
 }
 
 // TestRangeStepsInRuleBodies: a helper rule guarded by order comparisons
@@ -204,7 +247,7 @@ func TestRangeStepsInRuleBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.plans[prog.RulesFor("cov")[0]].Ranges(); got != "r{0:[R$0,R$1]}" {
+	if got := planOf(c, prog.RulesFor("cov")[0]).Ranges(); got != "r{0:[R$0,R$1]}" {
 		t.Fatalf("cov's plan ranges %q, want r{0:[R$0,R$1]}", got)
 	}
 	agreesWithNaive(t, "cov", prog, db, NewPlanCache())
@@ -240,9 +283,9 @@ type preStateRouter struct {
 func (r *preStateRouter) Probe(dst []relation.Tuple, rel string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error) {
 	r.reads++
 	if len(cols) == 0 {
-		return r.db.TuplesAppend(dst, rel), true, nil
+		return append(dst, r.db.Tuples(rel)...), true, nil
 	}
-	return r.db.LookupColsAppend(dst, rel, cols, vals), true, nil
+	return append(dst, r.db.LookupCols(rel, cols, vals)...), true, nil
 }
 
 func (r *preStateRouter) Contains(rel string, t relation.Tuple) (bool, bool, error) {

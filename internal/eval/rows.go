@@ -7,15 +7,17 @@ import (
 	"repro/internal/relation"
 )
 
-// rowSet is one derived relation of a kept fixpoint (see Fixpoint): its
+// rowSet is one derived relation — of a from-scratch evaluation, of a
+// semi-naive round's delta, or of a kept fixpoint (see Fixpoint): its
 // tuples as flat rows of interned handles, a membership index over whole
-// rows, and one bucket index per column set the delta plans probe. A
-// derived tuple costs its handles plus one int32 per index — a tenth of
-// what a relation.Relation of cloned values spends — and values are only
-// materialized, from the intern pool, for the rows a probe returns.
+// rows, and one bucket index per column set the plans probe. A derived
+// tuple costs its handles plus one int32 per index, and the join engine
+// reads and writes the rows as handles: values are only materialized,
+// from the intern pool, when a caller asks for the tuples (tuples).
 //
-// Rows are append-only; the rows from kept on are the scratch overlay of
-// the update being decided, which truncate takes back exactly.
+// Rows are append-only; in a kept fixpoint the rows from kept on are the
+// scratch overlay of the update being decided, which truncate takes back
+// exactly.
 type rowSet struct {
 	arity int
 	n     int // rows held; rows has n*arity handles
@@ -40,19 +42,30 @@ type rowIndex struct {
 	next  []int32
 }
 
-func newRowSet(arity int) *rowSet {
+// newRowSet returns an empty set with a bucket index on each column set
+// of probed.
+func newRowSet(arity int, probed [][]int) *rowSet {
 	rs := &rowSet{arity: arity}
 	rs.all.cols = make([]int, arity)
 	for i := range rs.all.cols {
 		rs.all.cols[i] = i
 	}
+	for _, cols := range probed {
+		rs.ensureIndex(cols)
+	}
 	return rs
 }
 
-// ensureIndex adds the bucket index on cols unless the set has it.
+// ensureIndex adds the bucket index on cols, over the rows already held,
+// unless the set has it.
 func (rs *rowSet) ensureIndex(cols []int) {
-	if rs.indexOn(cols) == nil {
-		rs.idx = append(rs.idx, rowIndex{cols: cols})
+	if rs.indexOn(cols) != nil {
+		return
+	}
+	rs.idx = append(rs.idx, rowIndex{cols: cols})
+	ix := &rs.idx[len(rs.idx)-1]
+	for r := 0; r < rs.n; r++ {
+		ix.link(rs, r)
 	}
 }
 
@@ -70,18 +83,10 @@ func (rs *rowSet) indexOn(cols []int) *rowIndex {
 	return nil
 }
 
-func (rs *rowSet) row(i int) []relation.Handle { return rs.rows[i*rs.arity : (i+1)*rs.arity] }
-
-// hashProj hashes a full row's projection onto cols; it agrees with
-// relation.FingerprintHandles of the projected handles in that order,
-// which is what a probe key is hashed with.
-func hashProj(row []relation.Handle, cols []int) uint64 {
-	var buf [8]relation.Handle
-	key := buf[:0]
-	for _, c := range cols {
-		key = append(key, row[c])
-	}
-	return relation.FingerprintHandles(key)
+// row returns row i, capped so that an append to it cannot reach the
+// next row.
+func (rs *rowSet) row(i int) []relation.Handle {
+	return rs.rows[i*rs.arity : (i+1)*rs.arity : (i+1)*rs.arity]
 }
 
 // link enters row r (the newest) into the index, doubling the table
@@ -102,14 +107,14 @@ func (ix *rowIndex) link(rs *rowSet, r int) {
 }
 
 func (ix *rowIndex) chain(rs *rowSet, r int) {
-	s := hashProj(rs.row(r), ix.cols) & uint64(len(ix.slots)-1)
+	s := relation.FingerprintProj(rs.row(r), ix.cols) & uint64(len(ix.slots)-1)
 	ix.next = append(ix.next, ix.slots[s])
 	ix.slots[s] = int32(r + 1)
 }
 
 // unlink takes the newest row back out.
 func (ix *rowIndex) unlink(rs *rowSet, r int) {
-	s := hashProj(rs.row(r), ix.cols) & uint64(len(ix.slots)-1)
+	s := relation.FingerprintProj(rs.row(r), ix.cols) & uint64(len(ix.slots)-1)
 	ix.slots[s] = ix.next[r]
 	ix.next = ix.next[:r]
 }
@@ -138,8 +143,8 @@ func (ix *rowIndex) find(rs *rowSet, key []relation.Handle) int {
 	return -1
 }
 
-// add appends the row unless the set holds it; it reports whether the
-// set grew.
+// add appends a copy of the row unless the set holds it; it reports
+// whether the set grew.
 func (rs *rowSet) add(hs []relation.Handle) bool {
 	if rs.all.find(rs, hs) >= 0 {
 		return false
@@ -153,24 +158,7 @@ func (rs *rowSet) add(hs []relation.Handle) bool {
 	return true
 }
 
-// internRow interns vals into dst, which callers back with a stack
-// array so the common small arities allocate nothing.
-func internRow(dst []relation.Handle, vals []ast.Value) []relation.Handle {
-	for _, v := range vals {
-		dst = append(dst, relation.Intern(v))
-	}
-	return dst
-}
-
-func (rs *rowSet) insert(t relation.Tuple) bool {
-	var buf [8]relation.Handle
-	return rs.add(internRow(buf[:0], t))
-}
-
-func (rs *rowSet) contains(t relation.Tuple) bool {
-	var buf [8]relation.Handle
-	return rs.all.find(rs, internRow(buf[:0], t)) >= 0
-}
+func (rs *rowSet) contains(hs []relation.Handle) bool { return rs.all.find(rs, hs) >= 0 }
 
 // truncate drops the rows from n on, newest first.
 func (rs *rowSet) truncate(n int) {
@@ -184,60 +172,49 @@ func (rs *rowSet) truncate(n int) {
 	rs.rows = rs.rows[:n*rs.arity]
 }
 
-// emitRow appends row r to dst as a tuple of pooled values carved out
-// of *vbuf, the caller's scratch (lookup and scan start it over: a level
-// of the join holds one fetch at a time). Growing *vbuf leaves earlier
-// tuples pointing into the array it outgrew, which stays intact.
-func (rs *rowSet) emitRow(dst []relation.Tuple, vbuf *[]ast.Value, r int) []relation.Tuple {
-	lo := len(*vbuf)
-	*vbuf = relation.InternedValues(*vbuf, rs.row(r))
-	return append(dst, relation.Tuple((*vbuf)[lo:len(*vbuf):len(*vbuf)]))
-}
-
-// lookup appends the rows whose projection onto cols equals vals,
-// through the bucket index on cols (a scan when the set has none: the
-// fixpoint builds every index its delta plans name, so that is a
-// fallback, not a path).
-func (rs *rowSet) lookup(dst []relation.Tuple, vbuf *[]ast.Value, cols []int, vals []ast.Value) []relation.Tuple {
-	*vbuf = (*vbuf)[:0]
+// lookup appends the rows whose projection onto cols carries key,
+// through the bucket index on cols (a scan when the set has none: every
+// index the plans name is built, so that is a fallback, not a path). The
+// rows stay valid while the set only grows: an append that moves rows
+// leaves the array they point into intact.
+func (rs *rowSet) lookup(dst [][]relation.Handle, cols []int, key []relation.Handle) [][]relation.Handle {
 	ix := rs.indexOn(cols)
 	if ix == nil {
-		return rs.scan(dst, vbuf, 0, rs.n, cols, vals)
+		return rs.scan(dst, 0, rs.n, cols, key)
 	}
 	if len(ix.slots) == 0 {
 		return dst
 	}
-	var buf [8]relation.Handle
-	key := internRow(buf[:0], vals)
 	for e := ix.slots[relation.FingerprintHandles(key)&uint64(len(ix.slots)-1)]; e != 0; e = ix.next[e-1] {
 		if ix.matches(rs, int(e-1), key) {
-			dst = rs.emitRow(dst, vbuf, int(e-1))
+			dst = append(dst, rs.row(int(e-1)))
 		}
 	}
 	return dst
 }
 
-// scan appends the rows in [lo, hi) that carry vals on cols — how a
+// scan appends the rows in [lo, hi) that carry key on cols — how a
 // delta literal ranges over the rows a round added.
-func (rs *rowSet) scan(dst []relation.Tuple, vbuf *[]ast.Value, lo, hi int, cols []int, vals []ast.Value) []relation.Tuple {
-	*vbuf = (*vbuf)[:0]
-	var buf [8]relation.Handle
-	key := internRow(buf[:0], vals)
+func (rs *rowSet) scan(dst [][]relation.Handle, lo, hi int, cols []int, key []relation.Handle) [][]relation.Handle {
 	probe := rowIndex{cols: cols}
 	for r := lo; r < hi; r++ {
 		if probe.matches(rs, r, key) {
-			dst = rs.emitRow(dst, vbuf, r)
+			dst = append(dst, rs.row(r))
 		}
 	}
 	return dst
 }
 
-// tuples materializes the fixpoint proper (overlay excluded).
-func (rs *rowSet) tuples() []relation.Tuple {
-	var vbuf []ast.Value
-	out := make([]relation.Tuple, 0, rs.kept)
-	for r := 0; r < rs.kept; r++ {
-		out = rs.emitRow(out, &vbuf, r)
+// tuples materializes the first n rows.
+func (rs *rowSet) tuples(n int) []relation.Tuple {
+	out := make([]relation.Tuple, n)
+	vals := make([]ast.Value, n*rs.arity)
+	for r := range out {
+		t := vals[r*rs.arity : (r+1)*rs.arity : (r+1)*rs.arity]
+		for i, h := range rs.row(r) {
+			t[i] = relation.InternedValue(h)
+		}
+		out[r] = t
 	}
 	return out
 }

@@ -11,26 +11,24 @@ import (
 // leave the set exactly as it was: same rows, same buckets, same
 // membership — and the next overlay must build on it cleanly.
 func TestRowSetTruncateRestores(t *testing.T) {
-	rs := newRowSet(2)
-	rs.ensureIndex([]int{1})
-	pair := func(a, b int64) relation.Tuple { return relation.Ints(a, b) }
+	rs := newRowSet(2, [][]int{{1}})
+	pair := func(a, b int64) []relation.Handle { return relation.AppendHandles(nil, relation.Ints(a, b)) }
 	for i := int64(0); i < 10; i++ {
-		if !rs.insert(pair(i, i%3)) {
+		if !rs.add(pair(i, i%3)) {
 			t.Fatalf("row %d reported present", i)
 		}
 	}
-	if rs.insert(pair(4, 1)) {
+	if rs.add(pair(4, 1)) {
 		t.Fatal("duplicate row inserted")
 	}
 	rs.kept = rs.n
 	bucket := func(v int64) int {
-		var vbuf []ast.Value
-		return len(rs.lookup(nil, &vbuf, []int{1}, []ast.Value{ast.Int(v)}))
+		return len(rs.lookup(nil, []int{1}, []relation.Handle{relation.Intern(ast.Int(v))}))
 	}
 	for round := 0; round < 3; round++ {
 		// 500 overlay rows force both tables through several doublings.
 		for i := int64(100); i < 600; i++ {
-			rs.insert(pair(i, i%3))
+			rs.add(pair(i, i%3))
 		}
 		if got := bucket(1); got != 3+167 {
 			t.Fatalf("round %d: bucket 1 holds %d rows with the overlay, want 170", round, got)
@@ -48,22 +46,22 @@ func TestRowSetTruncateRestores(t *testing.T) {
 			t.Fatalf("round %d: membership wrong after truncate", round)
 		}
 	}
-	if got := len(rs.tuples()); got != 10 {
+	if got := len(rs.tuples(rs.n)); got != 10 {
 		t.Fatalf("tuples() = %d rows, want 10", got)
 	}
 }
 
 // A 0-ary predicate (panic) holds at most the empty row.
 func TestRowSetNullary(t *testing.T) {
-	rs := newRowSet(0)
-	if rs.contains(relation.Tuple{}) {
+	rs := newRowSet(0, nil)
+	if rs.contains(nil) {
 		t.Fatal("empty set contains the empty row")
 	}
-	if !rs.insert(relation.Tuple{}) || rs.insert(relation.Tuple{}) || rs.n != 1 {
+	if !rs.add(nil) || rs.add(nil) || rs.n != 1 {
 		t.Fatalf("inserting the empty row twice left n=%d", rs.n)
 	}
 	rs.truncate(0)
-	if rs.n != 0 || rs.contains(relation.Tuple{}) {
+	if rs.n != 0 || rs.contains(nil) {
 		t.Fatal("truncate left the empty row")
 	}
 }

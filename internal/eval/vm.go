@@ -15,15 +15,26 @@ import (
 // residual) — is planned once into a straight-line Plan of steps:
 // comparisons, negated-atom membership tests and positive-atom joins, over
 // three argument kinds: constants, update-tuple positions (parameters) and
-// registers holding values bound by earlier joins. Because the plan order
+// registers holding what earlier joins bound. Because the plan order
 // is fixed at plan time, register boundness is static: every column of
 // every atom is classified once as probe / check / bind / repeat-check, so
 // the runtime needs no substitution map, no trail and no per-run
 // allocation beyond the pooled evaluator. A plan ends in an emit (a rule's
 // head tuple) or, for a residual disjunct, in "derived". Every read goes
 // through the evaluator's source (fetch, contains): the store as it will
-// be once the pending updates are applied, a probe router, an IDB
-// relation, a semi-naive delta relation, or a kept fixpoint's rows.
+// be once the pending updates are applied, a probe router, or a derived
+// relation (rowSet) — a from-scratch result, a semi-naive delta, or a
+// kept fixpoint's rows.
+//
+// The runtime works on interned handles (relation.Handle): registers,
+// probe keys, candidate rows and emitted heads are handles, so a join
+// compares and hashes integers and the rows of stored and derived
+// relations are read in place. A constant is interned when it is planned;
+// a parameter when a run first uses it as a probe key, a bound column or
+// an emitted value, never for a mere comparison. A value comes back from
+// the pool (relation.InternedValue, lock-free) only where one is needed:
+// an order comparison, a range bound, a probe router's read, or a
+// materialized result.
 
 // TermKind says what a planned term stands for.
 type TermKind uint8
@@ -64,6 +75,7 @@ const (
 type arg struct {
 	kind argKind
 	val  ast.Value
+	h    relation.Handle // argConst: val's handle
 	idx  int
 }
 
@@ -85,15 +97,17 @@ const (
 // bounds' arguments), so its candidates come from the narrowest range of
 // an ordered index rather than a scan — the comparisons still filter them.
 // body is the literal's position in the planned body, which names the
-// semi-naive delta literal; derived marks a predicate the evaluation
-// derives rather than reads from the store.
+// semi-naive delta literal; slot is the derived predicate's (-1: a stored
+// relation). A stepComp over = or <> with no parameter side compares
+// handles (byHandle); every other comparison compares values.
 type step struct {
-	kind    stepKind
-	body    int
-	derived bool
+	kind stepKind
+	body int
+	slot int
 	// stepComp
-	op   ast.CompOp
-	l, r arg
+	op       ast.CompOp
+	l, r     arg
+	byHandle bool
 	// stepPos / stepNeg
 	pred      string
 	args      []arg
@@ -111,13 +125,14 @@ type step struct {
 }
 
 // Plan is a planned body: its steps, how many registers they use and,
-// for a rule, the head its derivations emit. A plan with no head is an
-// existence test: the first derivation ends the run. Plans are immutable
-// and safe to run concurrently.
+// for a rule, the slot of its head predicate and the head its derivations
+// emit. A plan with no head (headSlot -1) is an existence test: the first
+// derivation ends the run. Plans are immutable and safe to run
+// concurrently.
 type Plan struct {
 	steps    []step
 	regs     int
-	headPred string
+	headSlot int
 	head     []arg
 }
 
@@ -126,9 +141,9 @@ type planSpec struct {
 	// db supplies arity folds: an atom over a stored relation of another
 	// arity matches nothing.
 	db *store.Store
-	// derived are the predicates the evaluation derives; they are never
+	// slots number the predicates the evaluation derives; they are never
 	// folded against the store nor ranged.
-	derived map[string]bool
+	slots map[string]int
 	// scan keeps positive atoms in textual order with no probe and no
 	// range (the DisableIndexes discipline).
 	scan bool
@@ -148,9 +163,9 @@ func PlanBody(body []Lit, db *store.Store, scan bool) *Plan {
 	return planBody(body, planSpec{db: db, scan: scan, first: -1})
 }
 
-// compileRule plans rule r's body for the evaluator; idb are the program's
-// derived predicates, first as in planSpec.
-func compileRule(r *ast.Rule, idb map[string]bool, db *store.Store, scan bool, first int) *Plan {
+// compileRule plans rule r's body for the evaluator; slots number the
+// program's derived predicates, first is as in planSpec.
+func compileRule(r *ast.Rule, slots map[string]int, db *store.Store, scan bool, first int) *Plan {
 	body := make([]Lit, len(r.Body))
 	for i, l := range r.Body {
 		if l.IsComp() {
@@ -159,7 +174,7 @@ func compileRule(r *ast.Rule, idb map[string]bool, db *store.Store, scan bool, f
 		}
 		body[i] = Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: termsOf(l.Atom.Args)}
 	}
-	return planBody(body, planSpec{db: db, derived: idb, scan: scan, first: first, head: &r.Head})
+	return planBody(body, planSpec{db: db, slots: slots, scan: scan, first: first, head: &r.Head})
 }
 
 func termOf(a ast.Term) Term {
@@ -188,7 +203,7 @@ func termsOf(as []ast.Term) []Term {
 // unplanned; constraint and program validation reject the others, and the
 // planner returns nil for them too.
 func planBody(body []Lit, sp planSpec) *Plan {
-	p := &Plan{}
+	p := &Plan{headSlot: -1}
 	regOf := map[string]int{}
 	bound := map[string]bool{}
 	reg := func(name string) int {
@@ -202,7 +217,7 @@ func planBody(body []Lit, sp planSpec) *Plan {
 	mkArg := func(s Term) arg {
 		switch s.Kind {
 		case TermConst:
-			return arg{kind: argConst, val: s.Val}
+			return arg{kind: argConst, val: s.Val, h: relation.Intern(s.Val)}
 		case TermParam:
 			return arg{kind: argParam, idx: s.Pos}
 		}
@@ -224,14 +239,18 @@ func planBody(body []Lit, sp planSpec) *Plan {
 	emit := func(bi int) bool {
 		l := &body[bi]
 		if l.Comp {
-			p.steps = append(p.steps, step{kind: stepComp, body: bi, op: l.Op, l: mkArg(l.L), r: mkArg(l.R)})
+			byHandle := (l.Op == ast.Eq || l.Op == ast.Ne) && l.L.Kind != TermParam && l.R.Kind != TermParam
+			p.steps = append(p.steps, step{kind: stepComp, body: bi, slot: -1, op: l.Op, l: mkArg(l.L), r: mkArg(l.R), byHandle: byHandle})
 			return true
 		}
-		st := step{kind: stepNeg, body: bi, pred: l.Pred, derived: sp.derived[l.Pred]}
+		st := step{kind: stepNeg, body: bi, slot: -1, pred: l.Pred}
+		if slot, derived := sp.slots[l.Pred]; derived {
+			st.slot = slot
+		}
 		if !l.Neg {
 			st.kind = stepPos
 		}
-		if rel := sp.db.Relation(l.Pred); !st.derived && rel != nil && rel.Arity() != len(l.Args) {
+		if rel := sp.db.Relation(l.Pred); st.slot < 0 && rel != nil && rel.Arity() != len(l.Args) {
 			// The stored relation can never match the atom (Insert enforces
 			// uniform arity): a positive atom kills the body, a negated one
 			// is vacuously true. Plans are cached per store schema version,
@@ -261,7 +280,7 @@ func planBody(body []Lit, sp planSpec) *Plan {
 				}
 			}
 		}
-		if !l.Neg && !sp.scan && !st.derived && len(st.probeCols) == 0 {
+		if !l.Neg && !sp.scan && st.slot < 0 && len(st.probeCols) == 0 {
 			for _, ci := range pending {
 				if col, op, b, ok := rangeBound(&body[ci], &st, inAtom, bound); ok {
 					st.addBound(col, op, mkArg(b))
@@ -322,7 +341,7 @@ func planBody(body []Lit, sp planSpec) *Plan {
 		return nil
 	}
 	if sp.head != nil {
-		p.headPred = sp.head.Pred
+		p.headSlot = sp.slots[sp.head.Pred]
 		for _, a := range sp.head.Args {
 			t := termOf(a)
 			if !before(t) {
@@ -397,7 +416,8 @@ func (p *Plan) Len() int { return len(p.steps) }
 // disjunct's test.
 func (p *Plan) HoldsAfter(db *store.Store, prior []store.Update, u store.Update) bool {
 	ev := getEvaluator()
-	ev.db, ev.prior, ev.upd = db, prior, u
+	ev.db = db
+	ev.pend(prior, u)
 	err := ev.runPlan(p)
 	// db and the updates are all the run state a residual run sets:
 	// clearing them is release on the hot path.
@@ -488,14 +508,17 @@ func (p *Plan) Unranged() *Plan {
 	return &out
 }
 
-// level is the scratch of one plan depth: probe values (or the ground
-// tuple of a negated subgoal), fetched candidates, the bounds of a range
-// step, and the values a kept fixpoint's rows materialize into.
+// level is the scratch of one plan depth: the probe key (or the ground
+// tuple of a negated subgoal), the fetched candidate rows, the bounds of a
+// range step, and what a probe router is asked and answers — its probe
+// values, its tuples and their rows.
 type level struct {
+	key    []relation.Handle
+	rows   [][]relation.Handle
+	ranges []relation.Range
 	vals   []ast.Value
 	tups   []relation.Tuple
-	ranges []relation.Range
-	vbuf   []ast.Value
+	hbuf   []relation.Handle
 }
 
 // runPlan sizes the registers and levels for p and runs it from its first
@@ -505,12 +528,67 @@ func (ev *evaluator) runPlan(p *Plan) error {
 		ev.levels = append(ev.levels, level{})
 	}
 	if len(ev.regs) < p.regs {
-		ev.regs = make([]ast.Value, p.regs)
+		ev.regs = make([]relation.Handle, p.regs)
 	}
 	return ev.run(p, 0)
 }
 
-// value resolves an argument against the update tuple and the registers.
+// unset marks a parameter whose handle the run has not needed yet.
+const unset = ^relation.Handle(0)
+
+// pend makes prior and then u the updates the run reads pending; u's
+// tuple is also the parameters, interned on first use.
+func (ev *evaluator) pend(prior []store.Update, u store.Update) {
+	ev.prior, ev.upd = prior, u
+	ev.params = ev.params[:0]
+	for range u.Tuple {
+		ev.params = append(ev.params, unset)
+	}
+	ev.priorRows = ev.priorRows[:0]
+	for range prior {
+		ev.priorRows = append(ev.priorRows, nil)
+	}
+	ev.priorBuf = ev.priorBuf[:0]
+}
+
+// param returns the handle of parameter i, interning it on first use.
+func (ev *evaluator) param(i int) relation.Handle {
+	if ev.params[i] == unset {
+		ev.params[i] = relation.Intern(ev.upd.Tuple[i])
+	}
+	return ev.params[i]
+}
+
+// pendingRow returns the handle row of pending update i — of prior, or
+// of upd for -1 — interning it on first use.
+func (ev *evaluator) pendingRow(i int) []relation.Handle {
+	if i < 0 {
+		for c := range ev.params {
+			ev.param(c)
+		}
+		return ev.params
+	}
+	if ev.priorRows[i] == nil {
+		lo := len(ev.priorBuf)
+		ev.priorBuf = relation.AppendHandles(ev.priorBuf, ev.prior[i].Tuple)
+		ev.priorRows[i] = ev.priorBuf[lo:len(ev.priorBuf):len(ev.priorBuf)]
+	}
+	return ev.priorRows[i]
+}
+
+// handle resolves an argument to its handle.
+func (ev *evaluator) handle(a arg) relation.Handle {
+	switch a.kind {
+	case argConst:
+		return a.h
+	case argParam:
+		return ev.param(a.idx)
+	}
+	return ev.regs[a.idx]
+}
+
+// value resolves an argument to its value: a parameter straight from the
+// update tuple, a register from the intern pool.
 func (ev *evaluator) value(a arg) ast.Value {
 	switch a.kind {
 	case argConst:
@@ -518,7 +596,26 @@ func (ev *evaluator) value(a arg) ast.Value {
 	case argParam:
 		return ev.upd.Tuple[a.idx]
 	}
-	return ev.regs[a.idx]
+	return relation.InternedValue(ev.regs[a.idx])
+}
+
+// values materializes the handles hs into the level's value scratch.
+func values(lv *level, hs []relation.Handle) relation.Tuple {
+	vals := lv.vals[:0]
+	for _, h := range hs {
+		vals = append(vals, relation.InternedValue(h))
+	}
+	lv.vals = vals
+	return vals
+}
+
+// compare decides a comparison step: equal handles are equal values, and
+// the order is the values'.
+func (ev *evaluator) compare(st *step) bool {
+	if st.byHandle {
+		return (ev.handle(st.l) == ev.handle(st.r)) == (st.op == ast.Eq)
+	}
+	return st.op.Eval(ev.value(st.l), ev.value(st.r))
 }
 
 // run executes p from step si. errGoalDerived unwinds a derivation that
@@ -531,28 +628,28 @@ func (ev *evaluator) run(p *Plan, si int) error {
 	lv := &ev.levels[si]
 	switch st.kind {
 	case stepComp:
-		if !st.op.Eval(ev.value(st.l), ev.value(st.r)) {
+		if !ev.compare(st) {
 			return nil
 		}
 		return ev.run(p, si+1)
 	case stepNeg:
-		vals := lv.vals[:0]
+		key := lv.key[:0]
 		for _, a := range st.args {
-			vals = append(vals, ev.value(a))
+			key = append(key, ev.handle(a))
 		}
-		lv.vals = vals
-		has, err := ev.contains(st, relation.Tuple(vals))
+		lv.key = key
+		has, err := ev.contains(st, lv)
 		if err != nil || has {
 			return err
 		}
 		return ev.run(p, si+1)
 	}
-	cands, err := ev.fetch(st, lv)
+	rows, err := ev.fetch(st, lv)
 	if err != nil {
 		return err
 	}
-	for _, tu := range cands {
-		if len(tu) != len(st.args) || !ev.match(st, tu) {
+	for _, row := range rows {
+		if len(row) != len(st.args) || !ev.match(st, row) {
 			continue // another arity (a relation unseen at plan time), or a failed check
 		}
 		if err := ev.run(p, si+1); err != nil {
@@ -562,19 +659,19 @@ func (ev *evaluator) run(p *Plan, si int) error {
 	return nil
 }
 
-// match checks candidate tu against the step's check columns, loads its
+// match checks candidate row against the step's check columns, loads its
 // bind columns into registers and verifies its repeat columns.
-func (ev *evaluator) match(st *step, tu relation.Tuple) bool {
+func (ev *evaluator) match(st *step, row []relation.Handle) bool {
 	for j, ci := range st.checkCols {
-		if !ev.value(st.checkArgs[j]).Equal(tu[ci]) {
+		if ev.handle(st.checkArgs[j]) != row[ci] {
 			return false
 		}
 	}
 	for j, ci := range st.bindCols {
-		ev.regs[st.bindRegs[j]] = tu[ci]
+		ev.regs[st.bindRegs[j]] = row[ci]
 	}
 	for j, ci := range st.repCols {
-		if !ev.regs[st.repRegs[j]].Equal(tu[ci]) {
+		if ev.regs[st.repRegs[j]] != row[ci] {
 			return false
 		}
 	}
@@ -582,76 +679,75 @@ func (ev *evaluator) match(st *step, tu relation.Tuple) bool {
 }
 
 // emit ends one derivation: an existence test is answered, a rule's head
-// tuple goes into its relation — the kept rows in a delta-seeded run, the
-// result (and the next round's delta) otherwise.
+// row goes into its relation — and, when fresh in a semi-naive round,
+// into the next round's delta.
 func (ev *evaluator) emit(p *Plan) error {
-	if p.headPred == "" {
+	if p.headSlot < 0 {
 		return errGoalDerived
 	}
-	// Build the head tuple into the pooled buffer; Insert dedups before
-	// cloning, so the buffer may be reused at once.
+	// Build the head into the pooled buffer; add copies a fresh row, so
+	// the buffer may be reused at once.
 	ht := ev.head[:0]
 	for _, a := range p.head {
-		ht = append(ht, ev.value(a))
+		ht = append(ht, ev.handle(a))
 	}
 	ev.head = ht
-	var fresh bool
-	if kept := ev.fix.kept(p.headPred); kept != nil {
-		fresh = kept.insert(ht)
-	} else if fresh = ev.res.idb[p.headPred].Insert(ht); fresh && ev.nextRel != nil {
-		ev.nextRel.Insert(ht)
+	fresh := ev.sets[p.headSlot].add(ht)
+	if fresh && ev.next != nil {
+		ev.next[p.headSlot].add(ht)
 	}
-	if fresh && p.headPred == ev.stop {
+	if fresh && p.headSlot == ev.stop {
 		return errGoalDerived
 	}
 	return nil
 }
 
-// fetch returns the candidate tuples of a positive step into the level's
+// fetch returns the candidate rows of a positive step into the level's
 // buffers: the delta literal's rows, a derived relation's, or the store's
 // (routed or local) as the pending update leaves them — by indexed probe
 // on the probe columns, by range, or by scan.
-func (ev *evaluator) fetch(st *step, lv *level) ([]relation.Tuple, error) {
-	vals := lv.vals[:0]
+func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
+	key := lv.key[:0]
 	for _, a := range st.probeArgs {
-		vals = append(vals, ev.value(a))
+		key = append(key, ev.handle(a))
 	}
-	lv.vals = vals
-	cols, dst := st.probeCols, lv.tups[:0]
+	lv.key = key
+	cols, dst := st.probeCols, lv.rows[:0]
 	switch {
+	case st.body == ev.deltaPos && ev.delta != nil:
+		dst = ev.delta[st.slot].lookup(dst, cols, key)
+	case st.body == ev.deltaPos && st.slot >= 0:
+		dst = ev.sets[st.slot].scan(dst, ev.dlo, ev.dhi, cols, key)
 	case st.body == ev.deltaPos:
-		switch kept := ev.fix.kept(st.pred); {
-		case kept != nil:
-			dst = kept.scan(dst, &lv.vbuf, ev.dlo, ev.dhi, cols, vals)
-		case ev.fix != nil:
-			// The inserted relation's delta is the inserted tuple, if it
-			// agrees with the literal's arity and probe columns; what earlier
-			// pending inserts derived is in the rows already.
-			dst = adjust(dst, &ev.upd, st.pred, len(st.args), cols, vals)
-		default:
-			dst = readRel(dst, ev.deltaRel, cols, vals)
-		}
-	case st.derived:
+		// The inserted relation's delta is the inserted tuple, if it agrees
+		// with the literal's arity and probe columns; what earlier pending
+		// inserts derived is in the rows already.
+		dst = ev.adjust(dst, -1, st.pred, len(st.args), cols, key)
+	case st.slot >= 0:
 		// Derived relations are not charged: they are scratch space.
-		if kept := ev.fix.kept(st.pred); kept != nil {
-			dst = kept.lookup(dst, &lv.vbuf, cols, vals)
-		} else {
-			dst = readRel(dst, ev.res.idb[st.pred], cols, vals)
-		}
+		dst = ev.sets[st.slot].lookup(dst, cols, key)
 	default:
 		if ev.opts.Probe != nil {
-			out, handled, err := ev.opts.Probe.Probe(dst, st.pred, cols, vals)
+			out, handled, err := ev.opts.Probe.Probe(lv.tups[:0], st.pred, cols, values(lv, key))
 			if err != nil {
 				return nil, err
 			}
 			if handled {
-				lv.tups = ev.pending(out, st.pred, len(st.args), cols, vals)
-				return lv.tups, nil
+				lv.tups = out
+				hbuf := lv.hbuf[:0]
+				for _, t := range out {
+					lo := len(hbuf)
+					hbuf = relation.AppendHandles(hbuf, t)
+					dst = append(dst, hbuf[lo:len(hbuf):len(hbuf)])
+				}
+				lv.hbuf = hbuf
+				lv.rows = ev.pending(dst, st.pred, len(st.args), cols, key)
+				return lv.rows, nil
 			}
 		}
 		switch {
 		case len(cols) > 0:
-			dst = ev.db.LookupColsAppend(dst, st.pred, cols, vals)
+			dst = ev.db.LookupColsAppend(dst, st.pred, cols, key)
 		case len(st.ranges) > 0:
 			ranges := append(lv.ranges[:0], st.ranges...)
 			for i := range ranges {
@@ -668,82 +764,98 @@ func (ev *evaluator) fetch(st *step, lv *level) ([]relation.Tuple, error) {
 			dst = ev.db.TuplesAppend(dst, st.pred)
 		}
 		if ev.prior != nil || st.pred == ev.upd.Relation {
-			dst = ev.pending(dst, st.pred, len(st.args), cols, vals)
+			dst = ev.pending(dst, st.pred, len(st.args), cols, key)
 		}
 	}
-	lv.tups = dst
+	lv.rows = dst
 	return dst, nil
 }
 
-// readRel appends rel's tuples whose projection onto cols equals vals.
-func readRel(dst []relation.Tuple, rel *relation.Relation, cols []int, vals []ast.Value) []relation.Tuple {
-	if len(cols) == 0 {
-		return rel.TuplesAppend(dst)
+// contains is the membership test of a negated step for the ground row
+// in lv.key: in the derived relation, or in the stored one as the pending
+// update leaves it (routed when a ProbeRouter claims the relation,
+// charged to the store otherwise).
+func (ev *evaluator) contains(st *step, lv *level) (bool, error) {
+	if st.slot >= 0 {
+		return ev.sets[st.slot].contains(lv.key), nil
 	}
-	return rel.LookupColsAppend(dst, cols, vals)
-}
-
-// contains is the membership test of a negated step: in the derived
-// relation, or in the stored one as the pending update leaves it (routed
-// when a ProbeRouter claims the relation, charged to the store otherwise).
-func (ev *evaluator) contains(st *step, t relation.Tuple) (bool, error) {
-	if st.derived {
-		if kept := ev.fix.kept(st.pred); kept != nil {
-			return kept.contains(t), nil
-		}
-		return ev.res.idb[st.pred].Contains(t), nil
-	}
-	if has, decided := ev.pendingHas(st.pred, t); decided {
+	if has, decided := ev.pendingHas(st.pred, lv.key); decided {
 		return has, nil
 	}
 	if ev.opts.Probe != nil {
-		has, handled, err := ev.opts.Probe.Contains(st.pred, t)
+		has, handled, err := ev.opts.Probe.Contains(st.pred, values(lv, lv.key))
 		if err != nil || handled {
 			return has, err
 		}
 	}
-	return ev.db.Probe(st.pred, t), nil
+	return ev.db.Probe(st.pred, lv.key), nil
 }
 
 // pending adjusts what the store or the router answered to a positive
-// read of the stored relation pred — the tuples, of an arity-ar atom,
-// whose projection onto cols equals vals — to what it will hold once
-// ev.prior and then ev.upd are applied, in place. With pendingHas it is
-// the one place a read sees the updates before they are written: deciding
-// an update reads the database as it stands.
-func (ev *evaluator) pending(ts []relation.Tuple, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
+// read of the stored relation pred — the rows, of an arity-ar atom, that
+// carry key on cols — to what it will hold once ev.prior and then ev.upd
+// are applied, in place. With pendingHas it is the one place a read sees
+// the updates before they are written: deciding an update reads the
+// database as it stands.
+func (ev *evaluator) pending(rows [][]relation.Handle, pred string, ar int, cols []int, key []relation.Handle) [][]relation.Handle {
 	for i := range ev.prior {
-		ts = adjust(ts, &ev.prior[i], pred, ar, cols, vals)
+		rows = ev.adjust(rows, i, pred, ar, cols, key)
 	}
-	return adjust(ts, &ev.upd, pred, ar, cols, vals)
+	return ev.adjust(rows, -1, pred, ar, cols, key)
 }
 
-// adjust applies u to the answer ts of a read of pred: an inserted tuple
-// in (where it agrees with the atom's arity and the probed values), a
-// deleted one out.
-func adjust(ts []relation.Tuple, u *store.Update, pred string, ar int, cols []int, vals []ast.Value) []relation.Tuple {
+// adjust applies pending update i (see pendingRow) to the answer rows of
+// a read of pred: an inserted tuple in (where it agrees with the atom's
+// arity and the probe key), a deleted one out.
+func (ev *evaluator) adjust(rows [][]relation.Handle, i int, pred string, ar int, cols []int, key []relation.Handle) [][]relation.Handle {
+	u := &ev.upd
+	if i >= 0 {
+		u = &ev.prior[i]
+	}
 	if pred != u.Relation {
-		return ts
+		return rows
 	}
 	if !u.Insert {
-		return slices.DeleteFunc(ts, u.Tuple.Equal)
+		row, n := ev.pendingRow(i), 0
+		for _, r := range rows {
+			if !slices.Equal(r, row) {
+				rows[n] = r
+				n++
+			}
+		}
+		return rows[:n]
 	}
 	if len(u.Tuple) != ar {
-		return ts
+		return rows
 	}
-	for i, c := range cols {
-		if !u.Tuple[c].Equal(vals[i]) {
-			return ts
+	for j, c := range cols {
+		if ev.pendingCell(i, c) != key[j] {
+			return rows
 		}
 	}
-	return append(ts, u.Tuple)
+	return append(rows, ev.pendingRow(i))
 }
 
-// pendingHas decides membership of t in the stored relation pred where
-// the pending updates do: the last one of t is an insert or a delete.
-func (ev *evaluator) pendingHas(pred string, t relation.Tuple) (has, decided bool) {
-	if pred == ev.upd.Relation && t.Equal(ev.upd.Tuple) {
+// pendingCell is column c of pendingRow(i), interning no other column of
+// upd.
+func (ev *evaluator) pendingCell(i, c int) relation.Handle {
+	if i < 0 {
+		return ev.param(c)
+	}
+	return ev.pendingRow(i)[c]
+}
+
+// pendingHas decides membership of the row hs in the stored relation pred
+// where the pending updates do: the last one of it is an insert or a
+// delete.
+func (ev *evaluator) pendingHas(pred string, hs []relation.Handle) (has, decided bool) {
+	if pred == ev.upd.Relation && len(hs) == len(ev.upd.Tuple) && slices.Equal(hs, ev.pendingRow(-1)) {
 		return ev.upd.Insert, true
 	}
-	return store.Pending(ev.prior, pred, t)
+	for i := len(ev.prior) - 1; i >= 0; i-- {
+		if u := &ev.prior[i]; u.Relation == pred && len(hs) == len(u.Tuple) && slices.Equal(hs, ev.pendingRow(i)) {
+			return u.Insert, true
+		}
+	}
+	return false, false
 }

@@ -57,9 +57,9 @@ func colsMask(cols []int) uint64 {
 	return m
 }
 
-// fingerprintProj fingerprints the projection of a stored handle slice
-// onto cols.
-func fingerprintProj(hs []Handle, cols []int) uint64 {
+// FingerprintProj fingerprints the projection of the handle row hs onto
+// cols: FingerprintHandles of the projected handles, without copying them.
+func FingerprintProj(hs []Handle, cols []int) uint64 {
 	fp := uint64(fnvOffset64)
 	for _, c := range cols {
 		fp = fingerprintFold(fp, hs[c])
@@ -70,11 +70,12 @@ func fingerprintProj(hs []Handle, cols []int) uint64 {
 // checkCols validates the column set against the arity and reports
 // whether it is already sorted strictly ascending (the planner always
 // emits sorted probe columns, so the hot path never allocates). It
-// panics on out-of-range columns and on a cols/vals length mismatch —
-// programming errors, like Insert's arity panic.
-func (r *Relation) checkCols(cols []int, vals []ast.Value) (sorted bool) {
-	if vals != nil && len(cols) != len(vals) {
-		panic(fmt.Sprintf("relation: %d columns probed with %d values on %s", len(cols), len(vals), r.name))
+// panics on out-of-range columns and, unless n is negative, on a column
+// count other than n, the number of probe values — programming errors,
+// like Insert's arity panic.
+func (r *Relation) checkCols(cols []int, n int) (sorted bool) {
+	if n >= 0 && len(cols) != n {
+		panic(fmt.Sprintf("relation: %d columns probed with %d values on %s", len(cols), n, r.name))
 	}
 	sorted = true
 	for i, c := range cols {
@@ -92,7 +93,11 @@ func (r *Relation) checkCols(cols []int, vals []ast.Value) (sorted bool) {
 // values permuted to match, copying only when the input is unsorted. It
 // panics on duplicate columns.
 func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Value) {
-	if r.checkCols(cols, vals) {
+	n := -1
+	if vals != nil {
+		n = len(vals)
+	}
+	if r.checkCols(cols, n) {
 		return cols, vals
 	}
 	order := make([]int, len(cols))
@@ -126,7 +131,7 @@ func (r *Relation) buildLocked(cols []int) *multiIndex {
 	mi := &multiIndex{cols: cols, buckets: map[uint64][]int{}}
 	for pos, hs := range r.handles {
 		if hs != nil {
-			k := fingerprintProj(hs, cols)
+			k := FingerprintProj(hs, cols)
 			mi.buckets[k] = append(mi.buckets[k], pos)
 		}
 	}
@@ -164,66 +169,74 @@ func (r *Relation) IndexSignatures() [][]int {
 	return out
 }
 
-// gatherMatchLocked appends to dst the live tuples at the indexed
-// positions whose handles agree with the probe handles on cols. Caller
-// holds mu (read or write).
-func (r *Relation) gatherMatchLocked(dst []Tuple, positions []int, cols []int, phs []Handle) []Tuple {
+// gatherLocked appends to dst the entries of from — the relation's tuples
+// or its handle rows — at the indexed positions whose tuple is live and
+// agrees with the probe handles on cols. Caller holds mu (read or write).
+func gatherLocked[T any](r *Relation, dst, from []T, positions []int, cols []int, phs []Handle) []T {
+next:
 	for _, pos := range positions {
-		t := r.tuples[pos]
-		if t == nil {
+		hs := r.handles[pos]
+		if hs == nil {
 			continue
 		}
-		hs := r.handles[pos]
-		ok := true
 		for i, c := range cols {
 			if hs[c] != phs[i] {
-				ok = false
-				break
+				continue next
 			}
 		}
-		if ok {
-			dst = append(dst, t)
-		}
+		dst = append(dst, from[pos])
 	}
 	return dst
+}
+
+// bucketLocked returns the positions bucketed under the probe handles of
+// the sorted column set, building the index when it is missing: under
+// the read lock the caller holds, which it trades for the write lock
+// while it builds (double-checked) and holds again on return.
+func (r *Relation) bucketLocked(cols []int, fp uint64) []int {
+	sig := colsMask(cols)
+	indexProbes.Add(1)
+	if mi, ok := r.midx[sig]; ok {
+		return mi.buckets[fp]
+	}
+	r.mu.RUnlock()
+	r.mu.Lock()
+	if _, ok := r.midx[sig]; !ok {
+		r.buildLocked(append([]int(nil), cols...))
+	}
+	r.mu.Unlock()
+	// Indexes are never dropped: the one found or built is still there.
+	r.mu.RLock()
+	return r.midx[sig].buckets[fp]
 }
 
 // LookupCols returns the tuples whose projection onto cols equals vals,
 // using (and lazily building) the hash index on that column set.
 func (r *Relation) LookupCols(cols []int, vals []ast.Value) []Tuple {
-	return r.LookupColsAppend(nil, cols, vals)
-}
-
-// LookupColsAppend is LookupCols appending into dst — the
-// allocation-free variant for callers holding a reusable buffer. The
-// build is double-checked under the write lock so concurrent readers
-// race safely, exactly like the single-column Lookup.
-func (r *Relation) LookupColsAppend(dst []Tuple, cols []int, vals []ast.Value) []Tuple {
 	sorted, svals := r.normalizeCols(cols, vals)
 	var scratch [8]Handle
-	phs := scratch[:0]
-	fp := uint64(fnvOffset64)
-	for _, v := range svals {
-		h := Intern(v)
-		phs = append(phs, h)
-		fp = fingerprintFold(fp, h)
-	}
-	sig := colsMask(sorted)
-	indexProbes.Add(1)
+	phs := AppendHandles(scratch[:0], svals)
+	fp := FingerprintHandles(phs)
 	r.mu.RLock()
-	if mi, ok := r.midx[sig]; ok {
-		out := r.gatherMatchLocked(dst, mi.buckets[fp], sorted, phs)
-		r.mu.RUnlock()
-		return out
+	defer r.mu.RUnlock()
+	bucket := r.bucketLocked(sorted, fp) // may trade the lock: read r.tuples after it
+	return gatherLocked(r, nil, r.tuples, bucket, sorted, phs)
+}
+
+// LookupColsAppend appends to dst the handle rows of the tuples whose
+// projection onto cols — sorted ascending, as the join planner emits
+// them — carries the handles key, through (and lazily building) the hash
+// index on that column set. The rows are the relation's own; the caller
+// must not modify them.
+func (r *Relation) LookupColsAppend(dst [][]Handle, cols []int, key []Handle) [][]Handle {
+	if !r.checkCols(cols, len(key)) {
+		panic(fmt.Sprintf("relation: probe columns %v of %s are not sorted ascending", cols, r.name))
 	}
-	r.mu.RUnlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mi, ok := r.midx[sig]
-	if !ok {
-		mi = r.buildLocked(append([]int(nil), sorted...))
-	}
-	return r.gatherMatchLocked(dst, mi.buckets[fp], sorted, phs)
+	fp := FingerprintHandles(key)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	bucket := r.bucketLocked(cols, fp) // may trade the lock: read r.handles after it
+	return gatherLocked(r, dst, r.handles, bucket, cols, key)
 }
 
 // FirstCols is the existence-only probe: it returns the first live tuple
@@ -235,22 +248,12 @@ func (r *Relation) LookupColsAppend(dst []Tuple, cols []int, vals []ast.Value) [
 func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) Tuple {
 	sorted, svals := r.normalizeCols(cols, vals)
 	var scratch [8]Handle
-	phs, fp := internTuple(svals, scratch[:0])
-	sig := colsMask(sorted)
-	indexProbes.Add(1)
+	phs := AppendHandles(scratch[:0], svals)
+	fp := FingerprintHandles(phs)
 	r.mu.RLock()
-	mi, ok := r.midx[sig]
-	if !ok {
-		// Indexes are never dropped, so the one EnsureIndex builds is
-		// still there when the read lock is back.
-		r.mu.RUnlock()
-		r.EnsureIndex(sorted...)
-		r.mu.RLock()
-		mi = r.midx[sig]
-	}
 	defer r.mu.RUnlock()
 next:
-	for _, pos := range mi.buckets[fp] {
+	for _, pos := range r.bucketLocked(sorted, fp) {
 		hs := r.handles[pos]
 		if hs == nil {
 			continue

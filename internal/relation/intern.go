@@ -21,15 +21,34 @@ import (
 // still carries canonical exact values, and decode re-interns on arrival.
 // Handles are never persisted or exchanged.
 //
-// The pool is safe for concurrent use (read-mostly RWMutex; the fast
-// path after warm-up is one read-locked map lookup). Same value ⇒ same
-// handle and distinct values ⇒ distinct handles, for the process
+// The pool is safe for concurrent use. Interning (value → handle) takes a
+// read lock for the map lookup and the write lock to register a new
+// value. Resolving a handle (handle → value, InternedValue and ValueKey)
+// takes no lock: the representatives live in fixed-size chunks that
+// never move, behind a chunk directory that a writer replaces with a
+// longer copy — published atomically — when it opens a chunk. Same value
+// ⇒ same handle and distinct values ⇒ distinct handles, for the process
 // lifetime: big.Rat is always kept normalized, so RatString is a
 // canonical form and the numeric maps cannot alias.
 
 // Handle is a dense process-local identifier for an interned constant.
 // Handles of equal values are equal; handles of distinct values differ.
 type Handle uint32
+
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
+// interned is one pooled constant: its representative and its canonical
+// Value.Key rendering, precomputed once.
+type interned struct {
+	v   ast.Value
+	key string
+}
+
+// chunk holds the pooled constants of chunkSize consecutive handles.
+type chunk [chunkSize]interned
 
 // pool is the process-wide intern pool.
 type pool struct {
@@ -41,17 +60,21 @@ type pool struct {
 	rats map[string]Handle
 	// strs keys symbolic constants by their text.
 	strs map[string]Handle
-	// values[h] is the pooled representative; keys[h] its canonical
-	// Value.Key rendering, precomputed once.
-	values []ast.Value
-	keys   []string
-	size   atomic.Int64 // len(values), readable without the lock
+	// n is the number of handles issued, under mu.
+	n int
+	// dir is the chunk directory: handle h is (*dir)[h>>chunkBits][h%chunkSize].
+	// A reader holding h got it after the writer filled its slot, so the
+	// slot is read without the lock.
+	dir  atomic.Pointer[[]*chunk]
+	size atomic.Int64 // n, readable without the lock
 }
 
-var internPool = &pool{
-	ints: map[int64]Handle{},
-	rats: map[string]Handle{},
-	strs: map[string]Handle{},
+var internPool = newPool()
+
+func newPool() *pool {
+	p := &pool{ints: map[int64]Handle{}, rats: map[string]Handle{}, strs: map[string]Handle{}}
+	p.dir.Store(&[]*chunk{})
+	return p
 }
 
 // lookupLocked finds v's handle under a held read or write lock. The
@@ -89,7 +112,7 @@ func Intern(v ast.Value) Handle {
 	if h, ok := p.lookupLocked(v, ratKey); ok {
 		return h // a concurrent interner won the race
 	}
-	h = Handle(len(p.values))
+	h = Handle(p.n)
 	// Store a private copy of the value so later mutation of a caller's
 	// big.Rat cannot corrupt the pool (Values are treated as immutable
 	// repo-wide, but the pool outlives any caller).
@@ -97,8 +120,13 @@ func Intern(v ast.Value) Handle {
 	if v.Kind == ast.NumberValue {
 		stored.Num = new(big.Rat).SetFrac(v.Num.Num(), v.Num.Denom())
 	}
-	p.values = append(p.values, stored)
-	p.keys = append(p.keys, stored.Key())
+	dir := *p.dir.Load()
+	if int(h>>chunkBits) == len(dir) {
+		grown := append(dir[:len(dir):len(dir)], new(chunk))
+		p.dir.Store(&grown)
+		dir = grown
+	}
+	dir[h>>chunkBits][h%chunkSize] = interned{v: stored, key: stored.Key()}
 	switch {
 	case v.Kind == ast.StringValue:
 		p.strs[v.Str] = h
@@ -107,29 +135,20 @@ func Intern(v ast.Value) Handle {
 	default:
 		p.rats[ratKey] = h
 	}
-	p.size.Store(int64(len(p.values)))
+	p.n++
+	p.size.Store(int64(p.n))
 	return h
 }
 
-// InternedValue returns the pooled representative for h.
-func InternedValue(h Handle) ast.Value {
-	p := internPool
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.values[h]
+// slot returns the pooled constant of h, lock-free.
+func (p *pool) slot(h Handle) *interned {
+	return &(*p.dir.Load())[h>>chunkBits][h%chunkSize]
 }
 
-// InternedValues appends the pooled representatives of hs to dst under
-// one lock acquisition — the row-at-a-time variant of InternedValue.
-func InternedValues(dst []ast.Value, hs []Handle) []ast.Value {
-	p := internPool
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, h := range hs {
-		dst = append(dst, p.values[h])
-	}
-	return dst
-}
+// InternedValue returns the pooled representative for h. It takes no
+// lock: a value is resolved only where one is needed — an order
+// comparison, a range bound, a routed read, a materialized result.
+func InternedValue(h Handle) ast.Value { return internPool.slot(h).v }
 
 // Canonical returns the pooled representative equal to v, interning it
 // on first use. The netdist decode path funnels every wire constant
@@ -141,17 +160,19 @@ func Canonical(v ast.Value) ast.Value {
 
 // ValueKey returns v's canonical Value.Key rendering from the pool's
 // precomputed table — byte-identical to v.Key(), without rebuilding it.
-func ValueKey(v ast.Value) string {
-	h := Intern(v)
-	p := internPool
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.keys[h]
-}
+func ValueKey(v ast.Value) string { return internPool.slot(Intern(v)).key }
 
 // InternSize returns the number of distinct constants interned so far
 // (exported into the obs registry as the cc_intern_size gauge).
 func InternSize() int64 { return internPool.size.Load() }
+
+// AppendHandles interns every value of t and appends the handles to dst.
+func AppendHandles(dst []Handle, t Tuple) []Handle {
+	for _, v := range t {
+		dst = append(dst, Intern(v))
+	}
+	return dst
+}
 
 // Tuple fingerprints: an FNV-1a fold over the tuple's interned handles.
 // Equal tuples always agree (same values ⇒ same handles); the relation
@@ -191,33 +212,4 @@ func (t Tuple) Fingerprint() uint64 {
 		fp = fingerprintFold(fp, Intern(v))
 	}
 	return fp
-}
-
-// internTuple interns every component of t into dst (resized as
-// needed) and returns the handle slice alongside the fingerprint.
-func internTuple(t Tuple, dst []Handle) ([]Handle, uint64) {
-	if cap(dst) < len(t) {
-		dst = make([]Handle, len(t))
-	}
-	dst = dst[:len(t)]
-	fp := uint64(fnvOffset64)
-	for i, v := range t {
-		h := Intern(v)
-		dst[i] = h
-		fp = fingerprintFold(fp, h)
-	}
-	return dst, fp
-}
-
-// handlesEqual reports whether two handle slices are identical.
-func handlesEqual(a, b []Handle) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -151,3 +151,69 @@ func TestFingerprintMatchesUninternedHashing(t *testing.T) {
 		}
 	}
 }
+
+// TestInternConcurrentReadsDuringGrowth: handles resolve without a lock
+// while writers grow the pool across chunk boundaries (run under -race in
+// CI). Readers are handed each fresh handle as it is issued and resolve
+// it at once, beside handles of the chunks that were there before: every
+// one must give back the value and key it was issued for.
+func TestInternConcurrentReadsDuringGrowth(t *testing.T) {
+	type issued struct {
+		v ast.Value
+		h Handle
+	}
+	const writers, readers, perWriter = 2, 4, 3 * chunkSize
+	old := internWorkload()
+	oldH := make([]Handle, len(old))
+	for i, v := range old {
+		oldH[i] = Intern(v)
+	}
+	// The pool only grows, so its size names this run's fresh values.
+	prefix, chunks := fmt.Sprintf("growth-%d", InternSize()), len(*internPool.dir.Load())
+	feed := make(chan issued, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				v := ast.Str(fmt.Sprintf("%s-%d-%d", prefix, w, i))
+				if i%2 == 1 {
+					v = ast.Value{Kind: ast.NumberValue, Num: new(big.Rat).SetFrac(big.NewInt(InternSize()*8+int64(w)), big.NewInt(7))}
+				}
+				feed <- issued{v, Intern(v)}
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(feed) }()
+	bad := make(chan string, readers)
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			n := 0
+			for is := range feed {
+				k := n % len(old)
+				n++
+				switch {
+				case !InternedValue(is.h).Equal(is.v) || internPool.slot(is.h).key != is.v.Key():
+					bad <- fmt.Sprintf("fresh handle %d resolves to %s, issued for %s", is.h, InternedValue(is.h), is.v)
+				case !InternedValue(oldH[k]).Equal(old[k]):
+					bad <- fmt.Sprintf("old handle %d resolves to %s, issued for %s", oldH[k], InternedValue(oldH[k]), old[k])
+				default:
+					continue
+				}
+				return
+			}
+		}()
+	}
+	rg.Wait()
+	close(bad)
+	for msg := range bad {
+		t.Error(msg)
+	}
+	if grown := len(*internPool.dir.Load()) - chunks; grown < 2 {
+		t.Errorf("%d fresh values opened %d chunks, want the readers to cross at least two boundaries", writers*perWriter, grown)
+	}
+}

@@ -16,7 +16,7 @@ import (
 // numbers before strings. An index is built on the first range lookup of
 // its column and kept from then on: Insert adds its entry (an append when
 // the value sorts last), Delete removes it (a truncation when it is the
-// last), Reset empties it, compaction renumbers its positions in place —
+// last), compaction renumbers its positions in place —
 // the renumbering is monotone, so the order stands and nothing is rebuilt
 // — and Succeed carries its column to the successor relation.
 
@@ -109,7 +109,8 @@ func (r *Relation) dropOrderedLocked(pos int) {
 	}
 }
 
-// RangeAppend appends to dst the live tuples of one of the ranges — those
+// RangeAppend appends to dst the handle rows of the live tuples of one of
+// the ranges — those
 // whose value at the range's column lies in it — choosing the range that
 // holds the fewest, so every tuple inside all the ranges is among them.
 // A range with a lower bound is walked up from it, one with only an upper
@@ -118,7 +119,7 @@ func (r *Relation) dropOrderedLocked(pos int) {
 // the write lock (double-checked, like LookupColsAppend), and counts one
 // index probe. ranges must not be empty; an out-of-range column panics, a
 // programming error like Insert's arity panic.
-func (r *Relation) RangeAppend(dst []Tuple, ranges []Range) []Tuple {
+func (r *Relation) RangeAppend(dst [][]Handle, ranges []Range) [][]Handle {
 	for _, rg := range ranges {
 		if rg.Col < 0 || rg.Col >= r.arity {
 			panic(fmt.Sprintf("relation: column %d out of range for %s/%d", rg.Col, r.name, r.arity))
@@ -158,12 +159,12 @@ func (r *Relation) RangeAppend(dst []Tuple, ranges []Range) []Tuple {
 	}
 	if down {
 		for i := to - 1; i >= from; i-- {
-			dst = append(dst, r.tuples[best.pos[i]])
+			dst = append(dst, r.handles[best.pos[i]])
 		}
 		return dst
 	}
 	for _, p := range best.pos[from:to] {
-		dst = append(dst, r.tuples[p])
+		dst = append(dst, r.handles[p])
 	}
 	return dst
 }

@@ -19,6 +19,8 @@ package relation
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,16 +52,44 @@ func Strs(ss ...string) Tuple {
 	return t
 }
 
-// Key returns a canonical encoding of the tuple, unique per tuple value.
+// Key returns a canonical encoding of the tuple, unique per tuple value
+// (AppendKey's, as a string).
 func (t Tuple) Key() string {
-	var sb strings.Builder
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's canonical encoding to dst: one
+// AppendValueKey per value. The value encodings are prefix-free, so
+// distinct tuples — arities included — encode apart.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		k := ValueKey(v)
-		sb.WriteString(fmt.Sprintf("%d:", len(k)))
-		sb.WriteString(k)
-		sb.WriteByte('|')
+		dst = AppendValueKey(dst, v)
 	}
-	return sb.String()
+	return dst
+}
+
+// AppendValueKey appends a canonical encoding of v to dst, without
+// rendering through fmt: an int64 rational is 'i', its decimal digits and
+// '|'; any other rational 'q', its RatString and '|'; a string 's', its
+// length, ':' and its text. Equal values encode alike (big.Rat is kept
+// normalized, so 1/2 and 2/4 agree), and no encoding is a prefix of
+// another's.
+func AppendValueKey(dst []byte, v ast.Value) []byte {
+	if v.Kind == ast.StringValue {
+		dst = append(dst, 's')
+		dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)
+		dst = append(dst, ':')
+		return append(dst, v.Str...)
+	}
+	if v.Num.IsInt() && v.Num.Num().IsInt64() {
+		dst = append(dst, 'i')
+		dst = strconv.AppendInt(dst, v.Num.Num().Int64(), 10)
+	} else {
+		dst = append(dst, 'q')
+		dst = append(dst, v.Num.RatString()...)
+	}
+	return append(dst, '|')
 }
 
 // Equal reports whether two tuples hold the same constants.
@@ -159,7 +189,7 @@ func (r *Relation) Len() int {
 }
 
 // Version returns the relation's data version: a counter that advances
-// on every Insert, Delete and Reset that changes the contents and never
+// on every Insert and Delete that changes the contents and never
 // otherwise. A reader that remembers the version it saw can tell later
 // whether what it derived from the contents still stands (a kept
 // evaluation fixpoint does), without subscribing to the writers.
@@ -193,7 +223,7 @@ func (r *Relation) Succeed(old *Relation) {
 // handles, or -1. Caller holds mu.
 func (r *Relation) findLocked(fp uint64, hs []Handle) int {
 	for _, pos := range r.index[fp] {
-		if r.tuples[pos] != nil && handlesEqual(r.handles[pos], hs) {
+		if r.tuples[pos] != nil && slices.Equal(r.handles[pos], hs) {
 			return pos
 		}
 	}
@@ -203,7 +233,14 @@ func (r *Relation) findLocked(fp uint64, hs []Handle) int {
 // Contains reports whether the relation holds t.
 func (r *Relation) Contains(t Tuple) bool {
 	var scratch [8]Handle
-	hs, fp := internTuple(t, scratch[:0])
+	hs := AppendHandles(scratch[:0], t)
+	return r.ContainsHandles(hs)
+}
+
+// ContainsHandles reports whether the relation holds the tuple whose
+// interned handles are hs.
+func (r *Relation) ContainsHandles(hs []Handle) bool {
+	fp := FingerprintHandles(hs)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.findLocked(fp, hs) >= 0
@@ -220,20 +257,22 @@ func (r *Relation) Insert(t Tuple) bool {
 	// Intern into stack scratch and dedup first: semi-naive rounds emit
 	// mostly duplicates, and only a new tuple needs handles of its own.
 	var scratch [8]Handle
-	hs, fp := internTuple(t, scratch[:0])
+	hs := AppendHandles(scratch[:0], t)
+	fp := FingerprintHandles(hs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.findLocked(fp, hs) >= 0 {
 		return false
 	}
-	own := append([]Handle(nil), hs...)
+	own := make([]Handle, len(hs)) // non-nil even for a 0-ary tuple: nil marks a hole
+	copy(own, hs)
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
 	r.handles = append(r.handles, own)
 	r.index[fp] = append(r.index[fp], pos)
 	r.count++
 	for _, mi := range r.midx {
-		pk := fingerprintProj(own, mi.cols)
+		pk := FingerprintProj(own, mi.cols)
 		mi.buckets[pk] = append(mi.buckets[pk], pos)
 	}
 	r.addOrderedLocked(pos)
@@ -244,7 +283,8 @@ func (r *Relation) Insert(t Tuple) bool {
 // Delete removes t; it reports whether the tuple was present.
 func (r *Relation) Delete(t Tuple) bool {
 	var scratch [8]Handle
-	hs, fp := internTuple(t, scratch[:0])
+	hs := AppendHandles(scratch[:0], t)
+	fp := FingerprintHandles(hs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	pos := r.findLocked(fp, hs)
@@ -261,28 +301,6 @@ func (r *Relation) Delete(t Tuple) bool {
 		r.compactLocked()
 	}
 	return true
-}
-
-// Reset empties the relation in place, keeping the allocated backing
-// storage and the built index signatures warm. The semi-naive evaluator
-// uses it to recycle delta relations across rounds instead of
-// allocating fresh ones.
-func (r *Relation) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.count > 0 {
-		r.version.Add(1)
-	}
-	r.tuples = r.tuples[:0]
-	r.handles = r.handles[:0]
-	r.count, r.holes = 0, 0
-	clear(r.index)
-	for _, mi := range r.midx {
-		clear(mi.buckets)
-	}
-	for _, o := range r.ord {
-		o.pos = o.pos[:0]
-	}
 }
 
 // compactLocked removes holes and rebuilds indexes. Caller holds mu. A
@@ -329,36 +347,31 @@ func (r *Relation) compactLocked() {
 
 // snapshot returns the live tuples in insertion order. The slice is fresh
 // but the tuples are shared (they are immutable once stored).
-func (r *Relation) snapshot() []Tuple { return r.TuplesAppend(nil) }
-
-// TuplesAppend appends the live tuples in insertion order to dst and
-// returns the extended slice — the allocation-free variant of Tuples
-// for callers holding a reusable buffer.
-func (r *Relation) TuplesAppend(dst []Tuple) []Tuple {
+func (r *Relation) snapshot() []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if dst == nil {
-		dst = make([]Tuple, 0, r.count)
-	}
+	out := make([]Tuple, 0, r.count)
 	for _, t := range r.tuples {
 		if t != nil {
-			dst = append(dst, t)
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TuplesAppend appends the handle rows of the live tuples, in insertion
+// order, to dst and returns the extended slice. The rows are the
+// relation's own — never modified once stored — so the caller must not
+// modify them either.
+func (r *Relation) TuplesAppend(dst [][]Handle) [][]Handle {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, hs := range r.handles {
+		if hs != nil {
+			dst = append(dst, hs)
 		}
 	}
 	return dst
-}
-
-// EachHandles calls f with the interned handle row of every live tuple
-// in insertion order, under the relation's read lock: f must neither
-// keep nor modify the slice, nor call back into the relation.
-func (r *Relation) EachHandles(f func([]Handle)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for i, t := range r.tuples {
-		if t != nil {
-			f(r.handles[i])
-		}
-	}
 }
 
 // Each calls f for every tuple in insertion order; f must not mutate the

@@ -181,10 +181,10 @@ func (s *Store) Tuples(name string) []relation.Tuple {
 	return ts
 }
 
-// TuplesAppend appends a snapshot of the named relation's tuples to dst,
-// charging only the appended tuples — the allocation-free variant of
-// Tuples for evaluators holding a reusable buffer.
-func (s *Store) TuplesAppend(dst []relation.Tuple, name string) []relation.Tuple {
+// TuplesAppend appends the handle rows of the named relation's tuples to
+// dst (see relation.TuplesAppend), charging only the appended tuples —
+// the join engine's scan.
+func (s *Store) TuplesAppend(dst [][]relation.Handle, name string) [][]relation.Handle {
 	r := s.get(name)
 	if r == nil {
 		return dst
@@ -222,15 +222,17 @@ func (s *Store) LookupCols(name string, cols []int, vals []ast.Value) []relation
 	return ts
 }
 
-// LookupColsAppend is LookupCols appending into dst, charging only the
-// appended tuples.
-func (s *Store) LookupColsAppend(dst []relation.Tuple, name string, cols []int, vals []ast.Value) []relation.Tuple {
+// LookupColsAppend appends the handle rows of the named relation's tuples
+// whose projection onto the sorted columns cols carries the handles key
+// (see relation.LookupColsAppend), charging only the appended tuples —
+// the join engine's indexed probe.
+func (s *Store) LookupColsAppend(dst [][]relation.Handle, name string, cols []int, key []relation.Handle) [][]relation.Handle {
 	r := s.get(name)
 	if r == nil {
 		return dst
 	}
 	before := len(dst)
-	dst = r.LookupColsAppend(dst, cols, vals)
+	dst = r.LookupColsAppend(dst, cols, key)
 	s.charge(name, int64(len(dst)-before))
 	return dst
 }
@@ -248,13 +250,14 @@ func (s *Store) EnsureIndex(name string, cols ...int) error {
 	return nil
 }
 
-// Probe reports membership of t in the named relation, charging one read
-// (unlike Contains, which is a free structural check). Evaluators use
-// Probe so that negated-subgoal checks are accounted.
-func (s *Store) Probe(name string, t relation.Tuple) bool {
+// Probe reports membership of the tuple with handles hs in the named
+// relation, charging one read (unlike Contains, which is a free
+// structural check). The join engine uses Probe so that negated-subgoal
+// checks are accounted.
+func (s *Store) Probe(name string, hs []relation.Handle) bool {
 	s.charge(name, 1)
 	r := s.get(name)
-	return r != nil && r.Contains(t)
+	return r != nil && r.ContainsHandles(hs)
 }
 
 // FirstCols returns one tuple of the named arity-ary relation whose
@@ -271,12 +274,12 @@ func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, 
 	return r.FirstCols(cols, vals, same)
 }
 
-// RangeAppend appends to dst the tuples of the named arity-ary relation
-// that relation.RangeAppend returns for ranges — a superset of those
-// inside every range — charging only the appended tuples. An absent
+// RangeAppend appends to dst the handle rows of the named arity-ary
+// relation that relation.RangeAppend returns for ranges — a superset of
+// those inside every range — charging only the appended tuples. An absent
 // relation, or one stored with another arity, appends nothing: a range
 // compiled against an atom must not read a relation the atom cannot match.
-func (s *Store) RangeAppend(dst []relation.Tuple, name string, arity int, ranges []relation.Range) []relation.Tuple {
+func (s *Store) RangeAppend(dst [][]relation.Handle, name string, arity int, ranges []relation.Range) [][]relation.Handle {
 	r := s.get(name)
 	if r == nil || r.Arity() != arity {
 		return dst

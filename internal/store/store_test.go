@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,13 +156,13 @@ func TestProbeAndMustEnsureAndString(t *testing.T) {
 	if _, err := s.Insert("r", relation.Ints(1)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Probe("r", relation.Ints(1)) || s.Probe("r", relation.Ints(2)) {
+	if !s.Probe("r", handles(relation.Ints(1))) || s.Probe("r", handles(relation.Ints(2))) {
 		t.Error("Probe membership wrong")
 	}
 	if got := s.Reads("r"); got != 2 {
 		t.Errorf("Probe charged %d reads, want 2", got)
 	}
-	if s.Probe("absent", relation.Ints(1)) {
+	if s.Probe("absent", handles(relation.Ints(1))) {
 		t.Error("Probe on absent relation")
 	}
 	if s.String() == "" {
@@ -401,6 +402,9 @@ func TestFirstCols(t *testing.T) {
 	}
 }
 
+// handles interns t: the rows the join engine's reads take and return.
+func handles(t relation.Tuple) []relation.Handle { return relation.AppendHandles(nil, t) }
+
 func TestRangeAppend(t *testing.T) {
 	s := New()
 	for i := int64(0); i < 10; i++ {
@@ -410,9 +414,9 @@ func TestRangeAppend(t *testing.T) {
 	}
 	// 3 ≤ v < 6: a range lookup charges only the tuples it returns.
 	rg := []relation.Range{{Col: 0, Lo: ast.Int(3), Hi: ast.Int(6), HasLo: true, HasHi: true, HiOpen: true}}
-	dst := []relation.Tuple{relation.Ints(99)}
+	dst := [][]relation.Handle{handles(relation.Ints(99))}
 	got := s.RangeAppend(dst, "r", 1, rg)
-	if len(got) != 4 || !got[1].Equal(relation.Ints(3)) || !got[3].Equal(relation.Ints(5)) {
+	if len(got) != 4 || !slices.Equal(got[1], handles(relation.Ints(3))) || !slices.Equal(got[3], handles(relation.Ints(5))) {
 		t.Fatalf("RangeAppend = %v, want [99] then 3, 4, 5", got)
 	}
 	if n := s.Reads("r"); n != 3 {
@@ -435,7 +439,7 @@ func TestRangeAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := relation.IndexBuilds()
-	if got := s.RangeAppend(nil, "r", 1, rg); len(got) != 1 || !got[0].Equal(relation.Ints(4)) {
+	if got := s.RangeAppend(nil, "r", 1, rg); len(got) != 1 || !slices.Equal(got[0], handles(relation.Ints(4))) {
 		t.Errorf("RangeAppend after Replace = %v, want [(4)]", got)
 	}
 	if n := relation.IndexBuilds() - builds; n != 0 {
