@@ -380,9 +380,10 @@ func BenchmarkNegationContainment(b *testing.B) {
 // The check arms make the same decision through core.Checker.Check, as
 // an application embedding the checker does, under both constraints of
 // the repository benchmark's embed_recursive workload (acyclicity and
-// banned-hub, whose helper compares Y < Z): the whole decision, its
-// phase-2 memo lookup included. Each iteration is one check; the store is
-// never written.
+// banned-hub, whose helper compares Y < Z), and under each alone — the
+// per-constraint cost of the decision: acyclic's kept-fixpoint rounds,
+// banned-hub's compiled check of its expansion. Each iteration is one
+// check; the store is never written.
 func BenchmarkGlobalPhase(b *testing.B) {
 	const acyclic = `
 		reach(X,Y) :- edge(X,Y).
@@ -435,29 +436,38 @@ func BenchmarkGlobalPhase(b *testing.B) {
 			if n != 64 {
 				continue
 			}
-			b.Run(fmt.Sprintf("check/chain=%d/%s", n, kind), func(b *testing.B) {
-				db := seeded()
-				if _, err := db.Insert("banned", relation.Ints(int64(n)+1000)); err != nil {
-					b.Fatal(err)
-				}
-				chk := core.New(db, core.Options{Workers: 1})
-				for _, k := range [][2]string{
-					{"acyclic", acyclic},
-					{"banned-hub", "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X)."},
-				} {
-					if err := chk.AddConstraintSource(k[0], k[1]); err != nil {
+			hub := "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X)."
+			for _, set := range []struct {
+				suffix string
+				cons   [][2]string
+			}{
+				{"", [][2]string{{"acyclic", acyclic}, {"banned-hub", hub}}},
+				{"/acyclic", [][2]string{{"acyclic", acyclic}}},
+				{"/banned-hub", [][2]string{{"banned-hub", hub}}},
+			} {
+				b.Run(fmt.Sprintf("check/chain=%d/%s%s", n, kind, set.suffix), func(b *testing.B) {
+					db := seeded()
+					if _, err := db.Insert("banned", relation.Ints(int64(n)+1000)); err != nil {
 						b.Fatal(err)
 					}
-				}
-				u := store.Ins("edge", tu)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := chk.Check(u)
-					if err != nil || rep.Applied != (kind == "forward") {
-						b.Fatalf("report %+v, %v", rep, err)
+					chk := core.New(db, core.Options{Workers: 1})
+					for _, k := range set.cons {
+						if err := chk.AddConstraintSource(k[0], k[1]); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+					// Only acyclic is violated, by the closing edge.
+					admit := kind == "forward" || set.suffix == "/banned-hub"
+					u := store.Ins("edge", tu)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rep, err := chk.Check(u)
+						if err != nil || rep.Applied != admit {
+							b.Fatalf("report %+v, %v", rep, err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -463,6 +463,47 @@ func TestExpandSubstitutionPropagation(t *testing.T) {
 	}
 }
 
+func TestExpandBindsEarlierLiterals(t *testing.T) {
+	// A helper after an EDB literal pins or equates variables the literal
+	// already used: the binding must reach it too.
+	for _, tc := range []struct{ src, want string }{
+		{`ok(1). panic :- e(X,Y) & ok(X).`, "panic :- e(1,Y)."},
+		{`same(X,X) :- h(X). panic :- f(A,B) & same(A,B).`, "panic :- f(B,B) & h(B)."},
+	} {
+		rules, err := Expand(parser.MustParseProgram(tc.src), ast.PanicPred)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if len(rules) != 1 || rules[0].String() != tc.want {
+			t.Errorf("%s expanded into %v, want %s", tc.src, rules, tc.want)
+		}
+	}
+}
+
+func TestExpandNegatedCopyRule(t *testing.T) {
+	// The copy rule's variables are renamed apart from the goal's: a
+	// permuted head yields not edge(Y,X), not edge(Y,Y).
+	rules, err := Expand(parser.MustParseProgram(`
+		link(X,Y) :- edge(X,Y).
+		panic :- edge(X,Y) & not link(Y,X).`), ast.PanicPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "panic :- edge(X,Y) & not edge(Y,X)."; len(rules) != 1 || rules[0].String() != want {
+		t.Errorf("expanded into %v, want %s", rules, want)
+	}
+	// A head with a constant or a repeated variable matches only some
+	// argument tuples; its negation would need a disequality branch.
+	for _, src := range []string{
+		`m(X,1) :- q(X). panic :- e(A,B) & not m(A,B).`,
+		`d(X,X) :- q(X). panic :- e(A,B) & not d(A,B).`,
+	} {
+		if rules, err := Expand(parser.MustParseProgram(src), ast.PanicPred); err == nil {
+			t.Errorf("%s expanded into %v", src, rules)
+		}
+	}
+}
+
 func TestExpandRejectsRecursion(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		reach(X,Y) :- edge(X,Y).

@@ -2,6 +2,7 @@ package containment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 )
@@ -10,12 +11,16 @@ import (
 // single rules for the goal predicate (the UCQ expansion of Sagiv and
 // Yannakakis [1981]), by SLD-style resolution of intermediate subgoals.
 // Positive intermediate subgoals branch over their alternative rules,
-// with unifier bindings propagated to the remaining goals. Negated
+// each unifier binding the whole rule: the literals expanded before the
+// subgoal as well as the remaining goals. Negated
 // intermediate subgoals are supported in the two shapes the Section 4
 // update rewritings produce:
 //
 //   - not p(t̄) where p has a copy rule p(X̄) :- q(Ȳ) (body variables
-//     all bound by the head) contributes not q applied to the unifier;
+//     all bound by the head) contributes not q applied to the unifier,
+//     provided the unifier binds no variable of t̄ (a head with a
+//     constant or a repeated variable would need a disequality branch
+//     beside not q, and is rejected);
 //   - a fact p(c̄) among p's rules contributes the negation of t̄ = c̄,
 //     i.e. the disjunction ∨ᵢ tᵢ <> cᵢ, splitting the expansion into one
 //     branch per component (this is how Example 4.1's constraint C3
@@ -32,33 +37,27 @@ func Expand(prog *ast.Program, goal string) ([]*ast.Rule, error) {
 	const maxUnfoldings = 100000
 	unfoldings := 0
 
-	// expandGoals resolves the goal list into fully expanded bodies over
-	// EDB predicates and comparisons.
-	var expandGoals func(goals []ast.Literal) ([][]ast.Literal, error)
-	expandGoals = func(goals []ast.Literal) ([][]ast.Literal, error) {
+	// expandGoals resolves the goal list, after the literals already
+	// expanded (done) of a rule with the given head, into fully expanded
+	// rules over EDB predicates and comparisons, appended to out. A
+	// unifier's bindings apply to the whole rule — head, done and the
+	// remaining goals — so a helper that pins or equates its arguments
+	// constrains the literals before it as well as after.
+	var out []*ast.Rule
+	var expandGoals func(head ast.Atom, done, goals []ast.Literal) error
+	expandGoals = func(head ast.Atom, done, goals []ast.Literal) error {
 		if unfoldings++; unfoldings > maxUnfoldings {
-			return nil, fmt.Errorf("containment: expansion exceeds %d unfoldings", maxUnfoldings)
+			return fmt.Errorf("containment: expansion exceeds %d unfoldings", maxUnfoldings)
 		}
 		if len(goals) == 0 {
-			return [][]ast.Literal{{}}, nil
+			out = append(out, &ast.Rule{Head: head, Body: done})
+			return nil
 		}
 		g, rest := goals[0], goals[1:]
-		prepend := func(front []ast.Literal, tails [][]ast.Literal) [][]ast.Literal {
-			out := make([][]ast.Literal, len(tails))
-			for i, t := range tails {
-				out[i] = append(append([]ast.Literal{}, front...), t...)
-			}
-			return out
-		}
 		switch {
 		case g.IsComp(), !idb[g.Atom.Pred]:
-			tails, err := expandGoals(rest)
-			if err != nil {
-				return nil, err
-			}
-			return prepend([]ast.Literal{g}, tails), nil
+			return expandGoals(head, append(slices.Clip(done), g), rest)
 		case g.IsPos():
-			var out [][]ast.Literal
 			for _, def := range prog.RulesFor(g.Atom.Pred) {
 				fresh++
 				d := def.RenameApart(fmt.Sprintf("@%d", fresh))
@@ -66,55 +65,43 @@ func Expand(prog *ast.Program, goal string) ([]*ast.Rule, error) {
 				if !ok {
 					continue
 				}
-				newGoals := make([]ast.Literal, 0, len(d.Body)+len(rest))
-				for _, l := range d.Body {
-					newGoals = append(newGoals, l.Apply(s))
+				apply := func(ls []ast.Literal) []ast.Literal {
+					bound := make([]ast.Literal, len(ls))
+					for i, l := range ls {
+						bound[i] = l.Apply(s)
+					}
+					return bound
 				}
-				for _, l := range rest {
-					newGoals = append(newGoals, l.Apply(s))
+				newGoals := append(apply(d.Body), apply(rest)...)
+				if err := expandGoals(head.Apply(s), apply(done), newGoals); err != nil {
+					return err
 				}
-				sub, err := expandGoals(newGoals)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, sub...)
 			}
-			if out == nil {
-				out = [][]ast.Literal{} // no matching rule: empty union
-			}
-			return out, nil
+			return nil // no matching rule: empty union
 		default: // negated intermediate subgoal
-			alts, err := negAlternatives(prog, g.Atom)
+			alts, err := negAlternatives(prog, g.Atom, func() string {
+				fresh++
+				return fmt.Sprintf("@%d", fresh)
+			})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			var out [][]ast.Literal
 			for _, alt := range alts {
-				sub, err := expandGoals(append(append([]ast.Literal{}, alt...), rest...))
-				if err != nil {
-					return nil, err
+				if err := expandGoals(head, done, append(slices.Clip(alt), rest...)); err != nil {
+					return err
 				}
-				out = append(out, sub...)
 			}
-			if out == nil {
-				out = [][]ast.Literal{}
-			}
-			return out, nil
+			return nil
 		}
 	}
 
-	var out []*ast.Rule
 	goalRules := prog.RulesFor(goal)
 	if len(goalRules) == 0 {
 		return nil, fmt.Errorf("containment: no rules for goal predicate %s", goal)
 	}
 	for _, r := range goalRules {
-		bodies, err := expandGoals(r.Body)
-		if err != nil {
+		if err := expandGoals(r.Head, nil, r.Body); err != nil {
 			return nil, err
-		}
-		for _, b := range bodies {
-			out = append(out, &ast.Rule{Head: r.Head, Body: b})
 		}
 	}
 	return out, nil
@@ -123,8 +110,10 @@ func Expand(prog *ast.Program, goal string) ([]*ast.Rule, error) {
 // negAlternatives expands not p(t̄) for an intermediate predicate p into
 // a disjunction of conjunctions (each inner slice is one conjunction):
 // the negation of p's definition, i.e. the conjunction over p's rules of
-// the negation of each rule's applicability, distributed into DNF.
-func negAlternatives(prog *ast.Program, atom ast.Atom) ([][]ast.Literal, error) {
+// the negation of each rule's applicability, distributed into DNF. A copy
+// rule is renamed apart from t̄ with a suffix from fresh before it is
+// unified with it.
+func negAlternatives(prog *ast.Program, atom ast.Atom, fresh func() string) ([][]ast.Literal, error) {
 	// Each part is the DNF of the negation of one rule; the result is the
 	// cartesian product (conjunction) of the parts.
 	var parts [][][]ast.Literal
@@ -147,14 +136,20 @@ func negAlternatives(prog *ast.Program, atom ast.Atom) ([][]ast.Literal, error) 
 			}
 			parts = append(parts, split)
 		case len(def.Body) == 1 && def.Body[0].IsPos() && sameVarCopy(def):
-			s, ok := ast.Unify(def.Head.Args, atom.Args, nil)
+			d := def.RenameApart(fresh())
+			s, ok := ast.Unify(d.Head.Args, atom.Args, nil)
 			if !ok {
 				// The head cannot match t̄ at all (constant clash): this
 				// rule never derives p(t̄); its negation is vacuous.
 				parts = append(parts, [][]ast.Literal{{}})
 				continue
 			}
-			q := def.Body[0].Atom.Apply(s)
+			for _, t := range atom.Args {
+				if _, bound := s[t.Var]; t.IsVar() && bound {
+					return nil, fmt.Errorf("containment: cannot expand negated intermediate subgoal not %s: the head of %s constrains its arguments", atom, def)
+				}
+			}
+			q := d.Body[0].Atom.Apply(s)
 			parts = append(parts, [][]ast.Literal{{ast.Neg(q)}})
 		default:
 			return nil, fmt.Errorf("containment: cannot expand negated intermediate subgoal not %s defined by %s", atom, def)

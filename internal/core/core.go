@@ -109,6 +109,14 @@ type Constraint struct {
 	Name string
 	Prog *ast.Program
 
+	// flat is the constraint as the residual compiler reads it: Prog itself
+	// when it defines no helper predicate, else the union of panic rules the
+	// helpers unfold into (residual.Flatten). Compiled checks, their
+	// certificates and their read claims are derived from it; names, reports
+	// and every other phase keep Prog. Nil when Prog is recursive or its
+	// expansion is refused: the global phase alone decides the constraint.
+	flat *ast.Program
+
 	// cqc is non-nil when the constraint is a single conjunctive rule
 	// with exactly one subgoal over a local relation (normalized to the
 	// Section 5 form); analysis additionally when it is a canonical ICQ.
@@ -509,7 +517,7 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 	if bad {
 		return fmt.Errorf("core: constraint %s is already violated by the current database", name)
 	}
-	k := &Constraint{Name: name, Prog: prog, edb: prog.EDBPreds()}
+	k := &Constraint{Name: name, Prog: prog, flat: residual.Flatten(prog), edb: prog.EDBPreds()}
 	c.prepare(k)
 	c.constraints = append(c.constraints, k)
 	c.refreshSet()

@@ -60,7 +60,9 @@ func checkKept(t *testing.T, c *Checker) {
 }
 
 // chainChecker is the benchmark's recursive shape in small: acyclicity
-// over an edge chain 0→1→…→n-1, plus a helper-predicate constraint.
+// over an edge chain 0→1→…→n-1, plus a helper-predicate constraint. The
+// helper one is a compiled check of its expansion; under DisableResidual
+// it keeps a fixpoint too, beside acyclic's.
 func chainChecker(t testing.TB, n int, opts Options) *Checker {
 	t.Helper()
 	db := store.New()
@@ -86,8 +88,9 @@ func chainChecker(t testing.TB, n int, opts Options) *Checker {
 
 // Checks write nothing — a polarity-decided delete check included — so
 // they cost no rebuild; the writes the checker cannot account for must.
+// Both constraints keep a fixpoint: residual dispatch is off.
 func TestKeptFixpointVersionRule(t *testing.T) {
-	c := chainChecker(t, 16, Options{Workers: 1})
+	c := chainChecker(t, 16, Options{Workers: 1, DisableResidual: true})
 	check := func(u store.Update, admit bool) {
 		t.Helper()
 		rep, err := c.Check(u)
@@ -163,11 +166,12 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 }
 
 // The trace says why a global decision was cheap or dear, and the
-// registry counts the same events.
+// registry counts the same events. Residual dispatch is off, so both
+// constraints keep a fixpoint.
 func TestGlobalPhaseTraceCacheStatus(t *testing.T) {
 	buf := obs.NewBufferTracer(4)
 	reg := obs.NewRegistry()
-	c := chainChecker(t, 8, Options{Workers: 1, Tracer: buf, Metrics: reg})
+	c := chainChecker(t, 8, Options{Workers: 1, Tracer: buf, Metrics: reg, DisableResidual: true})
 	globalCache := func(u store.Update) []string {
 		t.Helper()
 		if _, err := c.Check(u); err != nil {
@@ -247,60 +251,71 @@ func TestKeptFixpointMixedPolarityFallsBack(t *testing.T) {
 // literal as well. hub pairs the new edge with a stored one, in either
 // order; back needs the new edge at both literals at once — edge(7,7) is
 // its own way back — which only the pending read of the non-delta literal
-// supplies. Decided on the kept fixpoints, checked against a fresh
+// supplies. Decided on the kept fixpoints with residual dispatch off, and
+// by the compiled checks of the expansions — a self-join of edge, each
+// occurrence its own disjunct — with it on; checked against a fresh
 // evaluation of the updated store.
 func TestKeptFixpointSelfJoinInsert(t *testing.T) {
-	c := newChecker(t, "edge(1,5). banned(1). banned(7). banned(8).", Options{Workers: 1})
-	for name, src := range map[string]string{
-		"banned-hub":  "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X).",
-		"banned-back": "back(X) :- edge(X,Y) & edge(Y,X).\npanic :- back(X) & banned(X).",
+	for _, arm := range []struct {
+		opts   Options
+		phase  Phase
+		builds int64 // fixpoints kept from the first decision on
+	}{
+		{Options{Workers: 1, DisableResidual: true}, PhaseGlobal, 2},
+		{Options{Workers: 1}, PhaseResidual, 0},
 	} {
-		if err := c.AddConstraintSource(name, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rejected := 0
-	for _, u := range []store.Update{
-		store.Ins("edge", relation.Ints(2, 3)), // builds the fixpoints
-		store.Ins("edge", relation.Ints(1, 9)), // hub: new edge is the larger of the pair
-		store.Ins("edge", relation.Ints(1, 2)), // … the smaller
-		store.Ins("edge", relation.Ints(1, 5)), // duplicate: no pair with itself
-		store.Ins("edge", relation.Ints(7, 7)), // back: the new edge twice
-		store.Ins("edge", relation.Ints(3, 3)), // … on a node not banned
-		store.Ins("edge", relation.Ints(8, 2)), // first out-edge of a banned node
-		store.Ins("edge", relation.Ints(8, 4)), // second: a hub
-		store.Ins("edge", relation.Ints(2, 8)), // the way back to 8
-	} {
-		post := c.DB().Clone()
-		if err := u.Apply(post); err != nil {
-			t.Fatal(err)
-		}
-		bad := false
-		for _, k := range c.constraints {
-			v, err := eval.PanicHolds(k.Prog, post.Clone())
-			if err != nil {
+		c := newChecker(t, "edge(1,5). banned(1). banned(7). banned(8).", arm.opts)
+		for name, src := range map[string]string{
+			"banned-hub":  "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & banned(X).",
+			"banned-back": "back(X) :- edge(X,Y) & edge(Y,X).\npanic :- back(X) & banned(X).",
+		} {
+			if err := c.AddConstraintSource(name, src); err != nil {
 				t.Fatal(err)
 			}
-			bad = bad || v
 		}
-		if bad {
-			rejected++
-		}
-		for _, decide := range []func(store.Update) (Report, error){c.Check, c.Apply} {
-			rep, err := decide(u)
-			if err != nil || rep.Applied == bad {
-				t.Fatalf("%v: %+v err=%v, fresh evaluation says violated=%v", u, rep, err, bad)
+		rejected := 0
+		for _, u := range []store.Update{
+			store.Ins("edge", relation.Ints(2, 3)), // builds the fixpoints
+			store.Ins("edge", relation.Ints(1, 9)), // hub: new edge is the larger of the pair
+			store.Ins("edge", relation.Ints(1, 2)), // … the smaller
+			store.Ins("edge", relation.Ints(1, 5)), // duplicate: no pair with itself
+			store.Ins("edge", relation.Ints(7, 7)), // back: the new edge twice
+			store.Ins("edge", relation.Ints(3, 3)), // … on a node not banned
+			store.Ins("edge", relation.Ints(8, 2)), // first out-edge of a banned node
+			store.Ins("edge", relation.Ints(8, 4)), // second: a hub
+			store.Ins("edge", relation.Ints(2, 8)), // the way back to 8
+		} {
+			post := c.DB().Clone()
+			if err := u.Apply(post); err != nil {
+				t.Fatal(err)
 			}
-			for _, d := range rep.Decisions {
-				if d.Phase != PhaseGlobal {
-					t.Fatalf("%v: %s decided by %v, want global", u, d.Constraint, d.Phase)
+			bad := false
+			for _, k := range c.constraints {
+				v, err := eval.PanicHolds(k.Prog, post.Clone())
+				if err != nil {
+					t.Fatal(err)
 				}
+				bad = bad || v
 			}
-			checkKept(t, c)
+			if bad {
+				rejected++
+			}
+			for _, decide := range []func(store.Update) (Report, error){c.Check, c.Apply} {
+				rep, err := decide(u)
+				if err != nil || rep.Applied == bad {
+					t.Fatalf("%v: %+v err=%v, fresh evaluation says violated=%v", u, rep, err, bad)
+				}
+				for _, d := range rep.Decisions {
+					if d.Phase != arm.phase {
+						t.Fatalf("%v: %s decided by %v, want %v", u, d.Constraint, d.Phase, arm.phase)
+					}
+				}
+				checkKept(t, c)
+			}
 		}
-	}
-	if s := c.Stats(); rejected != 5 || s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
-		t.Fatalf("%d rejected, %+v; want 5, and every decision after the first on the two kept fixpoints", rejected, s)
+		if s := c.Stats(); rejected != 5 || s.FixpointRebuilds != arm.builds || s.FixpointDrops != 0 {
+			t.Fatalf("%d rejected, %+v; want 5, and %d fixpoints kept from the first decision on", rejected, s, arm.builds)
+		}
 	}
 }
 
@@ -327,7 +342,8 @@ func TestWarmGlobalCheckAllocs(t *testing.T) {
 			t.Errorf("a warm check of %v allocates %.0f times, want <= 2 (the report's Decisions, the dynamic steps' outcomes)", u, allocs)
 		}
 	}
-	if s := c.Stats(); s.FixpointRebuilds != 2 {
+	// acyclic's fixpoint, built once; banned-hub is a compiled check.
+	if s := c.Stats(); s.FixpointRebuilds != 1 || s.ByPhase[PhaseResidual] != s.Updates {
 		t.Fatalf("warm checks rebuilt: %+v", s)
 	}
 }
@@ -546,7 +562,7 @@ func TestKeptFixpointUnrelatedChecksLeaveOverlay(t *testing.T) {
 // a check that discards its rows must not take another's with them.
 func TestKeptFixpointConcurrentChecks(t *testing.T) {
 	const n = 16
-	c := chainChecker(t, n, Options{})
+	c := chainChecker(t, n, Options{DisableResidual: true}) // two kept fixpoints
 	us := []store.Update{
 		store.Ins("edge", relation.Ints(30, 40)),
 		store.Ins("edge", relation.Ints(40, 30)),
@@ -585,7 +601,7 @@ func TestKeptFixpointConcurrentChecks(t *testing.T) {
 // first panic fact, nothing is kept, and every decision is evaluated from
 // scratch until the violation is gone.
 func TestKeptFixpointNotBuiltOnViolatedStore(t *testing.T) {
-	c := chainChecker(t, 8, Options{Workers: 1})
+	c := chainChecker(t, 8, Options{Workers: 1, DisableResidual: true})
 	if _, err := c.DB().Insert("edge", relation.Ints(7, 0)); err != nil { // closes the chain
 		t.Fatal(err)
 	}

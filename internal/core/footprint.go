@@ -93,7 +93,7 @@ func (c *Checker) addClaims(p *program, s *progStep, key progKey) {
 			p.claims = append(p.claims, claim{rel: rel, col: -1, eval: true})
 		}
 	} else {
-		residual.Reads(s.k.Prog, key.rel, key.insert, key.arity, func(lit ast.Atom, sigma map[string]int) {
+		residual.Reads(s.k.flat, key.rel, key.insert, key.arity, func(lit ast.Atom, sigma map[string]int) {
 			p.claims = append(p.claims, c.residualClaim(lit, sigma))
 		})
 	}

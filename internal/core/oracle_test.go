@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -35,6 +36,28 @@ var oracleConstraints = []struct{ name, src string }{
 	{"selfjoin", "panic :- e(X,Y) & e(Y,Z) & f(Z)."},
 	{"symmetric", "panic :- e(X,Y) & g(X) & not e(Y,X)."},
 }
+
+// helperConstraints join the pool of TestCheckerAgainstOracles. With
+// oracleConstraints' hub (a self-joining helper), strata (a negated copy
+// rule) and mixed (a negated helper the expansion refuses, decided by the
+// global phase) they give every kind of helper the residual compiler
+// unfolds or refuses (residual.Flatten): negated facts, whose expansion
+// is a comparison; a helper of two rules, one disjunct each; a negated
+// copy rule whose head permutes its arguments; helpers after the literal
+// whose variables they pin to a constant or equate; and a negated copy
+// rule with a constant in its head, which the expansion refuses.
+var helperConstraints = []struct{ name, src string }{
+	{"excused", "ok(0).\nok(1).\npanic :- e(X,Y) & f(Y) & not ok(X)."},
+	{"either", "bad(X) :- e(X,X).\nbad(X) :- e(X,Y) & h(Y).\npanic :- bad(X) & g(X)."},
+	{"mirror", "link(X,Y) :- e(X,Y).\npanic :- e(X,Y) & g(X) & not link(Y,X)."},
+	{"early", "ok(1).\npanic :- e(X,Y) & f(Y) & ok(X)."},
+	{"equal", "same(X,X) :- f(X).\npanic :- e(A,B) & same(A,B) & g(A)."},
+	{"pinned", "m(X,1) :- g(X).\npanic :- e(X,Y) & h(X) & not m(X,Y)."},
+}
+
+// expanded names the constraints of the two pools that are compiled
+// checks of their expansions.
+var expanded = map[string]bool{"hub": true, "strata": true, "excused": true, "either": true, "mirror": true, "early": true, "equal": true}
 
 var oracleArity = map[string]int{"e": 2, "f": 1, "g": 1, "h": 1}
 
@@ -82,7 +105,16 @@ func violates(t *testing.T, progs map[string]*ast.Program, db *store.Store) bool
 // as it found it, versions included (storeState).
 func TestCheckerAgainstOracles(t *testing.T) {
 	var total Stats
-	rejectedMidBatch, foreign := 0, 0
+	rejectedMidBatch, foreign, expandedChecks := 0, 0, 0
+	pool := append(slices.Clone(oracleConstraints), helperConstraints...)
+	// countExpanded counts the decisions a compiled expansion made.
+	countExpanded := func(rep Report) {
+		for _, d := range rep.Decisions {
+			if expanded[d.Constraint] && d.Phase == PhaseResidual {
+				expandedChecks++
+			}
+		}
+	}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := store.New()
@@ -97,7 +129,7 @@ func TestCheckerAgainstOracles(t *testing.T) {
 		chk := New(db, Options{Workers: 1 + int(seed%2)})
 		progs := map[string]*ast.Program{}
 		add := func() {
-			k := oracleConstraints[rng.Intn(len(oracleConstraints))]
+			k := pool[rng.Intn(len(pool))]
 			if progs[k.name] != nil {
 				return
 			}
@@ -130,6 +162,7 @@ func TestCheckerAgainstOracles(t *testing.T) {
 				if err != nil || rep.Applied != want {
 					t.Fatalf("%s: check %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
 				}
+				countExpanded(rep)
 				if after := storeState(db); after != before {
 					t.Fatalf("%s: check %v wrote the store\nbefore:\n%s\nafter:\n%s", what, u, before, after)
 				}
@@ -141,6 +174,7 @@ func TestCheckerAgainstOracles(t *testing.T) {
 				if err != nil || rep.Applied != want {
 					t.Fatalf("%s: apply %v: applied=%v err=%v, references say %v\ndb:\n%s", what, u, rep.Applied, err, want, model)
 				}
+				countExpanded(rep)
 				if want {
 					model = post
 				} else if after := storeState(db); after != before {
@@ -220,13 +254,16 @@ func TestCheckerAgainstOracles(t *testing.T) {
 		total.Rejected += s.Rejected
 		total.ByPhase = map[Phase]int{PhaseGlobal: total.ByPhase[PhaseGlobal] + s.ByPhase[PhaseGlobal]}
 	}
-	t.Logf("totals: %+v midbatch=%d foreign=%d", total, rejectedMidBatch, foreign)
+	t.Logf("totals: %+v midbatch=%d foreign=%d expanded=%d", total, rejectedMidBatch, foreign, expandedChecks)
 	// The streams must have reached what the test is for.
 	if total.FixpointHits < 100 || total.FixpointRebuilds < 30 || total.FixpointDrops < 30 {
 		t.Errorf("kept fixpoints barely exercised: %+v", total)
 	}
 	if fallbacks := int64(total.ByPhase[PhaseGlobal]) - total.FixpointHits - total.FixpointRebuilds; fallbacks < 50 {
 		t.Errorf("only %d global decisions took the from-scratch fallback", fallbacks)
+	}
+	if expandedChecks < 100 {
+		t.Errorf("only %d decisions by the compiled check of a helper constraint's expansion", expandedChecks)
 	}
 	if total.Rejected < 50 || rejectedMidBatch < 5 || foreign < 10 {
 		t.Errorf("thin stream: %d rejections, %d mid-batch, %d foreign writes", total.Rejected, rejectedMidBatch, foreign)

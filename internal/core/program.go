@@ -176,7 +176,11 @@ func (c *Checker) programOf(u store.Update) *program {
 
 // compile derives the pattern's program from the constraint set. It
 // reads no data: what a step needs of the store — a residual's arity
-// folds — is compiled when the step first runs (check). Its claims do not
+// folds — is compiled when the step first runs (check). The static phases
+// come first: a constraint that does not mention the relation, or that the
+// direction cannot violate, needs no check — under Options.DisableCache
+// the phases re-derive that per update. A compiled check decides the rest
+// where the constraint has a flat form (Constraint.flat). Claims do not
 // depend on Options.DisableCache: a step the pattern-level phases decide
 // claims nothing, whether it is static or they decide it per update.
 func (c *Checker) compile(key progKey) *program {
@@ -195,21 +199,19 @@ func (c *Checker) compile(key progKey) *program {
 		s.k = k
 		d := &p.report[s.slot]
 		d.Constraint = k.Name
-		if c.residuals != nil {
-			if sh := residual.DeriveShape(k.Prog, key.rel, key.insert); sh.Eligible {
+		e := buildCacheEntry(k.Prog, key.rel, key.insert)
+		phase, static := c.staticPhase(e)
+		if !static && c.residuals != nil {
+			if sh := residual.DeriveShape(k.flat, key.rel, key.insert); sh.Eligible {
 				s.kind, d.Phase = stepResidual, PhaseResidual
-				for _, pin := range sh.Pinned {
-					if pin {
-						s.kind = stepPinned
-					}
+				if slices.Contains(sh.Pinned, true) {
+					s.kind = stepPinned
 				}
 				c.addClaims(p, s, key)
 				continue
 			}
 			p.ineligible++
 		}
-		e := buildCacheEntry(k.Prog, key.rel, key.insert)
-		phase, static := c.staticPhase(e)
 		if !c.opts.DisableCache {
 			s.entry.Store(e)
 			p.memos++
@@ -264,7 +266,7 @@ func (c *Checker) staticPhase(e *cacheEntry) (Phase, bool) {
 // against the one compiled under.
 func (c *Checker) check(s *progStep, u store.Update, schema uint64, t *tally) (*residual.Residual, bool) {
 	if s.kind == stepPinned {
-		res, hit, _ := c.residuals.For(s.k.Prog, u, c.db, c.resOpts)
+		res, hit, _ := c.residuals.For(s.k.flat, u, c.db, c.resOpts)
 		return res, hit
 	}
 	if cc := s.check.Load(); cc != nil && cc.schema == schema {
@@ -273,7 +275,7 @@ func (c *Checker) check(s *progStep, u store.Update, schema uint64, t *tally) (*
 	}
 	// schema was read before the lookup reads it again: a check compiled
 	// under a later one is labelled older than it is, and looked up again.
-	res, hit, _ := c.residuals.For(s.k.Prog, u, c.db, c.resOpts)
+	res, hit, _ := c.residuals.For(s.k.flat, u, c.db, c.resOpts)
 	s.check.Store(&compiledCheck{res, schema})
 	return res, hit
 }

@@ -712,8 +712,8 @@ func TestFlatDecisionStartsNoGoroutine(t *testing.T) {
 	gauge := &goroutineGauge{}
 	c := newChecker(t, "e(1,2). banned(9).", Options{Workers: 4, ProbeRouter: gauge})
 	for name, src := range map[string]string{
-		"acyclic": oracleConstraints[0].src,
-		"hub":     "hub(X) :- e(X,Y) & e(X,Z) & Y < Z.\npanic :- hub(X) & banned(X).",
+		"acyclic":     oracleConstraints[0].src,
+		"banned-loop": "r(X,Y) :- e(X,Y).\nr(X,Y) :- r(X,Z) & e(Z,Y).\npanic :- r(X,X) & banned(X).",
 	} {
 		if err := c.AddConstraintSource(name, src); err != nil {
 			t.Fatal(err)

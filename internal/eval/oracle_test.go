@@ -43,6 +43,16 @@ var oraclePrograms = []string{
 	// a comparison decided on handles gets them backwards.
 	"up(X,Y) :- edge(X,Y) & X < Y.\nup(X,Z) :- up(X,Y) & edge(Y,Z) & X < Z.\npanic :- up(X,Y) & f(L) & X <= L & L < Y.",
 	"low(X) :- e(X) & f(Y) & X <= Y.\nhigh(X) :- low(X) & g(Z) & Z < X.\npanic :- high(X) & low(Y) & Y < X.",
+	// Nonrecursive helpers and the flat programs the residual compiler
+	// unfolds them into (residual.Flatten): a self-joining helper; a
+	// negated copy rule; negated facts, whose expansion is a comparison;
+	// and a negated helper the expansion refuses.
+	"panic :- edge(X,Y) & edge(X,Z) & Y < Z & g(X).",
+	"m(X) :- g(X).\npanic :- edge(X,Y) & f(Y) & not m(X).",
+	"panic :- edge(X,Y) & f(Y) & not g(X).",
+	"ok(0).\nok(1).\npanic :- edge(X,Y) & h(Y) & not ok(X).",
+	"panic :- edge(X,Y) & h(Y) & X <> 0 & X <> 1.",
+	"out(X) :- edge(X,Y) & h(Y).\npanic :- f(X) & g(X) & not out(X).",
 }
 
 // orderDomain is a value domain in ascending value order — rationals,

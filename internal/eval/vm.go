@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -151,7 +152,13 @@ type planSpec struct {
 	// before every other positive literal: a delta-seeded run starts each
 	// rule from its delta literal.
 	first int
-	// head is the rule head, nil for an existence test.
+	// head is the rule head, nil for an existence test (a residual
+	// disjunct). An existence test plans a positive atom all of whose
+	// arguments are bound — one probe that binds nothing and can only prune
+	// — before any that binds a variable. A rule keeps most-bound-first:
+	// its joins read no more store tuples than its scan arm, which reads in
+	// textual order, and a probe moved ahead of a comparison that would have
+	// pruned it can read more.
 	head *ast.Atom
 }
 
@@ -194,7 +201,9 @@ func termsOf(as []ast.Term) []Term {
 
 // planBody orders the body: comparisons and negations at the earliest
 // point their variables are bound, positive atoms greedily most-bound-first
-// (ties and the scan arm in textual order), and ranged where they have no
+// (ties and the scan arm in textual order; in an existence test, an atom
+// all of whose arguments are bound before any that binds a variable), and
+// ranged where they have no
 // probe column but an order comparison bounds a column they bind
 // (rangeBound). It returns nil when a positive atom over an existing
 // stored relation of disagreeing arity makes the body underivable; negated
@@ -323,6 +332,9 @@ func planBody(body []Lit, sp planSpec) *Plan {
 					if before(a) {
 						score++
 					}
+				}
+				if score == len(body[bi].Args) && sp.head == nil {
+					score = math.MaxInt // binds nothing: one probe that can only prune
 				}
 				if score > best {
 					best, pick = score, idx

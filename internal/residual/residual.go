@@ -6,7 +6,10 @@
 // The construction is the simplified integrity checking of Nicolas
 // [1982] as systematized by Lloyd/Topor and Martinenghi, specialized to
 // this repository's flat constraints (every rule head is the 0-ary goal
-// panic, every body atom a stored relation). Under the standing
+// panic, every body atom a stored relation); a nonrecursive constraint
+// with helper predicates is unfolded into that form first (Flatten),
+// under which a self-joining helper becomes a self-join of the stored
+// relation, every occurrence of it harmful. Under the standing
 // invariant that all constraints hold before each update, a panic
 // derivation in the updated database must use the update somewhere:
 //
@@ -47,6 +50,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/containment"
 	"repro/internal/eval"
 	"repro/internal/ineq"
 	"repro/internal/relation"
@@ -113,24 +117,53 @@ type Shape struct {
 	Pinned []bool
 }
 
-// DeriveShape analyzes prog for updates of the given polarity on rel.
-// Eligibility requires the flat constraint form the correctness argument
-// rests on: every rule head is panic and no body atom mentions panic.
-// Negation and comparisons are fine; helper (IDB) predicates are not —
-// those constraints fall back to the full pipeline.
-func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
-	if rel == ast.PanicPred {
-		return Shape{}
+// flatCap bounds the rules of an expansion Flatten accepts: each rule is
+// a disjunct per harmful occurrence, compiled for every pattern and run
+// on every decision of it.
+const flatCap = 32
+
+// Flatten returns prog in the flat form the compiler reads — every rule
+// head panic, every body atom a stored relation: prog itself when it is
+// flat, else the union of panic rules its helpers unfold into
+// (containment.Expand, the Sagiv–Yannakakis expansion). The expansion is
+// equivalent to prog on every database, so a check compiled from it
+// decides the constraint as written. Flatten returns nil for a recursive
+// program, one whose negated helpers Expand refuses, and an expansion of
+// more than flatCap rules: the global phase decides those.
+func Flatten(prog *ast.Program) *ast.Program {
+	if isFlat(prog) {
+		return prog
 	}
+	rules, err := containment.Expand(prog, ast.PanicPred)
+	if err != nil || len(rules) > flatCap {
+		return nil
+	}
+	return ast.NewProgram(rules...)
+}
+
+// isFlat reports whether prog is in the form the correctness argument rests
+// on: every rule head is panic and no body atom mentions panic.
+func isFlat(prog *ast.Program) bool {
 	for _, r := range prog.Rules {
 		if r.Head.Pred != ast.PanicPred {
-			return Shape{}
+			return false
 		}
 		for _, l := range r.Body {
 			if !l.IsComp() && l.Atom.Pred == ast.PanicPred {
-				return Shape{}
+				return false
 			}
 		}
+	}
+	return true
+}
+
+// DeriveShape analyzes a constraint in flat form for updates of the given
+// polarity on rel. Negation and comparisons are fine; a program that is
+// not flat — nil, or one with helper predicates, which Flatten unfolds
+// first — and an update of the goal predicate itself are never eligible.
+func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
+	if prog == nil || rel == ast.PanicPred || !isFlat(prog) {
+		return Shape{}
 	}
 	sh := Shape{Eligible: true, Arity: -1}
 	for _, r := range prog.Rules {

@@ -1,6 +1,7 @@
 package residual
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -36,12 +37,14 @@ func TestDeriveShapeEligibility(t *testing.T) {
 		{"panic :- emp(E,D) & not dept(D).", "dept", true, true, -1, nil},
 		// A constant in a harmful occurrence pins the position.
 		{"panic :- emp(E,sales,S) & emp(E,accounting,S).", "emp", true, true, 3, []bool{false, true, false}},
-		// Helper (IDB) predicates disqualify the whole constraint.
-		{"panic :- boss(E,E).\nboss(E,M) :- mgr(E,M).", "mgr", true, false, 0, nil},
+		// Helper (IDB) predicates are unfolded first (Flatten).
+		{"panic :- boss(E,E).\nboss(E,M) :- mgr(E,M).", "mgr", true, true, 2, []bool{false, false}},
+		// A recursive constraint has no flat form.
+		{"panic :- reach(X,X).\nreach(X,Y) :- mgr(X,Y).\nreach(X,Y) :- reach(X,Z) & mgr(Z,Y).", "mgr", true, false, 0, nil},
 		// Updates to the goal predicate itself are never eligible.
 		{"panic :- p(X).", "panic", true, false, 0, nil},
 	} {
-		sh := DeriveShape(prog(t, tc.src), tc.rel, tc.insert)
+		sh := DeriveShape(Flatten(prog(t, tc.src)), tc.rel, tc.insert)
 		if sh.Eligible != tc.eligible {
 			t.Errorf("%q %s insert=%v: eligible=%v, want %v", tc.src, tc.rel, tc.insert, sh.Eligible, tc.eligible)
 			continue
@@ -62,6 +65,45 @@ func TestDeriveShapeEligibility(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// Flatten keeps a flat program, unfolds helpers into a union of panic
+// rules equivalent to the program as written, and refuses recursion, the
+// negated helpers Expand cannot unfold, and an expansion past flatCap.
+func TestFlattenCap(t *testing.T) {
+	flat := prog(t, "panic :- e(X,Y) & not f(Y).")
+	if Flatten(flat) != flat {
+		t.Error("a flat program was rewritten")
+	}
+	// a has m rules, b has n: the expansion of a(X) & b(X) has m·n.
+	product := func(m, n int) *ast.Program {
+		var sb strings.Builder
+		for i := 0; i < m; i++ {
+			fmt.Fprintf(&sb, "a(X) :- p%d(X).\n", i)
+		}
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "b(X) :- q%d(X).\n", i)
+		}
+		sb.WriteString("panic :- a(X) & b(X).")
+		return prog(t, sb.String())
+	}
+	if f := Flatten(product(4, flatCap/4)); f == nil || len(f.Rules) != flatCap {
+		t.Errorf("an expansion of %d rules: %v, want it kept", flatCap, f)
+	}
+	if f := Flatten(product(4, flatCap/4+1)); f != nil {
+		t.Errorf("an expansion of %d rules was kept", len(f.Rules))
+	}
+	for _, src := range []string{
+		"panic :- r(X,X).\nr(X,Y) :- e(X,Y).\nr(X,Y) :- r(X,Z) & e(Z,Y).",
+		"out(X) :- e(X,Y).\npanic :- f(X) & not out(X).", // not a copy rule
+	} {
+		if f := Flatten(prog(t, src)); f != nil {
+			t.Errorf("%s flattened to\n%s", src, f)
+		}
+	}
+	if got := Flatten(prog(t, "m(X) :- f(X).\nok(1).\npanic :- e(X,Y) & not m(Y) & not ok(X).")).String(); got != "panic :- e(X,Y) & not f(Y) & X <> 1." {
+		t.Errorf("negated copy rule and fact unfold to %s", got)
 	}
 }
 
@@ -291,8 +333,9 @@ func TestProgramRendering(t *testing.T) {
 
 // TestEmbeddedResidualsUnchanged pins what a checker with nothing remote
 // compiles for the constraints of the benchmark's three embedded
-// workloads (embed_flat and serve_http share theirs; embed_recursive's
-// are refused): the renderings recorded at the commit before local
+// workloads (embed_flat and serve_http share theirs; of embed_recursive's
+// the recursive one is refused, the helper one compiles from its
+// expansion): the renderings recorded at the commit before local
 // certificates existed, and no certificate — those are compiled only
 // under Options.Local.
 func TestEmbeddedResidualsUnchanged(t *testing.T) {
@@ -335,13 +378,15 @@ func TestEmbeddedResidualsUnchanged(t *testing.T) {
 		{high, "salRange", false, "always-safe: "},
 		{acyclic, "edge", true, "ineligible"},
 		{acyclic, "edge", false, "ineligible"},
-		{hub, "banned", true, "ineligible"},
-		{hub, "banned", false, "ineligible"},
-		{hub, "edge", true, "ineligible"},
-		{hub, "edge", false, "ineligible"},
+		// The helper unfolds (Flatten): a self-join of edge, every
+		// occurrence harmful; the bound banned probe is planned first.
+		{hub, "banned", true, "residual-goal: panic :- edge(1,R$0) & edge(1,R$1) & R$0 < R$1."},
+		{hub, "banned", false, "always-safe: "},
+		{hub, "edge", true, "residual-goal: panic :- banned(1) & edge(1,R$0) & 2 < R$0.\npanic :- banned(1) & edge(1,R$0) & R$0 < 2."},
+		{hub, "edge", false, "always-safe: "},
 	} {
-		p := prog(t, c.src)
-		got := "ineligible"
+		p := Flatten(prog(t, c.src))
+		got := "ineligible" // recursive: no flat form
 		if sh := DeriveShape(p, c.rel, c.insert); sh.Eligible {
 			res := Compile(p, c.rel, c.insert, tuples[c.rel], sh, db, Options{})
 			got = res.Outcome().String() + ": " + res.Program(tuples[c.rel]).String()

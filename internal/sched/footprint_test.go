@@ -207,14 +207,18 @@ func TestIndexConservativeWithoutResidual(t *testing.T) {
 	}
 }
 
+// refusedSrc names a helper residual.Flatten refuses to unfold.
+const refusedSrc = `
+	covered(Z) :- l(Z, Y) & Z <= Y.
+	panic :- r(Z) & not covered(Z).
+`
+
 func TestIndexIDBFallsBackToConservative(t *testing.T) {
-	// A helper predicate makes the constraint residual-ineligible, so
-	// even with residual dispatch on the read set must cover every EDB
-	// relation (the pipeline may reach phase 3 / global evaluation).
-	ix := index(t, nil, `
-		covered(Z) :- l(Z, Y) & Z <= Y.
-		panic :- r(Z) & covered(Z).
-	`)
+	// A helper the compiler cannot unfold (negated, and neither a fact nor
+	// a copy rule) makes the constraint residual-ineligible, so even with
+	// residual dispatch on the read set must cover every EDB relation (the
+	// pipeline may reach phase 3 / global evaluation).
+	ix := index(t, nil, refusedSrc)
 	got := ix.Update(store.Ins("r", relation.Ints(1))).Reads
 	if !reflect.DeepEqual(got, []sched.Read{whole("l"), whole("r")}) {
 		t.Fatalf("IDB constraint reads = %v, want [l r], whole", got)
@@ -320,10 +324,14 @@ func TestIndexKeyedSpecs(t *testing.T) {
 		{"one occurrence per disjunct: each names its own group",
 			[]string{`panic :- e(X, Y) & e(Y, Z) & X < Z.`}, store.Ins("e", relation.Ints(1, 2)),
 			[]sched.Read{keyed("e", 0, i(2)), keyed("e", 1, i(1))}},
-		{"a second constraint that is not residual-eligible keeps the claim whole",
+		{"a helper unfolds: its literals are claimed like a flat constraint's",
 			[]string{refSrc, "orphan(D) :- emp(E, D) & not dept(D).\npanic :- orphan(D) & audited(D)."},
 			store.Del("dept", relation.Ints(42)),
-			[]sched.Read{keyed("emp", 1, i(42)), whole("audited"), whole("dept"), whole("emp")}},
+			[]sched.Read{keyed("emp", 1, i(42)), keyed("audited", 0, i(42))}},
+		{"a second constraint that is not residual-eligible keeps the claim whole",
+			[]string{refSrc, "orphan(D) :- emp(E, D) & not staffed(D).\nstaffed(D) :- dept(D) & head(D, M).\npanic :- orphan(D) & audited(D)."},
+			store.Del("dept", relation.Ints(42)),
+			[]sched.Read{keyed("emp", 1, i(42)), whole("audited"), whole("dept"), whole("emp"), whole("head")}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -510,11 +518,9 @@ func TestIndexReadPlan(t *testing.T) {
 		t.Fatalf("unkeyed residual read misclassified: %+v", rp)
 	}
 
-	// Residual-ineligible (IDB helper): evaluation reads, router-served.
-	ix4 := index(t, placed{"r": 0}, `
-		covered(Z) :- l(Z, Y) & Z <= Y.
-		panic :- r(Z) & covered(Z).
-	`)
+	// Residual-ineligible (a helper Flatten refuses): evaluation reads,
+	// router-served.
+	ix4 := index(t, placed{"r": 0}, refusedSrc)
 	u := store.Ins("r", relation.Ints(1))
 	if r, l := ix4.ReadPlan(u, "r"), ix4.ReadPlan(u, "l"); !r.Eval || !l.Eval || r.Mirror {
 		t.Fatalf("general read misclassified: r %+v, l %+v", r, l)

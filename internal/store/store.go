@@ -81,8 +81,12 @@ func (s *Store) get(name string) *relation.Relation {
 	return s.rels[name]
 }
 
-// charge adds n tuple reads to the named relation's counter.
+// charge adds n tuple reads to the named relation's counter. A probe
+// that read nothing takes no lock.
 func (s *Store) charge(name string, n int64) {
+	if n == 0 {
+		return
+	}
 	s.readsMu.Lock()
 	s.reads[name] += n
 	s.readsMu.Unlock()

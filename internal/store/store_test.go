@@ -256,6 +256,39 @@ func TestLookupColsCharging(t *testing.T) {
 	}
 }
 
+// A probe stream of hits and misses charges exactly the tuples the hits
+// return: a miss moves neither counter.
+func TestMissedProbesChargeNothing(t *testing.T) {
+	s := New()
+	for i := int64(0); i < 10; i++ {
+		if _, err := s.Insert("r", relation.Ints(i%3, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Insert("q", relation.Ints(7)); err != nil {
+		t.Fatal(err)
+	}
+	cols := []int{0}
+	var want int64
+	for i := int64(0); i < 40; i++ {
+		key := []relation.Handle{relation.Intern(ast.Int(i % 5))} // 3 and 4 miss
+		before, total := s.Reads("r"), s.TotalReads()
+		n := int64(len(s.LookupColsAppend(nil, "r", cols, key)))
+		n += int64(len(s.Lookup("r", 0, ast.Int(i%5))))
+		n += int64(len(s.RangeAppend(nil, "r", 2, []relation.Range{{Col: 1, HasLo: true, Lo: ast.Int(i % 12)}})))
+		want += n
+		if n == 0 && (s.Reads("r") != before || s.TotalReads() != total) {
+			t.Fatalf("probe %d read nothing but moved the counters: r %d→%d, total %d→%d", i, before, s.Reads("r"), total, s.TotalReads())
+		}
+		if got := s.Reads("r"); got != want {
+			t.Fatalf("after probe %d: Reads(r) = %d, want %d", i, got, want)
+		}
+	}
+	if got := s.TotalReads(); got != want || s.Reads("q") != 0 {
+		t.Fatalf("TotalReads = %d, Reads(q) = %d; want %d, 0", got, s.Reads("q"), want)
+	}
+}
+
 func TestReplaceCarriesIndexSignatures(t *testing.T) {
 	s := New()
 	if _, err := s.Insert("r", relation.Ints(1, 2)); err != nil {
