@@ -15,35 +15,73 @@ import (
 // Sharder (the default) means every relation is stored here.
 //
 // The read claims need it for one reason each: a decision that reads a
-// remote relation first rewrites its mirror — one key group on the
-// shard-key column, or the whole relation — so its claim on that
-// relation may be no finer than what the refresh rewrites (ReadPlan names
-// the key groups to fetch); and a task that touches a remote relation
-// may wait on a site (sched.Footprint.Wire).
+// remote relation first rewrites its mirror — the range of one column its
+// compiled checks probe (ReadPlan names them), or the whole relation —
+// and only a key group of the shard-key column is rewritten by itself, so
+// only there may its claim be finer than the whole relation; and a task
+// that touches a remote relation may wait on a site
+// (sched.Footprint.Wire).
 type Sharder interface {
 	// Remote reports whether rel is mirrored from remote sites.
 	Remote(rel string) bool
-	// ShardKey returns the column rel's mirror is refreshed by, one key
-	// group at a time, and ok=true when there is one (a hash-partitioned
-	// relation with routing on); ok=false when the mirror is only ever
-	// refreshed as a whole.
+	// ShardKey returns the column rel is hash-partitioned by, whose key
+	// groups are each read from one shard, and ok=true when there is one;
+	// ok=false when the relation is placed whole.
 	ShardKey(rel string) (col int, ok bool)
 }
 
 // claim is one read a decision of a pattern may make, in terms of the
-// update tuple: the whole relation (col < 0), or the key group of column
-// col whose key is the tuple's value at pos, or key when pos < 0. A
-// program's claims are the union of its steps' (compile): a step the
-// pattern-level phases decide claims nothing, a compiled check the other
-// literals of each disjunct (residualClaim), any other step every
-// relation its evaluation reads.
+// update tuple: the tuples of rel whose column col lies between lo and hi
+// — a point when both are the same value, closed — or the whole relation
+// (col < 0). A program's claims are the union of its steps' (compile): a
+// step the pattern-level phases decide claims nothing, a compiled check
+// the other literals of each disjunct (residualClaim), any other step
+// every relation its evaluation reads.
 type claim struct {
-	rel      string
-	col, pos int
-	key      relation.Handle
+	rel    string
+	col    int
+	lo, hi end
+	// keyed marks a point the scheduler may confine the claim to: on any
+	// column of a relation stored here, on the shard-key column of a
+	// remote one. Any other claim is of the whole relation to it.
+	keyed bool
 	// eval marks a dynamic step's read: phase 3 or an evaluation, which a
 	// coordinator's probe router serves, rather than a compiled check.
 	eval bool
+}
+
+// end is one bound of a claim, when set: the update tuple's value at pos,
+// or key when pos < 0; open when that value itself lies outside.
+type end struct {
+	set, open bool
+	pos       int
+	key       relation.Handle
+}
+
+// handle is the bound's interned value for a tuple of handles hs.
+func (e end) handle(hs []relation.Handle) relation.Handle {
+	if e.pos >= 0 {
+		return hs[e.pos]
+	}
+	return e.key
+}
+
+// rangeOf instantiates the claim's bounds for the tuple t.
+func (cl claim) rangeOf(t relation.Tuple) relation.Range {
+	rg := relation.Range{Col: cl.col, HasLo: cl.lo.set, LoOpen: cl.lo.open, HasHi: cl.hi.set, HiOpen: cl.hi.open}
+	value := func(e end) ast.Value {
+		if e.pos >= 0 {
+			return t[e.pos]
+		}
+		return relation.InternedValue(e.key)
+	}
+	if rg.HasLo {
+		rg.Lo = value(cl.lo)
+	}
+	if rg.HasHi {
+		rg.Hi = value(cl.hi)
+	}
+	return rg
 }
 
 // remote reports whether rel is mirrored from a site.
@@ -52,32 +90,74 @@ func (c *Checker) remote(rel string) bool {
 }
 
 // residualClaim is what a compiled check reads of one literal of a
-// disjunct, σ being the disjunct's substitution (residual.Reads): the key
-// group of the first column σ binds to a tuple position, failing that of
-// the first column a constant fixes, and the whole relation where neither
-// does — a key flowing in from a join ranges over data the update does
-// not determine. The probe binds the keyed column, so a tuple outside the
-// group is never a candidate. Any such column is sound for a relation
-// stored here; a remote one may be keyed on its shard-key column only,
-// because the decision refreshes the mirror before it reads it and a
-// refresh that is not of that key group rewrites the whole relation.
-func (c *Checker) residualClaim(lit ast.Atom, sigma map[string]int) claim {
-	cl := claim{rel: lit.Pred, col: -1}
-	lo, hi := 0, len(lit.Args) // the columns the claim may be keyed on
-	if c.remote(cl.rel) {
-		kc, ok := c.opts.Sharder.ShardKey(cl.rel)
-		if !ok || kc >= hi {
-			return cl
+// disjunct, σ being the disjunct's substitution and comps its comparisons
+// (residual.Reads). A column σ binds to a tuple position, or a constant
+// fixes, is a point: the probe binds it, so a tuple outside it is never a
+// candidate. Failing a point, a column whose variable the comparisons
+// bound by tuple positions or constants is a range: a tuple outside it
+// fails the comparison. Failing both the claim is the whole relation — a
+// key flowing in from a join ranges over data the update does not
+// determine. The point is the shard-key column's on a remote relation
+// that has one, else the first column σ binds, else the first a constant
+// fixes; the range is the first column bounded on both sides, else on
+// one.
+func (c *Checker) residualClaim(lit ast.Atom, sigma map[string]int, comps []ast.Comparison) claim {
+	remote := c.remote(lit.Pred)
+	// bound is t as a bound: a tuple position or a constant.
+	bound := func(t ast.Term) (end, bool) {
+		if pos, ok := sigma[t.Var]; t.IsVar() && ok {
+			return end{set: true, pos: pos}, true
 		}
-		lo, hi = kc, kc+1
+		if t.IsConst() {
+			return end{set: true, pos: -1, key: relation.Intern(t.Const)}, true
+		}
+		return end{}, false
 	}
-	for col := lo; col < hi; col++ {
-		a := lit.Args[col]
-		if pos, bound := sigma[a.Var]; a.IsVar() && bound {
-			return claim{rel: cl.rel, col: col, pos: pos}
+	kc := -1 // a remote relation's shard-key column: preferred, and alone keyed
+	if remote {
+		if col, ok := c.opts.Sharder.ShardKey(lit.Pred); ok {
+			kc = col
 		}
-		if a.IsConst() && cl.col < 0 {
-			cl.col, cl.pos, cl.key = col, -1, relation.Intern(a.Const)
+	}
+	pick := -1
+	for col, a := range lit.Args {
+		if e, ok := bound(a); ok && (pick < 0 || col == kc || pick != kc && e.pos >= 0 && lit.Args[pick].IsConst()) {
+			pick = col
+		}
+	}
+	if pick >= 0 {
+		e, _ := bound(lit.Args[pick])
+		return claim{rel: lit.Pred, col: pick, lo: e, hi: e, keyed: !remote || pick == kc}
+	}
+	cl := claim{rel: lit.Pred, col: -1}
+	for col, a := range lit.Args {
+		if !a.IsVar() {
+			continue
+		}
+		var lo, hi end
+		for _, cmp := range comps {
+			op, other := cmp.Op, cmp.Right
+			switch {
+			case cmp.Left.IsVar() && cmp.Left.Var == a.Var:
+			case cmp.Right.IsVar() && cmp.Right.Var == a.Var:
+				op, other = op.Flip(), cmp.Left
+			default:
+				continue
+			}
+			e, ok := bound(other)
+			switch {
+			case !ok:
+			case (op == ast.Lt || op == ast.Le) && !hi.set:
+				hi, hi.open = e, op == ast.Lt
+			case (op == ast.Gt || op == ast.Ge) && !lo.set:
+				lo, lo.open = e, op == ast.Gt
+			}
+		}
+		if lo.set && hi.set {
+			return claim{rel: lit.Pred, col: col, lo: lo, hi: hi}
+		}
+		if (lo.set || hi.set) && cl.col < 0 {
+			cl.col, cl.lo, cl.hi = col, lo, hi
 		}
 	}
 	return cl
@@ -93,8 +173,8 @@ func (c *Checker) addClaims(p *program, s *progStep, key progKey) {
 			p.claims = append(p.claims, claim{rel: rel, col: -1, eval: true})
 		}
 	} else {
-		residual.Reads(s.k.flat, key.rel, key.insert, key.arity, func(lit ast.Atom, sigma map[string]int) {
-			p.claims = append(p.claims, c.residualClaim(lit, sigma))
+		residual.Reads(s.k.flat, key.rel, key.insert, key.arity, func(lit ast.Atom, sigma map[string]int, comps []ast.Comparison) {
+			p.claims = append(p.claims, c.residualClaim(lit, sigma, comps))
 		})
 	}
 }
@@ -155,11 +235,8 @@ func (f Footprints) reads(u store.Update) (sched.Footprint, []relation.Handle) {
 	}
 	for _, cl := range p.claims {
 		r := sched.Read{Relation: cl.rel}
-		if cl.col >= 0 {
-			r.Keyed, r.Col, r.Key = true, cl.col, cl.key
-			if cl.pos >= 0 {
-				r.Key = hs[cl.pos]
-			}
+		if cl.keyed {
+			r.Keyed, r.Col, r.Key = true, cl.col, cl.lo.handle(hs)
 		}
 		if !slices.Contains(fp.Reads, r) {
 			fp.Reads = append(fp.Reads, r)
@@ -172,15 +249,15 @@ func (f Footprints) reads(u store.Update) (sched.Footprint, []relation.Handle) {
 // for a coordinator choosing what to refresh before it. All fields zero
 // means the decision never reads the relation.
 type ReadPlan struct {
-	// Keys are the exact shard-key values the compiled checks probe the
-	// relation with — set only when every compiled-check read of it is
-	// such a probe. A refresh that ships just those key groups makes the
-	// mirror exactly as fresh as the checks need, and they are the groups
-	// the update's footprint claims.
-	Keys []ast.Value
-	// Mirror: a compiled check may range over the relation outside any key
-	// group of the shard-key column, so the mirror must be refreshed in
-	// full.
+	// Ranges bound the relation's reads by the compiled checks, for the
+	// update's tuple: one column each, a key group being the point range of
+	// its column — set only when every compiled-check read of it is
+	// bounded. A refresh that ships just those ranges makes the mirror
+	// exactly as fresh as the checks need; a point on the shard-key column
+	// is also the group the update's footprint claims.
+	Ranges []relation.Range
+	// Mirror: a compiled check may range over the whole relation, so the
+	// mirror must be refreshed in full.
 	Mirror bool
 	// Eval: a constraint left to phase 3 or an evaluation reads the
 	// relation, which an evaluation-level probe router can serve at probe
@@ -191,35 +268,23 @@ type ReadPlan struct {
 // ReadPlan instantiates the claims of u's program on rel for its tuple.
 func (f Footprints) ReadPlan(u store.Update, rel string) ReadPlan {
 	var rp ReadPlan
-	kc, sharded := -1, false
-	if f.c.opts.Sharder != nil {
-		kc, sharded = f.c.opts.Sharder.ShardKey(rel)
-	}
-next:
 	for _, cl := range f.c.programOf(u).claims {
 		switch {
 		case cl.rel != rel:
 		case cl.eval:
 			rp.Eval = true
-		case cl.col < 0 || !sharded || cl.col != kc:
+		case cl.col < 0:
 			rp.Mirror = true
 		default:
-			h := cl.key
-			if cl.pos >= 0 {
-				h = relation.Intern(u.Tuple[cl.pos])
+			if rg := cl.rangeOf(u.Tuple); !slices.ContainsFunc(rp.Ranges, rg.Equal) {
+				rp.Ranges = append(rp.Ranges, rg)
 			}
-			for _, k := range rp.Keys {
-				if relation.Intern(k) == h {
-					continue next
-				}
-			}
-			rp.Keys = append(rp.Keys, relation.InternedValue(h))
 		}
 	}
 	if rp.Mirror {
-		// A whole read supersedes the keyed view: the refresh must cover
+		// A whole read supersedes the bounded ones: the refresh must cover
 		// everything anyway.
-		rp.Keys = nil
+		rp.Ranges = nil
 	}
 	return rp
 }

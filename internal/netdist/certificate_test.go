@@ -74,9 +74,9 @@ func TestCertifiedInsertSurvivesPartition(t *testing.T) {
 // TestDisableLocalDataIsTheParentArm: DisableLocalData compiles no
 // certificate and keeps no cover, and the coordinator then sends what it
 // sent before either existed — the round trips and tuples below were
-// counted under the same switch, less the writes that change nothing,
-// which are no longer sent — while the default arm reaches the same
-// verdicts over fewer of both.
+// counted under the same switch, with every read shipping the range its
+// check probes and no relation refreshed that no check reads — while the
+// default arm reaches the same verdicts over fewer of both.
 func TestDisableLocalDataIsTheParentArm(t *testing.T) {
 	for _, c := range []struct {
 		arm                   shardArm
@@ -84,10 +84,10 @@ func TestDisableLocalDataIsTheParentArm(t *testing.T) {
 		trips, applied, local int
 		tuples                int64
 	}{
-		{shardArm{name: "whole", shards: 1, noLocalData: true}, 7, 190, 177, 26, 3253},
-		{shardArm{name: "whole", shards: 1, noLocalData: true}, 23, 168, 185, 37, 2730},
-		{shardArm{name: "sharded4", shards: 4, noLocalData: true}, 7, 255, 177, 60, 481},
-		{shardArm{name: "sharded4", shards: 4, noLocalData: true}, 23, 278, 185, 60, 513},
+		{shardArm{name: "whole", shards: 1, noLocalData: true}, 7, 127, 177, 60, 63},
+		{shardArm{name: "whole", shards: 1, noLocalData: true}, 23, 120, 185, 60, 67},
+		{shardArm{name: "sharded4", shards: 4, noLocalData: true}, 7, 246, 177, 60, 76},
+		{shardArm{name: "sharded4", shards: 4, noLocalData: true}, 23, 257, 185, 60, 80},
 	} {
 		run := func(arm shardArm) (Stats, int, int64) {
 			co, _, _ := buildShardedArm(t, arm)

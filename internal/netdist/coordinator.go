@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -273,7 +272,7 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		co.shmet = newShardMetrics(co.opts.Metrics)
 	}
 	for _, rel := range co.remoteRelations() {
-		if err := co.refresh(mirrorRead{rel: rel, whole: true}); err != nil {
+		if err := co.refresh(mirrorRead{rel: rel}); err != nil {
 			return nil, err
 		}
 	}
@@ -413,49 +412,58 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 	return nil, err
 }
 
-// scanAll reads a placed relation from every shard and merges the parts —
-// one scan for a whole relation — reading each shard from a fresh replica
-// when one exists, its leader otherwise. It returns the tuples and the
-// largest arity a site reported; a sharded relation counts one scatter
-// read.
-func (co *Coordinator) scanAll(rel string) ([]relation.Tuple, int, error) {
+// fetch reads the tuples of a placed relation whose column rg.Col lies in
+// rg — every tuple when rg bounds nothing — reading each shard from a
+// fresh replica when one exists, its leader otherwise. A point on the
+// shard key of a sharded relation is asked of the owning shard alone and
+// counts one routed read; any other range is asked of every shard, all
+// at once (fanOut), and counts one scatter read of a sharded relation,
+// whose read goes under a "shard.route" span. It returns the tuples and
+// the largest arity a site reported.
+func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, int, error) {
 	shards := co.shardsOf[rel]
-	var ts []relation.Tuple
-	arity := 0
-	for _, ss := range shards {
-		site := co.readTarget(ss)
-		resp, err := co.call(site, &Request{Type: OpScan, Relation: rel})
-		if err != nil {
-			return nil, 0, err
-		}
-		part, err := DecodeTuples(resp.Tuples)
-		if err != nil {
-			return nil, 0, &RemoteError{Site: site, Msg: err.Error()}
-		}
-		ts = append(ts, part...)
-		arity = max(arity, resp.Arity)
+	i, routed := co.place.owner(rel, rg)
+	if routed {
+		shards = shards[i : i+1]
 	}
-	if len(shards) > 1 {
+	if co.place[rel].Sharded() {
+		mode := "scatter"
+		if routed {
+			mode = "routed"
+		}
+		defer co.routeSpan(rel, mode).End()
+	}
+	req := readRequest(rel, rg)
+	var ts []relation.Tuple
+	var arity int
+	var err error
+	if len(shards) == 1 {
+		// Most reads are one shard's key group: no fan-out to allocate.
+		ts, arity, err = co.fetchShard(shards[0], req)
+	} else {
+		parts, arities := make([][]relation.Tuple, len(shards)), make([]int, len(shards))
+		err = co.fanOut(len(shards), func(i int) (err error) {
+			parts[i], arities[i], err = co.fetchShard(shards[i], req)
+			return err
+		})
+		ts, arity = slices.Concat(parts...), slices.Max(arities)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	switch {
+	case routed:
+		co.noteRouted(1)
+	case len(shards) > 1:
 		co.noteScatter(1)
 	}
 	return ts, arity, nil
 }
 
-// fetchKey reads the key group of a sharded relation from the shard that
-// owns the key — a fresh replica or its leader — under a "shard.route"
-// span of the given mode. It returns the tuples and the arity the site
-// reported; the caller counts the read.
-func (co *Coordinator) fetchKey(rel string, key ast.Value, mode string) ([]relation.Tuple, int, error) {
-	ss := co.shardsOf[rel][co.place.ShardOf(rel, key)]
+// fetchShard sends one shard its copy of a read and decodes the answer.
+func (co *Coordinator) fetchShard(ss *shardState, req Request) ([]relation.Tuple, int, error) {
 	site := co.readTarget(ss)
-	sp := co.routeSpan(rel, mode)
-	resp, err := co.call(site, &Request{
-		Type:     OpFetch,
-		Relation: rel,
-		Col:      co.place[rel].KeyCol,
-		Value:    EncodeValue(key),
-	})
-	sp.End()
+	resp, err := co.call(site, &req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -466,22 +474,15 @@ func (co *Coordinator) fetchKey(rel string, key ast.Value, mode string) ([]relat
 	return ts, resp.Arity, nil
 }
 
-// refresh makes one read of a decision. A whole placed relation is
-// rebuilt from a scan of every shard. A key group of a sharded relation
-// is fetched from its owning shard and swapped into the mirror with
-// store.ReplaceKey, so the mirror is precisely as fresh as the residual
-// path's keyed probes require — shipping one key group instead of the
-// whole relation is the scale-out analogue of the paper's "consult as
-// little information as the update requires".
+// refresh makes one read of a decision: the tuples of a placed relation
+// in r's range are fetched and swapped into the mirror — a whole relation
+// rebuilt by store.Replace, a range by store.ReplaceRange, which touches
+// no tuple outside it — so the mirror is precisely as fresh as the
+// compiled checks' probes require. Shipping the range a check probes
+// instead of the whole relation is the paper's "consult as little
+// information as the update requires".
 func (co *Coordinator) refresh(r mirrorRead) error {
-	var ts []relation.Tuple
-	var arity int
-	var err error
-	if r.whole {
-		ts, arity, err = co.scanAll(r.rel)
-	} else {
-		ts, arity, err = co.fetchKey(r.rel, r.key, "key-fetch")
-	}
+	ts, arity, err := co.fetch(r.rel, r.rg)
 	if err != nil {
 		return err
 	}
@@ -494,51 +495,52 @@ func (co *Coordinator) refresh(r mirrorRead) error {
 		}
 		arity = m.Arity()
 	}
-	if r.whole {
+	if r.whole() {
 		err = co.mirror.Replace(r.rel, arity, ts)
 	} else {
-		err = co.mirror.ReplaceKey(r.rel, arity, co.place[r.rel].KeyCol, r.key, ts)
+		err = co.mirror.ReplaceRange(r.rel, arity, r.rg, ts)
 	}
 	if err != nil {
 		return &RemoteError{Site: "", Msg: err.Error()}
 	}
-	if r.whole {
-		return nil
+	if _, routed := co.place.owner(r.rel, r.rg); routed {
+		// KeyFetches is the keyed-refresh subset of ShardRouted.
+		co.statsMu.Lock()
+		co.stats.KeyFetches++
+		co.statsMu.Unlock()
+		if co.shmet != nil {
+			co.shmet.keyFetches.Inc()
+		}
 	}
-	// One routed read per key fetched, so KeyFetches stays the keyed-refresh
-	// subset of ShardRouted however many groups a decision probes and
-	// wherever another fetch fails.
-	co.statsMu.Lock()
-	co.stats.KeyFetches++
-	co.statsMu.Unlock()
-	if co.shmet != nil {
-		co.shmet.keyFetches.Inc()
-	}
-	co.noteRouted(1)
 	return nil
 }
 
-// mirrorRead is one refresh a decision needs: a whole placed relation, or
-// one key group of a sharded one.
+// mirrorRead is one refresh a decision needs: the tuples of a placed
+// relation whose column rg.Col lies in rg, the whole relation when rg
+// bounds nothing.
 type mirrorRead struct {
-	rel   string
-	whole bool
-	key   ast.Value
+	rel string
+	rg  relation.Range
 }
 
+// whole reports whether the read is of the whole relation.
+func (r mirrorRead) whole() bool { return !r.rg.HasLo && !r.rg.HasHi }
+
 // reads is the union of the refreshes a decision's members need, in the
-// order first needed: each relation or key group once, and no group of a
-// relation refreshed whole.
+// order first needed: each range once, and no range of a relation
+// refreshed whole.
 type reads []mirrorRead
 
 // add notes what the planned member u may read, and returns the number of
-// remote relations its plan needs (0: decidable wire-free). Whole
-// relations refresh in full, as ever. Sharded relations consult the
-// read plan of the claims the checker compiled for the update's pattern: keyed residual probes pull
-// just their key groups from the owning shards, unkeyed residual reads
-// refresh the whole relation (and with it every group), and relations
-// read only through global evaluation are left to the probe router (no
-// refresh at all).
+// remote relations its plan needs (0: decidable wire-free). It consults
+// the read plan of the claims the checker compiled for the update's
+// pattern: the ranges compiled checks probe — a key group is a point — are
+// refreshed alone, and an unbounded compiled-check read refreshes the
+// whole relation (and with it every range). Evaluation reads of a sharded
+// relation are left to the probe router (no refresh at all); the router
+// serves no relation placed whole, so an evaluation's read of one
+// refreshes it whole. A relation no claim names is not refreshed: the
+// refresh would write the mirror outside the decision's claims.
 func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int {
 	need := 0
 	for _, rel := range plan.Relations {
@@ -546,21 +548,17 @@ func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int 
 		if !remote {
 			continue
 		}
-		rp := core.ReadPlan{Mirror: true}
-		if pl.Sharded() {
-			rp = co.Checker.Footprints().ReadPlan(u, rel)
-		}
+		rp := co.Checker.Footprints().ReadPlan(u, rel)
 		switch {
-		case rp.Mirror:
-			rs.note(mirrorRead{rel: rel, whole: true})
-		case len(rp.Keys) > 0:
-			for _, key := range rp.Keys {
-				rs.note(mirrorRead{rel: rel, key: key})
+		case rp.Mirror || !pl.Sharded() && rp.Eval:
+			rs.note(mirrorRead{rel: rel})
+		case len(rp.Ranges) > 0:
+			for _, rg := range rp.Ranges {
+				rs.note(mirrorRead{rel: rel, rg: rg})
 			}
 		case !rp.Eval:
 			// The residual-aware analysis proves this member's check never
-			// reads rel (the plan's relation list is residual-unaware and
-			// conservative): nothing to refresh, and no wire need.
+			// reads rel: nothing to refresh, and no wire need.
 			continue
 		}
 		// Router-served reads (rp.Eval) reach the owning shard at evaluation
@@ -570,15 +568,15 @@ func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int 
 	return need
 }
 
-// note adds r unless the set covers it; a whole read replaces the groups
+// note adds r unless the set covers it; a whole read replaces the ranges
 // of its relation.
 func (rs *reads) note(r mirrorRead) {
 	for _, e := range *rs {
-		if e.rel == r.rel && (e.whole || !r.whole && e.key.Equal(r.key)) {
+		if e.rel == r.rel && (e.whole() || e.rg.Equal(r.rg)) {
 			return
 		}
 	}
-	if r.whole {
+	if r.whole() {
 		*rs = slices.DeleteFunc(*rs, func(e mirrorRead) bool { return e.rel == r.rel })
 	}
 	*rs = append(*rs, r)

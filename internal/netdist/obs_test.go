@@ -60,7 +60,7 @@ func TestCoordinatorMetricsAgreeWithStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	co, lb := metricsFixture(t, reg)
 
-	// A global update whose scan is dropped twice before delivery: one
+	// A global update whose fetch is dropped twice before delivery: one
 	// completed round trip, two retries.
 	lb.DropNext("s1", 2)
 	if rep, err := co.Apply(store.Ins("l", relation.Ints(100, 200))); err != nil || !rep.Applied {
@@ -96,14 +96,18 @@ func TestCoordinatorMetricsAgreeWithStats(t *testing.T) {
 	if snap["cc_coord_bytes_sent_total"].(int64) <= 0 || snap["cc_coord_bytes_recv_total"].(int64) <= 0 {
 		t.Error("byte counters did not move")
 	}
-	// Latency is observed per attempt, delivered or not.
-	hist, ok := snap[`cc_coord_rpc_seconds{op="scan"}`].(map[string]any)
-	if !ok {
-		t.Fatalf("no scan latency histogram in %v", snap)
+	// Latency is observed per attempt, delivered or not: the initial sync's
+	// one scan, and a bounded fetch of r for every other.
+	count := func(op string) uint64 {
+		hist, ok := snap[`cc_coord_rpc_seconds{op="`+op+`"}`].(map[string]any)
+		if !ok {
+			t.Fatalf("no %s latency histogram in %v", op, snap)
+		}
+		return hist["count"].(uint64)
 	}
 	attempts := lb.Stats().Attempts["s1"]
-	if got := hist["count"].(uint64); got != uint64(attempts) {
-		t.Errorf("rpc_seconds count = %d, want %d attempts", got, attempts)
+	if scans, fetches := count("scan"), count("fetch"); scans != uint64(st.SyncTrips) || scans+fetches != uint64(attempts) {
+		t.Errorf("rpc_seconds counts %d scans and %d fetches, want %d and %d attempts in all", scans, fetches, st.SyncTrips, attempts)
 	}
 
 	if st.RetriesBySite["s1"] != st.Retries {

@@ -221,8 +221,8 @@ func sameBatch(t *testing.T, name string, br core.BatchReport, failedAt int, rep
 // mirror AND the remote site as they were, and reports the failure index
 // and reports of applying the members one by one, at any number of
 // workers. Nothing is written anywhere before the verdict: the batch's
-// wire traffic is its members' reads — one refresh of r, which both l
-// inserts read — and no write.
+// wire traffic is its members' reads — one bounded fetch of r for each l
+// insert, of the range it probes — and no write.
 func TestPipelinedBatchAtomicRollback(t *testing.T) {
 	batch := []store.Update{
 		store.Ins("l", relation.Ints(100, 101)), // admissible
@@ -250,8 +250,9 @@ func TestPipelinedBatchAtomicRollback(t *testing.T) {
 		if got := dumpStore(remote); got != preSite {
 			t.Fatalf("%s: the rejected batch wrote the site (r(200))\nafter:\n%s\nbefore:\n%s", name, got, preSite)
 		}
-		if trips := co.Stats().RoundTrips; trips != 1 {
-			t.Fatalf("%s: %d round trips, want the one refresh of r the members read, and no write", name, trips)
+		if st := co.Stats(); st.RoundTrips != 2 || st.WireTuples != 1 {
+			t.Fatalf("%s: %d round trips shipping %d tuples, want the two ranges of r the l inserts read — r=60 in one — and no write",
+				name, st.RoundTrips, st.WireTuples)
 		}
 	}
 }

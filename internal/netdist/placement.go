@@ -67,6 +67,16 @@ func (p Placement) ShardOf(rel string, key ast.Value) int {
 	return int(h.Sum32() % uint32(len(rp.Shards)))
 }
 
+// owner returns the one shard of rel that holds every tuple in rg, and
+// ok, when there is one to route to: rg is a point on the shard key of a
+// sharded relation.
+func (p Placement) owner(rel string, rg relation.Range) (int, bool) {
+	if v, ok := rg.Point(); ok && p[rel].Sharded() && rg.Col == p[rel].KeyCol {
+		return p.ShardOf(rel, v), true
+	}
+	return 0, false
+}
+
 // PlacementFromSites lifts the classic whole-relation site specs into a
 // placement: each relation becomes a single leaderless-replica shard
 // owned by its site. New routes through this, so the default deployment

@@ -363,31 +363,147 @@ func TestShardedOracleAgreement(t *testing.T) {
 	}
 }
 
-// TestShardRoutingShipsFewerTuples pins the point of shard-routed
-// probes: deciding emp inserts against a sharded dept must ship far
-// fewer tuples when the bound shard key routes each probe to one key
-// group than when dept sits whole on one site and every decision that
-// reads it refreshes all of it.
+// TestShardRoutingShipsFewerTuples pins the point of bounded reads on
+// both placements: deciding emp inserts ships at most the key group each
+// check probes, whether dept is sharded or whole on one site, and only a
+// check that reads dept unbounded ships all of it.
 func TestShardRoutingShipsFewerTuples(t *testing.T) {
-	wire := func(shards int) Stats {
+	wire := func(shards int) (keyed, unbounded Stats) {
 		co, _, _ := buildShardedArm(t, shardArm{shards: shards})
+		if err := co.Checker.AddConstraintSource("closing", "panic :- closed(X) & dept(Y)."); err != nil {
+			t.Fatal(err)
+		}
+		before := co.Stats()
 		for i := int64(0); i < 40; i++ {
 			u := store.Ins("emp", relation.Ints(2000+i, i%30))
 			if rep, err := co.Apply(u); err != nil || !rep.Applied {
 				t.Fatalf("emp insert %d: err=%v applied=%v", i, err, rep.Applied)
 			}
 		}
-		return co.Stats()
+		keyed = co.Stats()
+		if rep, err := co.Check(store.Ins("closed", relation.Ints(1))); err != nil || rep.Applied {
+			t.Fatalf("closing with departments left: err=%v applied=%v", err, rep.Applied)
+		}
+		unbounded = co.Stats()
+		keyed.RoundTrips -= before.RoundTrips
+		keyed.WireTuples -= before.WireTuples
+		unbounded.WireTuples -= keyed.WireTuples + before.WireTuples
+		return keyed, unbounded
 	}
-	routed, whole := wire(4), wire(1)
-	if routed.ShardRouted == 0 {
-		t.Fatal("routing arm never routed a probe")
+	for _, shards := range []int{1, 4} {
+		keyed, unbounded := wire(shards)
+		// Every group holds one department: a fetch ships one tuple at most.
+		if keyed.RoundTrips == 0 || keyed.WireTuples > int64(keyed.RoundTrips) {
+			t.Errorf("%d shards: keyed checks took %d round trips for %d tuples, want a group of at most one each",
+				shards, keyed.RoundTrips, keyed.WireTuples)
+		}
+		if shards > 1 && keyed.ShardRouted == 0 {
+			t.Errorf("%d shards: no keyed check was routed to one shard", shards)
+		}
+		if unbounded.WireTuples != 30 {
+			t.Errorf("%d shards: the unbounded read shipped %d tuples, want all 30 of dept", shards, unbounded.WireTuples)
+		}
 	}
-	if whole.RoundTrips == 0 {
-		t.Fatal("whole arm never refreshed dept")
+}
+
+// TestRangeRefreshShipsTheRange: a check of an l insert reads the r points
+// inside the interval, and the coordinator ships just those — none when
+// the interval covers no point, the covered ones otherwise — over as many
+// round trips as a scan of r takes, on r placed whole or in four shards.
+// After a mixed stream, decided at four workers, the mirror still holds
+// what the sites hold.
+func TestRangeRefreshShipsTheRange(t *testing.T) {
+	// r holds 15, 35 and 60.
+	for _, c := range []struct {
+		l      relation.Tuple
+		tuples int64
+		admit  bool
+	}{
+		{relation.Ints(70, 75), 0, true},
+		{relation.Ints(36, 59), 0, true},
+		{relation.Ints(55, 65), 1, false},
+		{relation.Ints(10, 40), 2, false},
+		{relation.Ints(60, 60), 1, false},
+	} {
+		for _, shards := range []int{1, 4} {
+			co, _, _ := buildShardedArm(t, shardArm{shards: shards})
+			before := co.Stats()
+			rep, err := co.Check(store.Ins("l", c.l))
+			if err != nil || rep.Applied != c.admit {
+				t.Fatalf("%d shards, +l%v: err=%v applied=%v, want %v", shards, c.l, err, rep.Applied, c.admit)
+			}
+			st := co.Stats()
+			trips, tuples := st.RoundTrips-before.RoundTrips, st.WireTuples-before.WireTuples
+			// A scan of r asks each shard once; so does a range, but a point
+			// on the shard key asks its owner alone.
+			want := shards
+			if c.l[0].Equal(c.l[1]) {
+				want = 1
+			}
+			if tuples != c.tuples || trips != want {
+				t.Errorf("%d shards, +l%v: %d round trips shipping %d tuples, want %d shipping %d",
+					shards, c.l, trips, tuples, want, c.tuples)
+			}
+		}
 	}
-	if routed.WireTuples*5 > whole.WireTuples {
-		t.Fatalf("routed arm shipped %d tuples, whole arm %d: want at least 5x reduction", routed.WireTuples, whole.WireTuples)
+
+	for _, shards := range []int{1, 4} {
+		co, _, leaders := buildShardedArm(t, shardArm{shards: shards, batchWorkers: 4})
+		for i, r := range applyStream(co, shardStream(11, 240), 4) {
+			if r.Err != nil {
+				t.Fatalf("%d shards, update %d: %v", shards, i, r.Err)
+			}
+		}
+		merged, mirror := store.New(), store.New()
+		for _, db := range leaders {
+			for _, rel := range []string{"dept", "r"} {
+				for _, tu := range db.Tuples(rel) {
+					if _, err := merged.Insert(rel, tu); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, rel := range []string{"dept", "r"} {
+			for _, tu := range co.Checker.DB().Tuples(rel) {
+				if _, err := mirror.Insert(rel, tu); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got, want := dumpStore(mirror), dumpStore(merged); got != want {
+			t.Fatalf("%d shards: the mirror diverged from the sites\nmirror:\n%s\nsites:\n%s", shards, got, want)
+		}
+	}
+}
+
+// TestScatterWaitsOneRoundTrip: a read of every shard — a scan or a
+// bounded fetch — asks them all at once above one apply worker, so it
+// waits out one round trip, not one per shard; at one worker it asks
+// them in turn.
+func TestScatterWaitsOneRoundTrip(t *testing.T) {
+	const latency = 50 * time.Millisecond
+	for _, workers := range []int{1, 4} {
+		co, lb, _ := buildShardedArm(t, shardArm{shards: 4, batchWorkers: workers})
+		for i := 0; i < 4; i++ {
+			lb.SetLatency(fmt.Sprintf("s%d", i), latency)
+		}
+		for _, read := range []mirrorRead{
+			{rel: "r"},
+			{rel: "r", rg: relation.Range{Col: 0, Lo: ast.Int(10), Hi: ast.Int(40), HasLo: true, HasHi: true}},
+		} {
+			start := time.Now()
+			if err := co.refresh(read); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			if workers > 1 && took >= 2*latency {
+				t.Errorf("workers %d: scatter read %+v took %v, want one round trip of %v", workers, read.rg, took, latency)
+			}
+			if workers <= 1 && took < 4*latency {
+				t.Errorf("workers %d: scatter read %+v took %v, want four round trips in turn", workers, read.rg, took)
+			}
+		}
 	}
 }
 
@@ -471,7 +587,7 @@ func TestReplicaSeedAndCatchup(t *testing.T) {
 	// the round-robin must land on the replica.
 	before := lb.Stats().Delivered["s0-replica"]
 	for i := 0; i < 4; i++ {
-		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +617,7 @@ func TestReplicaFailureStaleThenResync(t *testing.T) {
 	// Stale: shard reads all fall back to the leader.
 	base := co.Stats().ReplicaReads
 	for i := 0; i < 4; i++ {
-		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,7 +641,7 @@ func TestReplicaFailureStaleThenResync(t *testing.T) {
 	// Fresh again: reads reach the replica once more.
 	before := lb.Stats().Delivered["s0-replica"]
 	for i := 0; i < 4; i++ {
-		if err := co.refresh(mirrorRead{rel: "dept", whole: true}); err != nil {
+		if err := co.refresh(mirrorRead{rel: "dept"}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,7 +41,8 @@ const (
 	// OpScan returns every tuple of a served relation.
 	OpScan = "scan"
 	// OpFetch returns the tuples of a served relation whose column Col
-	// equals Value (the indexed lookup).
+	// equals Value (a hash-index lookup), or, when Lo or Hi is set
+	// instead, lies between the bounds (an ordered-index range).
 	OpFetch = "fetch"
 	// OpApply applies one insert/delete to a served relation.
 	OpApply = "apply"
@@ -56,9 +57,16 @@ type Request struct {
 	Type string `json:"type"`
 	// Relation names the target relation (Scan, Fetch, Apply).
 	Relation string `json:"relation,omitempty"`
-	// Col and Value select Fetch's indexed lookup.
-	Col   int    `json:"col,omitempty"`
-	Value string `json:"value,omitempty"`
+	// Col and Value select Fetch's indexed lookup. Lo and Hi, each
+	// optional, bound column Col instead of Value — inclusive unless
+	// LoOpen or HiOpen — and select the tuples whose value there lies
+	// between them; a range whose Lo lies above its Hi selects nothing.
+	Col    int    `json:"col,omitempty"`
+	Value  string `json:"value,omitempty"`
+	Lo     string `json:"lo,omitempty"`
+	Hi     string `json:"hi,omitempty"`
+	LoOpen bool   `json:"lo_open,omitempty"`
+	HiOpen bool   `json:"hi_open,omitempty"`
 	// Insert and Tuple carry Apply's update (Tuple is EncodeTuple'd).
 	Insert bool     `json:"insert,omitempty"`
 	Tuple  []string `json:"tuple,omitempty"`
@@ -70,6 +78,55 @@ type Request struct {
 	// it back in Response.Spans. Old peers ignore the field (and old
 	// requests simply omit it), so the protocol stays wire-compatible.
 	Trace string `json:"trace,omitempty"`
+}
+
+// readRequest is the read of rel's tuples in rg: a Scan when rg bounds
+// nothing, a Fetch of Value when it is a point (the site's hash index),
+// a Fetch bounded by Lo and Hi otherwise.
+func readRequest(rel string, rg relation.Range) Request {
+	if !rg.HasLo && !rg.HasHi {
+		return Request{Type: OpScan, Relation: rel}
+	}
+	req := Request{Type: OpFetch, Relation: rel, Col: rg.Col}
+	if v, ok := rg.Point(); ok {
+		req.Value = EncodeValue(v)
+		return req
+	}
+	if rg.HasLo {
+		req.Lo, req.LoOpen = EncodeValue(rg.Lo), rg.LoOpen
+	}
+	if rg.HasHi {
+		req.Hi, req.HiOpen = EncodeValue(rg.Hi), rg.HiOpen
+	}
+	return req
+}
+
+// fetchRange decodes what a Fetch selects: the range of column Col its
+// bounds give, or the point Value when it has none. A bound that does not
+// decode, an open flag on a missing bound, and a Value beside bounds are
+// errors.
+func (req *Request) fetchRange() (relation.Range, error) {
+	rg := relation.Range{Col: req.Col, LoOpen: req.LoOpen, HiOpen: req.HiOpen}
+	lo, hi := req.Lo, req.Hi
+	if lo == "" && hi == "" && !rg.LoOpen && !rg.HiOpen {
+		lo, hi = req.Value, req.Value
+		if _, err := DecodeValue(req.Value); err != nil {
+			return rg, err
+		}
+	} else if req.Value != "" {
+		return rg, errors.New("netdist: fetch carries both a value and bounds")
+	}
+	var err error
+	if rg.HasLo = lo != ""; rg.HasLo {
+		rg.Lo, err = DecodeValue(lo)
+	}
+	if rg.HasHi = hi != ""; rg.HasHi && err == nil {
+		rg.Hi, err = DecodeValue(hi)
+	}
+	if err == nil && (rg.LoOpen && !rg.HasLo || rg.HiOpen && !rg.HasHi) {
+		err = errors.New("netdist: fetch bound open but missing")
+	}
+	return rg, err
 }
 
 // Response is one site→client frame.

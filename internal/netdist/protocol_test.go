@@ -150,6 +150,59 @@ func TestServerScanFetch(t *testing.T) {
 	}
 }
 
+// TestServerBoundedFetch: a fetch bounded by Lo and Hi answers the tuples
+// whose column lies between them from the site's ordered index, and the
+// bounds are outside input — an undecodable one, an open flag without
+// its bound, a Value beside bounds, a column out of range and bounds on a
+// relation the site does not serve are refused; Lo above Hi is an empty
+// answer.
+func TestServerBoundedFetch(t *testing.T) {
+	srv := NewServer(newSiteStore(t, "r(3, a). r(5, c). r(7, b). s(1)."), []string{"r"})
+	for _, c := range []struct {
+		req  Request
+		want int // tuples answered; -1: refused
+	}{
+		{Request{Lo: "#3", Hi: "#7"}, 3},
+		{Request{Lo: "#3", Hi: "#7", LoOpen: true}, 2},
+		{Request{Lo: "#3", Hi: "#7", LoOpen: true, HiOpen: true}, 1},
+		{Request{Lo: "#4"}, 2},
+		{Request{Hi: "#5", HiOpen: true}, 1},
+		{Request{Lo: "#7", Hi: "#7"}, 1},
+		{Request{Lo: "#7", Hi: "#3"}, 0},
+		{Request{Col: 1, Lo: "$b"}, 2},
+		{Request{Col: 1, Hi: "#9"}, 0}, // numbers sort before strings
+		{Request{Lo: "#x"}, -1},
+		{Request{Hi: "3"}, -1},
+		{Request{LoOpen: true}, -1},
+		{Request{Hi: "#7", LoOpen: true}, -1},
+		{Request{Lo: "#3", Value: "#3"}, -1},
+		{Request{Col: 2, Lo: "#3"}, -1},
+		{Request{Col: -1, Hi: "#3"}, -1},
+		{Request{Relation: "s", Lo: "#0"}, -1},
+	} {
+		req := c.req
+		req.Type = OpFetch
+		if req.Relation == "" {
+			req.Relation = "r"
+		}
+		resp := srv.Handle(&req)
+		if c.want < 0 {
+			if resp.OK {
+				t.Errorf("%+v: answered %v, want a refusal", c.req, resp.Tuples)
+			}
+			continue
+		}
+		if !resp.OK || len(resp.Tuples) != c.want || resp.Arity != 2 {
+			t.Errorf("%+v: %+v, want %d tuples", c.req, resp, c.want)
+		}
+		for _, tu := range resp.Tuples {
+			if _, err := DecodeTuple(tu); err != nil {
+				t.Errorf("%+v: answered an undecodable tuple %v", c.req, tu)
+			}
+		}
+	}
+}
+
 func TestServerApplyAndReads(t *testing.T) {
 	db := newSiteStore(t, "r(1).")
 	srv := NewServer(db, nil)
@@ -225,8 +278,9 @@ func TestSiteErrorMatchesSentinel(t *testing.T) {
 }
 
 // FuzzSiteHandle feeds arbitrary bytes to a site as one frame: whatever
-// decodes is handled without a panic, and a request of any type but the
-// four a coordinator sends is refused.
+// decodes is handled without a panic, a request of any type but the four
+// a coordinator sends is refused, and a fetch answered holds only tuples
+// that lie in what it selects.
 func FuzzSiteHandle(f *testing.F) {
 	for _, req := range []Request{
 		{ID: 1, Type: OpScan, Relation: "r"},
@@ -237,6 +291,11 @@ func FuzzSiteHandle(f *testing.F) {
 		{ID: 6, Type: OpReplace, Relation: "r", Arity: -1},
 		{ID: 7, Type: "eval", Relation: "r"},
 		{ID: 8, Type: "ping"},
+		{ID: 9, Type: OpFetch, Relation: "r", Lo: "#3", Hi: "#7", HiOpen: true},
+		{ID: 10, Type: OpFetch, Relation: "r", Col: 1, Lo: "$b", LoOpen: true},
+		{ID: 11, Type: OpFetch, Relation: "r", Lo: "#7", Hi: "#3"},
+		{ID: 12, Type: OpFetch, Relation: "r", Col: 3, Hi: "#1/2", Value: "#1"},
+		{ID: 13, Type: OpFetch, Relation: "s", Lo: "#0"},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, req); err != nil {
@@ -253,7 +312,20 @@ func FuzzSiteHandle(f *testing.F) {
 		srv.SetRole("replica")
 		resp := srv.Handle(&req)
 		switch req.Type {
-		case OpScan, OpFetch, OpApply, OpReplace:
+		case OpFetch:
+			if !resp.OK {
+				break
+			}
+			rg, err := req.fetchRange()
+			if err != nil {
+				t.Fatalf("site answered a fetch it cannot decode (%v): %+v", err, resp)
+			}
+			for _, tu := range resp.Tuples {
+				if v, err := DecodeTuple(tu); err != nil || !rg.Contains(v[rg.Col]) {
+					t.Fatalf("fetch %+v answered %v outside its range", req, tu)
+				}
+			}
+		case OpScan, OpApply, OpReplace:
 		default:
 			if resp.OK {
 				t.Fatalf("site answered a %q request: %+v", req.Type, resp)

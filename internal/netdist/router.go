@@ -22,18 +22,13 @@ import (
 type shardRouter struct {
 	co *Coordinator
 
-	mu   sync.Mutex
-	gen  uint64
-	full map[string][]relation.Tuple // rel -> scatter-gathered contents
-	keys map[string][]relation.Tuple // rel + "\x00" + key -> key group
+	mu    sync.Mutex
+	gen   uint64
+	cache map[string][]relation.Tuple // rel -> all of it; rel + "\x00" + key -> a key group
 }
 
 func newShardRouter(co *Coordinator) *shardRouter {
-	return &shardRouter{
-		co:   co,
-		full: map[string][]relation.Tuple{},
-		keys: map[string][]relation.Tuple{},
-	}
+	return &shardRouter{co: co, cache: map[string][]relation.Tuple{}}
 }
 
 // claims reports whether the router intercepts reads of rel — it is
@@ -48,8 +43,7 @@ func (r *shardRouter) claims(rel string) bool {
 	defer r.mu.Unlock()
 	if gen := r.co.applyGen.Load(); gen != r.gen {
 		r.gen = gen
-		clear(r.full)
-		clear(r.keys)
+		clear(r.cache)
 	}
 	return true
 }
@@ -77,14 +71,11 @@ func (r *shardRouter) Contains(rel string, t relation.Tuple) (bool, bool, error)
 	if !r.claims(rel) {
 		return false, false, nil
 	}
-	pl := r.co.place[rel]
-	var group []relation.Tuple
-	var err error
-	if pl.KeyCol < len(t) {
-		group, err = r.fetchKey(rel, t[pl.KeyCol])
-	} else {
-		group, err = r.fetchFull(rel)
+	var rg relation.Range
+	if kc := r.co.place[rel].KeyCol; kc < len(t) {
+		rg = relation.PointRange(kc, t[kc])
 	}
+	group, err := r.read(rel, rg)
 	if err != nil {
 		return false, false, err
 	}
@@ -102,52 +93,33 @@ func (r *shardRouter) Contains(rel string, t relation.Tuple) (bool, bool, error)
 func (r *shardRouter) group(rel string, pl RelPlacement, cols []int, vals []ast.Value) ([]relation.Tuple, error) {
 	for i, c := range cols {
 		if c == pl.KeyCol {
-			return r.fetchKey(rel, vals[i])
+			return r.read(rel, relation.PointRange(c, vals[i]))
 		}
 	}
-	return r.fetchFull(rel)
+	return r.read(rel, relation.Range{})
 }
 
-// fetchKey returns the key group from the owning shard, cached per
-// generation.
-func (r *shardRouter) fetchKey(rel string, key ast.Value) ([]relation.Tuple, error) {
-	ck := rel + "\x00" + relation.ValueKey(key)
+// read returns what the coordinator fetches of rel for rg — a key group
+// of the shard-key column or the whole relation — cached per generation.
+func (r *shardRouter) read(rel string, rg relation.Range) ([]relation.Tuple, error) {
+	ck := rel
+	if v, ok := rg.Point(); ok {
+		ck += "\x00" + relation.ValueKey(v)
+	}
 	r.mu.Lock()
-	group, ok := r.keys[ck]
+	ts, ok := r.cache[ck]
 	r.mu.Unlock()
 	if ok {
-		return group, nil
+		return ts, nil
 	}
-	group, _, err := r.co.fetchKey(rel, key, "routed")
-	if err != nil {
-		return nil, err
-	}
-	r.co.noteRouted(1)
-	r.mu.Lock()
-	r.keys[ck] = group
-	r.mu.Unlock()
-	return group, nil
-}
-
-// fetchFull scatter-gathers the relation from every shard, cached per
-// generation.
-func (r *shardRouter) fetchFull(rel string) ([]relation.Tuple, error) {
-	r.mu.Lock()
-	all, ok := r.full[rel]
-	r.mu.Unlock()
-	if ok {
-		return all, nil
-	}
-	sp := r.co.routeSpan(rel, "scatter")
-	defer sp.End()
-	all, _, err := r.co.scanAll(rel)
+	ts, _, err := r.co.fetch(rel, rg)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	r.full[rel] = all
+	r.cache[ck] = ts
 	r.mu.Unlock()
-	return all, nil
+	return ts, nil
 }
 
 // matchCols reports whether the tuple's projection onto cols equals

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/store"
 )
 
@@ -206,22 +207,27 @@ func (s *Server) handle(req *Request) *Response {
 		if !s.serves(req.Relation) {
 			return fail("relation %q not served", req.Relation)
 		}
+		rg, err := req.fetchRange()
+		if err != nil {
+			return fail("%v", err)
+		}
 		r := s.db.Relation(req.Relation)
 		if r == nil {
 			return &Response{OK: true}
 		}
-		if req.Col < 0 || req.Col >= r.Arity() {
-			return fail("column %d out of range for %s/%d", req.Col, req.Relation, r.Arity())
+		if rg.Col < 0 || rg.Col >= r.Arity() {
+			return fail("column %d out of range for %s/%d", rg.Col, req.Relation, r.Arity())
 		}
-		v, err := DecodeValue(req.Value)
-		if err != nil {
-			return fail("%v", err)
+		var tuples [][]string
+		if v, ok := rg.Point(); ok {
+			tuples = EncodeTuples(s.db.Lookup(req.Relation, rg.Col, v))
+		} else {
+			tuples = encodeRows(s.db.RangeAppend(nil, req.Relation, r.Arity(), []relation.Range{rg}))
 		}
-		ts := s.db.Lookup(req.Relation, req.Col, v)
 		s.mu.Lock()
-		s.stats.TuplesSent[req.Relation] += int64(len(ts))
+		s.stats.TuplesSent[req.Relation] += int64(len(tuples))
 		s.mu.Unlock()
-		return &Response{OK: true, Tuples: EncodeTuples(ts), Arity: r.Arity()}
+		return &Response{OK: true, Tuples: tuples, Arity: r.Arity()}
 
 	case OpApply:
 		if !s.serves(req.Relation) {
@@ -268,6 +274,19 @@ func (s *Server) handle(req *Request) *Response {
 
 	}
 	return fail("unknown request type %q", req.Type)
+}
+
+// encodeRows renders handle rows for the wire, as EncodeTuples does
+// tuples.
+func encodeRows(rows [][]relation.Handle) [][]string {
+	out := make([][]string, len(rows))
+	for i, row := range rows {
+		out[i] = make([]string, len(row))
+		for j, h := range row {
+			out[i][j] = EncodeValue(relation.InternedValue(h))
+		}
+	}
+	return out
 }
 
 // Serve accepts connections on l and answers frames until l is closed;

@@ -36,6 +36,44 @@ type Range struct {
 	LoOpen, HiOpen bool
 }
 
+// PointRange is the range of column col holding v alone.
+func PointRange(col int, v ast.Value) Range {
+	return Range{Col: col, Lo: v, Hi: v, HasLo: true, HasHi: true}
+}
+
+// Point returns the one value a range holds when both its bounds are set,
+// closed and equal, and ok; a point is answered by a hash index.
+func (rg Range) Point() (v ast.Value, ok bool) {
+	if rg.HasLo && rg.HasHi && !rg.LoOpen && !rg.HiOpen && rg.Lo.Equal(rg.Hi) {
+		return rg.Lo, true
+	}
+	return ast.Value{}, false
+}
+
+// Contains reports whether v lies in the range.
+func (rg Range) Contains(v ast.Value) bool {
+	if rg.HasLo {
+		if c := v.Compare(rg.Lo); c < 0 || c == 0 && rg.LoOpen {
+			return false
+		}
+	}
+	if rg.HasHi {
+		if c := v.Compare(rg.Hi); c > 0 || c == 0 && rg.HiOpen {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether two ranges bound the same column alike.
+func (rg Range) Equal(o Range) bool {
+	same := func(has, open bool, v ast.Value, oHas, oOpen bool, ov ast.Value) bool {
+		return has == oHas && (!has || open == oOpen && v.Equal(ov))
+	}
+	return rg.Col == o.Col && same(rg.HasLo, rg.LoOpen, rg.Lo, o.HasLo, o.LoOpen, o.Lo) &&
+		same(rg.HasHi, rg.HiOpen, rg.Hi, o.HasHi, o.HiOpen, o.Hi)
+}
+
 // orderedLocked returns the ordered index of col, or nil. Caller holds mu.
 func (r *Relation) orderedLocked(col int) *ordered {
 	for _, o := range r.ord {

@@ -283,7 +283,12 @@ func (r *Relation) Insert(t Tuple) bool {
 // Delete removes t; it reports whether the tuple was present.
 func (r *Relation) Delete(t Tuple) bool {
 	var scratch [8]Handle
-	hs := AppendHandles(scratch[:0], t)
+	return r.DeleteHandles(AppendHandles(scratch[:0], t))
+}
+
+// DeleteHandles removes the tuple whose handle row is hs; it reports
+// whether the tuple was present.
+func (r *Relation) DeleteHandles(hs []Handle) bool {
 	fp := FingerprintHandles(hs)
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -422,15 +422,22 @@ func sigma(occ ast.Atom) map[string]int {
 // of the given arity may read — the other body literals of each harmful
 // occurrence of that arity, comparisons aside — in rule/occurrence/literal
 // order, with the σ Compile specializes that disjunct by (variable →
-// tuple position). It needs no tuple, so it names the literals of a
-// disjunct that a constant of the occurrence or a folded comparison drops
-// for some tuples too.
-func Reads(prog *ast.Program, rel string, insert bool, arity int, f func(lit ast.Atom, sigma map[string]int)) {
+// tuple position) and the disjunct's comparisons, which bound what a
+// literal's variables may take. It needs no tuple, so it names the
+// literals of a disjunct that a constant of the occurrence or a folded
+// comparison drops for some tuples too.
+func Reads(prog *ast.Program, rel string, insert bool, arity int, f func(lit ast.Atom, sigma map[string]int, comps []ast.Comparison)) {
 	for _, o := range occurrences(prog, rel, insert, arity) {
 		s := sigma(o.rule.Body[o.oi].Atom)
+		var comps []ast.Comparison
+		for _, l := range o.rule.Body {
+			if l.IsComp() {
+				comps = append(comps, l.Comp)
+			}
+		}
 		for bi, l := range o.rule.Body {
 			if bi != o.oi && !l.IsComp() {
-				f(l.Atom, s)
+				f(l.Atom, s, comps)
 			}
 		}
 	}

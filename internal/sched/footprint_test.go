@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -481,41 +482,71 @@ func TestKeyGroupSchedulerOverlap(t *testing.T) {
 }
 
 // TestIndexReadPlan pins the coordinator-facing classification: keyed
-// residual probes surface their exact key values, unkeyed residual
-// reads demand a whole-mirror refresh, and residual-ineligible patterns
-// fall to the evaluation router.
+// residual probes surface their exact key values as point ranges,
+// comparisons bounding a residual read surface as its range, reads
+// nothing bounds demand a whole-mirror refresh, and residual-ineligible
+// patterns fall to the evaluation router.
 func TestIndexReadPlan(t *testing.T) {
+	same := func(got, want []relation.Range) bool {
+		return slices.EqualFunc(got, want, relation.Range.Equal)
+	}
 	// Key-bound: the occurrence pins D, so dept is probed with exactly
 	// the inserted tuple's second component — the group the footprint
 	// claims.
 	ix := index(t, placed{"dept": 0}, refSrc)
 	ins := store.Ins("emp", relation.Ints(1, 42))
 	rp := ix.ReadPlan(ins, "dept")
-	if len(rp.Keys) != 1 || !rp.Keys[0].Equal(ast.Int(42)) || rp.Mirror || rp.Eval {
-		t.Fatalf("key-bound read: %+v, want keys [42] only", rp)
+	if !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror || rp.Eval {
+		t.Fatalf("key-bound read: %+v, want the point 42 only", rp)
 	}
-	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, rp.Keys[0])}) {
-		t.Fatalf("footprint %v and read plan %v name different groups", got, rp.Keys)
+	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, ast.Int(42))}) {
+		t.Fatalf("footprint %v and read plan %v name different groups", got, rp.Ranges)
 	}
 	if rp := ix.ReadPlan(ins, "l"); !reflect.DeepEqual(rp, core.ReadPlan{}) {
 		t.Fatalf("relation the check never reads: %+v, want the zero plan", rp)
 	}
 	// Two disjuncts, one key: fetched once.
 	ix2 := index(t, placed{"dept": 0}, refSrc, `panic :- emp(E, D) & closed(D) & dept(D).`)
-	if rp := ix2.ReadPlan(ins, "dept"); len(rp.Keys) != 1 || rp.Mirror {
-		t.Fatalf("one key probed twice: %+v, want keys [42]", rp)
+	if rp := ix2.ReadPlan(ins, "dept"); !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror {
+		t.Fatalf("one key probed twice: %+v, want the point 42", rp)
 	}
-	// A keyed claim on a column the relation is not fetched by cannot be
-	// served by a key fetch: refresh in full.
-	if rp := ix.ReadPlan(store.Del("dept", relation.Ints(42)), "emp"); !rp.Mirror || rp.Keys != nil {
-		t.Fatalf("keyed on a non-shard-key column: %+v, want Mirror", rp)
+	// A point on a column the relation is not sharded by is a bounded read
+	// too — of every shard — though the footprint claims the whole relation.
+	del, ixe := store.Del("dept", relation.Ints(42)), index(t, placed{"dept": 0, "emp": 0}, refSrc)
+	if rp := ixe.ReadPlan(del, "emp"); !same(rp.Ranges, []relation.Range{relation.PointRange(1, ast.Int(42))}) || rp.Mirror {
+		t.Fatalf("point on a non-shard-key column: %+v, want the point 42 of column 1", rp)
+	}
+	if got := ixe.Update(del).Reads; !reflect.DeepEqual(got, []sched.Read{{Relation: "emp"}}) {
+		t.Fatalf("point on a non-shard-key column claims %v, want all of emp", got)
 	}
 
-	// Unkeyed residual read: r's key column is not pinned by the l
-	// occurrence, so the whole mirror must be refreshed.
-	ix3 := index(t, placed{"r": 0}, fiSrc)
-	if rp := ix3.ReadPlan(store.Ins("l", relation.Ints(1, 5)), "r"); !rp.Mirror || len(rp.Keys) != 0 {
-		t.Fatalf("unkeyed residual read misclassified: %+v", rp)
+	// Range-bound residual read: the l occurrence bounds r's column by its
+	// two positions, whole or sharded; the claim stays on all of r.
+	for _, p := range []placed{{"r": 0}, {"r": -1}} {
+		ix3 := index(t, p, fiSrc)
+		l := store.Ins("l", relation.Ints(1, 5))
+		want := relation.Range{Col: 0, Lo: ast.Int(1), Hi: ast.Int(5), HasLo: true, HasHi: true}
+		if rp := ix3.ReadPlan(l, "r"); !same(rp.Ranges, []relation.Range{want}) || rp.Mirror || rp.Eval {
+			t.Fatalf("%v: range-bound residual read misclassified: %+v", p, rp)
+		}
+		if got := ix3.Update(l).Reads; !reflect.DeepEqual(got, []sched.Read{{Relation: "r"}}) {
+			t.Fatalf("%v: range read claims %v, want all of r", p, got)
+		}
+	}
+	// Strict and one-sided comparisons, and a constant bound.
+	ix5 := index(t, placed{"r": 0}, `panic :- l(X, Y) & r(Z) & X < Z & Z < 10.`, `panic :- m(X) & r(Z) & Z >= X.`)
+	want := []relation.Range{{Col: 0, Lo: ast.Int(1), Hi: ast.Int(10), HasLo: true, HasHi: true, LoOpen: true, HiOpen: true}}
+	if rp := ix5.ReadPlan(store.Ins("l", relation.Ints(1, 5)), "r"); !same(rp.Ranges, want) {
+		t.Fatalf("strict bounds: %+v, want %+v", rp, want)
+	}
+	want = []relation.Range{{Col: 0, Lo: ast.Int(3), HasLo: true}}
+	if rp := ix5.ReadPlan(store.Ins("m", relation.Ints(3)), "r"); !same(rp.Ranges, want) {
+		t.Fatalf("one-sided bound: %+v, want %+v", rp, want)
+	}
+	// Nothing bounds r's column: the whole mirror must be refreshed.
+	ix6 := index(t, placed{"r": 0}, `panic :- l(X, Y) & r(Z) & Y <= X.`)
+	if rp := ix6.ReadPlan(store.Ins("l", relation.Ints(5, 1)), "r"); !rp.Mirror || len(rp.Ranges) != 0 {
+		t.Fatalf("unbounded residual read misclassified: %+v", rp)
 	}
 
 	// Residual-ineligible (a helper Flatten refuses): evaluation reads,

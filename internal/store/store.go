@@ -11,6 +11,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,7 +57,7 @@ func (s *Store) ID() uint64 { return s.id }
 
 // SchemaVersion returns a counter that advances on every structural
 // change: relation creation and EnsureIndex. Data-only changes do not
-// advance it — Insert, Delete, ReplaceKey, and a Replace over a relation
+// advance it — Insert, Delete, ReplaceRange, and a Replace over a relation
 // that already exists, which keeps its arity and carries its index
 // signatures over: compiled plans and residuals only depend on which
 // relations exist, their arities, and their index availability.
@@ -64,7 +65,7 @@ func (s *Store) SchemaVersion() uint64 { return s.schema.Load() }
 
 // DataVersion returns the named relation's data version (see
 // relation.Version): it advances whenever the relation's contents
-// change — Insert, Delete, ReplaceKey and Replace — and is 0 for an
+// change — Insert, Delete, ReplaceRange and Replace — and is 0 for an
 // absent relation. Equal versions at two moments mean equal contents.
 func (s *Store) DataVersion(name string) uint64 {
 	r := s.get(name)
@@ -359,41 +360,54 @@ func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 	return nil
 }
 
-// ReplaceKey swaps one key group of the named relation: every stored
-// tuple whose column col equals val is replaced by ts (each of which
-// must carry val at col). Like Replace it is bulk state transfer — no
-// read counters are charged — and like a Replace over an existing
-// relation it leaves the schema version alone; unlike Replace it mutates
-// the relation in place via Insert/Delete and touches no tuple outside
-// the group. The relation is created when absent. Tuple-at-a-time
-// mutation means a concurrent reader may see a partially swapped group;
-// callers (the netdist coordinator's sharded mirror refresh) keep writers
-// of the group away through the scheduler's key-group footprints — a
-// task that refreshes the group holds a read claim on it — and
-// refreshes that race each other then swap in the same contents.
-func (s *Store) ReplaceKey(name string, arity, col int, val ast.Value, ts []relation.Tuple) error {
-	if col < 0 || col >= arity {
-		return fmt.Errorf("store: replace key %s/%d: column %d out of range", name, arity, col)
+// ReplaceRange swaps one range of the named relation: every stored tuple
+// whose column rg.Col lies in rg is replaced by ts, each of which must lie
+// in it too. The old tuples of a point (relation.Range.Point) are found
+// through the hash index of its column, those of any other range through
+// the ordered one. Like Replace it is bulk state transfer — no read
+// counters are charged — and like a Replace over an existing relation it
+// leaves the schema version alone; unlike Replace it mutates the relation
+// in place via Insert/Delete and touches no tuple outside the range, so a
+// tuple in both the old and the new contents keeps the data version. The
+// relation is created when absent. Tuple-at-a-time mutation means a
+// concurrent reader may see a partially swapped range; callers (the
+// netdist coordinator's mirror refresh) keep writers of the range away
+// through the scheduler's footprints — a task that refreshes it holds a
+// read claim on it — and refreshes that race each other then swap in the
+// same contents.
+func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []relation.Tuple) error {
+	if rg.Col < 0 || rg.Col >= arity {
+		return fmt.Errorf("store: replace range %s/%d: column %d out of range", name, arity, rg.Col)
 	}
 	for _, t := range ts {
 		if len(t) != arity {
-			return fmt.Errorf("store: replace key %s/%d: tuple %s has arity %d", name, arity, t, len(t))
+			return fmt.Errorf("store: replace range %s/%d: tuple %s has arity %d", name, arity, t, len(t))
 		}
-		if !t[col].Equal(val) {
-			return fmt.Errorf("store: replace key %s: tuple %s does not carry %s at column %d", name, t, val, col)
+		if !rg.Contains(t[rg.Col]) {
+			return fmt.Errorf("store: replace range %s: tuple %s lies outside the range at column %d", name, t, rg.Col)
 		}
 	}
 	r, err := s.Ensure(name, arity)
 	if err != nil {
 		return err
 	}
-	fresh := map[string]bool{}
-	for _, t := range ts {
-		fresh[t.Key()] = true
+	var old [][]relation.Handle
+	if v, ok := rg.Point(); ok {
+		old = r.LookupColsAppend(nil, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
+	} else {
+		old = r.RangeAppend(nil, []relation.Range{rg})
 	}
-	for _, old := range r.Lookup(col, val) {
-		if !fresh[old.Key()] {
-			r.Delete(old)
+	if len(old) > 0 {
+		fresh := make(map[uint64][][]relation.Handle, len(ts))
+		for _, t := range ts {
+			hs := relation.AppendHandles(nil, t)
+			fp := relation.FingerprintHandles(hs)
+			fresh[fp] = append(fresh[fp], hs)
+		}
+		for _, row := range old {
+			if !slices.ContainsFunc(fresh[relation.FingerprintHandles(row)], func(hs []relation.Handle) bool { return slices.Equal(hs, row) }) {
+				r.DeleteHandles(row)
+			}
 		}
 	}
 	for _, t := range ts {

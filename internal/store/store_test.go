@@ -317,6 +317,8 @@ func TestReplaceCarriesIndexSignatures(t *testing.T) {
 	}
 }
 
+// TestReplaceKey: a key group is ReplaceRange's point case, found through
+// the hash index — it builds no ordered index.
 func TestReplaceKey(t *testing.T) {
 	s := New()
 	for _, ts := range [][]int64{{1, 10}, {1, 11}, {2, 20}} {
@@ -327,40 +329,100 @@ func TestReplaceKey(t *testing.T) {
 	ver := s.SchemaVersion()
 
 	// Swap key group 1: {1,10},{1,11} -> {1,12}; group 2 untouched.
-	if err := s.ReplaceKey("d", 2, 0, ast.Int(1), []relation.Tuple{relation.Ints(1, 12)}); err != nil {
+	builds := relation.IndexBuilds()
+	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), []relation.Tuple{relation.Ints(1, 12)}); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Relation("d").Tuples()
 	want := map[string]bool{relation.Ints(1, 12).Key(): true, relation.Ints(2, 20).Key(): true}
 	if len(got) != len(want) {
-		t.Fatalf("after ReplaceKey: %v", got)
+		t.Fatalf("after ReplaceRange: %v", got)
 	}
 	for _, tu := range got {
 		if !want[tu.Key()] {
-			t.Fatalf("unexpected tuple %s after ReplaceKey", tu)
+			t.Fatalf("unexpected tuple %s after ReplaceRange", tu)
 		}
 	}
 	if s.SchemaVersion() != ver {
-		t.Fatal("ReplaceKey must not advance the schema version (data-only change)")
+		t.Fatal("ReplaceRange must not advance the schema version (data-only change)")
 	}
 
 	// Emptying a group deletes all its tuples.
-	if err := s.ReplaceKey("d", 2, 0, ast.Int(2), nil); err != nil {
+	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(2)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Contains("d", relation.Ints(2, 20)) {
-		t.Fatal("ReplaceKey with empty group left the old tuples")
+		t.Fatal("ReplaceRange with empty group left the old tuples")
+	}
+	if n := relation.IndexBuilds() - builds; n != 1 {
+		t.Fatalf("two key groups swapped with %d index builds, want the one hash index", n)
 	}
 
 	// Creating an absent relation works; arity and key mismatches fail.
-	if err := s.ReplaceKey("fresh", 1, 0, ast.Int(7), []relation.Tuple{relation.Ints(7)}); err != nil {
+	if err := s.ReplaceRange("fresh", 1, relation.PointRange(0, ast.Int(7)), []relation.Tuple{relation.Ints(7)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplaceKey("d", 2, 0, ast.Int(1), []relation.Tuple{relation.Ints(9, 9)}); err == nil {
+	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), []relation.Tuple{relation.Ints(9, 9)}); err == nil {
 		t.Fatal("tuple not carrying the key value must be rejected")
 	}
-	if err := s.ReplaceKey("d", 2, 5, ast.Int(1), nil); err == nil {
+	if err := s.ReplaceRange("d", 2, relation.PointRange(5, ast.Int(1)), nil); err == nil {
 		t.Fatal("out-of-range key column must be rejected")
+	}
+}
+
+// TestReplaceRange swaps the tuples of a range — closed, open, one-sided —
+// and leaves every tuple outside it alone.
+func TestReplaceRange(t *testing.T) {
+	s := New()
+	for i := int64(0); i < 10; i++ {
+		if _, err := s.Insert("r", relation.Ints(i, i*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		rg   relation.Range
+		ts   []relation.Tuple
+		want string
+	}{
+		// [3, 5] -> 3 kept, 4 dropped, 5 changed.
+		{relation.Range{Col: 0, Lo: ast.Int(3), Hi: ast.Int(5), HasLo: true, HasHi: true},
+			[]relation.Tuple{relation.Ints(3, 9), relation.Ints(5, 0)},
+			"r(0,0) r(1,1) r(2,4) r(3,9) r(5,0) r(6,36) r(7,49) r(8,64) r(9,81)"},
+		// (6, ∞) on column 0 -> emptied.
+		{relation.Range{Col: 0, Lo: ast.Int(6), HasLo: true, LoOpen: true}, nil,
+			"r(0,0) r(1,1) r(2,4) r(3,9) r(5,0) r(6,36)"},
+		// (-∞, 4) on column 1 -> only 0 and 5 hold values below 4 there.
+		{relation.Range{Col: 1, Hi: ast.Int(4), HasHi: true, HiOpen: true},
+			[]relation.Tuple{relation.Ints(0, 3)},
+			"r(0,3) r(2,4) r(3,9) r(6,36)"},
+		// Lo above Hi holds nothing: only an empty range replaces it.
+		{relation.Range{Col: 0, Lo: ast.Int(5), Hi: ast.Int(1), HasLo: true, HasHi: true}, nil,
+			"r(0,3) r(2,4) r(3,9) r(6,36)"},
+	}
+	for i, c := range cases {
+		if err := s.ReplaceRange("r", 2, c.rg, c.ts); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		var got []string
+		for _, tu := range s.Tuples("r") {
+			got = append(got, "r"+tu.String())
+		}
+		slices.Sort(got)
+		if strings.Join(got, " ") != c.want {
+			t.Fatalf("case %d: got %v, want %s", i, got, c.want)
+		}
+	}
+	v := s.DataVersion("r")
+	if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, []relation.Tuple{relation.Ints(2, 4), relation.Ints(3, 9), relation.Ints(6, 36)}); err != nil {
+		t.Fatal(err)
+	}
+	if s.DataVersion("r") != v {
+		t.Fatal("swapping a range for its own contents moved the data version")
+	}
+	for _, bad := range []relation.Tuple{relation.Ints(1, 1), relation.Ints(2)} {
+		if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, []relation.Tuple{bad}); err == nil {
+			t.Fatalf("tuple %s outside the range or of the wrong arity was taken", bad)
+		}
 	}
 }
 
@@ -396,17 +458,17 @@ func TestDataVersion(t *testing.T) {
 		t.Fatalf("Replace took the version from %d to %d", v, v2)
 	}
 	// Swapping a key group for itself changes nothing.
-	if err := s.ReplaceKey("p", 2, 0, ast.Int(9), []relation.Tuple{relation.Ints(9, 9)}); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), []relation.Tuple{relation.Ints(9, 9)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DataVersion("p"); got != v2 {
-		t.Fatalf("a no-op ReplaceKey moved the version %d -> %d", v2, got)
+		t.Fatalf("a no-op ReplaceRange moved the version %d -> %d", v2, got)
 	}
-	if err := s.ReplaceKey("p", 2, 0, ast.Int(9), []relation.Tuple{relation.Ints(9, 8)}); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), []relation.Tuple{relation.Ints(9, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DataVersion("p"); got <= v2 {
-		t.Fatalf("ReplaceKey changed the group but not the version (%d)", got)
+		t.Fatalf("ReplaceRange changed the group but not the version (%d)", got)
 	}
 }
 
