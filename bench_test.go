@@ -418,7 +418,11 @@ func BenchmarkGlobalPhase(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("delta/chain=%d/%s", n, kind), func(b *testing.B) {
 				db := seeded()
-				fix, err := eval.BuildFixpoint(prog, db, ast.PanicPred, "edge", eval.Options{})
+				g, err := eval.CompileGoal(prog, ast.PanicPred, eval.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fix, err := g.Fixpoint(db, "edge")
 				if err != nil || fix == nil {
 					b.Fatalf("no fixpoint: %v", err)
 				}

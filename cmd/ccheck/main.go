@@ -29,15 +29,15 @@
 // and writes the collected traces as OTLP-JSON at exit.
 //
 // Global evaluations use hash-index probes and range steps with
-// bound-first join planning and reuse compiled evaluation plans across the
-// update stream; -noindex joins in textual order over whole-relation scans
-// (no index built or probed) and -noplancache re-plans per call, for A/B
-// comparison. Eligible (constraint, update-pattern) pairs
-// are additionally served by compiled residual checks cached per pattern
-// (see internal/residual and BenchmarkApplyResidual); -noresidual forces
-// every constraint through the staged pipeline instead. -repeat N
-// replays the update script N times with counters reset between runs, so
-// the reported statistics describe a warm-cache run.
+// bound-first join planning, compiled once per constraint when it is
+// loaded; -noindex joins in textual order over whole-relation scans (no
+// index built or probed), for A/B comparison. Eligible (constraint,
+// update-pattern) pairs are additionally served by compiled residual
+// checks, one per pattern, compiled when the constraints are loaded (see
+// internal/residual and BenchmarkApplyResidual); -noresidual forces every
+// constraint through the staged pipeline instead. -repeat N replays the
+// update script N times with counters reset between runs, so the reported
+// statistics describe a warm run.
 package main
 
 import (
@@ -65,7 +65,6 @@ type config struct {
 	local       string
 	workers     int
 	noindex     bool
-	noplancache bool
 	noresidual  bool
 	repeat      int
 	verbose     bool
@@ -88,7 +87,6 @@ type flags struct {
 	workers     int
 	workersSet  bool
 	noindex     bool
-	noplancache bool
 	noresidual  bool
 	repeat      int
 	verbose     bool
@@ -119,7 +117,6 @@ func main() {
 		localList       = flag.String("local", "", "comma-separated local relations (default: all local)")
 		workers         = flag.Int("workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
 		noindex         = flag.Bool("noindex", false, "join in textual order over whole-relation scans: no index probe, range step or bound-first planning (A/B escape hatch)")
-		noplancache     = flag.Bool("noplancache", false, "disable the compiled evaluation plan cache: re-derive stratification and join plans on every global evaluation (A/B escape hatch)")
 		noresidual      = flag.Bool("noresidual", false, "disable residual check compilation: run every constraint through the staged phase pipeline (A/B escape hatch)")
 		repeat          = flag.Int("repeat", 1, "apply the update script this many times; checker counters reset between runs so the final statistics describe the last (warm-cache) run")
 		verbose         = flag.Bool("v", false, "print per-update decisions")
@@ -143,7 +140,7 @@ func main() {
 	cfg, err := buildConfig(flags{
 		constraints: *constraintsPath, data: *dataPath, updates: *updatesPath,
 		local: *localList, workers: *workers, workersSet: workersSet, noindex: *noindex,
-		noplancache: *noplancache, noresidual: *noresidual, repeat: *repeat,
+		noresidual: *noresidual, repeat: *repeat,
 		verbose: *verbose, save: *savePath, timeout: *timeout, retries: *retries,
 		sites: sites, trace: *trace, traceOut: *traceOut, statsJSON: *statsJSON,
 		spansOut: *spansOut,
@@ -167,8 +164,7 @@ func main() {
 func buildConfig(f flags) (config, error) {
 	cfg := config{
 		constraints: f.constraints, data: f.data, updates: f.updates, local: f.local,
-		workers: f.workers, noindex: f.noindex, noplancache: f.noplancache,
-		noresidual: f.noresidual, repeat: f.repeat,
+		workers: f.workers, noindex: f.noindex, noresidual: f.noresidual, repeat: f.repeat,
 		verbose: f.verbose, save: f.save, timeout: f.timeout, retries: f.retries,
 		trace: f.trace, traceOut: f.traceOut, statsJSON: f.statsJSON,
 		spansOut: f.spansOut,
@@ -248,11 +244,10 @@ func run(cfg config) error {
 		}
 	}
 	opts := core.Options{
-		LocalRelations:   splitList(cfg.local),
-		Workers:          cfg.workers,
-		DisableIndexes:   cfg.noindex,
-		DisablePlanCache: cfg.noplancache,
-		DisableResidual:  cfg.noresidual,
+		LocalRelations:  splitList(cfg.local),
+		Workers:         cfg.workers,
+		DisableIndexes:  cfg.noindex,
+		DisableResidual: cfg.noresidual,
 	}
 
 	// Decision tracing: -trace renders to stdout as updates run,
@@ -331,9 +326,9 @@ func run(cfg config) error {
 	for run := 0; run < cfg.repeat; run++ {
 		if run > 0 {
 			// Each -repeat run reports its own rates: zero the checker's
-			// counter families (decision, plan and residual caches keep
-			// their entries — measuring warm caches is the point) and the
-			// store's read accounting.
+			// counter families (what it compiled and keeps stays —
+			// measuring a warm checker is the point) and the store's read
+			// accounting.
 			checker.ResetStats()
 			db.ResetReads()
 		}
@@ -431,20 +426,20 @@ func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
 			"cache_hit_rate": cs.CacheHitRate(),
 			// Evaluation machinery counters: the relation layer's
 			// process-wide index accounting (the same values the obs
-			// gauges cc_index_builds/cc_index_probes sample), the compiled
-			// plan cache, and the intern pool size.
-			"index_builds":       relation.IndexBuilds(),
-			"index_probes":       relation.IndexProbes(),
-			"plan_cache_hits":    cs.PlanHits,
-			"plan_cache_misses":  cs.PlanMisses,
-			"plan_cache_entries": cs.PlanEntries,
-			"intern_size":        relation.InternSize(),
-			// Residual dispatch: pattern-cache effectiveness and how many
-			// compiled residuals are live (zero under -noresidual).
+			// gauges cc_index_builds/cc_index_probes sample), the
+			// constraints' compiled evaluations (misses) and the
+			// evaluations run from them (hits), and the intern pool size.
+			"index_builds":      relation.IndexBuilds(),
+			"index_probes":      relation.IndexProbes(),
+			"plan_cache_hits":   cs.PlanHits,
+			"plan_cache_misses": cs.PlanMisses,
+			"intern_size":       relation.InternSize(),
+			// Residual dispatch: the compiled checks decisions ran, the
+			// constraints left to the pipeline, and the checks compiled
+			// (zero under -noresidual).
 			"residual_hits":     cs.ResidualHits,
 			"residual_misses":   cs.ResidualMisses,
 			"residual_compiled": cs.ResidualCompiled,
-			"residual_entries":  cs.ResidualEntries,
 			// Kept fixpoints: global insert decisions served by delta
 			// rounds (hits) or after a full evaluation (rebuilds), and
 			// fixpoints discarded as stale (drops).

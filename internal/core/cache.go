@@ -35,9 +35,16 @@ type cacheEntry struct {
 	phase2 map[string]bool // projected-tuple key -> phase-2 certified
 }
 
+// unaffectedEntry is the entry of every constraint that does not mention
+// the pattern's relation: phase 1 decides, and nothing is memoized.
+var unaffectedEntry = &cacheEntry{}
+
 func buildCacheEntry(prog *ast.Program, rel string, insert bool) *cacheEntry {
+	if !prog.Mentions(rel) {
+		return unaffectedEntry
+	}
 	e := &cacheEntry{
-		mentions: prog.Mentions(rel),
+		mentions: true,
 		polarity: classify.UpdateMonotoneSafe(prog, ast.PanicPred, rel, insert),
 		phase2:   map[string]bool{},
 	}

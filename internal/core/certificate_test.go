@@ -221,3 +221,50 @@ func decideOne(c *Checker, pr PlanReport, commit bool) (Report, error) {
 	}
 	return br.Reports[0], err
 }
+
+// TestGuardedCertificate: the certificate of an occurrence with a constant
+// is probed only for a tuple that passes the constant's guard. A stored
+// tuple that agrees with the update on every certificate column but
+// carries another constant there — as the update does — is never a
+// witness: the disjunct does not apply to the update at all. Over a mixed
+// stream the certificates settle exactly the decisions they settled when
+// each constant was compiled into its own check (22 of them).
+func TestGuardedCertificate(t *testing.T) {
+	c := newChecker(t, "cap(toy,100). emp(ann,shoe,500). emp(cid,toy,50).", Options{LocalRelations: []string{"emp"}})
+	if err := c.AddConstraintSource("toy-cap", "panic :- emp(E,toy,S) & cap(toy,M) & S > M."); err != nil {
+		t.Fatal(err)
+	}
+	u := store.Ins("emp", empTuple("bob", "shoe", 500))
+	rep, err := c.Check(u)
+	if err != nil || !rep.Applied || rep.Witnesses != nil {
+		t.Fatalf("%v: %+v %v, want admitted with no witness (emp(ann,shoe,500) carries shoe)", u, rep, err)
+	}
+	if pr := c.Plan(u); pr.Witnesses != nil {
+		t.Fatalf("plan of %v certified by %+v", u, pr.Witnesses)
+	}
+	if rep, err := c.Check(store.Ins("emp", empTuple("dan", "toy", 50))); err != nil || !rep.Witness("toy-cap").Equal(empTuple("cid", "toy", 50)) {
+		t.Fatalf("+emp(dan,toy,50): %+v %v, want certified by emp(cid,toy,50)", rep, err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	depts, sals := []string{"toy", "shoe", "sales"}, []int64{50, 60, 500}
+	for i := 0; i < 120; i++ {
+		u := store.Ins("emp", empTuple(string(rune('a'+rng.Intn(6))), depts[rng.Intn(3)], sals[rng.Intn(3)]))
+		if rng.Intn(4) == 0 {
+			u.Insert = false
+		}
+		decide := c.Check
+		if rng.Intn(2) == 0 {
+			decide = c.Apply
+		}
+		rep, err := decide(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := rep.Witness("toy-cap"); w != nil && !w[1].Equal(relation.Strs("toy")[0]) {
+			t.Fatalf("%v certified by %v, which carries another constant", u, w)
+		}
+	}
+	if got := c.Stats().LocalCertified; got != 22 {
+		t.Errorf("%d decisions certified, want 22", got)
+	}
+}

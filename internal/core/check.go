@@ -8,8 +8,8 @@ import "repro/internal/store"
 // update be admitted?" primitive (internal/serve's POST /v1/check).
 //
 // A decision reads the store and writes nothing until it commits, so a
-// Check — like a rejected Apply — leaves relations, schema and data
-// versions, compiled residuals and kept fixpoints as they were, whatever
+// Check — like a rejected Apply — leaves relations, data versions,
+// compiled programs and kept fixpoints as they were, whatever
 // u is (an unknown relation, a duplicate insert, an absent delete).
 // Applied true means the update would be admitted.
 //

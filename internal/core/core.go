@@ -125,6 +125,9 @@ type Constraint struct {
 	// edb lists, sorted, the stored relations an evaluation of the
 	// constraint reads.
 	edb []string
+	// goal is the constraint compiled for the global phase: the admission
+	// check, phase-4 evaluations, kept-fixpoint builds and CheckAll run it.
+	goal *eval.Goal
 	// fix is the evaluation fixpoint kept from the constraint's last
 	// global insert decision (nil until the first one, and after a drop);
 	// see keptFixpoint.
@@ -200,26 +203,26 @@ type Stats struct {
 	ByPhase   map[Phase]int
 	Rejected  int
 	Decisions int
-	// CacheHits/CacheMisses count the uses of the pattern-level phase
-	// memo (cacheEntry): a miss built a constraint's entry for a pattern,
-	// a hit is a decision or plan that was served one.
+	// CacheHits/CacheMisses count the pattern-level phase memos
+	// (cacheEntry): a miss is an entry built when the constraint set
+	// changed, a hit an entry a decision or plan was served.
 	CacheHits   int64
 	CacheMisses int64
-	// PlanHits/PlanMisses/PlanEntries report the evaluation plan cache
-	// (eval.PlanCache): hits reuse a compiled stratification + join plan,
-	// misses compile one. Zero when Options.DisablePlanCache is set.
-	PlanHits    int64
-	PlanMisses  int64
-	PlanEntries int
-	// ResidualHits/ResidualMisses/ResidualCompiled/ResidualEntries report
-	// the residual cache (residual.Cache): hits dispatch a ready-made
-	// residual check, misses either compile one or fall back to the full
-	// pipeline (ineligible patterns), compiled counts compilations. All
-	// zero when Options.DisableResidual is set.
+	// PlanHits/PlanMisses count the constraints' compiled global-phase
+	// evaluations (eval.Goal): a miss is one compiled by AddConstraint, a
+	// hit an evaluation that ran from one — the admission check, a phase-4
+	// evaluation, a kept-fixpoint build, CheckAll.
+	PlanHits   int64
+	PlanMisses int64
+	// ResidualHits/ResidualMisses/ResidualCompiled count the compiled
+	// residual checks: hits the checks decisions and plans ran, misses the
+	// constraints a decision left to the phase pipeline because the
+	// residual compiler refused their pattern, compiled the checks compiled
+	// when the constraint set changed. All zero when
+	// Options.DisableResidual is set.
 	ResidualHits     int64
 	ResidualMisses   int64
 	ResidualCompiled int64
-	ResidualEntries  int
 	// LocalCertified counts the residual decisions that local certificates
 	// alone settled (Report.Witnesses): the share of PhaseResidual
 	// decisions that read nothing but the updated relation.
@@ -261,9 +264,11 @@ type Options struct {
 	// read-only phases 1–3 and the phase-4 evaluations. 0 (the default)
 	// means runtime.GOMAXPROCS(0); 1 recovers the serial pipeline.
 	Workers int
-	// DisableCache bypasses the phase memo (cacheEntry), re-deriving every
-	// phase-1/1.5/2 verdict per update (the pre-cache behavior; used as
-	// the oracle in cross-check tests and for ablation experiments).
+	// DisableCache bypasses the phase memo (cacheEntry) and the static
+	// steps, re-deriving every phase-1/1.5/2 verdict per update (the
+	// pre-cache behavior; used as the oracle in cross-check tests and for
+	// ablation experiments). A pattern no constraint mentions is
+	// unaffected either way.
 	DisableCache bool
 	// DisableIndexes makes every join — global evaluations and residual
 	// decisions — keep textual atom order and read whole relations by
@@ -271,10 +276,10 @@ type Options struct {
 	// with hash-index probes and range steps — the A/B escape hatch behind
 	// ccheck -noindex.
 	DisableIndexes bool
-	// DisablePlanCache makes every global evaluation re-derive its goal
-	// pruning, stratification and join plan from scratch instead of
-	// reusing compiled plans across the update stream — the A/B escape
-	// hatch behind ccheck -noplancache.
+	// DisablePlanCache does nothing: each constraint's evaluation is
+	// compiled once, when it is added, and there is no plan cache left to
+	// disable. It stays only because the benchmark's reference checker
+	// (bench/oracle.go) still sets it.
 	DisablePlanCache bool
 	// DisableResidual turns off residual dispatch: every constraint runs
 	// the full phase pipeline for every update — the A/B escape hatch
@@ -318,16 +323,17 @@ type Checker struct {
 
 	// statsMu guards stats and byPhase (Stats.ByPhase, as an array):
 	// concurrent appliers each add a decision's worth under one hold
-	// (record). Of the cache counters stats holds what served programs
-	// count; the residual cache counts its own lookups.
+	// (record).
 	statsMu sync.Mutex
 	stats   Stats
 	byPhase [numPhases]int
 
-	// programs holds the compiled decision of every update pattern seen
-	// since the constraint set last changed; see program.go.
-	progMu   sync.Mutex
-	programs map[progKey]*program
+	// programs holds the compiled decision of every update pattern the
+	// constraints mention, and unaffected that of every other pattern;
+	// refreshSet builds them when the constraint set changes and nothing
+	// writes them otherwise. See program.go.
+	programs   map[progKey]*program
+	unaffected *program
 	// progs is the shared {all constraints} slice handed to the phase-2
 	// subsumption test (set identity: order and the inclusion of the
 	// rewritten constraint itself do not change the verdict), rebuilt by
@@ -335,15 +341,10 @@ type Checker struct {
 	progs []*ast.Program
 	fp    uint64 // fingerprint of the current constraint set
 
-	// planCache memoizes compiled evaluations (stratification + join
-	// plans) for the global phase; nil under Options.DisablePlanCache.
-	planCache *eval.PlanCache
+	// plans counts the compiled global-phase evaluations and evals the
+	// evaluations run from them (Stats.PlanMisses, Stats.PlanHits).
+	plans, evals atomic.Int64
 
-	// residuals memoizes compiled residual checks per update pattern;
-	// nil under Options.DisableResidual. Programs take their checks from
-	// it, once per pattern and schema version — per decision only where
-	// the check depends on the tuple's values (stepPinned).
-	residuals *residual.Cache
 	// resOpts are the options residuals compile with.
 	resOpts residual.Options
 	// localCertified counts certificate-only decisions
@@ -362,10 +363,7 @@ type Checker struct {
 
 // New creates a Checker over db.
 func New(db *store.Store, opts Options) *Checker {
-	c := &Checker{db: db, opts: opts, programs: map[progKey]*program{}}
-	if !opts.DisablePlanCache {
-		c.planCache = eval.NewPlanCache()
-	}
+	c := &Checker{db: db, opts: opts}
 	if opts.Metrics != nil {
 		c.met = newCheckerMetrics(opts.Metrics)
 	}
@@ -376,7 +374,6 @@ func New(db *store.Store, opts Options) *Checker {
 		}
 	}
 	if !opts.DisableResidual {
-		c.residuals = residual.NewCache()
 		// A residual answers exactly like the evaluation arm it replaces;
 		// local certificates are phase 3's, and only where something is
 		// remote.
@@ -385,6 +382,7 @@ func New(db *store.Store, opts Options) *Checker {
 			c.resOpts.Local = c.isLocal
 		}
 	}
+	c.refreshSet()
 	return c
 }
 
@@ -403,45 +401,33 @@ func (c *Checker) Stats() Stats {
 		}
 	}
 	c.statsMu.Unlock()
-	if c.planCache != nil {
-		s.PlanHits, s.PlanMisses, s.PlanEntries = c.planCache.Stats()
-	}
-	if c.residuals != nil {
-		hits, misses, compiled, entries := c.residuals.Stats()
-		s.ResidualHits += hits
-		s.ResidualMisses += misses
-		s.ResidualCompiled, s.ResidualEntries = compiled, entries
-	}
+	s.PlanHits, s.PlanMisses = c.evals.Load(), c.plans.Load()
 	s.LocalCertified = c.localCertified.Load()
 	s.FixpointHits, s.FixpointRebuilds, s.FixpointDrops = c.fix[fixHit].Load(), c.fix[fixRebuild].Load(), c.fix[fixDrop].Load()
 	return s
 }
 
 // ResetStats zeroes every aggregate counter — the per-phase decision
-// counts, the decision/plan/residual cache counters, the certificate and
-// fixpoint counters — without touching the caches' contents, so a warmed
-// checker can report one run's statistics in isolation (ccheck -repeat
-// resets between runs).
+// counts, the memo, plan and residual counters, the certificate and
+// fixpoint counters — without touching what is compiled or kept, so a
+// warmed checker can report one run's statistics in isolation (ccheck
+// -repeat resets between runs).
 func (c *Checker) ResetStats() {
 	c.statsMu.Lock()
 	c.stats, c.byPhase = Stats{}, [numPhases]int{}
 	c.statsMu.Unlock()
-	if c.planCache != nil {
-		c.planCache.ResetStats()
-	}
-	if c.residuals != nil {
-		c.residuals.ResetStats()
-	}
+	c.plans.Store(0)
+	c.evals.Store(0)
 	c.localCertified.Store(0)
 	for i := range c.fix {
 		c.fix[i].Store(0)
 	}
 }
 
-// refreshSet rebuilds the shared constraint-program slice and the set
-// fingerprint after the constraint set changed, and drops every program:
-// which steps there are, their phase memos and their place in the report
-// all derive from the set.
+// refreshSet rebuilds the shared constraint-program slice, the set
+// fingerprint and every program after the constraint set changed: which
+// steps there are, their checks, their phase memos and their place in the
+// report all derive from the set.
 func (c *Checker) refreshSet() {
 	c.progs = make([]*ast.Program, len(c.constraints))
 	h := fnv.New64a()
@@ -453,21 +439,7 @@ func (c *Checker) refreshSet() {
 		h.Write([]byte{0})
 	}
 	c.fp = h.Sum64()
-	c.progMu.Lock()
-	c.programs = map[progKey]*program{}
-	c.progMu.Unlock()
-	if c.planCache != nil {
-		// Compiled plans key on program identity; a removed constraint's
-		// plans would merely linger, but invalidating reclaims them and
-		// keeps the add/remove semantics symmetric with the programs.
-		c.planCache.Invalidate()
-	}
-	if c.residuals != nil {
-		// Residual shapes key on program pointer identity, which a future
-		// constraint could reuse after a removal — invalidation is a
-		// correctness requirement here, not just memory hygiene.
-		c.residuals.Invalidate()
-	}
+	c.compilePrograms()
 	// A kept fixpoint is private to its constraint and would stay right,
 	// but nothing else survives a change of the set: drop them too, so
 	// what a checker holds depends only on the decisions since.
@@ -510,14 +482,19 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 			return fmt.Errorf("core: duplicate constraint name %q", name)
 		}
 	}
-	bad, err := eval.GoalHoldsWith(prog, c.db, ast.PanicPred, c.evalOpts())
+	g, err := eval.CompileGoal(prog, ast.PanicPred, c.evalOpts())
+	if err != nil {
+		return err
+	}
+	c.plans.Add(1)
+	k := &Constraint{Name: name, Prog: prog, flat: residual.Flatten(prog), edb: prog.EDBPreds(), goal: g}
+	bad, err := c.holds(k, nil, store.Update{})
 	if err != nil {
 		return err
 	}
 	if bad {
 		return fmt.Errorf("core: constraint %s is already violated by the current database", name)
 	}
-	k := &Constraint{Name: name, Prog: prog, flat: residual.Flatten(prog), edb: prog.EDBPreds()}
 	c.prepare(k)
 	c.constraints = append(c.constraints, k)
 	c.refreshSet()
@@ -563,7 +540,14 @@ func (c *Checker) prepare(k *Constraint) {
 // evalOpts translates the checker options into evaluation options for
 // the global phase (constraint admission and CheckAll included).
 func (c *Checker) evalOpts() eval.Options {
-	return eval.Options{DisableIndexes: c.opts.DisableIndexes, Cache: c.planCache, Probe: c.opts.ProbeRouter}
+	return eval.Options{DisableIndexes: c.opts.DisableIndexes, Probe: c.opts.ProbeRouter}
+}
+
+// holds runs the constraint's compiled evaluation: whether panic is
+// derivable once prior and then u are applied to the store.
+func (c *Checker) holds(k *Constraint, prior []store.Update, u store.Update) (bool, error) {
+	c.evals.Add(1)
+	return k.goal.HoldsAfter(c.db, prior, u)
 }
 
 // isLocal reports whether the relation is resident at the checking site.
@@ -578,23 +562,15 @@ func (c *Checker) isLocal(rel string) bool {
 // no Checker state besides the entry's (internally synchronized) memo and
 // store reads, so the parallel dispatch may run it for several
 // constraints concurrently. e is the constraint's entry for u's pattern —
-// nil under Options.DisableCache, where every verdict is derived here —
-// and hit whether it was served rather than built for this call. It
+// nil under Options.DisableCache, where every verdict is derived here. It
 // returns the deciding phase, or decided false when the constraint needs
 // a global evaluation. With tr non-nil it appends one trace event per
 // phase attempt (the tracing path; nil keeps the hot path free of clock
 // reads and allocations).
-func (c *Checker) stageOne(k *Constraint, e *cacheEntry, hit bool, prior []store.Update, u store.Update, tr *[]obs.Event) (Phase, bool) {
-	entryCache := "" // cache status of the entry-level phases 1/1.5
-	if tr != nil {
-		switch {
-		case e == nil:
-			entryCache = obs.CacheOff
-		case hit:
-			entryCache = obs.CacheHit
-		default:
-			entryCache = obs.CacheMiss
-		}
+func (c *Checker) stageOne(k *Constraint, e *cacheEntry, prior []store.Update, u store.Update, tr *[]obs.Event) (Phase, bool) {
+	entryCache := obs.CacheHit // cache status of the entry-level phases 1/1.5
+	if e == nil {
+		entryCache = obs.CacheOff
 	}
 	// Phase 1: unaffected.
 	start := traceStart(tr)
@@ -697,8 +673,8 @@ type dynOutcome struct {
 // order, so reports, stats, trace-event order and first-error semantics
 // are identical whatever the pool width. sq is the batch u is a member
 // of, nil outside one.
-func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, fresh, tracing bool, decisions []Decision, t *tally, sq sequence) []dynOutcome {
-	r := dynamicRun{c, p, prior, u, commit, fresh, tracing, sq, make([]dynOutcome, len(p.dynamic))}
+func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, decisions []Decision, t *tally, sq sequence) []dynOutcome {
+	r := dynamicRun{c, p, prior, u, commit, tracing, sq, make([]dynOutcome, len(p.dynamic))}
 	if w := c.workers(); w > 1 && len(r.out) > 1 {
 		pooled := r
 		runParallel(len(r.out), w, pooled.step)
@@ -719,13 +695,13 @@ func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, c
 // dynamicRun is what the dynamic steps of one decision read, and out, one
 // outcome per step.
 type dynamicRun struct {
-	c                      *Checker
-	p                      *program
-	prior                  []store.Update
-	u                      store.Update
-	commit, fresh, tracing bool
-	sq                     sequence
-	out                    []dynOutcome
+	c               *Checker
+	p               *program
+	prior           []store.Update
+	u               store.Update
+	commit, tracing bool
+	sq              sequence
+	out             []dynOutcome
 }
 
 // step settles the program's j-th dynamic step.
@@ -736,7 +712,7 @@ func (r *dynamicRun) step(j int) {
 	if r.tracing {
 		tr = &o.trace
 	}
-	if o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), !r.fresh, r.prior, u, tr); o.decided {
+	if o.phase, o.decided = c.stageOne(s.k, s.entry, r.prior, u, tr); o.decided {
 		return
 	}
 	var start time.Time
@@ -757,7 +733,7 @@ func (r *dynamicRun) step(j int) {
 			c.dropFixpoint(s.k)
 		}
 	} else {
-		o.bad, o.err = eval.GoalHoldsAfter(s.k.Prog, c.db, ast.PanicPred, r.prior, u, c.evalOpts())
+		o.bad, o.err = c.holds(s.k, r.prior, u)
 	}
 	if r.tracing {
 		o.dur = time.Since(start)
@@ -813,18 +789,18 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	}) {
 		return fail(fmt.Errorf("core: insert %s: the batch inserts into %s with another arity", u, u.Relation))
 	}
-	p, fresh := c.program(u, &t)
-	schema := c.db.SchemaVersion()
+	p := c.programOf(u)
 	rep.Decisions = append([]Decision(nil), p.report...)
 	t.decisions = len(p.steps)
 	t.byPhase = p.static
-	t.residualMisses += int64(p.ineligible)
+	t.cacheHits = int64(p.memos)
+	t.residualHits, t.residualMisses = int64(p.checks), int64(p.ineligible)
 	var dyn []dynOutcome
 	if len(p.dynamic) > 0 {
-		dyn = c.runDynamic(p, prior, u, commit, fresh, tracing, rep.Decisions, &t, sq)
+		dyn = c.runDynamic(p, prior, u, commit, tracing, rep.Decisions, &t, sq)
 	}
 	if tracing {
-		c.emitAttempts(p, dyn, u, uStr, fresh)
+		c.emitAttempts(p, dyn, u, uStr)
 	}
 	// The compiled checks and the phase-4 outcomes, in constraint order.
 	violated := false
@@ -833,7 +809,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 		s := &p.steps[i]
 		var res *residual.Residual
 		var o *dynOutcome
-		phase, bad, hit := PhaseResidual, false, false
+		phase, bad, hit := PhaseResidual, false, true
 		var witness relation.Tuple
 		var dur time.Duration
 		switch s.kind {
@@ -853,7 +829,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 			}
 			phase, bad, hit, dur = PhaseGlobal, o.bad, o.hit, o.dur
 		default:
-			res, hit = c.check(s, u, schema, &t)
+			res = s.check
 			var start time.Time
 			if tracing {
 				start = time.Now()
@@ -932,9 +908,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	}
 	if c.met != nil {
 		c.met.applySeconds.Observe(time.Since(applyStart).Seconds())
-		c.met.sampleIndexCounters()
-		c.met.samplePlanCounters(c.planCache)
-		c.sampleResidualCounters()
+		c.met.sampleProcessCounters()
 	}
 	return rep, dyn, nil
 }
@@ -961,7 +935,8 @@ func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, h
 		c.countFix(fixHit)
 		return f, true
 	}
-	f, err := eval.BuildFixpoint(k.Prog, c.db, ast.PanicPred, rel, c.evalOpts())
+	c.evals.Add(1)
+	f, err := k.goal.Fixpoint(c.db, rel)
 	if err != nil || f == nil {
 		return nil, false
 	}
@@ -1036,7 +1011,7 @@ func (c *Checker) keptCover(k *Constraint) (icq.Cover, error) {
 func (c *Checker) CheckAll() ([]string, error) {
 	var out []string
 	for _, k := range c.constraints {
-		bad, err := eval.GoalHoldsWith(k.Prog, c.db, ast.PanicPred, c.evalOpts())
+		bad, err := c.holds(k, nil, store.Update{})
 		if err != nil {
 			return nil, err
 		}

@@ -79,8 +79,7 @@ func TestSelfJoinExpansionCompilesNoCertificate(t *testing.T) {
 	if err != nil || !rep.Applied || rep.Decisions[0].Phase != PhaseResidual || rep.Witnesses != nil {
 		t.Fatalf("%+v %v, want held by the residual with no witness", rep, err)
 	}
-	p, _ := c.program(u, &tally{})
-	res, _ := c.check(&p.steps[0], u, c.db.SchemaVersion(), &tally{})
+	res := c.programOf(u).steps[0].check
 	if res.Disjuncts() != 2 || res.Certificates() != 0 {
 		t.Fatalf("%d disjuncts, %d certificates; want the two occurrences of edge, no certificate", res.Disjuncts(), res.Certificates())
 	}

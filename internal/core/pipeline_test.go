@@ -43,7 +43,7 @@ func addEmployeeConstraints(t *testing.T, c *Checker) {
 }
 
 // A batch rejected at its last member writes nothing: the store — its
-// contents, schema version and every data version — and the kept
+// contents, relation names and every data version — and the kept
 // fixpoints are as they were, though earlier members folded their inserts
 // into the fixpoints' overlays, so nothing is dropped or rebuilt, and the
 // next global insert decision is a hit on the same fixpoints.

@@ -42,8 +42,8 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 // Plan runs the local certificates and the read-only phases 1–3 for every
 // constraint against the update without applying it: the store is not
 // mutated and the checker's aggregate stats are untouched (the phase-memo
-// and residual-cache hit/miss counters still move, since Plan runs the
-// same program Apply does). A networked coordinator uses Plan to learn,
+// and residual counters still move, since Plan runs the same program
+// Apply does). A networked coordinator uses Plan to learn,
 // before committing to an update, which remote relations it must fetch
 // for the global phase — an update whose plan has no Global constraints
 // needs no remote data at all.
@@ -58,16 +58,14 @@ func (c *Checker) Plan(u store.Update) PlanReport { return c.plan(nil, u) }
 
 // plan is Plan for u once the updates prior are applied (PlanAll).
 func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
-	var t tally
-	p, _ := c.program(u, &t)
+	p := c.programOf(u)
+	t := tally{cacheHits: int64(p.memos)}
 	// Certificates are compiled only for inserts, and only where something
 	// is remote and phase 3 and residual dispatch are on.
 	certs := c.resOpts.Local != nil && u.Insert
 	if certs {
 		t.residualMisses += int64(p.ineligible)
 	}
-	schema := c.db.SchemaVersion()
-	key := progKey{u.Relation, u.Insert, len(u.Tuple)}
 	// A program's static steps are decided, and so is a step whose compiled
 	// check is certified or whose entry names a pattern-level phase; only the
 	// rest — staged — run the tuple-dependent phases.
@@ -84,22 +82,17 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			continue
 		}
 		if certs {
-			res, _ := c.check(s, u, schema, &t)
-			if o.witness = res.Certified(c.db, prior, u.Tuple); o.witness != nil {
+			t.residualHits++
+			if o.witness = s.check.Certified(c.db, prior, u.Tuple); o.witness != nil {
 				o.phase, o.decided = PhaseResidual, true
 				continue
 			}
 		}
 		// Uncertified, the constraint is the phases' to decide; the compiled
 		// check is Apply's.
-		e := s.entry.Load()
-		if e != nil {
+		if s.entry != nil {
 			t.cacheHits++
-		} else {
-			e = c.buildEntry(s, key, &t)
-		}
-		if e != nil {
-			o.phase, o.decided = c.staticPhase(e)
+			o.phase, o.decided = c.staticPhase(s.entry)
 		}
 		if !o.decided {
 			staged = append(staged, i)
@@ -147,6 +140,6 @@ type planOutcome struct {
 func (c *Checker) planStaged(p *program, staged []int, out []planOutcome, prior []store.Update, u store.Update) {
 	runParallel(len(staged), c.workers(), func(j int) {
 		s, o := &p.steps[staged[j]], &out[staged[j]]
-		o.phase, o.decided = c.stageOne(s.k, s.entry.Load(), true, prior, u, nil)
+		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	})
 }

@@ -11,54 +11,65 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPlanCacheInvalidatedOnConstraintChange pins the refreshSet
-// contract: plans accumulate across Apply calls and are dropped — not
-// merely orphaned — whenever the constraint set changes.
+// TestPlanCacheInvalidatedOnConstraintChange pins where global-phase
+// evaluations are compiled: once per constraint, by AddConstraint —
+// never by a decision — and every evaluation runs one of them.
 func TestPlanCacheInvalidatedOnConstraintChange(t *testing.T) {
 	c := newChecker(t, "l(30,60). r(40).",
 		Options{DisableUpdateOnly: true, DisableLocalData: true, DisableResidual: true})
 	if err := c.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & Y < X."); err != nil {
 		t.Fatal(err)
 	}
+	// The admission check ran the one compiled evaluation.
+	if s := c.Stats(); s.PlanMisses != 1 || s.PlanHits != 1 {
+		t.Fatalf("after AddConstraint: %+v, want one compiled evaluation, run once", s)
+	}
 	if _, err := c.Apply(store.Ins("r", relation.Ints(41))); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.PlanEntries == 0 {
-		t.Fatalf("no plans cached after a global-phase Apply: %+v", s)
+	if s := c.Stats(); s.PlanMisses != 1 || s.PlanHits < 2 {
+		t.Fatalf("after a global-phase Apply: %+v, want it run from the compiled evaluation", s)
 	}
 	if err := c.AddConstraintSource("fi2", "panic :- r(Z) & Z > 10000."); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.PlanEntries != 0 {
-		t.Fatalf("AddConstraint left %d cached plans", s.PlanEntries)
-	}
 	if _, err := c.Apply(store.Ins("r", relation.Ints(42))); err != nil {
 		t.Fatal(err)
-	}
-	if s := c.Stats(); s.PlanEntries == 0 {
-		t.Fatal("cache did not repopulate after Apply")
 	}
 	if !c.RemoveConstraint("fi2") {
 		t.Fatal("RemoveConstraint(fi2) found nothing")
 	}
-	if s := c.Stats(); s.PlanEntries != 0 {
-		t.Fatalf("RemoveConstraint left %d cached plans", s.PlanEntries)
+	if _, err := c.Apply(store.Ins("l", relation.Ints(1, 2))); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.PlanMisses != 2 {
+		t.Fatalf("%d evaluations compiled, want one per AddConstraint: 2", s.PlanMisses)
 	}
 }
 
-// TestPlanCacheDisabled is the -noplancache escape hatch: no plan
-// counters may move.
+// TestPlanCacheDisabled: Options.DisablePlanCache has nothing left to
+// disable — the same stream decides alike and counts alike with it.
 func TestPlanCacheDisabled(t *testing.T) {
-	c := newChecker(t, "l(30,60). r(40).",
-		Options{DisablePlanCache: true, DisableUpdateOnly: true, DisableLocalData: true, DisableResidual: true})
-	if err := c.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & Y < X."); err != nil {
-		t.Fatal(err)
+	run := func(disable bool) (string, Stats) {
+		c := newChecker(t, "l(30,60). r(40).",
+			Options{DisablePlanCache: disable, DisableUpdateOnly: true, DisableLocalData: true, DisableResidual: true})
+		if err := c.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & Y < X."); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, u := range []store.Update{store.Ins("r", relation.Ints(41)), store.Ins("l", relation.Ints(9, 3)), store.Del("r", relation.Ints(40))} {
+			rep, err := c.Apply(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprint(rep.Applied, rep.Violations()))
+		}
+		return fmt.Sprint(out), c.Stats()
 	}
-	if _, err := c.Apply(store.Ins("r", relation.Ints(41))); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.PlanHits != 0 || s.PlanMisses != 0 || s.PlanEntries != 0 {
-		t.Fatalf("disabled plan cache has activity: %+v", s)
+	on, son := run(false)
+	off, soff := run(true)
+	if on != off || son.PlanHits != soff.PlanHits || son.PlanMisses != soff.PlanMisses || son.PlanMisses != 1 {
+		t.Fatalf("DisablePlanCache: %s %+v, default %s %+v", off, soff, on, son)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/residual"
 	"repro/internal/store"
@@ -12,12 +11,13 @@ import (
 // The paper's first two levels of information — the constraints alone
 // (Section 3) and the constraints plus the update (Section 4) — are
 // functions of the update pattern, not of the tuple. A program is what
-// they say about one pattern, derived once: which constraints the
-// pattern cannot touch, which a compiled residual check decides, which
+// they say about one pattern: which constraints the pattern cannot touch,
+// which a compiled residual check decides (and the check itself), which
 // still need the tuple-dependent tests, what a decision may read, and
-// where each lands in the name-ordered report. judge and Plan interpret
-// it, Footprints instantiates its reads; only the data probe is left for
-// run time.
+// where each lands in the name-ordered report. Every pattern the
+// constraints mention is compiled when the constraint set changes
+// (refreshSet); judge and Plan interpret the programs, Footprints
+// instantiates their reads, and only the data probe is left for run time.
 
 // progKey identifies an update pattern. The arity is part of it: a
 // residual is compiled for the occurrences of that arity alone, and a
@@ -28,36 +28,21 @@ type progKey struct {
 	arity  int
 }
 
-// programCap bounds the pattern map (a client chooses relation names and
-// arities); at the cap it is reset wholesale, the residual cache's policy.
-const programCap = 4096
-
 // stepKind says how a decision settles one constraint.
 type stepKind uint8
 
 const (
-	// stepStatic: the constraint does not mention the relation, or the
+	// stepStatic: the constraint does not mention the pattern, or the
 	// direction is monotone-safe. The verdict is in the program's report
 	// and nothing runs.
 	stepStatic stepKind = iota
 	// stepResidual: the compiled check of the pattern decides.
 	stepResidual
-	// stepPinned: a compiled check decides, but an occurrence carries a
-	// constant, so which one depends on the tuple's value there: looked up
-	// per decision (residual.Cache.For).
-	stepPinned
 	// stepDynamic: the tuple-dependent tests — Section 4 rewriting with its
 	// projected-key memo, the Section 5 local test — and, where they do not
 	// certify, the kept fixpoint or an evaluation (stageOne, evaluate).
 	stepDynamic
 )
-
-// compiledCheck is a residual and the store schema version it was
-// compiled under: its arity folds hold for that shape of the store only.
-type compiledCheck struct {
-	res    *residual.Residual
-	schema uint64
-}
 
 // progStep is one constraint's part in a program.
 type progStep struct {
@@ -67,18 +52,16 @@ type progStep struct {
 	slot int
 	// phase is what decided a stepStatic.
 	phase Phase
-	// check is a stepResidual's compiled check, filled by the first decision
-	// that runs the step and again after the store's schema has moved.
-	check atomic.Pointer[compiledCheck]
+	// check is a stepResidual's compiled check.
+	check *residual.Residual
 	// entry memoizes the pattern-level phase-1/1.5 verdicts and the phase-2
-	// verdicts per projected tuple: built with the program for the steps the
-	// phases decide, by the first Plan that gets that far for the steps a
-	// compiled check decides; nil under Options.DisableCache.
-	entry atomic.Pointer[cacheEntry]
+	// verdicts per projected tuple; nil under Options.DisableCache.
+	entry *cacheEntry
 }
 
 // program is the compiled decision of one update pattern, valid for the
-// constraint set it was compiled for (refreshSet drops them all).
+// constraint set it was compiled for. It is immutable once compiled (an
+// entry's phase-2 memo aside, which is internally synchronized).
 type program struct {
 	// steps in registration order.
 	steps []progStep
@@ -89,18 +72,15 @@ type program struct {
 	dynamic []int
 	// static counts the stepStatic steps by deciding phase.
 	static [numPhases]int
-	// memos counts the steps compiled with an entry, and ineligible those
-	// the residual compiler refused: what serving the program counts for the
-	// lookups it replaces (Stats.CacheHits, Stats.ResidualMisses).
-	memos, ineligible int
+	// What serving the program counts: memos, the entries of the static and
+	// dynamic steps (Stats.CacheHits); checks, the compiled checks
+	// (Stats.ResidualHits); ineligible, the steps the residual compiler
+	// refused (Stats.ResidualMisses).
+	memos, checks, ineligible int
 	// claims are what a decision of the pattern may read, in step order
 	// (footprint.go); wire says one of them is of a remote relation.
 	claims []claim
 	wire   bool
-	// served is set by the first decision or plan that runs the program,
-	// which counts its compilation (program): a footprint lookup compiles
-	// without running it.
-	served atomic.Bool
 }
 
 // tally is what one decision or plan adds to the checker's counters,
@@ -108,7 +88,7 @@ type program struct {
 type tally struct {
 	updates, decisions, rejected int
 	byPhase                      [numPhases]int
-	cacheHits, cacheMisses       int64
+	cacheHits                    int64
 	residualHits, residualMisses int64
 }
 
@@ -123,7 +103,6 @@ func (c *Checker) record(t *tally) {
 		c.byPhase[p] += n
 	}
 	c.stats.CacheHits += t.cacheHits
-	c.stats.CacheMisses += t.cacheMisses
 	c.stats.ResidualHits += t.residualHits
 	c.stats.ResidualMisses += t.residualMisses
 	c.statsMu.Unlock()
@@ -136,53 +115,68 @@ func (c *Checker) record(t *tally) {
 	}
 }
 
-// program returns the program of u's pattern for a decision or plan to
-// run; fresh says none has run it before, so this one counts its memos
-// as built rather than served — whether a decision, or a footprint lookup
-// before it, compiled it.
-func (c *Checker) program(u store.Update, t *tally) (p *program, fresh bool) {
-	p = c.programOf(u)
-	fresh = !p.served.Swap(true)
-	if fresh {
-		t.cacheMisses += int64(p.memos)
-	} else {
-		t.cacheHits += int64(p.memos)
-	}
-	return p, fresh
-}
-
-// programOf returns the program of u's pattern, compiling it on first
-// sight. Two callers may compile one pattern at once: the first to finish
-// is kept, the other runs its own.
+// programOf returns the program of u's pattern: the compiled one when a
+// constraint mentions the pattern, else the unaffected program — u matches
+// no atom of any constraint (and an insert that the stored relation's
+// arity refuses never gets this far: store.Accepts).
 func (c *Checker) programOf(u store.Update) *program {
-	key := progKey{u.Relation, u.Insert, len(u.Tuple)}
-	c.progMu.Lock()
-	p := c.programs[key]
-	c.progMu.Unlock()
-	if p != nil {
+	if p := c.programs[progKey{u.Relation, u.Insert, len(u.Tuple)}]; p != nil {
 		return p
 	}
-	p = c.compile(key)
-	c.progMu.Lock()
-	if len(c.programs) >= programCap {
-		c.programs = map[progKey]*program{}
-	}
-	if _, raced := c.programs[key]; !raced {
-		c.programs[key] = p
-	}
-	c.progMu.Unlock()
-	return p
+	return c.unaffected
 }
 
-// compile derives the pattern's program from the constraint set. It
-// reads no data: what a step needs of the store — a residual's arity
-// folds — is compiled when the step first runs (check). The static phases
-// come first: a constraint that does not mention the relation, or that the
-// direction cannot violate, needs no check — under Options.DisableCache
-// the phases re-derive that per update. A compiled check decides the rest
-// where the constraint has a flat form (Constraint.flat). Claims do not
-// depend on Options.DisableCache: a step the pattern-level phases decide
-// claims nothing, whether it is static or they decide it per update.
+// compilePrograms compiles the program of every pattern the constraints
+// mention — each relation and arity of an atom, under both polarities —
+// and the unaffected program, and counts what it built: the entries and
+// the compiled checks.
+func (c *Checker) compilePrograms() {
+	keys := map[progKey]bool{}
+	for _, k := range c.constraints {
+		for _, r := range k.Prog.Rules {
+			keys[progKey{r.Head.Pred, true, len(r.Head.Args)}] = true
+			for _, l := range r.Body {
+				if !l.IsComp() {
+					keys[progKey{l.Atom.Pred, true, len(l.Atom.Args)}] = true
+				}
+			}
+		}
+	}
+	c.programs = make(map[progKey]*program, 2*len(keys))
+	var entries, checks int64
+	for key := range keys {
+		for _, insert := range []bool{true, false} {
+			key.insert = insert
+			p := c.compile(key)
+			c.programs[key] = p
+			checks += int64(p.checks)
+			for i := range p.steps {
+				if p.steps[i].entry != nil {
+					entries++
+				}
+			}
+		}
+	}
+	c.unaffected = c.compile(progKey{})
+	c.statsMu.Lock()
+	c.stats.CacheMisses += entries
+	c.stats.ResidualCompiled += checks
+	compiled := c.stats.ResidualCompiled
+	c.statsMu.Unlock()
+	if c.met != nil {
+		c.met.residBuilt.Set(compiled)
+	}
+}
+
+// compile derives the pattern's program from the constraint set; the zero
+// key compiles the unaffected program, every step static. It reads no
+// data. The static phases come first: a constraint that does not mention
+// the relation, or that the direction cannot violate, needs no check —
+// under Options.DisableCache the phases re-derive that per update. A
+// compiled check decides the rest where the constraint has a flat form
+// (Constraint.flat). Claims do not depend on Options.DisableCache: a step
+// the pattern-level phases decide claims nothing, whether it is static or
+// they decide it per update.
 func (c *Checker) compile(key progKey) *program {
 	n := len(c.constraints)
 	p := &program{steps: make([]progStep, n), report: make([]Decision, n)}
@@ -199,21 +193,32 @@ func (c *Checker) compile(key progKey) *program {
 		s.k = k
 		d := &p.report[s.slot]
 		d.Constraint = k.Name
+		if key.rel == "" {
+			// Static under Options.DisableCache too: the phases would find
+			// the same on every update.
+			s.kind, s.phase, d.Phase, s.entry = stepStatic, PhaseUnaffected, PhaseUnaffected, unaffectedEntry
+			p.static[PhaseUnaffected]++
+			if !c.opts.DisableCache {
+				p.memos++
+			}
+			continue
+		}
 		e := buildCacheEntry(k.Prog, key.rel, key.insert)
 		phase, static := c.staticPhase(e)
-		if !static && c.residuals != nil {
+		if !c.opts.DisableCache {
+			s.entry = e
+		}
+		if !static && !c.opts.DisableResidual {
 			if sh := residual.DeriveShape(k.flat, key.rel, key.insert); sh.Eligible {
 				s.kind, d.Phase = stepResidual, PhaseResidual
-				if slices.Contains(sh.Pinned, true) {
-					s.kind = stepPinned
-				}
+				s.check = residual.Compile(k.flat, key.rel, key.insert, key.arity, c.resOpts)
+				p.checks++
 				c.addClaims(p, s, key)
 				continue
 			}
 			p.ineligible++
 		}
 		if !c.opts.DisableCache {
-			s.entry.Store(e)
 			p.memos++
 			if static {
 				s.kind, s.phase, d.Phase = stepStatic, phase, phase
@@ -231,20 +236,6 @@ func (c *Checker) compile(key progKey) *program {
 	return p
 }
 
-// buildEntry builds the step's entry and counts the miss; nil under
-// Options.DisableCache, where every verdict is re-derived per update.
-func (c *Checker) buildEntry(s *progStep, key progKey, t *tally) *cacheEntry {
-	if c.opts.DisableCache {
-		return nil
-	}
-	e := buildCacheEntry(s.k.Prog, key.rel, key.insert)
-	if !s.entry.CompareAndSwap(nil, e) {
-		e = s.entry.Load() // a concurrent plan built it first
-	}
-	t.cacheMisses++
-	return e
-}
-
 // staticPhase returns the phase that decides every update of the entry's
 // pattern, if one does: the verdicts of phases 1 and 1.5 do not depend on
 // the tuple.
@@ -256,26 +247,4 @@ func (c *Checker) staticPhase(e *cacheEntry) (Phase, bool) {
 		return PhasePolarity, true
 	}
 	return 0, false
-}
-
-// check returns the compiled residual check that decides u for a
-// stepResidual or stepPinned, and whether it was served rather than
-// compiled now (the trace's cache status). A served stepResidual counts
-// the hit of the cache lookup it replaces; the lookups count themselves.
-// Validity is the lookup's own: the schema version read for this decision
-// against the one compiled under.
-func (c *Checker) check(s *progStep, u store.Update, schema uint64, t *tally) (*residual.Residual, bool) {
-	if s.kind == stepPinned {
-		res, hit, _ := c.residuals.For(s.k.flat, u, c.db, c.resOpts)
-		return res, hit
-	}
-	if cc := s.check.Load(); cc != nil && cc.schema == schema {
-		t.residualHits++
-		return cc.res, true
-	}
-	// schema was read before the lookup reads it again: a check compiled
-	// under a later one is labelled older than it is, and looked up again.
-	res, hit, _ := c.residuals.For(s.k.flat, u, c.db, c.resOpts)
-	s.check.Store(&compiledCheck{res, schema})
-	return res, hit
 }

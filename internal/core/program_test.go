@@ -244,9 +244,9 @@ func statsText(s Stats) string {
 		phases = append(phases, fmt.Sprintf("%s=%d", p, n))
 	}
 	sort.Strings(phases)
-	return fmt.Sprintf("stats updates=%d decisions=%d rejected=%d phases=%v residual=%d/%d/%d/%d cache=%d/%d certified=%d fixpoint=%d/%d/%d",
+	return fmt.Sprintf("stats updates=%d decisions=%d rejected=%d phases=%v residual=%d/%d/%d cache=%d/%d certified=%d fixpoint=%d/%d/%d",
 		s.Updates, s.Decisions, s.Rejected, phases,
-		s.ResidualHits, s.ResidualMisses, s.ResidualCompiled, s.ResidualEntries,
+		s.ResidualHits, s.ResidualMisses, s.ResidualCompiled,
 		s.CacheHits, s.CacheMisses, s.LocalCertified, s.FixpointHits, s.FixpointRebuilds, s.FixpointDrops)
 }
 
@@ -404,79 +404,138 @@ func TestWrongArityDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestRangeStepOtherArity: the relation a range step reads is absent when
-// the check is compiled, and an apply then creates it with another arity.
-// That commit moves the schema, so the checker compiles the check again;
-// the check compiled before it — what a decision that read the schema just
-// ahead of the commit still runs — must not read the new relation either.
-// Neither panics, and both answer as evaluation does.
+// TestRangeStepOtherArity: a relation a compiled check reads is absent
+// when the check is compiled, and a commit then creates it with another
+// arity. The check compiled at AddConstraint is the one that decides
+// after the commit — nothing recompiles — and it answers as evaluation
+// does: the relation reads empty to an atom of another arity, on every
+// kind of read (probe, range, scan, negated, the certificate's existence
+// probe) and where a probe router answers for the relation. Nothing
+// panics.
 func TestRangeStepOtherArity(t *testing.T) {
-	const icq = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+	const fi = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
 	for _, tc := range []struct {
-		facts         string
-		create, check store.Update
+		name, facts, constraint string
+		opts                    Options
+		create, check           store.Update
 	}{
 		// +l(1,5) ranges over r's column 0; +r(3) over l's columns 0 and 1.
-		{"l(0,0).", store.Ins("r", relation.Ints(3, 4)), store.Ins("l", relation.Ints(1, 5))},
-		{"r(100).", store.Ins("l", relation.Ints(3)), store.Ins("r", relation.Ints(3))},
+		{"range over r", "l(0,0).", fi, Options{}, store.Ins("r", relation.Ints(3, 4)), store.Ins("l", relation.Ints(1, 5))},
+		{"range over l", "r(100).", fi, Options{}, store.Ins("l", relation.Ints(3)), store.Ins("r", relation.Ints(3))},
+		{"scan", "r(100).", fi, Options{DisableIndexes: true}, store.Ins("l", relation.Ints(3)), store.Ins("r", relation.Ints(3))},
+		{"probe", "p(0).", "panic :- p(X) & q(X).", Options{}, store.Ins("q", relation.Ints(1, 2)), store.Ins("p", relation.Ints(1))},
+		{"negated", "zz(1).", "panic :- emp(E,D) & not dept(D).", Options{}, store.Ins("dept", relation.Strs("toy", "x")), store.Ins("emp", relation.Strs("ann", "toy"))},
+		// The certificate of +emp probes emp, which the commit creates with
+		// another arity: Check refuses the insert, Plan certifies nothing.
+		{"certificate", "dept(toy).", "panic :- emp(E,D) & not dept(D).", Options{LocalRelations: []string{"emp"}},
+			store.Ins("emp", relation.Strs("x", "toy", "1")), store.Ins("emp", relation.Strs("ann", "toy"))},
 	} {
-		c := newChecker(t, tc.facts, Options{})
-		if err := c.AddConstraintSource("fi", icq); err != nil {
+		c := newChecker(t, tc.facts, tc.opts)
+		if err := c.AddConstraintSource("k", tc.constraint); err != nil {
 			t.Fatal(err)
 		}
-		if rep, err := c.Check(tc.check); err != nil || !rep.Applied {
-			t.Fatalf("%v before %v: %+v %v", tc.check, tc.create, rep, err)
+		compiled, check := c.Stats().ResidualCompiled, c.programOf(tc.check).steps[0].check
+		if check == nil || check.Outcome() != residual.ResidualGoal {
+			t.Fatalf("%s: %v compiles to %v, want a residual goal", tc.name, tc.check, check)
 		}
-		before, _, ok := c.residuals.For(c.constraints[0].Prog, tc.check, c.db, c.resOpts)
-		if !ok || before.Outcome() != residual.ResidualGoal {
-			t.Fatalf("%v compiles to %v, want a residual goal", tc.check, before.Outcome())
+		if rep, err := c.Check(tc.check); err != nil || rep.Decisions[0].Phase != PhaseResidual {
+			t.Fatalf("%s: %v before %v: %+v %v", tc.name, tc.check, tc.create, rep, err)
 		}
 		if rep, err := c.Apply(tc.create); err != nil || !rep.Applied {
-			t.Fatalf("%v: %+v %v", tc.create, rep, err)
+			t.Fatalf("%s: %v: %+v %v", tc.name, tc.create, rep, err)
+		}
+		if got := c.programOf(tc.check).steps[0].check; got != check || c.Stats().ResidualCompiled != compiled {
+			t.Errorf("%s: the commit of %v recompiled the check", tc.name, tc.create)
+		}
+		if tc.name == "certificate" {
+			if _, err := c.Check(tc.check); err == nil {
+				t.Errorf("%s: %v into emp/3 admitted", tc.name, tc.check)
+			}
+			if pr := c.Plan(tc.check); pr.Witnesses != nil {
+				t.Errorf("%s: emp/3 certified %v: %+v", tc.name, tc.check, pr.Witnesses)
+			}
+			continue
 		}
 		post := c.DB().Clone()
 		if err := tc.check.Apply(post); err != nil {
 			t.Fatal(err)
 		}
-		want := violates(t, map[string]*ast.Program{"fi": c.constraints[0].Prog}, post)
-		rep, err := c.Check(tc.check)
-		if err != nil || rep.Applied == want {
-			t.Errorf("%v after %v: %+v %v, evaluation says violated=%v", tc.check, tc.create, rep, err, want)
+		want := violates(t, map[string]*ast.Program{"k": c.constraints[0].Prog}, post)
+		if rep, err := c.Check(tc.check); err != nil || rep.Applied == want || rep.Decisions[0].Phase != PhaseResidual {
+			t.Errorf("%s: %v after %v: %+v %v, evaluation says violated=%v", tc.name, tc.check, tc.create, rep, err, want)
 		}
-		if got := before.Decide(c.DB(), tc.check.Tuple); got != want {
-			t.Errorf("%v after %v, compiled before it: violated=%v, evaluation %v", tc.check, tc.create, got, want)
-		}
+	}
+	// A probe router that answers for q with a relation of another arity:
+	// the global phase skips its rows, as the store's reads would.
+	site := store.New()
+	if _, err := site.Insert("q", relation.Ints(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	c := newChecker(t, "p(0).", Options{DisableResidual: true, ProbeRouter: siteRouter{site, "q"}})
+	if err := c.AddConstraintSource("k", "panic :- p(X) & q(X)."); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.Check(store.Ins("p", relation.Ints(1))); err != nil || !rep.Applied || rep.Decisions[0].Phase != PhaseGlobal {
+		t.Errorf("routed q/2: +p(1) %+v %v, want admitted by the global phase", rep, err)
 	}
 }
 
-// TestProgramInvalidation: a program's compiled checks are recompiled by
-// a commit that creates a relation (the schema moves) and by a change of
-// the constraint set — and by nothing else.
+// siteRouter is a ProbeRouter that answers for one relation from a store
+// of its own, as a site would.
+type siteRouter struct {
+	db  *store.Store
+	rel string
+}
+
+func (r siteRouter) Probe(dst []relation.Tuple, rel string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error) {
+	if rel != r.rel {
+		return dst, false, nil
+	}
+next:
+	for _, tu := range r.db.Tuples(rel) {
+		for i, c := range cols {
+			if c >= len(tu) || !tu[c].Equal(vals[i]) {
+				continue next
+			}
+		}
+		dst = append(dst, tu)
+	}
+	return dst, true, nil
+}
+
+func (r siteRouter) Contains(rel string, tu relation.Tuple) (bool, bool, error) {
+	if rel != r.rel {
+		return false, false, nil
+	}
+	return r.db.Contains(rel, tu), true, nil
+}
+
+// TestProgramInvalidation: a constraint set's checks are compiled when the
+// set changes — by AddConstraint and RemoveConstraint — and by nothing
+// else: not a decision, a data write, a plan, a rejection, nor a commit
+// that creates a relation.
 func TestProgramInvalidation(t *testing.T) {
 	c := newChecker(t, "dept(toy). emp(x,toy,1).", Options{})
 	if err := c.AddConstraintSource("cap", "panic :- emp(E,D,S) & S > 100."); err != nil {
 		t.Fatal(err)
 	}
 	seq := int64(0)
-	// hire applies one more emp insert and returns the compilations it cost.
-	hire := func() int64 {
+	hire := func() {
 		t.Helper()
-		before := c.Stats().ResidualCompiled
 		seq++
 		if rep, err := c.Apply(store.Ins("emp", empTuple("e", "toy", seq))); err != nil || !rep.Applied {
 			t.Fatalf("hire %d: %+v %v", seq, rep, err)
 		}
-		return c.Stats().ResidualCompiled - before
 	}
-	expect := func(what string, got, want int64) {
+	expect := func(what string, want int64) {
 		t.Helper()
-		if got != want {
-			t.Errorf("%s: %d compilations, want %d", what, got, want)
+		if got := c.Stats().ResidualCompiled; got != want {
+			t.Errorf("%s: %d checks compiled, want %d", what, got, want)
 		}
 	}
-	expect("first sight of the pattern", hire(), 1)
-	expect("served", hire(), 0)
-	// Data-only writes, checks, plans and rejections leave everything valid.
+	expect("AddConstraint", 1)
+	hire()
+	hire()
 	if _, err := c.Apply(store.Del("emp", empTuple("e", "toy", 1))); err != nil {
 		t.Fatal(err)
 	}
@@ -484,33 +543,50 @@ func TestProgramInvalidation(t *testing.T) {
 		t.Fatalf("over the cap: %+v %v", rep, err)
 	}
 	c.Plan(store.Ins("emp", empTuple("e", "toy", 2)))
-	expect("after data-only writes", hire(), 0)
-	// A commit that creates a relation moves the schema.
 	if rep, err := c.Apply(store.Ins("aux", relation.Ints(1))); err != nil || !rep.Applied {
 		t.Fatalf("aux: %+v %v", rep, err)
 	}
-	expect("after a relation was created", hire(), 1)
-	expect("served again", hire(), 0)
+	hire()
+	expect("decisions, data writes, a plan, a rejection and a relation-creating commit", 1)
 	if err := c.AddConstraintSource("floor", "panic :- emp(E,D,S) & S < 0."); err != nil {
 		t.Fatal(err)
 	}
-	c.progMu.Lock()
-	kept := len(c.programs)
-	c.progMu.Unlock()
-	if kept != 0 {
-		t.Errorf("AddConstraint kept %d programs", kept)
-	}
-	expect("after AddConstraint", hire(), 2)
-	expect("served again", hire(), 0)
+	expect("AddConstraint: cap's and floor's", 3)
+	hire()
 	c.RemoveConstraint("cap")
-	expect("after RemoveConstraint", hire(), 1)
-	expect("served again", hire(), 0)
+	expect("RemoveConstraint: floor's", 4)
+	hire()
+	expect("served again", 4)
+}
+
+// TestPinnedValuesCompileNothing: a constant of a constraint is a guard of
+// its one compiled check, not a key: checks of fresh values at the
+// constant's position compile nothing, and the guard decides them.
+func TestPinnedValuesCompileNothing(t *testing.T) {
+	c := newChecker(t, "cap(toy,100).", Options{})
+	if err := c.AddConstraintSource("toy-cap", `panic :- emp(E,"toy",S) & cap("toy",M) & S > M.`); err != nil {
+		t.Fatal(err)
+	}
+	compiled := c.Stats().ResidualCompiled
+	for i := 0; i < 1000; i++ {
+		u := store.Ins("emp", empTuple("e", fmt.Sprintf("d%d", i), 500))
+		if rep, err := c.Check(u); err != nil || !rep.Applied || rep.Decisions[0].Phase != PhaseResidual {
+			t.Fatalf("%v: %+v %v, want admitted by the compiled check", u, rep, err)
+		}
+	}
+	if got := c.Stats().ResidualCompiled; got != compiled {
+		t.Errorf("1000 checks of fresh values compiled %d checks", got-compiled)
+	}
+	for sal, ok := range map[int64]bool{50: true, 500: false} {
+		if rep, err := c.Check(store.Ins("emp", empTuple("e", "toy", sal))); err != nil || rep.Applied != ok {
+			t.Errorf("+emp(e,toy,%d): %+v %v, want applied=%v", sal, rep, err, ok)
+		}
+	}
 }
 
 // TestProgramConcurrentCompile: eight goroutines check the same patterns,
-// each on first sight for whoever gets there first, while a ninth commits
-// inserts that create relations and so move the schema under them. Two
-// decisions may compile one pattern at once; every verdict equals the
+// served by the programs compiled when the constraints were added, while a
+// ninth commits inserts that create relations. Every verdict equals the
 // sequential arm's.
 func TestProgramConcurrentCompile(t *testing.T) {
 	build := func() *Checker {
@@ -612,8 +688,33 @@ func TestFlatDecisionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	c := flatChecker(t, Options{})
 	hire := store.Ins("emp", empTuple("new", "dept01", 25))
+	// The first decision of each pattern is as cheap as a warm one: every
+	// check was compiled by AddConstraint. (The indexes a check probes are
+	// the relation layer's to build on first use: warmed on a copy.)
+	for _, u := range []store.Update{hire, store.Ins("r", relation.Ints(50)), store.Ins("l", relation.Ints(200, 300))} {
+		c := flatChecker(t, Options{})
+		warm := New(c.DB(), Options{})
+		for _, k := range c.constraints {
+			if err := warm.AddConstraint(k.Name, k.Prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := warm.Check(u); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := c.Check(u)
+		runtime.ReadMemStats(&after)
+		if err != nil || !rep.Applied {
+			t.Fatalf("%v: %+v %v", u, rep, err)
+		}
+		if first, warm := after.Mallocs-before.Mallocs, testing.AllocsPerRun(50, func() { _, _ = c.Check(u) }); float64(first) > warm {
+			t.Errorf("the first Check of %v allocates %d objects, a warm one %v", u, first, warm)
+		}
+	}
+	c := flatChecker(t, Options{})
 	if rep, err := c.Check(hire); err != nil || !rep.Applied {
 		t.Fatalf("%+v %v", rep, err)
 	}

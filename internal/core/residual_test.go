@@ -82,15 +82,18 @@ func TestResidualMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestResidualStatsAndInvalidate pins the counter plumbing: a repeated
-// pattern hits the cache, constraint-set changes flush it, and
-// ResetStats zeroes every counter family without dropping entries.
+// TestResidualStatsAndInvalidate pins the counter plumbing: a constraint
+// set's checks are compiled when it changes and nowhere else, every
+// decision of a pattern is served its check, and ResetStats zeroes every
+// counter family.
 func TestResidualStatsAndInvalidate(t *testing.T) {
-	// emp exists up front: the first Apply would otherwise create the
-	// relation, bump the schema version, and force one extra compile.
-	c := newChecker(t, "dept(toy). emp(x,toy,1).", Options{})
+	c := newChecker(t, "dept(toy).", Options{})
 	if err := c.AddConstraintSource("cap", "panic :- emp(E,D,S) & S > 100."); err != nil {
 		t.Fatal(err)
+	}
+	// One check: +emp (a delete from emp is monotone-safe).
+	if st := c.Stats(); st.ResidualCompiled != 1 || st.ResidualHits != 0 {
+		t.Errorf("after AddConstraint: %+v, want compiled=1 hits=0", st)
 	}
 	for i := int64(0); i < 6; i++ {
 		if rep, err := c.Apply(store.Ins("emp", relation.TupleOf(ast.Str("e"), ast.Str("toy"), ast.Int(i)))); err != nil || !rep.Applied {
@@ -101,16 +104,16 @@ func TestResidualStatsAndInvalidate(t *testing.T) {
 	if st.ByPhase[PhaseResidual] != 6 {
 		t.Fatalf("phase mix %v, want 6 residual decisions", st.ByPhase)
 	}
-	if st.ResidualCompiled != 1 || st.ResidualHits != 5 || st.ResidualEntries != 1 {
-		t.Errorf("residual counters %+v, want compiled=1 hits=5 entries=1", st)
+	if st.ResidualCompiled != 1 || st.ResidualHits != 6 {
+		t.Errorf("residual counters %+v, want compiled=1 hits=6", st)
 	}
-	// AddConstraint flushes the pattern cache (program pointers may be
-	// reused) — entries drop, counters keep the lifetime totals.
+	// AddConstraint compiles the new set's checks, cap's and cap2's; the
+	// counters keep the lifetime totals.
 	if err := c.AddConstraintSource("cap2", "panic :- emp(E,D,S) & S > 1000."); err != nil {
 		t.Fatal(err)
 	}
-	if st = c.Stats(); st.ResidualEntries != 0 {
-		t.Errorf("AddConstraint left %d cached residuals", st.ResidualEntries)
+	if st = c.Stats(); st.ResidualCompiled != 3 {
+		t.Errorf("after a second AddConstraint: %d checks compiled, want 3", st.ResidualCompiled)
 	}
 	c.ResetStats()
 	st = c.Stats()

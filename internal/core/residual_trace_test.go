@@ -12,8 +12,8 @@ import (
 
 // TestResidualTraceEvents pins the trace shape of residual dispatch: one
 // decided phase event per constraint, phase "residual", carrying the
-// pattern-cache status (miss on first sight, hit on repeats) and the
-// verdict — the :explain surface ccshell renders.
+// cache status — hit from the first decision on: AddConstraint compiled
+// the check — and the verdict: the :explain surface ccshell renders.
 func TestResidualTraceEvents(t *testing.T) {
 	buf := obs.NewBufferTracer(8)
 	c := newChecker(t, "emp(ann,toy,50). dept(toy).", Options{Tracer: buf})
@@ -36,21 +36,20 @@ func TestResidualTraceEvents(t *testing.T) {
 		return obs.Event{}
 	}
 
-	// Cold pattern: both constraints decided by a freshly compiled
-	// residual.
+	// First decision of the pattern: both constraints decided by the
+	// residual AddConstraint compiled.
 	if _, err := c.Apply(store.Ins("emp", relation.TupleOf(ast.Str("bob"), ast.Str("toy"), ast.Int(60)))); err != nil {
 		t.Fatal(err)
 	}
 	ev := buf.Last()
 	for _, name := range []string{"ri", "cap"} {
 		e := find(ev, name)
-		if e.Phase != "residual" || !e.Decided || e.Verdict != "holds" || e.Cache != obs.CacheMiss {
-			t.Errorf("cold %s event = %+v, want decided residual holds/miss", name, e)
+		if e.Phase != "residual" || !e.Decided || e.Verdict != "holds" || e.Cache != obs.CacheHit {
+			t.Errorf("first %s event = %+v, want decided residual holds/hit", name, e)
 		}
 	}
 
-	// Warm pattern: same relation and polarity, different tuple — served
-	// from the pattern cache.
+	// Same relation and polarity, different tuple: the same check.
 	if _, err := c.Apply(store.Ins("emp", relation.TupleOf(ast.Str("cid"), ast.Str("toy"), ast.Int(70)))); err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +77,12 @@ func TestResidualTraceEvents(t *testing.T) {
 	}
 }
 
-// TestResidualMetrics: the cc_residual_* gauges mirror the cache
-// counters and residual decisions land in the decisions_total family.
+// TestResidualMetrics: cc_residual_compiled counts the checks
+// AddConstraint compiled, and residual decisions land in the
+// decisions_total family.
 func TestResidualMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	// emp exists up front so the first Apply does not bump the schema
-	// version (which would cost one extra compilation).
-	c := newChecker(t, "dept(toy). emp(x,toy,1).", Options{Metrics: reg})
+	c := newChecker(t, "dept(toy).", Options{Metrics: reg})
 	if err := c.AddConstraintSource("cap", "panic :- emp(E,D,S) & S > 100."); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +96,15 @@ func TestResidualMetrics(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`cc_checker_decisions_total{phase="residual"} 3`,
-		"cc_residual_hits 2",
-		"cc_residual_misses 1",
 		"cc_residual_compiled 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"cc_residual_hits", "cc_residual_misses", "cc_plan_cache_hits", "cc_plan_cache_misses"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition has the cache gauge %s", gone)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -67,7 +66,7 @@ func phaseAttempt(tr *[]obs.Event, constraint string, p Phase, decided bool, cac
 // attempts the dynamic steps recorded, and for a static step the ones
 // that decided it when the program was compiled — stageOne on the step's
 // entry derives them again.
-func (c *Checker) emitAttempts(p *program, dyn []dynOutcome, u store.Update, uStr string, fresh bool) {
+func (c *Checker) emitAttempts(p *program, dyn []dynOutcome, u store.Update, uStr string) {
 	var static []obs.Event
 	j := 0
 	for i := range p.steps {
@@ -76,7 +75,7 @@ func (c *Checker) emitAttempts(p *program, dyn []dynOutcome, u store.Update, uSt
 		switch s.kind {
 		case stepStatic:
 			static = static[:0]
-			c.stageOne(s.k, s.entry.Load(), !fresh, nil, u, &static)
+			c.stageOne(s.k, s.entry, nil, u, &static)
 			attempts = static
 		case stepDynamic:
 			attempts = dyn[j].trace
@@ -112,11 +111,7 @@ type checkerMetrics struct {
 	applySeconds *obs.Histogram
 	indexBuilds  *obs.Gauge
 	indexProbes  *obs.Gauge
-	planHits     *obs.Gauge
-	planMisses   *obs.Gauge
 	internSize   *obs.Gauge
-	residHits    *obs.Gauge
-	residMisses  *obs.Gauge
 	residBuilt   *obs.Gauge
 }
 
@@ -130,12 +125,8 @@ func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
 		applySeconds: reg.Histogram("cc_checker_apply_seconds", "wall clock per Apply", nil),
 		indexBuilds:  reg.Gauge("cc_index_builds", "process-wide hash-index builds (relation layer)"),
 		indexProbes:  reg.Gauge("cc_index_probes", "process-wide hash-index probes (relation layer)"),
-		planHits:     reg.Gauge("cc_plan_cache_hits", "compiled evaluation plans reused from the plan cache"),
-		planMisses:   reg.Gauge("cc_plan_cache_misses", "compiled evaluation plans built on a cache miss"),
 		internSize:   reg.Gauge("cc_intern_size", "distinct constants in the process-wide intern pool"),
-		residHits:    reg.Gauge("cc_residual_hits", "compiled residual checks served from the pattern cache"),
-		residMisses:  reg.Gauge("cc_residual_misses", "residual lookups not served from the cache (fresh compilations plus pipeline fallbacks)"),
-		residBuilt:   reg.Gauge("cc_residual_compiled", "residual compilations performed"),
+		residBuilt:   reg.Gauge("cc_residual_compiled", "residual checks compiled when the constraint set changed"),
 		fix: [3]*obs.Counter{
 			fixHit:     reg.Counter("cc_checker_fixpoint_hits_total", "global insert decisions served by delta rounds on a kept fixpoint"),
 			fixRebuild: reg.Counter("cc_checker_fixpoint_rebuilds_total", "global insert decisions that evaluated the constraint in full to (re)build its kept fixpoint"),
@@ -144,38 +135,11 @@ func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
 	}
 }
 
-// sampleIndexCounters mirrors the relation layer's process-wide index
-// accounting into the registry; called once per Apply.
-func (m *checkerMetrics) sampleIndexCounters() {
+// sampleProcessCounters mirrors the relation layer's process-wide index
+// accounting and the intern-pool size into the registry; called once per
+// Apply.
+func (m *checkerMetrics) sampleProcessCounters() {
 	m.indexBuilds.Set(relation.IndexBuilds())
 	m.indexProbes.Set(relation.IndexProbes())
-}
-
-// samplePlanCounters mirrors the plan-cache counters and the intern-pool
-// size into the registry; called once per Apply. pc may be nil
-// (Options.DisablePlanCache), in which case the plan gauges stay zero.
-func (m *checkerMetrics) samplePlanCounters(pc *eval.PlanCache) {
-	if pc != nil {
-		hits, misses, _ := pc.Stats()
-		m.planHits.Set(hits)
-		m.planMisses.Set(misses)
-	}
 	m.internSize.Set(relation.InternSize())
-}
-
-// sampleResidualCounters mirrors the residual counters (Stats.Residual*:
-// the cache's own plus what served programs count) into the registry;
-// called once per Apply. Without residual dispatch
-// (Options.DisableResidual) the gauges stay zero.
-func (c *Checker) sampleResidualCounters() {
-	if c.residuals == nil {
-		return
-	}
-	hits, misses, compiled, _ := c.residuals.Stats()
-	c.statsMu.Lock()
-	hits, misses = hits+c.stats.ResidualHits, misses+c.stats.ResidualMisses
-	c.statsMu.Unlock()
-	c.met.residHits.Set(hits)
-	c.met.residMisses.Set(misses)
-	c.met.residBuilt.Set(compiled)
 }

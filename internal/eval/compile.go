@@ -1,22 +1,21 @@
 package eval
 
 import (
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/store"
 )
 
 // Compile-once evaluation. Every piece of per-call preparation the
 // evaluator used to redo on each Eval/GoalHoldsAfter — goal pruning,
-// validation, stratification, bound-first join planning, subgoal-arity
-// checks against the database — is hoisted into a compiled object that
-// depends only on (program, goal, index mode, store shape). A PlanCache
-// memoizes compiled objects across the update stream, so the steady
-// state of Checker.Apply runs ready-made plans: the per-update cost is
-// the join itself, not re-deriving how to join.
+// validation, stratification, bound-first join planning — is hoisted into
+// a compiled object that depends only on (program, goal, index mode): a
+// plan names each stored relation with the arity of its atom, and a read
+// of a relation stored with another arity finds nothing (store.
+// TuplesAppend and friends), so no compiled object depends on the store.
+// A Goal hands one to a caller that keeps it — core.Checker compiles each
+// constraint once, when it is added — so the steady state of a decision
+// runs ready-made plans: the per-update cost is the join itself.
 
 // stratumPlan is one stratum with its evaluation bookkeeping
 // precomputed: the slots of its predicates, its rules with their plans
@@ -28,9 +27,8 @@ type stratumPlan struct {
 	recursive bool
 }
 
-// rulePlan is one rule of a stratum: the rule, its from-scratch plan — nil when a
-// stored relation of another arity makes the body underivable — and the
-// positive body literals a semi-naive round may take as its delta.
+// rulePlan is one rule of a stratum: the rule, its from-scratch plan and
+// the positive body literals a semi-naive round may take as its delta.
 type rulePlan struct {
 	rule *ast.Rule
 	plan *Plan
@@ -50,9 +48,8 @@ type occurrence struct {
 }
 
 // compiled is a ready-to-run evaluation: the (goal-pruned) program, its
-// strata, and one join plan per rule with the subgoal arity checks
-// already folded in. A compiled object is immutable after construction
-// and safe to share across concurrent evaluations.
+// strata, and one join plan per rule. A compiled object is immutable after
+// construction and safe to share across concurrent evaluations.
 type compiled struct {
 	prog *ast.Program
 	// noRules marks a goal with no deriving rules after pruning: the
@@ -88,12 +85,9 @@ type compiled struct {
 	feeds      []string
 }
 
-// compile builds the ready-to-run evaluation for prog (pruned to goal
-// when goal is non-empty) against the current shape of db. The database
-// matters only through its shape — which relations exist, with which
-// arities — never through its tuples, which is what makes compiled
-// objects cacheable across the update stream.
-func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*compiled, error) {
+// compile builds the ready-to-run evaluation for prog, pruned to goal
+// when goal is non-empty.
+func compile(prog *ast.Program, goal string, opts Options) (*compiled, error) {
 	c := &compiled{prog: prog, goalLevel: -1, goalSlot: -1}
 	if goal != "" {
 		c.prog = pruneToGoal(prog, goal)
@@ -130,7 +124,7 @@ func compile(prog *ast.Program, db *store.Store, goal string, opts Options) (*co
 		}
 		for _, p := range layer {
 			for _, r := range c.prog.RulesFor(p) {
-				rp := rulePlan{rule: r, plan: compileRule(r, c.slot, db, opts.DisableIndexes, -1)}
+				rp := rulePlan{rule: r, plan: compileRule(r, c.slot, opts.DisableIndexes, -1)}
 				for bi, l := range r.Body {
 					if !l.IsPos() {
 						continue
@@ -170,7 +164,7 @@ func (c *compiled) noteProbes(p *Plan) {
 func (c *compiled) newSet(slot int) *rowSet { return newRowSet(c.arity[slot], c.probed[slot]) }
 
 // prepareDelta builds deltaPlans, monotone and feeds, once.
-func (c *compiled) prepareDelta(db *store.Store) {
+func (c *compiled) prepareDelta() {
 	c.deltaOnce.Do(func() {
 		idb := c.prog.IDBPreds()
 		c.deltaPlans = make([]*Plan, c.occs)
@@ -178,7 +172,7 @@ func (c *compiled) prepareDelta(db *store.Store) {
 		for _, sp := range c.strata {
 			for _, rp := range sp.rules {
 				for _, o := range rp.occs {
-					c.deltaPlans[o.id] = compileRule(rp.rule, c.slot, db, false, o.pos)
+					c.deltaPlans[o.id] = compileRule(rp.rule, c.slot, false, o.pos)
 				}
 			}
 		}
@@ -234,135 +228,50 @@ func reachedFrom(prog *ast.Program, rel string) map[string]bool {
 }
 
 // compiledFor resolves the compiled evaluation for the call, through the
-// options' plan cache when one is attached and by direct compilation
+// options' plan memo when one is attached and by direct compilation
 // otherwise.
-func compiledFor(prog *ast.Program, db *store.Store, goal string, opts Options) (*compiled, error) {
+func compiledFor(prog *ast.Program, goal string, opts Options) (*compiled, error) {
 	if opts.Cache != nil {
-		return opts.Cache.compiledFor(prog, db, goal, opts)
+		return opts.Cache.compiledFor(prog, goal, opts)
 	}
-	return compile(prog, db, goal, opts)
+	return compile(prog, goal, opts)
 }
 
-// planKey identifies a compiled evaluation: the program content
-// fingerprint, the goal adornment, the index mode, and the store shape
-// (identity + schema version). The store's identity must participate —
-// compiled plans bake in arity checks against one particular database,
-// and schema counters of distinct stores advance independently, so
-// (fp, goal, schema) alone could alias two stores.
+// planKey identifies a compiled evaluation: the program, by identity — the
+// memo's key keeps it alive, so its address is never another program's —
+// the goal and the index mode.
 type planKey struct {
-	fp      uint64
+	prog    *ast.Program
 	goal    string
 	noIndex bool
-	storeID uint64
-	schema  uint64
 }
 
-const (
-	// planCacheCap bounds the compiled-plan map; at the cap the map is
-	// reset wholesale (same policy as core's decision cache — entries
-	// are recomputable, so eviction precision is not worth the
-	// bookkeeping).
-	planCacheCap = 4096
-	// planFPCap bounds the program-pointer → fingerprint memo.
-	planFPCap = 4096
-)
-
-// PlanCache memoizes compiled evaluations across calls. It is safe for
-// concurrent use; core.Checker attaches one to its evaluation options so
-// every phase-4 global check and admission check reuses plans across the
-// update stream. Structural store changes (relation creation, Replace,
-// EnsureIndex) advance the store's schema version and thereby miss the
-// cache naturally; constraint-set changes must call Invalidate.
+// PlanCache memoizes compiled evaluations per (program, goal, index mode)
+// for callers that evaluate programs they do not keep compiled: what
+// GoalHoldsWith and friends compile under Options.Cache. It holds every
+// program it is asked about, so it suits a fixed set of programs. Safe
+// for concurrent use.
 type PlanCache struct {
-	mu sync.Mutex
-	// fps memoizes program fingerprints by pointer identity: constraint
-	// programs are parsed once and reused across the update stream, so
-	// the (allocating) content hash is computed once per program, not
-	// once per call.
-	fps     map[*ast.Program]uint64
+	mu      sync.Mutex
 	entries map[planKey]*compiled
-	hits    atomic.Int64
-	misses  atomic.Int64
 }
 
-// NewPlanCache creates an empty plan cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{
-		fps:     make(map[*ast.Program]uint64),
-		entries: make(map[planKey]*compiled),
-	}
-}
+// NewPlanCache creates an empty plan memo.
+func NewPlanCache() *PlanCache { return &PlanCache{entries: map[planKey]*compiled{}} }
 
-// Stats returns the cumulative hit/miss counters and the current number
-// of cached compiled evaluations.
-func (pc *PlanCache) Stats() (hits, misses int64, entries int) {
+// compiledFor returns the memoized compiled evaluation for the call,
+// compiling it on first sight. Compilation runs under the lock.
+func (pc *PlanCache) compiledFor(prog *ast.Program, goal string, opts Options) (*compiled, error) {
+	key := planKey{prog, goal, opts.DisableIndexes}
 	pc.mu.Lock()
-	entries = len(pc.entries)
-	pc.mu.Unlock()
-	return pc.hits.Load(), pc.misses.Load(), entries
-}
-
-// ResetStats zeroes the hit/miss counters without dropping plans, so a
-// warmed cache can report one run's rates in isolation (ccheck -repeat).
-func (pc *PlanCache) ResetStats() {
-	pc.hits.Store(0)
-	pc.misses.Store(0)
-}
-
-// Invalidate drops every cached plan (the fingerprint memo survives: it
-// keys on program identity, which outlives any store or constraint-set
-// change). Call it when the constraint set changes.
-func (pc *PlanCache) Invalidate() {
-	pc.mu.Lock()
-	pc.entries = make(map[planKey]*compiled)
-	pc.mu.Unlock()
-}
-
-// fingerprintLocked returns the content fingerprint for prog, memoized
-// by pointer. Caller holds pc.mu.
-func (pc *PlanCache) fingerprintLocked(prog *ast.Program) uint64 {
-	if fp, ok := pc.fps[prog]; ok {
-		return fp
-	}
-	h := fnv.New64a()
-	h.Write([]byte(prog.String()))
-	fp := h.Sum64()
-	if len(pc.fps) >= planFPCap {
-		pc.fps = make(map[*ast.Program]uint64)
-	}
-	pc.fps[prog] = fp
-	return fp
-}
-
-// compiledFor returns the cached compiled evaluation for the call,
-// compiling and caching on miss. Compilation runs outside the lock —
-// concurrent first calls may compile twice, but both results are
-// identical and one simply wins the store.
-func (pc *PlanCache) compiledFor(prog *ast.Program, db *store.Store, goal string, opts Options) (*compiled, error) {
-	pc.mu.Lock()
-	key := planKey{
-		fp:      pc.fingerprintLocked(prog),
-		goal:    goal,
-		noIndex: opts.DisableIndexes,
-		storeID: db.ID(),
-		schema:  db.SchemaVersion(),
-	}
+	defer pc.mu.Unlock()
 	if e, ok := pc.entries[key]; ok {
-		pc.mu.Unlock()
-		pc.hits.Add(1)
 		return e, nil
 	}
-	pc.mu.Unlock()
-	e, err := compile(prog, db, goal, opts)
+	e, err := compile(prog, goal, opts)
 	if err != nil {
-		return nil, err // compile errors are not cached
-	}
-	pc.misses.Add(1)
-	pc.mu.Lock()
-	if len(pc.entries) >= planCacheCap {
-		pc.entries = make(map[planKey]*compiled)
+		return nil, err // compile errors are not memoized
 	}
 	pc.entries[key] = e
-	pc.mu.Unlock()
 	return e, nil
 }

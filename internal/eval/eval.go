@@ -60,10 +60,10 @@ type Options struct {
 	// are joined in textual order and every candidate is fetched by a scan
 	// of the whole relation and filtered, with no index built or probed.
 	DisableIndexes bool
-	// Cache, when non-nil, memoizes compiled evaluations (pruning,
-	// stratification, join plans, arity checks) across calls — see
-	// PlanCache. Without a cache every call compiles afresh, which is
-	// the -noplancache A/B arm.
+	// Cache, when non-nil, memoizes what EvalWith, GoalHoldsWith and
+	// GoalHoldsAfter compile (pruning, stratification, join plans) across
+	// calls — see PlanCache. Without it every call compiles afresh; a
+	// caller that keeps its programs keeps a Goal instead.
 	Cache *PlanCache
 	// Probe, when non-nil, may intercept EDB reads (candidate fetches
 	// and negated-subgoal membership probes) before they hit the store —
@@ -98,7 +98,7 @@ func Eval(prog *ast.Program, db *store.Store) (*Result, error) {
 
 // EvalWith is Eval with explicit evaluation options.
 func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error) {
-	c, err := compiledFor(prog, db, "", opts)
+	c, err := compiledFor(prog, "", opts)
 	if err != nil {
 		return nil, err
 	}

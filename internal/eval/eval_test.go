@@ -402,9 +402,6 @@ func TestGoalHoldsSkipsIrrelevantWork(t *testing.T) {
 // prune: it is planned before any atom that binds a variable, even one
 // with as many bound arguments.
 func TestPlanBoundProbeFirst(t *testing.T) {
-	db := store.New()
-	db.MustEnsure("edge", 2)
-	db.MustEnsure("banned", 1)
 	x := Term{Kind: TermParam, Pos: 0}
 	y, z := Term{Kind: TermVar, Name: "Y"}, Term{Kind: TermVar, Name: "Z"}
 	body := []Lit{
@@ -413,12 +410,12 @@ func TestPlanBoundProbeFirst(t *testing.T) {
 		{Comp: true, Op: ast.Lt, L: y, R: z},
 		{Pred: "banned", Args: []Term{x}},
 	}
-	got := ast.NewProgram(&ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: PlanBody(body, db, false).Literals(relation.Ints(8))}).String()
+	got := ast.NewProgram(&ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: PlanBody(body, false).Literals(relation.Ints(8))}).String()
 	if want := "panic :- banned(8) & edge(8,R$0) & edge(8,R$1) & R$0 < R$1."; got != want {
 		t.Errorf("planned\n%s\nwant\n%s", got, want)
 	}
 	// The scan arm keeps textual order.
-	got = ast.NewProgram(&ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: PlanBody(body, db, true).Literals(relation.Ints(8))}).String()
+	got = ast.NewProgram(&ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: PlanBody(body, true).Literals(relation.Ints(8))}).String()
 	if want := "panic :- edge(8,R$0) & edge(8,R$1) & R$0 < R$1 & banned(8)."; got != want {
 		t.Errorf("scan arm planned\n%s\nwant\n%s", got, want)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -36,25 +35,12 @@ type Fixpoint struct {
 	vers []uint64
 }
 
-// BuildFixpoint evaluates prog, pruned to goal, over db to its fixpoint
-// and keeps it. It returns nil, before evaluating anything, when an
-// insert into rel could not be decided by Insert on the result
-// (Seedable), and under the options that change where or how stored
-// relations are read: a probe router serves reads the store's versions
-// say nothing about, and the scan arm stays a reference that shares no
-// shortcut with what it checks — no index, no kept rows. The store is read, never written.
-func BuildFixpoint(prog *ast.Program, db *store.Store, goal, rel string, opts Options) (*Fixpoint, error) {
-	if opts.Probe != nil || opts.DisableIndexes {
-		return nil, nil
-	}
-	c, err := compiledFor(prog, db, goal, opts)
-	if err != nil {
-		return nil, err
-	}
+// buildFixpoint is Goal.Fixpoint for the compiled evaluation c.
+func buildFixpoint(c *compiled, db *store.Store, rel string, opts Options) (*Fixpoint, error) {
 	if c.noRules {
 		return nil, nil // underivable whatever the data: nothing worth keeping
 	}
-	c.prepareDelta(db)
+	c.prepareDelta()
 	f := &Fixpoint{comp: c, db: db}
 	if !f.Seedable(rel) {
 		return nil, nil

@@ -11,15 +11,54 @@ import (
 // and a residual plan at its first derivation.
 var errGoalDerived = errors.New("eval: goal derived")
 
+// Goal is a program compiled for one goal predicate under fixed options:
+// the question "is the goal derivable?" with its pruning, validation,
+// stratification and join plans made once. It holds no store state, so
+// one Goal answers for every state of every store. Immutable and safe for
+// concurrent use.
+type Goal struct {
+	c    *compiled
+	name string
+	opts Options
+}
+
+// CompileGoal compiles prog for the goal predicate goal under opts.
+func CompileGoal(prog *ast.Program, goal string, opts Options) (*Goal, error) {
+	c, err := compile(prog, goal, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Goal{c: c, name: goal, opts: opts}, nil
+}
+
+// HoldsAfter is GoalHoldsAfter for the compiled goal.
+func (g *Goal) HoldsAfter(db *store.Store, prior []store.Update, u store.Update) (bool, error) {
+	return holdsAfter(g.c, db, g.name, prior, u, g.opts)
+}
+
+// Fixpoint evaluates the compiled goal over db to its fixpoint and keeps
+// it, to decide inserts into rel (see Fixpoint). It returns nil, before
+// evaluating anything, when an insert into rel could not be decided by
+// Fixpoint.Insert on the result (Seedable), and under the options that
+// change where or how stored relations are read: a probe router serves
+// reads the store's versions say nothing about, and the scan arm stays a
+// reference that shares no shortcut with what it checks — no index, no
+// kept rows. The store is read, never written.
+func (g *Goal) Fixpoint(db *store.Store, rel string) (*Fixpoint, error) {
+	if g.opts.Probe != nil || g.opts.DisableIndexes {
+		return nil, nil
+	}
+	return buildFixpoint(g.c, db, rel, g.opts)
+}
+
 // GoalHoldsWith reports whether the goal predicate derives at least one
 // tuple, evaluating only the predicates the goal transitively depends on
 // and stopping at the first derivation. For constraint checking this is
 // the global phase's question — "is panic derivable?" — and both
 // optimizations are sound: unreachable predicates cannot contribute, and
 // within the goal's stratum derivations only grow (negation refers to
-// completed lower strata). The pruning, validation, stratification and
-// join planning all live in the compiled object, cached across calls when
-// opts.Cache is set.
+// completed lower strata). It compiles prog for the call, or takes the
+// compilation from opts.Cache; a caller that asks again keeps a Goal.
 func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options) (bool, error) {
 	return GoalHoldsAfter(prog, db, goal, nil, store.Update{}, opts)
 }
@@ -29,10 +68,16 @@ func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options
 // stands: db is not written, and a probe router serves the state before
 // them. No prior and the zero Update ask of db.
 func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, prior []store.Update, u store.Update, opts Options) (bool, error) {
-	c, err := compiledFor(prog, db, goal, opts)
+	c, err := compiledFor(prog, goal, opts)
 	if err != nil {
 		return false, err
 	}
+	return holdsAfter(c, db, goal, prior, u, opts)
+}
+
+// holdsAfter runs the compiled goal evaluation c over db with prior and u
+// pending, up to the first derivation of the goal.
+func holdsAfter(c *compiled, db *store.Store, goal string, prior []store.Update, u store.Update, opts Options) (bool, error) {
 	if c.noRules {
 		return false, nil // goal underivable: no rules at all
 	}

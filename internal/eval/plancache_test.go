@@ -9,93 +9,10 @@ import (
 	"repro/internal/store"
 )
 
-// TestPlanCacheSchemaInvalidation pins the coherence contract: data-only
-// updates — a Replace over an existing relation among them, which keeps
-// its arity and its indexes — reuse the cached plan, while every
-// structural store change — relation creation (by Ensure or by Replace)
-// and EnsureIndex — advances the schema version and forces a recompile.
-func TestPlanCacheSchemaInvalidation(t *testing.T) {
-	prog := parser.MustParseProgram("p(X) :- e(X) & not f(X).")
-	db := store.New()
-	db.MustEnsure("e", 1)
-	db.MustEnsure("f", 1)
-	if _, err := db.Insert("e", relation.Ints(1)); err != nil {
-		t.Fatal(err)
-	}
-	cache := NewPlanCache()
-	evalN := func(want int) {
-		t.Helper()
-		res, err := EvalWith(prog, db, Options{Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(res.Tuples("p")); got != want {
-			t.Fatalf("derived %d p-tuples, want %d", got, want)
-		}
-	}
-	misses := func() int64 {
-		_, m, _ := cache.Stats()
-		return m
-	}
-
-	evalN(1)
-	if m := misses(); m != 1 {
-		t.Fatalf("first eval: misses = %d, want 1", m)
-	}
-	// Data-only change: same schema version, cached plan reused.
-	if _, err := db.Insert("e", relation.Ints(2)); err != nil {
-		t.Fatal(err)
-	}
-	evalN(2)
-	if m := misses(); m != 1 {
-		t.Fatalf("after data-only insert: misses = %d, want 1 (plan must be reused)", m)
-	}
-	// Replace over an existing relation swaps contents, not shape: the
-	// plan is reused (it names relations, it does not hold them) and the
-	// answer reflects the replaced contents.
-	if err := db.Replace("f", 1, []relation.Tuple{relation.Ints(2)}); err != nil {
-		t.Fatal(err)
-	}
-	evalN(1)
-	if m := misses(); m != 1 {
-		t.Fatalf("after same-arity Replace: misses = %d, want 1 (plan must be reused)", m)
-	}
-	// EnsureIndex bumps the schema version (a fresh compile may now pick
-	// the index).
-	if err := db.EnsureIndex("e", 0); err != nil {
-		t.Fatal(err)
-	}
-	evalN(1)
-	if m := misses(); m != 2 {
-		t.Fatalf("after EnsureIndex: misses = %d, want 2", m)
-	}
-	// Relation creation likewise: a new relation can flip a compiled
-	// arity-mismatch mark.
-	db.MustEnsure("g", 2)
-	evalN(1)
-	if m := misses(); m != 3 {
-		t.Fatalf("after relation creation: misses = %d, want 3", m)
-	}
-	// ... also when it is Replace that creates it.
-	if err := db.Replace("h", 1, []relation.Tuple{relation.Ints(9)}); err != nil {
-		t.Fatal(err)
-	}
-	evalN(1)
-	if m := misses(); m != 4 {
-		t.Fatalf("after creating Replace: misses = %d, want 4", m)
-	}
-	// Steady state again: one more eval is a pure hit.
-	evalN(1)
-	if m := misses(); m != 4 {
-		t.Fatalf("steady state: misses = %d, want 4", m)
-	}
-}
-
-// TestPlanCacheDistinctStores shares one cache across two stores whose
-// shapes disagree: the plan compiled against one bakes in an
-// arity-mismatch mark the other must not inherit. This is the aliasing
-// the store identity in the cache key prevents — the schema counters of
-// fresh stores start equal.
+// TestPlanCacheDistinctStores shares one memo across two stores whose
+// shapes disagree: q has another arity in one of them. A compiled plan
+// reads q at the atom's arity whatever the store, so one compilation
+// answers for both.
 func TestPlanCacheDistinctStores(t *testing.T) {
 	prog := parser.MustParseProgram("p(X) :- e(X) & q(X).")
 	cache := NewPlanCache()
@@ -108,8 +25,8 @@ func TestPlanCacheDistinctStores(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Same schema version as good (both bumped twice), different shape:
-	// q has arity 2, so the q(X) subgoal can never match stored tuples.
+	// A different shape: q has arity 2, so the q(X) subgoal can never
+	// match stored tuples.
 	bad := store.New()
 	bad.MustEnsure("e", 1)
 	bad.MustEnsure("q", 2)
@@ -119,12 +36,7 @@ func TestPlanCacheDistinctStores(t *testing.T) {
 	if _, err := bad.Insert("q", relation.Ints(7, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if good.SchemaVersion() != bad.SchemaVersion() {
-		t.Fatalf("test setup drifted: schema versions %d vs %d should collide",
-			good.SchemaVersion(), bad.SchemaVersion())
-	}
-
-	for i := 0; i < 2; i++ { // second round hits the cache
+	for i := 0; i < 2; i++ { // the second round reuses the compilation
 		resGood, err := EvalWith(prog, good, Options{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -142,10 +54,10 @@ func TestPlanCacheDistinctStores(t *testing.T) {
 	}
 }
 
-// TestPlanCacheGoalAndIndexModeKeys verifies the remaining key
-// dimensions: the same program cached for full evaluation, for a goal
+// TestPlanCacheGoalAndIndexModeKeys verifies the key dimensions beside
+// the program: the same program compiled for full evaluation, for a goal
 // check, and for the scan arm are three distinct entries that do not
-// answer for each other.
+// answer for each other, and asking again compiles nothing.
 func TestPlanCacheGoalAndIndexModeKeys(t *testing.T) {
 	prog := parser.MustParseProgram("p(X) :- e(X).\nq(X) :- p(X).")
 	db := store.New()
@@ -162,21 +74,18 @@ func TestPlanCacheGoalAndIndexModeKeys(t *testing.T) {
 	if _, err := EvalWith(prog, db, Options{Cache: cache, DisableIndexes: true}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, entries := cache.Stats()
-	if hits != 0 || misses != 3 || entries != 3 {
-		t.Fatalf("hits=%d misses=%d entries=%d, want 0/3/3 (distinct keys per goal and index mode)",
-			hits, misses, entries)
+	if n := len(cache.entries); n != 3 {
+		t.Fatalf("%d entries, want 3 (distinct keys per goal and index mode)", n)
 	}
-	cache.Invalidate()
-	if _, _, entries := cache.Stats(); entries != 0 {
-		t.Fatalf("Invalidate left %d entries", entries)
+	if ok, err := GoalHoldsWith(prog, db, "q", Options{Cache: cache}); err != nil || !ok || len(cache.entries) != 3 {
+		t.Fatalf("GoalHolds(q) again = %v, %v with %d entries; want true from the 3 compiled", ok, err, len(cache.entries))
 	}
 }
 
-// TestPlanCacheConcurrentEval hammers one shared cache from parallel
-// evaluators while a writer mutates the store — inserts, deletes, and
-// schema-bumping Replace/EnsureIndex calls — so the hit, miss,
-// invalidation and double-compile paths all race under -race.
+// TestPlanCacheConcurrentEval hammers one shared memo from parallel
+// evaluators while a writer mutates the store — inserts, deletes, Replace
+// and EnsureIndex calls — so the first-compile and served paths race
+// under -race.
 func TestPlanCacheConcurrentEval(t *testing.T) {
 	progs := []string{
 		"p(X) :- e(X) & not f(X).",
@@ -231,12 +140,11 @@ func TestPlanCacheConcurrentEval(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				cache.Invalidate()
 			}
 		}
 	}()
 	wg.Wait()
-	if hits, misses, _ := cache.Stats(); hits+misses == 0 {
-		t.Fatal("concurrent run never touched the cache")
+	if len(cache.entries) == 0 {
+		t.Fatal("concurrent run never touched the memo")
 	}
 }

@@ -139,11 +139,8 @@ type Plan struct {
 
 // planSpec is what the planner needs beyond the body.
 type planSpec struct {
-	// db supplies arity folds: an atom over a stored relation of another
-	// arity matches nothing.
-	db *store.Store
 	// slots number the predicates the evaluation derives; they are never
-	// folded against the store nor ranged.
+	// ranged.
 	slots map[string]int
 	// scan keeps positive atoms in textual order with no probe and no
 	// range (the DisableIndexes discipline).
@@ -163,16 +160,16 @@ type planSpec struct {
 }
 
 // PlanBody plans a residual disjunct as an existence test (HoldsAfter),
-// against the shape of db, on the scan arm when scan is set. It returns
-// nil when a positive atom over a stored relation of another arity makes
-// the body underivable.
-func PlanBody(body []Lit, db *store.Store, scan bool) *Plan {
-	return planBody(body, planSpec{db: db, scan: scan, first: -1})
+// on the scan arm when scan is set. It reads no store: an atom reads the
+// stored relation of its name and arity at run time, and nothing of a
+// relation stored with another arity.
+func PlanBody(body []Lit, scan bool) *Plan {
+	return planBody(body, planSpec{scan: scan, first: -1})
 }
 
 // compileRule plans rule r's body for the evaluator; slots number the
 // program's derived predicates, first is as in planSpec.
-func compileRule(r *ast.Rule, slots map[string]int, db *store.Store, scan bool, first int) *Plan {
+func compileRule(r *ast.Rule, slots map[string]int, scan bool, first int) *Plan {
 	body := make([]Lit, len(r.Body))
 	for i, l := range r.Body {
 		if l.IsComp() {
@@ -181,7 +178,7 @@ func compileRule(r *ast.Rule, slots map[string]int, db *store.Store, scan bool, 
 		}
 		body[i] = Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: termsOf(l.Atom.Args)}
 	}
-	return planBody(body, planSpec{db: db, slots: slots, scan: scan, first: first, head: &r.Head})
+	return planBody(body, planSpec{slots: slots, scan: scan, first: first, head: &r.Head})
 }
 
 func termOf(a ast.Term) Term {
@@ -205,12 +202,9 @@ func termsOf(as []ast.Term) []Term {
 // all of whose arguments are bound before any that binds a variable), and
 // ranged where they have no
 // probe column but an order comparison bounds a column they bind
-// (rangeBound). It returns nil when a positive atom over an existing
-// stored relation of disagreeing arity makes the body underivable; negated
-// atoms in that situation are vacuously true and are dropped instead.
-// Safe rules bind every variable through positive atoms, so nothing stays
-// unplanned; constraint and program validation reject the others, and the
-// planner returns nil for them too.
+// (rangeBound). Safe rules bind every variable through positive atoms, so
+// nothing stays unplanned; constraint and program validation reject the
+// others, and the planner returns nil for them.
 func planBody(body []Lit, sp planSpec) *Plan {
 	p := &Plan{headSlot: -1}
 	regOf := map[string]int{}
@@ -245,12 +239,12 @@ func planBody(body []Lit, sp planSpec) *Plan {
 		}
 		return true
 	}
-	emit := func(bi int) bool {
+	emit := func(bi int) {
 		l := &body[bi]
 		if l.Comp {
 			byHandle := (l.Op == ast.Eq || l.Op == ast.Ne) && l.L.Kind != TermParam && l.R.Kind != TermParam
 			p.steps = append(p.steps, step{kind: stepComp, body: bi, slot: -1, op: l.Op, l: mkArg(l.L), r: mkArg(l.R), byHandle: byHandle})
-			return true
+			return
 		}
 		st := step{kind: stepNeg, body: bi, slot: -1, pred: l.Pred}
 		if slot, derived := sp.slots[l.Pred]; derived {
@@ -258,13 +252,6 @@ func planBody(body []Lit, sp planSpec) *Plan {
 		}
 		if !l.Neg {
 			st.kind = stepPos
-		}
-		if rel := sp.db.Relation(l.Pred); st.slot < 0 && rel != nil && rel.Arity() != len(l.Args) {
-			// The stored relation can never match the atom (Insert enforces
-			// uniform arity): a positive atom kills the body, a negated one
-			// is vacuously true. Plans are cached per store schema version,
-			// so this fold never outlives the shape it saw.
-			return l.Neg
 		}
 		inAtom := map[string]int{}
 		for i, a := range l.Args {
@@ -300,7 +287,6 @@ func planBody(body []Lit, sp planSpec) *Plan {
 			bound[name] = true
 		}
 		p.steps = append(p.steps, st)
-		return true
 	}
 	for bi, l := range body {
 		if l.Comp || l.Neg {
@@ -313,7 +299,7 @@ func planBody(body []Lit, sp planSpec) *Plan {
 		rest := pending[:0]
 		for _, bi := range pending {
 			if ready(&body[bi]) {
-				emit(bi) // comparisons and negations never kill the body
+				emit(bi)
 			} else {
 				rest = append(rest, bi)
 			}
@@ -344,9 +330,7 @@ func planBody(body []Lit, sp planSpec) *Plan {
 		pick = max(pick, 0)
 		bi := positives[pick]
 		positives = slices.Delete(positives, pick, pick+1)
-		if !emit(bi) {
-			return nil // dead positive atom: body underivable
-		}
+		emit(bi)
 		flushReady()
 	}
 	if len(pending) > 0 {
@@ -661,8 +645,8 @@ func (ev *evaluator) run(p *Plan, si int) error {
 		return err
 	}
 	for _, row := range rows {
-		if len(row) != len(st.args) || !ev.match(st, row) {
-			continue // another arity (a relation unseen at plan time), or a failed check
+		if !ev.match(st, row) {
+			continue
 		}
 		if err := ev.run(p, si+1); err != nil {
 			return err
@@ -748,6 +732,9 @@ func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
 				lv.tups = out
 				hbuf := lv.hbuf[:0]
 				for _, t := range out {
+					if len(t) != len(st.args) {
+						continue // the routed relation has another arity: the atom matches none of it
+					}
 					lo := len(hbuf)
 					hbuf = relation.AppendHandles(hbuf, t)
 					dst = append(dst, hbuf[lo:len(hbuf):len(hbuf)])
@@ -759,7 +746,7 @@ func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
 		}
 		switch {
 		case len(cols) > 0:
-			dst = ev.db.LookupColsAppend(dst, st.pred, cols, key)
+			dst = ev.db.LookupColsAppend(dst, st.pred, len(st.args), cols, key)
 		case len(st.ranges) > 0:
 			ranges := append(lv.ranges[:0], st.ranges...)
 			for i := range ranges {
@@ -773,7 +760,7 @@ func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
 			lv.ranges = ranges
 			dst = ev.db.RangeAppend(dst, st.pred, len(st.args), ranges)
 		default:
-			dst = ev.db.TuplesAppend(dst, st.pred)
+			dst = ev.db.TuplesAppend(dst, st.pred, len(st.args))
 		}
 		if ev.prior != nil || st.pred == ev.upd.Relation {
 			dst = ev.pending(dst, st.pred, len(st.args), cols, key)

@@ -365,10 +365,9 @@ func deptFixture(t *testing.T, workers int) (*Coordinator, *Loopback, []*Server)
 	return co, lb, servers
 }
 
-// mirrorState renders a store with its schema and data versions.
+// mirrorState renders a store with its relation names and data versions.
 func mirrorState(db *store.Store) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "schema=%d\n", db.SchemaVersion())
 	for _, name := range db.Names() {
 		fmt.Fprintf(&b, "%s v%d\n", name, db.DataVersion(name))
 	}

@@ -115,7 +115,7 @@ func scanned(res *Residual) *Residual {
 	out := *res
 	out.disjuncts = make([]*disjunct, len(res.disjuncts))
 	for i, d := range res.disjuncts {
-		out.disjuncts[i] = &disjunct{plan: d.plan.Unranged(), cert: d.cert}
+		out.disjuncts[i] = &disjunct{guards: d.guards, plan: d.plan.Unranged(), cert: d.cert}
 	}
 	return &out
 }
@@ -311,30 +311,28 @@ func FuzzResidualPreState(f *testing.F) {
 		if flat == nil {
 			// A helper the compiler cannot unfold: the global phase decides,
 			// and the program as written compiles no check.
-			if _, _, ok := NewCache().For(p, u, pre, Options{}); ok {
-				t.Fatalf("%s: a check was compiled for %v without a flat form", p, u)
+			if DeriveShape(p, u.Relation, u.Insert).Eligible {
+				t.Fatalf("%s: a check would be compiled for %v without a flat form", p, u)
 			}
 			return
 		}
+		if !DeriveShape(flat, u.Relation, u.Insert).Eligible {
+			t.Fatalf("%s: the flat form refuses %v", flat, u)
+		}
 		local := func(rel string) bool { return rel == sh.local }
-		before, schema, version := pre.Dump(), pre.SchemaVersion(), pre.DataVersion(u.Relation)
+		before, names, version := pre.Dump(), pre.Names(), pre.DataVersion(u.Relation)
 		rendered := ""
 		for _, opts := range []Options{{}, {DisableIndexes: true}, {Local: local}} {
-			// The residual comes out of a cache, as a checker's does, behind two
-			// malformed updates of its pattern — a column more, a column less.
-			// They match no occurrence and are safe; what was compiled for them
-			// must not be what serves u.
-			cache := NewCache()
+			// The pattern's program holds one check per arity, as a checker
+			// compiles them: the malformed updates of the pattern — a column
+			// more, a column less — match no occurrence and are safe, and the
+			// check of u's arity is its own.
 			for _, tu := range []relation.Tuple{append(u.Tuple[:len(u.Tuple):len(u.Tuple)], ast.Int(0)), u.Tuple[:len(u.Tuple)-1]} {
-				malformed := store.Update{Insert: u.Insert, Relation: u.Relation, Tuple: tu}
-				if res, _, ok := cache.For(flat, malformed, pre, opts); !ok || res.Decide(pre, tu) {
-					t.Fatalf("%+v: malformed %v: compiled=%v, or decided a violation", opts, malformed, ok)
+				if res := Compile(flat, u.Relation, u.Insert, len(tu), opts); res.Decide(pre, tu) {
+					t.Fatalf("%+v: malformed %v%v decided a violation", opts, u.Relation, tu)
 				}
 			}
-			res, hit, ok := cache.For(flat, u, pre, opts)
-			if !ok || hit {
-				t.Fatalf("%+v: %v after its malformed variants: compiled=%v served=%v, want a compilation of its own", opts, u, ok, hit)
-			}
+			res := Compile(flat, u.Relation, u.Insert, len(u.Tuple), opts)
 			// The residual decides on pre with the earlier members pending.
 			decide := func(r *Residual) bool {
 				if len(prior) == 0 {
@@ -416,7 +414,7 @@ func FuzzResidualPreState(f *testing.F) {
 				}
 			}
 		}
-		if pre.Dump() != before || pre.SchemaVersion() != schema || pre.DataVersion(u.Relation) != version {
+		if pre.Dump() != before || !slices.Equal(pre.Names(), names) || pre.DataVersion(u.Relation) != version {
 			t.Fatalf("deciding %v wrote the database", u)
 		}
 	})

@@ -29,21 +29,19 @@
 // reads differently there, and the join engine (internal/eval) reads R
 // with the update pending (under an insert t is among R's tuples and not
 // R(t) is false; under a delete the opposite).
-// Occurrences whose constants clash with the tuple contribute nothing
-// and fold away at compile time; comparisons ground under σ constant-
-// fold; disjuncts whose comparison sets are unsatisfiable (internal/
-// ineq) are pruned. What remains reduces to one of three outcomes:
-// always safe (no disjuncts survive), always violating (a disjunct has
-// an empty body), or a residual goal — typically one indexed probe plus
-// a few comparisons.
 //
-// To make residuals cacheable across an update stream whose tuples vary,
-// compilation is parameterized: tuple positions where no harmful
-// occurrence carries a constant become runtime parameters ($i = t[i]),
-// so one compiled residual serves every tuple of the pattern. Positions
-// where some occurrence is a constant are pinned — the concrete value is
-// baked in (enabling the compile-time folding above) and participates in
-// the cache key.
+// Compilation is a function of the pattern — relation, polarity, arity —
+// and never of the tuple: every tuple position is a runtime parameter
+// ($i = t[i]), so one compiled residual serves every tuple of the pattern
+// and a constraint's checks are all compiled when it is added. A constant
+// c at position i of the occurrence becomes the guard $i = c: a tuple that
+// fails a disjunct's guards settles it before its certificate or its plan
+// runs, as if the disjunct were not there. Comparisons between constants
+// fold; disjuncts whose comparison sets, guards included, are
+// unsatisfiable (internal/ineq) are pruned. What remains reduces to one of
+// three outcomes: always safe (no disjuncts survive), always violating (an
+// unguarded disjunct has an empty body), or a residual goal — typically a
+// guard, one indexed probe and a few comparisons.
 package residual
 
 import (
@@ -102,19 +100,13 @@ func (o Outcome) String() string {
 }
 
 // Shape is the compile-relevant skeleton of a (constraint, relation,
-// polarity) pattern: whether the pair is residual-eligible at all, and
-// which tuple positions are pinned (carry a constant in some harmful
-// occurrence, so their concrete value participates in compilation and
-// the cache key).
+// polarity) pattern: whether the pair is residual-eligible at all.
 type Shape struct {
 	Eligible bool
 	// Arity is the widest harmful-occurrence arity (-1 when the
 	// constraint has no harmful occurrence of the relation, in which
 	// case any tuple is trivially safe).
 	Arity int
-	// Pinned[i] reports that some harmful occurrence has a constant at
-	// position i; len(Pinned) == max(Arity, 0).
-	Pinned []bool
 }
 
 // flatCap bounds the rules of an expansion Flatten accepts: each rule is
@@ -176,22 +168,6 @@ func DeriveShape(prog *ast.Program, rel string, insert bool) Shape {
 			}
 		}
 	}
-	if sh.Arity < 0 {
-		return sh
-	}
-	sh.Pinned = make([]bool, sh.Arity)
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.Harmful(rel, insert) {
-				continue
-			}
-			for i, a := range l.Atom.Args {
-				if a.IsConst() {
-					sh.Pinned[i] = true
-				}
-			}
-		}
-	}
 	return sh
 }
 
@@ -213,8 +189,8 @@ type certificate struct {
 	pred string
 	// cols, ascending, are the occurrence positions a witness must share
 	// with t: those holding a constant (which t carries too, or the
-	// disjunct folded away) and those whose variable occurs in another
-	// literal or in a comparison of the rule.
+	// disjunct's guard settled it first) and those whose variable occurs in
+	// another literal or in a comparison of the rule.
 	cols []int
 	// same pairs the positions of a variable the occurrence repeats and
 	// nothing else reads: a witness holds one value at both.
@@ -271,9 +247,9 @@ func certificateFor(rule *ast.Rule, oi int, insert bool, opts Options) *certific
 	return cert
 }
 
-// Residual is a compiled residual test for one (constraint, pattern,
-// pinned values) triple. It is immutable after compilation and safe for
-// concurrent Decide calls.
+// Residual is the compiled residual test of one constraint for one update
+// pattern (relation, polarity, arity). It is immutable after compilation
+// and safe for concurrent Decide calls.
 type Residual struct {
 	outcome Outcome
 	// rel and insert are the compiled update's relation and polarity: the
@@ -284,11 +260,30 @@ type Residual struct {
 	disjuncts []*disjunct
 }
 
-// disjunct is one compiled residual disjunct: its plan and, where the
-// pattern has one, the local certificate probed ahead of the plan.
+// disjunct is one compiled residual disjunct: its guards, its plan and,
+// where the pattern has one, the local certificate probed ahead of the
+// plan.
 type disjunct struct {
-	plan *eval.Plan
-	cert *certificate
+	guards []guard
+	plan   *eval.Plan
+	cert   *certificate
+}
+
+// guard is the comparison $pos = val of a constant in the occurrence.
+type guard struct {
+	pos int
+	val ast.Value
+}
+
+// applies reports whether the update tuple t passes the disjunct's
+// guards: whether t unifies with the occurrence at its constants.
+func (d *disjunct) applies(t relation.Tuple) bool {
+	for _, g := range d.guards {
+		if !t[g.pos].Equal(g.val) {
+			return false
+		}
+	}
+	return true
 }
 
 // witness probes the disjunct's certificate for the update tuple t: a
@@ -355,28 +350,28 @@ func (r *Residual) Certificates() int {
 	return n
 }
 
-// Compile partially evaluates prog against the update pattern
-// (rel, insert polarity, tuple t) under shape sh. Positions pinned by sh
-// bake t's value in; the rest become parameters, so the result may be
-// reused for any tuple agreeing with t on the pinned positions. The
-// database contributes only its shape (relation arities), never tuples.
-func Compile(prog *ast.Program, rel string, insert bool, t relation.Tuple, sh Shape, db *store.Store, opts Options) *Residual {
+// Compile partially evaluates prog, in flat form and eligible for the
+// pattern (DeriveShape), against the update pattern: an update of the
+// given polarity of a tuple of the given arity in rel. Every tuple
+// position is a parameter, so the result serves every tuple of the
+// pattern; it reads no database.
+func Compile(prog *ast.Program, rel string, insert bool, arity int, opts Options) *Residual {
 	res := &Residual{rel: rel, insert: insert}
-	for _, o := range occurrences(prog, rel, insert, len(t)) {
-		body, ok := specialize(o.rule, o.oi, t, sh)
+	for _, o := range occurrences(prog, rel, insert, arity) {
+		guards, body, ok := specialize(o.rule, o.oi)
 		if !ok {
-			continue // constant clash or unsatisfiable comparisons
+			continue // unsatisfiable comparisons
 		}
-		p := eval.PlanBody(body, db, opts.DisableIndexes)
+		p := eval.PlanBody(body, opts.DisableIndexes)
 		if p == nil {
-			continue // a dead atom made the disjunct underivable
+			continue // an unsafe body: validation keeps these out
 		}
-		if p.Len() == 0 {
+		if p.Len() == 0 && len(guards) == 0 {
 			// The update alone completes a derivation: nothing left to
 			// check at runtime and no other disjunct can change that.
 			return &Residual{outcome: AlwaysViolating}
 		}
-		res.disjuncts = append(res.disjuncts, &disjunct{plan: p, cert: certificateFor(o.rule, o.oi, insert, opts)})
+		res.disjuncts = append(res.disjuncts, &disjunct{guards: guards, plan: p, cert: certificateFor(o.rule, o.oi, insert, opts)})
 	}
 	if len(res.disjuncts) > 0 {
 		res.outcome = ResidualGoal
@@ -423,9 +418,8 @@ func sigma(occ ast.Atom) map[string]int {
 // occurrence of that arity, comparisons aside — in rule/occurrence/literal
 // order, with the σ Compile specializes that disjunct by (variable →
 // tuple position) and the disjunct's comparisons, which bound what a
-// literal's variables may take. It needs no tuple, so it names the
-// literals of a disjunct that a constant of the occurrence or a folded
-// comparison drops for some tuples too.
+// literal's variables may take. It names the literals of every
+// disjunct, also of one Compile prunes or whose guards a tuple fails.
 func Reads(prog *ast.Program, rel string, insert bool, arity int, f func(lit ast.Atom, sigma map[string]int, comps []ast.Comparison)) {
 	for _, o := range occurrences(prog, rel, insert, arity) {
 		s := sigma(o.rule.Body[o.oi].Atom)
@@ -443,49 +437,30 @@ func Reads(prog *ast.Program, rel string, insert bool, arity int, f func(lit ast
 	}
 }
 
-// specialize builds the symbolic body of the disjunct for one harmful
-// occurrence: σ(body minus the occurrence) plus unification guards, with
-// ground comparisons folded and the ineq-unsatisfiable conjunctions
-// pruned. ok is false when the disjunct folds away entirely.
-func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit, bool) {
+// specialize builds the disjunct of one harmful occurrence: the guards of
+// its constants, and the symbolic body σ(body minus the occurrence) plus
+// the unification checks of its repeated variables, with ground
+// comparisons folded. ok is false when the comparisons, guards included,
+// are unsatisfiable.
+func specialize(rule *ast.Rule, oi int) (guards []guard, body []eval.Lit, ok bool) {
 	occ := rule.Body[oi].Atom
-	// The tuple side of position i: pinned positions are the concrete
-	// value, the rest the runtime parameter $i.
-	side := func(i int) eval.Term {
-		if sh.Pinned[i] {
-			return eval.Term{Kind: eval.TermConst, Val: t[i]}
-		}
-		return eval.Term{Kind: eval.TermParam, Pos: i}
-	}
+	param := func(i int) eval.Term { return eval.Term{Kind: eval.TermParam, Pos: i} }
 	first := sigma(occ)
 	sub := make(map[string]eval.Term, len(first))
 	for v, i := range first {
-		sub[v] = side(i)
+		sub[v] = param(i)
 	}
-	var guards []eval.Lit
+	var guardLits []eval.Lit
 	for i, a := range occ.Args {
-		tv := side(i)
-		if a.IsConst() {
-			// Pinned by construction, so tv is a constant: decide now.
-			if !a.Const.Equal(tv.Val) {
-				return nil, false
-			}
-			continue
-		}
-		j := first[a.Var]
-		if j == i {
-			continue
-		}
-		// Repeated variable in the occurrence: both bindings must agree.
-		if prev := side(j); prev.Kind == eval.TermConst && tv.Kind == eval.TermConst {
-			if !prev.Val.Equal(tv.Val) {
-				return nil, false
-			}
-		} else {
-			guards = append(guards, eval.Lit{Comp: true, Op: ast.Eq, L: prev, R: tv})
+		switch j := first[a.Var]; {
+		case a.IsConst():
+			guards = append(guards, guard{pos: i, val: a.Const})
+			guardLits = append(guardLits, eval.Lit{Comp: true, Op: ast.Eq, L: param(i), R: eval.Term{Kind: eval.TermConst, Val: a.Const}})
+		case j != i:
+			// Repeated variable in the occurrence: both bindings must agree.
+			body = append(body, eval.Lit{Comp: true, Op: ast.Eq, L: param(j), R: param(i)})
 		}
 	}
-	body := guards
 	for bi, l := range rule.Body {
 		if bi == oi {
 			continue
@@ -494,7 +469,7 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit,
 			s := eval.Lit{Comp: true, Op: l.Comp.Op, L: applySigma(l.Comp.Left, sub), R: applySigma(l.Comp.Right, sub)}
 			if s.L.Kind == eval.TermConst && s.R.Kind == eval.TermConst {
 				if !s.Op.Eval(s.L.Val, s.R.Val) {
-					return nil, false
+					return nil, nil, false
 				}
 				continue // true: drop the folded literal
 			}
@@ -507,10 +482,10 @@ func specialize(rule *ast.Rule, oi int, t relation.Tuple, sh Shape) ([]eval.Lit,
 		}
 		body = append(body, eval.Lit{Neg: l.IsNeg(), Pred: l.Atom.Pred, Args: args})
 	}
-	if !satisfiable(body) {
-		return nil, false
+	if !satisfiable(append(guardLits, body...)) {
+		return nil, nil, false
 	}
-	return body, true
+	return guards, body, true
 }
 
 // applySigma maps one rule term into the symbolic domain.
@@ -525,7 +500,7 @@ func applySigma(a ast.Term, sigma map[string]eval.Term) eval.Term {
 }
 
 // satisfiable asks internal/ineq whether the disjunct's comparison
-// conjunction (guards included) admits any assignment, treating
+// conjunction admits any assignment, treating
 // parameters as fresh variables P$i — a namespace user programs cannot
 // produce. An unsatisfiable conjunction makes the disjunct underivable
 // for every tuple of the pattern.
@@ -555,11 +530,13 @@ func symTerm(s eval.Term) ast.Term {
 }
 
 // Program renders the residual as a plain constraint program for the
-// concrete tuple t — parameters substituted, registers as fresh R$n
-// variables — suitable for cross-checking against the full evaluator or
-// shipping to a subquery server. It is a program for the updated
-// database: it carries no read adjustment. An AlwaysViolating residual
-// renders as the fact panic; AlwaysSafe as a program with no panic rule.
+// concrete tuple t — the disjuncts whose guards t passes, parameters
+// substituted, registers as fresh R$n variables — suitable for
+// cross-checking against the full evaluator or shipping to a subquery
+// server. It is a program for the updated database: it carries no read
+// adjustment. An AlwaysViolating residual renders as the fact panic;
+// AlwaysSafe, or one whose guards t fails throughout, as a program with no
+// panic rule.
 func (r *Residual) Program(t relation.Tuple) *ast.Program {
 	prog := ast.NewProgram()
 	if r.outcome == AlwaysViolating {
@@ -567,7 +544,9 @@ func (r *Residual) Program(t relation.Tuple) *ast.Program {
 		return prog
 	}
 	for _, d := range r.disjuncts {
-		prog.Rules = append(prog.Rules, &ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: d.plan.Literals(t)})
+		if d.applies(t) {
+			prog.Rules = append(prog.Rules, &ast.Rule{Head: ast.Atom{Pred: ast.PanicPred}, Body: d.plan.Literals(t)})
+		}
 	}
 	return prog
 }
@@ -575,8 +554,7 @@ func (r *Residual) Program(t relation.Tuple) *ast.Program {
 // Decide reports whether panic is derivable once the compiled update of
 // tuple t is applied to db — whether the update violates the constraint —
 // reading db as it stands before the update and never writing it. It is
-// safe for concurrent use; t must agree with the compiled pattern on the
-// pinned positions (the cache guarantees this).
+// safe for concurrent use; t must have the compiled pattern's arity.
 //
 // db must be the state the constraint is known to hold in. A residual
 // without certificates answers the same on a db that already holds the
@@ -605,9 +583,10 @@ func (r *Residual) Certified(db *store.Store, prior []store.Update, t relation.T
 	return witness
 }
 
-// decide runs each disjunct's certificate and, unless it finds a witness,
-// its plan over db with prior and the update pending; under certOnly it
-// gives up at the first disjunct that would need its plan.
+// decide runs, for each disjunct whose guards t passes, its certificate
+// and, unless that finds a witness, its plan over db with prior and the
+// update pending; under certOnly it gives up at the first disjunct that
+// would need its plan.
 func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
 	switch r.outcome {
 	case AlwaysSafe:
@@ -618,6 +597,9 @@ func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tupl
 	u := store.Update{Insert: r.insert, Relation: r.rel, Tuple: t}
 	certified := true
 	for _, d := range r.disjuncts {
+		if !d.applies(t) {
+			continue
+		}
 		if w := d.witness(db, prior, t); w != nil {
 			if witness == nil {
 				witness = w

@@ -27,22 +27,21 @@ func TestDeriveShapeEligibility(t *testing.T) {
 		insert   bool
 		eligible bool
 		arity    int
-		pinned   []bool
 	}{
 		// Flat constraint, positive occurrence of the inserted relation.
-		{"panic :- emp(E,D) & not dept(D).", "emp", true, true, 2, []bool{false, false}},
+		{"panic :- emp(E,D) & not dept(D).", "emp", true, true, 2},
 		// Deleting dept is harmful through the negated occurrence.
-		{"panic :- emp(E,D) & not dept(D).", "dept", false, true, 1, []bool{false}},
+		{"panic :- emp(E,D) & not dept(D).", "dept", false, true, 1},
 		// Inserting dept has no harmful occurrence: any tuple is safe.
-		{"panic :- emp(E,D) & not dept(D).", "dept", true, true, -1, nil},
-		// A constant in a harmful occurrence pins the position.
-		{"panic :- emp(E,sales,S) & emp(E,accounting,S).", "emp", true, true, 3, []bool{false, true, false}},
+		{"panic :- emp(E,D) & not dept(D).", "dept", true, true, -1},
+		// A constant in a harmful occurrence is a guard, not an obstacle.
+		{"panic :- emp(E,sales,S) & emp(E,accounting,S).", "emp", true, true, 3},
 		// Helper (IDB) predicates are unfolded first (Flatten).
-		{"panic :- boss(E,E).\nboss(E,M) :- mgr(E,M).", "mgr", true, true, 2, []bool{false, false}},
+		{"panic :- boss(E,E).\nboss(E,M) :- mgr(E,M).", "mgr", true, true, 2},
 		// A recursive constraint has no flat form.
-		{"panic :- reach(X,X).\nreach(X,Y) :- mgr(X,Y).\nreach(X,Y) :- reach(X,Z) & mgr(Z,Y).", "mgr", true, false, 0, nil},
+		{"panic :- reach(X,X).\nreach(X,Y) :- mgr(X,Y).\nreach(X,Y) :- reach(X,Z) & mgr(Z,Y).", "mgr", true, false, 0},
 		// Updates to the goal predicate itself are never eligible.
-		{"panic :- p(X).", "panic", true, false, 0, nil},
+		{"panic :- p(X).", "panic", true, false, 0},
 	} {
 		sh := DeriveShape(Flatten(prog(t, tc.src)), tc.rel, tc.insert)
 		if sh.Eligible != tc.eligible {
@@ -54,16 +53,6 @@ func TestDeriveShapeEligibility(t *testing.T) {
 		}
 		if sh.Arity != tc.arity {
 			t.Errorf("%q %s: arity=%d, want %d", tc.src, tc.rel, sh.Arity, tc.arity)
-		}
-		if len(sh.Pinned) != len(tc.pinned) {
-			t.Errorf("%q %s: pinned=%v, want %v", tc.src, tc.rel, sh.Pinned, tc.pinned)
-			continue
-		}
-		for i := range tc.pinned {
-			if sh.Pinned[i] != tc.pinned[i] {
-				t.Errorf("%q %s: pinned=%v, want %v", tc.src, tc.rel, sh.Pinned, tc.pinned)
-				break
-			}
 		}
 	}
 }
@@ -107,22 +96,21 @@ func TestFlattenCap(t *testing.T) {
 	}
 }
 
-// compileFor derives the shape and compiles in one step, failing the test
-// on an ineligible pattern.
-func compileFor(t *testing.T, src, rel string, insert bool, tu relation.Tuple, db *store.Store) *Residual {
+// compileFor compiles the pattern of tuples of tu's arity, failing the
+// test on an ineligible pattern.
+func compileFor(t *testing.T, src, rel string, insert bool, tu relation.Tuple) *Residual {
 	t.Helper()
 	p := prog(t, src)
-	sh := DeriveShape(p, rel, insert)
-	if !sh.Eligible {
+	if !DeriveShape(p, rel, insert).Eligible {
 		t.Fatalf("%q not residual-eligible for %s", src, rel)
 	}
-	return Compile(p, rel, insert, tu, sh, db, Options{})
+	return Compile(p, rel, insert, len(tu), Options{})
 }
 
 func TestCompileOutcomes(t *testing.T) {
 	db := store.New()
 	// The update alone completes the derivation.
-	r := compileFor(t, "panic :- p(X).", "p", true, relation.Strs("a"), db)
+	r := compileFor(t, "panic :- p(X).", "p", true, relation.Strs("a"))
 	if r.Outcome() != AlwaysViolating {
 		t.Errorf("bare occurrence: outcome %v, want always-violating", r.Outcome())
 	}
@@ -130,47 +118,59 @@ func TestCompileOutcomes(t *testing.T) {
 		t.Error("always-violating residual decided safe")
 	}
 	// No harmful occurrence: always safe.
-	r = compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", true, relation.Strs("toy"), db)
+	r = compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", true, relation.Strs("toy"))
 	if r.Outcome() != AlwaysSafe {
 		t.Errorf("benign insert: outcome %v, want always-safe", r.Outcome())
 	}
 	if r.Decide(db, relation.Strs("toy")) {
 		t.Error("always-safe residual decided violating")
 	}
-	// A pinned constant clashing with the tuple folds the disjunct away.
-	r = compileFor(t, "panic :- p(a) & q(X).", "p", true, relation.Strs("b"), db)
-	if r.Outcome() != AlwaysSafe {
-		t.Errorf("constant clash: outcome %v, want always-safe", r.Outcome())
-	}
-	// The matching pinned value leaves the rest of the body as residual.
-	r = compileFor(t, "panic :- p(a) & q(X).", "p", true, relation.Strs("a"), db)
+	// A constant of the occurrence is a guard: one residual serves every
+	// tuple, a tuple that clashes with it is settled before anything is
+	// read, and one that matches leaves the rest of the body to run.
+	r = compileFor(t, "panic :- p(a) & q(X).", "p", true, relation.Strs("b"))
 	if r.Outcome() != ResidualGoal || r.Disjuncts() != 1 {
-		t.Errorf("pinned match: outcome %v disjuncts %d, want residual-goal/1", r.Outcome(), r.Disjuncts())
+		t.Errorf("guarded occurrence: outcome %v disjuncts %d, want residual-goal/1", r.Outcome(), r.Disjuncts())
+	}
+	qs := store.New()
+	if _, err := qs.Insert("q", relation.Strs("x")); err != nil {
+		t.Fatal(err)
+	}
+	if r.Decide(qs, relation.Strs("b")) || qs.TotalReads() != 0 {
+		t.Errorf("a clashing tuple decided a violation or read %d tuples", qs.TotalReads())
+	}
+	if !r.Decide(qs, relation.Strs("a")) {
+		t.Error("a matching tuple with q non-empty decided safe")
+	}
+	// A guarded occurrence with nothing else left is violating for the
+	// tuples that match it, and only for them.
+	r = compileFor(t, "panic :- p(a).", "p", true, relation.Strs("a"))
+	if r.Outcome() != ResidualGoal || !r.Decide(db, relation.Strs("a")) || r.Decide(db, relation.Strs("b")) {
+		t.Errorf("bare guarded occurrence: outcome %v, p(a) violated=%v, p(b) violated=%v", r.Outcome(), r.Decide(db, relation.Strs("a")), r.Decide(db, relation.Strs("b")))
 	}
 	// An ineq-unsatisfiable comparison set prunes at compile time: the
 	// surviving conjunction X < 3 & X > 5 over the parameter is empty.
-	r = compileFor(t, "panic :- p(X) & X < 3 & X > 5.", "p", true, relation.Ints(4), db)
+	r = compileFor(t, "panic :- p(X) & X < 3 & X > 5.", "p", true, relation.Ints(4))
 	if r.Outcome() != AlwaysSafe {
 		t.Errorf("unsatisfiable comparisons: outcome %v, want always-safe", r.Outcome())
 	}
-	// A ground-false comparison after pinning folds the disjunct.
-	r = compileFor(t, "panic :- p(7,X) & q(X).", "p", true, relation.Ints(7, 1), db)
-	if r.Outcome() != ResidualGoal {
-		t.Errorf("pinned fold: outcome %v, want residual-goal", r.Outcome())
+	// A comparison of two constants folds at compile time.
+	r = compileFor(t, "panic :- p(7,X) & q(X) & 1 > 2.", "p", true, relation.Ints(7, 1))
+	if r.Outcome() != AlwaysSafe {
+		t.Errorf("ground-false comparison: outcome %v, want always-safe", r.Outcome())
 	}
 	// Arity mismatch between tuple and every occurrence: trivially safe.
-	r = compileFor(t, "panic :- p(X,Y) & q(X).", "p", true, relation.Ints(1), db)
+	r = compileFor(t, "panic :- p(X,Y) & q(X).", "p", true, relation.Ints(1))
 	if r.Outcome() != AlwaysSafe {
 		t.Errorf("arity mismatch: outcome %v, want always-safe", r.Outcome())
 	}
 }
 
 func TestRepeatedVariableGuard(t *testing.T) {
-	// panic :- p(X,X): neither position is pinned, so one compiled
-	// residual serves every binary tuple; the repeated variable becomes a
-	// parameter-parameter equality guard.
+	// panic :- p(X,X): one compiled residual serves every binary tuple;
+	// the repeated variable becomes a parameter-parameter equality check.
 	db := store.New()
-	r := compileFor(t, "panic :- p(X,X).", "p", true, relation.Strs("a", "a"), db)
+	r := compileFor(t, "panic :- p(X,X).", "p", true, relation.Strs("a", "a"))
 	if r.Outcome() != ResidualGoal {
 		t.Fatalf("outcome %v, want residual-goal", r.Outcome())
 	}
@@ -197,7 +197,7 @@ func TestDecideDeleteNegatedOccurrence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", false, relation.Strs("toy"), db)
+	r := compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", false, relation.Strs("toy"))
 	if r.Outcome() != ResidualGoal {
 		t.Fatalf("outcome %v, want residual-goal", r.Outcome())
 	}
@@ -209,8 +209,7 @@ func TestDecideDeleteNegatedOccurrence(t *testing.T) {
 	if !r.Decide(db, relation.Strs("toy")) {
 		t.Error("deleting referenced dept not flagged")
 	}
-	// The same compiled residual (no pinned positions) serves shoe after
-	// bob is gone: safe.
+	// The same compiled residual serves shoe after bob is gone: safe.
 	if !db.Delete("emp", relation.Strs("bob", "shoe")) {
 		t.Fatal("fixture delete failed")
 	}
@@ -262,7 +261,7 @@ func TestDecideMatchesEval(t *testing.T) {
 			t.Fatal("interval pattern ineligible")
 		}
 		for _, opts := range []Options{{}, {DisableIndexes: true}} {
-			res := Compile(p, u.Relation, u.Insert, u.Tuple, sh, db, opts)
+			res := Compile(p, u.Relation, u.Insert, len(u.Tuple), opts)
 			post := db.Clone()
 			if err := u.Apply(post); err != nil {
 				t.Fatal(err)
@@ -295,7 +294,7 @@ func TestProgramRendering(t *testing.T) {
 	if _, err := db.Insert("r", relation.Ints(100)); err != nil {
 		t.Fatal(err)
 	}
-	r := compileFor(t, "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.", "l", true, relation.Ints(90, 110), db)
+	r := compileFor(t, "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.", "l", true, relation.Ints(90, 110))
 	for _, tc := range []struct {
 		tu   relation.Tuple
 		want bool
@@ -320,12 +319,12 @@ func TestProgramRendering(t *testing.T) {
 		}
 	}
 	// AlwaysViolating renders as the bare panic fact.
-	av := compileFor(t, "panic :- p(X).", "p", true, relation.Strs("a"), db)
+	av := compileFor(t, "panic :- p(X).", "p", true, relation.Strs("a"))
 	if holds, err := eval.PanicHolds(av.Program(relation.Strs("a")), db.Clone()); err != nil || !holds {
 		t.Errorf("always-violating program: holds=%v err=%v", holds, err)
 	}
 	// AlwaysSafe renders as a program with no panic derivation.
-	as := compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", true, relation.Strs("x"), db)
+	as := compileFor(t, "panic :- emp(E,D) & not dept(D).", "dept", true, relation.Strs("x"))
 	if holds, err := eval.PanicHolds(as.Program(relation.Strs("x")), db.Clone()); err != nil || holds {
 		t.Errorf("always-safe program: holds=%v err=%v", holds, err)
 	}
@@ -354,7 +353,6 @@ func TestEmbeddedResidualsUnchanged(t *testing.T) {
 		"salRange": relation.TupleOf(ast.Str("toy"), ast.Int(10), ast.Int(90)),
 		"edge":     relation.Ints(1, 2), "banned": relation.Ints(1),
 	}
-	db := store.New()
 	for _, c := range []struct {
 		src, rel string
 		insert   bool
@@ -388,7 +386,7 @@ func TestEmbeddedResidualsUnchanged(t *testing.T) {
 		p := Flatten(prog(t, c.src))
 		got := "ineligible" // recursive: no flat form
 		if sh := DeriveShape(p, c.rel, c.insert); sh.Eligible {
-			res := Compile(p, c.rel, c.insert, tuples[c.rel], sh, db, Options{})
+			res := Compile(p, c.rel, c.insert, len(tuples[c.rel]), Options{})
 			got = res.Outcome().String() + ": " + res.Program(tuples[c.rel]).String()
 			if n := res.Certificates(); n != 0 {
 				t.Errorf("%s, %s insert=%v: %d certificates with nothing remote", c.src, c.rel, c.insert, n)
@@ -442,11 +440,10 @@ func TestRangeStepPlanning(t *testing.T) {
 		{"panic :- e(X,Y) & e(Z,W) & X <= Z & Z <= Y & f(W).", "f", relation.Ints(2), Options{}, "e{0:,R$0] 1:[R$0,}"},
 	} {
 		p := prog(t, c.src)
-		sh := DeriveShape(p, c.rel, true)
-		if !sh.Eligible {
+		if !DeriveShape(p, c.rel, true).Eligible {
 			t.Fatalf("%s: +%s ineligible", c.src, c.rel)
 		}
-		if got := rangesOf(Compile(p, c.rel, true, c.tu, sh, store.New(), c.opts)); got != c.want {
+		if got := rangesOf(Compile(p, c.rel, true, len(c.tu), c.opts)); got != c.want {
 			t.Errorf("%s, +%s%v %+v: ranges %q, want %q", c.src, c.rel, c.tu, c.opts, got, c.want)
 		}
 	}
@@ -506,7 +503,7 @@ func BenchmarkRangeStep(b *testing.B) {
 			opts Options
 		}{{"ranged", Options{}}, {"scan", Options{DisableIndexes: true}}} {
 			b.Run(c.name+"/"+arm.name, func(b *testing.B) {
-				res := Compile(p, c.u.Relation, true, c.u.Tuple, DeriveShape(p, c.u.Relation, true), c.db, arm.opts)
+				res := Compile(p, c.u.Relation, true, len(c.u.Tuple), arm.opts)
 				if res.Decide(c.db, c.u.Tuple) != c.want {
 					b.Fatalf("%v: violated=%v", c.u, !c.want)
 				}
@@ -545,7 +542,7 @@ func TestScanArmUsesNoIndex(t *testing.T) {
 	}
 	icq := prog(t, "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
 	u := store.Ins("l", relation.Ints(41, 45))
-	r := Compile(icq, u.Relation, true, u.Tuple, DeriveShape(icq, u.Relation, true), db, Options{DisableIndexes: true})
+	r := Compile(icq, u.Relation, true, len(u.Tuple), Options{DisableIndexes: true})
 	if r.Decide(db, u.Tuple) {
 		t.Fatalf("%v decided a violation", u)
 	}

@@ -15,53 +15,30 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
 )
 
-// nextStoreID hands out process-unique store identities (see Store.ID).
-var nextStoreID atomic.Uint64
-
 // Store is a mutable database: a set of named relations. The zero value
 // is not usable; call New.
 type Store struct {
-	id uint64 // process-unique, for plan-cache keying
-
+	// mu guards rels, the relations by name; a relation's arity is fixed
+	// when it is created.
 	mu   sync.RWMutex
 	rels map[string]*relation.Relation
-	// schema counts structural changes — relation creation (by Ensure or
-	// by a Replace of an absent relation) and index availability changes
-	// via EnsureIndex — so compiled evaluation plans
-	// (internal/eval.PlanCache) and compiled residuals can key on the
-	// store shape and drop stale entries without subscribing to the store.
-	schema  atomic.Uint64
+	// readsMu guards reads, the tuples handed out per relation.
 	readsMu sync.Mutex
-	reads   map[string]int64 // tuples handed out per relation
+	reads   map[string]int64
 }
 
 // New creates an empty store.
 func New() *Store {
 	return &Store{
-		id:    nextStoreID.Add(1),
 		rels:  map[string]*relation.Relation{},
 		reads: map[string]int64{},
 	}
 }
-
-// ID returns the store's process-unique identity. Two stores never share
-// an ID, so (ID, SchemaVersion) globally identifies a store shape —
-// the plan cache uses the pair as part of its key.
-func (s *Store) ID() uint64 { return s.id }
-
-// SchemaVersion returns a counter that advances on every structural
-// change: relation creation and EnsureIndex. Data-only changes do not
-// advance it — Insert, Delete, ReplaceRange, and a Replace over a relation
-// that already exists, which keeps its arity and carries its index
-// signatures over: compiled plans and residuals only depend on which
-// relations exist, their arities, and their index availability.
-func (s *Store) SchemaVersion() uint64 { return s.schema.Load() }
 
 // DataVersion returns the named relation's data version (see
 // relation.Version): it advances whenever the relation's contents
@@ -80,6 +57,15 @@ func (s *Store) get(name string) *relation.Relation {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.rels[name]
+}
+
+// getArity returns the named relation when it is stored with the given
+// arity, nil otherwise: what an atom of that arity reads of it.
+func (s *Store) getArity(name string, arity int) *relation.Relation {
+	if r := s.get(name); r != nil && r.Arity() == arity {
+		return r
+	}
+	return nil
 }
 
 // charge adds n tuple reads to the named relation's counter. A probe
@@ -111,7 +97,6 @@ func (s *Store) ensure(name string, arity int) (*relation.Relation, error) {
 	}
 	r := relation.New(name, arity)
 	s.rels[name] = r
-	s.schema.Add(1)
 	return r, nil
 }
 
@@ -186,11 +171,12 @@ func (s *Store) Tuples(name string) []relation.Tuple {
 	return ts
 }
 
-// TuplesAppend appends the handle rows of the named relation's tuples to
-// dst (see relation.TuplesAppend), charging only the appended tuples —
-// the join engine's scan.
-func (s *Store) TuplesAppend(dst [][]relation.Handle, name string) [][]relation.Handle {
-	r := s.get(name)
+// TuplesAppend appends the handle rows of the named arity-ary relation's
+// tuples to dst (see relation.TuplesAppend), charging only the appended
+// tuples — the join engine's scan. An absent relation, or one stored with
+// another arity, appends nothing.
+func (s *Store) TuplesAppend(dst [][]relation.Handle, name string, arity int) [][]relation.Handle {
+	r := s.getArity(name, arity)
 	if r == nil {
 		return dst
 	}
@@ -227,12 +213,13 @@ func (s *Store) LookupCols(name string, cols []int, vals []ast.Value) []relation
 	return ts
 }
 
-// LookupColsAppend appends the handle rows of the named relation's tuples
-// whose projection onto the sorted columns cols carries the handles key
-// (see relation.LookupColsAppend), charging only the appended tuples —
-// the join engine's indexed probe.
-func (s *Store) LookupColsAppend(dst [][]relation.Handle, name string, cols []int, key []relation.Handle) [][]relation.Handle {
-	r := s.get(name)
+// LookupColsAppend appends the handle rows of the named arity-ary
+// relation's tuples whose projection onto the sorted columns cols carries
+// the handles key (see relation.LookupColsAppend), charging only the
+// appended tuples — the join engine's indexed probe. An absent relation,
+// or one stored with another arity, appends nothing.
+func (s *Store) LookupColsAppend(dst [][]relation.Handle, name string, arity int, cols []int, key []relation.Handle) [][]relation.Handle {
+	r := s.getArity(name, arity)
 	if r == nil {
 		return dst
 	}
@@ -242,26 +229,24 @@ func (s *Store) LookupColsAppend(dst [][]relation.Handle, name string, cols []in
 	return dst
 }
 
-// EnsureIndex warms the hash index on the named relation's column set,
-// advancing the schema version: index availability is part of the store
-// shape compiled plans depend on.
+// EnsureIndex warms the hash index on the named relation's column set.
 func (s *Store) EnsureIndex(name string, cols ...int) error {
 	r := s.get(name)
 	if r == nil {
 		return fmt.Errorf("store: EnsureIndex on absent relation %s", name)
 	}
 	r.EnsureIndex(cols...)
-	s.schema.Add(1)
 	return nil
 }
 
 // Probe reports membership of the tuple with handles hs in the named
 // relation, charging one read (unlike Contains, which is a free
 // structural check). The join engine uses Probe so that negated-subgoal
-// checks are accounted.
+// checks are accounted. A relation stored with another arity than
+// len(hs) holds no such tuple.
 func (s *Store) Probe(name string, hs []relation.Handle) bool {
 	s.charge(name, 1)
-	r := s.get(name)
+	r := s.getArity(name, len(hs))
 	return r != nil && r.ContainsHandles(hs)
 }
 
@@ -272,8 +257,8 @@ func (s *Store) Probe(name string, hs []relation.Handle) bool {
 // most.
 func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, same [][2]int) relation.Tuple {
 	s.charge(name, 1)
-	r := s.get(name)
-	if r == nil || r.Arity() != arity {
+	r := s.getArity(name, arity)
+	if r == nil {
 		return nil
 	}
 	return r.FirstCols(cols, vals, same)
@@ -285,8 +270,8 @@ func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, 
 // relation, or one stored with another arity, appends nothing: a range
 // compiled against an atom must not read a relation the atom cannot match.
 func (s *Store) RangeAppend(dst [][]relation.Handle, name string, arity int, ranges []relation.Range) [][]relation.Handle {
-	r := s.get(name)
-	if r == nil || r.Arity() != arity {
+	r := s.getArity(name, arity)
+	if r == nil {
 		return dst
 	}
 	before := len(dst)
@@ -329,9 +314,8 @@ func (s *Store) ResetReads() {
 // tuples, creating the relation if absent. No read counters are charged:
 // Replace is bulk state transfer (mirror refresh from a remote site, bulk
 // load), not query evaluation. It fails if the relation exists with a
-// different arity or a tuple has the wrong arity. The schema version
-// advances only when the relation is created: a swap changes the data
-// version (DataVersion), not the store's shape.
+// different arity or a tuple has the wrong arity. A swap over an existing
+// relation continues its data version (DataVersion).
 func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 	for _, t := range ts {
 		if len(t) != arity {
@@ -353,8 +337,6 @@ func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 		// evaluation) keep the evaluator's probe indexes warm instead of
 		// rebuilding them lazily mid-join, and continues its data version.
 		fresh.Succeed(r)
-	} else {
-		s.schema.Add(1)
 	}
 	s.rels[name] = fresh
 	return nil
@@ -365,8 +347,7 @@ func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
 // in it too. The old tuples of a point (relation.Range.Point) are found
 // through the hash index of its column, those of any other range through
 // the ordered one. Like Replace it is bulk state transfer — no read
-// counters are charged — and like a Replace over an existing relation it
-// leaves the schema version alone; unlike Replace it mutates the relation
+// counters are charged; unlike Replace it mutates the relation
 // in place via Insert/Delete and touches no tuple outside the range, so a
 // tuple in both the old and the new contents keeps the data version. The
 // relation is created when absent. Tuple-at-a-time mutation means a
