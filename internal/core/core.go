@@ -171,7 +171,11 @@ func witnessOf(ws []Witness, constraint string) relation.Tuple {
 
 // Report is the outcome of one Apply.
 type Report struct {
-	Update    store.Update
+	Update store.Update
+	// Decisions holds one decision per constraint, in name order. It is
+	// read-only: it may be shared with the program of the update's pattern
+	// and every report that pattern decided alike. Its capacity is capped,
+	// so an append copies.
 	Decisions []Decision
 	// Applied is false when some constraint was violated and the update
 	// was not applied.
@@ -195,6 +199,16 @@ func (r Report) Violations() []string {
 		}
 	}
 	return out
+}
+
+// patch returns the decisions for judge to write into, cloning the
+// program's shared report at the first patch. Programs are immutable and
+// replaced whole, so an unpatched report stays valid once returned.
+func (r *Report) patch(p *program) []Decision {
+	if &r.Decisions[0] == &p.report[0] {
+		r.Decisions = slices.Clone(r.Decisions)
+	}
+	return r.Decisions
 }
 
 // Stats aggregates phase usage across updates.
@@ -673,7 +687,7 @@ type dynOutcome struct {
 // order, so reports, stats, trace-event order and first-error semantics
 // are identical whatever the pool width. sq is the batch u is a member
 // of, nil outside one.
-func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, decisions []Decision, t *tally, sq sequence) []dynOutcome {
+func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, rep *Report, t *tally, sq sequence) []dynOutcome {
 	r := dynamicRun{c, p, prior, u, commit, tracing, sq, make([]dynOutcome, len(p.dynamic))}
 	if w := c.workers(); w > 1 && len(r.out) > 1 {
 		pooled := r
@@ -685,7 +699,7 @@ func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, c
 	}
 	for j, i := range p.dynamic {
 		if o := &r.out[j]; o.decided {
-			decisions[p.steps[i].slot].Phase = o.phase
+			rep.patch(p)[p.steps[i].slot].Phase = o.phase
 			t.byPhase[o.phase]++
 		}
 	}
@@ -790,14 +804,16 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 		return fail(fmt.Errorf("core: insert %s: the batch inserts into %s with another arity", u, u.Relation))
 	}
 	p := c.programOf(u)
-	rep.Decisions = append([]Decision(nil), p.report...)
+	if n := len(p.report); n > 0 {
+		rep.Decisions = p.report[:n:n]
+	}
 	t.decisions = len(p.steps)
 	t.byPhase = p.static
 	t.cacheHits = int64(p.memos)
 	t.residualHits, t.residualMisses = int64(p.checks), int64(p.ineligible)
 	var dyn []dynOutcome
 	if len(p.dynamic) > 0 {
-		dyn = c.runDynamic(p, prior, u, commit, tracing, rep.Decisions, &t, sq)
+		dyn = c.runDynamic(p, prior, u, commit, tracing, &rep, &t, sq)
 	}
 	if tracing {
 		c.emitAttempts(p, dyn, u, uStr)
@@ -852,7 +868,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 		v := Holds
 		if bad {
 			v, violated = Violated, true
-			rep.Decisions[s.slot].Verdict = Violated
+			rep.patch(p)[s.slot].Verdict = Violated
 		}
 		t.byPhase[phase]++
 		if tracing {

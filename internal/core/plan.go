@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -103,7 +104,6 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		c.planStaged(p, staged, out, prior, u)
 	}
 	pr := PlanReport{update: u, fp: c.fp}
-	var seen map[string]bool
 	for i := range p.steps {
 		k, o := p.steps[i].k, &out[i]
 		if o.decided {
@@ -114,12 +114,8 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			continue
 		}
 		pr.Global = append(pr.Global, k.Name)
-		if seen == nil {
-			seen = map[string]bool{}
-		}
 		for _, rel := range k.edb {
-			if !seen[rel] {
-				seen[rel] = true
+			if !slices.Contains(pr.Relations, rel) {
 				pr.Relations = append(pr.Relations, rel)
 			}
 		}

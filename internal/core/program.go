@@ -66,7 +66,8 @@ type program struct {
 	// steps in registration order.
 	steps []progStep
 	// report in constraint-name order, as a decision with no violation
-	// leaves it: a decision copies it and patches what it finds.
+	// leaves it: a decision returns it as it stands and clones it only to
+	// patch what it finds (Report.patch).
 	report []Decision
 	// dynamic indexes the stepDynamic steps.
 	dynamic []int

@@ -16,8 +16,8 @@ import (
 // collision costs a comparison, never a wrong answer. Indexes are built
 // lazily on first probe (or eagerly via EnsureIndex), maintained
 // incrementally by Insert, tolerate Delete holes (gather skips them),
-// and are rebuilt — not dropped — by compactLocked, so a signature once
-// requested stays warm for the relation's lifetime.
+// and are refilled in place — not dropped — by compactLocked, so a
+// signature once requested stays warm for the relation's lifetime.
 
 // multiIndex maps a bound-column projection fingerprint to the positions
 // of the tuples holding that projection. cols is sorted ascending.
@@ -28,7 +28,7 @@ type multiIndex struct {
 
 // Process-wide index accounting, exported into the internal/obs registry
 // by core (cc_index_builds / cc_index_probes). Builds count full index
-// constructions (lazy build, EnsureIndex, compaction rebuild); probes
+// constructions (lazy build, EnsureIndex), not a compaction's refill; probes
 // count bucket lookups (LookupCols / Index.Probe, single-column Lookup
 // included).
 var (
@@ -129,15 +129,39 @@ func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Val
 // holds the write lock.
 func (r *Relation) buildLocked(cols []int) *multiIndex {
 	mi := &multiIndex{cols: cols, buckets: map[uint64][]int{}}
-	for pos, hs := range r.handles {
-		if hs != nil {
-			k := FingerprintProj(hs, cols)
-			mi.buckets[k] = append(mi.buckets[k], pos)
-		}
-	}
+	mi.fill(r.handles)
 	r.midx[colsMask(cols)] = mi
 	indexBuilds.Add(1)
 	return mi
+}
+
+// fill buckets the positions of the live rows of handles.
+func (mi *multiIndex) fill(handles [][]Handle) {
+	for pos, hs := range handles {
+		if hs != nil {
+			k := FingerprintProj(hs, mi.cols)
+			mi.buckets[k] = append(mi.buckets[k], pos)
+		}
+	}
+}
+
+// refill re-buckets the rows of a compacted relation: each bucket is
+// truncated and refilled in place, in position order as a build fills it,
+// and a bucket left empty is deleted. fresh starts from an empty map
+// instead, for a relation that reallocated its arrays.
+func (mi *multiIndex) refill(handles [][]Handle, fresh bool) {
+	if fresh {
+		mi.buckets = map[uint64][]int{}
+	}
+	for k, b := range mi.buckets {
+		mi.buckets[k] = b[:0]
+	}
+	mi.fill(handles)
+	for k, b := range mi.buckets {
+		if len(b) == 0 {
+			delete(mi.buckets, k)
+		}
+	}
 }
 
 // EnsureIndex builds the hash index on the given column set if it does

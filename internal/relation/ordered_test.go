@@ -123,8 +123,8 @@ func TestOrderedIndexAgainstScan(t *testing.T) {
 }
 
 // TestCompactionIsNotAnIndexBuild: compaction renumbers the ordered
-// indexes in place — no build is counted and no entry slice regrows — and
-// they answer as before.
+// indexes in place — no entry slice regrows — and refills the hash index;
+// no build is counted, and they answer as before.
 func TestCompactionIsNotAnIndexBuild(t *testing.T) {
 	r := New("l", 2)
 	for i := int64(0); i < 200; i++ {
@@ -132,6 +132,7 @@ func TestCompactionIsNotAnIndexBuild(t *testing.T) {
 	}
 	all := []Range{{Col: 0, Lo: ast.Int(5), HasLo: true}, {Col: 1, Hi: ast.Int(150), HasHi: true}}
 	r.RangeAppend(nil, all)
+	r.EnsureIndex(0)
 	caps := []int{cap(r.ord[0].pos), cap(r.ord[1].pos)}
 	builds := IndexBuilds()
 	compacted := false
@@ -153,6 +154,9 @@ func TestCompactionIsNotAnIndexBuild(t *testing.T) {
 		if got, want := tuplesOf(r.RangeAppend(nil, rg)), scanRange(r, rg); !sameTuples(got, want) {
 			t.Errorf("after compaction, %+v: RangeAppend = %v, scan = %v", rg, got, want)
 		}
+	}
+	if got := r.Lookup(0, ast.Int(160%17)); len(got) != 3 {
+		t.Errorf("after compaction, Lookup(0, %d) = %v, want 3 tuples", 160%17, got)
 	}
 }
 

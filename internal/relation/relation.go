@@ -155,11 +155,14 @@ type Relation struct {
 	handles [][]Handle // interned handles, parallel to tuples (nil holes too)
 	count   int        // number of live tuples
 	holes   int        // number of nil holes in tuples
-	// index buckets tuple positions by whole-tuple fingerprint; bucket
-	// candidates are verified by handle comparison (collisions cost a
-	// probe, never an answer). Positions of deleted tuples linger as nil
-	// holes until compaction.
-	index map[uint64][]int
+	// index maps a whole-tuple fingerprint to the newest position holding
+	// it, and next (parallel to tuples) links each position to the previous
+	// one of its fingerprint, -1 ending the chain. Candidates are verified
+	// by handle comparison (collisions cost a probe, never an answer).
+	// Positions of deleted tuples linger as nil holes until compaction. The
+	// index answers membership alone, so its order does not matter.
+	index map[uint64]int32
+	next  []int32
 	// midx holds the lazily built per-column-set hash indexes, keyed by
 	// column bitmask; see index.go.
 	midx map[uint64]*multiIndex
@@ -172,7 +175,7 @@ type Relation struct {
 
 // New creates an empty relation with the given name and arity.
 func New(name string, arity int) *Relation {
-	return &Relation{name: name, arity: arity, index: map[uint64][]int{}, midx: map[uint64]*multiIndex{}}
+	return &Relation{name: name, arity: arity, index: map[uint64]int32{}, midx: map[uint64]*multiIndex{}}
 }
 
 // Name returns the relation name.
@@ -222,12 +225,27 @@ func (r *Relation) Succeed(old *Relation) {
 // findLocked returns the live position holding the tuple with the given
 // handles, or -1. Caller holds mu.
 func (r *Relation) findLocked(fp uint64, hs []Handle) int {
-	for _, pos := range r.index[fp] {
+	pos, ok := r.index[fp]
+	if !ok {
+		return -1
+	}
+	for ; pos >= 0; pos = r.next[pos] {
 		if r.tuples[pos] != nil && slices.Equal(r.handles[pos], hs) {
-			return pos
+			return int(pos)
 		}
 	}
 	return -1
+}
+
+// chainLocked makes pos the newest position of fingerprint fp, linking
+// the previous one behind it. Caller holds the write lock.
+func (r *Relation) chainLocked(pos int, fp uint64) {
+	prev, ok := r.index[fp]
+	if !ok {
+		prev = -1
+	}
+	r.next[pos] = prev
+	r.index[fp] = int32(pos)
 }
 
 // Contains reports whether the relation holds t.
@@ -269,7 +287,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
 	r.handles = append(r.handles, own)
-	r.index[fp] = append(r.index[fp], pos)
+	r.next = append(r.next, -1)
+	r.chainLocked(pos, fp)
 	r.count++
 	for _, mi := range r.midx {
 		pk := FingerprintProj(own, mi.cols)
@@ -308,45 +327,49 @@ func (r *Relation) DeleteHandles(hs []Handle) bool {
 	return true
 }
 
-// compactLocked removes holes and rebuilds indexes. Caller holds mu. A
-// fresh backing array is allocated so snapshots handed out earlier are
-// never scribbled over. Hash indexes are rebuilt in place, not dropped:
-// a signature once requested stays warm across compaction. Ordered
-// indexes are renumbered, not rebuilt: a live tuple keeps its rank.
+// compactLocked removes the holes: it shifts the live entries down in
+// place and refills the indexes. Caller holds the write lock. Every
+// reader of tuples and handles copies what it needs out under mu (Delete
+// writes its holes in place too), so nothing handed out shares the
+// arrays. Hash indexes are refilled, not dropped: a signature once
+// requested stays warm. Ordered indexes are renumbered: a live tuple keeps
+// its rank. Neither counts as an index build. The arrays and maps are
+// reallocated at live size only when the live entries fill less than a
+// quarter of them, so what a relation once held is not retained.
 func (r *Relation) compactLocked() {
-	live := make([]Tuple, 0, r.count)
-	liveH := make([][]Handle, 0, r.count)
-	var renum []int32
-	if len(r.ord) > 0 {
-		renum = make([]int32, len(r.tuples))
-	}
+	n := 0
 	for i, t := range r.tuples {
 		if t != nil {
-			if renum != nil {
-				renum[i] = int32(len(live))
-			}
-			live = append(live, t)
-			liveH = append(liveH, r.handles[i])
+			// next is relinked below: until then it maps old positions to new.
+			r.next[i] = int32(n)
+			r.tuples[n], r.handles[n] = t, r.handles[i]
+			n++
 		}
 	}
 	for _, o := range r.ord {
 		for i, p := range o.pos {
-			o.pos[i] = renum[p]
+			o.pos[i] = r.next[p]
 		}
 	}
-	r.tuples = live
-	r.handles = liveH
-	r.count = len(live)
-	r.holes = 0
-	r.index = make(map[uint64][]int, len(live))
-	for i, hs := range liveH {
-		fp := FingerprintHandles(hs)
-		r.index[fp] = append(r.index[fp], i)
+	clear(r.tuples[n:])
+	clear(r.handles[n:])
+	r.tuples, r.handles, r.next = r.tuples[:n], r.handles[:n], r.next[:n]
+	fresh := n < cap(r.tuples)/4
+	if fresh {
+		r.tuples, r.handles, r.next = slices.Clone(r.tuples), slices.Clone(r.handles), slices.Clone(r.next)
+		r.index = make(map[uint64]int32, n)
+		for _, o := range r.ord {
+			o.pos = slices.Clone(o.pos)
+		}
+	} else {
+		clear(r.index)
 	}
-	sigs := r.midx
-	r.midx = make(map[uint64]*multiIndex, len(sigs))
-	for _, mi := range sigs {
-		r.buildLocked(mi.cols)
+	r.count, r.holes = n, 0
+	for i, hs := range r.handles {
+		r.chainLocked(i, FingerprintHandles(hs))
+	}
+	for _, mi := range r.midx {
+		mi.refill(r.handles, fresh)
 	}
 }
 

@@ -221,3 +221,89 @@ func TestTuplesAppendSkipsHolesAndSeesNullary(t *testing.T) {
 		t.Errorf("TuplesAppend returned %d rows of a 0-ary relation holding one", n)
 	}
 }
+
+// TestCompactInPlaceAgreesWithFresh: compaction shifts the live entries
+// down in place and refills the indexes, and every read then answers as on
+// a relation built fresh from the live tuples — orders included: insertion
+// order for TuplesAppend, bucket order for LookupColsAppend and FirstCols,
+// index order for RangeAppend. Churn crosses many compactions with one
+// hash index and two ordered indexes kept. A relation that drained keeps
+// no arrays sized for what it once held.
+func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	const width = 30
+	pick := func() ast.Value { return ast.Int(int64(rng.Intn(width))) }
+	r := New("l", 2)
+	r.EnsureIndex(0)
+	all := []Range{{Col: 0, Lo: ast.Int(0), HasLo: true}, {Col: 1, Lo: ast.Int(0), HasLo: true}}
+	r.RangeAppend(nil, all)
+	var inserted []Tuple
+	compactions := 0
+	for compactions < 12 {
+		if rng.Intn(2) == 0 || len(inserted) == 0 {
+			tu := TupleOf(pick(), pick())
+			r.Insert(tu)
+			inserted = append(inserted, tu)
+			continue
+		}
+		holes := r.holes
+		r.Delete(inserted[rng.Intn(len(inserted))])
+		if r.holes >= holes {
+			continue
+		}
+		compactions++
+		fresh := New("l", 2)
+		for _, tu := range r.Tuples() {
+			fresh.Insert(tu)
+		}
+		fresh.EnsureIndex(0)
+		if got, want := tuplesOf(r.TuplesAppend(nil)), tuplesOf(fresh.TuplesAppend(nil)); !sameTuples(got, want) {
+			t.Fatalf("compaction %d: TuplesAppend = %v, fresh %v", compactions, got, want)
+		}
+		for a := int64(0); a < width; a++ {
+			v := ast.Int(a)
+			key := []Handle{Intern(v)}
+			if got, want := tuplesOf(r.LookupColsAppend(nil, []int{0}, key)), tuplesOf(fresh.LookupColsAppend(nil, []int{0}, key)); !sameTuples(got, want) {
+				t.Fatalf("compaction %d: LookupColsAppend(%v) = %v, fresh %v", compactions, v, got, want)
+			}
+			for _, same := range [][][2]int{nil, {{0, 1}}} {
+				if got, want := r.FirstCols([]int{0}, []ast.Value{v}, same), fresh.FirstCols([]int{0}, []ast.Value{v}, same); !got.Equal(want) || (got == nil) != (want == nil) {
+					t.Fatalf("compaction %d: FirstCols(%v, %v) = %v, fresh %v", compactions, v, same, got, want)
+				}
+			}
+			for b := int64(0); b < width; b++ {
+				if tu := Ints(a, b); r.Contains(tu) != fresh.Contains(tu) {
+					t.Fatalf("compaction %d: Contains%v = %v, fresh %v", compactions, tu, r.Contains(tu), fresh.Contains(tu))
+				}
+			}
+		}
+		for i := 0; i < 20; i++ {
+			rg := Range{Col: rng.Intn(2)}
+			switch rng.Intn(3) {
+			case 0:
+				rg.HasLo, rg.Lo = true, pick()
+			case 1:
+				rg.HasHi, rg.Hi = true, pick()
+			default:
+				rg.HasLo, rg.Lo, rg.HasHi, rg.Hi = true, pick(), true, pick()
+			}
+			rg.LoOpen, rg.HiOpen = rng.Intn(2) == 0, rng.Intn(2) == 0
+			if got, want := tuplesOf(r.RangeAppend(nil, []Range{rg})), tuplesOf(fresh.RangeAppend(nil, []Range{rg})); !sameTuples(got, want) {
+				t.Fatalf("compaction %d: RangeAppend(%+v) = %v, fresh %v", compactions, rg, got, want)
+			}
+		}
+	}
+	// Retention: a relation drained to a few tuples reallocates its arrays.
+	big := New("r", 1)
+	for i := int64(0); i < 10000; i++ {
+		big.Insert(Ints(i))
+	}
+	big.RangeAppend(nil, all[:1])
+	for i := int64(0); i < 9990; i++ {
+		big.Delete(Ints(i))
+	}
+	if limit := 4 * max(big.Len(), 64); cap(big.tuples) > limit || cap(big.handles) > limit || cap(big.next) > limit || cap(big.ord[0].pos) > limit {
+		t.Errorf("%d live tuples keep capacities %d/%d/%d/%d, want at most %d",
+			big.Len(), cap(big.tuples), cap(big.handles), cap(big.next), cap(big.ord[0].pos), limit)
+	}
+}
