@@ -63,7 +63,6 @@ type config struct {
 	data        string
 	updates     string
 	local       string
-	workers     int
 	noindex     bool
 	noresidual  bool
 	repeat      int
@@ -84,8 +83,6 @@ type flags struct {
 	data        string
 	updates     string
 	local       string
-	workers     int
-	workersSet  bool
 	noindex     bool
 	noresidual  bool
 	repeat      int
@@ -115,7 +112,6 @@ func main() {
 		dataPath        = flag.String("data", "", "path to initial facts")
 		updatesPath     = flag.String("updates", "", "path to update script (+rel(...) / -rel(...) per line)")
 		localList       = flag.String("local", "", "comma-separated local relations (default: all local)")
-		workers         = flag.Int("workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
 		noindex         = flag.Bool("noindex", false, "join in textual order over whole-relation scans: no index probe, range step or bound-first planning (A/B escape hatch)")
 		noresidual      = flag.Bool("noresidual", false, "disable residual check compilation: run every constraint through the staged phase pipeline (A/B escape hatch)")
 		repeat          = flag.Int("repeat", 1, "apply the update script this many times; checker counters reset between runs so the final statistics describe the last (warm-cache) run")
@@ -131,15 +127,9 @@ func main() {
 	)
 	flag.Var(&sites, "sites", "site daemon spec host:port=rel1,rel2 (repeatable)")
 	flag.Parse()
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
 	cfg, err := buildConfig(flags{
 		constraints: *constraintsPath, data: *dataPath, updates: *updatesPath,
-		local: *localList, workers: *workers, workersSet: workersSet, noindex: *noindex,
+		local: *localList, noindex: *noindex,
 		noresidual: *noresidual, repeat: *repeat,
 		verbose: *verbose, save: *savePath, timeout: *timeout, retries: *retries,
 		sites: sites, trace: *trace, traceOut: *traceOut, statsJSON: *statsJSON,
@@ -157,14 +147,12 @@ func main() {
 }
 
 // buildConfig validates the raw flag values into a runnable config: the
-// required paths must be present, an explicitly-set -workers must be
-// positive (leaving it unset keeps the one-per-CPU default), every
-// -sites spec must parse, and no relation may be claimed twice or
-// listed both local and remote.
+// required paths must be present, every -sites spec must parse, and no
+// relation may be claimed twice or listed both local and remote.
 func buildConfig(f flags) (config, error) {
 	cfg := config{
 		constraints: f.constraints, data: f.data, updates: f.updates, local: f.local,
-		workers: f.workers, noindex: f.noindex, noresidual: f.noresidual, repeat: f.repeat,
+		noindex: f.noindex, noresidual: f.noresidual, repeat: f.repeat,
 		verbose: f.verbose, save: f.save, timeout: f.timeout, retries: f.retries,
 		trace: f.trace, traceOut: f.traceOut, statsJSON: f.statsJSON,
 		spansOut: f.spansOut,
@@ -179,12 +167,6 @@ func buildConfig(f flags) (config, error) {
 	}
 	if f.repeat == 0 {
 		cfg.repeat = 1
-	}
-	if f.workersSet && f.workers <= 0 {
-		return cfg, fmt.Errorf("-workers must be positive (got %d); omit it for one per CPU", f.workers)
-	}
-	if !f.workersSet && f.workers < 0 {
-		return cfg, fmt.Errorf("-workers must be positive (got %d)", f.workers)
 	}
 	claimed := map[string]string{}
 	for _, s := range f.sites {
@@ -245,7 +227,6 @@ func run(cfg config) error {
 	}
 	opts := core.Options{
 		LocalRelations:  splitList(cfg.local),
-		Workers:         cfg.workers,
 		DisableIndexes:  cfg.noindex,
 		DisableResidual: cfg.noresidual,
 	}

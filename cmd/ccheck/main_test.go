@@ -54,11 +54,11 @@ func TestParseUpdatesErrors(t *testing.T) {
 
 // mustConfig builds a config the way main does, failing the test on
 // validation errors.
-func mustConfig(t *testing.T, constraints, data, updates, local string, workers int, verbose bool, save string, sites ...string) config {
+func mustConfig(t *testing.T, constraints, data, updates, local string, verbose bool, save string, sites ...string) config {
 	t.Helper()
 	cfg, err := buildConfig(flags{
 		constraints: constraints, data: data, updates: updates, local: local,
-		workers: workers, workersSet: workers != 0, verbose: verbose, save: save,
+		verbose: verbose, save: save,
 		timeout: 2 * time.Second, retries: 3, sites: sites,
 	})
 	if err != nil {
@@ -80,13 +80,6 @@ func TestBuildConfigValidation(t *testing.T) {
 	_, err = buildConfig(flags{constraints: "c.dl", timeout: time.Second, retries: 3})
 	ok(err, "missing -updates")
 	f := base
-	f.workersSet = true
-	_, err = buildConfig(f)
-	ok(err, "explicit -workers 0")
-	f.workers = -2
-	_, err = buildConfig(f)
-	ok(err, "negative -workers")
-	f = base
 	f.sites = []string{"hostonly"}
 	_, err = buildConfig(f)
 	ok(err, "malformed -sites spec")
@@ -132,7 +125,7 @@ panic :- emp(E,D,S) & S > 100.`)
 -emp(ann,toy,50)
 `)
 	saved := filepath.Join(dir, "out.dl")
-	if err := run(mustConfig(t, constraints, data, updates, "emp,dept", 0, true, saved)); err != nil {
+	if err := run(mustConfig(t, constraints, data, updates, "emp,dept", true, saved)); err != nil {
 		t.Fatal(err)
 	}
 	dump, err := os.ReadFile(saved)
@@ -150,11 +143,11 @@ panic :- emp(E,D,S) & S > 100.`)
 	}
 	// Violated constraint at load time must error.
 	badData := write("bad.dl", "emp(x,ghost,5).")
-	if err := run(mustConfig(t, constraints, badData, updates, "", 2, false, "")); err == nil {
+	if err := run(mustConfig(t, constraints, badData, updates, "", false, "")); err == nil {
 		t.Error("initially-violated database accepted")
 	}
 	// Missing file.
-	if err := run(mustConfig(t, filepath.Join(dir, "missing.dl"), data, updates, "", 1, false, "")); err == nil {
+	if err := run(mustConfig(t, filepath.Join(dir, "missing.dl"), data, updates, "", false, "")); err == nil {
 		t.Error("missing constraints file accepted")
 	}
 }
@@ -177,7 +170,7 @@ func TestRunTraceAndStats(t *testing.T) {
 	traceOut := filepath.Join(dir, "trace.jsonl")
 	statsOut := filepath.Join(dir, "stats.json")
 
-	cfg := mustConfig(t, constraints, data, updates, "", 0, false, "")
+	cfg := mustConfig(t, constraints, data, updates, "", false, "")
 	cfg.trace = true
 	cfg.traceOut = traceOut
 	cfg.statsJSON = statsOut
@@ -273,7 +266,7 @@ func TestRunWithSites(t *testing.T) {
 	data := write("d.dl", "emp(ann,toy,50).")
 	updates := write("u.txt", "+emp(bob,shoe,60)\n+emp(eve,ghost,70)\n")
 	saved := filepath.Join(dir, "out.dl")
-	cfg := mustConfig(t, constraints, data, updates, "emp", 0, true, saved,
+	cfg := mustConfig(t, constraints, data, updates, "emp", true, saved,
 		l.Addr().String()+"=dept")
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
@@ -342,7 +335,7 @@ func TestRunRepeatAndResidualStats(t *testing.T) {
 		return checker
 	}
 
-	cfg := mustConfig(t, constraints, data, updates, "", 0, false, "")
+	cfg := mustConfig(t, constraints, data, updates, "", false, "")
 	cfg.statsJSON = statsOut
 	cfg.repeat = 3
 	if err := run(cfg); err != nil {
@@ -360,7 +353,7 @@ func TestRunRepeatAndResidualStats(t *testing.T) {
 			checker["residual_hits"], checker["residual_compiled"])
 	}
 
-	cfg = mustConfig(t, constraints, data, updates, "", 0, false, "")
+	cfg = mustConfig(t, constraints, data, updates, "", false, "")
 	cfg.statsJSON = statsOut
 	cfg.noresidual = true
 	if err := run(cfg); err != nil {
@@ -394,7 +387,7 @@ func TestRunFixpointStats(t *testing.T) {
 	data := write("d.dl", "edge(1,2).")
 	updates := write("u.txt", "+edge(2,3)\n+edge(3,1)\n+edge(3,4)\n")
 	statsOut := filepath.Join(dir, "stats.json")
-	cfg := mustConfig(t, constraints, data, updates, "", 0, false, "")
+	cfg := mustConfig(t, constraints, data, updates, "", false, "")
 	cfg.statsJSON = statsOut
 	if err := run(cfg); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@
 //
 // With -sites flags (repeatable, the ccheck/ccsited spec syntax) the
 // daemon fronts a multi-site netdist system: decisions run against a
-// local mirror, remote relations are refreshed before global phases, and
+// local mirror, what a decision reads of remote relations is refreshed before it, and
 // admitted writes propagate to the owning ccsited.
 //
 // Distributed tracing is on by default at -trace-sample 0.1: sampled
@@ -37,7 +37,6 @@
 //
 // Constraint files hold blank-line-separated constraint programs (each
 // defines panic), data files hold facts — the same formats ccheck reads.
-// -workers sizes the checker's dispatch pool.
 //
 // -apply-workers N (default 1): one dispatcher drains the request queue.
 // At N = 1 it decides each request itself, in admission order. Above
@@ -88,7 +87,6 @@ type config struct {
 	maxBatch     int
 	logPath      string
 	logDepth     int
-	workers      int
 	applyWorkers int
 	verbose      bool
 
@@ -125,7 +123,6 @@ func main() {
 	flag.IntVar(&cfg.maxBatch, "maxbatch", 0, "updates accepted per batch request (0: 1024)")
 	flag.StringVar(&cfg.logPath, "decision-log", "", "append one JSON line per decision to this file (empty: off)")
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for constraint dispatch (default: one per CPU)")
 	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: decided in turn by the dispatcher; >1: on a conflict-aware scheduler, waits on a site not counted); with -sites, >1 also sends a batch's site reads and writes at once")
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
@@ -251,7 +248,7 @@ func setup(cfg config, logSink io.Writer) (*serve.Server, *core.Checker, *obs.Sp
 		spans = obs.NewSpanTracer("ccserved", obs.NewTraceStore(cfg.traceStore), cfg.traceSample)
 		bridge = obs.NewSpanBridge(spans)
 	}
-	opts := core.Options{Workers: cfg.workers, Metrics: reg}
+	opts := core.Options{Metrics: reg}
 	if bridge != nil {
 		opts.Tracer = bridge
 	}

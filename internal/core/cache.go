@@ -24,7 +24,7 @@ const phase2CacheCap = 4096
 // its verdict-relevant positions (see relevantInsertPositions), so one
 // rewrite+subsumption run covers every tuple that agrees on those
 // positions — the whole relation when none are relevant. The memo is safe
-// for concurrent use by the parallel dispatch workers.
+// for concurrent use by decisions that overlap.
 type cacheEntry struct {
 	mentions    bool   // phase 1: constraint mentions the relation
 	polarity    bool   // phase 1.5: monotone-safe in this direction

@@ -248,8 +248,9 @@ type Stats struct {
 	// drop), drops discarded a kept fixpoint — a write the checker does
 	// not account for moved a relation it had read, or the constraint set
 	// changed. Global decisions outside the three (deletes, non-monotone
-	// inserts, the scan and routed arms) evaluate from scratch and keep
-	// nothing.
+	// inserts, the scan arm) evaluate from scratch and keep nothing. At
+	// a coordinator every refresh of a relation a kept fixpoint reads
+	// moves its version, so the next decision rebuilds it.
 	FixpointHits     int64
 	FixpointRebuilds int64
 	FixpointDrops    int64
@@ -274,9 +275,9 @@ type Options struct {
 	DisableUpdateOnly bool
 	// DisableLocalData skips phase 3 (for ablation experiments).
 	DisableLocalData bool
-	// Workers bounds the goroutines dispatching constraints through the
-	// read-only phases 1–3 and the phase-4 evaluations. 0 (the default)
-	// means runtime.GOMAXPROCS(0); 1 recovers the serial pipeline.
+	// Workers does nothing: a decision runs its steps in turn on the
+	// caller's goroutine, and there is no dispatch pool left to size. It
+	// stays only because the benchmark (bench/) still sets it.
 	Workers int
 	// DisableCache bypasses the phase memo (cacheEntry) and the static
 	// steps, re-deriving every phase-1/1.5/2 verdict per update (the
@@ -312,10 +313,6 @@ type Options struct {
 	// footprints (see Footprints and Sharder). Set by the netdist
 	// coordinator from its placement.
 	Sharder Sharder
-	// ProbeRouter, when non-nil, intercepts EDB reads during global
-	// evaluation — the netdist coordinator routes probes on sharded
-	// relations to the owning shard instead of a local mirror.
-	ProbeRouter eval.ProbeRouter
 }
 
 // Checker manages constraints over a store.
@@ -502,11 +499,7 @@ func (c *Checker) AddConstraint(name string, prog *ast.Program) error {
 	}
 	c.plans.Add(1)
 	k := &Constraint{Name: name, Prog: prog, flat: residual.Flatten(prog), edb: prog.EDBPreds(), goal: g}
-	bad, err := c.holds(k, nil, store.Update{})
-	if err != nil {
-		return err
-	}
-	if bad {
+	if c.holds(k, nil, store.Update{}) {
 		return fmt.Errorf("core: constraint %s is already violated by the current database", name)
 	}
 	c.prepare(k)
@@ -554,12 +547,12 @@ func (c *Checker) prepare(k *Constraint) {
 // evalOpts translates the checker options into evaluation options for
 // the global phase (constraint admission and CheckAll included).
 func (c *Checker) evalOpts() eval.Options {
-	return eval.Options{DisableIndexes: c.opts.DisableIndexes, Probe: c.opts.ProbeRouter}
+	return eval.Options{DisableIndexes: c.opts.DisableIndexes}
 }
 
 // holds runs the constraint's compiled evaluation: whether panic is
 // derivable once prior and then u are applied to the store.
-func (c *Checker) holds(k *Constraint, prior []store.Update, u store.Update) (bool, error) {
+func (c *Checker) holds(k *Constraint, prior []store.Update, u store.Update) bool {
 	c.evals.Add(1)
 	return k.goal.HoldsAfter(c.db, prior, u)
 }
@@ -574,8 +567,8 @@ func (c *Checker) isLocal(rel string) bool {
 
 // stageOne runs the read-only phases 1–3 for one constraint: it touches
 // no Checker state besides the entry's (internally synchronized) memo and
-// store reads, so the parallel dispatch may run it for several
-// constraints concurrently. e is the constraint's entry for u's pattern —
+// store reads, so concurrent decisions may run it for the same
+// constraint at once. e is the constraint's entry for u's pattern —
 // nil under Options.DisableCache, where every verdict is derived here. It
 // returns the deciding phase, or decided false when the constraint needs
 // a global evaluation. With tr non-nil it appends one trace event per
@@ -673,92 +666,59 @@ type dynOutcome struct {
 	fix *eval.Fixpoint
 	hit bool
 	bad bool
-	err error
 	dur time.Duration
 }
 
-// runDynamic settles the program's dynamic steps for u: phases 1–3 and,
-// for a constraint they leave undecided, phase 4 against the store with
-// prior and u pending — seeded rounds on a kept fixpoint (rebuilt here
-// where it has to be) or a full evaluation. All of it only reads the
-// store, so two or more steps — work that can cost an evaluation each —
-// run concurrently. What the phases decided is written into the report
-// and the tally here; the caller takes the phase-4 outcomes in constraint
-// order, so reports, stats, trace-event order and first-error semantics
-// are identical whatever the pool width. sq is the batch u is a member
+// runDynamic settles the program's dynamic steps for u, in turn:
+// phases 1–3 and, for a constraint they leave undecided, phase 4 against
+// the store with prior and u pending — seeded rounds on a kept fixpoint
+// (rebuilt here where it has to be) or a full evaluation. What the phases
+// decided is written into the report and the tally here; the caller takes
+// the phase-4 outcomes in constraint order. sq is the batch u is a member
 // of, nil outside one.
 func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, rep *Report, t *tally, sq sequence) []dynOutcome {
-	r := dynamicRun{c, p, prior, u, commit, tracing, sq, make([]dynOutcome, len(p.dynamic))}
-	if w := c.workers(); w > 1 && len(r.out) > 1 {
-		pooled := r
-		runParallel(len(r.out), w, pooled.step)
-	} else {
-		for j := range r.out {
-			r.step(j)
-		}
-	}
+	out := make([]dynOutcome, len(p.dynamic))
 	for j, i := range p.dynamic {
-		if o := &r.out[j]; o.decided {
-			rep.patch(p)[p.steps[i].slot].Phase = o.phase
+		s, o := &p.steps[i], &out[j]
+		var tr *[]obs.Event
+		if tracing {
+			tr = &o.trace
+		}
+		if o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, tr); o.decided {
+			rep.patch(p)[s.slot].Phase = o.phase
 			t.byPhase[o.phase]++
+			continue
+		}
+		var start time.Time
+		if tracing {
+			start = time.Now()
+		}
+		if u.Insert && (sq == nil || !sq[i].out) {
+			o.fix, o.hit = c.keptFixpoint(s.k, u.Relation)
+			if sq != nil && sq[i].fix != nil && o.fix != sq[i].fix {
+				// Nothing is written before the verdict, so the fixpoint an
+				// earlier member opened is the one kept: one built since lacks
+				// what that member derived.
+				o.fix = nil
+			}
+		}
+		if o.fix != nil {
+			o.bad = o.fix.Insert(prior, u.Relation, u.Tuple, commit)
+		} else {
+			o.bad = c.holds(s.k, prior, u)
+		}
+		if tracing {
+			o.dur = time.Since(start)
 		}
 	}
-	return r.out
-}
-
-// dynamicRun is what the dynamic steps of one decision read, and out, one
-// outcome per step.
-type dynamicRun struct {
-	c               *Checker
-	p               *program
-	prior           []store.Update
-	u               store.Update
-	commit, tracing bool
-	sq              sequence
-	out             []dynOutcome
-}
-
-// step settles the program's j-th dynamic step.
-func (r *dynamicRun) step(j int) {
-	c, u, i := r.c, r.u, r.p.dynamic[j]
-	s, o := &r.p.steps[i], &r.out[j]
-	var tr *[]obs.Event
-	if r.tracing {
-		tr = &o.trace
-	}
-	if o.phase, o.decided = c.stageOne(s.k, s.entry, r.prior, u, tr); o.decided {
-		return
-	}
-	var start time.Time
-	if r.tracing {
-		start = time.Now()
-	}
-	if u.Insert && (r.sq == nil || !r.sq[i].out) {
-		o.fix, o.hit = c.keptFixpoint(s.k, u.Relation)
-		if r.sq != nil && r.sq[i].fix != nil && o.fix != r.sq[i].fix {
-			// Nothing is written before the verdict, so the fixpoint an
-			// earlier member opened is the one kept: one built since lacks
-			// what that member derived.
-			o.fix = nil
-		}
-	}
-	if o.fix != nil {
-		if o.bad, o.err = o.fix.Insert(r.prior, u.Relation, u.Tuple, r.commit); o.err != nil {
-			c.dropFixpoint(s.k)
-		}
-	} else {
-		o.bad, o.err = c.holds(s.k, r.prior, u)
-	}
-	if r.tracing {
-		o.dur = time.Since(start)
-	}
+	return out
 }
 
 // judge decides u on the store with the updates prior pending: the
 // verdict of one member of a batch, made with nothing written. It
 // interprets the program of u's pattern on the calling goroutine: static
-// steps are already in the report, a compiled check is one probe, and only
-// dynamic steps can fan out (runDynamic). Every step answers "would the
+// steps are already in the report, a compiled check is one probe, and
+// dynamic steps run the phases (runDynamic). Every step answers "would the
 // store violate the constraint once prior and u are applied" reading the
 // store as it stands — the evaluators adjust their reads of the updated
 // relations (residual.DecideWitness, eval.GoalHoldsAfter,
@@ -836,12 +796,6 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 			j++
 			if o.decided {
 				continue
-			}
-			if o.err != nil {
-				if commit {
-					closeAll(dyn, false, nil)
-				}
-				return fail(o.err)
 			}
 			phase, bad, hit, dur = PhaseGlobal, o.bad, o.hit, o.dur
 		default:
@@ -936,8 +890,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 // dropped here: validity is a version check per decision, never an
 // assumption. It returns nil when the decision must be evaluated from
 // scratch: the insert can take derived facts away (Fixpoint.Seedable), or
-// the checker runs the scan or routed arm. A build error also yields nil
-// — the from-scratch evaluation then reports it where it always did.
+// the checker runs the scan arm.
 func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, hit bool) {
 	f := k.fix.Load()
 	if f != nil && !f.Valid() {
@@ -952,8 +905,8 @@ func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, h
 		return f, true
 	}
 	c.evals.Add(1)
-	f, err := k.goal.Fixpoint(c.db, rel)
-	if err != nil || f == nil {
+	f = k.goal.Fixpoint(c.db, rel)
+	if f == nil {
 		return nil, false
 	}
 	k.fix.Store(f)
@@ -1027,11 +980,7 @@ func (c *Checker) keptCover(k *Constraint) (icq.Cover, error) {
 func (c *Checker) CheckAll() ([]string, error) {
 	var out []string
 	for _, k := range c.constraints {
-		bad, err := c.holds(k, nil, store.Update{})
-		if err != nil {
-			return nil, err
-		}
-		if bad {
+		if c.holds(k, nil, store.Update{}) {
 			out = append(out, k.Name)
 		}
 	}

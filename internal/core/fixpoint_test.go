@@ -90,7 +90,7 @@ func chainChecker(t testing.TB, n int, opts Options) *Checker {
 // they cost no rebuild; the writes the checker cannot account for must.
 // Both constraints keep a fixpoint: residual dispatch is off.
 func TestKeptFixpointVersionRule(t *testing.T) {
-	c := chainChecker(t, 16, Options{Workers: 1, DisableResidual: true})
+	c := chainChecker(t, 16, Options{DisableResidual: true})
 	check := func(u store.Update, admit bool) {
 		t.Helper()
 		rep, err := c.Check(u)
@@ -165,7 +165,7 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 func TestGlobalPhaseTraceCacheStatus(t *testing.T) {
 	buf := obs.NewBufferTracer(4)
 	reg := obs.NewRegistry()
-	c := chainChecker(t, 8, Options{Workers: 1, Tracer: buf, Metrics: reg, DisableResidual: true})
+	c := chainChecker(t, 8, Options{Tracer: buf, Metrics: reg, DisableResidual: true})
 	globalCache := func(u store.Update) []string {
 		t.Helper()
 		if _, err := c.Check(u); err != nil {
@@ -209,7 +209,7 @@ func TestGlobalPhaseTraceCacheStatus(t *testing.T) {
 // under negation — must be evaluated from scratch, and must not leave a
 // stale fixpoint behind for the inserts that can use one.
 func TestKeptFixpointMixedPolarityFallsBack(t *testing.T) {
-	c := newChecker(t, "node(1). node(2). edge(1,2).", Options{Workers: 1})
+	c := newChecker(t, "node(1). node(2). edge(1,2).", Options{})
 	// edge reaches panic positively (through linked) and negatively.
 	if err := c.AddConstraintSource("mixed",
 		"linked(X) :- edge(X,Y).\nlinked(Y) :- edge(X,Y).\nlone(X) :- node(X) & not linked(X).\npanic :- lone(X) & edge(X,X)."); err != nil {
@@ -255,8 +255,8 @@ func TestKeptFixpointSelfJoinInsert(t *testing.T) {
 		phase  Phase
 		builds int64 // fixpoints kept from the first decision on
 	}{
-		{Options{Workers: 1, DisableResidual: true}, PhaseGlobal, 2},
-		{Options{Workers: 1}, PhaseResidual, 0},
+		{Options{DisableResidual: true}, PhaseGlobal, 2},
+		{Options{}, PhaseResidual, 0},
 	} {
 		c := newChecker(t, "edge(1,5). banned(1). banned(7). banned(8).", arm.opts)
 		for name, src := range map[string]string{
@@ -323,7 +323,7 @@ func TestWarmGlobalCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	c := chainChecker(t, 64, Options{Workers: 1})
+	c := chainChecker(t, 64, Options{})
 	for _, u := range []store.Update{store.Ins("edge", relation.Ints(8, 41)), store.Ins("edge", relation.Ints(32, 45))} {
 		if rep, err := c.Check(u); err != nil || !rep.Applied {
 			t.Fatalf("%+v %v", rep, err)
@@ -375,7 +375,7 @@ func TestKeptFixpointOrderFromValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.MustEnsure("edge", 2)
-		c := New(db, Options{Workers: 1})
+		c := New(db, Options{})
 		for name, src := range map[string]string{
 			// up's second rule compares X, bound from kept up rows, with Z,
 			// bound from edge; panic compares up's Y with cap's L.
@@ -430,7 +430,7 @@ func TestKeptFixpointOrderFromValues(t *testing.T) {
 func TestKeptFixpointConcurrentAppliers(t *testing.T) {
 	const n = 24
 	c := chainChecker(t, n, Options{})
-	ref := chainChecker(t, n, Options{Workers: 1, DisableIndexes: true})
+	ref := chainChecker(t, n, Options{DisableIndexes: true})
 	var us []store.Update
 	for i := int64(0); i < 120; i++ {
 		switch i % 4 {
@@ -506,7 +506,7 @@ func TestKeptFixpointUnrelatedChecksLeaveOverlay(t *testing.T) {
 		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & reach(Z,Y).\npanic :- reach(X,X).",
 		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
 	} {
-		c := newChecker(t, "edge(0,1).", Options{Workers: 1})
+		c := newChecker(t, "edge(0,1).", Options{})
 		if err := c.AddConstraintSource("acyclic", src); err != nil {
 			t.Fatal(err)
 		}
@@ -596,7 +596,7 @@ func TestKeptFixpointConcurrentChecks(t *testing.T) {
 // first panic fact, nothing is kept, and every decision is evaluated from
 // scratch until the violation is gone.
 func TestKeptFixpointNotBuiltOnViolatedStore(t *testing.T) {
-	c := chainChecker(t, 8, Options{Workers: 1, DisableResidual: true})
+	c := chainChecker(t, 8, Options{DisableResidual: true})
 	if _, err := c.DB().Insert("edge", relation.Ints(7, 0)); err != nil { // closes the chain
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ const bannedHub = "hub(X) :- edge(X,Y) & edge(X,Z) & Y < Z.\npanic :- hub(X) & b
 // introduces (Y@1) reaches any of them.
 func TestExpandedConstraintExplainsAsWritten(t *testing.T) {
 	buf := obs.NewBufferTracer(4)
-	c := newChecker(t, "edge(8,1). banned(8).", Options{Workers: 1, Tracer: buf})
+	c := newChecker(t, "edge(8,1). banned(8).", Options{Tracer: buf})
 	if err := c.AddConstraintSource("banned-hub", bannedHub); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestExpandedConstraintExplainsAsWritten(t *testing.T) {
 // not the same before and after the insert, and no certificate is
 // compiled (DESIGN "Local certificates") — even with banned remote.
 func TestSelfJoinExpansionCompilesNoCertificate(t *testing.T) {
-	c := newChecker(t, "edge(8,1). edge(7,1). banned(8).", Options{Workers: 1, LocalRelations: []string{"edge"}})
+	c := newChecker(t, "edge(8,1). edge(7,1). banned(8).", Options{LocalRelations: []string{"edge"}})
 	if err := c.AddConstraintSource("banned-hub", bannedHub); err != nil {
 		t.Fatal(err)
 	}

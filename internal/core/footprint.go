@@ -14,13 +14,14 @@ import (
 // but mirrors from remote sites. netdist.Placement implements it; a nil
 // Sharder (the default) means every relation is stored here.
 //
-// The read claims need it for one reason each: a decision that reads a
-// remote relation first rewrites its mirror — the range of one column its
-// compiled checks probe (ReadPlan names them), or the whole relation —
-// and only a key group of the shard-key column is rewritten by itself, so
-// only there may its claim be finer than the whole relation; and a task
-// that touches a remote relation may wait on a site
-// (sched.Footprint.Wire).
+// The read claims need it for one reason each: a decision reads a remote
+// relation only through its mirror, which the coordinator first rewrites
+// with the range of one column the compiled checks probe (ReadPlan names
+// them), or the whole relation for any other read, phase 3 and
+// evaluations included — and only a key group of the shard-key column is
+// rewritten by itself, so only there may its claim be finer than the
+// whole relation; and a task that touches a remote relation may wait on a
+// site (sched.Footprint.Wire).
 type Sharder interface {
 	// Remote reports whether rel is mirrored from remote sites.
 	Remote(rel string) bool
@@ -45,9 +46,6 @@ type claim struct {
 	// column of a relation stored here, on the shard-key column of a
 	// remote one. Any other claim is of the whole relation to it.
 	keyed bool
-	// eval marks a dynamic step's read: phase 3 or an evaluation, which a
-	// coordinator's probe router serves, rather than a compiled check.
-	eval bool
 }
 
 // end is one bound of a claim, when set: the update tuple's value at pos,
@@ -170,7 +168,7 @@ func (c *Checker) residualClaim(lit ast.Atom, sigma map[string]int, comps []ast.
 func (c *Checker) addClaims(p *program, s *progStep, key progKey) {
 	if s.kind == stepDynamic {
 		for _, rel := range s.k.edb {
-			p.claims = append(p.claims, claim{rel: rel, col: -1, eval: true})
+			p.claims = append(p.claims, claim{rel: rel, col: -1})
 		}
 	} else {
 		residual.Reads(s.k.flat, key.rel, key.insert, key.arity, func(lit ast.Atom, sigma map[string]int, comps []ast.Comparison) {
@@ -246,8 +244,10 @@ func (f Footprints) reads(u store.Update) (sched.Footprint, []relation.Handle) {
 }
 
 // ReadPlan classifies how a decision of one update reads one relation,
-// for a coordinator choosing what to refresh before it. All fields zero
-// means the decision never reads the relation.
+// for a coordinator choosing what to refresh into its mirror before it —
+// the decision then reads the mirror, so the plan must cover every read:
+// the bounded ones of compiled checks, and the whole relation for any
+// other. All fields zero means the decision never reads the relation.
 type ReadPlan struct {
 	// Ranges bound the relation's reads by the compiled checks, for the
 	// update's tuple: one column each, a key group being the point range of
@@ -256,13 +256,10 @@ type ReadPlan struct {
 	// exactly as fresh as the checks need; a point on the shard-key column
 	// is also the group the update's footprint claims.
 	Ranges []relation.Range
-	// Mirror: a compiled check may range over the whole relation, so the
-	// mirror must be refreshed in full.
+	// Mirror: a compiled check may range over the whole relation, or a
+	// constraint left to phase 3 or an evaluation reads it, so the mirror
+	// must be refreshed in full.
 	Mirror bool
-	// Eval: a constraint left to phase 3 or an evaluation reads the
-	// relation, which an evaluation-level probe router can serve at probe
-	// time — no mirror refresh on that account.
-	Eval bool
 }
 
 // ReadPlan instantiates the claims of u's program on rel for its tuple.
@@ -271,8 +268,6 @@ func (f Footprints) ReadPlan(u store.Update, rel string) ReadPlan {
 	for _, cl := range f.c.programOf(u).claims {
 		switch {
 		case cl.rel != rel:
-		case cl.eval:
-			rp.Eval = true
 		case cl.col < 0:
 			rp.Mirror = true
 		default:

@@ -126,7 +126,7 @@ func TestCheckerAgainstOracles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		chk := New(db, Options{Workers: 1 + int(seed%2)})
+		chk := New(db, Options{})
 		progs := map[string]*ast.Program{}
 		add := func() {
 			k := pool[rng.Intn(len(pool))]

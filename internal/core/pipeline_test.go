@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -133,12 +132,12 @@ func TestConcurrentApplyReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// The parallel cached pipeline must produce identical reports, stats and
-// final stores to the serial uncached one on randomized update streams.
+// The cached pipeline must produce identical reports, stats and final
+// stores to the uncached one on randomized update streams.
 func TestParallelCacheCrossCheck(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		serial := employeeChecker(t, seed, Options{Workers: 1, DisableCache: true})
-		par := employeeChecker(t, seed, Options{Workers: runtime.GOMAXPROCS(0)})
+		plain := employeeChecker(t, seed, Options{DisableCache: true})
+		cached := employeeChecker(t, seed, Options{})
 		rng := rand.New(rand.NewSource(seed * 100))
 		updates := workload.EmployeeUpdates(rng, 120, 5, 0.25)
 		// Mix in deletions so the deletion-side cache is exercised too.
@@ -147,8 +146,8 @@ func TestParallelCacheCrossCheck(t *testing.T) {
 			store.Del("dept", relation.Strs("dept04")),
 		)
 		for _, u := range updates {
-			rs, err1 := serial.Apply(u)
-			rp, err2 := par.Apply(u)
+			rs, err1 := plain.Apply(u)
+			rp, err2 := cached.Apply(u)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("seed %d %v: error mismatch %v vs %v", seed, u, err1, err2)
 			}
@@ -156,14 +155,14 @@ func TestParallelCacheCrossCheck(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(rs, rp) {
-				t.Fatalf("seed %d %v: report mismatch\nserial:   %+v\nparallel: %+v", seed, u, rs, rp)
+				t.Fatalf("seed %d %v: report mismatch\nuncached: %+v\ncached:   %+v", seed, u, rs, rp)
 			}
 		}
-		ss, sp := serial.Stats(), par.Stats()
+		ss, sp := plain.Stats(), cached.Stats()
 		if !reflect.DeepEqual(ss.ByPhase, sp.ByPhase) || ss.Rejected != sp.Rejected {
-			t.Errorf("seed %d: stats mismatch\nserial:   %+v\nparallel: %+v", seed, ss, sp)
+			t.Errorf("seed %d: stats mismatch\nuncached: %+v\ncached:   %+v", seed, ss, sp)
 		}
-		if serial.DB().Dump() != par.DB().Dump() {
+		if plain.DB().Dump() != cached.DB().Dump() {
 			t.Errorf("seed %d: final stores differ", seed)
 		}
 		if ss.CacheHits != 0 || ss.CacheMisses != 0 {

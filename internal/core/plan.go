@@ -69,40 +69,34 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	}
 	// A program's static steps are decided, and so is a step whose compiled
 	// check is certified or whose entry names a pattern-level phase; only the
-	// rest — staged — run the tuple-dependent phases.
+	// rest run the tuple-dependent phases.
 	out := make([]planOutcome, len(p.steps))
-	var staged []int
 	for i := range p.steps {
 		s, o := &p.steps[i], &out[i]
 		switch s.kind {
 		case stepStatic:
 			o.phase, o.decided = s.phase, true
 			continue
-		case stepDynamic:
-			staged = append(staged, i)
-			continue
-		}
-		if certs {
-			t.residualHits++
-			if o.witness = s.check.Certified(c.db, prior, u.Tuple); o.witness != nil {
-				o.phase, o.decided = PhaseResidual, true
-				continue
+		case stepResidual:
+			if certs {
+				t.residualHits++
+				if o.witness = s.check.Certified(c.db, prior, u.Tuple); o.witness != nil {
+					o.phase, o.decided = PhaseResidual, true
+					continue
+				}
+			}
+			// Uncertified, the constraint is the phases' to decide; the
+			// compiled check is Apply's.
+			if s.entry != nil {
+				t.cacheHits++
+				if o.phase, o.decided = c.staticPhase(s.entry); o.decided {
+					continue
+				}
 			}
 		}
-		// Uncertified, the constraint is the phases' to decide; the compiled
-		// check is Apply's.
-		if s.entry != nil {
-			t.cacheHits++
-			o.phase, o.decided = c.staticPhase(s.entry)
-		}
-		if !o.decided {
-			staged = append(staged, i)
-		}
+		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	}
 	c.record(&t)
-	if len(staged) > 0 {
-		c.planStaged(p, staged, out, prior, u)
-	}
 	pr := PlanReport{update: u, fp: c.fp}
 	for i := range p.steps {
 		k, o := p.steps[i].k, &out[i]
@@ -129,13 +123,4 @@ type planOutcome struct {
 	phase   Phase
 	decided bool
 	witness relation.Tuple
-}
-
-// planStaged runs phases 1–3 for the staged steps, two or more of them
-// concurrently.
-func (c *Checker) planStaged(p *program, staged []int, out []planOutcome, prior []store.Update, u store.Update) {
-	runParallel(len(staged), c.workers(), func(j int) {
-		s, o := &p.steps[staged[j]], &out[staged[j]]
-		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
-	})
 }

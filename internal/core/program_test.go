@@ -254,11 +254,10 @@ func statsText(s Stats) string {
 // finished by Decide, in turn — and renders every report, the trace of
 // every decision when traced, and the statistics at the end. Lines that
 // only a traced run has start with two spaces.
-func runGoldenShape(t *testing.T, sh goldenShape, workers int, traced bool) string {
+func runGoldenShape(t *testing.T, sh goldenShape, traced bool) string {
 	t.Helper()
 	db := store.New()
 	opts := sh.opts
-	opts.Workers = workers
 	var tr *sliceTracer
 	if traced {
 		tr = &sliceTracer{}
@@ -316,14 +315,13 @@ func untraced(s string) string {
 // pinned-constant set, a mixed flat and recursive set, a set with remote
 // relations and the ablation arms, every report (decisions, their order
 // and phases, witnesses), every plan, the statistics and the trace event
-// sequence equal the goldens recorded from that loop — at one worker and
-// at four, traced and not.
+// sequence equal the goldens recorded from that loop, traced and not.
 func TestProgramReportsUnchanged(t *testing.T) {
 	path := filepath.Join("testdata", "program_golden.txt")
 	if *updateGolden {
 		var all strings.Builder
 		for _, sh := range goldenShapes {
-			all.WriteString(runGoldenShape(t, sh, 1, true))
+			all.WriteString(runGoldenShape(t, sh, true))
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -346,15 +344,13 @@ func TestProgramReportsUnchanged(t *testing.T) {
 			t.Errorf("no golden for shape %s", sh.name)
 			continue
 		}
-		for _, workers := range []int{1, 4} {
-			for _, traced := range []bool{true, false} {
-				got, want := runGoldenShape(t, sh, workers, traced), want
-				if !traced {
-					want = untraced(want)
-				}
-				if got != want {
-					t.Errorf("%s workers=%d traced=%v: diverges from the golden at %s", sh.name, workers, traced, firstDiff(got, want))
-				}
+		for _, traced := range []bool{true, false} {
+			got, want := runGoldenShape(t, sh, traced), want
+			if !traced {
+				want = untraced(want)
+			}
+			if got != want {
+				t.Errorf("%s traced=%v: diverges from the golden at %s", sh.name, traced, firstDiff(got, want))
 			}
 		}
 	}
@@ -410,8 +406,7 @@ func TestWrongArityDoesNotPoison(t *testing.T) {
 // after the commit — nothing recompiles — and it answers as evaluation
 // does: the relation reads empty to an atom of another arity, on every
 // kind of read (probe, range, scan, negated, the certificate's existence
-// probe) and where a probe router answers for the relation. Nothing
-// panics.
+// probe) and in the global phase. Nothing panics.
 func TestRangeStepOtherArity(t *testing.T) {
 	const fi = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
 	for _, tc := range []struct {
@@ -465,49 +460,14 @@ func TestRangeStepOtherArity(t *testing.T) {
 			t.Errorf("%s: %v after %v: %+v %v, evaluation says violated=%v", tc.name, tc.check, tc.create, rep, err, want)
 		}
 	}
-	// A probe router that answers for q with a relation of another arity:
-	// the global phase skips its rows, as the store's reads would.
-	site := store.New()
-	if _, err := site.Insert("q", relation.Ints(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	c := newChecker(t, "p(0).", Options{DisableResidual: true, ProbeRouter: siteRouter{site, "q"}})
+	// The global phase over q stored with another arity skips its rows too.
+	c := newChecker(t, "p(0). q(1,2).", Options{DisableResidual: true})
 	if err := c.AddConstraintSource("k", "panic :- p(X) & q(X)."); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := c.Check(store.Ins("p", relation.Ints(1))); err != nil || !rep.Applied || rep.Decisions[0].Phase != PhaseGlobal {
-		t.Errorf("routed q/2: +p(1) %+v %v, want admitted by the global phase", rep, err)
+		t.Errorf("q/2: +p(1) %+v %v, want admitted by the global phase", rep, err)
 	}
-}
-
-// siteRouter is a ProbeRouter that answers for one relation from a store
-// of its own, as a site would.
-type siteRouter struct {
-	db  *store.Store
-	rel string
-}
-
-func (r siteRouter) Probe(dst []relation.Tuple, rel string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error) {
-	if rel != r.rel {
-		return dst, false, nil
-	}
-next:
-	for _, tu := range r.db.Tuples(rel) {
-		for i, c := range cols {
-			if c >= len(tu) || !tu[c].Equal(vals[i]) {
-				continue next
-			}
-		}
-		dst = append(dst, tu)
-	}
-	return dst, true, nil
-}
-
-func (r siteRouter) Contains(rel string, tu relation.Tuple) (bool, bool, error) {
-	if rel != r.rel {
-		return false, false, nil
-	}
-	return r.db.Contains(rel, tu), true, nil
 }
 
 // TestProgramInvalidation: a constraint set's checks are compiled when the
@@ -590,7 +550,7 @@ func TestPinnedValuesCompileNothing(t *testing.T) {
 // sequential arm's.
 func TestProgramConcurrentCompile(t *testing.T) {
 	build := func() *Checker {
-		c := newChecker(t, "banned(1). banned(3). e(1,2). e(2,3). dept(1). emp(7,1).", Options{Workers: 2})
+		c := newChecker(t, "banned(1). banned(3). e(1,2). e(2,3). dept(1). emp(7,1).", Options{})
 		for i := 0; i < 6; i++ {
 			if err := c.AddConstraintSource(fmt.Sprintf("c%d", i), fmt.Sprintf("panic :- p%d(X) & banned(X).", i)); err != nil {
 				t.Fatal(err)
@@ -818,84 +778,38 @@ func TestReportSharedWithProgram(t *testing.T) {
 	wg.Wait()
 }
 
-// goroutineGauge is a ProbeRouter that routes nothing and notes how many
-// goroutines exist whenever an evaluation asks it.
-type goroutineGauge struct {
-	mu  sync.Mutex
-	max int
-}
-
-func (g *goroutineGauge) note() {
-	n := runtime.NumGoroutine()
-	g.mu.Lock()
-	if n > g.max {
-		g.max = n
-	}
-	g.mu.Unlock()
-}
-
-func (g *goroutineGauge) Probe(dst []relation.Tuple, pred string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error) {
-	g.note()
-	return dst, false, nil
-}
-
-func (g *goroutineGauge) Contains(pred string, t relation.Tuple) (bool, bool, error) {
-	g.note()
-	return false, false, nil
-}
-
-// TestFlatDecisionStartsNoGoroutine: whether a decision pays a goroutine
-// hand-off follows from what was compiled. A flat one runs on the caller's
-// goroutine at any pool width; one with two dynamic steps still fans out.
+// TestFlatDecisionStartsNoGoroutine: a decision runs on the caller's
+// goroutine, a flat one included.
 func TestFlatDecisionStartsNoGoroutine(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		c := flatChecker(t, Options{Workers: workers})
-		hire := store.Ins("emp", empTuple("new", "dept01", 25))
-		base := runtime.NumGoroutine()
-		// A sampler can miss a goroutine, never invent one: it sees itself
-		// and the decisions' caller, and a pool would add to that.
-		stop, done := make(chan struct{}), make(chan int)
-		go func() {
-			most := 0
-			for {
-				select {
-				case <-stop:
-					done <- most
-					return
-				default:
-					if n := runtime.NumGoroutine(); n > most {
-						most = n
-					}
-					runtime.Gosched()
-				}
-			}
-		}()
-		for i := 0; i < 3000; i++ {
-			if rep, err := c.Check(hire); err != nil || !rep.Applied {
-				t.Fatalf("%+v %v", rep, err)
-			}
-		}
-		close(stop)
-		if most := <-done; most > base+1 {
-			t.Errorf("workers=%d: flat decisions ran beside %d goroutines, want none but the sampler", workers, most-base)
-		}
-	}
-	gauge := &goroutineGauge{}
-	c := newChecker(t, "e(1,2). banned(9).", Options{Workers: 4, ProbeRouter: gauge})
-	for name, src := range map[string]string{
-		"acyclic":     oracleConstraints[0].src,
-		"banned-loop": "r(X,Y) :- e(X,Y).\nr(X,Y) :- r(X,Z) & e(Z,Y).\npanic :- r(X,X) & banned(X).",
-	} {
-		if err := c.AddConstraintSource(name, src); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := flatChecker(t, Options{})
+	hire := store.Ins("emp", empTuple("new", "dept01", 25))
 	base := runtime.NumGoroutine()
-	if rep, err := c.Check(store.Ins("e", relation.Ints(2, 3))); err != nil || !rep.Applied {
-		t.Fatalf("%+v %v", rep, err)
+	// A sampler can miss a goroutine, never invent one: it sees itself and
+	// the decisions' caller, and a decision that started one would add to
+	// that.
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-stop:
+				done <- most
+				return
+			default:
+				if n := runtime.NumGoroutine(); n > most {
+					most = n
+				}
+				runtime.Gosched()
+			}
+		}
+	}()
+	for i := 0; i < 3000; i++ {
+		if rep, err := c.Check(hire); err != nil || !rep.Applied {
+			t.Fatalf("%+v %v", rep, err)
+		}
 	}
-	// Evaluated inline the gauge would read base: it runs on a worker.
-	if gauge.max <= base {
-		t.Errorf("two dynamic steps were evaluated beside %d goroutines, want the pool's workers", gauge.max-base)
+	close(stop)
+	if most := <-done; most > base+1 {
+		t.Errorf("flat decisions ran beside %d goroutines, want none but the sampler", most-base)
 	}
 }

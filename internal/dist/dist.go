@@ -63,9 +63,7 @@ func New(db *store.Store, localRelations []string, cost CostModel) *System {
 
 // NewWithOptions builds a system with explicit checker options;
 // opts.LocalRelations defines the site split, opts.DisableUpdateOnly /
-// DisableLocalData select ablation strategies, and opts.Workers sizes the
-// checker's dispatch pool (the staged pipeline runs phases 1–3 and the
-// global evaluations across constraints on it).
+// DisableLocalData select ablation strategies.
 func NewWithOptions(db *store.Store, opts core.Options, cost CostModel) *System {
 	return &System{
 		Checker: core.New(db, opts),

@@ -65,27 +65,6 @@ type Options struct {
 	// calls — see PlanCache. Without it every call compiles afresh; a
 	// caller that keeps its programs keeps a Goal instead.
 	Cache *PlanCache
-	// Probe, when non-nil, may intercept EDB reads (candidate fetches
-	// and negated-subgoal membership probes) before they hit the store —
-	// the shard-routing hook: a distributed coordinator serves probes on
-	// hash-partitioned relations from the owning shard instead of a
-	// local mirror. IDB reads are never routed.
-	Probe ProbeRouter
-}
-
-// ProbeRouter intercepts EDB reads during evaluation. It is asked and
-// answers in values; the engine interns what it answers. Implementations
-// decide per relation whether to handle the read (handled=false falls
-// through to the local store). A handled Probe must return exactly the
-// tuples whose projection onto cols equals vals — the join loop trusts
-// probe results to match every bound column and does not re-check them.
-// cols may be empty, demanding the relation's full contents. Errors
-// abort the evaluation and surface from EvalWith and GoalHoldsAfter.
-type ProbeRouter interface {
-	// Probe appends the matching tuples to dst and returns it.
-	Probe(dst []relation.Tuple, rel string, cols []int, vals []ast.Value) ([]relation.Tuple, bool, error)
-	// Contains reports membership of t in rel.
-	Contains(rel string, t relation.Tuple) (bool, bool, error)
 }
 
 // Eval computes the stratified fixpoint of prog over the extensional
@@ -102,7 +81,7 @@ func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	ev, res := newEvaluator(c, db, opts)
+	ev, res := newEvaluator(c, db)
 	defer ev.release()
 	for i := range c.strata {
 		if err := ev.evalStratum(&c.strata[i]); err != nil {
@@ -115,13 +94,13 @@ func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error)
 // newEvaluator allocates the result (empty derived relations) for the
 // compiled program and borrows a pooled evaluator to derive into it;
 // callers must release() the evaluator when done.
-func newEvaluator(c *compiled, db *store.Store, opts Options) (*evaluator, *Result) {
+func newEvaluator(c *compiled, db *store.Store) (*evaluator, *Result) {
 	res := &Result{slot: c.slot, sets: make([]*rowSet, len(c.arity))}
 	for i := range res.sets {
 		res.sets[i] = c.newSet(i)
 	}
 	ev := getEvaluator()
-	ev.comp, ev.db, ev.sets, ev.opts = c, db, res.sets, opts
+	ev.comp, ev.db, ev.sets = c, db, res.sets
 	return ev, res
 }
 
@@ -145,7 +124,6 @@ func PanicHolds(prog *ast.Program, db *store.Store) (bool, error) {
 type evaluator struct {
 	comp *compiled
 	db   *store.Store
-	opts Options
 	// sets are the derived relations by slot: a from-scratch result's, or
 	// a kept fixpoint's rows.
 	sets []*rowSet

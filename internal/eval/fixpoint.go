@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/relation"
@@ -36,14 +35,14 @@ type Fixpoint struct {
 }
 
 // buildFixpoint is Goal.Fixpoint for the compiled evaluation c.
-func buildFixpoint(c *compiled, db *store.Store, rel string, opts Options) (*Fixpoint, error) {
+func buildFixpoint(c *compiled, db *store.Store, rel string) *Fixpoint {
 	if c.noRules {
-		return nil, nil // underivable whatever the data: nothing worth keeping
+		return nil // underivable whatever the data: nothing worth keeping
 	}
 	c.prepareDelta()
 	f := &Fixpoint{comp: c, db: db}
 	if !f.Seedable(rel) {
-		return nil, nil
+		return nil
 	}
 	// Versions first: a write that lands while the evaluation reads must
 	// leave the fixpoint stale, not current.
@@ -52,7 +51,7 @@ func buildFixpoint(c *compiled, db *store.Store, rel string, opts Options) (*Fix
 	for i, name := range f.edb {
 		f.vers[i] = db.DataVersion(name)
 	}
-	ev, res := newEvaluator(c, db, opts)
+	ev, res := newEvaluator(c, db)
 	defer ev.release()
 	// A goal fact ends the build at once: the premise of Insert —
 	// underivable before the update — does not hold, so nothing is kept and
@@ -60,12 +59,8 @@ func buildFixpoint(c *compiled, db *store.Store, rel string, opts Options) (*Fix
 	// from-scratch evaluation, at no more than the price of one more.
 	ev.stop = c.goalSlot
 	for i := range c.strata {
-		err := ev.evalStratum(&c.strata[i])
-		if errors.Is(err, errGoalDerived) {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
+		if ev.evalStratum(&c.strata[i]) != nil { // errGoalDerived
+			return nil
 		}
 	}
 	// The result's rows become the kept ones, with a bucket index on every
@@ -89,7 +84,7 @@ func buildFixpoint(c *compiled, db *store.Store, rel string, opts Options) (*Fix
 	for _, rs := range f.sets {
 		rs.kept = rs.n
 	}
-	return f, nil
+	return f
 }
 
 // Seedable reports whether Insert decides an insert into rel exactly:
@@ -129,7 +124,7 @@ func (f *Fixpoint) Valid() bool {
 // The rows must account for prior: the holder passes one whose writes to
 // the stored relations the program reads are exactly inserts this
 // overlay holds, and evaluates from scratch otherwise.
-func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, keep bool) (bool, error) {
+func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, keep bool) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !keep {
@@ -143,15 +138,11 @@ func (f *Fixpoint) Insert(prior []store.Update, rel string, t relation.Tuple, ke
 	ev.pend(prior, store.Ins(rel, t))
 	defer ev.release()
 	for i := range f.comp.strata {
-		err := ev.seededStratum(&f.comp.strata[i], rel)
-		if errors.Is(err, errGoalDerived) {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
+		if ev.seededStratum(&f.comp.strata[i], rel) != nil { // errGoalDerived
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // seededStratum is evalStratum started from a delta instead of from the

@@ -8,7 +8,9 @@ import (
 )
 
 // errGoalDerived unwinds the evaluation as soon as the goal is derived,
-// and a residual plan at its first derivation.
+// and a residual plan at its first derivation. It is the only way a run
+// ends early: every read is of the store or of derived rows, and none
+// can fail.
 var errGoalDerived = errors.New("eval: goal derived")
 
 // Goal is a program compiled for one goal predicate under fixed options:
@@ -32,23 +34,21 @@ func CompileGoal(prog *ast.Program, goal string, opts Options) (*Goal, error) {
 }
 
 // HoldsAfter is GoalHoldsAfter for the compiled goal.
-func (g *Goal) HoldsAfter(db *store.Store, prior []store.Update, u store.Update) (bool, error) {
-	return holdsAfter(g.c, db, g.name, prior, u, g.opts)
+func (g *Goal) HoldsAfter(db *store.Store, prior []store.Update, u store.Update) bool {
+	return holdsAfter(g.c, db, g.name, prior, u)
 }
 
 // Fixpoint evaluates the compiled goal over db to its fixpoint and keeps
 // it, to decide inserts into rel (see Fixpoint). It returns nil, before
 // evaluating anything, when an insert into rel could not be decided by
-// Fixpoint.Insert on the result (Seedable), and under the options that
-// change where or how stored relations are read: a probe router serves
-// reads the store's versions say nothing about, and the scan arm stays a
-// reference that shares no shortcut with what it checks — no index, no
-// kept rows. The store is read, never written.
-func (g *Goal) Fixpoint(db *store.Store, rel string) (*Fixpoint, error) {
-	if g.opts.Probe != nil || g.opts.DisableIndexes {
-		return nil, nil
+// Fixpoint.Insert on the result (Seedable), and on the scan arm, which
+// stays a reference that shares no shortcut with what it checks — no
+// index, no kept rows. The store is read, never written.
+func (g *Goal) Fixpoint(db *store.Store, rel string) *Fixpoint {
+	if g.opts.DisableIndexes {
+		return nil
 	}
-	return buildFixpoint(g.c, db, rel, g.opts)
+	return buildFixpoint(g.c, db, rel)
 }
 
 // GoalHoldsWith reports whether the goal predicate derives at least one
@@ -65,44 +65,35 @@ func GoalHoldsWith(prog *ast.Program, db *store.Store, goal string, opts Options
 
 // GoalHoldsAfter is GoalHoldsWith for the database db will be once the
 // updates prior and then u are applied, answered while reading db as it
-// stands: db is not written, and a probe router serves the state before
-// them. No prior and the zero Update ask of db.
+// stands: db is not written. No prior and the zero Update ask of db.
 func GoalHoldsAfter(prog *ast.Program, db *store.Store, goal string, prior []store.Update, u store.Update, opts Options) (bool, error) {
 	c, err := compiledFor(prog, goal, opts)
 	if err != nil {
 		return false, err
 	}
-	return holdsAfter(c, db, goal, prior, u, opts)
+	return holdsAfter(c, db, goal, prior, u), nil
 }
 
 // holdsAfter runs the compiled goal evaluation c over db with prior and u
 // pending, up to the first derivation of the goal.
-func holdsAfter(c *compiled, db *store.Store, goal string, prior []store.Update, u store.Update, opts Options) (bool, error) {
+func holdsAfter(c *compiled, db *store.Store, goal string, prior []store.Update, u store.Update) bool {
 	if c.noRules {
-		return false, nil // goal underivable: no rules at all
+		return false // goal underivable: no rules at all
 	}
-	ev, result := newEvaluator(c, db, opts)
+	ev, result := newEvaluator(c, db)
 	defer ev.release()
 	ev.pend(prior, u)
 	for i := range c.strata {
 		if i != c.goalLevel {
-			if err := ev.evalStratum(&c.strata[i]); err != nil {
-				return false, err
-			}
+			_ = ev.evalStratum(&c.strata[i]) // stop unset: no derivation ends it early
 			continue
 		}
 		ev.stop = c.goalSlot
-		err := ev.evalStratum(&c.strata[i])
+		derived := ev.evalStratum(&c.strata[i]) != nil // errGoalDerived
 		ev.stop = -1
-		if errors.Is(err, errGoalDerived) {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return result.Holds(goal), nil
+		return derived || result.Holds(goal)
 	}
-	return result.Holds(goal), nil
+	return result.Holds(goal)
 }
 
 // pruneToGoal returns the subprogram of rules for predicates the goal

@@ -23,9 +23,11 @@ import (
 // allocation beyond the pooled evaluator. A plan ends in an emit (a rule's
 // head tuple) or, for a residual disjunct, in "derived". Every read goes
 // through the evaluator's source (fetch, contains): the store as it will
-// be once the pending updates are applied, a probe router, or a derived
-// relation (rowSet) — a from-scratch result, a semi-naive delta, or a
-// kept fixpoint's rows.
+// be once the pending updates are applied, or a derived relation (rowSet)
+// — a from-scratch result, a semi-naive delta, or a kept fixpoint's rows.
+// A coordinator's store is its mirror, refreshed before the decision with
+// what the decision reads of remote relations, so a remote relation is
+// read like any other.
 //
 // The runtime works on interned handles (relation.Handle): registers,
 // probe keys, candidate rows and emitted heads are handles, so a join
@@ -34,8 +36,7 @@ import (
 // a parameter when a run first uses it as a probe key, a bound column or
 // an emitted value, never for a mere comparison. A value comes back from
 // the pool (relation.InternedValue, lock-free) only where one is needed:
-// an order comparison, a range bound, a probe router's read, or a
-// materialized result.
+// an order comparison, a range bound, or a materialized result.
 
 // TermKind says what a planned term stands for.
 type TermKind uint8
@@ -505,16 +506,12 @@ func (p *Plan) Unranged() *Plan {
 }
 
 // level is the scratch of one plan depth: the probe key (or the ground
-// tuple of a negated subgoal), the fetched candidate rows, the bounds of a
-// range step, and what a probe router is asked and answers — its probe
-// values, its tuples and their rows.
+// tuple of a negated subgoal), the fetched candidate rows and the bounds
+// of a range step.
 type level struct {
 	key    []relation.Handle
 	rows   [][]relation.Handle
 	ranges []relation.Range
-	vals   []ast.Value
-	tups   []relation.Tuple
-	hbuf   []relation.Handle
 }
 
 // runPlan sizes the registers and levels for p and runs it from its first
@@ -595,16 +592,6 @@ func (ev *evaluator) value(a arg) ast.Value {
 	return relation.InternedValue(ev.regs[a.idx])
 }
 
-// values materializes the handles hs into the level's value scratch.
-func values(lv *level, hs []relation.Handle) relation.Tuple {
-	vals := lv.vals[:0]
-	for _, h := range hs {
-		vals = append(vals, relation.InternedValue(h))
-	}
-	lv.vals = vals
-	return vals
-}
-
 // compare decides a comparison step: equal handles are equal values, and
 // the order is the values'.
 func (ev *evaluator) compare(st *step) bool {
@@ -615,7 +602,7 @@ func (ev *evaluator) compare(st *step) bool {
 }
 
 // run executes p from step si. errGoalDerived unwinds a derivation that
-// ends the evaluation; any other error is a read's.
+// ends the evaluation.
 func (ev *evaluator) run(p *Plan, si int) error {
 	if si == len(p.steps) {
 		return ev.emit(p)
@@ -634,17 +621,12 @@ func (ev *evaluator) run(p *Plan, si int) error {
 			key = append(key, ev.handle(a))
 		}
 		lv.key = key
-		has, err := ev.contains(st, lv)
-		if err != nil || has {
-			return err
+		if ev.contains(st, lv) {
+			return nil
 		}
 		return ev.run(p, si+1)
 	}
-	rows, err := ev.fetch(st, lv)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
+	for _, row := range ev.fetch(st, lv) {
 		if !ev.match(st, row) {
 			continue
 		}
@@ -700,9 +682,9 @@ func (ev *evaluator) emit(p *Plan) error {
 
 // fetch returns the candidate rows of a positive step into the level's
 // buffers: the delta literal's rows, a derived relation's, or the store's
-// (routed or local) as the pending update leaves them — by indexed probe
-// on the probe columns, by range, or by scan.
-func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
+// as the pending update leaves them — by indexed probe on the probe
+// columns, by range, or by scan.
+func (ev *evaluator) fetch(st *step, lv *level) [][]relation.Handle {
 	key := lv.key[:0]
 	for _, a := range st.probeArgs {
 		key = append(key, ev.handle(a))
@@ -723,27 +705,6 @@ func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
 		// Derived relations are not charged: they are scratch space.
 		dst = ev.sets[st.slot].lookup(dst, cols, key)
 	default:
-		if ev.opts.Probe != nil {
-			out, handled, err := ev.opts.Probe.Probe(lv.tups[:0], st.pred, cols, values(lv, key))
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				lv.tups = out
-				hbuf := lv.hbuf[:0]
-				for _, t := range out {
-					if len(t) != len(st.args) {
-						continue // the routed relation has another arity: the atom matches none of it
-					}
-					lo := len(hbuf)
-					hbuf = relation.AppendHandles(hbuf, t)
-					dst = append(dst, hbuf[lo:len(hbuf):len(hbuf)])
-				}
-				lv.hbuf = hbuf
-				lv.rows = ev.pending(dst, st.pred, len(st.args), cols, key)
-				return lv.rows, nil
-			}
-		}
 		switch {
 		case len(cols) > 0:
 			dst = ev.db.LookupColsAppend(dst, st.pred, len(st.args), cols, key)
@@ -767,30 +728,23 @@ func (ev *evaluator) fetch(st *step, lv *level) ([][]relation.Handle, error) {
 		}
 	}
 	lv.rows = dst
-	return dst, nil
+	return dst
 }
 
 // contains is the membership test of a negated step for the ground row
 // in lv.key: in the derived relation, or in the stored one as the pending
-// update leaves it (routed when a ProbeRouter claims the relation,
-// charged to the store otherwise).
-func (ev *evaluator) contains(st *step, lv *level) (bool, error) {
+// update leaves it.
+func (ev *evaluator) contains(st *step, lv *level) bool {
 	if st.slot >= 0 {
-		return ev.sets[st.slot].contains(lv.key), nil
+		return ev.sets[st.slot].contains(lv.key)
 	}
 	if has, decided := ev.pendingHas(st.pred, lv.key); decided {
-		return has, nil
+		return has
 	}
-	if ev.opts.Probe != nil {
-		has, handled, err := ev.opts.Probe.Contains(st.pred, values(lv, lv.key))
-		if err != nil || handled {
-			return has, err
-		}
-	}
-	return ev.db.Probe(st.pred, lv.key), nil
+	return ev.db.Probe(st.pred, lv.key)
 }
 
-// pending adjusts what the store or the router answered to a positive
+// pending adjusts what the store answered to a positive
 // read of the stored relation pred — the rows, of an arity-ar atom, that
 // carry key on cols — to what it will hold once ev.prior and then ev.upd
 // are applied, in place. With pendingHas it is the one place a read sees

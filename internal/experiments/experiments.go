@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/ast"
@@ -271,62 +270,55 @@ func ExpSubsumption(sizes []int) Table {
 func ExpDistributed(densities []int, updates int, seed int64) (Table, error) {
 	t := Table{
 		Title:   "D1 — distributed maintenance: local coverage density vs remote cost",
-		Columns: []string{"|L|", "strategy", "decided-locally", "remote-trips", "remote-tuples", "cost", "workers", "cache-hit%"},
-	}
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
+		Columns: []string{"|L|", "strategy", "decided-locally", "remote-trips", "remote-tuples", "cost", "cache-hit%"},
 	}
 	for _, n := range densities {
 		for _, strategy := range []string{"staged", "naive"} {
-			for _, workers := range workerCounts {
-				rng := rand.New(rand.NewSource(seed))
-				db := store.New()
-				for _, tu := range workload.Intervals(rng, n, 20, 200) {
-					if _, err := db.Insert("l", tu); err != nil {
-						return t, err
-					}
-				}
-				// Remote points safely outside the interval spread.
-				for i := int64(0); i < 50; i++ {
-					if _, err := db.Insert("r", relation.Ints(10000+i)); err != nil {
-						return t, err
-					}
-				}
-				// Both arms measure the staged pipeline's locality; the
-				// residual arm is measured separately by ExpResidual.
-				opts := core.Options{LocalRelations: []string{"l"}, Workers: workers, DisableResidual: true}
-				if strategy == "naive" {
-					opts.DisableUpdateOnly = true
-					opts.DisableLocalData = true
-				}
-				sys := dist.NewWithOptions(db, opts, dist.DefaultCost)
-				if err := sys.Checker.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
+			rng := rand.New(rand.NewSource(seed))
+			db := store.New()
+			for _, tu := range workload.Intervals(rng, n, 20, 200) {
+				if _, err := db.Insert("l", tu); err != nil {
 					return t, err
 				}
-				db.ResetReads()
-				for _, u := range workload.IntervalInserts(rng, updates, 10, 200, "l") {
-					if _, err := sys.Apply(u); err != nil {
-						return t, err
-					}
-				}
-				st := sys.Stats()
-				cst := sys.Checker.Stats()
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprint(n), strategy,
-					fmt.Sprintf("%d/%d", st.DecidedLocally, st.Updates),
-					fmt.Sprint(st.RemoteTrips), fmt.Sprint(st.RemoteTuples),
-					fmt.Sprintf("%.0f", st.Cost),
-					fmt.Sprint(workers),
-					fmt.Sprintf("%.0f%%", 100*cst.CacheHitRate()),
-				})
 			}
+			// Remote points safely outside the interval spread.
+			for i := int64(0); i < 50; i++ {
+				if _, err := db.Insert("r", relation.Ints(10000+i)); err != nil {
+					return t, err
+				}
+			}
+			// Both arms measure the staged pipeline's locality; the residual
+			// arm is measured separately by ExpResidual.
+			opts := core.Options{LocalRelations: []string{"l"}, DisableResidual: true}
+			if strategy == "naive" {
+				opts.DisableUpdateOnly = true
+				opts.DisableLocalData = true
+			}
+			sys := dist.NewWithOptions(db, opts, dist.DefaultCost)
+			if err := sys.Checker.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
+				return t, err
+			}
+			db.ResetReads()
+			for _, u := range workload.IntervalInserts(rng, updates, 10, 200, "l") {
+				if _, err := sys.Apply(u); err != nil {
+					return t, err
+				}
+			}
+			st := sys.Stats()
+			cst := sys.Checker.Stats()
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprint(n), strategy,
+				fmt.Sprintf("%d/%d", st.DecidedLocally, st.Updates),
+				fmt.Sprint(st.RemoteTrips), fmt.Sprint(st.RemoteTuples),
+				fmt.Sprintf("%.0f", st.Cost),
+				fmt.Sprintf("%.0f%%", 100*cst.CacheHitRate()),
+			})
 		}
 	}
 	t.Notes = append(t.Notes,
 		"staged = unaffected → update-only → complete local test → global; naive = always evaluate globally",
 		"denser local data certifies more inserts locally; the naive strategy pays one remote trip per update",
-		"verdicts and costs are identical across worker counts; cache-hit% is the decision-cache rate over the stream")
+		"cache-hit% is the decision-cache rate over the stream")
 	return t, nil
 }
 

@@ -127,10 +127,11 @@ type Stats struct {
 	SyncTrips  int
 	SyncTuples int64
 	// ShardRouted counts reads of a sharded relation that went to the
-	// single owning shard (keyed mirror refreshes + routed evaluation
-	// probes); ShardScatter counts reads that fanned out to every shard.
-	// KeyFetches is the keyed-refresh subset of ShardRouted. All three
-	// stay zero without sharded placement.
+	// single owning shard — a refresh of one key group of the shard-key
+	// column; ShardScatter counts reads that fanned out to every shard.
+	// KeyFetches equals ShardRouted: every routed read is a key-group
+	// refresh (the field stays for the benchmark, which reads it). All
+	// three stay zero without sharded placement.
 	ShardRouted  int
 	ShardScatter int
 	KeyFetches   int
@@ -142,17 +143,19 @@ type Stats struct {
 }
 
 // Coordinator runs the staged checker over a local mirror and reaches
-// remote sites over a Transport only when an update's plan requires the
-// global phase. Like dist.System it exposes Apply/ApplyBatch/Stats — the
+// remote sites over a Transport only when an update's plan reads a remote
+// relation. Like dist.System it exposes Apply/ApplyBatch/Stats — the
 // difference is that its remote accesses are real requests with real
 // failure modes, not cost-model entries.
 //
-// Freshness contract: phases 1–3 use only constraints, the update and
-// local relations, so they never need the mirror's remote entries;
-// before any global evaluation the coordinator re-fetches exactly the
-// remote relations the undecided constraints mention. A site outage
-// therefore fails only the updates whose plan needed that site —
-// reported as ErrSiteUnavailable, never as a verdict.
+// Freshness contract: a decision has one way to read a remote relation.
+// Before the checker decides, the coordinator refreshes into the mirror
+// what the decision's read claims name of the relations its plan reads
+// (reads.add) — the range a compiled check probes, or the whole relation
+// for an unbounded check, phase 3 or an evaluation — and the checker then
+// reads the mirror like any store. A site outage therefore fails only the
+// updates whose plan needed that site — reported as ErrSiteUnavailable,
+// never as a verdict.
 //
 // Concurrency: the coordinator's own accounting is mutex-guarded, and
 // its transports tolerate concurrent round trips — but Apply, Check and
@@ -170,14 +173,6 @@ type Coordinator struct {
 	met       *coordMetrics
 	shmet     *shardMetrics
 	reqID     atomic.Uint64
-	// applyGen advances at every Apply/Check/ApplyBatch entry; the shard
-	// router keys its probe cache on it so one decision's evaluations reuse
-	// fetched groups — nothing reaches a site before its verdict — while
-	// later decisions see fresh state.
-	applyGen atomic.Uint64
-	// router is non-nil when some relation is sharded; it is also
-	// installed as the checker's eval.ProbeRouter.
-	router *shardRouter
 	// replWG tracks queued replication ops (FlushReplicas).
 	replWG sync.WaitGroup
 
@@ -213,9 +208,7 @@ func New(local *store.Store, sites []SiteSpec, tr Transport, opts Options) (*Coo
 // shard. The placement becomes the checker's footprint Sharder: a read
 // of a placed relation is preceded by a refresh of its mirror, so the
 // scheduler may confine the claim to a key group only where the refresh
-// is confined to it (a shard-key probe of a sharded relation). A sharded
-// placement also installs a probe router that serves global-evaluation
-// reads of sharded relations straight from the owning shard.
+// is confined to it (a shard-key probe of a sharded relation).
 func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) (*Coordinator, error) {
 	if err := place.validate(); err != nil {
 		return nil, err
@@ -264,10 +257,6 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		co.shardsOf[rel] = shards
 	}
 	co.opts.Checker.Sharder = place
-	if anySharded {
-		co.router = newShardRouter(co)
-		co.opts.Checker.ProbeRouter = co.router
-	}
 	if co.opts.Metrics != nil && (anySharded || co.hasReplicas()) {
 		co.shmet = newShardMetrics(co.opts.Metrics)
 	}
@@ -292,7 +281,7 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 	co.stats.SyncTuples, co.stats.WireTuples = co.stats.WireTuples, 0
 	co.stats.Retries = 0
 	co.stats.RetriesBySite = map[string]int{}
-	co.stats.ShardRouted, co.stats.ShardScatter, co.stats.KeyFetches = 0, 0, 0
+	co.stats.ShardRouted, co.stats.ShardScatter = 0, 0
 	co.stats.ReplicaReads, co.stats.ReplicaResyncs = 0, 0
 	co.Checker = core.New(local, co.opts.Checker)
 	return co, nil
@@ -325,6 +314,7 @@ func (co *Coordinator) Stats() Stats {
 	co.statsMu.Lock()
 	defer co.statsMu.Unlock()
 	st := co.stats
+	st.KeyFetches = st.ShardRouted
 	st.ByPhase = make(map[core.Phase]int, len(co.stats.ByPhase))
 	for p, n := range co.stats.ByPhase {
 		st.ByPhase[p] = n
@@ -503,15 +493,6 @@ func (co *Coordinator) refresh(r mirrorRead) error {
 	if err != nil {
 		return &RemoteError{Site: "", Msg: err.Error()}
 	}
-	if _, routed := co.place.owner(r.rel, r.rg); routed {
-		// KeyFetches is the keyed-refresh subset of ShardRouted.
-		co.statsMu.Lock()
-		co.stats.KeyFetches++
-		co.statsMu.Unlock()
-		if co.shmet != nil {
-			co.shmet.keyFetches.Inc()
-		}
-	}
 	return nil
 }
 
@@ -535,34 +516,30 @@ type reads []mirrorRead
 // remote relations its plan needs (0: decidable wire-free). It consults
 // the read plan of the claims the checker compiled for the update's
 // pattern: the ranges compiled checks probe — a key group is a point — are
-// refreshed alone, and an unbounded compiled-check read refreshes the
-// whole relation (and with it every range). Evaluation reads of a sharded
-// relation are left to the probe router (no refresh at all); the router
-// serves no relation placed whole, so an evaluation's read of one
-// refreshes it whole. A relation no claim names is not refreshed: the
-// refresh would write the mirror outside the decision's claims.
+// refreshed alone, and an unbounded read — of a compiled check, phase 3
+// or an evaluation — refreshes the whole relation (and with it every
+// range), from every shard at once when it is sharded. A relation no
+// claim names is not refreshed: the refresh would write the mirror
+// outside the decision's claims.
 func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int {
 	need := 0
 	for _, rel := range plan.Relations {
-		pl, remote := co.place[rel]
-		if !remote {
+		if _, remote := co.place[rel]; !remote {
 			continue
 		}
 		rp := co.Checker.Footprints().ReadPlan(u, rel)
 		switch {
-		case rp.Mirror || !pl.Sharded() && rp.Eval:
+		case rp.Mirror:
 			rs.note(mirrorRead{rel: rel})
 		case len(rp.Ranges) > 0:
 			for _, rg := range rp.Ranges {
 				rs.note(mirrorRead{rel: rel, rg: rg})
 			}
-		case !rp.Eval:
+		default:
 			// The residual-aware analysis proves this member's check never
 			// reads rel: nothing to refresh, and no wire need.
 			continue
 		}
-		// Router-served reads (rp.Eval) reach the owning shard at evaluation
-		// time and leave the mirror alone, but need the wire.
 		need++
 	}
 	return need
@@ -735,8 +712,8 @@ func (co *Coordinator) Report() string {
 	fmt.Fprintf(&sb, "wire: %d round trips (%d retries), %d tuples, %s on the network\n",
 		st.RoundTrips, st.Retries, st.WireTuples, st.NetTime.Round(time.Microsecond))
 	if st.ShardRouted+st.ShardScatter+st.ReplicaReads+st.ReplicaResyncs > 0 {
-		fmt.Fprintf(&sb, "shards: %d routed (%d key fetches), %d scatter; replicas: %d reads, %d resyncs\n",
-			st.ShardRouted, st.KeyFetches, st.ShardScatter, st.ReplicaReads, st.ReplicaResyncs)
+		fmt.Fprintf(&sb, "shards: %d routed, %d scatter; replicas: %d reads, %d resyncs\n",
+			st.ShardRouted, st.ShardScatter, st.ReplicaReads, st.ReplicaResyncs)
 	}
 	if len(st.RetriesBySite) > 0 {
 		fmt.Fprintf(&sb, "retries by site: %s\n", siteCounts(st.RetriesBySite))

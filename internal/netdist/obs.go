@@ -73,7 +73,6 @@ func (m *coordMetrics) observeAttempt(site, op string, req *Request, resp *Respo
 type shardMetrics struct {
 	routed       *obs.Counter
 	scatter      *obs.Counter
-	keyFetches   *obs.Counter
 	replicaReads *obs.Counter
 	replicaOps   *obs.Counter
 	staleness    *obs.Gauge
@@ -81,9 +80,8 @@ type shardMetrics struct {
 
 func newShardMetrics(reg *obs.Registry) *shardMetrics {
 	return &shardMetrics{
-		routed:       reg.Counter("cc_shard_routed_total", "probes answered by the single owning shard"),
-		scatter:      reg.Counter("cc_shard_scatter_total", "probes scatter-gathered across every shard"),
-		keyFetches:   reg.Counter("cc_shard_key_fetch_total", "single-key group fetches sent to owning shards"),
+		routed:       reg.Counter("cc_shard_routed_total", "reads of one key group answered by the single owning shard"),
+		scatter:      reg.Counter("cc_shard_scatter_total", "reads scatter-gathered across every shard"),
 		replicaReads: reg.Counter("cc_shard_replica_reads_total", "shard reads served by a fresh replica instead of the leader"),
 		replicaOps:   reg.Counter("cc_shard_replica_ops_total", "replication feed operations applied (writes + resyncs)"),
 		staleness:    reg.Gauge("cc_shard_replica_staleness", "worst replica lag in apply sequence numbers at the last propagated write"),

@@ -62,12 +62,8 @@ func (co *Coordinator) decide(us []store.Update, plans []core.PlanReport, reps [
 	return br, nil
 }
 
-// start opens a decision of n updates: a new generation for the shard
-// router's probe cache — nothing reaches a site before the verdict, so
-// one decision's evaluations may share what they fetched — and n more
-// updates in the stats.
+// start opens a decision of n updates: n more updates in the stats.
 func (co *Coordinator) start(n int) {
-	co.applyGen.Add(1)
 	co.statsMu.Lock()
 	co.stats.Updates += n
 	co.statsMu.Unlock()

@@ -1,8 +1,10 @@
 package netdist
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -355,6 +357,9 @@ func TestShardedOracleAgreement(t *testing.T) {
 				if arm.shards > 1 && st.ShardRouted == 0 {
 					t.Errorf("%s: no probe was shard-routed", name)
 				}
+				if st.KeyFetches != st.ShardRouted {
+					t.Errorf("%s: %d key fetches, %d routed reads; every routed read is a key fetch", name, st.KeyFetches, st.ShardRouted)
+				}
 				if arm.replicas && st.ReplicaReads == 0 {
 					t.Errorf("%s: no read was served by a replica", name)
 				}
@@ -665,65 +670,85 @@ func TestReplaceRequiresReplicaRole(t *testing.T) {
 	}
 }
 
-// TestRoutedSelfRelationAgreement: constraints the residual compiler
-// refuses, over a relation that is both sharded and updated, are decided
-// by a global evaluation whose reads of that relation go to the shards —
-// which hold the state before the update — with the update applied above
-// what they answer: recursion through the new edge, the new edge at two
-// literals, and a delete that strands a node. Every Check and Apply must
-// agree with a plain checker over one store holding everything, the
-// merged shards must end up equal to it, and the probes must have been
-// routed.
-func TestRoutedSelfRelationAgreement(t *testing.T) {
-	constraints := map[string]string{
-		"acyclic":  "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
-		"two-step": "hop(X,Z) :- edge(X,Y) & edge(Y,Z).\npanic :- hop(X,Z) & vip(X) & vip(Z).",
-		"stranded": "linked(X) :- edge(X,Y).\nlone(X) :- node(X) & not linked(X).\npanic :- lone(X) & vip(X).",
+// globalConstraints are decided by a global evaluation over edge, which
+// is sharded and updated: recursion through the new edge, the new edge at
+// two literals, and a delete that strands a node.
+var globalConstraints = map[string]string{
+	"acyclic":  "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z) & edge(Z,Y).\npanic :- reach(X,X).",
+	"two-step": "hop(X,Z) :- edge(X,Y) & edge(Y,Z).\npanic :- hop(X,Z) & vip(X) & vip(Z).",
+	"stranded": "linked(X) :- edge(X,Y).\nlone(X) :- node(X) & not linked(X).\npanic :- lone(X) & vip(X).",
+}
+
+// buildEdgeArm places edge in four shards keyed on its first column, keeps
+// node and vip local, and adds the constraints to a coordinator over it
+// and to a plain checker over one store holding everything.
+func buildEdgeArm(t *testing.T, constraints map[string]string) (co *Coordinator, ref *core.Checker, lb *Loopback, leaders map[string]*store.Store) {
+	t.Helper()
+	const shards = 4
+	rp := RelPlacement{KeyCol: 0}
+	lb = NewLoopback()
+	leaders = map[string]*store.Store{}
+	for i := 0; i < shards; i++ {
+		site := fmt.Sprintf("s%d", i)
+		rp.Shards = append(rp.Shards, ShardSpec{Leader: site})
+		leaders[site] = store.New()
+		lb.AddSite(site, NewServer(leaders[site], []string{"edge"}))
 	}
-	for _, workers := range []int{1, 4} {
-		const shards = 4
-		rp := RelPlacement{KeyCol: 0}
-		lb := NewLoopback()
-		leaders := map[string]*store.Store{}
-		for i := 0; i < shards; i++ {
-			site := fmt.Sprintf("s%d", i)
-			rp.Shards = append(rp.Shards, ShardSpec{Leader: site})
-			leaders[site] = store.New()
-			lb.AddSite(site, NewServer(leaders[site], []string{"edge"}))
-		}
-		place := Placement{"edge": rp}
-		whole, local := store.New(), store.New()
-		for rel, tuples := range map[string][]relation.Tuple{
-			"edge": {relation.Ints(0, 1), relation.Ints(1, 2), relation.Ints(5, 6)},
-			"node": {relation.Ints(0), relation.Ints(1), relation.Ints(5)},
-			"vip":  {relation.Ints(2), relation.Ints(5)},
-		} {
-			for _, tp := range tuples {
-				into := local
-				if rel == "edge" {
-					into = leaders[rp.Shards[place.ShardOf(rel, tp[0])].Leader]
-				}
-				for _, db := range []*store.Store{whole, into} {
-					if _, err := db.Insert(rel, tp); err != nil {
-						t.Fatal(err)
-					}
-				}
+	place := Placement{"edge": rp}
+	whole, local := store.New(), store.New()
+	for rel, tuples := range map[string][]relation.Tuple{
+		"edge": {relation.Ints(0, 1), relation.Ints(1, 2), relation.Ints(5, 6)},
+		"node": {relation.Ints(0), relation.Ints(1), relation.Ints(5)},
+		"vip":  {relation.Ints(2), relation.Ints(5)},
+	} {
+		for _, tp := range tuples {
+			into := local
+			if rel == "edge" {
+				into = leaders[rp.Shards[place.ShardOf(rel, tp[0])].Leader]
 			}
-		}
-		co, err := NewPlaced(local, place, lb, Options{
-			Checker: core.Options{LocalRelations: []string{"node", "vip"}}, Timeout: time.Second, Backoff: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := core.New(whole, core.Options{})
-		for name, src := range constraints {
-			for _, chk := range []*core.Checker{co.Checker, ref} {
-				if err := chk.AddConstraintSource(name, src); err != nil {
+			for _, db := range []*store.Store{whole, into} {
+				if _, err := db.Insert(rel, tp); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+	}
+	co, err := NewPlaced(local, place, lb, Options{
+		Checker: core.Options{LocalRelations: []string{"node", "vip"}}, Timeout: 50 * time.Millisecond, Retries: -1, Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = core.New(whole, core.Options{})
+	for name, src := range constraints {
+		for _, chk := range []*core.Checker{co.Checker, ref} {
+			if err := chk.AddConstraintSource(name, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return co, ref, lb, leaders
+}
+
+// global reports whether a global evaluation decided some constraint.
+func global(rep core.Report) bool {
+	return slices.ContainsFunc(rep.Decisions, func(d core.Decision) bool { return d.Phase == core.PhaseGlobal })
+}
+
+// TestShardedGlobalAgreement: constraints the residual compiler refuses,
+// over a relation that is both sharded and updated, are decided by a
+// global evaluation over the mirror, which the coordinator refreshes with
+// all of edge from every shard before the decision — the shards hold the
+// state before the update, and the evaluation applies the update above
+// what they answered. Every Check and Apply must agree with a plain
+// checker over one store holding everything, and the merged shards must
+// end up equal to it. Each global decision makes one scatter refresh of
+// edge and no other read of it, and one at a time the stream costs no
+// more round trips or tuples than it did when an evaluation's probes were
+// each sent to the shards (3 055 and 5 696).
+func TestShardedGlobalAgreement(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		co, ref, _, leaders := buildEdgeArm(t, globalConstraints)
 		rng := rand.New(rand.NewSource(16))
 		stream := make([]store.Update, 150)
 		for i := range stream {
@@ -738,6 +763,7 @@ func TestRoutedSelfRelationAgreement(t *testing.T) {
 			}
 		}
 		want := make([]bool, len(stream))
+		globals := 0
 		for i, u := range stream {
 			chk, err := ref.Check(u)
 			if err != nil {
@@ -755,6 +781,9 @@ func TestRoutedSelfRelationAgreement(t *testing.T) {
 					if err != nil || got.Applied != want[i] {
 						t.Fatalf("update %d (%v): coordinator says applied=%v err=%v, one-store checker %v", i, u, got.Applied, err, want[i])
 					}
+					if global(got) {
+						globals++
+					}
 				}
 			}
 		}
@@ -763,13 +792,97 @@ func TestRoutedSelfRelationAgreement(t *testing.T) {
 				if r.Err != nil || r.Report.Applied != want[i] {
 					t.Fatalf("workers %d update %d (%v): applied=%v err=%v, one-store checker %v", workers, i, stream[i], r.Report.Applied, r.Err, want[i])
 				}
+				if global(r.Report) {
+					globals++
+				}
 			}
 		}
-		if got, ref := dumpGlobal(co, leaders), dumpStore(whole); got != ref {
+		if got, ref := dumpGlobal(co, leaders), dumpStore(ref.DB()); got != ref {
 			t.Fatalf("workers %d: shards and coordinator hold\n%s\nthe one store\n%s", workers, got, ref)
 		}
-		if st := co.Stats(); st.ShardRouted == 0 || st.Rejected == 0 {
-			t.Fatalf("workers %d: thin run: %+v", workers, st)
+		st := co.Stats()
+		if st.Rejected == 0 || globals == 0 {
+			t.Fatalf("workers %d: thin run: %d global decisions, %+v", workers, globals, st)
 		}
+		if st.ShardScatter != globals || st.ShardRouted != 0 {
+			t.Errorf("workers %d: %d global decisions made %d scatter and %d routed reads, want one scatter each and no other read",
+				workers, globals, st.ShardScatter, st.ShardRouted)
+		}
+		if workers == 1 && (st.RoundTrips > 3055 || st.WireTuples > 5696) {
+			t.Errorf("%d round trips and %d tuples, want no more than 3 055 and 5 696", st.RoundTrips, st.WireTuples)
+		}
+	}
+}
+
+// TestShardedGlobalBatchReadsOnce: a batch whose members all need the
+// global evaluation over edge refreshes edge once, before the first
+// member is decided, and agrees with the one-store checker.
+func TestShardedGlobalBatchReadsOnce(t *testing.T) {
+	co, ref, _, leaders := buildEdgeArm(t, globalConstraints)
+	batch := []store.Update{
+		store.Ins("edge", relation.Ints(2, 3)), store.Ins("edge", relation.Ints(3, 4)),
+		store.Del("edge", relation.Ints(0, 1)), store.Ins("node", relation.Ints(3)),
+	}
+	before := co.Stats()
+	br, err := co.ApplyBatch(batch)
+	if err != nil || !br.Applied {
+		t.Fatalf("batch: %+v %v", br, err)
+	}
+	for i, rep := range br.Reports {
+		if !global(rep) {
+			t.Fatalf("member %d (%v) needed no global evaluation: %+v", i, batch[i], rep)
+		}
+	}
+	if want, err := ref.ApplyBatch(batch); err != nil || !want.Applied {
+		t.Fatalf("reference batch: %+v %v", want, err)
+	}
+	st := co.Stats()
+	if n, r := st.ShardScatter-before.ShardScatter, st.ShardRouted-before.ShardRouted; n != 1 || r != 0 {
+		t.Errorf("a batch of %d global members made %d scatter and %d routed reads, want one scatter", len(batch), n, r)
+	}
+	if got, want := dumpGlobal(co, leaders), dumpStore(ref.DB()); got != want {
+		t.Fatalf("shards and coordinator hold\n%s\nthe one store\n%s", got, want)
+	}
+	// A cycle closed by the last member rejects the batch, and nothing of it
+	// lands anywhere.
+	before, held := co.Stats(), dumpGlobal(co, leaders)
+	br, err = co.ApplyBatch([]store.Update{store.Ins("edge", relation.Ints(6, 0)), store.Ins("edge", relation.Ints(4, 1))})
+	if err != nil || br.Applied || br.FailedAt != 1 {
+		t.Fatalf("cycle-closing batch: %+v %v", br, err)
+	}
+	if st := co.Stats(); st.ShardScatter-before.ShardScatter != 1 || dumpGlobal(co, leaders) != held {
+		t.Errorf("rejected batch: %d scatter reads, state moved: %v", st.ShardScatter-before.ShardScatter, dumpGlobal(co, leaders) != held)
+	}
+}
+
+// TestShardedGlobalPartition: with one shard of edge partitioned away, an
+// insert the acyclic evaluation must decide reaches no verdict — it is
+// refused with ErrSiteUnavailable, no decisions, and mirror and shards as
+// they were — while an update that reads no edge still commits.
+func TestShardedGlobalPartition(t *testing.T) {
+	co, _, lb, leaders := buildEdgeArm(t, map[string]string{
+		"acyclic":    globalConstraints["acyclic"],
+		"small-vips": "panic :- vip(X) & X > 100.",
+	})
+	lb.Partition("s1")
+	mirror, held := dumpStore(co.Checker.DB()), dumpGlobal(co, leaders)
+	for _, decide := range []func(store.Update) (core.Report, error){co.Check, co.Apply} {
+		rep, err := decide(store.Ins("edge", relation.Ints(2, 0)))
+		if !errors.Is(err, ErrSiteUnavailable) || rep.Applied || len(rep.Decisions) != 0 {
+			t.Fatalf("+edge(2,0) with a shard partitioned: rep=%+v err=%v", rep, err)
+		}
+	}
+	if dumpStore(co.Checker.DB()) != mirror || dumpGlobal(co, leaders) != held {
+		t.Fatal("a refused update moved the mirror or the shards")
+	}
+	if rep, err := co.Apply(store.Ins("vip", relation.Ints(9))); err != nil || !rep.Applied {
+		t.Fatalf("+vip(9) reads no edge, yet: rep=%+v err=%v", rep, err)
+	}
+	if st := co.Stats(); st.Unavailable != 2 || st.DecidedLocally != 1 {
+		t.Errorf("unavailable %d, decided locally %d; want 2 and 1", st.Unavailable, st.DecidedLocally)
+	}
+	lb.Heal("s1")
+	if rep, err := co.Apply(store.Ins("edge", relation.Ints(2, 0))); err != nil || rep.Applied {
+		t.Fatalf("+edge(2,0) closes 0→1→2→0 once healed: rep=%+v err=%v", rep, err)
 	}
 }

@@ -484,8 +484,8 @@ func TestKeyGroupSchedulerOverlap(t *testing.T) {
 // TestIndexReadPlan pins the coordinator-facing classification: keyed
 // residual probes surface their exact key values as point ranges,
 // comparisons bounding a residual read surface as its range, reads
-// nothing bounds demand a whole-mirror refresh, and residual-ineligible
-// patterns fall to the evaluation router.
+// nothing bounds demand a whole-mirror refresh, and so do the reads of
+// residual-ineligible patterns, which an evaluation makes.
 func TestIndexReadPlan(t *testing.T) {
 	same := func(got, want []relation.Range) bool {
 		return slices.EqualFunc(got, want, relation.Range.Equal)
@@ -496,7 +496,7 @@ func TestIndexReadPlan(t *testing.T) {
 	ix := index(t, placed{"dept": 0}, refSrc)
 	ins := store.Ins("emp", relation.Ints(1, 42))
 	rp := ix.ReadPlan(ins, "dept")
-	if !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror || rp.Eval {
+	if !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror {
 		t.Fatalf("key-bound read: %+v, want the point 42 only", rp)
 	}
 	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, ast.Int(42))}) {
@@ -526,7 +526,7 @@ func TestIndexReadPlan(t *testing.T) {
 		ix3 := index(t, p, fiSrc)
 		l := store.Ins("l", relation.Ints(1, 5))
 		want := relation.Range{Col: 0, Lo: ast.Int(1), Hi: ast.Int(5), HasLo: true, HasHi: true}
-		if rp := ix3.ReadPlan(l, "r"); !same(rp.Ranges, []relation.Range{want}) || rp.Mirror || rp.Eval {
+		if rp := ix3.ReadPlan(l, "r"); !same(rp.Ranges, []relation.Range{want}) || rp.Mirror {
 			t.Fatalf("%v: range-bound residual read misclassified: %+v", p, rp)
 		}
 		if got := ix3.Update(l).Reads; !reflect.DeepEqual(got, []sched.Read{{Relation: "r"}}) {
@@ -550,10 +550,10 @@ func TestIndexReadPlan(t *testing.T) {
 	}
 
 	// Residual-ineligible (a helper Flatten refuses): evaluation reads,
-	// router-served.
+	// refreshed whole.
 	ix4 := index(t, placed{"r": 0}, refusedSrc)
 	u := store.Ins("r", relation.Ints(1))
-	if r, l := ix4.ReadPlan(u, "r"), ix4.ReadPlan(u, "l"); !r.Eval || !l.Eval || r.Mirror {
+	if r, l := ix4.ReadPlan(u, "r"), ix4.ReadPlan(u, "l"); !r.Mirror || !l.Mirror || len(r.Ranges)+len(l.Ranges) != 0 {
 		t.Fatalf("general read misclassified: r %+v, l %+v", r, l)
 	}
 }

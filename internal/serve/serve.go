@@ -712,7 +712,7 @@ type Stats struct {
 }
 
 // ShardStatser is an optional Backend refinement for scale-out
-// deployments: how many sharded-relation reads were routed to a single
+// deployments: how many sharded-relation reads went to a single
 // owning shard, how many scatter-gathered every shard, and how many
 // shard reads a fresh replica served. netdist.ServeBackend implements
 // it; single-checker backends simply don't.
