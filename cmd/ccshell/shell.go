@@ -159,12 +159,7 @@ func (sh *shell) command(line string) {
 		}
 		sh.printf("%s\n", strings.Join(red, " "))
 	case ":check":
-		bad, err := sh.chk.CheckAll()
-		if err != nil {
-			sh.printf("error: %v\n", err)
-			return
-		}
-		if len(bad) == 0 {
+		if bad := sh.chk.CheckAll(); len(bad) == 0 {
 			sh.printf("all constraints hold\n")
 		} else {
 			sh.printf("VIOLATED: %s\n", strings.Join(bad, " "))

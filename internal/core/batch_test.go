@@ -62,7 +62,7 @@ func TestApplyBatchAtomicRollback(t *testing.T) {
 	if !c.DB().Contains("dept", relation.Strs("toy")) {
 		t.Error("pre-batch state damaged")
 	}
-	if bad, _ := c.CheckAll(); len(bad) != 0 {
+	if bad := c.CheckAll(); len(bad) != 0 {
 		t.Errorf("constraints violated after rollback: %v", bad)
 	}
 }

@@ -6,6 +6,8 @@
 //  1. Unaffected — the constraint does not mention the updated relation.
 //  2. Update-only (Section 4) — rewrite the constraint for the update and
 //     test subsumption by the constraints known to hold; no data touched.
+//     It runs when the constraint set changes, once per order type of an
+//     update pattern, and a decision looks its tuple's type up.
 //  3. Local data (Sections 5–6) — for conjunctive constraints over a
 //     designated local relation, run the complete local test (interval
 //     coverage for ICQs, Theorem 5.2 reductions otherwise); only local
@@ -217,7 +219,7 @@ type Stats struct {
 	ByPhase   map[Phase]int
 	Rejected  int
 	Decisions int
-	// CacheHits/CacheMisses count the pattern-level phase memos
+	// CacheHits/CacheMisses count the pattern-level phase entries
 	// (cacheEntry): a miss is an entry built when the constraint set
 	// changed, a hit an entry a decision or plan was served.
 	CacheHits   int64
@@ -271,7 +273,12 @@ type Options struct {
 	// complete local tests may read them freely. Nil means every
 	// relation is local (a centralized database).
 	LocalRelations []string
-	// DisableUpdateOnly skips phase 2 (for ablation experiments).
+	// DisableUpdateOnly skips both phases that read the constraints and the
+	// update alone: phase 2 (Section 4 rewriting and subsumption) and
+	// phase 1.5 (polarity). A delete from a relation the constraints read
+	// only positively then reaches a compiled check or the global phase
+	// instead of being certified by its direction (for ablation
+	// experiments).
 	DisableUpdateOnly bool
 	// DisableLocalData skips phase 3 (for ablation experiments).
 	DisableLocalData bool
@@ -279,11 +286,12 @@ type Options struct {
 	// caller's goroutine, and there is no dispatch pool left to size. It
 	// stays only because the benchmark (bench/) still sets it.
 	Workers int
-	// DisableCache bypasses the phase memo (cacheEntry) and the static
-	// steps, re-deriving every phase-1/1.5/2 verdict per update (the
-	// pre-cache behavior; used as the oracle in cross-check tests and for
-	// ablation experiments). A pattern no constraint mentions is
-	// unaffected either way.
+	// DisableCache compiles no pattern-level phases (cacheEntry: the static
+	// steps and the phase-2 guards) and re-derives every phase-1/1.5/2
+	// verdict per update — phase 2 by rewrite.UpdateSafeAmong on the tuple,
+	// unmemoized (the reference arm of cross-check tests and of the
+	// benchmark's oracle). A pattern no constraint mentions is unaffected
+	// either way.
 	DisableCache bool
 	// DisableIndexes makes every join — global evaluations and residual
 	// decisions — keep textual atom order and read whole relations by
@@ -350,7 +358,10 @@ type Checker struct {
 	// rewritten constraint itself do not change the verdict), rebuilt by
 	// refreshSet instead of per constraint per update.
 	progs []*ast.Program
-	fp    uint64 // fingerprint of the current constraint set
+	// consts are the set's constants, sorted and distinct: the phase-2
+	// guards' order types are taken against them (orderGuard).
+	consts []ast.Value
+	fp     uint64 // fingerprint of the current constraint set
 
 	// plans counts the compiled global-phase evaluations and evals the
 	// evaluations run from them (Stats.PlanMisses, Stats.PlanHits).
@@ -435,10 +446,10 @@ func (c *Checker) ResetStats() {
 	}
 }
 
-// refreshSet rebuilds the shared constraint-program slice, the set
-// fingerprint and every program after the constraint set changed: which
-// steps there are, their checks, their phase memos and their place in the
-// report all derive from the set.
+// refreshSet rebuilds the shared constraint-program slice, the set's
+// constants, its fingerprint and every program after the constraint set
+// changed: which steps there are, their checks, their phase-2 guards and
+// their place in the report all derive from the set.
 func (c *Checker) refreshSet() {
 	c.progs = make([]*ast.Program, len(c.constraints))
 	h := fnv.New64a()
@@ -450,6 +461,7 @@ func (c *Checker) refreshSet() {
 		h.Write([]byte{0})
 	}
 	c.fp = h.Sum64()
+	c.consts = setConstants(c.progs)
 	c.compilePrograms()
 	// A kept fixpoint is private to its constraint and would stay right,
 	// but nothing else survives a change of the set: drop them too, so
@@ -565,13 +577,13 @@ func (c *Checker) isLocal(rel string) bool {
 	return c.local[rel]
 }
 
-// stageOne runs the read-only phases 1–3 for one constraint: it touches
-// no Checker state besides the entry's (internally synchronized) memo and
-// store reads, so concurrent decisions may run it for the same
-// constraint at once. e is the constraint's entry for u's pattern —
-// nil under Options.DisableCache, where every verdict is derived here. It
-// returns the deciding phase, or decided false when the constraint needs
-// a global evaluation. With tr non-nil it appends one trace event per
+// stageOne runs the read-only phases 1–3 for one constraint: it writes no
+// Checker state and reads only the immutable entry and the store, so
+// concurrent decisions may run it for the same constraint at once. e is
+// the constraint's entry for u's pattern — nil under Options.DisableCache,
+// where every verdict is derived here, phase 2 by rewrite.UpdateSafeAmong
+// on the tuple. It returns the deciding phase, or decided false when the
+// constraint needs a global evaluation. With tr non-nil it appends one trace event per
 // phase attempt (the tracing path; nil keeps the hot path free of clock
 // reads and allocations).
 func (c *Checker) stageOne(k *Constraint, e *cacheEntry, prior []store.Update, u store.Update, tr *[]obs.Event) (Phase, bool) {
@@ -606,31 +618,22 @@ func (c *Checker) stageOne(k *Constraint, e *cacheEntry, prior []store.Update, u
 			return PhasePolarity, true
 		}
 		// Phase 2: constraints + update only (Section 4 rewriting +
-		// subsumption). The verdict depends on the tuple only through its
-		// verdict-relevant positions, so the entry memoizes it per
-		// projected tuple key.
-		start = traceStart(tr)
-		certified := false
-		phase2Cache := obs.CacheOff
-		if e != nil {
-			var buf [64]byte
-			key := e.appendProjKey(buf[:0], u.Tuple)
-			var known bool
-			certified, known = e.phase2Get(key)
-			phase2Cache = obs.CacheHit
-			if !known {
-				phase2Cache = obs.CacheMiss
+		// subsumption). The entry's guard holds the verdict of every order
+		// type of the tuple's relevant values; an entry without one has no
+		// phase-2 test. Without an entry Section 4 runs on the tuple.
+		if e == nil || e.guard != nil {
+			start = traceStart(tr)
+			var certified bool
+			if e != nil {
+				certified = e.guard.admits(u.Tuple)
+			} else {
 				res, err := rewrite.UpdateSafeAmong(k.Prog, c.progs, u)
 				certified = err == nil && res.Verdict == subsume.Yes
-				e.phase2Put(key, certified)
 			}
-		} else {
-			res, err := rewrite.UpdateSafeAmong(k.Prog, c.progs, u)
-			certified = err == nil && res.Verdict == subsume.Yes
-		}
-		phaseAttempt(tr, k.Name, PhaseUpdateOnly, certified, phase2Cache, start)
-		if certified {
-			return PhaseUpdateOnly, true
+			phaseAttempt(tr, k.Name, PhaseUpdateOnly, certified, entryCache, start)
+			if certified {
+				return PhaseUpdateOnly, true
+			}
 		}
 	}
 	// Phase 3: local data. (The equality certificate, phase 3's other
@@ -669,15 +672,22 @@ type dynOutcome struct {
 	dur time.Duration
 }
 
+// dynOutcomes is the caller-owned room for the outcomes of a decision's
+// dynamic steps, so that a decision allocates none for them: the
+// benchmark's programs have at most one dynamic step, and a decision with
+// more than two allocates a slice of its own.
+type dynOutcomes [2]dynOutcome
+
 // runDynamic settles the program's dynamic steps for u, in turn:
 // phases 1–3 and, for a constraint they leave undecided, phase 4 against
 // the store with prior and u pending — seeded rounds on a kept fixpoint
 // (rebuilt here where it has to be) or a full evaluation. What the phases
 // decided is written into the report and the tally here; the caller takes
-// the phase-4 outcomes in constraint order. sq is the batch u is a member
-// of, nil outside one.
-func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, rep *Report, t *tally, sq sequence) []dynOutcome {
-	out := make([]dynOutcome, len(p.dynamic))
+// the phase-4 outcomes in constraint order, in room's array when they
+// fit. sq is the batch u is a member of, nil outside one.
+func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, commit, tracing bool, rep *Report, t *tally, sq sequence, room []dynOutcome) []dynOutcome {
+	out := slices.Grow(room[:0], len(p.dynamic))[:len(p.dynamic)]
+	clear(out)
 	for j, i := range p.dynamic {
 		s, o := &p.steps[i], &out[j]
 		var tr *[]obs.Event
@@ -728,8 +738,9 @@ func (c *Checker) runDynamic(p *program, prior []store.Update, u store.Update, c
 // them itself otherwise. A check holds none (Insert drops them): checks
 // run concurrently, and none may touch rows it did not derive. sq is the
 // batch u is a member of, nil outside one; judge notes what u did to it.
-// The decision's stats, trace and latency metric end with its verdict.
-func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, planned []Witness, sq sequence) (Report, []dynOutcome, error) {
+// The outcomes go in room's array when they fit (dynOutcomes). The
+// decision's stats, trace and latency metric end with its verdict.
+func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, planned []Witness, sq sequence, room []dynOutcome) (Report, []dynOutcome, error) {
 	rep := Report{Update: u, Applied: true}
 	t := tally{updates: 1}
 	var applyStart time.Time
@@ -773,7 +784,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	t.residualHits, t.residualMisses = int64(p.checks), int64(p.ineligible)
 	var dyn []dynOutcome
 	if len(p.dynamic) > 0 {
-		dyn = c.runDynamic(p, prior, u, commit, tracing, &rep, &t, sq)
+		dyn = c.runDynamic(p, prior, u, commit, tracing, &rep, &t, sq, room)
 	}
 	if tracing {
 		c.emitAttempts(p, dyn, u, uStr)
@@ -977,14 +988,14 @@ func (c *Checker) keptCover(k *Constraint) (icq.Cover, error) {
 
 // CheckAll fully evaluates every constraint and returns the names of the
 // violated ones (normally empty: Apply never admits a violating update).
-func (c *Checker) CheckAll() ([]string, error) {
+func (c *Checker) CheckAll() []string {
 	var out []string
 	for _, k := range c.constraints {
 		if c.holds(k, nil, store.Update{}) {
 			out = append(out, k.Name)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // RedundantConstraints returns the names of managed constraints that are

@@ -97,7 +97,7 @@ func TestApplyPhases(t *testing.T) {
 	if c.DB().Contains("emp", relation.TupleOf(ast.Str("eve"), ast.Str("ghost"), ast.Int(60))) {
 		t.Error("rolled-back tuple still present")
 	}
-	if bad, _ := c.CheckAll(); len(bad) != 0 {
+	if bad := c.CheckAll(); len(bad) != 0 {
 		t.Errorf("CheckAll after rollback: %v", bad)
 	}
 }
@@ -258,11 +258,7 @@ func TestPipelineAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("update %v: %v", u, err)
 		}
-		bad, err := c.CheckAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bad) != 0 {
+		if bad := c.CheckAll(); len(bad) != 0 {
 			t.Fatalf("after update %v (applied=%v): violated %v", u, rep.Applied, bad)
 		}
 	}
@@ -350,7 +346,7 @@ func TestKeptFixpointMatchesRecompute(t *testing.T) {
 		if !reflect.DeepEqual(ra.Decisions, rb.Decisions) || ra.Applied != rb.Applied {
 			t.Fatalf("step %d (%v): default %+v, reference %+v", step, u, ra, rb)
 		}
-		if badA, _ := a.CheckAll(); len(badA) != 0 {
+		if badA := a.CheckAll(); len(badA) != 0 {
 			t.Fatalf("step %d: default checker left violations %v", step, badA)
 		}
 		checkKept(t, a)

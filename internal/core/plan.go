@@ -42,8 +42,8 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 
 // Plan runs the local certificates and the read-only phases 1–3 for every
 // constraint against the update without applying it: the store is not
-// mutated and the checker's aggregate stats are untouched (the phase-memo
-// and residual counters still move, since Plan runs the same program
+// mutated and the checker's aggregate stats are untouched (the entry and
+// residual counters still move, since Plan runs the same program
 // Apply does). A networked coordinator uses Plan to learn,
 // before committing to an update, which remote relations it must fetch
 // for the global phase — an update whose plan has no Global constraints

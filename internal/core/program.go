@@ -38,9 +38,10 @@ const (
 	stepStatic stepKind = iota
 	// stepResidual: the compiled check of the pattern decides.
 	stepResidual
-	// stepDynamic: the tuple-dependent tests — Section 4 rewriting with its
-	// projected-key memo, the Section 5 local test — and, where they do not
-	// certify, the kept fixpoint or an evaluation (stageOne, evaluate).
+	// stepDynamic: the tuple-dependent tests — Section 4 as the entry's
+	// compiled order-type guard, the Section 5 local test — and, where they
+	// do not certify, the kept fixpoint or an evaluation (stageOne,
+	// runDynamic).
 	stepDynamic
 )
 
@@ -54,14 +55,14 @@ type progStep struct {
 	phase Phase
 	// check is a stepResidual's compiled check.
 	check *residual.Residual
-	// entry memoizes the pattern-level phase-1/1.5 verdicts and the phase-2
-	// verdicts per projected tuple; nil under Options.DisableCache.
+	// entry holds the pattern-level phase-1/1.5 verdicts and the phase-2
+	// guard; nil under Options.DisableCache.
 	entry *cacheEntry
 }
 
 // program is the compiled decision of one update pattern, valid for the
-// constraint set it was compiled for. It is immutable once compiled (an
-// entry's phase-2 memo aside, which is internally synchronized).
+// constraint set it was compiled for. It is immutable once compiled, its
+// entries included.
 type program struct {
 	// steps in registration order.
 	steps []progStep
@@ -209,15 +210,23 @@ func (c *Checker) compile(key progKey) *program {
 		if !c.opts.DisableCache {
 			s.entry = e
 		}
+		// Phase 2 is compiled where a decision or a plan asks it.
+		guard := !static && !c.opts.DisableCache && !c.opts.DisableUpdateOnly
 		if !static && !c.opts.DisableResidual {
 			if sh := residual.DeriveShape(k.flat, key.rel, key.insert); sh.Eligible {
 				s.kind, d.Phase = stepResidual, PhaseResidual
 				s.check = residual.Compile(k.flat, key.rel, key.insert, key.arity, c.resOpts)
 				p.checks++
 				c.addClaims(p, s, key)
+				if guard && c.partial() {
+					e.guard = c.compileGuard(k, key)
+				}
 				continue
 			}
 			p.ineligible++
+		}
+		if guard {
+			e.guard = c.compileGuard(k, key)
 		}
 		if !c.opts.DisableCache {
 			p.memos++
@@ -235,6 +244,16 @@ func (c *Checker) compile(key progKey) *program {
 	}
 	p.wire = slices.ContainsFunc(p.claims, func(cl claim) bool { return c.remote(cl.rel) })
 	return p
+}
+
+// partial reports whether the checker has partial information: something
+// is remote, and a coordinator asks Plan which constraints the phases
+// decide before it reads a site. Plan runs the phases on an uncertified
+// compiled check, so only then does a compiled check's step get its
+// phase-2 guard. An embedded checker's compiled checks decide every
+// update; a Plan on one runs their phases without phase 2.
+func (c *Checker) partial() bool {
+	return c.local != nil || c.opts.Sharder != nil
 }
 
 // staticPhase returns the phase that decides every update of the entry's

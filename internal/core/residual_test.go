@@ -156,7 +156,7 @@ func TestResidualRejectsAndRollsBack(t *testing.T) {
 	if c.DB().Contains("emp", over) {
 		t.Error("rolled-back tuple still present")
 	}
-	if bad, _ := c.CheckAll(); len(bad) != 0 {
+	if bad := c.CheckAll(); len(bad) != 0 {
 		t.Errorf("CheckAll after rollback: %v", bad)
 	}
 }

@@ -62,8 +62,10 @@ func New(db *store.Store, localRelations []string, cost CostModel) *System {
 }
 
 // NewWithOptions builds a system with explicit checker options;
-// opts.LocalRelations defines the site split, opts.DisableUpdateOnly /
-// DisableLocalData select ablation strategies.
+// opts.LocalRelations defines the site split, and the ablations select
+// strategies: opts.DisableUpdateOnly turns off both phases that read only
+// the constraints and the update — phase 2 (Section 4) and phase 1.5
+// (polarity) — and opts.DisableLocalData phase 3.
 func NewWithOptions(db *store.Store, opts core.Options, cost CostModel) *System {
 	return &System{
 		Checker: core.New(db, opts),

@@ -52,30 +52,25 @@ func Strs(ss ...string) Tuple {
 	return t
 }
 
-// Key returns a canonical encoding of the tuple, unique per tuple value
-// (AppendKey's, as a string).
+// Key returns a canonical encoding of the tuple, unique per tuple value:
+// one appendValueKey per value. The value encodings are prefix-free, so
+// distinct tuples — arities included — encode apart.
 func (t Tuple) Key() string {
 	var buf [64]byte
-	return string(t.AppendKey(buf[:0]))
-}
-
-// AppendKey appends the tuple's canonical encoding to dst: one
-// AppendValueKey per value. The value encodings are prefix-free, so
-// distinct tuples — arities included — encode apart.
-func (t Tuple) AppendKey(dst []byte) []byte {
+	dst := buf[:0]
 	for _, v := range t {
-		dst = AppendValueKey(dst, v)
+		dst = appendValueKey(dst, v)
 	}
-	return dst
+	return string(dst)
 }
 
-// AppendValueKey appends a canonical encoding of v to dst, without
+// appendValueKey appends a canonical encoding of v to dst, without
 // rendering through fmt: an int64 rational is 'i', its decimal digits and
 // '|'; any other rational 'q', its RatString and '|'; a string 's', its
 // length, ':' and its text. Equal values encode alike (big.Rat is kept
 // normalized, so 1/2 and 2/4 agree), and no encoding is a prefix of
 // another's.
-func AppendValueKey(dst []byte, v ast.Value) []byte {
+func appendValueKey(dst []byte, v ast.Value) []byte {
 	if v.Kind == ast.StringValue {
 		dst = append(dst, 's')
 		dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)

@@ -13,6 +13,7 @@ package rewrite
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -121,12 +122,21 @@ func UpdateSafe(c *ast.Program, others []*ast.Program, u store.Update) (subsume.
 // order and duplication do not change the verdict — which makes the one
 // shared slice reusable across all constraints of an update.
 func UpdateSafeAmong(c *ast.Program, set []*ast.Program, u store.Update) (subsume.Result, error) {
+	calls.Add(1)
 	cPrime, err := Rewrite(c, u)
 	if err != nil {
 		return subsume.Result{}, err
 	}
 	return subsume.Subsumes(cPrime, set)
 }
+
+// calls counts UpdateSafeAmong's runs (UpdateSafeCalls).
+var calls atomic.Int64
+
+// UpdateSafeCalls returns how many times UpdateSafeAmong (and UpdateSafe
+// through it) has run in this process: a checker runs it when its
+// constraint set changes, and a decision should not.
+func UpdateSafeCalls() int64 { return calls.Load() }
 
 // relUsage reports the arity of rel within c and whether c mentions it.
 func relUsage(c *ast.Program, rel string) (arity int, uses bool) {
