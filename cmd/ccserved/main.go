@@ -92,7 +92,6 @@ type config struct {
 
 	sites       []string
 	shards      []string
-	replicas    []string
 	siteTimeout time.Duration
 	siteRetries int
 
@@ -101,8 +100,7 @@ type config struct {
 	traceOTLP   string
 }
 
-// appendFlag collects a repeatable string flag (-sites, -shard,
-// -replica).
+// appendFlag collects a repeatable string flag (-sites, -shard).
 type appendFlag struct{ dst *[]string }
 
 func (f appendFlag) String() string { return "" }
@@ -127,7 +125,6 @@ func main() {
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
 	flag.Var(appendFlag{&cfg.shards}, "shard", "hash-sharded relation spec rel@keycol=site1,site2,... (repeatable)")
-	flag.Var(appendFlag{&cfg.replicas}, "replica", "read-replica spec rel/shard=site for a -sites or -shard relation (repeatable)")
 	flag.DurationVar(&cfg.siteTimeout, "site-timeout", 2*time.Second, "per-request deadline for -sites round trips")
 	flag.IntVar(&cfg.siteRetries, "site-retries", 0, "retries per failed site round trip (0: default of 3, negative: none)")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 0.1, "head-sampling probability for distributed traces (0 disables spans)")
@@ -281,8 +278,6 @@ func setup(cfg config, logSink io.Writer) (*serve.Server, *core.Checker, *obs.Sp
 		}
 		chk = co.Checker
 		backend = netdist.ServeBackend{Co: co}
-	} else if len(cfg.replicas) > 0 {
-		return nil, nil, nil, fmt.Errorf("-replica needs the relation placed first via -sites or -shard")
 	} else {
 		chk = core.New(db, opts)
 		backend = chk
@@ -312,10 +307,9 @@ func setup(cfg config, logSink io.Writer) (*serve.Server, *core.Checker, *obs.Sp
 	return srv, chk, spans, nil
 }
 
-// buildPlacement combines -sites (whole-relation ownership), -shard
-// (hash-partitioned relations) and -replica (per-shard read replicas)
-// into one placement. A relation may be placed by -sites or -shard but
-// not both.
+// buildPlacement combines -sites (whole-relation ownership) and -shard
+// (hash-partitioned relations) into one placement. A relation may be
+// placed by -sites or -shard but not both.
 func buildPlacement(cfg config) (netdist.Placement, error) {
 	place := netdist.Placement{}
 	claimed := map[string]string{}
@@ -341,21 +335,6 @@ func buildPlacement(cfg config) (netdist.Placement, error) {
 			return nil, fmt.Errorf("relation %s placed twice (%s and -shard %s)", rel, by, s)
 		}
 		claimed[rel] = "-shard " + s
-		place[rel] = rp
-	}
-	for _, s := range cfg.replicas {
-		rel, shard, site, err := netdist.ParseReplicaSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		rp, ok := place[rel]
-		if !ok {
-			return nil, fmt.Errorf("-replica %s: relation %s is not placed by -sites or -shard", s, rel)
-		}
-		if shard >= len(rp.Shards) {
-			return nil, fmt.Errorf("-replica %s: relation %s has %d shard(s)", s, rel, len(rp.Shards))
-		}
-		rp.Shards[shard].Replicas = append(rp.Shards[shard].Replicas, site)
 		place[rel] = rp
 	}
 	return place, nil

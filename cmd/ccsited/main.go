@@ -12,10 +12,11 @@
 // SIGINT/SIGTERM it prints its accounting (requests handled, tuples
 // shipped per relation) and exits.
 //
-// A site answers four request types: scan and fetch (the reads a
-// coordinator issues when a decision needs remote data), apply (a
-// propagated write) and replace (a replica resync). Anything else is
-// refused.
+// A site answers three request types: scan and fetch (the reads a
+// coordinator issues when a decision needs remote data) and apply (a
+// propagated write). Anything else is refused. The site owns its data:
+// writes may reach its store from other clients than the coordinator,
+// and the coordinator's reads see them.
 //
 // With -http the daemon also serves live endpoints on a second address:
 // /metrics (Prometheus text format: per-op request counters and latency
@@ -52,7 +53,6 @@ func main() {
 		relations = flag.String("relations", "", "comma-separated served relations (default: all in -data)")
 		httpAddr  = flag.String("http", "", "address for live endpoints (/metrics, /healthz, /debug/pprof); empty disables")
 		verbose   = flag.Bool("v", false, "log each served relation at startup")
-		role      = flag.String("role", "leader", "site role: leader (owns its tuples) or replica (additionally accepts coordinator resyncs)")
 	)
 	flag.Parse()
 	srv, l, err := setup(*listen, *dataPath, *relations)
@@ -60,12 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccsited:", err)
 		os.Exit(1)
 	}
-	if *role != "leader" && *role != "replica" {
-		fmt.Fprintf(os.Stderr, "ccsited: -role %q is neither leader nor replica\n", *role)
-		os.Exit(1)
-	}
-	srv.SetRole(*role)
-	fmt.Printf("ccsited: serving on %s (%s)\n", l.Addr(), *role)
+	fmt.Printf("ccsited: serving on %s\n", l.Addr())
 	// Readiness tracks the wire listener: true while it accepts site
 	// RPCs, flipped before it closes so load balancers stop routing.
 	var live atomic.Bool

@@ -121,8 +121,17 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
 		t.Fatalf("a folded insert cost a rebuild: %+v", s)
 	}
-	// A committed delete, a foreign Replace and a direct store write each
-	// drop the fixpoints that read the relation.
+	// Swapping the whole of edge for its own contents (a mirror refresh
+	// that finds nothing new) moves no data version: the fixpoints stay.
+	if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, c.DB().Relation("edge").Tuples()); err != nil {
+		t.Fatal(err)
+	}
+	check(store.Ins("edge", relation.Ints(1, 7)), true)
+	if s := c.Stats(); s.FixpointRebuilds != 2 || s.FixpointDrops != 0 {
+		t.Fatalf("a swap that changed nothing cost a rebuild: %+v", s)
+	}
+	// A committed delete, a foreign swap that changes a tuple and a direct
+	// store write each drop the fixpoints that read the relation.
 	for i, foreign := range []func(){
 		func() {
 			if rep, err := c.Apply(store.Del("edge", relation.Ints(5, 11))); err != nil || !rep.Applied {
@@ -130,8 +139,9 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 			}
 		},
 		func() {
-			// Kept fixpoints go by the data version, which a Replace moves.
-			if err := c.DB().Replace("edge", 2, c.DB().Relation("edge").Tuples()); err != nil {
+			// Kept fixpoints go by the data version, which the swap moves.
+			ts := append(c.DB().Relation("edge").Tuples(), relation.Ints(20, 21))
+			if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, ts); err != nil {
 				t.Fatal(err)
 			}
 		},

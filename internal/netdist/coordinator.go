@@ -135,11 +135,6 @@ type Stats struct {
 	ShardRouted  int
 	ShardScatter int
 	KeyFetches   int
-	// ReplicaReads counts shard reads served by a fresh replica instead
-	// of the leader; ReplicaResyncs counts full rebuilds of a replica
-	// after its feed broke.
-	ReplicaReads   int
-	ReplicaResyncs int
 }
 
 // Coordinator runs the staged checker over a local mirror and reaches
@@ -167,14 +162,11 @@ type Coordinator struct {
 
 	mirror    *store.Store
 	transport Transport
-	place     Placement                // relation -> shards (remote relations only)
-	shardsOf  map[string][]*shardState // relation -> per-shard leader/replica state
+	place     Placement // relation -> shards (remote relations only)
 	opts      Options
 	met       *coordMetrics
 	shmet     *shardMetrics
 	reqID     atomic.Uint64
-	// replWG tracks queued replication ops (FlushReplicas).
-	replWG sync.WaitGroup
 
 	// statsMu guards stats and rng (retry jitter); everything else is
 	// immutable after New or internally synchronized.
@@ -203,12 +195,12 @@ func New(local *store.Store, sites []SiteSpec, tr Transport, opts Options) (*Coo
 }
 
 // NewPlaced is New with an explicit placement: relations may be whole
-// (one shard — today's mode, what New builds), hash-partitioned across
-// several leader sites by a key column, and carry read replicas per
-// shard. The placement becomes the checker's footprint Sharder: a read
-// of a placed relation is preceded by a refresh of its mirror, so the
-// scheduler may confine the claim to a key group only where the refresh
-// is confined to it (a shard-key probe of a sharded relation).
+// (one shard — today's mode, what New builds) or hash-partitioned across
+// several sites by a key column. The placement becomes the checker's
+// footprint Sharder: a read of a placed relation is preceded by a refresh
+// of its mirror, so the scheduler may confine the claim to a key group
+// only where the refresh is confined to it (a shard-key probe of a
+// sharded relation).
 func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) (*Coordinator, error) {
 	if err := place.validate(); err != nil {
 		return nil, err
@@ -217,7 +209,6 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		mirror:    local,
 		transport: tr,
 		place:     place,
-		shardsOf:  map[string][]*shardState{},
 		opts:      opts.withDefaults(),
 		stats: Stats{
 			ByPhase:           map[core.Phase]int{},
@@ -238,26 +229,10 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		if localSet[rel] {
 			return nil, fmt.Errorf("netdist: relation %s is both local and remotely placed", rel)
 		}
-		if rp.Sharded() {
-			anySharded = true
-		}
-		shards := make([]*shardState, len(rp.Shards))
-		for i, sh := range rp.Shards {
-			ss := &shardState{rel: rel, idx: i, leader: sh.Leader}
-			for _, site := range sh.Replicas {
-				rs := &replicaState{site: site}
-				// A replica serves no reads before its first resync: the
-				// watermark starts below any sequence number so readTarget
-				// skips it while it is still empty.
-				rs.watermark.Store(-1)
-				ss.replicas = append(ss.replicas, rs)
-			}
-			shards[i] = ss
-		}
-		co.shardsOf[rel] = shards
+		anySharded = anySharded || rp.Sharded()
 	}
 	co.opts.Checker.Sharder = place
-	if co.opts.Metrics != nil && (anySharded || co.hasReplicas()) {
+	if co.opts.Metrics != nil && anySharded {
 		co.shmet = newShardMetrics(co.opts.Metrics)
 	}
 	for _, rel := range co.remoteRelations() {
@@ -265,38 +240,13 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 			return nil, err
 		}
 	}
-	// Seed the replicas synchronously so a healthy cluster starts with
-	// every watermark current; an unreachable replica starts stale and is
-	// rebuilt lazily by its first queued write.
-	for _, shards := range co.shardsOf {
-		for _, ss := range shards {
-			for _, rs := range ss.replicas {
-				if err := co.resyncReplica(ss, rs); err != nil {
-					rs.stale = true
-				}
-			}
-		}
-	}
 	co.stats.SyncTrips, co.stats.RoundTrips = co.stats.RoundTrips, 0
 	co.stats.SyncTuples, co.stats.WireTuples = co.stats.WireTuples, 0
 	co.stats.Retries = 0
 	co.stats.RetriesBySite = map[string]int{}
 	co.stats.ShardRouted, co.stats.ShardScatter = 0, 0
-	co.stats.ReplicaReads, co.stats.ReplicaResyncs = 0, 0
 	co.Checker = core.New(local, co.opts.Checker)
 	return co, nil
-}
-
-// hasReplicas reports whether any shard carries a read replica.
-func (co *Coordinator) hasReplicas() bool {
-	for _, shards := range co.shardsOf {
-		for _, ss := range shards {
-			if len(ss.replicas) > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // remoteRelations returns every remotely-placed relation, sorted.
@@ -403,15 +353,14 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 }
 
 // fetch reads the tuples of a placed relation whose column rg.Col lies in
-// rg — every tuple when rg bounds nothing — reading each shard from a
-// fresh replica when one exists, its leader otherwise. A point on the
-// shard key of a sharded relation is asked of the owning shard alone and
-// counts one routed read; any other range is asked of every shard, all
+// rg — every tuple when rg bounds nothing — from the sites that own its
+// shards. A point on the shard key of a sharded relation is asked of the
+// owning shard alone and counts one routed read; any other range is asked of every shard, all
 // at once (fanOut), and counts one scatter read of a sharded relation,
 // whose read goes under a "shard.route" span. It returns the tuples and
 // the largest arity a site reported.
 func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, int, error) {
-	shards := co.shardsOf[rel]
+	shards := co.place[rel].Shards
 	i, routed := co.place.owner(rel, rg)
 	if routed {
 		shards = shards[i : i+1]
@@ -429,11 +378,11 @@ func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, i
 	var err error
 	if len(shards) == 1 {
 		// Most reads are one shard's key group: no fan-out to allocate.
-		ts, arity, err = co.fetchShard(shards[0], req)
+		ts, arity, err = co.fetchShard(shards[0].Leader, req)
 	} else {
 		parts, arities := make([][]relation.Tuple, len(shards)), make([]int, len(shards))
 		err = co.fanOut(len(shards), func(i int) (err error) {
-			parts[i], arities[i], err = co.fetchShard(shards[i], req)
+			parts[i], arities[i], err = co.fetchShard(shards[i].Leader, req)
 			return err
 		})
 		ts, arity = slices.Concat(parts...), slices.Max(arities)
@@ -450,9 +399,9 @@ func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, i
 	return ts, arity, nil
 }
 
-// fetchShard sends one shard its copy of a read and decodes the answer.
-func (co *Coordinator) fetchShard(ss *shardState, req Request) ([]relation.Tuple, int, error) {
-	site := co.readTarget(ss)
+// fetchShard sends one shard's site its copy of a read and decodes the
+// answer.
+func (co *Coordinator) fetchShard(site string, req Request) ([]relation.Tuple, int, error) {
 	resp, err := co.call(site, &req)
 	if err != nil {
 		return nil, 0, err
@@ -465,11 +414,13 @@ func (co *Coordinator) fetchShard(ss *shardState, req Request) ([]relation.Tuple
 }
 
 // refresh makes one read of a decision: the tuples of a placed relation
-// in r's range are fetched and swapped into the mirror — a whole relation
-// rebuilt by store.Replace, a range by store.ReplaceRange, which touches
-// no tuple outside it — so the mirror is precisely as fresh as the
-// compiled checks' probes require. Shipping the range a check probes
-// instead of the whole relation is the paper's "consult as little
+// in r's range — all of them for a whole read — are fetched and swapped
+// into the mirror by store.ReplaceRange, which touches no tuple outside
+// the range and moves the relation's data version only when a tuple
+// changed, so the mirror is precisely as fresh as the compiled checks'
+// probes require and a refresh that finds nothing new invalidates nothing
+// derived from the mirror (a kept fixpoint). Shipping the range a check
+// probes instead of the whole relation is the paper's "consult as little
 // information as the update requires".
 func (co *Coordinator) refresh(r mirrorRead) error {
 	ts, arity, err := co.fetch(r.rel, r.rg)
@@ -485,12 +436,7 @@ func (co *Coordinator) refresh(r mirrorRead) error {
 		}
 		arity = m.Arity()
 	}
-	if r.whole() {
-		err = co.mirror.Replace(r.rel, arity, ts)
-	} else {
-		err = co.mirror.ReplaceRange(r.rel, arity, r.rg, ts)
-	}
-	if err != nil {
+	if err := co.mirror.ReplaceRange(r.rel, arity, r.rg, ts); err != nil {
 		return &RemoteError{Site: "", Msg: err.Error()}
 	}
 	return nil
@@ -626,23 +572,24 @@ func (co *Coordinator) one(u store.Update, commit bool) (core.Report, error) {
 	return br.Reports[0], err
 }
 
-// propagate applies u on its owning shard leader and feeds the shard's
-// replicas; unpropagate routes the inverse (publish's withdrawal).
+// propagate applies u at the site owning its shard; unpropagate routes
+// the inverse (publish's withdrawal).
 func (co *Coordinator) propagate(u store.Update) error {
-	ss := co.shardFor(u.Relation, u.Tuple)
-	if ss == nil {
+	rp, ok := co.place[u.Relation]
+	if !ok {
 		return nil
 	}
-	if _, err := co.call(ss.leader, &Request{
+	site := rp.Shards[0].Leader
+	if rp.Sharded() && rp.KeyCol < len(u.Tuple) {
+		site = rp.Shards[co.place.ShardOf(u.Relation, u.Tuple[rp.KeyCol])].Leader
+	}
+	_, err := co.call(site, &Request{
 		Type:     OpApply,
 		Relation: u.Relation,
 		Insert:   u.Insert,
 		Tuple:    EncodeTuple(u.Tuple),
-	}); err != nil {
-		return err
-	}
-	co.afterPropagate(ss, u)
-	return nil
+	})
+	return err
 }
 
 func (co *Coordinator) unpropagate(u store.Update) error {
@@ -679,10 +626,10 @@ func (b ServeBackend) Footprints() core.Footprints { return b.Co.Checker.Footpri
 
 // ShardStats satisfies serve's optional ShardStatser interface: the
 // coordinator's scale-out wire accounting, surfaced through the
-// decision server's /stats.
-func (b ServeBackend) ShardStats() (routed, scatter, replicaReads int) {
+// decision server's /stats. The third result is always 0.
+func (b ServeBackend) ShardStats() (routed, scatter, _ int) {
 	st := b.Co.Stats()
-	return st.ShardRouted, st.ShardScatter, st.ReplicaReads
+	return st.ShardRouted, st.ShardScatter, 0
 }
 
 // noteUnavailable accounts one update refused because a site was
@@ -711,9 +658,8 @@ func (co *Coordinator) Report() string {
 		st.Updates, st.Rejected, st.Unavailable, st.DecidedLocally, co.Checker.Stats().LocalCertified)
 	fmt.Fprintf(&sb, "wire: %d round trips (%d retries), %d tuples, %s on the network\n",
 		st.RoundTrips, st.Retries, st.WireTuples, st.NetTime.Round(time.Microsecond))
-	if st.ShardRouted+st.ShardScatter+st.ReplicaReads+st.ReplicaResyncs > 0 {
-		fmt.Fprintf(&sb, "shards: %d routed, %d scatter; replicas: %d reads, %d resyncs\n",
-			st.ShardRouted, st.ShardScatter, st.ReplicaReads, st.ReplicaResyncs)
+	if st.ShardRouted+st.ShardScatter > 0 {
+		fmt.Fprintf(&sb, "shards: %d routed, %d scatter\n", st.ShardRouted, st.ShardScatter)
 	}
 	if len(st.RetriesBySite) > 0 {
 		fmt.Fprintf(&sb, "retries by site: %s\n", siteCounts(st.RetriesBySite))

@@ -66,25 +66,18 @@ func (m *coordMetrics) observeAttempt(site, op string, req *Request, resp *Respo
 	m.wireTuples.Add(int64(len(resp.Tuples)))
 }
 
-// shardMetrics holds the sharding/replication registry handles. Only
-// attached when the placement actually shards or replicates something,
-// so whole-relation deployments expose exactly the pre-placement metric
-// set.
+// shardMetrics holds the sharding registry handles. Only attached when
+// the placement actually shards something, so whole-relation deployments
+// expose exactly the pre-placement metric set.
 type shardMetrics struct {
-	routed       *obs.Counter
-	scatter      *obs.Counter
-	replicaReads *obs.Counter
-	replicaOps   *obs.Counter
-	staleness    *obs.Gauge
+	routed  *obs.Counter
+	scatter *obs.Counter
 }
 
 func newShardMetrics(reg *obs.Registry) *shardMetrics {
 	return &shardMetrics{
-		routed:       reg.Counter("cc_shard_routed_total", "reads of one key group answered by the single owning shard"),
-		scatter:      reg.Counter("cc_shard_scatter_total", "reads scatter-gathered across every shard"),
-		replicaReads: reg.Counter("cc_shard_replica_reads_total", "shard reads served by a fresh replica instead of the leader"),
-		replicaOps:   reg.Counter("cc_shard_replica_ops_total", "replication feed operations applied (writes + resyncs)"),
-		staleness:    reg.Gauge("cc_shard_replica_staleness", "worst replica lag in apply sequence numbers at the last propagated write"),
+		routed:  reg.Counter("cc_shard_routed_total", "reads of one key group answered by the single owning shard"),
+		scatter: reg.Counter("cc_shard_scatter_total", "reads scatter-gathered across every shard"),
 	}
 }
 

@@ -10,12 +10,10 @@ import (
 	"repro/internal/relation"
 )
 
-// ShardSpec is one shard of a placed relation: the leader site owning
-// the shard's tuples plus any read replicas trailing it (see replica.go
-// for the freshness protocol).
+// ShardSpec is one shard of a placed relation: the site owning the
+// shard's tuples.
 type ShardSpec struct {
-	Leader   string
-	Replicas []string
+	Leader string
 }
 
 // RelPlacement describes where one relation lives. A single shard is
@@ -78,9 +76,9 @@ func (p Placement) owner(rel string, rg relation.Range) (int, bool) {
 }
 
 // PlacementFromSites lifts the classic whole-relation site specs into a
-// placement: each relation becomes a single leaderless-replica shard
-// owned by its site. New routes through this, so the default deployment
-// is bit-identical to the pre-placement coordinator.
+// placement: each relation becomes a single shard owned by its site. New
+// routes through this, so the default deployment is bit-identical to the
+// pre-placement coordinator.
 func PlacementFromSites(sites []SiteSpec) Placement {
 	p := Placement{}
 	for _, spec := range sites {
@@ -123,30 +121,10 @@ func ParseShardSpec(s string) (string, RelPlacement, error) {
 	return rel, rp, nil
 }
 
-// ParseReplicaSpec parses "rel/shardIdx=site" — attach a read replica to
-// one shard of an already-declared relation.
-func ParseReplicaSpec(s string) (rel string, shard int, site string, err error) {
-	head, site, ok := strings.Cut(s, "=")
-	site = strings.TrimSpace(site)
-	if !ok || site == "" {
-		return "", 0, "", fmt.Errorf("netdist: replica spec %q is not rel/shard=site", s)
-	}
-	rel, idxPart, ok := strings.Cut(strings.TrimSpace(head), "/")
-	if !ok || strings.TrimSpace(rel) == "" {
-		return "", 0, "", fmt.Errorf("netdist: replica spec %q is not rel/shard=site", s)
-	}
-	shard, err = strconv.Atoi(strings.TrimSpace(idxPart))
-	if err != nil || shard < 0 {
-		return "", 0, "", fmt.Errorf("netdist: replica spec %q: bad shard index %q", s, idxPart)
-	}
-	return strings.TrimSpace(rel), shard, site, nil
-}
-
 // validate checks structural invariants: sharded relations need a
-// non-negative key column, and within one relation every leader and
-// replica site is distinct (a site holding two shards of one relation
-// could not tell their tuples apart through the whole-relation wire
-// protocol).
+// non-negative key column, and within one relation every shard has a
+// site and no site holds two shards (it could not tell their tuples
+// apart through the whole-relation wire protocol).
 func (p Placement) validate() error {
 	for rel, rp := range p {
 		if len(rp.Shards) == 0 {
@@ -160,12 +138,10 @@ func (p Placement) validate() error {
 			if sh.Leader == "" {
 				return fmt.Errorf("netdist: relation %s shard %d has no leader", rel, si)
 			}
-			for _, site := range append([]string{sh.Leader}, sh.Replicas...) {
-				if seen[site] {
-					return fmt.Errorf("netdist: relation %s places site %s twice", rel, site)
-				}
-				seen[site] = true
+			if seen[sh.Leader] {
+				return fmt.Errorf("netdist: relation %s places site %s twice", rel, sh.Leader)
 			}
+			seen[sh.Leader] = true
 		}
 	}
 	return nil

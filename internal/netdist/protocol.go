@@ -46,9 +46,6 @@ const (
 	OpFetch = "fetch"
 	// OpApply applies one insert/delete to a served relation.
 	OpApply = "apply"
-	// OpReplace swaps a served relation's full contents (replica resync).
-	// Only sites running in the replica role accept it.
-	OpReplace = "replace"
 )
 
 // Request is one client→site frame.
@@ -70,9 +67,6 @@ type Request struct {
 	// Insert and Tuple carry Apply's update (Tuple is EncodeTuple'd).
 	Insert bool     `json:"insert,omitempty"`
 	Tuple  []string `json:"tuple,omitempty"`
-	// Tuples and Arity carry Replace's full relation image.
-	Tuples [][]string `json:"tuples,omitempty"`
-	Arity  int        `json:"arity,omitempty"`
 	// Trace, when non-empty, is the W3C traceparent of the coordinator's
 	// RPC span: the site records its handling as a child span and echoes
 	// it back in Response.Spans. Old peers ignore the field (and old

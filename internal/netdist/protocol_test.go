@@ -278,7 +278,7 @@ func TestSiteErrorMatchesSentinel(t *testing.T) {
 }
 
 // FuzzSiteHandle feeds arbitrary bytes to a site as one frame: whatever
-// decodes is handled without a panic, a request of any type but the four
+// decodes is handled without a panic, a request of any type but the three
 // a coordinator sends is refused, and a fetch answered holds only tuples
 // that lie in what it selects.
 func FuzzSiteHandle(f *testing.F) {
@@ -287,8 +287,8 @@ func FuzzSiteHandle(f *testing.F) {
 		{ID: 2, Type: OpFetch, Relation: "r", Col: 1, Value: "#7"},
 		{ID: 3, Type: OpApply, Relation: "r", Insert: true, Tuple: []string{"#1", "$a"}},
 		{ID: 4, Type: OpApply, Relation: "r", Tuple: []string{"#3"}},
-		{ID: 5, Type: OpReplace, Relation: "r", Arity: 2, Tuples: [][]string{{"#1/2", "$b"}}},
-		{ID: 6, Type: OpReplace, Relation: "r", Arity: -1},
+		{ID: 5, Type: "replace", Relation: "r", Tuple: []string{"#1/2", "$b"}},
+		{ID: 6, Type: OpApply, Relation: "s", Insert: true, Tuple: []string{"#2"}},
 		{ID: 7, Type: "eval", Relation: "r"},
 		{ID: 8, Type: "ping"},
 		{ID: 9, Type: OpFetch, Relation: "r", Lo: "#3", Hi: "#7", HiOpen: true},
@@ -309,7 +309,6 @@ func FuzzSiteHandle(f *testing.F) {
 			return
 		}
 		srv := NewServer(newSiteStore(t, "r(3, a). r(7, b). s(1)."), []string{"r"})
-		srv.SetRole("replica")
 		resp := srv.Handle(&req)
 		switch req.Type {
 		case OpFetch:
@@ -325,7 +324,7 @@ func FuzzSiteHandle(f *testing.F) {
 					t.Fatalf("fetch %+v answered %v outside its range", req, tu)
 				}
 			}
-		case OpScan, OpApply, OpReplace:
+		case OpScan, OpApply:
 		default:
 			if resp.OK {
 				t.Fatalf("site answered a %q request: %+v", req.Type, resp)

@@ -41,15 +41,7 @@ type Server struct {
 	// carry its service name). Even without it, a request with a sampled
 	// Trace context gets its span echoed back to the coordinator.
 	spans *obs.SpanTracer
-	// role gates destructive maintenance ops: only "replica" accepts
-	// OpReplace (a leader's contents are the source of truth and must
-	// never be bulk-overwritten by a resync aimed at the wrong site).
-	role string
 }
-
-// SetRole declares the site's role ("leader" is the default; "replica"
-// additionally accepts OpReplace resyncs). Call before serving.
-func (s *Server) SetRole(role string) { s.role = role }
 
 // InstrumentSpans attaches a span tracer: traced requests land in its
 // store as single-span traces for the site's own /debug/traces, named
@@ -146,7 +138,7 @@ func (s *Server) Handle(req *Request) *Response {
 // inventing types.
 func requestType(typ string) string {
 	switch typ {
-	case OpScan, OpFetch, OpApply, OpReplace:
+	case OpScan, OpFetch, OpApply:
 		return typ
 	}
 	return "unknown"
@@ -245,33 +237,6 @@ func (s *Server) handle(req *Request) *Response {
 			return &Response{OK: true, Changed: changed}
 		}
 		return &Response{OK: true, Changed: s.db.Delete(req.Relation, t)}
-
-	case OpReplace:
-		if s.role != "replica" {
-			return fail("replace refused: site role is %q, not replica", s.role)
-		}
-		if !s.serves(req.Relation) {
-			return fail("relation %q not served", req.Relation)
-		}
-		ts, err := DecodeTuples(req.Tuples)
-		if err != nil {
-			return fail("%v", err)
-		}
-		arity := req.Arity
-		if arity == 0 && len(ts) == 0 {
-			// Empty image of a relation the leader has never materialized:
-			// clear whatever we hold (or nothing, if we hold nothing).
-			if r := s.db.Relation(req.Relation); r != nil {
-				arity = r.Arity()
-			} else {
-				return &Response{OK: true}
-			}
-		}
-		if err := s.db.Replace(req.Relation, arity, ts); err != nil {
-			return fail("%v", err)
-		}
-		return &Response{OK: true, Changed: true}
-
 	}
 	return fail("unknown request type %q", req.Type)
 }

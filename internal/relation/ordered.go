@@ -17,8 +17,7 @@ import (
 // its column and kept from then on: Insert adds its entry (an append when
 // the value sorts last), Delete removes it (a truncation when it is the
 // last), compaction renumbers its positions in place —
-// the renumbering is monotone, so the order stands and nothing is rebuilt
-// — and Succeed carries its column to the successor relation.
+// the renumbering is monotone, so the order stands and nothing is rebuilt.
 
 // ordered is the ordered index of one column.
 type ordered struct {

@@ -75,8 +75,8 @@ func sameTuples(a, b []Tuple) bool {
 	return slices.EqualFunc(a, b, func(x, y Tuple) bool { return x.Equal(y) })
 }
 
-// TestOrderedIndexAgainstScan: over random inserts, deletes (which compact
-// the relation every so often) and successions, RangeAppend on one
+// TestOrderedIndexAgainstScan: over random inserts and deletes (which
+// compact the relation every so often), RangeAppend on one
 // or two random ranges — one- or two-sided, open or closed, across numbers
 // and strings — equals the sorted filter of Tuples().
 func TestOrderedIndexAgainstScan(t *testing.T) {
@@ -96,17 +96,6 @@ func TestOrderedIndexAgainstScan(t *testing.T) {
 			if r.holes < holes {
 				compactions++
 			}
-		}
-		if rng.Intn(40) == 0 {
-			fresh := New("l", 2)
-			for _, tu := range r.Tuples() {
-				fresh.Insert(tu)
-			}
-			fresh.Succeed(r)
-			if len(fresh.ord) != len(r.ord) {
-				t.Fatalf("Succeed carried %d ordered indexes of %d", len(fresh.ord), len(r.ord))
-			}
-			r = fresh
 		}
 		ranges := []Range{randomRange(rng, 2)}
 		if rng.Intn(2) == 0 {

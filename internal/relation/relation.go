@@ -193,30 +193,6 @@ func (r *Relation) Len() int {
 // evaluation fixpoint does), without subscribing to the writers.
 func (r *Relation) Version() uint64 { return r.version.Load() }
 
-// Succeed makes r the successor of old, the relation a store swaps r in
-// for: r takes over old's index signatures and ordered columns (so the
-// probe indexes of repeated swaps stay warm) and continues its data
-// version strictly past both counts, so a reader that remembered old's
-// version sees the swap as a change however many tuples either side
-// holds. A version only ever moves forward.
-func (r *Relation) Succeed(old *Relation) {
-	for _, cols := range old.IndexSignatures() {
-		r.EnsureIndex(cols...)
-	}
-	old.mu.RLock()
-	cols := make([]int, len(old.ord))
-	for i, o := range old.ord {
-		cols[i] = o.col
-	}
-	old.mu.RUnlock()
-	r.mu.Lock()
-	for _, c := range cols {
-		r.ensureOrderedLocked(c)
-	}
-	r.mu.Unlock()
-	r.version.Store(max(r.version.Load(), old.Version()) + 1)
-}
-
 // findLocked returns the live position holding the tuple with the given
 // handles, or -1. Caller holds mu.
 func (r *Relation) findLocked(fp uint64, hs []Handle) int {

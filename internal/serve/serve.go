@@ -704,20 +704,20 @@ type Stats struct {
 	SchedTasks          int64 `json:"sched_tasks"`
 	SchedConflictStalls int64 `json:"sched_conflict_stalls"`
 	SchedInflight       int   `json:"sched_inflight"`
-	// Shard* and ReplicaReads surface the backend's scale-out wire
-	// accounting when it implements ShardStatser (zero otherwise).
+	// Shard* surface the backend's scale-out wire accounting when it
+	// implements ShardStatser (zero otherwise).
 	ShardRouted  int `json:"shard_routed,omitempty"`
 	ShardScatter int `json:"shard_scatter,omitempty"`
-	ReplicaReads int `json:"replica_reads,omitempty"`
 }
 
 // ShardStatser is an optional Backend refinement for scale-out
 // deployments: how many sharded-relation reads went to a single
-// owning shard, how many scatter-gathered every shard, and how many
-// shard reads a fresh replica served. netdist.ServeBackend implements
-// it; single-checker backends simply don't.
+// owning shard and how many scatter-gathered every shard.
+// netdist.ServeBackend implements it; single-checker backends simply
+// don't. The third result always reads 0 and is ignored; it stays only
+// because the benchmark's traced backend forwards the three-result form.
 type ShardStatser interface {
-	ShardStats() (routed, scatter, replicaReads int)
+	ShardStats() (routed, scatter, _ int)
 }
 
 // Stats snapshots the server-level counters without touching the queue.
@@ -736,7 +736,7 @@ func (s *Server) Stats() Stats {
 		st.SchedInflight = ss.Inflight
 	}
 	if sh, ok := s.chk.(ShardStatser); ok {
-		st.ShardRouted, st.ShardScatter, st.ReplicaReads = sh.ShardStats()
+		st.ShardRouted, st.ShardScatter, _ = sh.ShardStats()
 	}
 	for op := opCheck; op <= opStats; op++ {
 		st.Requests[op.endpoint()] = s.requests[op].Load()

@@ -42,7 +42,7 @@ func New() *Store {
 
 // DataVersion returns the named relation's data version (see
 // relation.Version): it advances whenever the relation's contents
-// change — Insert, Delete, ReplaceRange and Replace — and is 0 for an
+// change — Insert, Delete and ReplaceRange — and is 0 for an
 // absent relation. Equal versions at two moments mean equal contents.
 func (s *Store) DataVersion(name string) uint64 {
 	r := s.get(name)
@@ -310,61 +310,35 @@ func (s *Store) ResetReads() {
 	s.readsMu.Unlock()
 }
 
-// Replace atomically swaps the named relation's contents for the given
-// tuples, creating the relation if absent. No read counters are charged:
-// Replace is bulk state transfer (mirror refresh from a remote site, bulk
-// load), not query evaluation. It fails if the relation exists with a
-// different arity or a tuple has the wrong arity. A swap over an existing
-// relation continues its data version (DataVersion).
-func (s *Store) Replace(name string, arity int, ts []relation.Tuple) error {
-	for _, t := range ts {
-		if len(t) != arity {
-			return fmt.Errorf("store: replace %s/%d: tuple %s has arity %d", name, arity, t, len(t))
-		}
-	}
-	fresh := relation.New(name, arity)
-	for _, t := range ts {
-		fresh.Insert(t)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.rels[name]; ok {
-		if r.Arity() != arity {
-			return fmt.Errorf("store: relation %s has arity %d, requested %d", name, r.Arity(), arity)
-		}
-		// The fresh relation carries the old one's index signatures, so
-		// repeated Replace cycles (mirror refreshes before every global
-		// evaluation) keep the evaluator's probe indexes warm instead of
-		// rebuilding them lazily mid-join, and continues its data version.
-		fresh.Succeed(r)
-	}
-	s.rels[name] = fresh
-	return nil
-}
-
 // ReplaceRange swaps one range of the named relation: every stored tuple
 // whose column rg.Col lies in rg is replaced by ts, each of which must lie
-// in it too. The old tuples of a point (relation.Range.Point) are found
-// through the hash index of its column, those of any other range through
-// the ordered one. Like Replace it is bulk state transfer — no read
-// counters are charged; unlike Replace it mutates the relation
-// in place via Insert/Delete and touches no tuple outside the range, so a
-// tuple in both the old and the new contents keeps the data version. The
-// relation is created when absent. Tuple-at-a-time mutation means a
+// in it too. A range that bounds nothing is the whole relation, at any
+// arity (nullary included): its old tuples are the live rows, enumerated
+// without an index. The old tuples of a point (relation.Range.Point) are
+// found through the hash index of its column, those of any other range
+// through the ordered one. It is bulk state transfer (a mirror refresh
+// from a remote site): no read counters are charged. It mutates the
+// relation in place via Insert/Delete and touches no tuple outside the
+// range, so the relation keeps its arrays and indexes, and a tuple in both
+// the old and the new contents keeps the data version: swapping in what
+// is already there moves nothing. The relation is created when absent; it
+// fails if the relation exists with another arity or a tuple has the
+// wrong arity. Tuple-at-a-time mutation means a
 // concurrent reader may see a partially swapped range; callers (the
 // netdist coordinator's mirror refresh) keep writers of the range away
 // through the scheduler's footprints — a task that refreshes it holds a
 // read claim on it — and refreshes that race each other then swap in the
 // same contents.
 func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []relation.Tuple) error {
-	if rg.Col < 0 || rg.Col >= arity {
+	whole := !rg.HasLo && !rg.HasHi
+	if !whole && (rg.Col < 0 || rg.Col >= arity) {
 		return fmt.Errorf("store: replace range %s/%d: column %d out of range", name, arity, rg.Col)
 	}
 	for _, t := range ts {
 		if len(t) != arity {
 			return fmt.Errorf("store: replace range %s/%d: tuple %s has arity %d", name, arity, t, len(t))
 		}
-		if !rg.Contains(t[rg.Col]) {
+		if !whole && !rg.Contains(t[rg.Col]) {
 			return fmt.Errorf("store: replace range %s: tuple %s lies outside the range at column %d", name, t, rg.Col)
 		}
 	}
@@ -373,9 +347,13 @@ func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []rel
 		return err
 	}
 	var old [][]relation.Handle
-	if v, ok := rg.Point(); ok {
+	v, point := rg.Point()
+	switch {
+	case whole:
+		old = r.TuplesAppend(nil)
+	case point:
 		old = r.LookupColsAppend(nil, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
-	} else {
+	default:
 		old = r.RangeAppend(nil, []relation.Range{rg})
 	}
 	if len(old) > 0 {

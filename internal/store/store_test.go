@@ -208,6 +208,10 @@ func TestProbeAndMustEnsureAndString(t *testing.T) {
 	s.MustEnsure("r", 3)
 }
 
+// TestReplace: ReplaceRange over the range that bounds nothing swaps the
+// whole relation's contents without charging reads, creates an absent
+// relation, empties one, works at arity 0, builds no index, and refuses an
+// arity conflict with the stored relation or within the tuples.
 func TestReplace(t *testing.T) {
 	s := New()
 	if _, err := s.Insert("r", relation.Ints(1, 2)); err != nil {
@@ -217,42 +221,49 @@ func TestReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tuples("r") // charge some reads
-	// Replace swaps contents without touching counters; the data version
-	// moves.
-	data := s.DataVersion("r")
-	if err := s.Replace("r", 2, []relation.Tuple{relation.Ints(5, 6)}); err != nil {
+	whole := relation.Range{}
+	data, builds := s.DataVersion("r"), relation.IndexBuilds()
+	if err := s.ReplaceRange("r", 2, whole, []relation.Tuple{relation.Ints(5, 6), relation.Ints(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	if s.DataVersion("r") <= data {
-		t.Error("Replace did not advance the data version")
+		t.Error("a swap that changed the contents did not advance the data version")
 	}
-	if s.Contains("r", relation.Ints(1, 2)) || !s.Contains("r", relation.Ints(5, 6)) {
-		t.Errorf("Replace did not swap contents: %s", s)
+	if s.Contains("r", relation.Ints(1, 2)) || !s.Contains("r", relation.Ints(5, 6)) || !s.Contains("r", relation.Ints(3, 4)) {
+		t.Errorf("the whole swap did not leave exactly the new contents: %s", s)
+	}
+	if n := relation.IndexBuilds() - builds; n != 0 {
+		t.Errorf("a whole swap built %d indexes", n)
 	}
 	if got := s.Reads("r"); got != 2 {
-		t.Errorf("Replace charged reads: got %d, want 2 (the pre-replace scan)", got)
+		t.Errorf("the swap charged reads: got %d, want 2 (the earlier scan)", got)
 	}
-	// Replace creates absent relations.
-	if err := s.Replace("fresh", 1, []relation.Tuple{relation.Ints(7)}); err != nil {
+	if err := s.ReplaceRange("fresh", 1, whole, []relation.Tuple{relation.Ints(7)}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains("fresh", relation.Ints(7)) {
-		t.Error("Replace did not create the relation")
+		t.Error("the whole swap did not create the relation")
 	}
-	// Replace to empty empties.
-	if err := s.Replace("r", 2, nil); err != nil {
+	if err := s.ReplaceRange("r", 2, whole, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Relation("r").Len(); n != 0 {
-		t.Errorf("Replace to empty left %d tuples", n)
+		t.Errorf("a swap to nothing left %d tuples", n)
 	}
-	// Arity conflicts are rejected, both against the existing relation and
-	// within the tuple list.
-	if err := s.Replace("r", 3, nil); err == nil {
-		t.Error("Replace with conflicting arity accepted")
+	// A nullary relation holds the empty tuple or nothing.
+	for _, ts := range [][]relation.Tuple{{{}}, nil} {
+		if err := s.ReplaceRange("flag", 0, whole, ts); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Relation("flag").Len(); n != len(ts) {
+			t.Errorf("nullary swap to %v holds %d tuples", ts, n)
+		}
 	}
-	if err := s.Replace("r", 2, []relation.Tuple{relation.Ints(1)}); err == nil {
-		t.Error("Replace with mis-sized tuple accepted")
+	if err := s.ReplaceRange("r", 3, whole, nil); err == nil {
+		t.Error("a swap at a conflicting arity was accepted")
+	}
+	if err := s.ReplaceRange("r", 2, whole, []relation.Tuple{relation.Ints(1)}); err == nil {
+		t.Error("a swap with a mis-sized tuple was accepted")
 	}
 }
 
@@ -319,12 +330,12 @@ func TestReplaceCarriesIndexSignatures(t *testing.T) {
 	if _, err := s.Insert("r", relation.Ints(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Build an index through a probe, then Replace: the fresh relation
-	// must come up with the same signature already warm (the netdist
-	// coordinator refreshes its mirror with Replace before every global
+	// Build an index through a probe, then swap the whole relation: the
+	// swap works in place, so the signature stays warm (the netdist
+	// coordinator refreshes its mirror this way before every global
 	// evaluation).
 	s.LookupCols("r", []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)})
-	if err := s.Replace("r", 2, []relation.Tuple{relation.Ints(3, 4)}); err != nil {
+	if err := s.ReplaceRange("r", 2, relation.Range{}, []relation.Tuple{relation.Ints(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	sigs := s.Relation("r").IndexSignatures()
@@ -335,7 +346,7 @@ func TestReplaceCarriesIndexSignatures(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("Replace dropped index signatures: %v", sigs)
+		t.Fatalf("the whole swap dropped index signatures: %v", sigs)
 	}
 	if ts := s.LookupCols("r", []int{0, 1}, []ast.Value{ast.Int(3), ast.Int(4)}); len(ts) != 1 {
 		t.Fatalf("probe after Replace = %d tuples, want 1", len(ts))
@@ -447,8 +458,8 @@ func TestReplaceRange(t *testing.T) {
 }
 
 // DataVersion is what a kept evaluation checks itself against: it must
-// move on every change of contents, including a Replace that swaps the
-// relation object, and stay put when nothing changed.
+// move on every change of contents, including a whole or ranged swap, and
+// stay put when nothing changed.
 func TestDataVersion(t *testing.T) {
 	s := New()
 	if v := s.DataVersion("p"); v != 0 {
@@ -468,14 +479,22 @@ func TestDataVersion(t *testing.T) {
 	if got := s.DataVersion("p"); got != v {
 		t.Fatalf("reads moved the version %d -> %d", v, got)
 	}
-	// The fresh relation holds fewer tuples than the old one had writes;
-	// its version must still read as later, not as some earlier state.
-	if err := s.Replace("p", 2, []relation.Tuple{relation.Ints(9, 9)}); err != nil {
+	// Swapping the whole relation for an identical image changes nothing;
+	// changing one tuple of it moves the version.
+	image := s.Tuples("p")
+	if err := s.ReplaceRange("p", 2, relation.Range{}, image); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DataVersion("p"); got != v {
+		t.Fatalf("a whole swap for an identical image moved the version %d -> %d", v, got)
+	}
+	image[0] = relation.Ints(9, 9)
+	if err := s.ReplaceRange("p", 2, relation.Range{}, image); err != nil {
 		t.Fatal(err)
 	}
 	v2 := s.DataVersion("p")
 	if v2 <= v {
-		t.Fatalf("Replace took the version from %d to %d", v, v2)
+		t.Fatalf("a whole swap changing one tuple took the version from %d to %d", v, v2)
 	}
 	// Swapping a key group for itself changes nothing.
 	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), []relation.Tuple{relation.Ints(9, 9)}); err != nil {
@@ -548,16 +567,16 @@ func TestRangeAppend(t *testing.T) {
 	if n := s.Reads("r") + s.Reads("absent"); n != 3 {
 		t.Errorf("reads = %d after the refused lookups, want 3", n)
 	}
-	// Replace carries the ordered column: the swap builds it, the next
-	// lookup does not.
-	if err := s.Replace("r", 1, []relation.Tuple{relation.Ints(4), relation.Ints(7)}); err != nil {
+	// A whole swap keeps the ordered column in place: neither the swap
+	// nor the next lookup builds an index.
+	builds := relation.IndexBuilds()
+	if err := s.ReplaceRange("r", 1, relation.Range{}, []relation.Tuple{relation.Ints(4), relation.Ints(7)}); err != nil {
 		t.Fatal(err)
 	}
-	builds := relation.IndexBuilds()
 	if got := s.RangeAppend(nil, "r", 1, rg); len(got) != 1 || !slices.Equal(got[0], handles(relation.Ints(4))) {
-		t.Errorf("RangeAppend after Replace = %v, want [(4)]", got)
+		t.Errorf("RangeAppend after the whole swap = %v, want [(4)]", got)
 	}
 	if n := relation.IndexBuilds() - builds; n != 0 {
-		t.Errorf("a range lookup after Replace built %d indexes", n)
+		t.Errorf("the whole swap and a range lookup after it built %d indexes", n)
 	}
 }
