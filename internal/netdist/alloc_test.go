@@ -1,0 +1,38 @@
+package netdist
+
+import (
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/store"
+)
+
+// TestRoutedCheckAllocs pins what a warm routed Check allocates: the plan,
+// one key-group round trip over the loopback to the owning shard — its
+// frames encoded and decoded by the frame codec in pooled buffers, its
+// wire constants resolved from the intern pool — and the mirror refresh.
+// The pin is the count measured; a change that lowers it lowers the pin.
+func TestRoutedCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	co, lb, _ := buildShardedArm(t, shardArm{name: "sharded4", shards: 4})
+	// No employee works in department 15: no stored tuple certifies the
+	// insert, so every check asks dept's shard for key 15.
+	hire := store.Ins("emp", relation.Ints(2000, 15))
+	check := func() {
+		if rep, err := co.Check(hire); err != nil || !rep.Applied {
+			t.Fatalf("rep=%+v err=%v", rep, err)
+		}
+	}
+	check()
+	before, trips := attempts(lb), co.Stats().RoundTrips
+	got := testing.AllocsPerRun(200, check)
+	if n := co.Stats().RoundTrips - trips; n != 201 || attempts(lb)-before != 201 {
+		t.Fatalf("%d round trips over 201 checks, want one each", n)
+	}
+	const pin = 24
+	if got > pin {
+		t.Errorf("a warm routed Check allocates %v objects, want at most %d", got, pin)
+	}
+}

@@ -180,13 +180,12 @@ func (lb *Loopback) RoundTrip(site string, req *Request, timeout time.Duration) 
 		}
 		time.Sleep(latency)
 	}
-	wired, err := reencode(req)
-	if err != nil {
+	var wired Request
+	if err := roundTrip(req, &wired); err != nil {
 		return nil, err
 	}
-	resp := srv.Handle(wired)
 	var out Response
-	if err := roundTripJSON(resp, &out); err != nil {
+	if err := roundTrip(srv.Handle(&wired), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

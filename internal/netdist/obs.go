@@ -1,7 +1,6 @@
 package netdist
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/obs"
@@ -13,14 +12,13 @@ import (
 // documented in DESIGN.md ("Observability").
 
 // frameBytes returns the on-wire size of one frame carrying v: the JSON
-// body plus the 4-byte length prefix. Only called when metrics are
-// enabled; an unencodable value counts as header-only (the frame codec
-// would have failed the request anyway).
+// body plus the 4-byte length prefix, encoded by the frame codec into a
+// pooled buffer. Only called when metrics are enabled.
 func frameBytes(v any) int {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 4
-	}
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	body, _ := appendBody((*bp)[:0], v) // v is a *Request or *Response: no error
+	*bp = body
 	return 4 + len(body)
 }
 

@@ -11,18 +11,15 @@
 // The wire protocol is deliberately minimal and stdlib-only:
 // length-prefixed JSON frames over TCP. Each frame is a 4-byte
 // big-endian payload length followed by one JSON-encoded Request or
-// Response. A connection carries one request at a time (the client pools
+// Response (codec.go: the bytes encoding/json writes, without its
+// reflection). A connection carries one request at a time (the client pools
 // connections instead of multiplexing), so responses need no reordering;
 // the echoed ID is a sanity check.
 package netdist
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/ast"
@@ -204,61 +201,6 @@ func DecodeSpan(ws WireSpan) (obs.SpanData, error) {
 	return sd, nil
 }
 
-// WriteFrame writes one length-prefixed JSON frame.
-func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("netdist: frame of %d bytes exceeds MaxFrame", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// ReadFrame reads one length-prefixed JSON frame into v.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("netdist: frame of %d bytes exceeds MaxFrame", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
-// roundTripJSON pushes v through the frame codec into out — the
-// loopback transport uses it so in-process requests see exactly the
-// bytes TCP would carry.
-func roundTripJSON(v, out any) error {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, v); err != nil {
-		return err
-	}
-	return ReadFrame(&buf, out)
-}
-
-// reencode returns a frame-codec round-tripped copy of req.
-func reencode(req *Request) (*Request, error) {
-	var out Request
-	if err := roundTripJSON(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // EncodeValue renders a constant for the wire using the store's
 // canonical key syntax: "#<rational>" for numbers (exact — no float
 // round-trip loss), "$<text>" for symbols. The rendering comes from the
@@ -269,12 +211,17 @@ func reencode(req *Request) (*Request, error) {
 func EncodeValue(v ast.Value) string { return relation.ValueKey(v) }
 
 // DecodeValue parses EncodeValue's output (ast.ParseKey: a number in the
-// canonical form, within ast.MaxNumberDigits). The result is funneled
-// through the intern pool (relation.Canonical), so duplicated remote
-// constants share one backing value and arrive pre-interned for
-// fingerprinting — the exact-rational semantics are untouched, since
-// Canonical returns a value equal to its argument.
+// canonical form, within ast.MaxNumberDigits). A canonical key the intern
+// pool already holds — a symbol, or an integer that fits an int64 — is
+// looked up there without parsing (relation.LookupKey); anything else is
+// parsed and funneled through the pool (relation.Canonical). Either way
+// duplicated remote constants share one backing value and arrive
+// pre-interned for fingerprinting — the exact-rational semantics are
+// untouched, since the pooled value is equal to the parsed one.
 func DecodeValue(s string) (ast.Value, error) {
+	if v, ok := relation.LookupKey(s); ok {
+		return v, nil
+	}
 	v, err := ast.ParseKey(s)
 	if err != nil {
 		return ast.Value{}, fmt.Errorf("netdist: %w", err)

@@ -245,11 +245,11 @@ func TestSiteRefusesUnsentOps(t *testing.T) {
 		{"id": 2, "type": "reads"},
 		{"id": 3, "type": "ping"},
 	} {
-		if err := WriteFrame(conn, req); err != nil {
+		if err := writeJSONFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
 		var resp map[string]any
-		if err := ReadFrame(conn, &resp); err != nil {
+		if err := readJSONFrame(conn, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp["ok"] == true || len(resp) != 3 { // id, ok, err: no answer fields

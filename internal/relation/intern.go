@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math/big"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -156,6 +158,52 @@ func InternedValue(h Handle) ast.Value { return internPool.slot(h).v }
 // big.Rat/string and arrive pre-interned for fingerprinting.
 func Canonical(v ast.Value) ast.Value {
 	return InternedValue(Intern(v))
+}
+
+// LookupKey resolves a canonical key — "$" and a symbol's text, or "#"
+// and an int64 in canonical decimal (no sign but a leading "-", no
+// leading zero, not "-0") — to the pooled value, if the pool holds it. It
+// parses no number and interns nothing: anything else (a key not yet
+// pooled, a fraction, a wider integer, a non-canonical rendering)
+// reports false and is the caller's to parse.
+func LookupKey(key string) (ast.Value, bool) {
+	p := internPool
+	var h Handle
+	var ok bool
+	switch {
+	case strings.HasPrefix(key, "$"):
+		p.mu.RLock()
+		h, ok = p.strs[key[1:]]
+		p.mu.RUnlock()
+	case strings.HasPrefix(key, "#"):
+		n, canonical := canonicalInt(key[1:])
+		if !canonical {
+			return ast.Value{}, false
+		}
+		p.mu.RLock()
+		h, ok = p.ints[n]
+		p.mu.RUnlock()
+	}
+	if !ok {
+		return ast.Value{}, false
+	}
+	return p.slot(h).v, true
+}
+
+// canonicalInt parses s when it is an int64 rendered as RatString renders
+// it: -?(0|[1-9][0-9]*), not -0.
+func canonicalInt(s string) (int64, bool) {
+	digits := strings.TrimPrefix(s, "-")
+	if digits == "" || digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
 }
 
 // ValueKey returns v's canonical Value.Key rendering from the pool's

@@ -217,3 +217,40 @@ func TestInternConcurrentReadsDuringGrowth(t *testing.T) {
 		t.Errorf("%d fresh values opened %d chunks, want the readers to cross at least two boundaries", writers*perWriter, grown)
 	}
 }
+
+// TestLookupKeyAgreesWithParseKey: LookupKey answers exactly the canonical
+// keys of pooled symbols and int64s, with the value ParseKey and Canonical
+// give, and interns nothing; every other key is left to the parser.
+func TestLookupKeyAgreesWithParseKey(t *testing.T) {
+	for _, v := range internWorkload() {
+		Intern(v)
+	}
+	Intern(ast.Str(""))
+	Intern(ast.Int(-1 << 63))
+	Intern(ast.Int(1<<63 - 1))
+	keys := []string{"", "$", "#", "$sym-3", "#0", "#7", "#-20", "#19", "#-9223372036854775808", "#9223372036854775807",
+		// Not pooled, not canonical, or not an int64: the parser's.
+		"$never-interned", "#123456789", "#-0", "#007", "#+7", "#7/2", "#9223372036854775808", "#1208925819614629174706176",
+		"#-", "#1e3", "#0x7", "sym-3", "7"}
+	for _, key := range keys {
+		size := InternSize()
+		got, ok := LookupKey(key)
+		if InternSize() != size {
+			t.Fatalf("LookupKey(%q) interned", key)
+		}
+		want, err := ast.ParseKey(key)
+		canonical := err == nil && want.Key() == key
+		var pooled bool
+		if canonical {
+			switch {
+			case want.Kind == ast.StringValue:
+				_, pooled = internPool.strs[want.Str]
+			case want.Num.IsInt() && want.Num.Num().IsInt64():
+				_, pooled = internPool.ints[want.Num.Num().Int64()]
+			}
+		}
+		if ok != pooled || ok && (!got.Equal(want) || got != Canonical(want)) {
+			t.Errorf("LookupKey(%q) = %v, %v; ParseKey gives %v (%v), pooled %v", key, got, ok, want, err, pooled)
+		}
+	}
+}

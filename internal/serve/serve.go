@@ -186,6 +186,10 @@ func (o opKind) endpoint() string {
 
 // task is one queued request; reply is buffered so the worker never
 // blocks on an abandoned caller.
+//
+// A request's task comes from taskPool and goes back once do has received
+// its reply: answer is the last a worker does with a task, so none holds
+// it any more. The task keeps its reply channel across uses.
 type task struct {
 	op     opKind
 	client string
@@ -201,6 +205,8 @@ type task struct {
 	traceID  string
 	enqueued time.Time
 }
+
+var taskPool = sync.Pool{New: func() any { return &task{reply: make(chan taskResult, 1)} }}
 
 type taskResult struct {
 	rep   core.Report
@@ -341,7 +347,7 @@ func (s *Server) Check(client string, u store.Update) (core.Report, error) {
 }
 
 func (s *Server) checkTraced(client string, u store.Update, sp *obs.Span, traceID string) (core.Report, error) {
-	res, err := s.do(&task{op: opCheck, client: client, u: u, span: sp, traceID: traceID})
+	res, err := s.do(task{op: opCheck, client: client, u: u, span: sp, traceID: traceID})
 	return res.rep, err
 }
 
@@ -351,7 +357,7 @@ func (s *Server) Apply(client string, u store.Update) (core.Report, error) {
 }
 
 func (s *Server) applyTraced(client string, u store.Update, sp *obs.Span, traceID string) (core.Report, error) {
-	res, err := s.do(&task{op: opApply, client: client, u: u, span: sp, traceID: traceID})
+	res, err := s.do(task{op: opApply, client: client, u: u, span: sp, traceID: traceID})
 	return res.rep, err
 }
 
@@ -366,28 +372,35 @@ func (s *Server) batchTraced(client string, us []store.Update, atomic bool, sp *
 	if len(us) > s.cfg.maxBatch() {
 		return BatchOutcome{}, ErrBatchTooLarge
 	}
-	res, err := s.do(&task{op: opBatch, client: client, us: us, atomic: atomic, span: sp, traceID: traceID})
+	res, err := s.do(task{op: opBatch, client: client, us: us, atomic: atomic, span: sp, traceID: traceID})
 	return res.batch, err
 }
 
 // CheckerStats snapshots the wrapped checker's statistics through the
 // queue (the checker's counters are not safe to read mid-Apply).
 func (s *Server) CheckerStats() (core.Stats, error) {
-	res, err := s.do(&task{op: opStats})
+	res, err := s.do(task{op: opStats})
 	return res.stats, err
 }
 
-// do admits, enqueues, and waits for the answer.
-func (s *Server) do(t *task) (taskResult, error) {
+// do admits and enqueues the request in a pooled task, and waits for the
+// answer.
+func (s *Server) do(req task) (taskResult, error) {
 	// Stats requests skip the token bucket: they are cheap, and load
 	// shedding that blinds the operator is self-defeating.
-	if t.op != opStats {
-		if err := s.admit(t.client); err != nil {
+	if req.op != opStats {
+		if err := s.admit(req.client); err != nil {
 			s.reject(ReasonRateLimited)
 			return taskResult{}, err
 		}
 	}
-	t.reply = make(chan taskResult, 1)
+	t := taskPool.Get().(*task)
+	req.reply = t.reply
+	*t = req
+	defer func() {
+		*t = task{reply: t.reply}
+		taskPool.Put(t)
+	}()
 	start := s.clock()
 	t.enqueued = time.Now()
 	if err := s.enqueue(t); err != nil {
