@@ -195,10 +195,7 @@ func (c *Checker) Footprints() Footprints { return Footprints{c} }
 // reads of its decision. Wire says the write or a read touches a remote
 // relation (a write that must be propagated, a mirror to refresh).
 func (f Footprints) Update(u store.Update) sched.Footprint {
-	fp, hs := f.reads(u)
-	fp.Wire = fp.Wire || f.c.remote(u.Relation)
-	fp.Writes = []sched.Write{{Relation: u.Relation, FP: relation.FingerprintHandles(hs), Cols: hs}}
-	return fp
+	return f.AppendUpdate(sched.Footprint{}, u)
 }
 
 // Check footprints a check of u: the reads of its decision alone. A check
@@ -206,41 +203,84 @@ func (f Footprints) Update(u store.Update) sched.Footprint {
 // it reads — not other checks, nor a write of its own tuple, which its
 // verdict does not depend on — and it is Wire only if a read is.
 func (f Footprints) Check(u store.Update) sched.Footprint {
-	fp, _ := f.reads(u)
-	return fp
+	return f.AppendCheck(sched.Footprint{}, u)
 }
 
 // Batch footprints a set of updates applied as one atomic task.
 func (f Footprints) Batch(us []store.Update) sched.Footprint {
-	var fp sched.Footprint
+	return f.AppendBatch(sched.Footprint{}, us)
+}
+
+// AppendUpdate adds Update(u)'s claims to fp, each unless fp has it, and
+// returns the result. Like append it writes into fp's arrays past their
+// lengths, a write's Cols included: a caller may build one footprint
+// after another in the same scratch, truncated to length 0 each time, as
+// long as it keeps none of them — sched.Submit copies what it keeps.
+func (f Footprints) AppendUpdate(fp sched.Footprint, u store.Update) sched.Footprint {
+	fp, hs := appendWrite(fp, u)
+	fp.Wire = fp.Wire || f.c.remote(u.Relation)
+	return f.appendReads(fp, u, hs)
+}
+
+// AppendCheck adds Check(u)'s claims to fp, as AppendUpdate does.
+func (f Footprints) AppendCheck(fp sched.Footprint, u store.Update) sched.Footprint {
+	var buf [8]relation.Handle
+	return f.appendReads(fp, u, internAll(buf[:0], u.Tuple))
+}
+
+// AppendBatch adds Batch(us)'s claims to fp, as AppendUpdate does.
+func (f Footprints) AppendBatch(fp sched.Footprint, us []store.Update) sched.Footprint {
 	for _, u := range us {
-		fp = fp.Union(f.Update(u))
+		fp = f.AppendUpdate(fp, u)
 	}
 	return fp
 }
 
-// reads instantiates the claims of u's program for its tuple, whose
-// interned handles it returns too.
-func (f Footprints) reads(u store.Update) (sched.Footprint, []relation.Handle) {
-	hs := make([]relation.Handle, len(u.Tuple))
-	for i, v := range u.Tuple {
-		hs[i] = relation.Intern(v)
+// internAll appends the interned handles of t to hs.
+func internAll(hs []relation.Handle, t relation.Tuple) []relation.Handle {
+	for _, v := range t {
+		hs = append(hs, relation.Intern(v))
 	}
+	return hs
+}
+
+// appendWrite adds u's tuple-level write to fp unless fp has it — the
+// whole tuple, not only its fingerprint: dropping a colliding write would
+// drop the columns a keyed read must see. The write takes the slot past
+// fp.Writes' length and that slot's Cols array; the tuple's handles are
+// returned either way.
+func appendWrite(fp sched.Footprint, u store.Update) (sched.Footprint, []relation.Handle) {
+	ws := slices.Grow(fp.Writes, 1)[:len(fp.Writes)+1]
+	w := &ws[len(fp.Writes)]
+	w.Relation = u.Relation
+	w.Cols = internAll(slices.Grow(w.Cols[:0], len(u.Tuple)), u.Tuple)
+	w.FP = relation.FingerprintHandles(w.Cols)
+	for _, x := range fp.Writes {
+		if x.Relation == w.Relation && x.FP == w.FP && slices.Equal(x.Cols, w.Cols) {
+			return fp, w.Cols
+		}
+	}
+	fp.Writes = ws
+	return fp, w.Cols
+}
+
+// appendReads adds the claims of u's program, instantiated for the tuple
+// whose interned handles are hs, to fp's reads.
+func (f Footprints) appendReads(fp sched.Footprint, u store.Update, hs []relation.Handle) sched.Footprint {
 	p := f.c.programOf(u)
-	fp := sched.Footprint{Wire: p.wire}
-	if len(p.claims) > 0 {
-		fp.Reads = make([]sched.Read, 0, len(p.claims))
-	}
+	fp.Wire = fp.Wire || p.wire
+	fp.Reads = slices.Grow(fp.Reads, len(p.claims))
 	for _, cl := range p.claims {
 		r := sched.Read{Relation: cl.rel}
 		if cl.keyed {
 			r.Keyed, r.Col, r.Key = true, cl.col, cl.lo.handle(hs)
 		}
+		// Read sets are a handful of claims, so a scan beats a map.
 		if !slices.Contains(fp.Reads, r) {
 			fp.Reads = append(fp.Reads, r)
 		}
 	}
-	return fp, hs
+	return fp
 }
 
 // ReadPlan classifies how a decision of one update reads one relation,

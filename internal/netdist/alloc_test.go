@@ -10,7 +10,8 @@ import (
 // TestRoutedCheckAllocs pins what a warm routed Check allocates: the plan,
 // one key-group round trip over the loopback to the owning shard — its
 // frames encoded and decoded by the frame codec in pooled buffers, its
-// wire constants resolved from the intern pool — and the mirror refresh.
+// wire constants resolved from the intern pool, the response's tuples
+// decoded in a fixed number of allocations — and the mirror refresh.
 // The pin is the count measured; a change that lowers it lowers the pin.
 func TestRoutedCheckAllocs(t *testing.T) {
 	if raceEnabled {
@@ -31,7 +32,7 @@ func TestRoutedCheckAllocs(t *testing.T) {
 	if n := co.Stats().RoundTrips - trips; n != 201 || attempts(lb)-before != 201 {
 		t.Fatalf("%d round trips over 201 checks, want one each", n)
 	}
-	const pin = 24
+	const pin = 23
 	if got > pin {
 		t.Errorf("a warm routed Check allocates %v objects, want at most %d", got, pin)
 	}

@@ -10,6 +10,8 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/relation"
 )
 
 // This file is the frame codec: a hand-written encoder and decoder for
@@ -873,17 +875,81 @@ func (d *decoder) response(r *Response) error {
 	})
 }
 
+// tuples consumes a response's tuples, an array of string arrays, in at
+// most three allocations however many there are: one []string holds every
+// value, one [][]string every tuple, and one string the text of the
+// values the intern pool does not hold — a value it holds is the pool's
+// own rendering (relation.PooledKey), byte for byte what was sent. null
+// is nil and [] an empty slice at both levels, and a null value reads as
+// "", as in str.
 func (d *decoder) tuples() ([][]string, error) {
 	if null, err := d.null(); null || err != nil {
 		return nil, err
 	}
-	out := [][]string{}
+	sc := textPool.Get().(*textScratch)
+	defer sc.put()
 	err := d.container('[', func([]byte) error {
-		t, err := d.strs()
-		out = append(out, t)
+		if null, err := d.null(); null || err != nil {
+			sc.arities = append(sc.arities, -1)
+			return err
+		}
+		k := len(sc.keys)
+		err := d.container('[', func([]byte) error {
+			var b []byte
+			null, err := d.null()
+			if !null && err == nil {
+				b, err = d.stringBytes()
+			}
+			key, pooled := relation.PooledKey(b)
+			if !pooled {
+				sc.text = append(sc.text, b...)
+			}
+			sc.keys, sc.ends = append(sc.keys, key), append(sc.ends, len(sc.text))
+			return err
+		})
+		sc.arities = append(sc.arities, len(sc.keys)-k)
 		return err
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	text, vals := string(sc.text), make([]string, len(sc.keys))
+	start := 0
+	for i, end := range sc.ends {
+		if vals[i] = sc.keys[i]; end > start {
+			vals[i] = text[start:end]
+		}
+		start = end
+	}
+	out := make([][]string, len(sc.arities))
+	for i, n := range sc.arities {
+		if n >= 0 {
+			out[i], vals = vals[:n:n], vals[n:]
+		}
+	}
+	return out, nil
+}
+
+// textScratch is where tuples collects a response's values before it
+// copies them out: each value's pooled rendering (or ""), the text of the
+// others and where each value ends in it, and how many values each
+// tuple has (-1 for null).
+type textScratch struct {
+	keys          []string
+	text          []byte
+	ends, arities []int
+}
+
+var textPool = sync.Pool{New: func() any { return new(textScratch) }}
+
+// put returns the scratch to the pool, unless a rare large response grew
+// it past maxPooled.
+func (sc *textScratch) put() {
+	if cap(sc.text) > maxPooled || 16*max(cap(sc.keys), cap(sc.arities)) > maxPooled {
+		return
+	}
+	sc.keys, sc.text, sc.ends, sc.arities = sc.keys[:0], sc.text[:0], sc.ends[:0], sc.arities[:0]
+	textPool.Put(sc)
 }
 
 func (d *decoder) spans() ([]WireSpan, error) {

@@ -20,6 +20,7 @@ package netdist
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/ast"
@@ -222,7 +223,9 @@ func DecodeValue(s string) (ast.Value, error) {
 	if v, ok := relation.LookupKey(s); ok {
 		return v, nil
 	}
-	v, err := ast.ParseKey(s)
+	// A clone: s may share its text with a whole response's values, which
+	// the pool must not keep alive.
+	v, err := ast.ParseKey(strings.Clone(s))
 	if err != nil {
 		return ast.Value{}, fmt.Errorf("netdist: %w", err)
 	}
@@ -260,13 +263,23 @@ func EncodeTuples(ts []relation.Tuple) [][]string {
 	return out
 }
 
-// DecodeTuples parses EncodeTuples's output.
+// DecodeTuples parses EncodeTuples's output into tuples that share one
+// array of values.
 func DecodeTuples(tss [][]string) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(tss))
+	n := 0
+	for _, ss := range tss {
+		n += len(ss)
+	}
+	vals, out := make([]ast.Value, n), make([]relation.Tuple, len(tss))
 	for i, ss := range tss {
-		t, err := DecodeTuple(ss)
-		if err != nil {
-			return nil, err
+		t := vals[:len(ss):len(ss)]
+		vals = vals[len(ss):]
+		for j, s := range ss {
+			v, err := DecodeValue(s)
+			if err != nil {
+				return nil, err
+			}
+			t[j] = v
 		}
 		out[i] = t
 	}

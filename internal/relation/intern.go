@@ -2,8 +2,6 @@ package relation
 
 import (
 	"math/big"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -167,43 +165,76 @@ func Canonical(v ast.Value) ast.Value {
 // pooled, a fraction, a wider integer, a non-canonical rendering)
 // reports false and is the caller's to parse.
 func LookupKey(key string) (ast.Value, bool) {
+	h, ok := lookupKey(key)
+	if !ok {
+		return ast.Value{}, false
+	}
+	return internPool.slot(h).v, true
+}
+
+// PooledKey returns the pool's rendering of key — the string ValueKey
+// gives for the value LookupKey resolves it to — when LookupKey would
+// resolve it. It allocates nothing: a decoder keeps the pool's string
+// instead of copying the key out of its buffer.
+func PooledKey(key []byte) (string, bool) {
+	h, ok := lookupKey(key)
+	if !ok {
+		return "", false
+	}
+	return internPool.slot(h).key, true
+}
+
+func lookupKey[K string | []byte](key K) (Handle, bool) {
+	if len(key) == 0 {
+		return 0, false
+	}
 	p := internPool
 	var h Handle
 	var ok bool
-	switch {
-	case strings.HasPrefix(key, "$"):
+	switch key[0] {
+	case '$':
 		p.mu.RLock()
-		h, ok = p.strs[key[1:]]
+		h, ok = p.strs[string(key[1:])]
 		p.mu.RUnlock()
-	case strings.HasPrefix(key, "#"):
+	case '#':
 		n, canonical := canonicalInt(key[1:])
 		if !canonical {
-			return ast.Value{}, false
+			return 0, false
 		}
 		p.mu.RLock()
 		h, ok = p.ints[n]
 		p.mu.RUnlock()
 	}
-	if !ok {
-		return ast.Value{}, false
-	}
-	return p.slot(h).v, true
+	return h, ok
 }
 
 // canonicalInt parses s when it is an int64 rendered as RatString renders
 // it: -?(0|[1-9][0-9]*), not -0.
-func canonicalInt(s string) (int64, bool) {
-	digits := strings.TrimPrefix(s, "-")
-	if digits == "" || digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
+func canonicalInt[K string | []byte](s K) (int64, bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	digits := s
+	if neg {
+		digits = s[1:]
+	}
+	if len(digits) == 0 || digits[0] == '0' && (len(digits) > 1 || neg) {
 		return 0, false
 	}
+	limit := uint64(1<<63 - 1)
+	if neg {
+		limit++
+	}
+	var n uint64
 	for i := 0; i < len(digits); i++ {
-		if digits[i] < '0' || digits[i] > '9' {
+		d := uint64(digits[i] - '0')
+		if d > 9 || n > (limit-d)/10 {
 			return 0, false
 		}
+		n = n*10 + d
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	return n, err == nil
+	if neg {
+		return -int64(n), true
+	}
+	return int64(n), true
 }
 
 // ValueKey returns v's canonical Value.Key rendering from the pool's

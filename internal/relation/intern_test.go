@@ -221,6 +221,8 @@ func TestInternConcurrentReadsDuringGrowth(t *testing.T) {
 // TestLookupKeyAgreesWithParseKey: LookupKey answers exactly the canonical
 // keys of pooled symbols and int64s, with the value ParseKey and Canonical
 // give, and interns nothing; every other key is left to the parser.
+// PooledKey hits where LookupKey does, with the value's pooled rendering,
+// and allocates nothing.
 func TestLookupKeyAgreesWithParseKey(t *testing.T) {
 	for _, v := range internWorkload() {
 		Intern(v)
@@ -251,6 +253,13 @@ func TestLookupKeyAgreesWithParseKey(t *testing.T) {
 		}
 		if ok != pooled || ok && (!got.Equal(want) || got != Canonical(want)) {
 			t.Errorf("LookupKey(%q) = %v, %v; ParseKey gives %v (%v), pooled %v", key, got, ok, want, err, pooled)
+		}
+		b := []byte(key)
+		if k, kok := PooledKey(b); kok != ok || ok && k != ValueKey(got) {
+			t.Errorf("PooledKey(%q) = %q, %v; LookupKey hits: %v", key, k, kok, ok)
+		}
+		if n := testing.AllocsPerRun(10, func() { PooledKey(b) }); n != 0 {
+			t.Errorf("PooledKey(%q) allocates %v objects", key, n)
 		}
 	}
 }

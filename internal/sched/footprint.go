@@ -14,7 +14,6 @@
 package sched
 
 import (
-	"slices"
 	"strconv"
 
 	"repro/internal/relation"
@@ -72,32 +71,6 @@ type Footprint struct {
 	Wire    bool
 	Writes  []Write
 	Reads   []Read
-}
-
-// Union adds o's claims to f's (set semantics, keyed reads kept as they
-// are); used to footprint atomic batches as a single task. It appends to
-// f's slices: use the result, not f, afterwards.
-func (f Footprint) Union(o Footprint) Footprint {
-	f.Barrier = f.Barrier || o.Barrier
-	f.Wire = f.Wire || o.Wire
-next:
-	for _, w := range o.Writes {
-		for _, x := range f.Writes {
-			// Whole tuples, not fingerprints: dropping a colliding write
-			// would drop the columns a keyed read must see.
-			if w.Relation == x.Relation && w.FP == x.FP && slices.Equal(w.Cols, x.Cols) {
-				continue next
-			}
-		}
-		f.Writes = append(f.Writes, w)
-	}
-	for _, r := range o.Reads {
-		// Read sets are a handful of claims, so a scan beats a map.
-		if !slices.Contains(f.Reads, r) {
-			f.Reads = append(f.Reads, r)
-		}
-	}
-	return f
 }
 
 // Barrier returns a footprint that conflicts with every other task.

@@ -112,16 +112,13 @@ func TestCauseReason(t *testing.T) {
 // is (two key groups do not add up to the relation), drops repeats, and
 // tells tuples apart by their columns, not by their fingerprint.
 func TestFootprintUnion(t *testing.T) {
-	a := fpOf(wr("x", ast.Int(1)), keyed("dept", 0, ast.Int(5)), whole("r"))
-	b := sched.Footprint{
-		Writes: []sched.Write{wr("x", ast.Int(1)), wr("y", ast.Int(2))},
-		Reads:  []sched.Read{keyed("dept", 0, ast.Int(5)), keyed("dept", 0, ast.Int(6)), whole("r"), whole("s")},
+	ix := index(t, nil, refSrc)
+	hire := func(e, d int64) store.Update { return store.Ins("emp", relation.Ints(e, d)) }
+	u := ix.Batch([]store.Update{hire(1, 5), hire(2, 6), hire(1, 5), hire(3, 5)})
+	if len(u.Writes) != 3 {
+		t.Fatalf("union writes = %v, want deduped 3", u.Writes)
 	}
-	u := sched.Footprint{}.Union(a).Union(b)
-	if len(u.Writes) != 2 {
-		t.Fatalf("union writes = %v, want deduped 2", u.Writes)
-	}
-	want := []sched.Read{keyed("dept", 0, ast.Int(5)), whole("r"), keyed("dept", 0, ast.Int(6)), whole("s")}
+	want := []sched.Read{keyed("dept", 0, ast.Int(5)), keyed("dept", 0, ast.Int(6))}
 	if !reflect.DeepEqual(u.Reads, want) {
 		t.Fatalf("union reads = %v, want %v", u.Reads, want)
 	}
@@ -131,18 +128,53 @@ func TestFootprintUnion(t *testing.T) {
 	if !u.Conflicts(fpOf(wr("dept", ast.Int(6)))) {
 		t.Fatal("batch reading dept[0=6] must conflict with a write of dept(6)")
 	}
-	if !u.Union(sched.Barrier()).Barrier {
-		t.Fatal("union with barrier lost the barrier")
-	}
 
 	// Two tuples with one fingerprint are two writes: the second one's
 	// columns are what a keyed read of its group has to meet.
 	c1, c2 := wr("emp", ast.Int(1), ast.Int(10)), wr("emp", ast.Int(2), ast.Int(20))
-	c2.FP = c1.FP
-	cu := sched.Footprint{}.Union(fpOf(c1)).Union(fpOf(c2))
+	c1.FP = c2.FP
+	cu := ix.AppendUpdate(fpOf(c1), hire(2, 20))
 	if len(cu.Writes) != 2 || !cu.Conflicts(fpOf(wr("y"), keyed("emp", 1, ast.Int(20)))) {
 		t.Fatalf("colliding fingerprints hid a write: %v", cu.Writes)
 	}
+}
+
+// TestAppendIntoScratch: footprints built one after another in one
+// scratch, truncated each time, are each what a fresh build gives — the
+// arrays past the lengths, a write's columns included, are overwritten,
+// never read.
+func TestAppendIntoScratch(t *testing.T) {
+	ix := index(t, nil, refSrc, fiSrc)
+	us := []store.Update{
+		store.Ins("emp", relation.Ints(1, 5)), store.Ins("l", relation.Ints(1, 3)), store.Del("emp", relation.Ints(1, 5)),
+		store.Ins("emp", relation.Ints(2, 6)), store.Ins("dept", relation.Ints(6)), store.Ins("r", relation.Ints(2)),
+	}
+	var scratch sched.Footprint
+	for i := 0; i < 3*len(us); i++ {
+		u := us[i%len(us)]
+		reset := sched.Footprint{Writes: scratch.Writes[:0], Reads: scratch.Reads[:0]}
+		var got, want sched.Footprint
+		switch i % 3 {
+		case 0:
+			got, want = ix.AppendUpdate(reset, u), ix.Update(u)
+		case 1:
+			got, want = ix.AppendCheck(reset, u), ix.Check(u)
+		default:
+			batch := []store.Update{u, us[(i+1)%len(us)], u}
+			got, want = ix.AppendBatch(reset, batch), ix.Batch(batch)
+		}
+		if !sameFootprint(got, want) {
+			t.Fatalf("step %d (%s): built in scratch %+v, fresh %+v", i, u, got, want)
+		}
+		scratch = got
+	}
+}
+
+func sameFootprint(a, b sched.Footprint) bool {
+	return a.Barrier == b.Barrier && a.Wire == b.Wire && slices.Equal(a.Reads, b.Reads) &&
+		slices.EqualFunc(a.Writes, b.Writes, func(x, y sched.Write) bool {
+			return x.Relation == y.Relation && x.FP == y.FP && slices.Equal(x.Cols, y.Cols)
+		})
 }
 
 // The interval-point exclusion constraint D1 drives most benchmarks:
@@ -673,9 +705,8 @@ func TestWire(t *testing.T) {
 		}
 	}
 
-	wire, quiet := remote.Update(cases[0].u), remote.Update(cases[1].u)
-	if !quiet.Union(wire).Wire || !wire.Union(quiet).Wire || quiet.Union(quiet).Wire {
-		t.Error("Union must OR Wire")
+	if !remote.AppendUpdate(remote.Update(cases[1].u), cases[0].u).Wire || !remote.AppendUpdate(remote.Update(cases[0].u), cases[1].u).Wire {
+		t.Error("appending to a footprint must OR Wire")
 	}
 	if !remote.Batch([]store.Update{cases[1].u, cases[0].u}).Wire || remote.Batch([]store.Update{cases[1].u, cases[5].u}).Wire {
 		t.Error("Batch must be Wire exactly when one of its updates is")

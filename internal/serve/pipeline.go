@@ -22,17 +22,24 @@ import (
 // footprintFor derives the scheduler footprint of one task. A check
 // writes nothing, so its footprint is its reads alone (Footprints.Check).
 // Stats is a barrier so the snapshot reflects a quiescent backend,
-// exactly like a queue position at one worker.
+// exactly like a queue position at one worker. The footprint is built in
+// the dispatcher's scratch and valid until the next call: Submit copies
+// it.
 func (s *Server) footprintFor(t *task) sched.Footprint {
+	fp := sched.Footprint{Writes: s.fp.Writes[:0], Reads: s.fp.Reads[:0]}
+	ix := s.fpb.Footprints()
 	switch t.op {
 	case opCheck:
-		return s.fpb.Footprints().Check(t.u)
+		fp = ix.AppendCheck(fp, t.u)
 	case opApply:
-		return s.fpb.Footprints().Update(t.u)
+		fp = ix.AppendUpdate(fp, t.u)
 	case opBatch: // atomic: one all-or-nothing task
-		return s.fpb.Footprints().Batch(t.us)
+		fp = ix.AppendBatch(fp, t.us)
+	default:
+		fp.Barrier = true
 	}
-	return sched.Barrier()
+	s.fp = fp
+	return fp
 }
 
 // stallAttrs describes a stalled task on its sched.wait span: how many
@@ -66,31 +73,44 @@ func (s *Server) submitBatch(t *task) {
 		s.answer(t, taskResult{batch: BatchOutcome{FailedAt: -1}})
 		return
 	}
-	start := time.Now()
-	reports := make([]core.Report, n)
-	errs := make([]error, n)
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
+	b := &batchRun{t: t, start: time.Now(), reports: make([]core.Report, n), errs: make([]error, n)}
+	b.remaining.Store(int64(n))
 	ix := s.fpb.Footprints()
 	for i, u := range t.us {
-		s.sched.Submit(ix.Update(u), func(sched.Info) {
-			if s.cfg.workerGate != nil {
-				<-s.cfg.workerGate
-			}
-			reports[i], errs[i] = s.chk.Apply(u)
-			if remaining.Add(-1) > 0 {
-				return
-			}
-			var res taskResult
-			res.batch, res.err = batchOutcome(reports, errs)
-			dur := time.Since(start)
-			if t.span != nil {
-				s.cfg.Spans.RecordChild(t.span, "decide", start, dur,
-					map[string]string{"batch": strconv.Itoa(n)}, "")
-			}
-			s.observeEWMA(dur)
-			s.logTask(t, res, dur)
-			s.answer(t, res)
-		})
+		s.fp = ix.AppendUpdate(sched.Footprint{Writes: s.fp.Writes[:0], Reads: s.fp.Reads[:0]}, u)
+		s.sched.Submit(s.fp, func(sched.Info) { s.runMember(b, i) })
 	}
+}
+
+// batchRun is a non-atomic batch decomposed by submitBatch: its task,
+// when it was dispatched, and its members' outcomes.
+type batchRun struct {
+	t         *task
+	start     time.Time
+	reports   []core.Report
+	errs      []error
+	remaining atomic.Int64
+}
+
+// runMember applies member i of a decomposed batch; the member that
+// finishes last replies. The task is the request's until then: its
+// updates stay put while a member runs.
+func (s *Server) runMember(b *batchRun, i int) {
+	if s.cfg.workerGate != nil {
+		<-s.cfg.workerGate
+	}
+	b.reports[i], b.errs[i] = s.chk.Apply(b.t.us[i])
+	if b.remaining.Add(-1) > 0 {
+		return
+	}
+	var res taskResult
+	res.batch, res.err = batchOutcome(b.reports, b.errs)
+	dur := time.Since(b.start)
+	if b.t.span != nil {
+		s.cfg.Spans.RecordChild(b.t.span, "decide", b.start, dur,
+			map[string]string{"batch": strconv.Itoa(len(b.reports))}, "")
+	}
+	s.observeEWMA(dur)
+	s.logTask(b.t, res, dur)
+	s.answer(b.t, res)
 }

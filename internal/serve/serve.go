@@ -189,14 +189,17 @@ func (o opKind) endpoint() string {
 //
 // A request's task comes from taskPool and goes back once do has received
 // its reply: answer is the last a worker does with a task, so none holds
-// it any more. The task keeps its reply channel across uses.
+// it any more. The task keeps its reply channel across uses, and the
+// closure that runs it under a scheduler (runner).
 type task struct {
-	op     opKind
-	client string
-	u      store.Update
-	us     []store.Update
-	atomic bool
-	reply  chan taskResult
+	op        opKind
+	client    string
+	u         store.Update
+	us        []store.Update
+	atomic    bool
+	reply     chan taskResult
+	srv       *Server
+	scheduled func(sched.Info)
 
 	// span is the request's root span (nil when untraced); traceID is
 	// set whenever the request carries a trace id — sampled or not — so
@@ -207,6 +210,16 @@ type task struct {
 }
 
 var taskPool = sync.Pool{New: func() any { return &task{reply: make(chan taskResult, 1)} }}
+
+// runner returns the closure that runs t on s under the scheduler, made
+// the first time a pooled task is scheduled and kept with it.
+func (t *task) runner(s *Server) func(sched.Info) {
+	t.srv = s
+	if t.scheduled == nil {
+		t.scheduled = func(info sched.Info) { t.srv.run(t, info) }
+	}
+	return t.scheduled
+}
 
 type taskResult struct {
 	rep   core.Report
@@ -269,6 +282,9 @@ type Server struct {
 	fpb          FootprintBackend
 	sched        *sched.Scheduler
 	applyWorkers int // effective worker count
+	// fp is the dispatcher's scratch: it builds each task's footprint
+	// here, and Submit copies it.
+	fp sched.Footprint
 
 	mu       sync.RWMutex // excludes enqueue vs Close's queue close
 	draining bool
@@ -395,10 +411,10 @@ func (s *Server) do(req task) (taskResult, error) {
 		}
 	}
 	t := taskPool.Get().(*task)
-	req.reply = t.reply
+	req.reply, req.scheduled = t.reply, t.scheduled
 	*t = req
 	defer func() {
-		*t = task{reply: t.reply}
+		*t = task{reply: t.reply, scheduled: t.scheduled}
 		taskPool.Put(t)
 	}()
 	start := s.clock()
@@ -506,7 +522,7 @@ func (s *Server) dispatcher() {
 		case t.op == opBatch && !t.atomic:
 			s.submitBatch(t)
 		default:
-			s.sched.Submit(s.footprintFor(t), func(info sched.Info) { s.run(t, info) })
+			s.sched.Submit(s.footprintFor(t), t.runner(s))
 		}
 	}
 	if s.sched != nil {
