@@ -1,7 +1,8 @@
 // Command ccsited is the site daemon of the networked multi-site
 // runtime: it loads one site's facts into a store and serves them over
-// the netdist wire protocol (length-prefixed JSON frames over TCP) so a
-// ccheck coordinator can reach them with -sites.
+// the netdist wire protocol (length-prefixed binary frames over TCP,
+// read only by this project's coordinators) so a ccheck coordinator can
+// reach them with -sites.
 //
 // Usage:
 //

@@ -1,6 +1,8 @@
 package netdist
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -35,5 +37,41 @@ func TestRoutedCheckAllocs(t *testing.T) {
 	const pin = 23
 	if got > pin {
 		t.Errorf("a warm routed Check allocates %v objects, want at most %d", got, pin)
+	}
+}
+
+// TestSiteAnswerAllocs: a site renders a scan's or a fetch's answer into
+// one []string of values and one [][]string of tuples, so answering 50
+// tuples allocates as many objects as answering one.
+func TestSiteAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	reqs := []Request{
+		{Type: OpScan, Relation: "r"},
+		{Type: OpFetch, Relation: "r", Col: 1, Value: "$a"},
+		{Type: OpFetch, Relation: "r", Lo: "#0"},
+	}
+	allocs := func(n int) []float64 {
+		var facts strings.Builder
+		for i := range n {
+			fmt.Fprintf(&facts, "r(%d, a). ", i)
+		}
+		srv := NewServer(newSiteStore(t, facts.String()), nil)
+		var out []float64
+		for i := range reqs {
+			req := &reqs[i]
+			if resp := srv.Handle(req); !resp.OK || len(resp.Tuples) != n {
+				t.Fatalf("%+v answered %+v, want %d tuples", req, resp, n)
+			}
+			out = append(out, testing.AllocsPerRun(100, func() { srv.Handle(req) }))
+		}
+		return out
+	}
+	one, fifty := allocs(1), allocs(50)
+	for i, req := range reqs {
+		if fifty[i] != one[i] {
+			t.Errorf("%+v: %v objects for 50 tuples, %v for one", req, fifty[i], one[i])
+		}
 	}
 }

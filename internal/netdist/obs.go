@@ -11,9 +11,9 @@ import (
 // hot paths skip every clock read and size computation. Metric names are
 // documented in DESIGN.md ("Observability").
 
-// frameBytes returns the on-wire size of one frame carrying v: the JSON
-// body plus the 4-byte length prefix, encoded by the frame codec into a
-// pooled buffer. Only called when metrics are enabled.
+// frameBytes returns the on-wire size of one frame carrying v: the body
+// plus the 4-byte length prefix, encoded by the frame codec into a pooled
+// buffer. Only called when metrics are enabled.
 func frameBytes(v any) int {
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)

@@ -9,12 +9,12 @@
 // units.
 //
 // The wire protocol is deliberately minimal and stdlib-only:
-// length-prefixed JSON frames over TCP. Each frame is a 4-byte
-// big-endian payload length followed by one JSON-encoded Request or
-// Response (codec.go: the bytes encoding/json writes, without its
-// reflection). A connection carries one request at a time (the client pools
-// connections instead of multiplexing), so responses need no reordering;
-// the echoed ID is a sanity check.
+// length-prefixed binary frames over TCP, written and read only by this
+// package's processes. Each frame is a 4-byte big-endian payload length
+// followed by one Request or Response in a fixed-order binary encoding
+// (codec.go). A connection carries one request at a time (the client
+// pools connections instead of multiplexing), so responses need no
+// reordering; the echoed ID is a sanity check.
 package netdist
 
 import (
@@ -67,8 +67,7 @@ type Request struct {
 	Tuple  []string `json:"tuple,omitempty"`
 	// Trace, when non-empty, is the W3C traceparent of the coordinator's
 	// RPC span: the site records its handling as a child span and echoes
-	// it back in Response.Spans. Old peers ignore the field (and old
-	// requests simply omit it), so the protocol stays wire-compatible.
+	// it back in Response.Spans. An untraced request sends it empty.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -254,16 +253,7 @@ func DecodeTuple(ss []string) (relation.Tuple, error) {
 	return t, nil
 }
 
-// EncodeTuples renders a tuple slice for the wire.
-func EncodeTuples(ts []relation.Tuple) [][]string {
-	out := make([][]string, len(ts))
-	for i, t := range ts {
-		out[i] = EncodeTuple(t)
-	}
-	return out
-}
-
-// DecodeTuples parses EncodeTuples's output into tuples that share one
+// DecodeTuples parses a response's Tuples into tuples that share one
 // array of values.
 func DecodeTuples(tss [][]string) ([]relation.Tuple, error) {
 	n := 0

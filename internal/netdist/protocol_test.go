@@ -240,23 +240,23 @@ func TestSiteRefusesUnsentOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for i, req := range []map[string]any{
-		{"id": 1, "type": "eval", "program": "hit :- r(X) & X > 5.", "goal": "hit"},
-		{"id": 2, "type": "reads"},
-		{"id": 3, "type": "ping"},
+	for i, req := range []Request{
+		{ID: 1, Type: "eval", Relation: "r"},
+		{ID: 2, Type: "reads"},
+		{ID: 3, Type: "ping"},
 	} {
-		if err := writeJSONFrame(conn, req); err != nil {
+		if err := WriteFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
-		var resp map[string]any
-		if err := readJSONFrame(conn, &resp); err != nil {
+		var resp Response
+		if err := ReadFrame(conn, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp["ok"] == true || len(resp) != 3 { // id, ok, err: no answer fields
-			t.Errorf("%s: site answered %v", req["type"], resp)
+		if resp.OK || resp.Err == "" || resp.Tuples != nil || resp.Arity != 0 || resp.Changed || resp.Spans != nil {
+			t.Errorf("%s: site answered %+v", req.Type, resp)
 		}
-		if resp["id"] != float64(i+1) {
-			t.Errorf("%s: response id %v", req["type"], resp["id"])
+		if resp.ID != uint64(i+1) {
+			t.Errorf("%s: response id %d", req.Type, resp.ID)
 		}
 	}
 	if st := srv.Stats(); st.Errors != 3 || len(st.TuplesSent) != 0 {

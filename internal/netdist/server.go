@@ -181,40 +181,31 @@ func (s *Server) handle(req *Request) *Response {
 		return &Response{Err: fmt.Sprintf(format, args...)}
 	}
 	switch req.Type {
-	case OpScan:
+	case OpScan, OpFetch:
 		if !s.serves(req.Relation) {
 			return fail("relation %q not served", req.Relation)
 		}
-		ts := s.db.Tuples(req.Relation)
-		s.mu.Lock()
-		s.stats.TuplesSent[req.Relation] += int64(len(ts))
-		s.mu.Unlock()
-		arity := 0
-		if r := s.db.Relation(req.Relation); r != nil {
-			arity = r.Arity()
-		}
-		return &Response{OK: true, Tuples: EncodeTuples(ts), Arity: arity}
-
-	case OpFetch:
-		if !s.serves(req.Relation) {
-			return fail("relation %q not served", req.Relation)
-		}
-		rg, err := req.fetchRange()
-		if err != nil {
-			return fail("%v", err)
+		var rg relation.Range
+		if req.Type == OpFetch {
+			var err error
+			if rg, err = req.fetchRange(); err != nil {
+				return fail("%v", err)
+			}
 		}
 		r := s.db.Relation(req.Relation)
 		if r == nil {
 			return &Response{OK: true}
 		}
-		if rg.Col < 0 || rg.Col >= r.Arity() {
+		if req.Type == OpFetch && (rg.Col < 0 || rg.Col >= r.Arity()) {
 			return fail("column %d out of range for %s/%d", rg.Col, req.Relation, r.Arity())
 		}
-		var tuples [][]string
-		if v, ok := rg.Point(); ok {
-			tuples = EncodeTuples(s.db.Lookup(req.Relation, rg.Col, v))
-		} else {
-			tuples = encodeRows(s.db.RangeAppend(nil, req.Relation, r.Arity(), []relation.Range{rg}))
+		rp := rowPool.Get().(*[][]relation.Handle)
+		rows := s.read(req, (*rp)[:0], rg, r.Arity())
+		tuples := encodeRows(rows)
+		if cap(rows) <= maxPooledRows {
+			clear(rows)
+			*rp = rows[:0]
+			rowPool.Put(rp)
 		}
 		s.mu.Lock()
 		s.stats.TuplesSent[req.Relation] += int64(len(tuples))
@@ -241,12 +232,36 @@ func (s *Server) handle(req *Request) *Response {
 	return fail("unknown request type %q", req.Type)
 }
 
-// encodeRows renders handle rows for the wire, as EncodeTuples does
-// tuples.
+// rowPool holds the handle rows a scan or fetch gathers before they are
+// rendered for the wire; a rare large scan's rows are not kept.
+var rowPool = sync.Pool{New: func() any { return new([][]relation.Handle) }}
+
+const maxPooledRows = 4096
+
+// read appends the handle rows req selects to dst: every tuple for a
+// scan, one hash-index bucket for a fetch of a point, an ordered-index
+// range for a fetch bounded otherwise.
+func (s *Server) read(req *Request, dst [][]relation.Handle, rg relation.Range, arity int) [][]relation.Handle {
+	if req.Type == OpScan {
+		return s.db.TuplesAppend(dst, req.Relation, arity)
+	}
+	if v, ok := rg.Point(); ok {
+		return s.db.LookupColsAppend(dst, req.Relation, arity, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
+	}
+	return s.db.RangeAppend(dst, req.Relation, arity, []relation.Range{rg})
+}
+
+// encodeRows renders handle rows for the wire in two allocations however
+// many there are: one []string holds every value and one [][]string
+// every row.
 func encodeRows(rows [][]relation.Handle) [][]string {
-	out := make([][]string, len(rows))
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	vals, out := make([]string, n), make([][]string, len(rows))
 	for i, row := range rows {
-		out[i] = make([]string, len(row))
+		out[i], vals = vals[:len(row):len(row)], vals[len(row):]
 		for j, h := range row {
 			out[i][j] = EncodeValue(relation.InternedValue(h))
 		}
