@@ -13,20 +13,22 @@
 // scripts hold one update per line: +emp(jones,shoe,50) or -dept(toy);
 // '%' comments and blank lines are ignored.
 //
-// Without -sites the "remote" relations are simulated by the dist cost
-// model. Each -sites flag (repeatable) names a ccsited daemon and the
-// relations it owns; ccheck then runs the netdist coordinator, fetching
-// those relations over TCP during global phases, and the report shows
-// measured wire traffic instead of modeled cost.
+// Updates run through the netdist coordinator, which fetches a remote
+// relation from the site that owns it when a decision reads it, and the
+// report shows the round trips and tuples that crossed the wire. Each
+// -sites flag (repeatable) names a ccsited daemon and the relations it
+// owns, reached over TCP. Without -sites, every relation the data or a
+// constraint reads that -local does not list is served by one in-process
+// site; with no -local, every relation is local and nothing is fetched.
 //
 // Observability: -trace prints a per-update decision trace (every phase
 // attempt, cache hits, remote relations consulted); -trace-out file
 // appends the same events as JSON lines; -stats-json file dumps the
 // final pipeline statistics — per-phase decision counts, cache hit rate,
-// and the deployment's data-access accounting — as JSON. -spans file
+// and the coordinator's wire accounting — as JSON. -spans file
 // additionally records every update as a distributed trace (a root span
-// with phase children and, under -sites, per-RPC and site-side spans)
-// and writes the collected traces as OTLP-JSON at exit.
+// with phase children, per-RPC and site-side spans) and writes the
+// collected traces as OTLP-JSON at exit.
 //
 // Global evaluations use hash-index probes and range steps with
 // bound-first join planning, compiled once per constraint when it is
@@ -45,37 +47,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/netdist"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
-
-// config is everything main parses from flags; run consumes it.
-type config struct {
-	constraints string
-	data        string
-	updates     string
-	local       string
-	noindex     bool
-	noresidual  bool
-	repeat      int
-	verbose     bool
-	save        string
-	sites       []netdist.SiteSpec
-	timeout     time.Duration
-	retries     int
-	trace       bool
-	traceOut    string
-	statsJSON   string
-	spansOut    string
-}
 
 // flags is the raw flag surface buildConfig validates into a config.
 type flags struct {
@@ -97,6 +80,13 @@ type flags struct {
 	spansOut    string
 }
 
+// config is flags validated, with the -sites specs parsed; run consumes
+// it.
+type config struct {
+	flags
+	sites []netdist.SiteSpec
+}
+
 // siteFlags collects repeated -sites values.
 type siteFlags []string
 
@@ -107,34 +97,25 @@ func (s *siteFlags) Set(v string) error {
 }
 
 func main() {
-	var (
-		constraintsPath = flag.String("constraints", "", "path to constraint programs (blank-line separated)")
-		dataPath        = flag.String("data", "", "path to initial facts")
-		updatesPath     = flag.String("updates", "", "path to update script (+rel(...) / -rel(...) per line)")
-		localList       = flag.String("local", "", "comma-separated local relations (default: all local)")
-		noindex         = flag.Bool("noindex", false, "join in textual order over whole-relation scans: no index probe, range step or bound-first planning (A/B escape hatch)")
-		noresidual      = flag.Bool("noresidual", false, "disable residual check compilation: run every constraint through the staged phase pipeline (A/B escape hatch)")
-		repeat          = flag.Int("repeat", 1, "apply the update script this many times; checker counters reset between runs so the final statistics describe the last (warm-cache) run")
-		verbose         = flag.Bool("v", false, "print per-update decisions")
-		savePath        = flag.String("save", "", "write the final database to this file as facts")
-		timeout         = flag.Duration("timeout", 2*time.Second, "per-request deadline for -sites round trips")
-		retries         = flag.Int("retries", 3, "retry budget per -sites round trip")
-		trace           = flag.Bool("trace", false, "print the per-update decision trace (which phase decided each constraint and why)")
-		traceOut        = flag.String("trace-out", "", "append the decision trace to this file as JSON lines")
-		statsJSON       = flag.String("stats-json", "", "write the final pipeline statistics to this file as JSON")
-		spansOut        = flag.String("spans", "", "record every update as a distributed trace and write OTLP-JSON here at exit")
-		sites           siteFlags
-	)
-	flag.Var(&sites, "sites", "site daemon spec host:port=rel1,rel2 (repeatable)")
+	var f flags
+	flag.StringVar(&f.constraints, "constraints", "", "path to constraint programs (blank-line separated)")
+	flag.StringVar(&f.data, "data", "", "path to initial facts")
+	flag.StringVar(&f.updates, "updates", "", "path to update script (+rel(...) / -rel(...) per line)")
+	flag.StringVar(&f.local, "local", "", "comma-separated local relations (default: all local)")
+	flag.BoolVar(&f.noindex, "noindex", false, "join in textual order over whole-relation scans: no index probe, range step or bound-first planning (A/B escape hatch)")
+	flag.BoolVar(&f.noresidual, "noresidual", false, "disable residual check compilation: run every constraint through the staged phase pipeline (A/B escape hatch)")
+	flag.IntVar(&f.repeat, "repeat", 1, "apply the update script this many times; checker counters reset between runs so the final statistics describe the last (warm-cache) run")
+	flag.BoolVar(&f.verbose, "v", false, "print per-update decisions")
+	flag.StringVar(&f.save, "save", "", "write the final database to this file as facts")
+	flag.DurationVar(&f.timeout, "timeout", 2*time.Second, "per-request deadline for -sites round trips")
+	flag.IntVar(&f.retries, "retries", 3, "retry budget per -sites round trip")
+	flag.BoolVar(&f.trace, "trace", false, "print the per-update decision trace (which phase decided each constraint and why)")
+	flag.StringVar(&f.traceOut, "trace-out", "", "append the decision trace to this file as JSON lines")
+	flag.StringVar(&f.statsJSON, "stats-json", "", "write the final pipeline statistics to this file as JSON")
+	flag.StringVar(&f.spansOut, "spans", "", "record every update as a distributed trace and write OTLP-JSON here at exit")
+	flag.Var((*siteFlags)(&f.sites), "sites", "site daemon spec host:port=rel1,rel2 (repeatable)")
 	flag.Parse()
-	cfg, err := buildConfig(flags{
-		constraints: *constraintsPath, data: *dataPath, updates: *updatesPath,
-		local: *localList, noindex: *noindex,
-		noresidual: *noresidual, repeat: *repeat,
-		verbose: *verbose, save: *savePath, timeout: *timeout, retries: *retries,
-		sites: sites, trace: *trace, traceOut: *traceOut, statsJSON: *statsJSON,
-		spansOut: *spansOut,
-	})
+	cfg, err := buildConfig(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccheck:", err)
 		flag.Usage()
@@ -150,13 +131,7 @@ func main() {
 // required paths must be present, every -sites spec must parse, and no
 // relation may be claimed twice or listed both local and remote.
 func buildConfig(f flags) (config, error) {
-	cfg := config{
-		constraints: f.constraints, data: f.data, updates: f.updates, local: f.local,
-		noindex: f.noindex, noresidual: f.noresidual, repeat: f.repeat,
-		verbose: f.verbose, save: f.save, timeout: f.timeout, retries: f.retries,
-		trace: f.trace, traceOut: f.traceOut, statsJSON: f.statsJSON,
-		spansOut: f.spansOut,
-	}
+	cfg := config{flags: f}
 	if f.constraints == "" || f.updates == "" {
 		return cfg, fmt.Errorf("-constraints and -updates are required")
 	}
@@ -204,27 +179,51 @@ func splitList(s string) []string {
 	return out
 }
 
-// applier is the surface shared by dist.System and netdist.Coordinator.
-type applier interface {
-	Apply(u store.Update) (core.Report, error)
-	Report() string
-}
-
 func run(cfg config) error {
 	db := store.New()
+	facts := &ast.Program{}
 	if cfg.data != "" {
 		src, err := os.ReadFile(cfg.data)
 		if err != nil {
 			return err
 		}
-		facts, err := parser.ParseProgram(string(src))
-		if err != nil {
+		if facts, err = parser.ParseProgram(string(src)); err != nil {
 			return fmt.Errorf("data: %w", err)
 		}
 		if err := db.LoadFacts(facts); err != nil {
 			return err
 		}
 	}
+	csrc, err := os.ReadFile(cfg.constraints)
+	if err != nil {
+		return err
+	}
+	var constraints []*ast.Program
+	for i, block := range splitBlocks(string(csrc)) {
+		prog, err := parser.ParseProgram(block)
+		if err != nil {
+			return fmt.Errorf("constraint c%d: %w", i+1, err)
+		}
+		constraints = append(constraints, prog)
+	}
+	// The remote relations are the ones -sites names, reached over TCP.
+	// Without -sites, one in-process site serves every relation the data
+	// or a constraint reads that -local does not list, from a copy of the
+	// data; with no -local, there is none. Either way the initial sync
+	// replaces the remote relations' facts in db with the sites' tuples.
+	sites := cfg.sites
+	var tr netdist.Transport
+	if len(sites) > 0 {
+		tr = netdist.NewTCPTransport()
+	} else {
+		lb := netdist.NewLoopback()
+		if rels := inProcessRelations(cfg.local, facts, constraints); len(rels) > 0 {
+			lb.AddSite(inProcessSite, netdist.NewServer(db.Clone(), rels))
+			sites = []netdist.SiteSpec{{Site: inProcessSite, Relations: rels}}
+		}
+		tr = lb
+	}
+	defer tr.Close()
 	opts := core.Options{
 		LocalRelations:  splitList(cfg.local),
 		DisableIndexes:  cfg.noindex,
@@ -248,9 +247,8 @@ func run(cfg config) error {
 		tracers = append(tracers, jsonl)
 	}
 	// -spans: every update becomes a sampled trace whose phase events the
-	// bridge converts into child spans; under -sites the coordinator adds
-	// per-RPC spans and sites echo their side back. Dumped as OTLP-JSON
-	// at exit.
+	// bridge converts into child spans; the coordinator adds per-RPC spans
+	// and sites echo their side back. Dumped as OTLP-JSON at exit.
 	var spans *obs.SpanTracer
 	var bridge *obs.SpanBridge
 	if cfg.spansOut != "" {
@@ -266,35 +264,21 @@ func run(cfg config) error {
 		opts.Tracer = obs.MultiTracer(tracers...)
 	}
 
-	var sys applier
-	var checker *core.Checker
-	if len(cfg.sites) > 0 {
-		co, err := netdist.New(db, cfg.sites, netdist.NewTCPTransport(), netdist.Options{
-			Checker: opts,
-			Timeout: cfg.timeout,
-			Retries: cfg.retries,
-			Spans:   bridge,
-		})
-		if err != nil {
-			return err
-		}
-		sys, checker = co, co.Checker
-	} else {
-		ds := dist.NewWithOptions(db, opts, dist.DefaultCost)
-		sys, checker = ds, ds.Checker
-	}
-
-	csrc, err := os.ReadFile(cfg.constraints)
+	co, err := netdist.New(db, sites, tr, netdist.Options{
+		Checker: opts,
+		Timeout: cfg.timeout,
+		Retries: cfg.retries,
+		Spans:   bridge,
+	})
 	if err != nil {
 		return err
 	}
-	for i, block := range splitBlocks(string(csrc)) {
+	for i, prog := range constraints {
 		name := fmt.Sprintf("c%d", i+1)
-		if err := checker.AddConstraintSource(name, block); err != nil {
+		if err := co.Checker.AddConstraint(name, prog); err != nil {
 			return fmt.Errorf("constraint %s: %w", name, err)
 		}
 	}
-	db.ResetReads()
 
 	usrc, err := os.ReadFile(cfg.updates)
 	if err != nil {
@@ -308,10 +292,8 @@ func run(cfg config) error {
 		if run > 0 {
 			// Each -repeat run reports its own rates: zero the checker's
 			// counter families (what it compiled and keeps stays —
-			// measuring a warm checker is the point) and the store's read
-			// accounting.
-			checker.ResetStats()
-			db.ResetReads()
+			// measuring a warm checker is the point).
+			co.Checker.ResetStats()
 		}
 		for _, u := range updates {
 			var sp *obs.Span
@@ -320,7 +302,7 @@ func run(cfg config) error {
 				sp.SetAttr("update", fmt.Sprint(u))
 				bridge.SetActive(sp)
 			}
-			rep, err := sys.Apply(u)
+			rep, err := co.Apply(u)
 			if spans != nil {
 				bridge.SetActive(nil)
 				if err != nil {
@@ -347,14 +329,14 @@ func run(cfg config) error {
 			}
 		}
 	}
-	fmt.Print(sys.Report())
+	fmt.Print(co.Report())
 	if jsonl != nil {
 		if err := jsonl.Err(); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
 	}
 	if cfg.statsJSON != "" {
-		if err := writeStatsJSON(cfg.statsJSON, checker, sys); err != nil {
+		if err := writeStatsJSON(cfg.statsJSON, co); err != nil {
 			return fmt.Errorf("stats-json: %w", err)
 		}
 	}
@@ -390,12 +372,12 @@ func phaseNames(m map[core.Phase]int) map[string]int {
 	return out
 }
 
-// writeStatsJSON dumps the checker's and the deployment's final
+// writeStatsJSON dumps the checker's and the coordinator's final
 // statistics as one JSON document: the staged pipeline's per-phase
-// decision counts and cache effectiveness, plus either the dist cost
-// model's entries or the netdist coordinator's measured wire accounting.
-func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
-	cs := checker.Stats()
+// decision counts and cache effectiveness, plus the coordinator's
+// measured wire accounting.
+func writeStatsJSON(path string, co *netdist.Coordinator) error {
+	cs, ns := co.Checker.Stats(), co.Stats()
 	doc := map[string]any{
 		"checker": map[string]any{
 			"updates":        cs.Updates,
@@ -429,44 +411,50 @@ func writeStatsJSON(path string, checker *core.Checker, sys applier) error {
 			"fixpoint_drops":    cs.FixpointDrops,
 		},
 	}
-	switch s := sys.(type) {
-	case *dist.System:
-		ds := s.Stats()
-		doc["dist"] = map[string]any{
-			"updates":         ds.Updates,
-			"rejected":        ds.Rejected,
-			"by_phase":        phaseNames(ds.ByPhase),
-			"remote_tuples":   ds.RemoteTuples,
-			"remote_trips":    ds.RemoteTrips,
-			"local_tuples":    ds.LocalTuples,
-			"decided_locally": ds.DecidedLocally,
-			"local_certified": cs.LocalCertified,
-			"cost":            ds.Cost,
-		}
-	case *netdist.Coordinator:
-		ns := s.Stats()
-		doc["net"] = map[string]any{
-			"updates":             ns.Updates,
-			"rejected":            ns.Rejected,
-			"unavailable":         ns.Unavailable,
-			"by_phase":            phaseNames(ns.ByPhase),
-			"decided_locally":     ns.DecidedLocally,
-			"local_certified":     cs.LocalCertified,
-			"round_trips":         ns.RoundTrips,
-			"retries":             ns.Retries,
-			"retries_by_site":     ns.RetriesBySite,
-			"unavailable_by_site": ns.UnavailableBySite,
-			"wire_tuples":         ns.WireTuples,
-			"net_time_seconds":    ns.NetTime.Seconds(),
-			"sync_trips":          ns.SyncTrips,
-			"sync_tuples":         ns.SyncTuples,
-		}
+	doc["net"] = map[string]any{
+		"updates":             ns.Updates,
+		"rejected":            ns.Rejected,
+		"unavailable":         ns.Unavailable,
+		"by_phase":            phaseNames(ns.ByPhase),
+		"decided_locally":     ns.DecidedLocally,
+		"local_certified":     cs.LocalCertified,
+		"round_trips":         ns.RoundTrips,
+		"retries":             ns.Retries,
+		"retries_by_site":     ns.RetriesBySite,
+		"unavailable_by_site": ns.UnavailableBySite,
+		"wire_tuples":         ns.WireTuples,
+		"net_time_seconds":    ns.NetTime.Seconds(),
+		"sync_trips":          ns.SyncTrips,
+		"sync_tuples":         ns.SyncTuples,
 	}
 	body, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(body, '\n'), 0o644)
+}
+
+// inProcessSite names the site that serves the remote relations of a run
+// without -sites.
+const inProcessSite = "in-process"
+
+// inProcessRelations returns, sorted, every relation the facts hold or a
+// constraint reads that the -local list does not name; none when it is
+// empty, since then every relation is local.
+func inProcessRelations(local string, facts *ast.Program, constraints []*ast.Program) []string {
+	locals := splitList(local)
+	if len(locals) == 0 {
+		return nil
+	}
+	var rels []string
+	for _, r := range facts.Rules {
+		rels = append(rels, r.Head.Pred)
+	}
+	for _, prog := range constraints {
+		rels = append(rels, prog.EDBPreds()...)
+	}
+	slices.Sort(rels)
+	return slices.DeleteFunc(slices.Compact(rels), func(rel string) bool { return slices.Contains(locals, rel) })
 }
 
 // splitBlocks splits a file into blank-line-separated program blocks.

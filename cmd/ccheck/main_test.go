@@ -230,8 +230,8 @@ func TestRunTraceAndStats(t *testing.T) {
 	if !ok || len(byPhase) == 0 {
 		t.Errorf("stats JSON by_phase = %v", checker["by_phase"])
 	}
-	if _, ok := doc["dist"]; !ok {
-		t.Error("stats JSON missing dist section for a -sites-less run")
+	if _, ok := doc["net"]; !ok {
+		t.Error("stats JSON missing net section for a -sites-less run")
 	}
 }
 
@@ -297,6 +297,67 @@ func TestRunWithSites(t *testing.T) {
 	}
 	if err := run(cfg); err == nil {
 		t.Error("run against a dead site succeeded")
+	}
+}
+
+// TestRunLocalWithoutSites: without -sites, the relations -local does not
+// list are served by an in-process site. The hire into an unknown
+// department is rejected after a round trip that fetches dept — the only
+// frames a rejected update sends — and the department's insert, then the
+// hire into it, are applied and saved as a run with every relation in
+// one store saves them.
+func TestRunLocalWithoutSites(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	constraints := write("c.dl", "panic :- emp(E,D,S) & not dept(D).\n\npanic :- emp(E,D,S) & S > 100.")
+	data := write("d.dl", "dept(toy). emp(ann,toy,50).")
+	statsOut := filepath.Join(dir, "stats.json")
+	net := func() map[string]any {
+		t.Helper()
+		raw, err := os.ReadFile(statsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Net map[string]any `json:"net"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Net
+	}
+
+	cfg := mustConfig(t, constraints, data, write("ghost.txt", "+emp(eve,ghost,70)\n"), "emp", false, "")
+	cfg.statsJSON = statsOut
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := net(); n["rejected"] != float64(1) || n["round_trips"].(float64) < 1 || n["sync_tuples"] != float64(1) {
+		t.Errorf("net stats of the rejected hire = %v, want 1 rejected after a round trip, dept(toy) synced", n)
+	}
+
+	saved := filepath.Join(dir, "out.dl")
+	updates := write("u.txt", "+emp(eve,ghost,70)\n+dept(shoe)\n+emp(bob,shoe,60)\n")
+	cfg = mustConfig(t, constraints, data, updates, "emp", false, saved)
+	cfg.statsJSON = statsOut
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := net(); n["updates"] != float64(3) || n["rejected"] != float64(1) {
+		t.Errorf("net stats = %v, want 3 updates, 1 rejected", n)
+	}
+	dump, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "dept(toy).\ndept(shoe).\nemp(ann,toy,50).\nemp(bob,shoe,60).\n"; string(dump) != want {
+		t.Errorf("saved:\n%s\nwant:\n%s", dump, want)
 	}
 }
 

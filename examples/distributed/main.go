@@ -1,78 +1,107 @@
 // Distributed: the paper's motivating deployment (Section 1). A local
 // site owns the interval relation l and receives the update stream; the
 // job relation r lives at a remote site where every access costs a round
-// trip. The example runs the same stream under the staged
-// partial-information pipeline and under the naive always-evaluate
-// strategy, and reports the remote traffic each one generates.
+// trip. The example runs the same stream through the netdist coordinator,
+// with r at an in-process site, under the staged partial-information
+// pipeline and under the naive always-evaluate strategy, and reports the
+// remote traffic each one generates.
 //
 //	go run ./examples/distributed
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/dist"
+	"repro/internal/experiments"
+	"repro/internal/netdist"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
+const (
+	nLocal   = 25  // pre-existing local windows
+	nRemote  = 300 // remote job times (outside the window spread)
+	nUpdates = 60
+)
+
 func main() {
-	const (
-		nLocal   = 25  // pre-existing local windows
-		nRemote  = 300 // remote job times (outside the window spread)
-		nUpdates = 60
-	)
-	run := func(naive bool) *dist.System {
-		rng := rand.New(rand.NewSource(42))
-		db := store.New()
-		for _, t := range workload.Intervals(rng, nLocal, 25, 300) {
-			if _, err := db.Insert("l", t); err != nil {
-				log.Fatal(err)
-			}
-		}
-		for i := 0; i < nRemote; i++ {
-			if _, err := db.Insert("r", relation.Ints(5000+rng.Int63n(1000))); err != nil {
-				log.Fatal(err)
-			}
-		}
-		opts := core.Options{LocalRelations: []string{"l"}}
-		if naive {
-			opts.DisableUpdateOnly = true
-			opts.DisableLocalData = true
-		}
-		sys := dist.NewWithOptions(db, opts, dist.DefaultCost)
-		if err := sys.Checker.AddConstraintSource("no-job-in-window",
-			"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
-			log.Fatal(err)
-		}
-		db.ResetReads()
-		for _, u := range workload.IntervalInserts(rng, nUpdates, 40, 300, "l") {
-			if _, err := sys.Apply(u); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return sys
+	if err := report(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
 
-	fmt.Printf("scenario: %d local windows, %d remote jobs, %d window insertions\n",
+// arm runs the window stream through a coordinator whose r lives at an
+// in-process site, naive or staged, and returns the coordinator's
+// statistics and report.
+func arm(naive bool) (netdist.Stats, string, error) {
+	fail := func(err error) (netdist.Stats, string, error) { return netdist.Stats{}, "", err }
+	rng := rand.New(rand.NewSource(42))
+	local, remote := store.New(), store.New()
+	for _, t := range workload.Intervals(rng, nLocal, 25, 300) {
+		if _, err := local.Insert("l", t); err != nil {
+			return fail(err)
+		}
+	}
+	for i := 0; i < nRemote; i++ {
+		if _, err := remote.Insert("r", relation.Ints(5000+rng.Int63n(1000))); err != nil {
+			return fail(err)
+		}
+	}
+	opts := core.Options{LocalRelations: []string{"l"}}
+	if naive {
+		opts.DisableUpdateOnly = true
+		opts.DisableLocalData = true
+	}
+	lb := netdist.NewLoopback()
+	lb.AddSite("jobs", netdist.NewServer(remote, []string{"r"}))
+	co, err := netdist.New(local, []netdist.SiteSpec{{Site: "jobs", Relations: []string{"r"}}}, lb,
+		netdist.Options{Checker: opts})
+	if err != nil {
+		return fail(err)
+	}
+	if err := co.Checker.AddConstraintSource("no-job-in-window",
+		"panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
+		return fail(err)
+	}
+	for _, u := range workload.IntervalInserts(rng, nUpdates, 40, 300, "l") {
+		if _, err := co.Apply(u); err != nil {
+			return fail(err)
+		}
+	}
+	return co.Stats(), co.Report(), nil
+}
+
+// report runs both arms and writes their reports and the remote cost the
+// staged pipeline saved.
+func report(w io.Writer) error {
+	fmt.Fprintf(w, "scenario: %d local windows, %d remote jobs, %d window insertions\n",
 		nLocal, nRemote, nUpdates)
-	fmt.Println("cost model: remote round trip = 100 units, remote tuple = 1 unit")
+	fmt.Fprintln(w, "cost model: remote round trip = 100 units, remote tuple = 1 unit")
 
-	fmt.Println("\n--- staged pipeline (Sections 3-6) ---")
-	staged := run(false)
-	fmt.Print(staged.Report())
-
-	fmt.Println("\n--- naive strategy (always evaluate globally) ---")
-	naive := run(true)
-	fmt.Print(naive.Report())
-
-	s, n := staged.Stats(), naive.Stats()
-	if n.Cost > 0 {
-		fmt.Printf("\nremote cost saved by partial-information checking: %.0f%% (%.0f -> %.0f)\n",
-			100*(n.Cost-s.Cost)/n.Cost, n.Cost, s.Cost)
+	staged, stagedReport, err := arm(false)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(w, "\n--- staged pipeline (Sections 3-6) ---")
+	fmt.Fprint(w, stagedReport)
+
+	naive, naiveReport, err := arm(true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\n--- naive strategy (always evaluate globally) ---")
+	fmt.Fprint(w, naiveReport)
+
+	s, n := experiments.DefaultCost.Price(staged), experiments.DefaultCost.Price(naive)
+	if n > 0 {
+		fmt.Fprintf(w, "\nremote cost saved by partial-information checking: %.0f%% (%.0f -> %.0f)\n",
+			100*(n-s)/n, n, s)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -214,8 +215,8 @@ func TestTableRender(t *testing.T) {
 }
 
 // TestExpNetDistributedAgreesWithModel: the wire run must reach the
-// same verdicts as the cost-model run and measure exactly the predicted
-// number of round trips.
+// verdicts of the one-store model — an embedded checker over l and r —
+// and pay exactly one round trip per update it could not decide locally.
 func TestExpNetDistributedAgreesWithModel(t *testing.T) {
 	tab, err := ExpNetDistributed([]int{10, 150}, 40, time.Millisecond, 5)
 	if err != nil {
@@ -225,14 +226,18 @@ func TestExpNetDistributedAgreesWithModel(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {
-		if row[7] != "yes" {
-			t.Errorf("density %s: wire run disagrees with model: %v", row[0], row)
+		if row[6] != "yes" {
+			t.Errorf("density %s: wire run disagrees with the embedded checker: %v", row[0], row)
 		}
-		if row[2] != row[3] {
-			t.Errorf("density %s: predicted %s trips, measured %s", row[0], row[2], row[3])
+		var local, updates int
+		if _, err := fmt.Sscanf(row[1], "%d/%d", &local, &updates); err != nil {
+			t.Fatal(err)
 		}
-		if row[5] != "50" {
-			t.Errorf("density %s: sync tuples = %s, want 50", row[0], row[5])
+		if want := fmt.Sprint(updates - local); row[2] != want {
+			t.Errorf("density %s: %s round trips for %d updates not decided locally", row[0], row[2], updates-local)
+		}
+		if row[4] != "50" {
+			t.Errorf("density %s: sync tuples = %s, want 50", row[0], row[4])
 		}
 	}
 }

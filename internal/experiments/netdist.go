@@ -6,71 +6,105 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/netdist"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// ExpNetDistributed (D-net) replays the D1 workload over the real wire:
-// the remote relation r lives behind a netdist site reached through the
-// loopback transport with injected latency, while an identical
-// dist.System run predicts the cost from its model. The table puts the
-// model's predicted round trips next to the coordinator's measured
-// trips, wire tuples, and wall-clock network time — the check that the
-// cost model the paper's argument rests on matches what a networked
-// deployment actually pays.
+// CostModel prices remote access in abstract cost units.
+type CostModel struct {
+	// RemoteLatency is charged once per round trip to a site.
+	RemoteLatency float64
+	// RemotePerTuple is charged per tuple a site ships back.
+	RemotePerTuple float64
+}
+
+// DefaultCost is a conventional wide-area setting: a round trip costs as
+// much as shipping 100 tuples.
+var DefaultCost = CostModel{RemoteLatency: 100, RemotePerTuple: 1}
+
+// Price is the cost of the round trips and wire tuples a coordinator
+// counted after its initial sync.
+func (c CostModel) Price(st netdist.Stats) float64 {
+	return float64(st.RoundTrips)*c.RemoteLatency + float64(st.WireTuples)*c.RemotePerTuple
+}
+
+// d1Constraint is D1's forbidden-interval constraint: no point of r lies
+// in an interval of l.
+const d1Constraint = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+
+// d1Points are D1's remote points, far outside the intervals' spread, so
+// no update of the stream violates the constraint.
+func d1Points() []relation.Tuple {
+	out := make([]relation.Tuple, 50)
+	for i := range out {
+		out[i] = relation.Ints(10000 + int64(i))
+	}
+	return out
+}
+
+// d1Coordinator builds D1's deployment: the intervals L in the
+// coordinator's store, r at one in-process site behind a loopback
+// transport that delays every request by latency (none at 0), and the
+// constraint loaded. opts.LocalRelations must name l.
+func d1Coordinator(L []relation.Tuple, opts core.Options, latency time.Duration) (*netdist.Coordinator, error) {
+	local, remote := store.New(), store.New()
+	if err := insertAll(local, "l", L); err != nil {
+		return nil, err
+	}
+	if err := insertAll(remote, "r", d1Points()); err != nil {
+		return nil, err
+	}
+	lb := netdist.NewLoopback()
+	lb.AddSite("siteR", netdist.NewServer(remote, []string{"r"}))
+	lb.SetLatency("siteR", latency)
+	co, err := netdist.New(local, []netdist.SiteSpec{{Site: "siteR", Relations: []string{"r"}}}, lb,
+		netdist.Options{Checker: opts})
+	if err != nil {
+		return nil, err
+	}
+	return co, co.Checker.AddConstraintSource("fi", d1Constraint)
+}
+
+func insertAll(db *store.Store, rel string, ts []relation.Tuple) error {
+	for _, tu := range ts {
+		if _, err := db.Insert(rel, tu); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ExpNetDistributed (D-net) replays the D1 workload over the wire: the
+// remote relation r lives behind a netdist site reached through the
+// loopback transport with injected latency. The table shows the
+// coordinator's round trips, wire tuples and wall-clock network time, and
+// whether every verdict agrees with an embedded checker over one store
+// holding l and r.
 func ExpNetDistributed(densities []int, updates int, latency time.Duration, seed int64) (Table, error) {
 	t := Table{
 		Title:   "D-net — D1 workload over the wire (loopback transport, injected latency " + latency.String() + ")",
-		Columns: []string{"|L|", "decided-locally", "trips (model)", "trips (measured)", "wire tuples", "sync tuples", "net time", "agree"},
+		Columns: []string{"|L|", "decided-locally", "trips (measured)", "wire tuples", "sync tuples", "net time", "agree"},
 	}
-	const constraint = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+	opts := core.Options{LocalRelations: []string{"l"}, DisableResidual: true}
 	for _, n := range densities {
-		rng := rand.New(rand.NewSource(seed))
-		L := workload.Intervals(rng, n, 20, 200)
+		L := workload.Intervals(rand.New(rand.NewSource(seed)), n, 20, 200)
 		stream := workload.IntervalInserts(rand.New(rand.NewSource(seed+1)), updates, 10, 200, "l")
 
-		// Arm 1: one store holding everything; remote cost is modeled.
-		full := store.New()
-		remote := store.New()
-		local := store.New()
-		for _, tu := range L {
-			for _, db := range []*store.Store{full, local} {
-				if _, err := db.Insert("l", tu); err != nil {
-					return t, err
-				}
-			}
-		}
-		for i := int64(0); i < 50; i++ {
-			for _, db := range []*store.Store{full, remote} {
-				if _, err := db.Insert("r", relation.Ints(10000+i)); err != nil {
-					return t, err
-				}
-			}
-		}
-		sys := dist.NewWithOptions(full, core.Options{LocalRelations: []string{"l"}, DisableResidual: true}, dist.DefaultCost)
-		if err := sys.Checker.AddConstraintSource("fi", constraint); err != nil {
-			return t, err
-		}
-
-		// Arm 2: r behind a loopback site with injected latency.
-		lb := netdist.NewLoopback()
-		lb.AddSite("siteR", netdist.NewServer(remote, []string{"r"}))
-		lb.SetLatency("siteR", latency)
-		co, err := netdist.New(local, []netdist.SiteSpec{{Site: "siteR", Relations: []string{"r"}}}, lb,
-			netdist.Options{Checker: core.Options{LocalRelations: []string{"l"}, DisableResidual: true}})
+		co, err := d1Coordinator(L, opts, latency)
 		if err != nil {
 			return t, err
 		}
-		if err := co.Checker.AddConstraintSource("fi", constraint); err != nil {
+		// After the initial sync the coordinator's mirror holds l and r.
+		embedded := core.New(co.Checker.DB().Clone(), opts)
+		if err := embedded.AddConstraintSource("fi", d1Constraint); err != nil {
 			return t, err
 		}
 
 		agree := true
 		for _, u := range stream {
-			want, err := sys.Apply(u)
+			want, err := embedded.Apply(u)
 			if err != nil {
 				return t, err
 			}
@@ -78,24 +112,24 @@ func ExpNetDistributed(densities []int, updates int, latency time.Duration, seed
 			if err != nil {
 				return t, err
 			}
-			if want.Applied != got.Applied || len(want.Decisions) != len(got.Decisions) {
+			if fmt.Sprint(want.Applied, want.Decisions) != fmt.Sprint(got.Applied, got.Decisions) {
 				agree = false
 			}
 		}
-		mst := sys.Stats()
-		nst := co.Stats()
+		st := co.Stats()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
-			fmt.Sprintf("%d/%d", nst.DecidedLocally, nst.Updates),
-			fmt.Sprint(mst.RemoteTrips), fmt.Sprint(nst.RoundTrips),
-			fmt.Sprint(nst.WireTuples), fmt.Sprint(nst.SyncTuples),
-			nst.NetTime.Round(time.Millisecond).String(),
-			yn(agree && mst.RemoteTrips == nst.RoundTrips),
+			fmt.Sprintf("%d/%d", st.DecidedLocally, st.Updates),
+			fmt.Sprint(st.RoundTrips),
+			fmt.Sprint(st.WireTuples), fmt.Sprint(st.SyncTuples),
+			st.NetTime.Round(time.Millisecond).String(),
+			yn(agree),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"trips (model) is dist.System's cost-model prediction; trips (measured) counts frames the coordinator actually sent after the initial sync",
+		"trips (measured) counts frames the coordinator sent after the initial sync",
 		"every request/response crosses the frame codec, so wire tuples are what TCP would carry; sync tuples is the one-time mirror bootstrap",
-		"net time is wall clock spent inside transport round trips, dominated by the injected per-request latency")
+		"net time is wall clock spent inside transport round trips, dominated by the injected per-request latency",
+		"agree: every update got the verdict and per-constraint decisions of an embedded checker over one store holding l and r")
 	return t, nil
 }

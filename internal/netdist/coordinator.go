@@ -95,8 +95,8 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Stats aggregates the coordinator's accounting: the measured
-// counterpart of dist.Stats' modeled costs.
+// Stats aggregates the coordinator's accounting: the decisions, and what
+// they cost on the wire.
 type Stats struct {
 	Updates  int
 	Rejected int
@@ -122,8 +122,7 @@ type Stats struct {
 	// propagations, failed attempts).
 	NetTime time.Duration
 	// SyncTrips/SyncTuples account the one-time initial mirror sync in
-	// New, kept apart so the per-update counters above line up with the
-	// dist cost model's per-update predictions.
+	// New, kept apart so the counters above count what the updates cost.
 	SyncTrips  int
 	SyncTuples int64
 	// ShardRouted counts reads of a sharded relation that went to the
@@ -139,9 +138,8 @@ type Stats struct {
 
 // Coordinator runs the staged checker over a local mirror and reaches
 // remote sites over a Transport only when an update's plan reads a remote
-// relation. Like dist.System it exposes Apply/ApplyBatch/Stats — the
-// difference is that its remote accesses are real requests with real
-// failure modes, not cost-model entries.
+// relation. Its remote accesses are requests with real failure modes:
+// over TCP to site daemons, or over Loopback to in-process sites.
 //
 // Freshness contract: a decision has one way to read a remote relation.
 // Before the checker decides, the coordinator refreshes into the mirror
@@ -177,8 +175,8 @@ type Coordinator struct {
 
 // New builds a coordinator over the local store and the given site
 // specs, then performs an initial sync: every remote relation is
-// scanned into the mirror so the checker starts from the same global
-// state dist.System would see. The local store must hold only local
+// scanned into the mirror so the checker starts from the global state an
+// embedded checker over all the relations would see. The local store must hold only local
 // relations; a relation claimed by two sites, or both local and remote,
 // is an error.
 func New(local *store.Store, sites []SiteSpec, tr Transport, opts Options) (*Coordinator, error) {
@@ -649,8 +647,7 @@ func (co *Coordinator) noteUnavailable(err error) {
 	}
 }
 
-// Report renders the statistics as a small table, the measured
-// counterpart of dist.System.Report.
+// Report renders the statistics as a small table.
 func (co *Coordinator) Report() string {
 	st := co.Stats()
 	var sb strings.Builder

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/dist"
+	"repro/internal/eval"
+	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -19,60 +21,70 @@ import (
 func strv(s string) ast.Value { return ast.Str(s) }
 func intv(n int64) ast.Value  { return ast.Int(n) }
 
-// d1Fixture builds the D1 experiment twice: once as the in-process
-// dist.System over one store holding everything, once as a netdist
-// Coordinator whose remote relation r lives behind a loopback site.
-func d1Fixture(t *testing.T, density, nUpdates int, seed int64) (*dist.System, *Coordinator, *Loopback, []store.Update) {
+// fiConstraint forbids a point of r inside an interval of l.
+const fiConstraint = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
+
+// lrCoordinator builds a coordinator holding the intervals L locally and
+// the points R at one loopback site, with fiConstraint loaded. opts names
+// l local.
+func lrCoordinator(t *testing.T, L, R []relation.Tuple, opts core.Options) (*Coordinator, *Loopback) {
+	t.Helper()
+	local, remote := store.New(), store.New()
+	for _, tu := range L {
+		if _, err := local.Insert("l", tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tu := range R {
+		if _, err := remote.Insert("r", tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lb := NewLoopback()
+	lb.AddSite("siteR", NewServer(remote, []string{"r"}))
+	co, err := New(local, []SiteSpec{{Site: "siteR", Relations: []string{"r"}}}, lb,
+		Options{Checker: opts, Timeout: time.Second, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Checker.AddConstraintSource("fi", fiConstraint); err != nil {
+		t.Fatal(err)
+	}
+	return co, lb
+}
+
+// d1Fixture builds the D1 experiment twice: once as an embedded checker
+// over one store holding everything, once as a Coordinator whose remote
+// relation r lives behind a loopback site.
+func d1Fixture(t *testing.T, density, nUpdates int, seed int64) (*core.Checker, *Coordinator, *Loopback, []store.Update) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	L := workload.Intervals(rng, density, 20, 200)
 	updates := workload.IntervalInserts(rand.New(rand.NewSource(seed+1)), nUpdates, 10, 200, "l")
-
-	// Arm 1: everything in one store, remote access simulated by cost.
+	var R []relation.Tuple
+	for i := int64(0); i < 50; i++ {
+		R = append(R, relation.Ints(10000+i))
+	}
+	// Both arms disable residual dispatch: the fixture pins the staged
+	// pipeline's phases, whose global phase is the one remote read.
+	opts := core.Options{LocalRelations: []string{"l"}, DisableResidual: true}
 	full := store.New()
 	for _, tu := range L {
 		if _, err := full.Insert("l", tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := int64(0); i < 50; i++ {
-		if _, err := full.Insert("r", relation.Ints(10000+i)); err != nil {
+	for _, tu := range R {
+		if _, err := full.Insert("r", tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Both arms disable residual dispatch: the fixture compares the cost
-	// model's remote-trip prediction (driven by the staged pipeline's
-	// global phase) against measured scan requests, and Coordinator
-	// prefetch follows the residual-unaware core.Plan.
-	sys := dist.NewWithOptions(full, core.Options{LocalRelations: []string{"l"}, DisableResidual: true}, dist.DefaultCost)
-	if err := sys.Checker.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
+	embedded := core.New(full, opts)
+	if err := embedded.AddConstraintSource("fi", fiConstraint); err != nil {
 		t.Fatal(err)
 	}
-
-	// Arm 2: r lives on a site behind the loopback transport.
-	remote := store.New()
-	for i := int64(0); i < 50; i++ {
-		if _, err := remote.Insert("r", relation.Ints(10000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lb := NewLoopback()
-	lb.AddSite("siteR", NewServer(remote, []string{"r"}))
-	local := store.New()
-	for _, tu := range L {
-		if _, err := local.Insert("l", tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	co, err := New(local, []SiteSpec{{Site: "siteR", Relations: []string{"r"}}}, lb,
-		Options{Checker: core.Options{LocalRelations: []string{"l"}, DisableResidual: true}, Timeout: time.Second, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Checker.AddConstraintSource("fi", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."); err != nil {
-		t.Fatal(err)
-	}
-	return sys, co, lb, updates
+	co, lb := lrCoordinator(t, L, R, opts)
+	return embedded, co, lb, updates
 }
 
 // renderReport gives a canonical text form of a core.Report for
@@ -83,11 +95,15 @@ func renderReport(rep core.Report) string {
 	return fmt.Sprintf("%s applied=%v decisions=%v", rep.Update, rep.Applied, rep.Decisions)
 }
 
-func TestCoordinatorMatchesDistOnD1(t *testing.T) {
+// TestCoordinatorMatchesEmbeddedOnD1: over the wire the coordinator
+// reports what an embedded checker over the merged store reports, update
+// by update, ends with the same relations, and decides as often in each
+// phase; and it makes one round trip per update it cannot decide locally.
+func TestCoordinatorMatchesEmbeddedOnD1(t *testing.T) {
 	for _, density := range []int{10, 80} {
-		sys, co, _, updates := d1Fixture(t, density, 60, 42)
+		embedded, co, _, updates := d1Fixture(t, density, 60, 42)
 		for i, u := range updates {
-			want, err := sys.Apply(u)
+			want, err := embedded.Apply(u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,27 +117,157 @@ func TestCoordinatorMatchesDistOnD1(t *testing.T) {
 			}
 		}
 		// The two stores agree relation by relation.
-		full, mirror := sys.Checker.DB(), co.Checker.DB()
+		full, mirror := embedded.DB(), co.Checker.DB()
 		for _, name := range full.Names() {
 			if mr := mirror.Relation(name); mr == nil || !full.Relation(name).Equal(mr) {
 				t.Errorf("density %d: relation %s diverged", density, name)
 			}
 		}
-		// The cost model's remote-trip prediction matches what actually
-		// crossed the wire: one scan request per global-phase update
-		// (plus none for locally decided ones).
-		dst, cst := sys.Stats(), co.Stats()
-		if cst.RoundTrips != dst.RemoteTrips {
-			t.Errorf("density %d: %d measured round trips, cost model predicted %d",
-				density, cst.RoundTrips, dst.RemoteTrips)
+		cst := co.Stats()
+		if !reflect.DeepEqual(cst.ByPhase, embedded.Stats().ByPhase) {
+			t.Errorf("density %d: phase histograms diverged: %v vs %v", density, cst.ByPhase, embedded.Stats().ByPhase)
 		}
-		if cst.DecidedLocally != dst.DecidedLocally {
-			t.Errorf("density %d: decided-locally %d (net) vs %d (dist)",
-				density, cst.DecidedLocally, dst.DecidedLocally)
+		if cst.RoundTrips != cst.Updates-cst.DecidedLocally || cst.RoundTrips != cst.ByPhase[core.PhaseGlobal] {
+			t.Errorf("density %d: %d round trips for %d updates, %d decided locally, %d global decisions",
+				density, cst.RoundTrips, cst.Updates, cst.DecidedLocally, cst.ByPhase[core.PhaseGlobal])
 		}
-		if !reflect.DeepEqual(cst.ByPhase, dst.ByPhase) {
-			t.Errorf("density %d: phase histograms diverged: %v vs %v", density, cst.ByPhase, dst.ByPhase)
+	}
+}
+
+// TestLocalCertificationAvoidsRemote: inserts the local intervals cover
+// are certified without asking the site; an uncovered one asks it once.
+func TestLocalCertificationAvoidsRemote(t *testing.T) {
+	var R []relation.Tuple
+	for i := int64(200); i < 210; i++ {
+		R = append(R, relation.Ints(i))
+	}
+	// The assertions pin the staged pipeline's locality model: residual
+	// dispatch would decide covered insertions too, but by probing r.
+	co, _ := lrCoordinator(t, []relation.Tuple{relation.Ints(0, 50), relation.Ints(40, 100)}, R,
+		core.Options{LocalRelations: []string{"l"}, DisableResidual: true})
+	for _, u := range []store.Update{
+		store.Ins("l", relation.Ints(5, 20)),
+		store.Ins("l", relation.Ints(10, 60)),
+		store.Ins("l", relation.Ints(45, 95)),
+	} {
+		rep, err := co.Apply(u)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !rep.Applied {
+			t.Fatalf("covered insertion %v rejected", u)
+		}
+	}
+	st := co.Stats()
+	if st.RoundTrips != 0 || st.WireTuples != 0 || st.DecidedLocally != 3 {
+		t.Errorf("locally certifiable stream: %d round trips, %d tuples, %d decided locally, want 0, 0, 3",
+			st.RoundTrips, st.WireTuples, st.DecidedLocally)
+	}
+	// An uncovered insertion asks the site, though r has no point in it.
+	rep, err := co.Apply(store.Ins("l", relation.Ints(150, 160)))
+	if err != nil || !rep.Applied {
+		t.Fatalf("uncovered insertion: %+v err=%v", rep, err)
+	}
+	if st = co.Stats(); st.RoundTrips != 1 || st.DecidedLocally != 3 {
+		t.Errorf("uncovered insertion: %d round trips, %d decided locally, want 1 and 3", st.RoundTrips, st.DecidedLocally)
+	}
+	// The report lists phases in pipeline order, the same on every render,
+	// and Stats hands out copies of its maps.
+	out := co.Report()
+	local, global := strings.Index(out, core.PhaseLocalData.String()), strings.Index(out, core.PhaseGlobal.String())
+	if local < 0 || global < local || co.Report() != out {
+		t.Errorf("report:\n%s", out)
+	}
+	st.ByPhase[core.PhaseGlobal] = 999
+	if co.Stats().ByPhase[core.PhaseGlobal] != 1 {
+		t.Error("Stats leaked its live ByPhase map")
+	}
+}
+
+// TestAblationLocalPhase: with the local-data phase disabled, the same
+// covered stream decides fewer updates locally and pays more round trips
+// — the measurable value of Sections 5–6.
+func TestAblationLocalPhase(t *testing.T) {
+	var R []relation.Tuple
+	// Remote points far outside the spread, so no update violates.
+	for i := int64(0); i < 20; i++ {
+		R = append(R, relation.Ints(1000+i))
+	}
+	run := func(disableLocal bool) Stats {
+		co, _ := lrCoordinator(t, workload.Intervals(rand.New(rand.NewSource(1)), 40, 20, 100), R,
+			core.Options{LocalRelations: []string{"l"}, DisableLocalData: disableLocal, DisableResidual: true})
+		for _, u := range workload.IntervalInserts(rand.New(rand.NewSource(2)), 30, 10, 100, "l") {
+			if _, err := co.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return co.Stats()
+	}
+	with, without := run(false), run(true)
+	if with.DecidedLocally <= without.DecidedLocally {
+		t.Errorf("local phase gained nothing: with=%d without=%d", with.DecidedLocally, without.DecidedLocally)
+	}
+	if with.RoundTrips >= without.RoundTrips {
+		t.Errorf("local phase saved no round trip: with=%d without=%d", with.RoundTrips, without.RoundTrips)
+	}
+}
+
+// TestEmployeeWorkloadEndToEnd: the employee workload with dept and
+// salRange at a site rejects its violating updates and leaves a database
+// every constraint holds on.
+func TestEmployeeWorkloadEndToEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	full := store.New()
+	if err := workload.EmployeeDB(rng, full, 4, 30); err != nil {
+		t.Fatal(err)
+	}
+	local, remote := store.New(), store.New()
+	for _, name := range full.Names() {
+		db := local
+		if name != "emp" {
+			db = remote
+		}
+		for _, tu := range full.Tuples(name) {
+			if _, err := db.Insert(name, tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lb := NewLoopback()
+	lb.AddSite("site", NewServer(remote, nil))
+	co, err := New(local, []SiteSpec{{Site: "site", Relations: remote.Names()}}, lb,
+		Options{Checker: core.Options{LocalRelations: []string{"emp"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range workload.StandardEmployeeConstraints() {
+		if err := co.Checker.AddConstraintSource(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range workload.EmployeeUpdates(rng, 60, 4, 0.2) {
+		if _, err := co.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := co.Stats()
+	if st.Updates != 60 || st.Rejected == 0 {
+		t.Errorf("updates = %d, rejected = %d; want 60 and some", st.Updates, st.Rejected)
+	}
+	if st.RoundTrips == 0 {
+		t.Error("no update asked the site")
+	}
+	for name, src := range workload.StandardEmployeeConstraints() {
+		bad, err := eval.PanicHolds(parser.MustParseProgram(src), co.Checker.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad {
+			t.Errorf("constraint %s violated after the stream", name)
+		}
+	}
+	if remote.Dump() == "" || co.Report() == "" {
+		t.Error("empty site or report")
 	}
 }
 

@@ -1,12 +1,12 @@
-// Package netdist is the networked multi-site runtime: it turns the
-// in-process cost model of internal/dist into a deployment that actually
-// crosses sockets. A site daemon (cmd/ccsited) serves one site's
-// relations from a store.Store behind a small wire protocol; a
-// Coordinator runs the staged checker against a local mirror and fetches
-// remote tuples over the wire only when an update's plan needs the
-// global phase — so the paper's "complete local tests avoid remote
-// round trips" claim is measured in real requests, not simulated cost
-// units.
+// Package netdist is the multi-site runtime: the paper's deployment of a
+// local site and remote sites whose data costs a round trip. A site
+// daemon (cmd/ccsited) serves one site's relations from a store.Store
+// behind a small wire protocol; a Coordinator runs the staged checker
+// against a local mirror and fetches remote tuples over the wire only
+// when an update's plan needs the global phase — so the paper's
+// "complete local tests avoid remote round trips" claim is measured in
+// real requests. The same coordinator runs over TCP or over Loopback, an
+// in-process transport whose sites are Servers in the same process.
 //
 // The wire protocol is deliberately minimal and stdlib-only:
 // length-prefixed binary frames over TCP, written and read only by this
@@ -95,24 +95,24 @@ func readRequest(rel string, rg relation.Range) Request {
 // fetchRange decodes what a Fetch selects: the range of column Col its
 // bounds give, or the point Value when it has none. A bound that does not
 // decode, an open flag on a missing bound, and a Value beside bounds are
-// errors.
+// errors. It interns nothing: a read must not grow the site's intern pool
+// with values the client names.
 func (req *Request) fetchRange() (relation.Range, error) {
 	rg := relation.Range{Col: req.Col, LoOpen: req.LoOpen, HiOpen: req.HiOpen}
-	lo, hi := req.Lo, req.Hi
-	if lo == "" && hi == "" && !rg.LoOpen && !rg.HiOpen {
-		lo, hi = req.Value, req.Value
-		if _, err := DecodeValue(req.Value); err != nil {
-			return rg, err
-		}
-	} else if req.Value != "" {
+	var err error
+	if req.Lo == "" && req.Hi == "" && !rg.LoOpen && !rg.HiOpen {
+		rg.Lo, _, err = parseValue(req.Value)
+		rg.Hi, rg.HasLo, rg.HasHi = rg.Lo, true, true
+		return rg, err
+	}
+	if req.Value != "" {
 		return rg, errors.New("netdist: fetch carries both a value and bounds")
 	}
-	var err error
-	if rg.HasLo = lo != ""; rg.HasLo {
-		rg.Lo, err = DecodeValue(lo)
+	if rg.HasLo = req.Lo != ""; rg.HasLo {
+		rg.Lo, _, err = parseValue(req.Lo)
 	}
-	if rg.HasHi = hi != ""; rg.HasHi && err == nil {
-		rg.Hi, err = DecodeValue(hi)
+	if rg.HasHi = req.Hi != ""; rg.HasHi && err == nil {
+		rg.Hi, _, err = parseValue(req.Hi)
 	}
 	if err == nil && (rg.LoOpen && !rg.HasLo || rg.HiOpen && !rg.HasHi) {
 		err = errors.New("netdist: fetch bound open but missing")
@@ -211,24 +211,34 @@ func DecodeSpan(ws WireSpan) (obs.SpanData, error) {
 func EncodeValue(v ast.Value) string { return relation.ValueKey(v) }
 
 // DecodeValue parses EncodeValue's output (ast.ParseKey: a number in the
-// canonical form, within ast.MaxNumberDigits). A canonical key the intern
-// pool already holds — a symbol, or an integer that fits an int64 — is
-// looked up there without parsing (relation.LookupKey); anything else is
-// parsed and funneled through the pool (relation.Canonical). Either way
-// duplicated remote constants share one backing value and arrive
-// pre-interned for fingerprinting — the exact-rational semantics are
-// untouched, since the pooled value is equal to the parsed one.
+// canonical form, within ast.MaxNumberDigits). A value the intern pool
+// lacks is funneled through it (relation.Canonical), so duplicated remote
+// constants share one backing value and arrive pre-interned for
+// fingerprinting — the exact-rational semantics are untouched, since the
+// pooled value is equal to the parsed one. A value that is only looked up
+// is decoded by parseValue, which interns nothing.
 func DecodeValue(s string) (ast.Value, error) {
-	if v, ok := relation.LookupKey(s); ok {
-		return v, nil
-	}
-	// A clone: s may share its text with a whole response's values, which
-	// the pool must not keep alive.
-	v, err := ast.ParseKey(strings.Clone(s))
-	if err != nil {
-		return ast.Value{}, fmt.Errorf("netdist: %w", err)
+	v, pooled, err := parseValue(s)
+	if pooled || err != nil {
+		return v, err
 	}
 	return relation.Canonical(v), nil
+}
+
+// parseValue parses EncodeValue's output without entering the intern
+// pool. A canonical key the pool already holds — a symbol, or an integer
+// that fits an int64 — resolves to the pooled value without parsing
+// (relation.LookupKey), and pooled reports it.
+func parseValue(s string) (v ast.Value, pooled bool, err error) {
+	if v, ok := relation.LookupKey(s); ok {
+		return v, true, nil
+	}
+	// A clone: s may share its text with a whole response's values, which
+	// a value kept past the frame must not keep alive.
+	if v, err = ast.ParseKey(strings.Clone(s)); err != nil {
+		return ast.Value{}, false, fmt.Errorf("netdist: %w", err)
+	}
+	return v, false, nil
 }
 
 // EncodeTuple renders a tuple for the wire.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
 	"net"
 	"strings"
@@ -200,6 +201,38 @@ func TestServerBoundedFetch(t *testing.T) {
 				t.Errorf("%+v: answered an undecodable tuple %v", c.req, tu)
 			}
 		}
+	}
+}
+
+// TestSiteFetchesInternNothing: a fetch names values the client chose, so
+// answering it must not grow the site's intern pool — a point the pool
+// lacks is in no stored tuple and answers empty, and bounds are compared,
+// not interned. 10 000 fetches of distinct symbols, and fetches of
+// rationals that are no int64, leave relation.InternSize() unchanged.
+func TestSiteFetchesInternNothing(t *testing.T) {
+	lb := NewLoopback()
+	lb.AddSite("s", NewServer(newSiteStore(t, "r(3, a). r(5, c). r(7, b)."), []string{"r"}))
+	fetch := func(req Request) {
+		t.Helper()
+		req.Type, req.Relation = OpFetch, "r"
+		resp, err := lb.RoundTrip("s", &req, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || len(resp.Tuples) != 0 {
+			t.Fatalf("%+v: %+v, want an empty answer", req, resp)
+		}
+	}
+	before := relation.InternSize()
+	for i := 0; i < 10000; i++ {
+		fetch(Request{Col: 1, Value: fmt.Sprintf("$junk%d", i)})
+	}
+	fetch(Request{Value: "#1/3"})
+	fetch(Request{Value: "#123456789012345678901234567890"})
+	fetch(Request{Lo: "#1/3", Hi: "#2/3"})
+	fetch(Request{Col: 1, Lo: "$junk-lo", Hi: "$junk-hi", HiOpen: true})
+	if got := relation.InternSize(); got != before {
+		t.Errorf("fetches interned %d values", got-before)
 	}
 }
 

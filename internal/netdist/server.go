@@ -239,14 +239,19 @@ var rowPool = sync.Pool{New: func() any { return new([][]relation.Handle) }}
 const maxPooledRows = 4096
 
 // read appends the handle rows req selects to dst: every tuple for a
-// scan, one hash-index bucket for a fetch of a point, an ordered-index
-// range for a fetch bounded otherwise.
+// scan, one hash-index bucket for a fetch of a point — none when the
+// intern pool lacks the point — an ordered-index range for a fetch
+// bounded otherwise.
 func (s *Server) read(req *Request, dst [][]relation.Handle, rg relation.Range, arity int) [][]relation.Handle {
 	if req.Type == OpScan {
 		return s.db.TuplesAppend(dst, req.Relation, arity)
 	}
 	if v, ok := rg.Point(); ok {
-		return s.db.LookupColsAppend(dst, req.Relation, arity, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
+		h, pooled := relation.HandleOf(v)
+		if !pooled {
+			return dst // a value never interned is in no stored tuple
+		}
+		return s.db.LookupColsAppend(dst, req.Relation, arity, []int{rg.Col}, []relation.Handle{h})
 	}
 	return s.db.RangeAppend(dst, req.Relation, arity, []relation.Range{rg})
 }

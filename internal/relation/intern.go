@@ -92,27 +92,39 @@ func (p *pool) lookupLocked(v ast.Value, ratKey string) (Handle, bool) {
 	return h, ok
 }
 
-// Intern returns the dense handle for v, registering it on first use.
-func Intern(v ast.Value) Handle {
-	p := internPool
+// HandleOf returns v's handle when the pool holds v. It interns nothing: a
+// value the pool lacks is in no stored tuple, so a read that looks it up
+// can answer empty without growing the pool.
+func HandleOf(v ast.Value) (Handle, bool) {
 	// Render the slow-path numeric key outside the lock: RatString
 	// allocates, and only non-int64 rationals need it.
 	ratKey := ""
 	if v.Kind == ast.NumberValue && !(v.Num.IsInt() && v.Num.Num().IsInt64()) {
 		ratKey = v.Num.RatString()
 	}
+	p := internPool
 	p.mu.RLock()
 	h, ok := p.lookupLocked(v, ratKey)
 	p.mu.RUnlock()
-	if ok {
+	return h, ok
+}
+
+// Intern returns the dense handle for v, registering it on first use.
+func Intern(v ast.Value) Handle {
+	if h, ok := HandleOf(v); ok {
 		return h
+	}
+	p := internPool
+	ratKey := ""
+	if v.Kind == ast.NumberValue && !(v.Num.IsInt() && v.Num.Num().IsInt64()) {
+		ratKey = v.Num.RatString()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if h, ok := p.lookupLocked(v, ratKey); ok {
 		return h // a concurrent interner won the race
 	}
-	h = Handle(p.n)
+	h := Handle(p.n)
 	// Store a private copy of the value so later mutation of a caller's
 	// big.Rat cannot corrupt the pool (Values are treated as immutable
 	// repo-wide, but the pool outlives any caller).

@@ -1,7 +1,7 @@
 // Package store provides a named-relation database with update
 // application, snapshots, and per-relation access accounting. The access
-// counters are what the distributed simulator (internal/dist) uses to
-// measure how much remote data a checking strategy touches.
+// counters (Reads, TotalReads) let a test see how much of each relation a
+// checking strategy touched.
 //
 // A Store is safe for concurrent use: relation creation is guarded by an
 // RWMutex, the relations themselves are internally synchronized (see
