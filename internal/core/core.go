@@ -158,17 +158,23 @@ type Decision struct {
 // presence proves the insert safe. No other relation was read for it.
 type Witness struct {
 	Constraint string
-	Tuple      relation.Tuple
+	// cert is the stored row, or the pending batch member's tuple, that
+	// certified the constraint: a decision does not materialize it.
+	cert residual.Witness
 }
 
-// witnessOf returns the tuple ws names for the constraint, or nil.
-func witnessOf(ws []Witness, constraint string) relation.Tuple {
+// Tuple returns the tuple that certified the constraint.
+func (w Witness) Tuple() relation.Tuple { return w.cert.Tuple() }
+
+// witnessOf returns what certified the constraint in ws, or the zero
+// residual.Witness.
+func witnessOf(ws []Witness, constraint string) residual.Witness {
 	for _, w := range ws {
 		if w.Constraint == constraint {
-			return w.Tuple
+			return w.cert
 		}
 	}
-	return nil
+	return residual.Witness{}
 }
 
 // Report is the outcome of one Apply.
@@ -190,7 +196,9 @@ type Report struct {
 
 // Witness returns the tuple that certified the constraint, or nil when a
 // certificate did not decide it.
-func (r Report) Witness(constraint string) relation.Tuple { return witnessOf(r.Witnesses, constraint) }
+func (r Report) Witness(constraint string) relation.Tuple {
+	return witnessOf(r.Witnesses, constraint).Tuple()
+}
 
 // Violations lists the violated constraints' names.
 func (r Report) Violations() []string {
@@ -203,14 +211,26 @@ func (r Report) Violations() []string {
 	return out
 }
 
-// patch returns the decisions for judge to write into, cloning the
-// program's shared report at the first patch. Programs are immutable and
+// patch returns the decisions for judge to write into, cloning a report
+// shared with the program at the first patch. Programs are immutable and
 // replaced whole, so an unpatched report stays valid once returned.
 func (r *Report) patch(p *program) []Decision {
-	if &r.Decisions[0] == &p.report[0] {
+	if p.shares(r.Decisions) {
 		r.Decisions = slices.Clone(r.Decisions)
 	}
 	return r.Decisions
+}
+
+// reject marks the step's constraint violated. A report no decision has
+// patched switches to the program's report for the step's rejection, so a
+// decision that one step rejects allocates no report; a report patched
+// before, or rejected again, is patched.
+func (r *Report) reject(p *program, s *progStep) {
+	if &r.Decisions[0] == &p.report[0] {
+		r.Decisions = s.rejected
+		return
+	}
+	r.patch(p)[s.slot].Verdict = Violated
 }
 
 // Stats aggregates phase usage across updates.
@@ -221,7 +241,8 @@ type Stats struct {
 	Decisions int
 	// CacheHits/CacheMisses count the pattern-level phase entries
 	// (cacheEntry): a miss is an entry built when the constraint set
-	// changed, a hit an entry a decision or plan was served.
+	// changed, a hit an entry a decision was served (a Plan counts
+	// nothing: the decision that finishes it does).
 	CacheHits   int64
 	CacheMisses int64
 	// PlanHits/PlanMisses count the constraints' compiled global-phase
@@ -231,7 +252,7 @@ type Stats struct {
 	PlanHits   int64
 	PlanMisses int64
 	// ResidualHits/ResidualMisses/ResidualCompiled count the compiled
-	// residual checks: hits the checks decisions and plans ran, misses the
+	// residual checks: hits the checks decisions ran, misses the
 	// constraints a decision left to the phase pipeline because the
 	// residual compiler refused their pattern, compiled the checks compiled
 	// when the constraint set changed. All zero when
@@ -797,7 +818,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 		var res *residual.Residual
 		var o *dynOutcome
 		phase, bad, hit := PhaseResidual, false, true
-		var witness relation.Tuple
+		var witness residual.Witness
 		var dur time.Duration
 		switch s.kind {
 		case stepStatic:
@@ -816,13 +837,13 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 				start = time.Now()
 			}
 			// The plan's certificate stands; without one the check runs.
-			if witness = witnessOf(planned, s.k.Name); witness == nil {
+			if witness = witnessOf(planned, s.k.Name); !witness.Found() {
 				bad, witness = res.DecideWitness(c.db, prior, u.Tuple)
 			}
 			if tracing {
 				dur = time.Since(start)
 			}
-			if witness != nil {
+			if witness.Found() {
 				rep.Witnesses = append(rep.Witnesses, Witness{s.k.Name, witness})
 				c.localCertified.Add(1)
 				if c.met != nil {
@@ -833,7 +854,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 		v := Holds
 		if bad {
 			v, violated = Violated, true
-			rep.patch(p)[s.slot].Verdict = Violated
+			rep.reject(p, s)
 		}
 		t.byPhase[phase]++
 		if tracing {
@@ -851,8 +872,8 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 					e.Cache = obs.CacheHit
 				}
 			}
-			if witness != nil {
-				e.Certificate, e.Witness = obs.CacheHit, u.Relation+witness.String()
+			if witness.Found() {
+				e.Certificate, e.Witness = obs.CacheHit, u.Relation+witness.Tuple().String()
 			} else if res != nil && res.Certificates() > 0 {
 				e.Certificate = obs.CacheMiss
 			}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/relation"
+	"repro/internal/residual"
 	"repro/internal/store"
 )
 
@@ -36,14 +37,14 @@ type PlanReport struct {
 // Witness returns the tuple that certified the constraint, or nil when a
 // certificate did not decide it.
 func (pr PlanReport) Witness(constraint string) relation.Tuple {
-	return witnessOf(pr.Witnesses, constraint)
+	return witnessOf(pr.Witnesses, constraint).Tuple()
 }
 
 // Plan runs the local certificates and the read-only phases 1–3 for every
 // constraint against the update without applying it: the store is not
-// mutated and the checker's aggregate stats are untouched (the entry and
-// residual counters still move, since Plan runs the same program
-// Apply does). A networked coordinator uses Plan to learn,
+// mutated and the checker's stats are untouched — the entries and compiled
+// checks a plan is served are counted once, by the decision that finishes
+// it (DecideAll), as for an Apply. A networked coordinator uses Plan to learn,
 // before committing to an update, which remote relations it must fetch
 // for the global phase — an update whose plan has no Global constraints
 // needs no remote data at all.
@@ -59,13 +60,9 @@ func (c *Checker) Plan(u store.Update) PlanReport { return c.plan(nil, u) }
 // plan is Plan for u once the updates prior are applied (PlanAll).
 func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	p := c.programOf(u)
-	t := tally{cacheHits: int64(p.memos)}
 	// Certificates are compiled only for inserts, and only where something
 	// is remote and phase 3 and residual dispatch are on.
 	certs := c.resOpts.Local != nil && u.Insert
-	if certs {
-		t.residualMisses += int64(p.ineligible)
-	}
 	// A program's static steps are decided, and so is a step whose compiled
 	// check is certified or whose entry names a pattern-level phase; only the
 	// rest run the tuple-dependent phases.
@@ -83,8 +80,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			continue
 		case stepResidual:
 			if certs {
-				t.residualHits++
-				if o.witness = s.check.Certified(c.db, prior, u.Tuple); o.witness != nil {
+				if o.witness = s.check.Certified(c.db, prior, u.Tuple); o.witness.Found() {
 					o.phase, o.decided = PhaseResidual, true
 					continue
 				}
@@ -92,7 +88,6 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			// Uncertified, the constraint is the phases' to decide; the
 			// compiled check is Apply's.
 			if s.entry != nil {
-				t.cacheHits++
 				if o.phase, o.decided = c.staticPhase(s.entry); o.decided {
 					continue
 				}
@@ -100,7 +95,6 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		}
 		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	}
-	c.record(&t)
 	// Size each report slice once; one a plan leaves empty stays nil.
 	var decided, witnesses, global, rels int
 	for i := range out {
@@ -108,7 +102,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		case !o.decided:
 			global++
 			rels += len(p.steps[i].k.edb)
-		case o.witness != nil:
+		case o.witness.Found():
 			decided++
 			witnesses++
 		default:
@@ -132,7 +126,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		k, o := p.steps[i].k, &out[i]
 		if o.decided {
 			pr.Decided = append(pr.Decided, Decision{k.Name, o.phase, Holds})
-			if o.witness != nil {
+			if o.witness.Found() {
 				pr.Witnesses = append(pr.Witnesses, Witness{k.Name, o.witness})
 			}
 			continue
@@ -152,5 +146,5 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 type planOutcome struct {
 	phase   Phase
 	decided bool
-	witness relation.Tuple
+	witness residual.Witness
 }

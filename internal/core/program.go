@@ -58,6 +58,10 @@ type progStep struct {
 	// entry holds the pattern-level phase-1/1.5 verdicts and the phase-2
 	// guard; nil under Options.DisableCache.
 	entry *cacheEntry
+	// rejected is, for a step that can reject, the program's report with
+	// the step's slot Violated: a rejection switches to it instead of
+	// cloning (Report.reject).
+	rejected []Decision
 }
 
 // program is the compiled decision of one update pattern, valid for the
@@ -243,7 +247,26 @@ func (c *Checker) compile(key progKey) *program {
 		}
 	}
 	p.wire = slices.ContainsFunc(p.claims, func(cl claim) bool { return c.remote(cl.rel) })
+	for i := range p.steps {
+		if s := &p.steps[i]; s.kind != stepStatic {
+			s.rejected = slices.Clip(slices.Clone(p.report))
+			s.rejected[s.slot].Verdict = Violated
+		}
+	}
 	return p
+}
+
+// shares reports whether ds is one of the program's reports.
+func (p *program) shares(ds []Decision) bool {
+	if &ds[0] == &p.report[0] {
+		return true
+	}
+	for i := range p.steps {
+		if r := p.steps[i].rejected; r != nil && &r[0] == &ds[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // partial reports whether the checker has partial information: something

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -226,7 +227,7 @@ func decisionsText(ds []Decision) string {
 func witnessesText(ws []Witness) string {
 	parts := make([]string, len(ws))
 	for i, w := range ws {
-		parts[i] = w.Constraint + "=" + w.Tuple.String()
+		parts[i] = w.Constraint + "=" + w.Tuple().String()
 	}
 	return "[" + strings.Join(parts, " ") + "]"
 }
@@ -711,6 +712,24 @@ func TestFlatDecisionAllocs(t *testing.T) {
 	t.Logf("apply+undo %v, the two writes %v", pair, writes)
 	if pair > writes {
 		t.Errorf("Apply and undo allocate %v objects, the two store writes %v", pair, writes)
+	}
+}
+
+// TestRejectedCheckAllocs: a rejection allocates no report. A warm Check
+// that the referential constraint alone rejects returns the program's
+// report for that rejection, and so allocates nothing.
+func TestRejectedCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	c := flatChecker(t, Options{})
+	bad := store.Ins("emp", empTuple("new", "nodept", 25))
+	rep, err := c.Check(bad)
+	if err != nil || rep.Applied || !slices.Equal(rep.Violations(), []string{"referential"}) {
+		t.Fatalf("%v: %+v %v, want a rejection by referential", bad, rep, err)
+	}
+	if got := testing.AllocsPerRun(200, func() { _, _ = c.Check(bad) }); got != 0 {
+		t.Errorf("a warm rejected Check of %v allocates %v objects, want 0", bad, got)
 	}
 }
 

@@ -308,7 +308,7 @@ func ExpDistributed(densities []int, updates int, seed int64) (Table, error) {
 		"denser local data certifies more inserts locally; the naive strategy pays one remote trip per update",
 		"remote-trips and remote-tuples are the coordinator's round trips and wire tuples to the site holding r; a global evaluation refreshes all 50 tuples of r",
 		"cost = 100 per round trip + 1 per tuple (DefaultCost)",
-		"cache-hit% is the checker's pattern-entry hit rate over the stream; the coordinator's plan of each update is served the entries too, and counts")
+		"cache-hit% is the checker's pattern-entry hit rate over the stream; a coordinator's plan of an update counts nothing, the decision that finishes it counts its entries once")
 	return t, nil
 }
 

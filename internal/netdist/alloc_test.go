@@ -34,7 +34,7 @@ func TestRoutedCheckAllocs(t *testing.T) {
 	if n := co.Stats().RoundTrips - trips; n != 201 || attempts(lb)-before != 201 {
 		t.Fatalf("%d round trips over 201 checks, want one each", n)
 	}
-	const pin = 23
+	const pin = 21
 	if got > pin {
 		t.Errorf("a warm routed Check allocates %v objects, want at most %d", got, pin)
 	}

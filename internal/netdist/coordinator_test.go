@@ -123,9 +123,15 @@ func TestCoordinatorMatchesEmbeddedOnD1(t *testing.T) {
 				t.Errorf("density %d: relation %s diverged", density, name)
 			}
 		}
-		cst := co.Stats()
-		if !reflect.DeepEqual(cst.ByPhase, embedded.Stats().ByPhase) {
-			t.Errorf("density %d: phase histograms diverged: %v vs %v", density, cst.ByPhase, embedded.Stats().ByPhase)
+		cst, est := co.Stats(), embedded.Stats()
+		if !reflect.DeepEqual(cst.ByPhase, est.ByPhase) {
+			t.Errorf("density %d: phase histograms diverged: %v vs %v", density, cst.ByPhase, est.ByPhase)
+		}
+		// A plan counts nothing: the decision that finishes it counts the
+		// entries it is served, once, as an embedded Apply does.
+		if kst := co.Checker.Stats(); kst.CacheHits != est.CacheHits || kst.ResidualHits != est.ResidualHits {
+			t.Errorf("density %d: cache hits %d, residual hits %d; embedded %d, %d",
+				density, kst.CacheHits, kst.ResidualHits, est.CacheHits, est.ResidualHits)
 		}
 		if cst.RoundTrips != cst.Updates-cst.DecidedLocally || cst.RoundTrips != cst.ByPhase[core.PhaseGlobal] {
 			t.Errorf("density %d: %d round trips for %d updates, %d decided locally, %d global decisions",

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -129,15 +130,15 @@ func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Val
 // holds the write lock.
 func (r *Relation) buildLocked(cols []int) *multiIndex {
 	mi := &multiIndex{cols: cols, buckets: map[uint64][]int{}}
-	mi.fill(r.handles)
+	mi.fill(r.rows)
 	r.midx[colsMask(cols)] = mi
 	indexBuilds.Add(1)
 	return mi
 }
 
-// fill buckets the positions of the live rows of handles.
-func (mi *multiIndex) fill(handles [][]Handle) {
-	for pos, hs := range handles {
+// fill buckets the positions of the live rows.
+func (mi *multiIndex) fill(rows [][]Handle) {
+	for pos, hs := range rows {
 		if hs != nil {
 			k := FingerprintProj(hs, mi.cols)
 			mi.buckets[k] = append(mi.buckets[k], pos)
@@ -149,14 +150,14 @@ func (mi *multiIndex) fill(handles [][]Handle) {
 // truncated and refilled in place, in position order as a build fills it,
 // and a bucket left empty is deleted. fresh starts from an empty map
 // instead, for a relation that reallocated its arrays.
-func (mi *multiIndex) refill(handles [][]Handle, fresh bool) {
+func (mi *multiIndex) refill(rows [][]Handle, fresh bool) {
 	if fresh {
 		mi.buckets = map[uint64][]int{}
 	}
 	for k, b := range mi.buckets {
 		mi.buckets[k] = b[:0]
 	}
-	mi.fill(handles)
+	mi.fill(rows)
 	for k, b := range mi.buckets {
 		if len(b) == 0 {
 			delete(mi.buckets, k)
@@ -193,13 +194,12 @@ func (r *Relation) IndexSignatures() [][]int {
 	return out
 }
 
-// gatherLocked appends to dst the entries of from — the relation's tuples
-// or its handle rows — at the indexed positions whose tuple is live and
-// agrees with the probe handles on cols. Caller holds mu (read or write).
-func gatherLocked[T any](r *Relation, dst, from []T, positions []int, cols []int, phs []Handle) []T {
+// gatherLocked appends to dst the live rows at the indexed positions that
+// agree with the probe handles on cols. Caller holds mu (read or write).
+func (r *Relation) gatherLocked(dst [][]Handle, positions []int, cols []int, phs []Handle) [][]Handle {
 next:
 	for _, pos := range positions {
-		hs := r.handles[pos]
+		hs := r.rows[pos]
 		if hs == nil {
 			continue
 		}
@@ -208,7 +208,7 @@ next:
 				continue next
 			}
 		}
-		dst = append(dst, from[pos])
+		dst = append(dst, hs)
 	}
 	return dst
 }
@@ -243,8 +243,8 @@ func (r *Relation) LookupCols(cols []int, vals []ast.Value) []Tuple {
 	fp := FingerprintHandles(phs)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	bucket := r.bucketLocked(sorted, fp) // may trade the lock: read r.tuples after it
-	return gatherLocked(r, nil, r.tuples, bucket, sorted, phs)
+	rows := r.gatherLocked(nil, r.bucketLocked(sorted, fp), sorted, phs)
+	return appendMaterialized(make([]Tuple, 0, len(rows)), rows, len(rows)*r.arity)
 }
 
 // LookupColsAppend appends to dst the handle rows of the tuples whose
@@ -254,22 +254,23 @@ func (r *Relation) LookupCols(cols []int, vals []ast.Value) []Tuple {
 // must not modify them.
 func (r *Relation) LookupColsAppend(dst [][]Handle, cols []int, key []Handle) [][]Handle {
 	if !r.checkCols(cols, len(key)) {
-		panic(fmt.Sprintf("relation: probe columns %v of %s are not sorted ascending", cols, r.name))
+		// A copy: cols itself must not escape, a caller's stack array included.
+		panic(fmt.Sprintf("relation: probe columns %v of %s are not sorted ascending", slices.Clone(cols), r.name))
 	}
 	fp := FingerprintHandles(key)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	bucket := r.bucketLocked(cols, fp) // may trade the lock: read r.handles after it
-	return gatherLocked(r, dst, r.handles, bucket, cols, key)
+	return r.gatherLocked(dst, r.bucketLocked(cols, fp), cols, key)
 }
 
-// FirstCols is the existence-only probe: it returns the first live tuple
-// (in bucket order) whose projection onto cols equals vals and that holds
-// one value at both positions of every pair in same, or nil when there is
-// none. It copies no bucket and allocates nothing once the index on cols
-// is built — which it does lazily, like LookupCols. Values compare as
-// interned handles.
-func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) Tuple {
+// FirstCols is the existence-only probe: it returns the handle row of the
+// first live tuple (in bucket order) whose projection onto cols equals
+// vals and that holds one value at both positions of every pair in same,
+// or nil when there is none. The row is the relation's own; the caller
+// must not modify it. It copies no bucket and allocates nothing once the
+// index on cols is built — which it does lazily, like LookupCols. Values
+// compare as interned handles.
+func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) []Handle {
 	sorted, svals := r.normalizeCols(cols, vals)
 	var scratch [8]Handle
 	phs := AppendHandles(scratch[:0], svals)
@@ -278,7 +279,7 @@ func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) Tuple 
 	defer r.mu.RUnlock()
 next:
 	for _, pos := range r.bucketLocked(sorted, fp) {
-		hs := r.handles[pos]
+		hs := r.rows[pos]
 		if hs == nil {
 			continue
 		}
@@ -292,7 +293,7 @@ next:
 				continue next
 			}
 		}
-		return r.tuples[pos]
+		return hs
 	}
 	return nil
 }

@@ -229,13 +229,14 @@ func TestFirstColsAgainstLookupCols(t *testing.T) {
 					}
 					want = want || ok
 				}
-				got := r.FirstCols(cols, vals, same)
-				if (got != nil) != want {
-					t.Fatalf("batch %d cols %v vals %v same %v: FirstCols = %v, a match exists: %v", batch, cols, vals, same, got, want)
+				row := r.FirstCols(cols, vals, same)
+				if (row != nil) != want {
+					t.Fatalf("batch %d cols %v vals %v same %v: FirstCols = %v, a match exists: %v", batch, cols, vals, same, row, want)
 				}
-				if got == nil {
+				if row == nil {
 					continue
 				}
+				got := Materialize(row)
 				if !r.Contains(got) {
 					t.Fatalf("FirstCols returned %v, which the relation does not hold", got)
 				}

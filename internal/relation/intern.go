@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"math/big"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,15 @@ import (
 
 // Value interning. Every constant that flows through the relational
 // substrate — exact rationals and strings alike — is mapped to a dense
-// process-local Handle, so the hot paths compare and hash small integers
-// instead of rebuilding canonical key strings (Value.Key allocates a
-// fresh string per call, and big.Rat comparison walks limbs). The pool
-// also memoizes each value's canonical key string and a pooled
-// representative Value, so key rendering and wire encoding reuse one
-// allocation per distinct constant for the process lifetime.
+// process-local Handle, and a stored tuple is the row of its values'
+// handles: the hot paths compare and hash small integers instead of
+// rebuilding canonical key strings (Value.Key allocates a fresh string per
+// call, and big.Rat comparison walks limbs). The pool also memoizes each
+// value's canonical key string, a pooled representative Value — what
+// every materialized tuple is built from — and, for an int64 integer, its
+// int64, which the ordered indexes compare instead of the big.Rat, so key
+// rendering, wire encoding and ordering reuse one allocation per distinct
+// constant for the process lifetime.
 //
 // Interning is strictly process-local: the wire format (internal/netdist)
 // still carries canonical exact values, and decode re-interns on arrival.
@@ -40,11 +44,42 @@ const (
 	chunkSize = 1 << chunkBits
 )
 
-// interned is one pooled constant: its representative and its canonical
-// Value.Key rendering, precomputed once.
+// interned is one pooled constant: its representative, its canonical
+// Value.Key rendering and, for an integer that fits in an int64, that
+// int64 — all precomputed once.
 type interned struct {
 	v   ast.Value
 	key string
+	// n is v's value when small is set: v is an integer in int64's range.
+	n     int64
+	small bool
+}
+
+// prepared returns v with its int64 form worked out, as the pool holds
+// it: what an ordered index compares a range bound by.
+func prepared(v ast.Value) interned {
+	if v.Kind == ast.NumberValue && v.Num.IsInt() && v.Num.Num().IsInt64() {
+		return interned{v: v, n: v.Num.Num().Int64(), small: true}
+	}
+	return interned{v: v}
+}
+
+// compare orders two prepared values as ast.Value.Compare does, with
+// integer compares when both are int64 integers.
+func (a *interned) compare(b *interned) int {
+	if a.small && b.small {
+		return cmp.Compare(a.n, b.n)
+	}
+	return a.v.Compare(b.v)
+}
+
+// compareHandles orders the pooled values of two handles as
+// ast.Value.Compare orders the values.
+func compareHandles(a, b Handle) int {
+	if a == b {
+		return 0
+	}
+	return internPool.slot(a).compare(internPool.slot(b))
 }
 
 // chunk holds the pooled constants of chunkSize consecutive handles.
@@ -138,7 +173,9 @@ func Intern(v ast.Value) Handle {
 		p.dir.Store(&grown)
 		dir = grown
 	}
-	dir[h>>chunkBits][h%chunkSize] = interned{v: stored, key: stored.Key()}
+	slot := prepared(stored)
+	slot.key = stored.Key()
+	dir[h>>chunkBits][h%chunkSize] = slot
 	switch {
 	case v.Kind == ast.StringValue:
 		p.strs[v.Str] = h

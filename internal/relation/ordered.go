@@ -11,13 +11,16 @@ import (
 // One-column ordered indexes. An ordered index holds the positions of the
 // live tuples sorted by (value at its column, position), so the tuples
 // whose column lies in a range are two binary searches away instead of a
-// scan. Values are read from the stored tuples, never copied, and compare
-// by ast.Value.Compare — the order CompOp.Eval decides comparisons in:
-// numbers before strings. An index is built on the first range lookup of
-// its column and kept from then on: Insert adds its entry (an append when
-// the value sorts last), Delete removes it (a truncation when it is the
-// last), compaction renumbers its positions in place —
-// the renumbering is monotone, so the order stands and nothing is rebuilt.
+// scan. Values are the pooled ones the stored rows' handles name, never
+// copied, and compare in the order of ast.Value.Compare — the order
+// CompOp.Eval decides comparisons in: numbers before strings — with
+// integer compares where both sides are int64 integers (the pool keeps
+// that form of each value, and a seek works it out for its bound once).
+// An index is built on the first range lookup of its column and kept from
+// then on: Insert adds its entry (an append when the value sorts last),
+// Delete removes it (a truncation when it is the last), compaction
+// renumbers its positions in place — the renumbering is monotone, so the
+// order stands and nothing is rebuilt.
 
 // ordered is the ordered index of one column.
 type ordered struct {
@@ -90,13 +93,13 @@ func (r *Relation) ensureOrderedLocked(col int) {
 		return
 	}
 	o := &ordered{col: col, pos: make([]int32, 0, r.count)}
-	for p, t := range r.tuples {
-		if t != nil {
+	for p, hs := range r.rows {
+		if hs != nil {
 			o.pos = append(o.pos, int32(p))
 		}
 	}
 	// Stable: positions were collected ascending, which breaks value ties.
-	slices.SortStableFunc(o.pos, func(a, b int32) int { return r.tuples[a][col].Compare(r.tuples[b][col]) })
+	slices.SortStableFunc(o.pos, func(a, b int32) int { return compareHandles(r.rows[a][col], r.rows[b][col]) })
 	r.ord = append(r.ord, o)
 	indexBuilds.Add(1)
 }
@@ -104,12 +107,12 @@ func (r *Relation) ensureOrderedLocked(col int) {
 // seek returns the index of the first entry of o not below (v, p) in the
 // index order. p = -1 finds the first value ≥ v, p = math.MaxInt the first
 // value > v. Caller holds mu.
-func (r *Relation) seek(o *ordered, v ast.Value, p int) int {
+func (r *Relation) seek(o *ordered, v *interned, p int) int {
 	lo, hi := 0, len(o.pos)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		q := o.pos[m]
-		if c := r.tuples[q][o.col].Compare(v); c < 0 || c == 0 && int(q) < p {
+		if c := internPool.slot(r.rows[q][o.col]).compare(v); c < 0 || c == 0 && int(q) < p {
 			lo = m + 1
 		} else {
 			hi = m
@@ -118,30 +121,30 @@ func (r *Relation) seek(o *ordered, v ast.Value, p int) int {
 	return lo
 }
 
-// addOrderedLocked enters the tuple just stored at pos, the last position,
+// addOrderedLocked enters the row just stored at pos, the last position,
 // into every ordered index. Caller holds the write lock.
 func (r *Relation) addOrderedLocked(pos int) {
-	t := r.tuples[pos]
+	hs := r.rows[pos]
 	for _, o := range r.ord {
-		v := t[o.col]
-		if n := len(o.pos); n == 0 || r.tuples[o.pos[n-1]][o.col].Compare(v) <= 0 {
+		h := hs[o.col]
+		if n := len(o.pos); n == 0 || compareHandles(r.rows[o.pos[n-1]][o.col], h) <= 0 {
 			o.pos = append(o.pos, int32(pos))
 			continue
 		}
-		o.pos = slices.Insert(o.pos, r.seek(o, v, pos), int32(pos))
+		o.pos = slices.Insert(o.pos, r.seek(o, internPool.slot(h), pos), int32(pos))
 	}
 }
 
-// dropOrderedLocked removes the live tuple at pos from every ordered
-// index; the tuple must still be stored. Caller holds the write lock.
+// dropOrderedLocked removes the live row at pos from every ordered index;
+// the row must still be stored. Caller holds the write lock.
 func (r *Relation) dropOrderedLocked(pos int) {
-	t := r.tuples[pos]
+	hs := r.rows[pos]
 	for _, o := range r.ord {
 		if n := len(o.pos); o.pos[n-1] == int32(pos) {
 			o.pos = o.pos[:n-1]
 			continue
 		}
-		i := r.seek(o, t[o.col], pos)
+		i := r.seek(o, internPool.slot(hs[o.col]), pos)
 		o.pos = slices.Delete(o.pos, i, i+1)
 	}
 }
@@ -185,10 +188,12 @@ func (r *Relation) RangeAppend(dst [][]Handle, ranges []Range) [][]Handle {
 		o := r.orderedLocked(rg.Col)
 		lo, hi := 0, len(o.pos)
 		if rg.HasLo {
-			lo = r.seek(o, rg.Lo, boundPos(rg.LoOpen))
+			b := prepared(rg.Lo)
+			lo = r.seek(o, &b, boundPos(rg.LoOpen))
 		}
 		if rg.HasHi {
-			hi = max(lo, r.seek(o, rg.Hi, boundPos(!rg.HiOpen)))
+			b := prepared(rg.Hi)
+			hi = max(lo, r.seek(o, &b, boundPos(!rg.HiOpen)))
 		}
 		if best == nil || hi-lo < to-from {
 			best, from, to, down = o, lo, hi, !rg.HasLo && rg.HasHi
@@ -196,12 +201,12 @@ func (r *Relation) RangeAppend(dst [][]Handle, ranges []Range) [][]Handle {
 	}
 	if down {
 		for i := to - 1; i >= from; i-- {
-			dst = append(dst, r.handles[best.pos[i]])
+			dst = append(dst, r.rows[best.pos[i]])
 		}
 		return dst
 	}
 	for _, p := range best.pos[from:to] {
-		dst = append(dst, r.handles[p])
+		dst = append(dst, r.rows[p])
 	}
 	return dst
 }

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sync"
@@ -214,5 +216,84 @@ func TestOrderedIndexAllocations(t *testing.T) {
 	}
 	if without, with := writes(plain), writes(ordered); with > without {
 		t.Errorf("Insert+Delete allocate %v objects with two ordered indexes, %v without", with, without)
+	}
+}
+
+// TestOrderedSeekInt64FastPath: an ordered index compares two int64
+// integers as int64s and everything else by ast.Value.Compare. Over int64
+// extremes, integers wider than int64, fractions beside them and strings,
+// the prepared comparison agrees with Value.Compare on every pair, and
+// RangeAppend agrees with the scan on every bound — the pooled values and
+// ones the pool does not hold.
+func TestOrderedSeekInt64FastPath(t *testing.T) {
+	wide := func(shift uint, neg bool) ast.Value {
+		n := new(big.Int).Lsh(big.NewInt(1), shift)
+		if neg {
+			n.Neg(n)
+		}
+		return ast.Value{Kind: ast.NumberValue, Num: new(big.Rat).SetInt(n)}
+	}
+	frac := func(n *big.Int, d int64) ast.Value {
+		return ast.Value{Kind: ast.NumberValue, Num: new(big.Rat).SetFrac(n, big.NewInt(d))}
+	}
+	maxPlus := new(big.Int).Add(big.NewInt(math.MaxInt64), big.NewInt(1))
+	minMinus := new(big.Int).Sub(big.NewInt(math.MinInt64), big.NewInt(1))
+	stored := []ast.Value{
+		ast.Int(math.MinInt64), ast.Int(math.MinInt64 + 1), ast.Int(-1), ast.Int(0), ast.Int(1),
+		ast.Int(math.MaxInt64 - 1), ast.Int(math.MaxInt64),
+		{Kind: ast.NumberValue, Num: new(big.Rat).SetInt(maxPlus)}, {Kind: ast.NumberValue, Num: new(big.Rat).SetInt(minMinus)},
+		wide(70, false), wide(70, true),
+		ast.Rat(1, 2), ast.Rat(-1, 2), frac(big.NewInt(math.MaxInt64), 2), frac(new(big.Int).Mul(big.NewInt(2), big.NewInt(math.MaxInt64)), 1),
+		ast.Str(""), ast.Str("a"), ast.Str("b"),
+	}
+	// Bounds the pool holds nowhere in this package's tests.
+	unpooled := []ast.Value{
+		ast.Int(math.MaxInt64 - 3), ast.Int(math.MinInt64 + 3), wide(71, false), wide(71, true),
+		frac(big.NewInt(2*math.MaxInt64/3), 3), ast.Rat(3, 7), ast.Str("ab"),
+	}
+	for _, v := range unpooled {
+		if _, ok := HandleOf(v); ok {
+			t.Fatalf("bound %s is already pooled", v)
+		}
+	}
+	bounds := append(append([]ast.Value(nil), stored...), unpooled...)
+	for _, a := range bounds {
+		pa := prepared(a)
+		for _, b := range bounds {
+			pb := prepared(b)
+			if got, want := pa.compare(&pb), a.Compare(b); got != want {
+				t.Errorf("compare(%s, %s) = %d, Value.Compare %d", a, b, got, want)
+			}
+		}
+	}
+	r := New("x", 1)
+	for _, v := range stored {
+		r.Insert(Tuple{v})
+	}
+	for i, a := range stored {
+		for _, b := range stored[i:] {
+			ha, hb := Intern(a), Intern(b)
+			if got, want := compareHandles(ha, hb), a.Compare(b); got != want {
+				t.Errorf("compareHandles(%s, %s) = %d, Value.Compare %d", a, b, got, want)
+			}
+		}
+	}
+	for _, v := range bounds {
+		for _, open := range []bool{false, true} {
+			for _, rg := range []Range{
+				{Col: 0, Lo: v, HasLo: true, LoOpen: open},
+				{Col: 0, Hi: v, HasHi: true, HiOpen: open},
+				{Col: 0, Lo: v, HasLo: true, LoOpen: open, Hi: ast.Int(math.MaxInt64), HasHi: true},
+			} {
+				if got, want := tuplesOf(r.RangeAppend(nil, []Range{rg})), scanRange(r, []Range{rg}); !sameTuples(got, want) {
+					t.Errorf("RangeAppend(%+v) = %v, scan %v", rg, got, want)
+				}
+			}
+		}
+	}
+	for _, v := range unpooled {
+		if _, ok := HandleOf(v); ok {
+			t.Errorf("a seek interned its bound %s", v)
+		}
 	}
 }

@@ -5,16 +5,21 @@
 // the paper's algorithms only need insert, delete, scan, and indexed
 // lookup.
 //
-// Constants are interned process-wide (see intern.go): every stored
-// tuple carries a precomputed handle slice and fingerprint, so
-// membership tests, dedup and index maintenance compare dense integers
-// instead of rebuilding canonical key strings.
+// Constants are interned process-wide (see intern.go), and a stored
+// tuple is its row of interned handles: the relation keeps no other form
+// of it. Membership tests, dedup, joins and index maintenance compare
+// dense integers; the ordered indexes compare the pooled values the
+// handles name. The Tuple-returning reads (Tuples, Each, Lookup,
+// LookupCols, Index.Probe) build their tuples from the pool's canonical
+// values, so nothing a caller does to the Values it inserted reaches a
+// stored tuple.
 //
 // Relations are safe for concurrent use: any number of readers may scan,
 // probe and perform indexed lookups (lazy column-index construction
-// included) while writers insert and delete. Stored tuples are never
-// mutated after insertion, so snapshots handed out by Tuples/Each may be
-// shared freely.
+// included) while writers insert and delete. Stored rows are never
+// mutated after insertion, so rows handed out by the handle reads
+// (TuplesAppend, LookupColsAppend, RangeAppend, FirstCols) may be shared
+// freely, read-only.
 package relation
 
 import (
@@ -100,6 +105,20 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
+// EqualHandles reports whether t holds the values of the interned handles
+// hs. It interns nothing.
+func (t Tuple) EqualHandles(hs []Handle) bool {
+	if len(t) != len(hs) {
+		return false
+	}
+	for i, h := range hs {
+		if !t[i].Equal(InternedValue(h)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
@@ -138,6 +157,35 @@ func TermsToTuple(terms []ast.Term) (Tuple, error) {
 	return t, nil
 }
 
+// Materialize returns the tuple whose interned handles are hs: the pool's
+// canonical values, in a fresh slice.
+func Materialize(hs []Handle) Tuple {
+	t := make(Tuple, len(hs))
+	for i, h := range hs {
+		t[i] = InternedValue(h)
+	}
+	return t
+}
+
+// appendMaterialized appends to out the tuples of the live rows,
+// materialized into one fresh array of n values — the live rows' handles
+// in all — each capped at its own length so an append to one copies.
+func appendMaterialized(out []Tuple, rows [][]Handle, n int) []Tuple {
+	vals := make([]ast.Value, n)
+	for _, hs := range rows {
+		if hs == nil {
+			continue
+		}
+		t := vals[:len(hs):len(hs)]
+		vals = vals[len(hs):]
+		for j, h := range hs {
+			t[j] = InternedValue(h)
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // Relation is a named set of same-arity tuples. Insertion order is
 // preserved for deterministic iteration. The zero value is not usable;
 // call New.
@@ -145,16 +193,15 @@ type Relation struct {
 	name  string
 	arity int
 
-	mu      sync.RWMutex
-	tuples  []Tuple    // live tuples in insertion order, nil holes after delete
-	handles [][]Handle // interned handles, parallel to tuples (nil holes too)
-	count   int        // number of live tuples
-	holes   int        // number of nil holes in tuples
-	// index maps a whole-tuple fingerprint to the newest position holding
-	// it, and next (parallel to tuples) links each position to the previous
+	mu    sync.RWMutex
+	rows  [][]Handle // live handle rows in insertion order, nil holes after delete
+	count int        // number of live rows
+	holes int        // number of nil holes in rows
+	// index maps a whole-row fingerprint to the newest position holding
+	// it, and next (parallel to rows) links each position to the previous
 	// one of its fingerprint, -1 ending the chain. Candidates are verified
 	// by handle comparison (collisions cost a probe, never an answer).
-	// Positions of deleted tuples linger as nil holes until compaction. The
+	// Positions of deleted rows linger as nil holes until compaction. The
 	// index answers membership alone, so its order does not matter.
 	index map[uint64]int32
 	next  []int32
@@ -193,15 +240,15 @@ func (r *Relation) Len() int {
 // evaluation fixpoint does), without subscribing to the writers.
 func (r *Relation) Version() uint64 { return r.version.Load() }
 
-// findLocked returns the live position holding the tuple with the given
-// handles, or -1. Caller holds mu.
+// findLocked returns the live position holding the row hs, or -1. Caller
+// holds mu.
 func (r *Relation) findLocked(fp uint64, hs []Handle) int {
 	pos, ok := r.index[fp]
 	if !ok {
 		return -1
 	}
 	for ; pos >= 0; pos = r.next[pos] {
-		if r.tuples[pos] != nil && slices.Equal(r.handles[pos], hs) {
+		if row := r.rows[pos]; row != nil && slices.Equal(row, hs) {
 			return int(pos)
 		}
 	}
@@ -237,16 +284,22 @@ func (r *Relation) ContainsHandles(hs []Handle) bool {
 
 // Insert adds t; it reports whether the relation changed (false if the
 // tuple was already present). It panics on arity mismatch, which is a
-// programming error. The tuple is copied: callers may reuse t's backing
-// array afterwards.
+// programming error. The relation keeps t's handles, not t: callers may
+// reuse t afterwards.
 func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: inserting arity-%d tuple into %s/%d", len(t), r.name, r.arity))
-	}
-	// Intern into stack scratch and dedup first: semi-naive rounds emit
-	// mostly duplicates, and only a new tuple needs handles of its own.
+	// Intern into stack scratch: semi-naive rounds emit mostly duplicates,
+	// and only a new tuple needs a row of its own.
 	var scratch [8]Handle
-	hs := AppendHandles(scratch[:0], t)
+	return r.InsertHandles(AppendHandles(scratch[:0], t))
+}
+
+// InsertHandles adds the tuple whose interned handles are hs; it reports
+// whether the relation changed. A new tuple gets an owned copy of hs, so
+// callers may reuse hs afterwards. It panics on arity mismatch.
+func (r *Relation) InsertHandles(hs []Handle) bool {
+	if len(hs) != r.arity {
+		panic(fmt.Sprintf("relation: inserting arity-%d tuple into %s/%d", len(hs), r.name, r.arity))
+	}
 	fp := FingerprintHandles(hs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -255,9 +308,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	}
 	own := make([]Handle, len(hs)) // non-nil even for a 0-ary tuple: nil marks a hole
 	copy(own, hs)
-	pos := len(r.tuples)
-	r.tuples = append(r.tuples, t.Clone())
-	r.handles = append(r.handles, own)
+	pos := len(r.rows)
+	r.rows = append(r.rows, own)
 	r.next = append(r.next, -1)
 	r.chainLocked(pos, fp)
 	r.count++
@@ -287,8 +339,7 @@ func (r *Relation) DeleteHandles(hs []Handle) bool {
 		return false
 	}
 	r.dropOrderedLocked(pos)
-	r.tuples[pos] = nil
-	r.handles[pos] = nil
+	r.rows[pos] = nil
 	r.count--
 	r.holes++
 	r.version.Add(1)
@@ -298,22 +349,22 @@ func (r *Relation) DeleteHandles(hs []Handle) bool {
 	return true
 }
 
-// compactLocked removes the holes: it shifts the live entries down in
-// place and refills the indexes. Caller holds the write lock. Every
-// reader of tuples and handles copies what it needs out under mu (Delete
-// writes its holes in place too), so nothing handed out shares the
-// arrays. Hash indexes are refilled, not dropped: a signature once
-// requested stays warm. Ordered indexes are renumbered: a live tuple keeps
-// its rank. Neither counts as an index build. The arrays and maps are
-// reallocated at live size only when the live entries fill less than a
-// quarter of them, so what a relation once held is not retained.
+// compactLocked removes the holes: it shifts the live rows down in place
+// and refills the indexes. Caller holds the write lock. Every reader of
+// rows copies what it needs out under mu (Delete writes its holes in place
+// too), so nothing handed out shares the array. Hash indexes are refilled,
+// not dropped: a signature once requested stays warm. Ordered indexes are
+// renumbered: a live tuple keeps its rank. Neither counts as an index
+// build. The arrays and maps are reallocated at live size only when the
+// live rows fill less than a quarter of them, so what a relation once held
+// is not retained.
 func (r *Relation) compactLocked() {
 	n := 0
-	for i, t := range r.tuples {
-		if t != nil {
+	for i, hs := range r.rows {
+		if hs != nil {
 			// next is relinked below: until then it maps old positions to new.
 			r.next[i] = int32(n)
-			r.tuples[n], r.handles[n] = t, r.handles[i]
+			r.rows[n] = hs
 			n++
 		}
 	}
@@ -322,12 +373,11 @@ func (r *Relation) compactLocked() {
 			o.pos[i] = r.next[p]
 		}
 	}
-	clear(r.tuples[n:])
-	clear(r.handles[n:])
-	r.tuples, r.handles, r.next = r.tuples[:n], r.handles[:n], r.next[:n]
-	fresh := n < cap(r.tuples)/4
+	clear(r.rows[n:])
+	r.rows, r.next = r.rows[:n], r.next[:n]
+	fresh := n < cap(r.rows)/4
 	if fresh {
-		r.tuples, r.handles, r.next = slices.Clone(r.tuples), slices.Clone(r.handles), slices.Clone(r.next)
+		r.rows, r.next = slices.Clone(r.rows), slices.Clone(r.next)
 		r.index = make(map[uint64]int32, n)
 		for _, o := range r.ord {
 			o.pos = slices.Clone(o.pos)
@@ -336,26 +386,12 @@ func (r *Relation) compactLocked() {
 		clear(r.index)
 	}
 	r.count, r.holes = n, 0
-	for i, hs := range r.handles {
+	for i, hs := range r.rows {
 		r.chainLocked(i, FingerprintHandles(hs))
 	}
 	for _, mi := range r.midx {
-		mi.refill(r.handles, fresh)
+		mi.refill(r.rows, fresh)
 	}
-}
-
-// snapshot returns the live tuples in insertion order. The slice is fresh
-// but the tuples are shared (they are immutable once stored).
-func (r *Relation) snapshot() []Tuple {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Tuple, 0, r.count)
-	for _, t := range r.tuples {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // TuplesAppend appends the handle rows of the live tuples, in insertion
@@ -365,7 +401,7 @@ func (r *Relation) snapshot() []Tuple {
 func (r *Relation) TuplesAppend(dst [][]Handle) [][]Handle {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, hs := range r.handles {
+	for _, hs := range r.rows {
 		if hs != nil {
 			dst = append(dst, hs)
 		}
@@ -373,19 +409,24 @@ func (r *Relation) TuplesAppend(dst [][]Handle) [][]Handle {
 	return dst
 }
 
-// Each calls f for every tuple in insertion order; f must not mutate the
-// tuples. Iteration stops early if f returns false. f runs outside the
-// relation's lock (on a snapshot), so it may call back into the relation.
+// Each calls f for every tuple in insertion order. Iteration stops early
+// if f returns false. f runs outside the relation's lock (on a snapshot),
+// so it may call back into the relation.
 func (r *Relation) Each(f func(Tuple) bool) {
-	for _, t := range r.snapshot() {
+	for _, t := range r.Tuples() {
 		if !f(t) {
 			return
 		}
 	}
 }
 
-// Tuples returns a snapshot slice of all tuples in insertion order.
-func (r *Relation) Tuples() []Tuple { return r.snapshot() }
+// Tuples returns the tuples in insertion order, materialized from the
+// pool's values into fresh slices.
+func (r *Relation) Tuples() []Tuple {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return appendMaterialized(make([]Tuple, 0, r.count), r.rows, r.count*r.arity)
+}
 
 // Lookup returns the tuples whose column col equals v — the one-column
 // special case of LookupCols, kept for its lighter call sites.
@@ -393,10 +434,17 @@ func (r *Relation) Lookup(col int, v ast.Value) []Tuple {
 	return r.LookupCols([]int{col}, []ast.Value{v})
 }
 
-// Clone returns a deep copy of the relation (indexes are rebuilt lazily).
+// Clone returns a copy of the relation holding the same rows (indexes are
+// rebuilt lazily). Rows are never modified once stored, so the copy
+// shares them.
 func (r *Relation) Clone() *Relation {
 	out := New(r.name, r.arity)
-	r.Each(func(t Tuple) bool { out.Insert(t); return true })
+	out.rows = r.TuplesAppend(nil)
+	out.count = len(out.rows)
+	out.next = make([]int32, len(out.rows))
+	for i, hs := range out.rows {
+		out.chainLocked(i, FingerprintHandles(hs))
+	}
 	return out
 }
 
@@ -405,21 +453,20 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	eq := true
-	r.Each(func(t Tuple) bool {
-		if !o.Contains(t) {
-			eq = false
+	for _, hs := range r.TuplesAppend(nil) {
+		if !o.ContainsHandles(hs) {
 			return false
 		}
-		return true
-	})
-	return eq
+	}
+	return true
 }
 
 // String renders the relation as name{(..),(..)} with tuples in insertion
 // order.
 func (r *Relation) String() string {
 	var parts []string
-	r.Each(func(t Tuple) bool { parts = append(parts, t.String()); return true })
+	for _, t := range r.Tuples() {
+		parts = append(parts, t.String())
+	}
 	return r.name + "{" + strings.Join(parts, ",") + "}"
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -267,7 +269,7 @@ func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
 				t.Fatalf("compaction %d: LookupColsAppend(%v) = %v, fresh %v", compactions, v, got, want)
 			}
 			for _, same := range [][][2]int{nil, {{0, 1}}} {
-				if got, want := r.FirstCols([]int{0}, []ast.Value{v}, same), fresh.FirstCols([]int{0}, []ast.Value{v}, same); !got.Equal(want) || (got == nil) != (want == nil) {
+				if got, want := r.FirstCols([]int{0}, []ast.Value{v}, same), fresh.FirstCols([]int{0}, []ast.Value{v}, same); !slices.Equal(got, want) || (got == nil) != (want == nil) {
 					t.Fatalf("compaction %d: FirstCols(%v, %v) = %v, fresh %v", compactions, v, same, got, want)
 				}
 			}
@@ -302,8 +304,76 @@ func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
 	for i := int64(0); i < 9990; i++ {
 		big.Delete(Ints(i))
 	}
-	if limit := 4 * max(big.Len(), 64); cap(big.tuples) > limit || cap(big.handles) > limit || cap(big.next) > limit || cap(big.ord[0].pos) > limit {
-		t.Errorf("%d live tuples keep capacities %d/%d/%d/%d, want at most %d",
-			big.Len(), cap(big.tuples), cap(big.handles), cap(big.next), cap(big.ord[0].pos), limit)
+	if limit := 4 * max(big.Len(), 64); cap(big.rows) > limit || cap(big.next) > limit || cap(big.ord[0].pos) > limit {
+		t.Errorf("%d live tuples keep capacities %d/%d/%d, want at most %d",
+			big.Len(), cap(big.rows), cap(big.next), cap(big.ord[0].pos), limit)
+	}
+}
+
+// TestCallerMutationReachesNoStoredTuple: a relation keeps the handles of
+// what it was given, not the caller's values, so a caller that changes a
+// big.Rat it inserted changes no read — Tuples, Contains, RangeAppend (its
+// ordered index built before the insert or after the change) and
+// LookupColsAppend all still see the inserted 5.
+func TestCallerMutationReachesNoStoredTuple(t *testing.T) {
+	for _, early := range []bool{true, false} {
+		r := New("m", 1)
+		from := []Range{{Col: 0, Lo: ast.Int(0), HasLo: true}}
+		if early {
+			r.RangeAppend(nil, from)
+		}
+		five := ast.Int(5)
+		for _, tu := range []Tuple{Ints(1), {five}, Ints(9)} {
+			r.Insert(tu)
+		}
+		five.Num.SetInt64(7)
+		if !early {
+			r.RangeAppend(nil, from)
+		}
+		if got := r.Tuples(); !sameTuples(got, []Tuple{Ints(1), Ints(5), Ints(9)}) {
+			t.Errorf("early=%v: Tuples = %v", early, got)
+		}
+		if !r.Contains(Ints(5)) || r.Contains(Ints(7)) {
+			t.Errorf("early=%v: Contains(5) = %v, Contains(7) = %v", early, r.Contains(Ints(5)), r.Contains(Ints(7)))
+		}
+		if got := tuplesOf(r.RangeAppend(nil, []Range{PointRange(0, ast.Int(5))})); !sameTuples(got, []Tuple{Ints(5)}) {
+			t.Errorf("early=%v: RangeAppend at 5 = %v", early, got)
+		}
+		if got := tuplesOf(r.RangeAppend(nil, []Range{{Col: 0, Lo: ast.Int(6), HasLo: true}})); !sameTuples(got, []Tuple{Ints(9)}) {
+			t.Errorf("early=%v: RangeAppend over [6,∞) = %v", early, got)
+		}
+		if got := tuplesOf(r.LookupColsAppend(nil, []int{0}, []Handle{Intern(ast.Int(5))})); !sameTuples(got, []Tuple{Ints(5)}) {
+			t.Errorf("early=%v: LookupColsAppend at 5 = %v", early, got)
+		}
+	}
+}
+
+// TestRetainedBytesPerStoredTuple pins what a stored 3-ary tuple over
+// pooled values retains: its handle row and its share of the relation's
+// rows, chain and membership index — no copy of its values.
+func TestRetainedBytesPerStoredTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	const n = 1 << 14
+	nums := make([]ast.Value, n)
+	for i := range nums {
+		nums[i] = Canonical(ast.Int(int64(i)))
+	}
+	strs := []ast.Value{Canonical(ast.Str("a")), Canonical(ast.Str("b")), Canonical(ast.Str("c"))}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New("t", 3)
+	for i := 0; i < n; i++ {
+		r.Insert(Tuple{nums[i], nums[i*7%n], strs[i%3]})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(r)
+	t.Logf("%.1f B retained per stored tuple", per)
+	if per > 100 {
+		t.Errorf("a stored 3-ary tuple retains %.1f B, want at most 100", per)
 	}
 }

@@ -380,11 +380,12 @@ func FuzzResidualPreState(f *testing.F) {
 				}
 				continue
 			}
-			witness := res.Certified(pre, prior, u.Tuple)
-			if _, w := res.DecideWitness(pre, prior, u.Tuple); !w.Equal(witness) {
-				t.Fatalf("Certified finds %v, DecideWitness %v", witness, w)
+			cert := res.Certified(pre, prior, u.Tuple)
+			witness := cert.Tuple()
+			if _, w := res.DecideWitness(pre, prior, u.Tuple); !w.Tuple().Equal(witness) || w.Found() != cert.Found() {
+				t.Fatalf("Certified finds %v, DecideWitness %v", witness, w.Tuple())
 			}
-			if witness == nil {
+			if !cert.Found() {
 				continue
 			}
 			if !mid.Contains(sh.local, witness) {

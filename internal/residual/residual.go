@@ -286,15 +286,37 @@ func (d *disjunct) applies(t relation.Tuple) bool {
 	return true
 }
 
-// witness probes the disjunct's certificate for the update tuple t: a
-// tuple that certifies the disjunct, or nil — no certificate was compiled,
-// or no tuple agrees with t where it has to. A witness is a tuple of db
-// once the updates prior are applied, the state the decision is made in:
-// the latest insert of prior that agrees and stands, else a stored tuple,
-// which certifies nothing when prior deletes it.
-func (d *disjunct) witness(db *store.Store, prior []store.Update, t relation.Tuple) relation.Tuple {
+// Witness is what certified a disjunct: the stored row of a tuple of the
+// certificate's relation or, for an insert that an earlier member of the
+// decision's sequence makes, that member's update tuple. Neither is a
+// copy: a decision carries its witness without allocating, and a reader
+// materializes it (Tuple). The zero Witness certifies nothing.
+type Witness struct {
+	row     []relation.Handle
+	pending relation.Tuple
+}
+
+// Found reports whether w certifies anything.
+func (w Witness) Found() bool { return w.row != nil || w.pending != nil }
+
+// Tuple returns the witnessed tuple, materialized from the pool when it is
+// a stored row; nil for the zero Witness.
+func (w Witness) Tuple() relation.Tuple {
+	if w.row != nil {
+		return relation.Materialize(w.row)
+	}
+	return w.pending
+}
+
+// witness probes the disjunct's certificate for the update tuple t: what
+// certifies the disjunct, or the zero Witness — no certificate was
+// compiled, or no tuple agrees with t where it has to. A witness is a
+// tuple of db once the updates prior are applied, the state the decision
+// is made in: the latest insert of prior that agrees and stands, else a
+// stored tuple, which certifies nothing when prior deletes it.
+func (d *disjunct) witness(db *store.Store, prior []store.Update, t relation.Tuple) Witness {
 	if d.cert == nil {
-		return nil
+		return Witness{}
 	}
 	var buf [8]ast.Value
 	vals := buf[:0]
@@ -305,15 +327,15 @@ func (d *disjunct) witness(db *store.Store, prior []store.Update, t relation.Tup
 		u := &prior[i]
 		if u.Insert && u.Relation == d.cert.pred && len(u.Tuple) == len(t) && d.cert.agrees(u.Tuple, vals) {
 			if in, _ := store.Pending(prior, u.Relation, u.Tuple); in {
-				return u.Tuple
+				return Witness{pending: u.Tuple}
 			}
 		}
 	}
 	w := db.FirstCols(d.cert.pred, len(t), d.cert.cols, vals, d.cert.same)
-	if in, touched := store.Pending(prior, d.cert.pred, w); w != nil && touched && !in {
-		return nil
+	if in, touched := store.PendingRow(prior, d.cert.pred, w); w != nil && touched && !in {
+		return Witness{}
 	}
-	return w
+	return Witness{row: w}
 }
 
 // agrees reports whether s carries vals on the certificate's columns and
@@ -570,15 +592,16 @@ func (r *Residual) Decide(db *store.Store, t relation.Tuple) bool {
 // holds none of them — that also says when local certificates alone
 // decided: witness is a tuple of that state that certified a disjunct when
 // every disjunct was certified — no plan ran and nothing but the updated
-// relation was read — and nil otherwise.
-func (r *Residual) DecideWitness(db *store.Store, prior []store.Update, t relation.Tuple) (violated bool, witness relation.Tuple) {
+// relation was read — and the zero Witness otherwise.
+func (r *Residual) DecideWitness(db *store.Store, prior []store.Update, t relation.Tuple) (violated bool, witness Witness) {
 	return r.decide(db, prior, t, false)
 }
 
 // Certified runs the certificates and nothing else: the witness
 // DecideWitness would return, so non-nil means DecideWitness(db, prior,
-// t) finds no violation and reads only the updated relation.
-func (r *Residual) Certified(db *store.Store, prior []store.Update, t relation.Tuple) relation.Tuple {
+// t) finds no violation and reads only the updated relation when it is
+// found.
+func (r *Residual) Certified(db *store.Store, prior []store.Update, t relation.Tuple) Witness {
 	_, witness := r.decide(db, prior, t, true)
 	return witness
 }
@@ -587,12 +610,12 @@ func (r *Residual) Certified(db *store.Store, prior []store.Update, t relation.T
 // and, unless that finds a witness, its plan over db with prior and the
 // update pending; under certOnly it gives up at the first disjunct that
 // would need its plan.
-func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tuple, certOnly bool) (violated bool, witness relation.Tuple) {
+func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tuple, certOnly bool) (violated bool, witness Witness) {
 	switch r.outcome {
 	case AlwaysSafe:
-		return false, nil
+		return false, Witness{}
 	case AlwaysViolating:
-		return true, nil
+		return true, Witness{}
 	}
 	u := store.Update{Insert: r.insert, Relation: r.rel, Tuple: t}
 	certified := true
@@ -600,8 +623,8 @@ func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tupl
 		if !d.applies(t) {
 			continue
 		}
-		if w := d.witness(db, prior, t); w != nil {
-			if witness == nil {
+		if w := d.witness(db, prior, t); w.Found() {
+			if !witness.Found() {
 				witness = w
 			}
 			continue
@@ -616,7 +639,7 @@ func (r *Residual) decide(db *store.Store, prior []store.Update, t relation.Tupl
 		}
 	}
 	if !certified {
-		witness = nil
+		witness = Witness{}
 	}
 	return violated, witness
 }

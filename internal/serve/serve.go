@@ -812,7 +812,7 @@ func (s *Server) logTask(t *task, res taskResult, dur time.Duration) {
 				if rec.Witnesses == nil {
 					rec.Witnesses = map[string]string{}
 				}
-				rec.Witnesses[w.Constraint] = u.Relation + w.Tuple.String()
+				rec.Witnesses[w.Constraint] = u.Relation + w.Tuple().String()
 			}
 		}
 		if !s.dlog.emit(rec) && s.met != nil {

@@ -250,12 +250,12 @@ func (s *Store) Probe(name string, hs []relation.Handle) bool {
 	return r != nil && r.ContainsHandles(hs)
 }
 
-// FirstCols returns one tuple of the named arity-ary relation whose
-// projection onto cols equals vals (see relation.FirstCols), or nil —
-// also when the relation is absent or stored with another arity. Like
-// Probe it charges one read: an existence probe hands out one tuple at
-// most.
-func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, same [][2]int) relation.Tuple {
+// FirstCols returns the handle row of one tuple of the named arity-ary
+// relation whose projection onto cols equals vals (see
+// relation.FirstCols), or nil — also when the relation is absent or stored
+// with another arity. Like Probe it charges one read: an existence probe
+// hands out one tuple at most.
+func (s *Store) FirstCols(name string, arity int, cols []int, vals []ast.Value, same [][2]int) []relation.Handle {
 	s.charge(name, 1)
 	r := s.getArity(name, arity)
 	if r == nil {
@@ -317,11 +317,14 @@ func (s *Store) ResetReads() {
 // without an index. The old tuples of a point (relation.Range.Point) are
 // found through the hash index of its column, those of any other range
 // through the ordered one. It is bulk state transfer (a mirror refresh
-// from a remote site): no read counters are charged. It mutates the
-// relation in place via Insert/Delete and touches no tuple outside the
-// range, so the relation keeps its arrays and indexes, and a tuple in both
-// the old and the new contents keeps the data version: swapping in what
-// is already there moves nothing. The relation is created when absent; it
+// from a remote site): no read counters are charged. Each tuple of ts is
+// interned once; an old row is deleted when no row of ts carries its
+// handles, and the rows of ts are inserted by handle. It mutates the
+// relation in place and touches no tuple outside the range, so the
+// relation keeps its arrays and indexes, and a tuple in both the old and
+// the new contents keeps the data version: swapping in what is already
+// there moves nothing, and allocates alike for 1 tuple and for 50. The
+// relation is created when absent; it
 // fails if the relation exists with another arity or a tuple has the
 // wrong arity. Tuple-at-a-time mutation means a
 // concurrent reader may see a partially swapped range; callers (the
@@ -346,31 +349,41 @@ func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []rel
 	if err != nil {
 		return err
 	}
-	var old [][]relation.Handle
+	// Intern each shipped tuple once: its row is an arity-long window of
+	// one array.
+	flat := make([]relation.Handle, 0, len(ts)*arity)
+	for _, t := range ts {
+		flat = relation.AppendHandles(flat, t)
+	}
+	row := func(i int) []relation.Handle { return flat[i*arity : (i+1)*arity : (i+1)*arity] }
+	// A refresh mostly ships what the mirror holds: room for as many old
+	// rows as shipped ones.
+	old := make([][]relation.Handle, 0, len(ts))
 	v, point := rg.Point()
 	switch {
 	case whole:
-		old = r.TuplesAppend(nil)
+		old = r.TuplesAppend(old)
 	case point:
-		old = r.LookupColsAppend(nil, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
+		old = r.LookupColsAppend(old, []int{rg.Col}, []relation.Handle{relation.Intern(v)})
 	default:
-		old = r.RangeAppend(nil, []relation.Range{rg})
+		old = r.RangeAppend(old, []relation.Range{rg})
 	}
 	if len(old) > 0 {
-		fresh := make(map[uint64][][]relation.Handle, len(ts))
-		for _, t := range ts {
-			hs := relation.AppendHandles(nil, t)
-			fp := relation.FingerprintHandles(hs)
-			fresh[fp] = append(fresh[fp], hs)
+		// Diff by handle: an old row is looked up among the shipped rows,
+		// sorted.
+		fresh := make([][]relation.Handle, len(ts))
+		for i := range fresh {
+			fresh[i] = row(i)
 		}
-		for _, row := range old {
-			if !slices.ContainsFunc(fresh[relation.FingerprintHandles(row)], func(hs []relation.Handle) bool { return slices.Equal(hs, row) }) {
-				r.DeleteHandles(row)
+		slices.SortFunc(fresh, slices.Compare[[]relation.Handle])
+		for _, hs := range old {
+			if _, found := slices.BinarySearchFunc(fresh, hs, slices.Compare[[]relation.Handle]); !found {
+				r.DeleteHandles(hs)
 			}
 		}
 	}
-	for _, t := range ts {
-		r.Insert(t)
+	for i := range ts {
+		r.InsertHandles(row(i))
 	}
 	return nil
 }
@@ -471,6 +484,16 @@ func (s *Store) Write(ws []Update) ([]Update, error) {
 func Pending(us []Update, rel string, t relation.Tuple) (in, touched bool) {
 	for i := len(us) - 1; i >= 0; i-- {
 		if u := &us[i]; u.Relation == rel && u.Tuple.Equal(t) {
+			return u.Insert, true
+		}
+	}
+	return false, false
+}
+
+// PendingRow is Pending for the tuple whose handle row is hs.
+func PendingRow(us []Update, rel string, hs []relation.Handle) (in, touched bool) {
+	for i := len(us) - 1; i >= 0; i-- {
+		if u := &us[i]; u.Relation == rel && u.Tuple.EqualHandles(hs) {
 			return u.Insert, true
 		}
 	}

@@ -457,6 +457,53 @@ func TestReplaceRange(t *testing.T) {
 	}
 }
 
+// TestRefreshAllocs: a refresh that ships what the mirror already holds —
+// a point, a range or the whole relation, of 1 tuple or of 50 — interns
+// each shipped tuple once and diffs it by handle, so its allocations do not
+// grow with the tuples shipped, and it moves no data version.
+func TestRefreshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	refresh := func(name string, n int64, rg func(n int64) relation.Range) float64 {
+		s := New()
+		var ts []relation.Tuple
+		for i := int64(0); i < n; i++ {
+			ts = append(ts, relation.Ints(7, i))
+		}
+		r := rg(n)
+		if err := s.ReplaceRange(name, 2, r, ts); err != nil {
+			t.Fatal(err)
+		}
+		v := s.DataVersion(name)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := s.ReplaceRange(name, 2, r, ts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := s.DataVersion(name); got != v {
+			t.Errorf("%s: refreshing %d mirrored tuples moved the data version from %d to %d", name, n, v, got)
+		}
+		return allocs
+	}
+	for _, c := range []struct {
+		name string
+		rg   func(n int64) relation.Range
+	}{
+		{"point", func(int64) relation.Range { return relation.PointRange(0, ast.Int(7)) }},
+		{"range", func(n int64) relation.Range {
+			return relation.Range{Col: 1, Lo: ast.Int(0), Hi: ast.Int(n), HasLo: true, HasHi: true}
+		}},
+		{"whole", func(int64) relation.Range { return relation.Range{} }},
+	} {
+		if one, fifty := refresh(c.name, 1, c.rg), refresh(c.name, 50, c.rg); one != fifty {
+			t.Errorf("%s: a refresh of 1 mirrored tuple allocates %v objects, of 50 %v", c.name, one, fifty)
+		} else {
+			t.Logf("%s: %v objects", c.name, one)
+		}
+	}
+}
+
 // DataVersion is what a kept evaluation checks itself against: it must
 // move on every change of contents, including a whole or ranged swap, and
 // stay put when nothing changed.
@@ -517,7 +564,7 @@ func TestFirstCols(t *testing.T) {
 		t.Fatal(err)
 	}
 	toy := []ast.Value{ast.Str("toy")}
-	if got := s.FirstCols("emp", 2, []int{1}, toy, nil); !got.Equal(relation.Strs("ann", "toy")) {
+	if got := s.FirstCols("emp", 2, []int{1}, toy, nil); !relation.Strs("ann", "toy").EqualHandles(got) {
 		t.Errorf("FirstCols = %v, want emp(ann,toy)", got)
 	}
 	// An existence probe is one read, found or not; another arity and an
