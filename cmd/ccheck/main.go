@@ -389,7 +389,7 @@ func writeStatsJSON(path string, co *netdist.Coordinator) error {
 			"cache_hit_rate": cs.CacheHitRate(),
 			// Evaluation machinery counters: the relation layer's
 			// process-wide index accounting (the same values the obs
-			// gauges cc_index_builds/cc_index_probes sample), the
+			// gauges cc_index_builds/cc_index_probes read), the
 			// constraints' compiled evaluations (misses) and the
 			// evaluations run from them (hits), and the intern pool size.
 			"index_builds":      relation.IndexBuilds(),

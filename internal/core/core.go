@@ -272,8 +272,10 @@ type Stats struct {
 	// not account for moved a relation it had read, or the constraint set
 	// changed. Global decisions outside the three (deletes, non-monotone
 	// inserts, the scan arm) evaluate from scratch and keep nothing. At
-	// a coordinator every refresh of a relation a kept fixpoint reads
-	// moves its version, so the next decision rebuilds it.
+	// a coordinator a refresh of a relation a kept fixpoint reads moves
+	// its version only when it changed a tuple (store.ReplaceRange): a
+	// refresh that finds nothing new keeps the fixpoint, and one that
+	// ships a change drops it, so the next decision rebuilds it.
 	FixpointHits     int64
 	FixpointRebuilds int64
 	FixpointDrops    int64
@@ -334,8 +336,9 @@ type Options struct {
 	// attempt per constraint, bracketed by update-begin/update-end. Nil
 	// or disabled tracers keep Apply on the uninstrumented path.
 	Tracer obs.Tracer
-	// Metrics, when non-nil, receives the checker's counters and the
-	// Apply latency histogram (metric names in DESIGN.md).
+	// Metrics, when non-nil, exposes the checker's Stats as counters and
+	// gauges read at scrape time, and receives the Apply latency
+	// histogram (metric names in DESIGN.md).
 	Metrics *obs.Registry
 	// Sharder, when non-nil, names the relations that are mirrors of
 	// remote ones and their shard-key columns, for the checker's
@@ -398,17 +401,17 @@ type Checker struct {
 	// fixEvent (Stats.Fixpoint*).
 	fix [3]atomic.Int64
 
-	// traceSeq numbers emitted trace events; met holds the registry
-	// handles (nil when Options.Metrics is nil). See trace.go.
-	traceSeq atomic.Uint64
-	met      *checkerMetrics
+	// traceSeq numbers emitted trace events; applySeconds is the Apply
+	// latency histogram (nil when Options.Metrics is nil). See trace.go.
+	traceSeq     atomic.Uint64
+	applySeconds *obs.Histogram
 }
 
 // New creates a Checker over db.
 func New(db *store.Store, opts Options) *Checker {
 	c := &Checker{db: db, opts: opts}
 	if opts.Metrics != nil {
-		c.met = newCheckerMetrics(opts.Metrics)
+		c.applySeconds = c.instrument(opts.Metrics)
 	}
 	if opts.LocalRelations != nil {
 		c.local = map[string]bool{}
@@ -454,7 +457,8 @@ func (c *Checker) Stats() Stats {
 // counts, the memo, plan and residual counters, the certificate and
 // fixpoint counters — without touching what is compiled or kept, so a
 // warmed checker can report one run's statistics in isolation (ccheck
-// -repeat resets between runs).
+// -repeat resets between runs). The counters Options.Metrics exposes are
+// read from Stats, so they restart from zero too.
 func (c *Checker) ResetStats() {
 	c.statsMu.Lock()
 	c.stats, c.byPhase = Stats{}, [numPhases]int{}
@@ -765,8 +769,7 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	rep := Report{Update: u, Applied: true}
 	t := tally{updates: 1}
 	var applyStart time.Time
-	if c.met != nil {
-		c.met.updates.Inc()
+	if c.applySeconds != nil {
 		applyStart = time.Now()
 	}
 	tracing := c.tracing()
@@ -846,9 +849,6 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 			if witness.Found() {
 				rep.Witnesses = append(rep.Witnesses, Witness{s.k.Name, witness})
 				c.localCertified.Add(1)
-				if c.met != nil {
-					c.met.certified.Inc()
-				}
 			}
 		}
 		v := Holds
@@ -886,9 +886,6 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 	if violated {
 		rep.Applied = false
 		t.rejected = 1
-		if c.met != nil {
-			c.met.rejected.Inc()
-		}
 	}
 	if commit && violated {
 		closeAll(dyn, false, nil)
@@ -908,9 +905,8 @@ func (c *Checker) judge(prior []store.Update, u store.Update, commit bool, plann
 			IndexProbes: relation.IndexProbes() - probes0,
 		})
 	}
-	if c.met != nil {
-		c.met.applySeconds.Observe(time.Since(applyStart).Seconds())
-		c.met.sampleProcessCounters()
+	if c.applySeconds != nil {
+		c.applySeconds.Observe(time.Since(applyStart).Seconds())
 	}
 	return rep, dyn, nil
 }
@@ -933,7 +929,7 @@ func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, h
 		if !f.Seedable(rel) {
 			return nil, false
 		}
-		c.countFix(fixHit)
+		c.fix[fixHit].Add(1)
 		return f, true
 	}
 	c.evals.Add(1)
@@ -942,14 +938,14 @@ func (c *Checker) keptFixpoint(k *Constraint, rel string) (fix *eval.Fixpoint, h
 		return nil, false
 	}
 	k.fix.Store(f)
-	c.countFix(fixRebuild)
+	c.fix[fixRebuild].Add(1)
 	return f, false
 }
 
 // dropFixpoint discards the constraint's kept fixpoint, if it has one.
 func (c *Checker) dropFixpoint(k *Constraint) {
 	if k.fix.Swap(nil) != nil {
-		c.countFix(fixDrop)
+		c.fix[fixDrop].Add(1)
 	}
 }
 
@@ -961,15 +957,6 @@ const (
 	fixRebuild
 	fixDrop
 )
-
-// countFix counts one fixpoint event in the stats and, when a registry
-// is attached, in the cc_checker_fixpoint_*_total counters.
-func (c *Checker) countFix(e fixEvent) {
-	c.fix[e].Add(1)
-	if c.met != nil {
-		c.met.fix[e].Inc()
-	}
-}
 
 // localTest runs the complete local test for an insertion into the
 // constraint's local relation: a probe of the kept interval cover for

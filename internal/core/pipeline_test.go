@@ -116,7 +116,7 @@ func TestConcurrentApplyReaders(t *testing.T) {
 				default:
 				}
 				db.Tuples("emp")
-				db.Lookup("emp", 1, ast.Str("dept00"))
+				db.LookupColsAppend(nil, "emp", 3, []int{1}, []relation.Handle{relation.Intern(ast.Str("dept00"))})
 				db.Contains("dept", relation.Strs("dept01"))
 				db.Probe("salRange", relation.AppendHandles(nil, relation.TupleOf(ast.Str("dept00"), ast.Int(10), ast.Int(60))))
 			}

@@ -64,8 +64,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 	// is remote and phase 3 and residual dispatch are on.
 	certs := c.resOpts.Local != nil && u.Insert
 	// A program's static steps are decided, and so is a step whose compiled
-	// check is certified or whose entry names a pattern-level phase; only the
-	// rest run the tuple-dependent phases.
+	// check is certified; only the rest run the tuple-dependent phases.
 	var small [8]planOutcome // a small program's outcomes stay on the stack
 	out := small[:]
 	if len(p.steps) > len(small) {
@@ -86,12 +85,8 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 				}
 			}
 			// Uncertified, the constraint is the phases' to decide; the
-			// compiled check is Apply's.
-			if s.entry != nil {
-				if o.phase, o.decided = c.staticPhase(s.entry); o.decided {
-					continue
-				}
-			}
+			// compiled check is Apply's. No pattern-level phase decides it:
+			// compile makes a step residual only where none does.
 		}
 		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	}

@@ -98,8 +98,7 @@ type tally struct {
 	residualHits, residualMisses int64
 }
 
-// record adds t to the statistics and, when a registry is attached, to
-// the cc_checker_decisions_total family.
+// record adds t to the statistics.
 func (c *Checker) record(t *tally) {
 	c.statsMu.Lock()
 	c.stats.Updates += t.updates
@@ -112,13 +111,6 @@ func (c *Checker) record(t *tally) {
 	c.stats.ResidualHits += t.residualHits
 	c.stats.ResidualMisses += t.residualMisses
 	c.statsMu.Unlock()
-	if c.met != nil {
-		for p, n := range t.byPhase {
-			if n > 0 {
-				c.met.decisions.With(Phase(p).String()).Add(int64(n))
-			}
-		}
-	}
 }
 
 // programOf returns the program of u's pattern: the compiled one when a
@@ -167,11 +159,7 @@ func (c *Checker) compilePrograms() {
 	c.statsMu.Lock()
 	c.stats.CacheMisses += entries
 	c.stats.ResidualCompiled += checks
-	compiled := c.stats.ResidualCompiled
 	c.statsMu.Unlock()
-	if c.met != nil {
-		c.met.residBuilt.Set(compiled)
-	}
 }
 
 // compile derives the pattern's program from the constraint set; the zero

@@ -9,11 +9,12 @@ import (
 )
 
 // This file is the checker's observability seam: the decision-trace
-// emission behind Options.Tracer and the metric handles behind
+// emission behind Options.Tracer and the metric families behind
 // Options.Metrics. Both are strictly optional — with a nil (or disabled)
 // tracer and a nil registry, Apply takes the exact pre-instrumentation
-// path: no clock reads, no event construction, no atomic bumps beyond
-// the existing stats.
+// path: no clock reads and no event construction. The registry's
+// counters and gauges are read from Stats when it is scraped, so a
+// registry adds nothing to a decision but the Apply latency histogram.
 
 // tracing reports whether Apply should build trace events.
 func (c *Checker) tracing() bool {
@@ -100,46 +101,39 @@ func (c *Checker) remoteRelations(k *Constraint) []string {
 	return out
 }
 
-// checkerMetrics holds the registry handles the checker bumps per
-// update. Metric names are documented in DESIGN.md ("Observability").
-type checkerMetrics struct {
-	updates      *obs.Counter
-	rejected     *obs.Counter
-	decisions    *obs.CounterVec // phase
-	certified    *obs.Counter
-	fix          [3]*obs.Counter // by fixEvent
-	applySeconds *obs.Histogram
-	indexBuilds  *obs.Gauge
-	indexProbes  *obs.Gauge
-	internSize   *obs.Gauge
-	residBuilt   *obs.Gauge
-}
-
-// newCheckerMetrics registers the checker's metric families on reg.
-func newCheckerMetrics(reg *obs.Registry) *checkerMetrics {
-	return &checkerMetrics{
-		updates:      reg.Counter("cc_checker_updates_total", "updates pushed through the staged pipeline"),
-		rejected:     reg.Counter("cc_checker_rejected_total", "updates refused on a violation"),
-		decisions:    reg.CounterVec("cc_checker_decisions_total", "per-constraint decisions by deciding phase", "phase"),
-		certified:    reg.Counter("cc_checker_local_certified_total", "residual decisions settled by local certificates alone: nothing but the updated relation was read"),
-		applySeconds: reg.Histogram("cc_checker_apply_seconds", "wall clock per Apply", nil),
-		indexBuilds:  reg.Gauge("cc_index_builds", "process-wide hash-index builds (relation layer)"),
-		indexProbes:  reg.Gauge("cc_index_probes", "process-wide hash-index probes (relation layer)"),
-		internSize:   reg.Gauge("cc_intern_size", "distinct constants in the process-wide intern pool"),
-		residBuilt:   reg.Gauge("cc_residual_compiled", "residual checks compiled when the constraint set changed"),
-		fix: [3]*obs.Counter{
-			fixHit:     reg.Counter("cc_checker_fixpoint_hits_total", "global insert decisions served by delta rounds on a kept fixpoint"),
-			fixRebuild: reg.Counter("cc_checker_fixpoint_rebuilds_total", "global insert decisions that evaluated the constraint in full to (re)build its kept fixpoint"),
-			fixDrop:    reg.Counter("cc_checker_fixpoint_drops_total", "kept fixpoints discarded: an unaccounted write moved a relation they read, or the constraint set changed"),
-		},
+// instrument registers the checker's metric families on reg (names in
+// DESIGN.md, "Observability"). The counters and gauges are views, read
+// at scrape time, of Stats and of the relation layer's process-wide
+// counters; the Apply latency histogram, which no Stats can produce, is
+// the one live instrument, returned for judge to observe.
+func (c *Checker) instrument(reg *obs.Registry) *obs.Histogram {
+	stat := func(name, help string, v func(Stats) int64) {
+		reg.CounterFunc(name, help, func(emit obs.Emit) { emit(v(c.Stats())) })
 	}
-}
-
-// sampleProcessCounters mirrors the relation layer's process-wide index
-// accounting and the intern-pool size into the registry; called once per
-// Apply.
-func (m *checkerMetrics) sampleProcessCounters() {
-	m.indexBuilds.Set(relation.IndexBuilds())
-	m.indexProbes.Set(relation.IndexProbes())
-	m.internSize.Set(relation.InternSize())
+	stat("cc_checker_updates_total", "updates pushed through the staged pipeline",
+		func(s Stats) int64 { return int64(s.Updates) })
+	stat("cc_checker_rejected_total", "updates refused on a violation",
+		func(s Stats) int64 { return int64(s.Rejected) })
+	stat("cc_checker_local_certified_total", "residual decisions settled by local certificates alone: nothing but the updated relation was read",
+		func(s Stats) int64 { return s.LocalCertified })
+	stat("cc_checker_fixpoint_hits_total", "global insert decisions served by delta rounds on a kept fixpoint",
+		func(s Stats) int64 { return s.FixpointHits })
+	stat("cc_checker_fixpoint_rebuilds_total", "global insert decisions that evaluated the constraint in full to (re)build its kept fixpoint",
+		func(s Stats) int64 { return s.FixpointRebuilds })
+	stat("cc_checker_fixpoint_drops_total", "kept fixpoints discarded: an unaccounted write moved a relation they read, or the constraint set changed",
+		func(s Stats) int64 { return s.FixpointDrops })
+	reg.CounterFunc("cc_checker_decisions_total", "per-constraint decisions by deciding phase", func(emit obs.Emit) {
+		for p, n := range c.Stats().ByPhase {
+			emit(int64(n), p.String())
+		}
+	}, "phase")
+	reg.GaugeFunc("cc_residual_compiled", "residual checks compiled when the constraint set changed",
+		func(emit obs.Emit) { emit(c.Stats().ResidualCompiled) })
+	reg.GaugeFuncOnce("cc_index_builds", "process-wide hash-index builds (relation layer)",
+		func(emit obs.Emit) { emit(relation.IndexBuilds()) })
+	reg.GaugeFuncOnce("cc_index_probes", "process-wide hash-index probes (relation layer)",
+		func(emit obs.Emit) { emit(relation.IndexProbes()) })
+	reg.GaugeFuncOnce("cc_intern_size", "distinct constants in the process-wide intern pool",
+		func(emit obs.Emit) { emit(relation.InternSize()) })
+	return reg.Histogram("cc_checker_apply_seconds", "wall clock per Apply", nil)
 }

@@ -287,3 +287,36 @@ func TestCheckerMetrics(t *testing.T) {
 		t.Errorf("stats diverged from metrics: %+v", s)
 	}
 }
+
+// TestCheckersShareRegistry: the checker's counters are views of Stats,
+// so two checkers on one registry sum, the process-wide gauges appear
+// once and read the relation layer's counters at scrape time, and
+// ResetStats restarts a checker's views with its Stats.
+func TestCheckersShareRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, b := traceChecker(t, nil, reg), traceChecker(t, nil, reg)
+	for _, c := range []*Checker{a, b, b} {
+		if _, err := c.Apply(store.Ins("dept", relation.Strs("shoe"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap["cc_checker_updates_total"]; got != int64(3) {
+		t.Errorf("cc_checker_updates_total = %v over two checkers, want 3", got)
+	}
+	if got, want := snap["cc_index_probes"], relation.IndexProbes(); got != want {
+		t.Errorf("cc_index_probes = %v, the relation layer counts %d", got, want)
+	}
+	if got, want := snap["cc_residual_compiled"], a.Stats().ResidualCompiled+b.Stats().ResidualCompiled; got != want {
+		t.Errorf("cc_residual_compiled = %v, the checkers compiled %d", got, want)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if n := strings.Count(sb.String(), "\ncc_intern_size "); n != 1 {
+		t.Errorf("cc_intern_size appears %d times:\n%s", n, sb.String())
+	}
+	b.ResetStats()
+	if got := reg.Snapshot()["cc_checker_updates_total"]; got != int64(1) {
+		t.Errorf("cc_checker_updates_total = %v after ResetStats of the second checker, want 1", got)
+	}
+}

@@ -84,8 +84,8 @@ func TestPlanCacheGoalAndIndexModeKeys(t *testing.T) {
 
 // TestPlanCacheConcurrentEval hammers one shared memo from parallel
 // evaluators while a writer mutates the store — inserts, deletes, Replace
-// and EnsureIndex calls — so the first-compile and served paths race
-// under -race.
+// and probes that build an index — so the first-compile and served paths
+// race under -race.
 func TestPlanCacheConcurrentEval(t *testing.T) {
 	progs := []string{
 		"p(X) :- e(X) & not f(X).",
@@ -136,10 +136,8 @@ func TestPlanCacheConcurrentEval(t *testing.T) {
 					return
 				}
 			case 7:
-				if err := db.EnsureIndex("edge", 0); err != nil {
-					t.Error(err)
-					return
-				}
+				// A probe on a fresh column set builds its index lazily.
+				db.LookupColsAppend(nil, "edge", 2, []int{0}, relation.AppendHandles(nil, relation.Ints(i%5)))
 			}
 		}
 	}()

@@ -163,7 +163,6 @@ type Coordinator struct {
 	place     Placement // relation -> shards (remote relations only)
 	opts      Options
 	met       *coordMetrics
-	shmet     *shardMetrics
 	reqID     atomic.Uint64
 
 	// statsMu guards stats and rng (retry jitter); everything else is
@@ -171,6 +170,9 @@ type Coordinator struct {
 	statsMu sync.Mutex
 	stats   Stats
 	rng     *rand.Rand
+	// sync is the accounting of the initial mirror sync, which Stats books
+	// apart (SyncTrips, SyncTuples) and the metric views count in.
+	sync Stats
 }
 
 // New builds a coordinator over the local store and the given site
@@ -230,19 +232,20 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		anySharded = anySharded || rp.Sharded()
 	}
 	co.opts.Checker.Sharder = place
-	if co.opts.Metrics != nil && anySharded {
-		co.shmet = newShardMetrics(co.opts.Metrics)
-	}
 	for _, rel := range co.remoteRelations() {
 		if err := co.refresh(mirrorRead{rel: rel}); err != nil {
 			return nil, err
 		}
 	}
+	co.sync = co.stats
 	co.stats.SyncTrips, co.stats.RoundTrips = co.stats.RoundTrips, 0
 	co.stats.SyncTuples, co.stats.WireTuples = co.stats.WireTuples, 0
 	co.stats.Retries = 0
 	co.stats.RetriesBySite = map[string]int{}
 	co.stats.ShardRouted, co.stats.ShardScatter = 0, 0
+	if opts.Metrics != nil {
+		co.instrument(opts.Metrics, anySharded)
+	}
 	co.Checker = core.New(local, co.opts.Checker)
 	return co, nil
 }
@@ -305,9 +308,6 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 			co.stats.RetriesBySite[site]++
 			jitter := time.Duration(co.rng.Int63n(int64(backoff)/2 + 1))
 			co.statsMu.Unlock()
-			if co.met != nil {
-				co.met.retries.With(site).Inc()
-			}
 			time.Sleep(backoff + jitter)
 			backoff *= 2
 		}
@@ -520,18 +520,12 @@ func (co *Coordinator) noteRouted(n int) {
 	co.statsMu.Lock()
 	co.stats.ShardRouted += n
 	co.statsMu.Unlock()
-	if co.shmet != nil {
-		co.shmet.routed.Add(int64(n))
-	}
 }
 
 func (co *Coordinator) noteScatter(n int) {
 	co.statsMu.Lock()
 	co.stats.ShardScatter += n
 	co.statsMu.Unlock()
-	if co.shmet != nil {
-		co.shmet.scatter.Add(int64(n))
-	}
 }
 
 // routeSpan opens a "shard.route" child span under the active trace (nil
@@ -642,9 +636,6 @@ func (co *Coordinator) noteUnavailable(err error) {
 		co.stats.UnavailableBySite[se.Site]++
 	}
 	co.statsMu.Unlock()
-	if co.met != nil {
-		co.met.unavailable.Inc()
-	}
 }
 
 // Report renders the statistics as a small table.

@@ -22,28 +22,23 @@ func frameBytes(v any) int {
 	return 4 + len(body)
 }
 
-// coordMetrics holds the coordinator-side registry handles.
+// coordMetrics holds the coordinator's live instruments: what happened
+// to each transport attempt, which no Stats keeps.
 type coordMetrics struct {
-	rpcSeconds  *obs.HistogramVec // op
-	rpcTotal    *obs.CounterVec   // site, op
-	rpcErrors   *obs.CounterVec   // site
-	retries     *obs.CounterVec   // site
-	unavailable *obs.Counter
-	wireTuples  *obs.Counter
-	bytesOut    *obs.Counter
-	bytesIn     *obs.Counter
+	rpcSeconds *obs.HistogramVec // op
+	rpcTotal   *obs.CounterVec   // site, op
+	rpcErrors  *obs.CounterVec   // site
+	bytesOut   *obs.Counter
+	bytesIn    *obs.Counter
 }
 
 func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	return &coordMetrics{
-		rpcSeconds:  reg.HistogramVec("cc_coord_rpc_seconds", "round-trip latency per operation", nil, "op"),
-		rpcTotal:    reg.CounterVec("cc_coord_rpc_total", "completed round trips (response received)", "site", "op"),
-		rpcErrors:   reg.CounterVec("cc_coord_rpc_errors_total", "transport-failed attempts", "site"),
-		retries:     reg.CounterVec("cc_coord_retries_total", "re-attempts after a transport failure", "site"),
-		unavailable: reg.Counter("cc_coord_unavailable_total", "updates refused because a needed site was unreachable"),
-		wireTuples:  reg.Counter("cc_coord_wire_tuples_total", "tuples shipped back over the wire"),
-		bytesOut:    reg.Counter("cc_coord_bytes_sent_total", "request frame bytes written"),
-		bytesIn:     reg.Counter("cc_coord_bytes_recv_total", "response frame bytes read"),
+		rpcSeconds: reg.HistogramVec("cc_coord_rpc_seconds", "round-trip latency per operation", nil, "op"),
+		rpcTotal:   reg.CounterVec("cc_coord_rpc_total", "completed round trips (response received)", "site", "op"),
+		rpcErrors:  reg.CounterVec("cc_coord_rpc_errors_total", "transport-failed attempts", "site"),
+		bytesOut:   reg.Counter("cc_coord_bytes_sent_total", "request frame bytes written"),
+		bytesIn:    reg.Counter("cc_coord_bytes_recv_total", "response frame bytes read"),
 	}
 }
 
@@ -61,48 +56,69 @@ func (m *coordMetrics) observeAttempt(site, op string, req *Request, resp *Respo
 	}
 	m.rpcTotal.With(site, op).Inc()
 	m.bytesIn.Add(int64(frameBytes(resp)))
-	m.wireTuples.Add(int64(len(resp.Tuples)))
 }
 
-// shardMetrics holds the sharding registry handles. Only attached when
-// the placement actually shards something, so whole-relation deployments
-// expose exactly the pre-placement metric set.
-type shardMetrics struct {
-	routed  *obs.Counter
-	scatter *obs.Counter
-}
-
-func newShardMetrics(reg *obs.Registry) *shardMetrics {
-	return &shardMetrics{
-		routed:  reg.Counter("cc_shard_routed_total", "reads of one key group answered by the single owning shard"),
-		scatter: reg.Counter("cc_shard_scatter_total", "reads scatter-gathered across every shard"),
+// instrument registers the coordinator's views of Stats on reg, read at
+// scrape time. Like the live instruments they count every wire event,
+// the initial sync's included: the tuples it shipped are SyncTuples, and
+// its retries and shard reads are kept in co.sync. The cc_shard_* pair is
+// registered only when the placement shards something, so whole-relation
+// deployments expose exactly the pre-placement metric set.
+func (co *Coordinator) instrument(reg *obs.Registry, sharded bool) {
+	reg.CounterFunc("cc_coord_retries_total", "re-attempts after a transport failure", func(emit obs.Emit) {
+		for _, bySite := range []map[string]int{co.sync.RetriesBySite, co.Stats().RetriesBySite} {
+			for site, n := range bySite {
+				if n > 0 {
+					emit(int64(n), site)
+				}
+			}
+		}
+	}, "site")
+	reg.CounterFunc("cc_coord_unavailable_total", "updates refused because a needed site was unreachable", func(emit obs.Emit) {
+		emit(int64(co.Stats().Unavailable))
+	})
+	reg.CounterFunc("cc_coord_wire_tuples_total", "tuples shipped back over the wire", func(emit obs.Emit) {
+		st := co.Stats()
+		emit(st.SyncTuples + st.WireTuples)
+	})
+	if !sharded {
+		return
 	}
+	reg.CounterFunc("cc_shard_routed_total", "reads of one key group answered by the single owning shard", func(emit obs.Emit) {
+		emit(int64(co.sync.ShardRouted + co.Stats().ShardRouted))
+	})
+	reg.CounterFunc("cc_shard_scatter_total", "reads scatter-gathered across every shard", func(emit obs.Emit) {
+		emit(int64(co.sync.ShardScatter + co.Stats().ShardScatter))
+	})
 }
 
-// serverMetrics holds the site-side registry handles. They are bumped in
-// Server.Handle from the same values as ServerStats, so the /metrics
-// exposition always sums to the shutdown accounting report.
+// serverMetrics holds the site's live instruments: handling latency and
+// frame sizes, which ServerStats does not keep.
 type serverMetrics struct {
-	requests   *obs.CounterVec   // op
-	seconds    *obs.HistogramVec // op
-	tuplesSent *obs.CounterVec   // relation
-	errors     *obs.Counter
-	bytesIn    *obs.Counter
-	bytesOut   *obs.Counter
+	seconds  *obs.HistogramVec // op
+	bytesIn  *obs.Counter
+	bytesOut *obs.Counter
 }
 
 // Instrument attaches a metrics registry to the server. Call before
-// serving; the handles are written concurrently by connection goroutines
-// (the registry primitives are internally synchronized) but the pointer
-// itself is set once.
+// serving: the request, tuple and error counters are views of Stats, read
+// at scrape time, and the latency and byte instruments are written
+// concurrently by connection goroutines (the registry primitives are
+// internally synchronized) but the pointer itself is set once.
 func (s *Server) Instrument(reg *obs.Registry) {
+	reg.CounterFunc("cc_site_requests_total", "frames handled per request type", func(emit obs.Emit) {
+		emit.NonZero(s.Stats().Requests)
+	}, "op")
+	reg.CounterFunc("cc_site_tuples_sent_total", "tuples shipped per relation (scan + fetch)", func(emit obs.Emit) {
+		emit.NonZero(s.Stats().TuplesSent)
+	}, "relation")
+	reg.CounterFunc("cc_site_errors_total", "requests answered with ok=false", func(emit obs.Emit) {
+		emit(s.Stats().Errors)
+	})
 	s.met = &serverMetrics{
-		requests:   reg.CounterVec("cc_site_requests_total", "frames handled per request type", "op"),
-		seconds:    reg.HistogramVec("cc_site_request_seconds", "handling latency per request type", nil, "op"),
-		tuplesSent: reg.CounterVec("cc_site_tuples_sent_total", "tuples shipped per relation (scan + fetch)", "relation"),
-		errors:     reg.Counter("cc_site_errors_total", "requests answered with ok=false"),
-		bytesIn:    reg.Counter("cc_site_bytes_recv_total", "request frame bytes read"),
-		bytesOut:   reg.Counter("cc_site_bytes_sent_total", "response frame bytes written"),
+		seconds:  reg.HistogramVec("cc_site_request_seconds", "handling latency per request type", nil, "op"),
+		bytesIn:  reg.Counter("cc_site_bytes_recv_total", "request frame bytes read"),
+		bytesOut: reg.Counter("cc_site_bytes_sent_total", "response frame bytes written"),
 	}
 }
 
@@ -112,14 +128,7 @@ func (m *serverMetrics) observe(typ string, req *Request, resp *Response, elapse
 	if m == nil {
 		return
 	}
-	m.requests.With(typ).Inc()
 	m.seconds.With(typ).Observe(elapsed.Seconds())
-	if !resp.OK {
-		m.errors.Inc()
-	}
-	if len(resp.Tuples) > 0 && req.Relation != "" {
-		m.tuplesSent.With(req.Relation).Add(int64(len(resp.Tuples)))
-	}
 	m.bytesIn.Add(int64(frameBytes(req)))
 	m.bytesOut.Add(int64(frameBytes(resp)))
 }

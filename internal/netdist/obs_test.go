@@ -118,6 +118,46 @@ func TestCoordinatorMetricsAgreeWithStats(t *testing.T) {
 	}
 }
 
+// TestSyncCountedInMetrics: Stats books the initial sync apart, and the
+// metric views count it in as the wire saw it — a retry during the sync
+// is a cc_coord_retries_total, and its scatter read of a sharded relation
+// a cc_shard_scatter_total.
+func TestSyncCountedInMetrics(t *testing.T) {
+	lb := NewLoopback()
+	for i, site := range []string{"s1", "s2"} {
+		db := store.New()
+		if _, err := db.Insert("r", relation.Ints(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		lb.AddSite(site, NewServer(db, []string{"r"}))
+	}
+	lb.DropNext("s2", 1)
+	reg := obs.NewRegistry()
+	co, err := NewPlaced(store.New(), Placement{"r": {Shards: []ShardSpec{{Leader: "s1"}, {Leader: "s2"}}}}, lb, Options{
+		Timeout: 50 * time.Millisecond,
+		Backoff: time.Millisecond,
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := co.Stats()
+	if st.Retries != 0 || st.ShardScatter != 0 || st.SyncTrips != 2 {
+		t.Fatalf("Stats = %+v, want the sync booked apart", st)
+	}
+	snap := reg.Snapshot()
+	for series, want := range map[string]int64{
+		`cc_coord_retries_total{site="s2"}`: 1,
+		"cc_shard_scatter_total":            1,
+		"cc_shard_routed_total":             0,
+		"cc_coord_wire_tuples_total":        st.SyncTuples,
+	} {
+		if got := snap[series]; got != want {
+			t.Errorf("%s = %v, want %d", series, got, want)
+		}
+	}
+}
+
 func TestReportShowsRetriesAndDegradedSites(t *testing.T) {
 	co, lb := metricsFixture(t, obs.NewRegistry())
 	rep := co.Report()

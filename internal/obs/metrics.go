@@ -7,17 +7,20 @@
 // The registry deliberately implements the small subset of the
 // Prometheus data model the runtime needs — counters, gauges, and
 // fixed-bucket histograms, each optionally labeled — so no external
-// client library is required. Metric handles are cheap to use on hot
-// paths: counters and gauges are single atomics, histograms take one
-// short mutex-protected critical section per observation, and every
-// layer that accepts a *Registry treats nil as "instrumentation off"
-// and skips the hooks entirely.
+// client library is required. A counter or gauge family is either live
+// (a handle the caller bumps: single atomics) or collected (CounterFunc,
+// GaugeFunc: a function that reads the values at scrape time from
+// accounting the caller keeps anyway, so nothing is counted twice).
+// Histograms take one short mutex-protected critical section per
+// observation, and every layer that accepts a *Registry treats nil as
+// "instrumentation off" and skips the hooks entirely.
 package obs
 
 import (
 	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -59,6 +62,9 @@ type family struct {
 
 	mu      sync.Mutex
 	metrics map[string]any // label-signature -> *Counter | *Gauge | *Histogram
+	// collectors emit the series of a family registered by CounterFunc
+	// or GaugeFunc, which has no live metrics.
+	collectors []func(Emit)
 }
 
 // NewRegistry creates an empty registry.
@@ -66,20 +72,25 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// lookup returns the named family, creating it on first use; a name
-// reused with a different type, label schema or bucket layout panics —
-// that is a programming error, not a runtime condition.
-func (r *Registry) lookup(name, help, typ string, labels []string, buckets []float64) *family {
+// lookup returns the named family, creating it on first use, and adds
+// collect to its collectors when it is not nil. A name reused with a
+// different type or label schema, or by a live and a collected family,
+// panics — that is a programming error, not a runtime condition.
+func (r *Registry) lookup(name, help, typ string, labels []string, buckets []float64, collect func(Emit)) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.typ != typ || strings.Join(f.labels, ",") != strings.Join(labels, ",") {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %s%v (was %s%v)", name, typ, labels, f.typ, f.labels))
-		}
-		return f
+	f, ok := r.families[name]
+	if !ok {
+		f = &family{name: name, help: help, typ: typ, labels: labels, buckets: buckets, metrics: map[string]any{}}
+		r.families[name] = f
+	} else if f.typ != typ || strings.Join(f.labels, ",") != strings.Join(labels, ",") || (len(f.collectors) > 0) != (collect != nil) {
+		panic(fmt.Sprintf("obs: metric %s re-registered as %s%v (was %s%v)", name, typ, labels, f.typ, f.labels))
 	}
-	f := &family{name: name, help: help, typ: typ, labels: labels, buckets: buckets, metrics: map[string]any{}}
-	r.families[name] = f
+	if collect != nil {
+		f.mu.Lock()
+		f.collectors = append(f.collectors, collect)
+		f.mu.Unlock()
+	}
 	return f
 }
 
@@ -170,13 +181,13 @@ func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // Counter registers (or fetches) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.lookup(name, help, typeCounter, nil, nil)
+	f := r.lookup(name, help, typeCounter, nil, nil, nil)
 	return f.with(nil, func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, typeGauge, nil, nil)
+	f := r.lookup(name, help, typeGauge, nil, nil, nil)
 	return f.with(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
@@ -186,7 +197,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefLatencyBuckets
 	}
-	f := r.lookup(name, help, typeHistogram, nil, buckets)
+	f := r.lookup(name, help, typeHistogram, nil, buckets, nil)
 	return f.with(nil, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
@@ -195,7 +206,7 @@ type CounterVec struct{ f *family }
 
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.lookup(name, help, typeCounter, labels, nil)}
+	return &CounterVec{r.lookup(name, help, typeCounter, labels, nil, nil)}
 }
 
 // With returns the counter for the given label values.
@@ -208,7 +219,7 @@ type GaugeVec struct{ f *family }
 
 // GaugeVec registers (or fetches) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, typeGauge, labels, nil)}
+	return &GaugeVec{r.lookup(name, help, typeGauge, labels, nil, nil)}
 }
 
 // With returns the gauge for the given label values.
@@ -225,12 +236,52 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefLatencyBuckets
 	}
-	return &HistogramVec{r.lookup(name, help, typeHistogram, labels, buckets)}
+	return &HistogramVec{r.lookup(name, help, typeHistogram, labels, buckets, nil)}
 }
 
 // With returns the histogram for the given label values.
 func (hv *HistogramVec) With(values ...string) *Histogram {
 	return hv.f.with(values, func() any { return newHistogram(hv.f.buckets) }).(*Histogram)
+}
+
+// Emit adds v to the series with the given label values, in the order of
+// the family's labels. A label set emitted more than once in one scrape —
+// by two collectors, or twice by one — is summed.
+type Emit func(v int64, labels ...string)
+
+// NonZero emits the non-zero counts of a one-label family, each under its
+// key: a labelled series appears once something is counted under it.
+func (emit Emit) NonZero(counts map[string]int64) {
+	for k, n := range counts {
+		if n != 0 {
+			emit(n, k)
+		}
+	}
+}
+
+// CounterFunc registers (or adds to) a collected counter family: at each
+// WritePrometheus and Snapshot, collect emits the family's series from
+// the caller's own accounting, outside the registry's locks. Every call
+// adds a collector, so several instances of one layer sharing a registry
+// sum; collect must emit only values that never decrease.
+func (r *Registry) CounterFunc(name, help string, collect func(Emit), labels ...string) {
+	r.lookup(name, help, typeCounter, labels, nil, collect)
+}
+
+// GaugeFunc is CounterFunc for a gauge family.
+func (r *Registry) GaugeFunc(name, help string, collect func(Emit), labels ...string) {
+	r.lookup(name, help, typeGauge, labels, nil, collect)
+}
+
+// GaugeFuncOnce registers an unlabeled collected gauge of a value of the
+// whole process, not of one instance: when the family exists already it
+// does nothing, so instances sharing a registry do not add it twice.
+func (r *Registry) GaugeFuncOnce(name, help string, collect func(Emit)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.families[name]; !ok {
+		r.families[name] = &family{name: name, help: help, typ: typeGauge, metrics: map[string]any{}, collectors: []func(Emit){collect}}
+	}
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition
@@ -252,46 +303,74 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// series renders the family's metrics sorted by label signature; each
-// entry is (label values, metric).
-func (f *family) series() [][2]any {
+// sample is one series of a family: its label values and its metric — a
+// *Counter, *Gauge or *Histogram, or the int64 its collectors emitted.
+type sample struct {
+	values []string
+	m      any
+}
+
+// series returns the family's series sorted by label signature. A
+// collected family's collectors run here, with no lock held.
+func (f *family) series() []sample {
+	metrics := map[string]any{}
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.metrics))
-	for k := range f.metrics {
+	maps.Copy(metrics, f.metrics)
+	collectors := f.collectors
+	f.mu.Unlock()
+	emit := func(v int64, values ...string) {
+		if len(values) != len(f.labels) {
+			panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+		}
+		k := strings.Join(values, "\x00")
+		sum, _ := metrics[k].(int64)
+		metrics[k] = sum + v
+	}
+	for _, c := range collectors {
+		c(emit)
+	}
+	keys := make([]string, 0, len(metrics))
+	for k := range metrics {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([][2]any, 0, len(keys))
+	out := make([]sample, 0, len(keys))
 	for _, k := range keys {
 		var values []string
 		if k != "" || len(f.labels) > 0 {
 			values = strings.Split(k, "\x00")
 		}
-		out = append(out, [2]any{values, f.metrics[k]})
+		out = append(out, sample{values, metrics[k]})
 	}
-	f.mu.Unlock()
 	return out
+}
+
+// value returns a counter's or gauge's value, collected or live.
+func value(m any) int64 {
+	switch m := m.(type) {
+	case *Counter:
+		return m.Value()
+	case *Gauge:
+		return m.Value()
+	}
+	return m.(int64)
 }
 
 func (f *family) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
 	for _, s := range f.series() {
-		values, _ := s[0].([]string)
-		switch m := s[1].(type) {
-		case *Counter:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Value())
-		case *Gauge:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Value())
-		case *Histogram:
-			cum, sum, count := m.Snapshot()
-			for i, b := range m.Bounds() {
-				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labels, values, "le", formatFloat(b)), cum[i])
+		if h, ok := s.m.(*Histogram); ok {
+			cum, sum, count := h.Snapshot()
+			for i, b := range h.Bounds() {
+				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labels, s.values, "le", formatFloat(b)), cum[i])
 			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labels, values, "le", "+Inf"), cum[len(cum)-1])
-			fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(sum))
-			fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labels, values, "", ""), count)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labels, s.values, "le", "+Inf"), cum[len(cum)-1])
+			fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(f.labels, s.values, "", ""), formatFloat(sum))
+			fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labels, s.values, "", ""), count)
+			continue
 		}
+		fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, s.values, "", ""), value(s.m))
 	}
 }
 
@@ -359,22 +438,19 @@ func (r *Registry) Snapshot() map[string]any {
 	r.mu.RUnlock()
 	for _, f := range fams {
 		for _, s := range f.series() {
-			values, _ := s[0].([]string)
-			key := f.name + labelString(f.labels, values, "", "")
-			switch m := s[1].(type) {
-			case *Counter:
-				out[key] = m.Value()
-			case *Gauge:
-				out[key] = m.Value()
-			case *Histogram:
-				cum, sum, count := m.Snapshot()
-				buckets := map[string]uint64{}
-				for i, b := range m.Bounds() {
-					buckets[formatFloat(b)] = cum[i]
-				}
-				buckets["+Inf"] = cum[len(cum)-1]
-				out[key] = map[string]any{"count": count, "sum": sum, "buckets": buckets}
+			key := f.name + labelString(f.labels, s.values, "", "")
+			h, ok := s.m.(*Histogram)
+			if !ok {
+				out[key] = value(s.m)
+				continue
 			}
+			cum, sum, count := h.Snapshot()
+			buckets := map[string]uint64{}
+			for i, b := range h.Bounds() {
+				buckets[formatFloat(b)] = cum[i]
+			}
+			buckets["+Inf"] = cum[len(cum)-1]
+			out[key] = map[string]any{"count": count, "sum": sum, "buckets": buckets}
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -179,5 +180,97 @@ func TestRegistryConcurrency(t *testing.T) {
 	total := cv.With("a").Value() + cv.With("b").Value() + cv.With("c").Value()
 	if total != 8*200 {
 		t.Errorf("lost increments: %d, want %d", total, 8*200)
+	}
+}
+
+// TestCollectedFamilies: a collected family's series are what its
+// collectors emit at each scrape, summed by label set across collectors
+// and within one; its HELP and TYPE show before anything is emitted. A
+// process-wide gauge registered twice is collected once.
+func TestCollectedFamilies(t *testing.T) {
+	r := NewRegistry()
+	var a, b int64
+	r.CounterFunc("req_total", "requests", func(emit Emit) {
+		emit(a, "scan")
+		emit(1, "scan")
+	}, "op")
+	r.CounterFunc("req_total", "requests", func(emit Emit) {
+		emit(b, "fetch")
+		emit(b, "scan")
+	}, "op")
+	r.GaugeFunc("depth", "queue depth", func(emit Emit) { emit(a - b) })
+	r.CounterFunc("none_total", "nothing yet", func(Emit) {}, "op")
+	for i := 0; i < 2; i++ {
+		r.GaugeFuncOnce("process", "one per process", func(emit Emit) { emit(7) })
+	}
+	a, b = 5, 2
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	want := `# HELP depth queue depth
+# TYPE depth gauge
+depth 3
+# HELP none_total nothing yet
+# TYPE none_total counter
+# HELP process one per process
+# TYPE process gauge
+process 7
+# HELP req_total requests
+# TYPE req_total counter
+req_total{op="fetch"} 2
+req_total{op="scan"} 8
+`
+	if sb.String() != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
+	}
+	b = 3
+	snap := r.Snapshot()
+	if snap[`req_total{op="scan"}`] != int64(9) || snap["depth"] != int64(2) {
+		t.Errorf("snapshot read stale values: %v", snap)
+	}
+}
+
+// TestCollectorsRunOutsideLocks: a collector may use the registry it is
+// registered on.
+func TestCollectorsRunOutsideLocks(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("families", "registered families", func(emit Emit) {
+		r.Counter("seen_total", "scrapes seen by a collector").Inc()
+		emit(1)
+	})
+	done := make(chan struct{})
+	go func() {
+		r.WritePrometheus(io.Discard)
+		r.Snapshot()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a collector that registers a family deadlocked the scrape")
+	}
+	if got := r.Counter("seen_total", "").Value(); got != 2 {
+		t.Errorf("collector ran %d times over two scrapes", got)
+	}
+}
+
+func TestLiveAndCollectedDoNotMix(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"func after vec": func(r *Registry) {
+			r.CounterVec("m", "m", "k")
+			r.CounterFunc("m", "m", func(Emit) {}, "k")
+		},
+		"live after func": func(r *Registry) {
+			r.GaugeFunc("m", "m", func(Emit) {})
+			r.Gauge("m", "m")
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
 	}
 }

@@ -15,7 +15,7 @@ import (
 // bound values" in O(bucket) instead of O(relation). Candidates are
 // verified by handle comparison on the probed columns, so a fingerprint
 // collision costs a comparison, never a wrong answer. Indexes are built
-// lazily on first probe (or eagerly via EnsureIndex), maintained
+// lazily on first probe, maintained
 // incrementally by Insert, tolerate Delete holes (gather skips them),
 // and are refilled in place — not dropped — by compactLocked, so a
 // signature once requested stays warm for the relation's lifetime.
@@ -27,11 +27,10 @@ type multiIndex struct {
 	buckets map[uint64][]int
 }
 
-// Process-wide index accounting, exported into the internal/obs registry
-// by core (cc_index_builds / cc_index_probes). Builds count full index
-// constructions (lazy build, EnsureIndex), not a compaction's refill; probes
-// count bucket lookups (LookupCols / Index.Probe, single-column Lookup
-// included).
+// Process-wide index accounting, read into the internal/obs registry at
+// scrape time by core (cc_index_builds / cc_index_probes). Builds count
+// full index constructions (a probe's lazy build), not a compaction's
+// refill; probes count bucket lookups (LookupColsAppend, FirstCols).
 var (
 	indexBuilds atomic.Int64
 	indexProbes atomic.Int64
@@ -71,11 +70,11 @@ func FingerprintProj(hs []Handle, cols []int) uint64 {
 // checkCols validates the column set against the arity and reports
 // whether it is already sorted strictly ascending (the planner always
 // emits sorted probe columns, so the hot path never allocates). It
-// panics on out-of-range columns and, unless n is negative, on a column
-// count other than n, the number of probe values — programming errors,
-// like Insert's arity panic.
+// panics on out-of-range columns and on a column count other than n, the
+// number of probe values — programming errors, like Insert's arity
+// panic.
 func (r *Relation) checkCols(cols []int, n int) (sorted bool) {
-	if n >= 0 && len(cols) != n {
+	if len(cols) != n {
 		panic(fmt.Sprintf("relation: %d columns probed with %d values on %s", len(cols), n, r.name))
 	}
 	sorted = true
@@ -94,11 +93,7 @@ func (r *Relation) checkCols(cols []int, n int) (sorted bool) {
 // values permuted to match, copying only when the input is unsorted. It
 // panics on duplicate columns.
 func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Value) {
-	n := -1
-	if vals != nil {
-		n = len(vals)
-	}
-	if r.checkCols(cols, n) {
+	if r.checkCols(cols, len(vals)) {
 		return cols, vals
 	}
 	order := make([]int, len(cols))
@@ -106,11 +101,7 @@ func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Val
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return cols[order[a]] < cols[order[b]] })
-	outCols := make([]int, len(cols))
-	var outVals []ast.Value
-	if vals != nil {
-		outVals = make([]ast.Value, len(vals))
-	}
+	outCols, outVals := make([]int, len(cols)), make([]ast.Value, len(vals))
 	prev := -1
 	for i, o := range order {
 		c := cols[o]
@@ -118,10 +109,7 @@ func (r *Relation) normalizeCols(cols []int, vals []ast.Value) ([]int, []ast.Val
 			panic(fmt.Sprintf("relation: duplicate column %d in index for %s", c, r.name))
 		}
 		prev = c
-		outCols[i] = c
-		if vals != nil {
-			outVals[i] = vals[o]
-		}
+		outCols[i], outVals[i] = c, vals[o]
 	}
 	return outCols, outVals
 }
@@ -165,35 +153,6 @@ func (mi *multiIndex) refill(rows [][]Handle, fresh bool) {
 	}
 }
 
-// EnsureIndex builds the hash index on the given column set if it does
-// not exist yet. Probes through LookupCols build lazily anyway; EnsureIndex
-// is for warming an index ahead of time (store.Replace uses it to carry
-// index signatures onto the fresh relation).
-func (r *Relation) EnsureIndex(cols ...int) {
-	sorted, _ := r.normalizeCols(cols, nil)
-	sig := colsMask(sorted)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.midx[sig]; !ok {
-		// buildLocked keeps a reference to the column slice; copy so a
-		// caller reusing its argument cannot mutate the index's key.
-		r.buildLocked(append([]int(nil), sorted...))
-	}
-}
-
-// IndexSignatures returns the column sets of the indexes currently built
-// on the relation, sorted by signature for determinism.
-func (r *Relation) IndexSignatures() [][]int {
-	r.mu.RLock()
-	out := make([][]int, 0, len(r.midx))
-	for _, mi := range r.midx {
-		out = append(out, append([]int(nil), mi.cols...))
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return colsMask(out[i]) < colsMask(out[j]) })
-	return out
-}
-
 // gatherLocked appends to dst the live rows at the indexed positions that
 // agree with the probe handles on cols. Caller holds mu (read or write).
 func (r *Relation) gatherLocked(dst [][]Handle, positions []int, cols []int, phs []Handle) [][]Handle {
@@ -234,19 +193,6 @@ func (r *Relation) bucketLocked(cols []int, fp uint64) []int {
 	return r.midx[sig].buckets[fp]
 }
 
-// LookupCols returns the tuples whose projection onto cols equals vals,
-// using (and lazily building) the hash index on that column set.
-func (r *Relation) LookupCols(cols []int, vals []ast.Value) []Tuple {
-	sorted, svals := r.normalizeCols(cols, vals)
-	var scratch [8]Handle
-	phs := AppendHandles(scratch[:0], svals)
-	fp := FingerprintHandles(phs)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rows := r.gatherLocked(nil, r.bucketLocked(sorted, fp), sorted, phs)
-	return appendMaterialized(make([]Tuple, 0, len(rows)), rows, len(rows)*r.arity)
-}
-
 // LookupColsAppend appends to dst the handle rows of the tuples whose
 // projection onto cols — sorted ascending, as the join planner emits
 // them — carries the handles key, through (and lazily building) the hash
@@ -268,8 +214,8 @@ func (r *Relation) LookupColsAppend(dst [][]Handle, cols []int, key []Handle) []
 // vals and that holds one value at both positions of every pair in same,
 // or nil when there is none. The row is the relation's own; the caller
 // must not modify it. It copies no bucket and allocates nothing once the
-// index on cols is built — which it does lazily, like LookupCols. Values
-// compare as interned handles.
+// index on cols is built — which it does lazily, like LookupColsAppend.
+// Values compare as interned handles.
 func (r *Relation) FirstCols(cols []int, vals []ast.Value, same [][2]int) []Handle {
 	sorted, svals := r.normalizeCols(cols, vals)
 	var scratch [8]Handle
@@ -296,31 +242,4 @@ next:
 		return hs
 	}
 	return nil
-}
-
-// Index is a handle on one column-set hash index: Probe returns the
-// bucket of tuples whose projection onto the index's columns equals the
-// probe values. The handle stays valid across Insert/Delete/compaction —
-// it addresses the index by signature, not by pointer.
-type Index struct {
-	r    *Relation
-	cols []int
-}
-
-// Index returns a probe handle for the hash index on cols, building the
-// index if needed.
-func (r *Relation) Index(cols ...int) *Index {
-	sorted, _ := r.normalizeCols(cols, nil)
-	sorted = append([]int(nil), sorted...)
-	r.EnsureIndex(sorted...)
-	return &Index{r: r, cols: sorted}
-}
-
-// Cols returns the index's column set (sorted ascending).
-func (ix *Index) Cols() []int { return append([]int(nil), ix.cols...) }
-
-// Probe returns the tuples bucketed under the given bound-column values
-// (in the order of Cols).
-func (ix *Index) Probe(vals ...ast.Value) []Tuple {
-	return ix.r.LookupCols(ix.cols, vals)
 }

@@ -27,6 +27,27 @@ func bruteLookup(r *Relation, cols []int, vals []ast.Value) []Tuple {
 	return out
 }
 
+// lookupCols is the Tuple form of a hash probe the tests compare:
+// LookupColsAppend's rows for cols given in any order, vals in the same
+// order, materialized.
+func lookupCols(r *Relation, cols []int, vals []ast.Value) []Tuple {
+	sorted, svals := r.normalizeCols(cols, vals)
+	var out []Tuple
+	for _, hs := range r.LookupColsAppend(nil, sorted, AppendHandles(nil, svals)) {
+		out = append(out, Materialize(hs))
+	}
+	return out
+}
+
+// hasIndex reports whether the relation has built the hash index on the
+// sorted column set.
+func hasIndex(r *Relation, cols ...int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.midx[colsMask(cols)]
+	return ok
+}
+
 func sameTupleSet(a, b []Tuple) bool {
 	if len(a) != len(b) {
 		return false
@@ -68,7 +89,7 @@ func TestLookupColsAgainstBruteForce(t *testing.T) {
 			for i := range vals {
 				vals[i] = ast.Int(int64(rng.Intn(4)))
 			}
-			got := r.LookupCols(cols, vals)
+			got := lookupCols(r, cols, vals)
 			want := bruteLookup(r, cols, vals)
 			if !sameTupleSet(got, want) {
 				t.Fatalf("batch %d cols %v vals %v: LookupCols = %v, brute force = %v", batch, cols, vals, got, want)
@@ -79,7 +100,7 @@ func TestLookupColsAgainstBruteForce(t *testing.T) {
 
 func TestIndexPersistsAcrossCompaction(t *testing.T) {
 	r := New("r", 2)
-	r.EnsureIndex(0, 1)
+	lookupCols(r, []int{0, 1}, []ast.Value{ast.Int(0), ast.Int(0)}) // builds the index
 	for i := int64(0); i < 1000; i++ {
 		r.Insert(Ints(i%10, i))
 	}
@@ -88,17 +109,10 @@ func TestIndexPersistsAcrossCompaction(t *testing.T) {
 	}
 	// 900 deletes on 1000 tuples crosses the compaction threshold; the
 	// signature must survive the rebuild and answer correctly.
-	sigs := r.IndexSignatures()
-	found := false
-	for _, cols := range sigs {
-		if len(cols) == 2 && cols[0] == 0 && cols[1] == 1 {
-			found = true
-		}
+	if !hasIndex(r, 0, 1) {
+		t.Fatalf("index (0,1) dropped by compaction; indexes = %v", r.midx)
 	}
-	if !found {
-		t.Fatalf("index (0,1) dropped by compaction; signatures = %v", sigs)
-	}
-	got := r.LookupCols([]int{0, 1}, []ast.Value{ast.Int(950 % 10), ast.Int(950)})
+	got := lookupCols(r, []int{0, 1}, []ast.Value{ast.Int(950 % 10), ast.Int(950)})
 	if len(got) != 1 {
 		t.Fatalf("probe after compaction = %d tuples, want 1", len(got))
 	}
@@ -108,18 +122,19 @@ func TestIndexHandle(t *testing.T) {
 	r := New("r", 3)
 	r.Insert(Ints(1, 2, 3))
 	r.Insert(Ints(1, 5, 3))
-	ix := r.Index(2, 0) // columns given unsorted
-	if cols := ix.Cols(); len(cols) != 2 || cols[0] != 0 || cols[1] != 2 {
-		t.Fatalf("Cols = %v, want [0 2]", cols)
+	// Columns given unsorted are probed sorted, their values permuted to
+	// match: col 0 then col 2.
+	cols, vals := r.normalizeCols([]int{2, 0}, []ast.Value{ast.Int(3), ast.Int(1)})
+	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 || !vals[0].Equal(ast.Int(1)) {
+		t.Fatalf("cols = %v vals = %v, want [0 2] [1 3]", cols, vals)
 	}
-	// Probe values follow Cols order: col 0 then col 2.
-	if got := ix.Probe(ast.Int(1), ast.Int(3)); len(got) != 2 {
+	if got := lookupCols(r, []int{2, 0}, []ast.Value{ast.Int(3), ast.Int(1)}); len(got) != 2 {
 		t.Fatalf("Probe = %d tuples, want 2", len(got))
 	}
-	// The handle stays valid across mutation.
+	// The index the probe built stays valid across mutation.
 	r.Insert(Ints(1, 9, 3))
 	r.Delete(Ints(1, 2, 3))
-	if got := ix.Probe(ast.Int(1), ast.Int(3)); len(got) != 2 {
+	if got := lookupCols(r, []int{0, 2}, []ast.Value{ast.Int(1), ast.Int(3)}); len(got) != 2 {
 		t.Fatalf("Probe after mutation = %d tuples, want 2", len(got))
 	}
 }
@@ -133,7 +148,7 @@ func TestIndexColumnValidation(t *testing.T) {
 					t.Errorf("cols %v: no panic", cols)
 				}
 			}()
-			r.EnsureIndex(cols...)
+			r.LookupColsAppend(nil, cols, make([]Handle, len(cols)))
 		}()
 	}
 	// cols/vals length mismatch.
@@ -143,7 +158,7 @@ func TestIndexColumnValidation(t *testing.T) {
 				t.Error("length mismatch: no panic")
 			}
 		}()
-		r.LookupCols([]int{0, 1}, []ast.Value{ast.Int(1)})
+		r.LookupColsAppend(nil, []int{0, 1}, []Handle{Intern(ast.Int(1))})
 	}()
 }
 
@@ -151,8 +166,9 @@ func TestIndexCounters(t *testing.T) {
 	b0, p0 := IndexBuilds(), IndexProbes()
 	r := New("r", 2)
 	r.Insert(Ints(1, 2))
-	r.LookupCols([]int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)}) // lazy build + probe
-	r.LookupCols([]int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)}) // probe only
+	key := AppendHandles(nil, Ints(1, 2))
+	r.LookupColsAppend(nil, []int{0, 1}, key) // lazy build + probe
+	r.LookupColsAppend(nil, []int{0, 1}, key) // probe only
 	if IndexBuilds()-b0 < 1 {
 		t.Error("IndexBuilds did not advance on a lazy build")
 	}
@@ -179,9 +195,9 @@ func TestConcurrentIndexedAccess(t *testing.T) {
 				case 1:
 					r.Delete(tu)
 				case 2:
-					r.LookupCols([]int{0, 1}, []ast.Value{tu[0], tu[1]})
+					lookupCols(r, []int{0, 1}, []ast.Value{tu[0], tu[1]})
 				default:
-					r.Lookup(1, tu[1])
+					lookupCols(r, []int{1}, []ast.Value{tu[1]})
 				}
 			}
 		}(int64(w))
@@ -191,7 +207,7 @@ func TestConcurrentIndexedAccess(t *testing.T) {
 	for a := int64(0); a < 5; a++ {
 		for b := int64(0); b < 5; b++ {
 			vals := []ast.Value{ast.Int(a), ast.Int(b)}
-			if got, want := r.LookupCols([]int{0, 1}, vals), bruteLookup(r, []int{0, 1}, vals); !sameTupleSet(got, want) {
+			if got, want := lookupCols(r, []int{0, 1}, vals), bruteLookup(r, []int{0, 1}, vals); !sameTupleSet(got, want) {
 				t.Fatalf("probe (%d,%d) = %v, scan = %v", a, b, got, want)
 			}
 		}
@@ -222,7 +238,7 @@ func TestFirstColsAgainstLookupCols(t *testing.T) {
 			}
 			for _, same := range sames {
 				want := false
-				for _, tu := range r.LookupCols(cols, vals) {
+				for _, tu := range lookupCols(r, cols, vals) {
 					ok := true
 					for _, p := range same {
 						ok = ok && tu[p[0]].Equal(tu[p[1]])

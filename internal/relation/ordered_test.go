@@ -123,7 +123,7 @@ func TestCompactionIsNotAnIndexBuild(t *testing.T) {
 	}
 	all := []Range{{Col: 0, Lo: ast.Int(5), HasLo: true}, {Col: 1, Hi: ast.Int(150), HasHi: true}}
 	r.RangeAppend(nil, all)
-	r.EnsureIndex(0)
+	r.LookupColsAppend(nil, []int{0}, []Handle{Intern(ast.Int(0))}) // builds the hash index
 	caps := []int{cap(r.ord[0].pos), cap(r.ord[1].pos)}
 	builds := IndexBuilds()
 	compacted := false
@@ -146,7 +146,7 @@ func TestCompactionIsNotAnIndexBuild(t *testing.T) {
 			t.Errorf("after compaction, %+v: RangeAppend = %v, scan = %v", rg, got, want)
 		}
 	}
-	if got := r.Lookup(0, ast.Int(160%17)); len(got) != 3 {
+	if got := lookupCols(r, []int{0}, []ast.Value{ast.Int(160 % 17)}); len(got) != 3 {
 		t.Errorf("after compaction, Lookup(0, %d) = %v, want 3 tuples", 160%17, got)
 	}
 }

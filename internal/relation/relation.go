@@ -9,10 +9,11 @@
 // tuple is its row of interned handles: the relation keeps no other form
 // of it. Membership tests, dedup, joins and index maintenance compare
 // dense integers; the ordered indexes compare the pooled values the
-// handles name. The Tuple-returning reads (Tuples, Each, Lookup,
-// LookupCols, Index.Probe) build their tuples from the pool's canonical
-// values, so nothing a caller does to the Values it inserted reaches a
-// stored tuple.
+// handles name. The Tuple-returning reads (Tuples, Each) and Materialize
+// build their tuples from the pool's canonical values, so nothing a
+// caller does to the Values it inserted reaches a stored tuple. Every
+// indexed read hands out handle rows (LookupColsAppend, RangeAppend,
+// FirstCols); a caller that wants a row's values materializes it.
 //
 // Relations are safe for concurrent use: any number of readers may scan,
 // probe and perform indexed lookups (lazy column-index construction
@@ -426,12 +427,6 @@ func (r *Relation) Tuples() []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return appendMaterialized(make([]Tuple, 0, r.count), r.rows, r.count*r.arity)
-}
-
-// Lookup returns the tuples whose column col equals v — the one-column
-// special case of LookupCols, kept for its lighter call sites.
-func (r *Relation) Lookup(col int, v ast.Value) []Tuple {
-	return r.LookupCols([]int{col}, []ast.Value{v})
 }
 
 // Clone returns a copy of the relation holding the same rows (indexes are

@@ -69,14 +69,14 @@ func TestLookup(t *testing.T) {
 	r.Insert(Strs("a", "sales"))
 	r.Insert(Strs("b", "sales"))
 	r.Insert(Strs("c", "toy"))
-	got := r.Lookup(1, ast.Str("sales"))
+	got := lookupCols(r, []int{1}, []ast.Value{ast.Str("sales")})
 	if len(got) != 2 {
 		t.Fatalf("Lookup(sales) = %d tuples, want 2", len(got))
 	}
 	// The index must stay correct across subsequent inserts and deletes.
 	r.Insert(Strs("d", "sales"))
 	r.Delete(Strs("a", "sales"))
-	got = r.Lookup(1, ast.Str("sales"))
+	got = lookupCols(r, []int{1}, []ast.Value{ast.Str("sales")})
 	if len(got) != 2 {
 		t.Fatalf("Lookup(sales) after mutation = %d tuples, want 2", len(got))
 	}
@@ -103,7 +103,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatalf("tuple %d missing after compaction", i)
 		}
 	}
-	if got := r.Lookup(0, ast.Int(950)); len(got) != 1 {
+	if got := lookupCols(r, []int{0}, []ast.Value{ast.Int(950)}); len(got) != 1 {
 		t.Errorf("Lookup after compaction = %d tuples", len(got))
 	}
 }
@@ -236,7 +236,7 @@ func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
 	const width = 30
 	pick := func() ast.Value { return ast.Int(int64(rng.Intn(width))) }
 	r := New("l", 2)
-	r.EnsureIndex(0)
+	r.LookupColsAppend(nil, []int{0}, []Handle{Intern(ast.Int(0))}) // builds the hash index
 	all := []Range{{Col: 0, Lo: ast.Int(0), HasLo: true}, {Col: 1, Lo: ast.Int(0), HasLo: true}}
 	r.RangeAppend(nil, all)
 	var inserted []Tuple
@@ -258,7 +258,7 @@ func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
 		for _, tu := range r.Tuples() {
 			fresh.Insert(tu)
 		}
-		fresh.EnsureIndex(0)
+		fresh.LookupColsAppend(nil, []int{0}, []Handle{Intern(ast.Int(0))})
 		if got, want := tuplesOf(r.TuplesAppend(nil)), tuplesOf(fresh.TuplesAppend(nil)); !sameTuples(got, want) {
 			t.Fatalf("compaction %d: TuplesAppend = %v, fresh %v", compactions, got, want)
 		}

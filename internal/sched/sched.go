@@ -117,8 +117,11 @@ type Scheduler struct {
 	// tokens holds one element per computing task.
 	tokens chan struct{}
 
-	tasks          atomic.Int64
-	conflictStalls atomic.Int64
+	// tasks counts submissions; stalls counts those admitted behind a
+	// conflicting task, by the kind of the first conflict (CauseNone
+	// unused), and Stats.ConflictStalls is their sum.
+	tasks  atomic.Int64
+	stalls [CauseWholeRead + 1]atomic.Int64
 
 	met *Metrics
 }
@@ -132,6 +135,9 @@ func New(opts Options) *Scheduler {
 	}
 	s := &Scheduler{tokens: make(chan struct{}, w), met: opts.Metrics}
 	s.idle = sync.NewCond(&s.mu)
+	if s.met != nil {
+		s.met.register(s)
+	}
 	return s
 }
 
@@ -186,9 +192,6 @@ func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 	n.admitted = admitted
 	n.conflicts = conflicts
 	n.ready = admitted // unless it has to wait: complete says when
-	if s.met != nil {
-		s.met.Inflight.Add(1)
-	}
 	var c chan *node
 	if conflicts == 0 {
 		c = s.takeParked()
@@ -200,11 +203,11 @@ func (s *Scheduler) Submit(fp Footprint, run func(Info)) {
 	}
 	// n is not ours past here: it may run, finish and be recycled.
 	s.tasks.Add(1)
-	if conflicts > 0 {
-		s.conflictStalls.Add(1)
+	if cause != CauseNone {
+		s.stalls[cause].Add(1)
 	}
 	if s.met != nil {
-		s.met.observeSubmit(admitted.Sub(scan), cause)
+		s.met.Footprint.Observe(admitted.Sub(scan).Seconds())
 	}
 }
 
@@ -277,9 +280,6 @@ func (s *Scheduler) start(n *node) {
 	if !wire {
 		<-s.tokens
 	}
-	if s.met != nil {
-		s.met.observeDone(wire)
-	}
 }
 
 // complete retires a finished task: its waiters lose a dependency and are
@@ -343,10 +343,9 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	inflight := s.pending
 	s.mu.Unlock()
-	return Stats{
-		Workers:        cap(s.tokens),
-		Tasks:          s.tasks.Load(),
-		ConflictStalls: s.conflictStalls.Load(),
-		Inflight:       inflight,
+	st := Stats{Workers: cap(s.tokens), Tasks: s.tasks.Load(), Inflight: inflight}
+	for k := CauseBarrier; k <= CauseWholeRead; k++ {
+		st.ConflictStalls += s.stalls[k].Load()
 	}
+	return st
 }

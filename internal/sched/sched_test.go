@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -174,8 +175,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 // of its first conflict, and only there.
 func TestStallReasonMetric(t *testing.T) {
 	reg := obs.NewRegistry()
-	met := NewMetrics(reg, "test")
-	s := New(Options{Workers: 2, Metrics: met})
+	s := New(Options{Workers: 2, Metrics: NewMetrics(reg, "test")})
 	release := make(chan struct{})
 	k := relation.Handle(3)
 	s.Submit(Footprint{Writes: []Write{{Relation: "emp", FP: 1, Cols: []relation.Handle{0, k}}}}, func(Info) { <-release })
@@ -188,7 +188,7 @@ func TestStallReasonMetric(t *testing.T) {
 		if kind == CauseKeyedRead {
 			want = 1
 		}
-		if got := met.ConflictStalls[kind].Value(); got != want {
+		if got := series(t, reg, fmt.Sprintf(`cc_sched_conflict_stalls_total{layer="test",reason="%s"}`, kind)); got != want {
 			t.Errorf("stalls{reason=%q} = %d, want %d", kind, got, want)
 		}
 	}
@@ -197,6 +197,17 @@ func TestStallReasonMetric(t *testing.T) {
 	if want := `cc_sched_conflict_stalls_total{layer="test",reason="keyed-read"} 1`; !strings.Contains(sb.String(), want) {
 		t.Errorf("exposition lacks %s", want)
 	}
+}
+
+// series reads one counter or gauge series from the registry, as a
+// scrape sees it.
+func series(t *testing.T, reg *obs.Registry, key string) int64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[key].(int64)
+	if !ok {
+		t.Fatalf("the registry has no series %s", key)
+	}
+	return v
 }
 
 // TestDrainWaitsForStalledChains: Drain must wait for tasks that are
@@ -288,7 +299,9 @@ func TestWireTasksHoldNoWorker(t *testing.T) {
 		await(t, started, "a wire task to start beside the others")
 		parked = append(parked, done)
 	}
-	if got := met.WorkersBusy.Value(); got != 0 {
+	// The task below reads it off the test's goroutine: no Fatal there.
+	busy := func() any { return reg.Snapshot()[`cc_sched_workers_busy{layer="test"}`] }
+	if got := busy(); got != int64(0) {
 		t.Errorf("workers busy with eight tasks on the wire = %d, want 0", got)
 	}
 	local := make(chan struct{})
@@ -296,7 +309,7 @@ func TestWireTasksHoldNoWorker(t *testing.T) {
 		if info.WorkerWait != 0 || info.ConflictWait != 0 {
 			t.Errorf("local task beside parked wire tasks waited: %+v", info)
 		}
-		if got := met.WorkersBusy.Value(); got != 1 {
+		if got := busy(); got != int64(1) {
 			t.Errorf("workers busy inside the local task = %d, want 1", got)
 		}
 		close(local)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/netdist"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -233,7 +232,7 @@ func TestWorkerWaitSpan(t *testing.T) {
 	spans := obs.NewSpanTracer("serve", obs.NewTraceStore(16), 1)
 	gate := make(chan struct{})
 	s := New(pipelineFixture(t), Config{ApplyWorkers: 2, Metrics: reg, Spans: spans, workerGate: gate})
-	busy := sched.NewMetrics(reg, "serve").WorkersBusy
+	busy := func() any { return reg.Snapshot()[`cc_sched_workers_busy{layer="serve"}`] }
 	var tasks []*task
 	submit := func(lo int64) {
 		tk := &task{op: opApply, client: "wait", u: store.Ins("l", relation.Ints(lo, lo+1)),
@@ -247,7 +246,7 @@ func TestWorkerWaitSpan(t *testing.T) {
 	// the third is ready and finds none.
 	submit(1000)
 	submit(2000)
-	waitFor(t, "two tasks to hold the two workers", func() bool { return busy.Value() == 2 })
+	waitFor(t, "two tasks to hold the two workers", func() bool { return busy() == int64(2) })
 	submit(3000)
 	waitFor(t, "the third task to be admitted", func() bool { return s.Stats().SchedTasks == 3 })
 	close(gate)

@@ -311,7 +311,9 @@ type Server struct {
 
 	requests   [4]atomic.Int64          // by opKind
 	rejections map[string]*atomic.Int64 // by reason
-	met        *serveMetrics
+	// latency is the request latency histogram, nil without
+	// Config.Metrics; the other cc_serve_* families read Stats.
+	latency *obs.HistogramVec
 }
 
 // New builds a Server over chk and starts its dispatcher. The caller
@@ -333,7 +335,7 @@ func New(chk Backend, cfg Config) *Server {
 	}
 	s.ewmaNanos.Store(int64(50 * time.Microsecond))
 	if cfg.Metrics != nil {
-		s.met = newServeMetrics(cfg.Metrics)
+		s.latency = s.instrument(cfg.Metrics)
 	}
 	if cfg.DecisionLog != nil {
 		s.dlog = newDecisionLog(cfg.DecisionLog, cfg.DecisionLogDepth)
@@ -427,8 +429,8 @@ func (s *Server) do(req task) (taskResult, error) {
 	}
 	res := <-t.reply
 	verdict := verdictLabel(t, res)
-	if s.met != nil {
-		s.met.latency.With(t.op.endpoint(), verdict).Observe(time.Since(start).Seconds())
+	if s.latency != nil {
+		s.latency.With(t.op.endpoint(), verdict).Observe(time.Since(start).Seconds())
 	}
 	if t.span != nil {
 		t.span.SetAttr("verdict", verdict)
@@ -475,10 +477,6 @@ func (s *Server) enqueue(t *task) error {
 		select {
 		case s.queue <- t:
 			s.requests[t.op].Add(1)
-			if s.met != nil {
-				s.met.queueDepth.Set(int64(len(s.queue)))
-				s.met.requests.With(t.op.endpoint()).Inc()
-			}
 			return nil
 		default:
 		}
@@ -497,9 +495,6 @@ func (s *Server) retryAfter(n int64) time.Duration {
 
 func (s *Server) reject(reason string) {
 	s.rejections[reason].Add(1)
-	if s.met != nil {
-		s.met.rejections.With(reason).Inc()
-	}
 }
 
 // dispatcher drains the queue until Close closes it, answering every
@@ -538,9 +533,6 @@ func (s *Server) dispatcher() {
 func (s *Server) run(t *task, info sched.Info) {
 	if s.cfg.workerGate != nil {
 		<-s.cfg.workerGate
-	}
-	if s.met != nil {
-		s.met.queueDepth.Set(int64(len(s.queue)))
 	}
 	start := time.Now()
 	var decide *obs.Span
@@ -779,14 +771,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// DecisionLogDrops returns the dropped-record count (0 without a log).
-func (s *Server) DecisionLogDrops() int64 {
-	if s.dlog == nil {
-		return 0
-	}
-	return s.dlog.drops.Load()
-}
-
 // logTask emits decision-log records for a finished task: one per
 // update, batches included.
 func (s *Server) logTask(t *task, res taskResult, dur time.Duration) {
@@ -815,9 +799,7 @@ func (s *Server) logTask(t *task, res taskResult, dur time.Duration) {
 				rec.Witnesses[w.Constraint] = u.Relation + w.Tuple().String()
 			}
 		}
-		if !s.dlog.emit(rec) && s.met != nil {
-			s.met.logDrops.Inc()
-		}
+		s.dlog.emit(rec)
 	}
 	switch t.op {
 	case opCheck, opApply:
@@ -876,13 +858,11 @@ func newDecisionLog(w io.Writer, depth int) *decisionLog {
 	return l
 }
 
-func (l *decisionLog) emit(rec logRecord) bool {
+func (l *decisionLog) emit(rec logRecord) {
 	select {
 	case l.ch <- rec:
-		return true
 	default:
 		l.drops.Add(1)
-		return false
 	}
 }
 
@@ -891,27 +871,27 @@ func (l *decisionLog) close() {
 	<-l.done
 }
 
-// serveMetrics holds the cc_serve_* handles.
-type serveMetrics struct {
-	requests   *obs.CounterVec
-	latency    *obs.HistogramVec
-	queueDepth *obs.Gauge
-	rejections *obs.CounterVec
-	logDrops   *obs.Counter
-}
-
-func newServeMetrics(reg *obs.Registry) *serveMetrics {
-	return &serveMetrics{
-		requests: reg.CounterVec("cc_serve_requests_total",
-			"Requests admitted to the decision queue, by endpoint.", "endpoint"),
-		latency: reg.HistogramVec("cc_serve_request_seconds",
-			"Request latency from admission to reply (queue wait included), by endpoint and verdict.",
-			nil, "endpoint", "verdict"),
-		queueDepth: reg.Gauge("cc_serve_queue_depth",
-			"Requests currently queued for the decision worker."),
-		rejections: reg.CounterVec("cc_serve_admission_rejections_total",
-			"Requests shed before queueing, by reason (queue_full, rate_limited, draining).", "reason"),
-		logDrops: reg.Counter("cc_serve_decision_log_drops_total",
-			"Decision-log records dropped because the sink fell behind."),
-	}
+// instrument registers the cc_serve_* families on reg: the counters and
+// the queue gauge are views of Stats, read at scrape time; the latency
+// histogram, which no Stats can produce, is returned for do to observe.
+func (s *Server) instrument(reg *obs.Registry) *obs.HistogramVec {
+	reg.CounterFunc("cc_serve_requests_total",
+		"Requests admitted to the decision queue, by endpoint.", func(emit obs.Emit) {
+			emit.NonZero(s.Stats().Requests)
+		}, "endpoint")
+	reg.CounterFunc("cc_serve_admission_rejections_total",
+		"Requests shed before queueing, by reason (queue_full, rate_limited, draining).", func(emit obs.Emit) {
+			emit.NonZero(s.Stats().Rejections)
+		}, "reason")
+	reg.GaugeFunc("cc_serve_queue_depth",
+		"Requests currently queued for the decision worker.", func(emit obs.Emit) {
+			emit(int64(s.Stats().QueueDepth))
+		})
+	reg.CounterFunc("cc_serve_decision_log_drops_total",
+		"Decision-log records dropped because the sink fell behind.", func(emit obs.Emit) {
+			emit(s.Stats().DecisionLogDrops)
+		})
+	return reg.HistogramVec("cc_serve_request_seconds",
+		"Request latency from admission to reply (queue wait included), by endpoint and verdict.",
+		nil, "endpoint", "verdict")
 }

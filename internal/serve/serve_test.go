@@ -212,7 +212,7 @@ func TestDecisionLogDropsUnderSlowSink(t *testing.T) {
 	}
 	// With the writer stuck on record 1 and a one-record buffer, most of
 	// the stream must have been dropped rather than stalling the worker.
-	drops := s.DecisionLogDrops()
+	drops := s.Stats().DecisionLogDrops
 	if drops < n-2 {
 		t.Fatalf("decision-log drops = %d, want >= %d", drops, n-2)
 	}

@@ -186,33 +186,6 @@ func (s *Store) TuplesAppend(dst [][]relation.Handle, name string, arity int) []
 	return dst
 }
 
-// Lookup returns the tuples of the named relation whose column col equals
-// v, charging the read counter for the tuples returned.
-func (s *Store) Lookup(name string, col int, v ast.Value) []relation.Tuple {
-	r := s.get(name)
-	if r == nil {
-		return nil
-	}
-	ts := r.Lookup(col, v)
-	s.charge(name, int64(len(ts)))
-	return ts
-}
-
-// LookupCols returns the tuples of the named relation whose projection
-// onto cols equals vals, probing (and lazily building) the relation's
-// hash index on that column set. Only the tuples actually returned are
-// charged to the read counter, so an indexed probe never reads more
-// store tuples than the scan-and-filter it replaces.
-func (s *Store) LookupCols(name string, cols []int, vals []ast.Value) []relation.Tuple {
-	r := s.get(name)
-	if r == nil {
-		return nil
-	}
-	ts := r.LookupCols(cols, vals)
-	s.charge(name, int64(len(ts)))
-	return ts
-}
-
 // LookupColsAppend appends the handle rows of the named arity-ary
 // relation's tuples whose projection onto the sorted columns cols carries
 // the handles key (see relation.LookupColsAppend), charging only the
@@ -227,16 +200,6 @@ func (s *Store) LookupColsAppend(dst [][]relation.Handle, name string, arity int
 	dst = r.LookupColsAppend(dst, cols, key)
 	s.charge(name, int64(len(dst)-before))
 	return dst
-}
-
-// EnsureIndex warms the hash index on the named relation's column set.
-func (s *Store) EnsureIndex(name string, cols ...int) error {
-	r := s.get(name)
-	if r == nil {
-		return fmt.Errorf("store: EnsureIndex on absent relation %s", name)
-	}
-	r.EnsureIndex(cols...)
-	return nil
 }
 
 // Probe reports membership of the tuple with handles hs in the named

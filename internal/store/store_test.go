@@ -51,7 +51,7 @@ func TestReadAccounting(t *testing.T) {
 	if got := s.Reads("r"); got != 10 {
 		t.Errorf("Reads = %d, want 10", got)
 	}
-	s.Lookup("r", 0, ast.Int(3))
+	lookupCols(s, "r", 1, []int{0}, []ast.Value{ast.Int(3)})
 	if got := s.Reads("r"); got != 11 {
 		t.Errorf("Reads = %d, want 11", got)
 	}
@@ -267,6 +267,16 @@ func TestReplace(t *testing.T) {
 	}
 }
 
+// lookupCols is the Tuple form of a hash probe the tests compare:
+// LookupColsAppend's rows, materialized.
+func lookupCols(s *Store, name string, arity int, cols []int, vals []ast.Value) []relation.Tuple {
+	var out []relation.Tuple
+	for _, hs := range s.LookupColsAppend(nil, name, arity, cols, relation.AppendHandles(nil, vals)) {
+		out = append(out, relation.Materialize(hs))
+	}
+	return out
+}
+
 func TestLookupColsCharging(t *testing.T) {
 	s := New()
 	for i := int64(0); i < 10; i++ {
@@ -276,7 +286,7 @@ func TestLookupColsCharging(t *testing.T) {
 	}
 	// A multi-column probe charges only the tuples it returns — that is
 	// the whole point of indexed evaluation under read accounting.
-	ts := s.LookupCols("r", []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(3)})
+	ts := lookupCols(s, "r", 2, []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(3)})
 	if len(ts) != 1 {
 		t.Fatalf("LookupCols = %d tuples, want 1", len(ts))
 	}
@@ -284,7 +294,7 @@ func TestLookupColsCharging(t *testing.T) {
 		t.Errorf("Reads = %d, want 1", got)
 	}
 	// Probing an absent relation returns nil and charges nothing.
-	if ts := s.LookupCols("absent", []int{0}, []ast.Value{ast.Int(1)}); ts != nil {
+	if ts := lookupCols(s, "absent", 1, []int{0}, []ast.Value{ast.Int(1)}); ts != nil {
 		t.Errorf("LookupCols on absent relation = %v", ts)
 	}
 	if got := s.Reads("absent"); got != 0 {
@@ -310,7 +320,7 @@ func TestMissedProbesChargeNothing(t *testing.T) {
 		key := []relation.Handle{relation.Intern(ast.Int(i % 5))} // 3 and 4 miss
 		before, total := s.Reads("r"), s.TotalReads()
 		n := int64(len(s.LookupColsAppend(nil, "r", 2, cols, key)))
-		n += int64(len(s.Lookup("r", 0, ast.Int(i%5))))
+		n += int64(len(lookupCols(s, "r", 2, []int{0}, []ast.Value{ast.Int(i % 5)})))
 		n += int64(len(s.RangeAppend(nil, "r", 2, []relation.Range{{Col: 1, HasLo: true, Lo: ast.Int(i % 12)}})))
 		want += n
 		if n == 0 && (s.Reads("r") != before || s.TotalReads() != total) {
@@ -334,22 +344,16 @@ func TestReplaceCarriesIndexSignatures(t *testing.T) {
 	// swap works in place, so the signature stays warm (the netdist
 	// coordinator refreshes its mirror this way before every global
 	// evaluation).
-	s.LookupCols("r", []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)})
+	lookupCols(s, "r", 2, []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)})
 	if err := s.ReplaceRange("r", 2, relation.Range{}, []relation.Tuple{relation.Ints(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	sigs := s.Relation("r").IndexSignatures()
-	found := false
-	for _, cols := range sigs {
-		if len(cols) == 2 && cols[0] == 0 && cols[1] == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("the whole swap dropped index signatures: %v", sigs)
-	}
-	if ts := s.LookupCols("r", []int{0, 1}, []ast.Value{ast.Int(3), ast.Int(4)}); len(ts) != 1 {
+	builds := relation.IndexBuilds()
+	if ts := lookupCols(s, "r", 2, []int{0, 1}, []ast.Value{ast.Int(3), ast.Int(4)}); len(ts) != 1 {
 		t.Fatalf("probe after Replace = %d tuples, want 1", len(ts))
+	}
+	if n := relation.IndexBuilds() - builds; n != 0 {
+		t.Fatalf("the whole swap dropped the index signature: the probe after it built %d indexes", n)
 	}
 }
 
