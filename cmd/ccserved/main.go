@@ -18,10 +18,10 @@
 //
 // Requests carry updates as {"op":"insert","relation":"r","tuple":[1,"x"]};
 // the per-client admission buckets key on the X-Client-ID header. A full
-// request queue answers 429 with Retry-After; on SIGINT/SIGTERM the
-// daemon flips /readyz to 503 (load balancers drain it), stops
-// accepting, answers what it already admitted, flushes the decision log
-// and exits.
+// server (-queue requests already waiting) answers 429 with Retry-After;
+// on SIGINT/SIGTERM the daemon flips /readyz to 503 (load balancers
+// drain it), stops accepting, answers what it already admitted, flushes
+// the decision log and exits.
 //
 // With -sites flags (repeatable, the ccheck/ccsited spec syntax) the
 // daemon fronts a multi-site netdist system: decisions run against a
@@ -30,18 +30,19 @@
 //
 // Distributed tracing is on by default at -trace-sample 0.1: sampled
 // requests (and any request carrying a sampled traceparent header)
-// become traces — HTTP root, queue wait, decision, checker phases, and
-// per-site RPCs with site-side spans echoed back — stored in a
-// tail-sampling ring served at /debug/traces, exportable as OTLP JSON on
-// shutdown with -trace-otlp. -trace-sample 0 turns spans off.
+// become traces — HTTP root, wait for the apply turn, decision, checker
+// phases, and per-site RPCs with site-side spans echoed back — stored in
+// a tail-sampling ring served at /debug/traces, exportable as OTLP JSON
+// on shutdown with -trace-otlp. -trace-sample 0 turns spans off.
 //
 // Constraint files hold blank-line-separated constraint programs (each
 // defines panic), data files hold facts — the same formats ccheck reads.
 //
-// -apply-workers N (default 1): one dispatcher drains the request queue.
-// At N = 1 it decides each request itself, in admission order. Above
-// that it hands them to a conflict-aware scheduler: non-conflicting
-// queued updates are decided concurrently, at most N of them computing
+// -apply-workers N (default 1): each admitted request is served on its
+// own goroutine. At N = 1 requests are decided one at a time, each when
+// it gets the server's single turn, in the order they reach it. Above
+// that each hands itself to a conflict-aware scheduler: non-conflicting
+// admitted updates are decided concurrently, at most N of them computing
 // at once — with -sites an update that may wait on a site does not
 // count, and -queue bounds those — while conflicting ones keep admission
 // order, so verdicts and state match N = 1 exactly (see DESIGN.md,
@@ -121,7 +122,7 @@ func main() {
 	flag.IntVar(&cfg.maxBatch, "maxbatch", 0, "updates accepted per batch request (0: 1024)")
 	flag.StringVar(&cfg.logPath, "decision-log", "", "append one JSON line per decision to this file (empty: off)")
 	flag.IntVar(&cfg.logDepth, "decision-log-depth", 0, "decision-log buffer in records (0: 1024); overflow drops and counts")
-	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once behind the request queue (1: decided in turn by the dispatcher; >1: on a conflict-aware scheduler, waits on a site not counted); with -sites, >1 also sends a batch's site reads and writes at once")
+	flag.IntVar(&cfg.applyWorkers, "apply-workers", 1, "updates that may compute at once (1: decided one at a time, in turn; >1: on a conflict-aware scheduler, waits on a site not counted); with -sites, >1 also sends a batch's site reads and writes at once")
 	flag.BoolVar(&cfg.verbose, "v", false, "log the served constraints at startup")
 	flag.Var(appendFlag{&cfg.sites}, "sites", "remote site spec host:port=rel1,rel2 (repeatable; fronts a netdist system)")
 	flag.Var(appendFlag{&cfg.shards}, "shard", "hash-sharded relation spec rel@keycol=site1,site2,... (repeatable)")
@@ -187,8 +188,8 @@ func run(cfg config) error {
 	<-done
 	notReady.Store(true)
 	// Graceful drain: stop accepting connections and wait for in-flight
-	// handlers (whose queued requests the worker will answer), then close
-	// the serve queue and flush the decision log.
+	// handlers (each answered once its request is decided), then drain
+	// the server and flush the decision log.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

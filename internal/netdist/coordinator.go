@@ -118,8 +118,9 @@ type Stats struct {
 	// — a healthy run has both empty.
 	RetriesBySite     map[string]int
 	UnavailableBySite map[string]int
-	// NetTime is wall clock spent waiting on the wire (fetches,
-	// propagations, failed attempts).
+	// NetTime is wall clock the updates spent waiting on the wire
+	// (fetches, propagations, failed attempts); the initial sync's is
+	// left out.
 	NetTime time.Duration
 	// SyncTrips/SyncTuples account the one-time initial mirror sync in
 	// New, kept apart so the counters above count what the updates cost.
@@ -171,7 +172,8 @@ type Coordinator struct {
 	stats   Stats
 	rng     *rand.Rand
 	// sync is the accounting of the initial mirror sync, which Stats books
-	// apart (SyncTrips, SyncTuples) and the metric views count in.
+	// apart (SyncTrips, SyncTuples; NetTime leaves it out) and the metric
+	// views count in.
 	sync Stats
 }
 
@@ -240,7 +242,7 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 	co.sync = co.stats
 	co.stats.SyncTrips, co.stats.RoundTrips = co.stats.RoundTrips, 0
 	co.stats.SyncTuples, co.stats.WireTuples = co.stats.WireTuples, 0
-	co.stats.Retries = 0
+	co.stats.Retries, co.stats.NetTime = 0, 0
 	co.stats.RetriesBySite = map[string]int{}
 	co.stats.ShardRouted, co.stats.ShardScatter = 0, 0
 	if opts.Metrics != nil {

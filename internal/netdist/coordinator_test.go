@@ -432,6 +432,22 @@ func TestCoordinatorInitialSyncFailure(t *testing.T) {
 	}
 }
 
+// TestSyncNetTimeBookedApart: the initial sync is booked apart in every
+// wire counter, its wait on the wire included, so a coordinator that has
+// decided nothing has spent no NetTime however slow its sites are.
+func TestSyncNetTimeBookedApart(t *testing.T) {
+	lb := NewLoopback()
+	lb.AddSite("s1", NewServer(store.New(), []string{"r"}))
+	lb.SetLatency("s1", 2*time.Millisecond)
+	co, err := New(store.New(), []SiteSpec{{Site: "s1", Relations: []string{"r"}}}, lb, Options{Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := co.Stats(); st.SyncTrips != 1 || st.RoundTrips != 0 || st.NetTime != 0 {
+		t.Fatalf("after the sync: %d sync trips, %d round trips, net time %v; want 1, 0, 0", st.SyncTrips, st.RoundTrips, st.NetTime)
+	}
+}
+
 func TestParseSiteSpec(t *testing.T) {
 	spec, err := ParseSiteSpec("127.0.0.1:7070=r, s")
 	if err != nil {

@@ -120,7 +120,7 @@ func WriteOTLP(w io.Writer, traces []*Trace) error {
 //
 //	trace 4bf92f3577b34da6a3ce929d0e0e4736  1.2ms  3 services, 7 spans
 //	└─ serve.apply (ccserved)  1.2ms
-//	   ├─ queue.wait  80µs
+//	   ├─ queue.wait  4µs
 //	   └─ decide  1.1ms
 //	      ├─ phase.residual (cache=hit)  10µs
 //	      └─ rpc.eval → site-a (ccserved)  900µs

@@ -30,10 +30,10 @@ func TestServerCheckAllocs(t *testing.T) {
 
 // TestScheduledServerCheckAllocs pins what a warm in-process Check
 // allocates beyond the checker's own decision above one apply worker,
-// where the dispatcher footprints the request and the scheduler runs it:
-// nothing. The footprint is built in the dispatcher's scratch, the task
-// hands the scheduler the closure it was pooled with, and the scheduler's
-// node is recycled and its goroutine a parked one.
+// where the request footprints itself and the scheduler runs it: nothing.
+// The footprint is built in the pooled task's scratch, the task hands the
+// scheduler the closure it was pooled with, and the scheduler's node is
+// recycled and its goroutine a parked one.
 func TestScheduledServerCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

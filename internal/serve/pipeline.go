@@ -10,9 +10,9 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is what the dispatcher adds when more than one apply worker
-// serves (Config.ApplyWorkers > 1): it footprints every task and submits
-// it to the conflict-aware scheduler instead of running it inline. The
+// This file is what a request does instead of taking the turn when more
+// than one apply worker serves (Config.ApplyWorkers > 1): it footprints
+// its task and submits it to the conflict-aware scheduler. The
 // scheduler guarantees that conflicting tasks run in admission order, so
 // every request gets the same verdict — and the store the same final
 // state — as at one worker for the same admitted stream; only the
@@ -22,24 +22,22 @@ import (
 // footprintFor derives the scheduler footprint of one task. A check
 // writes nothing, so its footprint is its reads alone (Footprints.Check).
 // Stats is a barrier so the snapshot reflects a quiescent backend,
-// exactly like a queue position at one worker. The footprint is built in
-// the dispatcher's scratch and valid until the next call: Submit copies
-// it.
+// exactly like the turn at one worker. The footprint is built in the
+// task's scratch and valid until the next call: Submit copies it.
 func (s *Server) footprintFor(t *task) sched.Footprint {
-	fp := sched.Footprint{Writes: s.fp.Writes[:0], Reads: s.fp.Reads[:0]}
+	t.fp = sched.Footprint{Writes: t.fp.Writes[:0], Reads: t.fp.Reads[:0]}
 	ix := s.fpb.Footprints()
 	switch t.op {
 	case opCheck:
-		fp = ix.AppendCheck(fp, t.u)
+		t.fp = ix.AppendCheck(t.fp, t.u)
 	case opApply:
-		fp = ix.AppendUpdate(fp, t.u)
+		t.fp = ix.AppendUpdate(t.fp, t.u)
 	case opBatch: // atomic: one all-or-nothing task
-		fp = ix.AppendBatch(fp, t.us)
+		t.fp = ix.AppendBatch(t.fp, t.us)
 	default:
-		fp.Barrier = true
+		t.fp.Barrier = true
 	}
-	s.fp = fp
-	return fp
+	return t.fp
 }
 
 // stallAttrs describes a stalled task on its sched.wait span: how many
@@ -64,7 +62,7 @@ func stallAttrs(info sched.Info) map[string]string {
 // final state match one worker's for error-free streams; the one
 // divergence is a backend *error* (not a violation) mid-batch, after
 // which one worker stops attempting the remaining updates while this
-// path has already dispatched them — the outcome still reports the first
+// path has already submitted them — the outcome still reports the first
 // error at its index, and every update's fate is in the decision log
 // either way.
 func (s *Server) submitBatch(t *task) {
@@ -77,13 +75,13 @@ func (s *Server) submitBatch(t *task) {
 	b.remaining.Store(int64(n))
 	ix := s.fpb.Footprints()
 	for i, u := range t.us {
-		s.fp = ix.AppendUpdate(sched.Footprint{Writes: s.fp.Writes[:0], Reads: s.fp.Reads[:0]}, u)
-		s.sched.Submit(s.fp, func(sched.Info) { s.runMember(b, i) })
+		t.fp = ix.AppendUpdate(sched.Footprint{Writes: t.fp.Writes[:0], Reads: t.fp.Reads[:0]}, u)
+		s.sched.Submit(t.fp, func(sched.Info) { s.runMember(b, i) })
 	}
 }
 
 // batchRun is a non-atomic batch decomposed by submitBatch: its task,
-// when it was dispatched, and its members' outcomes.
+// when it was submitted, and its members' outcomes.
 type batchRun struct {
 	t         *task
 	start     time.Time

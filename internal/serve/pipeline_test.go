@@ -245,9 +245,9 @@ func TestBatchErrorSameAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestOneWorkerRunsNoScheduler: at one apply worker the dispatcher decides
-// every request itself — checks, applies, batches of both kinds, stats —
-// and submits nothing to a scheduler.
+// TestOneWorkerRunsNoScheduler: at one apply worker every request is
+// decided at the server's turn — checks, applies, batches of both kinds,
+// stats — and nothing is submitted to a scheduler.
 func TestOneWorkerRunsNoScheduler(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		s := New(pipelineFixture(t), Config{ApplyWorkers: workers})
@@ -483,18 +483,18 @@ const (
 	fiSrc  = "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y."
 )
 
-// runRequests admits the requests in order from one goroutine — the
-// dispatcher takes them off the queue in that order, so the scheduler's
-// admission order is the slice's — and only then collects the answers,
-// so that as many as the scheduler allows are in flight together. Each
-// answer is rendered down to what a client can tell apart.
+// runRequests submits the requests in order from one goroutine — so the
+// scheduler's admission order is the slice's, and at one worker each is
+// decided before the next is submitted — and only then collects the
+// answers, so that as many as the scheduler allows are in flight
+// together. Each answer is rendered down to what a client can tell apart.
 func runRequests(t *testing.T, s *Server, reqs []request) []string {
 	t.Helper()
 	tasks := make([]*task, len(reqs))
 	for i, r := range reqs {
 		tasks[i] = &task{op: r.op, client: "agree", u: r.u, us: r.us, atomic: true,
 			reply: make(chan taskResult, 1), enqueued: time.Now()}
-		if err := s.enqueue(tasks[i]); err != nil {
+		if err := s.submit(tasks[i]); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -746,7 +746,7 @@ func TestSchedWaitSpanSaysWhy(t *testing.T) {
 	for _, u := range []store.Update{store.Del("dept", relation.Ints(7)), store.Ins("emp", relation.Ints(1, 7))} {
 		tk := &task{op: opApply, client: "why", u: u, span: spans.StartRoot("req", obs.SpanContext{}),
 			reply: make(chan taskResult, 1), enqueued: time.Now()}
-		if err := s.enqueue(tk); err != nil {
+		if err := s.submit(tk); err != nil {
 			t.Fatal(err)
 		}
 		tasks = append(tasks, tk)
@@ -805,6 +805,9 @@ func TestPipelineChecksAreReads(t *testing.T) {
 		}
 		version := db.DataVersion("emp")
 		gate := make(chan struct{})
+		if workers == 1 {
+			close(gate) // a request submitted at one worker is decided before submit returns
+		}
 		s := New(chk, Config{ApplyWorkers: workers, QueueDepth: rounds * perRound, workerGate: gate})
 		var tasks []*task
 		for i := int64(0); i < rounds; i++ {
@@ -815,16 +818,18 @@ func TestPipelineChecksAreReads(t *testing.T) {
 				{op: opApply, u: store.Ins("emp", relation.Ints(100+i, 7))},
 			} {
 				tk.client, tk.reply, tk.enqueued = "reads", make(chan taskResult, 1), time.Now()
-				if err := s.enqueue(tk); err != nil {
+				if err := s.submit(tk); err != nil {
 					t.Fatal(err)
 				}
 				tasks = append(tasks, tk)
 			}
 		}
-		for workers > 1 && s.Stats().SchedTasks < int64(len(tasks)) {
-			time.Sleep(time.Millisecond)
+		if workers > 1 {
+			for s.Stats().SchedTasks < int64(len(tasks)) {
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
 		}
-		close(gate)
 		got := make([]bool, len(tasks))
 		for i, tk := range tasks {
 			res := <-tk.reply
@@ -878,6 +883,9 @@ func TestPipelineRecursiveChecksOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 		gate := make(chan struct{})
+		if workers == 1 {
+			close(gate) // a request submitted at one worker is decided before submit returns
+		}
 		s := New(chk, Config{ApplyWorkers: workers, QueueDepth: rounds * 8, workerGate: gate})
 		var tasks []*task
 		for i := int64(0); i < rounds; i++ {
@@ -896,16 +904,18 @@ func TestPipelineRecursiveChecksOverlap(t *testing.T) {
 			}
 			for _, tk := range round {
 				tk.client, tk.reply, tk.enqueued = "overlap", make(chan taskResult, 1), time.Now()
-				if err := s.enqueue(tk); err != nil {
+				if err := s.submit(tk); err != nil {
 					t.Fatal(err)
 				}
 				tasks = append(tasks, tk)
 			}
 		}
-		for workers > 1 && s.Stats().SchedTasks < int64(len(tasks)) {
-			time.Sleep(time.Millisecond)
+		if workers > 1 {
+			for s.Stats().SchedTasks < int64(len(tasks)) {
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
 		}
-		close(gate)
 		got := make([]bool, len(tasks))
 		for i, tk := range tasks {
 			res := <-tk.reply

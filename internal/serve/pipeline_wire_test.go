@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,10 +169,9 @@ func TestCheckFootprintKeepsWire(t *testing.T) {
 }
 
 // TestQueueDepthBoundsBothArms: QueueDepth requests may wait beyond the
-// ApplyWorkers being served, at one worker or more. Above one the
-// dispatcher empties the queue into a scheduler that never refuses, so
-// the queue's own capacity sheds nothing there; the count of requests
-// admitted and unanswered does.
+// ApplyWorkers being served, at one worker or more. Above one every
+// request submits itself to a scheduler that never refuses; the count of
+// requests admitted and unanswered is what sheds, at every width.
 func TestQueueDepthBoundsBothArms(t *testing.T) {
 	const depth, callers = 4, 200
 	for _, workers := range []int{1, 4} {
@@ -224,6 +225,19 @@ func TestQueueDepthBoundsBothArms(t *testing.T) {
 	}
 }
 
+// waitingForWorker reports whether some goroutine is starting a scheduled
+// task and blocked on the scheduler's worker tokens.
+func waitingForWorker() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan send")) && bytes.Contains(g, []byte("sched.(*Scheduler).start(")) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestWorkerWaitSpan: a traced request whose task was ready and waited
 // for a worker says so — a worker.wait child span, and a row of that name
 // in the trace summary — and one that got a worker at once does not.
@@ -237,7 +251,7 @@ func TestWorkerWaitSpan(t *testing.T) {
 	submit := func(lo int64) {
 		tk := &task{op: opApply, client: "wait", u: store.Ins("l", relation.Ints(lo, lo+1)),
 			span: spans.StartRoot("req", obs.SpanContext{}), reply: make(chan taskResult, 1), enqueued: time.Now()}
-		if err := s.enqueue(tk); err != nil {
+		if err := s.submit(tk); err != nil {
 			t.Fatal(err)
 		}
 		tasks = append(tasks, tk)
@@ -248,7 +262,10 @@ func TestWorkerWaitSpan(t *testing.T) {
 	submit(2000)
 	waitFor(t, "two tasks to hold the two workers", func() bool { return busy() == int64(2) })
 	submit(3000)
-	waitFor(t, "the third task to be admitted", func() bool { return s.Stats().SchedTasks == 3 })
+	// The third task was admitted when submit returned; its goroutine
+	// then has to reach the worker tokens, and nothing but its stack says
+	// when it waits there.
+	waitFor(t, "the third task to wait for a worker", waitingForWorker)
 	close(gate)
 	for _, tk := range tasks {
 		if res := <-tk.reply; res.err != nil {

@@ -4,7 +4,7 @@
 //   - In-process: the SDK drives a serve.Server directly (its own,
 //     built over a core.Checker you hand it, or one you share with an
 //     HTTP listener). Decisions never cross a socket but still pass
-//     through the same queue, admission control and decision log as
+//     through the same admission, apply turn and decision log as
 //     service traffic.
 //   - HTTP: the SDK speaks the /v1/* wire protocol to a remote ccserved.
 //

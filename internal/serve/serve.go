@@ -1,14 +1,15 @@
 // Package serve is the decision-service subsystem: a long-lived front
 // end that exposes the staged checking pipeline to real traffic. A
-// Server wraps one core.Checker behind a bounded request queue drained
-// by one dispatcher: at one apply worker (Config.ApplyWorkers <= 1) it
-// runs each request itself, above that it hands them to a conflict-aware
-// apply scheduler (internal/sched) that runs non-conflicting requests
-// concurrently while serializing conflicting ones in admission order —
-// same verdicts, same final store, higher throughput. Either way the
-// server provides
+// Server wraps one core.Checker and starts no goroutine of its own: each
+// request is served on its caller's goroutine once admitted. At one apply
+// worker (Config.ApplyWorkers <= 1) it waits for the server's single turn
+// and is decided there, one request at a time; above that it submits
+// itself to a conflict-aware apply scheduler (internal/sched) that runs
+// non-conflicting requests concurrently while serializing conflicting
+// ones in admission order — same verdicts, same final store, higher
+// throughput. Either way the server provides
 //
-//   - backpressure: once QueueDepth requests wait — in the queue or in
+//   - backpressure: once QueueDepth requests wait — for the turn or in
 //     the scheduler — the next is rejected immediately with a BusyError
 //     carrying a Retry-After estimate derived from the number admitted
 //     and unanswered and an EWMA of recent per-request service time;
@@ -18,8 +19,8 @@
 //   - a decision log: a buffered JSONL sink on its own writer goroutine
 //     that counts drops instead of blocking the worker when the sink
 //     falls behind;
-//   - graceful drain: Close stops admitting, answers everything already
-//     queued, then flushes the log;
+//   - graceful drain: Close stops admitting, waits until everything
+//     already admitted is answered, then flushes the log;
 //   - cc_serve_* metrics on the shared obs registry.
 //
 // The HTTP layer (http.go) and the embeddable SDK (internal/serve/sdk)
@@ -76,10 +77,9 @@ func (e *BusyError) Error() string {
 type Config struct {
 	// QueueDepth bounds the requests that may wait: beyond the
 	// ApplyWorkers a server may be serving, this many may be admitted and
-	// not yet answered — queued, or (above one worker, where the
-	// dispatcher empties the queue into a scheduler that never refuses)
-	// held by the scheduler. A request arriving past the bound is
-	// rejected with BusyError{ReasonQueueFull}. 0 means 1024.
+	// not yet answered — waiting for the turn at one worker, held by the
+	// scheduler (which never refuses) above it. A request arriving past
+	// the bound is rejected with BusyError{ReasonQueueFull}. 0 means 1024.
 	QueueDepth int
 	// RatePerClient is the steady per-client admission rate in
 	// requests/second, enforced by a token bucket per client id; 0
@@ -103,15 +103,15 @@ type Config struct {
 	// Metrics, when non-nil, receives the cc_serve_* families.
 	Metrics *obs.Registry
 	// Spans, when non-nil, turns on distributed tracing: each sampled
-	// request becomes a trace rooted at the HTTP handler, with queue
-	// wait, the decision itself, bridged checker phases and (behind a
-	// coordinator backend) per-site RPCs as child spans. Completed
-	// traces land in Spans.Store().
+	// request becomes a trace rooted at the HTTP handler, with its wait
+	// for the turn (queue.wait), the decision itself, bridged checker
+	// phases and (behind a coordinator backend) per-site RPCs as child
+	// spans. Completed traces land in Spans.Store().
 	Spans *obs.SpanTracer
 	// SpanBridge, when non-nil alongside Spans, is the bridge installed
-	// as the checker's Tracer: the dispatcher points it at the active
-	// request's decision span before driving the backend and clears it
-	// after, so checker phase events nest under the right request. The
+	// as the checker's Tracer: the request holding the turn points it at
+	// its decision span before driving the backend and clears it after,
+	// so checker phase events nest under the right request. The
 	// bridge is single-flight by design, so it is used only at one apply
 	// worker; with ApplyWorkers > 1 the checker runs untraced and requests
 	// carry sched.wait/worker.wait/decide envelope spans instead.
@@ -122,15 +122,16 @@ type Config struct {
 	// conflicting ones in admission order, and at most this many compute
 	// at once — a request that may wait on a site (sched.Footprint.Wire)
 	// does not count while it runs, so what bounds those is QueueDepth.
-	// 0 or 1 runs no scheduler: the dispatcher decides each request
-	// itself, in admission order, and computes no footprint. Values > 1
-	// require a backend that exposes footprints and admits concurrent
-	// applies (FootprintBackend — *core.Checker and netdist.ServeBackend
-	// both qualify); otherwise the server runs one worker.
+	// 0 or 1 runs no scheduler: each request is decided on its own
+	// goroutine at the server's single turn, one at a time in the order
+	// they reach it, and computes no footprint. Values > 1 require a
+	// backend that exposes footprints and admits concurrent applies
+	// (FootprintBackend — *core.Checker and netdist.ServeBackend both
+	// qualify); otherwise the server runs one worker.
 	ApplyWorkers int
 
 	// workerGate, when non-nil, is received from before each task is
-	// executed — a test hook to hold the worker mid-queue.
+	// executed — a test hook to hold a request while others wait.
 	workerGate chan struct{}
 }
 
@@ -184,13 +185,14 @@ func (o opKind) endpoint() string {
 	return EndpointStats
 }
 
-// task is one queued request; reply is buffered so the worker never
-// blocks on an abandoned caller.
+// task is one admitted request; reply is buffered so a scheduled task
+// never blocks on an abandoned caller.
 //
 // A request's task comes from taskPool and goes back once do has received
 // its reply: answer is the last a worker does with a task, so none holds
-// it any more. The task keeps its reply channel across uses, and the
-// closure that runs it under a scheduler (runner).
+// it any more. The task keeps its reply channel across uses, the closure
+// that runs it under a scheduler (runner), and the scratch its footprints
+// are built in (footprintFor).
 type task struct {
 	op        opKind
 	client    string
@@ -200,6 +202,7 @@ type task struct {
 	reply     chan taskResult
 	srv       *Server
 	scheduled func(sched.Info)
+	fp        sched.Footprint
 
 	// span is the request's root span (nil when untraced); traceID is
 	// set whenever the request carries a trace id — sampled or not — so
@@ -248,8 +251,9 @@ type BatchOutcome struct {
 // satisfies it directly (the single-checker deployment);
 // netdist.ServeBackend adapts a distributed Coordinator so the same
 // server can front a multi-site system. At one apply worker the server
-// drives the backend only from its dispatcher goroutine; more
-// (Config.ApplyWorkers > 1) require FootprintBackend.
+// drives the backend with one request at a time, from the goroutine of
+// the request holding its turn; more (Config.ApplyWorkers > 1) require
+// FootprintBackend.
 type Backend interface {
 	Check(store.Update) (core.Report, error)
 	Apply(store.Update) (core.Report, error)
@@ -270,31 +274,32 @@ type FootprintBackend interface {
 }
 
 // Server is the decision service. All exported methods are safe for
-// concurrent use; the wrapped checker is only ever driven by the
-// dispatcher, or by the tasks it hands the scheduler.
+// concurrent use; the wrapped checker is only ever driven by the request
+// holding the turn, or by the tasks requests hand the scheduler.
 type Server struct {
 	chk Backend
 	cfg Config
 
 	// fpb and sched are set above one apply worker (effective
-	// ApplyWorkers > 1): the dispatcher footprints each task through fpb
-	// and submits it to the scheduler instead of running it inline.
+	// ApplyWorkers > 1): a request footprints itself through fpb and
+	// submits itself to the scheduler instead of taking the turn.
 	fpb          FootprintBackend
 	sched        *sched.Scheduler
 	applyWorkers int // effective worker count
-	// fp is the dispatcher's scratch: it builds each task's footprint
-	// here, and Submit copies it.
-	fp sched.Footprint
+	// turn is the one apply turn at one worker: a request takes it by
+	// sending and gives it back by receiving. Blocked senders are served
+	// in the order they blocked, so no request overtakes one waiting.
+	turn chan struct{}
 
-	mu       sync.RWMutex // excludes enqueue vs Close's queue close
+	mu       sync.RWMutex // excludes enqueue vs Close's draining flag
 	draining bool
-	queue    chan *task
 	// admitted counts requests enqueued and not yet answered (answer);
-	// enqueue holds it to QueueDepth + applyWorkers.
+	// enqueue holds it to QueueDepth + applyWorkers. pending is the same
+	// count for Close to wait on, and waiting those not yet dispatched
+	// (Stats.QueueDepth).
 	admitted atomic.Int64
-
-	workerDone chan struct{}
-	closeOnce  sync.Once
+	pending  sync.WaitGroup
+	waiting  atomic.Int64
 
 	limMu   sync.Mutex
 	buckets map[string]*bucket
@@ -316,17 +321,17 @@ type Server struct {
 	latency *obs.HistogramVec
 }
 
-// New builds a Server over chk and starts its dispatcher. The caller
-// owns chk and must not drive it concurrently with the server; Close
-// stops the dispatcher and flushes the decision log.
+// New builds a Server over chk; it starts no goroutine (a decision log
+// starts its writer). The caller owns chk and must not drive it
+// concurrently with the server; Close drains the server and flushes the
+// decision log.
 func New(chk Backend, cfg Config) *Server {
 	s := &Server{
-		chk:        chk,
-		cfg:        cfg,
-		queue:      make(chan *task, cfg.queueDepth()),
-		workerDone: make(chan struct{}),
-		buckets:    map[string]*bucket{},
-		clock:      time.Now,
+		chk:     chk,
+		cfg:     cfg,
+		turn:    make(chan struct{}, 1),
+		buckets: map[string]*bucket{},
+		clock:   time.Now,
 		rejections: map[string]*atomic.Int64{
 			ReasonQueueFull:   new(atomic.Int64),
 			ReasonRateLimited: new(atomic.Int64),
@@ -350,7 +355,6 @@ func New(chk Backend, cfg Config) *Server {
 			Metrics: sched.NewMetrics(cfg.Metrics, "serve"),
 		})
 	}
-	go s.dispatcher()
 	return s
 }
 
@@ -379,7 +383,7 @@ func (s *Server) applyTraced(client string, u store.Update, sp *obs.Span, traceI
 	return res.rep, err
 }
 
-// Batch runs the updates in one queue slot: atomically (all-or-nothing,
+// Batch runs the updates as one request: atomically (all-or-nothing,
 // core.ApplyBatch) or independently (rejected updates are skipped, the
 // rest stay applied).
 func (s *Server) Batch(client string, us []store.Update, atomic bool) (BatchOutcome, error) {
@@ -394,15 +398,15 @@ func (s *Server) batchTraced(client string, us []store.Update, atomic bool, sp *
 	return res.batch, err
 }
 
-// CheckerStats snapshots the wrapped checker's statistics through the
-// queue (the checker's counters are not safe to read mid-Apply).
+// CheckerStats snapshots the wrapped checker's statistics as a request
+// of its own, in turn or as a scheduler barrier (the checker's counters
+// are not safe to read mid-Apply).
 func (s *Server) CheckerStats() (core.Stats, error) {
 	res, err := s.do(task{op: opStats})
 	return res.stats, err
 }
 
-// do admits and enqueues the request in a pooled task, and waits for the
-// answer.
+// do submits the request in a pooled task, and waits for the answer.
 func (s *Server) do(req task) (taskResult, error) {
 	// Stats requests skip the token bucket: they are cheap, and load
 	// shedding that blinds the operator is self-defeating.
@@ -413,15 +417,14 @@ func (s *Server) do(req task) (taskResult, error) {
 		}
 	}
 	t := taskPool.Get().(*task)
-	req.reply, req.scheduled = t.reply, t.scheduled
+	req.reply, req.scheduled, req.fp = t.reply, t.scheduled, t.fp
 	*t = req
 	defer func() {
-		*t = task{reply: t.reply, scheduled: t.scheduled}
+		*t = task{reply: t.reply, scheduled: t.scheduled, fp: t.fp}
 		taskPool.Put(t)
 	}()
-	start := s.clock()
 	t.enqueued = time.Now()
-	if err := s.enqueue(t); err != nil {
+	if err := s.submit(t); err != nil {
 		if t.span != nil {
 			t.span.SetError(err.Error())
 		}
@@ -430,7 +433,7 @@ func (s *Server) do(req task) (taskResult, error) {
 	res := <-t.reply
 	verdict := verdictLabel(t, res)
 	if s.latency != nil {
-		s.latency.With(t.op.endpoint(), verdict).Observe(time.Since(start).Seconds())
+		s.latency.With(t.op.endpoint(), verdict).Observe(time.Since(t.enqueued).Seconds())
 	}
 	if t.span != nil {
 		t.span.SetAttr("verdict", verdict)
@@ -460,12 +463,40 @@ func verdictLabel(t *task, res taskResult) string {
 	return "ok"
 }
 
-// enqueue places the task on the queue unless the server is draining,
-// the queue is full, or as many requests as may wait and be served are
-// admitted and unanswered already — at one apply worker the two say the
-// same, above it the queue is always nearly empty and the count is what
-// sheds. It holds the read lock across the send so Close cannot close
-// the queue under an in-flight send.
+// submit admits t (enqueue) and serves it on the caller's goroutine. At
+// one apply worker it waits for the turn and runs t there, so t is
+// answered when submit returns. Above one it hands t to the scheduler —
+// a non-atomic batch as one task per update — and returns: Submit never
+// blocks, so what bounds the tasks the scheduler holds is admission, and
+// what a task waits for afterwards is named by the scheduler (sched.wait,
+// worker.wait). A request's queue.wait ends here.
+func (s *Server) submit(t *task) error {
+	if err := s.enqueue(t); err != nil {
+		return err
+	}
+	if s.sched == nil {
+		s.turn <- struct{}{}
+	}
+	s.waiting.Add(-1)
+	if t.span != nil {
+		s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, time.Since(t.enqueued), nil, "")
+	}
+	switch {
+	case s.sched == nil:
+		s.run(t, sched.Info{})
+		<-s.turn
+	case t.op == opBatch && !t.atomic:
+		s.submitBatch(t)
+	default:
+		s.sched.Submit(s.footprintFor(t), t.runner(s))
+	}
+	return nil
+}
+
+// enqueue admits t unless the server is draining or as many requests as
+// may wait and be served are admitted and unanswered already. It holds
+// the read lock so that no request is admitted once Close has seen the
+// draining flag set.
 func (s *Server) enqueue(t *task) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -473,17 +504,15 @@ func (s *Server) enqueue(t *task) error {
 		s.reject(ReasonDraining)
 		return ErrDraining
 	}
-	if s.admitted.Add(1) <= int64(cap(s.queue)+s.applyWorkers) {
-		select {
-		case s.queue <- t:
-			s.requests[t.op].Add(1)
-			return nil
-		default:
-		}
+	if s.admitted.Add(1) > int64(s.cfg.queueDepth()+s.applyWorkers) {
+		ahead := s.admitted.Add(-1)
+		s.reject(ReasonQueueFull)
+		return &BusyError{Reason: ReasonQueueFull, RetryAfter: s.retryAfter(ahead)}
 	}
-	ahead := s.admitted.Add(-1)
-	s.reject(ReasonQueueFull)
-	return &BusyError{Reason: ReasonQueueFull, RetryAfter: s.retryAfter(ahead)}
+	s.pending.Add(1)
+	s.waiting.Add(1)
+	s.requests[t.op].Add(1)
+	return nil
 }
 
 // retryAfter estimates how long the n requests admitted ahead need to
@@ -495,34 +524,6 @@ func (s *Server) retryAfter(n int64) time.Duration {
 
 func (s *Server) reject(reason string) {
 	s.rejections[reason].Add(1)
-}
-
-// dispatcher drains the queue until Close closes it, answering every
-// queued task (the drain guarantee); a request's queue.wait ends here.
-// At one apply worker it runs each task inline. Otherwise it hands each
-// to the scheduler — a non-atomic batch as one task per update — and
-// what a task waits for afterwards is named by the scheduler (sched.wait,
-// worker.wait); Submit never blocks, so what bounds the tasks the
-// scheduler holds is admission (enqueue). When Close closes the queue it
-// drains the scheduler too.
-func (s *Server) dispatcher() {
-	defer close(s.workerDone)
-	for t := range s.queue {
-		if t.span != nil {
-			s.cfg.Spans.RecordChild(t.span, "queue.wait", t.enqueued, time.Since(t.enqueued), nil, "")
-		}
-		switch {
-		case s.sched == nil:
-			s.run(t, sched.Info{})
-		case t.op == opBatch && !t.atomic:
-			s.submitBatch(t)
-		default:
-			s.sched.Submit(s.footprintFor(t), t.runner(s))
-		}
-	}
-	if s.sched != nil {
-		s.sched.Close()
-	}
 }
 
 // run executes one task and answers it. A task the scheduler ran carries
@@ -584,6 +585,7 @@ func (s *Server) run(t *task, info sched.Info) {
 func (s *Server) answer(t *task, res taskResult) {
 	s.admitted.Add(-1)
 	t.reply <- res
+	s.pending.Done()
 }
 
 // observeEWMA folds one task's service time into the Retry-After
@@ -637,18 +639,19 @@ func batchOutcome(reports []core.Report, errs []error) (BatchOutcome, error) {
 }
 
 // Close drains the server: no new request is admitted (ErrDraining),
-// every already-queued request is answered, then the decision log is
-// flushed and closed. Safe to call more than once.
+// and once every already-admitted request is answered the scheduler is
+// closed and (by the first call) the decision log flushed and closed.
+// Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
-	already := s.draining
+	first := !s.draining
 	s.draining = true
 	s.mu.Unlock()
-	if !already {
-		s.closeOnce.Do(func() { close(s.queue) })
+	s.pending.Wait()
+	if s.sched != nil {
+		s.sched.Close()
 	}
-	<-s.workerDone
-	if s.dlog != nil {
+	if first && s.dlog != nil {
 		s.dlog.close()
 	}
 }
@@ -714,11 +717,14 @@ func (s *Server) admit(client string) error {
 // Stats is the server-level accounting snapshot (the checker's own
 // statistics travel separately, through CheckerStats).
 type Stats struct {
-	Requests         map[string]int64 `json:"requests"`
-	Rejections       map[string]int64 `json:"rejections"`
-	QueueDepth       int              `json:"queue_depth"`
-	DecisionLogDrops int64            `json:"decision_log_drops"`
-	Draining         bool             `json:"draining"`
+	Requests   map[string]int64 `json:"requests"`
+	Rejections map[string]int64 `json:"rejections"`
+	// QueueDepth counts requests admitted and waiting for the turn at one
+	// apply worker; above one a request submits itself at once, so it
+	// reads about 0 and what the scheduler holds is SchedInflight.
+	QueueDepth       int   `json:"queue_depth"`
+	DecisionLogDrops int64 `json:"decision_log_drops"`
+	Draining         bool  `json:"draining"`
 	// ApplyWorkers is how many requests may compute at once. At 1 no
 	// scheduler runs, and the sched_* counters stay zero.
 	ApplyWorkers        int   `json:"apply_workers"`
@@ -741,12 +747,12 @@ type ShardStatser interface {
 	ShardStats() (routed, scatter, _ int)
 }
 
-// Stats snapshots the server-level counters without touching the queue.
+// Stats snapshots the server-level counters without waiting for the turn.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Requests:     map[string]int64{},
 		Rejections:   map[string]int64{},
-		QueueDepth:   len(s.queue),
+		QueueDepth:   int(s.waiting.Load()),
 		Draining:     s.Draining(),
 		ApplyWorkers: s.applyWorkers,
 	}
@@ -876,15 +882,15 @@ func (l *decisionLog) close() {
 // histogram, which no Stats can produce, is returned for do to observe.
 func (s *Server) instrument(reg *obs.Registry) *obs.HistogramVec {
 	reg.CounterFunc("cc_serve_requests_total",
-		"Requests admitted to the decision queue, by endpoint.", func(emit obs.Emit) {
+		"Requests admitted, by endpoint.", func(emit obs.Emit) {
 			emit.NonZero(s.Stats().Requests)
 		}, "endpoint")
 	reg.CounterFunc("cc_serve_admission_rejections_total",
-		"Requests shed before queueing, by reason (queue_full, rate_limited, draining).", func(emit obs.Emit) {
+		"Requests shed at admission, by reason (queue_full, rate_limited, draining).", func(emit obs.Emit) {
 			emit.NonZero(s.Stats().Rejections)
 		}, "reason")
 	reg.GaugeFunc("cc_serve_queue_depth",
-		"Requests currently queued for the decision worker.", func(emit obs.Emit) {
+		"Requests admitted and waiting for the apply turn.", func(emit obs.Emit) {
 			emit(int64(s.Stats().QueueDepth))
 		})
 	reg.CounterFunc("cc_serve_decision_log_drops_total",

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,13 +57,13 @@ func TestQueueFullReturnsBusy(t *testing.T) {
 
 	results := make(chan error, 2)
 	go func() { _, err := s.Check("a", store.Ins("r", relation.Ints(100))); results <- err }()
-	// The worker holds the first request at the gate; the queue is empty
-	// again once it has been dequeued.
+	// The gate holds the first request at the turn; nothing waits for the
+	// turn once it has taken it.
 	waitFor(t, "worker to hold request 1", func() bool {
-		return len(s.queue) == 0 && s.requests[opCheck].Load() == 1
+		return s.Stats().QueueDepth == 0 && s.requests[opCheck].Load() == 1
 	})
 	go func() { _, err := s.Check("a", store.Ins("r", relation.Ints(101))); results <- err }()
-	waitFor(t, "request 2 to queue", func() bool { return len(s.queue) == 1 })
+	waitFor(t, "request 2 to queue", func() bool { return s.Stats().QueueDepth == 1 })
 
 	// Queue full: the third request must shed immediately.
 	_, err := s.Check("a", store.Ins("r", relation.Ints(102)))
@@ -179,6 +180,80 @@ func TestGracefulDrainAnswersQueuedRejectsNew(t *testing.T) {
 	for i := int64(100); i < 100+held; i++ {
 		if !chk.DB().Contains("r", relation.Ints(i)) {
 			t.Fatalf("drained apply +r(%d) not in store", i)
+		}
+	}
+}
+
+// TestNewStartsNoGoroutine: a request is served on its caller's
+// goroutine, so New starts none at any width, and once a request has been
+// answered Close leaves none behind (above one worker the scheduler's
+// parked goroutines end). The count may fall between the samples, as
+// other tests' goroutines finish; it may not rise.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		chk := newTestChecker(t, nil)
+		base := runtime.NumGoroutine()
+		s := New(chk, Config{ApplyWorkers: workers})
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("workers %d: New started %d goroutines", workers, n-base)
+		}
+		if rep, err := s.Apply("a", store.Ins("r", relation.Ints(100))); err != nil || !rep.Applied {
+			t.Fatalf("workers %d: rep=%+v err=%v", workers, rep, err)
+		}
+		s.Close()
+		waitFor(t, "the server's goroutines to end", func() bool { return runtime.NumGoroutine() <= base })
+	}
+}
+
+// TestCloseAnswersWaitingRequests: Close stops admitting at once and
+// returns only after every request admitted before it has its verdict —
+// the one the gate holds and those waiting behind it, for the turn at one
+// worker and behind the held one's write of the same tuple above — and
+// with their decision-log lines flushed. Closing again changes nothing.
+func TestCloseAnswersWaitingRequests(t *testing.T) {
+	const n = 4
+	for _, workers := range []int{1, 4} {
+		gate := make(chan struct{})
+		chk := newTestChecker(t, nil)
+		var log bytes.Buffer
+		s := New(chk, Config{ApplyWorkers: workers, workerGate: gate, DecisionLog: &log})
+		results := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() { _, err := s.Apply("a", store.Ins("r", relation.Ints(100))); results <- err }()
+		}
+		waitFor(t, "every request to be admitted", func() bool { return s.requests[opApply].Load() == n })
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		waitFor(t, "draining to begin", s.Draining)
+		if _, err := s.Check("a", store.Ins("r", relation.Ints(101))); !errors.Is(err, ErrDraining) {
+			t.Fatalf("workers %d: a request during the drain got %v, want ErrDraining", workers, err)
+		}
+		for i := 0; i < n; i++ {
+			select {
+			case <-closed:
+				t.Fatalf("workers %d: Close returned with %d of %d requests unanswered", workers, n-i, n)
+			default:
+			}
+			gate <- struct{}{}
+		}
+		<-closed
+		if left, decided := s.admitted.Load(), chk.Stats().Updates; left != 0 || decided != n {
+			t.Fatalf("workers %d: Close returned with %d requests unanswered and %d of %d decided", workers, left, decided, n)
+		}
+		if lines := strings.Count(log.String(), "\n"); lines != n {
+			t.Fatalf("workers %d: %d decision-log lines after Close, want %d", workers, lines, n)
+		}
+		s.Close()
+		for i := 0; i < n; i++ {
+			if err := <-results; err != nil {
+				t.Fatalf("workers %d: drained request: %v", workers, err)
+			}
+		}
+		if _, err := s.Check("a", store.Ins("r", relation.Ints(101))); !errors.Is(err, ErrDraining) {
+			t.Fatalf("workers %d: a request after Close got %v, want ErrDraining", workers, err)
+		}
+		if !chk.DB().Contains("r", relation.Ints(100)) {
+			t.Fatalf("workers %d: the drained apply is not in the store", workers)
 		}
 	}
 }
@@ -364,7 +439,8 @@ func TestServeMetricsAndStats(t *testing.T) {
 }
 
 // TestConcurrentClients hammers one server from many goroutines under
-// -race: the checker itself must only ever be touched by the worker.
+// -race: the checker itself must only ever be touched by the request
+// holding the turn.
 func TestConcurrentClients(t *testing.T) {
 	chk := newTestChecker(t, nil)
 	s := New(chk, Config{QueueDepth: 64})
