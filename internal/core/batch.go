@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/store"
@@ -33,19 +34,24 @@ func (c *Checker) ApplyBatch(updates []store.Update) (BatchReport, error) {
 	return c.decide(updates, nil, true, nil, nil)
 }
 
-// PlanAll plans the updates as one sequence: update i against the store
-// with updates 0…i-1 pending, as DecideAll decides it. A member's
-// certificate may be an earlier member's insert, and a stored tuple an
-// earlier member deletes certifies nothing.
-func (c *Checker) PlanAll(us []store.Update) []PlanReport {
-	out := make([]PlanReport, len(us))
+// AppendPlans plans the updates as one sequence, appending the plans to
+// dst: update i against the store with updates 0…i-1 pending, as
+// DecideAll decides it. A member's certificate may be an earlier member's
+// insert, and a stored tuple an earlier member deletes certifies nothing.
+// Each plan is made in the element of dst's spare capacity it lands on,
+// reusing that element's slices, so a caller that plans every decision
+// into one kept slice allocates only while it grows; the plans then
+// share memory with whatever those elements held before.
+func (c *Checker) AppendPlans(dst []PlanReport, us []store.Update) []PlanReport {
+	n := len(dst)
+	dst = slices.Grow(dst, len(us))[:n+len(us)]
 	for i, u := range us {
-		out[i] = c.plan(us[:i], u)
+		c.plan(&dst[n+i], us[:i], u)
 	}
-	return out
+	return dst
 }
 
-// DecideAll finishes the decisions Plan or PlanAll planned, on
+// DecideAll finishes the decisions Plan or AppendPlans planned, on
 // ApplyBatch's path: it writes when commit is set and only decides
 // otherwise. The constraints a plan certified stay decided by its
 // witness. The witness may be gone by now and the verdict still stands:
@@ -58,8 +64,9 @@ func (c *Checker) PlanAll(us []store.Update) []PlanReport {
 // publish, when non-nil, receives the writes the batch will make before
 // the store does; an error from it ends the batch with the store
 // untouched and is returned. Should the store then refuse the writes,
-// publish receives their inverse. The reports are appended to reps
-// (BatchReport.Reports).
+// publish receives their inverse. The writes publish is handed are the
+// decision's scratch: it must not keep them past the call. The reports
+// are appended to reps (BatchReport.Reports).
 func (c *Checker) DecideAll(reps []Report, plans []PlanReport, commit bool, publish func(writes []store.Update) error) (BatchReport, error) {
 	return c.decide(nil, plans, commit, publish, reps)
 }
@@ -96,11 +103,19 @@ func (c *Checker) decide(us []store.Update, plans []PlanReport, commit bool, pub
 	br := BatchReport{Reports: reps, FailedAt: -1}
 	// A batch's members read the earlier ones from a copy — a single
 	// update stays where its caller put it — and a sequence holds what the
-	// batch's fixpoints derived for them.
+	// batch's fixpoints derived for them, both in pooled room, as are the
+	// writes of a batch and the changes a publish is handed.
+	var held *batchRoom
+	if n > 1 || publish != nil {
+		held = batchRooms.Get().(*batchRoom)
+		defer held.put()
+	}
 	var pending []store.Update
 	var sq sequence
 	if n > 1 {
-		pending, sq = make([]store.Update, n), make(sequence, len(c.constraints))
+		pending = slices.Grow(held.pending[:0], n)[:n]
+		sq = slices.Grow(held.sq[:0], len(c.constraints))[:len(c.constraints)]
+		held.pending, held.sq = pending, sq
 		for i := range pending {
 			pending[i], _ = c.member(us, plans, i)
 		}
@@ -129,31 +144,37 @@ func (c *Checker) decide(us []store.Update, plans []PlanReport, commit bool, pub
 		return br, nil
 	}
 	var buf [1]store.Update
-	writes := buf[:0]
+	var writes []store.Update
 	if n > 1 {
-		writes = make([]store.Update, 0, n)
+		held.writes = c.netWrites(held.writes[:0], us, plans)
+		writes = held.writes
+	} else {
+		writes = c.netWrites(buf[:0], us, plans)
 	}
-	writes = c.netWrites(writes, us, plans)
 	// What publish is handed — and, should the store then refuse the
 	// writes, handed back inverted — is what changes the store: a site
 	// holds what the store does.
-	changes := func() []store.Update {
-		return slices.DeleteFunc(slices.Clone(writes), func(w store.Update) bool { return c.db.Contains(w.Relation, w.Tuple) == w.Insert })
+	changes := func(invert bool) []store.Update {
+		ws := held.changes[:0]
+		for _, w := range writes {
+			if c.db.Contains(w.Relation, w.Tuple) != w.Insert {
+				w.Insert = w.Insert != invert
+				ws = append(ws, w)
+			}
+		}
+		held.changes = ws
+		return ws
 	}
 	var err error
 	if publish != nil {
-		if ws := changes(); len(ws) > 0 {
+		if ws := changes(false); len(ws) > 0 {
 			err = publish(ws)
 		}
 	}
 	var written []store.Update
 	if err == nil {
 		if written, err = c.db.Write(writes); err != nil && publish != nil {
-			undo := changes()
-			for i := range undo {
-				undo[i].Insert = !undo[i].Insert
-			}
-			err = errors.Join(err, publish(undo))
+			err = errors.Join(err, publish(changes(true)))
 		}
 	}
 	br.Applied = err == nil
@@ -163,6 +184,26 @@ func (c *Checker) decide(us []store.Update, plans []PlanReport, commit bool, pub
 		sq.close(br.Applied, written)
 	}
 	return br, err
+}
+
+// batchRoom is the room decide works in beside its reports: the members
+// a batch's later ones read, its sequence and net writes, and the changes
+// handed to publish. None of it outlives the decision.
+type batchRoom struct {
+	pending, writes, changes []store.Update
+	sq                       sequence
+}
+
+var batchRooms = sync.Pool{New: func() any { return new(batchRoom) }}
+
+// put empties the room — it keeps no update or fixpoint alive — and pools
+// it.
+func (r *batchRoom) put() {
+	clear(r.pending)
+	clear(r.writes)
+	clear(r.changes)
+	clear(r.sq)
+	batchRooms.Put(r)
 }
 
 // member returns decide's i-th update and the witnesses its plan found.

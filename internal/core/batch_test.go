@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -150,14 +151,15 @@ func TestRefusedWriteLeavesStoreUnchanged(t *testing.T) {
 	}
 	var published [][]store.Update
 	publish := func(ws []store.Update) error {
-		published = append(published, ws)
+		// publish may not keep ws past the call: keep a copy.
+		published = append(published, slices.Clone(ws))
 		if len(published) == 1 {
 			_, err := c.DB().Insert("log", relation.Strs("a", "b"))
 			return err
 		}
 		return nil
 	}
-	plans := c.PlanAll([]store.Update{
+	plans := c.AppendPlans(nil, []store.Update{
 		store.Ins("dept", relation.Strs("shoe")),
 		store.Ins("emp", relation.Strs("bob", "shoe")),
 		store.Ins("log", relation.Strs("x")), // log is created with arity 2 meanwhile

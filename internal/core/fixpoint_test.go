@@ -123,7 +123,7 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 	}
 	// Swapping the whole of edge for its own contents (a mirror refresh
 	// that finds nothing new) moves no data version: the fixpoints stay.
-	if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, c.DB().Relation("edge").Tuples()); err != nil {
+	if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, relation.Rows(c.DB().Relation("edge").Tuples())); err != nil {
 		t.Fatal(err)
 	}
 	check(store.Ins("edge", relation.Ints(1, 7)), true)
@@ -141,7 +141,7 @@ func TestKeptFixpointVersionRule(t *testing.T) {
 		func() {
 			// Kept fixpoints go by the data version, which the swap moves.
 			ts := append(c.DB().Relation("edge").Tuples(), relation.Ints(20, 21))
-			if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, ts); err != nil {
+			if err := c.DB().ReplaceRange("edge", 2, relation.Range{}, relation.Rows(ts)); err != nil {
 				t.Fatal(err)
 			}
 		},

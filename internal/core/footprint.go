@@ -303,8 +303,10 @@ type ReadPlan struct {
 }
 
 // ReadPlan instantiates the claims of u's program on rel for its tuple.
-func (f Footprints) ReadPlan(u store.Update, rel string) ReadPlan {
-	var rp ReadPlan
+// Its Ranges are built in room's array, from room[:0], so a caller that
+// keeps the room allocates only to grow it.
+func (f Footprints) ReadPlan(room []relation.Range, u store.Update, rel string) ReadPlan {
+	rp := ReadPlan{Ranges: room[:0]}
 	for _, cl := range f.c.programOf(u).claims {
 		switch {
 		case cl.rel != rel:
@@ -319,7 +321,7 @@ func (f Footprints) ReadPlan(u store.Update, rel string) ReadPlan {
 	if rp.Mirror {
 		// A whole read supersedes the bounded ones: the refresh must cover
 		// everything anyway.
-		rp.Ranges = nil
+		rp.Ranges = rp.Ranges[:0]
 	}
 	return rp
 }

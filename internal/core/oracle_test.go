@@ -222,13 +222,13 @@ func TestCheckerAgainstOracles(t *testing.T) {
 					ts = append(ts, randomTuple(rng, rel))
 				}
 				post := model.Clone()
-				if err := post.ReplaceRange(rel, oracleArity[rel], relation.Range{}, ts); err != nil {
+				if err := post.ReplaceRange(rel, oracleArity[rel], relation.Range{}, relation.Rows(ts)); err != nil {
 					t.Fatal(err)
 				}
 				if violates(t, progs, post) {
 					continue
 				}
-				if err := db.ReplaceRange(rel, oracleArity[rel], relation.Range{}, ts); err != nil {
+				if err := db.ReplaceRange(rel, oracleArity[rel], relation.Range{}, relation.Rows(ts)); err != nil {
 					t.Fatal(err)
 				}
 				model = post

@@ -55,10 +55,16 @@ func (pr PlanReport) Witness(constraint string) relation.Tuple {
 // constraints decided by the witnesses found here: Apply or Check would
 // probe again, and a witness deleted in between would leave them
 // evaluating over the relations the plan said they would not read.
-func (c *Checker) Plan(u store.Update) PlanReport { return c.plan(nil, u) }
+func (c *Checker) Plan(u store.Update) PlanReport {
+	var pr PlanReport
+	c.plan(&pr, nil, u)
+	return pr
+}
 
-// plan is Plan for u once the updates prior are applied (PlanAll).
-func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
+// plan is Plan for u once the updates prior are applied (AppendPlans),
+// into pr: its slices are refilled in the room they already have, so a
+// plan made into a kept PlanReport allocates only to grow it.
+func (c *Checker) plan(pr *PlanReport, prior []store.Update, u store.Update) {
 	p := c.programOf(u)
 	// Certificates are compiled only for inserts, and only where something
 	// is remote and phase 3 and residual dispatch are on.
@@ -90,7 +96,7 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		}
 		o.phase, o.decided = c.stageOne(s.k, s.entry, prior, u, nil)
 	}
-	// Size each report slice once; one a plan leaves empty stays nil.
+	// Size each report slice once; one a fresh plan leaves empty stays nil.
 	var decided, witnesses, global, rels int
 	for i := range out {
 		switch o := &out[i]; {
@@ -104,18 +110,13 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 			decided++
 		}
 	}
-	pr := PlanReport{update: u, fp: c.fp}
-	if decided > 0 {
-		pr.Decided = make([]Decision, 0, decided)
-	}
-	if witnesses > 0 {
-		pr.Witnesses = make([]Witness, 0, witnesses)
-	}
-	if global > 0 {
-		pr.Global = make([]string, 0, global)
-	}
-	if rels > 0 {
-		pr.Relations = make([]string, 0, rels)
+	*pr = PlanReport{
+		Decided:   slices.Grow(pr.Decided[:0], decided),
+		Witnesses: slices.Grow(pr.Witnesses[:0], witnesses),
+		Global:    slices.Grow(pr.Global[:0], global),
+		Relations: slices.Grow(pr.Relations[:0], rels),
+		update:    u,
+		fp:        c.fp,
 	}
 	for i := range p.steps {
 		k, o := p.steps[i].k, &out[i]
@@ -134,7 +135,6 @@ func (c *Checker) plan(prior []store.Update, u store.Update) PlanReport {
 		}
 	}
 	slices.Sort(pr.Relations)
-	return pr
 }
 
 // planOutcome is what a plan found out about one constraint.

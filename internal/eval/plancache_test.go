@@ -131,7 +131,7 @@ func TestPlanCacheConcurrentEval(t *testing.T) {
 			db.Delete("f", relation.Ints(i%3))
 			switch i % 10 {
 			case 3:
-				if err := db.ReplaceRange("f", 1, relation.Range{}, []relation.Tuple{relation.Ints(i % 4)}); err != nil {
+				if err := db.ReplaceRange("f", 1, relation.Range{}, relation.Rows([]relation.Tuple{relation.Ints(i % 4)})); err != nil {
 					t.Error(err)
 					return
 				}

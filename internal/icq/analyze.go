@@ -38,8 +38,10 @@ func IsICQ(c *ast.CQC) bool {
 type Analysis struct {
 	CQC       *ast.CQC
 	RemoteVar string
-	// colOf maps each local variable to its column in the local relation.
+	// colOf maps each local variable to its column in the local relation,
+	// arity is that relation's.
 	colOf map[string]int
+	arity int
 	// bounds on the remote variable: each is (term, op) read as
 	// "term op Z" for lower bounds and "Z op term" for upper bounds.
 	lowers  []boundTerm      // term < Z or term <= Z (or Z = term)
@@ -72,7 +74,7 @@ func Analyze(c *ast.CQC) (*Analysis, error) {
 	for _, v := range c.RemoteVars() {
 		remote[v] = true
 	}
-	a := &Analysis{CQC: c, colOf: map[string]int{}}
+	a := &Analysis{CQC: c, colOf: map[string]int{}, arity: c.LocalAtom().Arity()}
 	for i, t := range c.LocalAtom().Args {
 		a.colOf[t.Var] = i
 	}
@@ -155,7 +157,12 @@ func (a *Analysis) termValue(t relation.Tuple, term ast.Term) (ast.Value, error)
 // points, subject to the tuple passing the local-only filters. The result
 // may be empty (the tuple forbids nothing).
 func (a *Analysis) IntervalsFor(t relation.Tuple) ([]Interval, error) {
-	if len(t) != a.CQC.LocalAtom().Arity() {
+	return a.appendIntervals(nil, t)
+}
+
+// appendIntervals appends IntervalsFor's intervals to dst.
+func (a *Analysis) appendIntervals(dst []Interval, t relation.Tuple) ([]Interval, error) {
+	if len(t) != a.arity {
 		return nil, fmt.Errorf("icq: tuple arity %d does not match local atom", len(t))
 	}
 	if a.unsat {
@@ -201,13 +208,12 @@ func (a *Analysis) IntervalsFor(t relation.Tuple) ([]Interval, error) {
 		}
 		out = next
 	}
-	var live []Interval
 	for _, piece := range out {
 		if !piece.Empty() {
-			live = append(live, piece)
+			dst = append(dst, piece)
 		}
 	}
-	return live, nil
+	return dst, nil
 }
 
 // CertifyInsert is the complete local test, direct route: inserting t is
@@ -241,7 +247,8 @@ func (a *Analysis) CoverOf(L []relation.Tuple) (Cover, error) {
 // CertifyAgainst is CertifyInsert against the cover of the existing local
 // tuples: one binary search per forbidden interval of t.
 func (a *Analysis) CertifyAgainst(t relation.Tuple, cover Cover) (bool, error) {
-	targets, err := a.IntervalsFor(t)
+	var buf [4]Interval // a tuple forbids one interval unless <> splits it
+	targets, err := a.appendIntervals(buf[:0], t)
 	if err != nil {
 		return false, err
 	}

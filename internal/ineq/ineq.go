@@ -28,7 +28,9 @@
 package ineq
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/ast"
 )
@@ -36,11 +38,9 @@ import (
 // Satisfiable reports whether the conjunction of comparisons has a model
 // over the dense constant order.
 func Satisfiable(conj []ast.Comparison) bool {
-	g := newGraph(conj)
-	if g == nil {
-		return false
-	}
-	return g.consistent()
+	g := graphs.Get().(*graph)
+	defer g.put()
+	return g.build(conj) && g.consistent()
 }
 
 // Implies reports whether every model of premise satisfies at least one
@@ -136,22 +136,56 @@ func refute(conj []ast.Comparison, clauses [][]ast.Comparison) bool {
 	}
 }
 
-// graph is the constraint graph of one conjunction.
+// graph is the constraint graph of one conjunction. Satisfiable builds
+// one per call — the refutation search makes thousands — so graphs are
+// pooled and rebuilt in the arrays and map they already have.
 type graph struct {
-	nodes  []ast.Term     // representative term per node id
-	ids    map[string]int // term key -> node id
-	parent []int          // union-find over node ids
-	lt     [][2]int       // strict edges u < v
-	le     [][2]int       // non-strict edges u <= v
-	ne     [][2]int       // disequalities
-	consts []int          // node ids that are constants
-	bad    bool           // immediate contradiction found
+	nodes  []ast.Term      // representative term per node id
+	ids    map[termKey]int // term -> node id
+	parent []int           // union-find over node ids
+	lt     [][2]int        // strict edges u < v
+	le     [][2]int        // non-strict edges u <= v
+	ne     [][2]int        // disequalities
+	consts []int           // node ids that are constants
+	bad    bool            // immediate contradiction found
+	scc    sccRoom         // consistent's
 }
 
-// newGraph builds the graph; it returns nil when an immediate
-// contradiction (two distinct constants equated) is found.
-func newGraph(conj []ast.Comparison) *graph {
-	g := &graph{ids: map[string]int{}}
+var graphs = sync.Pool{New: func() any { return &graph{ids: map[termKey]int{}} }}
+
+// put empties g and pools it.
+func (g *graph) put() {
+	clear(g.nodes)
+	clear(g.ids)
+	g.nodes, g.parent, g.consts = g.nodes[:0], g.parent[:0], g.consts[:0]
+	g.lt, g.le, g.ne, g.bad = g.lt[:0], g.le[:0], g.ne[:0], false
+	graphs.Put(g)
+}
+
+// termKey identifies a term without rendering it: a variable by its
+// name, a symbol by its text, an integer that fits an int64 by its value,
+// and only any other number by its canonical text.
+type termKey struct {
+	kind byte // 'V' variable, '$' symbol, '#' int64, '/' other number
+	s    string
+	n    int64
+}
+
+func keyOf(t ast.Term) termKey {
+	switch {
+	case t.IsVar():
+		return termKey{kind: 'V', s: t.Var}
+	case t.Const.Kind == ast.StringValue:
+		return termKey{kind: '$', s: t.Const.Str}
+	case t.Const.Num.IsInt() && t.Const.Num.Num().IsInt64():
+		return termKey{kind: '#', n: t.Const.Num.Num().Int64()}
+	}
+	return termKey{kind: '/', s: t.Const.Num.RatString()}
+}
+
+// build makes g, empty, the graph of conj; it reports false when an
+// immediate contradiction (two distinct constants equated) is found.
+func (g *graph) build(conj []ast.Comparison) bool {
 	for _, c := range conj {
 		l, r := g.node(c.Left), g.node(c.Right)
 		switch c.Op {
@@ -171,21 +205,16 @@ func newGraph(conj []ast.Comparison) *graph {
 	}
 	// Order the constants among themselves: adjacent strict edges suffice
 	// by transitivity.
-	sort.Slice(g.consts, func(i, j int) bool {
-		return g.nodes[g.consts[i]].Const.Compare(g.nodes[g.consts[j]].Const) < 0
-	})
+	slices.SortFunc(g.consts, func(a, b int) int { return g.nodes[a].Const.Compare(g.nodes[b].Const) })
 	for i := 1; i < len(g.consts); i++ {
 		g.lt = append(g.lt, [2]int{g.consts[i-1], g.consts[i]})
 	}
 	// Merging two distinct constants is already a contradiction.
-	if g.bad {
-		return nil
-	}
-	return g
+	return !g.bad
 }
 
 func (g *graph) node(t ast.Term) int {
-	k := t.Key()
+	k := keyOf(t)
 	if id, ok := g.ids[k]; ok {
 		return id
 	}
@@ -231,12 +260,12 @@ func (g *graph) union(x, y int) {
 // consistent runs the SCC check described in the package comment.
 func (g *graph) consistent() bool {
 	n := len(g.nodes)
-	adj := make([][]int, n)
-	type edge struct {
-		u, v   int
-		strict bool
+	r := &g.scc
+	r.adj = slices.Grow(r.adj[:0], n)[:n]
+	for i := range r.adj {
+		r.adj[i] = r.adj[i][:0]
 	}
-	var edges []edge
+	r.edges = r.edges[:0]
 	addEdge := func(u, v int, strict bool) {
 		u, v = g.find(u), g.find(v)
 		if u == v {
@@ -245,8 +274,8 @@ func (g *graph) consistent() bool {
 			}
 			return
 		}
-		adj[u] = append(adj[u], v)
-		edges = append(edges, edge{u, v, strict})
+		r.adj[u] = append(r.adj[u], v)
+		r.edges = append(r.edges, edge{u, v, strict})
 	}
 	for _, e := range g.lt {
 		addEdge(e[0], e[1], true)
@@ -257,8 +286,8 @@ func (g *graph) consistent() bool {
 	if g.bad {
 		return false
 	}
-	comp := sccs(n, adj)
-	for _, e := range edges {
+	comp := r.sccs(n)
+	for _, e := range r.edges {
 		if e.strict && comp[e.u] == comp[e.v] {
 			return false
 		}
@@ -275,31 +304,50 @@ func (g *graph) consistent() bool {
 	return true
 }
 
-// sccs computes strongly connected components (iterative Tarjan) and
-// returns a component id per node.
-func sccs(n int, adj [][]int) []int {
+type edge struct {
+	u, v   int
+	strict bool
+}
+
+// sccRoom is what consistent works in: the <=-graph's adjacency lists and
+// edges, and the arrays of the component search.
+type sccRoom struct {
+	adj                     [][]int
+	edges                   []edge
+	index, low, comp, stack []int
+	onStack                 []bool
+	calls                   []frame
+}
+
+type frame struct {
+	v  int
+	ei int
+}
+
+// sccs computes the strongly connected components of the n nodes of
+// r.adj (iterative Tarjan) and returns a component id per node.
+func (r *sccRoom) sccs(n int) []int {
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
+	adj := r.adj
+	index := slices.Grow(r.index[:0], n)[:n]
+	low := slices.Grow(r.low[:0], n)[:n]
+	comp := slices.Grow(r.comp[:0], n)[:n]
+	onStack := slices.Grow(r.onStack[:0], n)[:n]
+	r.index, r.low, r.comp, r.onStack = index, low, comp, onStack
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
+		onStack[i] = false
 	}
-	var stack []int
+	stack := r.stack[:0]
 	next := 0
 	ncomp := 0
 
-	type frame struct {
-		v  int
-		ei int
-	}
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: root}}
+		callStack := append(r.calls[:0], frame{v: root})
 		index[root] = next
 		low[root] = next
 		next++
@@ -343,6 +391,8 @@ func sccs(n int, adj [][]int) []int {
 				ncomp++
 			}
 		}
+		r.calls = callStack
 	}
+	r.stack = stack
 	return comp
 }

@@ -20,27 +20,14 @@ import (
 // string subdomain is not dense enough to supply a value (see the package
 // comment); this cannot happen for purely numeric constraints.
 func Model(conj []ast.Comparison) (m map[string]ast.Value, ok bool, err error) {
-	g := newGraph(conj)
-	if g == nil {
-		return nil, false, nil
-	}
-	if !g.consistent() {
+	g := graphs.Get().(*graph)
+	defer g.put()
+	if !g.build(conj) || !g.consistent() {
 		return nil, false, nil
 	}
 	n := len(g.nodes)
-	// Rebuild the component structure (consistent already validated it).
-	adj := make([][]int, n)
-	for _, e := range g.lt {
-		u, v := g.find(e[0]), g.find(e[1])
-		adj[u] = append(adj[u], v)
-	}
-	for _, e := range g.le {
-		u, v := g.find(e[0]), g.find(e[1])
-		if u != v {
-			adj[u] = append(adj[u], v)
-		}
-	}
-	comp := sccs(n, adj)
+	// consistent validated the component structure and left it in g.scc.
+	comp := g.scc.comp
 	ncomp := 0
 	for i := 0; i < n; i++ {
 		if comp[i]+1 > ncomp {

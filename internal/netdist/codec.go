@@ -320,24 +320,50 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) str() string { return string(d.bytes()) }
 
-func (d *decoder) strs() []string {
+// strOr reads a string, returning prev instead of a copy when it is
+// prev's text.
+func (d *decoder) strOr(prev string) string {
+	if b := d.bytes(); string(b) != prev {
+		return string(b)
+	}
+	return prev
+}
+
+// key reads a string that is a constant's canonical text; one the intern
+// pool holds is the pool's own rendering (relation.PooledKey), byte for
+// byte what was sent, and is not copied.
+func (d *decoder) key() string {
+	b := d.bytes()
+	if k, pooled := relation.PooledKey(b); pooled {
+		return k
+	}
+	return string(b)
+}
+
+// keys reads a list of keys into room's array.
+func (d *decoder) keys(room []string) []string {
 	n := d.count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]string, n)
+	out := slices.Grow(room[:0], n)[:n]
 	for i := range out {
-		out[i] = d.str()
+		out[i] = d.key()
 	}
 	return out
 }
 
+// request decodes a request into r, which it overwrites entirely; what r
+// held is reused where it can be — its relation name when the new one is
+// the same, its tuple's array — so a site decoding request after request
+// into one Request copies little.
 func (d *decoder) request(r *Request) {
 	d.format(requestFormat)
-	*r = Request{ID: d.uvarint(), Type: opType(d.bytes()), Relation: d.str(), Col: d.int(), Value: d.str(), Lo: d.str(), Hi: d.str()}
+	rel, tuple := r.Relation, r.Tuple
+	*r = Request{ID: d.uvarint(), Type: opType(d.bytes()), Relation: d.strOr(rel), Col: d.int(), Value: d.key(), Lo: d.key(), Hi: d.key()}
 	f := d.flags(flagLoOpen | flagHiOpen | flagInsert)
 	r.LoOpen, r.HiOpen, r.Insert = f&flagLoOpen != 0, f&flagHiOpen != 0, f&flagInsert != 0
-	r.Tuple, r.Trace = d.strs(), d.str()
+	r.Tuple, r.Trace = d.keys(tuple), d.str()
 }
 
 // opType returns a request type; the three a site answers come back as

@@ -234,8 +234,9 @@ func NewPlaced(local *store.Store, place Placement, tr Transport, opts Options) 
 		anySharded = anySharded || rp.Sharded()
 	}
 	co.opts.Checker.Sharder = place
+	var fr fetchRoom
 	for _, rel := range co.remoteRelations() {
-		if err := co.refresh(mirrorRead{rel: rel}); err != nil {
+		if err := co.refresh(mirrorRead{rel: rel}, &fr); err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +287,8 @@ func (co *Coordinator) Stats() Stats {
 // call performs one request with bounded retries and exponential
 // backoff with jitter. Transport errors retry; RemoteErrors (the site
 // answered and refused) do not. After the last failed attempt the error
-// is a *SiteError matching ErrSiteUnavailable.
+// is a *SiteError matching ErrSiteUnavailable. The response is the
+// caller's to recycle once read.
 func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 	req.ID = co.reqID.Add(1)
 	var sp *obs.Span
@@ -339,6 +341,7 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 		}
 		if !resp.OK {
 			err := &RemoteError{Site: site, Msg: resp.Err}
+			recycle(resp)
 			sp.SetError(err.Error())
 			return nil, err
 		}
@@ -352,14 +355,14 @@ func (co *Coordinator) call(site string, req *Request) (*Response, error) {
 	return nil, err
 }
 
-// fetch reads the tuples of a placed relation whose column rg.Col lies in
-// rg — every tuple when rg bounds nothing — from the sites that own its
-// shards. A point on the shard key of a sharded relation is asked of the
-// owning shard alone and counts one routed read; any other range is asked of every shard, all
-// at once (fanOut), and counts one scatter read of a sharded relation,
-// whose read goes under a "shard.route" span. It returns the tuples and
-// the largest arity a site reported.
-func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, int, error) {
+// fetch reads into fr the rows of a placed relation whose column rg.Col
+// lies in rg — every row when rg bounds nothing — from the sites that own
+// its shards, and returns the largest arity a site reported. A point on
+// the shard key of a sharded relation is asked of the owning shard alone
+// and counts one routed read; any other range is asked of every shard,
+// all at once (fanOut), and counts one scatter read of a sharded
+// relation, whose read goes under a "shard.route" span.
+func (co *Coordinator) fetch(rel string, rg relation.Range, fr *fetchRoom) (int, error) {
 	shards := co.place[rel].Shards
 	i, routed := co.place.owner(rel, rg)
 	if routed {
@@ -372,58 +375,96 @@ func (co *Coordinator) fetch(rel string, rg relation.Range) ([]relation.Tuple, i
 		}
 		defer co.routeSpan(rel, mode).End()
 	}
-	req := readRequest(rel, rg)
-	var ts []relation.Tuple
-	var arity int
+	n := len(shards)
+	fr.reqs = slices.Grow(fr.reqs[:0], n)[:n]
+	fr.resps = slices.Grow(fr.resps[:0], n)[:n]
+	for i := range fr.reqs {
+		fr.reqs[i] = readRequest(rel, rg)
+	}
 	var err error
-	if len(shards) == 1 {
+	if n == 1 {
 		// Most reads are one shard's key group: no fan-out to allocate.
-		ts, arity, err = co.fetchShard(shards[0].Leader, req)
+		fr.resps[0], err = co.call(shards[0].Leader, &fr.reqs[0])
 	} else {
-		parts, arities := make([][]relation.Tuple, len(shards)), make([]int, len(shards))
-		err = co.fanOut(len(shards), func(i int) (err error) {
-			parts[i], arities[i], err = co.fetchShard(shards[i].Leader, req)
+		err = co.fanOut(n, func(i int) (err error) {
+			fr.resps[i], err = co.call(shards[i].Leader, &fr.reqs[i])
 			return err
 		})
-		ts, arity = slices.Concat(parts...), slices.Max(arities)
+	}
+	arity := 0
+	if err == nil {
+		arity, err = fr.decode(shards)
+	}
+	for i, resp := range fr.resps {
+		if resp != nil {
+			recycle(resp)
+			fr.resps[i] = nil
+		}
 	}
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	switch {
 	case routed:
 		co.noteRouted(1)
-	case len(shards) > 1:
+	case n > 1:
 		co.noteScatter(1)
 	}
-	return ts, arity, nil
+	return arity, nil
 }
 
-// fetchShard sends one shard's site its copy of a read and decodes the
-// answer.
-func (co *Coordinator) fetchShard(site string, req Request) ([]relation.Tuple, int, error) {
-	resp, err := co.call(site, &req)
-	if err != nil {
-		return nil, 0, err
-	}
-	ts, err := DecodeTuples(resp.Tuples)
-	if err != nil {
-		return nil, 0, &RemoteError{Site: site, Msg: err.Error()}
-	}
-	return ts, resp.Arity, nil
+// fetchRoom is where one read of a decision is made: a request per shard
+// asked, their responses until they are decoded, and the rows decoded.
+type fetchRoom struct {
+	reqs  []Request
+	resps []*Response
+	flat  []relation.Handle
+	rows  [][]relation.Handle
 }
 
-// refresh makes one read of a decision: the tuples of a placed relation
-// in r's range — all of them for a whole read — are fetched and swapped
-// into the mirror by store.ReplaceRange, which touches no tuple outside
-// the range and moves the relation's data version only when a tuple
-// changed, so the mirror is precisely as fresh as the compiled checks'
-// probes require and a refresh that finds nothing new invalidates nothing
-// derived from the mirror (a kept fixpoint). Shipping the range a check
-// probes instead of the whole relation is the paper's "consult as little
-// information as the update requires".
-func (co *Coordinator) refresh(r mirrorRead) error {
-	ts, arity, err := co.fetch(r.rel, r.rg)
+// decode turns the tuples of fr's responses, from the given shards, into
+// handle rows — windows of one array of handles — and returns the largest
+// arity a site reported. A value is its canonical text: one the intern
+// pool holds is looked up without parsing (relation.KeyHandle), any other
+// is parsed and interned, as the mirror would on storing it. A value that
+// does not parse is the answering site's error.
+func (fr *fetchRoom) decode(shards []ShardSpec) (int, error) {
+	n, arity := 0, 0
+	for _, resp := range fr.resps {
+		for _, t := range resp.Tuples {
+			n += len(t)
+		}
+		arity = max(arity, resp.Arity)
+	}
+	flat, rows := slices.Grow(fr.flat[:0], n), fr.rows[:0]
+	for i, resp := range fr.resps {
+		for _, t := range resp.Tuples {
+			start := len(flat)
+			for _, s := range t {
+				h, err := internKey(s)
+				if err != nil {
+					return 0, &RemoteError{Site: shards[i].Leader, Msg: err.Error()}
+				}
+				flat = append(flat, h)
+			}
+			rows = append(rows, flat[start:len(flat):len(flat)])
+		}
+	}
+	fr.flat, fr.rows = flat, rows
+	return arity, nil
+}
+
+// refresh makes one read of a decision, in fr: the tuples of a placed
+// relation in r's range — all of them for a whole read — are fetched and
+// swapped into the mirror by store.ReplaceRange, which touches no tuple
+// outside the range and moves the relation's data version only when a
+// tuple changed, so the mirror is precisely as fresh as the compiled
+// checks' probes require and a refresh that finds nothing new invalidates
+// nothing derived from the mirror (a kept fixpoint). Shipping the range a
+// check probes instead of the whole relation is the paper's "consult as
+// little information as the update requires".
+func (co *Coordinator) refresh(r mirrorRead, fr *fetchRoom) error {
+	arity, err := co.fetch(r.rel, r.rg, fr)
 	if err != nil {
 		return err
 	}
@@ -436,7 +477,9 @@ func (co *Coordinator) refresh(r mirrorRead) error {
 		}
 		arity = m.Arity()
 	}
-	if err := co.mirror.ReplaceRange(r.rel, arity, r.rg, ts); err != nil {
+	err = co.mirror.ReplaceRange(r.rel, arity, r.rg, fr.rows)
+	clear(fr.rows)
+	if err != nil {
 		return &RemoteError{Site: "", Msg: err.Error()}
 	}
 	return nil
@@ -461,25 +504,26 @@ type reads []mirrorRead
 // add notes what the planned member u may read, and returns the number of
 // remote relations its plan needs (0: decidable wire-free). It consults
 // the read plan of the claims the checker compiled for the update's
-// pattern: the ranges compiled checks probe — a key group is a point — are
-// refreshed alone, and an unbounded read — of a compiled check, phase 3
-// or an evaluation — refreshes the whole relation (and with it every
-// range), from every shard at once when it is sharded. A relation no
-// claim names is not refreshed: the refresh would write the mirror
-// outside the decision's claims.
-func (rs *reads) add(co *Coordinator, u store.Update, plan core.PlanReport) int {
-	need := 0
+// pattern, built in d's room: the ranges compiled checks probe — a key
+// group is a point — are refreshed alone, and an unbounded read — of a
+// compiled check, phase 3 or an evaluation — refreshes the whole relation
+// (and with it every range), from every shard at once when it is sharded.
+// A relation no claim names is not refreshed: the refresh would write the
+// mirror outside the decision's claims.
+func (d *decision) add(u store.Update, plan *core.PlanReport) int {
+	co, need := d.co, 0
 	for _, rel := range plan.Relations {
 		if _, remote := co.place[rel]; !remote {
 			continue
 		}
-		rp := co.Checker.Footprints().ReadPlan(u, rel)
+		rp := co.Checker.Footprints().ReadPlan(d.ranges, u, rel)
+		d.ranges = rp.Ranges[:0]
 		switch {
 		case rp.Mirror:
-			rs.note(mirrorRead{rel: rel})
+			d.reads.note(mirrorRead{rel: rel})
 		case len(rp.Ranges) > 0:
 			for _, rg := range rp.Ranges {
-				rs.note(mirrorRead{rel: rel, rg: rg})
+				d.reads.note(mirrorRead{rel: rel, rg: rg})
 			}
 		default:
 			// The residual-aware analysis proves this member's check never
@@ -505,15 +549,18 @@ func (rs *reads) note(r mirrorRead) {
 	*rs = append(*rs, r)
 }
 
-// read refreshes the mirror for rs, before any member is decided.
-func (co *Coordinator) read(rs reads) error {
-	switch len(rs) {
+// read refreshes the mirror for d's reads, before any member is decided:
+// read i in d.fetch[i].
+func (co *Coordinator) read(d *decision) error {
+	n := len(d.reads)
+	d.fetch = slices.Grow(d.fetch[:0], n)[:n]
+	switch n {
 	case 0:
 		return nil
 	case 1:
-		return co.refresh(rs[0])
+		return co.refresh(d.reads[0], &d.fetch[0])
 	}
-	return co.fanOut(len(rs), func(i int) error { return co.refresh(rs[i]) })
+	return co.fanOut(n, d.refreshOne)
 }
 
 // noteRouted/noteScatter account single-shard-targeted and fan-out reads
@@ -556,19 +603,22 @@ func (co *Coordinator) Apply(u store.Update) (core.Report, error) { return co.on
 func (co *Coordinator) Check(u store.Update) (core.Report, error) { return co.one(u, false) }
 
 // one is Apply (commit) and Check (!commit): decide for a batch of one,
-// its update, plan and report on the caller's stack.
+// its report on the caller's stack.
 func (co *Coordinator) one(u store.Update, commit bool) (core.Report, error) {
-	us, plans, reps := [1]store.Update{u}, [1]core.PlanReport{co.Checker.Plan(u)}, [1]core.Report{}
-	br, err := co.decide(us[:], plans[:], reps[:0], commit)
+	d := co.begin()
+	defer d.end()
+	d.us[0] = u
+	reps := [1]core.Report{}
+	br, err := co.decide(d, d.us[:], reps[:0], commit)
 	if len(br.Reports) == 0 || errors.Is(err, ErrSiteUnavailable) {
 		return core.Report{Update: u}, err
 	}
 	return br.Reports[0], err
 }
 
-// propagate applies u at the site owning its shard; unpropagate routes
-// the inverse (publish's withdrawal).
-func (co *Coordinator) propagate(u store.Update) error {
+// propagate applies u at the site owning its shard, with req as the
+// request; unpropagate routes the inverse (publish's withdrawal).
+func (co *Coordinator) propagate(u store.Update, req *Request) error {
 	rp, ok := co.place[u.Relation]
 	if !ok {
 		return nil
@@ -577,17 +627,16 @@ func (co *Coordinator) propagate(u store.Update) error {
 	if rp.Sharded() && rp.KeyCol < len(u.Tuple) {
 		site = rp.Shards[co.place.ShardOf(u.Relation, u.Tuple[rp.KeyCol])].Leader
 	}
-	_, err := co.call(site, &Request{
-		Type:     OpApply,
-		Relation: u.Relation,
-		Insert:   u.Insert,
-		Tuple:    EncodeTuple(u.Tuple),
-	})
+	*req = Request{Type: OpApply, Relation: u.Relation, Insert: u.Insert, Tuple: appendTuple(req.Tuple[:0], u.Tuple)}
+	resp, err := co.call(site, req)
+	if err == nil {
+		recycle(resp)
+	}
 	return err
 }
 
-func (co *Coordinator) unpropagate(u store.Update) error {
-	return co.propagate(store.Update{Relation: u.Relation, Insert: !u.Insert, Tuple: u.Tuple})
+func (co *Coordinator) unpropagate(u store.Update, req *Request) error {
+	return co.propagate(store.Update{Relation: u.Relation, Insert: !u.Insert, Tuple: u.Tuple}, req)
 }
 
 // ServeBackend adapts a Coordinator to internal/serve's Backend surface

@@ -180,16 +180,30 @@ func (lb *Loopback) RoundTrip(site string, req *Request, timeout time.Duration) 
 		}
 		time.Sleep(latency)
 	}
-	var wired Request
-	if err := roundTrip(req, &wired); err != nil {
+	ex := exchanges.Get().(*exchange)
+	defer exchanges.Put(ex)
+	if err := roundTrip(req, &ex.req); err != nil {
 		return nil, err
 	}
-	var out Response
-	if err := roundTrip(srv.Handle(&wired), &out); err != nil {
+	srv.serve(&ex.req, &ex.reply)
+	out := newResponse()
+	if err := roundTrip(&ex.reply.resp, out); err != nil {
+		recycle(out)
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
+
+// exchange is the site's side of one loopback round trip: the request as
+// the site decodes it and the reply it answers in. Both are done with
+// once the reply is decoded into the caller's response, so the exchange
+// goes back to exchanges before RoundTrip returns.
+type exchange struct {
+	req   Request
+	reply reply
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
 // Close is a no-op: loopback holds no OS resources.
 func (lb *Loopback) Close() error { return nil }

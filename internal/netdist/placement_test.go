@@ -454,7 +454,7 @@ func TestScatterWaitsOneRoundTrip(t *testing.T) {
 			{rel: "r", rg: relation.Range{Col: 0, Lo: ast.Int(10), Hi: ast.Int(40), HasLo: true, HasHi: true}},
 		} {
 			start := time.Now()
-			if err := co.refresh(read); err != nil {
+			if err := co.refresh(read, new(fetchRoom)); err != nil {
 				t.Fatal(err)
 			}
 			took := time.Since(start)

@@ -62,7 +62,8 @@ type Request struct {
 	Hi     string `json:"hi,omitempty"`
 	LoOpen bool   `json:"lo_open,omitempty"`
 	HiOpen bool   `json:"hi_open,omitempty"`
-	// Insert and Tuple carry Apply's update (Tuple is EncodeTuple'd).
+	// Insert and Tuple carry Apply's update (Tuple holds EncodeValue's
+	// rendering of each value).
 	Insert bool     `json:"insert,omitempty"`
 	Tuple  []string `json:"tuple,omitempty"`
 	// Trace, when non-empty, is the W3C traceparent of the coordinator's
@@ -241,16 +242,16 @@ func parseValue(s string) (v ast.Value, pooled bool, err error) {
 	return v, false, nil
 }
 
-// EncodeTuple renders a tuple for the wire.
-func EncodeTuple(t relation.Tuple) []string {
-	out := make([]string, len(t))
-	for i, v := range t {
-		out[i] = EncodeValue(v)
+// appendTuple appends t's rendering for the wire, a value's EncodeValue
+// each, to dst.
+func appendTuple(dst []string, t relation.Tuple) []string {
+	for _, v := range t {
+		dst = append(dst, EncodeValue(v))
 	}
-	return out
+	return dst
 }
 
-// DecodeTuple parses EncodeTuple's output.
+// DecodeTuple parses a tuple rendered for the wire.
 func DecodeTuple(ss []string) (relation.Tuple, error) {
 	t := make(relation.Tuple, len(ss))
 	for i, s := range ss {
@@ -263,27 +264,17 @@ func DecodeTuple(ss []string) (relation.Tuple, error) {
 	return t, nil
 }
 
-// DecodeTuples parses a response's Tuples into tuples that share one
-// array of values.
-func DecodeTuples(tss [][]string) ([]relation.Tuple, error) {
-	n := 0
-	for _, ss := range tss {
-		n += len(ss)
+// internKey is the handle of the value s renders: the pooled one when the
+// intern pool holds it (relation.KeyHandle), else s parsed and interned.
+func internKey(s string) (relation.Handle, error) {
+	if h, ok := relation.KeyHandle(s); ok {
+		return h, nil
 	}
-	vals, out := make([]ast.Value, n), make([]relation.Tuple, len(tss))
-	for i, ss := range tss {
-		t := vals[:len(ss):len(ss)]
-		vals = vals[len(ss):]
-		for j, s := range ss {
-			v, err := DecodeValue(s)
-			if err != nil {
-				return nil, err
-			}
-			t[j] = v
-		}
-		out[i] = t
+	v, _, err := parseValue(s)
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	return relation.Intern(v), nil
 }
 
 // RemoteError is a semantic failure reported by a site (unknown

@@ -3,6 +3,7 @@ package netdist
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,6 +109,22 @@ func (s *Server) ServedRelations() map[string]int {
 // Handle answers one request. It never panics on malformed input: every
 // failure comes back as OK=false with the reason in Err.
 func (s *Server) Handle(req *Request) *Response {
+	var rp reply
+	s.serve(req, &rp)
+	return &rp.resp
+}
+
+// reply is where a site answers a request: the response, and the room its
+// tuples' values are rendered in. A connection and a loopback exchange
+// each keep one and answer request after request in it, so a response is
+// valid until the next.
+type reply struct {
+	resp Response
+	vals []string
+}
+
+// serve is Handle answering into rp.
+func (s *Server) serve(req *Request, rp *reply) {
 	var start time.Time
 	if s.met != nil || req.Trace != "" {
 		start = time.Now()
@@ -116,7 +133,8 @@ func (s *Server) Handle(req *Request) *Response {
 	s.mu.Lock()
 	s.stats.Requests[typ]++
 	s.mu.Unlock()
-	resp := s.handle(req)
+	s.answer(req, rp)
+	resp := &rp.resp
 	resp.ID = req.ID
 	if !resp.OK {
 		s.mu.Lock()
@@ -129,7 +147,6 @@ func (s *Server) Handle(req *Request) *Response {
 	if s.met != nil {
 		s.met.observe(typ, req, resp, time.Since(start))
 	}
-	return resp
 }
 
 // requestType is what a request is counted, labelled and traced as: its
@@ -176,60 +193,74 @@ func (s *Server) traceRequest(typ string, req *Request, resp *Response, start ti
 	resp.Spans = append(resp.Spans, EncodeSpan(sd))
 }
 
-func (s *Server) handle(req *Request) *Response {
-	fail := func(format string, args ...any) *Response {
-		return &Response{Err: fmt.Sprintf(format, args...)}
+// answer sets rp's response to what req asks, rendering a read's tuples
+// in rp's room.
+func (s *Server) answer(req *Request, rp *reply) {
+	resp := &rp.resp
+	*resp = Response{Tuples: resp.Tuples[:0]}
+	fail := func(format string, args ...any) {
+		*resp = Response{Err: fmt.Sprintf(format, args...)}
 	}
 	switch req.Type {
 	case OpScan, OpFetch:
 		if !s.serves(req.Relation) {
-			return fail("relation %q not served", req.Relation)
+			fail("relation %q not served", req.Relation)
+			return
 		}
 		var rg relation.Range
 		if req.Type == OpFetch {
 			var err error
 			if rg, err = req.fetchRange(); err != nil {
-				return fail("%v", err)
+				fail("%v", err)
+				return
 			}
 		}
 		r := s.db.Relation(req.Relation)
 		if r == nil {
-			return &Response{OK: true}
+			resp.OK = true
+			return
 		}
 		if req.Type == OpFetch && (rg.Col < 0 || rg.Col >= r.Arity()) {
-			return fail("column %d out of range for %s/%d", rg.Col, req.Relation, r.Arity())
+			fail("column %d out of range for %s/%d", rg.Col, req.Relation, r.Arity())
+			return
 		}
-		rp := rowPool.Get().(*[][]relation.Handle)
-		rows := s.read(req, (*rp)[:0], rg, r.Arity())
-		tuples := encodeRows(rows)
+		bp := rowPool.Get().(*[][]relation.Handle)
+		rows := s.read(req, (*bp)[:0], rg, r.Arity())
+		rp.encodeRows(rows)
 		if cap(rows) <= maxPooledRows {
 			clear(rows)
-			*rp = rows[:0]
-			rowPool.Put(rp)
+			*bp = rows[:0]
+			rowPool.Put(bp)
 		}
 		s.mu.Lock()
-		s.stats.TuplesSent[req.Relation] += int64(len(tuples))
+		s.stats.TuplesSent[req.Relation] += int64(len(resp.Tuples))
 		s.mu.Unlock()
-		return &Response{OK: true, Tuples: tuples, Arity: r.Arity()}
+		resp.OK, resp.Arity = true, r.Arity()
 
 	case OpApply:
 		if !s.serves(req.Relation) {
-			return fail("relation %q not served", req.Relation)
+			fail("relation %q not served", req.Relation)
+			return
 		}
 		t, err := DecodeTuple(req.Tuple)
 		if err != nil {
-			return fail("%v", err)
+			fail("%v", err)
+			return
 		}
 		if req.Insert {
 			changed, err := s.db.Insert(req.Relation, t)
 			if err != nil {
-				return fail("%v", err)
+				fail("%v", err)
+				return
 			}
-			return &Response{OK: true, Changed: changed}
+			resp.OK, resp.Changed = true, changed
+			return
 		}
-		return &Response{OK: true, Changed: s.db.Delete(req.Relation, t)}
+		resp.OK, resp.Changed = true, s.db.Delete(req.Relation, t)
+
+	default:
+		fail("unknown request type %q", req.Type)
 	}
-	return fail("unknown request type %q", req.Type)
 }
 
 // rowPool holds the handle rows a scan or fetch gathers before they are
@@ -256,22 +287,24 @@ func (s *Server) read(req *Request, dst [][]relation.Handle, rg relation.Range, 
 	return s.db.RangeAppend(dst, req.Relation, arity, []relation.Range{rg})
 }
 
-// encodeRows renders handle rows for the wire in two allocations however
-// many there are: one []string holds every value and one [][]string
-// every row.
-func encodeRows(rows [][]relation.Handle) [][]string {
+// encodeRows renders handle rows for the wire as the response's tuples,
+// in rp's room: one array holds every value and one every row, both kept
+// from reply to reply.
+func (rp *reply) encodeRows(rows [][]relation.Handle) {
 	n := 0
 	for _, row := range rows {
 		n += len(row)
 	}
-	vals, out := make([]string, n), make([][]string, len(rows))
+	vals := slices.Grow(rp.vals[:0], n)[:n]
+	out := slices.Grow(rp.resp.Tuples[:0], len(rows))[:len(rows)]
+	rp.vals = vals
 	for i, row := range rows {
 		out[i], vals = vals[:len(row):len(row)], vals[len(row):]
 		for j, h := range row {
 			out[i][j] = EncodeValue(relation.InternedValue(h))
 		}
 	}
-	return out
+	rp.resp.Tuples = out
 }
 
 // Serve accepts connections on l and answers frames until l is closed;
@@ -293,13 +326,15 @@ func (s *Server) Serve(l net.Listener) error {
 // ServeConn answers frames on one connection until EOF or error.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
+	var req Request
+	var rp reply
 	for {
-		var req Request
 		if err := ReadFrame(conn, &req); err != nil {
 			// EOF, partial frame or junk: drop the connection.
 			return
 		}
-		if err := WriteFrame(conn, s.Handle(&req)); err != nil {
+		s.serve(&req, &rp)
+		if err := WriteFrame(conn, &rp.resp); err != nil {
 			return
 		}
 	}

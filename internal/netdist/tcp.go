@@ -75,23 +75,29 @@ func (t *TCPTransport) RoundTrip(site string, req *Request, timeout time.Duratio
 		c.Close()
 		return nil, err
 	}
-	var resp Response
-	if err := ReadFrame(c, &resp); err != nil {
+	// The frame is read here, on the caller's goroutine, before RoundTrip
+	// returns; a reply that comes after the deadline finds the connection
+	// closed and is never read into anything.
+	resp := newResponse()
+	if err := ReadFrame(c, resp); err != nil {
 		c.Close()
+		recycle(resp)
 		return nil, err
 	}
 	if resp.ID != req.ID {
 		c.Close()
-		return nil, fmt.Errorf("netdist: response id %d for request %d", resp.ID, req.ID)
+		err := fmt.Errorf("netdist: response id %d for request %d", resp.ID, req.ID)
+		recycle(resp)
+		return nil, err
 	}
 	if timeout > 0 {
 		if err := c.SetDeadline(time.Time{}); err != nil {
 			c.Close()
-			return &resp, nil
+			return resp, nil
 		}
 	}
 	t.put(site, c)
-	return &resp, nil
+	return resp, nil
 }
 
 // Close closes every idle connection; in-flight round trips finish but

@@ -221,6 +221,10 @@ func LookupKey(key string) (ast.Value, bool) {
 	return internPool.slot(h).v, true
 }
 
+// KeyHandle is LookupKey's handle: the handle of the value a canonical key
+// names, when the pool holds it.
+func KeyHandle(key string) (Handle, bool) { return lookupKey(key) }
+
 // PooledKey returns the pool's rendering of key — the string ValueKey
 // gives for the value LookupKey resolves it to — when LookupKey would
 // resolve it. It allocates nothing: a decoder keeps the pool's string
@@ -312,6 +316,22 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// Rows interns each tuple of ts and returns their handle rows, windows of
+// one array.
+func Rows(ts []Tuple) [][]Handle {
+	n := 0
+	for _, t := range ts {
+		n += len(t)
+	}
+	flat, rows := make([]Handle, 0, n), make([][]Handle, len(ts))
+	for i, t := range ts {
+		start := len(flat)
+		flat = AppendHandles(flat, t)
+		rows[i] = flat[start:len(flat):len(flat)]
+	}
+	return rows
+}
 
 // fingerprintFold folds one handle into a running fingerprint.
 func fingerprintFold(fp uint64, h Handle) uint64 {

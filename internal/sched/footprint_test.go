@@ -527,25 +527,25 @@ func TestIndexReadPlan(t *testing.T) {
 	// claims.
 	ix := index(t, placed{"dept": 0}, refSrc)
 	ins := store.Ins("emp", relation.Ints(1, 42))
-	rp := ix.ReadPlan(ins, "dept")
+	rp := ix.ReadPlan(nil, ins, "dept")
 	if !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror {
 		t.Fatalf("key-bound read: %+v, want the point 42 only", rp)
 	}
 	if got := ix.Update(ins).Reads; !reflect.DeepEqual(got, []sched.Read{keyed("dept", 0, ast.Int(42))}) {
 		t.Fatalf("footprint %v and read plan %v name different groups", got, rp.Ranges)
 	}
-	if rp := ix.ReadPlan(ins, "l"); !reflect.DeepEqual(rp, core.ReadPlan{}) {
+	if rp := ix.ReadPlan(nil, ins, "l"); !reflect.DeepEqual(rp, core.ReadPlan{}) {
 		t.Fatalf("relation the check never reads: %+v, want the zero plan", rp)
 	}
 	// Two disjuncts, one key: fetched once.
 	ix2 := index(t, placed{"dept": 0}, refSrc, `panic :- emp(E, D) & closed(D) & dept(D).`)
-	if rp := ix2.ReadPlan(ins, "dept"); !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror {
+	if rp := ix2.ReadPlan(nil, ins, "dept"); !same(rp.Ranges, []relation.Range{relation.PointRange(0, ast.Int(42))}) || rp.Mirror {
 		t.Fatalf("one key probed twice: %+v, want the point 42", rp)
 	}
 	// A point on a column the relation is not sharded by is a bounded read
 	// too — of every shard — though the footprint claims the whole relation.
 	del, ixe := store.Del("dept", relation.Ints(42)), index(t, placed{"dept": 0, "emp": 0}, refSrc)
-	if rp := ixe.ReadPlan(del, "emp"); !same(rp.Ranges, []relation.Range{relation.PointRange(1, ast.Int(42))}) || rp.Mirror {
+	if rp := ixe.ReadPlan(nil, del, "emp"); !same(rp.Ranges, []relation.Range{relation.PointRange(1, ast.Int(42))}) || rp.Mirror {
 		t.Fatalf("point on a non-shard-key column: %+v, want the point 42 of column 1", rp)
 	}
 	if got := ixe.Update(del).Reads; !reflect.DeepEqual(got, []sched.Read{{Relation: "emp"}}) {
@@ -558,7 +558,7 @@ func TestIndexReadPlan(t *testing.T) {
 		ix3 := index(t, p, fiSrc)
 		l := store.Ins("l", relation.Ints(1, 5))
 		want := relation.Range{Col: 0, Lo: ast.Int(1), Hi: ast.Int(5), HasLo: true, HasHi: true}
-		if rp := ix3.ReadPlan(l, "r"); !same(rp.Ranges, []relation.Range{want}) || rp.Mirror {
+		if rp := ix3.ReadPlan(nil, l, "r"); !same(rp.Ranges, []relation.Range{want}) || rp.Mirror {
 			t.Fatalf("%v: range-bound residual read misclassified: %+v", p, rp)
 		}
 		if got := ix3.Update(l).Reads; !reflect.DeepEqual(got, []sched.Read{{Relation: "r"}}) {
@@ -568,16 +568,16 @@ func TestIndexReadPlan(t *testing.T) {
 	// Strict and one-sided comparisons, and a constant bound.
 	ix5 := index(t, placed{"r": 0}, `panic :- l(X, Y) & r(Z) & X < Z & Z < 10.`, `panic :- m(X) & r(Z) & Z >= X.`)
 	want := []relation.Range{{Col: 0, Lo: ast.Int(1), Hi: ast.Int(10), HasLo: true, HasHi: true, LoOpen: true, HiOpen: true}}
-	if rp := ix5.ReadPlan(store.Ins("l", relation.Ints(1, 5)), "r"); !same(rp.Ranges, want) {
+	if rp := ix5.ReadPlan(nil, store.Ins("l", relation.Ints(1, 5)), "r"); !same(rp.Ranges, want) {
 		t.Fatalf("strict bounds: %+v, want %+v", rp, want)
 	}
 	want = []relation.Range{{Col: 0, Lo: ast.Int(3), HasLo: true}}
-	if rp := ix5.ReadPlan(store.Ins("m", relation.Ints(3)), "r"); !same(rp.Ranges, want) {
+	if rp := ix5.ReadPlan(nil, store.Ins("m", relation.Ints(3)), "r"); !same(rp.Ranges, want) {
 		t.Fatalf("one-sided bound: %+v, want %+v", rp, want)
 	}
 	// Nothing bounds r's column: the whole mirror must be refreshed.
 	ix6 := index(t, placed{"r": 0}, `panic :- l(X, Y) & r(Z) & Y <= X.`)
-	if rp := ix6.ReadPlan(store.Ins("l", relation.Ints(5, 1)), "r"); !rp.Mirror || len(rp.Ranges) != 0 {
+	if rp := ix6.ReadPlan(nil, store.Ins("l", relation.Ints(5, 1)), "r"); !rp.Mirror || len(rp.Ranges) != 0 {
 		t.Fatalf("unbounded residual read misclassified: %+v", rp)
 	}
 
@@ -585,7 +585,7 @@ func TestIndexReadPlan(t *testing.T) {
 	// refreshed whole.
 	ix4 := index(t, placed{"r": 0}, refusedSrc)
 	u := store.Ins("r", relation.Ints(1))
-	if r, l := ix4.ReadPlan(u, "r"), ix4.ReadPlan(u, "l"); !r.Mirror || !l.Mirror || len(r.Ranges)+len(l.Ranges) != 0 {
+	if r, l := ix4.ReadPlan(nil, u, "r"), ix4.ReadPlan(nil, u, "l"); !r.Mirror || !l.Mirror || len(r.Ranges)+len(l.Ranges) != 0 {
 		t.Fatalf("general read misclassified: r %+v, l %+v", r, l)
 	}
 }

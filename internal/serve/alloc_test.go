@@ -53,3 +53,43 @@ func TestScheduledServerCheckAllocs(t *testing.T) {
 		t.Errorf("a scheduled Server.Check allocates %v objects, the checker's Check %v", got, decision)
 	}
 }
+
+// TestScheduledBatchAllocs pins what a warm non-atomic batch allocates
+// beyond its members' own decisions above one apply worker, where
+// submitBatch makes each member a scheduler task: the reply's reports and
+// nothing else. The batch's run — its error slots and the function that
+// runs each member — is pooled, every member's footprint is built in the
+// task's scratch, and the scheduler's nodes are recycled. The members
+// insert tuples the store holds, so the store's own arrays do not churn
+// under the count.
+func TestScheduledBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	chk := newTestChecker(t, nil)
+	s := New(chk, Config{ApplyWorkers: 2})
+	defer s.Close()
+	const members = 16
+	us := make([]store.Update, members)
+	for i := range us {
+		us[i] = store.Ins("r", relation.Ints(int64(100+i)))
+		if _, err := chk.DB().Insert("r", us[i].Tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func() {
+		if out, err := s.Batch("a", us, false); err != nil || out.Applied != members {
+			t.Fatalf("batch: %+v err=%v", out, err)
+		}
+	}
+	batch()
+	decisions := testing.AllocsPerRun(100, func() {
+		for _, u := range us {
+			_, _ = chk.Apply(u)
+		}
+	})
+	got := testing.AllocsPerRun(100, batch)
+	if got > decisions+1 {
+		t.Errorf("a scheduled batch of %d allocates %v objects, its members' decisions %v", members, got, decisions)
+	}
+}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,24 +73,36 @@ func (s *Server) submitBatch(t *task) {
 		s.answer(t, taskResult{batch: BatchOutcome{FailedAt: -1}})
 		return
 	}
-	b := &batchRun{t: t, start: time.Now(), reports: make([]core.Report, n), errs: make([]error, n)}
+	b := batchRuns.Get().(*batchRun)
+	b.srv, b.t, b.start, b.reports = s, t, time.Now(), make([]core.Report, n)
+	b.errs = slices.Grow(b.errs[:0], n)[:n]
+	for i := len(b.runs); i < n; i++ {
+		b.runs = append(b.runs, func(sched.Info) { b.srv.runMember(b, i) })
+	}
 	b.remaining.Store(int64(n))
 	ix := s.fpb.Footprints()
 	for i, u := range t.us {
 		t.fp = ix.AppendUpdate(sched.Footprint{Writes: t.fp.Writes[:0], Reads: t.fp.Reads[:0]}, u)
-		s.sched.Submit(t.fp, func(sched.Info) { s.runMember(b, i) })
+		s.sched.Submit(t.fp, b.runs[i])
 	}
 }
 
-// batchRun is a non-atomic batch decomposed by submitBatch: its task,
-// when it was submitted, and its members' outcomes.
+// batchRun is a non-atomic batch decomposed by submitBatch: its server
+// and task, when it was submitted, and its members' outcomes. The reports
+// are the reply's; the rest — the error slots and the function that runs
+// each member — is kept in batchRuns for the next batch, which the member
+// that replies puts it back for once no other member touches it.
 type batchRun struct {
+	srv       *Server
 	t         *task
 	start     time.Time
 	reports   []core.Report
 	errs      []error
+	runs      []func(sched.Info)
 	remaining atomic.Int64
 }
+
+var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
 
 // runMember applies member i of a decomposed batch; the member that
 // finishes last replies. The task is the request's until then: its
@@ -111,4 +125,7 @@ func (s *Server) runMember(b *batchRun, i int) {
 	s.observeEWMA(dur)
 	s.logTask(b.t, res, dur)
 	s.answer(b.t, res)
+	clear(b.errs)
+	b.srv, b.t, b.reports = nil, nil, nil
+	batchRuns.Put(b)
 }

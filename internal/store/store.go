@@ -274,54 +274,49 @@ func (s *Store) ResetReads() {
 }
 
 // ReplaceRange swaps one range of the named relation: every stored tuple
-// whose column rg.Col lies in rg is replaced by ts, each of which must lie
-// in it too. A range that bounds nothing is the whole relation, at any
-// arity (nullary included): its old tuples are the live rows, enumerated
-// without an index. The old tuples of a point (relation.Range.Point) are
-// found through the hash index of its column, those of any other range
-// through the ordered one. It is bulk state transfer (a mirror refresh
-// from a remote site): no read counters are charged. Each tuple of ts is
-// interned once; an old row is deleted when no row of ts carries its
-// handles, and the rows of ts are inserted by handle. It mutates the
+// whose column rg.Col lies in rg is replaced by the tuples whose interned
+// handles are rows, each of which must lie in it too. A range that bounds
+// nothing is the whole relation, at any arity (nullary included): its old
+// tuples are the live rows, enumerated without an index. The old tuples
+// of a point (relation.Range.Point) are found through the hash index of
+// its column, those of any other range through the ordered one. It is
+// bulk state transfer (a mirror refresh from a remote site): no read
+// counters are charged. An old row is deleted when no row of rows carries
+// its handles, and the rows are then inserted in their order, each new one
+// copied (the caller keeps rows and may reuse them). It mutates the
 // relation in place and touches no tuple outside the range, so the
 // relation keeps its arrays and indexes, and a tuple in both the old and
 // the new contents keeps the data version: swapping in what is already
-// there moves nothing, and allocates alike for 1 tuple and for 50. The
+// there moves nothing and allocates nothing, for 1 tuple as for 50. The
 // relation is created when absent; it
-// fails if the relation exists with another arity or a tuple has the
+// fails if the relation exists with another arity or a row has the
 // wrong arity. Tuple-at-a-time mutation means a
 // concurrent reader may see a partially swapped range; callers (the
 // netdist coordinator's mirror refresh) keep writers of the range away
 // through the scheduler's footprints — a task that refreshes it holds a
 // read claim on it — and refreshes that race each other then swap in the
 // same contents.
-func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []relation.Tuple) error {
+func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, rows [][]relation.Handle) error {
 	whole := !rg.HasLo && !rg.HasHi
 	if !whole && (rg.Col < 0 || rg.Col >= arity) {
 		return fmt.Errorf("store: replace range %s/%d: column %d out of range", name, arity, rg.Col)
 	}
-	for _, t := range ts {
-		if len(t) != arity {
-			return fmt.Errorf("store: replace range %s/%d: tuple %s has arity %d", name, arity, t, len(t))
+	for _, row := range rows {
+		if len(row) != arity {
+			return fmt.Errorf("store: replace range %s/%d: tuple %s has arity %d", name, arity, relation.Materialize(row), len(row))
 		}
-		if !whole && !rg.Contains(t[rg.Col]) {
-			return fmt.Errorf("store: replace range %s: tuple %s lies outside the range at column %d", name, t, rg.Col)
+		if !whole && !rg.Contains(relation.InternedValue(row[rg.Col])) {
+			return fmt.Errorf("store: replace range %s: tuple %s lies outside the range at column %d", name, relation.Materialize(row), rg.Col)
 		}
 	}
 	r, err := s.Ensure(name, arity)
 	if err != nil {
 		return err
 	}
-	// Intern each shipped tuple once: its row is an arity-long window of
-	// one array.
-	flat := make([]relation.Handle, 0, len(ts)*arity)
-	for _, t := range ts {
-		flat = relation.AppendHandles(flat, t)
-	}
-	row := func(i int) []relation.Handle { return flat[i*arity : (i+1)*arity : (i+1)*arity] }
-	// A refresh mostly ships what the mirror holds: room for as many old
-	// rows as shipped ones.
-	old := make([][]relation.Handle, 0, len(ts))
+	// A refresh mostly ships what the mirror holds: the old rows are
+	// gathered in pooled room for as many as were shipped.
+	sc := replaceScratch.Get().(*replaceRoom)
+	old := slices.Grow(sc.old[:0], len(rows))
 	v, point := rg.Point()
 	switch {
 	case whole:
@@ -334,21 +329,42 @@ func (s *Store) ReplaceRange(name string, arity int, rg relation.Range, ts []rel
 	if len(old) > 0 {
 		// Diff by handle: an old row is looked up among the shipped rows,
 		// sorted.
-		fresh := make([][]relation.Handle, len(ts))
-		for i := range fresh {
-			fresh[i] = row(i)
-		}
+		fresh := append(sc.fresh[:0], rows...)
 		slices.SortFunc(fresh, slices.Compare[[]relation.Handle])
 		for _, hs := range old {
 			if _, found := slices.BinarySearchFunc(fresh, hs, slices.Compare[[]relation.Handle]); !found {
 				r.DeleteHandles(hs)
 			}
 		}
+		sc.fresh = fresh
 	}
-	for i := range ts {
-		r.InsertHandles(row(i))
+	sc.old = old
+	sc.put()
+	for _, row := range rows {
+		r.InsertHandles(row)
 	}
 	return nil
+}
+
+// replaceRoom is ReplaceRange's room: the old rows of the range, and the
+// shipped ones sorted.
+type replaceRoom struct{ old, fresh [][]relation.Handle }
+
+var replaceScratch = sync.Pool{New: func() any { return new(replaceRoom) }}
+
+// maxPooledRows bounds the room put back: a rare large range's is not
+// kept.
+const maxPooledRows = 4096
+
+// put empties the room — it holds no row past the call — and pools it.
+func (sc *replaceRoom) put() {
+	if max(cap(sc.old), cap(sc.fresh)) > maxPooledRows {
+		return
+	}
+	clear(sc.old)
+	clear(sc.fresh)
+	sc.old, sc.fresh = sc.old[:0], sc.fresh[:0]
+	replaceScratch.Put(sc)
 }
 
 // Clone returns a deep copy of the store with zeroed counters.

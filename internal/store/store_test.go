@@ -223,7 +223,7 @@ func TestReplace(t *testing.T) {
 	s.Tuples("r") // charge some reads
 	whole := relation.Range{}
 	data, builds := s.DataVersion("r"), relation.IndexBuilds()
-	if err := s.ReplaceRange("r", 2, whole, []relation.Tuple{relation.Ints(5, 6), relation.Ints(3, 4)}); err != nil {
+	if err := s.ReplaceRange("r", 2, whole, relation.Rows([]relation.Tuple{relation.Ints(5, 6), relation.Ints(3, 4)})); err != nil {
 		t.Fatal(err)
 	}
 	if s.DataVersion("r") <= data {
@@ -238,7 +238,7 @@ func TestReplace(t *testing.T) {
 	if got := s.Reads("r"); got != 2 {
 		t.Errorf("the swap charged reads: got %d, want 2 (the earlier scan)", got)
 	}
-	if err := s.ReplaceRange("fresh", 1, whole, []relation.Tuple{relation.Ints(7)}); err != nil {
+	if err := s.ReplaceRange("fresh", 1, whole, relation.Rows([]relation.Tuple{relation.Ints(7)})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains("fresh", relation.Ints(7)) {
@@ -252,7 +252,7 @@ func TestReplace(t *testing.T) {
 	}
 	// A nullary relation holds the empty tuple or nothing.
 	for _, ts := range [][]relation.Tuple{{{}}, nil} {
-		if err := s.ReplaceRange("flag", 0, whole, ts); err != nil {
+		if err := s.ReplaceRange("flag", 0, whole, relation.Rows(ts)); err != nil {
 			t.Fatal(err)
 		}
 		if n := s.Relation("flag").Len(); n != len(ts) {
@@ -262,7 +262,7 @@ func TestReplace(t *testing.T) {
 	if err := s.ReplaceRange("r", 3, whole, nil); err == nil {
 		t.Error("a swap at a conflicting arity was accepted")
 	}
-	if err := s.ReplaceRange("r", 2, whole, []relation.Tuple{relation.Ints(1)}); err == nil {
+	if err := s.ReplaceRange("r", 2, whole, relation.Rows([]relation.Tuple{relation.Ints(1)})); err == nil {
 		t.Error("a swap with a mis-sized tuple was accepted")
 	}
 }
@@ -345,7 +345,7 @@ func TestReplaceCarriesIndexSignatures(t *testing.T) {
 	// coordinator refreshes its mirror this way before every global
 	// evaluation).
 	lookupCols(s, "r", 2, []int{0, 1}, []ast.Value{ast.Int(1), ast.Int(2)})
-	if err := s.ReplaceRange("r", 2, relation.Range{}, []relation.Tuple{relation.Ints(3, 4)}); err != nil {
+	if err := s.ReplaceRange("r", 2, relation.Range{}, relation.Rows([]relation.Tuple{relation.Ints(3, 4)})); err != nil {
 		t.Fatal(err)
 	}
 	builds := relation.IndexBuilds()
@@ -368,7 +368,7 @@ func TestReplaceKey(t *testing.T) {
 	}
 	// Swap key group 1: {1,10},{1,11} -> {1,12}; group 2 untouched.
 	builds := relation.IndexBuilds()
-	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), []relation.Tuple{relation.Ints(1, 12)}); err != nil {
+	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), relation.Rows([]relation.Tuple{relation.Ints(1, 12)})); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Relation("d").Tuples()
@@ -394,10 +394,10 @@ func TestReplaceKey(t *testing.T) {
 	}
 
 	// Creating an absent relation works; arity and key mismatches fail.
-	if err := s.ReplaceRange("fresh", 1, relation.PointRange(0, ast.Int(7)), []relation.Tuple{relation.Ints(7)}); err != nil {
+	if err := s.ReplaceRange("fresh", 1, relation.PointRange(0, ast.Int(7)), relation.Rows([]relation.Tuple{relation.Ints(7)})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), []relation.Tuple{relation.Ints(9, 9)}); err == nil {
+	if err := s.ReplaceRange("d", 2, relation.PointRange(0, ast.Int(1)), relation.Rows([]relation.Tuple{relation.Ints(9, 9)})); err == nil {
 		t.Fatal("tuple not carrying the key value must be rejected")
 	}
 	if err := s.ReplaceRange("d", 2, relation.PointRange(5, ast.Int(1)), nil); err == nil {
@@ -435,7 +435,7 @@ func TestReplaceRange(t *testing.T) {
 			"r(0,3) r(2,4) r(3,9) r(6,36)"},
 	}
 	for i, c := range cases {
-		if err := s.ReplaceRange("r", 2, c.rg, c.ts); err != nil {
+		if err := s.ReplaceRange("r", 2, c.rg, relation.Rows(c.ts)); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		var got []string
@@ -448,23 +448,23 @@ func TestReplaceRange(t *testing.T) {
 		}
 	}
 	v := s.DataVersion("r")
-	if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, []relation.Tuple{relation.Ints(2, 4), relation.Ints(3, 9), relation.Ints(6, 36)}); err != nil {
+	if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, relation.Rows([]relation.Tuple{relation.Ints(2, 4), relation.Ints(3, 9), relation.Ints(6, 36)})); err != nil {
 		t.Fatal(err)
 	}
 	if s.DataVersion("r") != v {
 		t.Fatal("swapping a range for its own contents moved the data version")
 	}
 	for _, bad := range []relation.Tuple{relation.Ints(1, 1), relation.Ints(2)} {
-		if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, []relation.Tuple{bad}); err == nil {
+		if err := s.ReplaceRange("r", 2, relation.Range{Col: 0, Lo: ast.Int(2), HasLo: true}, relation.Rows([]relation.Tuple{bad})); err == nil {
 			t.Fatalf("tuple %s outside the range or of the wrong arity was taken", bad)
 		}
 	}
 }
 
 // TestRefreshAllocs: a refresh that ships what the mirror already holds —
-// a point, a range or the whole relation, of 1 tuple or of 50 — interns
-// each shipped tuple once and diffs it by handle, so its allocations do not
-// grow with the tuples shipped, and it moves no data version.
+// a point, a range or the whole relation, of 1 tuple or of 50 — diffs the
+// shipped rows by handle in pooled room, so it allocates nothing, and it
+// moves no data version.
 func TestRefreshAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -476,12 +476,12 @@ func TestRefreshAllocs(t *testing.T) {
 			ts = append(ts, relation.Ints(7, i))
 		}
 		r := rg(n)
-		if err := s.ReplaceRange(name, 2, r, ts); err != nil {
+		if err := s.ReplaceRange(name, 2, r, relation.Rows(ts)); err != nil {
 			t.Fatal(err)
 		}
-		v := s.DataVersion(name)
+		v, rows := s.DataVersion(name), relation.Rows(ts)
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := s.ReplaceRange(name, 2, r, ts); err != nil {
+			if err := s.ReplaceRange(name, 2, r, rows); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -500,10 +500,8 @@ func TestRefreshAllocs(t *testing.T) {
 		}},
 		{"whole", func(int64) relation.Range { return relation.Range{} }},
 	} {
-		if one, fifty := refresh(c.name, 1, c.rg), refresh(c.name, 50, c.rg); one != fifty {
-			t.Errorf("%s: a refresh of 1 mirrored tuple allocates %v objects, of 50 %v", c.name, one, fifty)
-		} else {
-			t.Logf("%s: %v objects", c.name, one)
+		if one, fifty := refresh(c.name, 1, c.rg), refresh(c.name, 50, c.rg); one != 0 || fifty != 0 {
+			t.Errorf("%s: a refresh of 1 mirrored tuple allocates %v objects, of 50 %v; want 0", c.name, one, fifty)
 		}
 	}
 }
@@ -533,14 +531,14 @@ func TestDataVersion(t *testing.T) {
 	// Swapping the whole relation for an identical image changes nothing;
 	// changing one tuple of it moves the version.
 	image := s.Tuples("p")
-	if err := s.ReplaceRange("p", 2, relation.Range{}, image); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.Range{}, relation.Rows(image)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DataVersion("p"); got != v {
 		t.Fatalf("a whole swap for an identical image moved the version %d -> %d", v, got)
 	}
 	image[0] = relation.Ints(9, 9)
-	if err := s.ReplaceRange("p", 2, relation.Range{}, image); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.Range{}, relation.Rows(image)); err != nil {
 		t.Fatal(err)
 	}
 	v2 := s.DataVersion("p")
@@ -548,13 +546,13 @@ func TestDataVersion(t *testing.T) {
 		t.Fatalf("a whole swap changing one tuple took the version from %d to %d", v, v2)
 	}
 	// Swapping a key group for itself changes nothing.
-	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), []relation.Tuple{relation.Ints(9, 9)}); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), relation.Rows([]relation.Tuple{relation.Ints(9, 9)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DataVersion("p"); got != v2 {
 		t.Fatalf("a no-op ReplaceRange moved the version %d -> %d", v2, got)
 	}
-	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), []relation.Tuple{relation.Ints(9, 8)}); err != nil {
+	if err := s.ReplaceRange("p", 2, relation.PointRange(0, ast.Int(9)), relation.Rows([]relation.Tuple{relation.Ints(9, 8)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.DataVersion("p"); got <= v2 {
@@ -621,7 +619,7 @@ func TestRangeAppend(t *testing.T) {
 	// A whole swap keeps the ordered column in place: neither the swap
 	// nor the next lookup builds an index.
 	builds := relation.IndexBuilds()
-	if err := s.ReplaceRange("r", 1, relation.Range{}, []relation.Tuple{relation.Ints(4), relation.Ints(7)}); err != nil {
+	if err := s.ReplaceRange("r", 1, relation.Range{}, relation.Rows([]relation.Tuple{relation.Ints(4), relation.Ints(7)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.RangeAppend(nil, "r", 1, rg); len(got) != 1 || !slices.Equal(got[0], handles(relation.Ints(4))) {
