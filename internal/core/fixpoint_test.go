@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -350,6 +352,94 @@ func TestWarmGlobalCheckAllocs(t *testing.T) {
 	// acyclic's fixpoint, built once; banned-hub is a compiled check.
 	if s := c.Stats(); s.FixpointRebuilds != 1 || s.ByPhase[PhaseResidual] != s.Updates {
 		t.Fatalf("warm checks rebuilt: %+v", s)
+	}
+}
+
+// TestLogChurnAcrossCollectionsAllocs: a warm checker over the chain's
+// constraints (embed_recursive's) applies 32 inserts into a relation no
+// constraint reads and deletes them again, cycle after cycle, with edge
+// checks between — kept-fixpoint and compiled ones, admitted and
+// rejected — and a collection after every cycle. It allocates the rows
+// it stores and nothing more: the relation compacts in the room it
+// refills, and the evaluators the checks borrow keep their scratch
+// across the collections. The bytes come from runtime.MemStats:
+// testing.AllocsPerRun counts whole objects per run and would hide a
+// reallocation every few dozen deletes.
+func TestLogChurnAcrossCollectionsAllocs(t *testing.T) {
+	const most = 32
+	c := chainChecker(t, 64, Options{})
+	checks := []struct {
+		u     store.Update
+		admit bool
+	}{
+		{store.Ins("edge", relation.Ints(8, 41)), true},
+		{store.Ins("edge", relation.Ints(43, 4)), false},
+		{store.Del("edge", relation.Ints(20, 21)), true},
+	}
+	// Two cycles' worth of log tuples, built (and their values interned)
+	// before anything is counted.
+	logs := make([]store.Update, 2*most)
+	for i := range logs {
+		logs[i] = store.Ins("log", relation.Ints(int64(i)))
+	}
+	rng := rand.New(rand.NewSource(51))
+	order := make([]int, most)
+	for i := range order {
+		order[i] = i
+	}
+	round := 0
+	cycle := func() {
+		base := round % 2 * most
+		round++
+		for i := range most {
+			if _, err := c.Apply(logs[base+i]); err != nil {
+				t.Fatal(err)
+			}
+			if k := checks[i%len(checks)]; i%4 == 0 {
+				if rep, err := c.Check(k.u); err != nil || rep.Applied != k.admit {
+					t.Fatalf("%v: %+v %v", k.u, rep, err)
+				}
+			}
+		}
+		rng.Shuffle(most, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, i := range order {
+			u := logs[base+i]
+			if _, err := c.Apply(store.Del("log", u.Tuple)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+	}
+	for range 8 {
+		cycle()
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	// window returns the least bytes of three windows of cycles calls of
+	// f: the runtime's own work only ever adds bytes (see
+	// TestFlatDecisionAllocs).
+	const cycles, rowBytes = 12, most * 4
+	window := func(f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range cycles {
+				f()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	// A collection has the runtime allocate of its own accord (the unique
+	// package's cleanup, say), so the collections alone are the floor. A
+	// stored log row is one 4-byte handle, packed four to a 16-byte block.
+	floor, got := window(func() { runtime.GC() }), window(cycle)
+	if limit := floor + cycles*rowBytes + 16; got > limit {
+		t.Errorf("%d cycles of %d log inserts and deletes allocated %d B, want at most %d B (the stored rows, %d B, and the collections' own %d B)",
+			cycles, most, got, limit, cycles*rowBytes, floor)
 	}
 }
 

@@ -654,9 +654,8 @@ func TestFlatDecisionAllocs(t *testing.T) {
 	}
 	hire := store.Ins("emp", empTuple("new", "dept01", 25))
 	// mallocs counts the objects one Check of u by the checker mk returns
-	// allocates, run with the evaluator pool emptied (a pool is cleared
-	// over two collections): the one-time cost of a pooled evaluator and
-	// its scratch, which any decision may pay when the pool misses. Mallocs
+	// allocates, run after two collections (which keep the idle
+	// evaluators and their scratch, and empty every sync.Pool). Mallocs
 	// is process-wide, and the runtime's own work after the forced
 	// collections can land inside the window: in a young process the start
 	// of an OS thread (its m and g structs, six objects of 256–2048 B, seen
@@ -682,8 +681,8 @@ func TestFlatDecisionAllocs(t *testing.T) {
 		}
 		return least
 	}
-	// The first decision of each pattern costs what a warm one costs over
-	// an empty pool: every check was compiled by AddConstraint. (The
+	// The first decision of each pattern costs what a warm one costs after
+	// two collections: every check was compiled by AddConstraint. (The
 	// indexes a check probes are the relation layer's to build on first
 	// use: warmed on a copy.)
 	for _, u := range []store.Update{hire, store.Ins("r", relation.Ints(50)), store.Ins("l", relation.Ints(200, 300))} {
@@ -707,7 +706,7 @@ func TestFlatDecisionAllocs(t *testing.T) {
 			return f
 		}
 		if miss, first := mallocs(func() *Checker { return warm }, u), mallocs(fresh, u); first > miss {
-			t.Errorf("the first Check of %v allocates %d objects, a warm one %d over an empty evaluator pool", u, first, miss)
+			t.Errorf("the first Check of %v allocates %d objects, a warm one %d after two collections", u, first, miss)
 		}
 	}
 	// The forbidden-interval checks range over the other relation's ordered

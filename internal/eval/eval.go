@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -90,7 +90,7 @@ func EvalWith(prog *ast.Program, db *store.Store, opts Options) (*Result, error)
 }
 
 // newEvaluator allocates the result (empty derived relations) for the
-// compiled program and borrows a pooled evaluator to derive into it;
+// compiled program and borrows an idle evaluator to derive into it;
 // callers must release() the evaluator when done.
 func newEvaluator(c *compiled, db *store.Store) (*evaluator, *Result) {
 	res := &Result{slot: c.slot, sets: make([]*rowSet, len(c.arity))}
@@ -116,9 +116,9 @@ func PanicHolds(prog *ast.Program, db *store.Store) (bool, error) {
 // program, the store, the pending updates), the derived relations it
 // reads and derives into, and the engine's scratch — registers, the head
 // buffer, the pending updates' handles and one level per plan depth
-// (vm.go). Evaluators are pooled, so the steady state of a decision
-// stream allocates none of it; the compiled object they run is shared and
-// read-only.
+// (vm.go). Evaluators wait in idle slots between runs, across
+// collections too, so the steady state of a decision stream allocates
+// none of it; the compiled object they run is shared and read-only.
 type evaluator struct {
 	comp *compiled
 	db   *store.Store
@@ -153,20 +153,57 @@ type evaluator struct {
 	levels []level
 }
 
-// evaluators holds evaluators with no run state (deltaPos and stop -1,
-// every reference nil) and warm scratch.
-var evaluators = sync.Pool{New: func() any { return &evaluator{deltaPos: -1, stop: -1} }}
+// idle holds evaluators with no run state (deltaPos and stop -1, every
+// reference nil) and warm scratch, one per non-nil slot. Unlike a
+// sync.Pool, which every collection empties, it keeps them: the
+// evaluators that later decisions borrow do not rebuild their scratch
+// after a collection. What it keeps is bounded — at most len(idle)
+// evaluators, none of them holding more than maxIdleRows rows of scratch
+// in one slice.
+var idle [64]atomic.Pointer[evaluator]
 
-// getEvaluator borrows a pooled evaluator; callers set what they read and
-// must release it.
-func getEvaluator() *evaluator { return evaluators.Get().(*evaluator) }
+// maxIdleRows bounds a row slice an idle evaluator keeps: a rare large
+// scan's is dropped.
+const maxIdleRows = 4096
+
+// getEvaluator borrows an idle evaluator, or makes one; callers set what
+// they read and must put it back (release, or HoldsAfter's own reset).
+func getEvaluator() *evaluator {
+	for i := range idle {
+		if idle[i].Load() != nil {
+			if ev := idle[i].Swap(nil); ev != nil {
+				return ev
+			}
+		}
+	}
+	return &evaluator{deltaPos: -1, stop: -1}
+}
+
+// put returns an evaluator with no run state to the first free slot,
+// dropping its oversized scratch first; with every slot taken it is left
+// to the collector.
+func (ev *evaluator) put() {
+	if cap(ev.priorRows) > maxIdleRows {
+		ev.priorRows = nil
+	}
+	for i := range ev.levels {
+		if lv := &ev.levels[i]; cap(lv.rows) > maxIdleRows {
+			lv.rows = nil
+		}
+	}
+	for i := range idle {
+		if idle[i].Load() == nil && idle[i].CompareAndSwap(nil, ev) {
+			return
+		}
+	}
+}
 
 // release drops the run's references and returns the evaluator (with its
-// scratch) to the pool.
+// scratch) to the idle slots.
 func (ev *evaluator) release() {
 	*ev = evaluator{deltaPos: -1, stop: -1, regs: ev.regs, head: ev.head, levels: ev.levels,
 		params: ev.params[:0], priorRows: ev.priorRows[:0], priorBuf: ev.priorBuf[:0]}
-	evaluators.Put(ev)
+	ev.put()
 }
 
 // evalStratum computes the fixpoint of the (possibly mutually recursive)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -63,5 +64,37 @@ func TestRowSetNullary(t *testing.T) {
 	rs.truncate(0)
 	if rs.n != 0 || rs.contains(nil) {
 		t.Fatal("truncate left the empty row")
+	}
+}
+
+// TestIdleEvaluatorsBounded: the idle slots keep at most len(idle)
+// evaluators — one put back to full slots is left to the collector — an
+// evaluator keeps its scratch across a collection, and a row slice past
+// maxIdleRows is dropped before an evaluator is kept.
+func TestIdleEvaluatorsBounded(t *testing.T) {
+	held := make([]*evaluator, 2*len(idle))
+	for i := range held {
+		held[i] = getEvaluator()
+	}
+	held[0].levels = []level{{rows: make([][]relation.Handle, 0, maxIdleRows+1)}, {rows: make([][]relation.Handle, 0, 8)}}
+	for _, ev := range held {
+		ev.release()
+	}
+	kept := 0
+	for i := range idle {
+		if idle[i].Load() != nil {
+			kept++
+		}
+	}
+	if kept != len(idle) {
+		t.Fatalf("%d of %d returned evaluators kept, want %d", kept, len(held), len(idle))
+	}
+	runtime.GC()
+	runtime.GC()
+	if ev := idle[0].Load(); ev != held[0] {
+		t.Fatal("the first idle slot lost its evaluator across two collections")
+	}
+	if lv := held[0].levels; lv[0].rows != nil || cap(lv[1].rows) != 8 {
+		t.Errorf("kept level rows of capacity %d and %d, want the oversized one dropped and 8 kept", cap(lv[0].rows), cap(lv[1].rows))
 	}
 }

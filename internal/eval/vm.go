@@ -20,7 +20,7 @@ import (
 // is fixed at plan time, register boundness is static: every column of
 // every atom is classified once as probe / check / bind / repeat-check, so
 // the runtime needs no substitution map, no trail and no per-run
-// allocation beyond the pooled evaluator. A plan ends in an emit (a rule's
+// allocation beyond the idle evaluator it borrows. A plan ends in an emit (a rule's
 // head tuple) or, for a residual disjunct, in "derived". Every read goes
 // through the evaluator's source (fetch, contains): the store as it will
 // be once the pending updates are applied, or a derived relation (rowSet)
@@ -419,7 +419,7 @@ func (p *Plan) HoldsAfter(db *store.Store, prior []store.Update, u store.Update)
 	// db and the updates are all the run state a residual run sets:
 	// clearing them is release on the hot path.
 	ev.db, ev.prior, ev.upd = nil, nil, store.Update{}
-	evaluators.Put(ev)
+	ev.put()
 	return errors.Is(err, errGoalDerived)
 }
 

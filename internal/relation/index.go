@@ -135,9 +135,11 @@ func (mi *multiIndex) fill(rows [][]Handle) {
 }
 
 // refill re-buckets the rows of a compacted relation: each bucket is
-// truncated and refilled in place, in position order as a build fills it,
-// and a bucket left empty is deleted. fresh starts from an empty map
-// instead, for a relation that reallocated its arrays.
+// truncated and refilled in place, in position order as a build fills it.
+// A bucket left empty keeps its key and array for the key's next rows,
+// unless the emptied buckets outnumber both the rows and 64: then they are
+// deleted. fresh starts from an empty map instead, for a relation that
+// reallocated its arrays.
 func (mi *multiIndex) refill(rows [][]Handle, fresh bool) {
 	if fresh {
 		mi.buckets = map[uint64][]int{}
@@ -146,6 +148,15 @@ func (mi *multiIndex) refill(rows [][]Handle, fresh bool) {
 		mi.buckets[k] = b[:0]
 	}
 	mi.fill(rows)
+	empty := 0
+	for _, b := range mi.buckets {
+		if len(b) == 0 {
+			empty++
+		}
+	}
+	if empty <= max(len(rows), 64) {
+		return
+	}
 	for k, b := range mi.buckets {
 		if len(b) == 0 {
 			delete(mi.buckets, k)

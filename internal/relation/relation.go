@@ -356,9 +356,15 @@ func (r *Relation) DeleteHandles(hs []Handle) bool {
 // too), so nothing handed out shares the array. Hash indexes are refilled,
 // not dropped: a signature once requested stays warm. Ordered indexes are
 // renumbered: a live tuple keeps its rank. Neither counts as an index
-// build. The arrays and maps are reallocated at live size only when the
-// live rows fill less than a quarter of them, so what a relation once held
-// is not retained.
+// build.
+//
+// The arrays and maps are kept, cleared, while the rows' capacity is at
+// most 4 × max(live rows, 64), and reallocated at live size past that. The
+// floor of 64 covers a relation whose contents keep coming back to a small
+// size — a log of pending writes compacts before its holes pass 64 — so it
+// reallocates nothing after its first cycle; the bound holds after every
+// compaction, so a relation drained for good retains nothing sized for
+// what it once held.
 func (r *Relation) compactLocked() {
 	n := 0
 	for i, hs := range r.rows {
@@ -376,7 +382,7 @@ func (r *Relation) compactLocked() {
 	}
 	clear(r.rows[n:])
 	r.rows, r.next = r.rows[:n], r.next[:n]
-	fresh := n < cap(r.rows)/4
+	fresh := cap(r.rows) > 4*max(n, 64)
 	if fresh {
 		r.rows, r.next = slices.Clone(r.rows), slices.Clone(r.next)
 		r.index = make(map[uint64]int32, n)

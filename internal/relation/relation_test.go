@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -295,18 +296,94 @@ func TestCompactInPlaceAgreesWithFresh(t *testing.T) {
 			}
 		}
 	}
-	// Retention: a relation drained to a few tuples reallocates its arrays.
+	// Retention: a relation drained to a few tuples reallocates its
+	// arrays, and no compaction on the way down keeps more than the bound.
 	big := New("r", 1)
 	for i := int64(0); i < 10000; i++ {
 		big.Insert(Ints(i))
 	}
 	big.RangeAppend(nil, all[:1])
 	for i := int64(0); i < 9990; i++ {
+		holes := big.holes
 		big.Delete(Ints(i))
+		if big.holes >= holes {
+			continue
+		}
+		if limit := 4 * max(big.Len(), 64); cap(big.rows) > limit || cap(big.next) > limit || cap(big.ord[0].pos) > limit {
+			t.Errorf("%d live tuples keep capacities %d/%d/%d after a compaction, want at most %d",
+				big.Len(), cap(big.rows), cap(big.next), cap(big.ord[0].pos), limit)
+		}
 	}
-	if limit := 4 * max(big.Len(), 64); cap(big.rows) > limit || cap(big.next) > limit || cap(big.ord[0].pos) > limit {
-		t.Errorf("%d live tuples keep capacities %d/%d/%d, want at most %d",
-			big.Len(), cap(big.rows), cap(big.next), cap(big.ord[0].pos), limit)
+	if big.Len() != 10 {
+		t.Fatalf("drained relation holds %d tuples, want 10", big.Len())
+	}
+}
+
+// TestChurnReallocatesNothing: a relation cycled between 0 and 32 live
+// rows — a log of pending writes — with a hash index (keyed by eight
+// values that keep coming back) and an ordered index allocates nothing
+// after its first compaction but the handle rows of the tuples it stores,
+// across 20 compactions more. The bytes come from
+// runtime.MemStats: testing.AllocsPerRun counts whole objects per run and
+// would hide a reallocation every few dozen deletes.
+func TestChurnReallocatesNothing(t *testing.T) {
+	const width, most = 4096, 32
+	rows := make([][]Handle, width)
+	for i := range rows {
+		rows[i] = []Handle{Intern(ast.Int(int64(i))), Intern(ast.Int(int64(i % 8)))}
+	}
+	r := New("log", 2)
+	r.LookupColsAppend(nil, []int{1}, rows[0][1:])
+	r.RangeAppend(nil, []Range{{Col: 0, Lo: ast.Int(0), HasLo: true}})
+	rng := rand.New(rand.NewSource(51))
+	live := make([]int, 0, most)
+	seq := 0
+	// cycle fills the relation to most rows and drains it in a random
+	// order; it returns the compactions the drain made.
+	cycle := func() (compactions int) {
+		for range most {
+			r.InsertHandles(rows[seq%width])
+			live = append(live, seq%width)
+			seq++
+		}
+		for len(live) > 0 {
+			i := rng.Intn(len(live))
+			holes := r.holes
+			r.DeleteHandles(rows[live[i]])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if r.holes < holes {
+				compactions++
+			}
+		}
+		return compactions
+	}
+	for cycle() == 0 {
+	}
+	if got := r.LookupColsAppend(nil, []int{1}, rows[0][1:]); r.Len() != 0 || len(got) != 0 {
+		t.Fatalf("a drained relation holds %d rows, %d of them under key 0", r.Len(), len(got))
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	// The runtime can allocate inside a window of its own accord (an OS
+	// thread's structs, a timer's object), which only ever adds bytes: the
+	// least excess of three windows counts.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		cycles := 0
+		for compactions := 0; compactions < 20; cycles++ {
+			compactions += cycle()
+		}
+		runtime.ReadMemStats(&after)
+		// A stored row is its two handles, one 8-byte object.
+		least = min(least, after.TotalAlloc-before.TotalAlloc-uint64(8*most*cycles))
+	}
+	if least != 0 {
+		t.Errorf("20 compactions allocated %d B beyond the rows they store", least)
 	}
 }
 

@@ -3,18 +3,22 @@
 // counters (Reads, TotalReads) let a test see how much of each relation a
 // checking strategy touched.
 //
-// A Store is safe for concurrent use: relation creation is guarded by an
-// RWMutex, the relations themselves are internally synchronized (see
-// internal/relation), and the access counters sit behind their own mutex
-// so concurrent readers charge reads without racing.
+// A Store is safe for concurrent use, and its read path takes no
+// store-wide lock: the name table is published copy-on-write (relations
+// are never removed, so a reader's table is never missing one that existed
+// when it loaded it), the relations themselves are internally synchronized
+// (see internal/relation), and each name's read counter is an atomic.
+// Creating a relation and Write serialize on one mutex.
 package store
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -23,21 +27,28 @@ import (
 // Store is a mutable database: a set of named relations. The zero value
 // is not usable; call New.
 type Store struct {
-	// mu guards rels, the relations by name; a relation's arity is fixed
-	// when it is created.
-	mu   sync.RWMutex
-	rels map[string]*relation.Relation
-	// readsMu guards reads, the tuples handed out per relation.
-	readsMu sync.Mutex
-	reads   map[string]int64
+	// mu serializes what changes the name table (creating a relation, or
+	// entering a name a read was charged to) and Write, whose arity check
+	// and writes are all or none.
+	mu sync.Mutex
+	// names is the name table. A change publishes a copy under mu; readers
+	// load it without a lock. No entry is ever removed.
+	names atomic.Pointer[map[string]*entry]
+}
+
+// entry is one name's relation — nil until created; its arity is fixed
+// then — and the tuples handed out under that name, charged whether or
+// not the relation exists.
+type entry struct {
+	rel   atomic.Pointer[relation.Relation]
+	reads atomic.Int64
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		rels:  map[string]*relation.Relation{},
-		reads: map[string]int64{},
-	}
+	s := &Store{}
+	s.names.Store(&map[string]*entry{})
+	return s
 }
 
 // DataVersion returns the named relation's data version (see
@@ -52,11 +63,29 @@ func (s *Store) DataVersion(name string) uint64 {
 	return r.Version()
 }
 
-// get returns the named relation or nil, under the read lock.
+// lookup returns name's entry, or nil; it takes no lock.
+func (s *Store) lookup(name string) *entry { return (*s.names.Load())[name] }
+
+// get returns the named relation or nil; it takes no lock.
 func (s *Store) get(name string) *relation.Relation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rels[name]
+	if e := s.lookup(name); e != nil {
+		return e.rel.Load()
+	}
+	return nil
+}
+
+// enterLocked returns name's entry, publishing a table that holds a new
+// one when it is missing. Caller holds mu.
+func (s *Store) enterLocked(name string) *entry {
+	names := *s.names.Load()
+	if e := names[name]; e != nil {
+		return e
+	}
+	next := maps.Clone(names)
+	e := new(entry)
+	next[name] = e
+	s.names.Store(&next)
+	return e
 }
 
 // getArity returns the named relation when it is stored with the given
@@ -68,20 +97,32 @@ func (s *Store) getArity(name string, arity int) *relation.Relation {
 	return nil
 }
 
-// charge adds n tuple reads to the named relation's counter. A probe
-// that read nothing takes no lock.
+// charge adds n tuple reads to the named relation's counter, an atomic
+// add. A probe that read nothing charges nothing; the first charge to a
+// name the table lacks enters it, under mu.
 func (s *Store) charge(name string, n int64) {
 	if n == 0 {
 		return
 	}
-	s.readsMu.Lock()
-	s.reads[name] += n
-	s.readsMu.Unlock()
+	e := s.lookup(name)
+	if e == nil {
+		s.mu.Lock()
+		e = s.enterLocked(name)
+		s.mu.Unlock()
+	}
+	e.reads.Add(n)
 }
 
 // Ensure returns the relation named name, creating it with the given
 // arity if absent. It fails if the relation exists with another arity.
+// Only a creation takes the lock.
 func (s *Store) Ensure(name string, arity int) (*relation.Relation, error) {
+	if r := s.get(name); r != nil {
+		if err := arityConflict(r, arity); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ensure(name, arity)
@@ -89,14 +130,15 @@ func (s *Store) Ensure(name string, arity int) (*relation.Relation, error) {
 
 // ensure is Ensure under s.mu.
 func (s *Store) ensure(name string, arity int) (*relation.Relation, error) {
-	if r, ok := s.rels[name]; ok {
+	e := s.enterLocked(name)
+	if r := e.rel.Load(); r != nil {
 		if err := arityConflict(r, arity); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
 	r := relation.New(name, arity)
-	s.rels[name] = r
+	e.rel.Store(r)
 	return r, nil
 }
 
@@ -125,12 +167,13 @@ func (s *Store) Relation(name string) *relation.Relation { return s.get(name) }
 
 // Names returns the sorted relation names.
 func (s *Store) Names() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.rels))
-	for n := range s.rels {
-		out = append(out, n)
+	names := *s.names.Load()
+	out := make([]string, 0, len(names))
+	for n, e := range names {
+		if e.rel.Load() != nil {
+			out = append(out, n)
+		}
 	}
-	s.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -246,9 +289,10 @@ func (s *Store) RangeAppend(dst [][]relation.Handle, name string, arity int, ran
 // Reads returns the cumulative number of tuples read from the named
 // relation via Tuples/Lookup/Probe.
 func (s *Store) Reads(name string) int64 {
-	s.readsMu.Lock()
-	defer s.readsMu.Unlock()
-	return s.reads[name]
+	if e := s.lookup(name); e != nil {
+		return e.reads.Load()
+	}
+	return 0
 }
 
 // TotalReads sums the read counters over the given relation names (all
@@ -257,20 +301,18 @@ func (s *Store) TotalReads(names ...string) int64 {
 	if len(names) == 0 {
 		names = s.Names()
 	}
-	s.readsMu.Lock()
-	defer s.readsMu.Unlock()
 	var sum int64
 	for _, n := range names {
-		sum += s.reads[n]
+		sum += s.Reads(n)
 	}
 	return sum
 }
 
 // ResetReads zeroes all read counters.
 func (s *Store) ResetReads() {
-	s.readsMu.Lock()
-	s.reads = map[string]int64{}
-	s.readsMu.Unlock()
+	for _, e := range *s.names.Load() {
+		e.reads.Store(0)
+	}
 }
 
 // ReplaceRange swaps one range of the named relation: every stored tuple
@@ -367,14 +409,21 @@ func (sc *replaceRoom) put() {
 	replaceScratch.Put(sc)
 }
 
-// Clone returns a deep copy of the store with zeroed counters.
+// Clone returns a deep copy of the store with zeroed counters. It holds
+// mu, so it sees a Write whole or not at all.
 func (s *Store) Clone() *Store {
-	out := New()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for n, r := range s.rels {
-		out.rels[n] = r.Clone()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := map[string]*entry{}
+	for n, e := range *s.names.Load() {
+		if r := e.rel.Load(); r != nil {
+			c := new(entry)
+			c.rel.Store(r.Clone())
+			names[n] = c
+		}
 	}
+	out := &Store{}
+	out.names.Store(&names)
 	return out
 }
 
@@ -434,7 +483,7 @@ func (s *Store) Write(ws []Update) ([]Update, error) {
 	defer s.mu.Unlock()
 	for i := range ws {
 		if w := &ws[i]; w.Insert {
-			if err := arityConflict(s.rels[w.Relation], len(w.Tuple)); err != nil {
+			if err := arityConflict(s.get(w.Relation), len(w.Tuple)); err != nil {
 				return nil, err
 			}
 		}
@@ -446,7 +495,7 @@ func (s *Store) Write(ws []Update) ([]Update, error) {
 		if w.Insert {
 			r, _ := s.ensure(w.Relation, len(w.Tuple))
 			changed = r.Insert(w.Tuple)
-		} else if r := s.rels[w.Relation]; r != nil {
+		} else if r := s.get(w.Relation); r != nil {
 			changed = r.Delete(w.Tuple)
 		}
 		if changed {

@@ -3,6 +3,7 @@ package store
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -299,6 +300,74 @@ func TestLookupColsCharging(t *testing.T) {
 	}
 	if got := s.Reads("absent"); got != 0 {
 		t.Errorf("absent relation charged %d reads", got)
+	}
+}
+
+// TestConcurrentProbesEnsureReads: probes, the store's read path, take no
+// store-wide lock, while Ensure creates relations under them and Reads
+// polls the counters; meaningful under -race. Every probe is charged to
+// its name, absent or not — a Probe charges before it looks the
+// relation up — and no counter a poll sees ever falls.
+func TestConcurrentProbesEnsureReads(t *testing.T) {
+	const readers, probes = 4, 1200
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	s := New()
+	if _, err := s.Insert("a", relation.Ints(1)); err != nil {
+		t.Fatal(err)
+	}
+	hs := []relation.Handle{relation.Intern(ast.Int(1))}
+	var wg sync.WaitGroup
+	for w := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range probes {
+				name := names[(w+i)%len(names)]
+				s.Probe(name, hs)
+				s.FirstCols(name, 1, []int{0}, []ast.Value{ast.Int(1)}, nil)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, name := range names[1:] {
+			if _, err := s.Ensure(name, 1); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Insert(name, relation.Ints(1)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		seen := map[string]int64{}
+		for range probes {
+			for _, name := range names {
+				got := s.Reads(name)
+				if got < seen[name] {
+					t.Errorf("Reads(%s) fell from %d to %d", name, seen[name], got)
+					return
+				}
+				seen[name] = got
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	// Each reader probes each name probes/len(names) times, twice a turn.
+	want := int64(readers * probes / len(names) * 2)
+	for _, name := range names {
+		if got := s.Reads(name); got != want {
+			t.Errorf("Reads(%s) = %d, want %d", name, got, want)
+		}
+	}
+	if got := s.Names(); !slices.Equal(got, names) {
+		t.Errorf("Names() = %v, want %v", got, names)
 	}
 }
 
